@@ -3,6 +3,11 @@
 // dominance frontiers (Cytron), and control dependence
 // (Ferrante–Ottenstein–Warren), which the SEG encodes as Lc-labeled edges
 // (Pinpoint Definition 3.2).
+//
+// Every per-block fact is a slice indexed by Block.ID and sized by
+// Func.NumBlocks: block IDs are dense per function, so the ID is the key and
+// no pointer-keyed map is needed. Blocks pruned after creation leave unused
+// slots.
 package cfg
 
 import (
@@ -14,20 +19,40 @@ import (
 // ReversePostorder returns the blocks of f in reverse postorder of a DFS
 // from the entry.
 func ReversePostorder(f *ir.Func) []*ir.Block {
-	seen := make(map[*ir.Block]bool, len(f.Blocks))
-	var post []*ir.Block
-	var dfs func(*ir.Block)
-	dfs = func(b *ir.Block) {
-		if seen[b] {
-			return
-		}
-		seen[b] = true
-		for _, s := range b.Succs {
-			dfs(s)
-		}
-		post = append(post, b)
+	return reversePostorder(f.Entry, f.NumBlocks(), false)
+}
+
+// reversePostorder runs the DFS from root along successor edges (or, with
+// backward set, predecessor edges), visiting edges in list order exactly as
+// the recursive formulation would.
+func reversePostorder(root *ir.Block, numBlocks int, backward bool) []*ir.Block {
+	type visit struct {
+		b    *ir.Block
+		next int
 	}
-	dfs(f.Entry)
+	seen := make([]bool, numBlocks)
+	post := make([]*ir.Block, 0, numBlocks)
+	stack := make([]visit, 1, 16)
+	stack[0] = visit{b: root}
+	seen[root.ID] = true
+	for len(stack) > 0 {
+		top := &stack[len(stack)-1]
+		out := top.b.Succs
+		if backward {
+			out = top.b.Preds
+		}
+		if top.next == len(out) {
+			post = append(post, top.b)
+			stack = stack[:len(stack)-1]
+			continue
+		}
+		s := out[top.next]
+		top.next++
+		if !seen[s.ID] {
+			seen[s.ID] = true
+			stack = append(stack, visit{b: s})
+		}
+	}
 	for i, j := 0, len(post)-1; i < j; i, j = i+1, j-1 {
 		post[i], post[j] = post[j], post[i]
 	}
@@ -40,13 +65,13 @@ func ReversePostorder(f *ir.Func) []*ir.Block {
 // loudly if the invariant breaks.
 func Topological(f *ir.Func) ([]*ir.Block, error) {
 	order := ReversePostorder(f)
-	idx := make(map[*ir.Block]int, len(order))
+	idx := make([]int32, f.NumBlocks())
 	for i, b := range order {
-		idx[b] = i
+		idx[b.ID] = int32(i)
 	}
 	for _, b := range order {
 		for _, s := range b.Succs {
-			if idx[s] <= idx[b] {
+			if idx[s.ID] <= idx[b.ID] {
 				return nil, fmt.Errorf("cfg: %s has a back edge %s->%s", f.Name, b, s)
 			}
 		}
@@ -54,25 +79,35 @@ func Topological(f *ir.Func) ([]*ir.Block, error) {
 	return order, nil
 }
 
-// DomTree is a dominator (or post-dominator) tree.
+// DomTree is a dominator (or post-dominator) tree. It is immutable once
+// built, so detection workers may read it concurrently.
 type DomTree struct {
 	// Root is the tree root: the entry for dominators, the exit for
 	// post-dominators.
 	Root *ir.Block
-	// Idom maps each block to its immediate (post-)dominator; the root
-	// maps to nil.
-	Idom map[*ir.Block]*ir.Block
-	// Children is the inverse of Idom.
-	Children map[*ir.Block][]*ir.Block
-	// Order assigns each reachable block its index in the fixpoint
-	// iteration order (reverse postorder from Root along the direction
-	// of the analysis).
-	Order map[*ir.Block]int
+	// idom holds each block's immediate (post-)dominator by Block.ID; nil
+	// for the root and for blocks unreachable from it.
+	idom []*ir.Block
+	// children is the inverse of idom in one backing array: the children of
+	// block b are children[childStart[b.ID]:childStart[b.ID+1]], in
+	// ascending ID order.
+	children   []*ir.Block
+	childStart []int32
+}
+
+// Idom returns b's immediate (post-)dominator: nil for the root and for
+// blocks the tree does not reach.
+func (t *DomTree) Idom(b *ir.Block) *ir.Block { return t.idom[b.ID] }
+
+// Children returns the blocks whose immediate (post-)dominator is b, in
+// ascending ID order. Callers must not mutate the slice.
+func (t *DomTree) Children(b *ir.Block) []*ir.Block {
+	return t.children[t.childStart[b.ID]:t.childStart[b.ID+1]]
 }
 
 // Dominates reports whether a dominates b (reflexively).
 func (t *DomTree) Dominates(a, b *ir.Block) bool {
-	for x := b; x != nil; x = t.Idom[x] {
+	for x := b; x != nil; x = t.idom[x.ID] {
 		if x == a {
 			return true
 		}
@@ -82,8 +117,7 @@ func (t *DomTree) Dominates(a, b *ir.Block) bool {
 
 // Dominators computes the dominator tree of f.
 func Dominators(f *ir.Func) *DomTree {
-	return buildDomTree(f.Entry, func(b *ir.Block) []*ir.Block { return b.Succs },
-		func(b *ir.Block) []*ir.Block { return b.Preds })
+	return buildDomTree(f.Entry, f.NumBlocks(), false)
 }
 
 // PostDominators computes the post-dominator tree of f, rooted at the unique
@@ -92,63 +126,47 @@ func PostDominators(f *ir.Func) *DomTree {
 	if f.Exit == nil {
 		panic("cfg: function has no exit block")
 	}
-	return buildDomTree(f.Exit, func(b *ir.Block) []*ir.Block { return b.Preds },
-		func(b *ir.Block) []*ir.Block { return b.Succs })
+	return buildDomTree(f.Exit, f.NumBlocks(), true)
 }
 
-// buildDomTree runs the Cooper–Harvey–Kennedy iterative algorithm over the
-// graph induced by fwd (successors in the direction away from root) and bwd
-// (predecessors toward root).
-func buildDomTree(root *ir.Block, fwd, bwd func(*ir.Block) []*ir.Block) *DomTree {
-	// Reverse postorder from root along fwd.
-	seen := map[*ir.Block]bool{}
-	var post []*ir.Block
-	var dfs func(*ir.Block)
-	dfs = func(b *ir.Block) {
-		if seen[b] {
-			return
-		}
-		seen[b] = true
-		for _, s := range fwd(b) {
-			dfs(s)
-		}
-		post = append(post, b)
+// buildDomTree runs the Cooper–Harvey–Kennedy iterative algorithm from root
+// over the CFG (backward: over the reversed CFG).
+func buildDomTree(root *ir.Block, numBlocks int, backward bool) *DomTree {
+	rpo := reversePostorder(root, numBlocks, backward)
+	// order is each block's RPO position, -1 for blocks unreachable from
+	// root in this direction.
+	order := make([]int32, numBlocks)
+	for i := range order {
+		order[i] = -1
 	}
-	dfs(root)
-	rpo := make([]*ir.Block, len(post))
-	for i := range post {
-		rpo[len(post)-1-i] = post[i]
-	}
-	order := make(map[*ir.Block]int, len(rpo))
 	for i, b := range rpo {
-		order[b] = i
+		order[b.ID] = int32(i)
 	}
 
-	idom := map[*ir.Block]*ir.Block{root: root}
+	idom := make([]*ir.Block, numBlocks)
+	idom[root.ID] = root
 	intersect := func(a, b *ir.Block) *ir.Block {
 		for a != b {
-			for order[a] > order[b] {
-				a = idom[a]
+			for order[a.ID] > order[b.ID] {
+				a = idom[a.ID]
 			}
-			for order[b] > order[a] {
-				b = idom[b]
+			for order[b.ID] > order[a.ID] {
+				b = idom[b.ID]
 			}
 		}
 		return a
 	}
 	for changed := true; changed; {
 		changed = false
-		for _, b := range rpo {
-			if b == root {
-				continue
+		for _, b := range rpo[1:] {
+			toward := b.Preds
+			if backward {
+				toward = b.Succs
 			}
 			var newIdom *ir.Block
-			for _, p := range bwd(b) {
-				if _, ok := order[p]; !ok {
-					continue // unreachable from root in this direction
-				}
-				if idom[p] == nil {
-					continue
+			for _, p := range toward {
+				if order[p.ID] < 0 || idom[p.ID] == nil {
+					continue // unreachable, or not processed yet
 				}
 				if newIdom == nil {
 					newIdom = p
@@ -156,58 +174,60 @@ func buildDomTree(root *ir.Block, fwd, bwd func(*ir.Block) []*ir.Block) *DomTree
 					newIdom = intersect(newIdom, p)
 				}
 			}
-			if newIdom != nil && idom[b] != newIdom {
-				idom[b] = newIdom
+			if newIdom != nil && idom[b.ID] != newIdom {
+				idom[b.ID] = newIdom
 				changed = true
 			}
 		}
 	}
+	idom[root.ID] = nil
 
-	t := &DomTree{
-		Root:     root,
-		Idom:     make(map[*ir.Block]*ir.Block, len(idom)),
-		Children: make(map[*ir.Block][]*ir.Block),
-		Order:    order,
+	// Invert into children with a counting sort over parent IDs; filling in
+	// ascending child ID keeps every child list in ID order.
+	t := &DomTree{Root: root, idom: idom, childStart: make([]int32, numBlocks+1)}
+	for _, d := range idom {
+		if d != nil {
+			t.childStart[d.ID+1]++
+		}
 	}
-	for b, d := range idom {
-		if b == root {
-			t.Idom[b] = nil
+	for i := 0; i < numBlocks; i++ {
+		t.childStart[i+1] += t.childStart[i]
+	}
+	t.children = make([]*ir.Block, t.childStart[numBlocks])
+	fill := append([]int32(nil), t.childStart[:numBlocks]...)
+	for id, pos := range order {
+		if pos < 0 || idom[id] == nil {
 			continue
 		}
-		t.Idom[b] = d
-		t.Children[d] = append(t.Children[d], b)
+		p := idom[id].ID
+		t.children[fill[p]] = rpo[pos]
+		fill[p]++
 	}
 	return t
 }
 
-// DominanceFrontier computes DF(b) for every block (Cytron et al.).
-func DominanceFrontier(f *ir.Func, dt *DomTree) map[*ir.Block][]*ir.Block {
-	df := make(map[*ir.Block]map[*ir.Block]bool)
-	add := func(b, w *ir.Block) {
-		if df[b] == nil {
-			df[b] = make(map[*ir.Block]bool)
-		}
-		df[b][w] = true
-	}
+// DominanceFrontier computes DF(b) for every block (Cytron et al.), indexed
+// by Block.ID; every frontier is in ascending ID order.
+func DominanceFrontier(f *ir.Func, dt *DomTree) [][]*ir.Block {
+	df := make([][]*ir.Block, f.NumBlocks())
+	// Joins are visited in f.Blocks order (ascending ID), so each frontier
+	// fills in that order and a join already recorded for a runner is its
+	// last element.
 	for _, b := range f.Blocks {
 		if len(b.Preds) < 2 {
 			continue
 		}
+		stop := dt.idom[b.ID]
 		for _, p := range b.Preds {
-			runner := p
-			for runner != nil && runner != dt.Idom[b] {
-				add(runner, b)
-				runner = dt.Idom[runner]
+			for runner := p; runner != nil && runner != stop; runner = dt.idom[runner.ID] {
+				if fr := df[runner.ID]; len(fr) > 0 && fr[len(fr)-1] == b {
+					break // this runner and everything above it saw b already
+				}
+				df[runner.ID] = append(df[runner.ID], b)
 			}
 		}
 	}
-	out := make(map[*ir.Block][]*ir.Block, len(df))
-	for b, set := range df {
-		for w := range set {
-			out[b] = append(out[b], w)
-		}
-	}
-	return out
+	return df
 }
 
 // CDep records that a block executes only when the branch terminating
@@ -221,12 +241,12 @@ type CDep struct {
 // Cond returns the SSA value of the controlling branch condition.
 func (c CDep) Cond() *ir.Value { return c.Branch.Term().Args[0] }
 
-// ControlDeps computes the control dependences of every block using
-// post-dominance (Ferrante–Ottenstein–Warren): B is control dependent on
-// edge (A→S) iff B post-dominates S but does not post-dominate A. Only
-// two-way branches generate dependences; jumps are unconditional.
-func ControlDeps(f *ir.Func, pdt *DomTree) map[*ir.Block][]CDep {
-	out := make(map[*ir.Block][]CDep)
+// ControlDeps computes the control dependences of every block, indexed by
+// Block.ID, using post-dominance (Ferrante–Ottenstein–Warren): B is control
+// dependent on edge (A→S) iff B post-dominates S but does not post-dominate
+// A. Only two-way branches generate dependences; jumps are unconditional.
+func ControlDeps(f *ir.Func, pdt *DomTree) [][]CDep {
+	out := make([][]CDep, f.NumBlocks())
 	for _, a := range f.Blocks {
 		term := a.Term()
 		if term == nil || term.Op != ir.OpBr {
@@ -237,9 +257,9 @@ func ControlDeps(f *ir.Func, pdt *DomTree) map[*ir.Block][]CDep {
 			// Walk the post-dominator tree from s up to (but not
 			// including) ipdom(a); every node visited is control
 			// dependent on (a, onTrue).
-			stop := pdt.Idom[a]
-			for x := s; x != nil && x != stop; x = pdt.Idom[x] {
-				out[x] = append(out[x], CDep{Branch: a, OnTrue: onTrue})
+			stop := pdt.idom[a.ID]
+			for x := s; x != nil && x != stop; x = pdt.idom[x.ID] {
+				out[x.ID] = append(out[x.ID], CDep{Branch: a, OnTrue: onTrue})
 				if x == pdt.Root {
 					break
 				}

@@ -36,7 +36,7 @@ func TestReversePostorder(t *testing.T) {
 	if rpo[0] != f.Entry {
 		t.Fatal("RPO does not start at entry")
 	}
-	idx := map[*ir.Block]int{}
+	idx := map[*ir.Block]int{} // the test's own bookkeeping: a map, independent of the tables under test
 	for i, b := range rpo {
 		idx[b] = i
 	}
@@ -101,8 +101,8 @@ func TestDominatorsDiamond(t *testing.T) {
 	}
 	// The join is dominated by the branch block, not by either arm.
 	join := thenB.Succs[0]
-	if dt.Idom[join] != branch {
-		t.Errorf("idom(join) = %v, want %v", dt.Idom[join], branch)
+	if dt.Idom(join) != branch {
+		t.Errorf("idom(join) = %v, want %v", dt.Idom(join), branch)
 	}
 }
 
@@ -147,18 +147,18 @@ func TestDominanceFrontierDiamond(t *testing.T) {
 	join := thenB.Succs[0]
 	for _, arm := range []*ir.Block{thenB, elseB} {
 		found := false
-		for _, w := range df[arm] {
+		for _, w := range df[arm.ID] {
 			if w == join {
 				found = true
 			}
 		}
 		if !found {
-			t.Errorf("DF(%s) = %v, want to contain %s", arm, df[arm], join)
+			t.Errorf("DF(%s) = %v, want to contain %s", arm, df[arm.ID], join)
 		}
 	}
 	// The join is not in its own idom's frontier... but the branch must
 	// not contain the join (branch dominates join).
-	for _, w := range df[branch] {
+	for _, w := range df[branch.ID] {
 		if w == join {
 			t.Errorf("DF(branch) contains dominated join")
 		}
@@ -180,7 +180,7 @@ func TestControlDepsDiamond(t *testing.T) {
 	join := thenB.Succs[0]
 	// Arms are control dependent on the branch with matching polarity.
 	checkDep := func(b *ir.Block, wantTrue bool) {
-		deps := cd[b]
+		deps := cd[b.ID]
 		if len(deps) != 1 || deps[0].Branch != branch || deps[0].OnTrue != wantTrue {
 			t.Errorf("cd[%s] = %+v, want branch=%s onTrue=%v", b, deps, branch, wantTrue)
 		}
@@ -188,14 +188,14 @@ func TestControlDepsDiamond(t *testing.T) {
 	checkDep(thenB, true)
 	checkDep(elseB, false)
 	// The join and entry have no control dependences.
-	if len(cd[join]) != 0 {
-		t.Errorf("cd[join] = %+v, want empty", cd[join])
+	if len(cd[join.ID]) != 0 {
+		t.Errorf("cd[join] = %+v, want empty", cd[join.ID])
 	}
-	if len(cd[f.Entry]) != 0 {
-		t.Errorf("cd[entry] = %+v, want empty", cd[f.Entry])
+	if len(cd[f.Entry.ID]) != 0 {
+		t.Errorf("cd[entry] = %+v, want empty", cd[f.Entry.ID])
 	}
 	// CDep.Cond returns the branch condition value.
-	if c := cd[thenB][0].Cond(); c == nil || c.Type.Base != "bool" {
+	if c := cd[thenB.ID][0].Cond(); c == nil || c.Type.Base != "bool" {
 		t.Errorf("Cond() = %v", c)
 	}
 }
@@ -225,15 +225,15 @@ void f(bool a, bool b) {
 	if callBlock == nil {
 		t.Fatal("call block not found")
 	}
-	if len(cd[callBlock]) != 1 {
-		t.Fatalf("cd[call] = %+v, want exactly the inner branch (outer is transitive)", cd[callBlock])
+	if len(cd[callBlock.ID]) != 1 {
+		t.Fatalf("cd[call] = %+v, want exactly the inner branch (outer is transitive)", cd[callBlock.ID])
 	}
-	inner := cd[callBlock][0]
+	inner := cd[callBlock.ID][0]
 	if !inner.OnTrue {
 		t.Error("inner dep polarity wrong")
 	}
 	// The inner branch block is itself control dependent on the outer.
-	outerDeps := cd[inner.Branch]
+	outerDeps := cd[inner.Branch.ID]
 	if len(outerDeps) != 1 || !outerDeps[0].OnTrue {
 		t.Errorf("cd[inner branch] = %+v", outerDeps)
 	}
@@ -245,10 +245,10 @@ func TestDominatorsLinear(t *testing.T) {
 	dt := Dominators(f)
 	pdt := PostDominators(f)
 	for _, b := range f.Blocks {
-		if b != f.Entry && dt.Idom[b] == nil {
+		if b != f.Entry && dt.Idom(b) == nil {
 			t.Errorf("%s has no idom", b)
 		}
-		if b != f.Exit && pdt.Idom[b] == nil {
+		if b != f.Exit && pdt.Idom(b) == nil {
 			t.Errorf("%s has no ipdom", b)
 		}
 	}
@@ -263,6 +263,8 @@ func TestQuickDominatorsVsBruteForce(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		f := randomDAGFunc(rng)
 		dt := Dominators(f)
+		// The brute-force reference uses plain maps on purpose: it shares
+		// nothing with the ID-indexed tables it checks.
 		reachableWithout := func(skip *ir.Block) map[*ir.Block]bool {
 			seen := map[*ir.Block]bool{}
 			var dfs func(*ir.Block)
@@ -292,7 +294,7 @@ func TestQuickDominatorsVsBruteForce(t *testing.T) {
 		}
 		// Post-dominators: the same property on the reversed graph.
 		pdt := PostDominators(f)
-		reachesExitWithout := func(skip *ir.Block) map[*ir.Block]bool {
+		reachesExitWithout := func(skip *ir.Block) map[*ir.Block]bool { // reference, as above
 			seen := map[*ir.Block]bool{}
 			var dfs func(*ir.Block)
 			dfs = func(b *ir.Block) {
@@ -320,6 +322,79 @@ func TestQuickDominatorsVsBruteForce(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestQuickDenseTablesVsBruteForce checks the ID-indexed tables against
+// their definitions on random acyclic CFGs (which, after pruning, have holes
+// in the block ID space): Children is the inverse of Idom in ascending ID
+// order, idom(b) is the closest strict dominator, and DF(a) is exactly the
+// set of blocks w such that a dominates a predecessor of w without strictly
+// dominating w.
+func TestQuickDenseTablesVsBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 80; trial++ {
+		f := randomDAGFunc(rng)
+		dt := Dominators(f)
+		df := DominanceFrontier(f, dt)
+		if len(df) != f.NumBlocks() {
+			t.Fatalf("trial %d: DF has %d slots, want NumBlocks=%d", trial, len(df), f.NumBlocks())
+		}
+		for _, a := range f.Blocks {
+			var wantKids []*ir.Block
+			for _, b := range f.Blocks {
+				if dt.Idom(b) == a {
+					wantKids = append(wantKids, b)
+				}
+			}
+			if !sameBlocks(dt.Children(a), wantKids) {
+				t.Fatalf("trial %d: Children(%s) = %v, want %v\n%s", trial, a, dt.Children(a), wantKids, f)
+			}
+			if d := dt.Idom(a); a == f.Entry {
+				if d != nil {
+					t.Fatalf("trial %d: entry has idom %s", trial, d)
+				}
+			} else {
+				// Every other strict dominator of a dominates idom(a).
+				if d == nil || d == a || !dt.Dominates(d, a) {
+					t.Fatalf("trial %d: idom(%s) = %v is not a strict dominator\n%s", trial, a, d, f)
+				}
+				for _, x := range f.Blocks {
+					if x != a && dt.Dominates(x, a) && !dt.Dominates(x, d) {
+						t.Fatalf("trial %d: %s strictly dominates %s but not idom %s\n%s", trial, x, a, d, f)
+					}
+				}
+			}
+			var wantDF []*ir.Block
+			for _, w := range f.Blocks {
+				if a != w && dt.Dominates(a, w) {
+					continue
+				}
+				for _, p := range w.Preds {
+					if dt.Dominates(a, p) {
+						wantDF = append(wantDF, w)
+						break
+					}
+				}
+			}
+			if !sameBlocks(df[a.ID], wantDF) {
+				t.Fatalf("trial %d: DF(%s) = %v, want %v\n%s", trial, a, df[a.ID], wantDF, f)
+			}
+		}
+	}
+}
+
+// sameBlocks compares two block lists element-wise; both sides are built in
+// ascending ID order.
+func sameBlocks(x, y []*ir.Block) bool {
+	if len(x) != len(y) {
+		return false
+	}
+	for i := range x {
+		if x[i] != y[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // randomDAGFunc builds a random valid acyclic CFG: forward-only edges, all
@@ -353,7 +428,7 @@ func randomDAGFunc(rng *rand.Rand) *ir.Func {
 	f.Append(blocks[n-1], ir.Instr{Op: ir.OpRet})
 	// Some middle blocks may be unreachable from entry; prune them so the
 	// invariants hold.
-	reach := map[*ir.Block]bool{}
+	reach := map[*ir.Block]bool{} // generator bookkeeping, independent of the code under test
 	var dfs func(*ir.Block)
 	dfs = func(b *ir.Block) {
 		if reach[b] {

@@ -236,12 +236,14 @@ func NullDeref() *Spec {
 		Name: "null-deref",
 		LocalSources: func(g *seg.Graph) []Source {
 			var out []Source
-			seen := map[*ir.Value]bool{}
+			// The null constant is interned per function: one source, at
+			// its first use.
+			var seen *ir.Value
 			for _, b := range g.Fn.Blocks {
 				for _, in := range b.Instrs {
 					for _, a := range in.Args {
-						if a.Kind == ir.VConstNull && !seen[a] {
-							seen[a] = true
+						if a.Kind == ir.VConstNull && a != seen {
+							seen = a
 							out = append(out, Source{Val: a, At: in, Cond: g.Info.Conds.True()})
 						}
 					}

@@ -114,7 +114,7 @@ func ImportBuilder(wire []NodeWire) (*Builder, []*Cond, error) {
 			if len(ops) < 2 {
 				return nil, nil, fmt.Errorf("cond: import: nary node %d has %d operands", i, len(ops))
 			}
-			b.nary[naryKey(w.Kind, ops)] = c
+			b.nary[string(naryKey(nil, w.Kind, ops))] = c
 		default:
 			return nil, nil, fmt.Errorf("cond: import: node %d has unknown kind %d", i, w.Kind)
 		}

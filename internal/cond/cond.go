@@ -12,7 +12,8 @@ package cond
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -215,31 +216,14 @@ func (b *Builder) buildNary(k Kind, cs []*Cond) *Cond {
 		unit, zero = b.falseC, b.trueC
 	}
 	// Flatten nested nodes of the same kind, drop units, detect zeros.
-	flat := make([]*Cond, 0, len(cs))
-	var flatten func(c *Cond) bool
-	flatten = func(c *Cond) bool {
-		if c == zero {
-			return false
-		}
-		if c == unit {
-			return true
-		}
-		if c.kind == k {
-			for _, op := range c.ops {
-				if !flatten(op) {
-					return false
-				}
-			}
-			return true
-		}
-		flat = append(flat, c)
-		return true
-	}
+	var scratch [8]*Cond
+	flat := scratch[:0]
 	for _, c := range cs {
 		if c == nil {
 			panic("cond: nil operand")
 		}
-		if !flatten(c) {
+		var ok bool
+		if flat, ok = flatten(flat, c, k, unit, zero); !ok {
 			return zero
 		}
 	}
@@ -247,7 +231,7 @@ func (b *Builder) buildNary(k Kind, cs []*Cond) *Cond {
 		return unit
 	}
 	// Sort by node ID and deduplicate; detect x and !x pairs.
-	sort.Slice(flat, func(i, j int) bool { return flat[i].id < flat[j].id })
+	slices.SortFunc(flat, func(x, y *Cond) int { return x.id - y.id })
 	out := flat[:0]
 	var prev *Cond
 	for _, c := range flat {
@@ -257,40 +241,62 @@ func (b *Builder) buildNary(k Kind, cs []*Cond) *Cond {
 		out = append(out, c)
 		prev = c
 	}
-	seen := make(map[int]bool, len(out))
 	for _, c := range out {
-		seen[c.id] = true
-	}
-	for _, c := range out {
-		if c.kind == KNot && seen[c.ops[0].id] {
+		if c.kind != KNot {
+			continue
+		}
+		if _, found := slices.BinarySearchFunc(out, c.ops[0].id, func(x *Cond, id int) int { return x.id - id }); found {
 			return zero
 		}
 	}
 	if len(out) == 1 {
 		return out[0]
 	}
-	key := naryKey(k, out)
-	if n, ok := b.nary[key]; ok {
+	var keyBuf [64]byte
+	key := naryKey(keyBuf[:0], k, out)
+	if n, ok := b.nary[string(key)]; ok {
 		return n
 	}
 	ops := make([]*Cond, len(out))
 	copy(ops, out)
 	n := b.newNode(k, 0, ops)
-	b.nary[key] = n
+	b.nary[string(key)] = n
 	return n
 }
 
-func naryKey(k Kind, ops []*Cond) string {
-	var sb strings.Builder
+// flatten appends to flat the operands c contributes to a k-node: c itself,
+// or recursively its operands when c is a k-node too; units vanish. It
+// reports false on meeting the absorbing element.
+func flatten(flat []*Cond, c *Cond, k Kind, unit, zero *Cond) ([]*Cond, bool) {
+	switch {
+	case c == zero:
+		return flat, false
+	case c == unit:
+		return flat, true
+	case c.kind != k:
+		return append(flat, c), true
+	}
+	for _, op := range c.ops {
+		var ok bool
+		if flat, ok = flatten(flat, op, k, unit, zero); !ok {
+			return flat, false
+		}
+	}
+	return flat, true
+}
+
+// naryKey appends the structural key of a k-node over ops to buf.
+func naryKey(buf []byte, k Kind, ops []*Cond) []byte {
 	if k == KAnd {
-		sb.WriteByte('&')
+		buf = append(buf, '&')
 	} else {
-		sb.WriteByte('|')
+		buf = append(buf, '|')
 	}
 	for _, op := range ops {
-		fmt.Fprintf(&sb, ",%d", op.id)
+		buf = append(buf, ',')
+		buf = strconv.AppendInt(buf, int64(op.id), 10)
 	}
-	return sb.String()
+	return buf
 }
 
 // Atoms returns the set of atom IDs appearing anywhere in c.

@@ -259,26 +259,37 @@ func (s *Session) Update(units []minic.NamedSource) (*Analysis, error) {
 	progFP := programShapeFP(parsed)
 	shapeChanged := progFP != s.progFP
 
-	// ---- Function table, duplicate detection, AST-level dirtiness.
-	order := make([]string, 0, len(s.artifacts))
-	states := make(map[string]*fnState)
-	var stats ArtifactStats
+	// ---- Function table, duplicate detection, AST-level dirtiness. Hashing
+	// and callee extraction walk every function's AST, so they fan out over
+	// the workers into index-addressed slices; the table itself (duplicate
+	// detection, order) is then assembled serially in declaration order.
+	var decls []*minic.FuncDecl
 	for _, f := range parsed {
-		for _, fn := range f.Funcs {
-			if prev, ok := states[fn.Name]; ok {
-				return nil, fmt.Errorf("lower: duplicate function %q (at %s and %s)", fn.Name, prev.decl.Pos, fn.Pos)
-			}
-			st := &fnState{
-				decl:    fn,
-				astHash: minic.HashFunc(fn) + "#" + strconv.Itoa(fn.Unit),
-				callees: minic.CalleeNames(fn),
-			}
-			if !shapeChanged {
-				st.old = s.artifacts[fn.Name]
-			}
-			states[fn.Name] = st
-			order = append(order, fn.Name)
+		decls = append(decls, f.Funcs...)
+	}
+	fnStates := make([]fnState, len(decls))
+	_ = conc.ForEach(len(decls), s.opts.Workers, func(_, i int) error {
+		fn := decls[i]
+		fnStates[i] = fnState{
+			decl:    fn,
+			astHash: minic.HashFunc(fn) + "#" + strconv.Itoa(fn.Unit),
+			callees: minic.CalleeNames(fn),
 		}
+		return nil // hashing cannot fail
+	})
+	order := make([]string, 0, len(decls))
+	states := make(map[string]*fnState, len(decls))
+	var stats ArtifactStats
+	for i, fn := range decls {
+		if prev, ok := states[fn.Name]; ok {
+			return nil, fmt.Errorf("lower: duplicate function %q (at %s and %s)", fn.Name, prev.decl.Pos, fn.Pos)
+		}
+		st := &fnStates[i]
+		if !shapeChanged {
+			st.old = s.artifacts[fn.Name]
+		}
+		states[fn.Name] = st
+		order = append(order, fn.Name)
 	}
 	// ---- Warm-load: the first Update of a session reads the persistent
 	// store's artifact segments in one pass (a restarted server arrives

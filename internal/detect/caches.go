@@ -37,9 +37,23 @@ type linearCache struct {
 	ls *cond.LinearSolver
 }
 
+// revEntry is one graph's reverse adjacency in compressed-sparse-row form,
+// indexed by seg.Node.Index: the predecessors of vertex i are
+// preds[start[i]:start[i+1]]. Built once, then only read.
 type revEntry struct {
-	once sync.Once
-	r    map[*seg.Node][]*seg.Node
+	once  sync.Once
+	start []int32
+	preds []*seg.Node
+}
+
+// of returns n's predecessors (none for a vertex created after the index
+// was built: such vertices have no edges).
+func (re *revEntry) of(n *seg.Node) []*seg.Node {
+	i := n.Index()
+	if i+1 >= len(re.start) {
+		return nil
+	}
+	return re.preds[re.start[i]:re.start[i+1]]
 }
 
 func newCaches(prog *Program) *caches {
@@ -78,20 +92,32 @@ func (c *caches) apparentlyUnsat(fn *ir.Func, co *cond.Cond) bool {
 	return lc.ls.ApparentlyUnsat(co)
 }
 
-// reverse returns the value-node reverse adjacency of a graph, built on
-// first use.
-func (c *caches) reverse(g *seg.Graph) map[*seg.Node][]*seg.Node {
+// reverse returns the reverse adjacency of a graph, built on first use.
+func (c *caches) reverse(g *seg.Graph) *revEntry {
 	re := c.rev[g]
 	re.once.Do(func() {
-		r := make(map[*seg.Node][]*seg.Node)
-		for _, n := range g.AllNodes() {
+		nodes := g.AllNodes()
+		re.start = make([]int32, len(nodes)+1)
+		for _, n := range nodes {
 			for _, edge := range g.Succs(n) {
-				r[edge.To] = append(r[edge.To], n)
+				re.start[edge.To.Index()+1]++
 			}
 		}
-		re.r = r
+		for i := range nodes {
+			re.start[i+1] += re.start[i]
+		}
+		re.preds = make([]*seg.Node, re.start[len(nodes)])
+		fill := append([]int32(nil), re.start[:len(nodes)]...)
+		// Sources in vertex order, so each predecessor list is too.
+		for _, n := range nodes {
+			for _, edge := range g.Succs(n) {
+				to := edge.To.Index()
+				re.preds[fill[to]] = n
+				fill[to]++
+			}
+		}
 	})
-	return re.r
+	return re
 }
 
 // capHits sums the summary-table truncation counters across all graphs.

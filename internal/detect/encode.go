@@ -48,7 +48,9 @@ func (e *Engine) checkCandidate(c *candidate) smt.Result {
 		atoms:  make(map[string]atomOrigin),
 	}
 	for inst, ic := range c.conds {
-		enc.instFn[inst] = ic.fn
+		if ic.fn != nil {
+			enc.instFn[inst] = ic.fn
+		}
 	}
 	for _, st := range c.steps {
 		if _, ok := enc.instFn[st.inst]; !ok {
@@ -66,14 +68,10 @@ func (e *Engine) checkCandidate(c *candidate) smt.Result {
 	// during the search) plus their DD closures. Instances are asserted in
 	// ascending order: the assertion order fixes CNF variable numbering and
 	// hence the SAT search, keeping witnesses reproducible run to run.
-	insts := make([]int, 0, len(c.conds))
-	for inst := range c.conds {
-		insts = append(insts, inst)
-	}
-	sort.Ints(insts)
-	for _, inst := range insts {
-		ic := c.conds[inst]
-		enc.assertCond(inst, ic.fn, ic.cond)
+	for inst, ic := range c.conds {
+		if ic.fn != nil {
+			enc.assertCond(inst, ic.fn, ic.cond)
+		}
 	}
 
 	// Equality chain along the path. Equality holds for steps whose
@@ -365,7 +363,7 @@ func (e *encoder) emitDD(inst int, v *ir.Value) {
 	case ir.OpBin:
 		e.emitBinDD(inst, v, def)
 	case ir.OpPhi:
-		gates := e.eng.prog.Infos[fn].Gates[def]
+		gates := e.eng.prog.Infos[fn].GatesOf(def)
 		var arms []*smt.Term
 		for i, a := range def.Args {
 			at := e.valueTerm(inst, a)
@@ -383,7 +381,7 @@ func (e *encoder) emitDD(inst int, v *ir.Value) {
 			e.add(tb.Or(arms...))
 		}
 	case ir.OpLoad:
-		sources := e.eng.prog.SEGs[fn].PTA.LoadSources[def]
+		sources := e.eng.prog.SEGs[fn].PTA.LoadSources(def)
 		var arms []*smt.Term
 		for _, gv := range sources {
 			wt := e.valueTerm(inst, gv.Val)

@@ -125,8 +125,8 @@ type leakChecker struct {
 	opts   Options
 	caches *caches
 	// frees[f][i] reports that f (transitively) may free its i-th
-	// parameter.
-	frees map[*ir.Func]map[int]bool
+	// parameter (indexed by ParamIdx).
+	frees map[*ir.Func][]bool
 }
 
 // newLeakChecker builds the checker and runs its whole-program fixpoint.
@@ -137,7 +137,7 @@ func newLeakChecker(prog *Program, opts Options, c *caches) *leakChecker {
 		prog:   prog,
 		opts:   opts,
 		caches: c,
-		frees:  make(map[*ir.Func]map[int]bool),
+		frees:  make(map[*ir.Func][]bool, len(prog.Module.Funcs)),
 	}
 	lc.computeFreesParam()
 	return lc
@@ -148,7 +148,7 @@ func newLeakChecker(prog *Program, opts Options, c *caches) *leakChecker {
 // relative to the SEGs; a global loop converges in few rounds).
 func (lc *leakChecker) computeFreesParam() {
 	for _, f := range lc.prog.Module.Funcs {
-		lc.frees[f] = make(map[int]bool)
+		lc.frees[f] = make([]bool, len(f.Params))
 	}
 	for changed := true; changed; {
 		changed = false
@@ -170,6 +170,13 @@ func (lc *leakChecker) computeFreesParam() {
 	}
 }
 
+// mayFree reads the relation; an argument beyond the callee's parameter
+// list (a call with too many arguments) is freed by no one.
+func (lc *leakChecker) mayFree(callee *ir.Func, argIdx int) bool {
+	fr := lc.frees[callee]
+	return argIdx < len(fr) && fr[argIdx]
+}
+
 func (lc *leakChecker) paramMayFree(g *seg.Graph, p *ir.Value) bool {
 	for _, fl := range lc.caches.flowsFrom(g, g.ValueNode(p)) {
 		term := fl.Terminal()
@@ -178,7 +185,7 @@ func (lc *leakChecker) paramMayFree(g *seg.Graph, p *ir.Value) bool {
 			return true
 		case seg.RoleCallArg:
 			if callee, ok := lc.prog.Module.ByName[term.Instr.Callee]; ok {
-				if lc.frees[callee][term.ArgIdx] {
+				if lc.mayFree(callee, term.ArgIdx) {
 					return true
 				}
 			}
@@ -209,7 +216,7 @@ func (lc *leakChecker) checkAlloc(f *ir.Func, g *seg.Graph, alloc *ir.Instr, sta
 				escaped = true
 				continue
 			}
-			if lc.frees[callee][term.ArgIdx] {
+			if lc.mayFree(callee, term.ArgIdx) {
 				// A callee may free it; treat like a reached free with
 				// the call's conditions.
 				frees = append(frees, reachedFree{flow: fl})
@@ -223,7 +230,7 @@ func (lc *leakChecker) checkAlloc(f *ir.Func, g *seg.Graph, alloc *ir.Instr, sta
 			// global memory. Stores into program-local stack or heap
 			// cells keep the value tracked (the SEG's load edges carry
 			// it onward).
-			for _, gl := range g.PTA.StoredAt[term.Instr] {
+			for _, gl := range g.PTA.StoredAt(term.Instr) {
 				if gl.Loc.Kind != pta.LAlloc && gl.Loc.Kind != pta.LMalloc {
 					escaped = true
 				}

@@ -329,7 +329,7 @@ type gstep struct {
 type candidate struct {
 	steps     []gstep
 	bounds    []boundary
-	conds     map[int]*instCond
+	conds     []instCond // by instance number; fn == nil = none
 	sink      *seg.Node
 	sinkInst  int
 	sourceAt  *ir.Instr

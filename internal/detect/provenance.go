@@ -88,10 +88,12 @@ type Provenance struct {
 // hopsFromSteps renders a candidate's step list. instFn resolves the
 // function of instances that carry conditions; instances met only through
 // steps fall back to the step's own vertex, exactly like the encoder does.
-func hopsFromSteps(steps []gstep, conds map[int]*instCond) []Hop {
+func hopsFromSteps(steps []gstep, conds []instCond) []Hop {
 	instFn := make(map[int]*ir.Func, len(conds))
 	for inst, ic := range conds {
-		instFn[inst] = ic.fn
+		if ic.fn != nil {
+			instFn[inst] = ic.fn
+		}
 	}
 	hops := make([]Hop, 0, len(steps))
 	for _, st := range steps {

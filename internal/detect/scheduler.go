@@ -2,8 +2,6 @@ package detect
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/checkers"
@@ -134,7 +132,7 @@ func CheckAll(prog *Program, specs []*checkers.Spec, opts Options) Results {
 		c = newCaches(prog)
 	}
 	prepSp := rec.Phase("detect/prepare")
-	prepare(prog, specs, workers)
+	tasks := prepare(prog, specs, c, workers)
 	prepSp.End()
 
 	var lc *leakChecker
@@ -145,7 +143,6 @@ func CheckAll(prog *Program, specs []*checkers.Spec, opts Options) Results {
 		}
 	}
 
-	tasks := enumerateTasks(prog, specs)
 	results := make([]taskResult, len(tasks))
 	var wstats []WorkerStat
 	if rec != nil {
@@ -155,11 +152,11 @@ func CheckAll(prog *Program, specs []*checkers.Spec, opts Options) Results {
 		}
 	}
 	searchSp := rec.Phase("detect/search")
-	runParallel(len(tasks), workers, func(w, i int) {
+	_ = conc.ForEach(len(tasks), workers, func(w, i int) error { // tasks cannot fail
 		t := tasks[i]
 		if rec == nil {
 			results[i] = runTask(prog, specs, opts, c, lc, t, w+1)
-			return
+			return nil
 		}
 		t0 := time.Now()
 		results[i] = runTask(prog, specs, opts, c, lc, t, w+1)
@@ -179,6 +176,7 @@ func CheckAll(prog *Program, specs []*checkers.Spec, opts Options) Results {
 			}
 			rec.Event(w+1, "task:"+specs[t.specIdx].Name, t0, d, args...)
 		}
+		return nil
 	})
 	searchSp.End()
 
@@ -229,60 +227,89 @@ func CheckAll(prog *Program, specs []*checkers.Spec, opts Options) Results {
 	return res
 }
 
-// prepare freezes the shared program state: control-dependence conditions
-// are memoized per block, every value vertex the search can name is
-// pre-created, and (when some checker needs ordering) block reachability is
-// pre-filled. Each function is touched by exactly one goroutine, so the
-// per-function work — including condition-node interning — happens in a
-// deterministic order.
-func prepare(prog *Program, specs []*checkers.Spec, workers int) {
-	needReach := false
+// prepare freezes the shared program state and enumerates the detection
+// tasks, one parallel pass over the functions. Per function:
+// control-dependence conditions are memoized per block, every value vertex
+// the search can name is pre-created, block reachability is pre-filled (when
+// some checker needs ordering), the local flows of every parameter are
+// enumerated into the shared cache (when an unreleased-resource checker will
+// run its may-free-parameter fixpoint over them), and every checker's
+// sources are extracted. Each function is touched by exactly one goroutine,
+// so the per-function work — including condition-node interning — happens in
+// a deterministic order.
+//
+// The tasks come back in the canonical order — specs in argument order,
+// functions in module order, sources in extraction order — which the merge
+// phase walks to reproduce the sequential engine's dedup and cap semantics
+// exactly.
+//
+// Warming the parameter flows moves their first enumeration here from the
+// leak checker's fixpoint, whose lookups then all hit: Results.SummaryHits
+// rises by one per parameter while SummaryMisses — the number of distinct
+// vertices enumerated — and everything derived from the flows stay the same.
+func prepare(prog *Program, specs []*checkers.Spec, c *caches, workers int) []task {
+	needReach, warmParams := false, false
 	for _, sp := range specs {
 		if sp.OrderingRequired {
 			needReach = true
 		}
+		if sp.Kind == checkers.KindUnreleased {
+			warmParams = true
+		}
 	}
 	funcs := prog.Module.Funcs
-	runParallel(len(funcs), workers, func(_, i int) {
+	// perFn[i*len(specs)+si] holds function i's tasks for spec si.
+	perFn := make([][]task, len(funcs)*len(specs))
+	_ = conc.ForEach(len(funcs), workers, func(_, i int) error { // nothing here can fail
 		f := funcs[i]
 		g := prog.SEGs[f]
 		if g == nil {
-			return
+			return nil
 		}
 		prog.Infos[f].PrepareCDConds()
 		g.EnsureValueNodes()
 		if needReach {
 			g.PrecomputeReach()
 		}
-	})
-}
-
-// enumerateTasks lists every (checker, source) pair in the canonical order:
-// specs in argument order, functions in module order, sources in extraction
-// order. The merge phase walks tasks in this same order, which is what
-// reproduces the sequential engine's dedup and cap semantics exactly.
-func enumerateTasks(prog *Program, specs []*checkers.Spec) []task {
-	var tasks []task
-	for si, sp := range specs {
-		for _, f := range prog.Module.Funcs {
-			g := prog.SEGs[f]
-			if g == nil {
-				continue
-			}
-			if sp.Kind == checkers.KindUnreleased {
-				for _, b := range f.Blocks {
-					for _, in := range b.Instrs {
-						if in.Op == ir.OpMalloc {
-							tasks = append(tasks, task{specIdx: si, fn: f, g: g, alloc: in})
-						}
-					}
-				}
-				continue
-			}
-			for _, src := range sp.LocalSources(g) {
-				tasks = append(tasks, task{specIdx: si, fn: f, g: g, src: src})
+		if warmParams {
+			for _, p := range f.Params {
+				c.flowsFrom(g, g.ValueNode(p))
 			}
 		}
+		for si, sp := range specs {
+			perFn[i*len(specs)+si] = localTasks(si, sp, f, g)
+		}
+		return nil
+	})
+	n := 0
+	for _, ts := range perFn {
+		n += len(ts)
+	}
+	tasks := make([]task, 0, n)
+	for si := range specs {
+		for i := range funcs {
+			tasks = append(tasks, perFn[i*len(specs)+si]...)
+		}
+	}
+	return tasks
+}
+
+// localTasks lists one function's (checker, source) pairs for one spec, in
+// extraction order.
+func localTasks(si int, sp *checkers.Spec, f *ir.Func, g *seg.Graph) []task {
+	var tasks []task
+	if sp.Kind == checkers.KindUnreleased {
+		for _, b := range f.Blocks {
+			for _, in := range b.Instrs {
+				if in.Op == ir.OpMalloc {
+					tasks = append(tasks, task{specIdx: si, fn: f, g: g, alloc: in})
+				}
+			}
+		}
+		return tasks
+	}
+	for _, src := range sp.LocalSources(g) {
+		tasks = append(tasks, task{specIdx: si, fn: f, g: g, src: src})
 	}
 	return tasks
 }
@@ -343,38 +370,4 @@ func addStats(dst *Stats, s Stats) {
 	dst.SummaryCapHits += s.SummaryCapHits
 	dst.TruncatedSearches += s.TruncatedSearches
 	dst.Escaped += s.Escaped
-}
-
-// runParallel executes fn(worker, 0..n-1) on up to `workers` goroutines,
-// pulling indexes from an atomic counter (the same pool shape as the build
-// half's forEachFunc). The worker index lets callers attribute work to
-// pool slots (per-worker utilization, trace tracks) without locking.
-func runParallel(n, workers int, fn func(w, i int)) {
-	if workers <= 1 || n < 2 {
-		for i := 0; i < n; i++ {
-			fn(0, i)
-		}
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	var (
-		wg   sync.WaitGroup
-		next int64
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= n {
-					return
-				}
-				fn(w, i)
-			}
-		}(w)
-	}
-	wg.Wait()
 }

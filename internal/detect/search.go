@@ -164,20 +164,18 @@ type frame struct {
 type pathState struct {
 	steps  []gstep
 	bounds []boundary
-	conds  map[int]*instCond
+	// conds holds the accumulated condition of each context instance,
+	// indexed by instance number (instances are numbered densely per
+	// source); fn == nil marks an instance without conditions yet.
+	conds []instCond
 }
 
 func (p pathState) clone() pathState {
-	np := pathState{
+	return pathState{
 		steps:  append([]gstep(nil), p.steps...),
 		bounds: append([]boundary(nil), p.bounds...),
-		conds:  make(map[int]*instCond, len(p.conds)),
+		conds:  append([]instCond(nil), p.conds...),
 	}
-	for k, v := range p.conds {
-		c := *v
-		np.conds[k] = &c
-	}
-	return np
 }
 
 // addCond conjoins a local condition into an instance's accumulated
@@ -191,10 +189,12 @@ func (e *Engine) addCond(p *pathState, inst int, fn *ir.Func, c *cond.Cond) bool
 	if e.opts.DisablePathSensitivity {
 		return true
 	}
-	ic := p.conds[inst]
-	if ic == nil {
-		ic = &instCond{fn: fn, cond: e.prog.Infos[fn].Conds.True()}
-		p.conds[inst] = ic
+	for len(p.conds) <= inst {
+		p.conds = append(p.conds, instCond{})
+	}
+	ic := &p.conds[inst]
+	if ic.fn == nil {
+		*ic = instCond{fn: fn, cond: e.prog.Infos[fn].Conds.True()}
 	}
 	merged := e.prog.Infos[fn].Conds.And(ic.cond, c)
 	if e.opts.DisableLinearFilter {
@@ -225,7 +225,7 @@ func (e *Engine) searchFromSource(f *ir.Func, g *seg.Graph, src checkers.Source)
 	}
 	for _, root := range roots {
 		fr := &frame{fn: f, inst: e.newInst(), anchor: anchor, depth: 1}
-		p := pathState{conds: map[int]*instCond{}}
+		var p pathState
 		if !e.addCond(&p, fr.inst, f, src.Cond) {
 			continue
 		}
@@ -243,14 +243,15 @@ func (e *Engine) newInst() int {
 // so that sibling aliases of the freed object are tracked too.
 func (e *Engine) objectRoots(g *seg.Graph, v *ir.Value) []*ir.Value {
 	rev := e.caches.reverse(g)
-	seen := map[*seg.Node]bool{}
+	seen := make([]bool, g.NumNodes()) // by Node.Index
+	// rootsSet stays a map: a handful of values out of the whole function.
 	rootsSet := map[*ir.Value]bool{v: true}
 	var walk func(n *seg.Node)
 	walk = func(n *seg.Node) {
-		if seen[n] {
+		if seen[n.Index()] {
 			return
 		}
-		seen[n] = true
+		seen[n.Index()] = true
 		if n.Kind != seg.NValue {
 			return
 		}
@@ -265,7 +266,7 @@ func (e *Engine) objectRoots(g *seg.Graph, v *ir.Value) []*ir.Value {
 		// denote the same object as their base).
 		switch def.Op {
 		case ir.OpCopy, ir.OpPhi, ir.OpLoad, ir.OpFieldAddr:
-			preds := rev[n]
+			preds := rev.of(n)
 			if len(preds) == 0 {
 				rootsSet[n.Val] = true
 				return
@@ -526,14 +527,14 @@ func (e *Engine) sanitized(fr *frame, sink *seg.Node, p pathState) bool {
 	if len(e.spec.SanitizerCalls) == 0 {
 		return false
 	}
-	pathVals := make(map[*ir.Value]bool)
+	pathVals := make([]bool, fr.fn.NumValues()) // by Value.ID
 	for _, st := range p.steps {
 		if st.inst == fr.inst && st.node.Val != nil {
-			pathVals[st.node.Val] = true
+			pathVals[st.node.Val.ID] = true
 		}
 	}
 	inf := e.prog.Infos[fr.fn]
-	seenBlocks := make(map[*ir.Block]bool)
+	seenBlocks := make([]bool, fr.fn.NumBlocks()) // by Block.ID
 	var fromBlock func(b *ir.Block) bool
 	var fromValue func(v *ir.Value, depth int) bool
 	fromValue = func(v *ir.Value, depth int) bool {
@@ -543,7 +544,7 @@ func (e *Engine) sanitized(fr *frame, sink *seg.Node, p pathState) bool {
 		def := v.Def
 		if def.Op == ir.OpCall && e.spec.SanitizerCalls[def.Callee] {
 			for _, a := range def.Args {
-				if pathVals[a] {
+				if pathVals[a.ID] {
 					return true
 				}
 			}
@@ -556,11 +557,11 @@ func (e *Engine) sanitized(fr *frame, sink *seg.Node, p pathState) bool {
 		return false
 	}
 	fromBlock = func(b *ir.Block) bool {
-		if seenBlocks[b] {
+		if seenBlocks[b.ID] {
 			return false
 		}
-		seenBlocks[b] = true
-		for _, dep := range inf.CD[b] {
+		seenBlocks[b.ID] = true
+		for _, dep := range inf.CD(b) {
 			if fromValue(dep.Cond(), 0) {
 				return true
 			}

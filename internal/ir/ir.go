@@ -14,6 +14,7 @@ package ir
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/minic"
 )
@@ -116,7 +117,7 @@ func (v *Value) IsConst() bool {
 func (v *Value) String() string {
 	switch v.Kind {
 	case VConstInt:
-		return fmt.Sprintf("%d", v.IntVal)
+		return strconv.FormatInt(v.IntVal, 10)
 	case VConstBool:
 		if v.BoolVal {
 			return "true"
@@ -234,9 +235,16 @@ type Func struct {
 	nextValID   int
 	nextInstrID int
 	nextBlockID int
-	intConsts   map[int64]*Value
-	boolConsts  [2]*Value
-	nullConst   *Value
+	// instrSlab and valueSlab are the current allocation chunks:
+	// instructions, and the values that live as long as their function
+	// (parameters, constants, SSA versions), are carved out of chunks
+	// instead of being allocated one object at a time (a chunk is never
+	// regrown, so pointers into it stay valid).
+	instrSlab  []Instr
+	valueSlab  []Value
+	intConsts  map[int64]*Value
+	boolConsts [2]*Value
+	nullConst  *Value
 }
 
 // NewFunc returns an empty function shell.
@@ -255,20 +263,62 @@ func (f *Func) NewBlock() *Block {
 	return b
 }
 
-// NewVar creates a fresh variable value.
+// slabChunk is the number of values or instructions allocated at a time.
+// The unused tail of a function's last chunk is waste that lives as long as
+// the function, and most functions have a dozen or two instructions, so the
+// chunk stays small.
+const slabChunk = 8
+
+// carve returns the next free (zero) slot of the slab, starting a new chunk
+// when the current one is full.
+func carve[T any](slab *[]T) *T {
+	n := len(*slab)
+	if n == cap(*slab) {
+		*slab, n = make([]T, 0, slabChunk), 0
+	}
+	*slab = (*slab)[:n+1]
+	return &(*slab)[n]
+}
+
+// newValue hands out the next value slot with a fresh ID.
+func (f *Func) newValue(v Value) *Value {
+	p := carve(&f.valueSlab)
+	*p = v
+	p.ID = f.nextValID
+	f.nextValID++
+	return p
+}
+
+// newInstr hands out the next instruction slot with a fresh ID.
+func (f *Func) newInstr(in *Instr, b *Block) *Instr {
+	p := carve(&f.instrSlab)
+	*p = *in
+	p.ID, p.Block = f.nextInstrID, b
+	f.nextInstrID++
+	return p
+}
+
+// NewVar creates a fresh variable value. It is allocated on its own, not
+// from the slab: SSA renaming replaces every lowered variable by its
+// versions, after which the variable itself is garbage.
 func (f *Func) NewVar(name string, t minic.Type) *Value {
 	v := &Value{ID: f.nextValID, Kind: VVar, Name: name, Type: t}
 	f.nextValID++
 	return v
 }
 
+// NewVersion creates SSA version n of the pre-SSA variable v, named
+// "<v>.<n>".
+func (f *Func) NewVersion(v *Value, n int) *Value {
+	return f.newValue(Value{Kind: VVar, Name: v.Name + "." + strconv.Itoa(n), Type: v.Type})
+}
+
 // NewParam creates and appends a formal parameter.
 func (f *Func) NewParam(name string, t minic.Type, aux bool) *Value {
-	v := &Value{
-		ID: f.nextValID, Kind: VParam, Name: name, Type: t,
+	v := f.newValue(Value{
+		Kind: VParam, Name: name, Type: t,
 		ParamIdx: len(f.Params), Aux: aux,
-	}
-	f.nextValID++
+	})
 	f.Params = append(f.Params, v)
 	return v
 }
@@ -278,8 +328,7 @@ func (f *Func) ConstInt(v int64) *Value {
 	if c, ok := f.intConsts[v]; ok {
 		return c
 	}
-	c := &Value{ID: f.nextValID, Kind: VConstInt, IntVal: v, Type: minic.IntType}
-	f.nextValID++
+	c := f.newValue(Value{Kind: VConstInt, IntVal: v, Type: minic.IntType})
 	f.intConsts[v] = c
 	return c
 }
@@ -291,8 +340,7 @@ func (f *Func) ConstBool(v bool) *Value {
 		i = 1
 	}
 	if f.boolConsts[i] == nil {
-		f.boolConsts[i] = &Value{ID: f.nextValID, Kind: VConstBool, BoolVal: v, Type: minic.BoolType}
-		f.nextValID++
+		f.boolConsts[i] = f.newValue(Value{Kind: VConstBool, BoolVal: v, Type: minic.BoolType})
 	}
 	return f.boolConsts[i]
 }
@@ -300,8 +348,7 @@ func (f *Func) ConstBool(v bool) *Value {
 // ConstNull returns the interned null constant.
 func (f *Func) ConstNull() *Value {
 	if f.nullConst == nil {
-		f.nullConst = &Value{ID: f.nextValID, Kind: VConstNull, Type: minic.IntType.Pointer()}
-		f.nextValID++
+		f.nullConst = f.newValue(Value{Kind: VConstNull, Type: minic.IntType.Pointer()})
 	}
 	return f.nullConst
 }
@@ -312,24 +359,21 @@ func (f *Func) NumValues() int { return f.nextValID }
 // NumInstrs returns the number of instructions created so far.
 func (f *Func) NumInstrs() int { return f.nextInstrID }
 
+// NumBlocks returns the number of blocks created so far. Like NumValues and
+// NumInstrs it bounds the IDs in use, so it sizes ID-indexed side tables;
+// pruned blocks leave holes, Blocks may be shorter.
+func (f *Func) NumBlocks() int { return f.nextBlockID }
+
 // Append creates an instruction and appends it to block b.
 func (f *Func) Append(b *Block, in Instr) *Instr {
-	p := new(Instr)
-	*p = in
-	p.ID = f.nextInstrID
-	f.nextInstrID++
-	p.Block = b
+	p := f.newInstr(&in, b)
 	b.Instrs = append(b.Instrs, p)
 	return p
 }
 
 // InsertAt creates an instruction and inserts it at index i within block b.
 func (f *Func) InsertAt(b *Block, i int, in Instr) *Instr {
-	p := new(Instr)
-	*p = in
-	p.ID = f.nextInstrID
-	f.nextInstrID++
-	p.Block = b
+	p := f.newInstr(&in, b)
 	b.Instrs = append(b.Instrs, nil)
 	copy(b.Instrs[i+1:], b.Instrs[i:])
 	b.Instrs[i] = p

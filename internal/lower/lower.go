@@ -131,7 +131,7 @@ func lowerFuncWithStructs(m *ir.Module, decl *minic.FuncDecl, sigs map[string]mi
 	lw := &lowerer{
 		m:       m,
 		f:       ir.NewFunc(decl.Name, decl.Ret, decl.Unit, decl.Pos),
-		scopes:  []map[string]binding{{}},
+		scopes:  []int{0},
 		addrOf:  collectAddressTaken(decl),
 		sigs:    sigs,
 		structs: structs,
@@ -187,11 +187,20 @@ type binding struct {
 	typ  minic.Type
 }
 
+// boundName is one entry of the lowerer's binding stack.
+type boundName struct {
+	name string
+	b    binding
+}
+
 type lowerer struct {
-	m       *ir.Module
-	f       *ir.Func
-	cur     *ir.Block // nil after a terminator, until a new block starts
-	scopes  []map[string]binding
+	m   *ir.Module
+	f   *ir.Func
+	cur *ir.Block // nil after a terminator, until a new block starts
+	// bound is the stack of live name bindings, innermost last; scopes
+	// holds the stack height at which each open scope began.
+	bound   []boundName
+	scopes  []int
 	addrOf  map[string]bool
 	sigs    map[string]minic.Type
 	structs map[string][]minic.Param
@@ -214,17 +223,23 @@ func (lw *lowerer) fieldType(base minic.Type, field string) minic.Type {
 	return minic.IntType
 }
 
-func (lw *lowerer) pushScope() { lw.scopes = append(lw.scopes, map[string]binding{}) }
-func (lw *lowerer) popScope()  { lw.scopes = lw.scopes[:len(lw.scopes)-1] }
+func (lw *lowerer) pushScope() { lw.scopes = append(lw.scopes, len(lw.bound)) }
 
-func (lw *lowerer) bind(name string, b binding) {
-	lw.scopes[len(lw.scopes)-1][name] = b
+func (lw *lowerer) popScope() {
+	lw.bound = lw.bound[:lw.scopes[len(lw.scopes)-1]]
+	lw.scopes = lw.scopes[:len(lw.scopes)-1]
 }
 
+func (lw *lowerer) bind(name string, b binding) {
+	lw.bound = append(lw.bound, boundName{name: name, b: b})
+}
+
+// lookup resolves a name innermost scope first: the latest binding wins. A
+// function binds a handful of names, so the scan is shorter than a hash.
 func (lw *lowerer) lookup(name string) (binding, bool) {
-	for i := len(lw.scopes) - 1; i >= 0; i-- {
-		if b, ok := lw.scopes[i][name]; ok {
-			return b, true
+	for i := len(lw.bound) - 1; i >= 0; i-- {
+		if lw.bound[i].name == name {
+			return lw.bound[i].b, true
 		}
 	}
 	return binding{}, false
@@ -444,9 +459,9 @@ func (lw *lowerer) storeTo(id *minic.Ident, b binding, g *ir.Global, v *ir.Value
 
 // rebind updates the innermost scope that binds name.
 func (lw *lowerer) rebind(name string, b binding) {
-	for i := len(lw.scopes) - 1; i >= 0; i-- {
-		if _, ok := lw.scopes[i][name]; ok {
-			lw.scopes[i][name] = b
+	for i := len(lw.bound) - 1; i >= 0; i-- {
+		if lw.bound[i].name == name {
+			lw.bound[i].b = b
 			return
 		}
 	}
@@ -512,33 +527,35 @@ func (lw *lowerer) boolExpr(e minic.Expr) (*ir.Value, error) {
 }
 
 func pruneUnreachable(f *ir.Func) {
-	reach := map[*ir.Block]bool{f.Entry: true}
+	reach := make([]bool, f.NumBlocks()) // by Block.ID
+	reach[f.Entry.ID] = true
 	work := []*ir.Block{f.Entry}
 	for len(work) > 0 {
 		b := work[len(work)-1]
 		work = work[:len(work)-1]
 		for _, s := range b.Succs {
-			if !reach[s] {
-				reach[s] = true
+			if !reach[s.ID] {
+				reach[s.ID] = true
 				work = append(work, s)
 			}
 		}
 	}
-	var kept []*ir.Block
+	kept := f.Blocks[:0]
 	for _, b := range f.Blocks {
-		if reach[b] {
+		if reach[b.ID] {
 			kept = append(kept, b)
 		}
 	}
 	for _, b := range kept {
-		var preds []*ir.Block
+		preds := b.Preds[:0]
 		for _, p := range b.Preds {
-			if reach[p] {
+			if reach[p.ID] {
 				preds = append(preds, p)
 			}
 		}
 		b.Preds = preds
 	}
+	clear(f.Blocks[len(kept):]) // let the pruned blocks go
 	f.Blocks = kept
 }
 

@@ -4,9 +4,10 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"hash"
 	"io"
 	"sort"
+	"strconv"
+	"sync"
 )
 
 // This file implements the content hashing that the incremental build
@@ -35,8 +36,9 @@ func HashSource(name, src string) string {
 // HashFunc fingerprints a function declaration: name, signature, body
 // structure, literals, and all source positions.
 func HashFunc(fn *FuncDecl) string {
-	h := sha256.New()
-	w := &astHasher{h: h}
+	w := hasherPool.Get().(*astHasher)
+	defer hasherPool.Put(w)
+	w.buf = w.buf[:0]
 	w.str("func", fn.Name)
 	w.pos(fn.Pos)
 	w.typ(fn.Ret)
@@ -45,25 +47,38 @@ func HashFunc(fn *FuncDecl) string {
 		w.typ(p.Type)
 	}
 	w.stmt(fn.Body)
-	return hex.EncodeToString(h.Sum(nil))[:24]
+	sum := sha256.Sum256(w.buf)
+	return hex.EncodeToString(sum[:12])
 }
 
-// astHasher streams a canonical encoding of AST nodes into a hash. Every
-// record is tag-prefixed and NUL-terminated so that concatenations of
-// different shapes cannot collide.
+// astHasher appends a canonical encoding of AST nodes to one buffer that is
+// hashed once at the end. Every record is tag-prefixed and NUL-terminated so
+// that concatenations of different shapes cannot collide. The byte stream is
+// the artifact store's key material: it must not change (see
+// TestHashGoldenDigests).
 type astHasher struct {
-	h hash.Hash
+	buf []byte
 }
+
+// hasherPool recycles encoding buffers across HashFunc calls (the digest is
+// computed before the buffer goes back).
+var hasherPool = sync.Pool{New: func() any { return new(astHasher) }}
 
 func (w *astHasher) str(tag, s string) {
-	io.WriteString(w.h, tag)
-	w.h.Write([]byte{0})
-	io.WriteString(w.h, s)
-	w.h.Write([]byte{0})
+	w.buf = append(w.buf, tag...)
+	w.buf = append(w.buf, 0)
+	w.buf = append(w.buf, s...)
+	w.buf = append(w.buf, 0)
 }
 
 func (w *astHasher) pos(p Pos) {
-	fmt.Fprintf(w.h, "@%s:%d:%d\x00", p.File, p.Line, p.Col)
+	w.buf = append(w.buf, '@')
+	w.buf = append(w.buf, p.File...)
+	w.buf = append(w.buf, ':')
+	w.buf = strconv.AppendInt(w.buf, int64(p.Line), 10)
+	w.buf = append(w.buf, ':')
+	w.buf = strconv.AppendInt(w.buf, int64(p.Col), 10)
+	w.buf = append(w.buf, 0)
 }
 
 func (w *astHasher) typ(t Type) {
@@ -127,10 +142,10 @@ func (w *astHasher) expr(e Expr) {
 		w.str("ident", x.Name)
 		w.pos(x.Pos)
 	case *IntLit:
-		w.str("int", fmt.Sprintf("%d", x.Val))
+		w.str("int", strconv.FormatInt(x.Val, 10))
 		w.pos(x.Pos)
 	case *BoolLit:
-		w.str("bool", fmt.Sprintf("%v", x.Val))
+		w.str("bool", strconv.FormatBool(x.Val))
 		w.pos(x.Pos)
 	case *NullLit:
 		w.str("null", "")
@@ -164,62 +179,66 @@ func (w *astHasher) expr(e Expr) {
 // declaration calls (excluding the malloc/free intrinsics, which lower to
 // dedicated opcodes and never become call edges).
 func CalleeNames(fn *FuncDecl) []string {
-	set := make(map[string]bool)
-	var walkExpr func(e Expr)
-	var walkStmt func(s Stmt)
-	walkExpr = func(e Expr) {
-		switch x := e.(type) {
-		case *UnaryExpr:
-			walkExpr(x.X)
-		case *BinaryExpr:
-			walkExpr(x.X)
-			walkExpr(x.Y)
-		case *ArrowExpr:
-			walkExpr(x.X)
-		case *CallExpr:
-			if x.Fun != "malloc" && x.Fun != "free" {
-				set[x.Fun] = true
-			}
-			for _, a := range x.Args {
-				walkExpr(a)
-			}
+	var w calleeWalker
+	w.stmt(fn.Body)
+	sort.Strings(w.names)
+	out := w.names[:0]
+	for i, name := range w.names {
+		if i == 0 || name != w.names[i-1] {
+			out = append(out, name)
 		}
 	}
-	walkStmt = func(s Stmt) {
-		switch st := s.(type) {
-		case *BlockStmt:
-			for _, inner := range st.Stmts {
-				walkStmt(inner)
-			}
-		case *DeclStmt:
-			if st.Decl.Init != nil {
-				walkExpr(st.Decl.Init)
-			}
-		case *AssignStmt:
-			walkExpr(st.Target)
-			walkExpr(st.Value)
-		case *IfStmt:
-			walkExpr(st.Cond)
-			walkStmt(st.Then)
-			if st.Else != nil {
-				walkStmt(st.Else)
-			}
-		case *WhileStmt:
-			walkExpr(st.Cond)
-			walkStmt(st.Body)
-		case *ReturnStmt:
-			if st.Value != nil {
-				walkExpr(st.Value)
-			}
-		case *ExprStmt:
-			walkExpr(st.X)
-		}
-	}
-	walkStmt(fn.Body)
-	out := make([]string, 0, len(set))
-	for name := range set {
-		out = append(out, name)
-	}
-	sort.Strings(out)
 	return out
+}
+
+type calleeWalker struct{ names []string }
+
+func (w *calleeWalker) expr(e Expr) {
+	switch x := e.(type) {
+	case *UnaryExpr:
+		w.expr(x.X)
+	case *BinaryExpr:
+		w.expr(x.X)
+		w.expr(x.Y)
+	case *ArrowExpr:
+		w.expr(x.X)
+	case *CallExpr:
+		if x.Fun != "malloc" && x.Fun != "free" {
+			w.names = append(w.names, x.Fun)
+		}
+		for _, a := range x.Args {
+			w.expr(a)
+		}
+	}
+}
+
+func (w *calleeWalker) stmt(s Stmt) {
+	switch st := s.(type) {
+	case *BlockStmt:
+		for _, inner := range st.Stmts {
+			w.stmt(inner)
+		}
+	case *DeclStmt:
+		if st.Decl.Init != nil {
+			w.expr(st.Decl.Init)
+		}
+	case *AssignStmt:
+		w.expr(st.Target)
+		w.expr(st.Value)
+	case *IfStmt:
+		w.expr(st.Cond)
+		w.stmt(st.Then)
+		if st.Else != nil {
+			w.stmt(st.Else)
+		}
+	case *WhileStmt:
+		w.expr(st.Cond)
+		w.stmt(st.Body)
+	case *ReturnStmt:
+		if st.Value != nil {
+			w.expr(st.Value)
+		}
+	case *ExprStmt:
+		w.expr(st.X)
+	}
 }

@@ -173,20 +173,3 @@ func (l *Lexer) Next() (Token, error) {
 	}
 	return Token{}, &Error{Pos: p, Msg: fmt.Sprintf("unexpected character %q", c)}
 }
-
-// Lex tokenizes the whole input, returning all tokens up to and including
-// the EOF token.
-func Lex(file, src string) ([]Token, error) {
-	l := NewLexer(file, src)
-	var toks []Token
-	for {
-		t, err := l.Next()
-		if err != nil {
-			return nil, err
-		}
-		toks = append(toks, t)
-		if t.Kind == TokEOF {
-			return toks, nil
-		}
-	}
-}

@@ -6,6 +6,22 @@ import (
 	"testing"
 )
 
+// Lex tokenizes the whole input, up to and including the EOF token.
+func Lex(file, src string) ([]Token, error) {
+	l := NewLexer(file, src)
+	var toks []Token
+	for {
+		t, err := l.Next()
+		if err != nil {
+			return nil, err
+		}
+		toks = append(toks, t)
+		if t.Kind == TokEOF {
+			return toks, nil
+		}
+	}
+}
+
 func TestLexBasics(t *testing.T) {
 	toks, err := Lex("t.mc", "int x = 42; // comment\n/* block */ x <= y != z && q || !p")
 	if err != nil {

@@ -25,21 +25,35 @@ import "fmt"
 //	primary  = ident [ "(" args ")" ] | int | "true" | "false" | "null"
 //	         | "(" expr ")" .
 type Parser struct {
-	toks []Token
-	pos  int
+	lex *Lexer
+	// buf[:n] is the lookahead window, buf[0] the current token. Tokens are
+	// pulled from the lexer on demand; three is the most the grammar needs
+	// (File tells a struct declaration from a struct-typed one by the two
+	// tokens after the keyword).
+	buf [3]Token
+	n   int
+	// lexErr is the first lexical error; from there on the stream reads
+	// as EOF.
+	lexErr error
 }
 
-// NewParser returns a Parser over a pre-lexed token stream.
-func NewParser(toks []Token) *Parser { return &Parser{toks: toks} }
+// NewParser returns a Parser over src, reporting positions against file.
+func NewParser(file, src string) *Parser { return &Parser{lex: NewLexer(file, src)} }
 
-// ParseFile lexes and parses one translation unit.
+// ParseFile lexes and parses one translation unit. A lexical error anywhere
+// in the unit outranks a syntax error before it.
 func ParseFile(name, src string) (*File, error) {
-	toks, err := Lex(name, src)
+	p := NewParser(name, src)
+	f, err := p.File(name)
 	if err != nil {
-		return nil, err
+		// Tokens stream, so the rest of the unit is still unlexed.
+		for p.lexErr == nil && p.scan().Kind != TokEOF {
+		}
 	}
-	p := NewParser(toks)
-	return p.File(name)
+	if p.lexErr != nil {
+		return nil, p.lexErr
+	}
+	return f, err
 }
 
 // ParseProgram parses a set of named translation units into one Program.
@@ -66,14 +80,41 @@ type NamedSource struct {
 	Src  string
 }
 
-func (p *Parser) cur() Token  { return p.toks[p.pos] }
-func (p *Parser) next() Token { t := p.toks[p.pos]; p.pos++; return t }
+// scan pulls the next token from the lexer.
+func (p *Parser) scan() Token {
+	if p.lexErr == nil {
+		t, err := p.lex.Next()
+		if err == nil {
+			return t
+		}
+		p.lexErr = err
+	}
+	return Token{Kind: TokEOF, Pos: p.lex.pos()}
+}
+
+// peek returns the token k positions ahead of the current one (k < 3).
+func (p *Parser) peek(k int) Token {
+	for p.n <= k {
+		p.buf[p.n] = p.scan()
+		p.n++
+	}
+	return p.buf[k]
+}
+
+func (p *Parser) cur() Token { return p.peek(0) }
+
+func (p *Parser) next() Token {
+	t := p.peek(0)
+	copy(p.buf[:], p.buf[1:p.n])
+	p.n--
+	return t
+}
 
 func (p *Parser) at(k TokKind) bool { return p.cur().Kind == k }
 
 func (p *Parser) accept(k TokKind) bool {
 	if p.at(k) {
-		p.pos++
+		p.next()
 		return true
 	}
 	return false
@@ -130,7 +171,7 @@ func (p *Parser) File(name string) (*File, error) {
 	f := &File{Name: name}
 	for !p.at(TokEOF) {
 		// A struct type declaration: "struct Name { ... };".
-		if p.at(TokKwStruct) && p.toks[p.pos+1].Kind == TokIdent && p.toks[p.pos+2].Kind == TokLBrace {
+		if p.at(TokKwStruct) && p.peek(1).Kind == TokIdent && p.peek(2).Kind == TokLBrace {
 			sd, err := p.parseStructDecl()
 			if err != nil {
 				return nil, err

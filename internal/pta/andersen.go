@@ -15,6 +15,12 @@ package pta
 //	store        *p ⊇ q   (for each loc in pts(p): edge q → contents(loc))
 //
 // Call and return bindings are copy edges (direct calls only).
+//
+// This is the one analysis in the package keyed by value *pointers*: it is
+// whole-program, and Value.IDs are dense only within one function, so a
+// module-wide relation (plus the solver's synthetic content proxies, which
+// carry negative IDs) has no integer key to index a slice with. It is a
+// baseline for the §5 comparisons, not part of the cold pipeline.
 
 import (
 	"repro/internal/ir"
@@ -22,7 +28,8 @@ import (
 
 // AndersenResult holds the global points-to relation.
 type AndersenResult struct {
-	// Pts maps SSA pointer values to abstract locations.
+	// Pts maps SSA pointer values to abstract locations (a map: values
+	// of every function, see the file comment).
 	Pts map[*ir.Value]map[Loc]bool
 	// Contents maps each location to the values stored in it anywhere in
 	// the program.
@@ -53,7 +60,8 @@ func (r *AndersenResult) Alias(a, b *ir.Value) bool {
 	return false
 }
 
-// andersenSolver is the constraint-graph state.
+// andersenSolver is the constraint-graph state; its relations span all
+// functions of the module, hence pointer-keyed maps (see the file comment).
 type andersenSolver struct {
 	pts      map[*ir.Value]map[Loc]bool
 	succs    map[*ir.Value]map[*ir.Value]bool // copy edges

@@ -2,7 +2,6 @@ package pta
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/cond"
 	"repro/internal/ir"
@@ -12,7 +11,7 @@ import (
 
 // Wire form of a Result for the persistent artifact store. Values,
 // instructions, and conditions are referenced by their dense per-function
-// IDs (-1 = nil); map entries are sorted by key ID so the encoding is
+// IDs (-1 = nil); table entries go out in ascending key ID so the encoding is
 // deterministic, while the guarded-pair slices keep their original order
 // (downstream traversals iterate them in order).
 
@@ -94,15 +93,15 @@ func wireLocs(ls []GuardedLoc) []GuardedLocWire {
 	return out
 }
 
-// ExportResult flattens r into wire form.
+// ExportResult flattens r into wire form. The tables are ID-indexed, so
+// walking them emits entries in ascending key order.
 func ExportResult(r *Result) *ResultWire {
 	w := &ResultWire{Stats: r.Stats}
-	for v, locs := range r.PTS {
-		w.PTS = append(w.PTS, PTSWire{Val: int32(v.ID), Locs: wireLocs(locs)})
-	}
-	sort.Slice(w.PTS, func(i, j int) bool { return w.PTS[i].Val < w.PTS[j].Val })
-	for in, vals := range r.LoadSources {
-		vw := InstrValsWire{Instr: int32(in.ID)}
+	r.pts.Each(func(id int, locs []GuardedLoc) {
+		w.PTS = append(w.PTS, PTSWire{Val: int32(id), Locs: wireLocs(locs)})
+	})
+	r.loadSources.Each(func(id int, vals []GuardedVal) {
+		vw := InstrValsWire{Instr: int32(id)}
 		if vals != nil {
 			vw.Vals = make([]GuardedValWire, len(vals))
 			for i, gv := range vals {
@@ -110,12 +109,10 @@ func ExportResult(r *Result) *ResultWire {
 			}
 		}
 		w.LoadSources = append(w.LoadSources, vw)
-	}
-	sort.Slice(w.LoadSources, func(i, j int) bool { return w.LoadSources[i].Instr < w.LoadSources[j].Instr })
-	for in, locs := range r.StoredAt {
-		w.StoredAt = append(w.StoredAt, InstrLocsWire{Instr: int32(in.ID), Locs: wireLocs(locs)})
-	}
-	sort.Slice(w.StoredAt, func(i, j int) bool { return w.StoredAt[i].Instr < w.StoredAt[j].Instr })
+	})
+	r.storedAt.Each(func(id int, locs []GuardedLoc) {
+		w.StoredAt = append(w.StoredAt, InstrLocsWire{Instr: int32(id), Locs: wireLocs(locs)})
+	})
 	return w
 }
 
@@ -182,14 +179,8 @@ func (im *importer) locs(ws []GuardedLocWire) ([]GuardedLoc, error) {
 // come from the companion ir/cond imports of the same artifact.
 func ImportResult(w *ResultWire, f *ir.Func, inf *ssa.Info, ix *ir.Index, nodes []*cond.Cond) (*Result, error) {
 	im := &importer{fn: f, ix: ix, nodes: nodes}
-	r := &Result{
-		Fn:          f,
-		Info:        inf,
-		PTS:         make(map[*ir.Value][]GuardedLoc, len(w.PTS)),
-		LoadSources: make(map[*ir.Instr][]GuardedVal, len(w.LoadSources)),
-		StoredAt:    make(map[*ir.Instr][]GuardedLoc, len(w.StoredAt)),
-		Stats:       w.Stats,
-	}
+	r := newResult(f, inf)
+	r.Stats = w.Stats
 	for _, pw := range w.PTS {
 		v, err := im.value(pw.Val)
 		if err != nil || v == nil {
@@ -199,7 +190,7 @@ func ImportResult(w *ResultWire, f *ir.Func, inf *ssa.Info, ix *ir.Index, nodes 
 		if err != nil {
 			return nil, err
 		}
-		r.PTS[v] = locs
+		r.pts.Put(v.ID, locs)
 	}
 	for _, lw := range w.LoadSources {
 		in, err := im.instr(lw.Instr)
@@ -221,7 +212,7 @@ func ImportResult(w *ResultWire, f *ir.Func, inf *ssa.Info, ix *ir.Index, nodes 
 				vals[i] = GuardedVal{Val: v, Cond: c}
 			}
 		}
-		r.LoadSources[in] = vals
+		r.loadSources.Put(in.ID, vals)
 	}
 	for _, sw := range w.StoredAt {
 		in, err := im.instr(sw.Instr)
@@ -232,7 +223,7 @@ func ImportResult(w *ResultWire, f *ir.Func, inf *ssa.Info, ix *ir.Index, nodes 
 		if err != nil {
 			return nil, err
 		}
-		r.StoredAt[in] = locs
+		r.storedAt.Put(in.ID, locs)
 	}
 	return r, nil
 }

@@ -29,6 +29,7 @@ import (
 
 	"repro/internal/cfg"
 	"repro/internal/cond"
+	"repro/internal/dense"
 	"repro/internal/ir"
 	"repro/internal/ssa"
 )
@@ -137,29 +138,88 @@ func (s Stats) String() string {
 		s.GuardsKept, s.GuardsPruned, s.CapWidened, s.LinearQueries, s.LinearUnsat)
 }
 
-// Result is the per-function analysis result.
+// Result is the per-function analysis result. Its tables are keyed by the
+// IR's dense IDs; an assigned nil list is a result ("not a pointer", "no
+// sources"), not an absence, and the artifact wire format keeps the two
+// apart. Analyze fills the tables from one goroutine; afterwards they are
+// only read, so detection workers share a Result freely.
 type Result struct {
 	Fn   *ir.Func
 	Info *ssa.Info
-	// PTS is the guarded points-to set of each pointer value.
-	PTS map[*ir.Value][]GuardedLoc
-	// LoadSources maps each load to the guarded values reaching it.
-	LoadSources map[*ir.Instr][]GuardedVal
-	// StoredAt maps each store instruction to its guarded target
-	// locations (used by checkers that reason about writes).
-	StoredAt map[*ir.Instr][]GuardedLoc
+	// pts is the guarded points-to set of each pointer value, by Value.ID.
+	pts dense.Lists[GuardedLoc]
+	// loadSources holds, by Instr.ID, the guarded values reaching each load.
+	loadSources dense.Lists[GuardedVal]
+	// storedAt holds, by Instr.ID, each store's guarded target locations.
+	storedAt dense.Lists[GuardedLoc]
 	Stats    Stats
 }
 
-// state is the memory state at a program point: contents of locations.
-type state map[Loc][]GuardedVal
-
-func (s state) clone() state {
-	out := make(state, len(s))
-	for l, vs := range s {
-		out[l] = vs // slices are copy-on-write; see setContents
+func newResult(f *ir.Func, inf *ssa.Info) *Result {
+	return &Result{
+		Fn:          f,
+		Info:        inf,
+		pts:         dense.NewLists[GuardedLoc](f.NumValues()),
+		loadSources: dense.NewLists[GuardedVal](f.NumInstrs()),
+		storedAt:    dense.NewLists[GuardedLoc](f.NumInstrs()),
 	}
-	return out
+}
+
+// PointsTo returns the guarded points-to set computed for v (nil if v is
+// not a pointer or was never reached).
+func (r *Result) PointsTo(v *ir.Value) []GuardedLoc {
+	p, _ := r.pts.Get(v.ID)
+	return p
+}
+
+// LoadSources returns the guarded values reaching a load.
+func (r *Result) LoadSources(in *ir.Instr) []GuardedVal {
+	vs, _ := r.loadSources.Get(in.ID)
+	return vs
+}
+
+// StoredAt returns a store instruction's guarded target locations (used by
+// checkers that reason about writes).
+func (r *Result) StoredAt(in *ir.Instr) []GuardedLoc {
+	ls, _ := r.storedAt.Get(in.ID)
+	return ls
+}
+
+// state is the memory state at a program point: the contents of every
+// location written so far. A function touches a handful of locations, so
+// the state is a short list searched linearly — cheaper to clone at every
+// block than a map keyed by the (string-carrying) Loc is to hash.
+type state []locContents
+
+type locContents struct {
+	loc  Loc
+	vals []GuardedVal // copy-on-write; see transferStore
+}
+
+func (s state) clone() state { return append(state(nil), s...) }
+
+func (s state) find(l Loc) (int, bool) {
+	for i := range s {
+		if s[i].loc == l {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+func (s state) get(l Loc) []GuardedVal {
+	if i, ok := s.find(l); ok {
+		return s[i].vals
+	}
+	return nil
+}
+
+func (s *state) set(l Loc, vals []GuardedVal) {
+	if i, ok := s.find(l); ok {
+		(*s)[i].vals = vals
+		return
+	}
+	*s = append(*s, locContents{loc: l, vals: vals})
 }
 
 type analyzer struct {
@@ -178,15 +238,9 @@ func Analyze(f *ir.Func, inf *ssa.Info, opts Options) (*Result, error) {
 		return nil, err
 	}
 	a := &analyzer{
-		f:   f,
-		inf: inf,
-		res: &Result{
-			Fn:          f,
-			Info:        inf,
-			PTS:         make(map[*ir.Value][]GuardedLoc),
-			LoadSources: make(map[*ir.Instr][]GuardedVal),
-			StoredAt:    make(map[*ir.Instr][]GuardedLoc),
-		},
+		f:    f,
+		inf:  inf,
+		res:  newResult(f, inf),
 		ls:   cond.NewLinearSolver(),
 		opts: opts,
 		cap:  opts.CondSizeCap,
@@ -195,13 +249,13 @@ func Analyze(f *ir.Func, inf *ssa.Info, opts Options) (*Result, error) {
 		a.cap = 64
 	}
 
-	exits := make(map[*ir.Block]state, len(order))
+	exits := make([]state, f.NumBlocks()) // by Block.ID
 	for _, b := range order {
 		st := a.mergePreds(b, exits)
 		for _, in := range b.Instrs {
-			a.transfer(st, in)
+			a.transfer(&st, in)
 		}
-		exits[b] = st
+		exits[b.ID] = st
 	}
 	a.res.Stats.LinearQueries = a.ls.Queries
 	a.res.Stats.LinearUnsat = a.ls.Unsat
@@ -230,50 +284,49 @@ func (a *analyzer) feasible(parts ...*cond.Cond) (*cond.Cond, bool) {
 // mergePreds computes the block-entry state from predecessor exits, gating
 // pairs with the join gates. Pairs identical across all predecessors pass
 // through untouched to keep conditions compact.
-func (a *analyzer) mergePreds(b *ir.Block, exits map[*ir.Block]state) state {
+func (a *analyzer) mergePreds(b *ir.Block, exits []state) state {
 	switch len(b.Preds) {
 	case 0:
-		return make(state)
+		return nil
 	case 1:
-		return exits[b.Preds[0]].clone()
+		return exits[b.Preds[0].ID].clone()
 	}
 	gates := a.inf.JoinGates(b)
-	// Collect all locations mentioned by any predecessor.
-	locs := make(map[Loc]bool)
+	var out state
 	for _, p := range b.Preds {
-		for l := range exits[p] {
-			locs[l] = true
-		}
-	}
-	out := make(state, len(locs))
-	for l := range locs {
-		// Fast path: identical slices in all preds.
-		first := exits[b.Preds[0]][l]
-		same := true
-		for _, p := range b.Preds[1:] {
-			if !sameGuardedVals(exits[p][l], first) {
-				same = false
-				break
+		for _, lc := range exits[p.ID] {
+			l := lc.loc
+			if _, done := out.find(l); done {
+				continue // merged when an earlier predecessor mentioned it
 			}
-		}
-		if same {
-			if first != nil {
-				out[l] = first
-			}
-			continue
-		}
-		var merged []GuardedVal
-		for _, p := range b.Preds {
-			g := gates[p]
-			for _, gv := range exits[p][l] {
-				c, ok := a.feasible(gv.Cond, g)
-				if !ok {
-					continue
+			// Fast path: identical slices in all preds.
+			first := exits[b.Preds[0].ID].get(l)
+			same := true
+			for _, q := range b.Preds[1:] {
+				if !sameGuardedVals(exits[q.ID].get(l), first) {
+					same = false
+					break
 				}
-				merged = append(merged, GuardedVal{Val: gv.Val, Cond: c})
 			}
+			if same {
+				if first != nil {
+					out = append(out, locContents{loc: l, vals: first})
+				}
+				continue
+			}
+			var merged []GuardedVal
+			for i, q := range b.Preds {
+				g := gates[i]
+				for _, gv := range exits[q.ID].get(l) {
+					c, ok := a.feasible(gv.Cond, g)
+					if !ok {
+						continue
+					}
+					merged = append(merged, GuardedVal{Val: gv.Val, Cond: c})
+				}
+			}
+			out = append(out, locContents{loc: l, vals: dedupGuarded(a.inf.Conds, merged)})
 		}
-		out[l] = dedupGuarded(a.inf.Conds, merged)
 	}
 	return out
 }
@@ -290,19 +343,21 @@ func sameGuardedVals(x, y []GuardedVal) bool {
 	return true
 }
 
-// dedupGuarded groups pairs by value, Or-ing their conditions.
+// dedupGuarded groups pairs by value, Or-ing their conditions. The lists are
+// a handful of entries long, so a scan beats any index.
 func dedupGuarded(cb *cond.Builder, in []GuardedVal) []GuardedVal {
 	if len(in) < 2 {
 		return in
 	}
-	idx := make(map[*ir.Value]int, len(in))
 	out := in[:0]
+next:
 	for _, gv := range in {
-		if i, ok := idx[gv.Val]; ok {
-			out[i].Cond = cb.Or(out[i].Cond, gv.Cond)
-			continue
+		for i := range out {
+			if out[i].Val == gv.Val {
+				out[i].Cond = cb.Or(out[i].Cond, gv.Cond)
+				continue next
+			}
 		}
-		idx[gv.Val] = len(out)
 		out = append(out, gv)
 	}
 	return out
@@ -311,7 +366,7 @@ func dedupGuarded(cb *cond.Builder, in []GuardedVal) []GuardedVal {
 // ptsOf returns the guarded points-to set of v, computing the base cases
 // for parameters and constants lazily.
 func (a *analyzer) ptsOf(v *ir.Value) []GuardedLoc {
-	if p, ok := a.res.PTS[v]; ok {
+	if p, ok := a.res.pts.Get(v.ID); ok {
 		return p
 	}
 	var p []GuardedLoc
@@ -325,32 +380,33 @@ func (a *analyzer) ptsOf(v *ir.Value) []GuardedLoc {
 		// Opaque pointer with no recorded definition semantics.
 		p = []GuardedLoc{{Loc: Loc{Kind: LExt, Val: v}, Cond: tr}}
 	}
-	a.res.PTS[v] = p
+	a.res.pts.Put(v.ID, p)
 	return p
 }
 
 func (a *analyzer) setPTS(v *ir.Value, p []GuardedLoc) {
-	a.res.PTS[v] = dedupLocs(a.inf.Conds, p)
+	a.res.pts.Put(v.ID, dedupLocs(a.inf.Conds, p))
 }
 
 func dedupLocs(cb *cond.Builder, in []GuardedLoc) []GuardedLoc {
 	if len(in) < 2 {
 		return in
 	}
-	idx := make(map[Loc]int, len(in))
 	out := in[:0]
+next:
 	for _, gl := range in {
-		if i, ok := idx[gl.Loc]; ok {
-			out[i].Cond = cb.Or(out[i].Cond, gl.Cond)
-			continue
+		for i := range out {
+			if out[i].Loc == gl.Loc {
+				out[i].Cond = cb.Or(out[i].Cond, gl.Cond)
+				continue next
+			}
 		}
-		idx[gl.Loc] = len(out)
 		out = append(out, gl)
 	}
 	return out
 }
 
-func (a *analyzer) transfer(st state, in *ir.Instr) {
+func (a *analyzer) transfer(st *state, in *ir.Instr) {
 	tr := a.inf.Conds.True()
 	switch in.Op {
 	case ir.OpAlloc:
@@ -403,7 +459,7 @@ func (a *analyzer) transfer(st state, in *ir.Instr) {
 		}
 	case ir.OpPhi:
 		if in.Dst.Type.IsPointer() {
-			gates := a.inf.Gates[in]
+			gates := a.inf.GatesOf(in)
 			var p []GuardedLoc
 			for i, arg := range in.Args {
 				g := tr
@@ -433,14 +489,14 @@ func (a *analyzer) transfer(st state, in *ir.Instr) {
 	}
 }
 
-func (a *analyzer) transferLoad(st state, in *ir.Instr) {
+func (a *analyzer) transferLoad(st *state, in *ir.Instr) {
 	addrPts := a.ptsOf(in.Args[0])
 	var sources []GuardedVal
 	for _, gl := range addrPts {
 		if gl.Loc.Kind == LNull {
 			continue
 		}
-		for _, gv := range st[gl.Loc] {
+		for _, gv := range st.get(gl.Loc) {
 			c, ok := a.feasible(gl.Cond, gv.Cond)
 			if !ok {
 				continue
@@ -449,7 +505,7 @@ func (a *analyzer) transferLoad(st state, in *ir.Instr) {
 		}
 	}
 	sources = dedupGuarded(a.inf.Conds, sources)
-	a.res.LoadSources[in] = sources
+	a.res.loadSources.Put(in.ID, sources)
 
 	if in.Dst.Type.IsPointer() {
 		var p []GuardedLoc
@@ -470,26 +526,26 @@ func (a *analyzer) transferLoad(st state, in *ir.Instr) {
 	}
 }
 
-func (a *analyzer) transferStore(st state, in *ir.Instr) {
+func (a *analyzer) transferStore(st *state, in *ir.Instr) {
 	addrPts := a.ptsOf(in.Args[0])
-	a.res.StoredAt[in] = addrPts
+	a.res.storedAt.Put(in.ID, addrPts)
 	v := in.Args[1]
 	if len(addrPts) == 1 && addrPts[0].Cond.IsTrue() && addrPts[0].Loc.Kind != LNull {
 		// Strong update: in an acyclic CFG every location is a
 		// singleton, so a must-aliased store kills prior contents.
-		st[addrPts[0].Loc] = []GuardedVal{{Val: v, Cond: a.inf.Conds.True()}}
+		st.set(addrPts[0].Loc, []GuardedVal{{Val: v, Cond: a.inf.Conds.True()}})
 		return
 	}
 	for _, gl := range addrPts {
 		if gl.Loc.Kind == LNull {
 			continue
 		}
-		old := st[gl.Loc]
+		old := st.get(gl.Loc)
 		// Copy-on-write: never mutate a slice shared with another
 		// block's state.
 		nv := make([]GuardedVal, 0, len(old)+1)
 		nv = append(nv, old...)
 		nv = append(nv, GuardedVal{Val: v, Cond: gl.Cond})
-		st[gl.Loc] = dedupGuarded(a.inf.Conds, nv)
+		st.set(gl.Loc, dedupGuarded(a.inf.Conds, nv))
 	}
 }

@@ -72,13 +72,13 @@ void f() {
 	f := m.ByName["f"]
 	r := res["f"]
 	ml := findInstr(f, ir.OpMalloc, 0)
-	pts := r.PTS[ml.Dst]
+	pts := r.PointsTo(ml.Dst)
 	if len(pts) != 1 || pts[0].Loc.Kind != LMalloc || pts[0].Loc.Instr != ml {
 		t.Fatalf("pts(malloc dst) = %v", pts)
 	}
 	// The load sees the stored constant 3.
 	ld := findInstr(f, ir.OpLoad, 0)
-	srcs := r.LoadSources[ld]
+	srcs := r.LoadSources(ld)
 	if len(srcs) != 1 || srcs[0].Val.Kind != ir.VConstInt || srcs[0].Val.IntVal != 3 {
 		t.Fatalf("load sources = %v", srcs)
 	}
@@ -98,7 +98,7 @@ void f() {
 	f := m.ByName["f"]
 	r := res["f"]
 	ld := findInstr(f, ir.OpLoad, 0)
-	srcs := r.LoadSources[ld]
+	srcs := r.LoadSources(ld)
 	if len(srcs) != 1 || srcs[0].Val.IntVal != 2 {
 		t.Fatalf("strong update failed, sources = %v", srcs)
 	}
@@ -115,7 +115,7 @@ void f(bool c) {
 	f := m.ByName["f"]
 	r := res["f"]
 	ld := findInstr(f, ir.OpLoad, 0)
-	srcs := r.LoadSources[ld]
+	srcs := r.LoadSources(ld)
 	if len(srcs) != 2 {
 		t.Fatalf("want 2 guarded sources, got %v", srcs)
 	}
@@ -150,7 +150,7 @@ void f(bool c) {
 	f := m.ByName["f"]
 	r := res["f"]
 	ld := findInstr(f, ir.OpLoad, 0)
-	srcs := r.LoadSources[ld]
+	srcs := r.LoadSources(ld)
 	if len(srcs) != 2 {
 		t.Fatalf("want 2 sources, got %v", srcs)
 	}
@@ -168,7 +168,7 @@ int deref(int *p) { return *p; }`)
 	f := m.ByName["deref"]
 	r := res["deref"]
 	ld := findInstr(f, ir.OpLoad, 0)
-	srcs := r.LoadSources[ld]
+	srcs := r.LoadSources(ld)
 	if len(srcs) != 1 {
 		t.Fatalf("sources = %v", srcs)
 	}
@@ -196,7 +196,7 @@ int f() {
 			}
 		}
 	}
-	srcs := r.LoadSources[lastLoad]
+	srcs := r.LoadSources(lastLoad)
 	if len(srcs) != 1 || srcs[0].Val.IntVal != 2 {
 		t.Fatalf("aliased store missed: %v", srcs)
 	}
@@ -218,14 +218,14 @@ void f() {
 			}
 		}
 	}
-	pts := r.PTS[copyIn.Dst]
+	pts := r.PointsTo(copyIn.Dst)
 	if len(pts) != 1 || pts[0].Loc.Kind != LNull {
 		t.Fatalf("pts(null copy) = %v", pts)
 	}
 	// Loading through null yields no sources.
 	ld := findInstr(f, ir.OpLoad, 0)
-	if len(r.LoadSources[ld]) != 0 {
-		t.Fatalf("null load has sources: %v", r.LoadSources[ld])
+	if len(r.LoadSources(ld)) != 0 {
+		t.Fatalf("null load has sources: %v", r.LoadSources(ld))
 	}
 }
 
@@ -263,7 +263,7 @@ void f(bool c) {
 	// the first join), but p's pair is guarded by c. The SEG/detection
 	// layer conjoins the load's control dependence (!c); here we check
 	// the pair carries the c guard so that conjunction is refutable.
-	for _, s := range r.LoadSources[ld] {
+	for _, s := range r.LoadSources(ld) {
 		if s.Val.Kind == ir.VConstNull {
 			continue
 		}
@@ -286,7 +286,7 @@ void f() {
 	f := m.ByName["f"]
 	r := res["f"]
 	call := findInstr(f, ir.OpCall, 0)
-	pts := r.PTS[call.Dsts[0]]
+	pts := r.PointsTo(call.Dsts[0])
 	if len(pts) != 1 || pts[0].Loc.Kind != LExt {
 		t.Fatalf("call receiver pts = %v", pts)
 	}

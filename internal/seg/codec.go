@@ -15,8 +15,8 @@ import (
 // instructions, and conditions by their dense per-function IDs. Creation
 // order is load-bearing: ByRole index order equals vertex creation order,
 // and detection iterates ByRole, so preserving the order preserves report
-// determinism. The lazy happens-after memo (blockReach) restarts empty and
-// the intra-block instruction index is rebuilt by the same scan Build uses.
+// determinism. The lazy happens-after memo restarts empty and the
+// intra-block instruction index is rebuilt by the same scan Build uses.
 
 // SEGNodeWire is the serialized form of one Node.
 type SEGNodeWire struct {
@@ -49,9 +49,7 @@ type GraphWire struct {
 // ExportGraph flattens g into wire form.
 func ExportGraph(g *Graph) *GraphWire {
 	w := &GraphWire{Nodes: make([]SEGNodeWire, len(g.nodes))}
-	pos := make(map[*Node]int32, len(g.nodes))
 	for i, n := range g.nodes {
-		pos[n] = int32(i)
 		nw := SEGNodeWire{Kind: n.Kind, Role: n.Role, Val: -1, Instr: -1, ArgIdx: int32(n.ArgIdx)}
 		if n.Val != nil {
 			nw.Val = int32(n.Val.ID)
@@ -61,15 +59,14 @@ func ExportGraph(g *Graph) *GraphWire {
 		}
 		w.Nodes[i] = nw
 	}
-	// Emit edge lists in vertex order (map iteration would be random).
 	for i, n := range g.nodes {
-		es := g.succ[n]
+		es := g.Succs(n)
 		if len(es) == 0 {
 			continue
 		}
 		sw := SEGSuccWire{From: int32(i), Edges: make([]SEGEdgeWire, len(es))}
 		for j, e := range es {
-			ew := SEGEdgeWire{To: pos[e.To], Cond: -1}
+			ew := SEGEdgeWire{To: e.To.idx, Cond: -1}
 			if e.Cond != nil {
 				ew.Cond = int32(e.Cond.ID())
 			}
@@ -81,26 +78,16 @@ func ExportGraph(g *Graph) *GraphWire {
 }
 
 // ImportGraph rebuilds a Graph for f from wire form. ix and nodes must be
-// the companion ir/cond imports of the same artifact.
+// the companion ir/cond imports of the same artifact. Anything a genuine
+// export cannot contain — dangling ids, a use vertex without an instruction
+// or with an operand index its instruction does not have, edge lists out of
+// vertex order — is rejected: corruption costs a rebuild, never a panic.
 func ImportGraph(w *GraphWire, f *ir.Func, inf *ssa.Info, pr *pta.Result, ix *ir.Index, nodes []*cond.Cond) (*Graph, error) {
-	g := &Graph{
-		Fn:         f,
-		Info:       inf,
-		PTA:        pr,
-		values:     make(map[*ir.Value]*Node),
-		uses:       make(map[useKey]*Node, len(w.Nodes)),
-		succ:       make(map[*Node][]Edge, len(w.Succs)),
-		nodes:      make([]*Node, len(w.Nodes)),
-		ByRole:     make(map[UseRole][]*Node),
-		instrIdx:   make(map[*ir.Instr]int),
-		blockReach: make(map[*ir.Block]map[*ir.Block]bool),
-	}
-	// Nodes are batch-allocated from one backing array: the graph lives or
-	// dies wholesale, and per-node allocations dominate import time.
-	arena := make([]Node, len(w.Nodes))
+	g := newGraph(f, inf, pr)
+	g.nodes = make([]*Node, 0, len(w.Nodes))
+	g.slab = make([]Node, 0, len(w.Nodes))
 	for i, nw := range w.Nodes {
-		n := &arena[i]
-		*n = Node{Kind: nw.Kind, Role: nw.Role, ArgIdx: int(nw.ArgIdx)}
+		n := Node{Kind: nw.Kind, Role: nw.Role, ArgIdx: int(nw.ArgIdx)}
 		if nw.Val != -1 {
 			if nw.Val < 0 || int(nw.Val) >= len(ix.Values) || ix.Values[nw.Val] == nil {
 				return nil, fmt.Errorf("seg: import %s: bad value id %d", f.Name, nw.Val)
@@ -113,26 +100,43 @@ func ImportGraph(w *GraphWire, f *ir.Func, inf *ssa.Info, pr *pta.Result, ix *ir
 			}
 			n.Instr = ix.Instrs[nw.Instr]
 		}
-		g.nodes[i] = n
 		switch n.Kind {
 		case NValue:
 			if n.Val == nil {
 				return nil, fmt.Errorf("seg: import %s: value vertex %d without value", f.Name, i)
 			}
-			g.values[n.Val] = n
+			g.valueAt[n.Val.ID] = g.newNode(n).idx + 1
 		case NUse:
-			g.uses[useKey{instr: n.Instr, argIdx: n.ArgIdx, role: n.Role}] = n
-			g.ByRole[n.Role] = append(g.ByRole[n.Role], n)
+			if n.Instr == nil || n.Val == nil {
+				return nil, fmt.Errorf("seg: import %s: use vertex %d without instruction or value", f.Name, i)
+			}
+			if n.Role <= RoleNone || int(n.Role) >= numRoles {
+				return nil, fmt.Errorf("seg: import %s: use vertex %d has unknown role %d", f.Name, i, n.Role)
+			}
+			if n.ArgIdx < 0 || n.ArgIdx >= len(n.Instr.Args) {
+				return nil, fmt.Errorf("seg: import %s: use vertex %d names operand %d of %d", f.Name, i, n.ArgIdx, len(n.Instr.Args))
+			}
+			g.linkUse(g.newNode(n))
 		default:
 			return nil, fmt.Errorf("seg: import %s: vertex %d has unknown kind %d", f.Name, i, n.Kind)
 		}
 	}
+	g.succStart = make([]int32, len(g.nodes)+1)
+	total, last := 0, int32(-1)
 	for _, sw := range w.Succs {
-		if sw.From < 0 || int(sw.From) >= len(g.nodes) {
+		if sw.From <= last || int(sw.From) >= len(g.nodes) {
 			return nil, fmt.Errorf("seg: import %s: bad edge source %d", f.Name, sw.From)
 		}
-		es := make([]Edge, len(sw.Edges))
-		for j, ew := range sw.Edges {
+		last = sw.From
+		g.succStart[sw.From+1] = int32(len(sw.Edges))
+		total += len(sw.Edges)
+	}
+	for i := range g.nodes {
+		g.succStart[i+1] += g.succStart[i]
+	}
+	g.edges = make([]Edge, 0, total)
+	for _, sw := range w.Succs {
+		for _, ew := range sw.Edges {
 			if ew.To < 0 || int(ew.To) >= len(g.nodes) {
 				return nil, fmt.Errorf("seg: import %s: bad edge target %d", f.Name, ew.To)
 			}
@@ -143,13 +147,7 @@ func ImportGraph(w *GraphWire, f *ir.Func, inf *ssa.Info, pr *pta.Result, ix *ir
 				}
 				c = nodes[ew.Cond]
 			}
-			es[j] = Edge{To: g.nodes[ew.To], Cond: c}
-		}
-		g.succ[g.nodes[sw.From]] = es
-	}
-	for _, b := range f.Blocks {
-		for i, in := range b.Instrs {
-			g.instrIdx[in] = i
+			g.edges = append(g.edges, Edge{To: g.nodes[ew.To], Cond: c})
 		}
 	}
 	return g, nil

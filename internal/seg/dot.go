@@ -14,9 +14,7 @@ func (g *Graph) Dot() string {
 	fmt.Fprintf(&b, "digraph %q {\n", "seg_"+g.Fn.Name)
 	b.WriteString("  rankdir=LR;\n  node [fontname=\"monospace\", fontsize=9];\n")
 
-	id := make(map[*Node]int, len(g.nodes))
 	for i, n := range g.nodes {
-		id[n] = i
 		switch n.Kind {
 		case NValue:
 			fmt.Fprintf(&b, "  n%d [label=%q, shape=ellipse];\n", i, n.Val.String())
@@ -33,11 +31,11 @@ func (g *Graph) Dot() string {
 		}
 	}
 	for _, n := range g.nodes {
-		for _, e := range g.succ[n] {
+		for _, e := range g.Succs(n) {
 			if e.Cond.IsTrue() {
-				fmt.Fprintf(&b, "  n%d -> n%d;\n", id[n], id[e.To])
+				fmt.Fprintf(&b, "  n%d -> n%d;\n", n.idx, e.To.idx)
 			} else {
-				fmt.Fprintf(&b, "  n%d -> n%d [label=%q];\n", id[n], id[e.To], e.Cond.String())
+				fmt.Fprintf(&b, "  n%d -> n%d [label=%q];\n", n.idx, e.To.idx, e.Cond.String())
 			}
 		}
 	}

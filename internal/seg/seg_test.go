@@ -48,7 +48,7 @@ func buildSEGs(t *testing.T, src string) (*ir.Module, map[string]*Graph) {
 
 // reachesNode reports whether dst is reachable from src in the SEG.
 func reachesNode(g *Graph, src, dst *Node) bool {
-	seen := map[*Node]bool{}
+	seen := map[*Node]bool{} // reference search: deliberately not indexed by Node.Index
 	var dfs func(*Node) bool
 	dfs = func(n *Node) bool {
 		if n == dst {
@@ -301,5 +301,55 @@ void f(bool c) {
 	// Conditional memory edges carry labels.
 	if !strings.Contains(dot, "label=") {
 		t.Error("no labeled edges in dot output")
+	}
+}
+
+// The dense tables are sized when the graph is built; both lookups must
+// cope with IDs handed out afterwards.
+func TestDenseTablesGrowPastBuild(t *testing.T) {
+	_, graphs := buildSEGs(t, `
+void f(int *p) {
+	*p = 1;
+	free(p);
+}`)
+	g := graphs["f"]
+	before := g.NumNodes()
+
+	// A value created after Build lies beyond the value table: the first
+	// lookup creates its vertex, the second finds it.
+	late := g.Fn.NewVar("late", minic.IntType)
+	if late.ID < len(g.valueAt) {
+		t.Fatalf("test premise: value %d is inside the table of %d", late.ID, len(g.valueAt))
+	}
+	n := g.ValueNode(late)
+	if n == nil || n.Val != late || n.Kind != NValue {
+		t.Fatalf("ValueNode(late) = %+v", n)
+	}
+	if n.Index() != before || g.NumNodes() != before+1 || g.AllNodes()[n.Index()] != n {
+		t.Errorf("late vertex has index %d in a graph of %d (was %d)", n.Index(), g.NumNodes(), before)
+	}
+	if g.ValueNode(late) != n {
+		t.Error("second ValueNode(late) created another vertex")
+	}
+	if len(g.Succs(n)) != 0 {
+		t.Error("a vertex created after Build has edges")
+	}
+
+	// An instruction the graph never saw has no use vertices — not a
+	// panic, and not some other instruction's.
+	exit := g.Fn.Exit
+	ghost := g.Fn.InsertAt(exit, 0, ir.Instr{Op: ir.OpFree, Args: []*ir.Value{g.Fn.Params[0]}})
+	if got := g.UseNode(ghost, 0, RoleFreeArg); got != nil {
+		t.Errorf("UseNode(unseen instruction) = %v, want nil", got)
+	}
+	// The real free is still found.
+	found := false
+	for _, u := range g.ByRole[RoleFreeArg] {
+		if g.UseNode(u.Instr, u.ArgIdx, u.Role) == u {
+			found = true
+		}
+	}
+	if !found {
+		t.Error("UseNode lost the built free vertex")
 	}
 }

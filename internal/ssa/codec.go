@@ -56,22 +56,24 @@ func condID(c *cond.Cond) int32 {
 // concurrent mutation (no in-flight detection on this function).
 func ExportInfo(inf *Info) *InfoWire {
 	w := &InfoWire{}
-	for in, gates := range inf.Gates {
-		gw := GateWire{Instr: int32(in.ID), Gates: make([]int32, len(gates))}
+	// The tables are ID-indexed, so walking them emits entries in ascending
+	// key order — the order the wire format has always used.
+	inf.gates.Each(func(id int, gates []*cond.Cond) {
+		gw := GateWire{Instr: int32(id), Gates: make([]int32, len(gates))}
 		for i, g := range gates {
 			gw.Gates[i] = condID(g)
 		}
 		w.Gates = append(w.Gates, gw)
-	}
-	sort.Slice(w.Gates, func(i, j int) bool { return w.Gates[i].Instr < w.Gates[j].Instr })
+	})
 	for a, v := range inf.AtomValue {
 		w.AtomValue = append(w.AtomValue, AtomWire{Atom: int32(a), Val: int32(v.ID)})
 	}
 	sort.Slice(w.AtomValue, func(i, j int) bool { return w.AtomValue[i].Atom < w.AtomValue[j].Atom })
-	for b, c := range inf.ReachCond {
-		w.Reach = append(w.Reach, ReachWire{Block: int32(b.ID), Cond: condID(c)})
+	for id, c := range inf.reachCond {
+		if c != nil {
+			w.Reach = append(w.Reach, ReachWire{Block: int32(id), Cond: condID(c)})
+		}
 	}
-	sort.Slice(w.Reach, func(i, j int) bool { return w.Reach[i].Block < w.Reach[j].Block })
 	return w
 }
 
@@ -83,23 +85,7 @@ func ImportInfo(w *InfoWire, f *ir.Func, ix *ir.Index, b *cond.Builder, nodes []
 	if err != nil {
 		return nil, fmt.Errorf("ssa: import %s: %w", f.Name, err)
 	}
-	dom := cfg.Dominators(f)
-	pdom := cfg.PostDominators(f)
-	inf := &Info{
-		Fn:        f,
-		Conds:     b,
-		Gates:     make(map[*ir.Instr][]*cond.Cond, len(w.Gates)),
-		Dom:       dom,
-		PostDom:   pdom,
-		AtomValue: make(map[int]*ir.Value, len(w.AtomValue)),
-		ReachCond: make(map[*ir.Block]*cond.Cond, len(w.Reach)),
-		rpoIdx:    make(map[*ir.Block]int, len(order)),
-		joinGates: make(map[*ir.Block]map[*ir.Block]*cond.Cond),
-	}
-	for i, blk := range order {
-		inf.rpoIdx[blk] = i
-	}
-	inf.CD = cfg.ControlDeps(f, pdom)
+	inf := newInfo(f, b, order, cfg.Dominators(f), cfg.PostDominators(f))
 
 	node := func(id int32) (*cond.Cond, error) {
 		if id == -1 {
@@ -120,7 +106,7 @@ func ImportInfo(w *InfoWire, f *ir.Func, ix *ir.Index, b *cond.Builder, nodes []
 				return nil, err
 			}
 		}
-		inf.Gates[ix.Instrs[gw.Instr]] = gates
+		inf.gates.Put(int(gw.Instr), gates)
 	}
 	for _, aw := range w.AtomValue {
 		if aw.Val < 0 || int(aw.Val) >= len(ix.Values) || ix.Values[aw.Val] == nil {
@@ -136,7 +122,7 @@ func ImportInfo(w *InfoWire, f *ir.Func, ix *ir.Index, b *cond.Builder, nodes []
 		if err != nil {
 			return nil, err
 		}
-		inf.ReachCond[ix.Blocks[rw.Block]] = c
+		inf.reachCond[rw.Block] = c
 	}
 	return inf, nil
 }

@@ -25,37 +25,63 @@ import (
 
 	"repro/internal/cfg"
 	"repro/internal/cond"
+	"repro/internal/dense"
 	"repro/internal/ir"
 )
 
 // Info carries the analysis artifacts of SSA conversion that later passes
 // (points-to, SEG construction, detection) consume.
+//
+// Per-block and per-instruction facts are slices indexed by Block.ID and
+// Instr.ID — the IDs are dense per function, so they are the keys. Blocks
+// are never added after SSA conversion; instructions are (by the connector
+// transformation), so instruction lookups go through GatesOf, which treats
+// an ID beyond the table as "no entry". Once PrepareCDConds has run the
+// tables are only read, which is what lets detection workers share an Info.
 type Info struct {
 	Fn *ir.Func
 	// Conds builds and interns all conditions of this function.
 	Conds *cond.Builder
-	// Gates maps each φ instruction to the per-operand gate conditions,
-	// parallel to the φ's Args.
-	Gates map[*ir.Instr][]*cond.Cond
-	// CD maps each block to its control dependences.
-	CD map[*ir.Block][]cfg.CDep
+	// gates holds, by Instr.ID, each φ's per-operand gate conditions
+	// (parallel to the φ's Args).
+	gates dense.Lists[*cond.Cond]
+	// cd holds each block's control dependences, by Block.ID.
+	cd [][]cfg.CDep
 	// Dom and PostDom are the dominator trees.
 	Dom, PostDom *cfg.DomTree
-	// AtomValue maps condition atom IDs back to SSA values.
+	// AtomValue maps condition atom IDs back to SSA values. It stays a map:
+	// only branch conditions become atoms, a small and sparse subset of the
+	// value IDs.
 	AtomValue map[int]*ir.Value
-	// ReachCond maps each block to the condition, over branch atoms, of
-	// reaching it from the entry ("canonical" reach condition; the SEG
-	// uses control dependence instead, this is kept for the quasi
-	// points-to analysis and for tests).
-	ReachCond map[*ir.Block]*cond.Cond
+	// reachCond holds, by Block.ID, the condition over branch atoms of
+	// reaching the block from the entry ("canonical" reach condition; the
+	// SEG uses control dependence instead, this is kept for the quasi
+	// points-to analysis and for tests). Nil for unreachable blocks.
+	reachCond []*cond.Cond
 
-	rpoIdx    map[*ir.Block]int
-	joinGates map[*ir.Block]map[*ir.Block]*cond.Cond
-	// cdCond memoizes CDCond per block once PrepareCDConds has run, making
+	rpoIdx []int32 // by Block.ID
+	// joinGates memoizes JoinGates by Block.ID (filled lazily, during the
+	// single-goroutine build only).
+	joinGates [][]*cond.Cond
+	// cdCond memoizes CDCond by Block.ID once PrepareCDConds has run, making
 	// subsequent CDCond calls read-only (and therefore safe to issue from
 	// concurrent detection workers).
-	cdCond map[*ir.Block]*cond.Cond
+	cdCond []*cond.Cond
 }
+
+// GatesOf returns the per-operand gate conditions of a φ instruction
+// (parallel to its Args), or nil for any other instruction.
+func (inf *Info) GatesOf(in *ir.Instr) []*cond.Cond {
+	gates, _ := inf.gates.Get(in.ID)
+	return gates
+}
+
+// CD returns the control dependences of a block.
+func (inf *Info) CD(b *ir.Block) []cfg.CDep { return inf.cd[b.ID] }
+
+// ReachCond returns the canonical condition of reaching b from the entry
+// (nil if b is unreachable).
+func (inf *Info) ReachCond(b *ir.Block) *cond.Cond { return inf.reachCond[b.ID] }
 
 // Atom returns the condition atom for an SSA boolean value, registering the
 // reverse mapping. Values are canonicalized through copies and negations
@@ -110,29 +136,29 @@ func (inf *Info) EdgeCond(from, to *ir.Block) *cond.Cond {
 // of a block (not chased transitively; SEG traversal recurses over the
 // controlling branch values itself, per Example 3.8 of the paper).
 func (inf *Info) CDCond(b *ir.Block) *cond.Cond {
-	if c, ok := inf.cdCond[b]; ok {
-		return c
+	if inf.cdCond != nil {
+		return inf.cdCond[b.ID]
 	}
 	return inf.computeCDCond(b)
 }
 
 // PrepareCDConds computes and memoizes CDCond for every block of the
 // function. Atom registration (which mutates AtomValue) happens here, on one
-// goroutine; after this call CDCond performs only map reads, so detection
+// goroutine; after this call CDCond performs only slice reads, so detection
 // workers can query control dependences concurrently.
 func (inf *Info) PrepareCDConds() {
 	if inf.cdCond != nil {
 		return
 	}
-	m := make(map[*ir.Block]*cond.Cond, len(inf.Fn.Blocks))
+	m := make([]*cond.Cond, inf.Fn.NumBlocks())
 	for _, b := range inf.Fn.Blocks {
-		m[b] = inf.computeCDCond(b)
+		m[b.ID] = inf.computeCDCond(b)
 	}
 	inf.cdCond = m
 }
 
 func (inf *Info) computeCDCond(b *ir.Block) *cond.Cond {
-	deps := inf.CD[b]
+	deps := inf.cd[b.ID]
 	if len(deps) == 0 {
 		return inf.Conds.True()
 	}
@@ -158,104 +184,127 @@ func Transform(f *ir.Func) (*Info, error) {
 	pdom := cfg.PostDominators(f)
 	df := cfg.DominanceFrontier(f, dom)
 
-	insertPhis(f, dom, df)
+	insertPhis(f, df)
 	rename(f, dom)
 	eliminateDeadPhis(f)
 
+	inf := newInfo(f, cond.NewBuilder(), order, dom, pdom)
+	computeReachConds(inf, order)
+	computeGates(inf)
+	return inf, nil
+}
+
+// newInfo allocates an Info's ID-indexed tables and fills the ones that are
+// pure functions of the CFG (control dependences, RPO numbering).
+func newInfo(f *ir.Func, conds *cond.Builder, order []*ir.Block, dom, pdom *cfg.DomTree) *Info {
+	nb := f.NumBlocks()
 	inf := &Info{
 		Fn:        f,
-		Conds:     cond.NewBuilder(),
-		Gates:     make(map[*ir.Instr][]*cond.Cond),
+		Conds:     conds,
+		gates:     dense.NewLists[*cond.Cond](f.NumInstrs()),
+		cd:        cfg.ControlDeps(f, pdom),
 		Dom:       dom,
 		PostDom:   pdom,
 		AtomValue: make(map[int]*ir.Value),
-		ReachCond: make(map[*ir.Block]*cond.Cond),
-		rpoIdx:    make(map[*ir.Block]int, len(order)),
-		joinGates: make(map[*ir.Block]map[*ir.Block]*cond.Cond),
+		reachCond: make([]*cond.Cond, nb),
+		rpoIdx:    make([]int32, nb),
+		joinGates: make([][]*cond.Cond, nb),
 	}
 	for i, b := range order {
-		inf.rpoIdx[b] = i
+		inf.rpoIdx[b.ID] = int32(i)
 	}
-	inf.CD = cfg.ControlDeps(f, pdom)
-	computeReachConds(inf, order)
-	computeGates(inf, order)
-	return inf, nil
+	return inf
 }
 
 // varSites records the definition sites of one pre-SSA variable.
 type varSites struct {
-	v       *ir.Value
-	defs    []*ir.Block
-	global  bool // used in a block other than (or before) its definition
-	defSeen map[*ir.Block]bool
+	v *ir.Value
+	// The distinct blocks defining v, in f.Blocks order: def0, then more.
+	// Most variables are defined in one block and never fill more.
+	def0, last *ir.Block
+	more       []*ir.Block
+	global     bool // used in a block other than (or before) its definition
 }
 
 // insertPhis places φ instructions for multi-block variables on iterated
-// dominance frontiers.
-func insertPhis(f *ir.Func, dom *cfg.DomTree, df map[*ir.Block][]*ir.Block) {
-	sites := make(map[*ir.Value]*varSites)
-	get := func(v *ir.Value) *varSites {
-		s := sites[v]
-		if s == nil {
-			s = &varSites{v: v, defSeen: make(map[*ir.Block]bool)}
-			sites[v] = s
-		}
-		return s
-	}
+// dominance frontiers. All bookkeeping is indexed by the (dense) value and
+// block IDs; "is it marked for this variable/block" sets are stamp arrays,
+// so nothing is cleared between variables or blocks.
+func insertPhis(f *ir.Func, df [][]*ir.Block) {
+	sites := make([]varSites, f.NumValues()) // by Value.ID; v == nil: not a variable
+	definedIn := make([]int32, f.NumValues())
 	for _, b := range f.Blocks {
-		definedHere := make(map[*ir.Value]bool)
+		here := int32(b.ID) + 1 // definedIn[v] == here: v was defined earlier in b
 		for _, in := range b.Instrs {
 			for _, a := range in.Args {
-				if a.Kind == ir.VVar && !definedHere[a] {
-					get(a).global = true
+				if a.Kind == ir.VVar && definedIn[a.ID] != here {
+					sites[a.ID].v = a
+					sites[a.ID].global = true
 				}
 			}
-			for _, d := range in.Defs() {
-				if d.Kind == ir.VVar {
-					s := get(d)
-					if !s.defSeen[b] {
-						s.defSeen[b] = true
-						s.defs = append(s.defs, b)
-					}
-					definedHere[d] = true
+			def := func(d *ir.Value) {
+				if d == nil || d.Kind != ir.VVar {
+					return
 				}
+				s := &sites[d.ID]
+				s.v = d
+				// Blocks are scanned one after another, so b is already
+				// recorded exactly when it is the last entry.
+				if s.def0 == nil {
+					s.def0 = b
+				} else if s.last != b {
+					s.more = append(s.more, b)
+				}
+				s.last = b
+				definedIn[d.ID] = here
+			}
+			if in.Op == ir.OpCall {
+				for _, d := range in.Dsts {
+					def(d)
+				}
+			} else {
+				def(in.Dst)
 			}
 		}
 	}
 
-	var vars []*varSites
-	for _, s := range sites {
-		if s.global && len(s.defs) > 0 {
-			vars = append(vars, s)
-		}
-	}
-	sort.Slice(vars, func(i, j int) bool { return vars[i].v.ID < vars[j].v.ID })
-
-	for _, s := range vars {
-		if len(s.defs) < 2 && !needsPhiSingleDef(s) {
+	// placed[b] == stamp: the current variable has a φ in b; defSeen
+	// likewise for "b defines the variable (originally or through a φ)".
+	nb := f.NumBlocks()
+	placed := make([]int32, nb)
+	defSeen := make([]int32, nb)
+	var work []*ir.Block
+	// Variables in ascending ID order: the φ order inside a block, and the
+	// instruction IDs φs receive, follow from it.
+	for i := range sites {
+		s := &sites[i]
+		// With MiniC's declare-before-use discipline a variable with a
+		// single def block needs no φ: the def dominates all uses.
+		if s.v == nil || !s.global || len(s.more) == 0 {
 			continue
 		}
-		placed := make(map[*ir.Block]bool)
-		work := append([]*ir.Block(nil), s.defs...)
+		stamp := int32(i) + 1
+		work = append(append(work[:0], s.def0), s.more...)
+		for _, b := range work {
+			defSeen[b.ID] = stamp
+		}
 		for len(work) > 0 {
 			b := work[len(work)-1]
 			work = work[:len(work)-1]
-			for _, w := range df[b] {
-				if placed[w] {
+			for _, w := range df[b.ID] {
+				if placed[w.ID] == stamp {
 					continue
 				}
-				placed[w] = true
+				placed[w.ID] = stamp
 				args := make([]*ir.Value, len(w.Preds))
-				blocks := make([]*ir.Block, len(w.Preds))
-				for i, p := range w.Preds {
+				for i := range args {
 					args[i] = s.v
-					blocks[i] = p
 				}
 				f.InsertAt(w, 0, ir.Instr{
-					Op: ir.OpPhi, Dst: s.v, Args: args, Blocks: blocks,
+					Op: ir.OpPhi, Dst: s.v, Args: args, Blocks: append([]*ir.Block(nil), w.Preds...),
 				})
-				if !s.defSeen[w] {
-					s.defSeen[w] = true
+				if defSeen[w.ID] != stamp {
+					defSeen[w.ID] = stamp
 					work = append(work, w)
 				}
 			}
@@ -263,101 +312,104 @@ func insertPhis(f *ir.Func, dom *cfg.DomTree, df map[*ir.Block][]*ir.Block) {
 	}
 }
 
-// needsPhiSingleDef reports whether a variable with a single def block still
-// needs φs. With MiniC's declare-before-use discipline the answer is no:
-// the single def dominates all uses.
-func needsPhiSingleDef(s *varSites) bool { return false }
+// renamer carries the state of the dominator-tree renaming walk, indexed by
+// the IDs of the pre-SSA variables (versions created during the walk get
+// larger IDs and are never looked up).
+type renamer struct {
+	f       *ir.Func
+	dom     *cfg.DomTree
+	cur     []*ir.Value // by pre-SSA Value.ID: the reaching version, nil = none
+	version []int32     // by pre-SSA Value.ID: versions created so far
+	// undo logs every overwritten cur entry; a block restores back to its
+	// mark on exit, which is what a stack per variable would do.
+	undo []reaching
+}
+
+type reaching struct{ v, was *ir.Value }
 
 // rename walks the dominator tree replacing variable defs with fresh SSA
 // versions and uses with the reaching version.
 func rename(f *ir.Func, dom *cfg.DomTree) {
-	stacks := make(map[*ir.Value][]*ir.Value)
-	version := make(map[*ir.Value]int)
+	n := f.NumValues()
+	r := &renamer{f: f, dom: dom, cur: make([]*ir.Value, n), version: make([]int32, n)}
+	r.walk(f.Entry)
+}
 
-	top := func(v *ir.Value) *ir.Value {
-		if s := stacks[v]; len(s) > 0 {
-			return s[len(s)-1]
+func (r *renamer) top(v *ir.Value) *ir.Value {
+	if v.ID < len(r.cur) && r.cur[v.ID] != nil {
+		return r.cur[v.ID]
+	}
+	// Use before def: should not happen for well-formed lowering;
+	// treat the variable itself as an "undef version 0".
+	return v
+}
+
+func (r *renamer) fresh(v *ir.Value, def *ir.Instr) *ir.Value {
+	r.version[v.ID]++
+	nv := r.f.NewVersion(v, int(r.version[v.ID]))
+	nv.Def = def
+	r.undo = append(r.undo, reaching{v: v, was: r.cur[v.ID]})
+	r.cur[v.ID] = nv
+	return nv
+}
+
+func (r *renamer) walk(b *ir.Block) {
+	mark := len(r.undo)
+	for _, in := range b.Instrs {
+		if in.Op != ir.OpPhi {
+			for i, a := range in.Args {
+				if a.Kind == ir.VVar {
+					in.Args[i] = r.top(a)
+				}
+			}
 		}
-		// Use before def: should not happen for well-formed lowering;
-		// treat the variable itself as an "undef version 0".
-		return v
+		if in.Op == ir.OpCall {
+			for i, d := range in.Dsts {
+				if d != nil && d.Kind == ir.VVar {
+					in.Dsts[i] = r.fresh(d, in)
+				}
+			}
+			continue
+		}
+		if in.Dst != nil && in.Dst.Kind == ir.VVar {
+			in.Dst = r.fresh(in.Dst, in)
+		}
 	}
-	fresh := func(v *ir.Value) *ir.Value {
-		version[v]++
-		nv := f.NewVar(fmt.Sprintf("%s.%d", v.Name, version[v]), v.Type)
-		stacks[v] = append(stacks[v], nv)
-		return nv
-	}
-
-	// Deterministic child order.
-	children := func(b *ir.Block) []*ir.Block {
-		cs := append([]*ir.Block(nil), dom.Children[b]...)
-		sort.Slice(cs, func(i, j int) bool { return cs[i].ID < cs[j].ID })
-		return cs
-	}
-
-	var walk func(b *ir.Block)
-	walk = func(b *ir.Block) {
-		pushed := make(map[*ir.Value]int)
-		for _, in := range b.Instrs {
+	// Fill φ operands of successors with the current versions.
+	for _, s := range b.Succs {
+		for _, in := range s.Instrs {
 			if in.Op != ir.OpPhi {
-				for i, a := range in.Args {
-					if a.Kind == ir.VVar {
-						in.Args[i] = top(a)
-					}
+				break
+			}
+			for i, pb := range in.Blocks {
+				if pb == b && in.Args[i].Kind == ir.VVar {
+					in.Args[i] = r.top(in.Args[i])
 				}
 			}
-			if in.Op == ir.OpCall {
-				for i, d := range in.Dsts {
-					if d != nil && d.Kind == ir.VVar {
-						nv := fresh(d)
-						nv.Def = in
-						in.Dsts[i] = nv
-						pushed[d]++
-					}
-				}
-				continue
-			}
-			if in.Dst != nil && in.Dst.Kind == ir.VVar {
-				old := in.Dst
-				nv := fresh(old)
-				nv.Def = in
-				in.Dst = nv
-				pushed[old]++
-			}
-		}
-		// Fill φ operands of successors with the current versions.
-		for _, s := range b.Succs {
-			for _, in := range s.Instrs {
-				if in.Op != ir.OpPhi {
-					break
-				}
-				for i, pb := range in.Blocks {
-					if pb == b && in.Args[i].Kind == ir.VVar {
-						in.Args[i] = top(in.Args[i])
-					}
-				}
-			}
-		}
-		for _, c := range children(b) {
-			walk(c)
-		}
-		for v, n := range pushed {
-			stacks[v] = stacks[v][:len(stacks[v])-n]
 		}
 	}
-	walk(f.Entry)
+	// Children come out of the tree in ascending ID order.
+	for _, c := range r.dom.Children(b) {
+		r.walk(c)
+	}
+	for i := len(r.undo) - 1; i >= mark; i-- {
+		r.cur[r.undo[i].v.ID] = r.undo[i].was
+	}
+	r.undo = r.undo[:mark]
 }
 
 // eliminateDeadPhis removes φ instructions whose destination is never used,
 // iterating to a fixpoint.
 func eliminateDeadPhis(f *ir.Func) {
+	used := make([]bool, f.NumValues())
 	for {
-		used := make(map[*ir.Value]bool)
+		for i := range used {
+			used[i] = false
+		}
 		for _, b := range f.Blocks {
 			for _, in := range b.Instrs {
 				for _, a := range in.Args {
-					used[a] = true
+					used[a.ID] = true
 				}
 			}
 		}
@@ -365,7 +417,7 @@ func eliminateDeadPhis(f *ir.Func) {
 		for _, b := range f.Blocks {
 			kept := b.Instrs[:0]
 			for _, in := range b.Instrs {
-				if in.Op == ir.OpPhi && !used[in.Dst] {
+				if in.Op == ir.OpPhi && !used[in.Dst.ID] {
 					removed = true
 					continue
 				}
@@ -382,44 +434,48 @@ func eliminateDeadPhis(f *ir.Func) {
 // computeReachConds computes, for every block, the canonical condition of
 // reaching it from the entry, in topological order.
 func computeReachConds(inf *Info, order []*ir.Block) {
-	inf.ReachCond[inf.Fn.Entry] = inf.Conds.True()
+	inf.reachCond[inf.Fn.Entry.ID] = inf.Conds.True()
+	var parts []*cond.Cond
 	for _, b := range order {
 		if b == inf.Fn.Entry {
 			continue
 		}
-		var parts []*cond.Cond
+		parts = parts[:0]
 		for _, p := range b.Preds {
-			rc, ok := inf.ReachCond[p]
-			if !ok {
-				continue
+			if rc := inf.reachCond[p.ID]; rc != nil {
+				parts = append(parts, inf.Conds.And(rc, inf.EdgeCond(p, b)))
 			}
-			parts = append(parts, inf.Conds.And(rc, inf.EdgeCond(p, b)))
 		}
-		inf.ReachCond[b] = inf.Conds.Or(parts...)
+		inf.reachCond[b.ID] = inf.Conds.Or(parts...)
 	}
 }
 
 // JoinGates returns, for a block with multiple predecessors, the gate
-// condition of each incoming edge: the condition of reaching the
-// predecessor from idom(join) and taking the edge into the join. Results
-// are memoized. Single-predecessor blocks gate on the edge condition alone.
-func (inf *Info) JoinGates(join *ir.Block) map[*ir.Block]*cond.Cond {
-	if g, ok := inf.joinGates[join]; ok {
+// condition of each incoming edge, parallel to join.Preds: the condition of
+// reaching the predecessor from idom(join) and taking the edge into the
+// join. Results are memoized. Single-predecessor blocks gate on the edge
+// condition alone.
+func (inf *Info) JoinGates(join *ir.Block) []*cond.Cond {
+	if g := inf.joinGates[join.ID]; g != nil {
 		return g
 	}
-	d := inf.Dom.Idom[join]
+	d := inf.Dom.Idom(join)
 	if d == nil {
 		d = inf.Fn.Entry
 	}
 	// Region: blocks backward-reachable from join's preds up to d.
 	// Because idom(join) dominates join, every path from idom(join) to
 	// join stays within this region, so a local topological sweep
-	// computes exact reach conditions relative to d.
-	region := map[*ir.Block]bool{d: true}
-	var stack []*ir.Block
+	// computes exact reach conditions relative to d. reach doubles as the
+	// region's membership set: non-nil = in the region, inRegion = in it
+	// but not yet reached by the sweep.
+	reach := make([]*cond.Cond, inf.Fn.NumBlocks())
+	reach[d.ID] = inf.Conds.True()
+	var blocks, stack []*ir.Block
 	push := func(b *ir.Block) {
-		if !region[b] {
-			region[b] = true
+		if reach[b.ID] == nil {
+			reach[b.ID] = inRegion
+			blocks = append(blocks, b)
 			stack = append(stack, b)
 		}
 	}
@@ -433,57 +489,56 @@ func (inf *Info) JoinGates(join *ir.Block) map[*ir.Block]*cond.Cond {
 			push(p)
 		}
 	}
-	var blocks []*ir.Block
-	for b := range region {
-		blocks = append(blocks, b)
-	}
-	sort.Slice(blocks, func(i, j int) bool { return inf.rpoIdx[blocks[i]] < inf.rpoIdx[blocks[j]] })
-	reach := map[*ir.Block]*cond.Cond{d: inf.Conds.True()}
+	sort.Slice(blocks, func(i, j int) bool { return inf.rpoIdx[blocks[i].ID] < inf.rpoIdx[blocks[j].ID] })
+	var parts []*cond.Cond
 	for _, b := range blocks {
-		if b == d {
-			continue
-		}
-		var parts []*cond.Cond
+		parts = parts[:0]
 		for _, p := range b.Preds {
-			if rc, ok := reach[p]; ok {
+			if rc := reach[p.ID]; rc != nil && rc != inRegion {
 				parts = append(parts, inf.Conds.And(rc, inf.EdgeCond(p, b)))
 			}
 		}
-		reach[b] = inf.Conds.Or(parts...)
+		reach[b.ID] = inf.Conds.Or(parts...)
 	}
-	gates := make(map[*ir.Block]*cond.Cond, len(join.Preds))
-	for _, pb := range join.Preds {
-		rc := reach[pb]
-		if rc == nil {
-			rc = inf.Conds.False()
-		}
-		gates[pb] = inf.Conds.And(rc, inf.EdgeCond(pb, join))
+	gates := make([]*cond.Cond, len(join.Preds))
+	for i, pb := range join.Preds {
+		gates[i] = inf.Conds.And(reach[pb.ID], inf.EdgeCond(pb, join))
 	}
-	inf.joinGates[join] = gates
+	inf.joinGates[join.ID] = gates
 	return gates
 }
 
-// computeGates fills Info.Gates for every φ from the join gates.
-func computeGates(inf *Info, order []*ir.Block) {
+// inRegion marks a block as a member of JoinGates' region before its reach
+// condition is known. It is compared by identity only and never reaches a
+// Builder.
+var inRegion = new(cond.Cond)
+
+// computeGates fills the φ gate table from the join gates.
+func computeGates(inf *Info) {
 	for _, join := range inf.Fn.Blocks {
-		var phis []*ir.Instr
-		for _, in := range join.Instrs {
-			if in.Op == ir.OpPhi {
-				phis = append(phis, in)
-			} else {
+		var jg []*cond.Cond
+		for _, phi := range join.Instrs {
+			if phi.Op != ir.OpPhi {
 				break
 			}
-		}
-		if len(phis) == 0 {
-			continue
-		}
-		jg := inf.JoinGates(join)
-		for _, phi := range phis {
+			if jg == nil {
+				jg = inf.JoinGates(join)
+			}
 			gates := make([]*cond.Cond, len(phi.Args))
 			for i, pb := range phi.Blocks {
-				gates[i] = jg[pb]
+				gates[i] = jg[predIndex(join, pb)]
 			}
-			inf.Gates[phi] = gates
+			inf.gates.Put(phi.ID, gates)
 		}
 	}
+}
+
+// predIndex returns the position of pred in join.Preds.
+func predIndex(join, pred *ir.Block) int {
+	for i, p := range join.Preds {
+		if p == pred {
+			return i
+		}
+	}
+	panic(fmt.Sprintf("ssa: %s is not a predecessor of %s", pred, join))
 }

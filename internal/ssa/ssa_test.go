@@ -49,7 +49,7 @@ func phis(f *ir.Func) []*ir.Instr {
 // defining instruction.
 func checkSingleAssignment(t *testing.T, f *ir.Func) {
 	t.Helper()
-	defs := make(map[*ir.Value]int)
+	defs := make(map[*ir.Value]int) // the checker's own count, independent of the pass's tables
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			for _, d := range in.Defs() {
@@ -80,7 +80,7 @@ int f(bool c) {
 	// Each phi has gates, and the gates are complementary atoms.
 	inf := infos["f"]
 	for _, phi := range ps {
-		gates := inf.Gates[phi]
+		gates := inf.GatesOf(phi)
 		if len(gates) != len(phi.Args) {
 			t.Fatalf("gate arity mismatch: %d vs %d", len(gates), len(phi.Args))
 		}
@@ -150,7 +150,7 @@ int f(bool a, bool b) {
 	// linear filter should not reject any single gate).
 	ls := cond.NewLinearSolver()
 	for _, phi := range ps {
-		for _, g := range inf.Gates[phi] {
+		for _, g := range inf.GatesOf(phi) {
 			if ls.ApparentlyUnsat(g) {
 				t.Errorf("gate %s apparently unsat", g)
 			}
@@ -166,7 +166,7 @@ void f(bool c) {
 }`)
 	f := m.ByName["f"]
 	inf := infos["f"]
-	if !inf.ReachCond[f.Entry].IsTrue() {
+	if !inf.ReachCond(f.Entry).IsTrue() {
 		t.Error("entry reach cond not true")
 	}
 	// Find the blocks containing the calls.
@@ -182,15 +182,15 @@ void f(bool c) {
 		return nil
 	}
 	gB, hB, kB := find("g"), find("h"), find("k")
-	gc, hc := inf.ReachCond[gB], inf.ReachCond[hB]
+	gc, hc := inf.ReachCond(gB), inf.ReachCond(hB)
 	if gc.IsTrue() || hc.IsTrue() {
 		t.Errorf("branch arm reach conds unconditional: %s / %s", gc, hc)
 	}
 	if inf.Conds.Not(gc) != hc {
 		t.Errorf("arm conditions not complementary: %s vs %s", gc, hc)
 	}
-	if !inf.ReachCond[kB].IsTrue() {
-		t.Errorf("join reach cond = %s, want true", inf.ReachCond[kB])
+	if !inf.ReachCond(kB).IsTrue() {
+		t.Errorf("join reach cond = %s, want true", inf.ReachCond(kB))
 	}
 }
 
@@ -284,7 +284,7 @@ int f() {
 	f := m.ByName["f"]
 	inf := infos["f"]
 	for _, phi := range phis(f) {
-		gates := inf.Gates[phi]
+		gates := inf.GatesOf(phi)
 		// With a constant-true branch one gate folds to true and the
 		// other to false.
 		hasTrue, hasFalse := false, false

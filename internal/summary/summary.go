@@ -24,6 +24,7 @@ package summary
 
 import (
 	"repro/internal/cond"
+	"repro/internal/dense"
 	"repro/internal/seg"
 )
 
@@ -64,7 +65,10 @@ type Table struct {
 	// MaxSteps caps the length of one flow.
 	MaxSteps int
 
-	memo map[*seg.Node][]Flow
+	// memo holds the flows of each start vertex enumerated so far (or in
+	// progress), by Node.Index. One Table serves one graph; the memo grows
+	// when the graph gained vertices since the last lookup.
+	memo dense.Lists[Flow]
 	// CapHits counts vertices whose enumeration was truncated.
 	CapHits int
 	// Hits and Misses count FlowsFrom lookups served from / populating the
@@ -77,28 +81,57 @@ type Table struct {
 
 // NewTable returns a Table with default caps.
 func NewTable() *Table {
-	return &Table{MaxFlows: 64, MaxSteps: 120, memo: make(map[*seg.Node][]Flow)}
+	return &Table{MaxFlows: 64, MaxSteps: 120}
 }
 
 // FlowsFrom enumerates local flows starting at from. The result is memoized
 // and shared; callers must not mutate it.
 func (t *Table) FlowsFrom(g *seg.Graph, from *seg.Node) []Flow {
-	if fs, ok := t.memo[from]; ok {
+	at := from.Index()
+	if fs, ok := t.memo.Get(at); ok {
 		t.Hits++
 		return fs
 	}
 	t.Misses++
 	// Mark in-progress to cut (impossible in a DAG, defensive) cycles.
-	t.memo[from] = nil
-	var out []Flow
+	t.memo.Grow(g.NumNodes())
+	t.memo.Put(at, nil)
+	tr := g.Info.Conds.True()
 	if from.Kind == seg.NUse {
-		out = []Flow{{Steps: []Step{{Node: from, EdgeCond: g.Info.Conds.True()}}}}
-		t.memo[from] = out
+		out := []Flow{{Steps: []Step{{Node: from, EdgeCond: tr}}}}
+		t.memo.Put(at, out)
 		return out
 	}
-	truncated := false
-	for _, e := range g.Succs(from) {
+	// First pass: enumerate the successors' flows (stopping where the flow
+	// cap stops the enumeration) and size the result, so that all steps of
+	// all flows of this vertex share one backing array.
+	succs := g.Succs(from)
+	var few [8][]Flow
+	subs := few[:0]
+	flows, steps := 0, 0
+	for _, e := range succs {
 		sub := t.FlowsFrom(g, e.To)
+		subs = append(subs, sub)
+		for _, sf := range sub {
+			if flows >= t.MaxFlows {
+				break
+			}
+			if len(sf.Steps)+1 <= t.MaxSteps {
+				flows++
+				steps += len(sf.Steps) + 1
+			}
+		}
+		if flows >= t.MaxFlows {
+			break
+		}
+	}
+	var out []Flow
+	if flows > 0 {
+		out = make([]Flow, 0, flows)
+	}
+	buf := make([]Step, 0, steps)
+	truncated := false
+	for i, sub := range subs {
 		for _, sf := range sub {
 			if len(out) >= t.MaxFlows {
 				truncated = true
@@ -108,13 +141,13 @@ func (t *Table) FlowsFrom(g *seg.Graph, from *seg.Node) []Flow {
 				truncated = true
 				continue
 			}
-			steps := make([]Step, 0, len(sf.Steps)+1)
-			steps = append(steps, Step{Node: from, EdgeCond: g.Info.Conds.True()})
-			// The first step of the sub-flow carries the edge e's
-			// condition into it.
-			steps = append(steps, Step{Node: sf.Steps[0].Node, EdgeCond: e.Cond})
-			steps = append(steps, sf.Steps[1:]...)
-			out = append(out, Flow{Steps: steps})
+			start := len(buf)
+			buf = append(buf, Step{Node: from, EdgeCond: tr})
+			// The first step of the sub-flow carries the edge's condition
+			// into it.
+			buf = append(buf, Step{Node: sf.Steps[0].Node, EdgeCond: succs[i].Cond})
+			buf = append(buf, sf.Steps[1:]...)
+			out = append(out, Flow{Steps: buf[start:len(buf):len(buf)]})
 		}
 		if len(out) >= t.MaxFlows {
 			truncated = true
@@ -124,7 +157,7 @@ func (t *Table) FlowsFrom(g *seg.Graph, from *seg.Node) []Flow {
 	if truncated {
 		t.CapHits++
 	}
-	t.memo[from] = out
+	t.memo.Put(at, out)
 	return out
 }
 

@@ -149,3 +149,38 @@ void f(int *p) {
 		}
 	}
 }
+
+// The memo is indexed by vertex and sized on first use; vertices the graph
+// gains afterwards (detect.prepare calls EnsureValueNodes on graphs whose
+// tables may be sticky from an earlier run) must still be enumerable.
+func TestFlowsFromAfterGraphGrew(t *testing.T) {
+	g := buildGraph(t, `
+void f(bool c, int *p) {
+	if (c) { free(p); }
+}`, "f")
+	tab := NewTable()
+	p := g.ValueNode(g.Fn.Params[1])
+	if flows := tab.FlowsFrom(g, p); len(flows) != 1 || flows[0].Terminal().Role != seg.RoleFreeArg {
+		t.Fatalf("flows from p = %v, want the one free", flows)
+	}
+	// c is only ever a branch condition, so Build made no vertex for it.
+	before := g.NumNodes()
+	g.EnsureValueNodes()
+	c := g.ValueNode(g.Fn.Params[0])
+	if c.Index() < before {
+		t.Fatalf("test premise: vertex of c (index %d) predates EnsureValueNodes (%d vertices)", c.Index(), before)
+	}
+	misses := tab.Misses
+	if flows := tab.FlowsFrom(g, c); len(flows) != 0 {
+		t.Errorf("flows from a branch condition = %v, want none", flows)
+	}
+	if tab.Misses != misses+1 {
+		t.Errorf("lookup of a new vertex counted %d misses, want 1", tab.Misses-misses)
+	}
+	hits := tab.Hits
+	tab.FlowsFrom(g, c)
+	tab.FlowsFrom(g, p)
+	if tab.Hits != hits+2 {
+		t.Errorf("repeat lookups counted %d hits, want 2: the memo lost entries when it grew", tab.Hits-hits)
+	}
+}
