@@ -7,7 +7,6 @@
 //
 //	benchsnap [-out BENCH_detect.json] [-scale N] [-workers 1,2,4]
 //	          [-inc-out BENCH_incremental.json] [-inc-scale N]
-//	          [-smt-out BENCH_smt.json] [-smt-scale N]
 //	          [-store-out BENCH_store.json] [-store-scale N]
 //	          [-serve-out BENCH_serve.json] [-serve-scale N]
 //	          [-build-out BENCH_build.json] [-build-scale N]
@@ -25,7 +24,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/loadgen"
-	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -41,24 +39,6 @@ type snapshot struct {
 	Reports    int           `json:"reports"`
 	GOMAXPROCS int           `json:"gomaxprocs"`
 	Rows       []snapshotRow `json:"rows"`
-}
-
-type smtSnapshot struct {
-	Subject           string           `json:"subject"`
-	Lines             int              `json:"lines"`
-	Reports           int              `json:"reports"`
-	Queries           int              `json:"queries"`
-	Solved            int              `json:"solved"`
-	CacheHits         int              `json:"cache_hits"`
-	PrefilterUnsat    int              `json:"prefilter_unsat"`
-	EliminationRate   float64          `json:"elimination_rate"`
-	CacheHitRate      float64          `json:"cache_hit_rate"`
-	PrefilterKillRate float64          `json:"prefilter_kill_rate"`
-	WallOffNs         int64            `json:"wall_off_ns"`
-	WallOnNs          int64            `json:"wall_on_ns"`
-	Speedup           float64          `json:"speedup"`
-	QueryNsOff        obs.HistSnapshot `json:"query_ns_off"`
-	QueryNsOn         obs.HistSnapshot `json:"query_ns_on"`
 }
 
 type storeSnapshot struct {
@@ -131,8 +111,6 @@ func main() {
 	workersFlag := flag.String("workers", "", "comma-separated worker counts (default 1,2,4,...,GOMAXPROCS)")
 	incOut := flag.String("inc-out", "BENCH_incremental.json", "output file for the incremental-rebuild snapshot (empty disables)")
 	incScale := flag.Int("inc-scale", 30, "workload scale factor for the incremental benchmark")
-	smtOut := flag.String("smt-out", "BENCH_smt.json", "output file for the SMT query-elimination snapshot (empty disables)")
-	smtScale := flag.Int("smt-scale", 30, "workload scale factor for the SMT elimination benchmark")
 	storeOut := flag.String("store-out", "BENCH_store.json", "output file for the persistent-store warm-restart snapshot (empty disables)")
 	storeScale := flag.Int("store-scale", 30, "workload scale factor for the store warm-restart benchmark")
 	serveOut := flag.String("serve-out", "BENCH_serve.json", "output file for the service-latency snapshot (empty disables)")
@@ -288,36 +266,6 @@ func main() {
 			fmt.Printf("build workers=%-3d wall=%-14s speedup=%.2fx\n", r.Workers, r.Wall, r.Speedup)
 		}
 		writeJSON(*buildOut, bsnap)
-	}
-
-	if *smtOut != "" {
-		sm, err := bench.MeasureSMT(subj, *smtScale)
-		if err != nil {
-			fatal(err)
-		}
-		ssnap := smtSnapshot{
-			Subject:           sm.Subject,
-			Lines:             sm.Lines,
-			Reports:           sm.Reports,
-			Queries:           sm.Queries,
-			Solved:            sm.Solved,
-			CacheHits:         sm.CacheHits,
-			PrefilterUnsat:    sm.PrefilterUnsat,
-			EliminationRate:   sm.EliminationRate,
-			CacheHitRate:      sm.CacheHitRate,
-			PrefilterKillRate: sm.PrefilterKillRate,
-			WallOffNs:         int64(sm.WallOff),
-			WallOnNs:          int64(sm.WallOn),
-			Speedup:           sm.Speedup,
-			QueryNsOff:        sm.QueryNsOff,
-			QueryNsOn:         sm.QueryNsOn,
-		}
-		fmt.Printf("smt: %d queries (%d solved, %d cached, %d prefiltered; %.0f%% eliminated) wall %s -> %s (%.2fx); solver p50/p99 %s/%s -> %s/%s\n",
-			sm.Queries, sm.Solved, sm.CacheHits, sm.PrefilterUnsat, 100*sm.EliminationRate,
-			sm.WallOff, sm.WallOn, sm.Speedup,
-			time.Duration(sm.QueryNsOff.P50), time.Duration(sm.QueryNsOff.P99),
-			time.Duration(sm.QueryNsOn.P50), time.Duration(sm.QueryNsOn.P99))
-		writeJSON(*smtOut, ssnap)
 	}
 }
 

@@ -66,11 +66,8 @@ func runBatch() {
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for the duration of the run")
 	incremental := flag.Bool("incremental", false, "build through a persistent incremental session (content-addressed artifact store) instead of the one-shot pipeline")
 	repeat := flag.Int("repeat", 1, "with -incremental: build rounds; inputs are re-read from disk before each round, so warm rounds rebuild only what changed")
-	smtCache := flag.Bool("smt-cache", true, "answer SMT queries isomorphic to an already-decided formula from the canonical verdict cache")
-	smtPrefilter := flag.Bool("smt-prefilter", true, "refute contradictory SMT queries with a linear-time pass before entering the DPLL(T) solver")
-	smtIncremental := flag.Bool("smt-incremental", false, "reuse one Push/Pop solver with learned-clause retention per (checker, source) task; Sat witnesses may differ from the default mode")
 	provenance := flag.Bool("provenance", false, "capture per-report provenance (value-flow hops, path-condition size, verdict source); shown in -format json and by 'pinpoint explain'")
-	storeDir := flag.String("store-dir", "", "persist artifacts and SMT verdicts in this directory across runs (works with and without -incremental; empty = memory only)")
+	storeDir := flag.String("store-dir", "", "persist build artifacts in this directory across runs (works with and without -incremental; empty = memory only)")
 	storeMaxBytes := flag.Int64("store-max-bytes", 0, "in-memory residency bound for the persistent store's record cache (0 = store default, negative = unbounded)")
 	flag.Parse()
 
@@ -114,9 +111,6 @@ func runBatch() {
 		StoreMaxBytes:          *storeMaxBytes,
 		MaxCallDepth:           *depth,
 		DisablePathSensitivity: *noPS,
-		DisableSMTCache:        !*smtCache,
-		DisableSMTPrefilter:    !*smtPrefilter,
-		SMTIncremental:         *smtIncremental,
 		Witness:                *provenance,
 	})
 	if err != nil {
@@ -251,13 +245,12 @@ type statsDump struct {
 		SummaryHitRate float64 `json:"summary_cache_hit_rate"`
 		SummaryCapHits int     `json:"summary_cap_hits"`
 	} `json:"detect"`
-	// SMT aggregates the query-elimination pipeline across checkers. The
-	// latency percentiles cover only queries the DPLL(T) solver actually
-	// answered; cache hits and prefilter refutations never reach it.
+	// SMT aggregates the feasibility queries across checkers. The latency
+	// percentiles cover only queries the DPLL(T) solver actually answered;
+	// prefilter refutations never reach it.
 	SMT struct {
 		Queries         int              `json:"queries"`
 		Solved          int              `json:"solved"`
-		CacheHits       int              `json:"cache_hits"`
 		PrefilterUnsat  int              `json:"prefilter_unsat"`
 		EliminationRate float64          `json:"elimination_rate"`
 		QueryNs         obs.HistSnapshot `json:"query_ns"`
@@ -311,11 +304,10 @@ func buildStatsDump(a *core.Analysis, res detect.Results, rec *obs.Recorder) *st
 	for _, cs := range res.Checkers {
 		d.SMT.Queries += cs.Stats.SMTQueries
 		d.SMT.Solved += cs.Stats.SMTSolved
-		d.SMT.CacheHits += cs.Stats.SMTCacheHits
 		d.SMT.PrefilterUnsat += cs.Stats.SMTPrefilterUnsat
 	}
 	if d.SMT.Queries > 0 {
-		d.SMT.EliminationRate = float64(d.SMT.CacheHits+d.SMT.PrefilterUnsat) / float64(d.SMT.Queries)
+		d.SMT.EliminationRate = float64(d.SMT.PrefilterUnsat) / float64(d.SMT.Queries)
 	}
 	snap := rec.Snapshot()
 	d.SMT.QueryNs = snap.Histograms["smt.query_ns"]

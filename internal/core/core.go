@@ -17,15 +17,11 @@
 package core
 
 import (
-	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/checkers"
-	"repro/internal/conc"
 	"repro/internal/detect"
 	"repro/internal/ir"
-	"repro/internal/lower"
 	"repro/internal/minic"
 	"repro/internal/modref"
 	"repro/internal/obs"
@@ -33,7 +29,6 @@ import (
 	"repro/internal/seg"
 	"repro/internal/ssa"
 	"repro/internal/store"
-	"repro/internal/transform"
 )
 
 // BuildOptions configures the front half of the pipeline.
@@ -60,11 +55,11 @@ type BuildOptions struct {
 	// recording; the build result is identical either way.
 	Obs *obs.Recorder
 	// Store, when non-nil and persistent, backs the session's per-function
-	// artifacts and the SMT verdict cache: artifacts are warm-loaded on
-	// the first Update after a restart and every commit writes back what
-	// changed. A non-persistent store (MemStore, the default nil) leaves
-	// behavior exactly as before — the in-memory maps are already the
-	// cache, so the byte round-trip would be pure overhead.
+	// artifacts: they are warm-loaded on the first Update after a restart
+	// and every commit writes back what changed. A non-persistent store
+	// (MemStore, the default nil) leaves behavior exactly as before — the
+	// in-memory maps are already the cache, so the byte round-trip would
+	// be pure overhead.
 	Store store.Store
 }
 
@@ -130,117 +125,8 @@ func BuildFromSource(units []minic.NamedSource, opts BuildOptions) (*Analysis, e
 	return newSession(opts).Update(units)
 }
 
-// BuildFromAST runs the pipeline on a parsed program.
-func BuildFromAST(prog *minic.Program, opts BuildOptions) (*Analysis, error) {
-	rec := opts.Obs
-	a := &Analysis{
-		Infos: make(map[*ir.Func]*ssa.Info),
-		SEGs:  make(map[*ir.Func]*seg.Graph),
-	}
-
-	sp := rec.Phase("lower")
-	t0 := time.Now()
-	m, err := lower.ProgramWith(prog, opts.Workers)
-	if err != nil {
-		return nil, fmt.Errorf("lower: %w", err)
-	}
-	a.Module = m
-	a.Timings.Lower = time.Since(t0)
-	sp.End()
-
-	sp = rec.Phase("ssa")
-	t0 = time.Now()
-	infos := make([]*ssa.Info, len(m.Funcs))
-	if err := forEachFunc(m.Funcs, opts.Workers, func(w, i int, f *ir.Func) error {
-		defer perFunc(rec, w, "build.ssa", f.Name)()
-		inf, err := ssa.Transform(f)
-		if err != nil {
-			return fmt.Errorf("ssa %s: %w", f.Name, err)
-		}
-		infos[i] = inf
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	for i, f := range m.Funcs {
-		a.Infos[f] = infos[i]
-	}
-	a.Timings.SSA = time.Since(t0)
-	sp.End()
-
-	sp = rec.Phase("modref")
-	t0 = time.Now()
-	mr, width := modref.AnalyzeWith(m, opts.Workers)
-	a.ModRef = mr
-	rec.Gauge("modref.wavefront_width").Set(int64(width))
-	a.Timings.ModRef = time.Since(t0)
-	sp.End()
-
-	if !opts.DisableConnectors {
-		sp = rec.Phase("transform")
-		t0 = time.Now()
-		if err := transform.ApplyFuncsWith(m, m.Funcs, func(f *ir.Func) *modref.Summary {
-			return mr.Summaries[f]
-		}, opts.Workers); err != nil {
-			return nil, fmt.Errorf("transform: %w", err)
-		}
-		a.Timings.Transform = time.Since(t0)
-		sp.End()
-	}
-
-	sp = rec.Phase("pta+seg")
-	t0 = time.Now()
-	prs := make([]*pta.Result, len(m.Funcs))
-	graphs := make([]*seg.Graph, len(m.Funcs))
-	var ptaNs, segNs int64
-	if err := forEachFunc(m.Funcs, opts.Workers, func(w, i int, f *ir.Func) error {
-		t1 := time.Now()
-		endPTA := perFunc(rec, w, "build.pta", f.Name)
-		pr, err := pta.Analyze(f, a.Infos[f], opts.PTA)
-		endPTA()
-		atomic.AddInt64(&ptaNs, int64(time.Since(t1)))
-		if err != nil {
-			return fmt.Errorf("pta %s: %w", f.Name, err)
-		}
-		prs[i] = pr
-		t1 = time.Now()
-		endSEG := perFunc(rec, w, "build.seg", f.Name)
-		graphs[i] = seg.Build(f, a.Infos[f], pr)
-		endSEG()
-		atomic.AddInt64(&segNs, int64(time.Since(t1)))
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	for i, f := range m.Funcs {
-		a.PTAStats.Add(prs[i].Stats)
-		g := graphs[i]
-		a.SEGs[f] = g
-		a.Sizes.SEGNodes += g.NumNodes()
-		a.Sizes.SEGEdges += g.NumEdges()
-	}
-	// PTA and SEG run fused per function; apportion the fused stage wall
-	// across the two Timings fields by the measured per-function split so
-	// -stats/-stats-json report a real SEG cost instead of zero.
-	a.Timings.PTA, a.Timings.SEG = splitFused(time.Since(t0), ptaNs, segNs)
-	sp.End()
-
-	a.Sizes.Lines = m.LineCount()
-	a.Sizes.Functions = len(m.Funcs)
-	for _, inf := range a.Infos {
-		a.Sizes.CondNodes += inf.Conds.NumNodes()
-	}
-
-	a.Prog = detect.NewProgram(m, a.Infos, a.SEGs)
-
-	if rec != nil {
-		emitBuildMetrics(rec, a)
-	}
-	return a, nil
-}
-
 // emitBuildMetrics publishes the structural gauges and PTA counters of a
-// finished build; shared by the monolithic pipeline and Session.Update.
+// finished build.
 func emitBuildMetrics(rec *obs.Recorder, a *Analysis) {
 	rec.Gauge("build.functions").Set(int64(a.Sizes.Functions))
 	rec.Gauge("build.ir_instrs").Set(int64(a.Sizes.Lines))
@@ -298,28 +184,4 @@ func (a *Analysis) Check(spec *checkers.Spec, opts detect.Options) ([]detect.Rep
 // sink position) and are identical at every worker count.
 func (a *Analysis) CheckAll(specs []*checkers.Spec, opts detect.Options) detect.Results {
 	return detect.CheckAll(a.Prog, specs, opts)
-}
-
-// forEachFunc applies fn to every function, on `workers` goroutines when
-// workers > 1 (negative selects GOMAXPROCS). fn receives the index w of
-// the worker running it (0 when sequential) so callers can attribute
-// work to trace tracks without locking. Errors follow conc.ForEach's
-// deterministic lowest-index contract.
-func forEachFunc(funcs []*ir.Func, workers int, fn func(w, i int, f *ir.Func) error) error {
-	return conc.ForEach(len(funcs), workers, func(w, i int) error {
-		return fn(w, i, funcs[i])
-	})
-}
-
-// splitFused apportions the wall clock of the fused pta+seg stage across
-// the two Timings fields in proportion to the measured per-function CPU
-// time of each half, so the reported totals still sum to the stage wall
-// even though the halves interleave across workers.
-func splitFused(wall time.Duration, ptaNs, segNs int64) (ptaT, segT time.Duration) {
-	total := ptaNs + segNs
-	if total <= 0 {
-		return wall, 0
-	}
-	segT = time.Duration(float64(wall) * float64(segNs) / float64(total))
-	return wall - segT, segT
 }

@@ -21,11 +21,10 @@
 //     specs) is unchanged does not invalidate its callers' artifacts, even
 //     though its own body was rebuilt.
 //
-// Everything rebuilt is lowered from the cached AST with the same
-// deterministic per-declaration lowering the monolithic pipeline uses, so a
-// warm Update yields an Analysis whose reports, witnesses, and size
-// statistics are byte-identical to a from-scratch build of the same
-// sources. Session state is only committed once the whole update has
+// Everything rebuilt is lowered from the cached AST, one declaration at a
+// time and deterministically, so a warm Update yields an Analysis whose
+// reports, witnesses, and size statistics are byte-identical to a
+// from-scratch build of the same sources. Session state is only committed once the whole update has
 // succeeded; a parse or lowering error leaves the previous state intact.
 package core
 
@@ -110,7 +109,7 @@ type Session struct {
 	order     []string // committed declaration order of the artifact map
 	analysis  *Analysis
 	stats     ArtifactStats // last Update's counters
-	// store is the persistent artifact/verdict backing, nil when the
+	// store is the persistent artifact backing, nil when the
 	// configured Store cannot outlive the process (MemStore or none) —
 	// in that case the encode/decode round-trip could never pay off and
 	// the session behaves exactly like the historical memory-only one.
@@ -724,11 +723,6 @@ func (s *Session) Update(units []minic.NamedSource) (*Analysis, error) {
 		a.Prog = detect.NewProgramFrom(prev, m, a.Infos, a.SEGs)
 	} else {
 		a.Prog = detect.NewProgram(m, a.Infos, a.SEGs)
-	}
-	if s.store != nil {
-		// Back the SMT verdict cache with the same persistent store so a
-		// restarted process replays verdicts it already solved.
-		a.Prog.AttachStore(s.store)
 	}
 
 	if rec != nil {

@@ -17,13 +17,11 @@ import (
 )
 
 // normalizeResults strips the fields that legitimately differ between a
-// cold and a cache-warm run: wall clock, worker accounting, the shared
+// cold and a cache-warm run: wall clock, worker accounting, and the shared
 // summary-cache counters (which accumulate across CheckAll calls on a
-// persistent session), and the SMT verdict cache's solved/cache-hit split
-// (a warm session answers from the carried-over cache what a cold build
-// must solve; only the split's sum is warmth-independent). Everything else
-// — reports, witnesses, per-checker effort counters including the
-// deterministic prefilter kills — must be byte-identical.
+// persistent session). Everything else — reports, witnesses, per-checker
+// effort counters including the solved/prefiltered split — must be
+// byte-identical.
 func normalizeResults(res detect.Results) detect.Results {
 	res.Wall = 0
 	res.SummaryHits, res.SummaryMisses, res.SummaryCapHits = 0, 0, 0
@@ -31,8 +29,6 @@ func normalizeResults(res detect.Results) detect.Results {
 	for i := range res.Checkers {
 		res.Checkers[i].Stats.SMTTime = 0
 		res.Checkers[i].Stats.SummaryCapHits = 0
-		res.Checkers[i].Stats.SMTSolved += res.Checkers[i].Stats.SMTCacheHits
-		res.Checkers[i].Stats.SMTCacheHits = 0
 	}
 	return res
 }

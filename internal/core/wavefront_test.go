@@ -177,8 +177,8 @@ func TestBuildWavefrontErrorUnchanged(t *testing.T) {
 
 // TestBuildWavefrontWidthGauge checks the scheduler surfaces its peak
 // width: a program with several independent functions must expose
-// width > 1, and the gauge must be set on both session and monolithic
-// build paths.
+// width > 1, and the gauge must be set by a held session and by the
+// one-shot BuildFromSource alike.
 func TestBuildWavefrontWidthGauge(t *testing.T) {
 	gen := workload.Generate(workload.Subjects[0], workload.GenOptions{Scale: 20})
 	rec := obs.New()

@@ -29,24 +29,7 @@ func (e *Engine) checkCandidate(c *candidate) smt.Result {
 	start := time.Now()
 
 	s := e.querySolver()
-	if e.opts.SMTIncremental {
-		// Long-lived solver: scope this candidate's assertions so Pop
-		// retracts them while scope-independent learned clauses persist.
-		s.Push()
-		defer s.Pop()
-	}
-	if e.obs != nil {
-		s.Observer = smtObserver(e.obs)
-	}
-	enc := &encoder{
-		eng:    e,
-		tb:     s.TB,
-		ddDone: make(map[ddKey]bool),
-		cdDone: make(map[cdKey]bool),
-		budget: e.opts.SMTBudget,
-		instFn: make(map[int]*ir.Func),
-		atoms:  make(map[string]atomOrigin),
-	}
+	enc := newEncoder(e.prog, s.TB, e.opts.SMTBudget)
 	for inst, ic := range c.conds {
 		if ic.fn != nil {
 			enc.instFn[inst] = ic.fn
@@ -129,38 +112,10 @@ func (e *Engine) checkCandidate(c *candidate) smt.Result {
 		enc.assertCond(st.inst, fn, g.CD(st.node.Instr))
 	}
 
-	res, model, how := decideQuery(s, enc.terms, e.prog.smtCache, e.opts)
-
-	d := time.Since(start)
-	e.stats.SMTTime += d
-	e.stats.SMTQueries++
-	switch {
-	case how == querySolved:
-		e.stats.SMTSolved++
-	case how.isCacheHit():
-		e.stats.SMTCacheHits++
-	case how == queryPrefilterUnsat:
-		e.stats.SMTPrefilterUnsat++
-	}
-	if e.obs != nil {
-		switch {
-		case how == querySolved:
-			// Only queries that actually entered the DPLL(T) loop count
-			// toward solver latency (and its trace spans); eliminated
-			// candidates land on their own counters.
-			e.obs.Histogram("smt.query_ns").Observe(int64(d))
-			if e.obs.Tracing() {
-				e.obs.Event(e.tid, "smt", start, d, obs.Arg{Key: "checker", Val: e.spec.Name})
-			}
-		case how.isCacheHit():
-			e.obs.Counter("smt.cache_hits").Inc()
-		case how == queryPrefilterUnsat:
-			e.obs.Counter("smt.prefilter_unsat").Inc()
-		}
-	}
+	res, model, src := enc.decide(s, e.opts, e.spec.Name, e.tid, start, &e.stats)
 	if e.opts.Witness {
 		e.lastCondTerms = len(enc.terms)
-		e.lastVerdictSource = verdictSourceOf(how)
+		e.lastVerdictSource = src
 	}
 
 	switch res {
@@ -173,6 +128,50 @@ func (e *Engine) checkCandidate(c *candidate) smt.Result {
 		e.stats.SMTUnknown++
 	}
 	return res
+}
+
+// decide answers the encoded query in the paper's two steps (§3.1.1): the
+// linear-time contradiction filter (smt.Prefilter, which only ever answers
+// Unsat), then assert-and-Check on s for the residue. s must be in its
+// freshly-constructed or post-Reset state with e.tb == s.TB. It returns the
+// verdict, the boolean model for Sat (nil otherwise) and the step that
+// answered.
+//
+// start is when the caller began encoding. The one duration measured from
+// it feeds stats.SMTTime and — for queries that entered the DPLL(T) loop;
+// prefiltered ones land on their own counter — the smt.query_ns histogram
+// and the trace span on track tid, so the three always agree.
+func (e *encoder) decide(s *smt.Solver, opts Options, checker string, tid int, start time.Time, stats *Stats) (smt.Result, map[string]bool, VerdictSource) {
+	rec := opts.Obs
+	res, src := smt.Unsat, VerdictPrefilter
+	var model map[string]bool
+	if opts.DisableSMTPrefilter || smt.Prefilter(e.terms) != smt.Unsat {
+		if rec != nil {
+			s.Observer = smtObserver(rec)
+		}
+		for _, t := range e.terms {
+			s.Assert(t)
+		}
+		res, src = s.Check(), VerdictSolved
+		if res == smt.Sat {
+			model = s.BoolModel()
+		}
+	}
+
+	d := time.Since(start)
+	stats.SMTQueries++
+	stats.SMTTime += d
+	if src == VerdictPrefilter {
+		stats.SMTPrefilterUnsat++
+		rec.Counter("smt.prefilter_unsat").Inc()
+	} else {
+		stats.SMTSolved++
+		rec.Histogram("smt.query_ns").Observe(int64(d))
+		if rec.Tracing() {
+			rec.Event(tid, "smt", start, d, obs.Arg{Key: "checker", Val: checker})
+		}
+	}
+	return res, model, src
 }
 
 // smtObserver adapts a recorder to the smt.Solver observer hook, feeding
@@ -188,9 +187,7 @@ func smtObserver(rec *obs.Recorder) func(smt.CheckInfo) {
 }
 
 // extractWitness renders the model of the branch atoms as trigger hints,
-// sorted for determinism. The model comes either from a fresh solve
-// (Solver.BoolModel) or from a cached verdict projected into this query's
-// variable names — the two are identical for isomorphic queries.
+// sorted for determinism.
 func extractWitness(model map[string]bool, enc *encoder) []string {
 	var out []string
 	for name, origin := range enc.atoms {
@@ -215,12 +212,10 @@ type cdKey struct {
 }
 
 type encoder struct {
-	eng *Engine
+	prog *Program
 	// tb builds terms; terms accumulates the assertion sequence. The
-	// encoder defers asserting into a solver so the elimination pipeline
-	// (decideQuery) can prefilter and cache-match the sequence before any
-	// CNF is built. Assertion order is preserved exactly, so a replayed
-	// sequence produces the identical solver run.
+	// encoder defers asserting into a solver so decide can prefilter the
+	// sequence before any CNF is built; it asserts in exactly this order.
 	tb     *smt.TermBuilder
 	terms  []*smt.Term
 	ddDone map[ddKey]bool
@@ -230,6 +225,20 @@ type encoder struct {
 	// atoms maps SMT variable names of branch atoms back to the program
 	// value and context they came from, for witness extraction.
 	atoms map[string]atomOrigin
+}
+
+// newEncoder returns an empty encoder building terms with tb; budget bounds
+// the DD constraints it emits.
+func newEncoder(prog *Program, tb *smt.TermBuilder, budget int) *encoder {
+	return &encoder{
+		prog:   prog,
+		tb:     tb,
+		ddDone: make(map[ddKey]bool),
+		cdDone: make(map[cdKey]bool),
+		budget: budget,
+		instFn: make(map[int]*ir.Func),
+		atoms:  make(map[string]atomOrigin),
+	}
 }
 
 // add appends t to the assertion sequence.
@@ -282,7 +291,7 @@ func (e *encoder) condTerm(inst int, fn *ir.Func, c *cond.Cond) *smt.Term {
 	case cond.KFalse:
 		return tb.False()
 	case cond.KAtom:
-		v := e.eng.prog.Infos[fn].AtomValue[c.Atom()]
+		v := e.prog.Infos[fn].AtomValue[c.Atom()]
 		if v == nil {
 			// Unknown atom: opaque boolean.
 			return tb.BoolVar(fmt.Sprintf("i%d.a%d", inst, c.Atom()))
@@ -363,7 +372,7 @@ func (e *encoder) emitDD(inst int, v *ir.Value) {
 	case ir.OpBin:
 		e.emitBinDD(inst, v, def)
 	case ir.OpPhi:
-		gates := e.eng.prog.Infos[fn].GatesOf(def)
+		gates := e.prog.Infos[fn].GatesOf(def)
 		var arms []*smt.Term
 		for i, a := range def.Args {
 			at := e.valueTerm(inst, a)
@@ -381,7 +390,7 @@ func (e *encoder) emitDD(inst int, v *ir.Value) {
 			e.add(tb.Or(arms...))
 		}
 	case ir.OpLoad:
-		sources := e.eng.prog.SEGs[fn].PTA.LoadSources(def)
+		sources := e.prog.SEGs[fn].PTA.LoadSources(def)
 		var arms []*smt.Term
 		for _, gv := range sources {
 			wt := e.valueTerm(inst, gv.Val)

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/ir"
 	"repro/internal/minic"
-	"repro/internal/obs"
 	"repro/internal/pta"
 	"repro/internal/seg"
 	"repro/internal/smt"
@@ -65,28 +64,36 @@ func (r LeakReport) String() string {
 	return fmt.Sprintf("[memory-leak] allocation at %s (%s) is %s", r.Pos, r.Fn, r.Kind)
 }
 
-// LeakStats counts the checker's effort. Solved/CacheHits/PrefilterUnsat
-// partition SMTQueries by the elimination-pipeline stage that answered
-// (see smtcache.go).
+// LeakStats counts the checker's effort. Solved and PrefilterUnsat partition
+// SMTQueries by the step that answered (see encoder.decide).
 type LeakStats struct {
 	Allocs         int
 	Escaped        int
 	SMTQueries     int
 	Solved         int
-	CacheHits      int
 	PrefilterUnsat int
-	// SMTTime is wall time inside the elimination pipeline (encode +
-	// prefilter + cache probe + solve), schedule-dependent and therefore
-	// excluded from determinism comparisons like Stats.SMTTime.
+	// SMTTime is wall time spent deciding queries (encode + prefilter +
+	// solve), schedule-dependent and therefore excluded from determinism
+	// comparisons like Stats.SMTTime.
 	SMTTime time.Duration
+}
+
+// leakStatsOf presents an unreleased-resource checker's Stats in the
+// allocation-shaped form.
+func leakStatsOf(s Stats) LeakStats {
+	return LeakStats{
+		Allocs: s.Sources, Escaped: s.Escaped,
+		SMTQueries: s.SMTQueries, Solved: s.SMTSolved, PrefilterUnsat: s.SMTPrefilterUnsat,
+		SMTTime: s.SMTTime,
+	}
 }
 
 // String renders the counters in the one-line shape shared by
 // cmd/pinpoint's -stats output and the examples (the unreleased-resource
 // sibling of Stats.String).
 func (s LeakStats) String() string {
-	return fmt.Sprintf("%d allocations, %d escaped, %d SMT queries (%d solved/%d cached/%d prefiltered)",
-		s.Allocs, s.Escaped, s.SMTQueries, s.Solved, s.CacheHits, s.PrefilterUnsat)
+	return fmt.Sprintf("%d allocations, %d escaped, %d SMT queries (%d solved/%d prefiltered)",
+		s.Allocs, s.Escaped, s.SMTQueries, s.Solved, s.PrefilterUnsat)
 }
 
 // FindLeaks scans every allocation site of the program.
@@ -95,7 +102,7 @@ func FindLeaks(prog *Program, opts Options) ([]LeakReport, LeakStats) {
 	lc := newLeakChecker(prog, opts, newCaches(prog))
 
 	var reports []LeakReport
-	var stats LeakStats
+	var stats Stats
 	for _, f := range prog.Module.Funcs {
 		g := prog.SEGs[f]
 		if g == nil {
@@ -106,18 +113,13 @@ func FindLeaks(prog *Program, opts Options) ([]LeakReport, LeakStats) {
 				if in.Op != ir.OpMalloc {
 					continue
 				}
-				stats.Allocs++
-				rep, escaped := lc.checkAlloc(f, g, in, &stats, 1)
-				if escaped {
-					stats.Escaped++
-				}
-				if rep != nil {
+				if rep := lc.checkAlloc(f, g, in, &stats, 1); rep != nil {
 					reports = append(reports, *rep)
 				}
 			}
 		}
 	}
-	return reports, stats
+	return reports, leakStatsOf(stats)
 }
 
 type leakChecker struct {
@@ -194,10 +196,12 @@ func (lc *leakChecker) paramMayFree(g *seg.Graph, p *ir.Value) bool {
 	return false
 }
 
-// checkAlloc analyzes one allocation; it returns a report (or nil) and
-// whether the value escapes. tid is the trace track of the calling worker
-// (its SMT query span lands there when the run is being traced).
-func (lc *leakChecker) checkAlloc(f *ir.Func, g *seg.Graph, alloc *ir.Instr, stats *LeakStats, tid int) (*LeakReport, bool) {
+// checkAlloc analyzes one allocation, counting it (and whether it escapes,
+// and any SMT query it needs) into stats; it returns a report or nil. tid
+// is the trace track of the calling worker (its SMT query span lands there
+// when the run is being traced).
+func (lc *leakChecker) checkAlloc(f *ir.Func, g *seg.Graph, alloc *ir.Instr, stats *Stats, tid int) *LeakReport {
+	stats.Sources++
 	type reachedFree struct {
 		flow summary.Flow
 	}
@@ -238,7 +242,8 @@ func (lc *leakChecker) checkAlloc(f *ir.Func, g *seg.Graph, alloc *ir.Instr, sta
 		}
 	}
 	if escaped {
-		return nil, true
+		stats.Escaped++
+		return nil
 	}
 	if len(frees) == 0 {
 		rep := &LeakReport{
@@ -250,31 +255,16 @@ func (lc *leakChecker) checkAlloc(f *ir.Func, g *seg.Graph, alloc *ir.Instr, sta
 				VerdictSource: VerdictStructural,
 			}
 		}
-		return rep, false
+		return rep
 	}
 
 	// Path-sensitive residue: is there an execution where the allocation
-	// happens but none of the reached frees does? The query runs through
-	// the same elimination pipeline as candidate checks: prefilter, then
-	// the program-wide verdict cache, then a pooled solver.
-	stats.SMTQueries++
+	// happens but none of the reached frees does?
 	start := time.Now()
-	rec := lc.opts.Obs
-	eng := &Engine{prog: lc.prog, opts: lc.opts, obs: rec, tid: tid}
 	s := smt.GetSolver()
 	defer smt.PutSolver(s)
-	if rec != nil {
-		s.Observer = smtObserver(rec)
-	}
-	enc := &encoder{
-		eng:    eng,
-		tb:     s.TB,
-		ddDone: make(map[ddKey]bool),
-		cdDone: make(map[cdKey]bool),
-		budget: lc.opts.SMTBudget,
-		instFn: map[int]*ir.Func{0: f},
-		atoms:  make(map[string]atomOrigin),
-	}
+	enc := newEncoder(lc.prog, s.TB, lc.opts.SMTBudget)
+	enc.instFn[0] = f
 	// The allocation executes...
 	enc.assertCond(0, f, g.CD(alloc))
 	// ...and every reached free is avoided.
@@ -283,32 +273,9 @@ func (lc *leakChecker) checkAlloc(f *ir.Func, g *seg.Graph, alloc *ir.Instr, sta
 		t := enc.condTerm(0, f, c)
 		enc.add(enc.tb.Not(t))
 	}
-	res, model, how := decideQuery(s, enc.terms, lc.prog.smtCache, lc.opts)
-	stats.SMTTime += time.Since(start)
-	switch {
-	case how == querySolved:
-		stats.Solved++
-	case how.isCacheHit():
-		stats.CacheHits++
-	case how == queryPrefilterUnsat:
-		stats.PrefilterUnsat++
-	}
-	if rec != nil {
-		switch {
-		case how == querySolved:
-			d := time.Since(start)
-			rec.Histogram("smt.query_ns").Observe(int64(d))
-			if rec.Tracing() {
-				rec.Event(tid, "smt", start, d, obs.Arg{Key: "checker", Val: "memory-leak"})
-			}
-		case how.isCacheHit():
-			rec.Counter("smt.cache_hits").Inc()
-		case how == queryPrefilterUnsat:
-			rec.Counter("smt.prefilter_unsat").Inc()
-		}
-	}
+	res, model, src := enc.decide(s, lc.opts, "memory-leak", tid, start, stats)
 	if res != smt.Sat {
-		return nil, false
+		return nil
 	}
 	rep := &LeakReport{
 		Fn: f.Name, Pos: alloc.Pos, Alloc: alloc, Kind: LeakConditional,
@@ -330,10 +297,10 @@ func (lc *leakChecker) checkAlloc(f *ir.Func, g *seg.Graph, alloc *ir.Instr, sta
 		rep.Provenance = &Provenance{
 			Hops:          hops,
 			CondTerms:     len(enc.terms),
-			VerdictSource: verdictSourceOf(how),
+			VerdictSource: src,
 		}
 	}
-	return rep, false
+	return rep
 }
 
 // allocHop renders the allocation site of a leak report as the path's first

@@ -27,25 +27,15 @@ func buildWorkloadSubject(t testing.TB) *core.Analysis {
 	return a
 }
 
-// zeroTimings clears the wall-clock fields — and the schedule-dependent
-// solved/cache-hit split of the shared SMT verdict cache — so stats compare
-// structurally. The split's sum (and every other counter, including the
-// deterministic prefilter kills) still must match exactly.
+// zeroTimings clears the wall-clock fields so stats compare structurally.
+// Every counter, including the solved/prefiltered split, still must match
+// exactly.
 func zeroTimings(rs *detect.Results) {
 	rs.Wall = 0
 	rs.Workers = 0
 	for i := range rs.Checkers {
 		rs.Checkers[i].Stats.SMTTime = 0
-		zeroCacheSplit(&rs.Checkers[i].Stats)
 	}
-}
-
-// zeroCacheSplit folds the solved/cached partition into Solved alone: which
-// stage answered depends on which worker reached an isomorphic formula first
-// and on cache warmth across CheckAll calls, but the sum is invariant.
-func zeroCacheSplit(st *detect.Stats) {
-	st.SMTSolved += st.SMTCacheHits
-	st.SMTCacheHits = 0
 }
 
 // TestCheckAllParallelMatchesSequential is the headline determinism
@@ -112,10 +102,6 @@ func TestCheckAllMatchesSingleEngine(t *testing.T) {
 		st := res.Checkers[0].Stats
 		st.SMTTime = 0
 		legacyStats.SMTTime = 0
-		// The shared verdict cache is warm after the first run, so the
-		// solved/cached split shifts between runs; only its sum is pinned.
-		zeroCacheSplit(&st)
-		zeroCacheSplit(&legacyStats)
 		// The single engine reads cap hits from its private cache; the
 		// scheduler reports them at the Results level.
 		st.SummaryCapHits = legacyStats.SummaryCapHits

@@ -54,24 +54,15 @@ type Program struct {
 	// CheckAll starts cold — the historical behavior that scaling
 	// measurements rely on.
 	sticky *caches
-
-	// smtCache is the canonical SMT verdict cache (see smtcache.go),
-	// shared by all workers and checkers. Unlike sticky it is always
-	// present: verdicts are pure functions of the formula, so sharing them
-	// across CheckAll calls (and, via NewProgramFrom, across incremental
-	// rebuilds) can change which pipeline stage answers a query but never
-	// the answer itself.
-	smtCache *smtVerdictCache
 }
 
 // NewProgram indexes the call sites of a fully analyzed module.
 func NewProgram(m *ir.Module, infos map[*ir.Func]*ssa.Info, segs map[*ir.Func]*seg.Graph) *Program {
 	p := &Program{
-		Module:   m,
-		Infos:    infos,
-		SEGs:     segs,
-		Callers:  make(map[*ir.Func][]CallSite),
-		smtCache: newSMTVerdictCache(),
+		Module:  m,
+		Infos:   infos,
+		SEGs:    segs,
+		Callers: make(map[*ir.Func][]CallSite),
 	}
 	for _, f := range m.Funcs {
 		for _, b := range f.Blocks {
@@ -86,18 +77,6 @@ func NewProgram(m *ir.Module, infos map[*ir.Func]*ssa.Info, segs map[*ir.Func]*s
 		}
 	}
 	return p
-}
-
-// SMTCacheStats reports the verdict cache's per-tier occupancy: exact
-// alpha-normalized entries and commutative shape-tier entries. Read-only
-// and safe to call concurrently with detection (shards lock per read); the
-// numbers are a diagnostic snapshot, not part of the deterministic result
-// surface.
-func (p *Program) SMTCacheStats() (exact, shape int) {
-	if p.smtCache == nil {
-		return 0, 0
-	}
-	return p.smtCache.sizes()
 }
 
 // EnableCachePersistence makes detection caches survive across CheckAll
@@ -118,11 +97,6 @@ func (p *Program) EnableCachePersistence() {
 func NewProgramFrom(prev *Program, m *ir.Module, infos map[*ir.Func]*ssa.Info, segs map[*ir.Func]*seg.Graph) *Program {
 	p := NewProgram(m, infos, segs)
 	p.sticky = newCaches(p)
-	if prev != nil && prev.smtCache != nil {
-		// Verdicts key on the formula alone, so the whole cache survives
-		// the rebuild regardless of which functions changed.
-		p.smtCache = prev.smtCache
-	}
 	if prev == nil || prev.sticky == nil {
 		return p
 	}
@@ -173,21 +147,11 @@ type Options struct {
 	// pre-filter on accumulated path conditions, sending every candidate
 	// to the SMT solver (the §3.1.1 ablation).
 	DisableLinearFilter bool
-	// DisableSMTCache turns off the canonical verdict cache, solving
-	// every candidate query even when an isomorphic formula was already
-	// decided. Reports are identical either way.
-	DisableSMTCache bool
 	// DisableSMTPrefilter turns off the linear-time semi-decision
 	// refutation pass that answers Unsat without entering the DPLL(T)
-	// loop. Reports are identical either way.
+	// loop. Reports are identical either way; the differential tests use
+	// the prefilter-off run as their reference.
 	DisableSMTPrefilter bool
-	// SMTIncremental solves the candidates of one (checker, source) task
-	// against a single long-lived solver using assumption-scoped
-	// Push/Pop with learned-clause retention, instead of resetting the
-	// solver per candidate. Retained clauses can steer the SAT search, so
-	// Sat witnesses may differ (reports may not be byte-identical to the
-	// default mode); off by default.
-	SMTIncremental bool
 	// Workers sets the detection worker-pool size used by CheckAll: 0 or
 	// 1 runs sequentially, negative selects GOMAXPROCS. The reported
 	// results are identical at every setting; only wall-clock changes.
@@ -277,14 +241,13 @@ type Stats struct {
 	SMTSat         int
 	SMTUnsat       int
 	SMTUnknown     int
-	// The next three partition SMTQueries by the pipeline stage that
-	// answered (see smtcache.go). SMTPrefilterUnsat is a deterministic
-	// property of each candidate; the SMTSolved/SMTCacheHits split depends
-	// on which worker reached a formula first and on cache warmth across
-	// CheckAll calls, so only their sum is schedule-independent.
+	// SMTSolved and SMTPrefilterUnsat partition SMTQueries by the step
+	// that answered (see encoder.decide); both are deterministic
+	// properties of each candidate.
 	SMTSolved         int
-	SMTCacheHits      int
 	SMTPrefilterUnsat int
+	// SMTCacheHits is always zero; it stays only because benchmark/ reads it.
+	SMTCacheHits      int `json:"-"`
 	SMTTime           time.Duration
 	SummaryCapHits    int
 	TruncatedSearches int
@@ -296,9 +259,9 @@ type Stats struct {
 // String renders the source–sink effort counters in the one-line shape
 // shared by cmd/pinpoint's -stats output and the examples.
 func (s Stats) String() string {
-	return fmt.Sprintf("%d sources, %d candidates, %d SMT queries (%d sat/%d unsat; %d solved/%d cached/%d prefiltered), %s solving",
+	return fmt.Sprintf("%d sources, %d candidates, %d SMT queries (%d sat/%d unsat; %d solved/%d prefiltered), %s solving",
 		s.Sources, s.Candidates, s.SMTQueries, s.SMTSat, s.SMTUnsat,
-		s.SMTSolved, s.SMTCacheHits, s.SMTPrefilterUnsat, s.SMTTime)
+		s.SMTSolved, s.SMTPrefilterUnsat, s.SMTTime)
 }
 
 // instCond tracks the accumulated local condition of one context instance.

@@ -3,18 +3,18 @@ package detect
 // Per-report provenance: a machine-readable explanation of *why* a warning
 // fired. A Provenance records the ordered value-flow hops the demand-driven
 // search traversed from source to sink, the size of the Equations 1–3 path
-// condition handed to the SMT layer, and which elimination-pipeline stage
-// produced the feasibility verdict. Capture is gated behind
-// Options.Witness: with it off (the default) nothing here runs and the hot
-// path pays a single branch per report.
+// condition handed to the SMT layer, and which step produced the
+// feasibility verdict. Capture is gated behind Options.Witness: with it off
+// (the default) nothing here runs and the hot path pays a single branch per
+// report.
 
 import (
 	"repro/internal/ir"
 	"repro/internal/minic"
 )
 
-// VerdictSource identifies which stage of the SMT elimination pipeline
-// (smtcache.go) produced a report's feasibility verdict.
+// VerdictSource identifies which step (see encoder.decide) produced a
+// feasibility verdict.
 type VerdictSource uint8
 
 const (
@@ -26,16 +26,8 @@ const (
 	VerdictStructural
 	// VerdictSolved: the query entered the DPLL(T) loop.
 	VerdictSolved
-	// VerdictCacheExact: the verdict (and model) was replayed from the
-	// exact tier of the canonical verdict cache.
-	VerdictCacheExact
-	// VerdictCacheShape: the Unsat verdict came from the
-	// commutative-normalized shape tier. Never appears on a report —
-	// shape hits are always Unsat — but shows up in explain-mode dumps of
-	// refuted candidates.
-	VerdictCacheShape
 	// VerdictPrefilter: the linear-time semi-decision prefilter refuted
-	// the query. Like VerdictCacheShape, Unsat-only.
+	// the query. Unsat-only, so it never appears on a report.
 	VerdictPrefilter
 )
 
@@ -43,8 +35,6 @@ var verdictSourceNames = [...]string{
 	VerdictUnchecked:  "unchecked",
 	VerdictStructural: "structural",
 	VerdictSolved:     "solved",
-	VerdictCacheExact: "cache_exact",
-	VerdictCacheShape: "cache_shape",
 	VerdictPrefilter:  "prefilter",
 }
 
@@ -66,12 +56,8 @@ type Hop struct {
 	Pos minic.Pos
 }
 
-// Provenance explains one report. Everything except VerdictSource is a
-// deterministic function of the program and the options; the
-// solved-vs-cache_exact split mirrors Stats.SMTSolved/SMTCacheHits and
-// depends on which worker first decided an isomorphic formula (and on
-// cache warmth across runs of a shared Program), so only the *set*
-// {solved, cache_exact} is schedule-independent.
+// Provenance explains one report; it is a deterministic function of the
+// program and the options.
 type Provenance struct {
 	// Hops is the ordered list of SEG vertices the search traversed,
 	// source first. Empty for reports whose checker does not path-search
@@ -81,7 +67,7 @@ type Provenance struct {
 	// condition (Equations 1–3) for this report's feasibility query; 0
 	// when no query ran.
 	CondTerms int
-	// VerdictSource is the pipeline stage that produced the verdict.
+	// VerdictSource is the step that produced the verdict.
 	VerdictSource VerdictSource
 }
 
@@ -120,29 +106,12 @@ func hopsFromSteps(steps []gstep, conds []instCond) []Hop {
 	return hops
 }
 
-// verdictSourceOf maps an elimination-pipeline outcome to the report-level
-// enum.
-func verdictSourceOf(how queryOutcome) VerdictSource {
-	switch how {
-	case queryCacheExact:
-		return VerdictCacheExact
-	case queryCacheShape:
-		return VerdictCacheShape
-	case queryPrefilterUnsat:
-		return VerdictPrefilter
-	default:
-		return VerdictSolved
-	}
-}
-
 // JSONProvenance is the exported provenance schema, nested inside
 // JSONReport when Options.Witness is on.
 type JSONProvenance struct {
 	Hops      []JSONHop `json:"hops,omitempty"`
 	CondTerms int       `json:"condTerms"`
-	// VerdictSource is "unchecked", "structural", "solved", "cache_exact",
-	// "cache_shape", or "prefilter". The solved/cache_exact split is
-	// schedule-dependent (see Provenance.VerdictSource).
+	// VerdictSource is "unchecked", "structural", "solved" or "prefilter".
 	VerdictSource string `json:"verdictSource"`
 }
 

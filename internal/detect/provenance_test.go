@@ -10,15 +10,10 @@ import (
 	"repro/internal/detect"
 )
 
-// Provenance determinism: with Options.Witness on, the captured hops and
-// path-condition sizes are pure functions of the program, so reports must
-// be byte-identical across worker counts and across warm/cold sessions.
-// The verdict source needs care: its solved-vs-cache_exact split mirrors
-// Stats.SMTSolved/SMTCacheHits and depends on cache warmth and worker
-// interleaving, so the default-mode comparison masks it (and separately
-// pins its value set), while the cache-disabled comparison — where every
-// verdict is deterministically "solved" or "prefilter" — compares every
-// byte including it.
+// Provenance determinism: with Options.Witness on, the captured hops,
+// path-condition sizes and verdict sources are pure functions of the
+// program, so reports must be byte-identical across worker counts and
+// across warm/cold sessions.
 
 // witnessReports runs all checkers with provenance capture on and returns
 // the reports.
@@ -26,21 +21,6 @@ func witnessReports(t *testing.T, a *core.Analysis, opts detect.Options) []detec
 	t.Helper()
 	opts.Witness = true
 	return a.CheckAll(checkers.All(), opts).Reports
-}
-
-// maskVerdictSource clones the reports with every provenance verdict
-// source forced to a fixed value, leaving everything else untouched.
-func maskVerdictSource(rs []detect.Report) []detect.Report {
-	out := make([]detect.Report, len(rs))
-	for i, r := range rs {
-		out[i] = r
-		if r.Provenance != nil {
-			p := *r.Provenance
-			p.VerdictSource = detect.VerdictSolved
-			out[i].Provenance = &p
-		}
-	}
-	return out
 }
 
 func marshalJSON(t *testing.T, v any) string {
@@ -63,31 +43,9 @@ func toJSONReports(rs []detect.Report) []detect.JSONReport {
 func TestWitnessDeterminismAcrossWorkers(t *testing.T) {
 	units := exampleUnits(t)
 
-	// Cache and prefilter disabled: the verdict source is deterministic,
-	// so the full JSON — provenance bytes included — must agree between a
+	// The full JSON — provenance bytes included — must agree between a
 	// sequential and a GOMAXPROCS run on independent cold builds.
-	strict := detect.Options{DisableSMTCache: true}
-	var strictBaseline string
-	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-		a, err := core.BuildFromSource(units, core.BuildOptions{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts := strict
-		opts.Workers = workers
-		got := marshalJSON(t, toJSONReports(witnessReports(t, a, opts)))
-		if strictBaseline == "" {
-			strictBaseline = got
-		} else if got != strictBaseline {
-			t.Errorf("workers=%d: cache-disabled witness reports differ from sequential run", workers)
-		}
-	}
-
-	// Default mode: everything except the verdict source must still be
-	// byte-identical; the verdict source must stay inside {solved,
-	// cache_exact} (reports are Sat, so the Unsat-only stages can never
-	// appear).
-	var defBaseline string
+	var baseline string
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 		a, err := core.BuildFromSource(units, core.BuildOptions{Workers: workers})
 		if err != nil {
@@ -98,8 +56,10 @@ func TestWitnessDeterminismAcrossWorkers(t *testing.T) {
 			if r.Provenance == nil {
 				t.Fatalf("report %s has no provenance with Witness on", r)
 			}
+			// Reports are Sat, so the Unsat-only prefilter can never
+			// appear.
 			switch r.Provenance.VerdictSource {
-			case detect.VerdictSolved, detect.VerdictCacheExact, detect.VerdictStructural:
+			case detect.VerdictSolved, detect.VerdictStructural:
 			default:
 				t.Errorf("report %s: unexpected verdict source %s", r, r.Provenance.VerdictSource)
 			}
@@ -110,38 +70,33 @@ func TestWitnessDeterminismAcrossWorkers(t *testing.T) {
 				t.Errorf("path-checked report %s has CondTerms = 0", r)
 			}
 		}
-		got := marshalJSON(t, toJSONReports(maskVerdictSource(reports)))
-		if defBaseline == "" {
-			defBaseline = got
-		} else if got != defBaseline {
-			t.Errorf("workers=%d: masked witness reports differ from sequential run", workers)
+		got := marshalJSON(t, toJSONReports(reports))
+		if baseline == "" {
+			baseline = got
+		} else if got != baseline {
+			t.Errorf("workers=%d: witness reports differ from sequential run", workers)
 		}
 	}
 }
 
 func TestWitnessDeterminismWarmCold(t *testing.T) {
 	units := exampleUnits(t)
-	workers := runtime.GOMAXPROCS(0)
+	opts := detect.Options{Workers: runtime.GOMAXPROCS(0)}
 
 	// Cold: a fresh one-shot build.
-	cold, err := core.BuildFromSource(units, core.BuildOptions{Workers: workers})
+	cold, err := core.BuildFromSource(units, core.BuildOptions{Workers: opts.Workers})
 	if err != nil {
 		t.Fatal(err)
 	}
-	strict := detect.Options{DisableSMTCache: true, Workers: workers}
-	coldStrict := marshalJSON(t, toJSONReports(witnessReports(t, cold, strict)))
-	coldMasked := marshalJSON(t, toJSONReports(maskVerdictSource(witnessReports(t, cold, detect.Options{Workers: workers}))))
+	coldJSON := marshalJSON(t, toJSONReports(witnessReports(t, cold, opts)))
 
 	// Warm: a session updated twice with identical sources — every
-	// artifact is retained and the sticky detection caches (and the SMT
-	// verdict cache) carry over.
-	sess := core.NewSession(core.BuildOptions{Workers: workers})
+	// artifact is retained and the sticky detection caches carry over.
+	sess := core.NewSession(core.BuildOptions{Workers: opts.Workers})
 	if _, err := sess.Update(units); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := witnessWarmup(sess); err != nil {
-		t.Fatal(err)
-	}
+	witnessReports(t, sess.Analysis(), opts) // heats the sticky caches
 	warm, err := sess.Update(units)
 	if err != nil {
 		t.Fatal(err)
@@ -149,19 +104,9 @@ func TestWitnessDeterminismWarmCold(t *testing.T) {
 	if warm.Artifacts.Hits == 0 || warm.Artifacts.Misses+warm.Artifacts.Invalidated != 0 {
 		t.Fatalf("expected an all-hits warm update, got %+v", warm.Artifacts)
 	}
-	if got := marshalJSON(t, toJSONReports(witnessReports(t, warm, strict))); got != coldStrict {
-		t.Error("cache-disabled witness reports differ between warm and cold builds")
+	if got := marshalJSON(t, toJSONReports(witnessReports(t, warm, opts))); got != coldJSON {
+		t.Error("witness reports differ between warm and cold builds")
 	}
-	if got := marshalJSON(t, toJSONReports(maskVerdictSource(witnessReports(t, warm, detect.Options{Workers: workers})))); got != coldMasked {
-		t.Error("masked witness reports differ between warm and cold builds")
-	}
-}
-
-// witnessWarmup heats the session's sticky caches and SMT verdict cache by
-// running a full default-mode detection pass between the two Updates.
-func witnessWarmup(sess *core.Session) (detect.Results, error) {
-	a := sess.Analysis()
-	return a.CheckAll(checkers.All(), detect.Options{Witness: true, Workers: -1}), nil
 }
 
 // TestWitnessOffNoProvenance pins the gating: without Options.Witness no

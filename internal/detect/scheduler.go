@@ -44,12 +44,7 @@ type CheckerStats struct {
 // counters; everything else the source–sink shape.
 func (cs CheckerStats) String() string {
 	if sp, ok := checkers.ByName(cs.Checker); ok && sp.Kind == checkers.KindUnreleased {
-		ls := LeakStats{
-			Allocs: cs.Stats.Sources, Escaped: cs.Stats.Escaped,
-			SMTQueries: cs.Stats.SMTQueries, Solved: cs.Stats.SMTSolved,
-			CacheHits: cs.Stats.SMTCacheHits, PrefilterUnsat: cs.Stats.SMTPrefilterUnsat,
-		}
-		return fmt.Sprintf("%s: %s", cs.Checker, ls)
+		return fmt.Sprintf("%s: %s", cs.Checker, leakStatsOf(cs.Stats))
 	}
 	return fmt.Sprintf("%s: %s", cs.Checker, cs.Stats)
 }
@@ -319,22 +314,8 @@ func localTasks(si int, sp *checkers.Spec, f *ir.Func, g *seg.Graph) []task {
 func runTask(prog *Program, specs []*checkers.Spec, opts Options, c *caches, lc *leakChecker, t task, tid int) taskResult {
 	sp := specs[t.specIdx]
 	if sp.Kind == checkers.KindUnreleased {
-		var ls LeakStats
-		ls.Allocs++
-		rep, escaped := lc.checkAlloc(t.fn, t.g, t.alloc, &ls, tid)
-		if escaped {
-			ls.Escaped++
-		}
-		tr := taskResult{stats: Stats{
-			Sources:           ls.Allocs,
-			Escaped:           ls.Escaped,
-			SMTQueries:        ls.SMTQueries,
-			SMTSolved:         ls.Solved,
-			SMTCacheHits:      ls.CacheHits,
-			SMTPrefilterUnsat: ls.PrefilterUnsat,
-			SMTTime:           ls.SMTTime,
-		}}
-		if rep != nil {
+		var tr taskResult
+		if rep := lc.checkAlloc(t.fn, t.g, t.alloc, &tr.stats, tid); rep != nil {
 			tr.reports = []Report{leakToReport(sp.Name, *rep)}
 		}
 		return tr
@@ -345,7 +326,6 @@ func runTask(prog *Program, specs []*checkers.Spec, opts Options, c *caches, lc 
 		opts:     opts,
 		caches:   c,
 		reported: make(map[[2]*ir.Instr]bool),
-		obs:      opts.Obs,
 		tid:      tid,
 	}
 	eng.stats.Sources = 1
@@ -364,7 +344,6 @@ func addStats(dst *Stats, s Stats) {
 	dst.SMTUnsat += s.SMTUnsat
 	dst.SMTUnknown += s.SMTUnknown
 	dst.SMTSolved += s.SMTSolved
-	dst.SMTCacheHits += s.SMTCacheHits
 	dst.SMTPrefilterUnsat += s.SMTPrefilterUnsat
 	dst.SMTTime += s.SMTTime
 	dst.SummaryCapHits += s.SummaryCapHits

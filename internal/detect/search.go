@@ -4,7 +4,6 @@ import (
 	"repro/internal/checkers"
 	"repro/internal/cond"
 	"repro/internal/ir"
-	"repro/internal/obs"
 	"repro/internal/seg"
 	"repro/internal/smt"
 )
@@ -28,18 +27,14 @@ type Engine struct {
 	lastCondTerms     int
 	lastVerdictSource VerdictSource
 
-	// obs mirrors opts.Obs (nil = no recording); tid is the trace track
-	// this engine's SMT query spans land on (its scheduler worker + 1, or
-	// 1 for a sequential engine).
-	obs *obs.Recorder
+	// tid is the trace track this engine's SMT query spans land on (its
+	// scheduler worker + 1, or 1 for a sequential engine).
 	tid int
 
 	// solver is the engine's pooled SMT solver, acquired lazily by the
 	// first candidate check and released by releaseSolver when the engine
-	// finishes. In the default mode it is Reset between candidates (a
-	// reset solver is indistinguishable from a fresh one); with
-	// Options.SMTIncremental it lives across the engine's candidates,
-	// retaining learned clauses under Push/Pop.
+	// finishes. It is Reset between candidates (a reset solver is
+	// indistinguishable from a fresh one).
 	solver *smt.Solver
 
 	// per-source scratch
@@ -56,19 +51,16 @@ func NewEngine(prog *Program, spec *checkers.Spec, opts Options) *Engine {
 		opts:     opts.withDefaults(),
 		caches:   newCaches(prog),
 		reported: make(map[[2]*ir.Instr]bool),
-		obs:      opts.Obs,
 		tid:      1,
 	}
 }
 
 // querySolver returns the engine's solver ready for a candidate query:
-// freshly acquired from the pool, or reset to the fresh state (unless the
-// engine runs incrementally, in which case accumulated clauses persist and
-// the caller scopes its assertions with Push/Pop).
+// freshly acquired from the pool, or reset to the fresh state.
 func (e *Engine) querySolver() *smt.Solver {
 	if e.solver == nil {
 		e.solver = smt.GetSolver()
-	} else if !e.opts.SMTIncremental {
+	} else {
 		e.solver.Reset()
 	}
 	return e.solver
@@ -121,20 +113,7 @@ func (e *Engine) runUnreleased() ([]Report, Stats) {
 				if in.Op != ir.OpMalloc {
 					continue
 				}
-				var ls LeakStats
-				ls.Allocs++
-				rep, escaped := lc.checkAlloc(f, g, in, &ls, e.tid)
-				if escaped {
-					ls.Escaped++
-				}
-				e.stats.Sources += ls.Allocs
-				e.stats.Escaped += ls.Escaped
-				e.stats.SMTQueries += ls.SMTQueries
-				e.stats.SMTSolved += ls.Solved
-				e.stats.SMTCacheHits += ls.CacheHits
-				e.stats.SMTPrefilterUnsat += ls.PrefilterUnsat
-				e.stats.SMTTime += ls.SMTTime
-				if rep != nil {
+				if rep := lc.checkAlloc(f, g, in, &e.stats, e.tid); rep != nil {
 					e.reports = append(e.reports, leakToReport(e.spec.Name, *rep))
 					if e.opts.MaxReportsPerChecker > 0 && len(e.reports) >= e.opts.MaxReportsPerChecker {
 						e.stats.SummaryCapHits = e.caches.capHits()

@@ -2,7 +2,6 @@ package detect_test
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -14,12 +13,9 @@ import (
 	"repro/internal/minic"
 )
 
-// The differential suite behind the SMT-query-elimination guarantee: every
-// combination of verdict cache and prefilter — including a warm cache, whose
-// exact-tier entries replay stored models — must produce JSON reports
-// byte-identical to the eliminate-nothing baseline, at one worker and at
-// GOMAXPROCS. scripts/check.sh runs the package under -race, which makes the
-// shared-cache locking part of what these tests exercise.
+// The differential suite behind the SMT prefilter's guarantee: with the
+// prefilter on, CheckAll must produce JSON reports byte-identical to the
+// solve-everything reference run, at one worker and at GOMAXPROCS.
 
 // exampleUnits loads the checked-in CLI example sources.
 func exampleUnits(t *testing.T) []minic.NamedSource {
@@ -52,52 +48,32 @@ func marshalReports(t *testing.T, rs []detect.Report) string {
 	return string(b)
 }
 
-// runSMTDifferential checks CheckAll over a — under every elimination
-// configuration and worker count — against the both-stages-disabled
-// baseline. One Analysis is shared deliberately: later runs with the cache
-// enabled hit entries stored by earlier ones, so warm-cache model replay is
-// part of the contract under test.
+// runSMTDifferential checks CheckAll over a with the prefilter on against
+// the prefilter-off reference, at each worker count.
 func runSMTDifferential(t *testing.T, a *core.Analysis) {
 	specs := checkers.All()
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-		base := a.CheckAll(specs, detect.Options{
-			Workers: workers, DisableSMTCache: true, DisableSMTPrefilter: true,
-		})
+		base := a.CheckAll(specs, detect.Options{Workers: workers, DisableSMTPrefilter: true})
 		baseJSON := marshalReports(t, base.Reports)
 		if len(base.Reports) == 0 {
-			t.Fatal("baseline produced no reports; differential is vacuous")
+			t.Fatal("reference run produced no reports; differential is vacuous")
 		}
-		variants := []struct {
-			name string
-			opts detect.Options
-		}{
-			{"prefilter-only", detect.Options{Workers: workers, DisableSMTCache: true}},
-			{"cache-only", detect.Options{Workers: workers, DisableSMTPrefilter: true}},
-			{"cache+prefilter", detect.Options{Workers: workers}},
-			{"cache+prefilter-warm", detect.Options{Workers: workers}},
+		res := a.CheckAll(specs, detect.Options{Workers: workers})
+		if got := marshalReports(t, res.Reports); got != baseJSON {
+			t.Fatalf("workers=%d: reports differ from the prefilter-off reference\nbase: %s\ngot:  %s",
+				workers, baseJSON, got)
 		}
-		for _, v := range variants {
-			res := a.CheckAll(specs, v.opts)
-			if got := marshalReports(t, res.Reports); got != baseJSON {
-				t.Fatalf("workers=%d %s: reports differ from elimination-off baseline\nbase: %s\ngot:  %s",
-					workers, v.name, baseJSON, got)
+		// The two steps must partition the query count exactly, and the
+		// reference must have solved everything.
+		for i, cs := range res.Checkers {
+			st, ref := cs.Stats, base.Checkers[i].Stats
+			if st.SMTSolved+st.SMTPrefilterUnsat != st.SMTQueries {
+				t.Fatalf("workers=%d %s: steps %d+%d != queries %d",
+					workers, cs.Checker, st.SMTSolved, st.SMTPrefilterUnsat, st.SMTQueries)
 			}
-			// The stages must partition the query count exactly.
-			for _, cs := range res.Checkers {
-				st := cs.Stats
-				if st.SMTSolved+st.SMTCacheHits+st.SMTPrefilterUnsat != st.SMTQueries {
-					t.Fatalf("workers=%d %s %s: stages %d+%d+%d != queries %d",
-						workers, v.name, cs.Checker,
-						st.SMTSolved, st.SMTCacheHits, st.SMTPrefilterUnsat, st.SMTQueries)
-				}
-				if v.opts.DisableSMTCache && st.SMTCacheHits != 0 {
-					t.Fatalf("workers=%d %s %s: cache disabled but %d hits",
-						workers, v.name, cs.Checker, st.SMTCacheHits)
-				}
-				if v.opts.DisableSMTPrefilter && st.SMTPrefilterUnsat != 0 {
-					t.Fatalf("workers=%d %s %s: prefilter disabled but %d kills",
-						workers, v.name, cs.Checker, st.SMTPrefilterUnsat)
-				}
+			if ref.SMTPrefilterUnsat != 0 || ref.SMTSolved != ref.SMTQueries {
+				t.Fatalf("workers=%d %s: prefilter disabled but %d kills, %d of %d solved",
+					workers, cs.Checker, ref.SMTPrefilterUnsat, ref.SMTSolved, ref.SMTQueries)
 			}
 		}
 	}
@@ -115,72 +91,31 @@ func TestSMTEliminationDifferentialWorkload(t *testing.T) {
 	runSMTDifferential(t, buildWorkloadSubject(t))
 }
 
-// TestSMTEliminationAblationStats pins the elimination machinery's effect,
-// not just its harmlessness: with both stages on, a second (warm) run must
-// answer every query without entering the DPLL(T) solver, and the prefilter
-// must refute at least one candidate on the workload subject.
+// TestSMTEliminationAblationStats pins the prefilter's effect, not just its
+// harmlessness: on the workload subject it must refute at least one
+// candidate, and every query it refutes is one the reference run pays the
+// solver for.
 func TestSMTEliminationAblationStats(t *testing.T) {
 	a := buildWorkloadSubject(t)
 	specs := checkers.All()
-	opts := detect.Options{Workers: 1}
-	a.CheckAll(specs, opts) // cold run populates the verdict cache
-	warm := a.CheckAll(specs, opts)
-	var solved, hits, prefiltered, queries int
-	for _, cs := range warm.Checkers {
-		solved += cs.Stats.SMTSolved
-		hits += cs.Stats.SMTCacheHits
-		prefiltered += cs.Stats.SMTPrefilterUnsat
-		queries += cs.Stats.SMTQueries
+	sum := func(rs detect.Results) (solved, prefiltered, queries int) {
+		for _, cs := range rs.Checkers {
+			solved += cs.Stats.SMTSolved
+			prefiltered += cs.Stats.SMTPrefilterUnsat
+			queries += cs.Stats.SMTQueries
+		}
+		return
 	}
+	solved, prefiltered, queries := sum(a.CheckAll(specs, detect.Options{Workers: 1}))
+	refSolved, _, refQueries := sum(a.CheckAll(specs, detect.Options{Workers: 1, DisableSMTPrefilter: true}))
 	if queries == 0 {
 		t.Fatal("no SMT queries issued; ablation is vacuous")
-	}
-	if solved != 0 {
-		t.Errorf("warm run still solved %d of %d queries; verdict cache not retaining", solved, queries)
-	}
-	if hits == 0 {
-		t.Error("warm run recorded no cache hits")
 	}
 	if prefiltered == 0 {
 		t.Error("prefilter refuted no candidate on the workload subject")
 	}
-}
-
-// TestSMTIncrementalMode exercises the opt-in grouped Push/Pop solver
-// reuse. Retained learned clauses may steer Sat model search, so the
-// guarantee is weaker than byte-identity: the same bugs (checker, source,
-// sink, verdict) must be found, and the mode must be stable across worker
-// counts and repeated runs.
-func TestSMTIncrementalMode(t *testing.T) {
-	a := buildWorkloadSubject(t)
-	specs := checkers.All()
-	base := a.CheckAll(specs, detect.Options{Workers: 1})
-
-	key := func(rs []detect.Report) []string {
-		out := make([]string, len(rs))
-		for i, r := range rs {
-			out[i] = fmt.Sprintf("%s|%s|%s|%s|%s|%v", r.Checker, r.Kind,
-				r.SourcePos, r.SinkPos, r.SourceFn, r.Verdict)
-		}
-		return out
-	}
-	want := key(base.Reports)
-
-	var first []string
-	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-		inc := a.CheckAll(specs, detect.Options{Workers: workers, SMTIncremental: true})
-		got := key(inc.Reports)
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: incremental mode found %d reports, default %d",
-				workers, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d report %d: %s != %s", workers, i, got[i], want[i])
-			}
-		}
-		if first == nil {
-			first = got
-		}
+	if queries != refQueries || solved+prefiltered != refSolved {
+		t.Errorf("prefilter on: %d solved + %d prefiltered of %d queries; off: %d solved of %d",
+			solved, prefiltered, queries, refSolved, refQueries)
 	}
 }

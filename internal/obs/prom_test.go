@@ -12,7 +12,7 @@ import (
 func TestPrometheusGolden(t *testing.T) {
 	r := New()
 	r.Counter("detect.tasks").Add(7)
-	r.Counter("smt.cache_hits").Add(3)
+	r.Counter("summary.cache_hits").Add(3)
 	r.Gauge("build.functions").Set(12)
 	// A hostile name: sanitized in the metric name, escaped in HELP.
 	r.Counter("weird name\\with\nstuff").Inc()
@@ -28,9 +28,9 @@ func TestPrometheusGolden(t *testing.T) {
 	want := `# HELP pinpoint_detect_tasks detect.tasks
 # TYPE pinpoint_detect_tasks counter
 pinpoint_detect_tasks 7
-# HELP pinpoint_smt_cache_hits smt.cache_hits
-# TYPE pinpoint_smt_cache_hits counter
-pinpoint_smt_cache_hits 3
+# HELP pinpoint_summary_cache_hits summary.cache_hits
+# TYPE pinpoint_summary_cache_hits counter
+pinpoint_summary_cache_hits 3
 # HELP pinpoint_weird_name_with_stuff weird name\\with\nstuff
 # TYPE pinpoint_weird_name_with_stuff counter
 pinpoint_weird_name_with_stuff 1

@@ -69,12 +69,6 @@ type Config struct {
 	DisablePathSensitivity bool
 	// DisableLinearFilter sends every candidate to the solver (ablation).
 	DisableLinearFilter bool
-	// DisableSMTCache turns off the canonical verdict cache.
-	DisableSMTCache bool
-	// DisableSMTPrefilter turns off the linear-time refutation pass.
-	DisableSMTPrefilter bool
-	// SMTIncremental reuses one Push/Pop solver per detection task.
-	SMTIncremental bool
 	// Witness enables per-report provenance capture.
 	Witness bool
 
@@ -174,9 +168,6 @@ func (rt *Runtime) DetectOptions() detect.Options {
 		MaxCallDepth:           rt.cfg.MaxCallDepth,
 		DisablePathSensitivity: rt.cfg.DisablePathSensitivity,
 		DisableLinearFilter:    rt.cfg.DisableLinearFilter,
-		DisableSMTCache:        rt.cfg.DisableSMTCache,
-		DisableSMTPrefilter:    rt.cfg.DisableSMTPrefilter,
-		SMTIncremental:         rt.cfg.SMTIncremental,
 		Workers:                rt.cfg.Workers,
 		Witness:                rt.cfg.Witness,
 		Obs:                    rt.cfg.Obs,

@@ -96,7 +96,7 @@ type TimingJSON struct {
 	StoreSaveNs int64 `json:"storeSaveNs"`
 	// DetectNs is CheckAll: demand-driven search plus SMT.
 	DetectNs int64 `json:"detectNs"`
-	// SMTNs is the SMT elimination-pipeline slice of DetectNs.
+	// SMTNs is the SMT slice of DetectNs (encode + prefilter + solve).
 	SMTNs int64 `json:"smtNs"`
 	// OtherNs is TotalNs minus every top-level phase.
 	OtherNs int64 `json:"otherNs"`
@@ -120,7 +120,6 @@ type AnalyzeStats struct {
 	GateWaitNs         int64 `json:"gateWaitNs"`
 	SMTQueries         int   `json:"smtQueries"`
 	SMTSolved          int   `json:"smtSolved"`
-	SMTCacheHits       int   `json:"smtCacheHits"`
 	SMTPrefilterUnsat  int   `json:"smtPrefilterUnsat"`
 	SummaryCacheHits   int   `json:"summaryCacheHits"`
 	SummaryCacheMisses int   `json:"summaryCacheMisses"`
@@ -285,7 +284,6 @@ func (s *Server) analyze(ctx context.Context, r *http.Request, ri *requestInfo) 
 	for _, cs := range res.Checkers {
 		stats.SMTQueries += cs.Stats.SMTQueries
 		stats.SMTSolved += cs.Stats.SMTSolved
-		stats.SMTCacheHits += cs.Stats.SMTCacheHits
 		stats.SMTPrefilterUnsat += cs.Stats.SMTPrefilterUnsat
 		smtNs += int64(cs.Stats.SMTTime)
 	}
@@ -313,7 +311,7 @@ func (s *Server) analyze(ctx context.Context, r *http.Request, ri *requestInfo) 
 		DetectNs:      timing.DetectNs,
 		SMTNs:         timing.SMTNs,
 		SMTSolved:     int64(stats.SMTSolved),
-		SMTEliminated: int64(stats.SMTCacheHits + stats.SMTPrefilterUnsat),
+		SMTEliminated: int64(stats.SMTPrefilterUnsat),
 	})
 	return &AnalyzeResponse{TraceID: ri.TraceID, Project: req.Project, Reports: reports, Stats: stats, Timing: timing}, nil
 }

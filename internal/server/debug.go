@@ -65,10 +65,6 @@ type sessionDebug struct {
 	// Functions is the current program's function count (0 before the
 	// first analysis).
 	Functions int `json:"functions"`
-	// SMTCacheExact/SMTCacheShape are the verdict cache's per-tier entry
-	// counts.
-	SMTCacheExact int `json:"smtCacheExact"`
-	SMTCacheShape int `json:"smtCacheShape"`
 }
 
 func (s *Server) handleDebugSession(w http.ResponseWriter, r *http.Request) {
@@ -83,9 +79,6 @@ func (s *Server) handleDebugSession(w http.ResponseWriter, r *http.Request) {
 			st.Hits, st.Misses, st.Invalidated
 		if a := sess.Analysis(); a != nil {
 			d.Functions = a.Sizes.Functions
-			if a.Prog != nil {
-				d.SMTCacheExact, d.SMTCacheShape = a.Prog.SMTCacheStats()
-			}
 		}
 	})
 	writeJSON(w, http.StatusOK, d)

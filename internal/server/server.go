@@ -1,9 +1,8 @@
 // Package server exposes the analysis pipeline as a long-lived HTTP
 // service: persistent core.Sessions answer POST /analyze requests so
 // repeated analyses of an evolving program reuse the incremental artifact
-// store, the sticky detection caches, and the SMT verdict cache, while the
-// process's live metrics are scraped from GET /metrics in Prometheus text
-// format.
+// store and the sticky detection caches, while the process's live metrics
+// are scraped from GET /metrics in Prometheus text format.
 //
 // The service is multi-tenant: a tenant.Manager maps the request's
 // `project` field (absent = "default") to an independently locked session,
@@ -65,7 +64,7 @@ type Config struct {
 	// means a fresh non-tracing recorder.
 	Rec *obs.Recorder
 	// Store, when non-nil and persistent, backs the sessions' artifacts
-	// and the SMT verdict cache (see internal/store): a restarted server
+	// (see internal/store): a restarted server
 	// pointed at the same store directory warm-loads instead of cold
 	// building. Non-default tenants get a per-project namespaced view of
 	// this store (store.Namespaced), so one physical store serves every

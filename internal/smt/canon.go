@@ -1,7 +1,8 @@
 package smt
 
-// Canonical fingerprinting of asserted formula sequences, the key of the
-// SMT verdict cache. Two candidates that instantiate the same guards in
+// Nothing outside benchmark/probes.go calls Fingerprint; it stays until that probe goes.
+//
+// Canonical fingerprinting of asserted formula sequences. Two candidates that instantiate the same guards in
 // different calling contexts build alpha-variants of the same term DAG
 // (variable names embed instance numbers, e.g. "i3.v17"), so the
 // fingerprint alpha-normalizes variable names: each TVar is replaced by

@@ -15,12 +15,6 @@ type cnfEncoder struct {
 	sat   *SATSolver
 	vars  map[int]int   // term id -> SAT var
 	atoms map[int]*Term // SAT var -> atom term
-	// scopes tracks, per open Push scope, the term ids first encoded in
-	// that scope. Their Tseitin definition clauses are retracted by the
-	// SAT layer on Pop, so the memoized mappings must be dropped too —
-	// otherwise a later assert would reuse a proxy variable whose
-	// defining clauses are disabled.
-	scopes [][]int
 }
 
 func newCNFEncoder(sat *SATSolver) *cnfEncoder {
@@ -31,31 +25,9 @@ func newCNFEncoder(sat *SATSolver) *cnfEncoder {
 	}
 }
 
-func (e *cnfEncoder) push() { e.scopes = append(e.scopes, nil) }
-
-func (e *cnfEncoder) pop() {
-	n := len(e.scopes)
-	if n == 0 {
-		return
-	}
-	for _, id := range e.scopes[n-1] {
-		v := e.vars[id]
-		delete(e.vars, id)
-		delete(e.atoms, v)
-	}
-	e.scopes = e.scopes[:n-1]
-}
-
 func (e *cnfEncoder) reset() {
 	clear(e.vars)
 	clear(e.atoms)
-	e.scopes = nil
-}
-
-func (e *cnfEncoder) noteScoped(id int) {
-	if n := len(e.scopes); n > 0 {
-		e.scopes[n-1] = append(e.scopes[n-1], id)
-	}
 }
 
 // isAtom reports whether a boolean term is opaque to the propositional
@@ -89,7 +61,6 @@ func (e *cnfEncoder) lit(t *Term) Lit {
 	}
 	v := e.sat.NewVar()
 	e.vars[t.id] = v
-	e.noteScoped(t.id)
 	p := Lit(v)
 	switch {
 	case isAtom(t):
@@ -124,7 +95,6 @@ func (e *cnfEncoder) varFor(t *Term) int {
 	}
 	v := e.sat.NewVar()
 	e.vars[t.id] = v
-	e.noteScoped(t.id)
 	return v
 }
 

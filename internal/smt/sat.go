@@ -55,14 +55,6 @@ type SATSolver struct {
 	order   *varHeap
 	nVars   int
 	rootCtx []Lit // assumption literals of the active Solve call
-	// selectors holds one assumption literal per open Push scope. Clauses
-	// added while a scope is open are tagged with the innermost selector's
-	// negation so Pop can retract them wholesale; learned clauses are
-	// derived by resolution from the (physically persistent) clause
-	// database, so any learned clause depending on a scoped clause carries
-	// that scope's selector literal and deactivates with it — the rest are
-	// retained across Pop.
-	selectors []Lit
 
 	// Stats for the harness.
 	Conflicts    int64
@@ -112,19 +104,8 @@ func (s *SATSolver) value(l Lit) lbool {
 }
 
 // AddClause adds a problem clause. It returns false if the clause makes the
-// formula trivially unsatisfiable at the root level. While an assumption
-// scope is open (see Push) the clause is tagged with the scope's selector
-// so Pop retracts it.
+// formula trivially unsatisfiable at the root level.
 func (s *SATSolver) AddClause(lits ...Lit) bool {
-	if n := len(s.selectors); n > 0 {
-		tagged := make([]Lit, 0, len(lits)+1)
-		tagged = append(tagged, lits...)
-		lits = append(tagged, s.selectors[n-1].Neg())
-	}
-	return s.addClause(lits)
-}
-
-func (s *SATSolver) addClause(lits []Lit) bool {
 	// Deduplicate; drop tautologies and false literals at root level.
 	seen := make(map[Lit]bool, len(lits))
 	var out []Lit
@@ -360,29 +341,6 @@ func luby(i int) int64 {
 	}
 }
 
-// Push opens an assumption scope: subsequent clauses are gated on a fresh
-// selector literal that Solve assumes true until the matching Pop.
-func (s *SATSolver) Push() {
-	s.cancelUntil(0)
-	v := s.NewVar()
-	s.selectors = append(s.selectors, Lit(v))
-}
-
-// Pop closes the innermost assumption scope, permanently deactivating the
-// clauses added within it. Learned clauses that do not depend on the scope
-// are retained.
-func (s *SATSolver) Pop() {
-	n := len(s.selectors)
-	if n == 0 {
-		return
-	}
-	sel := s.selectors[n-1]
-	s.selectors = s.selectors[:n-1]
-	s.cancelUntil(0)
-	// Disable the scope forever; added untagged so it survives outer Pops.
-	s.addClause([]Lit{sel.Neg()})
-}
-
 // Reset returns the solver to its freshly-constructed state while keeping
 // the backing allocations (clause slice, watch map, trail) for reuse. A
 // reset solver behaves identically to a new one.
@@ -401,21 +359,14 @@ func (s *SATSolver) Reset() {
 	s.order.reset()
 	s.nVars = 0
 	s.rootCtx = nil
-	s.selectors = nil
 	s.Conflicts, s.Decisions, s.Propagations, s.Learned = 0, 0, 0, 0
 }
 
 // Solve decides satisfiability under the given assumptions. It returns
 // (true, nil) when satisfiable, and (false, conflictSubset) when not, where
 // conflictSubset is the subset of assumptions used in the refutation (may be
-// empty when the formula is unsatisfiable on its own). Selectors of open
-// Push scopes are implicitly assumed before the given assumptions.
+// empty when the formula is unsatisfiable on its own).
 func (s *SATSolver) Solve(assumptions ...Lit) (bool, []Lit) {
-	if n := len(s.selectors); n > 0 {
-		all := make([]Lit, 0, n+len(assumptions))
-		all = append(all, s.selectors...)
-		assumptions = append(all, assumptions...)
-	}
 	s.cancelUntil(0)
 	if s.propagate() != nil {
 		return false, nil

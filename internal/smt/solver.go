@@ -45,8 +45,6 @@ type Solver struct {
 	// TheoryConflicts counts blocking clauses added by the theory layer.
 	TheoryConflicts int64
 	asserted        []*Term
-	assertMark      []int  // len(asserted) at each Push
-	deadStack       []bool // dead flag at each Push
 
 	// Observer, when non-nil, is invoked once at the end of every Check
 	// with the call's verdict, wall time, and the SAT-core effort spent by
@@ -89,29 +87,6 @@ func (s *Solver) Assert(t *Term) {
 // slice is owned by the solver.
 func (s *Solver) Asserted() []*Term { return s.asserted }
 
-// Push opens an assumption scope. Assertions made until the matching Pop
-// are retracted by it, while clauses learned from scope-independent
-// reasoning are retained, making repeated Check calls over a shared
-// assertion prefix incremental.
-func (s *Solver) Push() {
-	s.sat.Push()
-	s.enc.push()
-	s.assertMark = append(s.assertMark, len(s.asserted))
-	s.deadStack = append(s.deadStack, s.dead)
-}
-
-// Pop retracts the assertions of the innermost Push scope.
-func (s *Solver) Pop() {
-	if n := len(s.assertMark); n > 0 {
-		s.asserted = s.asserted[:s.assertMark[n-1]]
-		s.assertMark = s.assertMark[:n-1]
-		s.dead = s.deadStack[n-1]
-		s.deadStack = s.deadStack[:n-1]
-	}
-	s.enc.pop()
-	s.sat.Pop()
-}
-
 // Reset returns the solver (including its TermBuilder) to the
 // freshly-constructed state while retaining allocations for reuse. A
 // reset solver reproduces a fresh solver's behavior exactly, term IDs
@@ -124,8 +99,6 @@ func (s *Solver) Reset() {
 	s.MaxRounds = 10000
 	s.TheoryConflicts = 0
 	s.asserted = s.asserted[:0]
-	s.assertMark = s.assertMark[:0]
-	s.deadStack = s.deadStack[:0]
 	s.Observer = nil
 }
 

@@ -34,7 +34,7 @@ import (
 // to its last intact record. A checksum mismatch in the middle of the log
 // invalidates the framing of everything after it; scanning stops there and
 // the tail is dropped the same way. Dropped records are re-derived by the
-// analysis (artifacts rebuild, verdicts re-solve) — corruption can cost
+// analysis (artifacts rebuild) — corruption can cost
 // warmth, never correctness.
 var diskMagic = [8]byte{'P', 'P', 'S', 'T', 'O', 'R', 0, 1}
 

@@ -10,7 +10,7 @@ const DefaultProject = "default"
 // Namespaced returns a view of st whose records live under a per-project
 // namespace: every Get/Put rewrites the namespace to "<project>/<ns>", so
 // two projects sharing one physical store (and one log file) can never
-// collide, and an evicted project's artifacts and verdicts are found again
+// collide, and an evicted project's artifacts are found again
 // on re-admission by re-deriving the same prefix.
 //
 // The empty project and DefaultProject return st itself (see

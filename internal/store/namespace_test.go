@@ -86,7 +86,7 @@ func TestNamespacedReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Namespaced(base, "proj").Put(NSVerdict, "v", []byte{1}); err != nil {
+	if err := Namespaced(base, "proj").Put(NSArtifact, "v", []byte{1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := base.Close(); err != nil {
@@ -98,11 +98,11 @@ func TestNamespacedReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	v, ok, err := Namespaced(re, "proj").Get(NSVerdict, "v")
+	v, ok, err := Namespaced(re, "proj").Get(NSArtifact, "v")
 	if err != nil || !ok || len(v) != 1 || v[0] != 1 {
 		t.Fatalf("namespaced record lost across reopen: %v ok=%v err=%v", v, ok, err)
 	}
-	if _, ok, _ := re.Get(NSVerdict, "v"); ok {
+	if _, ok, _ := re.Get(NSArtifact, "v"); ok {
 		t.Fatal("bare store sees the namespaced record")
 	}
 }

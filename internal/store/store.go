@@ -1,19 +1,19 @@
 // Package store provides the pluggable persistence layer behind the
-// incremental session's per-function artifacts and the SMT verdict cache.
+// incremental session's per-function artifacts.
 //
 // A Store is a flat content-addressed map: namespaced string keys to opaque
 // byte records. Callers derive keys from content fingerprints (AST hashes,
-// dependency fingerprints, canonical formula digests), so records never
-// need in-place updates — a key either names exactly the bytes it was
-// written with, or a newer record for the same key supersedes the old one
-// (last writer wins, reclaimed by Compact).
+// dependency fingerprints), so records never need in-place updates — a key
+// either names exactly the bytes it was written with, or a newer record for
+// the same key supersedes the old one (last writer wins, reclaimed by
+// Compact).
 //
 // Two implementations exist:
 //
 //   - MemStore: a process-local map. Persistent() is false, which tells
-//     clients that records cannot outlive the process; the session and the
-//     verdict cache then skip the encode/decode round-trip entirely and
-//     behave exactly like the historical memory-only code paths.
+//     clients that records cannot outlive the process; the session then
+//     skips the encode/decode round-trip entirely and behaves exactly
+//     like the historical memory-only code path.
 //   - DiskStore: an append-only checksummed log with an in-memory index,
 //     read-on-demand record loading, a size-bounded LRU residency layer,
 //     and atomic (write-temp-then-rename) compaction.
@@ -23,20 +23,12 @@ package store
 
 import "repro/internal/obs"
 
-// Namespaces used by the analysis pipeline. A Store treats namespaces as
-// opaque; they exist so artifacts and verdicts can share one log without
-// key collisions.
-const (
-	// NSArtifact holds encoded per-function build artifacts, keyed by
-	// program-shape fingerprint + AST hash.
-	NSArtifact = "artifact"
-	// NSVerdict holds exact-tier SMT verdicts (result + canonical model),
-	// keyed by the alpha-normalized formula digest.
-	NSVerdict = "verdict"
-	// NSVerdictShape holds shape-tier Unsat markers, keyed by the
-	// commutative-normalized formula digest.
-	NSVerdictShape = "vshape"
-)
+// NSArtifact is the namespace of encoded per-function build artifacts, keyed
+// by program-shape fingerprint + AST hash. A Store treats namespaces as
+// opaque, so a log that also holds records under namespaces nothing reads
+// (older -store-dirs carry SMT verdicts under "verdict" and "vshape") opens
+// and serves its artifacts all the same.
+const NSArtifact = "artifact"
 
 // Stats is a point-in-time snapshot of a store's counters.
 type Stats struct {
@@ -67,8 +59,8 @@ type Stats struct {
 	DiskBytes int64 `json:"diskBytes"`
 }
 
-// Store is the persistence interface the session and the verdict cache
-// speak. Implementations must be safe for concurrent use.
+// Store is the persistence interface the session speaks. Implementations
+// must be safe for concurrent use.
 type Store interface {
 	// Get returns the record stored under (ns, key), or ok=false if the
 	// key is absent or its record failed validation.

@@ -24,7 +24,7 @@ func TestMemStoreRoundTrip(t *testing.T) {
 		t.Fatalf("Get = %q ok=%v err=%v", v, ok, err)
 	}
 	// Namespaces do not collide.
-	if _, ok, _ := s.Get(NSVerdict, "k"); ok {
+	if _, ok, _ := s.Get("other", "k"); ok {
 		t.Fatal("namespace collision")
 	}
 	// Identical re-put dedups; changed content supersedes.
@@ -301,7 +301,7 @@ func TestDiskStoreCompact(t *testing.T) {
 	for round := 0; round < 5; round++ {
 		for i := 0; i < 8; i++ {
 			v := fmt.Sprintf("round-%d-key-%d-%s", round, i, bytes.Repeat([]byte("p"), 50))
-			if err := s.Put(NSVerdict, fmt.Sprintf("k%d", i), []byte(v)); err != nil {
+			if err := s.Put(NSArtifact, fmt.Sprintf("k%d", i), []byte(v)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -320,12 +320,12 @@ func TestDiskStoreCompact(t *testing.T) {
 	// Records survive compaction, appends still work, and a reopen sees
 	// the compacted log.
 	for i := 0; i < 8; i++ {
-		v, ok, err := s.Get(NSVerdict, fmt.Sprintf("k%d", i))
+		v, ok, err := s.Get(NSArtifact, fmt.Sprintf("k%d", i))
 		if err != nil || !ok || !bytes.Contains(v, []byte("round-4")) {
 			t.Fatalf("post-compact Get(k%d) = %q ok=%v err=%v", i, v, ok, err)
 		}
 	}
-	if err := s.Put(NSVerdict, "post", []byte("post-compact append")); err != nil {
+	if err := s.Put(NSArtifact, "post", []byte("post-compact append")); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -339,7 +339,7 @@ func TestDiskStoreCompact(t *testing.T) {
 	if st := s2.Stat(); st.Records != 9 || st.CorruptRecords != 0 {
 		t.Fatalf("reopen-after-compact stats = %+v", st)
 	}
-	if v, ok, _ := s2.Get(NSVerdict, "post"); !ok || string(v) != "post-compact append" {
+	if v, ok, _ := s2.Get(NSArtifact, "post"); !ok || string(v) != "post-compact append" {
 		t.Fatalf("post-compact append lost: %q ok=%v", v, ok)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "store.log.tmp")); !os.IsNotExist(err) {

@@ -76,8 +76,7 @@ type CostDelta struct {
 	DetectNs int64
 	SMTNs    int64
 	// SMTSolved counts queries the solver actually ran; SMTEliminated
-	// counts queries answered without solving (verdict-cache hits plus
-	// prefilter unsat decisions).
+	// counts queries the prefilter refuted without solving.
 	SMTSolved     int64
 	SMTEliminated int64
 }
@@ -131,7 +130,7 @@ type CostSnapshot struct {
 	DetectNs int64 `json:"detectNs"`
 	SMTNs    int64 `json:"smtNs"`
 	// SMTSolved vs SMTEliminated splits query outcomes into paid-for solver
-	// runs and queries the caches/prefilter answered for free.
+	// runs and queries the prefilter refuted for free.
 	SMTSolved     int64 `json:"smtSolved"`
 	SMTEliminated int64 `json:"smtEliminated"`
 	// StoreBytesWritten is cumulative bytes accepted by the store for this

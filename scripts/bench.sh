@@ -1,16 +1,14 @@
 #!/usr/bin/env bash
 # Benchmarks: the detection worker-scaling sweep, the incremental-rebuild
-# (cold vs warm one-function-edit) measurement, the SMT query-elimination
-# (cache + prefilter on vs off) measurement, the persistent-store
+# (cold vs warm one-function-edit) measurement, the persistent-store
 # warm-restart measurement, the service-latency (cold/warm/edit/burst
 # scenarios against an in-process server) measurement, and the cold-build
 # worker-scaling sweep (the parse/lower/SSA/Mod-Ref/transform/PTA+SEG
 # wavefront), on synthetic subjects. Leaves JSON snapshots
-# (BENCH_detect.json, BENCH_incremental.json, BENCH_smt.json,
-# BENCH_store.json, BENCH_serve.json, BENCH_build.json) in the repo root
-# for trend tracking. Extra arguments pass through to benchsnap (e.g.
-# -scale 5 -workers 1,2,4,8 -inc-scale 50 -smt-scale 50 -store-scale 50
-# -serve-scale 50 -build-scale 50).
+# (BENCH_detect.json, BENCH_incremental.json, BENCH_store.json,
+# BENCH_serve.json, BENCH_build.json) in the repo root for trend tracking.
+# Extra arguments pass through to benchsnap (e.g. -scale 5 -workers 1,2,4,8
+# -inc-scale 50 -store-scale 50 -serve-scale 50 -build-scale 50).
 #
 # Snapshots are written to a temp directory and only moved into the repo
 # root once the whole run has succeeded, so a failed run can neither leave
@@ -18,7 +16,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-snapshots="BENCH_detect.json BENCH_incremental.json BENCH_smt.json BENCH_store.json BENCH_serve.json BENCH_build.json"
+snapshots="BENCH_detect.json BENCH_incremental.json BENCH_store.json BENCH_serve.json BENCH_build.json"
 
 tmpdir="$(mktemp -d "${TMPDIR:-/tmp}/pinpoint-bench.XXXXXX")"
 cleanup() {
@@ -31,11 +29,10 @@ cleanup() {
 }
 trap cleanup EXIT
 
-echo "== detection scaling + incremental rebuild + SMT elimination + store warm-restart + service latency + build scaling benchmarks"
+echo "== detection scaling + incremental rebuild + store warm-restart + service latency + build scaling benchmarks"
 go run ./cmd/benchsnap \
   -out "$tmpdir/BENCH_detect.json" \
   -inc-out "$tmpdir/BENCH_incremental.json" \
-  -smt-out "$tmpdir/BENCH_smt.json" \
   -store-out "$tmpdir/BENCH_store.json" \
   -serve-out "$tmpdir/BENCH_serve.json" \
   -build-out "$tmpdir/BENCH_build.json" \
