@@ -240,6 +240,8 @@ type statsDump struct {
 		Workers        int     `json:"workers"`
 		WallNs         int64   `json:"wall_ns"`
 		Reports        int     `json:"reports"`
+		Tasks          int     `json:"tasks"`
+		TasksReplayed  int     `json:"tasks_replayed"`
 		SummaryHits    int     `json:"summary_cache_hits"`
 		SummaryMisses  int     `json:"summary_cache_misses"`
 		SummaryHitRate float64 `json:"summary_cache_hit_rate"`
@@ -295,6 +297,8 @@ func buildStatsDump(a *core.Analysis, res detect.Results, rec *obs.Recorder) *st
 	d.Detect.Workers = res.Workers
 	d.Detect.WallNs = int64(res.Wall)
 	d.Detect.Reports = len(res.Reports)
+	d.Detect.Tasks = res.TasksRun + res.TasksReplayed
+	d.Detect.TasksReplayed = res.TasksReplayed
 	d.Detect.SummaryHits = res.SummaryHits
 	d.Detect.SummaryMisses = res.SummaryMisses
 	if n := res.SummaryHits + res.SummaryMisses; n > 0 {

@@ -13,6 +13,11 @@
 package checkers
 
 import (
+	"fmt"
+	"reflect"
+	"sort"
+	"strings"
+
 	"repro/internal/cond"
 	"repro/internal/ir"
 	"repro/internal/seg"
@@ -95,6 +100,37 @@ func (s *Spec) WithSanitizers(names ...string) *Spec {
 		out.SanitizerCalls[n] = true
 	}
 	return &out
+}
+
+// Identity renders everything that decides what the spec makes the engine
+// do: the declarative fields and the code of the two extraction functions
+// (their captured name tables are the SourceCalls/SinkCalls fields). Specs
+// are built fresh per request, so detection results memoized across requests
+// are keyed by this string rather than by the *Spec.
+func (s *Spec) Identity() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s|%d|%t|%t|%x|%x", s.Name, s.Kind, s.OrderingRequired, s.WidenToRoots,
+		reflect.ValueOf(s.LocalSources).Pointer(), reflect.ValueOf(s.IsSink).Pointer())
+	names := func(tag string, m map[string]bool) {
+		keys := make([]string, 0, len(m))
+		for k, on := range m {
+			if on {
+				keys = append(keys, k)
+			}
+		}
+		sort.Strings(keys)
+		fmt.Fprintf(&b, "|%s=%s", tag, strings.Join(keys, ","))
+	}
+	names("src", s.SourceCalls)
+	sinks := make([]string, 0, len(s.SinkCalls))
+	for k, pos := range s.SinkCalls {
+		sinks = append(sinks, fmt.Sprintf("%s:%d", k, pos))
+	}
+	sort.Strings(sinks)
+	fmt.Fprintf(&b, "|sink=%s", strings.Join(sinks, ","))
+	names("prop", s.PropagateCalls)
+	names("san", s.SanitizerCalls)
+	return b.String()
 }
 
 // freeSources extracts free-instruction sources (shared by UAF and

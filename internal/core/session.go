@@ -32,6 +32,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -103,7 +104,8 @@ type Session struct {
 	// CheckAll behavior that scaling measurements depend on.
 	persistDetect bool
 
-	files     map[string]*minic.File // unit source hash → parsed file
+	files     map[string]*parsedUnit // unit source hash → parsed file
+	unitKeys  []string               // unit source hashes of the committed Update, in order
 	progFP    string                 // globals/structs/unit-shape fingerprint
 	artifacts map[string]*funcArtifact
 	order     []string // committed declaration order of the artifact map
@@ -132,7 +134,7 @@ func NewSession(opts BuildOptions) *Session {
 func newSession(opts BuildOptions) *Session {
 	s := &Session{
 		opts:      opts,
-		files:     make(map[string]*minic.File),
+		files:     make(map[string]*parsedUnit),
 		artifacts: make(map[string]*funcArtifact),
 	}
 	if opts.Store != nil && opts.Store.Persistent() {
@@ -170,6 +172,38 @@ func (s *Session) ArtifactFingerprint() string {
 // (nil before the first).
 func (s *Session) Analysis() *Analysis { return s.analysis }
 
+// parsedUnit is one translation unit's parse, kept with the per-declaration
+// facts every Update needs of it, so that a unit whose source did not change
+// costs a map lookup, not a walk over its AST.
+type parsedUnit struct {
+	file *minic.File
+	// unit is the index the hashes below were computed under (-1 before
+	// the first): a function's AST hash covers its unit index.
+	unit    int
+	astHash []string   // per file.Funcs: AST content hash + unit index
+	callees [][]string // per file.Funcs: sorted names of the functions called
+}
+
+// index brings the per-declaration facts up to date for the unit's position
+// in this Update.
+func (pu *parsedUnit) index(unit int) {
+	if pu.unit == unit {
+		return
+	}
+	pu.unit = unit
+	pu.astHash = make([]string, len(pu.file.Funcs))
+	if pu.callees == nil {
+		pu.callees = make([][]string, len(pu.file.Funcs))
+	}
+	for i, fn := range pu.file.Funcs {
+		fn.Unit = unit
+		pu.astHash[i] = minic.HashFunc(fn) + "#" + strconv.Itoa(unit)
+		if pu.callees[i] == nil {
+			pu.callees[i] = minic.CalleeNames(fn)
+		}
+	}
+}
+
 // fnState is the per-function bookkeeping of one Update in progress.
 // During the build wavefront each field is written only by the node that
 // owns it (the function's L-node, its SCC's S-node, or its F-node) and
@@ -185,6 +219,7 @@ type fnState struct {
 	sumFP      string
 	sumChanged bool
 	sigFP      string
+	sigMoved   bool // no previous artifact, or its sigFP differs
 	depFP      string
 
 	rebuild   bool
@@ -211,42 +246,66 @@ func (s *Session) Update(units []minic.NamedSource) (*Analysis, error) {
 	sp := rec.Phase("parse")
 	t0 := time.Now()
 	hashes := make([]string, len(units))
-	parsed := make([]*minic.File, len(units))
+	parsed := make([]*parsedUnit, len(units))
 	var toParse []int
 	for i, u := range units {
 		h := minic.HashSource(u.Name, u.Src)
 		hashes[i] = h
-		if f, ok := s.files[h]; ok {
-			parsed[i] = f
+		if pu, ok := s.files[h]; ok {
+			parsed[i] = pu
 		} else {
 			toParse = append(toParse, i)
 		}
 	}
+	if s.analysis != nil && slices.Equal(hashes, s.unitKeys) {
+		// Nothing changed since the committed Update: its Analysis stands.
+		// Only what describes this call — timings, artifact outcome — is
+		// fresh; with a store, a segment write that failed at that commit
+		// gets its retry, as on every Update.
+		a := *s.analysis
+		a.Timings = Timings{Parse: time.Since(t0)}
+		a.Artifacts = ArtifactStats{Hits: len(s.order)}
+		sp.End()
+		if s.store != nil {
+			t0 = time.Now()
+			s.ring, _ = persistChanged(s.store, rec, s.order, s.artifacts, s.progFP, s.ring)
+			a.Timings.StoreSave = time.Since(t0)
+		}
+		if rec != nil {
+			rec.Counter("build.artifact.hits").Add(int64(a.Artifacts.Hits))
+		}
+		s.analysis, s.stats = &a, a.Artifacts
+		return &a, nil
+	}
+	// Hashing the declarations walks the unit's AST like parsing does, so
+	// it rides the same fan-out.
 	if err := conc.ForEach(len(toParse), s.opts.Workers, func(w, j int) error {
 		i := toParse[j]
-		defer perFunc(rec, w, "build.parse", units[i].Name)()
+		end := perFunc(rec, w, "build.parse", units[i].Name)
 		f, err := minic.ParseFile(units[i].Name, units[i].Src)
+		end()
 		if err != nil {
 			return fmt.Errorf("parse: parsing %s: %w", units[i].Name, err)
 		}
-		parsed[i] = f
+		parsed[i] = &parsedUnit{file: f, unit: -1}
+		parsed[i].index(i)
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	for i, f := range parsed {
-		for _, fn := range f.Funcs {
-			fn.Unit = i
-		}
+	files := make([]*minic.File, len(units))
+	for i, pu := range parsed {
+		pu.index(i) // a no-op unless a known unit moved
+		files[i] = pu.file
 	}
 	tm.Parse = time.Since(t0)
 	sp.End()
 
-	prog := &minic.Program{Files: parsed}
+	prog := &minic.Program{Files: files}
 	sigs := lower.Sigs(prog)
 	structs := lower.Structs(prog)
 	globalTypes := make(map[string]minic.Type)
-	for _, f := range parsed {
+	for _, f := range files {
 		for _, g := range f.Globals {
 			globalTypes[g.Name] = g.Type
 		}
@@ -255,35 +314,30 @@ func (s *Session) Update(units []minic.NamedSource) (*Analysis, error) {
 	// ---- Program-shape fingerprint: globals, structs, and the unit list
 	// are whole-program inputs to lowering; any change invalidates every
 	// artifact (rare, and cheap to detect).
-	progFP := programShapeFP(parsed)
+	progFP := programShapeFP(files)
 	shapeChanged := progFP != s.progFP
 
-	// ---- Function table, duplicate detection, AST-level dirtiness. Hashing
-	// and callee extraction walk every function's AST, so they fan out over
-	// the workers into index-addressed slices; the table itself (duplicate
-	// detection, order) is then assembled serially in declaration order.
-	var decls []*minic.FuncDecl
-	for _, f := range parsed {
-		decls = append(decls, f.Funcs...)
+	// ---- Function table, duplicate detection, AST-level dirtiness,
+	// assembled serially in declaration order.
+	nDecls := 0
+	for _, f := range files {
+		nDecls += len(f.Funcs)
 	}
-	fnStates := make([]fnState, len(decls))
-	_ = conc.ForEach(len(decls), s.opts.Workers, func(_, i int) error {
-		fn := decls[i]
-		fnStates[i] = fnState{
-			decl:    fn,
-			astHash: minic.HashFunc(fn) + "#" + strconv.Itoa(fn.Unit),
-			callees: minic.CalleeNames(fn),
+	fnStates := make([]fnState, 0, nDecls)
+	for _, pu := range parsed {
+		for i, fn := range pu.file.Funcs {
+			fnStates = append(fnStates, fnState{decl: fn, astHash: pu.astHash[i], callees: pu.callees[i]})
 		}
-		return nil // hashing cannot fail
-	})
-	order := make([]string, 0, len(decls))
-	states := make(map[string]*fnState, len(decls))
+	}
+	order := make([]string, 0, len(fnStates))
+	states := make(map[string]*fnState, len(fnStates))
 	var stats ArtifactStats
-	for i, fn := range decls {
+	for i := range fnStates {
+		st := &fnStates[i]
+		fn := st.decl
 		if prev, ok := states[fn.Name]; ok {
 			return nil, fmt.Errorf("lower: duplicate function %q (at %s and %s)", fn.Name, prev.decl.Pos, fn.Pos)
 		}
-		st := &fnStates[i]
 		if !shapeChanged {
 			st.old = s.artifacts[fn.Name]
 		}
@@ -323,12 +377,16 @@ func (s *Session) Update(units []minic.NamedSource) (*Analysis, error) {
 	dirty := func(st *fnState) bool {
 		return st.old == nil || st.old.astHash != st.astHash
 	}
+	// committed: every st.old is an artifact of this session's previous
+	// Update, not one warm-loaded from the store.
+	committed := s.analysis != nil
 
 	// ---- Module shell: globals must exist before any lowering (lowering
 	// resolves global references through the module).
 	m := ir.NewModule()
-	m.Units = len(parsed)
-	for _, f := range parsed {
+	m.ByName = make(map[string]*ir.Func, len(order))
+	m.Units = len(files)
+	for _, f := range files {
 		for _, g := range f.Globals {
 			m.AddGlobal(&ir.Global{Name: g.Name, Type: g.Type})
 		}
@@ -458,9 +516,34 @@ func (s *Session) Update(units []minic.NamedSource) (*Analysis, error) {
 		// did not leaves its callers' depFPs — and artifacts — untouched.
 		// Callee sigFPs are final (dependency S-nodes completed; same-SCC
 		// members were fingerprinted in the loop above).
+		//
+		// Both are functions of inputs that rarely move: a function whose
+		// declaration and summary are those of its committed artifact has
+		// that artifact's signature, and if no callee's signature moved
+		// either (appeared, disappeared, or changed), its dependency
+		// fingerprint too. Only the session's own committed state is
+		// trusted that far; artifacts warm-loaded from the store are
+		// re-fingerprinted.
 		for _, name := range scc {
 			st := states[name]
-			st.sigFP = s.signatureFP(st, globalTypes)
+			if committed && !dirty(st) && !st.sumChanged {
+				st.sigFP = st.old.sigFP
+			} else {
+				st.sigFP = s.signatureFP(st, globalTypes)
+			}
+			st.sigMoved = st.old == nil || st.old.sigFP != st.sigFP
+		}
+		calleeSigMoved := func(st *fnState) bool {
+			for _, c := range st.callees {
+				if cs, ok := states[c]; ok {
+					if cs.sigMoved {
+						return true
+					}
+				} else if s.artifacts[c] != nil {
+					return true // was defined, now external
+				}
+			}
+			return false
 		}
 		sigOf := func(callee string) string {
 			if st, ok := states[callee]; ok {
@@ -470,12 +553,16 @@ func (s *Session) Update(units []minic.NamedSource) (*Analysis, error) {
 		}
 		for _, name := range scc {
 			st := states[name]
-			h := sha256.New()
-			fmt.Fprintf(h, "self\x00%s\x00", st.sigFP)
-			for _, c := range st.callees {
-				fmt.Fprintf(h, "callee\x00%s\x00%s\x00", c, sigOf(c))
+			if committed && !dirty(st) && !st.sigMoved && !calleeSigMoved(st) {
+				st.depFP = st.old.depFP
+			} else {
+				h := sha256.New()
+				fmt.Fprintf(h, "self\x00%s\x00", st.sigFP)
+				for _, c := range st.callees {
+					fmt.Fprintf(h, "callee\x00%s\x00%s\x00", c, sigOf(c))
+				}
+				st.depFP = hex.EncodeToString(h.Sum(nil))[:24]
 			}
-			st.depFP = hex.EncodeToString(h.Sum(nil))[:24]
 			st.rebuild = dirty(st) || st.old.depFP != st.depFP
 		}
 
@@ -673,7 +760,13 @@ func (s *Session) Update(units []minic.NamedSource) (*Analysis, error) {
 		// Retain the built IR/SEG but refresh the metadata: the firewall
 		// keeps artifacts alive across summary changes whose signature is
 		// stable, so the stored summary must be this update's, not the
-		// one the artifact was originally built under.
+		// one the artifact was originally built under. Most of the time
+		// nothing moved and the committed artifact serves as it is.
+		if old := st.old; old.decl == st.decl && old.sum == st.sum &&
+			old.sumFP == st.sumFP && old.sigFP == st.sigFP && old.depFP == st.depFP {
+			newArts[name] = old
+			continue
+		}
 		art := *st.old
 		art.astHash, art.decl, art.callees = st.astHash, st.decl, st.callees
 		art.sum, art.sumFP, art.sigFP, art.depFP = st.sum, st.sumFP, st.sigFP, st.depFP
@@ -732,11 +825,11 @@ func (s *Session) Update(units []minic.NamedSource) (*Analysis, error) {
 		emitBuildMetrics(rec, a)
 	}
 
-	files := make(map[string]*minic.File, len(parsed))
+	s.files = make(map[string]*parsedUnit, len(parsed))
 	for i, h := range hashes {
-		files[h] = parsed[i]
+		s.files[h] = parsed[i]
 	}
-	s.files = files
+	s.unitKeys = hashes
 	s.progFP = progFP
 	s.artifacts = newArts
 	s.order = order

@@ -3,6 +3,7 @@ package detect
 import (
 	"sync"
 
+	"repro/internal/checkers"
 	"repro/internal/cond"
 	"repro/internal/ir"
 	"repro/internal/seg"
@@ -10,21 +11,56 @@ import (
 )
 
 // caches holds the detection-phase artifacts that are expensive to build
-// and profitable to share across demand sources: memoized local flow
-// summaries, per-function linear solvers, and per-graph reverse adjacency.
+// and profitable to share across demand sources, one fnCache per function.
 //
-// The outer maps are fully populated at construction and never written
-// again, so workers index them without synchronization; mutation happens
-// only inside the per-entry locks (flow tables and linear solvers memoize
-// on demand) or under a sync.Once (reverse indexes are built at most once).
-// Because every memoized result is a pure function of the frozen program,
-// the cache contents — and everything derived from them — are independent
-// of worker interleaving.
+// The fn map is fully populated at construction and never written again, so
+// workers index it without synchronization; mutation happens only inside the
+// per-entry locks (flow tables and linear solvers memoize on demand), under a
+// sync.Once (reverse indexes are built at most once), or from the one
+// goroutine that owns the function (prepare) or the task (its replay entry).
+// Every memoized result is a pure function of the frozen objects it names, so
+// the cache contents — and everything derived from them — are independent of
+// worker interleaving, and an fnCache stays correct for every Program that
+// holds the same function.
 type caches struct {
-	prog  *Program
-	flows map[*seg.Graph]*flowTable
-	lin   map[*ir.Func]*linearCache
-	rev   map[*seg.Graph]*revEntry
+	fn map[*ir.Func]*fnCache
+	// frees[f][i] reports that f (transitively) may free its i-th parameter
+	// (indexed by ParamIdx): the unreleased-resource checkers' whole-program
+	// relation. stale lists the functions without a valid entry — never
+	// computed, or dropped by the carry-over because they reach a rebuilt
+	// function; the next leak checker computes exactly those.
+	frees map[*ir.Func][]bool
+	stale []*ir.Func
+	// names identifies the program's set of defined function names (which
+	// callee names resolve, and which are externals); the carry-over keeps
+	// the token exactly when the set did not change.
+	names *nameSet
+	// plan is the canonical task order prepare last assembled for this
+	// program, and planFor the spec identities it was assembled for.
+	plan    []scheduled
+	planFor []string
+}
+
+type nameSet struct{ _ byte }
+
+// fnCache is everything detection memoizes about one function.
+type fnCache struct {
+	flows flowTable
+	lin   linearCache
+	rev   revEntry
+
+	// The one-time passes prepare has run on the function.
+	frozen, reach, warm bool
+	// specs holds the function's task list — and with it the recorded
+	// outcome of each task — per checker, by spec identity. A handful at
+	// most, so a slice searched linearly.
+	specs []specTasks
+}
+
+// specTasks is one function's tasks for one checker, in extraction order.
+type specTasks struct {
+	id    string // checkers.Spec.Identity
+	tasks []task
 }
 
 type flowTable struct {
@@ -56,37 +92,74 @@ func (re *revEntry) of(n *seg.Node) []*seg.Node {
 	return re.preds[re.start[i]:re.start[i+1]]
 }
 
+func newFnCache() *fnCache {
+	return &fnCache{
+		flows: flowTable{t: summary.NewTable()},
+		lin:   linearCache{ls: cond.NewLinearSolver()},
+	}
+}
+
 func newCaches(prog *Program) *caches {
 	c := &caches{
-		prog:  prog,
-		flows: make(map[*seg.Graph]*flowTable, len(prog.SEGs)),
-		lin:   make(map[*ir.Func]*linearCache, len(prog.SEGs)),
-		rev:   make(map[*seg.Graph]*revEntry, len(prog.SEGs)),
+		fn:    make(map[*ir.Func]*fnCache, len(prog.SEGs)),
+		frees: make(map[*ir.Func][]bool, len(prog.Module.Funcs)),
+		stale: prog.Module.Funcs,
+		names: new(nameSet),
 	}
 	for f, g := range prog.SEGs {
-		if g == nil {
-			continue
+		if g != nil {
+			c.fn[f] = newFnCache()
 		}
-		c.flows[g] = &flowTable{t: summary.NewTable()}
-		c.lin[f] = &linearCache{ls: cond.NewLinearSolver()}
-		c.rev[g] = &revEntry{}
 	}
 	return c
 }
 
-// flowsFrom enumerates (memoized) local flows from a vertex. Local flows
-// never leave their graph, so one lock per graph suffices and independent
-// functions proceed in parallel.
-func (c *caches) flowsFrom(g *seg.Graph, from *seg.Node) []summary.Flow {
-	ft := c.flows[g]
+// tasksFor returns the function's task list for a checker, extracting it on
+// first request. The list is never resized, so pointers into it stay valid.
+func (fc *fnCache) tasksFor(id string, sp *checkers.Spec, f *ir.Func, g *seg.Graph) []task {
+	for _, st := range fc.specs {
+		if st.id == id {
+			return st.tasks
+		}
+	}
+	ts := localTasks(sp, f, g)
+	fc.specs = append(fc.specs, specTasks{id: id, tasks: ts})
+	return ts
+}
+
+// flowCounts tallies one caller's lookups in the shared flow cache. Every
+// vertex is enumerated exactly once (the per-graph lock serializes the memo)
+// and truncation is a property of the vertex, so the sums over all callers
+// of a run are as deterministic as the rest of it, although which caller
+// takes a given miss is not.
+type flowCounts struct {
+	hits, misses, capHits int
+}
+
+func (n *flowCounts) add(m flowCounts) {
+	n.hits += m.hits
+	n.misses += m.misses
+	n.capHits += m.capHits
+}
+
+// flowsFrom enumerates (memoized) local flows from a vertex, counting the
+// lookups it causes into n. Local flows never leave their graph, so one lock
+// per graph suffices and independent functions proceed in parallel.
+func (c *caches) flowsFrom(g *seg.Graph, from *seg.Node, n *flowCounts) []summary.Flow {
+	ft := &c.fn[g.Fn].flows
 	ft.mu.Lock()
 	defer ft.mu.Unlock()
-	return ft.t.FlowsFrom(g, from)
+	hits, misses, capHits := ft.t.Hits, ft.t.Misses, ft.t.CapHits
+	flows := ft.t.FlowsFrom(g, from)
+	n.hits += ft.t.Hits - hits
+	n.misses += ft.t.Misses - misses
+	n.capHits += ft.t.CapHits - capHits
+	return flows
 }
 
 // apparentlyUnsat runs the linear contradiction filter of fn's solver.
 func (c *caches) apparentlyUnsat(fn *ir.Func, co *cond.Cond) bool {
-	lc := c.lin[fn]
+	lc := &c.fn[fn].lin
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
 	return lc.ls.ApparentlyUnsat(co)
@@ -94,7 +167,7 @@ func (c *caches) apparentlyUnsat(fn *ir.Func, co *cond.Cond) bool {
 
 // reverse returns the reverse adjacency of a graph, built on first use.
 func (c *caches) reverse(g *seg.Graph) *revEntry {
-	re := c.rev[g]
+	re := &c.fn[g.Fn].rev
 	re.once.Do(func() {
 		nodes := g.AllNodes()
 		re.start = make([]int32, len(nodes)+1)
@@ -118,31 +191,4 @@ func (c *caches) reverse(g *seg.Graph) *revEntry {
 		}
 	})
 	return re
-}
-
-// capHits sums the summary-table truncation counters across all graphs.
-// Truncation is decided by the (deterministic) enumeration of each vertex,
-// so the total does not depend on scheduling.
-func (c *caches) capHits() int {
-	total := 0
-	for _, ft := range c.flows {
-		ft.mu.Lock()
-		total += ft.t.CapHits
-		ft.mu.Unlock()
-	}
-	return total
-}
-
-// summaryStats sums the flow-cache lookup counters across all graphs.
-// Every vertex is enumerated exactly once (the per-graph lock serializes
-// the memo), so misses equal the number of distinct vertices touched and
-// the totals are as deterministic as the rest of the run.
-func (c *caches) summaryStats() (hits, misses int) {
-	for _, ft := range c.flows {
-		ft.mu.Lock()
-		hits += ft.t.Hits
-		misses += ft.t.Misses
-		ft.mu.Unlock()
-	}
-	return hits, misses
 }

@@ -99,10 +99,11 @@ func (s LeakStats) String() string {
 // FindLeaks scans every allocation site of the program.
 func FindLeaks(prog *Program, opts Options) ([]LeakReport, LeakStats) {
 	opts = opts.withDefaults()
-	lc := newLeakChecker(prog, opts, newCaches(prog))
+	var stats Stats
+	var n flowCounts
+	lc := newLeakChecker(prog, opts, newCaches(prog), &n)
 
 	var reports []LeakReport
-	var stats Stats
 	for _, f := range prog.Module.Funcs {
 		g := prog.SEGs[f]
 		if g == nil {
@@ -113,7 +114,7 @@ func FindLeaks(prog *Program, opts Options) ([]LeakReport, LeakStats) {
 				if in.Op != ir.OpMalloc {
 					continue
 				}
-				if rep := lc.checkAlloc(f, g, in, &stats, 1); rep != nil {
+				if rep := lc.checkAlloc(f, g, in, &stats, &n, nil, 1); rep != nil {
 					reports = append(reports, *rep)
 				}
 			}
@@ -126,61 +127,72 @@ type leakChecker struct {
 	prog   *Program
 	opts   Options
 	caches *caches
-	// frees[f][i] reports that f (transitively) may free its i-th
-	// parameter (indexed by ParamIdx).
-	frees map[*ir.Func][]bool
 }
 
-// newLeakChecker builds the checker and runs its whole-program fixpoint.
-// The frees relation is read-only afterwards, so the checker can serve
+// newLeakChecker builds the checker and brings the may-free-parameter
+// relation (caches.frees) up to date, counting the flow lookups that takes
+// into n. The relation is read-only afterwards, so the checker can serve
 // concurrent per-allocation queries (checkAlloc) against shared caches.
-func newLeakChecker(prog *Program, opts Options, c *caches) *leakChecker {
-	lc := &leakChecker{
-		prog:   prog,
-		opts:   opts,
-		caches: c,
-		frees:  make(map[*ir.Func][]bool, len(prog.Module.Funcs)),
-	}
-	lc.computeFreesParam()
+func newLeakChecker(prog *Program, opts Options, c *caches, n *flowCounts) *leakChecker {
+	lc := &leakChecker{prog: prog, opts: opts, caches: c}
+	lc.computeFreesParam(n)
 	return lc
 }
 
-// computeFreesParam builds the transitive may-free-parameter relation by
-// iterating over the whole program to a fixpoint (the call graph is small
-// relative to the SEGs; a global loop converges in few rounds).
-func (lc *leakChecker) computeFreesParam() {
-	for _, f := range lc.prog.Module.Funcs {
-		lc.frees[f] = make([]bool, len(f.Params))
+// computeFreesParam builds the transitive may-free-parameter relation of
+// the stale functions by iterating over them to a fixpoint (the call graph
+// is small relative to the SEGs; a global loop converges in few rounds). On
+// fresh caches every function is stale and this is the whole-program least
+// fixpoint. After a carry-over the stale set is closed under callers, so
+// every other function reaches only functions whose entries were carried
+// with it: its value is final, and the least fixpoint over the stale set
+// against those constants is the whole program's.
+//
+// The relation is only ever read for the callee of a call site, so a
+// function nobody calls is left out — and stays stale, to be picked up if an
+// edit gives it a caller. Entry points tend to be the largest fan-outs of a
+// program; enumerating their parameters' flows for an answer no one can ask
+// for is the bulk of what this pass used to allocate on them.
+func (lc *leakChecker) computeFreesParam(n *flowCounts) {
+	c := lc.caches
+	var work, uncalled []*ir.Func
+	for _, f := range c.stale {
+		if len(lc.prog.Callers[f]) == 0 {
+			uncalled = append(uncalled, f)
+			continue
+		}
+		c.frees[f] = make([]bool, len(f.Params))
+		if lc.prog.SEGs[f] != nil {
+			work = append(work, f)
+		}
 	}
-	for changed := true; changed; {
+	for changed := len(work) > 0; changed; {
 		changed = false
-		for _, f := range lc.prog.Module.Funcs {
+		for _, f := range work {
 			g := lc.prog.SEGs[f]
-			if g == nil {
-				continue
-			}
 			for _, p := range f.Params {
-				if lc.frees[f][p.ParamIdx] {
+				if c.frees[f][p.ParamIdx] {
 					continue
 				}
-				if lc.paramMayFree(g, p) {
-					lc.frees[f][p.ParamIdx] = true
+				if lc.paramMayFree(g, p, n) {
+					c.frees[f][p.ParamIdx] = true
 					changed = true
 				}
 			}
 		}
 	}
+	c.stale = uncalled
 }
 
 // mayFree reads the relation; an argument beyond the callee's parameter
 // list (a call with too many arguments) is freed by no one.
 func (lc *leakChecker) mayFree(callee *ir.Func, argIdx int) bool {
-	fr := lc.frees[callee]
+	fr := lc.caches.frees[callee]
 	return argIdx < len(fr) && fr[argIdx]
 }
 
-func (lc *leakChecker) paramMayFree(g *seg.Graph, p *ir.Value) bool {
-	for _, fl := range lc.caches.flowsFrom(g, g.ValueNode(p)) {
+func (lc *leakChecker) paramMayFree(g *seg.Graph, p *ir.Value, n *flowCounts) bool {
+	for _, fl := range lc.caches.flowsFrom(g, g.ValueNode(p), n) {
 		term := fl.Terminal()
 		switch term.Role {
 		case seg.RoleFreeArg:
@@ -197,10 +209,11 @@ func (lc *leakChecker) paramMayFree(g *seg.Graph, p *ir.Value) bool {
 }
 
 // checkAlloc analyzes one allocation, counting it (and whether it escapes,
-// and any SMT query it needs) into stats; it returns a report or nil. tid
-// is the trace track of the calling worker (its SMT query span lands there
-// when the run is being traced).
-func (lc *leakChecker) checkAlloc(f *ir.Func, g *seg.Graph, alloc *ir.Instr, stats *Stats, tid int) *LeakReport {
+// and any SMT query it needs) into stats, its flow lookups into n, and the
+// may-free vectors it consults into fp (nil = not recording); it returns a
+// report or nil. tid is the trace track of the calling worker (its SMT query
+// span lands there when the run is being traced).
+func (lc *leakChecker) checkAlloc(f *ir.Func, g *seg.Graph, alloc *ir.Instr, stats *Stats, n *flowCounts, fp *footprint, tid int) *LeakReport {
 	stats.Sources++
 	type reachedFree struct {
 		flow summary.Flow
@@ -208,7 +221,7 @@ func (lc *leakChecker) checkAlloc(f *ir.Func, g *seg.Graph, alloc *ir.Instr, sta
 	var frees []reachedFree
 	escaped := false
 
-	for _, fl := range lc.caches.flowsFrom(g, g.ValueNode(alloc.Dst)) {
+	for _, fl := range lc.caches.flowsFrom(g, g.ValueNode(alloc.Dst), n) {
 		term := fl.Terminal()
 		switch term.Role {
 		case seg.RoleFreeArg:
@@ -220,6 +233,7 @@ func (lc *leakChecker) checkAlloc(f *ir.Func, g *seg.Graph, alloc *ir.Instr, sta
 				escaped = true
 				continue
 			}
+			fp.readMayFree(callee.Name, lc.caches.frees[callee])
 			if lc.mayFree(callee, term.ArgIdx) {
 				// A callee may free it; treat like a reached free with
 				// the call's conditions.

@@ -155,6 +155,48 @@ func TestCheckAllObsCounters(t *testing.T) {
 	}
 }
 
+// TestSummaryCountersArePerCall pins the flow-cache counters on a Program
+// with persistent caches: each CheckAll reports — and adds to the registry —
+// the lookups it made itself, not the tables' lifetime totals. A second call
+// that has to search again (Witness moved, so nothing replays) hits on every
+// vertex the first one enumerated and misses nowhere; a third, identical to
+// the second, replays every task and looks nothing up.
+func TestSummaryCountersArePerCall(t *testing.T) {
+	a := buildWorkloadSubject(t)
+	a.Prog.EnableCachePersistence()
+	rec := obs.New()
+	specs := checkers.All()
+
+	first := a.CheckAll(specs, detect.Options{Workers: 2, Obs: rec})
+	second := a.CheckAll(specs, detect.Options{Workers: 2, Obs: rec, Witness: true})
+	third := a.CheckAll(specs, detect.Options{Workers: 2, Obs: rec, Witness: true})
+
+	if first.SummaryMisses == 0 || first.TasksRun == 0 || first.TasksReplayed != 0 {
+		t.Fatalf("first call: %+v", first)
+	}
+	if second.TasksReplayed != 0 || second.SummaryMisses != 0 || second.SummaryHits == 0 {
+		t.Errorf("second call re-ran on warm tables: %d replayed, %d hits, %d misses; want 0, >0, 0",
+			second.TasksReplayed, second.SummaryHits, second.SummaryMisses)
+	}
+	if third.TasksRun != 0 || third.SummaryHits != 0 || third.SummaryMisses != 0 || third.SummaryCapHits != 0 {
+		t.Errorf("third call replayed everything: %d ran, %d hits, %d misses, %d cap hits; want all 0",
+			third.TasksRun, third.SummaryHits, third.SummaryMisses, third.SummaryCapHits)
+	}
+	snap := rec.Snapshot()
+	if got, want := snap.Counters["summary.cache_hits"], int64(first.SummaryHits+second.SummaryHits); got != want {
+		t.Errorf("summary.cache_hits = %d, want the calls' sum %d", got, want)
+	}
+	if got, want := snap.Counters["summary.cache_misses"], int64(first.SummaryMisses); got != want {
+		t.Errorf("summary.cache_misses = %d, want %d", got, want)
+	}
+	if got, want := snap.Counters["detect.tasks"], int64(3*first.TasksRun); got != want {
+		t.Errorf("detect.tasks = %d, want %d", got, want)
+	}
+	if got, want := snap.Counters["detect.tasks_replayed"], int64(third.TasksReplayed); got != want {
+		t.Errorf("detect.tasks_replayed = %d, want %d", got, want)
+	}
+}
+
 // TestCheckAllWorkerStats checks the per-worker utilization breakdown:
 // populated only when a recorder is attached, with every task attributed
 // to exactly one worker.

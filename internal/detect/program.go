@@ -24,6 +24,9 @@ package detect
 
 import (
 	"fmt"
+	"maps"
+	"slices"
+	"sort"
 	"time"
 
 	"repro/internal/cond"
@@ -58,20 +61,117 @@ type Program struct {
 
 // NewProgram indexes the call sites of a fully analyzed module.
 func NewProgram(m *ir.Module, infos map[*ir.Func]*ssa.Info, segs map[*ir.Func]*seg.Graph) *Program {
-	p := &Program{
-		Module:  m,
-		Infos:   infos,
-		SEGs:    segs,
-		Callers: make(map[*ir.Func][]CallSite),
+	return &Program{Module: m, Infos: infos, SEGs: segs, Callers: indexCallers(m)}
+}
+
+// EnableCachePersistence makes detection caches survive across CheckAll
+// calls on this Program. Cache contents are memoized pure functions of the
+// frozen per-function SEGs, so persistence changes wall-clock and the
+// hit/miss and run/replay counters but never the reports.
+func (p *Program) EnableCachePersistence() {
+	if p.sticky == nil {
+		p.sticky = newCaches(p)
 	}
-	for _, f := range m.Funcs {
-		for _, b := range f.Blocks {
-			for _, in := range b.Instrs {
-				if in.Op != ir.OpCall {
-					continue
+}
+
+// ReplayTableSize reports how many task results the Program's persistent
+// caches currently hold for replay (0 without persistence).
+func (p *Program) ReplayTableSize() int {
+	if p.sticky == nil {
+		return 0
+	}
+	n := 0
+	for _, fc := range p.sticky.fn {
+		for _, st := range fc.specs {
+			for i := range st.tasks {
+				if st.tasks[i].memo != nil {
+					n++
 				}
-				if callee, ok := m.ByName[in.Callee]; ok {
-					p.Callers[callee] = append(p.Callers[callee], CallSite{Fn: f, Instr: in})
+			}
+		}
+	}
+	return n
+}
+
+// NewProgramFrom indexes a rebuilt module and carries over prev's persistent
+// detection caches for every function whose SEG pointer survived the rebuild
+// — exactly the functions the incremental session retained: their flow
+// summaries, linear solvers, reverse indexes, frozen preparation state, task
+// lists and recorded task results (each of which replays only while its
+// footprint holds in the new Program; see replay.go). Rebuilt functions get
+// fresh (empty) cache entries, and only they are walked to bring the
+// call-site index up to date. The may-free-parameter relation is carried for
+// every function that cannot reach a rebuilt one. The returned Program has
+// cache persistence enabled.
+func NewProgramFrom(prev *Program, m *ir.Module, infos map[*ir.Func]*ssa.Info, segs map[*ir.Func]*seg.Graph) *Program {
+	if prev == nil || prev.sticky == nil {
+		p := NewProgram(m, infos, segs)
+		p.sticky = newCaches(p)
+		return p
+	}
+	p := &Program{Module: m, Infos: infos, SEGs: segs}
+	old := prev.sticky
+	c := &caches{fn: make(map[*ir.Func]*fnCache, len(m.Funcs)), names: old.names}
+	p.sticky = c
+	retained := func(f *ir.Func) bool {
+		g := segs[f]
+		return g != nil && prev.SEGs[f] == g
+	}
+	// fresh lists the functions without a predecessor object (rebuilt or
+	// new). sameNames: the two modules define the same names, so every
+	// fresh function replaces the previous holder of its name and every
+	// callee name resolves as it did.
+	var fresh []*ir.Func
+	sameNames := len(m.Funcs) == len(prev.Module.Funcs)
+	for _, f := range m.Funcs {
+		if retained(f) {
+			c.fn[f] = old.fn[f]
+			continue
+		}
+		fresh = append(fresh, f)
+		if segs[f] != nil {
+			c.fn[f] = newFnCache()
+		}
+		if _, had := prev.Module.ByName[f.Name]; !had {
+			sameNames = false
+		}
+	}
+	switch {
+	case !sameNames:
+		// Name resolution moved under retained callers too: re-index, and
+		// let neither the relation nor any recorded task result survive.
+		p.Callers = indexCallers(m)
+		c.names = new(nameSet)
+		c.frees = make(map[*ir.Func][]bool, len(m.Funcs))
+		c.stale = m.Funcs
+	case len(fresh) == 0:
+		p.Callers, c.frees, c.stale = prev.Callers, old.frees, old.stale
+	default:
+		p.Callers = patchCallers(prev, m, fresh, retained)
+		// May-free relation: a function's vector depends on its own flows
+		// and on the vectors of what it calls, so exactly the functions
+		// that reach a fresh one (or one that was stale already) need
+		// recomputing: seed with those and close under callers.
+		c.frees = maps.Clone(old.frees)
+		c.stale = slices.Clone(fresh)
+		for _, f := range fresh {
+			delete(c.frees, prev.Module.ByName[f.Name])
+		}
+		for _, f := range old.stale {
+			if retained(f) {
+				c.stale = append(c.stale, f)
+			}
+		}
+		queued := make(map[*ir.Func]bool, len(c.stale))
+		for _, f := range c.stale {
+			queued[f] = true
+		}
+		for i := 0; i < len(c.stale); i++ {
+			for _, cs := range p.Callers[c.stale[i]] {
+				if !queued[cs.Fn] {
+					queued[cs.Fn] = true
+					delete(c.frees, cs.Fn)
+					c.stale = append(c.stale, cs.Fn)
 				}
 			}
 		}
@@ -79,43 +179,78 @@ func NewProgram(m *ir.Module, infos map[*ir.Func]*ssa.Info, segs map[*ir.Func]*s
 	return p
 }
 
-// EnableCachePersistence makes detection caches survive across CheckAll
-// calls on this Program. Cache contents are memoized pure functions of the
-// frozen per-function SEGs, so persistence changes wall-clock and the
-// hit/miss counters but never the reports.
-func (p *Program) EnableCachePersistence() {
-	if p.sticky == nil {
-		p.sticky = newCaches(p)
+// patchCallers derives m's call-site index from prev's when the two modules
+// define the same names and differ in the fresh functions, each of which
+// replaces the previous holder of its name: the sites inside replaced
+// functions go, the sites inside their replacements come. Only the lists of
+// callees named on either side (and the replaced functions' own lists, which
+// change key) are rebuilt; every other list is shared with prev, slice and
+// all — which is what lets a recorded ascent compare equal afterwards.
+func patchCallers(prev *Program, m *ir.Module, fresh []*ir.Func, retained func(*ir.Func) bool) map[*ir.Func][]CallSite {
+	callers := maps.Clone(prev.Callers)
+	affected := make(map[string]bool)
+	added := make(map[string][]CallSite) // by callee name
+	for _, f := range fresh {
+		was := prev.Module.ByName[f.Name]
+		delete(callers, was)
+		affected[f.Name] = true
+		forEachCall(was, func(in *ir.Instr) { affected[in.Callee] = true })
+		forEachCall(f, func(in *ir.Instr) {
+			affected[in.Callee] = true
+			added[in.Callee] = append(added[in.Callee], CallSite{Fn: f, Instr: in})
+		})
+	}
+	rank := make(map[*ir.Func]int, len(m.Funcs))
+	for i, f := range m.Funcs {
+		rank[f] = i
+	}
+	for name := range affected {
+		callee, defined := m.ByName[name]
+		if !defined {
+			continue
+		}
+		var sites []CallSite
+		for _, cs := range prev.Callers[prev.Module.ByName[name]] {
+			if retained(cs.Fn) {
+				sites = append(sites, cs)
+			}
+		}
+		sites = append(sites, added[name]...)
+		// Callers in module order; stable, so that each caller's sites
+		// stay in instruction order.
+		sort.SliceStable(sites, func(i, j int) bool { return rank[sites[i].Fn] < rank[sites[j].Fn] })
+		if len(sites) > 0 {
+			callers[callee] = sites
+		} else {
+			delete(callers, callee)
+		}
+	}
+	return callers
+}
+
+// forEachCall visits f's call instructions in block and instruction order.
+func forEachCall(f *ir.Func, visit func(*ir.Instr)) {
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			if in.Op == ir.OpCall {
+				visit(in)
+			}
+		}
 	}
 }
 
-// NewProgramFrom indexes a rebuilt module and carries over prev's persistent
-// detection caches for every function whose SEG pointer survived the rebuild
-// — exactly the functions the incremental session retained. Rebuilt
-// functions get fresh (empty) cache entries. The returned Program has cache
-// persistence enabled.
-func NewProgramFrom(prev *Program, m *ir.Module, infos map[*ir.Func]*ssa.Info, segs map[*ir.Func]*seg.Graph) *Program {
-	p := NewProgram(m, infos, segs)
-	p.sticky = newCaches(p)
-	if prev == nil || prev.sticky == nil {
-		return p
+// indexCallers lists every defined function's call sites, callers in module
+// order and each caller's sites in instruction order.
+func indexCallers(m *ir.Module) map[*ir.Func][]CallSite {
+	callers := make(map[*ir.Func][]CallSite)
+	for _, f := range m.Funcs {
+		forEachCall(f, func(in *ir.Instr) {
+			if callee, ok := m.ByName[in.Callee]; ok {
+				callers[callee] = append(callers[callee], CallSite{Fn: f, Instr: in})
+			}
+		})
 	}
-	old := prev.sticky
-	for f, g := range segs {
-		if g == nil {
-			continue
-		}
-		if ft, ok := old.flows[g]; ok {
-			p.sticky.flows[g] = ft
-		}
-		if re, ok := old.rev[g]; ok {
-			p.sticky.rev[g] = re
-		}
-		if lc, ok := old.lin[f]; ok {
-			p.sticky.lin[f] = lc
-		}
-	}
-	return p
+	return callers
 }
 
 // Options tunes the engine. The zero value selects paper-like defaults.
@@ -171,6 +306,14 @@ type Options struct {
 	// per-SMT-query spans. Recording never changes the reported results;
 	// nil disables all of it.
 	Obs *obs.Recorder
+}
+
+// resultKey strips the options that cannot change a task's outcome — how
+// the work is scheduled, observed, and capped at merge time — leaving the
+// key a recorded task result is valid under.
+func (o Options) resultKey() Options {
+	o.Workers, o.MaxReportsPerChecker, o.TraceID, o.Obs = 0, 0, "", nil
+	return o
 }
 
 func (o Options) withDefaults() Options {

@@ -2,6 +2,8 @@ package detect
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 	"time"
 
 	"repro/internal/checkers"
@@ -69,43 +71,59 @@ type Results struct {
 	Reports []Report
 	// Checkers aggregates per-checker stats, parallel to the specs given
 	// to CheckAll. SummaryCapHits is zero here — the summary cache is
-	// shared across checkers; see SummaryCapHits below.
+	// shared across checkers; see SummaryCapHits below. A replayed task
+	// contributes the effort counters of the run that recorded it but no
+	// SMTTime, which therefore measures solving done by this call.
 	Checkers []CheckerStats
-	// SummaryCapHits counts truncated summary enumerations across the
-	// shared flow cache (deterministic: truncation is a property of each
-	// vertex, not of scheduling).
+	// SummaryCapHits counts the summary enumerations this call truncated
+	// (deterministic: truncation is a property of each vertex, not of
+	// scheduling).
 	SummaryCapHits int
 	// Workers is the resolved worker-pool size.
 	Workers int
 	// Wall is the detection wall-clock time, including preparation,
 	// search, SMT solving, and merging.
 	Wall time.Duration
-	// SummaryHits/SummaryMisses are the shared flow-cache lookup counters
-	// (hit rate = Hits / (Hits + Misses)).
+	// SummaryHits/SummaryMisses are this call's lookups in the shared flow
+	// cache (hit rate = Hits / (Hits + Misses)).
 	SummaryHits   int
 	SummaryMisses int
+	// TasksRun and TasksReplayed partition the call's (checker, source)
+	// tasks into those executed and those whose recorded result was
+	// reused (always zero on a Program without persistent caches).
+	TasksRun      int
+	TasksReplayed int
 	// WorkerStats is the per-worker task/busy-time breakdown, populated
-	// only when Options.Obs is set.
+	// only when Options.Obs is set. Replayed tasks are not counted.
 	WorkerStats []WorkerStat
 }
 
 // task is one unit of detection work: a (checker, source) pair for
 // source–sink checkers, or a (checker, allocation) pair for
-// unreleased-resource checkers.
+// unreleased-resource checkers. Tasks live in their function's fnCache.
 type task struct {
-	specIdx int
-	fn      *ir.Func
-	g       *seg.Graph
-	src     checkers.Source // KindSourceSink
-	alloc   *ir.Instr       // KindUnreleased
+	fn    *ir.Func
+	g     *seg.Graph
+	src   checkers.Source // KindSourceSink
+	alloc *ir.Instr       // KindUnreleased
+	// memo is the outcome recorded by the task's last execution on a
+	// Program with persistent caches (see replay.go); nil otherwise.
+	memo *replayEntry
 }
 
 // pos locates the task's demand source for trace annotations.
-func (t task) pos() minic.Pos {
+func (t *task) pos() minic.Pos {
 	if t.alloc != nil {
 		return t.alloc.Pos
 	}
 	return t.src.At.Pos
+}
+
+// scheduled is a task in one CheckAll's canonical order, tagged with the
+// position of its checker among that call's specs.
+type scheduled struct {
+	specIdx int
+	*task
 }
 
 type taskResult struct {
@@ -115,30 +133,41 @@ type taskResult struct {
 
 // CheckAll runs every given checker over the program on a bounded worker
 // pool (opts.Workers; 0/1 = sequential, negative = GOMAXPROCS). Reports and
-// stats are identical at every worker count.
+// stats are identical at every worker count, and — on a Program with
+// persistent caches — whether a task ran or was replayed.
 func CheckAll(prog *Program, specs []*checkers.Spec, opts Options) Results {
 	start := time.Now()
 	opts = opts.withDefaults()
 	rec := opts.Obs
 	workers := conc.Workers(opts.Workers)
 
+	// key, when non-nil, makes executed tasks record their outcome under it.
+	var key *Options
 	c := prog.sticky
 	if c == nil {
 		c = newCaches(prog)
+	} else {
+		k := opts.resultKey()
+		key = &k
 	}
+	var flows flowCounts // lookups outside tasks: prepare and the leak fixpoint
 	prepSp := rec.Phase("detect/prepare")
-	tasks := prepare(prog, specs, c, workers)
+	tasks := prepare(prog, specs, c, workers, &flows)
 	prepSp.End()
 
 	var lc *leakChecker
 	for _, sp := range specs {
 		if sp.Kind == checkers.KindUnreleased {
-			lc = newLeakChecker(prog, opts, c)
+			lc = newLeakChecker(prog, opts, c, &flows)
 			break
 		}
 	}
 
-	results := make([]taskResult, len(tasks))
+	results := make([]*taskResult, len(tasks))
+	// Per worker, like wstats: the tasks it replayed and the flow lookups
+	// of those it ran.
+	replayed := make([]int, workers)
+	looked := make([]flowCounts, workers)
 	var wstats []WorkerStat
 	if rec != nil {
 		wstats = make([]WorkerStat, workers)
@@ -149,12 +178,18 @@ func CheckAll(prog *Program, specs []*checkers.Spec, opts Options) Results {
 	searchSp := rec.Phase("detect/search")
 	_ = conc.ForEach(len(tasks), workers, func(w, i int) error { // tasks cannot fail
 		t := tasks[i]
+		if m := t.memo; m != nil && m.holds(prog, c, key) {
+			results[i] = &m.result
+			replayed[w]++
+			return nil
+		}
+		sp := specs[t.specIdx]
 		if rec == nil {
-			results[i] = runTask(prog, specs, opts, c, lc, t, w+1)
+			results[i] = runTask(prog, sp, opts, key, c, lc, t.task, w, &looked[w])
 			return nil
 		}
 		t0 := time.Now()
-		results[i] = runTask(prog, specs, opts, c, lc, t, w+1)
+		results[i] = runTask(prog, sp, opts, key, c, lc, t.task, w, &looked[w])
 		d := time.Since(t0)
 		// wstats[w] is only ever touched by worker w: no lock needed.
 		wstats[w].Tasks++
@@ -169,7 +204,7 @@ func CheckAll(prog *Program, specs []*checkers.Spec, opts Options) Results {
 				// and the report envelope of the analysis service.
 				args = append(args, obs.Arg{Key: "trace_id", Val: opts.TraceID})
 			}
-			rec.Event(w+1, "task:"+specs[t.specIdx].Name, t0, d, args...)
+			rec.Event(w+1, "task:"+sp.Name, t0, d, args...)
 		}
 		return nil
 	})
@@ -177,6 +212,11 @@ func CheckAll(prog *Program, specs []*checkers.Spec, opts Options) Results {
 
 	mergeSp := rec.Phase("detect/merge")
 	res := Results{Workers: workers, WorkerStats: wstats}
+	for w := range replayed {
+		res.TasksReplayed += replayed[w]
+		flows.add(looked[w])
+	}
+	res.TasksRun = len(tasks) - res.TasksReplayed
 	for si, sp := range specs {
 		merged := Stats{}
 		var reports []Report
@@ -202,14 +242,15 @@ func CheckAll(prog *Program, specs []*checkers.Spec, opts Options) Results {
 		res.Checkers = append(res.Checkers, CheckerStats{Checker: sp.Name, Stats: merged})
 		res.Reports = append(res.Reports, reports...)
 	}
-	res.SummaryCapHits = c.capHits()
-	res.SummaryHits, res.SummaryMisses = c.summaryStats()
+	res.SummaryCapHits = flows.capHits
+	res.SummaryHits, res.SummaryMisses = flows.hits, flows.misses
 	SortReports(res.Reports)
 	mergeSp.End()
 	res.Wall = time.Since(start)
 
 	if rec != nil {
 		rec.Counter("detect.tasks").Add(int64(len(tasks)))
+		rec.Counter("detect.tasks_replayed").Add(int64(res.TasksReplayed))
 		rec.Counter("detect.reports").Add(int64(len(res.Reports)))
 		rec.Counter("summary.cache_hits").Add(int64(res.SummaryHits))
 		rec.Counter("summary.cache_misses").Add(int64(res.SummaryMisses))
@@ -228,10 +269,13 @@ func CheckAll(prog *Program, specs []*checkers.Spec, opts Options) Results {
 // the search can name is pre-created, block reachability is pre-filled (when
 // some checker needs ordering), the local flows of every parameter are
 // enumerated into the shared cache (when an unreleased-resource checker will
-// run its may-free-parameter fixpoint over them), and every checker's
-// sources are extracted. Each function is touched by exactly one goroutine,
-// so the per-function work — including condition-node interning — happens in
-// a deterministic order.
+// run its may-free-parameter fixpoint over them — which it does for
+// functions that have callers), and every checker's sources are extracted. Each of these happens once per function object —
+// its fnCache remembers which passes ran and keeps the task lists — so on a
+// Program carried over from a previous one only the rebuilt functions cost
+// anything. Each function is touched by exactly one goroutine, so the
+// per-function work — including condition-node interning — happens in a
+// deterministic order.
 //
 // The tasks come back in the canonical order — specs in argument order,
 // functions in module order, sources in extraction order — which the merge
@@ -242,96 +286,151 @@ func CheckAll(prog *Program, specs []*checkers.Spec, opts Options) Results {
 // leak checker's fixpoint, whose lookups then all hit: Results.SummaryHits
 // rises by one per parameter while SummaryMisses — the number of distinct
 // vertices enumerated — and everything derived from the flows stay the same.
-func prepare(prog *Program, specs []*checkers.Spec, c *caches, workers int) []task {
+func prepare(prog *Program, specs []*checkers.Spec, c *caches, workers int, n *flowCounts) []scheduled {
+	// Task lists are kept per checker. Caches that outlive the call key them
+	// by what the spec does (specs are built fresh per request); throwaway
+	// caches need no more than the spec's position, and the one-shot paths —
+	// a thousand tiny programs in the Juliet suite — skip rendering it.
+	ids := make([]string, len(specs))
+	for si, sp := range specs {
+		if prog.sticky != nil {
+			ids[si] = sp.Identity()
+		} else {
+			ids[si] = strconv.Itoa(si)
+		}
+	}
+	if c.plan != nil && slices.Equal(ids, c.planFor) {
+		return c.plan // same program, same checkers: nothing left to do
+	}
 	needReach, warmParams := false, false
-	for _, sp := range specs {
+	// dup marks a spec given twice: its tasks are private copies, so that
+	// no two scheduled tasks share a memo slot.
+	dup := make([]bool, len(specs))
+	for si, sp := range specs {
 		if sp.OrderingRequired {
 			needReach = true
 		}
 		if sp.Kind == checkers.KindUnreleased {
 			warmParams = true
 		}
+		dup[si] = slices.Contains(ids[:si], ids[si])
 	}
 	funcs := prog.Module.Funcs
 	// perFn[i*len(specs)+si] holds function i's tasks for spec si.
 	perFn := make([][]task, len(funcs)*len(specs))
-	_ = conc.ForEach(len(funcs), workers, func(_, i int) error { // nothing here can fail
+	warmed := make([]flowCounts, workers)
+	_ = conc.ForEach(len(funcs), workers, func(w, i int) error { // nothing here can fail
 		f := funcs[i]
 		g := prog.SEGs[f]
 		if g == nil {
 			return nil
 		}
-		prog.Infos[f].PrepareCDConds()
-		g.EnsureValueNodes()
-		if needReach {
-			g.PrecomputeReach()
+		fc := c.fn[f]
+		if !fc.frozen {
+			prog.Infos[f].PrepareCDConds()
+			g.EnsureValueNodes()
+			fc.frozen = true
 		}
-		if warmParams {
+		if needReach && !fc.reach {
+			g.PrecomputeReach()
+			fc.reach = true
+		}
+		if warmParams && !fc.warm && len(prog.Callers[f]) > 0 {
 			for _, p := range f.Params {
-				c.flowsFrom(g, g.ValueNode(p))
+				c.flowsFrom(g, g.ValueNode(p), &warmed[w])
 			}
+			fc.warm = true
+		}
+		if fc.specs == nil {
+			fc.specs = make([]specTasks, 0, len(specs))
 		}
 		for si, sp := range specs {
-			perFn[i*len(specs)+si] = localTasks(si, sp, f, g)
+			ts := fc.tasksFor(ids[si], sp, f, g)
+			if dup[si] {
+				ts = slices.Clone(ts)
+			}
+			perFn[i*len(specs)+si] = ts
 		}
 		return nil
 	})
-	n := 0
-	for _, ts := range perFn {
-		n += len(ts)
+	for _, w := range warmed {
+		n.add(w)
 	}
-	tasks := make([]task, 0, n)
+	total := 0
+	for _, ts := range perFn {
+		total += len(ts)
+	}
+	tasks := make([]scheduled, 0, total)
 	for si := range specs {
 		for i := range funcs {
-			tasks = append(tasks, perFn[i*len(specs)+si]...)
+			ts := perFn[i*len(specs)+si]
+			for k := range ts {
+				tasks = append(tasks, scheduled{si, &ts[k]})
+			}
 		}
 	}
+	c.planFor, c.plan = ids, tasks
 	return tasks
 }
 
 // localTasks lists one function's (checker, source) pairs for one spec, in
 // extraction order.
-func localTasks(si int, sp *checkers.Spec, f *ir.Func, g *seg.Graph) []task {
+func localTasks(sp *checkers.Spec, f *ir.Func, g *seg.Graph) []task {
 	var tasks []task
 	if sp.Kind == checkers.KindUnreleased {
 		for _, b := range f.Blocks {
 			for _, in := range b.Instrs {
 				if in.Op == ir.OpMalloc {
-					tasks = append(tasks, task{specIdx: si, fn: f, g: g, alloc: in})
+					tasks = append(tasks, task{fn: f, g: g, alloc: in})
 				}
 			}
 		}
 		return tasks
 	}
 	for _, src := range sp.LocalSources(g) {
-		tasks = append(tasks, task{specIdx: si, fn: f, g: g, src: src})
+		tasks = append(tasks, task{fn: f, g: g, src: src})
 	}
 	return tasks
 }
 
-// runTask executes one unit of work with a fresh per-task engine over the
-// shared caches. tid is the executing worker's trace track (worker+1).
-func runTask(prog *Program, specs []*checkers.Spec, opts Options, c *caches, lc *leakChecker, t task, tid int) taskResult {
-	sp := specs[t.specIdx]
+// runTask executes one unit of work on worker w with a fresh per-task engine
+// over the shared caches, counting its flow lookups into n, and — when key is
+// set — leaves the result and the footprint it depended on in the task's
+// memo slot.
+func runTask(prog *Program, sp *checkers.Spec, opts Options, key *Options, c *caches, lc *leakChecker, t *task, w int, n *flowCounts) *taskResult {
+	var memo *replayEntry
+	var fp *footprint
+	if key != nil {
+		memo = &replayEntry{opts: key, names: c.names}
+		fp = &memo.fp
+	}
+	tr := new(taskResult)
 	if sp.Kind == checkers.KindUnreleased {
-		var tr taskResult
-		if rep := lc.checkAlloc(t.fn, t.g, t.alloc, &tr.stats, tid); rep != nil {
+		if rep := lc.checkAlloc(t.fn, t.g, t.alloc, &tr.stats, n, fp, w+1); rep != nil {
 			tr.reports = []Report{leakToReport(sp.Name, *rep)}
 		}
-		return tr
+	} else {
+		eng := &Engine{
+			prog:     prog,
+			spec:     sp,
+			opts:     opts,
+			caches:   c,
+			reported: make(map[[2]*ir.Instr]bool),
+			tid:      w + 1,
+			fp:       fp,
+		}
+		eng.stats.Sources = 1
+		eng.searchFromSource(t.fn, t.g, t.src)
+		eng.releaseSolver()
+		n.add(eng.flows)
+		tr.reports, tr.stats = eng.reports, eng.stats
 	}
-	eng := &Engine{
-		prog:     prog,
-		spec:     sp,
-		opts:     opts,
-		caches:   c,
-		reported: make(map[[2]*ir.Instr]bool),
-		tid:      tid,
+	if memo != nil {
+		memo.result = *tr
+		memo.result.stats.SMTTime = 0
+		t.memo = memo
 	}
-	eng.stats.Sources = 1
-	eng.searchFromSource(t.fn, t.g, t.src)
-	eng.releaseSolver()
-	return taskResult{reports: eng.reports, stats: eng.stats}
+	return tr
 }
 
 func addStats(dst *Stats, s Stats) {

@@ -18,9 +18,14 @@ type Engine struct {
 	opts   Options
 	caches *caches
 
-	reports     []Report
-	reported    map[[2]*ir.Instr]bool
-	stats       Stats
+	reports  []Report
+	reported map[[2]*ir.Instr]bool
+	stats    Stats
+	// flows counts the engine's lookups in the shared flow cache.
+	flows flowCounts
+	// fp, when non-nil, collects what the search read of the program
+	// beyond its source's own function (see replay.go).
+	fp          *footprint
 	lastWitness []string
 	// lastCondTerms / lastVerdictSource mirror the latest checkCandidate
 	// outcome; read only when opts.Witness captures provenance.
@@ -89,12 +94,12 @@ func (e *Engine) Run() ([]Report, Stats) {
 			e.stats.Sources++
 			e.searchFromSource(f, g, src)
 			if e.opts.MaxReportsPerChecker > 0 && len(e.reports) >= e.opts.MaxReportsPerChecker {
-				e.stats.SummaryCapHits = e.caches.capHits()
+				e.stats.SummaryCapHits = e.flows.capHits
 				return e.reports, e.stats
 			}
 		}
 	}
-	e.stats.SummaryCapHits = e.caches.capHits()
+	e.stats.SummaryCapHits = e.flows.capHits
 	return e.reports, e.stats
 }
 
@@ -102,7 +107,7 @@ func (e *Engine) Run() ([]Report, Stats) {
 // the spec sequentially, presenting the results through the uniform Report
 // shape.
 func (e *Engine) runUnreleased() ([]Report, Stats) {
-	lc := newLeakChecker(e.prog, e.opts, e.caches)
+	lc := newLeakChecker(e.prog, e.opts, e.caches, &e.flows)
 	for _, f := range e.prog.Module.Funcs {
 		g := e.prog.SEGs[f]
 		if g == nil {
@@ -113,17 +118,17 @@ func (e *Engine) runUnreleased() ([]Report, Stats) {
 				if in.Op != ir.OpMalloc {
 					continue
 				}
-				if rep := lc.checkAlloc(f, g, in, &e.stats, e.tid); rep != nil {
+				if rep := lc.checkAlloc(f, g, in, &e.stats, &e.flows, nil, e.tid); rep != nil {
 					e.reports = append(e.reports, leakToReport(e.spec.Name, *rep))
 					if e.opts.MaxReportsPerChecker > 0 && len(e.reports) >= e.opts.MaxReportsPerChecker {
-						e.stats.SummaryCapHits = e.caches.capHits()
+						e.stats.SummaryCapHits = e.flows.capHits
 						return e.reports, e.stats
 					}
 				}
 			}
 		}
 	}
-	e.stats.SummaryCapHits = e.caches.capHits()
+	e.stats.SummaryCapHits = e.flows.capHits
 	return e.reports, e.stats
 }
 
@@ -291,7 +296,7 @@ func (e *Engine) explore(fr *frame, node *seg.Node, sourceAt *ir.Instr, sourceFn
 		e.ascendViaParam(fr, node, sourceAt, sourceFn, p)
 	}
 
-	for _, flow := range e.caches.flowsFrom(g, node) {
+	for _, flow := range e.caches.flowsFrom(g, node, &e.flows) {
 		term := flow.Terminal()
 		if term == node && len(flow.Steps) == 1 && node.Kind == seg.NValue {
 			continue
@@ -358,6 +363,8 @@ func (e *Engine) throughCall(fr *frame, term *seg.Node, sourceAt *ir.Instr, sour
 		}
 		return
 	}
+	cg := e.prog.SEGs[callee]
+	e.fp.enter(cg)
 	if e.opts.SameUnitOnly && callee.Unit != fr.fn.Unit {
 		return
 	}
@@ -374,7 +381,6 @@ func (e *Engine) throughCall(fr *frame, term *seg.Node, sourceAt *ir.Instr, sour
 	}
 	np := p.clone()
 	e.bindCallParams(&np, fr.inst, nfr.inst, call, callee)
-	cg := e.prog.SEGs[callee]
 	np.steps = append(np.steps, gstep{inst: nfr.inst, node: cg.ValueNode(param)})
 	e.explore(nfr, cg.ValueNode(param), sourceAt, sourceFn, np)
 }
@@ -400,8 +406,7 @@ func (e *Engine) throughReturn(fr *frame, term *seg.Node, sourceAt *ir.Instr, so
 	}
 	// Ascend: the search started in this function; every caller receives
 	// the value.
-	sites := e.prog.Callers[fr.fn]
-	for i, cs := range sites {
+	for i, cs := range e.callersOf(fr.fn) {
 		if i >= e.opts.MaxCallers {
 			e.stats.TruncatedSearches++
 			break
@@ -417,6 +422,8 @@ func (e *Engine) throughReturn(fr *frame, term *seg.Node, sourceAt *ir.Instr, so
 		if recv == nil {
 			continue
 		}
+		g := e.prog.SEGs[cs.Fn]
+		e.fp.enter(g)
 		nfr := &frame{fn: cs.Fn, inst: e.newInst(), depth: fr.depth + 1}
 		if !e.opts.IgnoreOrdering && e.spec.OrderingRequired {
 			nfr.anchor = cs.Instr
@@ -427,11 +434,10 @@ func (e *Engine) throughReturn(fr *frame, term *seg.Node, sourceAt *ir.Instr, so
 		})
 		e.bindCallParams(&np, nfr.inst, fr.inst, cs.Instr, fr.fn)
 		// The callee's events only happen if the call executes.
-		if !e.addCond(&np, nfr.inst, cs.Fn, e.prog.SEGs[cs.Fn].CD(cs.Instr)) {
+		if !e.addCond(&np, nfr.inst, cs.Fn, g.CD(cs.Instr)) {
 			e.stats.LinearFiltered++
 			continue
 		}
-		g := e.prog.SEGs[cs.Fn]
 		np.steps = append(np.steps, gstep{inst: nfr.inst, node: g.ValueNode(recv)})
 		e.explore(nfr, g.ValueNode(recv), sourceAt, sourceFn, np)
 	}
@@ -445,8 +451,7 @@ func (e *Engine) throughReturn(fr *frame, term *seg.Node, sourceAt *ir.Instr, so
 // are tracked too.
 func (e *Engine) ascendViaParam(fr *frame, node *seg.Node, sourceAt *ir.Instr, sourceFn *ir.Func, p pathState) {
 	idx := node.Val.ParamIdx
-	sites := e.prog.Callers[fr.fn]
-	for i, cs := range sites {
+	for i, cs := range e.callersOf(fr.fn) {
 		if i >= e.opts.MaxCallers || fr.depth >= e.opts.MaxCallDepth {
 			e.stats.TruncatedSearches++
 			break
@@ -458,6 +463,8 @@ func (e *Engine) ascendViaParam(fr *frame, node *seg.Node, sourceAt *ir.Instr, s
 			continue
 		}
 		actual := cs.Instr.Args[idx]
+		g := e.prog.SEGs[cs.Fn]
+		e.fp.enter(g)
 		nfr := &frame{fn: cs.Fn, inst: e.newInst(), depth: fr.depth + 1}
 		if !e.opts.IgnoreOrdering && e.spec.OrderingRequired {
 			nfr.anchor = cs.Instr
@@ -465,11 +472,10 @@ func (e *Engine) ascendViaParam(fr *frame, node *seg.Node, sourceAt *ir.Instr, s
 		np := p.clone()
 		e.bindCallParams(&np, nfr.inst, fr.inst, cs.Instr, fr.fn)
 		// The callee's events only happen if the call executes.
-		if !e.addCond(&np, nfr.inst, cs.Fn, e.prog.SEGs[cs.Fn].CD(cs.Instr)) {
+		if !e.addCond(&np, nfr.inst, cs.Fn, g.CD(cs.Instr)) {
 			e.stats.LinearFiltered++
 			continue
 		}
-		g := e.prog.SEGs[cs.Fn]
 		np.steps = append(np.steps, gstep{inst: nfr.inst, node: g.ValueNode(actual)})
 		roots := []*ir.Value{actual}
 		if e.spec.WidenToRoots {
@@ -479,6 +485,15 @@ func (e *Engine) ascendViaParam(fr *frame, node *seg.Node, sourceAt *ir.Instr, s
 			e.explore(nfr, g.ValueNode(root), sourceAt, sourceFn, np)
 		}
 	}
+}
+
+// callersOf returns fn's call sites for an ascent, noting the read: what
+// the ascent finds depends on the list, not only on the functions it then
+// enters.
+func (e *Engine) callersOf(fn *ir.Func) []CallSite {
+	sites := e.prog.Callers[fn]
+	e.fp.readCallers(fn, sites)
+	return sites
 }
 
 // retReceiver maps a return-operand index to the call-site receiver value.

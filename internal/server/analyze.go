@@ -71,9 +71,10 @@ type AnalyzeResponse struct {
 //
 // with OtherNs computed as the remainder (checker resolution, report
 // marshaling, response assembly). ParseNs/StoreLoadNs/StoreSaveNs are
-// slices of BuildNs and SMTNs a slice of DetectNs, so they refine their
-// parents without double counting in the sum. The same phases feed the
-// server.phase_ns{phase=...} histograms on /metrics.
+// slices of BuildNs, so they refine their parent without double counting in
+// the sum; SMTNs is solver time summed over the detection workers, which
+// exceeds its share of the DetectNs wall when several of them solve at once.
+// The same phases feed the server.phase_ns{phase=...} histograms on /metrics.
 type TimingJSON struct {
 	// TotalNs is wall time inside the analyze handler, from the first
 	// byte of body decoding to the assembled response.
@@ -96,7 +97,10 @@ type TimingJSON struct {
 	StoreSaveNs int64 `json:"storeSaveNs"`
 	// DetectNs is CheckAll: demand-driven search plus SMT.
 	DetectNs int64 `json:"detectNs"`
-	// SMTNs is the SMT slice of DetectNs (encode + prefilter + solve).
+	// SMTNs is the time this request's detection tasks spent deciding
+	// feasibility (encode + prefilter + solve), summed over the workers —
+	// a CPU-side total, not a slice of the DetectNs wall. Replayed tasks
+	// solve nothing and add nothing.
 	SMTNs int64 `json:"smtNs"`
 	// OtherNs is TotalNs minus every top-level phase.
 	OtherNs int64 `json:"otherNs"`
@@ -112,17 +116,25 @@ type AnalyzeStats struct {
 	// ArtifactStoreHits counts the artifacts warm-loaded from the
 	// persistent store rather than found in memory — nonzero only on the
 	// first request after a restart with a populated -store-dir.
-	ArtifactStoreHits  int   `json:"artifactStoreHits"`
-	Reports            int   `json:"reports"`
-	Workers            int   `json:"workers"`
-	BuildNs            int64 `json:"buildNs"`
-	DetectNs           int64 `json:"detectNs"`
-	GateWaitNs         int64 `json:"gateWaitNs"`
-	SMTQueries         int   `json:"smtQueries"`
-	SMTSolved          int   `json:"smtSolved"`
-	SMTPrefilterUnsat  int   `json:"smtPrefilterUnsat"`
-	SummaryCacheHits   int   `json:"summaryCacheHits"`
-	SummaryCacheMisses int   `json:"summaryCacheMisses"`
+	ArtifactStoreHits int   `json:"artifactStoreHits"`
+	Reports           int   `json:"reports"`
+	Workers           int   `json:"workers"`
+	BuildNs           int64 `json:"buildNs"`
+	DetectNs          int64 `json:"detectNs"`
+	GateWaitNs        int64 `json:"gateWaitNs"`
+	// DetectTasks is the number of (checker, source) tasks the request's
+	// detection comprised; DetectTasksReplayed of them reused the result
+	// recorded by an earlier request instead of searching again. The
+	// effort counters below cover both kinds.
+	DetectTasks         int `json:"detectTasks"`
+	DetectTasksReplayed int `json:"detectTasksReplayed"`
+	SMTQueries          int `json:"smtQueries"`
+	SMTSolved           int `json:"smtSolved"`
+	SMTPrefilterUnsat   int `json:"smtPrefilterUnsat"`
+	// SummaryCacheHits/Misses are this request's lookups in the flow
+	// cache (zero when every task was replayed).
+	SummaryCacheHits   int `json:"summaryCacheHits"`
+	SummaryCacheMisses int `json:"summaryCacheMisses"`
 }
 
 type httpError struct {
@@ -277,6 +289,8 @@ func (s *Server) analyze(ctx context.Context, r *http.Request, ri *requestInfo) 
 		BuildNs:             buildNs.Nanoseconds(),
 		DetectNs:            detectNs.Nanoseconds(),
 		GateWaitNs:          gateWait.Nanoseconds(),
+		DetectTasks:         res.TasksRun + res.TasksReplayed,
+		DetectTasksReplayed: res.TasksReplayed,
 		SummaryCacheHits:    res.SummaryHits,
 		SummaryCacheMisses:  res.SummaryMisses,
 	}

@@ -65,6 +65,9 @@ type sessionDebug struct {
 	// Functions is the current program's function count (0 before the
 	// first analysis).
 	Functions int `json:"functions"`
+	// ReplayTable is the number of detection task results the session
+	// holds for replay by the next /analyze.
+	ReplayTable int `json:"replayTable"`
 }
 
 func (s *Server) handleDebugSession(w http.ResponseWriter, r *http.Request) {
@@ -79,6 +82,7 @@ func (s *Server) handleDebugSession(w http.ResponseWriter, r *http.Request) {
 			st.Hits, st.Misses, st.Invalidated
 		if a := sess.Analysis(); a != nil {
 			d.Functions = a.Sizes.Functions
+			d.ReplayTable = a.Prog.ReplayTableSize()
 		}
 	})
 	writeJSON(w, http.StatusOK, d)

@@ -252,6 +252,56 @@ func TestDebugSessionOccupancy(t *testing.T) {
 	if d.LastUpdate.Misses == 0 {
 		t.Errorf("cold analyze reported no artifact misses: %+v", d)
 	}
+	if d.ReplayTable == 0 {
+		t.Errorf("no task result held for replay after analyze: %+v", d)
+	}
+}
+
+// TestCountersArePerRequest pins the per-request meaning of the detection
+// counters on a long-lived session: the flow-cache lookups reported are the
+// request's own (they used to be the sticky tables' lifetime totals, re-added
+// to the registry on every request), and a byte-identical resubmit replays
+// every task and looks nothing up.
+func TestCountersArePerRequest(t *testing.T) {
+	units := exampleUnits(t)
+	s, ts := newTestServer(t, Config{})
+	req := AnalyzeRequest{Units: unitsToJSON(units)}
+
+	first, _ := postAnalyze(t, ts.URL, req)
+	if first.Stats.SummaryCacheMisses == 0 || first.Stats.DetectTasks == 0 {
+		t.Fatalf("cold request did no detection work: %+v", first.Stats)
+	}
+	if first.Stats.DetectTasksReplayed != 0 {
+		t.Errorf("cold request replayed %d tasks", first.Stats.DetectTasksReplayed)
+	}
+	for i := 0; i < 3; i++ {
+		again, _ := postAnalyze(t, ts.URL, req)
+		st := again.Stats
+		if st.SummaryCacheHits != 0 || st.SummaryCacheMisses != 0 {
+			t.Errorf("resubmit %d: %d hits, %d misses charged to a request that looked nothing up",
+				i, st.SummaryCacheHits, st.SummaryCacheMisses)
+		}
+		if st.DetectTasks != first.Stats.DetectTasks || st.DetectTasksReplayed != st.DetectTasks {
+			t.Errorf("resubmit %d: %d of %d tasks replayed, want all %d",
+				i, st.DetectTasksReplayed, st.DetectTasks, first.Stats.DetectTasks)
+		}
+		if st.SMTQueries != first.Stats.SMTQueries || st.Reports != first.Stats.Reports {
+			t.Errorf("resubmit %d: effort counters moved: %+v vs %+v", i, st, first.Stats)
+		}
+		if again.Timing.SMTNs != 0 {
+			t.Errorf("resubmit %d: %d ns of solving reported, but nothing was solved", i, again.Timing.SMTNs)
+		}
+	}
+	snap := s.rec.Snapshot()
+	if got, want := snap.Counters["summary.cache_hits"], int64(first.Stats.SummaryCacheHits); got != want {
+		t.Errorf("summary.cache_hits = %d after four requests, want the first request's %d", got, want)
+	}
+	if got, want := snap.Counters["summary.cache_misses"], int64(first.Stats.SummaryCacheMisses); got != want {
+		t.Errorf("summary.cache_misses = %d after four requests, want the first request's %d", got, want)
+	}
+	if got, want := snap.Counters["detect.tasks_replayed"], int64(3*first.Stats.DetectTasks); got != want {
+		t.Errorf("detect.tasks_replayed = %d, want %d", got, want)
+	}
 }
 
 // TestAnalyzeErrors pins the error statuses: malformed body, empty unit

@@ -22,6 +22,11 @@ go build ./...
 echo "== go test -race"
 go test -race ./...
 
+# The nested benchmark module is outside ./...: vet and test it here, so a
+# change that breaks the surface it compiles against fails tier-1.
+echo "== benchmark module (vet, test)"
+(cd benchmark && go vet . && go test .)
+
 echo "== examples"
 for ex in quickstart useafterfree taintcheck crossfunction memoryleak; do
     echo "-- examples/$ex"
