@@ -34,8 +34,8 @@ import (
 	"repro/internal/ir"
 	"repro/internal/minic"
 	"repro/internal/obs"
-	"repro/internal/pinpoint"
 	"repro/internal/pta"
+	"repro/internal/store"
 )
 
 func main() {
@@ -101,26 +101,13 @@ func runBatch() {
 
 	readUnitsArgs := func() []minic.NamedSource { return readUnits(flag.Args()) }
 
-	// The unified config front door: build, store, and detection options
-	// all derive from one pinpoint.Config, so the CLI cannot hand different
-	// worker pools or recorders to different layers.
-	rt, err := pinpoint.Open(pinpoint.Config{
-		Workers:                *workers,
-		Obs:                    rec,
-		StoreDir:               *storeDir,
-		StoreMaxBytes:          *storeMaxBytes,
-		MaxCallDepth:           *depth,
-		DisablePathSensitivity: *noPS,
-		Witness:                *provenance,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	defer rt.Close()
+	st, closeStore := openStore(*storeDir, *storeMaxBytes, rec)
+	defer closeStore()
+	buildOpts := core.BuildOptions{Workers: *workers, Obs: rec, Store: st}
 
 	var a *core.Analysis
 	if *incremental || *storeDir != "" {
-		sess := rt.NewSession()
+		sess := core.NewSession(buildOpts)
 		rounds := *repeat
 		if rounds < 1 {
 			rounds = 1
@@ -131,7 +118,7 @@ func runBatch() {
 			}
 		}
 	} else {
-		if a, err = core.BuildFromSource(readUnitsArgs(), rt.BuildOptions()); err != nil {
+		if a, err = core.BuildFromSource(readUnitsArgs(), buildOpts); err != nil {
 			fatal(err)
 		}
 	}
@@ -161,7 +148,13 @@ func runBatch() {
 		return
 	}
 
-	res := a.CheckAll(specs, rt.DetectOptions())
+	res := a.CheckAll(specs, detect.Options{
+		MaxCallDepth:           *depth,
+		DisablePathSensitivity: *noPS,
+		Workers:                *workers,
+		Witness:                *provenance,
+		Obs:                    rec,
+	})
 
 	if *format == "json" {
 		jsonReports := make([]detect.JSONReport, 0, len(res.Reports))
@@ -203,9 +196,23 @@ func runBatch() {
 		}
 	}
 	if len(res.Reports) > 0 {
-		_ = rt.Close() // os.Exit skips the deferred close
+		_ = closeStore() // os.Exit skips the deferred close
 		os.Exit(1)
 	}
+}
+
+// openStore opens the -store-dir artifact store and returns it with its
+// close function. An empty dir means memory only: the nil Store every
+// layer treats as "no store", and a close that does nothing.
+func openStore(dir string, maxBytes int64, rec *obs.Recorder) (store.Store, func() error) {
+	if dir == "" {
+		return nil, func() error { return nil }
+	}
+	st, err := store.Open(dir, store.DiskOptions{MaxResidentBytes: maxBytes, Obs: rec})
+	if err != nil {
+		fatal(err)
+	}
+	return st, st.Close
 }
 
 // statsDump is the -stats-json document: everything -stats prints, plus

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/pinpoint"
 	"repro/internal/server"
 )
 
@@ -21,7 +20,7 @@ func runServe(args []string) {
 	fs := flag.NewFlagSet("pinpoint serve", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:7345", "listen address")
 	workers := fs.Int("workers", -1, "default build/detection worker-pool size (0/1 = sequential, negative = all CPUs)")
-	maxInflight := fs.Int("max-inflight", -1, "max concurrently admitted /analyze requests (0/1 = one at a time, negative = all CPUs)")
+	maxInflight := fs.Int("max-inflight", -1, "max concurrently admitted /v1/analyze requests (0/1 = one at a time, negative = all CPUs)")
 	reqTimeout := fs.Duration("request-timeout", 2*time.Minute, "per-request deadline covering queueing and analysis (<=0 disables)")
 	grace := fs.Duration("grace", 15*time.Second, "graceful-shutdown drain period for in-flight requests")
 	logJSON := fs.Bool("log-json", false, "emit the structured request log as JSON lines instead of text")
@@ -39,7 +38,7 @@ func runServe(args []string) {
 	sloSlow := fs.Duration("slo-slow", 0, "slow burn-rate window (0 = 1h)")
 	_ = fs.Parse(args)
 	if fs.NArg() != 0 {
-		fmt.Fprintln(os.Stderr, "pinpoint serve: positional arguments are not accepted; programs are POSTed to /analyze")
+		fmt.Fprintln(os.Stderr, "pinpoint serve: positional arguments are not accepted; programs are POSTed to /v1/analyze")
 		os.Exit(2)
 	}
 
@@ -59,14 +58,21 @@ func runServe(args []string) {
 	if timeout <= 0 {
 		timeout = -1 // Config: negative disables, zero means default.
 	}
-	rt, err := pinpoint.Open(pinpoint.Config{
-		Workers:           *workers,
-		Obs:               obs.New(),
-		StoreDir:          *storeDir,
-		StoreMaxBytes:     *storeMaxBytes,
+	rec := obs.New()
+	st, closeStore := openStore(*storeDir, *storeMaxBytes, rec)
+	defer func() {
+		if err := closeStore(); err != nil {
+			fmt.Fprintln(os.Stderr, "pinpoint serve: store close:", err)
+		}
+	}()
+	srv := server.New(server.Config{
 		Addr:              *addr,
 		MaxInFlight:       *maxInflight,
 		RequestTimeout:    timeout,
+		Workers:           *workers,
+		Logger:            slog.New(handler),
+		Rec:               rec,
+		Store:             st,
 		MaxTenants:        *maxTenants,
 		TenantIdle:        *tenantIdle,
 		TenantMaxInFlight: *tenantInflight,
@@ -76,17 +82,7 @@ func runServe(args []string) {
 		SLOQuantile:       *sloP,
 		SLOFastWindow:     *sloFast,
 		SLOSlowWindow:     *sloSlow,
-		Logger:            slog.New(handler),
 	})
-	if err != nil {
-		fatal(err)
-	}
-	defer func() {
-		if err := rt.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "pinpoint serve: store close:", err)
-		}
-	}()
-	srv := server.New(rt.ServerConfig())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

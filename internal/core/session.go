@@ -158,7 +158,7 @@ func (s *Session) UnitCount() int { return len(s.files) }
 // metadata (name, AST hash, summary/signature/dependency fingerprints)
 // in declaration order. Two sessions that analyzed the same program —
 // at any worker count, cold or warm — produce equal fingerprints; the
-// build-determinism tests and bench.MeasureBuild gate on this.
+// build-determinism tests gate on this.
 func (s *Session) ArtifactFingerprint() string {
 	h := sha256.New()
 	for _, name := range s.order {

@@ -118,14 +118,8 @@ func (e *Engine) checkCandidate(c *candidate) smt.Result {
 		e.lastVerdictSource = src
 	}
 
-	switch res {
-	case smt.Sat:
-		e.stats.SMTSat++
+	if res == smt.Sat {
 		e.lastWitness = extractWitness(model, enc)
-	case smt.Unsat:
-		e.stats.SMTUnsat++
-	default:
-		e.stats.SMTUnknown++
 	}
 	return res
 }
@@ -161,6 +155,14 @@ func (e *encoder) decide(s *smt.Solver, opts Options, checker string, tid int, s
 	d := time.Since(start)
 	stats.SMTQueries++
 	stats.SMTTime += d
+	switch res {
+	case smt.Sat:
+		stats.SMTSat++
+	case smt.Unsat:
+		stats.SMTUnsat++
+	default:
+		stats.SMTUnknown++
+	}
 	if src == VerdictPrefilter {
 		stats.SMTPrefilterUnsat++
 		rec.Counter("smt.prefilter_unsat").Inc()

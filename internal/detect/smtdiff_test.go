@@ -63,13 +63,19 @@ func runSMTDifferential(t *testing.T, a *core.Analysis) {
 			t.Fatalf("workers=%d: reports differ from the prefilter-off reference\nbase: %s\ngot:  %s",
 				workers, baseJSON, got)
 		}
-		// The two steps must partition the query count exactly, and the
-		// reference must have solved everything.
+		// The two steps and the three verdicts must each partition the
+		// query count exactly — for every checker, the leak checker's own
+		// query path included — and the reference must have solved
+		// everything.
 		for i, cs := range res.Checkers {
 			st, ref := cs.Stats, base.Checkers[i].Stats
 			if st.SMTSolved+st.SMTPrefilterUnsat != st.SMTQueries {
 				t.Fatalf("workers=%d %s: steps %d+%d != queries %d",
 					workers, cs.Checker, st.SMTSolved, st.SMTPrefilterUnsat, st.SMTQueries)
+			}
+			if st.SMTSat+st.SMTUnsat+st.SMTUnknown != st.SMTQueries {
+				t.Fatalf("workers=%d %s: verdicts %d+%d+%d != queries %d",
+					workers, cs.Checker, st.SMTSat, st.SMTUnsat, st.SMTUnknown, st.SMTQueries)
 			}
 			if ref.SMTPrefilterUnsat != 0 || ref.SMTSolved != ref.SMTQueries {
 				t.Fatalf("workers=%d %s: prefilter disabled but %d kills, %d of %d solved",

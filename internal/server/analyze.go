@@ -17,7 +17,7 @@ import (
 	"repro/internal/tenant"
 )
 
-// AnalyzeRequest is the POST /analyze body: the full set of translation
+// AnalyzeRequest is the POST /v1/analyze body: the full set of translation
 // units (the session diffs them against the previous request, so unchanged
 // functions are served from the artifact store) plus detection options.
 type AnalyzeRequest struct {
@@ -50,7 +50,7 @@ type UnitJSON struct {
 	Src  string `json:"src"`
 }
 
-// AnalyzeResponse is the POST /analyze reply. Reports uses the exact
+// AnalyzeResponse is the POST /v1/analyze reply. Reports uses the exact
 // detect.JSONReport schema of `pinpoint -format json`, so batch and served
 // analyses of the same program are byte-identical report-for-report.
 type AnalyzeResponse struct {
@@ -74,7 +74,7 @@ type AnalyzeResponse struct {
 // slices of BuildNs, so they refine their parent without double counting in
 // the sum; SMTNs is solver time summed over the detection workers, which
 // exceeds its share of the DetectNs wall when several of them solve at once.
-// The same phases feed the server.phase_ns{phase=...} histograms on /metrics.
+// The same phases feed the server.phase_ns{phase=...} histograms on /v1/metrics.
 type TimingJSON struct {
 	// TotalNs is wall time inside the analyze handler, from the first
 	// byte of body decoding to the assembled response.
@@ -331,7 +331,7 @@ func (s *Server) analyze(ctx context.Context, r *http.Request, ri *requestInfo) 
 }
 
 // observePhases feeds one request's timing breakdown into the labeled
-// server.phase_ns histograms behind /metrics, one series per
+// server.phase_ns histograms behind /v1/metrics, one series per
 // (phase, tenant) pair so per-project latency is scrapeable.
 func (s *Server) observePhases(project string, t TimingJSON) {
 	observe := func(phase string, v int64) {

@@ -42,50 +42,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // tenantsDebug is the GET /v1/debug/tenants schema: the tenant.Snapshot
 // (resident set, per-tenant occupancy and last-use clocks, eviction
-// counters) — the multi-tenant successor to /debug/session.
+// counters).
 type tenantsDebug = tenant.Snapshot
 
 func (s *Server) handleDebugTenants(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, tenantsDebug(s.tenants.Snapshot()))
-}
-
-// sessionDebug is the GET /debug/session schema: occupancy of the default
-// tenant's session. Pre-tenant clients keep their exact schema; resident
-// state for every project lives at /v1/debug/tenants.
-type sessionDebug struct {
-	// Units and Artifacts are the parse- and function-artifact store
-	// sizes; LastUpdate is the artifact outcome of the latest /analyze.
-	Units      int `json:"units"`
-	Artifacts  int `json:"artifacts"`
-	LastUpdate struct {
-		Hits        int `json:"hits"`
-		Misses      int `json:"misses"`
-		Invalidated int `json:"invalidated"`
-	} `json:"lastUpdate"`
-	// Functions is the current program's function count (0 before the
-	// first analysis).
-	Functions int `json:"functions"`
-	// ReplayTable is the number of detection task results the session
-	// holds for replay by the next /analyze.
-	ReplayTable int `json:"replayTable"`
-}
-
-func (s *Server) handleDebugSession(w http.ResponseWriter, r *http.Request) {
-	var d sessionDebug
-	// The default tenant may have been idle-evicted; an all-zero body is
-	// the honest report then (nothing is resident).
-	s.tenants.View(store.DefaultProject, func(sess *core.Session) {
-		d.Units = sess.UnitCount()
-		d.Artifacts = sess.ArtifactCount()
-		st := sess.ArtifactStats()
-		d.LastUpdate.Hits, d.LastUpdate.Misses, d.LastUpdate.Invalidated =
-			st.Hits, st.Misses, st.Invalidated
-		if a := sess.Analysis(); a != nil {
-			d.Functions = a.Sizes.Functions
-			d.ReplayTable = a.Prog.ReplayTableSize()
-		}
-	})
-	writeJSON(w, http.StatusOK, d)
 }
 
 // storeDebug is the GET /v1/debug/store schema: whether a persistent
@@ -113,7 +74,7 @@ func (s *Server) handleDebugStore(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, d)
 }
 
-// inflightDebug is the GET /debug/inflight schema.
+// inflightDebug is the GET /v1/debug/inflight schema.
 type inflightDebug struct {
 	Limit    int            `json:"limit"`
 	InFlight int            `json:"inFlight"`

@@ -11,8 +11,8 @@ import (
 )
 
 // Flight-recorder debug endpoints: the in-process time-series rings
-// (/debug/timeseries), the per-tenant cost ledgers (/debug/costs), and the
-// SLO evaluation (/debug/slo). All three are read-only JSON views over
+// (/v1/debug/timeseries), the per-tenant cost ledgers (/v1/debug/costs), and the
+// SLO evaluation (/v1/debug/slo). All three are read-only JSON views over
 // state the request path maintains anyway.
 
 // timeseriesDebug is the GET /v1/debug/timeseries schema: obs.QueryResult

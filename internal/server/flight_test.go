@@ -260,7 +260,7 @@ func TestSLODisabledKeepsMetricsClean(t *testing.T) {
 
 func scrapeMetrics(t *testing.T, url string) string {
 	t.Helper()
-	resp, err := http.Get(url + "/metrics")
+	resp, err := http.Get(url + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestSanitizeTraceID(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	check := func(header, wantEcho string) {
 		t.Helper()
-		req, _ := http.NewRequest("GET", ts.URL+"/healthz", nil)
+		req, _ := http.NewRequest("GET", ts.URL+"/v1/health", nil)
 		if header != "" {
 			req.Header.Set("X-Trace-Id", header)
 		}

@@ -1,8 +1,8 @@
 // Package server exposes the analysis pipeline as a long-lived HTTP
-// service: persistent core.Sessions answer POST /analyze requests so
+// service: persistent core.Sessions answer POST /v1/analyze requests so
 // repeated analyses of an evolving program reuse the incremental artifact
 // store and the sticky detection caches, while the process's live metrics
-// are scraped from GET /metrics in Prometheus text format.
+// are scraped from GET /v1/metrics in Prometheus text format.
 //
 // The service is multi-tenant: a tenant.Manager maps the request's
 // `project` field (absent = "default") to an independently locked session,
@@ -26,7 +26,6 @@ import (
 	"net/http"
 	"os"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,7 +44,7 @@ type Config struct {
 	// Addr is the listen address ("host:port"). Empty means
 	// "127.0.0.1:0" (a random localhost port; see Server.Addr).
 	Addr string
-	// MaxInFlight bounds concurrently admitted /analyze requests,
+	// MaxInFlight bounds concurrently admitted /v1/analyze requests,
 	// normalized by conc.Workers (0/1 = one at a time, negative =
 	// GOMAXPROCS). Requests beyond the bound wait on the gate until their
 	// deadline expires.
@@ -60,7 +59,7 @@ type Config struct {
 	// Logger receives the structured request log. Nil means a text
 	// handler on stderr at Info level.
 	Logger *slog.Logger
-	// Rec is the process-wide metrics recorder backing /metrics. Nil
+	// Rec is the process-wide metrics recorder backing /v1/metrics. Nil
 	// means a fresh non-tracing recorder.
 	Rec *obs.Recorder
 	// Store, when non-nil and persistent, backs the sessions' artifacts
@@ -94,7 +93,7 @@ type Config struct {
 	TSRetention time.Duration
 	// SLOTarget sets the latency objective: the SLOQuantile fraction of
 	// analyze requests must finish within this duration. 0 disables SLO
-	// tracking (and keeps /metrics free of slo series).
+	// tracking (and keeps /v1/metrics free of slo series).
 	SLOTarget time.Duration
 	// SLOQuantile is the objective's quantile (0 = 0.95).
 	SLOQuantile float64
@@ -139,7 +138,7 @@ type inflightEntry struct {
 }
 
 // New builds a Server from cfg. The default tenant's session is created
-// eagerly so the first /analyze request behaves exactly like every later
+// eagerly so the first /v1/analyze request behaves exactly like every later
 // one.
 func New(cfg Config) *Server {
 	log := cfg.Logger
@@ -179,40 +178,21 @@ func New(cfg Config) *Server {
 	}
 }
 
-// Handler returns the service's route table. The API is versioned under
-// /v1/; the original unversioned paths stay registered as aliases bound to
-// the same handlers, so existing clients keep working byte-for-byte.
-// Useful for tests (httptest.NewServer) and for embedding under a larger
-// mux.
+// Handler returns the service's route table: every handler is registered
+// once, under /v1/. Useful for tests (httptest.NewServer) and for
+// embedding under a larger mux.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	routes := []struct {
-		pattern string
-		h       http.HandlerFunc
-	}{
-		{"POST /analyze", s.handleAnalyze},
-		{"GET /healthz", s.handleHealthz},
-		{"GET /readyz", s.handleReadyz},
-		{"GET /metrics", s.handleMetrics},
-		{"GET /debug/tenants", s.handleDebugTenants},
-		// /debug/session is the pre-tenant spelling: it reports the
-		// default tenant only. /debug/tenants supersedes it.
-		{"GET /debug/session", s.handleDebugSession},
-		{"GET /debug/inflight", s.handleDebugInflight},
-		{"GET /debug/store", s.handleDebugStore},
-		{"GET /debug/timeseries", s.handleDebugTimeseries},
-		{"GET /debug/costs", s.handleDebugCosts},
-		{"GET /debug/slo", s.handleDebugSLO},
-	}
-	for _, rt := range routes {
-		mux.HandleFunc(rt.pattern, rt.h)
-		method, path, _ := strings.Cut(rt.pattern, " ")
-		mux.HandleFunc(method+" /v1"+path, rt.h)
-	}
-	// /v1/health is the canonical spelling of the versioned liveness
-	// probe; /v1/healthz remains from the alias loop above.
+	mux.HandleFunc("POST /v1/analyze", s.handleAnalyze)
 	mux.HandleFunc("GET /v1/health", s.handleHealthz)
 	mux.HandleFunc("GET /v1/ready", s.handleReadyz)
+	mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
+	mux.HandleFunc("GET /v1/debug/tenants", s.handleDebugTenants)
+	mux.HandleFunc("GET /v1/debug/inflight", s.handleDebugInflight)
+	mux.HandleFunc("GET /v1/debug/store", s.handleDebugStore)
+	mux.HandleFunc("GET /v1/debug/timeseries", s.handleDebugTimeseries)
+	mux.HandleFunc("GET /v1/debug/costs", s.handleDebugCosts)
+	mux.HandleFunc("GET /v1/debug/slo", s.handleDebugSLO)
 	return s.track(mux)
 }
 
@@ -354,7 +334,7 @@ func sanitizeTraceID(id string) string {
 
 // track wraps the mux with per-request bookkeeping: a trace ID (minted or
 // taken from a well-formed X-Trace-Id header), request-scoped structured
-// logs, the in-flight table behind /debug/inflight, and the server.*
+// logs, the in-flight table behind /v1/debug/inflight, and the server.*
 // metrics.
 func (s *Server) track(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -390,13 +370,13 @@ func (s *Server) track(next http.Handler) http.Handler {
 			s.rec.Counter("server.errors").Inc()
 		}
 		s.rec.Histogram("server.request_ns").Observe(int64(d))
-		isAnalyze := r.URL.Path == "/analyze" || r.URL.Path == "/v1/analyze"
+		isAnalyze := r.URL.Path == "/v1/analyze"
 		if isAnalyze {
 			// The latency objective covers the work endpoint only; scrapes
 			// and probes are not what clients wait on.
 			s.slo.observe(d)
 		}
-		// /metrics and health probes would drown the request log; keep
+		// /v1/metrics and health probes would drown the request log; keep
 		// Info for the endpoints that do work.
 		lvl := slog.LevelInfo
 		if !isAnalyze {

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -10,52 +9,51 @@ import (
 	"repro/internal/store"
 )
 
-// TestV1Aliases checks the versioned surface: every /v1/ path answers, and
-// the legacy unversioned spelling stays wired to the same handler.
+// TestV1Aliases is the route-table test: every registered pattern answers
+// 200, and every spelling the table dropped (the unversioned aliases, the
+// third health spellings, /debug/session) answers 404.
 func TestV1Aliases(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-
-	for _, path := range []string{
-		"/healthz", "/v1/healthz", "/v1/health",
-		"/readyz", "/v1/readyz", "/v1/ready",
-		"/metrics", "/v1/metrics",
-		"/debug/session", "/v1/debug/session",
-		"/debug/inflight", "/v1/debug/inflight",
-		"/debug/store", "/v1/debug/store",
-	} {
-		resp, err := http.Get(ts.URL + path)
+	status := func(method, path string) int {
+		t.Helper()
+		req, err := http.NewRequest(method, ts.URL+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("GET %s: %s", path, resp.Status)
-		}
+		return resp.StatusCode
 	}
 
-	units := unitsToJSON(exampleUnits(t))
-	legacy, _ := postAnalyze(t, ts.URL, AnalyzeRequest{Units: units})
-	body, err := json.Marshal(AnalyzeRequest{Units: units})
-	if err != nil {
-		t.Fatal(err)
+	// A first analysis, so /v1/debug/* have a session to describe.
+	postAnalyze(t, ts.URL, AnalyzeRequest{Units: unitsToJSON(exampleUnits(t))})
+
+	debug := []string{"tenants", "inflight", "store", "timeseries", "costs", "slo"}
+	served := []string{"/v1/health", "/v1/ready", "/v1/metrics"}
+	dropped := []string{
+		"/healthz", "/readyz", "/metrics", "/v1/healthz", "/v1/readyz",
+		"/debug/session", "/v1/debug/session",
 	}
-	resp, err := http.Post(ts.URL+"/v1/analyze", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	for _, d := range debug {
+		served = append(served, "/v1/debug/"+d)
+		dropped = append(dropped, "/debug/"+d)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /v1/analyze: %s", resp.Status)
+	for _, path := range served {
+		if got := status("GET", path); got != http.StatusOK {
+			t.Errorf("GET %s: %d, want 200", path, got)
+		}
 	}
-	var versioned AnalyzeResponse
-	if err := json.NewDecoder(resp.Body).Decode(&versioned); err != nil {
-		t.Fatal(err)
+	for _, path := range dropped {
+		if got := status("GET", path); got != http.StatusNotFound {
+			t.Errorf("GET %s: %d, want 404", path, got)
+		}
 	}
-	lb, _ := json.Marshal(legacy.Reports)
-	vb, _ := json.Marshal(versioned.Reports)
-	if string(lb) != string(vb) {
-		t.Fatalf("/v1/analyze reports differ from /analyze:\n%s\n%s", vb, lb)
+	if got := status("POST", "/analyze"); got != http.StatusNotFound {
+		t.Errorf("POST /analyze: %d, want 404", got)
 	}
 }
 

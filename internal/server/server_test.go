@@ -22,6 +22,8 @@ import (
 	"repro/internal/detect"
 	"repro/internal/minic"
 	"repro/internal/obs"
+	"repro/internal/store"
+	"repro/internal/tenant"
 )
 
 // exampleUnits loads the repository's example programs — the same corpus
@@ -66,14 +68,14 @@ func postAnalyze(t *testing.T, url string, req AnalyzeRequest) (*AnalyzeResponse
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(url+"/analyze", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(url+"/v1/analyze", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		b, _ := io.ReadAll(resp.Body)
-		t.Fatalf("POST /analyze: %s: %s", resp.Status, b)
+		t.Fatalf("POST /v1/analyze: %s: %s", resp.Status, b)
 	}
 	var ar AnalyzeResponse
 	if err := json.NewDecoder(resp.Body).Decode(&ar); err != nil {
@@ -179,10 +181,10 @@ func TestMetricsScrapeDuringAnalyze(t *testing.T) {
 		}
 	}
 	wg.Add(4)
-	go scrape("/metrics", "text/plain")
-	go scrape("/debug/session", "application/json")
-	go scrape("/debug/inflight", "application/json")
-	go scrape("/healthz", "text/plain")
+	go scrape("/v1/metrics", "text/plain")
+	go scrape("/v1/debug/tenants", "application/json")
+	go scrape("/v1/debug/inflight", "application/json")
+	go scrape("/v1/health", "text/plain")
 
 	req := AnalyzeRequest{Units: unitsToJSON(units)}
 	var aw sync.WaitGroup
@@ -201,7 +203,7 @@ func TestMetricsScrapeDuringAnalyze(t *testing.T) {
 
 	// After the analyses, the exposition must carry non-zero pipeline
 	// counters in parseable Prometheus text format.
-	resp, err := http.Get(ts.URL + "/metrics")
+	resp, err := http.Get(ts.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,22 +229,26 @@ func TestMetricsScrapeDuringAnalyze(t *testing.T) {
 	}
 }
 
-// TestDebugSessionOccupancy pins the /debug/session schema against the
-// session's real stores.
+// TestDebugSessionOccupancy pins the default tenant's /v1/debug/tenants row
+// against the session's real stores.
 func TestDebugSessionOccupancy(t *testing.T) {
 	units := exampleUnits(t)
 	_, ts := newTestServer(t, Config{})
 	postAnalyze(t, ts.URL, AnalyzeRequest{Units: unitsToJSON(units)})
 
-	resp, err := http.Get(ts.URL + "/debug/session")
+	resp, err := http.Get(ts.URL + "/v1/debug/tenants")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var d sessionDebug
-	if err := json.NewDecoder(resp.Body).Decode(&d); err != nil {
+	var snap tenant.Snapshot
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
 		t.Fatal(err)
 	}
+	if len(snap.Tenants) != 1 || snap.Tenants[0].Project != store.DefaultProject {
+		t.Fatalf("tenants = %+v, want the default tenant's row only", snap.Tenants)
+	}
+	d := snap.Tenants[0]
 	if d.Units != len(units) {
 		t.Errorf("units = %d, want %d", d.Units, len(units))
 	}
@@ -312,7 +318,7 @@ func TestAnalyzeErrors(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
 	post := func(body string) int {
-		resp, err := http.Post(ts.URL+"/analyze", "application/json", strings.NewReader(body))
+		resp, err := http.Post(ts.URL+"/v1/analyze", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -356,13 +362,13 @@ func TestGracefulShutdown(t *testing.T) {
 	if base == "" {
 		t.Fatal("server did not bind")
 	}
-	resp, err := http.Get(base + "/readyz")
+	resp, err := http.Get(base + "/v1/ready")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/readyz before shutdown: %s", resp.Status)
+		t.Fatalf("/v1/ready before shutdown: %s", resp.Status)
 	}
 
 	cancel()

@@ -82,7 +82,7 @@ func newSLOTracker(rec *obs.Recorder, sampler *obs.Sampler, cfg Config) *sloTrac
 }
 
 // observe folds one completed analyze request into the objective. Nil-safe:
-// with no SLO configured the request path records nothing, keeping /metrics
+// with no SLO configured the request path records nothing, keeping /v1/metrics
 // byte-identical to the SLO-less server.
 func (t *sloTracker) observe(d time.Duration) {
 	if t == nil {

@@ -91,52 +91,38 @@ func TestInvalidProjectRejected(t *testing.T) {
 	}
 }
 
-// TestDebugTenants: the new endpoint lists every resident project with
-// occupancy, and the legacy /debug/session alias still answers with the
-// default tenant's schema.
+// TestDebugTenants: /v1/debug/tenants lists every resident project with
+// its occupancy.
 func TestDebugTenants(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	units := unitsJSON(t)
 	postAnalyze(t, ts.URL, AnalyzeRequest{Units: units})
 	postAnalyze(t, ts.URL, AnalyzeRequest{Project: "alpha", Units: units[:1]})
 
-	for _, path := range []string{"/debug/tenants", "/v1/debug/tenants"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var snap tenant.Snapshot
-		err = json.NewDecoder(resp.Body).Decode(&snap)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if snap.Resident != 2 || len(snap.Tenants) != 2 {
-			t.Fatalf("%s: resident = %d/%d rows, want 2", path, snap.Resident, len(snap.Tenants))
-		}
-		if snap.Tenants[0].Project != "alpha" || snap.Tenants[1].Project != "default" {
-			t.Fatalf("%s: rows %q/%q, want alpha,default (sorted)",
-				path, snap.Tenants[0].Project, snap.Tenants[1].Project)
-		}
-		for _, row := range snap.Tenants {
-			if row.Units == 0 || row.Artifacts == 0 || row.Requests == 0 || row.LastUsedUnixNano == 0 {
-				t.Fatalf("%s: empty occupancy row %+v", path, row)
-			}
-		}
-	}
-
-	// Legacy alias: still the default tenant's session occupancy.
-	resp, err := http.Get(ts.URL + "/debug/session")
+	resp, err := http.Get(ts.URL + "/v1/debug/tenants")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var d sessionDebug
-	if err := json.NewDecoder(resp.Body).Decode(&d); err != nil {
+	var snap tenant.Snapshot
+	err = json.NewDecoder(resp.Body).Decode(&snap)
+	resp.Body.Close()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Units != len(units) || d.Functions == 0 {
-		t.Fatalf("/debug/session = %+v, want the default tenant's %d units", d, len(units))
+	if snap.Resident != 2 || len(snap.Tenants) != 2 {
+		t.Fatalf("resident = %d/%d rows, want 2", snap.Resident, len(snap.Tenants))
+	}
+	if snap.Tenants[0].Project != "alpha" || snap.Tenants[1].Project != "default" {
+		t.Fatalf("rows %q/%q, want alpha,default (sorted)",
+			snap.Tenants[0].Project, snap.Tenants[1].Project)
+	}
+	for _, row := range snap.Tenants {
+		if row.Units == 0 || row.Artifacts == 0 || row.Functions == 0 || row.Requests == 0 || row.LastUsedUnixNano == 0 {
+			t.Fatalf("empty occupancy row %+v", row)
+		}
+	}
+	if got := snap.Tenants[1].Units; got != len(units) {
+		t.Fatalf("default tenant holds %d units, want %d", got, len(units))
 	}
 }
 
@@ -198,7 +184,7 @@ func TestTenantMetricsOnScrape(t *testing.T) {
 	postAnalyze(t, ts.URL, AnalyzeRequest{Units: units[:1]})
 	postAnalyze(t, ts.URL, AnalyzeRequest{Project: "alpha", Units: units[:1]})
 
-	resp, err := http.Get(ts.URL + "/metrics")
+	resp, err := http.Get(ts.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

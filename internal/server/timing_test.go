@@ -66,7 +66,7 @@ func TestMetricsPhaseFamilies(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	postAnalyze(t, ts.URL, AnalyzeRequest{Units: unitsJSON(t)})
 
-	resp, err := http.Get(ts.URL + "/metrics")
+	resp, err := http.Get(ts.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestMetricsConcurrentScrape(t *testing.T) {
 	units := unitsJSON(t)
 
 	scrape := func() string {
-		resp, err := http.Get(ts.URL + "/metrics")
+		resp, err := http.Get(ts.URL + "/v1/metrics")
 		if err != nil {
 			t.Error(err)
 			return ""

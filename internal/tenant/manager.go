@@ -416,6 +416,15 @@ type Info struct {
 	Units     int `json:"units"`
 	Artifacts int `json:"artifacts"`
 	Functions int `json:"functions"`
+	// LastUpdate is the artifact outcome of the session's latest Update.
+	LastUpdate struct {
+		Hits        int `json:"hits"`
+		Misses      int `json:"misses"`
+		Invalidated int `json:"invalidated"`
+	} `json:"lastUpdate"`
+	// ReplayTable is the number of detection task results the session
+	// holds for replay by its next analysis.
+	ReplayTable int `json:"replayTable"`
 	// Requests counts completed Acquire/Release cycles; InFlight is the
 	// current active count (admitted or waiting).
 	Requests int64 `json:"requests"`
@@ -473,8 +482,12 @@ func (m *Manager) Snapshot() Snapshot {
 			Requests:  t.requests.Load(),
 			Cost:      &cost,
 		}
+		st := t.sess.ArtifactStats()
+		info.LastUpdate.Hits, info.LastUpdate.Misses, info.LastUpdate.Invalidated =
+			st.Hits, st.Misses, st.Invalidated
 		if a := t.sess.Analysis(); a != nil {
 			info.Functions = a.Sizes.Functions
+			info.ReplayTable = a.Prog.ReplayTableSize()
 		}
 		t.lock.Leave()
 		m.mu.Lock()
