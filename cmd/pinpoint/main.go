@@ -133,7 +133,7 @@ func runBatch() {
 	}
 	if *dump != "" {
 		kind, fn, ok := strings.Cut(*dump, ":")
-		f := a.Module.ByName[fn]
+		f := a.Module.Lookup(fn)
 		if !ok || f == nil {
 			fatal(fmt.Errorf("bad -dump %q: want cfg:<func> or seg:<func> with a defined function", *dump))
 		}
@@ -141,7 +141,7 @@ func runBatch() {
 		case "cfg":
 			fmt.Print(ir.DotCFG(f))
 		case "seg":
-			fmt.Print(a.SEGs[f].Dot())
+			fmt.Print(a.SEGs[f.ID].Dot())
 		default:
 			fatal(fmt.Errorf("bad -dump kind %q", kind))
 		}

@@ -36,7 +36,7 @@ void f() {
 		t.Fatal(err)
 	}
 	ap := pta.Andersen(m)
-	f := m.ByName["f"]
+	f := m.Lookup("f")
 	var mallocDst, copyDst *ir.Value
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
@@ -70,7 +70,7 @@ void f() {
 		t.Fatal(err)
 	}
 	ap := pta.Andersen(m)
-	f := m.ByName["f"]
+	f := m.Lookup("f")
 	var mallocDst, callDst *ir.Value
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {

@@ -31,7 +31,7 @@ int f(bool c) {
 
 func TestReversePostorder(t *testing.T) {
 	m := lowerSrc(t, diamondSrc)
-	f := m.ByName["f"]
+	f := m.Lookup("f")
 	rpo := ReversePostorder(f)
 	if rpo[0] != f.Entry {
 		t.Fatal("RPO does not start at entry")
@@ -55,7 +55,7 @@ func TestReversePostorder(t *testing.T) {
 
 func TestTopological(t *testing.T) {
 	m := lowerSrc(t, diamondSrc)
-	if _, err := Topological(m.ByName["f"]); err != nil {
+	if _, err := Topological(m.Lookup("f")); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -77,7 +77,7 @@ func TestTopologicalDetectsCycle(t *testing.T) {
 
 func TestDominatorsDiamond(t *testing.T) {
 	m := lowerSrc(t, diamondSrc)
-	f := m.ByName["f"]
+	f := m.Lookup("f")
 	dt := Dominators(f)
 	// Entry dominates everything.
 	for _, b := range f.Blocks {
@@ -108,7 +108,7 @@ func TestDominatorsDiamond(t *testing.T) {
 
 func TestPostDominators(t *testing.T) {
 	m := lowerSrc(t, diamondSrc)
-	f := m.ByName["f"]
+	f := m.Lookup("f")
 	pdt := PostDominators(f)
 	for _, b := range f.Blocks {
 		if !pdt.Dominates(f.Exit, b) {
@@ -134,7 +134,7 @@ func TestPostDominators(t *testing.T) {
 
 func TestDominanceFrontierDiamond(t *testing.T) {
 	m := lowerSrc(t, diamondSrc)
-	f := m.ByName["f"]
+	f := m.Lookup("f")
 	dt := Dominators(f)
 	df := DominanceFrontier(f, dt)
 	var branch *ir.Block
@@ -167,7 +167,7 @@ func TestDominanceFrontierDiamond(t *testing.T) {
 
 func TestControlDepsDiamond(t *testing.T) {
 	m := lowerSrc(t, diamondSrc)
-	f := m.ByName["f"]
+	f := m.Lookup("f")
 	pdt := PostDominators(f)
 	cd := ControlDeps(f, pdt)
 	var branch *ir.Block
@@ -209,7 +209,7 @@ void f(bool a, bool b) {
 		}
 	}
 }`)
-	f := m.ByName["f"]
+	f := m.Lookup("f")
 	pdt := PostDominators(f)
 	cd := ControlDeps(f, pdt)
 	// The block containing the call to g must be control dependent on
@@ -241,7 +241,7 @@ void f(bool a, bool b) {
 
 func TestDominatorsLinear(t *testing.T) {
 	m := lowerSrc(t, "void f() { g(); h(); }")
-	f := m.ByName["f"]
+	f := m.Lookup("f")
 	dt := Dominators(f)
 	pdt := PostDominators(f)
 	for _, b := range f.Blocks {

@@ -2,11 +2,13 @@ package core_test
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/checkers"
 	"repro/internal/core"
 	"repro/internal/detect"
+	"repro/internal/minic"
 	"repro/internal/workload"
 )
 
@@ -56,5 +58,88 @@ func TestAllocBudget(t *testing.T) {
 	}
 	if bytes > budgetBytesPerInstr {
 		t.Errorf("%.0f bytes allocated per IR instruction, budget %.0f", bytes, budgetBytesPerInstr)
+	}
+}
+
+// The budget of a warm request: what Session.Update and the CheckAll after it
+// allocate, and how many functions the Update looks at, when one function of
+// the serve-edit workload's program (3,342 functions in 45 units) has been
+// edited — the benchmark's driver edit, with every unit's source arriving as
+// a fresh string, as a decoded request's do. Measured values plus 15%, as
+// above. They exist so that per-request work proportional to the program
+// cannot creep back in: at the commit before the tables were patched the
+// same Update allocated 4.3 MiB in 19,006 objects and looked at all 3,342
+// functions, and the CheckAll allocated 1.1 MiB.
+const (
+	budgetEditUpdateBytes   = measuredEditUpdateBytes * 1.15
+	budgetEditUpdateMallocs = measuredEditUpdateMallocs * 1.15
+	budgetEditCheckBytes    = measuredEditCheckBytes * 1.15
+
+	measuredEditUpdateBytes   = 570 << 10
+	measuredEditUpdateMallocs = 3630
+	measuredEditCheckBytes    = 360 << 10
+)
+
+func TestUpdateEditBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates shadow state of its own")
+	}
+	if testing.Short() {
+		t.Skip("builds the 20k-line ladder")
+	}
+	units := ladder(600, 1)
+	sess := core.NewSession(core.BuildOptions{Workers: 1})
+	a, err := sess.Update(units)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.CheckAll(checkers.All(), detect.Options{Workers: 1})
+	functions := a.Sizes.Functions
+
+	const edits = 5
+	var updBytes, updMallocs, chkBytes uint64
+	for i := 0; i < edits; i++ {
+		u := i % len(units)
+		at := strings.LastIndex(units[u].Src, "\nvoid drive_")
+		cut := at + 1 + strings.IndexByte(units[u].Src[at+1:], '\n') + 1
+		units[u].Src = units[u].Src[:cut] + "\tseed = seed + 1;\n" + units[u].Src[cut:]
+		request := make([]minic.NamedSource, len(units))
+		for k, unit := range units {
+			request[k] = minic.NamedSource{Name: unit.Name, Src: strings.Clone(unit.Src)}
+		}
+
+		var m0, m1, m2 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		a, err := sess.Update(request)
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := a.CheckAll(checkers.All(), detect.Options{Workers: 1})
+		runtime.ReadMemStats(&m2)
+		updBytes += m1.TotalAlloc - m0.TotalAlloc
+		updMallocs += m1.Mallocs - m0.Mallocs
+		chkBytes += m2.TotalAlloc - m1.TotalAlloc
+
+		if a.Artifacts.Invalidated != 1 || a.Artifacts.Misses != 0 {
+			t.Fatalf("edit %d rebuilt %d+%d functions, want exactly 1", i, a.Artifacts.Invalidated, a.Artifacts.Misses)
+		}
+		if a.Artifacts.Visited*20 >= functions {
+			t.Errorf("edit %d: the Update looked at %d of %d functions, want < 5%%", i, a.Artifacts.Visited, functions)
+		}
+		if res.TasksRun == 0 || res.TasksReplayed == 0 {
+			t.Fatalf("edit %d: %d tasks ran, %d replayed", i, res.TasksRun, res.TasksReplayed)
+		}
+	}
+	t.Logf("per edit: Update %d KiB in %d mallocs (budget %.0f KiB / %.0f), CheckAll %d KiB (budget %.0f KiB)",
+		updBytes/edits>>10, updMallocs/edits, budgetEditUpdateBytes/1024, budgetEditUpdateMallocs, chkBytes/edits>>10, budgetEditCheckBytes/1024)
+	if got := float64(updBytes) / edits; got > budgetEditUpdateBytes {
+		t.Errorf("Update allocated %.0f KiB per edit, budget %.0f KiB", got/1024, budgetEditUpdateBytes/1024)
+	}
+	if got := float64(updMallocs) / edits; got > budgetEditUpdateMallocs {
+		t.Errorf("Update made %.0f allocations per edit, budget %.0f", got, budgetEditUpdateMallocs)
+	}
+	if got := float64(chkBytes) / edits; got > budgetEditCheckBytes {
+		t.Errorf("CheckAll allocated %.0f KiB per edit, budget %.0f KiB", got/1024, budgetEditCheckBytes/1024)
 	}
 }

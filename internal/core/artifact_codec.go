@@ -47,16 +47,15 @@ import (
 // A segment from a different program shape, codec version, or with a
 // corrupt stream decodes to a miss for everything in it; corruption costs
 // a rebuild, never a wrong artifact — the same contract the per-function
-// records had. The cached AST declaration (funcArtifact.decl) is
-// deliberately absent: Update always refreshes it from the current parse
-// before anything reads it, so persisting it would only risk staleness.
+// records had.
 
 // artifactCodecVersion gates decoding: bump on any wire-format change so
 // old records read as misses instead of garbage. Version 3 is the wirebin
 // binary layout (version 2 was the same segment scheme gob-encoded);
 // version-1 per-function records are simply never read (their keys are
 // plain function names, which the segment loader does not consult).
-const artifactCodecVersion = 3
+// Version 4 drops the callee names and adds the SEG value-vertex count.
+const artifactCodecVersion = 4
 
 // segMagic opens every segment record, so foreign bytes fail fast before
 // any field decoding.
@@ -95,7 +94,6 @@ type artifactWire struct {
 	SumFP   string
 	SigFP   string
 	DepFP   string
-	Callees []string
 	HasSum  bool
 	Sum     []pathFlagWire
 	Conds   []cond.NodeWire
@@ -104,19 +102,11 @@ type artifactWire struct {
 	PTA     *pta.ResultWire
 	SEG     *seg.GraphWire
 
-	SegNodes  int
-	SegEdges  int
-	CondNodes int
-	PTAStats  pta.Stats
-}
-
-// artifactMeta is the change-detection key for re-persisting: if it is
-// unchanged since the last Put, the on-disk record is already current.
-// The firewall makes this necessary — a retained artifact's summary and
-// fingerprints can be refreshed at commit without a rebuild, and skipping
-// the re-Put would leave a stale summary to be warm-loaded later.
-func artifactMeta(progFP string, art *funcArtifact) string {
-	return progFP + "|" + art.astHash + "|" + art.sumFP + "|" + art.sigFP + "|" + art.depFP
+	SegNodes      int
+	SegValueNodes int
+	SegEdges      int
+	CondNodes     int
+	PTAStats      pta.Stats
 }
 
 func exportSummary(sum *modref.Summary) (bool, []pathFlagWire) {
@@ -182,17 +172,17 @@ func exportArtifactWire(name, progFP string, art *funcArtifact) (*artifactWire, 
 		SumFP:   art.sumFP,
 		SigFP:   art.sigFP,
 		DepFP:   art.depFP,
-		Callees: art.callees,
 		Conds:   condsWire,
 		Fn:      fnWire,
 		Info:    ssa.ExportInfo(art.info),
 		PTA:     pta.ExportResult(art.seg.PTA),
 		SEG:     seg.ExportGraph(art.seg),
 
-		SegNodes:  art.segNodes,
-		SegEdges:  art.segEdges,
-		CondNodes: art.condNodes,
-		PTAStats:  art.ptaStats,
+		SegNodes:      art.sizes.segNodes,
+		SegValueNodes: art.sizes.segValueNodes,
+		SegEdges:      art.sizes.segEdges,
+		CondNodes:     art.sizes.condNodes,
+		PTAStats:      art.sizes.pta,
 	}
 	w.HasSum, w.Sum = exportSummary(art.sum)
 	return w, nil
@@ -233,7 +223,6 @@ func appendArtifactWire(e *wirebin.Writer, w *artifactWire) {
 	e.Str(w.SumFP)
 	e.Str(w.SigFP)
 	e.Str(w.DepFP)
-	e.Strs(w.Callees)
 	e.Bool(w.HasSum)
 	appendPathFlags(e, w.Sum)
 	cond.AppendNodeWires(e, w.Conds)
@@ -242,6 +231,7 @@ func appendArtifactWire(e *wirebin.Writer, w *artifactWire) {
 	w.PTA.AppendWire(e)
 	w.SEG.AppendWire(e)
 	e.Int(w.SegNodes)
+	e.Int(w.SegValueNodes)
 	e.Int(w.SegEdges)
 	e.Int(w.CondNodes)
 	e.Int(w.PTAStats.GuardsPruned)
@@ -258,7 +248,6 @@ func decodeArtifactWire(r *wirebin.Reader) (*artifactWire, error) {
 	w.SumFP = r.Str()
 	w.SigFP = r.Str()
 	w.DepFP = r.Str()
-	w.Callees = r.Strs()
 	w.HasSum = r.Bool()
 	w.Sum = decodePathFlags(r)
 	var err error
@@ -278,6 +267,7 @@ func decodeArtifactWire(r *wirebin.Reader) (*artifactWire, error) {
 		return nil, err
 	}
 	w.SegNodes = r.Int()
+	w.SegValueNodes = r.Int()
 	w.SegEdges = r.Int()
 	w.CondNodes = r.Int()
 	w.PTAStats.GuardsPruned = r.Int()
@@ -291,17 +281,17 @@ func decodeArtifactWire(r *wirebin.Reader) (*artifactWire, error) {
 	return w, nil
 }
 
-// encodeSegment bundles the named artifacts into one segment record: a
-// magic-prefixed header followed by Count artifactWire encodings.
-func encodeSegment(progFP string, seq int64, names []string, arts map[string]*funcArtifact) ([]byte, error) {
+// encodeSegment bundles the artifacts of the functions ids into one segment
+// record: a magic-prefixed header followed by Count artifactWire encodings.
+func encodeSegment(progFP string, seq int64, ids []int32, arts []*funcArtifact) ([]byte, error) {
 	e := &wirebin.Writer{B: make([]byte, 0, 64<<10)}
 	e.B = append(e.B, segMagic...)
 	e.Int(artifactCodecVersion)
 	e.Str(progFP)
 	e.Varint(seq)
-	e.Int(len(names))
-	for _, name := range names {
-		w, err := exportArtifactWire(name, progFP, arts[name])
+	e.Int(len(ids))
+	for _, id := range ids {
+		w, err := exportArtifactWire(arts[id].fn.Name, progFP, arts[id])
 		if err != nil {
 			return nil, err
 		}
@@ -392,23 +382,25 @@ func importArtifact(w *artifactWire, progFP string) (*funcArtifact, error) {
 	if err != nil {
 		return nil, fmt.Errorf("artifact %s: %w", name, err)
 	}
-	art := &funcArtifact{
-		astHash:   w.AstHash,
-		sumFP:     w.SumFP,
-		sigFP:     w.SigFP,
-		depFP:     w.DepFP,
-		callees:   w.Callees,
-		sum:       importSummary(w.HasSum, w.Sum),
-		fn:        f,
-		info:      inf,
-		seg:       g,
-		segNodes:  w.SegNodes,
-		segEdges:  w.SegEdges,
-		condNodes: w.CondNodes,
-		ptaStats:  w.PTAStats,
-	}
-	art.persistedMeta = artifactMeta(progFP, art)
-	return art, nil
+	return &funcArtifact{
+		astHash: w.AstHash,
+		sumFP:   w.SumFP,
+		sigFP:   w.SigFP,
+		depFP:   w.DepFP,
+		sum:     importSummary(w.HasSum, w.Sum),
+		fn:      f,
+		info:    inf,
+		seg:     g,
+		sizes: artifactSizes{
+			instrs:        f.NumInstrs(),
+			segNodes:      w.SegNodes,
+			segValueNodes: w.SegValueNodes,
+			segEdges:      w.SegEdges,
+			condNodes:     w.CondNodes,
+			pta:           w.PTAStats,
+		},
+		persisted: true,
+	}, nil
 }
 
 // segState is the segment-ring bookkeeping a warm load recovers and every

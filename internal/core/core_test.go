@@ -36,7 +36,7 @@ func TestBuildFromSourcePipeline(t *testing.T) {
 		t.Errorf("timings empty: %+v", a.Timings)
 	}
 	// The connector transformation ran: helper has aux specs.
-	helper := a.Module.ByName["helper"]
+	helper := a.Module.Lookup("helper")
 	if len(helper.AuxOut) == 0 {
 		t.Error("connectors missing on helper")
 	}
@@ -66,7 +66,7 @@ func TestDisableConnectorsOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	helper := a.Module.ByName["helper"]
+	helper := a.Module.Lookup("helper")
 	if len(helper.AuxOut) != 0 || len(helper.AuxIn) != 0 {
 		t.Error("connectors applied despite ablation")
 	}

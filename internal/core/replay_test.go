@@ -198,9 +198,9 @@ func specsFor(t *testing.T, names []string) []*checkers.Spec {
 // session's incrementally maintained index can be held against the one a
 // from-scratch build computes.
 func callersByName(prog *detect.Program) map[string][]string {
-	out := make(map[string][]string, len(prog.Callers))
-	for callee, sites := range prog.Callers {
-		for _, cs := range sites {
+	out := make(map[string][]string)
+	for _, callee := range prog.Module.Funcs {
+		for _, cs := range prog.Callers(callee) {
 			out[callee.Name] = append(out[callee.Name], fmt.Sprintf("%s#%d@%s", cs.Fn.Name, cs.Instr.ID, cs.Instr.Pos))
 		}
 	}
@@ -391,6 +391,39 @@ func TestReplayTaskFloors(t *testing.T) {
 			if got := reportsJSON(t, res.Reports); string(got) != string(want) {
 				t.Fatalf("%s %d: reports changed", what, i)
 			}
+		}
+	}
+}
+
+// TestReplayAcrossUncheckedUpdates: the task plan and the per-function
+// preparation are carried from Program to Program and brought up to date by
+// the next CheckAll, however many Updates went unchecked in between and
+// whichever checkers ran last.
+func TestReplayAcrossUncheckedUpdates(t *testing.T) {
+	b := replayBase
+	relEdited := b.with("rel.mc", "void rel(int *p) { int z = 0; free(p); }\n")
+	both := relEdited.with("top.mc", "void top(bool c) {\n\tint *x = malloc();\n\t*x = 1;\n\thold(x);\n\tif (c) { use_val(1); }\n}\n")
+	topOnly := both.with("rel.mc", b[0].Src)
+	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+		opts := detect.Options{Workers: workers}
+		sess := core.NewSession(core.BuildOptions{Workers: workers})
+		_, cold := checkReplayStep(t, "cold", sess, b, nil, opts)
+		for _, p := range []program{relEdited, both} {
+			if _, err := sess.Update(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, res := checkReplayStep(t, "after three updates", sess, topOnly, nil, opts)
+		if res.TasksRun == 0 || res.TasksRun >= cold.TasksRun {
+			t.Errorf("workers=%d: %d tasks ran after unchecked updates (%d cold), want a few", workers, res.TasksRun, cold.TasksRun)
+		}
+		checkReplayStep(t, "one checker", sess, topOnly, []string{"memory-leak"}, opts)
+		if _, err := sess.Update(both); err != nil {
+			t.Fatal(err)
+		}
+		_, res = checkReplayStep(t, "all checkers after one", sess, b, nil, opts)
+		if res.TasksRun+res.TasksReplayed != cold.TasksRun {
+			t.Errorf("workers=%d: %d+%d tasks, want %d", workers, res.TasksRun, res.TasksReplayed, cold.TasksRun)
 		}
 	}
 }

@@ -2,11 +2,15 @@
 //
 // A Session keeps the per-function outputs of every pipeline stage —
 // lowered CFG IR, SSA info, Mod/Ref summary, connector signature, local
-// points-to facts, and the SEG — as artifacts in a content-addressed store.
-// Update diffs the incoming translation units against the previous ones and
-// rebuilds only what a change can actually reach:
+// points-to facts, and the SEG — as artifacts, and with them the
+// program-level tables built over the functions: the parsed units, the
+// function layout (names, declaration order, IDs), the condensed AST call
+// graph with its caller edges, the program shape (globals, structs), and the
+// assembled module and analysis tables. Update diffs the incoming
+// translation units against the previous ones and rebuilds only what a
+// change can actually reach:
 //
-//   - a unit whose source hash is unchanged is not re-parsed;
+//   - a unit whose source bytes are unchanged is not re-parsed;
 //   - a function whose AST hash (structure, literals, positions, unit
 //     index) is unchanged keeps its artifacts unless a dependency demands
 //     otherwise;
@@ -19,13 +23,22 @@
 //     everything it calls. The early-cutoff firewall lives here: an edited
 //     callee whose connector signature (return type, parameter types, aux
 //     specs) is unchanged does not invalidate its callers' artifacts, even
-//     though its own body was rebuilt.
+//     though its own body was rebuilt;
+//   - the program-level tables are patched, not rebuilt, while the edit
+//     leaves them valid: an Update then looks only at the functions of the
+//     re-parsed units and at the SCCs that can reach an edited function,
+//     and everything else keeps its place in every table unseen. What
+//     invalidates a table is rebuilding it and looking at every function —
+//     which is also what the first Update does: one build, over whatever
+//     set of functions is affected.
 //
 // Everything rebuilt is lowered from the cached AST, one declaration at a
 // time and deterministically, so a warm Update yields an Analysis whose
 // reports, witnesses, and size statistics are byte-identical to a
 // from-scratch build of the same sources. Session state is only committed once the whole update has
 // succeeded; a parse or lowering error leaves the previous state intact.
+// Nothing reachable from an Analysis is ever modified by a later Update:
+// tables are carried by copying the spine and overwriting the changed slots.
 package core
 
 import (
@@ -33,6 +46,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -44,7 +58,6 @@ import (
 	"repro/internal/lower"
 	"repro/internal/minic"
 	"repro/internal/modref"
-	"repro/internal/obs"
 	"repro/internal/pta"
 	"repro/internal/seg"
 	"repro/internal/ssa"
@@ -58,39 +71,64 @@ import (
 // artifacts were discarded and rebuilt. Misses+Invalidated is the dirty
 // frontier actually recomputed. StoreHits counts artifacts warm-loaded from
 // the persistent store this Update (a subset of Hits unless a dependency
-// change invalidated the loaded artifact anyway).
+// change invalidated the loaded artifact anyway). Visited counts the
+// functions the Update looked at at all — those of re-parsed units and those
+// that can reach an edited function; the other Hits kept their artifacts
+// unseen. It equals the function count when a program-level table had to be
+// rebuilt.
 type ArtifactStats struct {
 	Hits        int
 	Misses      int
 	Invalidated int
 	StoreHits   int
+	Visited     int
 }
 
 // funcArtifact is the cached per-function build output, valid as long as
-// its astHash and depFP match the current program.
+// its astHash and depFP match the current program. Apart from persisted an
+// artifact is immutable once committed.
 type funcArtifact struct {
 	astHash string // AST content hash + unit index
 	sumFP   string // Mod/Ref summary fingerprint
 	sigFP   string // connector signature fingerprint
 	depFP   string // sigFP + callee sigFPs: transform/SEG validity key
-	decl    *minic.FuncDecl
-	callees []string
 	sum     *modref.Summary
 	fn      *ir.Func // lowered, SSA-converted, connector-transformed
 	info    *ssa.Info
 	seg     *seg.Graph
-	// Size counters snapshotted right after the build: detection later
-	// grows cond nodes and SEG value nodes in place, so live recounts of
-	// retained artifacts would drift from a cold build's numbers.
-	segNodes  int
-	segEdges  int
-	condNodes int
-	ptaStats  pta.Stats
-	// persistedMeta is the artifactMeta the persistent store last accepted
-	// for this function ("" = never persisted). Commit re-encodes whenever
-	// the live metadata differs — including the firewall case, where a
-	// retained artifact's summary is refreshed without a rebuild.
-	persistedMeta string
+	sizes   artifactSizes
+	// persisted reports that the persistent store holds the artifact as it
+	// is. A rebuilt artifact starts false, and so does the copy made when
+	// the firewall refreshes a retained artifact's summary without a
+	// rebuild.
+	persisted bool
+}
+
+// artifactSizes are one function's size counters, snapshotted right after
+// its build: detection later grows cond nodes and SEG value nodes in place,
+// so live recounts of retained artifacts would drift from a cold build's
+// numbers.
+type artifactSizes struct {
+	instrs        int
+	segNodes      int
+	segValueNodes int
+	segEdges      int
+	condNodes     int
+	pta           pta.Stats
+}
+
+// add accumulates sign × o.
+func (z *artifactSizes) add(o *artifactSizes, sign int) {
+	z.instrs += sign * o.instrs
+	z.segNodes += sign * o.segNodes
+	z.segValueNodes += sign * o.segValueNodes
+	z.segEdges += sign * o.segEdges
+	z.condNodes += sign * o.condNodes
+	z.pta.GuardsPruned += sign * o.pta.GuardsPruned
+	z.pta.GuardsKept += sign * o.pta.GuardsKept
+	z.pta.CapWidened += sign * o.pta.CapWidened
+	z.pta.LinearQueries += sign * o.pta.LinearQueries
+	z.pta.LinearUnsat += sign * o.pta.LinearUnsat
 }
 
 // Session is an incremental analysis pipeline. Create one with NewSession,
@@ -104,13 +142,17 @@ type Session struct {
 	// CheckAll behavior that scaling measurements depend on.
 	persistDetect bool
 
-	files     map[string]*parsedUnit // unit source hash → parsed file
-	unitKeys  []string               // unit source hashes of the committed Update, in order
-	progFP    string                 // globals/structs/unit-shape fingerprint
-	artifacts map[string]*funcArtifact
-	order     []string // committed declaration order of the artifact map
-	analysis  *Analysis
-	stats     ArtifactStats // last Update's counters
+	// The committed state: what the last successful Update left, and the
+	// next one patches where it can. All of it is private to the session
+	// (the Analysis has its own tables), so commit updates it in place.
+	files    map[string]*parsedUnit // latest parse per unit name
+	units    []*parsedUnit          // the committed units, in order
+	shape    *progShape
+	tab      *funcTable
+	arts     []*funcArtifact // by function ID
+	totals   artifactSizes   // summed over arts
+	analysis *Analysis
+	stats    ArtifactStats // last Update's counters
 	// store is the persistent artifact backing, nil when the
 	// configured Store cannot outlive the process (MemStore or none) —
 	// in that case the encode/decode round-trip could never pay off and
@@ -118,10 +160,13 @@ type Session struct {
 	store store.Store
 	// Segment-ring bookkeeping for the persistent artifact store (see
 	// artifact_codec.go). storeLoaded gates the one-time warm-load pass:
-	// after the first successful Update the in-memory artifact map is the
+	// after the first successful Update the in-memory artifacts are the
 	// authority and re-reading segments could only serve stale data.
+	// unsaved lists the functions whose committed artifact the store does
+	// not hold yet because a write failed; every Update retries them.
 	storeLoaded bool
 	ring        segState
+	unsaved     []int32
 }
 
 // NewSession returns an empty incremental session.
@@ -132,11 +177,7 @@ func NewSession(opts BuildOptions) *Session {
 }
 
 func newSession(opts BuildOptions) *Session {
-	s := &Session{
-		opts:      opts,
-		files:     make(map[string]*parsedUnit),
-		artifacts: make(map[string]*funcArtifact),
-	}
+	s := &Session{opts: opts, files: make(map[string]*parsedUnit)}
 	if opts.Store != nil && opts.Store.Persistent() {
 		s.store = opts.Store
 	}
@@ -147,11 +188,16 @@ func newSession(opts BuildOptions) *Session {
 func (s *Session) ArtifactStats() ArtifactStats { return s.stats }
 
 // ArtifactCount reports the number of per-function artifacts currently
-// retained in the content-addressed store.
-func (s *Session) ArtifactCount() int { return len(s.artifacts) }
+// retained.
+func (s *Session) ArtifactCount() int {
+	if s.tab == nil {
+		return 0
+	}
+	return len(s.tab.ids)
+}
 
-// UnitCount reports the number of distinct translation-unit sources whose
-// parses are currently cached.
+// UnitCount reports the number of distinct translation units whose parses
+// are currently cached.
 func (s *Session) UnitCount() int { return len(s.files) }
 
 // ArtifactFingerprint digests the committed per-function artifact
@@ -161,9 +207,11 @@ func (s *Session) UnitCount() int { return len(s.files) }
 // build-determinism tests gate on this.
 func (s *Session) ArtifactFingerprint() string {
 	h := sha256.New()
-	for _, name := range s.order {
-		art := s.artifacts[name]
-		fmt.Fprintf(h, "%s\x00%s\x00%s\x00%s\x00%s\x00", name, art.astHash, art.sumFP, art.sigFP, art.depFP)
+	if s.tab != nil {
+		for _, id := range s.tab.ids {
+			art := s.arts[id]
+			fmt.Fprintf(h, "%s\x00%s\x00%s\x00%s\x00%s\x00", art.fn.Name, art.astHash, art.sumFP, art.sigFP, art.depFP)
+		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -172,16 +220,38 @@ func (s *Session) ArtifactFingerprint() string {
 // (nil before the first).
 func (s *Session) Analysis() *Analysis { return s.analysis }
 
-// parsedUnit is one translation unit's parse, kept with the per-declaration
-// facts every Update needs of it, so that a unit whose source did not change
-// costs a map lookup, not a walk over its AST.
+// parsedUnit is one translation unit's source and parse, kept with the
+// per-declaration facts every Update needs of it, so that a unit whose
+// source did not change costs a byte comparison, not a walk over its AST.
 type parsedUnit struct {
-	file *minic.File
+	name, src string
+	file      *minic.File
+	// shape renders the unit's globals and struct layouts, its share of the
+	// whole-program lowering inputs (see progShape).
+	shape string
 	// unit is the index the hashes below were computed under (-1 before
 	// the first): a function's AST hash covers its unit index.
 	unit    int
 	astHash []string   // per file.Funcs: AST content hash + unit index
 	callees [][]string // per file.Funcs: sorted names of the functions called
+}
+
+func parseUnit(u minic.NamedSource) (*parsedUnit, error) {
+	f, err := minic.ParseFile(u.Name, u.Src)
+	if err != nil {
+		return nil, err
+	}
+	var b strings.Builder
+	for _, g := range f.Globals {
+		fmt.Fprintf(&b, "global\x00%s\x00%s\x00", g.Name, g.Type)
+	}
+	for _, sd := range f.Structs {
+		fmt.Fprintf(&b, "struct\x00%s\x00", sd.Name)
+		for _, fld := range sd.Fields {
+			fmt.Fprintf(&b, "field\x00%s\x00%s\x00", fld.Name, fld.Type)
+		}
+	}
+	return &parsedUnit{name: u.Name, src: u.Src, file: f, shape: b.String(), unit: -1}, nil
 }
 
 // index brings the per-declaration facts up to date for the unit's position
@@ -204,16 +274,252 @@ func (pu *parsedUnit) index(unit int) {
 	}
 }
 
-// fnState is the per-function bookkeeping of one Update in progress.
-// During the build wavefront each field is written only by the node that
-// owns it (the function's L-node, its SCC's S-node, or its F-node) and
-// read by dependent nodes after that node completed — the scheduler's
-// dependency edges provide the happens-before ordering.
+// progShape holds the whole-program inputs to lowering: every global (order,
+// name, type) and every struct layout. Any change to them invalidates every
+// artifact (rare, and cheap to detect: each unit renders its share at parse).
+// Unit identity is deliberately absent — it is already part of each
+// function's AST hash (unit index plus file-qualified positions), so adding
+// or removing a translation unit invalidates only the functions it actually
+// repositions.
+type progShape struct {
+	fp           string // digest of the units' shape renderings, in order
+	structs      map[string][]minic.Param
+	globalTypes  map[string]minic.Type
+	globals      []*ir.Global
+	globalByName map[string]*ir.Global
+}
+
+func newProgShape(parsed []*parsedUnit) *progShape {
+	h := sha256.New()
+	files := make([]*minic.File, len(parsed))
+	for i, pu := range parsed {
+		h.Write([]byte(pu.shape))
+		files[i] = pu.file
+	}
+	sh := &progShape{
+		fp:           hex.EncodeToString(h.Sum(nil))[:24],
+		structs:      lower.Structs(&minic.Program{Files: files}),
+		globalTypes:  make(map[string]minic.Type),
+		globalByName: make(map[string]*ir.Global),
+	}
+	for _, f := range files {
+		for _, g := range f.Globals {
+			sh.globalTypes[g.Name] = g.Type
+			ig := &ir.Global{Name: g.Name, Type: g.Type}
+			sh.globals = append(sh.globals, ig)
+			sh.globalByName[g.Name] = ig
+		}
+	}
+	return sh
+}
+
+// funcTable is what the session knows of the program's functions as a set:
+// which names are defined, in what order and under which IDs (the module's
+// Layout), where each unit's declarations start, and the condensation of the
+// AST-level call graph (name → defined callee names). It is immutable; an
+// Update either finds it still valid or builds the next one.
+type funcTable struct {
+	lay   *ir.Layout
+	names []string // in declaration order
+	ids   []int32  // in declaration order
+	// unitStart[u] is the declaration position of unit u's first function
+	// (unitStart[len(units)] the number of functions).
+	unitStart []int32
+	// sccs lists the strongly connected components in bottom-up,
+	// callee-first order, members by function ID; sccOf maps a function ID to
+	// its component's index; callees and callers are the condensed graph's
+	// edges in both directions.
+	sccs    [][]int32
+	sccOf   []int32
+	callees adjacency
+	callers adjacency
+}
+
+// adjacency is a graph in compressed-sparse-row form: the neighbours of
+// vertex i are items[start[i]:start[i+1]].
+type adjacency struct {
+	start []int32
+	items []int32
+}
+
+func (a *adjacency) of(i int32) []int32 { return a.items[a.start[i]:a.start[i+1]] }
+
+// locate returns the unit and the index within it of the declaration at
+// position pos.
+func (t *funcTable) locate(pos int32) (unit, k int) {
+	unit = sort.Search(len(t.unitStart)-1, func(u int) bool { return t.unitStart[u+1] > pos })
+	return unit, int(pos - t.unitStart[unit])
+}
+
+// newFuncTable lays out the functions the parsed units declare and condenses
+// their call graph. When prev declares the same names in the same order its
+// Layout is kept; otherwise every name prev knows keeps its ID (retained
+// functions carry it) and new names take the IDs no function holds.
+func newFuncTable(parsed []*parsedUnit, prev *funcTable) (*funcTable, error) {
+	t := &funcTable{unitStart: make([]int32, 0, len(parsed)+1)}
+	n := 0
+	for _, pu := range parsed {
+		n += len(pu.file.Funcs)
+	}
+	t.names = make([]string, 0, n)
+	for _, pu := range parsed {
+		t.unitStart = append(t.unitStart, int32(len(t.names)))
+		for _, fn := range pu.file.Funcs {
+			t.names = append(t.names, fn.Name)
+		}
+	}
+	t.unitStart = append(t.unitStart, int32(n))
+
+	if prev != nil && slices.Equal(t.names, prev.names) {
+		t.lay, t.names, t.ids = prev.lay, prev.names, prev.ids
+	} else {
+		t.ids = make([]int32, n)
+		if prev == nil {
+			for i := range t.ids {
+				t.ids[i] = int32(i)
+			}
+		} else {
+			held := make([]bool, prev.lay.NumIDs())
+			for i, name := range t.names {
+				id := prev.lay.ID(name)
+				if t.ids[i] = int32(id); id >= 0 {
+					held[id] = true
+				}
+			}
+			free := 0
+			for i, id := range t.ids {
+				if id >= 0 {
+					continue
+				}
+				for free < len(held) && held[free] {
+					free++
+				}
+				t.ids[i] = int32(free)
+				free++
+			}
+		}
+		var a, b int
+		if t.lay, a, b = ir.NewLayout(t.names, t.ids); t.lay == nil {
+			ua, ka := t.locate(int32(a))
+			ub, kb := t.locate(int32(b))
+			return nil, fmt.Errorf("lower: duplicate function %q (at %s and %s)", t.names[a],
+				parsed[ua].file.Funcs[ka].Pos, parsed[ub].file.Funcs[kb].Pos)
+		}
+	}
+
+	// The call graph, by function ID: defined callees in callee-name order.
+	numIDs := t.lay.NumIDs()
+	calls := adjacency{start: make([]int32, numIDs+1)}
+	byID := make([][]string, numIDs)
+	pos := 0
+	for _, pu := range parsed {
+		for k := range pu.file.Funcs {
+			byID[t.ids[pos]] = pu.callees[k]
+			pos++
+		}
+	}
+	for id, callees := range byID {
+		for _, c := range callees {
+			if cid := t.lay.ID(c); cid >= 0 {
+				calls.items = append(calls.items, int32(cid))
+			}
+		}
+		calls.start[id+1] = int32(len(calls.items))
+	}
+
+	// Tarjan's algorithm from every function in declaration order.
+	const unseen = -1
+	index := make([]int32, numIDs)
+	low := make([]int32, numIDs)
+	onStack := make([]bool, numIDs)
+	t.sccOf = make([]int32, numIDs)
+	for i := range index {
+		index[i], t.sccOf[i] = unseen, unseen
+	}
+	var stack []int32
+	counter := int32(0)
+	var strongconnect func(v int32)
+	strongconnect = func(v int32) {
+		index[v], low[v] = counter, counter
+		counter++
+		stack = append(stack, v)
+		onStack[v] = true
+		for _, c := range calls.of(v) {
+			if index[c] == unseen {
+				strongconnect(c)
+				low[v] = min(low[v], low[c])
+			} else if onStack[c] {
+				low[v] = min(low[v], index[c])
+			}
+		}
+		if low[v] == index[v] {
+			at := len(stack) - 1
+			for stack[at] != v {
+				at--
+			}
+			scc := slices.Clone(stack[at:])
+			slices.Reverse(scc)
+			stack = stack[:at]
+			for _, m := range scc {
+				onStack[m] = false
+				t.sccOf[m] = int32(len(t.sccs))
+			}
+			t.sccs = append(t.sccs, scc)
+		}
+	}
+	for _, id := range t.ids {
+		if index[id] == unseen {
+			strongconnect(id)
+		}
+	}
+
+	// Condense: each component's callee components once each, then the same
+	// edges reversed.
+	nS := len(t.sccs)
+	t.callees.start = make([]int32, nS+1)
+	t.callers.start = make([]int32, nS+1)
+	seenFrom := make([]int32, nS) // component j+1 has an edge to this one already
+	for j, scc := range t.sccs {
+		seenFrom[j] = int32(j + 1)
+		for _, m := range scc {
+			for _, c := range calls.of(m) {
+				if jj := t.sccOf[c]; seenFrom[jj] != int32(j+1) {
+					seenFrom[jj] = int32(j + 1)
+					t.callees.items = append(t.callees.items, jj)
+					t.callers.start[jj+1]++
+				}
+			}
+		}
+		t.callees.start[j+1] = int32(len(t.callees.items))
+	}
+	for j := 0; j < nS; j++ {
+		t.callers.start[j+1] += t.callers.start[j]
+	}
+	t.callers.items = make([]int32, len(t.callees.items))
+	fill := slices.Clone(t.callers.start[:nS])
+	for j := int32(0); j < int32(nS); j++ {
+		for _, jj := range t.callees.of(j) {
+			t.callers.items[fill[jj]] = j
+			fill[jj]++
+		}
+	}
+	return t, nil
+}
+
+// fnState is the per-function bookkeeping of one Update in progress, kept
+// for the functions the Update looks at. During the build wavefront each
+// field is written only by the node that owns it (the function's L-node, its
+// SCC's S-node, or its F-node) and read by dependent nodes after that node
+// completed — the scheduler's dependency edges provide the happens-before
+// ordering.
 type fnState struct {
+	id      int32
 	decl    *minic.FuncDecl
 	astHash string
 	callees []string
 	old     *funcArtifact // nil when new or program-shape invalidated
+	had     bool          // the committed program defines the name
+	dirty   bool          // no old artifact, or its AST hash differs
 
 	sum        *modref.Summary
 	sumFP      string
@@ -228,7 +534,7 @@ type fnState struct {
 	finalFn   *ir.Func  // the function entering the committed module
 	finalInfo *ssa.Info
 	prep      *transform.Prepped // extended signature awaiting body rewrite
-	art       *funcArtifact      // rebuilt artifact (F-node output)
+	art       *funcArtifact      // the artifact to commit
 }
 
 // Update analyzes units incrementally against the session's previous state.
@@ -238,37 +544,36 @@ func (s *Session) Update(units []minic.NamedSource) (*Analysis, error) {
 	rec := s.opts.Obs
 	var tm Timings
 
-	// ---- Parse: re-parse only units whose source hash changed, in
-	// parallel per translation unit. All parsing happens before any
-	// shared AST is touched, so a syntax error in a later unit cannot
-	// leak partial state; conc.ForEach's lowest-index error contract
-	// keeps the reported error independent of the worker count.
+	// ---- Parse: re-parse only units whose source changed, in parallel per
+	// translation unit. All parsing happens before any shared AST is
+	// touched, so a syntax error in a later unit cannot leak partial
+	// state; conc.ForEach's lowest-index error contract keeps the reported
+	// error independent of the worker count.
 	sp := rec.Phase("parse")
 	t0 := time.Now()
-	hashes := make([]string, len(units))
 	parsed := make([]*parsedUnit, len(units))
 	var toParse []int
+	unchanged := s.analysis != nil && len(units) == len(s.units)
 	for i, u := range units {
-		h := minic.HashSource(u.Name, u.Src)
-		hashes[i] = h
-		if pu, ok := s.files[h]; ok {
+		if pu := s.files[u.Name]; pu != nil && pu.src == u.Src {
 			parsed[i] = pu
 		} else {
 			toParse = append(toParse, i)
 		}
+		unchanged = unchanged && parsed[i] == s.units[i]
 	}
-	if s.analysis != nil && slices.Equal(hashes, s.unitKeys) {
+	if unchanged {
 		// Nothing changed since the committed Update: its Analysis stands.
 		// Only what describes this call — timings, artifact outcome — is
 		// fresh; with a store, a segment write that failed at that commit
 		// gets its retry, as on every Update.
 		a := *s.analysis
 		a.Timings = Timings{Parse: time.Since(t0)}
-		a.Artifacts = ArtifactStats{Hits: len(s.order)}
+		a.Artifacts = ArtifactStats{Hits: len(s.tab.ids)}
 		sp.End()
 		if s.store != nil {
 			t0 = time.Now()
-			s.ring, _ = persistChanged(s.store, rec, s.order, s.artifacts, s.progFP, s.ring)
+			s.persist(s.unsaved)
 			a.Timings.StoreSave = time.Since(t0)
 		}
 		if rec != nil {
@@ -282,121 +587,195 @@ func (s *Session) Update(units []minic.NamedSource) (*Analysis, error) {
 	if err := conc.ForEach(len(toParse), s.opts.Workers, func(w, j int) error {
 		i := toParse[j]
 		end := perFunc(rec, w, "build.parse", units[i].Name)
-		f, err := minic.ParseFile(units[i].Name, units[i].Src)
+		pu, err := parseUnit(units[i])
 		end()
 		if err != nil {
 			return fmt.Errorf("parse: parsing %s: %w", units[i].Name, err)
 		}
-		parsed[i] = &parsedUnit{file: f, unit: -1}
-		parsed[i].index(i)
+		pu.index(i)
+		parsed[i] = pu
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	files := make([]*minic.File, len(units))
 	for i, pu := range parsed {
 		pu.index(i) // a no-op unless a known unit moved
-		files[i] = pu.file
 	}
 	tm.Parse = time.Since(t0)
 	sp.End()
 
-	prog := &minic.Program{Files: files}
-	sigs := lower.Sigs(prog)
-	structs := lower.Structs(prog)
-	globalTypes := make(map[string]minic.Type)
-	for _, f := range files {
-		for _, g := range f.Globals {
-			globalTypes[g.Name] = g.Type
+	// ---- Which program-level tables does the edit leave valid? They all
+	// are when every unit either is the committed parse or declares the same
+	// functions and the same shape as the committed unit at its position,
+	// with every edited function calling what it called. Then the functions
+	// to look at are those of the re-parsed units and whatever can reach an
+	// edited one; otherwise the tables are rebuilt and every function is
+	// looked at, as on the first Update.
+	tab, shape := s.tab, s.shape
+	patch := s.analysis != nil && len(parsed) == len(s.units)
+	var dirtyIDs []int32
+	visited := 0
+	for i := 0; patch && i < len(parsed); i++ {
+		pu, was := parsed[i], s.units[i]
+		if pu == was {
+			continue
 		}
+		base := tab.unitStart[i]
+		if patch = pu.shape == was.shape && len(pu.file.Funcs) == int(tab.unitStart[i+1]-base); !patch {
+			break
+		}
+		visited += len(pu.file.Funcs)
+		for k, fn := range pu.file.Funcs {
+			id := tab.ids[int(base)+k]
+			if fn.Name != tab.names[int(base)+k] {
+				patch = false
+			} else if pu.astHash[k] != s.arts[id].astHash {
+				patch = slices.Equal(pu.callees[k], was.callees[k])
+				dirtyIDs = append(dirtyIDs, id)
+			}
+			if !patch {
+				break
+			}
+		}
+	}
+	shapeChanged := false
+	if !patch {
+		var err error
+		if tab, err = newFuncTable(parsed, s.tab); err != nil {
+			return nil, err
+		}
+		if shape = newProgShape(parsed); s.shape != nil && shape.fp == s.shape.fp {
+			shape = s.shape
+		}
+		shapeChanged = shape != s.shape
 	}
 
-	// ---- Program-shape fingerprint: globals, structs, and the unit list
-	// are whole-program inputs to lowering; any change invalidates every
-	// artifact (rare, and cheap to detect).
-	progFP := programShapeFP(files)
-	shapeChanged := progFP != s.progFP
+	// ---- The affected functions, by declaration position: all of them, or
+	// the members of the SCCs from which an edited function is reachable.
+	var affected []int32 // SCC indexes, ascending (callee-first)
+	snode := make([]int32, len(tab.sccs))
+	if patch {
+		for _, id := range dirtyIDs {
+			if j := tab.sccOf[id]; snode[j] == 0 {
+				snode[j] = 1
+				affected = append(affected, j)
+			}
+		}
+		for i := 0; i < len(affected); i++ {
+			for _, j := range tab.callers.of(affected[i]) {
+				if snode[j] == 0 {
+					snode[j] = 1
+					affected = append(affected, j)
+				}
+			}
+		}
+		slices.Sort(affected)
+	} else {
+		affected = make([]int32, len(tab.sccs))
+		for j := range affected {
+			affected[j] = int32(j)
+		}
+	}
+	var positions []int32
+	for i, j := range affected {
+		snode[j] = int32(i + 1)
+		for _, id := range tab.sccs[j] {
+			positions = append(positions, int32(tab.lay.Pos(int(id))))
+		}
+	}
+	slices.Sort(positions)
 
-	// ---- Function table, duplicate detection, AST-level dirtiness,
-	// assembled serially in declaration order.
-	nDecls := 0
-	for _, f := range files {
-		nDecls += len(f.Funcs)
-	}
-	fnStates := make([]fnState, 0, nDecls)
-	for _, pu := range parsed {
-		for i, fn := range pu.file.Funcs {
-			fnStates = append(fnStates, fnState{decl: fn, astHash: pu.astHash[i], callees: pu.callees[i]})
-		}
-	}
-	order := make([]string, 0, len(fnStates))
-	states := make(map[string]*fnState, len(fnStates))
-	var stats ArtifactStats
-	for i := range fnStates {
-		st := &fnStates[i]
-		fn := st.decl
-		if prev, ok := states[fn.Name]; ok {
-			return nil, fmt.Errorf("lower: duplicate function %q (at %s and %s)", fn.Name, prev.decl.Pos, fn.Pos)
-		}
-		if !shapeChanged {
-			st.old = s.artifacts[fn.Name]
-		}
-		states[fn.Name] = st
-		order = append(order, fn.Name)
-	}
 	// ---- Warm-load: the first Update of a session reads the persistent
 	// store's artifact segments in one pass (a restarted server arrives
-	// here with an empty in-memory map). Segments carry the program-shape
+	// here with no artifacts in memory). Segments carry the program-shape
 	// fingerprint they were built under, so a shape change reads as a miss
-	// — the same rule shapeChanged applies to the in-memory map. Any
+	// — the same rule shapeChanged applies to the in-memory artifacts. Any
 	// decode failure (truncated, bit-flipped, stale codec) is also just a
 	// miss: corruption costs a rebuild, never a wrong artifact.
+	var stats ArtifactStats
 	ring := s.ring
+	var loaded map[string]*funcArtifact
 	if s.store != nil && !s.storeLoaded {
 		sp := rec.Phase("store.load")
 		t0 := time.Now()
-		var loaded map[string]*funcArtifact
-		loaded, ring = loadSegments(s.store, progFP, rec)
-		for _, name := range order {
-			st := states[name]
-			if st.old != nil {
-				continue
-			}
-			if art := loaded[name]; art != nil {
-				st.old = art
-				stats.StoreHits++
-			}
-		}
-		if rec != nil {
-			rec.Counter("store.artifact.loads").Add(int64(stats.StoreHits))
-		}
+		loaded, ring = loadSegments(s.store, shape.fp, rec)
 		tm.StoreLoad = time.Since(t0)
 		sp.End()
 	}
 
-	dirty := func(st *fnState) bool {
-		return st.old == nil || st.old.astHash != st.astHash
+	// ---- Function states, in declaration order, from the current parse.
+	states := make([]fnState, len(positions))
+	visit := make([]int32, tab.lay.NumIDs()) // function ID → index into states, +1
+	var lnodes []int32                       // the dirty states
+	unit := 0
+	for i, pos := range positions {
+		for tab.unitStart[unit+1] <= pos {
+			unit++
+		}
+		pu, k := parsed[unit], int(pos-tab.unitStart[unit])
+		st := &states[i]
+		*st = fnState{id: tab.ids[pos], decl: pu.file.Funcs[k], astHash: pu.astHash[k], callees: pu.callees[k]}
+		visit[st.id] = int32(i + 1)
+		if st.had = s.tab != nil && (patch || s.tab.lay.ID(st.decl.Name) >= 0); st.had && !shapeChanged {
+			st.old = s.arts[st.id]
+		}
+		if st.old == nil && loaded != nil {
+			if art := loaded[st.decl.Name]; art != nil {
+				art.fn.ID = int(st.id)
+				st.old = art
+				stats.StoreHits++
+			}
+		}
+		if st.dirty = st.old == nil || st.old.astHash != st.astHash; st.dirty {
+			lnodes = append(lnodes, int32(i))
+		}
+		if patch && parsed[unit] == s.units[unit] {
+			visited++ // not of a re-parsed unit, so not counted yet
+		}
+	}
+	if !patch {
+		visited = len(states)
+	}
+	stats.Visited = visited
+	if loaded != nil && rec != nil {
+		rec.Counter("store.artifact.loads").Add(int64(stats.StoreHits))
 	}
 	// committed: every st.old is an artifact of this session's previous
 	// Update, not one warm-loaded from the store.
 	committed := s.analysis != nil
 
-	// ---- Module shell: globals must exist before any lowering (lowering
-	// resolves global references through the module).
-	m := ir.NewModule()
-	m.ByName = make(map[string]*ir.Func, len(order))
-	m.Units = len(files)
-	for _, f := range files {
-		for _, g := range f.Globals {
-			m.AddGlobal(&ir.Global{Name: g.Name, Type: g.Type})
+	// callee finds what a called name stands for: the state of a function
+	// this Update looks at, or else the committed artifact of one it does
+	// not — which nothing in this Update can change — or neither for an
+	// external.
+	callee := func(name string) (*fnState, *funcArtifact) {
+		id := tab.lay.ID(name)
+		switch {
+		case id < 0:
+			return nil, nil
+		case visit[id] != 0:
+			return &states[visit[id]-1], nil
 		}
+		return nil, s.arts[id]
 	}
+	retType := func(name string) (minic.Type, bool) {
+		id := tab.lay.ID(name)
+		if id < 0 {
+			return minic.Type{}, false
+		}
+		u, k := tab.locate(int32(tab.lay.Pos(id)))
+		return parsed[u].file.Funcs[k].Ret, true
+	}
+
+	// ---- Module shell: lowering resolves global references through the
+	// module; the functions are filled in at commit.
+	m := &ir.Module{Layout: tab.lay, Globals: shape.globals, GlobalByName: shape.globalByName, Units: len(units)}
 
 	// ---- Wavefront: everything between parsing and commit — lowering,
 	// SSA, the Mod/Ref frontier recompute, connector fingerprints, the
 	// connector transform, and PTA+SEG — runs as one dependency-counting
-	// wavefront over the condensed AST call graph (see DESIGN.md
-	// "Parallel build pipeline"). Three node kinds:
+	// wavefront over the affected part of the condensed AST call graph (see
+	// DESIGN.md "Parallel build pipeline"). Three node kinds:
 	//
 	//   - an L-node per AST-dirty function lowers and SSA-converts it;
 	//     L-nodes have no dependencies and run fully parallel;
@@ -412,20 +791,22 @@ func (s *Session) Update(units []minic.NamedSource) (*Analysis, error) {
 	//
 	// Each node writes only fnState fields it owns and reads callee state
 	// strictly after the owning node completed (the scheduler supplies
-	// the happens-before edge). Summary merges are commutative set
+	// the happens-before edge); a callee outside the affected set is read
+	// from its committed artifact. Summary merges are commutative set
 	// unions and everything after the wavefront assembles in canonical
 	// declaration order, so output is byte-identical at any worker count.
 	var lowerNs, ssaNs, modrefNs, transformNs, ptaNs, segNs int64
-	lowerOne := func(w int, name string) error {
-		st := states[name]
+	lowerOne := func(w int, st *fnState) error {
+		name := st.decl.Name
 		t1 := time.Now()
 		endL := perFunc(rec, w, "build.lower", name)
-		lf, err := lower.FuncWith(m, st.decl, sigs, structs)
+		lf, err := lower.FuncWith(m, st.decl, retType, shape.structs)
 		endL()
 		atomic.AddInt64(&lowerNs, int64(time.Since(t1)))
 		if err != nil {
 			return fmt.Errorf("lower: %w", err)
 		}
+		lf.ID = int(st.id)
 		t1 = time.Now()
 		endS := perFunc(rec, w, "build.ssa", name)
 		inf, err := ssa.Transform(lf)
@@ -438,25 +819,28 @@ func (s *Session) Update(units []minic.NamedSource) (*Analysis, error) {
 		return nil
 	}
 	resolve := func(name string) *ir.Func {
-		if st, ok := states[name]; ok {
+		if st, art := callee(name); st != nil {
 			return st.finalFn
+		} else if art != nil {
+			return art.fn
 		}
 		return nil
 	}
-	runSCC := func(w int, scc []string) error {
+	runSCC := func(w int, scc []int32) error {
+		member := func(id int32) *fnState { return &states[visit[id]-1] }
 		// Mod/Ref: recompute only the frontier. A clean SCC none of whose
 		// external callees changed their summary keeps its old fixpoint.
 		// Callee sumChanged flags are final: their S-nodes completed.
 		t1 := time.Now()
 		recompute := false
-		for _, name := range scc {
-			st := states[name]
-			if dirty(st) || st.old.sum == nil {
+		for _, id := range scc {
+			st := member(id)
+			if st.dirty || st.old.sum == nil {
 				recompute = true
 				break
 			}
 			for _, c := range st.callees {
-				if cs, ok := states[c]; ok && cs.sumChanged {
+				if cs, _ := callee(c); cs != nil && cs.sumChanged {
 					recompute = true
 					break
 				}
@@ -466,43 +850,46 @@ func (s *Session) Update(units []minic.NamedSource) (*Analysis, error) {
 			}
 		}
 		if !recompute {
-			for _, name := range scc {
-				st := states[name]
+			for _, id := range scc {
+				st := member(id)
 				st.sum, st.sumFP = st.old.sum, st.old.sumFP
 			}
 			atomic.AddInt64(&modrefNs, int64(time.Since(t1)))
 		} else {
 			atomic.AddInt64(&modrefNs, int64(time.Since(t1)))
-			for _, name := range scc {
-				st := states[name]
+			for _, id := range scc {
+				st := member(id)
 				if st.fn == nil {
 					// Scratch-lower a clean member so its summary can be
 					// recomputed; the result doubles as the rebuild IR if
 					// dependency fingerprints later turn out to have
 					// changed.
-					if err := lowerOne(w, name); err != nil {
+					if err := lowerOne(w, st); err != nil {
 						return err
 					}
 				}
 				st.sum = modref.NewSummary()
 			}
-			lookup := func(callee string) *modref.Summary {
-				if st, ok := states[callee]; ok {
+			lookup := func(name string) *modref.Summary {
+				if st, art := callee(name); st != nil {
 					return st.sum
+				} else if art != nil {
+					return art.sum
 				}
 				return nil
 			}
 			t1 = time.Now()
 			for changed := true; changed; {
 				changed = false
-				for _, name := range scc {
-					if modref.AnalyzeFunc(states[name].fn, states[name].sum, lookup) {
+				for _, id := range scc {
+					st := member(id)
+					if modref.AnalyzeFunc(st.fn, st.sum, lookup) {
 						changed = true
 					}
 				}
 			}
-			for _, name := range scc {
-				st := states[name]
+			for _, id := range scc {
+				st := member(id)
 				st.sumFP = st.sum.Fingerprint()
 				if st.old == nil || st.old.sumFP != st.sumFP {
 					st.sumChanged = true
@@ -524,36 +911,38 @@ func (s *Session) Update(units []minic.NamedSource) (*Analysis, error) {
 		// fingerprint too. Only the session's own committed state is
 		// trusted that far; artifacts warm-loaded from the store are
 		// re-fingerprinted.
-		for _, name := range scc {
-			st := states[name]
-			if committed && !dirty(st) && !st.sumChanged {
+		for _, id := range scc {
+			st := member(id)
+			if committed && !st.dirty && !st.sumChanged {
 				st.sigFP = st.old.sigFP
 			} else {
-				st.sigFP = s.signatureFP(st, globalTypes)
+				st.sigFP = s.signatureFP(st, shape.globalTypes)
 			}
 			st.sigMoved = st.old == nil || st.old.sigFP != st.sigFP
 		}
 		calleeSigMoved := func(st *fnState) bool {
 			for _, c := range st.callees {
-				if cs, ok := states[c]; ok {
+				if cs, art := callee(c); cs != nil {
 					if cs.sigMoved {
 						return true
 					}
-				} else if s.artifacts[c] != nil {
+				} else if art == nil && s.tab != nil && s.tab.lay.ID(c) >= 0 {
 					return true // was defined, now external
 				}
 			}
 			return false
 		}
-		sigOf := func(callee string) string {
-			if st, ok := states[callee]; ok {
+		sigOf := func(name string) string {
+			if st, art := callee(name); st != nil {
 				return st.sigFP
+			} else if art != nil {
+				return art.sigFP
 			}
 			return "extern"
 		}
-		for _, name := range scc {
-			st := states[name]
-			if committed && !dirty(st) && !st.sigMoved && !calleeSigMoved(st) {
+		for _, id := range scc {
+			st := member(id)
+			if committed && !st.dirty && !st.sigMoved && !calleeSigMoved(st) {
 				st.depFP = st.old.depFP
 			} else {
 				h := sha256.New()
@@ -563,17 +952,17 @@ func (s *Session) Update(units []minic.NamedSource) (*Analysis, error) {
 				}
 				st.depFP = hex.EncodeToString(h.Sum(nil))[:24]
 			}
-			st.rebuild = dirty(st) || st.old.depFP != st.depFP
+			st.rebuild = st.dirty || st.old.depFP != st.depFP
 		}
 
 		// Lower the clean members pulled in by dependency changes (edited
 		// callee signatures) and pick what enters the committed module:
 		// retained functions keep their old IR — scratch-lowered copies
 		// made for summary recomputation are deliberately discarded.
-		for _, name := range scc {
-			st := states[name]
+		for _, id := range scc {
+			st := member(id)
 			if st.rebuild && st.fn == nil {
-				if err := lowerOne(w, name); err != nil {
+				if err := lowerOne(w, st); err != nil {
 					return err
 				}
 			}
@@ -588,8 +977,8 @@ func (s *Session) Update(units []minic.NamedSource) (*Analysis, error) {
 		// F-nodes read final aux specs; bodies are rewritten in F-nodes.
 		if !s.opts.DisableConnectors {
 			t1 = time.Now()
-			for _, name := range scc {
-				st := states[name]
+			for _, id := range scc {
+				st := member(id)
 				if st.rebuild {
 					st.prep = transform.Prep(m, st.finalFn, st.sum)
 				}
@@ -598,11 +987,23 @@ func (s *Session) Update(units []minic.NamedSource) (*Analysis, error) {
 		}
 		return nil
 	}
-	runFinish := func(w int, name string) error {
-		st := states[name]
+	runFinish := func(w int, st *fnState) error {
 		if !st.rebuild {
+			// Retain the built IR/SEG but refresh the metadata: the
+			// firewall keeps artifacts alive across summary changes whose
+			// signature is stable, so the stored summary must be this
+			// update's, not the one the artifact was originally built
+			// under. Most of the time nothing moved and the committed
+			// artifact serves as it is.
+			st.art = st.old
+			if old := st.old; old.sum != st.sum || old.sumFP != st.sumFP || old.sigFP != st.sigFP || old.depFP != st.depFP {
+				art := *old
+				art.sum, art.sumFP, art.sigFP, art.depFP, art.persisted = st.sum, st.sumFP, st.sigFP, st.depFP, false
+				st.art = &art
+			}
 			return nil
 		}
+		name := st.decl.Name
 		f := st.finalFn
 		if st.prep != nil {
 			t1 := time.Now()
@@ -627,66 +1028,47 @@ func (s *Session) Update(units []minic.NamedSource) (*Analysis, error) {
 		g := seg.Build(f, st.finalInfo, pr)
 		endSEG()
 		atomic.AddInt64(&segNs, int64(time.Since(t1)))
+		gs := g.Stats()
 		st.art = &funcArtifact{
-			astHash:   st.astHash,
-			sumFP:     st.sumFP,
-			sigFP:     st.sigFP,
-			depFP:     st.depFP,
-			decl:      st.decl,
-			callees:   st.callees,
-			sum:       st.sum,
-			fn:        f,
-			info:      st.finalInfo,
-			seg:       g,
-			segNodes:  g.NumNodes(),
-			segEdges:  g.NumEdges(),
-			condNodes: st.finalInfo.Conds.NumNodes(),
-			ptaStats:  pr.Stats,
+			astHash: st.astHash,
+			sumFP:   st.sumFP,
+			sigFP:   st.sigFP,
+			depFP:   st.depFP,
+			sum:     st.sum,
+			fn:      f,
+			info:    st.finalInfo,
+			seg:     g,
+			sizes: artifactSizes{
+				instrs:        f.NumInstrs(),
+				segNodes:      gs.Nodes,
+				segValueNodes: gs.ValueNodes,
+				segEdges:      gs.Edges,
+				condNodes:     st.finalInfo.Conds.NumNodes(),
+				pta:           pr.Stats,
+			},
 		}
 		return nil
 	}
 
 	// DAG layout: [0,nL) L-nodes for AST-dirty functions, [nL,nL+nS)
-	// S-nodes in astSCCs' callee-first order, [nL+nS,nL+nS+len(order))
-	// F-nodes in declaration order.
-	sccs := astSCCs(order, states)
-	var dirtyNames []string
-	for _, name := range order {
-		if dirty(states[name]) {
-			dirtyNames = append(dirtyNames, name)
-		}
+	// S-nodes in the condensation's callee-first order, [nL+nS,...) F-nodes
+	// in declaration order.
+	nL, nS := len(lnodes), len(affected)
+	deps := make([][]int, nL+nS+len(states))
+	for li, i := range lnodes {
+		node := nL + int(snode[tab.sccOf[states[i].id]]) - 1
+		deps[node] = append(deps[node], li)
 	}
-	nL, nS := len(dirtyNames), len(sccs)
-	lIdx := make(map[string]int, nL)
-	for i, name := range dirtyNames {
-		lIdx[name] = i
-	}
-	sccIdx := make(map[string]int, len(order))
-	for j, scc := range sccs {
-		for _, name := range scc {
-			sccIdx[name] = j
-		}
-	}
-	deps := make([][]int, nL+nS+len(order))
-	for j, scc := range sccs {
-		node := nL + j
-		seen := map[int]bool{node: true}
-		for _, name := range scc {
-			if li, ok := lIdx[name]; ok {
-				deps[node] = append(deps[node], li)
-			}
-			for _, c := range states[name].callees {
-				if jj, ok := sccIdx[c]; ok {
-					if d := nL + jj; !seen[d] {
-						seen[d] = true
-						deps[node] = append(deps[node], d)
-					}
-				}
+	for sj, j := range affected {
+		node := nL + sj
+		for _, jj := range tab.callees.of(j) {
+			if d := snode[jj]; d != 0 {
+				deps[node] = append(deps[node], nL+int(d)-1)
 			}
 		}
 	}
-	for k, name := range order {
-		deps[nL+nS+k] = []int{nL + sccIdx[name]}
+	for i := range states {
+		deps[nL+nS+i] = []int{nL + int(snode[tab.sccOf[states[i].id]]) - 1}
 	}
 
 	sp = rec.Phase("wavefront")
@@ -694,11 +1076,11 @@ func (s *Session) Update(units []minic.NamedSource) (*Analysis, error) {
 	width, err := conc.Wavefront(len(deps), deps, s.opts.Workers, func(w, i int) error {
 		switch {
 		case i < nL:
-			return lowerOne(w, dirtyNames[i])
+			return lowerOne(w, &states[lnodes[i]])
 		case i < nL+nS:
-			return runSCC(w, sccs[i-nL])
+			return runSCC(w, tab.sccs[affected[i-nL]])
 		default:
-			return runFinish(w, order[i-nL-nS])
+			return runFinish(w, &states[i-nL-nS])
 		}
 	})
 	wavefrontWall := time.Since(t0)
@@ -732,149 +1114,142 @@ func (s *Session) Update(units []minic.NamedSource) (*Analysis, error) {
 		}
 	}
 
-	// ---- Account the store and assemble the module in declaration
-	// order, mixing retained and rebuilt functions. Retained functions
+	// ---- Commit: from here on nothing can fail. The session's own tables
+	// are patched in place (or replaced, when rebuilt); the module and the
+	// analysis tables start as copies of the committed ones, so that the
+	// Analysis handed out before stays as it was. Retained functions
 	// already carry their final aux signatures, which is exactly what
 	// rebuilt callers' call sites read during the wavefront.
-	for _, name := range order {
-		st := states[name]
+	numIDs := tab.lay.NumIDs()
+	a := &Analysis{Module: m}
+	arts, totals := s.arts, s.totals
+	if patch {
+		prev := s.analysis
+		m.Funcs = slices.Clone(prev.Module.Funcs)
+		a.Infos, a.SEGs, a.Summaries = slices.Clone(prev.Infos), slices.Clone(prev.SEGs), slices.Clone(prev.Summaries)
+	} else {
+		arts, totals = make([]*funcArtifact, numIDs), artifactSizes{}
+		m.Funcs = make([]*ir.Func, len(states))
+		a.Infos, a.SEGs, a.Summaries = make([]*ssa.Info, numIDs), make([]*seg.Graph, numIDs), make([]*modref.Summary, numIDs)
+	}
+	var fresh []*ir.Func // functions the committed module does not hold
+	var changed []int32  // artifacts the store may not hold as they are
+	if patch {
+		changed = slices.Clone(s.unsaved)
+	}
+	for i := range states {
+		st := &states[i]
+		art, id := st.art, st.id
 		switch {
 		case !st.rebuild:
-			stats.Hits++
-		case s.artifacts[name] != nil:
+		case st.had:
 			stats.Invalidated++
 		default:
 			stats.Misses++
 		}
-		m.AddFunc(st.finalFn)
-	}
-
-	// ---- Commit: from here on nothing can fail.
-	newArts := make(map[string]*funcArtifact, len(order))
-	for _, name := range order {
-		st := states[name]
+		if st.old != nil && arts[id] == st.old {
+			totals.add(&st.old.sizes, -1)
+		}
+		totals.add(&art.sizes, +1)
+		if !art.persisted {
+			changed = append(changed, id)
+		}
 		if st.rebuild {
-			newArts[name] = st.art
-			continue
+			fresh = append(fresh, art.fn)
 		}
-		// Retain the built IR/SEG but refresh the metadata: the firewall
-		// keeps artifacts alive across summary changes whose signature is
-		// stable, so the stored summary must be this update's, not the
-		// one the artifact was originally built under. Most of the time
-		// nothing moved and the committed artifact serves as it is.
-		if old := st.old; old.decl == st.decl && old.sum == st.sum &&
-			old.sumFP == st.sumFP && old.sigFP == st.sigFP && old.depFP == st.depFP {
-			newArts[name] = old
-			continue
-		}
-		art := *st.old
-		art.astHash, art.decl, art.callees = st.astHash, st.decl, st.callees
-		art.sum, art.sumFP, art.sigFP, art.depFP = st.sum, st.sumFP, st.sigFP, st.depFP
-		newArts[name] = &art
+		arts[id] = art
+		m.Funcs[positions[i]] = art.fn
+		a.Infos[id], a.SEGs[id], a.Summaries[id] = art.info, art.seg, art.sum
 	}
+	stats.Hits = len(tab.ids) - stats.Invalidated - stats.Misses
+	s.arts, s.totals, s.tab, s.shape = arts, totals, tab, shape
+
+	// The units: the cached parses are those of this request.
+	clear(s.files)
+	for _, pu := range parsed {
+		s.files[pu.name] = pu
+	}
+	s.units = parsed
 
 	// ---- Persist: bundle every artifact whose on-disk record is missing
-	// or stale into one segment — a delta holding just the change set, or
-	// a rewritten full snapshot when the delta ring is exhausted or the
-	// change touched most of the program. Store errors are swallowed —
-	// persistence buys warmth, and a failed write must not fail a build
-	// that already succeeded.
+	// or stale into one segment (see persist).
 	if s.store != nil {
 		sp := rec.Phase("store.save")
 		t0 := time.Now()
-		ring, _ = persistChanged(s.store, rec, order, newArts, progFP, ring)
+		s.storeLoaded, s.ring = true, ring
+		s.persist(changed)
 		tm.StoreSave = time.Since(t0)
 		sp.End()
 	}
 
-	a := &Analysis{
-		Module:    m,
-		Infos:     make(map[*ir.Func]*ssa.Info, len(order)),
-		SEGs:      make(map[*ir.Func]*seg.Graph, len(order)),
-		ModRef:    &modref.Result{Summaries: make(map[*ir.Func]*modref.Summary, len(order))},
-		Timings:   tm,
-		Artifacts: stats,
+	a.Timings, a.Artifacts = tm, stats
+	a.PTAStats = totals.pta
+	a.Sizes = Sizes{
+		Lines:         totals.instrs,
+		Functions:     len(tab.ids),
+		SEGNodes:      totals.segNodes,
+		SEGValueNodes: totals.segValueNodes,
+		SEGEdges:      totals.segEdges,
+		CondNodes:     totals.condNodes,
 	}
-	for _, name := range order {
-		art := newArts[name]
-		a.Infos[art.fn] = art.info
-		a.SEGs[art.fn] = art.seg
-		a.ModRef.Summaries[art.fn] = art.sum
-		a.PTAStats.Add(art.ptaStats)
-		a.Sizes.SEGNodes += art.segNodes
-		a.Sizes.SEGEdges += art.segEdges
-		a.Sizes.CondNodes += art.condNodes
-	}
-	a.Sizes.Lines = m.LineCount()
-	a.Sizes.Functions = len(order)
-
 	if s.persistDetect {
 		var prev *detect.Program
 		if s.analysis != nil {
 			prev = s.analysis.Prog
 		}
-		a.Prog = detect.NewProgramFrom(prev, m, a.Infos, a.SEGs)
+		a.Prog = detect.NewProgramFrom(prev, m, a.Infos, a.SEGs, fresh)
 	} else {
-		a.Prog = detect.NewProgram(m, a.Infos, a.SEGs)
+		a.Prog = detect.NewProgramIndexed(m, a.Infos, a.SEGs)
 	}
 
 	if rec != nil {
 		rec.Counter("build.artifact.hits").Add(int64(stats.Hits))
 		rec.Counter("build.artifact.misses").Add(int64(stats.Misses))
 		rec.Counter("build.artifact.invalidated").Add(int64(stats.Invalidated))
+		rec.Counter("build.funcs_visited").Add(int64(stats.Visited))
 		emitBuildMetrics(rec, a)
 	}
-
-	s.files = make(map[string]*parsedUnit, len(parsed))
-	for i, h := range hashes {
-		s.files[h] = parsed[i]
-	}
-	s.unitKeys = hashes
-	s.progFP = progFP
-	s.artifacts = newArts
-	s.order = order
-	s.analysis = a
-	s.stats = stats
-	if s.store != nil {
-		s.storeLoaded = true
-		s.ring = ring
-	}
+	s.analysis, s.stats = a, stats
 	return a, nil
 }
 
-// persistChanged bundles every artifact whose on-disk record is missing or
-// stale into one segment — a delta holding just the change set, or a
-// rewritten full snapshot when the delta ring is exhausted or the change
-// touched most of the program. Store errors are swallowed — persistence
-// buys warmth, and a failed write must not fail a build that already
-// succeeded. Returns the advanced ring state and the number of artifacts
-// persisted.
-func persistChanged(st store.Store, rec *obs.Recorder, order []string, arts map[string]*funcArtifact, progFP string, ring segState) (segState, int) {
-	var changed []string
-	for _, name := range order {
-		art := arts[name]
-		if art.persistedMeta != artifactMeta(progFP, art) {
-			changed = append(changed, name)
+// persist bundles the candidate artifacts (function IDs) the persistent
+// store does not hold as they are into one segment — a delta holding just
+// that change set, or a rewritten full snapshot when the delta ring is
+// exhausted or the change touched most of the program. Store errors are
+// swallowed — persistence buys warmth, and a failed write must not fail a
+// build that already succeeded — but remembered: what could not be written
+// stays in s.unsaved for the next attempt. It reports how many artifacts the
+// store was missing.
+func (s *Session) persist(candidates []int32) int {
+	var changed []int32
+	for _, id := range candidates {
+		if !s.arts[id].persisted {
+			changed = append(changed, id)
 		}
 	}
+	s.unsaved = changed
 	if len(changed) == 0 {
-		return ring, 0
+		return 0
 	}
-	full := !ring.hasFull || ring.deltas >= maxDeltaSegments || 2*len(changed) >= len(order)
-	key, names := segFullKey, order
+	// In declaration order, like the full snapshot.
+	slices.SortFunc(changed, func(a, b int32) int { return s.tab.lay.Pos(int(a)) - s.tab.lay.Pos(int(b)) })
+	changed = slices.Compact(changed)
+	ring := s.ring
+	full := !ring.hasFull || ring.deltas >= maxDeltaSegments || 2*len(changed) >= len(s.tab.ids)
+	key, ids := segFullKey, s.tab.ids
 	if !full {
-		key, names = segDeltaKey(ring.deltas), changed
+		key, ids = segDeltaKey(ring.deltas), changed
 	}
-	data, err := encodeSegment(progFP, ring.next, names, arts)
+	data, err := encodeSegment(s.shape.fp, ring.next, ids, s.arts)
 	if err != nil {
-		return ring, 0
+		return len(changed)
 	}
-	if err := st.Put(store.NSArtifact, key, data); err != nil {
-		return ring, 0
+	if err := s.store.Put(store.NSArtifact, key, data); err != nil {
+		return len(changed)
 	}
-	for _, name := range names {
-		art := arts[name]
-		art.persistedMeta = artifactMeta(progFP, art)
+	for _, id := range ids {
+		s.arts[id].persisted = true
 	}
 	ring.next++
 	if full {
@@ -882,10 +1257,11 @@ func persistChanged(st store.Store, rec *obs.Recorder, order []string, arts map[
 	} else {
 		ring.deltas++
 	}
-	if rec != nil {
-		rec.Counter("store.artifact.saves").Add(int64(len(names)))
+	s.ring, s.unsaved = ring, nil
+	if rec := s.opts.Obs; rec != nil {
+		rec.Counter("store.artifact.saves").Add(int64(len(ids)))
 	}
-	return ring, len(changed)
+	return len(changed)
 }
 
 // Persist flushes any artifacts the persistent store does not yet hold in
@@ -899,9 +1275,7 @@ func (s *Session) Persist() int {
 	if s.store == nil || s.analysis == nil {
 		return 0
 	}
-	ring, n := persistChanged(s.store, s.opts.Obs, s.order, s.artifacts, s.progFP, s.ring)
-	s.ring = ring
-	return n
+	return s.persist(s.unsaved)
 }
 
 // signatureFP fingerprints a function's post-transform interface: return
@@ -930,77 +1304,4 @@ func (s *Session) signatureFP(st *fnState, globals map[string]minic.Type) string
 		}
 	}
 	return b.String()
-}
-
-// programShapeFP fingerprints the whole-program lowering inputs: every
-// global (order, name, type) and every struct layout. Unit identity is
-// deliberately absent — it is already part of each function's AST hash
-// (unit index plus file-qualified positions), so adding or removing a
-// translation unit invalidates only the functions it actually repositions.
-func programShapeFP(files []*minic.File) string {
-	h := sha256.New()
-	for _, f := range files {
-		for _, g := range f.Globals {
-			fmt.Fprintf(h, "global\x00%s\x00%s\x00", g.Name, g.Type)
-		}
-		for _, sd := range f.Structs {
-			fmt.Fprintf(h, "struct\x00%s\x00", sd.Name)
-			for _, fld := range sd.Fields {
-				fmt.Fprintf(h, "field\x00%s\x00%s\x00", fld.Name, fld.Type)
-			}
-		}
-	}
-	return hex.EncodeToString(h.Sum(nil))[:24]
-}
-
-// astSCCs computes strongly connected components of the AST-level call
-// graph (name → defined callee names) in bottom-up, callee-first order.
-func astSCCs(order []string, states map[string]*fnState) [][]string {
-	index := make(map[string]int, len(order))
-	low := make(map[string]int, len(order))
-	onStack := make(map[string]bool, len(order))
-	var stack []string
-	var sccs [][]string
-	counter := 0
-
-	var strongconnect func(name string)
-	strongconnect = func(name string) {
-		index[name] = counter
-		low[name] = counter
-		counter++
-		stack = append(stack, name)
-		onStack[name] = true
-		for _, c := range states[name].callees {
-			if _, defined := states[c]; !defined {
-				continue
-			}
-			if _, seen := index[c]; !seen {
-				strongconnect(c)
-				if low[c] < low[name] {
-					low[name] = low[c]
-				}
-			} else if onStack[c] && index[c] < low[name] {
-				low[name] = index[c]
-			}
-		}
-		if low[name] == index[name] {
-			var scc []string
-			for {
-				n := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[n] = false
-				scc = append(scc, n)
-				if n == name {
-					break
-				}
-			}
-			sccs = append(sccs, scc)
-		}
-	}
-	for _, name := range order {
-		if _, seen := index[name]; !seen {
-			strongconnect(name)
-		}
-	}
-	return sccs
 }

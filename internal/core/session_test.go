@@ -50,9 +50,9 @@ func reportsJSON(t *testing.T, rs []detect.Report) []byte {
 }
 
 func summaryFPs(a *core.Analysis) map[string]string {
-	out := make(map[string]string, len(a.ModRef.Summaries))
-	for f, s := range a.ModRef.Summaries {
-		out[f.Name] = s.Fingerprint()
+	out := make(map[string]string, len(a.Module.Funcs))
+	for _, f := range a.Module.Funcs {
+		out[f.Name] = a.Summaries[f.ID].Fingerprint()
 	}
 	return out
 }

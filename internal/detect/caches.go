@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/checkers"
@@ -11,9 +12,10 @@ import (
 )
 
 // caches holds the detection-phase artifacts that are expensive to build
-// and profitable to share across demand sources, one fnCache per function.
+// and profitable to share across demand sources, one fnCache per function,
+// indexed by ir.Func.ID like the frees table below.
 //
-// The fn map is fully populated at construction and never written again, so
+// The fn table is fully populated at construction and never written again, so
 // workers index it without synchronization; mutation happens only inside the
 // per-entry locks (flow tables and linear solvers memoize on demand), under a
 // sync.Once (reverse indexes are built at most once), or from the one
@@ -23,22 +25,29 @@ import (
 // worker interleaving, and an fnCache stays correct for every Program that
 // holds the same function.
 type caches struct {
-	fn map[*ir.Func]*fnCache
-	// frees[f][i] reports that f (transitively) may free its i-th parameter
-	// (indexed by ParamIdx): the unreleased-resource checkers' whole-program
-	// relation. stale lists the functions without a valid entry — never
-	// computed, or dropped by the carry-over because they reach a rebuilt
-	// function; the next leak checker computes exactly those.
-	frees map[*ir.Func][]bool
+	fn []*fnCache
+	// frees[f.ID][i] reports that f (transitively) may free its i-th
+	// parameter (indexed by ParamIdx): the unreleased-resource checkers'
+	// whole-program relation. stale lists the functions without a valid
+	// entry — never computed, or dropped by the carry-over because they reach
+	// a rebuilt function; the next leak checker computes exactly those.
+	frees [][]bool
 	stale []*ir.Func
 	// names identifies the program's set of defined function names (which
 	// callee names resolve, and which are externals); the carry-over keeps
-	// the token exactly when the set did not change.
+	// the token exactly when the module's Layout did not change.
 	names *nameSet
-	// plan is the canonical task order prepare last assembled for this
-	// program, and planFor the spec identities it was assembled for.
-	plan    []scheduled
-	planFor []string
+	// specs numbers the checkers task lists are kept for; a checker's number
+	// is its index in every fnCache.specs. Entries of fn are shared with the
+	// caches of the Programs before and after this one in a session, and so
+	// is the numbering.
+	specs *specNumbers
+	// plan is the canonical task order prepare last assembled, planFor the
+	// checkers (numbered by specs) it was assembled for, and unplanned the
+	// functions that replaced others since and whose tasks it still lacks.
+	plan      []scheduled
+	planFor   []int
+	unplanned []*ir.Func
 }
 
 type nameSet struct{ _ byte }
@@ -52,15 +61,9 @@ type fnCache struct {
 	// The one-time passes prepare has run on the function.
 	frozen, reach, warm bool
 	// specs holds the function's task list — and with it the recorded
-	// outcome of each task — per checker, by spec identity. A handful at
-	// most, so a slice searched linearly.
-	specs []specTasks
-}
-
-// specTasks is one function's tasks for one checker, in extraction order.
-type specTasks struct {
-	id    string // checkers.Spec.Identity
-	tasks []task
+	// outcome of each task — per checker, indexed by caches.specs number (nil
+	// where the checker's tasks have not been extracted yet).
+	specs [][]task
 }
 
 type flowTable struct {
@@ -99,32 +102,63 @@ func newFnCache() *fnCache {
 	}
 }
 
-func newCaches(prog *Program) *caches {
+// newCaches returns empty caches for prog, with an entry for every function
+// that has a SEG.
+func newCaches(prog *Program) *caches { return newCachesFrom(prog, nil) }
+
+// newCachesFrom is newCaches, except that a function prev holds too keeps
+// its entry in prev's caches (and with it prev's checker numbering); nothing
+// that depends on other functions is kept.
+func newCachesFrom(prog, prev *Program) *caches {
+	n := prog.Module.Layout.NumIDs()
 	c := &caches{
-		fn:    make(map[*ir.Func]*fnCache, len(prog.SEGs)),
-		frees: make(map[*ir.Func][]bool, len(prog.Module.Funcs)),
+		fn:    make([]*fnCache, n),
+		frees: make([][]bool, n),
 		stale: prog.Module.Funcs,
 		names: new(nameSet),
 	}
-	for f, g := range prog.SEGs {
-		if g != nil {
-			c.fn[f] = newFnCache()
+	if prev != nil {
+		c.specs = prev.sticky.specs
+	} else {
+		c.specs = new(specNumbers)
+	}
+	for _, f := range prog.Module.Funcs {
+		switch {
+		case prog.segs[f.ID] == nil:
+		case prev != nil && prev.Module.Holds(f):
+			c.fn[f.ID] = prev.sticky.fn[f.ID]
+		default:
+			c.fn[f.ID] = newFnCache()
 		}
 	}
 	return c
 }
 
-// tasksFor returns the function's task list for a checker, extracting it on
-// first request. The list is never resized, so pointers into it stay valid.
-func (fc *fnCache) tasksFor(id string, sp *checkers.Spec, f *ir.Func, g *seg.Graph) []task {
-	for _, st := range fc.specs {
-		if st.id == id {
-			return st.tasks
-		}
+// specNumbers numbers checkers by what they do (checkers.Spec.Identity):
+// specs are built fresh per request, so results kept across requests cannot
+// be keyed by the *Spec. A handful at most, searched linearly.
+type specNumbers struct{ ids []string }
+
+func (sn *specNumbers) of(id string) int {
+	k := slices.Index(sn.ids, id)
+	if k < 0 {
+		k = len(sn.ids)
+		sn.ids = append(sn.ids, id)
 	}
-	ts := localTasks(sp, f, g)
-	fc.specs = append(fc.specs, specTasks{id: id, tasks: ts})
-	return ts
+	return k
+}
+
+// tasksFor returns the function's task list for checker number k of n,
+// extracting it on first request. A list is never resized, so pointers into
+// it stay valid.
+func (fc *fnCache) tasksFor(k, n int, sp *checkers.Spec, f *ir.Func, g *seg.Graph) []task {
+	if len(fc.specs) < n {
+		fc.specs = append(fc.specs, make([][]task, n-len(fc.specs))...)
+	}
+	if fc.specs[k] == nil {
+		fc.specs[k] = localTasks(sp, f, g) // never nil
+	}
+	return fc.specs[k]
 }
 
 // flowCounts tallies one caller's lookups in the shared flow cache. Every
@@ -146,7 +180,7 @@ func (n *flowCounts) add(m flowCounts) {
 // lookups it causes into n. Local flows never leave their graph, so one lock
 // per graph suffices and independent functions proceed in parallel.
 func (c *caches) flowsFrom(g *seg.Graph, from *seg.Node, n *flowCounts) []summary.Flow {
-	ft := &c.fn[g.Fn].flows
+	ft := &c.fn[g.Fn.ID].flows
 	ft.mu.Lock()
 	defer ft.mu.Unlock()
 	hits, misses, capHits := ft.t.Hits, ft.t.Misses, ft.t.CapHits
@@ -159,7 +193,7 @@ func (c *caches) flowsFrom(g *seg.Graph, from *seg.Node, n *flowCounts) []summar
 
 // apparentlyUnsat runs the linear contradiction filter of fn's solver.
 func (c *caches) apparentlyUnsat(fn *ir.Func, co *cond.Cond) bool {
-	lc := &c.fn[fn].lin
+	lc := &c.fn[fn.ID].lin
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
 	return lc.ls.ApparentlyUnsat(co)
@@ -167,7 +201,7 @@ func (c *caches) apparentlyUnsat(fn *ir.Func, co *cond.Cond) bool {
 
 // reverse returns the reverse adjacency of a graph, built on first use.
 func (c *caches) reverse(g *seg.Graph) *revEntry {
-	re := &c.fn[g.Fn].rev
+	re := &c.fn[g.Fn.ID].rev
 	re.once.Do(func() {
 		nodes := g.AllNodes()
 		re.start = make([]int32, len(nodes)+1)

@@ -108,7 +108,7 @@ func (e *Engine) checkCandidate(c *candidate) smt.Result {
 		if fn == nil {
 			continue
 		}
-		g := e.prog.SEGs[fn]
+		g := e.prog.SEG(fn)
 		enc.assertCond(st.inst, fn, g.CD(st.node.Instr))
 	}
 
@@ -293,7 +293,7 @@ func (e *encoder) condTerm(inst int, fn *ir.Func, c *cond.Cond) *smt.Term {
 	case cond.KFalse:
 		return tb.False()
 	case cond.KAtom:
-		v := e.prog.Infos[fn].AtomValue[c.Atom()]
+		v := e.prog.Info(fn).AtomValue[c.Atom()]
 		if v == nil {
 			// Unknown atom: opaque boolean.
 			return tb.BoolVar(fmt.Sprintf("i%d.a%d", inst, c.Atom()))
@@ -374,7 +374,7 @@ func (e *encoder) emitDD(inst int, v *ir.Value) {
 	case ir.OpBin:
 		e.emitBinDD(inst, v, def)
 	case ir.OpPhi:
-		gates := e.prog.Infos[fn].GatesOf(def)
+		gates := e.prog.Info(fn).GatesOf(def)
 		var arms []*smt.Term
 		for i, a := range def.Args {
 			at := e.valueTerm(inst, a)
@@ -392,7 +392,7 @@ func (e *encoder) emitDD(inst int, v *ir.Value) {
 			e.add(tb.Or(arms...))
 		}
 	case ir.OpLoad:
-		sources := e.prog.SEGs[fn].PTA.LoadSources(def)
+		sources := e.prog.SEG(fn).PTA.LoadSources(def)
 		var arms []*smt.Term
 		for _, gv := range sources {
 			wt := e.valueTerm(inst, gv.Val)

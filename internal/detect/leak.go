@@ -105,7 +105,7 @@ func FindLeaks(prog *Program, opts Options) ([]LeakReport, LeakStats) {
 
 	var reports []LeakReport
 	for _, f := range prog.Module.Funcs {
-		g := prog.SEGs[f]
+		g := prog.SEG(f)
 		if g == nil {
 			continue
 		}
@@ -157,25 +157,25 @@ func (lc *leakChecker) computeFreesParam(n *flowCounts) {
 	c := lc.caches
 	var work, uncalled []*ir.Func
 	for _, f := range c.stale {
-		if len(lc.prog.Callers[f]) == 0 {
+		if len(lc.prog.Callers(f)) == 0 {
 			uncalled = append(uncalled, f)
 			continue
 		}
-		c.frees[f] = make([]bool, len(f.Params))
-		if lc.prog.SEGs[f] != nil {
+		c.frees[f.ID] = make([]bool, len(f.Params))
+		if lc.prog.SEG(f) != nil {
 			work = append(work, f)
 		}
 	}
 	for changed := len(work) > 0; changed; {
 		changed = false
 		for _, f := range work {
-			g := lc.prog.SEGs[f]
+			g := lc.prog.SEG(f)
 			for _, p := range f.Params {
-				if c.frees[f][p.ParamIdx] {
+				if c.frees[f.ID][p.ParamIdx] {
 					continue
 				}
 				if lc.paramMayFree(g, p, n) {
-					c.frees[f][p.ParamIdx] = true
+					c.frees[f.ID][p.ParamIdx] = true
 					changed = true
 				}
 			}
@@ -187,7 +187,7 @@ func (lc *leakChecker) computeFreesParam(n *flowCounts) {
 // mayFree reads the relation; an argument beyond the callee's parameter
 // list (a call with too many arguments) is freed by no one.
 func (lc *leakChecker) mayFree(callee *ir.Func, argIdx int) bool {
-	fr := lc.caches.frees[callee]
+	fr := lc.caches.frees[callee.ID]
 	return argIdx < len(fr) && fr[argIdx]
 }
 
@@ -198,10 +198,8 @@ func (lc *leakChecker) paramMayFree(g *seg.Graph, p *ir.Value, n *flowCounts) bo
 		case seg.RoleFreeArg:
 			return true
 		case seg.RoleCallArg:
-			if callee, ok := lc.prog.Module.ByName[term.Instr.Callee]; ok {
-				if lc.mayFree(callee, term.ArgIdx) {
-					return true
-				}
+			if callee := lc.prog.Module.Lookup(term.Instr.Callee); callee != nil && lc.mayFree(callee, term.ArgIdx) {
+				return true
 			}
 		}
 	}
@@ -227,13 +225,13 @@ func (lc *leakChecker) checkAlloc(f *ir.Func, g *seg.Graph, alloc *ir.Instr, sta
 		case seg.RoleFreeArg:
 			frees = append(frees, reachedFree{flow: fl})
 		case seg.RoleCallArg:
-			callee, known := lc.prog.Module.ByName[term.Instr.Callee]
-			if !known {
+			callee := lc.prog.Module.Lookup(term.Instr.Callee)
+			if callee == nil {
 				// Passed to an external: assume it takes ownership.
 				escaped = true
 				continue
 			}
-			fp.readMayFree(callee.Name, lc.caches.frees[callee])
+			fp.readMayFree(callee.Name, lc.caches.frees[callee.ID])
 			if lc.mayFree(callee, term.ArgIdx) {
 				// A callee may free it; treat like a reached free with
 				// the call's conditions.

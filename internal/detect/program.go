@@ -24,7 +24,6 @@ package detect
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"sort"
 	"time"
@@ -44,12 +43,13 @@ type CallSite struct {
 	Instr *ir.Instr
 }
 
-// Program bundles the whole-program analysis artifacts.
+// Program bundles the whole-program analysis artifacts. The per-function
+// tables are indexed by ir.Func.ID.
 type Program struct {
 	Module  *ir.Module
-	Infos   map[*ir.Func]*ssa.Info
-	SEGs    map[*ir.Func]*seg.Graph
-	Callers map[*ir.Func][]CallSite
+	infos   []*ssa.Info
+	segs    []*seg.Graph
+	callers [][]CallSite
 
 	// sticky, when non-nil, holds detection caches that persist across
 	// CheckAll calls on this Program (and, via NewProgramFrom, across
@@ -59,9 +59,29 @@ type Program struct {
 	sticky *caches
 }
 
+// Info returns f's SSA info.
+func (p *Program) Info(f *ir.Func) *ssa.Info { return p.infos[f.ID] }
+
+// SEG returns f's symbolic expression graph (nil for a function without one).
+func (p *Program) SEG(f *ir.Func) *seg.Graph { return p.segs[f.ID] }
+
+// Callers returns the call sites of f, callers in module order and each
+// caller's sites in instruction order.
+func (p *Program) Callers(f *ir.Func) []CallSite { return p.callers[f.ID] }
+
 // NewProgram indexes the call sites of a fully analyzed module.
 func NewProgram(m *ir.Module, infos map[*ir.Func]*ssa.Info, segs map[*ir.Func]*seg.Graph) *Program {
-	return &Program{Module: m, Infos: infos, SEGs: segs, Callers: indexCallers(m)}
+	n := m.Layout.NumIDs()
+	is, gs := make([]*ssa.Info, n), make([]*seg.Graph, n)
+	for _, f := range m.Funcs {
+		is[f.ID], gs[f.ID] = infos[f], segs[f]
+	}
+	return NewProgramIndexed(m, is, gs)
+}
+
+// NewProgramIndexed is NewProgram over tables indexed by ir.Func.ID.
+func NewProgramIndexed(m *ir.Module, infos []*ssa.Info, segs []*seg.Graph) *Program {
+	return &Program{Module: m, infos: infos, segs: segs, callers: indexCallers(m)}
 }
 
 // EnableCachePersistence makes detection caches survive across CheckAll
@@ -82,9 +102,12 @@ func (p *Program) ReplayTableSize() int {
 	}
 	n := 0
 	for _, fc := range p.sticky.fn {
-		for _, st := range fc.specs {
-			for i := range st.tasks {
-				if st.tasks[i].memo != nil {
+		if fc == nil {
+			continue
+		}
+		for _, ts := range fc.specs {
+			for i := range ts {
+				if ts[i].memo != nil {
 					n++
 				}
 			}
@@ -93,86 +116,80 @@ func (p *Program) ReplayTableSize() int {
 	return n
 }
 
-// NewProgramFrom indexes a rebuilt module and carries over prev's persistent
-// detection caches for every function whose SEG pointer survived the rebuild
-// — exactly the functions the incremental session retained: their flow
-// summaries, linear solvers, reverse indexes, frozen preparation state, task
-// lists and recorded task results (each of which replays only while its
-// footprint holds in the new Program; see replay.go). Rebuilt functions get
-// fresh (empty) cache entries, and only they are walked to bring the
-// call-site index up to date. The may-free-parameter relation is carried for
-// every function that cannot reach a rebuilt one. The returned Program has
-// cache persistence enabled.
-func NewProgramFrom(prev *Program, m *ir.Module, infos map[*ir.Func]*ssa.Info, segs map[*ir.Func]*seg.Graph) *Program {
+// NewProgramFrom builds the Program of the module that succeeds prev's in an
+// incremental session: infos and segs are the new per-function tables
+// (indexed by ir.Func.ID) and fresh lists the functions of m that prev's
+// module does not hold — rebuilt or new. It carries over prev's persistent
+// detection caches for every other function: their flow summaries, linear
+// solvers, reverse indexes, frozen preparation state, task lists and
+// recorded task results (each of which replays only while its footprint
+// holds in the new Program; see replay.go). When the two modules share a
+// Layout, nothing but the entries of the fresh functions is touched: their
+// cache entries start empty, only they are walked to bring the call-site
+// index up to date, the may-free-parameter relation is carried for every
+// function that cannot reach one of them, and the task plan waits for
+// prepare to splice their tasks in. With prev nil (or without caches) the
+// Program starts cold. The returned Program has cache persistence enabled.
+func NewProgramFrom(prev *Program, m *ir.Module, infos []*ssa.Info, segs []*seg.Graph, fresh []*ir.Func) *Program {
 	if prev == nil || prev.sticky == nil {
-		p := NewProgram(m, infos, segs)
-		p.sticky = newCaches(p)
+		p := NewProgramIndexed(m, infos, segs)
+		p.EnableCachePersistence()
 		return p
 	}
-	p := &Program{Module: m, Infos: infos, SEGs: segs}
+	p := &Program{Module: m, infos: infos, segs: segs}
 	old := prev.sticky
-	c := &caches{fn: make(map[*ir.Func]*fnCache, len(m.Funcs)), names: old.names}
-	p.sticky = c
-	retained := func(f *ir.Func) bool {
-		g := segs[f]
-		return g != nil && prev.SEGs[f] == g
-	}
-	// fresh lists the functions without a predecessor object (rebuilt or
-	// new). sameNames: the two modules define the same names, so every
-	// fresh function replaces the previous holder of its name and every
-	// callee name resolves as it did.
-	var fresh []*ir.Func
-	sameNames := len(m.Funcs) == len(prev.Module.Funcs)
-	for _, f := range m.Funcs {
-		if retained(f) {
-			c.fn[f] = old.fn[f]
-			continue
-		}
-		fresh = append(fresh, f)
-		if segs[f] != nil {
-			c.fn[f] = newFnCache()
-		}
-		if _, had := prev.Module.ByName[f.Name]; !had {
-			sameNames = false
-		}
-	}
-	switch {
-	case !sameNames:
+	if m.Layout != prev.Module.Layout {
 		// Name resolution moved under retained callers too: re-index, and
-		// let neither the relation nor any recorded task result survive.
-		p.Callers = indexCallers(m)
-		c.names = new(nameSet)
-		c.frees = make(map[*ir.Func][]bool, len(m.Funcs))
-		c.stale = m.Funcs
-	case len(fresh) == 0:
-		p.Callers, c.frees, c.stale = prev.Callers, old.frees, old.stale
-	default:
-		p.Callers = patchCallers(prev, m, fresh, retained)
-		// May-free relation: a function's vector depends on its own flows
-		// and on the vectors of what it calls, so exactly the functions
-		// that reach a fresh one (or one that was stale already) need
-		// recomputing: seed with those and close under callers.
-		c.frees = maps.Clone(old.frees)
-		c.stale = slices.Clone(fresh)
-		for _, f := range fresh {
-			delete(c.frees, prev.Module.ByName[f.Name])
+		// let neither the relation, the plan, nor any recorded task result
+		// survive. Per-function caches still do.
+		p.callers = indexCallers(m)
+		p.sticky = newCachesFrom(p, prev)
+		return p
+	}
+	c := &caches{names: old.names, specs: old.specs, planFor: old.planFor, plan: old.plan}
+	p.sticky = c
+	if len(fresh) == 0 {
+		p.callers, c.fn, c.frees, c.stale, c.unplanned = prev.callers, old.fn, old.frees, old.stale, old.unplanned
+		return p
+	}
+	c.fn = slices.Clone(old.fn)
+	for _, f := range fresh {
+		c.fn[f.ID] = nil
+		if segs[f.ID] != nil {
+			c.fn[f.ID] = newFnCache()
 		}
-		for _, f := range old.stale {
-			if retained(f) {
-				c.stale = append(c.stale, f)
-			}
+	}
+	// A function prev's plan is still waiting for is either fresh again or
+	// still waiting.
+	c.unplanned = slices.Clone(fresh)
+	for _, f := range old.unplanned {
+		if m.Holds(f) {
+			c.unplanned = append(c.unplanned, f)
 		}
-		queued := make(map[*ir.Func]bool, len(c.stale))
-		for _, f := range c.stale {
-			queued[f] = true
+	}
+	p.callers = patchCallers(prev, m, fresh)
+	// May-free relation: a function's vector depends on its own flows and on
+	// the vectors of what it calls, so exactly the functions that reach a
+	// fresh one (or one that was stale already) need recomputing: seed with
+	// those and close under callers.
+	c.frees = slices.Clone(old.frees)
+	c.stale = slices.Clone(fresh)
+	for _, f := range old.stale {
+		if m.Holds(f) {
+			c.stale = append(c.stale, f)
 		}
-		for i := 0; i < len(c.stale); i++ {
-			for _, cs := range p.Callers[c.stale[i]] {
-				if !queued[cs.Fn] {
-					queued[cs.Fn] = true
-					delete(c.frees, cs.Fn)
-					c.stale = append(c.stale, cs.Fn)
-				}
+	}
+	queued := make(map[*ir.Func]bool, len(c.stale))
+	for _, f := range c.stale {
+		queued[f] = true
+		c.frees[f.ID] = nil
+	}
+	for i := 0; i < len(c.stale); i++ {
+		for _, cs := range p.callers[c.stale[i].ID] {
+			if !queued[cs.Fn] {
+				queued[cs.Fn] = true
+				c.frees[cs.Fn.ID] = nil
+				c.stale = append(c.stale, cs.Fn)
 			}
 		}
 	}
@@ -180,50 +197,42 @@ func NewProgramFrom(prev *Program, m *ir.Module, infos map[*ir.Func]*ssa.Info, s
 }
 
 // patchCallers derives m's call-site index from prev's when the two modules
-// define the same names and differ in the fresh functions, each of which
-// replaces the previous holder of its name: the sites inside replaced
-// functions go, the sites inside their replacements come. Only the lists of
-// callees named on either side (and the replaced functions' own lists, which
-// change key) are rebuilt; every other list is shared with prev, slice and
+// share a Layout and differ in the fresh functions, each of which replaces
+// the previous holder of its ID: the sites inside replaced functions go, the
+// sites inside their replacements come. Only the lists of callees named on
+// either side are rebuilt; every other list is shared with prev, slice and
 // all — which is what lets a recorded ascent compare equal afterwards.
-func patchCallers(prev *Program, m *ir.Module, fresh []*ir.Func, retained func(*ir.Func) bool) map[*ir.Func][]CallSite {
-	callers := maps.Clone(prev.Callers)
-	affected := make(map[string]bool)
-	added := make(map[string][]CallSite) // by callee name
+func patchCallers(prev *Program, m *ir.Module, fresh []*ir.Func) [][]CallSite {
+	callers := slices.Clone(prev.callers)
+	affected := make(map[*ir.Func]bool)
+	added := make(map[*ir.Func][]CallSite) // by callee
 	for _, f := range fresh {
-		was := prev.Module.ByName[f.Name]
-		delete(callers, was)
-		affected[f.Name] = true
-		forEachCall(was, func(in *ir.Instr) { affected[in.Callee] = true })
+		was := prev.Module.Funcs[m.Layout.Pos(f.ID)]
+		forEachCall(was, func(in *ir.Instr) {
+			if callee := m.Lookup(in.Callee); callee != nil {
+				affected[callee] = true
+			}
+		})
 		forEachCall(f, func(in *ir.Instr) {
-			affected[in.Callee] = true
-			added[in.Callee] = append(added[in.Callee], CallSite{Fn: f, Instr: in})
+			if callee := m.Lookup(in.Callee); callee != nil {
+				affected[callee] = true
+				added[callee] = append(added[callee], CallSite{Fn: f, Instr: in})
+			}
 		})
 	}
-	rank := make(map[*ir.Func]int, len(m.Funcs))
-	for i, f := range m.Funcs {
-		rank[f] = i
-	}
-	for name := range affected {
-		callee, defined := m.ByName[name]
-		if !defined {
-			continue
-		}
+	for callee := range affected {
 		var sites []CallSite
-		for _, cs := range prev.Callers[prev.Module.ByName[name]] {
-			if retained(cs.Fn) {
+		for _, cs := range prev.callers[callee.ID] {
+			if m.Holds(cs.Fn) {
 				sites = append(sites, cs)
 			}
 		}
-		sites = append(sites, added[name]...)
+		sites = append(sites, added[callee]...)
 		// Callers in module order; stable, so that each caller's sites
 		// stay in instruction order.
-		sort.SliceStable(sites, func(i, j int) bool { return rank[sites[i].Fn] < rank[sites[j].Fn] })
-		if len(sites) > 0 {
-			callers[callee] = sites
-		} else {
-			delete(callers, callee)
-		}
+		pos := func(cs CallSite) int { return m.Layout.Pos(cs.Fn.ID) }
+		sort.SliceStable(sites, func(i, j int) bool { return pos(sites[i]) < pos(sites[j]) })
+		callers[callee.ID] = sites
 	}
 	return callers
 }
@@ -239,14 +248,14 @@ func forEachCall(f *ir.Func, visit func(*ir.Instr)) {
 	}
 }
 
-// indexCallers lists every defined function's call sites, callers in module
-// order and each caller's sites in instruction order.
-func indexCallers(m *ir.Module) map[*ir.Func][]CallSite {
-	callers := make(map[*ir.Func][]CallSite)
+// indexCallers lists every defined function's call sites, by callee ID:
+// callers in module order and each caller's sites in instruction order.
+func indexCallers(m *ir.Module) [][]CallSite {
+	callers := make([][]CallSite, m.Layout.NumIDs())
 	for _, f := range m.Funcs {
 		forEachCall(f, func(in *ir.Instr) {
-			if callee, ok := m.ByName[in.Callee]; ok {
-				callers[callee] = append(callers[callee], CallSite{Fn: f, Instr: in})
+			if callee := m.Lookup(in.Callee); callee != nil {
+				callers[callee.ID] = append(callers[callee.ID], CallSite{Fn: f, Instr: in})
 			}
 		})
 	}

@@ -110,18 +110,19 @@ func (e *replayEntry) holds(prog *Program, c *caches, key *Options) bool {
 	if (e.opts != key && *e.opts != *key) || e.names != c.names {
 		return false
 	}
+	// The names token vouches for the Layout, so every ID below is in range.
 	for _, g := range e.fp.entered {
-		if prog.SEGs[g.Fn] != g {
+		if prog.segs[g.Fn.ID] != g {
 			return false
 		}
 	}
 	for _, cr := range e.fp.callers {
-		if !slices.Equal(prog.Callers[cr.fn], cr.sites) {
+		if !slices.Equal(prog.callers[cr.fn.ID], cr.sites) {
 			return false
 		}
 	}
 	for _, mf := range e.fp.mayFree {
-		if !slices.Equal(c.frees[prog.Module.ByName[mf.callee]], mf.bits) {
+		if !slices.Equal(c.frees[prog.Module.Layout.ID(mf.callee)], mf.bits) {
 			return false
 		}
 	}

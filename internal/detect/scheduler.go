@@ -3,7 +3,6 @@ package detect
 import (
 	"fmt"
 	"slices"
-	"strconv"
 	"time"
 
 	"repro/internal/checkers"
@@ -217,12 +216,23 @@ func CheckAll(prog *Program, specs []*checkers.Spec, opts Options) Results {
 		flows.add(looked[w])
 	}
 	res.TasksRun = len(tasks) - res.TasksReplayed
+	// One pass over the plan, which lists the tasks spec by spec.
+	total := 0
+	for _, tr := range results {
+		total += len(tr.reports)
+	}
+	if total > 0 {
+		res.Reports = make([]Report, 0, total)
+	}
+	res.Checkers = make([]CheckerStats, 0, len(specs))
+	seen := make(map[[2]*ir.Instr]bool)
+	ti := 0
 	for si, sp := range specs {
 		merged := Stats{}
-		var reports []Report
-		seen := make(map[[2]*ir.Instr]bool)
-		for ti, t := range tasks {
-			if t.specIdx != si {
+		clear(seen)
+		first, capped := len(res.Reports), false
+		for ; ti < len(tasks) && tasks[ti].specIdx == si; ti++ {
+			if capped {
 				continue
 			}
 			tr := results[ti]
@@ -233,14 +243,11 @@ func CheckAll(prog *Program, specs []*checkers.Spec, opts Options) Results {
 					continue
 				}
 				seen[key] = true
-				reports = append(reports, r)
+				res.Reports = append(res.Reports, r)
 			}
-			if opts.MaxReportsPerChecker > 0 && len(reports) >= opts.MaxReportsPerChecker {
-				break
-			}
+			capped = opts.MaxReportsPerChecker > 0 && len(res.Reports)-first >= opts.MaxReportsPerChecker
 		}
 		res.Checkers = append(res.Checkers, CheckerStats{Checker: sp.Name, Stats: merged})
-		res.Reports = append(res.Reports, reports...)
 	}
 	res.SummaryCapHits = flows.capHits
 	res.SummaryHits, res.SummaryMisses = flows.hits, flows.misses
@@ -264,18 +271,20 @@ func CheckAll(prog *Program, specs []*checkers.Spec, opts Options) Results {
 }
 
 // prepare freezes the shared program state and enumerates the detection
-// tasks, one parallel pass over the functions. Per function:
-// control-dependence conditions are memoized per block, every value vertex
-// the search can name is pre-created, block reachability is pre-filled (when
-// some checker needs ordering), the local flows of every parameter are
-// enumerated into the shared cache (when an unreleased-resource checker will
-// run its may-free-parameter fixpoint over them — which it does for
-// functions that have callers), and every checker's sources are extracted. Each of these happens once per function object —
-// its fnCache remembers which passes ran and keeps the task lists — so on a
-// Program carried over from a previous one only the rebuilt functions cost
-// anything. Each function is touched by exactly one goroutine, so the
-// per-function work — including condition-node interning — happens in a
-// deterministic order.
+// tasks. Per function: control-dependence conditions are memoized per block,
+// every value vertex the search can name is pre-created, block reachability
+// is pre-filled (when some checker needs ordering), the local flows of every
+// parameter are enumerated into the shared cache (when an
+// unreleased-resource checker will run its may-free-parameter fixpoint over
+// them — which it does for functions that have callers), and every checker's
+// sources are extracted. Each of these happens once per function object —
+// its fnCache remembers which passes ran and keeps the task lists — and the
+// assembled plan is kept with the caches, so on a Program carried over from
+// a previous one (same checkers) only the functions that replaced others are
+// visited, in one parallel pass, and only their tasks are spliced into the
+// plan; without a plan to start from the pass covers every function. Each
+// function is touched by exactly one goroutine, so the per-function work —
+// including condition-node interning — happens in a deterministic order.
 //
 // The tasks come back in the canonical order — specs in argument order,
 // functions in module order, sources in extraction order — which the merge
@@ -287,20 +296,30 @@ func CheckAll(prog *Program, specs []*checkers.Spec, opts Options) Results {
 // rises by one per parameter while SummaryMisses — the number of distinct
 // vertices enumerated — and everything derived from the flows stay the same.
 func prepare(prog *Program, specs []*checkers.Spec, c *caches, workers int, n *flowCounts) []scheduled {
-	// Task lists are kept per checker. Caches that outlive the call key them
-	// by what the spec does (specs are built fresh per request); throwaway
-	// caches need no more than the spec's position, and the one-shot paths —
-	// a thousand tiny programs in the Juliet suite — skip rendering it.
-	ids := make([]string, len(specs))
+	// Task lists are kept per checker. Caches that outlive the call number
+	// the checkers by what they do (specs are built fresh per request);
+	// throwaway caches need no more than the spec's position, and the
+	// one-shot paths — a thousand tiny programs in the Juliet suite — skip
+	// rendering the identity.
+	ks := make([]int, len(specs))
+	numbers := len(specs)
 	for si, sp := range specs {
 		if prog.sticky != nil {
-			ids[si] = sp.Identity()
+			ks[si] = c.specs.of(sp.Identity())
+			numbers = len(c.specs.ids)
 		} else {
-			ids[si] = strconv.Itoa(si)
+			ks[si] = si
 		}
 	}
-	if c.plan != nil && slices.Equal(ids, c.planFor) {
-		return c.plan // same program, same checkers: nothing left to do
+	m := prog.Module
+	todo := m.Funcs
+	if c.plan != nil && slices.Equal(ks, c.planFor) {
+		if len(c.unplanned) == 0 {
+			return c.plan // same program, same checkers: nothing left to do
+		}
+		todo = c.unplanned
+	} else {
+		c.plan = nil
 	}
 	needReach, warmParams := false, false
 	// dup marks a spec given twice: its tasks are private copies, so that
@@ -313,21 +332,26 @@ func prepare(prog *Program, specs []*checkers.Spec, c *caches, workers int, n *f
 		if sp.Kind == checkers.KindUnreleased {
 			warmParams = true
 		}
-		dup[si] = slices.Contains(ids[:si], ids[si])
+		dup[si] = slices.Contains(ks[:si], ks[si])
 	}
-	funcs := prog.Module.Funcs
-	// perFn[i*len(specs)+si] holds function i's tasks for spec si.
-	perFn := make([][]task, len(funcs)*len(specs))
 	warmed := make([]flowCounts, workers)
-	_ = conc.ForEach(len(funcs), workers, func(w, i int) error { // nothing here can fail
-		f := funcs[i]
-		g := prog.SEGs[f]
+	warm := func(w int, f *ir.Func, g *seg.Graph, fc *fnCache) {
+		if warmParams && !fc.warm && len(prog.callers[f.ID]) > 0 {
+			for _, p := range f.Params {
+				c.flowsFrom(g, g.ValueNode(p), &warmed[w])
+			}
+			fc.warm = true
+		}
+	}
+	_ = conc.ForEach(len(todo), workers, func(w, i int) error { // nothing here can fail
+		f := todo[i]
+		g := prog.segs[f.ID]
 		if g == nil {
 			return nil
 		}
-		fc := c.fn[f]
+		fc := c.fn[f.ID]
 		if !fc.frozen {
-			prog.Infos[f].PrepareCDConds()
+			prog.infos[f.ID].PrepareCDConds()
 			g.EnsureValueNodes()
 			fc.frozen = true
 		}
@@ -335,48 +359,94 @@ func prepare(prog *Program, specs []*checkers.Spec, c *caches, workers int, n *f
 			g.PrecomputeReach()
 			fc.reach = true
 		}
-		if warmParams && !fc.warm && len(prog.Callers[f]) > 0 {
-			for _, p := range f.Params {
-				c.flowsFrom(g, g.ValueNode(p), &warmed[w])
-			}
-			fc.warm = true
-		}
-		if fc.specs == nil {
-			fc.specs = make([]specTasks, 0, len(specs))
-		}
+		warm(w, f, g, fc)
 		for si, sp := range specs {
-			ts := fc.tasksFor(ids[si], sp, f, g)
-			if dup[si] {
-				ts = slices.Clone(ts)
-			}
-			perFn[i*len(specs)+si] = ts
+			fc.tasksFor(ks[si], numbers, sp, f, g)
 		}
 		return nil
 	})
+	if c.plan != nil {
+		// A function that replaced another may be the first caller of one
+		// that stayed.
+		for _, f := range todo {
+			forEachCall(f, func(in *ir.Instr) {
+				if callee := m.Lookup(in.Callee); callee != nil && prog.segs[callee.ID] != nil {
+					warm(0, callee, prog.segs[callee.ID], c.fn[callee.ID])
+				}
+			})
+		}
+	}
 	for _, w := range warmed {
 		n.add(w)
 	}
-	total := 0
-	for _, ts := range perFn {
-		total += len(ts)
+
+	// tasksOf lists f's tasks for the spec at position si, in plan form.
+	tasksOf := func(plan []scheduled, si int, f *ir.Func) []scheduled {
+		fc := c.fn[f.ID]
+		if fc == nil {
+			return plan
+		}
+		ts := fc.specs[ks[si]]
+		if dup[si] {
+			ts = slices.Clone(ts)
+		}
+		for k := range ts {
+			plan = append(plan, scheduled{si, &ts[k]})
+		}
+		return plan
 	}
-	tasks := make([]scheduled, 0, total)
-	for si := range specs {
-		for i := range funcs {
-			ts := perFn[i*len(specs)+si]
-			for k := range ts {
-				tasks = append(tasks, scheduled{si, &ts[k]})
+	var plan []scheduled
+	if c.plan == nil {
+		total := 0
+		for _, f := range m.Funcs {
+			if fc := c.fn[f.ID]; fc != nil {
+				for _, k := range ks {
+					total += len(fc.specs[k])
+				}
 			}
 		}
+		plan = make([]scheduled, 0, total)
+		for si := range specs {
+			for _, f := range m.Funcs {
+				plan = tasksOf(plan, si, f)
+			}
+		}
+	} else {
+		// Merge: the old plan without the tasks of functions that are gone,
+		// and the new functions' tasks, both in (spec, module position)
+		// order.
+		fresh := slices.Clone(todo)
+		pos := func(f *ir.Func) int { return m.Layout.Pos(f.ID) }
+		slices.SortFunc(fresh, func(a, b *ir.Func) int { return pos(a) - pos(b) })
+		plan = make([]scheduled, 0, len(c.plan)+len(fresh))
+		si, j := 0, 0 // next to splice in: fresh[j]'s tasks for spec si
+		spliceUpTo := func(specIdx, at int) {
+			for si < len(specs) && (si < specIdx || (si == specIdx && j < len(fresh) && pos(fresh[j]) < at)) {
+				if j == len(fresh) {
+					si, j = si+1, 0
+					continue
+				}
+				plan = tasksOf(plan, si, fresh[j])
+				j++
+			}
+		}
+		for _, t := range c.plan {
+			if !m.Holds(t.fn) {
+				continue
+			}
+			spliceUpTo(t.specIdx, pos(t.fn))
+			plan = append(plan, t)
+		}
+		spliceUpTo(len(specs), 0)
 	}
-	c.planFor, c.plan = ids, tasks
-	return tasks
+	c.planFor, c.plan, c.unplanned = ks, plan, nil
+	return plan
 }
 
 // localTasks lists one function's (checker, source) pairs for one spec, in
 // extraction order.
 func localTasks(sp *checkers.Spec, f *ir.Func, g *seg.Graph) []task {
-	var tasks []task
+	tasks := []task{}
 	if sp.Kind == checkers.KindUnreleased {
 		for _, b := range f.Blocks {
 			for _, in := range b.Instrs {

@@ -86,7 +86,7 @@ func (e *Engine) Run() ([]Report, Stats) {
 		return e.runUnreleased()
 	}
 	for _, f := range e.prog.Module.Funcs {
-		g := e.prog.SEGs[f]
+		g := e.prog.SEG(f)
 		if g == nil {
 			continue
 		}
@@ -109,7 +109,7 @@ func (e *Engine) Run() ([]Report, Stats) {
 func (e *Engine) runUnreleased() ([]Report, Stats) {
 	lc := newLeakChecker(e.prog, e.opts, e.caches, &e.flows)
 	for _, f := range e.prog.Module.Funcs {
-		g := e.prog.SEGs[f]
+		g := e.prog.SEG(f)
 		if g == nil {
 			continue
 		}
@@ -178,9 +178,9 @@ func (e *Engine) addCond(p *pathState, inst int, fn *ir.Func, c *cond.Cond) bool
 	}
 	ic := &p.conds[inst]
 	if ic.fn == nil {
-		*ic = instCond{fn: fn, cond: e.prog.Infos[fn].Conds.True()}
+		*ic = instCond{fn: fn, cond: e.prog.Info(fn).Conds.True()}
 	}
-	merged := e.prog.Infos[fn].Conds.And(ic.cond, c)
+	merged := e.prog.Info(fn).Conds.And(ic.cond, c)
 	if e.opts.DisableLinearFilter {
 		ic.cond = merged
 		return true
@@ -286,7 +286,7 @@ func (e *Engine) explore(fr *frame, node *seg.Node, sourceAt *ir.Instr, sourceFn
 	}
 	e.expansions++
 	e.stats.Expansions++
-	g := e.prog.SEGs[fr.fn]
+	g := e.prog.SEG(fr.fn)
 
 	// Ascent via parameter: the tracked value entered through fr.fn's
 	// interface, so the caller's actual argument carries the same danger
@@ -349,21 +349,21 @@ func (e *Engine) bindCallParams(np *pathState, callerInst int, calleeInst int, c
 // throughCall handles a tracked value passed as a call argument.
 func (e *Engine) throughCall(fr *frame, term *seg.Node, sourceAt *ir.Instr, sourceFn *ir.Func, p pathState) {
 	call := term.Instr
-	callee, known := e.prog.Module.ByName[call.Callee]
-	if !known {
+	callee := e.prog.Module.Lookup(call.Callee)
+	if callee == nil {
 		// External: taint-transfer functions propagate to the receiver.
 		if e.spec.PropagateCalls[call.Callee] && len(call.Dsts) > 0 && call.Dsts[0] != nil {
 			np := p.clone()
 			np.bounds = append(np.bounds, boundary{
 				instA: fr.inst, valA: term.Val, instB: fr.inst, valB: call.Dsts[0], equality: false,
 			})
-			g := e.prog.SEGs[fr.fn]
+			g := e.prog.SEG(fr.fn)
 			np.steps = append(np.steps, gstep{inst: fr.inst, node: g.ValueNode(call.Dsts[0])})
 			e.explore(fr, g.ValueNode(call.Dsts[0]), sourceAt, sourceFn, np)
 		}
 		return
 	}
-	cg := e.prog.SEGs[callee]
+	cg := e.prog.SEG(callee)
 	e.fp.enter(cg)
 	if e.opts.SameUnitOnly && callee.Unit != fr.fn.Unit {
 		return
@@ -399,7 +399,7 @@ func (e *Engine) throughReturn(fr *frame, term *seg.Node, sourceAt *ir.Instr, so
 		np.bounds = append(np.bounds, boundary{
 			instA: fr.inst, valA: term.Val, instB: caller.inst, valB: recv, equality: true,
 		})
-		g := e.prog.SEGs[caller.fn]
+		g := e.prog.SEG(caller.fn)
 		np.steps = append(np.steps, gstep{inst: caller.inst, node: g.ValueNode(recv)})
 		e.explore(caller, g.ValueNode(recv), sourceAt, sourceFn, np)
 		return
@@ -422,7 +422,7 @@ func (e *Engine) throughReturn(fr *frame, term *seg.Node, sourceAt *ir.Instr, so
 		if recv == nil {
 			continue
 		}
-		g := e.prog.SEGs[cs.Fn]
+		g := e.prog.SEG(cs.Fn)
 		e.fp.enter(g)
 		nfr := &frame{fn: cs.Fn, inst: e.newInst(), depth: fr.depth + 1}
 		if !e.opts.IgnoreOrdering && e.spec.OrderingRequired {
@@ -463,7 +463,7 @@ func (e *Engine) ascendViaParam(fr *frame, node *seg.Node, sourceAt *ir.Instr, s
 			continue
 		}
 		actual := cs.Instr.Args[idx]
-		g := e.prog.SEGs[cs.Fn]
+		g := e.prog.SEG(cs.Fn)
 		e.fp.enter(g)
 		nfr := &frame{fn: cs.Fn, inst: e.newInst(), depth: fr.depth + 1}
 		if !e.opts.IgnoreOrdering && e.spec.OrderingRequired {
@@ -491,7 +491,7 @@ func (e *Engine) ascendViaParam(fr *frame, node *seg.Node, sourceAt *ir.Instr, s
 // the ascent finds depends on the list, not only on the functions it then
 // enters.
 func (e *Engine) callersOf(fn *ir.Func) []CallSite {
-	sites := e.prog.Callers[fn]
+	sites := e.prog.Callers(fn)
 	e.fp.readCallers(fn, sites)
 	return sites
 }
@@ -527,7 +527,7 @@ func (e *Engine) sanitized(fr *frame, sink *seg.Node, p pathState) bool {
 			pathVals[st.node.Val.ID] = true
 		}
 	}
-	inf := e.prog.Infos[fr.fn]
+	inf := e.prog.Info(fr.fn)
 	seenBlocks := make([]bool, fr.fn.NumBlocks()) // by Block.ID
 	var fromBlock func(b *ir.Block) bool
 	var fromValue func(v *ir.Value, depth int) bool

@@ -216,6 +216,10 @@ func (a AuxSpec) String() string {
 
 // Func is one IR function.
 type Func struct {
+	// ID indexes program-level side tables (see Layout). The builder that
+	// puts the function into its first module assigns it; from then on it
+	// is fixed.
+	ID     int
 	Name   string
 	Ret    minic.Type
 	Params []*Value
@@ -388,13 +392,68 @@ func Connect(a, b *Block) {
 
 // Module is a whole program.
 type Module struct {
-	Funcs        []*Func
-	ByName       map[string]*Func
+	// Funcs lists the functions in declaration order.
+	Funcs []*Func
+	// Layout says where in Funcs each defined name lives.
+	Layout       *Layout
 	Globals      []*Global
 	GlobalByName map[string]*Global
 	// Units is the number of compilation units in the source program.
 	Units int
 }
+
+// Layout is the part of a module that depends only on which functions the
+// program defines and in what order: the ID of every defined name, and the
+// position in Module.Funcs of the function holding each ID. IDs are dense
+// enough to index side tables by (NumIDs bounds them) and, once a function
+// is part of a module, never change: a builder that assembles a series of
+// modules (the incremental session) keeps a name's ID from one module to the
+// next, so tables indexed by ID are carried by overwriting the slots of the
+// functions that were replaced. A Layout is immutable once the module that
+// owns it is complete, and modules that define the same names in the same
+// order share one — sharing a Layout is how two modules are known to
+// resolve every callee name alike.
+type Layout struct {
+	ids map[string]int32
+	pos []int32 // by ID; -1 for an ID no function holds
+}
+
+// NewLayout lays out the functions named names, in declaration order, with
+// ids[i] the ID of names[i]; IDs must be distinct and non-negative. If two
+// of the names are equal it returns nil and their indexes.
+func NewLayout(names []string, ids []int32) (l *Layout, dupA, dupB int) {
+	n := 0
+	for _, id := range ids {
+		n = max(n, int(id)+1)
+	}
+	l = &Layout{ids: make(map[string]int32, len(names)), pos: make([]int32, n)}
+	for i := range l.pos {
+		l.pos[i] = -1
+	}
+	for i, name := range names {
+		if id, dup := l.ids[name]; dup {
+			return nil, int(l.pos[id]), i
+		}
+		l.ids[name] = ids[i]
+		l.pos[ids[i]] = int32(i)
+	}
+	return l, 0, 0
+}
+
+// ID returns the ID of the function named name, or -1 when the program does
+// not define it.
+func (l *Layout) ID(name string) int {
+	if id, ok := l.ids[name]; ok {
+		return int(id)
+	}
+	return -1
+}
+
+// Pos returns the position in Module.Funcs of the function holding id.
+func (l *Layout) Pos(id int) int { return int(l.pos[id]) }
+
+// NumIDs bounds the IDs in use; it sizes ID-indexed side tables.
+func (l *Layout) NumIDs() int { return len(l.pos) }
 
 // Global is a program-level variable.
 type Global struct {
@@ -405,15 +464,36 @@ type Global struct {
 // NewModule returns an empty module.
 func NewModule() *Module {
 	return &Module{
-		ByName:       make(map[string]*Func),
+		Layout:       &Layout{ids: make(map[string]int32)},
 		GlobalByName: make(map[string]*Global),
 	}
 }
 
-// AddFunc registers a function in the module.
+// AddFunc appends a function to the module under the next unused ID. It
+// extends the module's Layout, so it is for a module under construction
+// that owns its Layout.
 func (m *Module) AddFunc(f *Func) {
+	f.ID = len(m.Layout.pos)
+	m.Layout.ids[f.Name] = int32(f.ID)
+	m.Layout.pos = append(m.Layout.pos, int32(len(m.Funcs)))
 	m.Funcs = append(m.Funcs, f)
-	m.ByName[f.Name] = f
+}
+
+// Lookup returns the function named name, or nil when the program does not
+// define it (an external).
+func (m *Module) Lookup(name string) *Func {
+	if id, ok := m.Layout.ids[name]; ok {
+		return m.Funcs[m.Layout.pos[id]]
+	}
+	return nil
+}
+
+// Holds reports whether f is the module's function for its ID — as opposed
+// to a function of an earlier module of the series that has been replaced
+// or removed since.
+func (m *Module) Holds(f *Func) bool {
+	pos := m.Layout.pos
+	return f.ID < len(pos) && pos[f.ID] >= 0 && m.Funcs[pos[f.ID]] == f
 }
 
 // AddGlobal registers a global variable.

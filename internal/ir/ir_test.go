@@ -125,8 +125,8 @@ func TestModuleLineCount(t *testing.T) {
 	if m.LineCount() != f.NumInstrs() {
 		t.Errorf("LineCount = %d, want %d", m.LineCount(), f.NumInstrs())
 	}
-	if m.ByName["f"] != f {
-		t.Error("ByName broken")
+	if m.Lookup("f") != f {
+		t.Error("Lookup broken")
 	}
 }
 

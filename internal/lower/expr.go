@@ -220,7 +220,7 @@ func (lw *lowerer) call(x *minic.CallExpr, hint minic.Type) (*ir.Value, error) {
 	// Result type: known callee's declared return; externals get the
 	// hint (or int when called for effect).
 	var retT minic.Type
-	if sig, ok := lw.sigs[x.Fun]; ok {
+	if sig, ok := lw.sigs(x.Fun); ok {
 		retT = sig
 	} else {
 		retT = hint

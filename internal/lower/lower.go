@@ -53,7 +53,10 @@ func ProgramWith(prog *minic.Program, workers int) (*ir.Module, error) {
 			m.AddGlobal(&ir.Global{Name: g.Name, Type: g.Type})
 		}
 	}
-	sigs := Sigs(prog)
+	sigs := make(sigTable)
+	for _, fn := range prog.Funcs() {
+		sigs[fn.Name] = fn.Ret
+	}
 	structs := Structs(prog)
 	seen := make(map[string]*minic.FuncDecl)
 	var decls []*minic.FuncDecl
@@ -68,7 +71,7 @@ func ProgramWith(prog *minic.Program, workers int) (*ir.Module, error) {
 	}
 	fns := make([]*ir.Func, len(decls))
 	if err := conc.ForEach(len(decls), workers, func(_, i int) error {
-		lf, err := FuncWith(m, decls[i], sigs, structs)
+		lf, err := FuncWith(m, decls[i], sigs.lookup, structs)
 		if err != nil {
 			return err
 		}
@@ -83,14 +86,13 @@ func ProgramWith(prog *minic.Program, workers int) (*ir.Module, error) {
 	return m, nil
 }
 
-// Sigs pre-collects every function's declared return type so forward calls
+// sigTable holds every function's declared return type, so forward calls
 // resolve their result type during lowering.
-func Sigs(prog *minic.Program) map[string]minic.Type {
-	sigs := make(map[string]minic.Type)
-	for _, fn := range prog.Funcs() {
-		sigs[fn.Name] = fn.Ret
-	}
-	return sigs
+type sigTable map[string]minic.Type
+
+func (t sigTable) lookup(name string) (minic.Type, bool) {
+	ret, ok := t[name]
+	return ret, ok
 }
 
 // Structs pre-collects every struct layout so field accesses resolve their
@@ -107,27 +109,25 @@ func Structs(prog *minic.Program) map[string][]minic.Param {
 
 // FuncWith lowers a single declaration with explicit signature and struct
 // tables — the per-function artifact producer the incremental session
-// builds on. Lowering one declaration with the same tables always yields a
-// structurally identical ir.Func, whichever other functions exist.
-func FuncWith(m *ir.Module, decl *minic.FuncDecl, sigs map[string]minic.Type, structs map[string][]minic.Param) (*ir.Func, error) {
+// builds on. sigs gives a called name's declared return type (false for an
+// external); it is asked only about the functions decl calls. Lowering one
+// declaration with the same tables always yields a structurally identical
+// ir.Func, whichever other functions exist.
+func FuncWith(m *ir.Module, decl *minic.FuncDecl, sigs func(name string) (minic.Type, bool), structs map[string][]minic.Param) (*ir.Func, error) {
 	return lowerFuncWithStructs(m, decl, sigs, structs)
 }
 
 // Func lowers a single function into IR. Callee return types are resolved
 // from functions already registered in m.
 func Func(m *ir.Module, decl *minic.FuncDecl) (*ir.Func, error) {
-	sigs := make(map[string]minic.Type, len(m.Funcs))
+	sigs := make(sigTable, len(m.Funcs))
 	for _, f := range m.Funcs {
 		sigs[f.Name] = f.Ret
 	}
-	return lowerFunc(m, decl, sigs)
+	return lowerFuncWithStructs(m, decl, sigs.lookup, nil)
 }
 
-func lowerFunc(m *ir.Module, decl *minic.FuncDecl, sigs map[string]minic.Type) (*ir.Func, error) {
-	return lowerFuncWithStructs(m, decl, sigs, nil)
-}
-
-func lowerFuncWithStructs(m *ir.Module, decl *minic.FuncDecl, sigs map[string]minic.Type, structs map[string][]minic.Param) (*ir.Func, error) {
+func lowerFuncWithStructs(m *ir.Module, decl *minic.FuncDecl, sigs func(string) (minic.Type, bool), structs map[string][]minic.Param) (*ir.Func, error) {
 	lw := &lowerer{
 		m:       m,
 		f:       ir.NewFunc(decl.Name, decl.Ret, decl.Unit, decl.Pos),
@@ -202,7 +202,7 @@ type lowerer struct {
 	bound   []boundName
 	scopes  []int
 	addrOf  map[string]bool
-	sigs    map[string]minic.Type
+	sigs    func(string) (minic.Type, bool)
 	structs map[string][]minic.Param
 	retVar  *ir.Value
 	tmpN    int

@@ -38,7 +38,7 @@ func countOps(f *ir.Func, op ir.Op) int {
 
 func TestLowerStraightLine(t *testing.T) {
 	m := mustLower(t, "int f(int a, int b) { int c = a + b; return c; }")
-	f := m.ByName["f"]
+	f := m.Lookup("f")
 	if f == nil {
 		t.Fatal("f not lowered")
 	}
@@ -56,7 +56,7 @@ int f(int a) {
 	if (a > 0) { return 1; }
 	return 2;
 }`)
-	f := m.ByName["f"]
+	f := m.Lookup("f")
 	if got := countOps(f, ir.OpRet); got != 1 {
 		t.Fatalf("ret count = %d, want 1", got)
 	}
@@ -72,7 +72,7 @@ int f(bool c) {
 	if (c) { x = 1; } else { x = 2; }
 	return x;
 }`)
-	f := m.ByName["f"]
+	f := m.Lookup("f")
 	if got := countOps(f, ir.OpBr); got != 1 {
 		t.Fatalf("br count = %d, want 1", got)
 	}
@@ -95,7 +95,7 @@ int f(int n) {
 	while (n > 0) { s = s + n; n = n - 1; }
 	return s;
 }`)
-	f := m.ByName["f"]
+	f := m.Lookup("f")
 	// Unrolled loop is an if: no back edges anywhere (CFG is a DAG).
 	seen := map[*ir.Block]int{}
 	order := 0
@@ -141,7 +141,7 @@ int f() {
 	*p = 2;
 	return x;
 }`)
-	f := m.ByName["f"]
+	f := m.Lookup("f")
 	if got := countOps(f, ir.OpAlloc); got != 1 {
 		t.Errorf("alloc count = %d, want 1 (x spilled)", got)
 	}
@@ -160,7 +160,7 @@ void f() {
 	int *p = malloc();
 	free(p);
 }`)
-	f := m.ByName["f"]
+	f := m.Lookup("f")
 	if countOps(f, ir.OpMalloc) != 1 || countOps(f, ir.OpFree) != 1 {
 		t.Fatalf("malloc/free not lowered as intrinsics:\n%s", f)
 	}
@@ -171,7 +171,7 @@ void f() {
 
 func TestLowerMallocTypeHint(t *testing.T) {
 	m := mustLower(t, "void f() { int **pp = malloc(); }")
-	f := m.ByName["f"]
+	f := m.Lookup("f")
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			if in.Op == ir.OpMalloc {
@@ -193,7 +193,7 @@ void f() {
 	int b = ext(a);
 	sink(b);
 }`)
-	f := m.ByName["f"]
+	f := m.Lookup("f")
 	if got := countOps(f, ir.OpCall); got != 3 {
 		t.Fatalf("call count = %d, want 3", got)
 	}
@@ -204,7 +204,7 @@ func TestLowerShortCircuit(t *testing.T) {
 void f(bool a, bool b) {
 	if (a && b) { g(); }
 }`)
-	f := m.ByName["f"]
+	f := m.Lookup("f")
 	// && lowers to an extra branch.
 	if got := countOps(f, ir.OpBr); got != 2 {
 		t.Fatalf("br count = %d, want 2:\n%s", got, f)
@@ -215,7 +215,7 @@ func TestLowerGlobals(t *testing.T) {
 	m := mustLower(t, `
 int g;
 void f() { g = 3; int x = g; }`)
-	f := m.ByName["f"]
+	f := m.Lookup("f")
 	if got := countOps(f, ir.OpGlobalAddr); got != 2 {
 		t.Errorf("gaddr count = %d, want 2", got)
 	}
@@ -230,7 +230,7 @@ void f(int **pp) {
 	int x = **pp;
 	**pp = 3;
 }`)
-	f := m.ByName["f"]
+	f := m.Lookup("f")
 	// **pp read: 2 loads; **pp write: 1 load + 1 store.
 	if got := countOps(f, ir.OpLoad); got != 3 {
 		t.Errorf("load count = %d, want 3:\n%s", got, f)
@@ -242,7 +242,7 @@ void f(int **pp) {
 
 func TestLowerParamWrite(t *testing.T) {
 	m := mustLower(t, "int f(int a) { a = a + 1; return a; }")
-	f := m.ByName["f"]
+	f := m.Lookup("f")
 	// Writing a parameter introduces a shadow copy, not a param mutation.
 	if got := countOps(f, ir.OpCopy); got < 1 {
 		t.Errorf("copy count = %d, want >= 1:\n%s", got, f)
@@ -251,7 +251,7 @@ func TestLowerParamWrite(t *testing.T) {
 
 func TestLowerImplicitReturn(t *testing.T) {
 	m := mustLower(t, "int f() { }")
-	f := m.ByName["f"]
+	f := m.Lookup("f")
 	ret := f.Exit.Term()
 	if ret.Op != ir.OpRet || len(ret.Args) != 1 {
 		t.Fatalf("exit terminator = %s", ret)
@@ -263,7 +263,7 @@ func TestLowerBothArmsReturn(t *testing.T) {
 int f(bool c) {
 	if (c) { return 1; } else { return 2; }
 }`)
-	f := m.ByName["f"]
+	f := m.Lookup("f")
 	if err := ir.Verify(f); err != nil {
 		t.Fatal(err)
 	}

@@ -138,7 +138,7 @@ func AnalyzeWith(m *ir.Module, workers int) (*Result, int) {
 		res.Summaries[f] = NewSummary()
 	}
 	lookup := func(name string) *Summary {
-		if g, ok := m.ByName[name]; ok {
+		if g := m.Lookup(name); g != nil {
 			return res.Summaries[g]
 		}
 		return nil
@@ -184,8 +184,8 @@ func SCCDeps(m *ir.Module, sccs [][]*ir.Func) [][]int {
 					if in.Op != ir.OpCall {
 						continue
 					}
-					g, ok := m.ByName[in.Callee]
-					if !ok {
+					g := m.Lookup(in.Callee)
+					if g == nil {
 						continue
 					}
 					if j := idx[g]; !seen[j] {
@@ -341,7 +341,7 @@ func CallGraphSCCs(m *ir.Module) [][]*ir.Func {
 				if in.Op != ir.OpCall {
 					continue
 				}
-				if g, ok := m.ByName[in.Callee]; ok && !seen[g] {
+				if g := m.Lookup(in.Callee); g != nil && !seen[g] {
 					seen[g] = true
 					callees[f] = append(callees[f], g)
 				}

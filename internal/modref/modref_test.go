@@ -34,7 +34,7 @@ void f(int *p, int *q) {
 	*q = x;
 }`)
 	res := Analyze(m)
-	sum := res.Summaries[m.ByName["f"]]
+	sum := res.Summaries[m.Lookup("f")]
 	if !sum.Ref[Path{Root: Root{Param: 0}, Depth: 1}] {
 		t.Errorf("missing Ref(p,1): %+v", sum.Ref)
 	}
@@ -53,7 +53,7 @@ void f(int **pp) {
 	*p = 3;
 }`)
 	res := Analyze(m)
-	sum := res.Summaries[m.ByName["f"]]
+	sum := res.Summaries[m.Lookup("f")]
 	if !sum.Ref[Path{Root: Root{Param: 0}, Depth: 1}] {
 		t.Errorf("missing Ref(pp,1)")
 	}
@@ -68,11 +68,11 @@ void callee(int *c) { *c = 1; }
 void caller(int *p) { callee(p); }
 void deep(int **pp) { int *p = *pp; callee(p); }`)
 	res := Analyze(m)
-	caller := res.Summaries[m.ByName["caller"]]
+	caller := res.Summaries[m.Lookup("caller")]
 	if !caller.Mod[Path{Root: Root{Param: 0}, Depth: 1}] {
 		t.Errorf("caller missing transitive Mod(p,1): %+v", caller.Mod)
 	}
-	deep := res.Summaries[m.ByName["deep"]]
+	deep := res.Summaries[m.Lookup("deep")]
 	if !deep.Mod[Path{Root: Root{Param: 0}, Depth: 2}] {
 		t.Errorf("deep missing composed Mod(pp,2): %+v", deep.Mod)
 	}
@@ -85,15 +85,15 @@ void writer() { g = 1; }
 void reader() { int x = g; }
 void indirect() { writer(); }`)
 	res := Analyze(m)
-	w := res.Summaries[m.ByName["writer"]]
+	w := res.Summaries[m.Lookup("writer")]
 	if !w.Mod[Path{Root: Root{Param: -1, Global: "g"}, Depth: 1}] {
 		t.Errorf("writer missing Mod(g,1): %+v", w.Mod)
 	}
-	r := res.Summaries[m.ByName["reader"]]
+	r := res.Summaries[m.Lookup("reader")]
 	if !r.Ref[Path{Root: Root{Param: -1, Global: "g"}, Depth: 1}] {
 		t.Errorf("reader missing Ref(g,1): %+v", r.Ref)
 	}
-	ind := res.Summaries[m.ByName["indirect"]]
+	ind := res.Summaries[m.Lookup("indirect")]
 	if !ind.Mod[Path{Root: Root{Param: -1, Global: "g"}, Depth: 1}] {
 		t.Errorf("indirect missing propagated Mod(g,1): %+v", ind.Mod)
 	}
@@ -109,7 +109,7 @@ void b(int *q, int k) {
 	a(q, k);
 }`)
 	res := Analyze(m)
-	as := res.Summaries[m.ByName["a"]]
+	as := res.Summaries[m.Lookup("a")]
 	if !as.Mod[Path{Root: Root{Param: 0}, Depth: 1}] {
 		t.Errorf("a missing Mod through recursion: %+v", as.Mod)
 	}
@@ -121,7 +121,7 @@ int pure(int a, int b) { return a + b; }
 void localonly() { int *p = malloc(); *p = 1; int x = *p; }`)
 	res := Analyze(m)
 	for _, name := range []string{"pure", "localonly"} {
-		sum := res.Summaries[m.ByName[name]]
+		sum := res.Summaries[m.Lookup(name)]
 		if len(sum.Ref)+len(sum.Mod) != 0 {
 			t.Errorf("%s: unexpected side effects ref=%v mod=%v", name, sum.Ref, sum.Mod)
 		}
@@ -136,7 +136,7 @@ void f(int ***ppp) {
 	int x = *p;
 }`)
 	res := Analyze(m)
-	sum := res.Summaries[m.ByName["f"]]
+	sum := res.Summaries[m.Lookup("f")]
 	for p := range sum.Ref {
 		if p.Depth > MaxDepth {
 			t.Errorf("path %v exceeds cap", p)

@@ -166,8 +166,7 @@ func AndersenWithBudget(m *ir.Module, budget int) *AndersenResult {
 					s.storesOf[in.Args[0]] = append(s.storesOf[in.Args[0]], in.Args[1])
 					s.push(in.Args[0])
 				case ir.OpCall:
-					callee, known := m.ByName[in.Callee]
-					if known {
+					if callee := m.Lookup(in.Callee); callee != nil {
 						for i, a := range in.Args {
 							if i < len(callee.Params) {
 								addEdge(a, callee.Params[i])

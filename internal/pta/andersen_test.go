@@ -48,7 +48,7 @@ void f(bool c) {
 	int v = *p;
 }`)
 	ap := Andersen(m)
-	f := m.ByName["f"]
+	f := m.Lookup("f")
 	var phi *ir.Value
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
@@ -76,7 +76,7 @@ void f() {
 	int v = *b;
 }`)
 	ap := Andersen(m)
-	f := m.ByName["f"]
+	f := m.Lookup("f")
 	aVal := findVal(f, func(in *ir.Instr) *ir.Value {
 		if in.Op == ir.OpCopy && in.Dst.Type.String() == "int*" && in.Args[0].Def != nil && in.Args[0].Def.Op == ir.OpMalloc {
 			return in.Dst
@@ -120,7 +120,7 @@ void f() {
 	int v = *b;
 }`)
 	ap := Andersen(m)
-	f := m.ByName["f"]
+	f := m.Lookup("f")
 	aVal := findVal(f, func(in *ir.Instr) *ir.Value {
 		if in.Op == ir.OpCopy && in.Dst.Type.IsPointer() && in.Args[0].Def != nil && in.Args[0].Def.Op == ir.OpMalloc {
 			return in.Dst
@@ -171,7 +171,7 @@ void f() {
 	int v = *p;
 }`)
 	ap := Andersen(m)
-	f := m.ByName["f"]
+	f := m.Lookup("f")
 	recv := findVal(f, func(in *ir.Instr) *ir.Value {
 		if in.Op == ir.OpCall && in.Dsts[0] != nil {
 			return in.Dsts[0]
@@ -198,7 +198,7 @@ void f() {
 	int y = *b;
 }`)
 	ap := Andersen(m)
-	f := m.ByName["f"]
+	f := m.Lookup("f")
 	var mallocs []*ir.Value
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {

@@ -69,7 +69,7 @@ void f() {
 	*p = 3;
 	int x = *p;
 }`)
-	f := m.ByName["f"]
+	f := m.Lookup("f")
 	r := res["f"]
 	ml := findInstr(f, ir.OpMalloc, 0)
 	pts := r.PointsTo(ml.Dst)
@@ -95,7 +95,7 @@ void f() {
 	*p = 2;
 	int x = *p;
 }`)
-	f := m.ByName["f"]
+	f := m.Lookup("f")
 	r := res["f"]
 	ld := findInstr(f, ir.OpLoad, 0)
 	srcs := r.LoadSources(ld)
@@ -112,7 +112,7 @@ void f(bool c) {
 	if (c) { *p = 2; }
 	int x = *p;
 }`)
-	f := m.ByName["f"]
+	f := m.Lookup("f")
 	r := res["f"]
 	ld := findInstr(f, ir.OpLoad, 0)
 	srcs := r.LoadSources(ld)
@@ -147,7 +147,7 @@ void f(bool c) {
 	if (c) { *p = 1; } else { *p = 2; }
 	int x = *p;
 }`)
-	f := m.ByName["f"]
+	f := m.Lookup("f")
 	r := res["f"]
 	ld := findInstr(f, ir.OpLoad, 0)
 	srcs := r.LoadSources(ld)
@@ -165,7 +165,7 @@ func TestParamConnectorContents(t *testing.T) {
 	// After the transformation, *p at entry holds the aux formal.
 	m, res := buildAnalyzed(t, `
 int deref(int *p) { return *p; }`)
-	f := m.ByName["deref"]
+	f := m.Lookup("deref")
 	r := res["deref"]
 	ld := findInstr(f, ir.OpLoad, 0)
 	srcs := r.LoadSources(ld)
@@ -185,7 +185,7 @@ int f() {
 	*p = 2;
 	return x;
 }`)
-	f := m.ByName["f"]
+	f := m.Lookup("f")
 	r := res["f"]
 	// The final load of x (for the return) must see 2, not 1.
 	var lastLoad *ir.Instr
@@ -208,7 +208,7 @@ void f() {
 	int *p = null;
 	int x = *p;
 }`)
-	f := m.ByName["f"]
+	f := m.Lookup("f")
 	r := res["f"]
 	var copyIn *ir.Instr
 	for _, b := range f.Blocks {
@@ -244,7 +244,7 @@ void f(bool c) {
 		use(q);
 	}
 }`)
-	f := m.ByName["f"]
+	f := m.Lookup("f")
 	r := res["f"]
 	// Find the load of *pp inside the second branch.
 	var ld *ir.Instr
@@ -283,7 +283,7 @@ void f() {
 	int *p = mk();
 	int x = *p;
 }`)
-	f := m.ByName["f"]
+	f := m.Lookup("f")
 	r := res["f"]
 	call := findInstr(f, ir.OpCall, 0)
 	pts := r.PointsTo(call.Dsts[0])

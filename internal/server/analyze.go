@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"time"
 
@@ -116,12 +118,17 @@ type AnalyzeStats struct {
 	// ArtifactStoreHits counts the artifacts warm-loaded from the
 	// persistent store rather than found in memory — nonzero only on the
 	// first request after a restart with a populated -store-dir.
-	ArtifactStoreHits int   `json:"artifactStoreHits"`
-	Reports           int   `json:"reports"`
-	Workers           int   `json:"workers"`
-	BuildNs           int64 `json:"buildNs"`
-	DetectNs          int64 `json:"detectNs"`
-	GateWaitNs        int64 `json:"gateWaitNs"`
+	ArtifactStoreHits int `json:"artifactStoreHits"`
+	// FunctionsVisited counts the functions the build looked at (see
+	// core.ArtifactStats.Visited): all of them on a first request or after
+	// an edit that moves a program-level table, otherwise those of the
+	// re-parsed units and those that can reach an edited function.
+	FunctionsVisited int   `json:"functionsVisited"`
+	Reports          int   `json:"reports"`
+	Workers          int   `json:"workers"`
+	BuildNs          int64 `json:"buildNs"`
+	DetectNs         int64 `json:"detectNs"`
+	GateWaitNs       int64 `json:"gateWaitNs"`
 	// DetectTasks is the number of (checker, source) tasks the request's
 	// detection comprised; DetectTasksReplayed of them reused the result
 	// recorded by an earlier request instead of searching again. The
@@ -135,6 +142,73 @@ type AnalyzeStats struct {
 	// cache (zero when every task was replayed).
 	SummaryCacheHits   int `json:"summaryCacheHits"`
 	SummaryCacheMisses int `json:"summaryCacheMisses"`
+}
+
+// decodeRequest reads one AnalyzeRequest object from r and accepts what a
+// json.Decoder with DisallowUnknownFields accepts — unknown fields are
+// errors, field names match in any case, the last of a repeated field counts,
+// bytes after the object are not looked at — but asks the Decoder for one
+// field, and one unit, at a time. A Decoder buffers the whole value it is
+// asked for, in a buffer it grows by doubling: asked for a whole request it
+// left about twice the body's size in garbage, asked for a unit it stays at
+// the size of the largest one.
+func decodeRequest(r io.Reader, req *AnalyzeRequest) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	// The request's fields by their lower-cased JSON names.
+	fields := make(map[string]any)
+	for rv, i := reflect.ValueOf(req).Elem(), 0; i < rv.NumField(); i++ {
+		name, _, _ := strings.Cut(rv.Type().Field(i).Tag.Get("json"), ",")
+		fields[strings.ToLower(name)] = rv.Field(i).Addr().Interface()
+	}
+	if tok, err := dec.Token(); err != nil || tok == nil {
+		return err // null leaves the request as it is
+	} else if tok != json.Delim('{') {
+		return fmt.Errorf("json: %v where a request object should start", tok)
+	}
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			return err
+		}
+		key, _ := tok.(string) // inside an object, before a value: a key
+		switch dst := fields[strings.ToLower(key)].(type) {
+		case *[]UnitJSON:
+			err = decodeUnits(dec, dst)
+		case nil:
+			err = fmt.Errorf("json: unknown field %q", tok)
+		default:
+			err = dec.Decode(dst)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	_, err := dec.Token() // the closing brace, or what is there instead
+	return err
+}
+
+// decodeUnits reads the value of the units field: an array of unit objects,
+// or null.
+func decodeUnits(dec *json.Decoder, units *[]UnitJSON) error {
+	tok, err := dec.Token()
+	if err != nil || tok == nil {
+		*units = nil
+		return err
+	}
+	if tok != json.Delim('[') {
+		return fmt.Errorf("json: units: %v where an array should start", tok)
+	}
+	*units = []UnitJSON{}
+	for dec.More() {
+		var u UnitJSON
+		if err := dec.Decode(&u); err != nil {
+			return err
+		}
+		*units = append(*units, u)
+	}
+	_, err = dec.Token()
+	return err
 }
 
 type httpError struct {
@@ -184,9 +258,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 func (s *Server) analyze(ctx context.Context, r *http.Request, ri *requestInfo) (*AnalyzeResponse, error) {
 	reqStart := time.Now()
 	var req AnalyzeRequest
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 64<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeRequest(http.MaxBytesReader(nil, r.Body, s.maxBody), &req); err != nil {
 		return nil, &httpError{http.StatusBadRequest, "bad request body: " + err.Error()}
 	}
 	decodeNs := time.Since(reqStart)
@@ -284,6 +356,7 @@ func (s *Server) analyze(ctx context.Context, r *http.Request, ri *requestInfo) 
 		ArtifactMisses:      a.Artifacts.Misses,
 		ArtifactInvalidated: a.Artifacts.Invalidated,
 		ArtifactStoreHits:   a.Artifacts.StoreHits,
+		FunctionsVisited:    a.Artifacts.Visited,
 		Reports:             len(reports),
 		Workers:             conc.Workers(workers),
 		BuildNs:             buildNs.Nanoseconds(),

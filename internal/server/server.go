@@ -122,6 +122,8 @@ type Server struct {
 
 	ready  atomic.Bool
 	reqSeq atomic.Uint64
+	// maxBody caps an analyze request's body, in bytes.
+	maxBody int64
 
 	inMu     sync.Mutex
 	inflight map[uint64]*inflightEntry
@@ -175,6 +177,7 @@ func New(cfg Config) *Server {
 			Obs:         rec,
 		}),
 		inflight: make(map[uint64]*inflightEntry),
+		maxBody:  64 << 20,
 	}
 }
 

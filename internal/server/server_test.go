@@ -1,16 +1,19 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -315,30 +318,100 @@ func TestCountersArePerRequest(t *testing.T) {
 // usable).
 func TestAnalyzeErrors(t *testing.T) {
 	units := exampleUnits(t)
-	_, ts := newTestServer(t, Config{})
+	s, ts := newTestServer(t, Config{})
+	s.maxBody = 8 << 10
 
-	post := func(body string) int {
-		resp, err := http.Post(ts.URL+"/v1/analyze", "application/json", strings.NewReader(body))
+	good, err := json.Marshal(AnalyzeRequest{Units: unitsToJSON(units)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := `{"units":[{"name":"a.mc","src":"void f() { }"}]}`
+	// The status of every way a request body can be wrong, and of the
+	// oddities that are accepted: the decoder stops at the end of the
+	// object, and knows nothing of Content-Length.
+	for _, tc := range []struct {
+		name, body string
+		want       int
+	}{
+		{"malformed body", "{", http.StatusBadRequest},
+		{"empty body", "", http.StatusBadRequest},
+		{"not an object", `[1,2]`, http.StatusBadRequest},
+		{"null", `null`, http.StatusBadRequest},
+		{"empty units", `{"units":[]}`, http.StatusBadRequest},
+		{"null units", `{"units":null}`, http.StatusBadRequest},
+		{"unnamed unit", `{"units":[{"src":"void f() { }"}]}`, http.StatusBadRequest},
+		{"unknown checker", `{"units":[{"name":"a.mc","src":""}],"checkers":["nope"]}`, http.StatusBadRequest},
+		{"unknown field", `{"units":[{"name":"a.mc","src":""}],"colour":1}`, http.StatusBadRequest},
+		{"unknown field in a unit", `{"units":[{"name":"a.mc","src":"","lang":"c"}]}`, http.StatusBadRequest},
+		{"wrong type", `{"units":[{"name":"a.mc","src":7}]}`, http.StatusBadRequest},
+		{"truncated in a unit", one[:len(one)-8], http.StatusBadRequest},
+		{"truncated after the units", one[:len(one)-1], http.StatusBadRequest},
+		{"body over the cap", `{"units":[{"name":"a.mc","src":"` + strings.Repeat(" ", 9<<10) + `"}]}`, http.StatusBadRequest},
+		{"parse error", `{"units":[{"name":"a.mc","src":"int f( {"}]}`, http.StatusUnprocessableEntity},
+		{"every field", `{"project":"p","units":[{"name":"a.mc","src":"void f() { }"}],"checkers":["all"],"witness":true,"workers":1,"maxCallDepth":3}`, http.StatusOK},
+		{"field names in another case", `{"UNITS":[{"Name":"a.mc","SRC":"void f() { }"}],"Witness":true}`, http.StatusOK},
+		{"a field twice: the last one counts", `{"units":[{"name":"a.mc","src":"int f( {"}],"units":[{"name":"a.mc","src":"void f() { }"}]}`, http.StatusOK},
+		{"trailing bytes after the object", one + ` trailing }{`, http.StatusOK},
+		{"trailing bytes over the cap", one + strings.Repeat(" ", 9<<10), http.StatusOK},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/analyze", "application/json", strings.NewReader(tc.body))
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", tc.name, err)
 		}
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
-		return resp.StatusCode
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.want)
+		}
+		// The request decoder against the one it stands in for.
+		var got, ref AnalyzeRequest
+		gotErr := decodeRequest(strings.NewReader(tc.body), &got)
+		dec := json.NewDecoder(strings.NewReader(tc.body))
+		dec.DisallowUnknownFields()
+		refErr := dec.Decode(&ref)
+		if (gotErr == nil) != (refErr == nil) {
+			t.Errorf("%s: decodeRequest: %v; json.Decoder: %v", tc.name, gotErr, refErr)
+		} else if gotErr == nil && !reflect.DeepEqual(got, ref) {
+			t.Errorf("%s: decodeRequest read %+v, json.Decoder %+v", tc.name, got, ref)
+		}
 	}
-	if got := post("{"); got != http.StatusBadRequest {
-		t.Errorf("malformed body: %d, want 400", got)
+
+	// Content-Length absent: a body of unknown length goes out chunked.
+	resp, err := http.Post(ts.URL+"/v1/analyze", "application/json", io.MultiReader(bytes.NewReader(good)))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := post(`{"units":[]}`); got != http.StatusBadRequest {
-		t.Errorf("empty units: %d, want 400", got)
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("chunked body: status %d, want 200", resp.StatusCode)
 	}
-	if got := post(`{"units":[{"name":"a.mc","src":""}],"checkers":["nope"]}`); got != http.StatusBadRequest {
-		t.Errorf("unknown checker: %d, want 400", got)
+	// Content-Length wrong, which takes a client that does not check: one
+	// that announces less than it sends is cut short; one that announces
+	// more and hangs up is not found out, the object being complete.
+	for _, tc := range []struct {
+		name     string
+		announce int
+		want     int
+	}{{"short", len(good) - 10, http.StatusBadRequest}, {"long", len(good) + 10, http.StatusOK}} {
+		conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(conn, "POST /v1/analyze HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s", tc.announce, good)
+		conn.(*net.TCPConn).CloseWrite()
+		resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+		if err != nil {
+			t.Fatalf("Content-Length too %s: %v", tc.name, err)
+		}
+		resp.Body.Close()
+		conn.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("Content-Length too %s: status %d, want %d", tc.name, resp.StatusCode, tc.want)
+		}
 	}
-	if got := post(`{"units":[{"name":"a.mc","src":"int f( {"}]}`); got != http.StatusUnprocessableEntity {
-		t.Errorf("parse error: %d, want 422", got)
-	}
-	// The failed update must not have corrupted the session.
+
+	// The failed updates must not have corrupted the session.
 	postAnalyze(t, ts.URL, AnalyzeRequest{Units: unitsToJSON(units)})
 }
 

@@ -71,7 +71,7 @@ int f(bool c) {
 	if (c) { x = 1; } else { x = 2; }
 	return x;
 }`)
-	f := m.ByName["f"]
+	f := m.Lookup("f")
 	checkSingleAssignment(t, f)
 	ps := phis(f)
 	if len(ps) == 0 {
@@ -94,7 +94,7 @@ int f(bool c) {
 
 func TestSSANoPhiForStraightLine(t *testing.T) {
 	m, _ := buildSSA(t, "int f(int a) { int x = a + 1; int y = x * 2; return y; }")
-	f := m.ByName["f"]
+	f := m.Lookup("f")
 	if got := len(phis(f)); got != 0 {
 		t.Errorf("phi count = %d, want 0:\n%s", got, f)
 	}
@@ -109,7 +109,7 @@ int f(int a) {
 	x = x + a;
 	return x;
 }`)
-	f := m.ByName["f"]
+	f := m.Lookup("f")
 	checkSingleAssignment(t, f)
 	// The return value's chain must reach through two additions.
 	ret := f.Exit.Term()
@@ -139,7 +139,7 @@ int f(bool a, bool b) {
 	}
 	return x;
 }`)
-	f := m.ByName["f"]
+	f := m.Lookup("f")
 	inf := infos["f"]
 	checkSingleAssignment(t, f)
 	ps := phis(f)
@@ -164,7 +164,7 @@ void f(bool c) {
 	if (c) { g(); } else { h(); }
 	k();
 }`)
-	f := m.ByName["f"]
+	f := m.Lookup("f")
 	inf := infos["f"]
 	if !inf.ReachCond(f.Entry).IsTrue() {
 		t.Error("entry reach cond not true")
@@ -199,7 +199,7 @@ func TestSSACDCond(t *testing.T) {
 void f(bool c) {
 	if (c) { g(); }
 }`)
-	f := m.ByName["f"]
+	f := m.Lookup("f")
 	inf := infos["f"]
 	var gB *ir.Block
 	for _, b := range f.Blocks {
@@ -230,7 +230,7 @@ int f(int n) {
 	while (n > 0) { s = s + n; }
 	return s;
 }`)
-	f := m.ByName["f"]
+	f := m.Lookup("f")
 	checkSingleAssignment(t, f)
 	if len(phis(f)) == 0 {
 		t.Errorf("unrolled while should still merge s via phi:\n%s", f)
@@ -244,7 +244,7 @@ void f(bool c) {
 	if (c) { x = 1; } else { x = 2; }
 	// x never used after the merge
 }`)
-	f := m.ByName["f"]
+	f := m.Lookup("f")
 	if got := len(phis(f)); got != 0 {
 		t.Errorf("dead phi not eliminated (%d left):\n%s", got, f)
 	}
@@ -255,7 +255,7 @@ func TestSSAShortCircuitGates(t *testing.T) {
 void f(bool a, bool b) {
 	if (a && b) { g(); }
 }`)
-	f := m.ByName["f"]
+	f := m.Lookup("f")
 	inf := infos["f"]
 	// The && produces a phi for the temp; the call block's control
 	// dependence references the merged value.
@@ -281,7 +281,7 @@ int f() {
 	if (true) { x = 1; } else { x = 2; }
 	return x;
 }`)
-	f := m.ByName["f"]
+	f := m.Lookup("f")
 	inf := infos["f"]
 	for _, phi := range phis(f) {
 		gates := inf.GatesOf(phi)
@@ -311,5 +311,5 @@ int f(bool c) {
 	if (c) { x = g(); }
 	return x;
 }`)
-	checkSingleAssignment(t, m.ByName["f"])
+	checkSingleAssignment(t, m.Lookup("f"))
 }

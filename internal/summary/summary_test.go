@@ -34,7 +34,7 @@ func buildGraph(t *testing.T, src, fn string) *seg.Graph {
 	if err := transform.Apply(m, modref.Analyze(m)); err != nil {
 		t.Fatal(err)
 	}
-	f := m.ByName[fn]
+	f := m.Lookup(fn)
 	pr, err := pta.Analyze(f, infos[f], pta.Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -107,12 +107,12 @@ func Prep(m *ir.Module, f *ir.Func, sum *modref.Summary) *Prepped {
 // Rewrite performs phase 3 for the prepped function: entry stores, exit
 // loads, and call-site glue. resolve maps a callee name to the function
 // whose (final) signature governs the call site; nil falls back to
-// m.ByName. Every callee's signature must be final before Rewrite runs;
+// m.Lookup. Every callee's signature must be final before Rewrite runs;
 // Rewrite itself mutates only p's function body, so distinct functions
 // may be rewritten concurrently.
 func (p *Prepped) Rewrite(m *ir.Module, resolve func(string) *ir.Func) error {
 	if resolve == nil {
-		resolve = func(name string) *ir.Func { return m.ByName[name] }
+		resolve = func(name string) *ir.Func { return m.Lookup(name) }
 	}
 	return rewriteBody(m, p.f, p.plans, p.aux, resolve)
 }

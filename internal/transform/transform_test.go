@@ -39,7 +39,7 @@ func buildTransformed(t *testing.T, src string) *ir.Module {
 func TestAuxParamInserted(t *testing.T) {
 	m := buildTransformed(t, `
 int deref(int *p) { return *p; }`)
-	f := m.ByName["deref"]
+	f := m.Lookup("deref")
 	if len(f.AuxIn) != 1 {
 		t.Fatalf("AuxIn = %v, want one spec", f.AuxIn)
 	}
@@ -61,7 +61,7 @@ int deref(int *p) { return *p; }`)
 func TestAuxReturnInserted(t *testing.T) {
 	m := buildTransformed(t, `
 void setit(int *p) { *p = 42; }`)
-	f := m.ByName["setit"]
+	f := m.Lookup("setit")
 	if len(f.AuxOut) != 1 {
 		t.Fatalf("AuxOut = %v", f.AuxOut)
 	}
@@ -91,7 +91,7 @@ void caller() {
 	callee(p);
 	int x = *p;
 }`)
-	caller := m.ByName["caller"]
+	caller := m.Lookup("caller")
 	var call *ir.Instr
 	for _, b := range caller.Blocks {
 		for _, in := range b.Instrs {
@@ -153,17 +153,17 @@ void bar(int **q) {
 void qux(int **r) {
 	if (input()) { *r = source_d(); } else { *r = source_e(); }
 }`)
-	bar := m.ByName["bar"]
+	bar := m.Lookup("bar")
 	// bar reads *q (the null check) and writes *q: X and Y connectors.
 	if len(bar.AuxIn) != 1 || len(bar.AuxOut) != 1 {
 		t.Fatalf("bar connectors: in=%v out=%v", bar.AuxIn, bar.AuxOut)
 	}
-	qux := m.ByName["qux"]
+	qux := m.Lookup("qux")
 	if len(qux.AuxOut) != 1 {
 		t.Fatalf("qux connectors: out=%v", qux.AuxOut)
 	}
 	// foo's call sites are rewritten.
-	foo := m.ByName["foo"]
+	foo := m.Lookup("foo")
 	calls := 0
 	for _, b := range foo.Blocks {
 		for _, in := range b.Instrs {
@@ -189,17 +189,17 @@ int g;
 void writer() { g = 5; }
 int reader() { return g; }
 void top() { writer(); }`)
-	w := m.ByName["writer"]
+	w := m.Lookup("writer")
 	if len(w.AuxOut) != 1 || w.AuxOut[0].Global != "g" {
 		t.Fatalf("writer AuxOut = %v", w.AuxOut)
 	}
-	r := m.ByName["reader"]
+	r := m.Lookup("reader")
 	if len(r.AuxIn) != 1 || r.AuxIn[0].Global != "g" {
 		t.Fatalf("reader AuxIn = %v", r.AuxIn)
 	}
 	// top's call to writer receives the aux global value and stores it
 	// back to g.
-	top := m.ByName["top"]
+	top := m.Lookup("top")
 	s := top.String()
 	if !strings.Contains(s, "&@g") {
 		t.Errorf("top missing global glue:\n%s", s)
@@ -216,7 +216,7 @@ void f(int **pp) {
 	int *p = *pp;
 	*p = 3;
 }`)
-	f := m.ByName["f"]
+	f := m.Lookup("f")
 	// Depth 1 (read the pointer) and depth 2 (write the int): contiguous
 	// connectors.
 	if len(f.AuxIn) != 2 {
@@ -235,12 +235,12 @@ func TestNoConnectorsForPureFunctions(t *testing.T) {
 	m := buildTransformed(t, `
 int add(int a, int b) { return a + b; }
 void caller() { int x = add(1, 2); }`)
-	f := m.ByName["add"]
+	f := m.Lookup("add")
 	if len(f.AuxIn)+len(f.AuxOut) != 0 {
 		t.Errorf("pure function has connectors: %v %v", f.AuxIn, f.AuxOut)
 	}
 	// Caller's call untouched.
-	caller := m.ByName["caller"]
+	caller := m.Lookup("caller")
 	for _, b := range caller.Blocks {
 		for _, in := range b.Instrs {
 			if in.Op == ir.OpCall && len(in.Args) != 2 {

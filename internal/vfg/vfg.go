@@ -110,8 +110,8 @@ func Build(m *ir.Module, pts *pta.AndersenResult, opts Options) (*Graph, error) 
 				case ir.OpFree:
 					g.Frees = append(g.Frees, in)
 				case ir.OpCall:
-					callee, known := m.ByName[in.Callee]
-					if !known {
+					callee := m.Lookup(in.Callee)
+					if callee == nil {
 						continue
 					}
 					for i, a := range in.Args {

@@ -44,7 +44,7 @@ void f() {
 		t.Fatal("empty graph")
 	}
 	// The stored constant reaches the load destination.
-	f := m.ByName["f"]
+	f := m.Lookup("f")
 	var storedVal, loadDst *ir.Value
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {

@@ -2,7 +2,8 @@
 # Tier-1 verification in one command: formatting, vet, build, tests (with
 # the race detector — the parallel detection scheduler's determinism tests
 # run under it, and cmd/pinpoint's process-level test builds and drives the
-# real binary), the benchmark module, and the examples suite.
+# real binary), the allocation budgets without it, the benchmark module, and
+# the examples suite.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -22,6 +23,11 @@ go build ./...
 
 echo "== go test -race"
 go test -race ./...
+
+# The allocation budgets skip themselves under the race detector (it
+# allocates shadow state of its own), so they get a run without it.
+echo "== allocation budgets (no race detector)"
+go test ./internal/core -run 'Budget'
 
 # The nested benchmark module is outside ./...: vet and test it here, so a
 # change that breaks the surface it compiles against fails tier-1.
