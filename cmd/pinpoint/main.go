@@ -5,10 +5,10 @@
 //
 //	pinpoint [-checkers uaf,double-free,path-traversal,data-transmission,null-deref,memory-leak]
 //	         [-workers N] [-depth N] [-no-path-sensitivity] [-stats] [-provenance]
-//	         [-store-dir dir] [-store-max-bytes N]
+//	         [-store-dir dir]
 //	         [-trace out.json] [-stats-json out.json] [-pprof addr] file.mc...
 //	pinpoint serve [-addr host:port] [-workers N] [-max-inflight N]
-//	         [-request-timeout d] [-log-json] [-store-dir dir] [-store-max-bytes N]
+//	         [-request-timeout d] [-log-json] [-store-dir dir]
 //	pinpoint explain [-checkers list] [-workers N] [-depth N] file.mc...
 //
 // Each file is one compilation unit. -checkers all selects every registered
@@ -68,7 +68,6 @@ func runBatch() {
 	repeat := flag.Int("repeat", 1, "with -incremental: build rounds; inputs are re-read from disk before each round, so warm rounds rebuild only what changed")
 	provenance := flag.Bool("provenance", false, "capture per-report provenance (value-flow hops, path-condition size, verdict source); shown in -format json and by 'pinpoint explain'")
 	storeDir := flag.String("store-dir", "", "persist build artifacts in this directory across runs (works with and without -incremental; empty = memory only)")
-	storeMaxBytes := flag.Int64("store-max-bytes", 0, "in-memory residency bound for the persistent store's record cache (0 = store default, negative = unbounded)")
 	flag.Parse()
 
 	if flag.NArg() == 0 {
@@ -101,7 +100,7 @@ func runBatch() {
 
 	readUnitsArgs := func() []minic.NamedSource { return readUnits(flag.Args()) }
 
-	st, closeStore := openStore(*storeDir, *storeMaxBytes, rec)
+	st, closeStore := openStore(*storeDir, rec)
 	defer closeStore()
 	buildOpts := core.BuildOptions{Workers: *workers, Obs: rec, Store: st}
 
@@ -204,11 +203,11 @@ func runBatch() {
 // openStore opens the -store-dir artifact store and returns it with its
 // close function. An empty dir means memory only: the nil Store every
 // layer treats as "no store", and a close that does nothing.
-func openStore(dir string, maxBytes int64, rec *obs.Recorder) (store.Store, func() error) {
+func openStore(dir string, rec *obs.Recorder) (store.Store, func() error) {
 	if dir == "" {
 		return nil, func() error { return nil }
 	}
-	st, err := store.Open(dir, store.DiskOptions{MaxResidentBytes: maxBytes, Obs: rec})
+	st, err := store.Open(dir, store.DiskOptions{Obs: rec})
 	if err != nil {
 		fatal(err)
 	}

@@ -26,7 +26,6 @@ func runServe(args []string) {
 	logJSON := fs.Bool("log-json", false, "emit the structured request log as JSON lines instead of text")
 	logLevel := fs.String("log-level", "info", "minimum log level: debug, info, warn, or error")
 	storeDir := fs.String("store-dir", "", "persist build artifacts in this directory; a restarted server warm-loads instead of cold building (empty = memory only)")
-	storeMaxBytes := fs.Int64("store-max-bytes", 0, "in-memory residency bound for the persistent store's record cache (0 = store default, negative = unbounded)")
 	maxTenants := fs.Int("max-tenants", 0, "max concurrently resident per-project sessions; beyond this the least-recently-used idle project is evicted, persisting to the store first (0 = 64, negative = unlimited)")
 	tenantIdle := fs.Duration("tenant-idle", 0, "evict a project's session after this much idle time (0 = 15m, negative = never)")
 	tenantInflight := fs.Int("tenant-inflight", 0, "max concurrently admitted requests per project under -max-inflight (0 = no per-project bound)")
@@ -59,7 +58,7 @@ func runServe(args []string) {
 		timeout = -1 // Config: negative disables, zero means default.
 	}
 	rec := obs.New()
-	st, closeStore := openStore(*storeDir, *storeMaxBytes, rec)
+	st, closeStore := openStore(*storeDir, rec)
 	defer func() {
 		if err := closeStore(); err != nil {
 			fmt.Fprintln(os.Stderr, "pinpoint serve: store close:", err)

@@ -11,6 +11,7 @@ import (
 	"log"
 	"strings"
 
+	"repro/internal/checkers"
 	"repro/internal/core"
 	"repro/internal/detect"
 	"repro/internal/minic"
@@ -70,8 +71,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	reports, stats := detect.FindLeaks(analysis.Prog, detect.Options{})
-	fmt.Printf("%s; %d leaks reported\n\n", stats, len(reports))
+	spec := checkers.MemoryLeak()
+	reports, stats := analysis.Check(spec, detect.Options{})
+	fmt.Printf("%s; %d leaks reported\n\n", detect.CheckerStats{Checker: spec.Name, Stats: stats}, len(reports))
 	for _, r := range reports {
 		fmt.Println("  ", r)
 		if len(r.Witness) > 0 {

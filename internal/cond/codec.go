@@ -6,149 +6,163 @@ import (
 	"repro/internal/wirebin"
 )
 
-// NodeWire is the serialized form of one Cond node. A Builder's node set is
-// exported as a dense slice indexed by node ID, so operand references are
-// plain integer IDs pointing at earlier slice entries (operands are always
-// created before the nodes that use them).
-type NodeWire struct {
-	Kind Kind
-	Atom int32
-	Ops  []int32
+// A Builder persists as its full node set in ID order: a count, then per
+// node its kind byte and what the kind carries — the atom of a KAtom, the
+// operand of a KNot, the operand list of a KAnd/KOr, as node IDs. Operands
+// are created before the nodes that use them, so every reference points
+// back. The round trip is exact: node IDs, intern tables, and therefore the
+// operand order of future And/Or calls (which sort by node ID).
+
+// Nodes is a Builder's node set indexed by node ID; the other sections of an
+// artifact refer to conditions through it.
+type Nodes []*Cond
+
+// At resolves a serialized condition reference; -1 stands for nil.
+func (n Nodes) At(id int32) (*Cond, error) {
+	if id == -1 {
+		return nil, nil
+	}
+	if id < 0 || int(id) >= len(n) {
+		return nil, fmt.Errorf("bad cond id %d", id)
+	}
+	return n[id], nil
 }
 
-// Export snapshots the builder's full node set in ID order. Together with
-// ImportBuilder it round-trips the builder exactly: node IDs, intern
-// tables, and therefore the operand ordering of future And/Or calls (which
-// sort by node ID) are all preserved.
-func (b *Builder) Export() ([]NodeWire, error) {
+// Ref is the serialized reference At resolves back to c.
+func Ref(c *Cond) int32 {
+	if c == nil {
+		return -1
+	}
+	return int32(c.id)
+}
+
+// EncodeBuilder appends b's node set to e.
+func EncodeBuilder(e *wirebin.Writer, b *Builder) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	nodes := make([]*Cond, b.nextID)
 	reg := func(c *Cond) error {
 		if c.id < 0 || c.id >= len(nodes) || nodes[c.id] != nil {
-			return fmt.Errorf("cond: export: bad node id %d", c.id)
+			return fmt.Errorf("cond: encode: bad node id %d", c.id)
 		}
 		nodes[c.id] = c
 		return nil
 	}
 	if err := reg(b.trueC); err != nil {
-		return nil, err
+		return err
 	}
 	if err := reg(b.falseC); err != nil {
-		return nil, err
+		return err
 	}
-	for _, c := range b.atoms {
-		if err := reg(c); err != nil {
-			return nil, err
-		}
-	}
-	for _, c := range b.nots {
-		if err := reg(c); err != nil {
-			return nil, err
+	for _, tab := range []map[int]*Cond{b.atoms, b.nots} {
+		for _, c := range tab {
+			if err := reg(c); err != nil {
+				return err
+			}
 		}
 	}
 	for _, c := range b.nary {
 		if err := reg(c); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	out := make([]NodeWire, len(nodes))
+	e.Uvarint(uint64(len(nodes)))
 	for i, c := range nodes {
 		if c == nil {
-			return nil, fmt.Errorf("cond: export: unregistered node id %d", i)
+			return fmt.Errorf("cond: encode: unregistered node id %d", i)
 		}
-		w := NodeWire{Kind: c.kind, Atom: int32(c.atom)}
-		if len(c.ops) > 0 {
-			w.Ops = make([]int32, len(c.ops))
-			for j, op := range c.ops {
-				w.Ops[j] = int32(op.id)
+		e.U8(uint8(c.kind))
+		switch c.kind {
+		case KAtom:
+			e.Int(c.atom)
+		case KNot:
+			e.Int(c.ops[0].id)
+		case KAnd, KOr:
+			e.Uvarint(uint64(len(c.ops)))
+			for _, op := range c.ops {
+				e.Int(op.id)
 			}
 		}
-		out[i] = w
 	}
-	return out, nil
+	return nil
 }
 
-// ImportBuilder reconstructs a Builder from an Export snapshot. It also
-// returns the dense node slice so callers can resolve serialized condition
-// references (node IDs) back to *Cond values.
-func ImportBuilder(wire []NodeWire) (*Builder, []*Cond, error) {
+// DecodeBuilder reads a node set from r and rebuilds the Builder around it.
+// A node that names an operand not before it, a second true or false, or a
+// node the intern tables already hold (a genuine Builder hash-conses them
+// away) is an error.
+func DecodeBuilder(r *wirebin.Reader) (*Builder, Nodes, error) {
+	n := r.Len()
 	b := &Builder{
-		atoms: make(map[int]*Cond, len(wire)),
-		nots:  make(map[int]*Cond),
-		nary:  make(map[string]*Cond),
+		atoms:  make(map[int]*Cond, n),
+		nots:   make(map[int]*Cond),
+		nary:   make(map[string]*Cond),
+		nextID: n,
 	}
-	nodes := make([]*Cond, len(wire))
-	for i, w := range wire {
-		var ops []*Cond
-		if len(w.Ops) > 0 {
-			ops = make([]*Cond, len(w.Ops))
-			for j, oid := range w.Ops {
-				if oid < 0 || int(oid) >= i {
-					return nil, nil, fmt.Errorf("cond: import: node %d references out-of-order operand %d", i, oid)
-				}
-				ops[j] = nodes[oid]
-			}
+	// The nodes live and die with the builder: one allocation for all.
+	slab := make([]Cond, n)
+	nodes := make(Nodes, n)
+	operand := func(i int) (*Cond, error) {
+		id := r.Int()
+		if id < 0 || id >= i {
+			return nil, r.Errorf("cond: decode: node %d references out-of-order operand %d", i, id)
 		}
-		c := &Cond{kind: w.Kind, atom: int(w.Atom), ops: ops, id: i}
+		return nodes[id], nil
+	}
+	var keyBuf [64]byte
+	for i := range slab {
+		c := &slab[i]
+		c.kind, c.id = Kind(r.U8()), i
 		nodes[i] = c
-		switch w.Kind {
+		var dup bool
+		switch c.kind {
 		case KTrue:
-			if b.trueC != nil {
-				return nil, nil, fmt.Errorf("cond: import: duplicate true node at %d", i)
-			}
-			b.trueC = c
+			dup, b.trueC = b.trueC != nil, c
 		case KFalse:
-			if b.falseC != nil {
-				return nil, nil, fmt.Errorf("cond: import: duplicate false node at %d", i)
-			}
-			b.falseC = c
+			dup, b.falseC = b.falseC != nil, c
 		case KAtom:
+			c.atom = r.Int()
+			_, dup = b.atoms[c.atom]
 			b.atoms[c.atom] = c
 		case KNot:
-			if len(ops) != 1 {
-				return nil, nil, fmt.Errorf("cond: import: KNot node %d has %d operands", i, len(ops))
+			op, err := operand(i)
+			if err != nil {
+				return nil, nil, err
 			}
-			b.nots[ops[0].id] = c
+			c.ops = []*Cond{op}
+			_, dup = b.nots[op.id]
+			b.nots[op.id] = c
 		case KAnd, KOr:
-			if len(ops) < 2 {
-				return nil, nil, fmt.Errorf("cond: import: nary node %d has %d operands", i, len(ops))
+			m := r.Len()
+			if m < 2 {
+				return nil, nil, r.Errorf("cond: decode: nary node %d has %d operands", i, m)
 			}
-			b.nary[string(naryKey(nil, w.Kind, ops))] = c
+			c.ops = make([]*Cond, m)
+			for j := range c.ops {
+				op, err := operand(i)
+				if err != nil {
+					return nil, nil, err
+				}
+				if j > 0 && op.id <= c.ops[j-1].id {
+					return nil, nil, r.Errorf("cond: decode: nary node %d has operands out of order", i)
+				}
+				c.ops[j] = op
+			}
+			key := naryKey(keyBuf[:0], c.kind, c.ops)
+			_, dup = b.nary[string(key)]
+			b.nary[string(key)] = c
 		default:
-			return nil, nil, fmt.Errorf("cond: import: node %d has unknown kind %d", i, w.Kind)
+			return nil, nil, r.Errorf("cond: decode: node %d has unknown kind %d", i, c.kind)
+		}
+		if dup {
+			return nil, nil, r.Errorf("cond: decode: node %d duplicates an earlier node", i)
 		}
 	}
-	b.nextID = len(wire)
 	if b.trueC == nil || b.falseC == nil {
-		return nil, nil, fmt.Errorf("cond: import: missing constant nodes")
-	}
-	return b, nodes, nil
-}
-
-// AppendNodeWires appends the binary encoding of an Export snapshot to e.
-func AppendNodeWires(e *wirebin.Writer, wire []NodeWire) {
-	e.Uvarint(uint64(len(wire)))
-	for i := range wire {
-		w := &wire[i]
-		e.U8(uint8(w.Kind))
-		e.I32(w.Atom)
-		e.I32s(w.Ops)
-	}
-}
-
-// DecodeNodeWires reads one Export snapshot from r.
-func DecodeNodeWires(r *wirebin.Reader) ([]NodeWire, error) {
-	n := r.Len()
-	var out []NodeWire
-	if n > 0 {
-		out = make([]NodeWire, n)
-		for i := range out {
-			out[i] = NodeWire{Kind: Kind(r.U8()), Atom: r.I32(), Ops: r.I32s()}
-		}
+		return nil, nil, r.Errorf("cond: decode: missing constant nodes")
 	}
 	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("cond: decode node wires: %w", err)
+		return nil, nil, err
 	}
-	return out, nil
+	return b, nodes, nil
 }

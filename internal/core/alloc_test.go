@@ -143,3 +143,64 @@ func TestUpdateEditBudget(t *testing.T) {
 		t.Errorf("CheckAll allocated %.0f KiB per edit, budget %.0f KiB", got/1024, budgetEditCheckBytes/1024)
 	}
 }
+
+// The budget of a warm restart: what the first Update of a fresh session
+// allocates when the store holds every artifact of the 20k-line ladder
+// program (3,342 functions). At the commit before artifacts were decoded
+// straight into the analysis objects — when every one went through a mirror
+// struct on its way in, and the store kept a second copy of each record it
+// served — the same Update allocated 62.7 MiB in 762,850 objects; this one
+// must stay at least 20 % of the bytes and 12 % of the objects below that,
+// and within 15 % of its own measured values.
+const (
+	parentWarmLoadBytes   = 62.7 * (1 << 20)
+	parentWarmLoadMallocs = 762850
+
+	measuredWarmLoadBytes   = 45.9 * (1 << 20)
+	measuredWarmLoadMallocs = 597600
+
+	budgetWarmLoadBytes   = measuredWarmLoadBytes * 1.15
+	budgetWarmLoadMallocs = measuredWarmLoadMallocs * 1.15
+)
+
+func TestWarmLoadBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates shadow state of its own")
+	}
+	if testing.Short() {
+		t.Skip("builds the 20k-line ladder")
+	}
+	units := ladder(600, 1)
+	dir := t.TempDir()
+	st := openDisk(t, dir)
+	if _, err := core.NewSession(core.BuildOptions{Workers: 1, Store: st}).Update(units); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st = openDisk(t, dir)
+	defer st.Close()
+	sess := core.NewSession(core.BuildOptions{Workers: 1, Store: st})
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	a, err := sess.Update(units)
+	runtime.ReadMemStats(&m1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Artifacts.StoreHits != a.Sizes.Functions || a.Artifacts.Misses != 0 {
+		t.Fatalf("not a warm load: %+v of %d functions", a.Artifacts, a.Sizes.Functions)
+	}
+	bytes, mallocs := float64(m1.TotalAlloc-m0.TotalAlloc), float64(m1.Mallocs-m0.Mallocs)
+	t.Logf("warm first Update of %d functions: %.1f MiB in %.0f mallocs (budget %.1f MiB / %.0f; parent %.1f MiB / %d)",
+		a.Sizes.Functions, bytes/(1<<20), mallocs, budgetWarmLoadBytes/(1<<20), budgetWarmLoadMallocs, parentWarmLoadBytes/(1<<20), parentWarmLoadMallocs)
+	if bytes > budgetWarmLoadBytes || bytes > 0.80*parentWarmLoadBytes {
+		t.Errorf("warm Update allocated %.1f MiB: budget %.1f MiB, and at most 80%% of the parent's %.1f MiB", bytes/(1<<20), budgetWarmLoadBytes/(1<<20), parentWarmLoadBytes/(1<<20))
+	}
+	if mallocs > budgetWarmLoadMallocs || mallocs > 0.88*parentWarmLoadMallocs {
+		t.Errorf("warm Update made %.0f allocations: budget %.0f, and at most 88%% of the parent's %d", mallocs, budgetWarmLoadMallocs, parentWarmLoadMallocs)
+	}
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 
@@ -15,16 +16,11 @@ import (
 	"repro/internal/wirebin"
 )
 
-// Serialization of funcArtifacts for the persistent store. The wire form
-// composes the per-package codecs (cond, ir, ssa, pta, seg) plus the
-// session's own fingerprints, encoded with the wirebin binary layout —
-// a flat length-prefixed format the per-package codecs read with a linear
-// scan. The first cut of this file used encoding/gob; it lost a cold-vs-
-// warm benchmark race twice over, first re-transmitting the type graph and
-// recompiling decode engines per record, then (with records bundled into
-// segments) spending the warm window inside reflective struct decoding.
-// The hand-rolled codec decodes the same segments several-fold faster and
-// packs them tighter on disk.
+// Persistence of funcArtifacts. An artifact is written by the per-package
+// codecs (cond, ir, ssa, pta, seg) plus the session's own fingerprints and
+// size counters, in the wirebin layout: a flat length-prefixed format that
+// each codec writes from, and reads into, the analysis objects themselves,
+// validating as it reads.
 //
 // Artifacts persist in *segments*: one record holding many artifacts on a
 // single stream, instead of one record per function, so per-record store
@@ -44,18 +40,18 @@ import (
 // full supersedes earlier deltas by sequence; the store's last-writer-wins
 // index bounds dead bytes to one live record per key).
 //
-// A segment from a different program shape, codec version, or with a
-// corrupt stream decodes to a miss for everything in it; corruption costs
-// a rebuild, never a wrong artifact — the same contract the per-function
-// records had.
+// A segment is the magic, a header (codec version, program-shape
+// fingerprint, sequence number, artifact count) and one wirebin frame per
+// artifact. A segment from a different program shape or codec version, or
+// whose stream is corrupt, decodes to a miss for everything in it; an
+// artifact whose content fails a codec's validation is a miss alone — its
+// frame says where the next one starts. Corruption costs a rebuild, never a
+// wrong artifact.
 
-// artifactCodecVersion gates decoding: bump on any wire-format change so
-// old records read as misses instead of garbage. Version 3 is the wirebin
-// binary layout (version 2 was the same segment scheme gob-encoded);
-// version-1 per-function records are simply never read (their keys are
-// plain function names, which the segment loader does not consult).
-// Version 4 drops the callee names and adds the SEG value-vertex count.
-const artifactCodecVersion = 4
+// artifactCodecVersion gates decoding: bump on any format change so old
+// records read as misses instead of garbage. Version 5 frames each artifact
+// and orders its fields for decoding in one pass.
+const artifactCodecVersion = 5
 
 // segMagic opens every segment record, so foreign bytes fail fast before
 // any field decoding.
@@ -79,50 +75,21 @@ type segmentHeader struct {
 	Count   int
 }
 
-// pathFlagWire is one Mod/Ref summary entry in canonical order.
-type pathFlagWire struct {
-	Path modref.Path
-	Ref  bool
-	Mod  bool
-}
-
-type artifactWire struct {
-	Version int
-	ProgFP  string
-	Name    string
-	AstHash string
-	SumFP   string
-	SigFP   string
-	DepFP   string
-	HasSum  bool
-	Sum     []pathFlagWire
-	Conds   []cond.NodeWire
-	Fn      *ir.FuncWire
-	Info    *ssa.InfoWire
-	PTA     *pta.ResultWire
-	SEG     *seg.GraphWire
-
-	SegNodes      int
-	SegValueNodes int
-	SegEdges      int
-	CondNodes     int
-	PTAStats      pta.Stats
-}
-
-func exportSummary(sum *modref.Summary) (bool, []pathFlagWire) {
+// encodeSummary appends a Mod/Ref summary: its paths in canonical order,
+// each with its Ref and Mod flags.
+func encodeSummary(e *wirebin.Writer, sum *modref.Summary) {
+	e.Bool(sum != nil)
 	if sum == nil {
-		return false, nil
+		return
 	}
-	set := make(map[modref.Path]bool, len(sum.Ref)+len(sum.Mod))
+	paths := make([]modref.Path, 0, len(sum.Ref)+len(sum.Mod))
 	for p := range sum.Ref {
-		set[p] = true
+		paths = append(paths, p)
 	}
 	for p := range sum.Mod {
-		set[p] = true
-	}
-	paths := make([]modref.Path, 0, len(set))
-	for p := range set {
-		paths = append(paths, p)
+		if !sum.Ref[p] {
+			paths = append(paths, p)
+		}
 	}
 	sort.Slice(paths, func(i, j int) bool {
 		a, b := paths[i], paths[j]
@@ -134,155 +101,93 @@ func exportSummary(sum *modref.Summary) (bool, []pathFlagWire) {
 		}
 		return a.Depth < b.Depth
 	})
-	out := make([]pathFlagWire, len(paths))
-	for i, p := range paths {
-		out[i] = pathFlagWire{Path: p, Ref: sum.Ref[p], Mod: sum.Mod[p]}
+	e.Uvarint(uint64(len(paths)))
+	for _, p := range paths {
+		e.Int(p.Root.Param)
+		e.Sym(p.Root.Global)
+		e.Int(p.Depth)
+		e.Bool(sum.Ref[p])
+		e.Bool(sum.Mod[p])
 	}
-	return true, out
 }
 
-func importSummary(has bool, ws []pathFlagWire) *modref.Summary {
-	if !has {
+func decodeSummary(r *wirebin.Reader) *modref.Summary {
+	if !r.Bool() {
 		return nil
 	}
 	sum := modref.NewSummary()
-	for _, w := range ws {
-		if w.Ref {
-			sum.Ref[w.Path] = true
+	for n := r.Len(); n > 0; n-- {
+		var p modref.Path
+		p.Root.Param, p.Root.Global, p.Depth = r.Int(), r.Sym(), r.Int()
+		if r.Bool() {
+			sum.Ref[p] = true
 		}
-		if w.Mod {
-			sum.Mod[w.Path] = true
+		if r.Bool() {
+			sum.Mod[p] = true
 		}
 	}
 	return sum
 }
 
-// exportArtifactWire flattens art into its wire form.
-func exportArtifactWire(name, progFP string, art *funcArtifact) (*artifactWire, error) {
-	condsWire, err := art.info.Conds.Export()
+// encodeArtifact appends art: the session's fingerprints and counters, then
+// the sections in the order each is needed to decode the next. The function
+// section names the artifact.
+func encodeArtifact(e *wirebin.Writer, art *funcArtifact) error {
+	e.Str(art.astHash)
+	e.Str(art.sumFP)
+	e.Str(art.sigFP)
+	e.Str(art.depFP)
+	encodeSummary(e, art.sum)
+	e.Int(art.sizes.segNodes)
+	e.Int(art.sizes.segValueNodes)
+	e.Int(art.sizes.segEdges)
+	e.Int(art.sizes.condNodes)
+	ir.EncodeFunc(e, art.fn)
+	if err := cond.EncodeBuilder(e, art.info.Conds); err != nil {
+		return fmt.Errorf("artifact %s: %w", art.fn.Name, err)
+	}
+	ssa.EncodeInfo(e, art.info)
+	pta.EncodeResult(e, art.seg.PTA)
+	seg.EncodeGraph(e, art.seg)
+	return nil
+}
+
+// decodeArtifact reads one artifact from its frame. An error leaves r either
+// failed (the stream is corrupt) or not (the content is not a genuine
+// artifact's); callers treat both as a store miss and rebuild.
+func decodeArtifact(r *wirebin.Reader) (*funcArtifact, error) {
+	art := &funcArtifact{persisted: true}
+	art.astHash, art.sumFP, art.sigFP, art.depFP = r.Str(), r.Str(), r.Str(), r.Str()
+	art.sum = decodeSummary(r)
+	art.sizes = artifactSizes{segNodes: r.Int(), segValueNodes: r.Int(), segEdges: r.Int(), condNodes: r.Int()}
+	f, ix, err := ir.DecodeFunc(r)
 	if err != nil {
-		return nil, fmt.Errorf("artifact %s: %w", name, err)
-	}
-	fnWire, _ := ir.ExportFunc(art.fn)
-	w := &artifactWire{
-		Version: artifactCodecVersion,
-		ProgFP:  progFP,
-		Name:    name,
-		AstHash: art.astHash,
-		SumFP:   art.sumFP,
-		SigFP:   art.sigFP,
-		DepFP:   art.depFP,
-		Conds:   condsWire,
-		Fn:      fnWire,
-		Info:    ssa.ExportInfo(art.info),
-		PTA:     pta.ExportResult(art.seg.PTA),
-		SEG:     seg.ExportGraph(art.seg),
-
-		SegNodes:      art.sizes.segNodes,
-		SegValueNodes: art.sizes.segValueNodes,
-		SegEdges:      art.sizes.segEdges,
-		CondNodes:     art.sizes.condNodes,
-		PTAStats:      art.sizes.pta,
-	}
-	w.HasSum, w.Sum = exportSummary(art.sum)
-	return w, nil
-}
-
-func appendPathFlags(e *wirebin.Writer, ws []pathFlagWire) {
-	e.Uvarint(uint64(len(ws)))
-	for i := range ws {
-		w := &ws[i]
-		e.Int(w.Path.Root.Param)
-		e.Str(w.Path.Root.Global)
-		e.Int(w.Path.Depth)
-		e.Bool(w.Ref)
-		e.Bool(w.Mod)
-	}
-}
-
-func decodePathFlags(r *wirebin.Reader) []pathFlagWire {
-	n := r.Len()
-	if n == 0 {
-		return nil
-	}
-	out := make([]pathFlagWire, n)
-	for i := range out {
-		w := &out[i]
-		w.Path.Root.Param = r.Int()
-		w.Path.Root.Global = r.Str()
-		w.Path.Depth = r.Int()
-		w.Ref = r.Bool()
-		w.Mod = r.Bool()
-	}
-	return out
-}
-
-func appendArtifactWire(e *wirebin.Writer, w *artifactWire) {
-	e.Str(w.Name)
-	e.Str(w.AstHash)
-	e.Str(w.SumFP)
-	e.Str(w.SigFP)
-	e.Str(w.DepFP)
-	e.Bool(w.HasSum)
-	appendPathFlags(e, w.Sum)
-	cond.AppendNodeWires(e, w.Conds)
-	w.Fn.AppendWire(e)
-	w.Info.AppendWire(e)
-	w.PTA.AppendWire(e)
-	w.SEG.AppendWire(e)
-	e.Int(w.SegNodes)
-	e.Int(w.SegValueNodes)
-	e.Int(w.SegEdges)
-	e.Int(w.CondNodes)
-	e.Int(w.PTAStats.GuardsPruned)
-	e.Int(w.PTAStats.GuardsKept)
-	e.Int(w.PTAStats.CapWidened)
-	e.Int(w.PTAStats.LinearQueries)
-	e.Int(w.PTAStats.LinearUnsat)
-}
-
-func decodeArtifactWire(r *wirebin.Reader) (*artifactWire, error) {
-	w := &artifactWire{Version: artifactCodecVersion}
-	w.Name = r.Str()
-	w.AstHash = r.Str()
-	w.SumFP = r.Str()
-	w.SigFP = r.Str()
-	w.DepFP = r.Str()
-	w.HasSum = r.Bool()
-	w.Sum = decodePathFlags(r)
-	var err error
-	if w.Conds, err = cond.DecodeNodeWires(r); err != nil {
 		return nil, err
 	}
-	if w.Fn, err = ir.DecodeFuncWire(r); err != nil {
+	art.fn, art.sizes.instrs = f, f.NumInstrs()
+	b, nodes, err := cond.DecodeBuilder(r)
+	if err != nil {
 		return nil, err
 	}
-	if w.Info, err = ssa.DecodeInfoWire(r); err != nil {
+	if art.info, err = ssa.DecodeInfo(r, f, ix, b, nodes); err != nil {
 		return nil, err
 	}
-	if w.PTA, err = pta.DecodeResultWire(r); err != nil {
+	pr, err := pta.DecodeResult(r, f, art.info, ix, nodes)
+	if err != nil {
 		return nil, err
 	}
-	if w.SEG, err = seg.DecodeGraphWire(r); err != nil {
+	art.sizes.pta = pr.Stats
+	if art.seg, err = seg.DecodeGraph(r, f, art.info, pr, ix, nodes); err != nil {
 		return nil, err
 	}
-	w.SegNodes = r.Int()
-	w.SegValueNodes = r.Int()
-	w.SegEdges = r.Int()
-	w.CondNodes = r.Int()
-	w.PTAStats.GuardsPruned = r.Int()
-	w.PTAStats.GuardsKept = r.Int()
-	w.PTAStats.CapWidened = r.Int()
-	w.PTAStats.LinearQueries = r.Int()
-	w.PTAStats.LinearUnsat = r.Int()
-	if err := r.Err(); err != nil {
-		return nil, err
+	if r.Rest() != 0 {
+		return nil, fmt.Errorf("artifact %s: %d bytes left in its frame", f.Name, r.Rest())
 	}
-	return w, nil
+	return art, nil
 }
 
 // encodeSegment bundles the artifacts of the functions ids into one segment
-// record: a magic-prefixed header followed by Count artifactWire encodings.
+// record.
 func encodeSegment(progFP string, seq int64, ids []int32, arts []*funcArtifact) ([]byte, error) {
 	e := &wirebin.Writer{B: make([]byte, 0, 64<<10)}
 	e.B = append(e.B, segMagic...)
@@ -291,26 +196,20 @@ func encodeSegment(progFP string, seq int64, ids []int32, arts []*funcArtifact) 
 	e.Varint(seq)
 	e.Int(len(ids))
 	for _, id := range ids {
-		w, err := exportArtifactWire(arts[id].fn.Name, progFP, arts[id])
-		if err != nil {
+		frame := e.Begin()
+		if err := encodeArtifact(e, arts[id]); err != nil {
 			return nil, err
 		}
-		appendArtifactWire(e, w)
+		e.End(frame)
 	}
 	return e.B, nil
 }
 
-// namedArtifact is one decoded segment entry.
-type namedArtifact struct {
-	name string
-	art  *funcArtifact
-}
-
 // decodeSegment rebuilds a segment's artifacts. Any header mismatch or
 // stream error discards the whole segment (callers treat the error as a
-// miss for everything in it); an artifact that decodes but fails semantic
-// import is skipped individually.
-func decodeSegment(progFP string, data []byte) (segmentHeader, []namedArtifact, error) {
+// miss for everything in it); an artifact whose content a codec rejects is
+// skipped individually.
+func decodeSegment(progFP string, data []byte) (segmentHeader, []*funcArtifact, error) {
 	var hdr segmentHeader
 	if len(data) < len(segMagic) || string(data[:len(segMagic)]) != segMagic {
 		return hdr, nil, fmt.Errorf("segment: bad magic")
@@ -332,75 +231,18 @@ func decodeSegment(progFP string, data []byte) (segmentHeader, []namedArtifact, 
 	if hdr.Count < 0 || hdr.Count > r.Rest() {
 		return hdr, nil, fmt.Errorf("segment: implausible artifact count %d", hdr.Count)
 	}
-	out := make([]namedArtifact, 0, hdr.Count)
+	out := make([]*funcArtifact, 0, hdr.Count)
 	for i := 0; i < hdr.Count; i++ {
-		w, err := decodeArtifactWire(r)
-		if err != nil {
-			return hdr, nil, fmt.Errorf("segment entry %d: %w", i, err)
+		frame := r.Frame()
+		art, err := decodeArtifact(frame)
+		if serr := cmp.Or(r.Err(), frame.Err()); serr != nil {
+			return hdr, nil, fmt.Errorf("segment entry %d: %w", i, serr)
 		}
-		w.ProgFP = progFP
-		art, err := importArtifact(w, progFP)
-		if err != nil {
-			continue
+		if err == nil {
+			out = append(out, art)
 		}
-		out = append(out, namedArtifact{name: w.Name, art: art})
 	}
 	return hdr, out, nil
-}
-
-// importArtifact rebuilds a funcArtifact from its wire form. A record for
-// a different program shape or with missing pieces returns an error;
-// callers treat every error as a store miss and rebuild.
-func importArtifact(w *artifactWire, progFP string) (*funcArtifact, error) {
-	name := w.Name
-	if w.ProgFP != progFP {
-		return nil, fmt.Errorf("artifact %s: program shape changed", name)
-	}
-	if w.Fn == nil || w.Info == nil || w.PTA == nil || w.SEG == nil {
-		return nil, fmt.Errorf("artifact %s: incomplete record", name)
-	}
-	b, nodes, err := cond.ImportBuilder(w.Conds)
-	if err != nil {
-		return nil, fmt.Errorf("artifact %s: %w", name, err)
-	}
-	f, ix, err := ir.ImportFunc(w.Fn)
-	if err != nil {
-		return nil, fmt.Errorf("artifact %s: %w", name, err)
-	}
-	if f.Name != name {
-		return nil, fmt.Errorf("artifact %s: function names %q", name, f.Name)
-	}
-	inf, err := ssa.ImportInfo(w.Info, f, ix, b, nodes)
-	if err != nil {
-		return nil, fmt.Errorf("artifact %s: %w", name, err)
-	}
-	pr, err := pta.ImportResult(w.PTA, f, inf, ix, nodes)
-	if err != nil {
-		return nil, fmt.Errorf("artifact %s: %w", name, err)
-	}
-	g, err := seg.ImportGraph(w.SEG, f, inf, pr, ix, nodes)
-	if err != nil {
-		return nil, fmt.Errorf("artifact %s: %w", name, err)
-	}
-	return &funcArtifact{
-		astHash: w.AstHash,
-		sumFP:   w.SumFP,
-		sigFP:   w.SigFP,
-		depFP:   w.DepFP,
-		sum:     importSummary(w.HasSum, w.Sum),
-		fn:      f,
-		info:    inf,
-		seg:     g,
-		sizes: artifactSizes{
-			instrs:        f.NumInstrs(),
-			segNodes:      w.SegNodes,
-			segValueNodes: w.SegValueNodes,
-			segEdges:      w.SegEdges,
-			condNodes:     w.CondNodes,
-			pta:           w.PTAStats,
-		},
-		persisted: true,
-	}, nil
 }
 
 // segState is the segment-ring bookkeeping a warm load recovers and every
@@ -419,7 +261,7 @@ type segState struct {
 func loadSegments(st store.Store, progFP string, rec *obs.Recorder) (map[string]*funcArtifact, segState) {
 	type loadedSeg struct {
 		hdr   segmentHeader
-		arts  []namedArtifact
+		arts  []*funcArtifact
 		delta bool
 		slot  int
 	}
@@ -451,8 +293,8 @@ func loadSegments(st store.Store, progFP string, rec *obs.Recorder) (map[string]
 		if !sg.delta {
 			fullSeq, ring.hasFull = sg.hdr.Seq, true
 		}
-		for _, na := range sg.arts {
-			out[na.name] = na.art
+		for _, art := range sg.arts {
+			out[art.fn.Name] = art
 		}
 		if sg.hdr.Seq >= ring.next {
 			ring.next = sg.hdr.Seq + 1

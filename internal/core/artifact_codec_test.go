@@ -1,0 +1,197 @@
+package core
+
+import (
+	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"repro/internal/ir"
+	"repro/internal/minic"
+	"repro/internal/wirebin"
+)
+
+const segmentSrc = `
+int *slot_g;
+int *pick(bool c, int *a) {
+	int *p = malloc();
+	*p = 1;
+	if (c) { free(p); p = a; }
+	slot_g = p;
+	return p;
+}
+void drive(bool c) {
+	int *q = malloc();
+	int *r = pick(c, q);
+	if (!c) { free(q); }
+	sink(*r);
+}`
+
+// codecSegment builds the two functions above and returns the program-shape
+// fingerprint with their segment, as persist would write it.
+func codecSegment(t testing.TB) (progFP string, seg []byte) {
+	t.Helper()
+	s := NewSession(BuildOptions{Workers: 1})
+	if _, err := s.Update([]minic.NamedSource{{Name: "seg.mc", Src: segmentSrc}}); err != nil {
+		t.Fatal(err)
+	}
+	seg, err := encodeSegment(s.shape.fp, 7, s.tab.ids, s.arts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s.shape.fp, seg
+}
+
+// reencode writes decoded artifacts back out as a segment.
+func reencode(t testing.TB, progFP string, hdr segmentHeader, arts []*funcArtifact) []byte {
+	t.Helper()
+	ids := make([]int32, len(arts))
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	seg, err := encodeSegment(progFP, hdr.Seq, ids, arts)
+	if err != nil {
+		t.Fatalf("re-encoding a decoded segment: %v", err)
+	}
+	return seg
+}
+
+// checkDecoded holds whatever decodeSegment accepted to the codec's
+// contract: every artifact's function verifies, and the artifacts encode to
+// a segment that decodes to the same artifacts (compared through their
+// encoding, which is canonical).
+func checkDecoded(t testing.TB, progFP string, hdr segmentHeader, arts []*funcArtifact) {
+	t.Helper()
+	for _, art := range arts {
+		if err := ir.Verify(art.fn); err != nil {
+			t.Fatalf("decoded artifact fails verification: %v", err)
+		}
+	}
+	first := reencode(t, progFP, hdr, arts)
+	hdr2, arts2, err := decodeSegment(progFP, first)
+	if err != nil || len(arts2) != len(arts) || hdr2.Seq != hdr.Seq {
+		t.Fatalf("re-encoded segment decodes to %d of %d artifacts: %v", len(arts2), len(arts), err)
+	}
+	if second := reencode(t, progFP, hdr2, arts2); !bytes.Equal(first, second) {
+		t.Fatal("a decoded artifact changed across an encode/decode round trip")
+	}
+}
+
+func TestSegmentRoundTrip(t *testing.T) {
+	progFP, seg := codecSegment(t)
+	hdr, arts, err := decodeSegment(progFP, seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hdr.Version != artifactCodecVersion || hdr.Seq != 7 || hdr.Count != 2 || len(arts) != 2 {
+		t.Fatalf("header %+v with %d artifacts", hdr, len(arts))
+	}
+	if arts[0].fn.Name != "pick" || arts[1].fn.Name != "drive" || !arts[0].persisted {
+		t.Errorf("decoded %s, %s (persisted %v)", arts[0].fn.Name, arts[1].fn.Name, arts[0].persisted)
+	}
+	if got := reencode(t, progFP, hdr, arts); !bytes.Equal(got, seg) {
+		t.Error("the decoded segment encodes differently")
+	}
+	checkDecoded(t, progFP, hdr, arts)
+	if _, _, err := decodeSegment(progFP+"x", seg); err == nil {
+		t.Error("segment accepted under another program shape")
+	}
+}
+
+// TestSegmentCorruptionIsConfined overwrites every byte of the first
+// artifact's frame in turn. Whatever the byte was, decoding never panics and
+// either discards the segment (the stream no longer parses), skips that
+// artifact alone (a codec rejected its content), or accepts it — and then it
+// still meets the codec's contract. The second artifact is never affected by
+// a skip.
+func TestSegmentCorruptionIsConfined(t *testing.T) {
+	progFP, seg := codecSegment(t)
+	hdr, arts, err := decodeSegment(progFP, seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second := reencode(t, progFP, hdr, arts[1:])
+	// Step over the header, as decodeSegment reads it, to the first frame.
+	r := wirebin.NewReader(seg[len(segMagic):])
+	r.Int()
+	r.Str()
+	r.Varint()
+	r.Int()
+	n := r.Frame().Rest()
+	end := len(seg) - r.Rest()
+	start := end - n
+	var discarded, skipped, accepted int
+	for at := start; at < end; at++ {
+		for _, b := range []byte{seg[at] ^ 0x01, seg[at] ^ 0x80, 0xff} {
+			mut := bytes.Clone(seg)
+			mut[at] = b
+			h, got, err := decodeSegment(progFP, mut)
+			switch {
+			case err != nil:
+				discarded++
+			case len(got) == 1:
+				skipped++
+				if enc := reencode(t, progFP, h, got); !bytes.Equal(enc, second) {
+					t.Fatalf("byte %d = %#x: skipping the first artifact changed the second", at, b)
+				}
+			default:
+				accepted++
+				checkDecoded(t, progFP, h, got)
+			}
+		}
+	}
+	t.Logf("%d bytes: %d mutations discard the segment, %d skip the artifact, %d are accepted", end-start, discarded, skipped, accepted)
+	if discarded == 0 || skipped == 0 {
+		t.Errorf("mutations never %s", map[bool]string{true: "discarded the segment", false: "skipped one artifact"}[discarded == 0])
+	}
+}
+
+// TestSegmentCorpus keeps the fuzz target's committed seed corpus — the
+// segment above and truncations of it — in step with the encoding: a file
+// that is missing is written, one that differs fails.
+func TestSegmentCorpus(t *testing.T) {
+	_, seg := codecSegment(t)
+	dir := filepath.Join("testdata", "fuzz", "FuzzDecodeSegment")
+	for name, data := range map[string][]byte{
+		"segment":            seg,
+		"segment-cut-header": seg[:12],
+		"segment-cut-1of4":   seg[:len(seg)/4],
+		"segment-cut-2of4":   seg[:len(seg)/2],
+		"segment-cut-3of4":   seg[:3*len(seg)/4],
+		"segment-cut-tail":   seg[:len(seg)-1],
+	} {
+		path := filepath.Join(dir, name)
+		want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)
+		got, err := os.ReadFile(path)
+		if os.IsNotExist(err) {
+			if err := os.MkdirAll(dir, 0o777); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, []byte(want), 0o666); err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("wrote %s", path)
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != want {
+			t.Errorf("%s is not today's encoding of the seed segment; delete it and run this test again to regenerate it", path)
+		}
+	}
+}
+
+// FuzzDecodeSegment: arbitrary bytes never panic the decoder, and whatever it
+// accepts meets the codec's contract. Seeds: testdata/fuzz (see
+// TestSegmentCorpus).
+func FuzzDecodeSegment(f *testing.F) {
+	progFP, _ := codecSegment(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		hdr, arts, err := decodeSegment(progFP, data)
+		if err == nil {
+			checkDecoded(t, progFP, hdr, arts)
+		}
+	})
+}

@@ -54,12 +54,10 @@ type BuildOptions struct {
 	// per-function stages, and structural gauges. nil disables all
 	// recording; the build result is identical either way.
 	Obs *obs.Recorder
-	// Store, when non-nil and persistent, backs the session's per-function
-	// artifacts: they are warm-loaded on the first Update after a restart
-	// and every commit writes back what changed. A non-persistent store
-	// (MemStore, the default nil) leaves behavior exactly as before — the
-	// in-memory maps are already the cache, so the byte round-trip would
-	// be pure overhead.
+	// Store, when non-nil, backs the session's per-function artifacts: they
+	// are warm-loaded on the first Update after a restart and every commit
+	// writes back what changed. nil is memory-only — the session's own
+	// tables are already the cache, so nothing is encoded.
 	Store store.Store
 }
 

@@ -153,10 +153,8 @@ type Session struct {
 	totals   artifactSizes   // summed over arts
 	analysis *Analysis
 	stats    ArtifactStats // last Update's counters
-	// store is the persistent artifact backing, nil when the
-	// configured Store cannot outlive the process (MemStore or none) —
-	// in that case the encode/decode round-trip could never pay off and
-	// the session behaves exactly like the historical memory-only one.
+	// store is the persistent artifact backing; nil means memory-only, and
+	// nothing is ever encoded.
 	store store.Store
 	// Segment-ring bookkeeping for the persistent artifact store (see
 	// artifact_codec.go). storeLoaded gates the one-time warm-load pass:
@@ -177,11 +175,7 @@ func NewSession(opts BuildOptions) *Session {
 }
 
 func newSession(opts BuildOptions) *Session {
-	s := &Session{opts: opts, files: make(map[string]*parsedUnit)}
-	if opts.Store != nil && opts.Store.Persistent() {
-		s.store = opts.Store
-	}
-	return s
+	return &Session{opts: opts, files: make(map[string]*parsedUnit), store: opts.Store}
 }
 
 // ArtifactStats reports the artifact-store counters of the last Update.

@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -10,14 +11,16 @@ import (
 	"repro/internal/checkers"
 	"repro/internal/core"
 	"repro/internal/detect"
+	"repro/internal/minic"
 	"repro/internal/store"
+	"repro/internal/wirebin"
 	"repro/internal/workload"
 )
 
 // openDisk opens a DiskStore in dir, failing the test on error.
-func openDisk(t *testing.T, dir string, maxResident int64) *store.DiskStore {
+func openDisk(t *testing.T, dir string) *store.DiskStore {
 	t.Helper()
-	st, err := store.Open(dir, store.DiskOptions{MaxResidentBytes: maxResident})
+	st, err := store.Open(dir, store.DiskOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +48,7 @@ func TestSessionStoreWarmRestartEquivalence(t *testing.T) {
 		coldRes := normalizeResults(coldA.CheckAll(specs, dopts))
 
 		// First process: populate the store.
-		st1 := openDisk(t, dir, 0)
+		st1 := openDisk(t, dir)
 		s1 := core.NewSession(core.BuildOptions{Workers: workers, Store: st1})
 		a1, err := s1.Update(gen.Units)
 		if err != nil {
@@ -60,7 +63,7 @@ func TestSessionStoreWarmRestartEquivalence(t *testing.T) {
 		}
 
 		// Second process: same directory, empty memory.
-		st2 := openDisk(t, dir, 0)
+		st2 := openDisk(t, dir)
 		s2 := core.NewSession(core.BuildOptions{Workers: workers, Store: st2})
 		a2, err := s2.Update(gen.Units)
 		if err != nil {
@@ -107,7 +110,7 @@ func TestSessionStoreWarmRestartAfterEdit(t *testing.T) {
 	}
 	dir := t.TempDir()
 
-	st1 := openDisk(t, dir, 0)
+	st1 := openDisk(t, dir)
 	s1 := core.NewSession(core.BuildOptions{Store: st1})
 	if _, err := s1.Update(gen.Units); err != nil {
 		t.Fatal(err)
@@ -119,7 +122,7 @@ func TestSessionStoreWarmRestartAfterEdit(t *testing.T) {
 	editedUnits := append(gen.Units[:0:0], gen.Units...)
 	editedUnits[0] = editUnit(t, editedUnits[0])
 
-	st2 := openDisk(t, dir, 0)
+	st2 := openDisk(t, dir)
 	s2 := core.NewSession(core.BuildOptions{Store: st2})
 	a2, err := s2.Update(editedUnits)
 	if err != nil {
@@ -164,7 +167,7 @@ func TestSessionStoreLegacyVerdictRecords(t *testing.T) {
 
 	// First process: artifacts, then verdict records in the old formats
 	// (exact tier: result byte + 5-byte model pairs; shape tier: 0x01).
-	st1 := openDisk(t, dir, 0)
+	st1 := openDisk(t, dir)
 	s1 := core.NewSession(core.BuildOptions{Store: st1})
 	if _, err := s1.Update(gen.Units); err != nil {
 		t.Fatal(err)
@@ -187,7 +190,7 @@ func TestSessionStoreLegacyVerdictRecords(t *testing.T) {
 	}
 
 	// Second process: same directory, empty memory.
-	st2 := openDisk(t, dir, 0)
+	st2 := openDisk(t, dir)
 	defer st2.Close()
 	s2 := core.NewSession(core.BuildOptions{Store: st2})
 	a2, err := s2.Update(gen.Units)
@@ -208,9 +211,77 @@ func TestSessionStoreLegacyVerdictRecords(t *testing.T) {
 	}
 }
 
+// TestSessionStoreLegacyV4Segments keeps -store-dirs written before codec
+// version 5 working the only way an old format is meant to: the directory
+// under testdata (written by the version-4 binary, see prog.mc there) opens,
+// every artifact in it reads as a miss, the program rebuilds with reports
+// byte-identical to a storeless build, and from the next restart on the
+// directory serves version-5 segments.
+func TestSessionStoreLegacyV4Segments(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("testdata", "store-v4", "prog.mc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	log, err := os.ReadFile(filepath.Join("testdata", "store-v4", "store.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(store.LogPath(dir), log, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	units := []minic.NamedSource{{Name: "prog.mc", Src: string(src)}}
+	specs := checkers.All()
+	dopts := detect.Options{Workers: 1}
+
+	cold, err := core.NewSession(core.BuildOptions{}).Update(units)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coldB := reportsJSON(t, normalizeResults(cold.CheckAll(specs, dopts)).Reports)
+	if len(coldB) < 100 {
+		t.Fatalf("the fixture program has no reports to compare: %s", coldB)
+	}
+
+	st1 := openDisk(t, dir)
+	if seg, ok, err := st1.Get(store.NSArtifact, "!full"); err != nil || !ok || !bytes.HasPrefix(seg, []byte("ppsg\x08")) {
+		t.Fatalf("fixture holds no version-4 full segment: ok=%v err=%v", ok, err)
+	}
+	s1 := core.NewSession(core.BuildOptions{Store: st1})
+	a1, err := s1.Update(units)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats := s1.ArtifactStats(); stats.StoreHits != 0 || stats.Misses != cold.Sizes.Functions {
+		t.Fatalf("version-4 segments did not read as all-miss: %+v", stats)
+	}
+	if got := reportsJSON(t, normalizeResults(a1.CheckAll(specs, dopts)).Reports); !bytes.Equal(got, coldB) {
+		t.Fatalf("rebuild over a version-4 directory changed reports\ngot: %s\nwant: %s", got, coldB)
+	}
+	if err := st1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2 := openDisk(t, dir)
+	defer st2.Close()
+	s2 := core.NewSession(core.BuildOptions{Store: st2})
+	a2, err := s2.Update(units)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats := s2.ArtifactStats(); stats.Misses != 0 || stats.Invalidated != 0 || stats.StoreHits != cold.Sizes.Functions {
+		t.Fatalf("restart after the rebuild is not all store hits: %+v", stats)
+	}
+	if got := reportsJSON(t, normalizeResults(a2.CheckAll(specs, dopts)).Reports); !bytes.Equal(got, coldB) {
+		t.Fatalf("restart after the rebuild changed reports\ngot: %s\nwant: %s", got, coldB)
+	}
+}
+
 // TestSessionStoreCorruption covers the crash-safety contract end to end:
-// a truncated or bit-flipped store log is detected, the affected artifacts
-// rebuild from source, and reports never differ from a cold build.
+// a truncated or bit-flipped store log — or a segment damaged before it was
+// written, so that the store's checksum vouches for it — is detected, the
+// affected artifacts rebuild from source, and reports never differ from a
+// cold build.
 func TestSessionStoreCorruption(t *testing.T) {
 	gen := workload.Generate(workload.Subjects[2], workload.GenOptions{Scale: 140, Taint: true})
 	specs := checkers.All()
@@ -223,9 +294,9 @@ func TestSessionStoreCorruption(t *testing.T) {
 	}
 	coldB := reportsJSON(t, normalizeResults(coldA.CheckAll(specs, dopts)).Reports)
 
-	corrupt := func(t *testing.T, name string, mutate func(t *testing.T, path string)) {
+	corrupt := func(t *testing.T, name string, mutate func(t *testing.T, path string)) core.ArtifactStats {
 		dir := t.TempDir()
-		st1 := openDisk(t, dir, 0)
+		st1 := openDisk(t, dir)
 		s1 := core.NewSession(core.BuildOptions{Store: st1})
 		if _, err := s1.Update(gen.Units); err != nil {
 			t.Fatal(err)
@@ -235,7 +306,7 @@ func TestSessionStoreCorruption(t *testing.T) {
 		}
 		mutate(t, store.LogPath(dir))
 
-		st2 := openDisk(t, dir, 0)
+		st2 := openDisk(t, dir)
 		defer st2.Close()
 		s2 := core.NewSession(core.BuildOptions{Store: st2})
 		a2, err := s2.Update(gen.Units)
@@ -254,6 +325,7 @@ func TestSessionStoreCorruption(t *testing.T) {
 		if !bytes.Equal(got, coldB) {
 			t.Fatalf("%s: corrupted store produced different reports\ngot: %s\nwant: %s", name, got, coldB)
 		}
+		return stats
 	}
 
 	corrupt(t, "truncated-tail", func(t *testing.T, path string) {
@@ -275,4 +347,44 @@ func TestSessionStoreCorruption(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+
+	// rewriteFull replaces the full segment by a damaged copy of itself.
+	rewriteFull := func(t *testing.T, path string, damage func(seg []byte) []byte) {
+		st := openDisk(t, filepath.Dir(path))
+		seg, ok, err := st.Get(store.NSArtifact, "!full")
+		if err != nil || !ok {
+			t.Fatalf("no full segment to damage: ok=%v err=%v", ok, err)
+		}
+		if err := st.Put(store.NSArtifact, "!full", damage(seg)); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A segment whose stream breaks off is discarded whole.
+	stats := corrupt(t, "truncated-segment", func(t *testing.T, path string) {
+		rewriteFull(t, path, func(seg []byte) []byte { return seg[:len(seg)*2/3] })
+	})
+	if stats.StoreHits != 0 {
+		t.Errorf("truncated-segment: %d artifacts loaded from a segment that does not parse", stats.StoreHits)
+	}
+	// One artifact made stale costs that artifact.
+	stats = corrupt(t, "bit-flip-in-segment", func(t *testing.T, path string) {
+		rewriteFull(t, path, func(seg []byte) []byte {
+			// Step over the segment header to the first artifact's frame:
+			// its length, then the AST hash the artifact is valid for.
+			r := wirebin.NewReader(seg[4:])
+			r.Int()
+			r.Str()
+			r.Varint()
+			r.Int()
+			frame := len(seg) - r.Rest()
+			seg[frame+4+1+10] ^= 0x01
+			return seg
+		})
+	})
+	if stats.Misses+stats.Invalidated != 1 {
+		t.Errorf("bit-flip-in-segment: rebuilt %d functions, want the one whose artifact was damaged (%+v)", stats.Misses+stats.Invalidated, stats)
+	}
 }

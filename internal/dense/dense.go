@@ -46,6 +46,9 @@ func (t *Lists[T]) Put(id int, list []T) {
 	t.slot[id] = int32(len(t.lists))
 }
 
+// Len returns the number of assigned ids.
+func (t *Lists[T]) Len() int { return len(t.lists) }
+
 // Each calls fn for every assigned id in ascending id order.
 func (t *Lists[T]) Each(fn func(id int, list []T)) {
 	for id, s := range t.slot {

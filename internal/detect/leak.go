@@ -64,65 +64,6 @@ func (r LeakReport) String() string {
 	return fmt.Sprintf("[memory-leak] allocation at %s (%s) is %s", r.Pos, r.Fn, r.Kind)
 }
 
-// LeakStats counts the checker's effort. Solved and PrefilterUnsat partition
-// SMTQueries by the step that answered (see encoder.decide).
-type LeakStats struct {
-	Allocs         int
-	Escaped        int
-	SMTQueries     int
-	Solved         int
-	PrefilterUnsat int
-	// SMTTime is wall time spent deciding queries (encode + prefilter +
-	// solve), schedule-dependent and therefore excluded from determinism
-	// comparisons like Stats.SMTTime.
-	SMTTime time.Duration
-}
-
-// leakStatsOf presents an unreleased-resource checker's Stats in the
-// allocation-shaped form.
-func leakStatsOf(s Stats) LeakStats {
-	return LeakStats{
-		Allocs: s.Sources, Escaped: s.Escaped,
-		SMTQueries: s.SMTQueries, Solved: s.SMTSolved, PrefilterUnsat: s.SMTPrefilterUnsat,
-		SMTTime: s.SMTTime,
-	}
-}
-
-// String renders the counters in the one-line shape shared by
-// cmd/pinpoint's -stats output and the examples (the unreleased-resource
-// sibling of Stats.String).
-func (s LeakStats) String() string {
-	return fmt.Sprintf("%d allocations, %d escaped, %d SMT queries (%d solved/%d prefiltered)",
-		s.Allocs, s.Escaped, s.SMTQueries, s.Solved, s.PrefilterUnsat)
-}
-
-// FindLeaks scans every allocation site of the program.
-func FindLeaks(prog *Program, opts Options) ([]LeakReport, LeakStats) {
-	opts = opts.withDefaults()
-	var stats Stats
-	var n flowCounts
-	lc := newLeakChecker(prog, opts, newCaches(prog), &n)
-
-	var reports []LeakReport
-	for _, f := range prog.Module.Funcs {
-		g := prog.SEG(f)
-		if g == nil {
-			continue
-		}
-		for _, b := range f.Blocks {
-			for _, in := range b.Instrs {
-				if in.Op != ir.OpMalloc {
-					continue
-				}
-				if rep := lc.checkAlloc(f, g, in, &stats, &n, nil, 1); rep != nil {
-					reports = append(reports, *rep)
-				}
-			}
-		}
-	}
-	return reports, leakStatsOf(stats)
-}
-
 type leakChecker struct {
 	prog   *Program
 	opts   Options

@@ -3,18 +3,15 @@ package detect_test
 import (
 	"testing"
 
+	"repro/internal/checkers"
 	"repro/internal/core"
 	"repro/internal/detect"
 	"repro/internal/minic"
 )
 
-func findLeaks(t *testing.T, src string) ([]detect.LeakReport, detect.LeakStats) {
+func findLeaks(t *testing.T, src string) ([]detect.Report, detect.Stats) {
 	t.Helper()
-	a, err := core.BuildFromSource([]minic.NamedSource{{Name: "t.mc", Src: src}}, core.BuildOptions{})
-	if err != nil {
-		t.Fatalf("build: %v", err)
-	}
-	return detect.FindLeaks(a.Prog, detect.Options{})
+	return buildAnalysis(t, src).Check(checkers.MemoryLeak(), detect.Options{})
 }
 
 func TestLeakNeverFreed(t *testing.T) {
@@ -25,10 +22,10 @@ void f() {
 	int v = *p;
 	keep(v);
 }`)
-	if len(reports) != 1 || reports[0].Kind != detect.LeakNeverFreed {
+	if len(reports) != 1 || reports[0].Kind != detect.LeakNeverFreed.String() {
 		t.Fatalf("reports = %v", reports)
 	}
-	if stats.Allocs != 1 {
+	if stats.Sources != 1 {
 		t.Fatalf("stats = %+v", stats)
 	}
 	if reports[0].String() == "" {
@@ -54,7 +51,7 @@ void f(bool c) {
 	int *p = malloc();
 	if (c) { free(p); }
 }`)
-	if len(reports) != 1 || reports[0].Kind != detect.LeakConditional {
+	if len(reports) != 1 || reports[0].Kind != detect.LeakConditional.String() {
 		t.Fatalf("reports = %v", reports)
 	}
 	if len(reports[0].Witness) == 0 {

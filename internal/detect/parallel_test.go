@@ -112,37 +112,6 @@ func TestCheckAllMatchesSingleEngine(t *testing.T) {
 	}
 }
 
-// TestCheckAllLeakMatchesFindLeaks pins the unified memory-leak path to the
-// legacy FindLeaks API.
-func TestCheckAllLeakMatchesFindLeaks(t *testing.T) {
-	a := buildWorkloadSubject(t)
-	res := a.CheckAll([]*checkers.Spec{checkers.MemoryLeak()}, detect.Options{Workers: -1})
-	legacy, legacyStats := detect.FindLeaks(a.Prog, detect.Options{})
-	if len(res.Reports) != len(legacy) {
-		t.Fatalf("report count: CheckAll %d, FindLeaks %d", len(res.Reports), len(legacy))
-	}
-	st := res.Checkers[0].Stats
-	if st.Sources != legacyStats.Allocs || st.Escaped != legacyStats.Escaped || st.SMTQueries != legacyStats.SMTQueries {
-		t.Fatalf("stats: CheckAll %+v, FindLeaks %+v", st, legacyStats)
-	}
-	// FindLeaks reports in module order; CheckAll sorts by source position.
-	// Match them up by allocation instruction.
-	byAlloc := make(map[interface{}]detect.LeakReport, len(legacy))
-	for _, lr := range legacy {
-		byAlloc[lr.Alloc] = lr
-	}
-	for _, r := range res.Reports {
-		lr, ok := byAlloc[r.Source]
-		if !ok {
-			t.Fatalf("CheckAll reported alloc at %s not reported by FindLeaks", r.SourcePos)
-		}
-		if r.Kind != lr.Kind.String() || r.SourceFn != lr.Fn || r.SourcePos != lr.Pos ||
-			!reflect.DeepEqual(r.Witness, lr.Witness) {
-			t.Fatalf("leak report mismatch at %s:\nCheckAll: %+v\nFindLeaks: %+v", r.SourcePos, r, lr)
-		}
-	}
-}
-
 // TestCheckAllAllEqualsEachIndividually is the -checkers all regression:
 // running every checker in one CheckAll call produces exactly the union of
 // running each checker alone.

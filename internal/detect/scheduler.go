@@ -45,7 +45,9 @@ type CheckerStats struct {
 // counters; everything else the source–sink shape.
 func (cs CheckerStats) String() string {
 	if sp, ok := checkers.ByName(cs.Checker); ok && sp.Kind == checkers.KindUnreleased {
-		return fmt.Sprintf("%s: %s", cs.Checker, leakStatsOf(cs.Stats))
+		s := cs.Stats
+		return fmt.Sprintf("%s: %d allocations, %d escaped, %d SMT queries (%d solved/%d prefiltered)",
+			cs.Checker, s.Sources, s.Escaped, s.SMTQueries, s.SMTSolved, s.SMTPrefilterUnsat)
 	}
 	return fmt.Sprintf("%s: %s", cs.Checker, cs.Stats)
 }

@@ -131,7 +131,7 @@ void f() {
 	h->data = d;
 	free(d);
 }`)
-	leaks, _ := detect.FindLeaks(a.Prog, detect.Options{})
+	leaks, _ := a.Check(checkers.MemoryLeak(), detect.Options{})
 	if len(leaks) != 1 {
 		t.Fatalf("struct leak: %v, want exactly the Holder allocation", leaks)
 	}

@@ -7,149 +7,84 @@ import (
 	"repro/internal/wirebin"
 )
 
-// This file defines the wire form of a function for the persistent
-// artifact store. The IR is a pointer graph with cycles (values point at
-// defining instructions, instructions at blocks, blocks at the function),
-// so the wire form flattens everything to the dense per-function ID spaces
-// the constructors already maintain: values, instructions, and blocks are
-// serialized once and referenced by int32 ID (-1 = nil). Export and Import
-// reproduce the function exactly — including ID counters and constant
-// intern tables — so a warm-loaded function is indistinguishable from the
-// one the build produced.
-
-// Strings that repeat across a function's values and instructions — type
-// base names, source file names, callee names, struct field names — are
-// interned into FuncWire.Strs and referenced by index (-1 = ""). gob does
-// not deduplicate strings, so without the table every instruction's
-// Pos.File would be re-transmitted and re-allocated on decode; with it the
-// per-element fields are plain integers.
-
-// ValueWire is the serialized form of one Value.
-type ValueWire struct {
-	ID       int32
-	Kind     ValueKind
-	Name     string
-	TypeBase int32 // string-table index of Type.Base
-	TypePtr  int32
-	Def      int32 // instruction ID, -1 for none
-	IntVal   int64
-	BoolVal  bool
-	ParamIdx int32
-	Aux      bool
-}
-
-// InstrWire is the serialized form of one Instr. Dst/Dsts/Args hold value
-// IDs; Blocks holds block IDs. A -1 slot means nil (void call receivers).
-// Sub, Callee, and PosFile are string-table indices.
-type InstrWire struct {
-	ID        int32
-	Op        Op
-	Dst       int32
-	Dsts      []int32
-	Args      []int32
-	Sub       int32
-	Callee    int32
-	Blocks    []int32
-	PosFile   int32
-	PosLine   int32
-	PosCol    int32
-	Synthetic bool
-}
-
-// BlockWire is the serialized form of one Block.
-type BlockWire struct {
-	ID     int32
-	Instrs []InstrWire
-	Preds  []int32
-	Succs  []int32
-}
-
-// FuncWire is the serialized form of one Func.
-type FuncWire struct {
-	Name   string
-	Ret    minic.Type
-	Params []int32
-	Strs   []string    // intern table for repeated strings
-	Values []ValueWire // every live value, ascending ID
-	Blocks []BlockWire // in Func.Blocks order
-	Entry  int32
-	Exit   int32
-	Unit   int
-	Pos    minic.Pos
-	AuxIn  []AuxSpec
-	AuxOut []AuxSpec
-	// ID counters, preserved so post-import edits allocate fresh IDs.
-	NextValID   int32
-	NextInstrID int32
-	NextBlockID int32
-}
-
-// strTable interns strings during export; index -1 is the empty string.
-type strTable struct {
-	ids map[string]int32
-	s   []string
-}
-
-func (t *strTable) id(s string) int32 {
-	if s == "" {
-		return -1
-	}
-	if id, ok := t.ids[s]; ok {
-		return id
-	}
-	if t.ids == nil {
-		t.ids = make(map[string]int32)
-	}
-	id := int32(len(t.s))
-	t.ids[s] = id
-	t.s = append(t.s, s)
-	return id
-}
+// This file persists a function for the artifact store. The IR is a pointer
+// graph with cycles (values point at defining instructions, instructions at
+// blocks, blocks at the function), so on the wire everything goes by the
+// dense per-function IDs the constructors already maintain: values,
+// instructions, and blocks are written once and referenced by int32 ID
+// (-1 = nil). The stream is ordered so that one scan can rebuild the graph —
+// whatever a record points at is either already read or sits at a known
+// place in a slab:
+//
+//	name, return type, unit, position, aux specs, the three ID counters
+//	values in ascending ID (their Def is resolved after the instructions)
+//	parameter IDs
+//	block IDs and instruction counts, in Func.Blocks order
+//	per block: its instructions, then predecessor and successor IDs
+//	entry and exit IDs
+//
+// Strings that repeat across a function — type base names, file names,
+// callee and field names — are wirebin symbols. A decoded function is
+// indistinguishable from the one the build produced, ID counters and
+// constant intern tables included; what a genuine encoding cannot contain
+// (dangling, duplicate or out-of-range IDs, a value nothing refers to, a
+// function Verify rejects) is an error.
 
 // Index maps a function's dense ID spaces back to pointers. The companion
-// codecs (ssa, pta, seg) resolve their serialized references through it.
+// codecs (ssa, pta, seg) resolve their references through it.
 type Index struct {
 	Values []*Value
 	Instrs []*Instr
 	Blocks []*Block
 }
 
-// BuildIndex collects every value, instruction, and block reachable from f
-// into ID-indexed tables.
-func BuildIndex(f *Func) *Index {
-	ix := &Index{
-		Values: make([]*Value, f.nextValID),
-		Instrs: make([]*Instr, f.nextInstrID),
-		Blocks: make([]*Block, f.nextBlockID),
+// Value, Instr and Block resolve a serialized reference; -1 stands for nil,
+// and an ID outside the function's space or held by nothing is an error.
+func (ix *Index) Value(id int32) (*Value, error) { return resolve(ix.Values, id, "value") }
+func (ix *Index) Instr(id int32) (*Instr, error) { return resolve(ix.Instrs, id, "instr") }
+func (ix *Index) Block(id int32) (*Block, error) { return resolve(ix.Blocks, id, "block") }
+
+func resolve[T any](tab []*T, id int32, what string) (*T, error) {
+	if id == -1 {
+		return nil, nil
 	}
-	addV := func(v *Value) {
+	if id < 0 || int(id) >= len(tab) || tab[id] == nil {
+		return nil, fmt.Errorf("bad %s id %d", what, id)
+	}
+	return tab[id], nil
+}
+
+// liveValues collects every value reachable from f — parameters, interned
+// constants, instruction operands and destinations — by ID; the IDs of
+// values no longer live (pre-SSA variables) stay nil.
+func liveValues(f *Func) []*Value {
+	vals := make([]*Value, f.nextValID)
+	add := func(v *Value) {
 		if v != nil {
-			ix.Values[v.ID] = v
+			vals[v.ID] = v
 		}
 	}
 	for _, p := range f.Params {
-		addV(p)
+		add(p)
 	}
 	for _, c := range f.intConsts {
-		addV(c)
+		add(c)
 	}
-	addV(f.boolConsts[0])
-	addV(f.boolConsts[1])
-	addV(f.nullConst)
+	add(f.boolConsts[0])
+	add(f.boolConsts[1])
+	add(f.nullConst)
 	for _, b := range f.Blocks {
-		ix.Blocks[b.ID] = b
 		for _, in := range b.Instrs {
-			ix.Instrs[in.ID] = in
-			addV(in.Dst)
+			add(in.Dst)
 			for _, d := range in.Dsts {
-				addV(d)
+				add(d)
 			}
 			for _, a := range in.Args {
-				addV(a)
+				add(a)
 			}
 		}
 	}
-	return ix
+	return vals
 }
 
 func valID(v *Value) int32 {
@@ -159,13 +94,6 @@ func valID(v *Value) int32 {
 	return int32(v.ID)
 }
 
-func instrID(in *Instr) int32 {
-	if in == nil {
-		return -1
-	}
-	return int32(in.ID)
-}
-
 func blockID(b *Block) int32 {
 	if b == nil {
 		return -1
@@ -173,355 +101,35 @@ func blockID(b *Block) int32 {
 	return int32(b.ID)
 }
 
-// ExportFunc flattens f into its wire form. The returned Index is the one
-// used during export, handed back so callers can serialize companion
-// structures against the same ID spaces.
-func ExportFunc(f *Func) (*FuncWire, *Index) {
-	ix := BuildIndex(f)
-	w := &FuncWire{
-		Name: f.Name, Ret: f.Ret,
-		Entry: blockID(f.Entry), Exit: blockID(f.Exit),
-		Unit: f.Unit, Pos: f.Pos,
-		AuxIn: f.AuxIn, AuxOut: f.AuxOut,
-		NextValID:   int32(f.nextValID),
-		NextInstrID: int32(f.nextInstrID),
-		NextBlockID: int32(f.nextBlockID),
+func encodeValIDs(e *wirebin.Writer, vs []*Value) {
+	e.Uvarint(uint64(len(vs)))
+	for _, v := range vs {
+		e.I32(valID(v))
 	}
-	w.Params = make([]int32, len(f.Params))
-	for i, p := range f.Params {
-		w.Params[i] = valID(p)
-	}
-	var strs strTable
-	for _, v := range ix.Values {
-		if v == nil {
-			continue // ID allocated but value no longer live
-		}
-		w.Values = append(w.Values, ValueWire{
-			ID: int32(v.ID), Kind: v.Kind, Name: v.Name,
-			TypeBase: strs.id(v.Type.Base), TypePtr: int32(v.Type.Ptr),
-			Def: instrID(v.Def), IntVal: v.IntVal, BoolVal: v.BoolVal,
-			ParamIdx: int32(v.ParamIdx), Aux: v.Aux,
-		})
-	}
-	w.Blocks = make([]BlockWire, len(f.Blocks))
-	for i, b := range f.Blocks {
-		bw := BlockWire{ID: int32(b.ID)}
-		bw.Instrs = make([]InstrWire, len(b.Instrs))
-		for j, in := range b.Instrs {
-			iw := InstrWire{
-				ID: int32(in.ID), Op: in.Op, Dst: valID(in.Dst),
-				Sub: strs.id(in.Sub), Callee: strs.id(in.Callee),
-				PosFile: strs.id(in.Pos.File), PosLine: int32(in.Pos.Line), PosCol: int32(in.Pos.Col),
-				Synthetic: in.Synthetic,
-			}
-			if len(in.Dsts) > 0 {
-				iw.Dsts = make([]int32, len(in.Dsts))
-				for k, d := range in.Dsts {
-					iw.Dsts[k] = valID(d)
-				}
-			}
-			if len(in.Args) > 0 {
-				iw.Args = make([]int32, len(in.Args))
-				for k, a := range in.Args {
-					iw.Args[k] = valID(a)
-				}
-			}
-			if len(in.Blocks) > 0 {
-				iw.Blocks = make([]int32, len(in.Blocks))
-				for k, t := range in.Blocks {
-					iw.Blocks[k] = blockID(t)
-				}
-			}
-			bw.Instrs[j] = iw
-		}
-		if len(b.Preds) > 0 {
-			bw.Preds = make([]int32, len(b.Preds))
-			for j, p := range b.Preds {
-				bw.Preds[j] = blockID(p)
-			}
-		}
-		if len(b.Succs) > 0 {
-			bw.Succs = make([]int32, len(b.Succs))
-			for j, s := range b.Succs {
-				bw.Succs[j] = blockID(s)
-			}
-		}
-		w.Blocks[i] = bw
-	}
-	w.Strs = strs.s
-	return w, ix
 }
 
-// ImportFunc rebuilds a Func (and its Index) from wire form.
-func ImportFunc(w *FuncWire) (*Func, *Index, error) {
-	f := &Func{
-		Name: w.Name, Ret: w.Ret, Unit: w.Unit, Pos: w.Pos,
-		AuxIn: w.AuxIn, AuxOut: w.AuxOut,
-		nextValID:   int(w.NextValID),
-		nextInstrID: int(w.NextInstrID),
-		nextBlockID: int(w.NextBlockID),
-		intConsts:   make(map[int64]*Value),
+func encodeBlockIDs(e *wirebin.Writer, bs []*Block) {
+	e.Uvarint(uint64(len(bs)))
+	for _, b := range bs {
+		e.I32(blockID(b))
 	}
-	ix := &Index{
-		Values: make([]*Value, w.NextValID),
-		Instrs: make([]*Instr, w.NextInstrID),
-		Blocks: make([]*Block, w.NextBlockID),
-	}
-	value := func(id int32) (*Value, error) {
-		if id == -1 {
-			return nil, nil
-		}
-		if id < 0 || int(id) >= len(ix.Values) || ix.Values[id] == nil {
-			return nil, fmt.Errorf("ir: import %s: bad value id %d", w.Name, id)
-		}
-		return ix.Values[id], nil
-	}
-	block := func(id int32) (*Block, error) {
-		if id == -1 {
-			return nil, nil
-		}
-		if id < 0 || int(id) >= len(ix.Blocks) || ix.Blocks[id] == nil {
-			return nil, fmt.Errorf("ir: import %s: bad block id %d", w.Name, id)
-		}
-		return ix.Blocks[id], nil
-	}
-	str := func(id int32) (string, error) {
-		if id == -1 {
-			return "", nil
-		}
-		if id < 0 || int(id) >= len(w.Strs) {
-			return "", fmt.Errorf("ir: import %s: bad string id %d", w.Name, id)
-		}
-		return w.Strs[id], nil
-	}
-
-	// Pass 1: values (Def wired in pass 3), restoring the intern tables.
-	// Values are batch-allocated from one backing array — the artifact
-	// lives or dies wholesale, and one allocation for thousands of nodes
-	// is a large share of warm-restart time on the allocator alone.
-	valArena := make([]Value, len(w.Values))
-	for wi, vw := range w.Values {
-		if vw.ID < 0 || int(vw.ID) >= len(ix.Values) || ix.Values[vw.ID] != nil {
-			return nil, nil, fmt.Errorf("ir: import %s: bad value id %d", w.Name, vw.ID)
-		}
-		base, err := str(vw.TypeBase)
-		if err != nil {
-			return nil, nil, err
-		}
-		v := &valArena[wi]
-		*v = Value{
-			ID: int(vw.ID), Kind: vw.Kind, Name: vw.Name,
-			Type:   minic.Type{Base: base, Ptr: int(vw.TypePtr)},
-			IntVal: vw.IntVal, BoolVal: vw.BoolVal,
-			ParamIdx: int(vw.ParamIdx), Aux: vw.Aux,
-		}
-		ix.Values[vw.ID] = v
-		switch v.Kind {
-		case VConstInt:
-			f.intConsts[v.IntVal] = v
-		case VConstBool:
-			if v.BoolVal {
-				f.boolConsts[1] = v
-			} else {
-				f.boolConsts[0] = v
-			}
-		case VConstNull:
-			f.nullConst = v
-		}
-	}
-	f.Params = make([]*Value, len(w.Params))
-	for i, id := range w.Params {
-		p, err := value(id)
-		if err != nil || p == nil {
-			return nil, nil, fmt.Errorf("ir: import %s: bad param id %d", w.Name, id)
-		}
-		f.Params[i] = p
-	}
-
-	// Pass 2: block shells, so instruction targets can resolve.
-	blockArena := make([]Block, len(w.Blocks))
-	f.Blocks = make([]*Block, len(w.Blocks))
-	for i, bw := range w.Blocks {
-		if bw.ID < 0 || int(bw.ID) >= len(ix.Blocks) || ix.Blocks[bw.ID] != nil {
-			return nil, nil, fmt.Errorf("ir: import %s: bad block id %d", w.Name, bw.ID)
-		}
-		b := &blockArena[i]
-		*b = Block{ID: int(bw.ID), Fn: f}
-		ix.Blocks[bw.ID] = b
-		f.Blocks[i] = b
-	}
-
-	// Pass 3: instructions, CFG edges, and value Defs. Instructions are
-	// batch-allocated like values.
-	nInstrs := 0
-	for _, bw := range w.Blocks {
-		nInstrs += len(bw.Instrs)
-	}
-	instrArena := make([]Instr, nInstrs)
-	for i, bw := range w.Blocks {
-		b := f.Blocks[i]
-		b.Instrs = make([]*Instr, len(bw.Instrs))
-		for j, iw := range bw.Instrs {
-			if iw.ID < 0 || int(iw.ID) >= len(ix.Instrs) || ix.Instrs[iw.ID] != nil {
-				return nil, nil, fmt.Errorf("ir: import %s: bad instr id %d", w.Name, iw.ID)
-			}
-			sub, err := str(iw.Sub)
-			if err != nil {
-				return nil, nil, err
-			}
-			callee, err := str(iw.Callee)
-			if err != nil {
-				return nil, nil, err
-			}
-			file, err := str(iw.PosFile)
-			if err != nil {
-				return nil, nil, err
-			}
-			in := &instrArena[0]
-			instrArena = instrArena[1:]
-			*in = Instr{
-				ID: int(iw.ID), Op: iw.Op, Sub: sub, Callee: callee,
-				Pos:   minic.Pos{File: file, Line: int(iw.PosLine), Col: int(iw.PosCol)},
-				Block: b, Synthetic: iw.Synthetic,
-			}
-			if in.Dst, err = value(iw.Dst); err != nil {
-				return nil, nil, err
-			}
-			if len(iw.Dsts) > 0 {
-				in.Dsts = make([]*Value, len(iw.Dsts))
-				for k, id := range iw.Dsts {
-					if in.Dsts[k], err = value(id); err != nil {
-						return nil, nil, err
-					}
-				}
-			}
-			if len(iw.Args) > 0 {
-				in.Args = make([]*Value, len(iw.Args))
-				for k, id := range iw.Args {
-					if in.Args[k], err = value(id); err != nil {
-						return nil, nil, err
-					}
-				}
-			}
-			if len(iw.Blocks) > 0 {
-				in.Blocks = make([]*Block, len(iw.Blocks))
-				for k, id := range iw.Blocks {
-					if in.Blocks[k], err = block(id); err != nil {
-						return nil, nil, err
-					}
-				}
-			}
-			ix.Instrs[iw.ID] = in
-			b.Instrs[j] = in
-		}
-	}
-	for i, bw := range w.Blocks {
-		b := f.Blocks[i]
-		var err error
-		if len(bw.Preds) > 0 {
-			b.Preds = make([]*Block, len(bw.Preds))
-			for j, id := range bw.Preds {
-				if b.Preds[j], err = block(id); err != nil {
-					return nil, nil, err
-				}
-			}
-		}
-		if len(bw.Succs) > 0 {
-			b.Succs = make([]*Block, len(bw.Succs))
-			for j, id := range bw.Succs {
-				if b.Succs[j], err = block(id); err != nil {
-					return nil, nil, err
-				}
-			}
-		}
-	}
-	// Defs last: they reference instructions.
-	for _, vw := range w.Values {
-		if vw.Def == -1 {
-			continue
-		}
-		if vw.Def < 0 || int(vw.Def) >= len(ix.Instrs) || ix.Instrs[vw.Def] == nil {
-			return nil, nil, fmt.Errorf("ir: import %s: bad def id %d", w.Name, vw.Def)
-		}
-		ix.Values[vw.ID].Def = ix.Instrs[vw.Def]
-	}
-	var err error
-	if f.Entry, err = block(w.Entry); err != nil {
-		return nil, nil, err
-	}
-	if f.Exit, err = block(w.Exit); err != nil {
-		return nil, nil, err
-	}
-	return f, ix, nil
 }
 
-// Binary codec for FuncWire: field-by-field wirebin encoding, in a fixed
-// order Append and Decode must keep in lockstep. The artifact store bundles
-// these blobs into segments; gob's reflective decode of this struct (the
-// largest artifact section) dominated warm-restart time, and the linear
-// scan here replaces it.
-
-func appendValueWire(e *wirebin.Writer, v *ValueWire) {
-	e.I32(v.ID)
-	e.U8(uint8(v.Kind))
-	e.Str(v.Name)
-	e.I32(v.TypeBase)
-	e.I32(v.TypePtr)
-	e.I32(v.Def)
-	e.Varint(v.IntVal)
-	e.Bool(v.BoolVal)
-	e.I32(v.ParamIdx)
-	e.Bool(v.Aux)
+func encodePos(e *wirebin.Writer, p minic.Pos) {
+	e.Sym(p.File)
+	e.Int(p.Line)
+	e.Int(p.Col)
 }
 
-func decodeValueWire(r *wirebin.Reader, v *ValueWire) {
-	v.ID = r.I32()
-	v.Kind = ValueKind(r.U8())
-	v.Name = r.Str()
-	v.TypeBase = r.I32()
-	v.TypePtr = r.I32()
-	v.Def = r.I32()
-	v.IntVal = r.Varint()
-	v.BoolVal = r.Bool()
-	v.ParamIdx = r.I32()
-	v.Aux = r.Bool()
+func decodePos(r *wirebin.Reader) minic.Pos {
+	return minic.Pos{File: r.Sym(), Line: r.Int(), Col: r.Int()}
 }
 
-func appendInstrWire(e *wirebin.Writer, in *InstrWire) {
-	e.I32(in.ID)
-	e.U8(uint8(in.Op))
-	e.I32(in.Dst)
-	e.I32s(in.Dsts)
-	e.I32s(in.Args)
-	e.I32(in.Sub)
-	e.I32(in.Callee)
-	e.I32s(in.Blocks)
-	e.I32(in.PosFile)
-	e.I32(in.PosLine)
-	e.I32(in.PosCol)
-	e.Bool(in.Synthetic)
-}
-
-func decodeInstrWire(r *wirebin.Reader, in *InstrWire) {
-	in.ID = r.I32()
-	in.Op = Op(r.U8())
-	in.Dst = r.I32()
-	in.Dsts = r.I32s()
-	in.Args = r.I32s()
-	in.Sub = r.I32()
-	in.Callee = r.I32()
-	in.Blocks = r.I32s()
-	in.PosFile = r.I32()
-	in.PosLine = r.I32()
-	in.PosCol = r.I32()
-	in.Synthetic = r.Bool()
-}
-
-func appendAuxSpecs(e *wirebin.Writer, specs []AuxSpec) {
+func encodeAuxSpecs(e *wirebin.Writer, specs []AuxSpec) {
 	e.Uvarint(uint64(len(specs)))
 	for _, a := range specs {
 		e.Int(a.Root)
-		e.Str(a.Global)
+		e.Sym(a.Global)
 		e.Int(a.Depth)
 	}
 }
@@ -533,88 +141,287 @@ func decodeAuxSpecs(r *wirebin.Reader) []AuxSpec {
 	}
 	out := make([]AuxSpec, n)
 	for i := range out {
-		out[i] = AuxSpec{Root: r.Int(), Global: r.Str(), Depth: r.Int()}
+		out[i] = AuxSpec{Root: r.Int(), Global: r.Sym(), Depth: r.Int()}
 	}
 	return out
 }
 
-// AppendWire appends w's binary encoding to e.
-func (w *FuncWire) AppendWire(e *wirebin.Writer) {
-	e.Str(w.Name)
-	e.Str(w.Ret.Base)
-	e.Int(w.Ret.Ptr)
-	e.I32s(w.Params)
-	e.Strs(w.Strs)
-	e.Uvarint(uint64(len(w.Values)))
-	for i := range w.Values {
-		appendValueWire(e, &w.Values[i])
-	}
-	e.Uvarint(uint64(len(w.Blocks)))
-	for i := range w.Blocks {
-		bw := &w.Blocks[i]
-		e.I32(bw.ID)
-		e.Uvarint(uint64(len(bw.Instrs)))
-		for j := range bw.Instrs {
-			appendInstrWire(e, &bw.Instrs[j])
+// EncodeFunc appends f to e.
+func EncodeFunc(e *wirebin.Writer, f *Func) {
+	e.Str(f.Name)
+	e.Sym(f.Ret.Base)
+	e.Int(f.Ret.Ptr)
+	e.Int(f.Unit)
+	encodePos(e, f.Pos)
+	encodeAuxSpecs(e, f.AuxIn)
+	encodeAuxSpecs(e, f.AuxOut)
+	e.Uvarint(uint64(f.nextValID))
+	e.Uvarint(uint64(f.nextInstrID))
+	e.Uvarint(uint64(f.nextBlockID))
+
+	vals := liveValues(f)
+	live := 0
+	for _, v := range vals {
+		if v != nil {
+			live++
 		}
-		e.I32s(bw.Preds)
-		e.I32s(bw.Succs)
 	}
-	e.I32(w.Entry)
-	e.I32(w.Exit)
-	e.Int(w.Unit)
-	e.Str(w.Pos.File)
-	e.Int(w.Pos.Line)
-	e.Int(w.Pos.Col)
-	appendAuxSpecs(e, w.AuxIn)
-	appendAuxSpecs(e, w.AuxOut)
-	e.I32(w.NextValID)
-	e.I32(w.NextInstrID)
-	e.I32(w.NextBlockID)
+	e.Uvarint(uint64(live))
+	for _, v := range vals {
+		if v == nil {
+			continue
+		}
+		e.Int(v.ID)
+		e.U8(uint8(v.Kind))
+		e.Str(v.Name)
+		e.Sym(v.Type.Base)
+		e.Int(v.Type.Ptr)
+		if v.Def == nil {
+			e.I32(-1)
+		} else {
+			e.Int(v.Def.ID)
+		}
+		e.Varint(v.IntVal)
+		e.Bool(v.BoolVal)
+		e.Int(v.ParamIdx)
+		e.Bool(v.Aux)
+	}
+	encodeValIDs(e, f.Params)
+
+	e.Uvarint(uint64(len(f.Blocks)))
+	for _, b := range f.Blocks {
+		e.Int(b.ID)
+		e.Uvarint(uint64(len(b.Instrs)))
+	}
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			e.Int(in.ID)
+			e.U8(uint8(in.Op))
+			e.I32(valID(in.Dst))
+			encodeValIDs(e, in.Dsts)
+			encodeValIDs(e, in.Args)
+			e.Sym(in.Sub)
+			e.Sym(in.Callee)
+			encodeBlockIDs(e, in.Blocks)
+			encodePos(e, in.Pos)
+			e.Bool(in.Synthetic)
+		}
+		encodeBlockIDs(e, b.Preds)
+		encodeBlockIDs(e, b.Succs)
+	}
+	e.I32(blockID(f.Entry))
+	e.I32(blockID(f.Exit))
 }
 
-// DecodeFuncWire reads one FuncWire from r.
-func DecodeFuncWire(r *wirebin.Reader) (*FuncWire, error) {
-	w := &FuncWire{}
-	w.Name = r.Str()
-	w.Ret.Base = r.Str()
-	w.Ret.Ptr = r.Int()
-	w.Params = r.I32s()
-	w.Strs = r.Strs()
-	if n := r.Len(); n > 0 {
-		w.Values = make([]ValueWire, n)
-		for i := range w.Values {
-			decodeValueWire(r, &w.Values[i])
-		}
+// funcDecoder holds what the passes of DecodeFunc share.
+type funcDecoder struct {
+	r  *wirebin.Reader
+	f  *Func
+	ix *Index
+	// used marks, by ID, the values something refers to.
+	used []bool
+}
+
+func (d *funcDecoder) errorf(format string, args ...any) error {
+	return d.r.Errorf("ir: decode %s: %s", d.f.Name, fmt.Sprintf(format, args...))
+}
+
+// claim enters the record p just read under its id, which must be inside
+// the ID space and not taken.
+func claim[T any](d *funcDecoder, what string, tab []*T, id int, p *T) error {
+	if id < 0 || id >= len(tab) || tab[id] != nil {
+		return d.errorf("bad %s id %d", what, id)
 	}
-	if n := r.Len(); n > 0 {
-		w.Blocks = make([]BlockWire, n)
-		for i := range w.Blocks {
-			bw := &w.Blocks[i]
-			bw.ID = r.I32()
-			if m := r.Len(); m > 0 {
-				bw.Instrs = make([]InstrWire, m)
-				for j := range bw.Instrs {
-					decodeInstrWire(r, &bw.Instrs[j])
-				}
+	tab[id] = p
+	return nil
+}
+
+// list reads a counted list of references, each through one.
+func list[T any](d *funcDecoder, one func() (*T, error)) ([]*T, error) {
+	n := d.r.Len()
+	if n == 0 {
+		return nil, nil
+	}
+	out := make([]*T, n)
+	for i := range out {
+		x, err := one()
+		if err != nil {
+			return nil, err
+		}
+		out[i] = x
+	}
+	return out, nil
+}
+
+// value reads a value reference (-1 = nil) and marks the value used.
+func (d *funcDecoder) value() (*Value, error) {
+	v, err := d.ix.Value(d.r.I32())
+	if err != nil {
+		return nil, d.errorf("%v", err)
+	}
+	if v != nil {
+		d.used[v.ID] = true
+	}
+	return v, nil
+}
+
+// block reads a block reference, which may not be nil.
+func (d *funcDecoder) block() (*Block, error) {
+	id := d.r.I32()
+	b, err := d.ix.Block(id)
+	if err != nil || b == nil {
+		return nil, d.errorf("bad block id %d", id)
+	}
+	return b, nil
+}
+
+// DecodeFunc reads one function from r, together with the Index the
+// artifact's other sections resolve their references through.
+func DecodeFunc(r *wirebin.Reader) (*Func, *Index, error) {
+	f := &Func{Name: r.Str()}
+	f.Ret = minic.Type{Base: r.Sym(), Ptr: r.Int()}
+	f.Unit = r.Int()
+	f.Pos = decodePos(r)
+	f.AuxIn = decodeAuxSpecs(r)
+	f.AuxOut = decodeAuxSpecs(r)
+	// The ID spaces size the index below, so they are bounded like any
+	// length: every live ID costs several bytes of what remains, and the
+	// dead ones (pre-SSA variables, pruned blocks) are a fraction of the
+	// live.
+	f.nextValID, f.nextInstrID, f.nextBlockID = r.Len(), r.Len(), r.Len()
+	ix := &Index{
+		Values: make([]*Value, f.nextValID),
+		Instrs: make([]*Instr, f.nextInstrID),
+		Blocks: make([]*Block, f.nextBlockID),
+	}
+	d := &funcDecoder{r: r, f: f, ix: ix, used: make([]bool, f.nextValID)}
+
+	// Values, restoring the constant intern tables. Values, blocks and
+	// instructions each come from one backing array — the artifact lives or
+	// dies wholesale, and one allocation for thousands of nodes is a large
+	// share of warm-restart time on the allocator alone.
+	values := make([]Value, r.Len())
+	defs := make([]int32, len(values))
+	f.intConsts = make(map[int64]*Value)
+	for i := range values {
+		v := &values[i]
+		v.ID, v.Kind, v.Name = r.Int(), ValueKind(r.U8()), r.Str()
+		v.Type = minic.Type{Base: r.Sym(), Ptr: r.Int()}
+		defs[i] = r.I32()
+		v.IntVal, v.BoolVal, v.ParamIdx, v.Aux = r.Varint(), r.Bool(), r.Int(), r.Bool()
+		if err := claim(d, "value", ix.Values, v.ID, v); err != nil {
+			return nil, nil, err
+		}
+		dup := false
+		switch v.Kind {
+		case VVar, VParam:
+		case VConstInt:
+			dup = f.intConsts[v.IntVal] != nil
+			f.intConsts[v.IntVal] = v
+		case VConstBool:
+			c := &f.boolConsts[0]
+			if v.BoolVal {
+				c = &f.boolConsts[1]
 			}
-			bw.Preds = r.I32s()
-			bw.Succs = r.I32s()
+			dup, *c = *c != nil, v
+		case VConstNull:
+			dup, f.nullConst = f.nullConst != nil, v
+		default:
+			return nil, nil, d.errorf("value %d has unknown kind %d", v.ID, v.Kind)
+		}
+		if dup {
+			return nil, nil, d.errorf("value %d duplicates an interned constant", v.ID)
+		}
+		d.used[v.ID] = v.IsConst() // the intern tables refer to it
+	}
+	var err error
+	if f.Params, err = list(d, d.value); err != nil {
+		return nil, nil, err
+	}
+	for _, p := range f.Params {
+		if p == nil {
+			return nil, nil, d.errorf("nil parameter")
 		}
 	}
-	w.Entry = r.I32()
-	w.Exit = r.I32()
-	w.Unit = r.Int()
-	w.Pos.File = r.Str()
-	w.Pos.Line = r.Int()
-	w.Pos.Col = r.Int()
-	w.AuxIn = decodeAuxSpecs(r)
-	w.AuxOut = decodeAuxSpecs(r)
-	w.NextValID = r.I32()
-	w.NextInstrID = r.I32()
-	w.NextBlockID = r.I32()
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("ir: decode func wire: %w", err)
+
+	// Block shells, so instruction targets can resolve.
+	blocks := make([]Block, r.Len())
+	counts := make([]int, len(blocks))
+	total := 0
+	f.Blocks = make([]*Block, len(blocks))
+	for i := range blocks {
+		b := &blocks[i]
+		b.ID, b.Fn = r.Int(), f
+		counts[i] = r.Len()
+		total += counts[i]
+		if err := claim(d, "block", ix.Blocks, b.ID, b); err != nil {
+			return nil, nil, err
+		}
+		f.Blocks[i] = b
 	}
-	return w, nil
+	if total > r.Rest() {
+		return nil, nil, d.errorf("%d instructions exceed the input", total)
+	}
+
+	// Instructions and CFG edges.
+	instrs := make([]Instr, total)
+	for i, b := range f.Blocks {
+		b.Instrs = make([]*Instr, counts[i])
+		for j := range b.Instrs {
+			in := &instrs[0]
+			instrs = instrs[1:]
+			in.ID, in.Op, in.Block = r.Int(), Op(r.U8()), b
+			if in.Dst, err = d.value(); err != nil {
+				return nil, nil, err
+			}
+			if in.Dsts, err = list(d, d.value); err != nil {
+				return nil, nil, err
+			}
+			if in.Args, err = list(d, d.value); err != nil {
+				return nil, nil, err
+			}
+			in.Sub, in.Callee = r.Sym(), r.Sym()
+			if in.Blocks, err = list(d, d.block); err != nil {
+				return nil, nil, err
+			}
+			in.Pos, in.Synthetic = decodePos(r), r.Bool()
+			if err := claim(d, "instr", ix.Instrs, in.ID, in); err != nil {
+				return nil, nil, err
+			}
+			if int(in.Op) >= len(opNames) {
+				return nil, nil, d.errorf("instr %d has unknown op %d", in.ID, in.Op)
+			}
+			b.Instrs[j] = in
+		}
+		if b.Preds, err = list(d, d.block); err != nil {
+			return nil, nil, err
+		}
+		if b.Succs, err = list(d, d.block); err != nil {
+			return nil, nil, err
+		}
+	}
+	if f.Entry, err = d.block(); err != nil {
+		return nil, nil, err
+	}
+	if f.Exit, err = d.block(); err != nil {
+		return nil, nil, err
+	}
+
+	// Defs last: they reference instructions.
+	for i := range values {
+		v := &values[i]
+		if v.Def, err = ix.Instr(defs[i]); err != nil {
+			return nil, nil, d.errorf("value %d: %v", v.ID, err)
+		}
+		if !d.used[v.ID] {
+			return nil, nil, d.errorf("nothing refers to value %d", v.ID)
+		}
+	}
+	if err := r.Err(); err != nil {
+		return nil, nil, err
+	}
+	if err := Verify(f); err != nil {
+		return nil, nil, fmt.Errorf("ir: decode: %w", err)
+	}
+	return f, ix, nil
 }

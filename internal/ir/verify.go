@@ -6,7 +6,8 @@ import "fmt"
 //
 //   - every block ends in exactly one terminator, which is its last
 //     instruction;
-//   - CFG edges recorded in terminators match Preds/Succs;
+//   - CFG edges recorded in terminators match Preds/Succs, and every
+//     predecessor has the edge;
 //   - phi argument lists are parallel to their predecessor lists and cover
 //     exactly the block's predecessors;
 //   - instruction operand/destination arity matches the opcode;
@@ -44,6 +45,11 @@ func Verify(f *Func) error {
 						return fmt.Errorf("%s/%s: phi names non-pred %s", f.Name, b, pb)
 					}
 				}
+			}
+		}
+		for _, p := range b.Preds {
+			if !containsBlock(p.Succs, b) {
+				return fmt.Errorf("%s/%s: predecessor %s has no edge to it", f.Name, b, p)
 			}
 		}
 		term := b.Term()

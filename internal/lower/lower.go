@@ -117,16 +117,6 @@ func FuncWith(m *ir.Module, decl *minic.FuncDecl, sigs func(name string) (minic.
 	return lowerFuncWithStructs(m, decl, sigs, structs)
 }
 
-// Func lowers a single function into IR. Callee return types are resolved
-// from functions already registered in m.
-func Func(m *ir.Module, decl *minic.FuncDecl) (*ir.Func, error) {
-	sigs := make(sigTable, len(m.Funcs))
-	for _, f := range m.Funcs {
-		sigs[f.Name] = f.Ret
-	}
-	return lowerFuncWithStructs(m, decl, sigs.lookup, nil)
-}
-
 func lowerFuncWithStructs(m *ir.Module, decl *minic.FuncDecl, sigs func(string) (minic.Type, bool), structs map[string][]minic.Param) (*ir.Func, error) {
 	lw := &lowerer{
 		m:       m,

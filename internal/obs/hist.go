@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"strings"
 	"sync/atomic"
-	"time"
 )
 
 // numBuckets covers the full non-negative int64 range in powers of two:
@@ -70,9 +69,6 @@ func (h *Histogram) Observe(v int64) {
 	}
 	h.buckets[bucketOf(v)].Add(1)
 }
-
-// ObserveDuration records a duration in nanoseconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(int64(d)) }
 
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 {

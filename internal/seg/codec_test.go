@@ -1,21 +1,104 @@
 package seg
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
 	"repro/internal/cond"
 	"repro/internal/ir"
+	"repro/internal/wirebin"
 )
 
-// exportForTest builds the SEG of f in src and returns everything
-// ImportGraph needs to rebuild it: the wire form, the function's ID index
-// and the condition nodes by ID (only those the edges mention).
-func exportForTest(t *testing.T, src, fn string) (*Graph, *GraphWire, *ir.Index, []*cond.Cond) {
+// wireGraph is a graph's encoding as these tests write it by hand: the
+// fields of the layout documented in codec.go, in order.
+type wireGraph struct {
+	vertices []wireVertex
+	total    int // edge count, ahead of the lists
+	succs    []wireSuccs
+}
+
+type wireVertex struct {
+	kind, role         uint8
+	val, instr, argIdx int32
+}
+
+type wireSuccs struct {
+	from  int32
+	edges [][2]int32 // target position, condition ID
+}
+
+func (w *wireGraph) bytes() []byte {
+	var e wirebin.Writer
+	e.Uvarint(uint64(len(w.vertices)))
+	for _, v := range w.vertices {
+		e.U8(v.kind)
+		e.U8(v.role)
+		e.I32(v.val)
+		e.I32(v.instr)
+		e.I32(v.argIdx)
+	}
+	e.Uvarint(uint64(w.total))
+	e.Uvarint(uint64(len(w.succs)))
+	for _, s := range w.succs {
+		e.I32(s.from)
+		e.Uvarint(uint64(len(s.edges)))
+		for _, ed := range s.edges {
+			e.I32(ed[0])
+			e.I32(ed[1])
+		}
+	}
+	return e.B
+}
+
+// describe writes down g the way a genuine encoding holds it.
+func describe(g *Graph) *wireGraph {
+	w := &wireGraph{total: g.NumEdges()}
+	for i, n := range g.AllNodes() {
+		v := wireVertex{kind: uint8(n.Kind), role: uint8(n.Role), val: -1, instr: -1, argIdx: int32(n.ArgIdx)}
+		if n.Val != nil {
+			v.val = int32(n.Val.ID)
+		}
+		if n.Instr != nil {
+			v.instr = int32(n.Instr.ID)
+		}
+		w.vertices = append(w.vertices, v)
+		if es := g.Succs(n); len(es) > 0 {
+			s := wireSuccs{from: int32(i)}
+			for _, ed := range es {
+				s.edges = append(s.edges, [2]int32{int32(ed.To.Index()), cond.Ref(ed.Cond)})
+			}
+			w.succs = append(w.succs, s)
+		}
+	}
+	return w
+}
+
+// decodeEnv builds the SEG of fn in src and returns, with it, what
+// DecodeGraph resolves references through: the function's ID index and the
+// condition nodes by ID (only those the edges mention).
+func decodeEnv(t *testing.T, src, fn string) (*Graph, *ir.Index, cond.Nodes) {
 	t.Helper()
 	_, graphs := buildSEGs(t, src)
 	g := graphs[fn]
-	nodes := make([]*cond.Cond, g.Info.Conds.NumNodes())
+	f := g.Fn
+	ix := &ir.Index{
+		Values: make([]*ir.Value, f.NumValues()),
+		Instrs: make([]*ir.Instr, f.NumInstrs()),
+		Blocks: make([]*ir.Block, f.NumBlocks()),
+	}
+	for _, n := range g.AllNodes() {
+		if n.Val != nil {
+			ix.Values[n.Val.ID] = n.Val
+		}
+	}
+	for _, b := range f.Blocks {
+		ix.Blocks[b.ID] = b
+		for _, in := range b.Instrs {
+			ix.Instrs[in.ID] = in
+		}
+	}
+	nodes := make(cond.Nodes, g.Info.Conds.NumNodes())
 	var reg func(c *cond.Cond)
 	reg = func(c *cond.Cond) {
 		nodes[c.ID()] = c
@@ -28,7 +111,7 @@ func exportForTest(t *testing.T, src, fn string) (*Graph, *GraphWire, *ir.Index,
 			reg(e.Cond)
 		}
 	}
-	return g, ExportGraph(g), ir.BuildIndex(g.Fn), nodes
+	return g, ix, nodes
 }
 
 const codecSrc = `
@@ -41,10 +124,16 @@ int *pick(bool c, int *a) {
 }`
 
 func TestGraphWireRoundTrip(t *testing.T) {
-	g, w, ix, nodes := exportForTest(t, codecSrc, "pick")
-	got, err := ImportGraph(w, g.Fn, g.Info, g.PTA, ix, nodes)
-	if err != nil {
-		t.Fatal(err)
+	g, ix, nodes := decodeEnv(t, codecSrc, "pick")
+	var e wirebin.Writer
+	EncodeGraph(&e, g)
+	if !bytes.Equal(e.B, describe(g).bytes()) {
+		t.Fatal("EncodeGraph does not write the documented layout")
+	}
+	r := wirebin.NewReader(e.B)
+	got, err := DecodeGraph(r, g.Fn, g.Info, g.PTA, ix, nodes)
+	if err != nil || r.Rest() != 0 {
+		t.Fatalf("decode: %v, %d bytes left", err, r.Rest())
 	}
 	if got.NumNodes() != g.NumNodes() || got.NumEdges() != g.NumEdges() {
 		t.Fatalf("round trip: %d nodes %d edges, want %d / %d", got.NumNodes(), got.NumEdges(), g.NumNodes(), g.NumEdges())
@@ -77,14 +166,15 @@ func TestGraphWireRoundTrip(t *testing.T) {
 	}
 }
 
-// TestImportGraphRejectsMalformed feeds ImportGraph wires no genuine export
-// can produce. Each must come back as an error — corruption costs a
-// rebuild, never a panic, neither at import nor later in detection.
+// TestImportGraphRejectsMalformed feeds DecodeGraph streams no genuine
+// encoding can be. Each must come back as an error — corruption costs a
+// rebuild, never a panic, neither at decode nor later in detection.
 func TestImportGraphRejectsMalformed(t *testing.T) {
-	g, good, ix, nodes := exportForTest(t, codecSrc, "pick")
+	g, ix, nodes := decodeEnv(t, codecSrc, "pick")
+	good := describe(g)
 	firstOf := func(kind NodeKind) int {
-		for i, nw := range good.Nodes {
-			if nw.Kind == kind {
+		for i, v := range good.vertices {
+			if v.kind == uint8(kind) {
 				return i
 			}
 		}
@@ -94,41 +184,55 @@ func TestImportGraphRejectsMalformed(t *testing.T) {
 	use, val := firstOf(NUse), firstOf(NValue)
 	cases := []struct {
 		name    string
-		corrupt func(w *GraphWire)
+		corrupt func(w *wireGraph)
 		want    string
 	}{
-		{"value id past the table", func(w *GraphWire) { w.Nodes[val].Val = int32(len(ix.Values)) }, "bad value id"},
-		{"negative value id", func(w *GraphWire) { w.Nodes[val].Val = -7 }, "bad value id"},
-		{"value vertex without value", func(w *GraphWire) { w.Nodes[val].Val = -1 }, "without value"},
-		{"instr id past the table", func(w *GraphWire) { w.Nodes[use].Instr = int32(len(ix.Instrs)) }, "bad instr id"},
-		{"negative instr id", func(w *GraphWire) { w.Nodes[use].Instr = -2 }, "bad instr id"},
-		{"use vertex without instruction", func(w *GraphWire) { w.Nodes[use].Instr = -1 }, "without instruction"},
-		{"use vertex without value", func(w *GraphWire) { w.Nodes[use].Val = -1 }, "without instruction or value"},
-		{"use vertex operand out of range", func(w *GraphWire) { w.Nodes[use].ArgIdx = 99 }, "names operand"},
-		{"use vertex negative operand", func(w *GraphWire) { w.Nodes[use].ArgIdx = -1 }, "names operand"},
-		{"use vertex with a value role", func(w *GraphWire) { w.Nodes[use].Role = RoleNone }, "unknown role"},
-		{"use vertex with a role past the table", func(w *GraphWire) { w.Nodes[use].Role = UseRole(numRoles) }, "unknown role"},
-		{"unknown vertex kind", func(w *GraphWire) { w.Nodes[val].Kind = 9 }, "unknown kind"},
-		{"edge target out of range", func(w *GraphWire) { w.Succs[0].Edges[0].To = int32(len(w.Nodes)) }, "bad edge target"},
-		{"negative edge target", func(w *GraphWire) { w.Succs[0].Edges[0].To = -1 }, "bad edge target"},
-		{"edge source out of range", func(w *GraphWire) { w.Succs[len(w.Succs)-1].From = int32(len(w.Nodes)) }, "bad edge source"},
-		{"edge lists out of vertex order", func(w *GraphWire) { w.Succs[1].From = w.Succs[0].From }, "bad edge source"},
-		{"edge condition out of range", func(w *GraphWire) { w.Succs[0].Edges[0].Cond = int32(len(nodes)) }, "bad edge cond"},
+		{"value id past the table", func(w *wireGraph) { w.vertices[val].val = int32(len(ix.Values)) }, "bad value id"},
+		{"negative value id", func(w *wireGraph) { w.vertices[val].val = -7 }, "bad value id"},
+		{"value vertex without value", func(w *wireGraph) { w.vertices[val].val = -1 }, "without value"},
+		{"duplicate value vertex", func(w *wireGraph) { w.vertices[use] = w.vertices[val] }, "duplicates the vertex"},
+		{"instr id past the table", func(w *wireGraph) { w.vertices[use].instr = int32(len(ix.Instrs)) }, "bad instr id"},
+		{"negative instr id", func(w *wireGraph) { w.vertices[use].instr = -2 }, "bad instr id"},
+		{"use vertex without instruction", func(w *wireGraph) { w.vertices[use].instr = -1 }, "without instruction"},
+		{"use vertex without value", func(w *wireGraph) { w.vertices[use].val = -1 }, "without instruction or value"},
+		{"use vertex operand out of range", func(w *wireGraph) { w.vertices[use].argIdx = 99 }, "names operand"},
+		{"use vertex negative operand", func(w *wireGraph) { w.vertices[use].argIdx = -1 }, "names operand"},
+		{"use vertex with a value role", func(w *wireGraph) { w.vertices[use].role = uint8(RoleNone) }, "unknown role"},
+		{"use vertex with a role past the table", func(w *wireGraph) { w.vertices[use].role = uint8(numRoles) }, "unknown role"},
+		{"unknown vertex kind", func(w *wireGraph) { w.vertices[val].kind = 9 }, "unknown kind"},
+		{"edge target out of range", func(w *wireGraph) { w.succs[0].edges[0][0] = int32(len(w.vertices)) }, "bad edge target"},
+		{"negative edge target", func(w *wireGraph) { w.succs[0].edges[0][0] = -1 }, "bad edge target"},
+		{"edge source out of range", func(w *wireGraph) { w.succs[len(w.succs)-1].from = int32(len(w.vertices)) }, "bad edge source"},
+		{"edge lists out of vertex order", func(w *wireGraph) { w.succs[1].from = w.succs[0].from }, "bad edge source"},
+		{"edge condition out of range", func(w *wireGraph) { w.succs[0].edges[0][1] = int32(len(nodes)) }, "bad cond id"},
+		{"negative edge condition", func(w *wireGraph) { w.succs[0].edges[0][1] = -3 }, "bad cond id"},
+		{"more edges than the total", func(w *wireGraph) { w.total-- }, "more edges than the total"},
+		{"fewer edges than the total", func(w *wireGraph) { w.total++ }, "total says"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			w := &GraphWire{Nodes: append([]SEGNodeWire(nil), good.Nodes...)}
-			for _, sw := range good.Succs {
-				w.Succs = append(w.Succs, SEGSuccWire{From: sw.From, Edges: append([]SEGEdgeWire(nil), sw.Edges...)})
-			}
+			w := describe(g)
 			tc.corrupt(w)
-			got, err := ImportGraph(w, g.Fn, g.Info, g.PTA, ix, nodes)
+			got, err := DecodeGraph(wirebin.NewReader(w.bytes()), g.Fn, g.Info, g.PTA, ix, nodes)
 			if err == nil {
-				t.Fatalf("import accepted the wire (graph with %d vertices)", got.NumNodes())
+				t.Fatalf("decode accepted the stream (graph with %d vertices)", got.NumNodes())
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+
+	// A length no input can back, and the stream cut short anywhere.
+	var huge wirebin.Writer
+	huge.Uvarint(1 << 40)
+	if _, err := DecodeGraph(wirebin.NewReader(huge.B), g.Fn, g.Info, g.PTA, ix, nodes); err == nil {
+		t.Error("decode accepted a vertex count past the input")
+	}
+	full := good.bytes()
+	for cut := 0; cut < len(full); cut++ {
+		if _, err := DecodeGraph(wirebin.NewReader(full[:cut]), g.Fn, g.Info, g.PTA, ix, nodes); err == nil {
+			t.Fatalf("decode accepted the stream cut at %d of %d bytes", cut, len(full))
+		}
 	}
 }

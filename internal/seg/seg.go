@@ -105,7 +105,7 @@ type Edge struct {
 //
 // Every lookup structure is a slice indexed by a dense ID the IR or the
 // graph itself assigns (Value.ID, Instr.ID, Block.ID, Node.Index). Build
-// and ImportGraph fill them on one goroutine; afterwards only ValueNode
+// and DecodeGraph fill them on one goroutine; afterwards only ValueNode
 // (for a value the graph has not seen) and the lazy happens-after memo
 // write, and detect.prepare runs both to exhaustion (EnsureValueNodes,
 // PrecomputeReach) before detection workers share the graph read-only.
@@ -179,7 +179,7 @@ func (g *Graph) Stats() GraphStats {
 	return s
 }
 
-// newNode appends a vertex carved from the slab. Build and ImportGraph size
+// newNode appends a vertex carved from the slab. Build and DecodeGraph size
 // the first chunk for the whole graph; later chunks only serve stragglers.
 func (g *Graph) newNode(n Node) *Node {
 	if len(g.slab) == cap(g.slab) {

@@ -50,11 +50,11 @@ func (s *Server) handleDebugTenants(w http.ResponseWriter, r *http.Request) {
 }
 
 // storeDebug is the GET /v1/debug/store schema: whether a persistent
-// store backs the session, its residency and on-disk occupancy, and the
+// store backs the session, its record traffic and on-disk occupancy, and the
 // last compaction. Counters are cumulative since the store was opened.
 type storeDebug struct {
-	// Persistent is false when the server runs memory-only (no -store-dir);
-	// every other field is zero then.
+	// Persistent is true when a store is configured (-store-dir); the server
+	// runs memory-only otherwise, and every other field is zero.
 	Persistent bool        `json:"persistent"`
 	Stats      store.Stats `json:"stats"`
 	// ArtifactStoreHits is the number of artifacts the session's last
@@ -64,7 +64,7 @@ type storeDebug struct {
 
 func (s *Server) handleDebugStore(w http.ResponseWriter, r *http.Request) {
 	var d storeDebug
-	if st := s.cfg.Store; st != nil && st.Persistent() {
+	if st := s.cfg.Store; st != nil {
 		d.Persistent = true
 		d.Stats = st.Stat()
 		s.tenants.View(store.DefaultProject, func(sess *core.Session) {

@@ -60,7 +60,7 @@ func TestV1Aliases(t *testing.T) {
 // TestServeStoreWarmRestart drives the persistent store through the HTTP
 // surface: a second server process on the same store directory answers its
 // first request from warm-loaded artifacts, with identical reports, and
-// /v1/debug/store reports the residency.
+// /v1/debug/store reports its occupancy.
 func TestServeStoreWarmRestart(t *testing.T) {
 	units := unitsToJSON(exampleUnits(t))
 	dir := t.TempDir()

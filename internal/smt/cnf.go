@@ -5,11 +5,6 @@ package smt
 // Theory atoms (equalities, inequalities, boolean variables, boolean-sorted
 // applications) become SAT variables whose meaning the theory layer checks.
 
-// atomInfo records the theory atom a SAT variable stands for.
-type atomInfo struct {
-	term *Term
-}
-
 // cnfEncoder maps boolean structure to clauses and atoms to SAT variables.
 type cnfEncoder struct {
 	sat   *SATSolver

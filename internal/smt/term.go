@@ -158,9 +158,6 @@ func NewTermBuilder() *TermBuilder {
 	return tb
 }
 
-// NumTerms returns the number of distinct terms created.
-func (tb *TermBuilder) NumTerms() int { return tb.nextID }
-
 // Reset drops every interned term and restarts ID allocation, keeping the
 // backing table for reuse. A reset builder interns terms with exactly the
 // same IDs a fresh builder would — term-ID-sensitive canonicalization

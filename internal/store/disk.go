@@ -2,7 +2,6 @@ package store
 
 import (
 	"bufio"
-	"container/list"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -43,32 +42,25 @@ const maxRecLen = 1 << 30
 
 // DiskOptions configures a DiskStore.
 type DiskOptions struct {
-	// MaxResidentBytes bounds the in-memory residency layer (the LRU
-	// cache of record bytes served without touching the file). 0 means
-	// the default of 256 MiB; negative means unbounded.
-	MaxResidentBytes int64
 	// Obs, when non-nil, receives store.* counters and gauges.
 	Obs *obs.Recorder
 }
 
-const defaultMaxResidentBytes = 256 << 20
-
-// DiskStore is the persistent Store: an append-only checksummed log with
-// read-on-demand loading and a size-bounded residency layer.
+// DiskStore is the persistent Store: an append-only checksummed log with an
+// in-memory index of where each key's latest record lies. Nothing is kept
+// of the records themselves — the session reads each of a project's few
+// segment keys once per process, so a Get is one checksummed read of the
+// file.
 type DiskStore struct {
 	dir string
 	rec *obs.Recorder
 
-	mu      sync.Mutex
-	f       *os.File
-	size    int64 // committed file size (append offset)
-	index   map[string]indexEntry
-	res     map[string]*list.Element // residency: key -> LRU element
-	lru     *list.List               // front = most recent; values are *resEntry
-	resSize int64
-	maxRes  int64
-	stats   Stats
-	closed  bool
+	mu     sync.Mutex
+	f      *os.File
+	size   int64 // committed file size (append offset)
+	index  map[string]indexEntry
+	stats  Stats
+	closed bool
 }
 
 type indexEntry struct {
@@ -79,10 +71,7 @@ type indexEntry struct {
 	crc    uint32
 }
 
-type resEntry struct {
-	key string
-	val []byte
-}
+func indexKey(ns, key string) string { return ns + "\x00" + key }
 
 // LogPath returns the path of the store's backing log inside dir.
 func LogPath(dir string) string { return filepath.Join(dir, "store.log") }
@@ -94,22 +83,7 @@ func Open(dir string, opts DiskOptions) (*DiskStore, error) {
 	if err := os.MkdirAll(dir, 0o777); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	maxRes := opts.MaxResidentBytes
-	switch {
-	case maxRes == 0:
-		maxRes = defaultMaxResidentBytes
-	case maxRes < 0:
-		maxRes = 0 // unbounded
-	}
-	s := &DiskStore{
-		dir:    dir,
-		rec:    opts.Obs,
-		index:  make(map[string]indexEntry),
-		res:    make(map[string]*list.Element),
-		lru:    list.New(),
-		maxRes: maxRes,
-	}
-	s.stats.MaxResidentBytes = maxRes
+	s := &DiskStore{dir: dir, rec: opts.Obs, index: make(map[string]indexEntry)}
 	if err := s.openAndScan(); err != nil {
 		return nil, err
 	}
@@ -180,7 +154,7 @@ func (s *DiskStore) openAndScan() error {
 		}
 		ns := string(buf[:nsLen])
 		key := string(buf[nsLen : nsLen+keyLen])
-		k := memKey(ns, key)
+		k := indexKey(ns, key)
 		if _, ok := s.index[k]; !ok {
 			s.stats.Records++
 		}
@@ -203,29 +177,17 @@ func (s *DiskStore) openAndScan() error {
 	return nil
 }
 
-// Persistent implements Store.
-func (s *DiskStore) Persistent() bool { return true }
-
-// Dir returns the store's root directory.
-func (s *DiskStore) Dir() string { return s.dir }
-
-// Get implements Store: residency layer first, then a read-on-demand load
-// from the log with checksum verification. A record failing its checksum
-// is dropped from the index and reported as a miss, so callers fall back
-// to rebuilding — corrupted state can never produce wrong output.
+// Get implements Store: an index lookup, then one read of the record from
+// the log with checksum verification. A record failing its checksum is
+// dropped from the index and reported as a miss, so callers fall back to
+// rebuilding — corrupted state can never produce wrong output.
 func (s *DiskStore) Get(ns, key string) ([]byte, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil, false, errors.New("store: closed")
 	}
-	k := memKey(ns, key)
-	if el, ok := s.res[k]; ok {
-		s.lru.MoveToFront(el)
-		s.stats.Hits++
-		s.count("store.hits")
-		return el.Value.(*resEntry).val, true, nil
-	}
+	k := indexKey(ns, key)
 	ent, ok := s.index[k]
 	if !ok {
 		s.stats.Misses++
@@ -246,10 +208,11 @@ func (s *DiskStore) Get(ns, key string) ([]byte, bool, error) {
 	}
 	s.stats.Hits++
 	s.count("store.hits")
-	s.admitLocked(k, val)
 	return val, true, nil
 }
 
+// readRecordLocked reads and verifies one record; the value it returns is
+// part of the buffer it read into.
 func (s *DiskStore) readRecordLocked(ns, key string, ent indexEntry) ([]byte, error) {
 	payload := ent.nsLen + ent.keyLen + ent.valLen
 	buf := make([]byte, recHeaderLen+payload+4)
@@ -268,9 +231,7 @@ func (s *DiskStore) readRecordLocked(ns, key string, ent indexEntry) ([]byte, er
 	if string(body[:ent.nsLen]) != ns || string(body[ent.nsLen:ent.nsLen+ent.keyLen]) != key {
 		return nil, errors.New("store: record key mismatch")
 	}
-	val := make([]byte, ent.valLen)
-	copy(val, body[ent.nsLen+ent.keyLen:])
-	return val, nil
+	return body[ent.nsLen+ent.keyLen:], nil
 }
 
 // Put implements Store. Identical re-puts are deduplicated without any
@@ -281,8 +242,10 @@ func (s *DiskStore) Put(ns, key string, val []byte) error {
 	if s.closed {
 		return errors.New("store: closed")
 	}
-	k := memKey(ns, key)
-	crc := crc32.ChecksumIEEE(joinPayload(ns, key, val))
+	k := indexKey(ns, key)
+	crc := crc32.ChecksumIEEE([]byte(ns))
+	crc = crc32.Update(crc, crc32.IEEETable, []byte(key))
+	crc = crc32.Update(crc, crc32.IEEETable, val)
 	if ent, ok := s.index[k]; ok && ent.valLen == len(val) && ent.crc == crc {
 		s.stats.DedupedPuts++
 		return nil
@@ -297,19 +260,8 @@ func (s *DiskStore) Put(ns, key string, val []byte) error {
 	s.index[k] = indexEntry{off: off, nsLen: len(ns), keyLen: len(key), valLen: len(val), crc: crc}
 	s.stats.Puts++
 	s.count("store.puts")
-	cp := make([]byte, len(val))
-	copy(cp, val)
-	s.admitLocked(k, cp)
 	s.publish()
 	return nil
-}
-
-func joinPayload(ns, key string, val []byte) []byte {
-	out := make([]byte, 0, len(ns)+len(key)+len(val))
-	out = append(out, ns...)
-	out = append(out, key...)
-	out = append(out, val...)
-	return out
 }
 
 func (s *DiskStore) appendLocked(ns, key string, val []byte, crc uint32) (int64, error) {
@@ -334,43 +286,11 @@ func (s *DiskStore) appendLocked(ns, key string, val []byte, crc uint32) (int64,
 	return off, nil
 }
 
-// admitLocked inserts val into the residency layer, evicting LRU entries
-// until the footprint fits the bound.
-func (s *DiskStore) admitLocked(k string, val []byte) {
-	if el, ok := s.res[k]; ok {
-		s.resSize -= int64(len(el.Value.(*resEntry).val))
-		el.Value.(*resEntry).val = val
-		s.resSize += int64(len(val))
-		s.lru.MoveToFront(el)
-	} else {
-		if s.maxRes > 0 && int64(len(val)) > s.maxRes {
-			// Larger than the whole budget: serve it but never cache it.
-			s.stats.ResidentBytes = s.resSize
-			return
-		}
-		s.res[k] = s.lru.PushFront(&resEntry{key: k, val: val})
-		s.resSize += int64(len(val))
-	}
-	if s.maxRes > 0 {
-		for s.resSize > s.maxRes && s.lru.Len() > 0 {
-			el := s.lru.Back()
-			ent := el.Value.(*resEntry)
-			s.lru.Remove(el)
-			delete(s.res, ent.key)
-			s.resSize -= int64(len(ent.val))
-			s.stats.Evictions++
-			s.count("store.evictions")
-		}
-	}
-	s.stats.ResidentBytes = s.resSize
-}
-
 // Stat implements Store.
 func (s *DiskStore) Stat() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.stats
-	st.ResidentBytes = s.resSize
 	st.DiskBytes = s.size
 	return st
 }
@@ -497,8 +417,6 @@ func (s *DiskStore) publish() {
 	if s.rec == nil {
 		return
 	}
-	st := s.stats
-	st.ResidentBytes = s.resSize
-	st.DiskBytes = s.size
-	publish(s.rec, st)
+	s.rec.Gauge("store.records").Set(int64(s.stats.Records))
+	s.rec.Gauge("store.disk_bytes").Set(s.size)
 }

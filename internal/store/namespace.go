@@ -18,8 +18,7 @@ const DefaultProject = "default"
 // (the tenant layer accepts only [A-Za-z0-9._-], which cannot contain the
 // '/' separator, so distinct projects always produce distinct prefixes).
 //
-// The view shares the underlying store's counters, residency layer, and
-// lifetime: Stat and Compact pass through, and Close is a no-op — the
+// The view shares the underlying store's counters and lifetime: Stat and Compact pass through, and Close is a no-op — the
 // owner of the underlying store closes it once, not once per project.
 func Namespaced(st Store, project string) Store {
 	if st == nil || project == "" || project == DefaultProject {
@@ -46,5 +45,3 @@ func (n *nsStore) Compact() error { return n.st.Compact() }
 
 // Close is a no-op: the namespaced view does not own the underlying store.
 func (n *nsStore) Close() error { return nil }
-
-func (n *nsStore) Persistent() bool { return n.st.Persistent() }

@@ -73,9 +73,6 @@ func TestNamespacedIsolation(t *testing.T) {
 	if _, ok, err := beta.Get(NSArtifact, "k"); err != nil || !ok {
 		t.Fatalf("store unusable after closing a namespaced view: ok=%v err=%v", ok, err)
 	}
-	if !alpha.Persistent() || !beta.Persistent() {
-		t.Error("namespaced views lost the Persistent capability")
-	}
 }
 
 // Namespaced records survive a reopen under the same prefix — the warm

@@ -8,20 +8,14 @@
 // the same key supersedes the old one (last writer wins, reclaimed by
 // Compact).
 //
-// Two implementations exist:
-//
-//   - MemStore: a process-local map. Persistent() is false, which tells
-//     clients that records cannot outlive the process; the session then
-//     skips the encode/decode round-trip entirely and behaves exactly
-//     like the historical memory-only code path.
-//   - DiskStore: an append-only checksummed log with an in-memory index,
-//     read-on-demand record loading, a size-bounded LRU residency layer,
-//     and atomic (write-temp-then-rename) compaction.
+// DiskStore is the implementation: an append-only checksummed log with an
+// in-memory index, read-on-demand record loading, and atomic
+// (write-temp-then-rename) compaction. Namespaced and the tenant layer's
+// cost attribution wrap it in views. A nil Store means memory-only at every
+// layer: nothing is encoded and nothing outlives the process.
 //
 // All implementations are safe for concurrent use.
 package store
-
-import "repro/internal/obs"
 
 // NSArtifact is the namespace of encoded per-function build artifacts, keyed
 // by program-shape fingerprint + AST hash. A Store treats namespaces as
@@ -39,9 +33,6 @@ type Stats struct {
 	// because the key already held byte-identical content.
 	Puts        int64 `json:"puts"`
 	DedupedPuts int64 `json:"dedupedPuts"`
-	// Evictions counts residency-layer evictions (the record stays on
-	// disk; only the cached bytes are dropped).
-	Evictions int64 `json:"evictions"`
 	// CorruptRecords counts records rejected by checksum or framing
 	// validation, at open or at read time.
 	CorruptRecords int64 `json:"corruptRecords"`
@@ -51,11 +42,7 @@ type Stats struct {
 	LastCompactUnixNano int64 `json:"lastCompactUnixNano"`
 	// Records is the live (indexed) record count.
 	Records int `json:"records"`
-	// ResidentBytes is the current residency-layer footprint;
-	// MaxResidentBytes is its configured bound (0 = unbounded).
-	ResidentBytes    int64 `json:"residentBytes"`
-	MaxResidentBytes int64 `json:"maxResidentBytes"`
-	// DiskBytes is the backing file size (0 for MemStore).
+	// DiskBytes is the backing file size.
 	DiskBytes int64 `json:"diskBytes"`
 }
 
@@ -75,18 +62,4 @@ type Store interface {
 	// Close flushes and releases resources. The store must not be used
 	// afterwards.
 	Close() error
-	// Persistent reports whether records survive process exit. Clients
-	// use this to skip encode/decode work that could never pay off.
-	Persistent() bool
-}
-
-// counters mirrors Stats into an obs.Recorder so /metrics exposes
-// residency and compaction behavior. A nil recorder is a no-op.
-func publish(rec *obs.Recorder, s Stats) {
-	if rec == nil {
-		return
-	}
-	rec.Gauge("store.records").Set(int64(s.Records))
-	rec.Gauge("store.resident_bytes").Set(s.ResidentBytes)
-	rec.Gauge("store.disk_bytes").Set(s.DiskBytes)
 }

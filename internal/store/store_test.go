@@ -8,53 +8,11 @@ import (
 	"testing"
 )
 
-func TestMemStoreRoundTrip(t *testing.T) {
-	s := NewMem()
-	if s.Persistent() {
-		t.Fatal("MemStore must report Persistent() == false")
-	}
-	if _, ok, err := s.Get(NSArtifact, "k"); err != nil || ok {
-		t.Fatalf("empty Get = ok=%v err=%v", ok, err)
-	}
-	if err := s.Put(NSArtifact, "k", []byte("hello")); err != nil {
-		t.Fatal(err)
-	}
-	v, ok, err := s.Get(NSArtifact, "k")
-	if err != nil || !ok || string(v) != "hello" {
-		t.Fatalf("Get = %q ok=%v err=%v", v, ok, err)
-	}
-	// Namespaces do not collide.
-	if _, ok, _ := s.Get("other", "k"); ok {
-		t.Fatal("namespace collision")
-	}
-	// Identical re-put dedups; changed content supersedes.
-	if err := s.Put(NSArtifact, "k", []byte("hello")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put(NSArtifact, "k", []byte("world!")); err != nil {
-		t.Fatal(err)
-	}
-	v, _, _ = s.Get(NSArtifact, "k")
-	if string(v) != "world!" {
-		t.Fatalf("superseded Get = %q", v)
-	}
-	st := s.Stat()
-	if st.Records != 1 || st.DedupedPuts != 1 || st.Puts != 2 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if st.ResidentBytes != int64(len("world!")) {
-		t.Fatalf("ResidentBytes = %d", st.ResidentBytes)
-	}
-}
-
 func TestDiskStoreRoundTripAndReopen(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, DiskOptions{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !s.Persistent() {
-		t.Fatal("DiskStore must report Persistent() == true")
 	}
 	vals := map[string][]byte{}
 	for i := 0; i < 20; i++ {
@@ -100,49 +58,6 @@ func TestDiskStoreRoundTripAndReopen(t *testing.T) {
 		if err != nil || !ok || !bytes.Equal(got, want) {
 			t.Fatalf("reopen Get(%s) = %q ok=%v err=%v, want %q", k, got, ok, err, want)
 		}
-	}
-}
-
-func TestDiskStoreResidencyBound(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, DiskOptions{MaxResidentBytes: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	for i := 0; i < 10; i++ {
-		if err := s.Put(NSArtifact, fmt.Sprintf("k%d", i), bytes.Repeat([]byte{byte(i)}, 300)); err != nil {
-			t.Fatal(err)
-		}
-		if st := s.Stat(); st.ResidentBytes > 1000 {
-			t.Fatalf("resident %d exceeds bound after put %d", st.ResidentBytes, i)
-		}
-	}
-	st := s.Stat()
-	if st.Evictions == 0 {
-		t.Fatalf("expected evictions, stats = %+v", st)
-	}
-	// Evicted records are still readable from disk, and reads keep the
-	// residency layer within its bound.
-	for i := 0; i < 10; i++ {
-		k := fmt.Sprintf("k%d", i)
-		v, ok, err := s.Get(NSArtifact, k)
-		if err != nil || !ok || len(v) != 300 || v[0] != byte(i) {
-			t.Fatalf("Get(%s) = len %d ok=%v err=%v", k, len(v), ok, err)
-		}
-		if st := s.Stat(); st.ResidentBytes > 1000 {
-			t.Fatalf("resident %d exceeds bound after get %s", st.ResidentBytes, k)
-		}
-	}
-	// A value larger than the whole budget is served but never cached.
-	if err := s.Put(NSArtifact, "huge", make([]byte, 2000)); err != nil {
-		t.Fatal(err)
-	}
-	if st := s.Stat(); st.ResidentBytes > 1000 {
-		t.Fatalf("resident %d exceeds bound after oversized put", st.ResidentBytes)
-	}
-	if v, ok, _ := s.Get(NSArtifact, "huge"); !ok || len(v) != 2000 {
-		t.Fatalf("oversized Get = len %d ok=%v", len(v), ok)
 	}
 }
 
@@ -250,7 +165,7 @@ func TestDiskStoreBitFlip(t *testing.T) {
 
 func TestDiskStoreGetTimeCorruption(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, DiskOptions{MaxResidentBytes: -1})
+	s, err := Open(dir, DiskOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,15 +173,7 @@ func TestDiskStoreGetTimeCorruption(t *testing.T) {
 	if err := s.Put(NSArtifact, "a", bytes.Repeat([]byte("z"), 64)); err != nil {
 		t.Fatal(err)
 	}
-	// Drop residency so the next Get must hit the file, then corrupt the
-	// record behind the store's back.
-	s.mu.Lock()
-	for k, el := range s.res {
-		s.lru.Remove(el)
-		delete(s.res, k)
-	}
-	s.resSize = 0
-	s.mu.Unlock()
+	// Corrupt the record behind the store's back.
 	data, err := os.ReadFile(LogPath(dir))
 	if err != nil {
 		t.Fatal(err)
@@ -349,7 +256,7 @@ func TestDiskStoreCompact(t *testing.T) {
 
 func TestDiskStoreConcurrent(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, DiskOptions{MaxResidentBytes: 2048})
+	s, err := Open(dir, DiskOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -185,14 +185,6 @@ func (m *Manager) costLocked(project string) *Cost {
 	return c
 }
 
-// Cost returns project's ledger for out-of-band accounting (the server
-// records request costs through the Handle instead).
-func (m *Manager) Cost(project string) *Cost {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.costLocked(Canonical(project))
-}
-
 // Costs reports every project's ledger — resident or evicted — ranked by
 // attributed CPU.
 func (m *Manager) Costs() CostReport {

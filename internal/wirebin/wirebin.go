@@ -1,20 +1,23 @@
 // Package wirebin provides a minimal append-style binary codec for the
-// persistent artifact store's wire structs.
+// persistent artifact store.
 //
-// The artifact wire forms (ir.FuncWire, pta.ResultWire, ...) are flat
-// records of varints, strings, and int32 slices. encoding/gob handles them
-// correctly but pays for generality twice on every decode: reflective
-// struct walking (decodeStruct/decodeArrayHelper dominate warm-restart
-// profiles) and per-field allocation. A hand-rolled length-prefixed layout
-// decodes the same data with a linear buffer scan and no reflection, which
-// on the bench subject cuts artifact decode time by several-fold — the
-// difference between a warm restart beating a cold build and losing to it.
+// A build artifact is flat data — varints, strings, lists of dense IDs — and
+// the per-package codecs (cond, ir, ssa, pta, seg) write and read it field by
+// field, straight from and into the analysis objects: a length-prefixed
+// layout decodes with one linear scan of the buffer, no reflection and no
+// intermediate representation.
 //
 // Encoding conventions:
 //   - ints and int32s are zig-zag varints (negative sentinels like -1 stay
 //     one byte);
 //   - strings and slices carry a uvarint length prefix;
 //   - enums (uint8 kinds/ops/roles) are single raw bytes;
+//   - a frame is a u32 byte count followed by that many bytes, read through
+//     a Reader of its own, so a reader can step over a frame whose content
+//     it rejects;
+//   - a symbol is a string that repeats within a frame (type names, file
+//     names, callee names): its first occurrence defines the next index of
+//     the frame's table inline, later ones are the index alone;
 //   - there is no embedded type information — readers must consume fields
 //     in exactly the order writers appended them, and callers version the
 //     overall stream.
@@ -34,6 +37,9 @@ import (
 // Writer accumulates an encoded stream in B.
 type Writer struct {
 	B []byte
+	// syms is the open frame's symbol table: 1 + the index of each symbol
+	// written so far.
+	syms map[string]uint64
 }
 
 // Uvarint appends an unsigned varint.
@@ -66,28 +72,47 @@ func (w *Writer) Str(s string) {
 	w.B = append(w.B, s...)
 }
 
-// I32s appends a length-prefixed []int32.
-func (w *Writer) I32s(v []int32) {
-	w.Uvarint(uint64(len(v)))
-	for _, x := range v {
-		w.I32(x)
+// Sym appends a symbol: 0 for the empty string, else 1 + its index in the
+// frame's table, followed by the string itself when this is the occurrence
+// that defines the index.
+func (w *Writer) Sym(s string) {
+	if s == "" {
+		w.Uvarint(0)
+		return
 	}
+	if id, ok := w.syms[s]; ok {
+		w.Uvarint(id)
+		return
+	}
+	if w.syms == nil {
+		w.syms = make(map[string]uint64)
+	}
+	id := uint64(len(w.syms)) + 1
+	w.syms[s] = id
+	w.Uvarint(id)
+	w.Str(s)
 }
 
-// Strs appends a length-prefixed []string.
-func (w *Writer) Strs(v []string) {
-	w.Uvarint(uint64(len(v)))
-	for _, s := range v {
-		w.Str(s)
-	}
+// Begin opens a frame — its byte count is filled in by End — with an empty
+// symbol table, and returns the offset End needs. Frames do not nest.
+func (w *Writer) Begin() int {
+	clear(w.syms)
+	w.B = append(w.B, 0, 0, 0, 0)
+	return len(w.B)
+}
+
+// End closes the frame Begin opened at start.
+func (w *Writer) End(start int) {
+	binary.LittleEndian.PutUint32(w.B[start-4:], uint32(len(w.B)-start))
 }
 
 // Reader consumes a stream produced by Writer. The zero Reader over a byte
 // slice is ready to use; construct with NewReader.
 type Reader struct {
-	b   []byte
-	off int
-	err error
+	b    []byte
+	off  int
+	err  error
+	syms []string // the symbols defined so far
 }
 
 // NewReader returns a Reader over b. The Reader does not copy b; strings
@@ -96,6 +121,15 @@ func NewReader(b []byte) *Reader { return &Reader{b: b} }
 
 // Err returns the first decode error, or nil.
 func (r *Reader) Err() error { return r.err }
+
+// Errorf returns the stream's error when it has one — everything read since
+// is zeros, not content to blame — and the described error otherwise.
+func (r *Reader) Errorf(format string, args ...any) error {
+	if r.err != nil {
+		return r.err
+	}
+	return fmt.Errorf(format, args...)
+}
 
 // Rest returns the number of unconsumed bytes.
 func (r *Reader) Rest() int { return len(r.b) - r.off }
@@ -191,34 +225,40 @@ func (r *Reader) Str() string {
 	return s
 }
 
-// I32s reads a length-prefixed []int32, returning nil for length zero.
-func (r *Reader) I32s() []int32 {
-	n := r.Len()
-	if r.err != nil || n == 0 {
-		return nil
+// Sym reads a symbol. An index past the next one to be defined is an error.
+func (r *Reader) Sym() string {
+	id := r.Uvarint()
+	switch {
+	case r.err != nil || id == 0:
+		return ""
+	case id <= uint64(len(r.syms)):
+		return r.syms[id-1]
+	case id == uint64(len(r.syms))+1:
+		s := r.Str()
+		r.syms = append(r.syms, s)
+		return s
 	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = r.I32()
-	}
-	if r.err != nil {
-		return nil
-	}
-	return out
+	r.fail("bad symbol index %d of %d", id-1, len(r.syms))
+	return ""
 }
 
-// Strs reads a length-prefixed []string, returning nil for length zero.
-func (r *Reader) Strs() []string {
-	n := r.Len()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]string, n)
-	for i := range out {
-		out[i] = r.Str()
+// Frame reads a frame's byte count and returns a Reader over its content,
+// leaving r just past it. Errors inside the frame are the frame Reader's,
+// not r's; a count exceeding the input is r's, and the returned Reader is
+// then empty.
+func (r *Reader) Frame() *Reader {
+	if r.err == nil && len(r.b)-r.off < 4 {
+		r.fail("unexpected end of input")
 	}
 	if r.err != nil {
-		return nil
+		return &Reader{err: r.err}
 	}
-	return out
+	n := binary.LittleEndian.Uint32(r.b[r.off:])
+	r.off += 4
+	if uint64(n) > uint64(len(r.b)-r.off) {
+		r.fail("frame of %d bytes exceeds %d remaining", n, len(r.b)-r.off)
+		return &Reader{err: r.err}
+	}
+	r.off += int(n)
+	return &Reader{b: r.b[r.off-int(n) : r.off]}
 }

@@ -1,9 +1,6 @@
 package wirebin
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
 func TestRoundTrip(t *testing.T) {
 	var w Writer
@@ -18,9 +15,9 @@ func TestRoundTrip(t *testing.T) {
 	w.Bool(false)
 	w.Str("")
 	w.Str("hello, wire")
-	w.I32s(nil)
-	w.I32s([]int32{-1, 0, 7})
-	w.Strs([]string{"a", "", "bc"})
+	for _, sym := range []string{"a", "", "bc", "a", "bc"} {
+		w.Sym(sym)
+	}
 
 	r := NewReader(w.B)
 	if got := r.Uvarint(); got != 0 {
@@ -56,14 +53,10 @@ func TestRoundTrip(t *testing.T) {
 	if got := r.Str(); got != "hello, wire" {
 		t.Errorf("str: got %q", got)
 	}
-	if got := r.I32s(); got != nil {
-		t.Errorf("i32s: got %v", got)
-	}
-	if got := r.I32s(); !reflect.DeepEqual(got, []int32{-1, 0, 7}) {
-		t.Errorf("i32s: got %v", got)
-	}
-	if got := r.Strs(); !reflect.DeepEqual(got, []string{"a", "", "bc"}) {
-		t.Errorf("strs: got %v", got)
+	for _, want := range []string{"a", "", "bc", "a", "bc"} {
+		if got := r.Sym(); got != want {
+			t.Errorf("sym: got %q, want %q", got, want)
+		}
 	}
 	if err := r.Err(); err != nil {
 		t.Fatalf("err: %v", err)
@@ -76,12 +69,12 @@ func TestRoundTrip(t *testing.T) {
 func TestTruncation(t *testing.T) {
 	var w Writer
 	w.Str("some payload that will be cut")
-	w.I32s([]int32{1, 2, 3})
+	w.I32(1 << 20)
 	full := w.B
 	for cut := 0; cut < len(full); cut++ {
 		r := NewReader(full[:cut])
 		r.Str()
-		r.I32s()
+		r.I32()
 		if r.Err() == nil {
 			t.Fatalf("truncation at %d of %d not detected", cut, len(full))
 		}
@@ -113,5 +106,50 @@ func TestStickyError(t *testing.T) {
 	}
 	if r.Err() != first {
 		t.Errorf("error replaced: %v", r.Err())
+	}
+}
+
+// Frames are read through a Reader of their own: the outer Reader steps over
+// a frame whatever its content, a frame starts with an empty symbol table,
+// and a frame longer than the input is the outer Reader's error.
+func TestFrames(t *testing.T) {
+	var w Writer
+	at := w.Begin()
+	w.Sym("x")
+	w.Sym("y")
+	w.End(at)
+	at = w.Begin()
+	w.Sym("y") // index 0 again: the table does not outlive a frame
+	w.End(at)
+	w.Int(7)
+
+	r := NewReader(w.B)
+	first, second := r.Frame(), r.Frame()
+	if got := r.Int(); got != 7 || r.Err() != nil || r.Rest() != 0 {
+		t.Fatalf("after two frames: %d, %v, %d bytes left", got, r.Err(), r.Rest())
+	}
+	if first.Sym() != "x" || first.Sym() != "y" || first.Rest() != 0 || first.Err() != nil {
+		t.Errorf("first frame: %v", first.Err())
+	}
+	first.U8() // past the frame's end, not into the next frame
+	if first.Err() == nil || r.Err() != nil {
+		t.Errorf("reading past a frame: frame error %v, outer error %v", first.Err(), r.Err())
+	}
+	if got := second.Sym(); got != "y" || second.Err() != nil {
+		t.Errorf("second frame: %q, %v", got, second.Err())
+	}
+
+	undefined := NewReader([]byte{3}) // symbol index 2 of an empty table
+	if undefined.Sym(); undefined.Err() == nil {
+		t.Error("undefined symbol index accepted")
+	}
+	for cut := 0; cut < len(w.B)-1; cut++ {
+		r := NewReader(w.B[:cut])
+		r.Frame()
+		r.Frame()
+		r.Int()
+		if r.Err() == nil {
+			t.Fatalf("truncation at %d of %d not detected", cut, len(w.B))
+		}
 	}
 }

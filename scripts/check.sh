@@ -2,8 +2,8 @@
 # Tier-1 verification in one command: formatting, vet, build, tests (with
 # the race detector — the parallel detection scheduler's determinism tests
 # run under it, and cmd/pinpoint's process-level test builds and drives the
-# real binary), the allocation budgets without it, the benchmark module, and
-# the examples suite.
+# real binary), the allocation budgets without it, a short fuzz of the
+# artifact decoder, the benchmark module, and the examples suite.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -28,6 +28,12 @@ go test -race ./...
 # allocates shadow state of its own), so they get a run without it.
 echo "== allocation budgets (no race detector)"
 go test ./internal/core -run 'Budget'
+
+# Ten seconds of new inputs on top of the committed corpus. The minimizer is
+# held to a second: its default budget per interesting input is longer than
+# this whole step.
+echo "== fuzz the artifact decoder (10s)"
+go test ./internal/core -run '^$' -fuzz FuzzDecodeSegment -fuzztime 10s -fuzzminimizetime 1s
 
 # The nested benchmark module is outside ./...: vet and test it here, so a
 # change that breaks the surface it compiles against fails tier-1.
