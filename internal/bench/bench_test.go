@@ -212,3 +212,24 @@ func TestDepthSweep(t *testing.T) {
 		t.Fatal("empty render")
 	}
 }
+
+// TestBaselineBudgetBoundary justifies defaultSVFPTAWork and defaultSVFEdges:
+// at the default scale they put the layered baseline's timeout between the
+// two subjects on either side of the paper's ">135 KLoC times out" line, so
+// it finishes on gcc (135 paper-KLoC) and gives up on git (185).
+func TestBaselineBudgetBoundary(t *testing.T) {
+	for _, c := range []struct {
+		subject  string
+		timedOut bool
+	}{{"gcc", false}, {"git", true}} {
+		s, _ := workload.SubjectByName(c.subject)
+		run, err := RunSubject(s, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run.SVFTimedOut != c.timedOut {
+			t.Errorf("%s (%d paper-KLoC, %d FSVFG edges): baseline timed out = %v, want %v",
+				c.subject, s.PaperKLoC, run.SVFEdges, run.SVFTimedOut, c.timedOut)
+		}
+	}
+}

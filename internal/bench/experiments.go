@@ -17,7 +17,7 @@ type Config struct {
 	Scale int
 	// SVFPTAWorkBudget / SVFEdgeBudget are the layered baseline's
 	// timeout analogues (defaults reproduce the paper's ">135 KLoC times
-	// out" boundary at the default scale; see DESIGN.md).
+	// out" boundary at the default scale; TestBaselineBudgetBoundary).
 	SVFPTAWorkBudget int
 	SVFEdgeBudget    int
 	// SVFCheckWorkBudget bounds the baseline's reachability phase.
@@ -54,7 +54,8 @@ func (c Config) withDefaults() Config {
 // timeout threshold falls between gcc (135 paper-KLoC: Andersen work 6.6k,
 // 6.5k FSVFG edges — finishes) and git (185 paper-KLoC: 11k work, 10k
 // edges — times out), reproducing Table 1's NA boundary and Figure 7's
-// ">135 KLoC times out" shape.
+// ">135 KLoC times out" shape; TestBaselineBudgetBoundary fails when they
+// stop doing so.
 const (
 	defaultSVFPTAWork   = 9_000
 	defaultSVFEdges     = 8_000

@@ -182,7 +182,6 @@ func smtObserver(rec *obs.Recorder) func(smt.CheckInfo) {
 	return func(ci smt.CheckInfo) {
 		rec.Counter("smt.decisions").Add(ci.Decisions)
 		rec.Counter("smt.conflicts").Add(ci.Conflicts)
-		rec.Counter("smt.learned").Add(ci.Learned)
 		rec.Counter("smt.theory_conflicts").Add(ci.TheoryConflicts)
 		rec.Counter("smt.result." + ci.Result.String()).Inc()
 	}

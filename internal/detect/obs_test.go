@@ -7,8 +7,11 @@ import (
 	"testing"
 
 	"repro/internal/checkers"
+	"repro/internal/core"
 	"repro/internal/detect"
+	"repro/internal/minic"
 	"repro/internal/obs"
+	"repro/internal/workload"
 )
 
 // TestCheckAllObsDeterminism is the observability-layer determinism
@@ -225,4 +228,56 @@ func TestCheckAllWorkerStats(t *testing.T) {
 	if total == 0 {
 		t.Fatal("no tasks attributed to any worker")
 	}
+}
+
+// TestSolverTraffic is the measurement behind the plain search in
+// internal/smt/sat.go, kept where it re-runs: what the benchmark's two kinds
+// of program ask of the solver is settled by unit propagation and one theory
+// check, with the search never opened (DESIGN.md, "SMT query elimination",
+// has the census this samples). The recorder's counters are totals over a
+// run, so the bound on a query — 8 decisions, twice the most any query in
+// the test suite takes — is held against each run's total: no query can
+// have taken more than all of them together. When the declarative workload
+// generator of ROADMAP item 2 makes this fail, measure again what reaches
+// the solver before touching the bound: a workload that searches is what
+// would justify a smarter search.
+func TestSolverTraffic(t *testing.T) {
+	const maxDecisions = 8
+	run := func(name string, units ...[]minic.NamedSource) {
+		rec := obs.New()
+		solved := 0
+		for _, u := range units {
+			a, err := core.BuildFromSource(u, core.BuildOptions{})
+			if err != nil {
+				t.Fatalf("%s: build: %v", name, err)
+			}
+			for _, cs := range a.CheckAll(checkers.All(), detect.Options{Obs: rec}).Checkers {
+				solved += cs.Stats.SMTSolved
+			}
+		}
+		c := rec.Snapshot().Counters
+		t.Logf("%s: %d solved, %d decisions, %d conflicts, %d theory conflicts, %d unsat",
+			name, solved, c["smt.decisions"], c["smt.conflicts"], c["smt.theory_conflicts"], c["smt.result.unsat"])
+		if solved == 0 {
+			t.Errorf("%s: no query reached the solver; the measurement is vacuous", name)
+		}
+		if c["smt.decisions"] > maxDecisions {
+			t.Errorf("%s: %d decisions over %d solved queries; a single query is allowed %d",
+				name, c["smt.decisions"], solved, maxDecisions)
+		}
+	}
+
+	// batch-ladder's program at the benchmark's smoke size (benchmark/inputs.go, r4k).
+	ladder := workload.Generate(
+		workload.Subject{Name: "ladder", Origin: "synthetic", PaperKLoC: 120, TrueBugs: 6, OpaqueTraps: 4},
+		workload.GenOptions{Scale: 30, Taint: true, Seed: 1})
+	run("ladder", ladder.Units)
+
+	// juliet-cold's programs: every fourteenth case, so all flaw types are in.
+	suite := workload.JulietSuite()
+	var cases [][]minic.NamedSource
+	for i := 0; i < 100; i++ {
+		cases = append(cases, suite[i*len(suite)/100].Units)
+	}
+	run("juliet", cases...)
 }

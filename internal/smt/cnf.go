@@ -94,22 +94,18 @@ func (e *cnfEncoder) varFor(t *Term) int {
 }
 
 // assert adds the clauses forcing t to hold.
-func (e *cnfEncoder) assert(t *Term) bool {
-	if t.IsTrue() {
-		return true
-	}
-	if t.IsFalse() {
-		return e.sat.AddClause() // empty clause: unsat
-	}
-	// Top-level conjunctions assert each conjunct directly — cheaper
-	// than forcing the proxy.
-	if t.Kind == TAnd {
+func (e *cnfEncoder) assert(t *Term) {
+	switch {
+	case t.IsTrue():
+	case t.IsFalse():
+		e.sat.AddClause() // empty clause: unsat
+	case t.Kind == TAnd:
+		// Top-level conjunctions assert each conjunct directly — cheaper
+		// than forcing the proxy.
 		for _, a := range t.Args {
-			if !e.assert(a) {
-				return false
-			}
+			e.assert(a)
 		}
-		return true
+	default:
+		e.sat.AddClause(e.lit(t))
 	}
-	return e.sat.AddClause(e.lit(t))
 }

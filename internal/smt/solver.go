@@ -1,7 +1,9 @@
 package smt
 
-// Lazy DPLL(T) driver tying the CDCL SAT core to the EUF and
-// difference-bound theory layers.
+// Lazy DPLL(T) driver: the propositional core (sat.go) proposes a full
+// assignment, the EUF and difference-bound layers check it, and a rejected
+// assignment comes back as a blocking clause until one is accepted or none
+// is left.
 
 import (
 	"sort"
@@ -37,11 +39,6 @@ type Solver struct {
 	TB  *TermBuilder
 	sat *SATSolver
 	enc *cnfEncoder
-	// trivially false when an Assert reduced to false
-	dead bool
-	// MaxRounds bounds the lazy theory-refinement loop.
-	MaxRounds int
-
 	// TheoryConflicts counts blocking clauses added by the theory layer.
 	TheoryConflicts int64
 	asserted        []*Term
@@ -60,27 +57,19 @@ type CheckInfo struct {
 	Duration        time.Duration
 	Decisions       int64
 	Conflicts       int64
-	Learned         int64
 	TheoryConflicts int64
 }
 
 // NewSolver returns an empty solver with a fresh TermBuilder.
 func NewSolver() *Solver {
 	sat := NewSATSolver()
-	return &Solver{
-		TB:        NewTermBuilder(),
-		sat:       sat,
-		enc:       newCNFEncoder(sat),
-		MaxRounds: 10000,
-	}
+	return &Solver{TB: NewTermBuilder(), sat: sat, enc: newCNFEncoder(sat)}
 }
 
 // Assert conjoins t to the formula.
 func (s *Solver) Assert(t *Term) {
 	s.asserted = append(s.asserted, t)
-	if !s.enc.assert(t) {
-		s.dead = true
-	}
+	s.enc.assert(t)
 }
 
 // Asserted returns the formulas asserted so far, in order. The returned
@@ -95,16 +84,9 @@ func (s *Solver) Reset() {
 	s.sat.Reset()
 	s.enc.reset()
 	s.TB.Reset()
-	s.dead = false
-	s.MaxRounds = 10000
 	s.TheoryConflicts = 0
 	s.asserted = s.asserted[:0]
 	s.Observer = nil
-}
-
-// Stats reports SAT-core counters: decisions, conflicts, learned clauses.
-func (s *Solver) Stats() (decisions, conflicts, learned int64) {
-	return s.sat.Decisions, s.sat.Conflicts, s.sat.Learned
 }
 
 // BoolModel returns the truth assignment of every boolean variable atom
@@ -130,27 +112,24 @@ func (s *Solver) Check() Result {
 		return s.check()
 	}
 	start := time.Now()
-	d0, c0, l0 := s.sat.Decisions, s.sat.Conflicts, s.sat.Learned
-	tc0 := s.TheoryConflicts
+	d0, c0, tc0 := s.sat.Decisions, s.sat.Conflicts, s.TheoryConflicts
 	res := s.check()
 	s.Observer(CheckInfo{
 		Result:          res,
 		Duration:        time.Since(start),
 		Decisions:       s.sat.Decisions - d0,
 		Conflicts:       s.sat.Conflicts - c0,
-		Learned:         s.sat.Learned - l0,
 		TheoryConflicts: s.TheoryConflicts - tc0,
 	})
 	return res
 }
 
+// maxRounds bounds the theory-refinement loop; Check answers Unknown past it.
+const maxRounds = 10000
+
 func (s *Solver) check() Result {
-	if s.dead {
-		return Unsat
-	}
-	for round := 0; round < s.MaxRounds; round++ {
-		ok, _ := s.sat.Solve()
-		if !ok {
+	for round := 0; round < maxRounds; round++ {
+		if !s.sat.Solve() {
 			return Unsat
 		}
 		conflictLits, consistent := s.theoryCheck()
@@ -158,13 +137,12 @@ func (s *Solver) check() Result {
 			return Sat
 		}
 		s.TheoryConflicts++
-		// Block this theory-inconsistent assignment.
-		var blocking []Lit
-		for _, l := range conflictLits {
-			blocking = append(blocking, l.Neg())
-		}
-		if len(blocking) == 0 {
-			return Unsat
+		// Block this theory-inconsistent assignment. AddClause undoes the
+		// search back to the root first, so the clause is judged against what
+		// the formula forces, not against the rejected model's decisions.
+		blocking := make([]Lit, len(conflictLits))
+		for i, l := range conflictLits {
+			blocking[i] = l.Neg()
 		}
 		if !s.sat.AddClause(blocking...) {
 			return Unsat
@@ -259,17 +237,4 @@ func (s *Solver) theoryCheck() ([]Lit, bool) {
 	// x - y <= 0 and y - x <= 0 for each merged pair. This is already
 	// covered above because TEq atoms feed both solvers.
 	return nil, true
-}
-
-// CheckCond is a convenience one-shot satisfiability query for a single
-// formula under a fresh solver sharing the TermBuilder of tb.
-func CheckCond(tb *TermBuilder, f *Term) Result {
-	s := &Solver{
-		TB:        tb,
-		sat:       NewSATSolver(),
-		MaxRounds: 10000,
-	}
-	s.enc = newCNFEncoder(s.sat)
-	s.Assert(f)
-	return s.Check()
 }

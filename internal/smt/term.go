@@ -7,9 +7,10 @@
 //   - formulas are hash-consed terms (this file), simplified by rewriting
 //     (simplify.go), and translated to CNF by the Tseitin transformation
 //     (cnf.go);
-//   - the propositional skeleton is decided by a CDCL SAT solver with
-//     two-watched-literal propagation, first-UIP clause learning, VSIDS
-//     branching, phase saving, and Luby restarts (sat.go);
+//   - the propositional skeleton is decided by two-watched-literal unit
+//     propagation under a plain depth-first search with chronological
+//     backtracking and a fixed branching order (sat.go) — the queries are
+//     a dozen variables and propagation settles nearly all of them;
 //   - full propositional models are checked against the theory of equality
 //     with uninterpreted functions (congruence closure, euf.go) combined
 //     with integer difference-bound reasoning (arith.go); theory conflicts

@@ -3,7 +3,8 @@
 # the race detector — the parallel detection scheduler's determinism tests
 # run under it, and cmd/pinpoint's process-level test builds and drives the
 # real binary), the allocation budgets without it, a short fuzz of the
-# artifact decoder, the benchmark module, and the examples suite.
+# artifact decoder and of the solver against enumeration, the benchmark
+# module, and the examples suite.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -34,6 +35,9 @@ go test ./internal/core -run 'Budget'
 # this whole step.
 echo "== fuzz the artifact decoder (10s)"
 go test ./internal/core -run '^$' -fuzz FuzzDecodeSegment -fuzztime 10s -fuzzminimizetime 1s
+
+echo "== fuzz the solver against enumeration (5s)"
+go test ./internal/smt -run '^$' -fuzz FuzzCheckVsEnumeration -fuzztime 5s -fuzzminimizetime 1s
 
 # The nested benchmark module is outside ./...: vet and test it here, so a
 # change that breaks the surface it compiles against fails tier-1.
