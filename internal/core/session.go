@@ -194,6 +194,23 @@ func (s *Session) ArtifactCount() int {
 // are currently cached.
 func (s *Session) UnitCount() int { return len(s.files) }
 
+// Source turns one unit's bytes into the strings Update takes. Where the
+// session already holds a unit of that name, it hands back its own name
+// string, and its own source string when the bytes equal it: a caller that
+// decodes units into a reused buffer then allocates only the sources that
+// changed, and Update's comparison of an unchanged unit is between one
+// string and itself.
+func (s *Session) Source(name, src []byte) minic.NamedSource {
+	pu := s.files[string(name)]
+	switch {
+	case pu == nil:
+		return minic.NamedSource{Name: string(name), Src: string(src)}
+	case pu.src == string(src):
+		return minic.NamedSource{Name: pu.name, Src: pu.src}
+	}
+	return minic.NamedSource{Name: pu.name, Src: string(src)}
+}
+
 // ArtifactFingerprint digests the committed per-function artifact
 // metadata (name, AST hash, summary/signature/dependency fingerprints)
 // in declaration order. Two sessions that analyzed the same program —

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strconv"
 	"time"
 
 	"repro/internal/cond"
@@ -264,11 +265,22 @@ func (e *encoder) valueTerm(inst int, v *ir.Value) *smt.Term {
 	case ir.VConstNull:
 		return tb.Int(0)
 	}
-	name := fmt.Sprintf("i%d.v%d", inst, v.ID)
+	name := varName(inst, 'v', v.ID)
 	if v.Type.Base == "bool" && v.Type.Ptr == 0 {
 		return tb.BoolVar(name)
 	}
 	return tb.IntVar(name)
+}
+
+// varName names the SMT variable of a value ('v') or an opaque atom ('a')
+// within a context instance: "i<inst>.v<id>".
+func varName(inst int, kind byte, id int) string {
+	var buf [24]byte
+	b := append(buf[:0], 'i')
+	b = strconv.AppendInt(b, int64(inst), 10)
+	b = append(b, '.', kind)
+	b = strconv.AppendInt(b, int64(id), 10)
+	return string(b)
 }
 
 // assertCond asserts a condition-DAG formula, translating atoms to boolean
@@ -295,7 +307,7 @@ func (e *encoder) condTerm(inst int, fn *ir.Func, c *cond.Cond) *smt.Term {
 		v := e.prog.Info(fn).AtomValue[c.Atom()]
 		if v == nil {
 			// Unknown atom: opaque boolean.
-			return tb.BoolVar(fmt.Sprintf("i%d.a%d", inst, c.Atom()))
+			return tb.BoolVar(varName(inst, 'a', c.Atom()))
 		}
 		e.emitDD(inst, v)
 		t := e.valueTerm(inst, v)

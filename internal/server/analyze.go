@@ -5,16 +5,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"reflect"
 	"strings"
 	"time"
 
 	"repro/internal/checkers"
 	"repro/internal/conc"
 	"repro/internal/detect"
-	"repro/internal/minic"
 	"repro/internal/obs"
 	"repro/internal/tenant"
 )
@@ -81,7 +78,8 @@ type TimingJSON struct {
 	// TotalNs is wall time inside the analyze handler, from the first
 	// byte of body decoding to the assembled response.
 	TotalNs int64 `json:"totalNs"`
-	// DecodeNs is request-body JSON decoding.
+	// DecodeNs is request-body JSON decoding: reading and scanning the
+	// body, and turning the units it holds into strings.
 	DecodeNs int64 `json:"decodeNs"`
 	// QueueWaitNs is admission-gate queueing (saturated server backlog).
 	QueueWaitNs int64 `json:"queueWaitNs"`
@@ -144,73 +142,6 @@ type AnalyzeStats struct {
 	SummaryCacheMisses int `json:"summaryCacheMisses"`
 }
 
-// decodeRequest reads one AnalyzeRequest object from r and accepts what a
-// json.Decoder with DisallowUnknownFields accepts — unknown fields are
-// errors, field names match in any case, the last of a repeated field counts,
-// bytes after the object are not looked at — but asks the Decoder for one
-// field, and one unit, at a time. A Decoder buffers the whole value it is
-// asked for, in a buffer it grows by doubling: asked for a whole request it
-// left about twice the body's size in garbage, asked for a unit it stays at
-// the size of the largest one.
-func decodeRequest(r io.Reader, req *AnalyzeRequest) error {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	// The request's fields by their lower-cased JSON names.
-	fields := make(map[string]any)
-	for rv, i := reflect.ValueOf(req).Elem(), 0; i < rv.NumField(); i++ {
-		name, _, _ := strings.Cut(rv.Type().Field(i).Tag.Get("json"), ",")
-		fields[strings.ToLower(name)] = rv.Field(i).Addr().Interface()
-	}
-	if tok, err := dec.Token(); err != nil || tok == nil {
-		return err // null leaves the request as it is
-	} else if tok != json.Delim('{') {
-		return fmt.Errorf("json: %v where a request object should start", tok)
-	}
-	for dec.More() {
-		tok, err := dec.Token()
-		if err != nil {
-			return err
-		}
-		key, _ := tok.(string) // inside an object, before a value: a key
-		switch dst := fields[strings.ToLower(key)].(type) {
-		case *[]UnitJSON:
-			err = decodeUnits(dec, dst)
-		case nil:
-			err = fmt.Errorf("json: unknown field %q", tok)
-		default:
-			err = dec.Decode(dst)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	_, err := dec.Token() // the closing brace, or what is there instead
-	return err
-}
-
-// decodeUnits reads the value of the units field: an array of unit objects,
-// or null.
-func decodeUnits(dec *json.Decoder, units *[]UnitJSON) error {
-	tok, err := dec.Token()
-	if err != nil || tok == nil {
-		*units = nil
-		return err
-	}
-	if tok != json.Delim('[') {
-		return fmt.Errorf("json: units: %v where an array should start", tok)
-	}
-	*units = []UnitJSON{}
-	for dec.More() {
-		var u UnitJSON
-		if err := dec.Decode(&u); err != nil {
-			return err
-		}
-		*units = append(*units, u)
-	}
-	_, err = dec.Token()
-	return err
-}
-
 type httpError struct {
 	status int
 	msg    string
@@ -245,36 +176,46 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, status, map[string]string{"error": err.Error(), "traceId": ri.TraceID})
 		return
 	}
+	// Encoding the response cannot be in the timing it carries: it has a
+	// phase series and a log field of its own.
+	encodeStart := time.Now()
+	writeJSON(w, http.StatusOK, resp)
+	encodeNs := time.Since(encodeStart).Nanoseconds()
+	s.observePhase(tenant.Canonical(resp.Project), "encode", encodeNs)
 	ri.Log.Info("analyze done",
 		"functions", resp.Stats.Functions,
 		"reports", resp.Stats.Reports,
 		"artifact_hits", resp.Stats.ArtifactHits,
 		"artifact_misses", resp.Stats.ArtifactMisses,
 		"build_ns", resp.Stats.BuildNs,
-		"detect_ns", resp.Stats.DetectNs)
-	writeJSON(w, http.StatusOK, resp)
+		"detect_ns", resp.Stats.DetectNs,
+		"encode_ns", encodeNs)
 }
 
 func (s *Server) analyze(ctx context.Context, r *http.Request, ri *requestInfo) (*AnalyzeResponse, error) {
 	reqStart := time.Now()
+	size := r.ContentLength
+	if size > s.maxBody {
+		size = 0 // the reader below cuts it short
+	}
+	body := openBody(http.MaxBytesReader(nil, r.Body, s.maxBody), size)
+	defer body.release()
 	var req AnalyzeRequest
-	if err := decodeRequest(http.MaxBytesReader(nil, r.Body, s.maxBody), &req); err != nil {
+	if err := body.decode(&req); err != nil {
 		return nil, &httpError{http.StatusBadRequest, "bad request body: " + err.Error()}
 	}
 	decodeNs := time.Since(reqStart)
-	if len(req.Units) == 0 {
+	if len(body.units) == 0 {
 		return nil, &httpError{http.StatusBadRequest, "no translation units"}
 	}
 	specs, err := resolveCheckers(req.Checkers)
 	if err != nil {
 		return nil, &httpError{http.StatusBadRequest, err.Error()}
 	}
-	units := make([]minic.NamedSource, len(req.Units))
-	for i, u := range req.Units {
-		if u.Name == "" {
+	for i, u := range body.units {
+		if len(body.bytes(u.name)) == 0 {
 			return nil, &httpError{http.StatusBadRequest, fmt.Sprintf("unit %d has no name", i)}
 		}
-		units[i] = minic.NamedSource{Name: u.Name, Src: u.Src}
 	}
 	workers := s.cfg.Workers
 	if req.Workers != nil {
@@ -318,6 +259,13 @@ func (s *Server) analyze(ctx context.Context, r *http.Request, ri *requestInfo) 
 	}
 	defer h.Release()
 	sess := h.Session()
+
+	// The units become strings only now, under the session's lock, so that
+	// it can hand back the ones it holds; that is the other half of
+	// decoding, and the buffer is done with.
+	stringsStart := time.Now()
+	units := body.sources(sess)
+	decodeNs += time.Since(stringsStart)
 
 	buildStart := time.Now()
 	a, err := sess.Update(units)
@@ -407,9 +355,7 @@ func (s *Server) analyze(ctx context.Context, r *http.Request, ri *requestInfo) 
 // server.phase_ns histograms behind /v1/metrics, one series per
 // (phase, tenant) pair so per-project latency is scrapeable.
 func (s *Server) observePhases(project string, t TimingJSON) {
-	observe := func(phase string, v int64) {
-		s.rec.Histogram(obs.Labeled("server.phase_ns", "phase", phase, "tenant", project)).Observe(v)
-	}
+	observe := func(phase string, v int64) { s.observePhase(project, phase, v) }
 	observe("decode", t.DecodeNs)
 	observe("queue_wait", t.QueueWaitNs)
 	observe("session_wait", t.SessionWaitNs)
@@ -420,6 +366,10 @@ func (s *Server) observePhases(project string, t TimingJSON) {
 	observe("detect", t.DetectNs)
 	observe("smt", t.SMTNs)
 	observe("other", t.OtherNs)
+}
+
+func (s *Server) observePhase(project, phase string, ns int64) {
+	s.rec.Histogram(obs.Labeled("server.phase_ns", "phase", phase, "tenant", project)).Observe(ns)
 }
 
 // resolveCheckers maps request names to fresh checker specs. Empty and

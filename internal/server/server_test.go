@@ -313,26 +313,18 @@ func TestCountersArePerRequest(t *testing.T) {
 	}
 }
 
-// TestAnalyzeErrors pins the error statuses: malformed body, empty unit
-// set, unknown checker, and parse errors (which must leave the session
-// usable).
-func TestAnalyzeErrors(t *testing.T) {
-	units := exampleUnits(t)
-	s, ts := newTestServer(t, Config{})
-	s.maxBody = 8 << 10
+type analyzeErrorCase struct {
+	name, body string
+	want       int
+}
 
-	good, err := json.Marshal(AnalyzeRequest{Units: unitsToJSON(units)})
-	if err != nil {
-		t.Fatal(err)
-	}
+// analyzeErrorCases is the status of every way a request body can be wrong,
+// and of the oddities that are accepted: the decoder stops at the end of the
+// object, and knows nothing of Content-Length. TestAnalyzeErrors posts them
+// with a body cap of 8 KiB; FuzzDecodeRequest starts from them.
+func analyzeErrorCases() []analyzeErrorCase {
 	one := `{"units":[{"name":"a.mc","src":"void f() { }"}]}`
-	// The status of every way a request body can be wrong, and of the
-	// oddities that are accepted: the decoder stops at the end of the
-	// object, and knows nothing of Content-Length.
-	for _, tc := range []struct {
-		name, body string
-		want       int
-	}{
+	return []analyzeErrorCase{
 		{"malformed body", "{", http.StatusBadRequest},
 		{"empty body", "", http.StatusBadRequest},
 		{"not an object", `[1,2]`, http.StatusBadRequest},
@@ -353,7 +345,23 @@ func TestAnalyzeErrors(t *testing.T) {
 		{"a field twice: the last one counts", `{"units":[{"name":"a.mc","src":"int f( {"}],"units":[{"name":"a.mc","src":"void f() { }"}]}`, http.StatusOK},
 		{"trailing bytes after the object", one + ` trailing }{`, http.StatusOK},
 		{"trailing bytes over the cap", one + strings.Repeat(" ", 9<<10), http.StatusOK},
-	} {
+		{"a field name that only folds to units", `{"unitſ":[{"name":"a.mc","ſrc":"void f() { }"}]}`, http.StatusOK},
+	}
+}
+
+// TestAnalyzeErrors pins the error statuses: malformed body, empty unit
+// set, unknown checker, and parse errors (which must leave the session
+// usable).
+func TestAnalyzeErrors(t *testing.T) {
+	units := exampleUnits(t)
+	s, ts := newTestServer(t, Config{})
+	s.maxBody = 8 << 10
+
+	good, err := json.Marshal(AnalyzeRequest{Units: unitsToJSON(units)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range analyzeErrorCases() {
 		resp, err := http.Post(ts.URL+"/v1/analyze", "application/json", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)

@@ -1,9 +1,13 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync"
@@ -201,5 +205,32 @@ func TestMetricsConcurrentScrape(t *testing.T) {
 	}
 	if g := snap.Gauges["server.queue_depth"]; g != 0 {
 		t.Errorf("server.queue_depth = %d after load drained, want 0", g)
+	}
+}
+
+// Encoding the response happens after the timing it carries is sealed, so
+// it is reported beside it: one observation of the encode phase in the
+// request's tenant's series, and an encode_ns field on the handler's log
+// line. (Driven without a socket: the client of a real one has its reply
+// before the handler has measured writing it.)
+func TestEncodePhase(t *testing.T) {
+	rec := obs.New()
+	var logs bytes.Buffer
+	s := New(Config{Rec: rec, Logger: slog.New(slog.NewJSONHandler(&logs, nil))})
+	body, err := json.Marshal(AnalyzeRequest{Project: "alpha", Units: unitsJSON(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := httptest.NewRecorder()
+	s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/analyze", bytes.NewReader(body)))
+	if w.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", w.Code, w.Body)
+	}
+	name := obs.Labeled("server.phase_ns", "phase", "encode", "tenant", "alpha")
+	if h := rec.Snapshot().Histograms[name]; h.Count != 1 || h.Sum <= 0 {
+		t.Errorf("%s: %d observations summing to %d ns, want one above 0", name, h.Count, h.Sum)
+	}
+	if !strings.Contains(logs.String(), `"encode_ns":`) {
+		t.Errorf("no encode_ns on the analyze log line:\n%s", logs.String())
 	}
 }

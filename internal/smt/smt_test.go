@@ -438,3 +438,23 @@ func BenchmarkSolverPooled(b *testing.B) {
 		PutSolver(s)
 	}
 }
+
+// The hash-consing key is written digit by digit; it must stay the string
+// fmt wrote, because term IDs follow creation order and canonical operand
+// order follows IDs.
+func TestTermKeyFormat(t *testing.T) {
+	tb := NewTermBuilder()
+	x, y := tb.IntVar("i0.v12"), tb.BoolVar("i3.a7")
+	for _, term := range []*Term{
+		tb.True(), tb.Int(-9223372036854775808), tb.Int(42), x, y,
+		tb.App("load", SortInt, x, tb.Int(-1)), tb.And(y, tb.Le(x, tb.Add(x, tb.Int(1)))),
+	} {
+		want := fmt.Sprintf("%d/%d/%s/%d", term.Kind, term.Sort, term.Name, term.Int)
+		for _, a := range term.Args {
+			want += fmt.Sprintf(",%d", a.id)
+		}
+		if got := string(appendTermKey(nil, term)); got != want {
+			t.Errorf("key of %s: %q, want %q", term, got, want)
+		}
+	}
+}

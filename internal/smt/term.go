@@ -26,6 +26,7 @@ package smt
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -173,23 +174,32 @@ func (tb *TermBuilder) Reset() {
 }
 
 func (tb *TermBuilder) intern(t *Term) *Term {
-	key := termKey(t)
-	if old, ok := tb.table[key]; ok {
+	var buf [64]byte
+	key := appendTermKey(buf[:0], t)
+	if old, ok := tb.table[string(key)]; ok {
 		return old
 	}
 	t.id = tb.nextID
 	tb.nextID++
-	tb.table[key] = t
+	tb.table[string(key)] = t
 	return t
 }
 
-func termKey(t *Term) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d/%d/%s/%d", t.Kind, t.Sort, t.Name, t.Int)
+// appendTermKey appends t's hash-consing key, "kind/sort/name/int,arg,arg":
+// a term is found again by its own fields and the IDs of its arguments.
+func appendTermKey(b []byte, t *Term) []byte {
+	b = strconv.AppendInt(b, int64(t.Kind), 10)
+	b = append(b, '/')
+	b = strconv.AppendInt(b, int64(t.Sort), 10)
+	b = append(b, '/')
+	b = append(b, t.Name...)
+	b = append(b, '/')
+	b = strconv.AppendInt(b, t.Int, 10)
 	for _, a := range t.Args {
-		fmt.Fprintf(&b, ",%d", a.id)
+		b = append(b, ',')
+		b = strconv.AppendInt(b, int64(a.id), 10)
 	}
-	return b.String()
+	return b
 }
 
 // True returns the boolean constant true.

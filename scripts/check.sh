@@ -3,8 +3,8 @@
 # the race detector — the parallel detection scheduler's determinism tests
 # run under it, and cmd/pinpoint's process-level test builds and drives the
 # real binary), the allocation budgets without it, a short fuzz of the
-# artifact decoder and of the solver against enumeration, the benchmark
-# module, and the examples suite.
+# artifact decoder, of the solver against enumeration and of the request
+# decoder against encoding/json, the benchmark module, and the examples suite.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -28,7 +28,7 @@ go test -race ./...
 # The allocation budgets skip themselves under the race detector (it
 # allocates shadow state of its own), so they get a run without it.
 echo "== allocation budgets (no race detector)"
-go test ./internal/core -run 'Budget'
+go test ./internal/core ./internal/server -run 'Budget'
 
 # Ten seconds of new inputs on top of the committed corpus. The minimizer is
 # held to a second: its default budget per interesting input is longer than
@@ -38,6 +38,9 @@ go test ./internal/core -run '^$' -fuzz FuzzDecodeSegment -fuzztime 10s -fuzzmin
 
 echo "== fuzz the solver against enumeration (5s)"
 go test ./internal/smt -run '^$' -fuzz FuzzCheckVsEnumeration -fuzztime 5s -fuzzminimizetime 1s
+
+echo "== fuzz the request decoder against encoding/json (5s)"
+go test ./internal/server -run '^$' -fuzz FuzzDecodeRequest -fuzztime 5s -fuzzminimizetime 1s
 
 # The nested benchmark module is outside ./...: vet and test it here, so a
 # change that breaks the surface it compiles against fails tier-1.
