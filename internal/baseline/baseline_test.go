@@ -78,8 +78,8 @@ void f() {
 			case ir.OpMalloc:
 				mallocDst = in.Dst
 			case ir.OpCall:
-				if in.Callee == "id" && in.Dsts[0] != nil {
-					callDst = in.Dsts[0]
+				if in.Callee() == "id" && in.Dsts()[0] != nil {
+					callDst = in.Dsts()[0]
 				}
 			}
 		}

@@ -161,7 +161,7 @@ func RunSubject(s workload.Subject, cfg Config) (*SubjectRun, error) {
 	run.SVFCheckTime = sv.CheckTime
 	run.SVFReports = len(sv.Reports)
 	for _, r := range sv.Reports {
-		if gen.Truth.IsTrueUAF(r.Source.Pos.File, r.Source.Pos.Line) {
+		if gen.Truth.IsTrueUAF(r.Source.Position().File, r.Source.Position().Line) {
 			run.SVFTP++
 		}
 	}

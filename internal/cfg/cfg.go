@@ -252,7 +252,7 @@ func ControlDeps(f *ir.Func, pdt *DomTree) [][]CDep {
 		if term == nil || term.Op != ir.OpBr {
 			continue
 		}
-		for i, s := range term.Blocks {
+		for i, s := range term.Blocks() {
 			onTrue := i == 0
 			// Walk the post-dominator tree from s up to (but not
 			// including) ipdom(a); every node visited is control

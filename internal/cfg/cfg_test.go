@@ -66,8 +66,8 @@ func TestTopologicalDetectsCycle(t *testing.T) {
 	b := f.NewBlock()
 	f.Entry = a
 	f.Exit = b
-	f.Append(a, ir.Instr{Op: ir.OpJmp, Blocks: []*ir.Block{b}})
-	f.Append(b, ir.Instr{Op: ir.OpJmp, Blocks: []*ir.Block{a}})
+	f.Append(a, ir.Instr{Op: ir.OpJmp, Ext: &ir.Ext{Blocks: []*ir.Block{b}}})
+	f.Append(b, ir.Instr{Op: ir.OpJmp, Ext: &ir.Ext{Blocks: []*ir.Block{a}}})
 	ir.Connect(a, b)
 	ir.Connect(b, a)
 	if _, err := Topological(f); err == nil {
@@ -217,7 +217,7 @@ void f(bool a, bool b) {
 	var callBlock *ir.Block
 	for _, blk := range f.Blocks {
 		for _, in := range blk.Instrs {
-			if in.Op == ir.OpCall && in.Callee == "g" {
+			if in.Op == ir.OpCall && in.Callee() == "g" {
 				callBlock = blk
 			}
 		}
@@ -416,13 +416,13 @@ func randomDAGFunc(rng *rand.Rand) *ir.Func {
 			t2 := i + 1 + rng.Intn(n-1-i)
 			if t2 != t1 {
 				f.Append(blocks[i], ir.Instr{Op: ir.OpBr, Args: []*ir.Value{c},
-					Blocks: []*ir.Block{blocks[t1], blocks[t2]}})
+					Ext: &ir.Ext{Blocks: []*ir.Block{blocks[t1], blocks[t2]}}})
 				ir.Connect(blocks[i], blocks[t1])
 				ir.Connect(blocks[i], blocks[t2])
 				continue
 			}
 		}
-		f.Append(blocks[i], ir.Instr{Op: ir.OpJmp, Blocks: []*ir.Block{blocks[t1]}})
+		f.Append(blocks[i], ir.Instr{Op: ir.OpJmp, Ext: &ir.Ext{Blocks: []*ir.Block{blocks[t1]}}})
 		ir.Connect(blocks[i], blocks[t1])
 	}
 	f.Append(blocks[n-1], ir.Instr{Op: ir.OpRet})

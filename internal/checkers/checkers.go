@@ -137,7 +137,7 @@ func (s *Spec) Identity() string {
 // double-free).
 func freeSources(g *seg.Graph) []Source {
 	var out []Source
-	for _, n := range g.ByRole[seg.RoleFreeArg] {
+	for _, n := range g.Uses(seg.RoleFreeArg) {
 		out = append(out, Source{
 			Val:  n.Val,
 			At:   n.Instr,
@@ -183,13 +183,13 @@ func taintSources(names map[string]bool) func(g *seg.Graph) []Source {
 		var out []Source
 		for _, b := range g.Fn.Blocks {
 			for _, in := range b.Instrs {
-				if in.Op != ir.OpCall || !names[in.Callee] {
+				if in.Op != ir.OpCall || !names[in.Callee()] {
 					continue
 				}
-				if len(in.Dsts) == 0 || in.Dsts[0] == nil {
+				if len(in.Dsts()) == 0 || in.Dsts()[0] == nil {
 					continue
 				}
-				out = append(out, Source{Val: in.Dsts[0], At: in, Cond: g.CD(in)})
+				out = append(out, Source{Val: in.Dsts()[0], At: in, Cond: g.CD(in)})
 			}
 		}
 		return out
@@ -202,11 +202,11 @@ func callArgSink(sinks map[string]int) func(g *seg.Graph, n *seg.Node, sourceAt 
 		if n.Role != seg.RoleCallArg {
 			return false
 		}
-		pos, ok := sinks[n.Instr.Callee]
+		pos, ok := sinks[n.Instr.Callee()]
 		if !ok {
 			return false
 		}
-		return pos < 0 || pos == n.ArgIdx
+		return pos < 0 || pos == int(n.ArgIdx)
 	}
 }
 

@@ -79,14 +79,14 @@ void f() {
 		t.Fatalf("sources = %d", len(srcs))
 	}
 	first := srcs[0].At
-	derefs := g.ByRole[seg.RoleDerefAddr]
+	derefs := g.Uses(seg.RoleDerefAddr)
 	if len(derefs) == 0 {
 		t.Fatal("no deref uses")
 	}
 	if !spec.IsSink(g, derefs[0], first) {
 		t.Error("deref not a sink")
 	}
-	frees := g.ByRole[seg.RoleFreeArg]
+	frees := g.Uses(seg.RoleFreeArg)
 	// A free is not its own sink but is a sink for the other free.
 	for _, fn := range frees {
 		if fn.Instr == first && spec.IsSink(g, fn, first) {
@@ -108,7 +108,7 @@ void f() {
 	g := gs["f"]
 	spec := DoubleFree()
 	srcs := spec.LocalSources(g)
-	derefs := g.ByRole[seg.RoleDerefAddr]
+	derefs := g.Uses(seg.RoleDerefAddr)
 	if spec.IsSink(g, derefs[0], srcs[0].At) {
 		t.Error("double-free checker treats deref as sink")
 	}
@@ -128,7 +128,7 @@ void f() {
 		t.Fatalf("taint sources = %d", len(srcs))
 	}
 	sinks := 0
-	for _, n := range g.ByRole[seg.RoleCallArg] {
+	for _, n := range g.Uses(seg.RoleCallArg) {
 		if spec.IsSink(g, n, nil) {
 			sinks++
 		}
@@ -172,7 +172,7 @@ void callee(int *q) { int v = *q; }
 void f(int *p) { callee(p); }`)
 	g := gs["f"]
 	spec := UseAfterFree()
-	for _, n := range g.ByRole[seg.RoleDerefAddr] {
+	for _, n := range g.Uses(seg.RoleDerefAddr) {
 		if n.Instr.Synthetic && spec.IsSink(g, n, nil) {
 			t.Error("synthetic deref counted as sink")
 		}

@@ -93,14 +93,11 @@ func EncodeBuilder(e *wirebin.Writer, b *Builder) error {
 // away) is an error.
 func DecodeBuilder(r *wirebin.Reader) (*Builder, Nodes, error) {
 	n := r.Len()
-	b := &Builder{
-		atoms:  make(map[int]*Cond, n),
-		nots:   make(map[int]*Cond),
-		nary:   make(map[string]*Cond),
-		nextID: n,
-	}
-	// The nodes live and die with the builder: one allocation for all.
-	slab := make([]Cond, n)
+	b := &Builder{nextID: n}
+	// The nodes live and die with the builder: one allocation for all but
+	// the first two — a genuine Builder's constants — which have their place
+	// inside it.
+	slab := make([]Cond, max(n-len(b.consts), 0))
 	nodes := make(Nodes, n)
 	operand := func(i int) (*Cond, error) {
 		id := r.Int()
@@ -110,8 +107,13 @@ func DecodeBuilder(r *wirebin.Reader) (*Builder, Nodes, error) {
 		return nodes[id], nil
 	}
 	var keyBuf [64]byte
-	for i := range slab {
-		c := &slab[i]
+	for i := 0; i < n; i++ {
+		var c *Cond
+		if i < len(b.consts) {
+			c = &b.consts[i]
+		} else {
+			c = &slab[i-len(b.consts)]
+		}
 		c.kind, c.id = Kind(r.U8()), i
 		nodes[i] = c
 		var dup bool
@@ -123,7 +125,7 @@ func DecodeBuilder(r *wirebin.Reader) (*Builder, Nodes, error) {
 		case KAtom:
 			c.atom = r.Int()
 			_, dup = b.atoms[c.atom]
-			b.atoms[c.atom] = c
+			intern(&b.atoms, c.atom, c)
 		case KNot:
 			op, err := operand(i)
 			if err != nil {
@@ -131,7 +133,7 @@ func DecodeBuilder(r *wirebin.Reader) (*Builder, Nodes, error) {
 			}
 			c.ops = []*Cond{op}
 			_, dup = b.nots[op.id]
-			b.nots[op.id] = c
+			intern(&b.nots, op.id, c)
 		case KAnd, KOr:
 			m := r.Len()
 			if m < 2 {
@@ -150,7 +152,7 @@ func DecodeBuilder(r *wirebin.Reader) (*Builder, Nodes, error) {
 			}
 			key := naryKey(keyBuf[:0], c.kind, c.ops)
 			_, dup = b.nary[string(key)]
-			b.nary[string(key)] = c
+			intern(&b.nary, string(key), c)
 		default:
 			return nil, nil, r.Errorf("cond: decode: node %d has unknown kind %d", i, c.kind)
 		}

@@ -112,6 +112,7 @@ func TestDecodeBuilderRejectsMalformed(t *testing.T) {
 		{"operand not before its user", func(ns []wireNode) []wireNode { ns[4].ops[0] = 4; return ns }, "out-of-order operand"},
 		{"operand past the table", func(ns []wireNode) []wireNode { ns[5].ops[1] = 99; return ns }, "out-of-order operand"},
 		{"negative operand", func(ns []wireNode) []wireNode { ns[4].ops[0] = -1; return ns }, "out-of-order operand"},
+		{"operand wider than 32 bits", func(ns []wireNode) []wireNode { ns[4].ops[0] += 1 << 32; return ns }, "out-of-order operand"},
 		{"second true", func(ns []wireNode) []wireNode { ns[1].kind = uint8(KTrue); return ns }, "duplicates"},
 		{"second false", func(ns []wireNode) []wireNode { return append(ns, wireNode{kind: uint8(KFalse)}) }, "duplicates"},
 		{"duplicate atom", func(ns []wireNode) []wireNode { ns[3].atom = 7; return ns }, "duplicates"},

@@ -114,8 +114,13 @@ func (c *Cond) write(b *strings.Builder) {
 // detection scheduler conjoins conditions from many worker goroutines);
 // node identity is stable because every structural key maps to exactly one
 // node for the Builder's lifetime.
+//
+// Every function has a Builder and most functions have no branch, so an empty
+// one is a single object: the constants live inside it, and each intern table
+// is made when its first node is.
 type Builder struct {
 	mu     sync.Mutex
+	consts [2]Cond // true, false: the nodes trueC and falseC point at
 	trueC  *Cond
 	falseC *Cond
 	atoms  map[int]*Cond
@@ -126,14 +131,19 @@ type Builder struct {
 
 // NewBuilder returns an empty Builder.
 func NewBuilder() *Builder {
-	b := &Builder{
-		atoms: make(map[int]*Cond),
-		nots:  make(map[int]*Cond),
-		nary:  make(map[string]*Cond),
-	}
-	b.trueC = b.newNode(KTrue, 0, nil)
-	b.falseC = b.newNode(KFalse, 0, nil)
+	b := &Builder{nextID: 2}
+	b.consts = [2]Cond{{kind: KTrue, id: 0}, {kind: KFalse, id: 1}}
+	b.trueC, b.falseC = &b.consts[0], &b.consts[1]
 	return b
+}
+
+// intern enters node n into table *tab under key, making the table first if
+// this is its first node.
+func intern[K comparable](tab *map[K]*Cond, key K, n *Cond) {
+	if *tab == nil {
+		*tab = make(map[K]*Cond)
+	}
+	(*tab)[key] = n
 }
 
 func (b *Builder) newNode(k Kind, atom int, ops []*Cond) *Cond {
@@ -164,7 +174,7 @@ func (b *Builder) Atom(id int) *Cond {
 		return c
 	}
 	c := b.newNode(KAtom, id, nil)
-	b.atoms[id] = c
+	intern(&b.atoms, id, c)
 	return c
 }
 
@@ -185,7 +195,7 @@ func (b *Builder) Not(c *Cond) *Cond {
 		return n
 	}
 	n := b.newNode(KNot, 0, []*Cond{c})
-	b.nots[c.id] = n
+	intern(&b.nots, c.id, n)
 	return n
 }
 
@@ -260,7 +270,7 @@ func (b *Builder) buildNary(k Kind, cs []*Cond) *Cond {
 	ops := make([]*Cond, len(out))
 	copy(ops, out)
 	n := b.newNode(k, 0, ops)
-	b.nary[string(key)] = n
+	intern(&b.nary, string(key), n)
 	return n
 }
 

@@ -4,11 +4,15 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/checkers"
+	"repro/internal/cond"
 	"repro/internal/core"
 	"repro/internal/detect"
+	"repro/internal/ir"
 	"repro/internal/minic"
+	"repro/internal/seg"
 	"repro/internal/workload"
 )
 
@@ -18,13 +22,14 @@ import (
 // re-measure them). They exist so that pointer-keyed maps and per-object
 // allocation cannot creep back into the per-function layers unnoticed: at
 // the commit before the dense tables the same run made 49.6 allocations and
-// 3380 bytes per instruction.
+// 3380 bytes per instruction, at the one before the records were compacted
+// 24.6 and 1917.
 const (
 	budgetMallocsPerInstr = measuredMallocsPerInstr * 1.15
 	budgetBytesPerInstr   = measuredBytesPerInstr * 1.15
 
-	measuredMallocsPerInstr = 24.9
-	measuredBytesPerInstr   = 2019.0
+	measuredMallocsPerInstr = 22.4
+	measuredBytesPerInstr   = 1524.0
 )
 
 func TestAllocBudget(t *testing.T) {
@@ -61,6 +66,82 @@ func TestAllocBudget(t *testing.T) {
 	}
 }
 
+// The budget of the program at rest, per IR instruction of the same subject:
+// what the heap holds after BuildFromSource and a settled collection, beyond
+// what it held before. This is the number peak RSS follows (the collector's
+// goal is twice the live heap), and it is a constant of the record layouts,
+// not of the input: see DESIGN.md, "Data layout", Records. Measured values
+// plus 5%; the run is deterministic at one worker. At the commit before the
+// records were compacted the same build left 817 bytes in 6.9 objects per
+// instruction.
+const (
+	budgetResidentBytesPerInstr   = measuredResidentBytesPerInstr * 1.05
+	budgetResidentObjectsPerInstr = measuredResidentObjectsPerInstr * 1.05
+
+	measuredResidentBytesPerInstr   = 492.0
+	measuredResidentObjectsPerInstr = 4.19
+)
+
+func TestResidentBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates shadow state of its own")
+	}
+	gen := workload.Generate(
+		workload.Subject{Name: "alloc-budget", Origin: "synthetic", PaperKLoC: 300, TrueBugs: 6, OpaqueTraps: 4},
+		workload.GenOptions{Scale: 30, Taint: true, Seed: 1})
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	a, err := core.BuildFromSource(gen.Units, core.BuildOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+
+	instrs := float64(a.Sizes.Lines)
+	if instrs < 10000 {
+		t.Fatalf("subject too small to measure: %d instructions", a.Sizes.Lines)
+	}
+	bytes := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / instrs
+	objects := (float64(after.HeapObjects) - float64(before.HeapObjects)) / instrs
+	t.Logf("%d IR instructions: %.0f bytes and %.2f objects resident per instruction (budget %.0f / %.2f)",
+		a.Sizes.Lines, bytes, objects, budgetResidentBytesPerInstr, budgetResidentObjectsPerInstr)
+	if bytes > budgetResidentBytesPerInstr {
+		t.Errorf("%.0f bytes resident per IR instruction, budget %.0f", bytes, budgetResidentBytesPerInstr)
+	}
+	if objects > budgetResidentObjectsPerInstr {
+		t.Errorf("%.2f objects resident per IR instruction, budget %.2f", objects, budgetResidentObjectsPerInstr)
+	}
+	runtime.KeepAlive(a)
+}
+
+// The sizes of the records a built program consists of, in bytes on a 64-bit
+// platform. A program holds one ir.Instr and about one ir.Value per
+// instruction, three seg.Nodes and two seg.Edges for every two, a block for
+// every three; a field added to one of them is a deliberate act with a number
+// attached, not a side effect.
+func TestRecordSizes(t *testing.T) {
+	for _, rec := range []struct {
+		name      string
+		size, max uintptr
+	}{
+		{"ir.Instr", unsafe.Sizeof(ir.Instr{}), 80},
+		{"ir.Value", unsafe.Sizeof(ir.Value{}), 64},
+		{"ir.Block", unsafe.Sizeof(ir.Block{}), 88},
+		{"seg.Node", unsafe.Sizeof(seg.Node{}), 32},
+		{"seg.Edge", unsafe.Sizeof(seg.Edge{}), 16},
+		{"cond.Cond", unsafe.Sizeof(cond.Cond{}), 48},
+	} {
+		if rec.size > rec.max {
+			t.Errorf("%s is %d bytes, at most %d", rec.name, rec.size, rec.max)
+		}
+	}
+}
+
 // The budget of a warm request: what Session.Update and the CheckAll after it
 // allocate, and how many functions the Update looks at, when one function of
 // the serve-edit workload's program (3,342 functions in 45 units) has been
@@ -75,8 +156,8 @@ const (
 	budgetEditUpdateMallocs = measuredEditUpdateMallocs * 1.15
 	budgetEditCheckBytes    = measuredEditCheckBytes * 1.15
 
-	measuredEditUpdateBytes   = 570 << 10
-	measuredEditUpdateMallocs = 3630
+	measuredEditUpdateBytes   = 545 << 10
+	measuredEditUpdateMallocs = 3280
 	measuredEditCheckBytes    = 360 << 10
 )
 
@@ -156,8 +237,8 @@ const (
 	parentWarmLoadBytes   = 62.7 * (1 << 20)
 	parentWarmLoadMallocs = 762850
 
-	measuredWarmLoadBytes   = 45.9 * (1 << 20)
-	measuredWarmLoadMallocs = 597600
+	measuredWarmLoadBytes   = 36.3 * (1 << 20)
+	measuredWarmLoadMallocs = 428900
 
 	budgetWarmLoadBytes   = measuredWarmLoadBytes * 1.15
 	budgetWarmLoadMallocs = measuredWarmLoadMallocs * 1.15

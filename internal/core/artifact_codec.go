@@ -129,14 +129,23 @@ func decodeSummary(r *wirebin.Reader) *modref.Summary {
 	return sum
 }
 
+// summaryFingerprint is the persisted form of funcArtifact.sumFP: the text
+// the digest was taken of, which the summary itself renders.
+func summaryFingerprint(sum *modref.Summary) string {
+	if sum == nil {
+		return ""
+	}
+	return sum.Fingerprint()
+}
+
 // encodeArtifact appends art: the session's fingerprints and counters, then
 // the sections in the order each is needed to decode the next. The function
 // section names the artifact.
 func encodeArtifact(e *wirebin.Writer, art *funcArtifact) error {
-	e.Str(art.astHash)
-	e.Str(art.sumFP)
+	e.Str(art.astHash.String())
+	e.Str(summaryFingerprint(art.sum))
 	e.Str(art.sigFP)
-	e.Str(art.depFP)
+	e.Str(art.depFP.String())
 	encodeSummary(e, art.sum)
 	e.Int(art.sizes.segNodes)
 	e.Int(art.sizes.segValueNodes)
@@ -157,7 +166,14 @@ func encodeArtifact(e *wirebin.Writer, art *funcArtifact) error {
 // artifact's); callers treat both as a store miss and rebuild.
 func decodeArtifact(r *wirebin.Reader) (*funcArtifact, error) {
 	art := &funcArtifact{persisted: true}
-	art.astHash, art.sumFP, art.sigFP, art.depFP = r.Str(), r.Str(), r.Str(), r.Str()
+	astHash, sumFP, sigFP, depFP := r.Str(), r.Str(), r.Str(), r.Str()
+	var okAst, okDep bool
+	art.astHash, okAst = parseAstKey(astHash)
+	art.depFP, okDep = parseDigest(depFP)
+	if !okAst || !okDep {
+		return nil, r.Errorf("artifact: malformed fingerprints %q, %q", astHash, depFP)
+	}
+	art.sumFP, art.sigFP = digestOf([]byte(sumFP)), sigFP
 	art.sum = decodeSummary(r)
 	art.sizes = artifactSizes{segNodes: r.Int(), segValueNodes: r.Int(), segEdges: r.Int(), condNodes: r.Int()}
 	f, ix, err := ir.DecodeFunc(r)

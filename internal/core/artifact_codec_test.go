@@ -2,13 +2,17 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/cond"
 	"repro/internal/ir"
 	"repro/internal/minic"
+	"repro/internal/pta"
+	"repro/internal/ssa"
 	"repro/internal/wirebin"
 )
 
@@ -112,15 +116,7 @@ func TestSegmentCorruptionIsConfined(t *testing.T) {
 		t.Fatal(err)
 	}
 	second := reencode(t, progFP, hdr, arts[1:])
-	// Step over the header, as decodeSegment reads it, to the first frame.
-	r := wirebin.NewReader(seg[len(segMagic):])
-	r.Int()
-	r.Str()
-	r.Varint()
-	r.Int()
-	n := r.Frame().Rest()
-	end := len(seg) - r.Rest()
-	start := end - n
+	start, end := firstFrame(seg)
 	var discarded, skipped, accepted int
 	for at := start; at < end; at++ {
 		for _, b := range []byte{seg[at] ^ 0x01, seg[at] ^ 0x80, 0xff} {
@@ -147,20 +143,156 @@ func TestSegmentCorruptionIsConfined(t *testing.T) {
 	}
 }
 
+// firstFrame returns where the first artifact's frame lies in seg.
+func firstFrame(seg []byte) (start, end int) {
+	// Step over the header, as decodeSegment reads it, to the first frame.
+	r := wirebin.NewReader(seg[len(segMagic):])
+	r.Int()
+	r.Str()
+	r.Varint()
+	r.Int()
+	n := r.Frame().Rest()
+	end = len(seg) - r.Rest()
+	return end - n, end
+}
+
+// poke returns seg with one signed varint of its first artifact replaced by
+// v: the one the reader stands at after seek has walked it over the frame.
+func poke(t testing.TB, seg []byte, v int64, seek func(r *wirebin.Reader)) []byte {
+	t.Helper()
+	start, end := firstFrame(seg)
+	r := wirebin.NewReader(seg[start:end])
+	seek(r)
+	at := end - r.Rest()
+	r.Varint()
+	if r.Err() != nil {
+		t.Fatalf("seeking in the seed segment: %v", r.Err())
+	}
+	var w wirebin.Writer
+	w.B = append(w.B, seg[:at]...)
+	w.Varint(v)
+	w.B = append(w.B, seg[end-r.Rest():]...)
+	binary.LittleEndian.PutUint32(w.B[start-4:], uint32(end-start+len(w.B)-len(seg)))
+	return w.B
+}
+
+// narrowFieldSeeds are copies of the seed segment whose first artifact holds
+// a number the in-memory records have no room for — the fields that were
+// narrowed when the records were compacted — or a payload of the wrong kind
+// in the field values now share.
+func narrowFieldSeeds(t testing.TB, seg []byte) map[string][]byte {
+	toFunc := func(r *wirebin.Reader) { // over the session's fields to the function section
+		r.Str()
+		r.Str()
+		r.Str()
+		r.Str()
+		decodeSummary(r)
+		r.Int()
+		r.Int()
+		r.Int()
+		r.Int()
+	}
+	toFuncLine := func(r *wirebin.Reader) {
+		toFunc(r)
+		r.Str() // name
+		r.Sym() // return type
+		r.Int()
+		r.Int() // unit
+		r.Sym() // file
+	}
+	toFirstValue := func(r *wirebin.Reader) {
+		toFuncLine(r)
+		r.Int()
+		r.Int()
+		for range 2 { // aux specs, in and out
+			for n := r.Len(); n > 0; n-- {
+				r.Int()
+				r.Sym()
+				r.Int()
+			}
+		}
+		r.Len()
+		r.Len()
+		r.Len()
+		r.Len() // the value count
+	}
+	return map[string][]byte{
+		"segment-wide-line":     poke(t, seg, 1<<40, toFuncLine),
+		"segment-wide-value-id": poke(t, seg, 1<<32, toFirstValue),
+		"segment-negative-param": poke(t, seg, -1, func(r *wirebin.Reader) {
+			toFirstValue(r)
+			r.Int()
+			r.U8()
+			r.Str()
+			r.Sym()
+			r.Int()
+			r.I32()
+			r.Varint()
+			r.Bool()
+		}),
+		"segment-wide-operand": poke(t, seg, 1<<32, func(r *wirebin.Reader) {
+			toFunc(r)
+			f, ix, err := ir.DecodeFunc(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, nodes, err := cond.DecodeBuilder(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inf, err := ssa.DecodeInfo(r, f, ix, b, nodes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := pta.DecodeResult(r, f, inf, ix, nodes); err != nil {
+				t.Fatal(err)
+			}
+			r.Len() // the vertex count, then the first vertex up to its operand index
+			r.U8()
+			r.U8()
+			r.I32()
+			r.I32()
+		}),
+	}
+}
+
+// TestSegmentRejectsWhatDoesNotFit: an ID, position, parameter or operand
+// index the compact records cannot hold costs its artifact — a miss, rebuilt
+// from source — and neither truncates into a different artifact nor takes
+// the rest of the segment with it.
+func TestSegmentRejectsWhatDoesNotFit(t *testing.T) {
+	progFP, seg := codecSegment(t)
+	for name, data := range narrowFieldSeeds(t, seg) {
+		hdr, arts, err := decodeSegment(progFP, data)
+		if err != nil || hdr.Count != 2 {
+			t.Errorf("%s: the segment was discarded: %v", name, err)
+			continue
+		}
+		if len(arts) != 1 || arts[0].fn.Name != "drive" {
+			t.Errorf("%s: decoded %d artifacts, want only the untouched second one", name, len(arts))
+		}
+	}
+}
+
 // TestSegmentCorpus keeps the fuzz target's committed seed corpus — the
-// segment above and truncations of it — in step with the encoding: a file
+// segment above, truncations of it and the narrowFieldSeeds — in step with
+// the encoding: a file
 // that is missing is written, one that differs fails.
 func TestSegmentCorpus(t *testing.T) {
 	_, seg := codecSegment(t)
 	dir := filepath.Join("testdata", "fuzz", "FuzzDecodeSegment")
-	for name, data := range map[string][]byte{
+	corpus := map[string][]byte{
 		"segment":            seg,
 		"segment-cut-header": seg[:12],
 		"segment-cut-1of4":   seg[:len(seg)/4],
 		"segment-cut-2of4":   seg[:len(seg)/2],
 		"segment-cut-3of4":   seg[:3*len(seg)/4],
 		"segment-cut-tail":   seg[:len(seg)-1],
-	} {
+	}
+	for name, data := range narrowFieldSeeds(t, seg) {
+		corpus[name] = data
+	}
+	for name, data := range corpus {
 		path := filepath.Join(dir, name)
 		want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)
 		got, err := os.ReadFile(path)

@@ -84,14 +84,52 @@ type ArtifactStats struct {
 	Visited     int
 }
 
+// digest is a SHA-256 cut to 12 bytes: what the session compares to decide
+// that a function's AST, summary or dependencies are the ones an artifact was
+// built from. It is kept as the bytes; the persisted form is its hex.
+type digest [12]byte
+
+func digestOf(b []byte) digest {
+	sum := sha256.Sum256(b)
+	return digest(sum[:len(digest{})])
+}
+
+func (d digest) String() string { return hex.EncodeToString(d[:]) }
+
+func parseDigest(s string) (d digest, ok bool) {
+	if len(s) != hex.EncodedLen(len(d)) {
+		return d, false
+	}
+	_, err := hex.Decode(d[:], []byte(s))
+	return d, err == nil
+}
+
+// astKey identifies a declaration's content and place: the AST hash
+// (structure, literals, positions) and the unit index. Its persisted form is
+// "<hex>#<unit>".
+type astKey struct {
+	sum  digest
+	unit int32
+}
+
+func (k astKey) String() string { return k.sum.String() + "#" + strconv.Itoa(int(k.unit)) }
+
+func parseAstKey(s string) (k astKey, ok bool) {
+	hash, unit, found := strings.Cut(s, "#")
+	n, err := strconv.ParseInt(unit, 10, 32)
+	k.sum, ok = parseDigest(hash)
+	k.unit = int32(n)
+	return k, ok && found && err == nil && n >= 0 && strconv.Itoa(int(n)) == unit
+}
+
 // funcArtifact is the cached per-function build output, valid as long as
 // its astHash and depFP match the current program. Apart from persisted an
 // artifact is immutable once committed.
 type funcArtifact struct {
-	astHash string // AST content hash + unit index
-	sumFP   string // Mod/Ref summary fingerprint
+	astHash astKey // AST content hash + unit index
+	sumFP   digest // of the Mod/Ref summary's fingerprint
 	sigFP   string // connector signature fingerprint
-	depFP   string // sigFP + callee sigFPs: transform/SEG validity key
+	depFP   digest // of sigFP + callee sigFPs: transform/SEG validity key
 	sum     *modref.Summary
 	fn      *ir.Func // lowered, SSA-converted, connector-transformed
 	info    *ssa.Info
@@ -221,7 +259,7 @@ func (s *Session) ArtifactFingerprint() string {
 	if s.tab != nil {
 		for _, id := range s.tab.ids {
 			art := s.arts[id]
-			fmt.Fprintf(h, "%s\x00%s\x00%s\x00%s\x00%s\x00", art.fn.Name, art.astHash, art.sumFP, art.sigFP, art.depFP)
+			fmt.Fprintf(h, "%s\x00%s\x00%s\x00%s\x00%s\x00", art.fn.Name, art.astHash, summaryFingerprint(art.sum), art.sigFP, art.depFP)
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
@@ -243,7 +281,7 @@ type parsedUnit struct {
 	// unit is the index the hashes below were computed under (-1 before
 	// the first): a function's AST hash covers its unit index.
 	unit    int
-	astHash []string   // per file.Funcs: AST content hash + unit index
+	astHash []astKey   // per file.Funcs: AST content hash + unit index
 	callees [][]string // per file.Funcs: sorted names of the functions called
 }
 
@@ -272,13 +310,13 @@ func (pu *parsedUnit) index(unit int) {
 		return
 	}
 	pu.unit = unit
-	pu.astHash = make([]string, len(pu.file.Funcs))
+	pu.astHash = make([]astKey, len(pu.file.Funcs))
 	if pu.callees == nil {
 		pu.callees = make([][]string, len(pu.file.Funcs))
 	}
 	for i, fn := range pu.file.Funcs {
 		fn.Unit = unit
-		pu.astHash[i] = minic.HashFunc(fn) + "#" + strconv.Itoa(unit)
+		pu.astHash[i] = astKey{sum: minic.HashFuncSum(fn), unit: int32(unit)}
 		if pu.callees[i] == nil {
 			pu.callees[i] = minic.CalleeNames(fn)
 		}
@@ -526,18 +564,18 @@ func newFuncTable(parsed []*parsedUnit, prev *funcTable) (*funcTable, error) {
 type fnState struct {
 	id      int32
 	decl    *minic.FuncDecl
-	astHash string
+	astHash astKey
 	callees []string
 	old     *funcArtifact // nil when new or program-shape invalidated
 	had     bool          // the committed program defines the name
 	dirty   bool          // no old artifact, or its AST hash differs
 
 	sum        *modref.Summary
-	sumFP      string
+	sumFP      digest
 	sumChanged bool
 	sigFP      string
 	sigMoved   bool // no previous artifact, or its sigFP differs
-	depFP      string
+	depFP      digest
 
 	rebuild   bool
 	fn        *ir.Func  // freshly lowered this update (nil if not lowered)
@@ -807,6 +845,9 @@ func (s *Session) Update(units []minic.NamedSource) (*Analysis, error) {
 	// unions and everything after the wavefront assembles in canonical
 	// declaration order, so output is byte-identical at any worker count.
 	var lowerNs, ssaNs, modrefNs, transformNs, ptaNs, segNs int64
+	// scratch holds one buffer per worker: what a fingerprint is rendered
+	// into before it is hashed or copied out.
+	scratch := make([][]byte, conc.Workers(s.opts.Workers))
 	lowerOne := func(w int, st *fnState) error {
 		name := st.decl.Name
 		t1 := time.Now()
@@ -901,7 +942,8 @@ func (s *Session) Update(units []minic.NamedSource) (*Analysis, error) {
 			}
 			for _, id := range scc {
 				st := member(id)
-				st.sumFP = st.sum.Fingerprint()
+				scratch[w] = st.sum.AppendFingerprint(scratch[w][:0])
+				st.sumFP = digestOf(scratch[w])
 				if st.old == nil || st.old.sumFP != st.sumFP {
 					st.sumChanged = true
 				}
@@ -927,7 +969,8 @@ func (s *Session) Update(units []minic.NamedSource) (*Analysis, error) {
 			if committed && !st.dirty && !st.sumChanged {
 				st.sigFP = st.old.sigFP
 			} else {
-				st.sigFP = s.signatureFP(st, shape.globalTypes)
+				scratch[w] = s.appendSignature(scratch[w][:0], st, shape.globalTypes)
+				st.sigFP = string(scratch[w])
 			}
 			st.sigMoved = st.old == nil || st.old.sigFP != st.sigFP
 		}
@@ -956,12 +999,12 @@ func (s *Session) Update(units []minic.NamedSource) (*Analysis, error) {
 			if committed && !st.dirty && !st.sigMoved && !calleeSigMoved(st) {
 				st.depFP = st.old.depFP
 			} else {
-				h := sha256.New()
-				fmt.Fprintf(h, "self\x00%s\x00", st.sigFP)
+				b := append(append(append(scratch[w][:0], "self\x00"...), st.sigFP...), 0)
 				for _, c := range st.callees {
-					fmt.Fprintf(h, "callee\x00%s\x00%s\x00", c, sigOf(c))
+					b = append(append(append(b, "callee\x00"...), c...), 0)
+					b = append(append(b, sigOf(c)...), 0)
 				}
-				st.depFP = hex.EncodeToString(h.Sum(nil))[:24]
+				st.depFP, scratch[w] = digestOf(b), b
 			}
 			st.rebuild = st.dirty || st.old.depFP != st.depFP
 		}
@@ -1037,6 +1080,8 @@ func (s *Session) Update(units []minic.NamedSource) (*Analysis, error) {
 		t1 = time.Now()
 		endSEG := perFunc(rec, w, "build.seg", name)
 		g := seg.Build(f, st.finalInfo, pr)
+		f.ReleaseBuildState()
+		st.finalInfo.ReleaseBuildState()
 		endSEG()
 		atomic.AddInt64(&segNs, int64(time.Since(t1)))
 		gs := g.Stats()
@@ -1289,30 +1334,31 @@ func (s *Session) Persist() int {
 	return s.persist(s.unsaved)
 }
 
-// signatureFP fingerprints a function's post-transform interface: return
-// type, parameter types, and the aux specs the connector transformation
-// will add for its summary. Everything a call site's lowering and rewriting
-// reads from a callee is in here.
-func (s *Session) signatureFP(st *fnState, globals map[string]minic.Type) string {
-	var b strings.Builder
-	b.WriteString("ret=")
-	b.WriteString(st.decl.Ret.String())
-	b.WriteString(";params=")
+// appendSignature appends a function's signature fingerprint to b: its
+// post-transform interface — return type, parameter types, and the aux specs
+// the connector transformation will add for its summary. Everything a call
+// site's lowering and rewriting reads from a callee is in here. The bytes are
+// persisted with the artifact and compared across restarts
+// (TestFingerprintGolden pins them).
+func (s *Session) appendSignature(b []byte, st *fnState, globals map[string]minic.Type) []byte {
+	b = append(append(b, "ret="...), st.decl.Ret.String()...)
+	b = append(b, ";params="...)
 	ptypes := make([]minic.Type, len(st.decl.Params))
 	for i, p := range st.decl.Params {
 		ptypes[i] = p.Type
-		b.WriteString(p.Type.String())
-		b.WriteByte(',')
+		b = append(append(b, p.Type.String()...), ',')
 	}
 	if !s.opts.DisableConnectors {
 		in, out := transform.ConnectorSpecs(ptypes, globals, st.sum)
-		b.WriteString(";aux=")
-		for _, sp := range in {
-			fmt.Fprintf(&b, "i%d@%s.%d,", sp.Root, sp.Global, sp.Depth)
-		}
-		for _, sp := range out {
-			fmt.Fprintf(&b, "o%d@%s.%d,", sp.Root, sp.Global, sp.Depth)
+		b = append(b, ";aux="...)
+		for dir, specs := range [][]ir.AuxSpec{in, out} {
+			for _, sp := range specs {
+				b = strconv.AppendInt(append(b, "io"[dir]), int64(sp.Root), 10)
+				b = append(append(b, '@'), sp.Global...)
+				b = strconv.AppendInt(append(b, '.'), int64(sp.Depth), 10)
+				b = append(b, ',')
+			}
 		}
 	}
-	return b.String()
+	return b
 }

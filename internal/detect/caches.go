@@ -203,23 +203,24 @@ func (c *caches) apparentlyUnsat(fn *ir.Func, co *cond.Cond) bool {
 func (c *caches) reverse(g *seg.Graph) *revEntry {
 	re := &c.fn[g.Fn.ID].rev
 	re.once.Do(func() {
-		nodes := g.AllNodes()
-		re.start = make([]int32, len(nodes)+1)
-		for _, n := range nodes {
-			for _, edge := range g.Succs(n) {
+		n := g.NumNodes()
+		re.start = make([]int32, n+1)
+		for i := 0; i < n; i++ {
+			for _, edge := range g.Succs(g.Node(i)) {
 				re.start[edge.To.Index()+1]++
 			}
 		}
-		for i := range nodes {
+		for i := 0; i < n; i++ {
 			re.start[i+1] += re.start[i]
 		}
-		re.preds = make([]*seg.Node, re.start[len(nodes)])
-		fill := append([]int32(nil), re.start[:len(nodes)]...)
+		re.preds = make([]*seg.Node, re.start[n])
+		fill := append([]int32(nil), re.start[:n]...)
 		// Sources in vertex order, so each predecessor list is too.
-		for _, n := range nodes {
-			for _, edge := range g.Succs(n) {
+		for i := 0; i < n; i++ {
+			from := g.Node(i)
+			for _, edge := range g.Succs(from) {
 				to := edge.To.Index()
-				re.preds[fill[to]] = n
+				re.preds[fill[to]] = from
 				fill[to]++
 			}
 		}

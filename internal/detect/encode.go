@@ -197,7 +197,7 @@ func extractWitness(model map[string]bool, enc *encoder) []string {
 		if !ok {
 			continue
 		}
-		out = append(out, fmt.Sprintf("%s@%s#%d = %v", origin.val.Name, origin.fn.Name, origin.inst, v))
+		out = append(out, fmt.Sprintf("%s@%s#%d = %v", origin.val.Name(), origin.fn.Name, origin.inst, v))
 	}
 	sort.Strings(out)
 	return out
@@ -259,13 +259,13 @@ func (e *encoder) valueTerm(inst int, v *ir.Value) *smt.Term {
 	tb := e.tb
 	switch v.Kind {
 	case ir.VConstInt:
-		return tb.Int(v.IntVal)
+		return tb.Int(v.IntVal())
 	case ir.VConstBool:
 		return tb.Bool(v.BoolVal)
 	case ir.VConstNull:
 		return tb.Int(0)
 	}
-	name := varName(inst, 'v', v.ID)
+	name := varName(inst, 'v', int(v.ID))
 	if v.Type.Base == "bool" && v.Type.Ptr == 0 {
 		return tb.BoolVar(name)
 	}
@@ -304,7 +304,7 @@ func (e *encoder) condTerm(inst int, fn *ir.Func, c *cond.Cond) *smt.Term {
 	case cond.KFalse:
 		return tb.False()
 	case cond.KAtom:
-		v := e.prog.Info(fn).AtomValue[c.Atom()]
+		v := e.prog.Info(fn).AtomValue(c.Atom())
 		if v == nil {
 			// Unknown atom: opaque boolean.
 			return tb.BoolVar(varName(inst, 'a', c.Atom()))
@@ -340,7 +340,7 @@ func (e *encoder) emitDD(inst int, v *ir.Value) {
 	if v.IsConst() {
 		return
 	}
-	key := ddKey{inst: inst, vid: v.ID}
+	key := ddKey{inst: inst, vid: int(v.ID)}
 	if e.ddDone[key] {
 		return
 	}

@@ -112,11 +112,11 @@ func (lc *leakChecker) computeFreesParam(n *flowCounts) {
 		for _, f := range work {
 			g := lc.prog.SEG(f)
 			for _, p := range f.Params {
-				if c.frees[f.ID][p.ParamIdx] {
+				if c.frees[f.ID][p.ParamIdx()] {
 					continue
 				}
 				if lc.paramMayFree(g, p, n) {
-					c.frees[f.ID][p.ParamIdx] = true
+					c.frees[f.ID][p.ParamIdx()] = true
 					changed = true
 				}
 			}
@@ -139,7 +139,7 @@ func (lc *leakChecker) paramMayFree(g *seg.Graph, p *ir.Value, n *flowCounts) bo
 		case seg.RoleFreeArg:
 			return true
 		case seg.RoleCallArg:
-			if callee := lc.prog.Module.Lookup(term.Instr.Callee); callee != nil && lc.mayFree(callee, term.ArgIdx) {
+			if callee := lc.prog.Module.Lookup(term.Instr.Callee()); callee != nil && lc.mayFree(callee, int(term.ArgIdx)) {
 				return true
 			}
 		}
@@ -166,14 +166,14 @@ func (lc *leakChecker) checkAlloc(f *ir.Func, g *seg.Graph, alloc *ir.Instr, sta
 		case seg.RoleFreeArg:
 			frees = append(frees, reachedFree{flow: fl})
 		case seg.RoleCallArg:
-			callee := lc.prog.Module.Lookup(term.Instr.Callee)
+			callee := lc.prog.Module.Lookup(term.Instr.Callee())
 			if callee == nil {
 				// Passed to an external: assume it takes ownership.
 				escaped = true
 				continue
 			}
 			fp.readMayFree(callee.Name, lc.caches.frees[callee.ID])
-			if lc.mayFree(callee, term.ArgIdx) {
+			if lc.mayFree(callee, int(term.ArgIdx)) {
 				// A callee may free it; treat like a reached free with
 				// the call's conditions.
 				frees = append(frees, reachedFree{flow: fl})
@@ -200,7 +200,7 @@ func (lc *leakChecker) checkAlloc(f *ir.Func, g *seg.Graph, alloc *ir.Instr, sta
 	}
 	if len(frees) == 0 {
 		rep := &LeakReport{
-			Fn: f.Name, Pos: alloc.Pos, Alloc: alloc, Kind: LeakNeverFreed,
+			Fn: f.Name, Pos: alloc.Position(), Alloc: alloc, Kind: LeakNeverFreed,
 		}
 		if lc.opts.Witness {
 			rep.Provenance = &Provenance{
@@ -231,7 +231,7 @@ func (lc *leakChecker) checkAlloc(f *ir.Func, g *seg.Graph, alloc *ir.Instr, sta
 		return nil
 	}
 	rep := &LeakReport{
-		Fn: f.Name, Pos: alloc.Pos, Alloc: alloc, Kind: LeakConditional,
+		Fn: f.Name, Pos: alloc.Position(), Alloc: alloc, Kind: LeakConditional,
 		Witness: extractWitness(model, enc),
 	}
 	if lc.opts.Witness {
@@ -243,7 +243,7 @@ func (lc *leakChecker) checkAlloc(f *ir.Func, g *seg.Graph, alloc *ir.Instr, sta
 			term := rf.flow.Terminal()
 			h := Hop{Fn: f.Name, Node: term.String()}
 			if term.Instr != nil {
-				h.Pos = term.Instr.Pos
+				h.Pos = term.Instr.Position()
 			}
 			hops = append(hops, h)
 		}
@@ -259,5 +259,5 @@ func (lc *leakChecker) checkAlloc(f *ir.Func, g *seg.Graph, alloc *ir.Instr, sta
 // allocHop renders the allocation site of a leak report as the path's first
 // hop.
 func allocHop(f *ir.Func, alloc *ir.Instr) Hop {
-	return Hop{Fn: f.Name, Node: alloc.Dst.String(), Pos: alloc.Pos}
+	return Hop{Fn: f.Name, Node: alloc.Dst.String(), Pos: alloc.Position()}
 }

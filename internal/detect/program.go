@@ -209,12 +209,12 @@ func patchCallers(prev *Program, m *ir.Module, fresh []*ir.Func) [][]CallSite {
 	for _, f := range fresh {
 		was := prev.Module.Funcs[m.Layout.Pos(f.ID)]
 		forEachCall(was, func(in *ir.Instr) {
-			if callee := m.Lookup(in.Callee); callee != nil {
+			if callee := m.Lookup(in.Callee()); callee != nil {
 				affected[callee] = true
 			}
 		})
 		forEachCall(f, func(in *ir.Instr) {
-			if callee := m.Lookup(in.Callee); callee != nil {
+			if callee := m.Lookup(in.Callee()); callee != nil {
 				affected[callee] = true
 				added[callee] = append(added[callee], CallSite{Fn: f, Instr: in})
 			}
@@ -254,7 +254,7 @@ func indexCallers(m *ir.Module) [][]CallSite {
 	callers := make([][]CallSite, m.Layout.NumIDs())
 	for _, f := range m.Funcs {
 		forEachCall(f, func(in *ir.Instr) {
-			if callee := m.Lookup(in.Callee); callee != nil {
+			if callee := m.Lookup(in.Callee()); callee != nil {
 				callers[callee.ID] = append(callers[callee.ID], CallSite{Fn: f, Instr: in})
 			}
 		})

@@ -97,9 +97,9 @@ func hopsFromSteps(steps []gstep, conds []instCond) []Hop {
 			h.Fn = fn.Name
 		}
 		if st.node.Instr != nil {
-			h.Pos = st.node.Instr.Pos
+			h.Pos = st.node.Instr.Position()
 		} else if st.node.Val != nil && st.node.Val.Def != nil {
-			h.Pos = st.node.Val.Def.Pos
+			h.Pos = st.node.Val.Def.Position()
 		}
 		hops = append(hops, h)
 	}

@@ -115,9 +115,9 @@ type task struct {
 // pos locates the task's demand source for trace annotations.
 func (t *task) pos() minic.Pos {
 	if t.alloc != nil {
-		return t.alloc.Pos
+		return t.alloc.Position()
 	}
-	return t.src.At.Pos
+	return t.src.At.Position()
 }
 
 // scheduled is a task in one CheckAll's canonical order, tagged with the
@@ -372,7 +372,7 @@ func prepare(prog *Program, specs []*checkers.Spec, c *caches, workers int, n *f
 		// that stayed.
 		for _, f := range todo {
 			forEachCall(f, func(in *ir.Instr) {
-				if callee := m.Lookup(in.Callee); callee != nil && prog.segs[callee.ID] != nil {
+				if callee := m.Lookup(in.Callee()); callee != nil && prog.segs[callee.ID] != nil {
 					warm(0, callee, prog.segs[callee.ID], c.fn[callee.ID])
 				}
 			})

@@ -349,17 +349,17 @@ func (e *Engine) bindCallParams(np *pathState, callerInst int, calleeInst int, c
 // throughCall handles a tracked value passed as a call argument.
 func (e *Engine) throughCall(fr *frame, term *seg.Node, sourceAt *ir.Instr, sourceFn *ir.Func, p pathState) {
 	call := term.Instr
-	callee := e.prog.Module.Lookup(call.Callee)
+	callee := e.prog.Module.Lookup(call.Callee())
 	if callee == nil {
 		// External: taint-transfer functions propagate to the receiver.
-		if e.spec.PropagateCalls[call.Callee] && len(call.Dsts) > 0 && call.Dsts[0] != nil {
+		if e.spec.PropagateCalls[call.Callee()] && len(call.Dsts()) > 0 && call.Dsts()[0] != nil {
 			np := p.clone()
 			np.bounds = append(np.bounds, boundary{
-				instA: fr.inst, valA: term.Val, instB: fr.inst, valB: call.Dsts[0], equality: false,
+				instA: fr.inst, valA: term.Val, instB: fr.inst, valB: call.Dsts()[0], equality: false,
 			})
 			g := e.prog.SEG(fr.fn)
-			np.steps = append(np.steps, gstep{inst: fr.inst, node: g.ValueNode(call.Dsts[0])})
-			e.explore(fr, g.ValueNode(call.Dsts[0]), sourceAt, sourceFn, np)
+			np.steps = append(np.steps, gstep{inst: fr.inst, node: g.ValueNode(call.Dsts()[0])})
+			e.explore(fr, g.ValueNode(call.Dsts()[0]), sourceAt, sourceFn, np)
 		}
 		return
 	}
@@ -372,7 +372,7 @@ func (e *Engine) throughCall(fr *frame, term *seg.Node, sourceAt *ir.Instr, sour
 		e.stats.TruncatedSearches++
 		return
 	}
-	if term.ArgIdx >= len(callee.Params) {
+	if int(term.ArgIdx) >= len(callee.Params) {
 		return
 	}
 	param := callee.Params[term.ArgIdx]
@@ -387,7 +387,7 @@ func (e *Engine) throughCall(fr *frame, term *seg.Node, sourceAt *ir.Instr, sour
 
 // throughReturn handles a tracked value reaching a return operand.
 func (e *Engine) throughReturn(fr *frame, term *seg.Node, sourceAt *ir.Instr, sourceFn *ir.Func, p pathState) {
-	retIdx := term.ArgIdx
+	retIdx := int(term.ArgIdx)
 	if fr.retTo != nil {
 		// Pop to the originating call site.
 		recv := retReceiver(fr.fn, fr.retCall, retIdx)
@@ -450,7 +450,7 @@ func (e *Engine) throughReturn(fr *frame, term *seg.Node, sourceAt *ir.Instr, so
 // aliases — other values loaded from the same cell the actual came from —
 // are tracked too.
 func (e *Engine) ascendViaParam(fr *frame, node *seg.Node, sourceAt *ir.Instr, sourceFn *ir.Func, p pathState) {
-	idx := node.Val.ParamIdx
+	idx := node.Val.ParamIdx()
 	for i, cs := range e.callersOf(fr.fn) {
 		if i >= e.opts.MaxCallers || fr.depth >= e.opts.MaxCallDepth {
 			e.stats.TruncatedSearches++
@@ -506,10 +506,10 @@ func retReceiver(callee *ir.Func, call *ir.Instr, retIdx int) *ir.Value {
 	} else {
 		dstIdx = 0
 	}
-	if dstIdx >= len(call.Dsts) {
+	if dstIdx >= len(call.Dsts()) {
 		return nil
 	}
-	return call.Dsts[dstIdx]
+	return call.Dsts()[dstIdx]
 }
 
 // sanitized reports whether the sink is guarded by a sanitizer predicate
@@ -536,7 +536,7 @@ func (e *Engine) sanitized(fr *frame, sink *seg.Node, p pathState) bool {
 			return false
 		}
 		def := v.Def
-		if def.Op == ir.OpCall && e.spec.SanitizerCalls[def.Callee] {
+		if def.Op == ir.OpCall && e.spec.SanitizerCalls[def.Callee()] {
 			for _, a := range def.Args {
 				if pathVals[a.ID] {
 					return true
@@ -611,8 +611,8 @@ func (e *Engine) emitCandidate(fr *frame, sink *seg.Node, sourceAt *ir.Instr, so
 		Checker:    e.spec.Name,
 		SourceFn:   sourceFn.Name,
 		SinkFn:     fr.fn.Name,
-		SourcePos:  sourceAt.Pos,
-		SinkPos:    sink.Instr.Pos,
+		SourcePos:  sourceAt.Position(),
+		SinkPos:    sink.Instr.Position(),
 		Source:     sourceAt,
 		Sink:       sink.Instr,
 		PathLen:    len(p.steps),

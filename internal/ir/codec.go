@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/minic"
 	"repro/internal/wirebin"
@@ -76,7 +77,7 @@ func liveValues(f *Func) []*Value {
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			add(in.Dst)
-			for _, d := range in.Dsts {
+			for _, d := range in.Dsts() {
 				add(d)
 			}
 			for _, a := range in.Args {
@@ -125,6 +126,15 @@ func decodePos(r *wirebin.Reader) minic.Pos {
 	return minic.Pos{File: r.Sym(), Line: r.Int(), Col: r.Int()}
 }
 
+// subAndCallee splits Instr.Sub into the two symbols the wire format has for
+// it: the callee of a call, the operator, variable or field of anything else.
+func subAndCallee(in *Instr) (sub, callee string) {
+	if in.Op == OpCall {
+		return "", in.Sub
+	}
+	return in.Sub, ""
+}
+
 func encodeAuxSpecs(e *wirebin.Writer, specs []AuxSpec) {
 	e.Uvarint(uint64(len(specs)))
 	for _, a := range specs {
@@ -171,19 +181,19 @@ func EncodeFunc(e *wirebin.Writer, f *Func) {
 		if v == nil {
 			continue
 		}
-		e.Int(v.ID)
+		e.I32(v.ID)
 		e.U8(uint8(v.Kind))
-		e.Str(v.Name)
+		e.Str(v.Name())
 		e.Sym(v.Type.Base)
 		e.Int(v.Type.Ptr)
 		if v.Def == nil {
 			e.I32(-1)
 		} else {
-			e.Int(v.Def.ID)
+			e.I32(v.Def.ID)
 		}
-		e.Varint(v.IntVal)
+		e.Varint(v.IntVal())
 		e.Bool(v.BoolVal)
-		e.Int(v.ParamIdx)
+		e.Int(v.ParamIdx())
 		e.Bool(v.Aux)
 	}
 	encodeValIDs(e, f.Params)
@@ -195,15 +205,16 @@ func EncodeFunc(e *wirebin.Writer, f *Func) {
 	}
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
-			e.Int(in.ID)
+			e.I32(in.ID)
 			e.U8(uint8(in.Op))
 			e.I32(valID(in.Dst))
-			encodeValIDs(e, in.Dsts)
+			encodeValIDs(e, in.Dsts())
 			encodeValIDs(e, in.Args)
-			e.Sym(in.Sub)
-			e.Sym(in.Callee)
-			encodeBlockIDs(e, in.Blocks)
-			encodePos(e, in.Pos)
+			sub, callee := subAndCallee(in)
+			e.Sym(sub)
+			e.Sym(callee)
+			encodeBlockIDs(e, in.Blocks())
+			encodePos(e, in.Position())
 			e.Bool(in.Synthetic)
 		}
 		encodeBlockIDs(e, b.Preds)
@@ -236,13 +247,14 @@ func claim[T any](d *funcDecoder, what string, tab []*T, id int, p *T) error {
 	return nil
 }
 
-// list reads a counted list of references, each through one.
-func list[T any](d *funcDecoder, one func() (*T, error)) ([]*T, error) {
+// list reads a counted list of references, each through one, into slots of
+// slab.
+func list[T any](d *funcDecoder, slab *[]*T, one func() (*T, error)) ([]*T, error) {
 	n := d.r.Len()
 	if n == 0 {
 		return nil, nil
 	}
-	out := make([]*T, n)
+	out := carveSlots(slab, n)
 	for i := range out {
 		x, err := one()
 		if err != nil {
@@ -275,6 +287,22 @@ func (d *funcDecoder) block() (*Block, error) {
 	return b, nil
 }
 
+// pos reads a position and narrows it to a Loc. One that does not fit, names
+// another file than the function's, or names a file without a line cannot
+// come from a genuine encoding: Instr.Position would not give it back.
+func (d *funcDecoder) pos() (Loc, error) {
+	p := decodePos(d.r)
+	l, ok := LocOf(p)
+	want := minic.Pos{}
+	if l != (Loc{}) {
+		want = minic.Pos{File: d.f.Pos.File, Line: int(l.Line), Col: int(l.Col)}
+	}
+	if !ok || p != want {
+		return Loc{}, d.errorf("bad position %s:%d:%d", p.File, p.Line, p.Col)
+	}
+	return l, nil
+}
+
 // DecodeFunc reads one function from r, together with the Index the
 // artifact's other sections resolve their references through.
 func DecodeFunc(r *wirebin.Reader) (*Func, *Index, error) {
@@ -288,13 +316,24 @@ func DecodeFunc(r *wirebin.Reader) (*Func, *Index, error) {
 	// length: every live ID costs several bytes of what remains, and the
 	// dead ones (pre-SSA variables, pruned blocks) are a fraction of the
 	// live.
-	f.nextValID, f.nextInstrID, f.nextBlockID = r.Len(), r.Len(), r.Len()
-	ix := &Index{
-		Values: make([]*Value, f.nextValID),
-		Instrs: make([]*Instr, f.nextInstrID),
-		Blocks: make([]*Block, f.nextBlockID),
+	nv, ni, nb := r.Len(), r.Len(), r.Len()
+	d := &funcDecoder{r: r, f: f}
+	if _, ok := LocOf(f.Pos); !ok {
+		return nil, nil, d.errorf("bad position %s", f.Pos)
 	}
-	d := &funcDecoder{r: r, f: f, ix: ix, used: make([]bool, f.nextValID)}
+	if max(nv, ni, nb) > math.MaxInt32 {
+		return nil, nil, d.errorf("%d values, %d instructions and %d blocks exceed the ID width", nv, ni, nb)
+	}
+	f.nextValID, f.nextInstrID, f.nextBlockID = int32(nv), int32(ni), int32(nb)
+	ix := &Index{
+		Values: make([]*Value, nv),
+		Instrs: make([]*Instr, ni),
+		Blocks: make([]*Block, nb),
+	}
+	d.ix, d.used = ix, make([]bool, nv)
+	// The lists are carved like a built function's, and the bookkeeping goes
+	// when the function is complete.
+	a := f.alloc()
 
 	// Values, restoring the constant intern tables. Values, blocks and
 	// instructions each come from one backing array — the artifact lives or
@@ -302,28 +341,37 @@ func DecodeFunc(r *wirebin.Reader) (*Func, *Index, error) {
 	// share of warm-restart time on the allocator alone.
 	values := make([]Value, r.Len())
 	defs := make([]int32, len(values))
-	f.intConsts = make(map[int64]*Value)
 	for i := range values {
 		v := &values[i]
-		v.ID, v.Kind, v.Name = r.Int(), ValueKind(r.U8()), r.Str()
+		id := r.Int()
+		v.Kind, v.name = ValueKind(r.U8()), r.Str()
 		v.Type = minic.Type{Base: r.Sym(), Ptr: r.Int()}
 		defs[i] = r.I32()
-		v.IntVal, v.BoolVal, v.ParamIdx, v.Aux = r.Varint(), r.Bool(), r.Int(), r.Bool()
-		if err := claim(d, "value", ix.Values, v.ID, v); err != nil {
+		intVal, boolVal, paramIdx, aux := r.Varint(), r.Bool(), r.Int(), r.Bool()
+		if err := claim(d, "value", ix.Values, id, v); err != nil {
 			return nil, nil, err
 		}
+		v.ID, v.BoolVal, v.Aux = int32(id), boolVal, aux
+		// Each kind carries one payload; a second one is not a genuine
+		// value's, and would be lost in the shared field.
 		dup := false
 		switch v.Kind {
-		case VVar, VParam:
+		case VVar:
+		case VParam:
+			v.num, paramIdx = int64(paramIdx), 0
 		case VConstInt:
-			dup = f.intConsts[v.IntVal] != nil
-			f.intConsts[v.IntVal] = v
+			v.num, intVal = intVal, 0
+			dup = f.intConsts[v.num] != nil
+			if f.intConsts == nil {
+				f.intConsts = make(map[int64]*Value)
+			}
+			f.intConsts[v.num] = v
 		case VConstBool:
 			c := &f.boolConsts[0]
 			if v.BoolVal {
 				c = &f.boolConsts[1]
 			}
-			dup, *c = *c != nil, v
+			dup, *c, boolVal = *c != nil, v, false
 		case VConstNull:
 			dup, f.nullConst = f.nullConst != nil, v
 		default:
@@ -332,10 +380,13 @@ func DecodeFunc(r *wirebin.Reader) (*Func, *Index, error) {
 		if dup {
 			return nil, nil, d.errorf("value %d duplicates an interned constant", v.ID)
 		}
+		if intVal != 0 || paramIdx != 0 || boolVal || v.num < 0 && v.Kind == VParam {
+			return nil, nil, d.errorf("value %d of kind %d carries a payload of another kind", v.ID, v.Kind)
+		}
 		d.used[v.ID] = v.IsConst() // the intern tables refer to it
 	}
 	var err error
-	if f.Params, err = list(d, d.value); err != nil {
+	if f.Params, err = list(d, &a.valRefs, d.value); err != nil {
 		return nil, nil, err
 	}
 	for _, p := range f.Params {
@@ -363,40 +414,65 @@ func DecodeFunc(r *wirebin.Reader) (*Func, *Index, error) {
 		return nil, nil, d.errorf("%d instructions exceed the input", total)
 	}
 
-	// Instructions and CFG edges.
+	// Instructions and CFG edges. The per-block instruction lists share one
+	// array; the extensions come a chunk at a time, as in a built function.
 	instrs := make([]Instr, total)
+	lists := make([]*Instr, total)
+	var exts []Ext
 	for i, b := range f.Blocks {
-		b.Instrs = make([]*Instr, counts[i])
+		b.Instrs, lists = lists[:counts[i]:counts[i]], lists[counts[i]:]
 		for j := range b.Instrs {
 			in := &instrs[0]
 			instrs = instrs[1:]
-			in.ID, in.Op, in.Block = r.Int(), Op(r.U8()), b
+			id := r.Int()
+			in.Op, in.Block = Op(r.U8()), b
 			if in.Dst, err = d.value(); err != nil {
 				return nil, nil, err
 			}
-			if in.Dsts, err = list(d, d.value); err != nil {
+			dsts, err := list(d, &a.valRefs, d.value)
+			if err != nil {
 				return nil, nil, err
 			}
-			if in.Args, err = list(d, d.value); err != nil {
+			if in.Args, err = list(d, &a.valRefs, d.value); err != nil {
 				return nil, nil, err
 			}
-			in.Sub, in.Callee = r.Sym(), r.Sym()
-			if in.Blocks, err = list(d, d.block); err != nil {
+			sub, callee := r.Sym(), r.Sym()
+			targets, err := list(d, &a.blockRefs, d.block)
+			if err != nil {
 				return nil, nil, err
 			}
-			in.Pos, in.Synthetic = decodePos(r), r.Bool()
-			if err := claim(d, "instr", ix.Instrs, in.ID, in); err != nil {
+			if in.Loc, err = d.pos(); err != nil {
 				return nil, nil, err
 			}
+			in.Synthetic = r.Bool()
+			if err := claim(d, "instr", ix.Instrs, id, in); err != nil {
+				return nil, nil, err
+			}
+			in.ID = int32(id)
 			if int(in.Op) >= len(opNames) {
 				return nil, nil, d.errorf("instr %d has unknown op %d", in.ID, in.Op)
 			}
+			// One name per instruction: a call's is its callee, and only a
+			// call has one.
+			if in.Sub = sub; in.Op == OpCall {
+				in.Sub, callee = callee, sub
+			}
+			if callee != "" {
+				return nil, nil, d.errorf("instr %d (%s) names both %q and %q", in.ID, in.Op, in.Sub, callee)
+			}
+			if dsts != nil || targets != nil {
+				if len(exts) == 0 {
+					exts = make([]Ext, extChunk)
+				}
+				in.Ext, exts = &exts[0], exts[1:]
+				in.Ext.Dsts, in.Ext.Blocks = dsts, targets
+			}
 			b.Instrs[j] = in
 		}
-		if b.Preds, err = list(d, d.block); err != nil {
+		if b.Preds, err = list(d, &a.blockRefs, d.block); err != nil {
 			return nil, nil, err
 		}
-		if b.Succs, err = list(d, d.block); err != nil {
+		if b.Succs, err = list(d, &a.blockRefs, d.block); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -423,5 +499,6 @@ func DecodeFunc(r *wirebin.Reader) (*Func, *Index, error) {
 	if err := Verify(f); err != nil {
 		return nil, nil, fmt.Errorf("ir: decode: %w", err)
 	}
+	f.ReleaseBuildState()
 	return f, ix, nil
 }

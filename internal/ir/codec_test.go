@@ -157,8 +157,8 @@ func describe(f *Func) *wireFunc {
 			continue
 		}
 		wv := wireValue{
-			id: v.ID, kind: uint8(v.Kind), name: v.Name, typeBase: v.Type.Base, typePtr: v.Type.Ptr,
-			def: -1, intVal: v.IntVal, boolVal: v.BoolVal, paramIdx: v.ParamIdx, aux: v.Aux,
+			id: int(v.ID), kind: uint8(v.Kind), name: v.Name(), typeBase: v.Type.Base, typePtr: v.Type.Ptr,
+			def: -1, intVal: v.IntVal(), boolVal: v.BoolVal, paramIdx: v.ParamIdx(), aux: v.Aux,
 		}
 		if v.Def != nil {
 			wv.def = int32(v.Def.ID)
@@ -168,10 +168,11 @@ func describe(f *Func) *wireFunc {
 	for _, b := range f.Blocks {
 		wb := wireBlock{id: b.ID, preds: blockIDs(b.Preds), succs: blockIDs(b.Succs)}
 		for _, in := range b.Instrs {
+			sub, callee := subAndCallee(in)
 			wb.instrs = append(wb.instrs, wireInstr{
-				id: in.ID, op: uint8(in.Op), dst: valID(in.Dst), dsts: valIDs(in.Dsts), args: valIDs(in.Args),
-				sub: in.Sub, callee: in.Callee, blocks: blockIDs(in.Blocks),
-				file: in.Pos.File, line: in.Pos.Line, col: in.Pos.Col, synthetic: in.Synthetic,
+				id: int(in.ID), op: uint8(in.Op), dst: valID(in.Dst), dsts: valIDs(in.Dsts()), args: valIDs(in.Args),
+				sub: sub, callee: callee, blocks: blockIDs(in.Blocks()),
+				file: in.Position().File, line: in.Position().Line, col: in.Position().Col, synthetic: in.Synthetic,
 			})
 		}
 		w.blocks = append(w.blocks, wb)
@@ -195,24 +196,25 @@ func buildCodecFunc() *Func {
 	f.AuxIn = []AuxSpec{{Root: 1, Depth: 1}}
 	f.AuxOut = []AuxSpec{{Root: -1, Global: "g", Depth: 2}}
 	f.NewVar("x", minic.IntType) // the pre-SSA variable: its ID stays dead
-	def := func(name string) *Value { return f.newValue(Value{Kind: VVar, Name: name, Type: minic.IntType}) }
+	loc := func(line int32) Loc { return Loc{Line: line, Col: 2} }
+	def := func(name string) *Value { return f.NewDef(name, minic.IntType) }
 	r, x1, x2, x3 := def("r"), def("x.1"), def("x.2"), def("x.3")
 	r.Aux = true
 	b0, b1, b2, b3 := f.NewBlock(), f.NewBlock(), f.NewBlock(), f.NewBlock()
 	f.Entry, f.Exit = b0, b3
 
-	r.Def = f.Append(b0, Instr{Op: OpCall, Callee: "ext", Dsts: []*Value{nil, r}, Args: []*Value{p}, Pos: pos(2), Synthetic: true})
-	f.Append(b0, Instr{Op: OpBr, Args: []*Value{c}, Blocks: []*Block{b1, b2}, Pos: pos(3)})
+	r.Def = f.Append(b0, Instr{Op: OpCall, Sub: "ext", Ext: &Ext{Dsts: []*Value{nil, r}}, Args: []*Value{p}, Loc: loc(2), Synthetic: true})
+	f.Append(b0, Instr{Op: OpBr, Args: []*Value{c}, Ext: &Ext{Blocks: []*Block{b1, b2}}, Loc: loc(3)})
 	Connect(b0, b1)
 	Connect(b0, b2)
-	x1.Def = f.Append(b1, Instr{Op: OpCopy, Dst: x1, Args: []*Value{f.ConstInt(1)}, Pos: pos(4)})
-	f.Append(b1, Instr{Op: OpJmp, Blocks: []*Block{b3}})
+	x1.Def = f.Append(b1, Instr{Op: OpCopy, Dst: x1, Args: []*Value{f.ConstInt(1)}, Loc: loc(4)})
+	f.Append(b1, Instr{Op: OpJmp, Ext: &Ext{Blocks: []*Block{b3}}})
 	Connect(b1, b3)
-	x2.Def = f.Append(b2, Instr{Op: OpLoad, Dst: x2, Args: []*Value{p}, Pos: pos(5)})
-	f.Append(b2, Instr{Op: OpJmp, Blocks: []*Block{b3}})
+	x2.Def = f.Append(b2, Instr{Op: OpLoad, Dst: x2, Args: []*Value{p}, Loc: loc(5)})
+	f.Append(b2, Instr{Op: OpJmp, Ext: &Ext{Blocks: []*Block{b3}}})
 	Connect(b2, b3)
-	x3.Def = f.Append(b3, Instr{Op: OpPhi, Dst: x3, Args: []*Value{x1, x2}, Blocks: []*Block{b1, b2}, Pos: pos(6)})
-	f.Append(b3, Instr{Op: OpRet, Args: []*Value{x3, r}, Pos: pos(7)})
+	x3.Def = f.Append(b3, Instr{Op: OpPhi, Dst: x3, Args: []*Value{x1, x2}, Ext: &Ext{Blocks: []*Block{b1, b2}}, Loc: loc(6)})
+	f.Append(b3, Instr{Op: OpRet, Args: []*Value{x3, r}, Loc: loc(7)})
 	f.ConstBool(true)
 	f.ConstNull()
 	return f
@@ -317,6 +319,22 @@ func TestDecodeFuncRejectsMalformed(t *testing.T) {
 		{"successor past the space", func(w *wireFunc) { w.blocks[0].succs[0] = 77 }, "bad block id"},
 		{"nil entry", func(w *wireFunc) { w.entry = -1 }, "bad block id"},
 		{"exit past the space", func(w *wireFunc) { w.exit = int32(w.nextBlk) }, "bad block id"},
+		// What the narrower in-memory fields cannot hold is refused, not
+		// truncated into some other function's artifact.
+		{"value id wider than its field", func(w *wireFunc) { valueOf(w, "x.3").id += 1 << 32 }, "bad value id"},
+		{"instr id wider than its field", func(w *wireFunc) { w.blocks[1].instrs[0].id += 1 << 32 }, "bad instr id"},
+		{"line wider than its field", func(w *wireFunc) { w.blocks[1].instrs[0].line += 1 << 32 }, "bad position"},
+		{"column wider than its field", func(w *wireFunc) { w.blocks[1].instrs[0].col = 1 << 31 }, "bad position"},
+		{"negative line", func(w *wireFunc) { w.blocks[1].instrs[0].line = -4 }, "bad position"},
+		{"function line wider than its field", func(w *wireFunc) { w.line = 1 << 40 }, "bad position"},
+		{"position in another file", func(w *wireFunc) { w.blocks[1].instrs[0].file = "other.mc" }, "bad position"},
+		{"file without a position", func(w *wireFunc) { w.blocks[1].instrs[1].file = "codec.mc" }, "bad position"},
+		{"parameter index on a variable", func(w *wireFunc) { valueOf(w, "x.3").paramIdx = 1 }, "payload of another kind"},
+		{"integer on a parameter", func(w *wireFunc) { valueOf(w, "p").intVal = 7 }, "payload of another kind"},
+		{"truth value on a variable", func(w *wireFunc) { valueOf(w, "x.3").boolVal = true }, "payload of another kind"},
+		{"negative parameter index", func(w *wireFunc) { valueOf(w, "p").paramIdx = -1 }, "payload of another kind"},
+		{"operator on a call", func(w *wireFunc) { w.blocks[0].instrs[0].sub = "+" }, "names both"},
+		{"callee on a copy", func(w *wireFunc) { w.blocks[1].instrs[0].callee = "ext" }, "names both"},
 		{"instr space past the input", func(w *wireFunc) { w.nextInstr = 1 << 40 }, "exceeds"},
 		{"value space past the input", func(w *wireFunc) { w.nextVal = 1 << 40 }, "exceeds"},
 		{"block space past the input", func(w *wireFunc) { w.nextBlk = 1 << 40 }, "exceeds"},

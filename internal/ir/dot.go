@@ -26,10 +26,10 @@ func DotCFG(f *Func) string {
 		}
 		switch term.Op {
 		case OpBr:
-			fmt.Fprintf(&b, "  %s -> %s [label=\"T\"];\n", blk, term.Blocks[0])
-			fmt.Fprintf(&b, "  %s -> %s [label=\"F\"];\n", blk, term.Blocks[1])
+			fmt.Fprintf(&b, "  %s -> %s [label=\"T\"];\n", blk, term.Blocks()[0])
+			fmt.Fprintf(&b, "  %s -> %s [label=\"F\"];\n", blk, term.Blocks()[1])
 		case OpJmp:
-			fmt.Fprintf(&b, "  %s -> %s;\n", blk, term.Blocks[0])
+			fmt.Fprintf(&b, "  %s -> %s;\n", blk, term.Blocks()[0])
 		}
 	}
 	b.WriteString("}\n")

@@ -90,23 +90,63 @@ const (
 
 // Value is an IR value: a variable, parameter, or constant. Variables and
 // parameters are identified by pointer; constants are interned per function.
+//
+// A function holds about one Value per instruction, so the record is kept to
+// 64 bytes: the one number a value carries — the integer of a VConstInt, the
+// position of a VParam, the SSA version of a VVar — shares a field, and an SSA
+// version keeps its variable's name string and renders "<name>.<version>" on
+// demand (see Name) instead of owning a string of its own.
 type Value struct {
-	ID   int
-	Kind ValueKind
-	Name string
+	name string
 	Type minic.Type
 	// Def is the defining instruction of an SSA variable (nil for
 	// parameters and constants).
 	Def *Instr
-	// IntVal / BoolVal hold constant payloads.
-	IntVal  int64
+	// num is IntVal for a VConstInt, ParamIdx for a VParam, and the SSA
+	// version of a VVar (0: the variable is not a version, name is whole).
+	num  int64
+	ID   int32
+	Kind ValueKind
+	// BoolVal is the payload of a VConstBool.
 	BoolVal bool
-	// ParamIdx is the 0-based position of a VParam, including aux formal
-	// parameters appended by the connector transformation.
-	ParamIdx int
 	// Aux marks connector values introduced by the transformation: aux
 	// formal parameters (VParam) and aux return values.
 	Aux bool
+}
+
+// Var returns a variable that belongs to no function, under an ID of the
+// caller's choosing (the whole-program baselines use such values as proxy
+// nodes).
+func Var(id int32, name string, t minic.Type) *Value {
+	return &Value{ID: id, Kind: VVar, name: name, Type: t}
+}
+
+// Name returns the value's name: the source or compiler-given name of a
+// variable or parameter, "<variable>.<n>" for SSA version n, "" for a
+// constant.
+func (v *Value) Name() string {
+	if v.Kind == VVar && v.num != 0 {
+		return v.name + "." + strconv.FormatInt(v.num, 10)
+	}
+	return v.name
+}
+
+// IntVal returns the payload of a VConstInt (0 for any other value).
+func (v *Value) IntVal() int64 {
+	if v.Kind != VConstInt {
+		return 0
+	}
+	return v.num
+}
+
+// ParamIdx returns the 0-based position of a VParam, including aux formal
+// parameters appended by the connector transformation (0 for any other
+// value).
+func (v *Value) ParamIdx() int {
+	if v.Kind != VParam {
+		return 0
+	}
+	return int(v.num)
 }
 
 // IsConst reports whether v is a constant of any kind.
@@ -117,7 +157,7 @@ func (v *Value) IsConst() bool {
 func (v *Value) String() string {
 	switch v.Kind {
 	case VConstInt:
-		return strconv.FormatInt(v.IntVal, 10)
+		return strconv.FormatInt(v.num, 10)
 	case VConstBool:
 		if v.BoolVal {
 			return "true"
@@ -126,29 +166,101 @@ func (v *Value) String() string {
 	case VConstNull:
 		return "null"
 	default:
-		return v.Name
+		return v.Name()
 	}
+}
+
+// Loc is a source position within the file of the enclosing function: every
+// instruction of a function comes from the function's own file, so the file
+// name is kept once, in Func.Pos, and Instr.Position puts the two together.
+// The zero Loc is "no position" (φs, test-built instructions).
+type Loc struct {
+	Line, Col int32
+}
+
+// LocOf narrows a position to a Loc; it reports false for a line or column a
+// Loc cannot hold.
+func LocOf(p minic.Pos) (Loc, bool) {
+	l := Loc{Line: int32(p.Line), Col: int32(p.Col)}
+	return l, int(l.Line) == p.Line && int(l.Col) == p.Col && p.Line >= 0 && p.Col >= 0
+}
+
+// Ext is the part of an instruction only a few opcodes have: the receivers
+// of a call, and the target blocks of a branch or jump or the incoming blocks
+// of a φ. Read it through Instr.Dsts and Instr.Blocks.
+type Ext struct {
+	Dsts   []*Value // call receivers; Dsts[0] may be nil for void calls
+	Blocks []*Block // successors (OpBr/OpJmp) or phi predecessors (OpPhi)
 }
 
 // Instr is one IR instruction. Instructions are identified by pointer; ID is
 // unique within the enclosing function and serves as the statement label s in
 // the paper's v@s vertices.
+//
+// The record is the most numerous object of a built program, so it holds
+// only what every opcode uses (80 bytes); see DESIGN.md, "Data layout".
 type Instr struct {
-	ID     int
-	Op     Op
-	Dst    *Value
-	Dsts   []*Value // call receivers; Dsts[0] may be nil for void calls
-	Args   []*Value
-	Sub    string   // operator for OpBin/OpUn, var name for OpAlloc/OpGlobalAddr
-	Callee string   // for OpCall
-	Blocks []*Block // successors (OpBr/OpJmp) or phi predecessors (OpPhi)
-	Pos    minic.Pos
-	Block  *Block
+	Dst  *Value
+	Args []*Value
+	// Sub is the one name an opcode carries: the operator of OpBin/OpUn, the
+	// variable of OpAlloc/OpGlobalAddr, the field of OpFieldAddr, the callee
+	// of OpCall (see Callee).
+	Sub   string
+	Block *Block
+	// Ext is nil except for calls, branches, jumps and φs.
+	Ext *Ext
+	Loc Loc
+	ID  int32
+	Op  Op
 	// Synthetic marks connector glue inserted by the transformation
 	// (entry stores, exit loads, call-site load/store chains). Checkers
 	// skip synthetic dereferences: they model a callee's accesses, which
 	// are reported at their real site inside the callee.
 	Synthetic bool
+}
+
+// Dsts returns a call's receivers: Dsts()[0] receives the source return value
+// (nil for a void call), the rest the aux return values. Nil for any other
+// opcode.
+func (in *Instr) Dsts() []*Value {
+	if in.Ext == nil {
+		return nil
+	}
+	return in.Ext.Dsts
+}
+
+// Blocks returns the targets of a branch or jump, or a φ's incoming
+// predecessors (parallel to Args). Nil for any other opcode.
+func (in *Instr) Blocks() []*Block {
+	if in.Ext == nil {
+		return nil
+	}
+	return in.Ext.Blocks
+}
+
+// AddDst appends a receiver to a call.
+func (in *Instr) AddDst(v *Value) {
+	if in.Ext == nil {
+		in.Ext = new(Ext)
+	}
+	in.Ext.Dsts = append(in.Ext.Dsts, v)
+}
+
+// Callee returns the name an OpCall calls ("" for any other opcode).
+func (in *Instr) Callee() string {
+	if in.Op != OpCall {
+		return ""
+	}
+	return in.Sub
+}
+
+// Position returns the instruction's source position, in the file of the
+// enclosing function; the zero Pos when it has none.
+func (in *Instr) Position() minic.Pos {
+	if in.Loc == (Loc{}) {
+		return minic.Pos{}
+	}
+	return minic.Pos{File: in.Block.Fn.Pos.File, Line: int(in.Loc.Line), Col: int(in.Loc.Col)}
 }
 
 // IsTerminator reports whether the instruction ends a basic block.
@@ -160,7 +272,7 @@ func (in *Instr) IsTerminator() bool {
 func (in *Instr) Defs() []*Value {
 	if in.Op == OpCall {
 		var out []*Value
-		for _, d := range in.Dsts {
+		for _, d := range in.Dsts() {
 			if d != nil {
 				out = append(out, d)
 			}
@@ -236,67 +348,139 @@ type Func struct {
 	AuxIn  []AuxSpec
 	AuxOut []AuxSpec
 
-	nextValID   int
-	nextInstrID int
-	nextBlockID int
-	// instrSlab and valueSlab are the current allocation chunks:
-	// instructions, and the values that live as long as their function
-	// (parameters, constants, SSA versions), are carved out of chunks
-	// instead of being allocated one object at a time (a chunk is never
-	// regrown, so pointers into it stay valid).
-	instrSlab  []Instr
-	valueSlab  []Value
+	nextValID   int32
+	nextInstrID int32
+	nextBlockID int32
+	// slabs is where new records are carved from; nil when nothing has been
+	// created since the function was made, decoded or released.
+	slabs *slabs
+	// intConsts is made when the first integer constant is interned.
 	intConsts  map[int64]*Value
 	boolConsts [2]*Value
 	nullConst  *Value
 }
 
+// slabs holds a function's current allocation chunks. Instructions, blocks,
+// the values that live as long as their function (parameters, constants,
+// SSA versions, connector variables) and the operand, receiver and target
+// lists of instructions are carved out of chunks instead of being allocated
+// one object at a time (a chunk is never regrown, so pointers into it stay
+// valid). The chunks belong to the records in them; this is only the
+// bookkeeping of where the next record goes, which ReleaseBuildState drops
+// once the function is built — at the cost of the chunks' unused tails, should
+// anything be created later after all.
+type slabs struct {
+	instrs    []Instr
+	values    []Value
+	blocks    []Block
+	exts      []Ext
+	valRefs   []*Value
+	blockRefs []*Block
+}
+
+func (f *Func) alloc() *slabs {
+	if f.slabs == nil {
+		f.slabs = new(slabs)
+	}
+	return f.slabs
+}
+
+// ReleaseBuildState drops the allocation bookkeeping of a function that is
+// not expected to grow any more. The build calls it when the function's SEG
+// is complete.
+func (f *Func) ReleaseBuildState() { f.slabs = nil }
+
 // NewFunc returns an empty function shell.
 func NewFunc(name string, ret minic.Type, unit int, pos minic.Pos) *Func {
-	return &Func{
-		Name: name, Ret: ret, Unit: unit, Pos: pos,
-		intConsts: make(map[int64]*Value),
-	}
+	return &Func{Name: name, Ret: ret, Unit: unit, Pos: pos}
+}
+
+// Loc returns the function's own position as instructions carry one (the
+// prologue and epilogue the connector transformation adds sit there).
+// Lowering and decoding have both refused a Pos that does not fit.
+func (f *Func) Loc() Loc {
+	l, _ := LocOf(f.Pos)
+	return l
 }
 
 // NewBlock appends a fresh empty block to the function.
 func (f *Func) NewBlock() *Block {
-	b := &Block{ID: f.nextBlockID, Fn: f}
+	b := carve(&f.alloc().blocks, blockChunk)
+	b.ID, b.Fn = int(f.nextBlockID), f
 	f.nextBlockID++
 	f.Blocks = append(f.Blocks, b)
 	return b
 }
 
-// slabChunk is the number of values or instructions allocated at a time.
+// The chunk sizes: how many records, or list slots, are allocated at a time.
 // The unused tail of a function's last chunk is waste that lives as long as
-// the function, and most functions have a dozen or two instructions, so the
-// chunk stays small.
-const slabChunk = 8
+// the function, and most functions have a dozen or two instructions in a
+// handful of blocks, so the chunks stay small.
+const (
+	slabChunk  = 4
+	blockChunk = 2
+	extChunk   = 2
+	refChunk   = 8
+)
 
 // carve returns the next free (zero) slot of the slab, starting a new chunk
 // when the current one is full.
-func carve[T any](slab *[]T) *T {
+func carve[T any](slab *[]T, chunk int) *T {
 	n := len(*slab)
 	if n == cap(*slab) {
-		*slab, n = make([]T, 0, slabChunk), 0
+		*slab, n = make([]T, 0, chunk), 0
 	}
 	*slab = (*slab)[:n+1]
 	return &(*slab)[n]
 }
 
+// carveSlots returns n free (zero) slots of the slab as a list with no
+// capacity to spare: appending to it reallocates, it never runs into the next
+// list. A list longer than half a chunk that does not fit the current one
+// gets an array of its own.
+func carveSlots[T any](slab *[]T, n int) []T {
+	if cap(*slab)-len(*slab) < n {
+		if n > refChunk/2 {
+			return make([]T, n)
+		}
+		*slab = make([]T, 0, refChunk)
+	}
+	at := len(*slab)
+	*slab = (*slab)[:at+n]
+	return (*slab)[at : at+n : at+n]
+}
+
+// carveList copies list into the slab.
+func carveList[T any](slab *[]T, list []T) []T {
+	if len(list) == 0 {
+		return nil
+	}
+	out := carveSlots(slab, len(list))
+	copy(out, list)
+	return out
+}
+
 // newValue hands out the next value slot with a fresh ID.
 func (f *Func) newValue(v Value) *Value {
-	p := carve(&f.valueSlab)
+	p := carve(&f.alloc().values, slabChunk)
 	*p = v
 	p.ID = f.nextValID
 	f.nextValID++
 	return p
 }
 
-// newInstr hands out the next instruction slot with a fresh ID.
+// newInstr hands out the next instruction slot with a fresh ID. The lists of
+// in are copied into the function's slabs; in's own arrays are not kept.
 func (f *Func) newInstr(in *Instr, b *Block) *Instr {
-	p := carve(&f.instrSlab)
-	*p = *in
+	a := f.alloc()
+	p := carve(&a.instrs, slabChunk)
+	p.Dst, p.Sub, p.Loc, p.Op, p.Synthetic = in.Dst, in.Sub, in.Loc, in.Op, in.Synthetic
+	p.Args = carveList(&a.valRefs, in.Args)
+	if in.Ext != nil {
+		p.Ext = carve(&a.exts, extChunk)
+		p.Ext.Dsts = carveList(&a.valRefs, in.Ext.Dsts)
+		p.Ext.Blocks = carveList(&a.blockRefs, in.Ext.Blocks)
+	}
 	p.ID, p.Block = f.nextInstrID, b
 	f.nextInstrID++
 	return p
@@ -306,23 +490,27 @@ func (f *Func) newInstr(in *Instr, b *Block) *Instr {
 // from the slab: SSA renaming replaces every lowered variable by its
 // versions, after which the variable itself is garbage.
 func (f *Func) NewVar(name string, t minic.Type) *Value {
-	v := &Value{ID: f.nextValID, Kind: VVar, Name: name, Type: t}
+	v := &Value{ID: f.nextValID, Kind: VVar, name: name, Type: t}
 	f.nextValID++
 	return v
 }
 
-// NewVersion creates SSA version n of the pre-SSA variable v, named
+// NewDef creates a variable that is assigned once and lives as long as the
+// function — what code inserted after SSA conversion defines (the connector
+// transformation's glue).
+func (f *Func) NewDef(name string, t minic.Type) *Value {
+	return f.newValue(Value{Kind: VVar, name: name, Type: t})
+}
+
+// NewVersion creates SSA version n (>= 1) of the pre-SSA variable v, named
 // "<v>.<n>".
 func (f *Func) NewVersion(v *Value, n int) *Value {
-	return f.newValue(Value{Kind: VVar, Name: v.Name + "." + strconv.Itoa(n), Type: v.Type})
+	return f.newValue(Value{Kind: VVar, name: v.name, num: int64(n), Type: v.Type})
 }
 
 // NewParam creates and appends a formal parameter.
 func (f *Func) NewParam(name string, t minic.Type, aux bool) *Value {
-	v := f.newValue(Value{
-		Kind: VParam, Name: name, Type: t,
-		ParamIdx: len(f.Params), Aux: aux,
-	})
+	v := f.newValue(Value{Kind: VParam, name: name, Type: t, num: int64(len(f.Params)), Aux: aux})
 	f.Params = append(f.Params, v)
 	return v
 }
@@ -332,7 +520,10 @@ func (f *Func) ConstInt(v int64) *Value {
 	if c, ok := f.intConsts[v]; ok {
 		return c
 	}
-	c := f.newValue(Value{Kind: VConstInt, IntVal: v, Type: minic.IntType})
+	c := f.newValue(Value{Kind: VConstInt, num: v, Type: minic.IntType})
+	if f.intConsts == nil {
+		f.intConsts = make(map[int64]*Value)
+	}
 	f.intConsts[v] = c
 	return c
 }
@@ -358,15 +549,15 @@ func (f *Func) ConstNull() *Value {
 }
 
 // NumValues returns the number of values created so far.
-func (f *Func) NumValues() int { return f.nextValID }
+func (f *Func) NumValues() int { return int(f.nextValID) }
 
 // NumInstrs returns the number of instructions created so far.
-func (f *Func) NumInstrs() int { return f.nextInstrID }
+func (f *Func) NumInstrs() int { return int(f.nextInstrID) }
 
 // NumBlocks returns the number of blocks created so far. Like NumValues and
 // NumInstrs it bounds the IDs in use, so it sizes ID-indexed side tables;
 // pruned blocks leave holes, Blocks may be shorter.
-func (f *Func) NumBlocks() int { return f.nextBlockID }
+func (f *Func) NumBlocks() int { return int(f.nextBlockID) }
 
 // Append creates an instruction and appends it to block b.
 func (f *Func) Append(b *Block, in Instr) *Instr {
@@ -388,6 +579,26 @@ func (f *Func) InsertAt(b *Block, i int, in Instr) *Instr {
 func Connect(a, b *Block) {
 	a.Succs = append(a.Succs, b)
 	b.Preds = append(b.Preds, a)
+}
+
+// SealCFG moves every block's predecessor and successor list into one array
+// sized for the function, once the CFG has its final shape (lowering calls
+// it last). The lists keep no spare capacity, so a later Connect still
+// works: it reallocates the one list it extends.
+func (f *Func) SealCFG() {
+	n := 0
+	for _, b := range f.Blocks {
+		n += len(b.Preds) + len(b.Succs)
+	}
+	refs := make([]*Block, 0, n)
+	seal := func(list []*Block) []*Block {
+		at := len(refs)
+		refs = append(refs, list...)
+		return refs[at:len(refs):len(refs)]
+	}
+	for _, b := range f.Blocks {
+		b.Preds, b.Succs = seal(b.Preds), seal(b.Succs)
+	}
 }
 
 // Module is a whole program.

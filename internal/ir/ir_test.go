@@ -20,14 +20,14 @@ func buildDiamond() *Func {
 	f.Entry, f.Exit = b0, b3
 	x := f.NewVar("x", minic.IntType)
 
-	f.Append(b0, Instr{Op: OpBr, Args: []*Value{c}, Blocks: []*Block{b1, b2}})
+	f.Append(b0, Instr{Op: OpBr, Args: []*Value{c}, Ext: &Ext{Blocks: []*Block{b1, b2}}})
 	Connect(b0, b1)
 	Connect(b0, b2)
 	f.Append(b1, Instr{Op: OpCopy, Dst: x, Args: []*Value{f.ConstInt(1)}})
-	f.Append(b1, Instr{Op: OpJmp, Blocks: []*Block{b3}})
+	f.Append(b1, Instr{Op: OpJmp, Ext: &Ext{Blocks: []*Block{b3}}})
 	Connect(b1, b3)
 	f.Append(b2, Instr{Op: OpCopy, Dst: x, Args: []*Value{f.ConstInt(2)}})
-	f.Append(b2, Instr{Op: OpJmp, Blocks: []*Block{b3}})
+	f.Append(b2, Instr{Op: OpJmp, Ext: &Ext{Blocks: []*Block{b3}}})
 	Connect(b2, b3)
 	f.Append(b3, Instr{Op: OpRet, Args: []*Value{x}})
 	return f
@@ -74,7 +74,7 @@ func TestVerifyPhiInvariants(t *testing.T) {
 	b3 := f.Blocks[3]
 	x2 := f.NewVar("x2", minic.IntType)
 	// Phi with one arg but two preds: must be rejected.
-	f.InsertAt(b3, 0, Instr{Op: OpPhi, Dst: x2, Args: []*Value{f.ConstInt(1)}, Blocks: []*Block{f.Blocks[1]}})
+	f.InsertAt(b3, 0, Instr{Op: OpPhi, Dst: x2, Args: []*Value{f.ConstInt(1)}, Ext: &Ext{Blocks: []*Block{f.Blocks[1]}}})
 	if err := Verify(f); err == nil {
 		t.Fatal("phi arity mismatch accepted")
 	}
@@ -111,7 +111,7 @@ func TestInstrDefs(t *testing.T) {
 	b := f.NewBlock()
 	f.Entry, f.Exit = b, b
 	d1, d2 := f.NewVar("d1", minic.IntType), f.NewVar("d2", minic.IntType)
-	call := f.Append(b, Instr{Op: OpCall, Callee: "g", Dsts: []*Value{d1, nil, d2}})
+	call := f.Append(b, Instr{Op: OpCall, Sub: "g", Ext: &Ext{Dsts: []*Value{d1, nil, d2}}})
 	defs := call.Defs()
 	if len(defs) != 2 || defs[0] != d1 || defs[1] != d2 {
 		t.Fatalf("Defs = %v", defs)
@@ -168,7 +168,7 @@ func TestPrintAllInstructionForms(t *testing.T) {
 		{Instr{Op: OpMalloc, Dst: pv("g")}, "g = malloc"},
 		{Instr{Op: OpFree, Args: []*Value{p}}, "free p"},
 		{Instr{Op: OpGlobalAddr, Dst: pv("h"), Sub: "gv"}, "h = &@gv"},
-		{Instr{Op: OpCall, Callee: "fn", Dsts: []*Value{v("i"), nil, v("j")}, Args: []*Value{p}}, "i, _, j = call fn(p)"},
+		{Instr{Op: OpCall, Sub: "fn", Ext: &Ext{Dsts: []*Value{v("i"), nil, v("j")}}, Args: []*Value{p}}, "i, _, j = call fn(p)"},
 	}
 	for _, c := range cases {
 		got := c.in.String()
@@ -178,7 +178,7 @@ func TestPrintAllInstructionForms(t *testing.T) {
 	}
 	// Phi rendering.
 	b2 := f.NewBlock()
-	phi := Instr{Op: OpPhi, Dst: v("k"), Args: []*Value{f.ConstInt(1), f.ConstInt(2)}, Blocks: []*Block{b, b2}}
+	phi := Instr{Op: OpPhi, Dst: v("k"), Args: []*Value{f.ConstInt(1), f.ConstInt(2)}, Ext: &Ext{Blocks: []*Block{b, b2}}}
 	if s := phi.String(); !strings.Contains(s, "phi(") || !strings.Contains(s, "b0:1") {
 		t.Errorf("phi render = %q", s)
 	}

@@ -22,7 +22,7 @@ func (in *Instr) String() string {
 			if i > 0 {
 				b.WriteString(", ")
 			}
-			fmt.Fprintf(&b, "%s:%s", in.Blocks[i], a)
+			fmt.Fprintf(&b, "%s:%s", in.Blocks()[i], a)
 		}
 		b.WriteString(")")
 	case OpLoad:
@@ -41,7 +41,7 @@ func (in *Instr) String() string {
 		fmt.Fprintf(&b, "%s = &%s->%s", in.Dst, in.Args[0], in.Sub)
 	case OpCall:
 		var dsts []string
-		for _, d := range in.Dsts {
+		for _, d := range in.Dsts() {
 			if d == nil {
 				dsts = append(dsts, "_")
 			} else {
@@ -51,7 +51,7 @@ func (in *Instr) String() string {
 		if len(dsts) > 0 {
 			fmt.Fprintf(&b, "%s = ", strings.Join(dsts, ", "))
 		}
-		fmt.Fprintf(&b, "call %s(", in.Callee)
+		fmt.Fprintf(&b, "call %s(", in.Callee())
 		for i, a := range in.Args {
 			if i > 0 {
 				b.WriteString(", ")
@@ -60,9 +60,9 @@ func (in *Instr) String() string {
 		}
 		b.WriteString(")")
 	case OpBr:
-		fmt.Fprintf(&b, "br %s %s %s", in.Args[0], in.Blocks[0], in.Blocks[1])
+		fmt.Fprintf(&b, "br %s %s %s", in.Args[0], in.Blocks()[0], in.Blocks()[1])
 	case OpJmp:
-		fmt.Fprintf(&b, "jmp %s", in.Blocks[0])
+		fmt.Fprintf(&b, "jmp %s", in.Blocks()[0])
 	case OpRet:
 		b.WriteString("ret")
 		for _, a := range in.Args {
@@ -82,7 +82,7 @@ func (f *Func) String() string {
 		if p.Aux {
 			mark = "~"
 		}
-		params = append(params, fmt.Sprintf("%s%s %s", mark, p.Type, p.Name))
+		params = append(params, fmt.Sprintf("%s%s %s", mark, p.Type, p.Name()))
 	}
 	fmt.Fprintf(&b, "func %s(%s) %s {\n", f.Name, strings.Join(params, ", "), f.Ret)
 	for _, blk := range f.Blocks {

@@ -34,13 +34,13 @@ func Verify(f *Func) error {
 				return fmt.Errorf("%s/%s: %v", f.Name, b, err)
 			}
 			if in.Op == OpPhi {
-				if len(in.Args) != len(in.Blocks) {
+				if len(in.Args) != len(in.Blocks()) {
 					return fmt.Errorf("%s/%s: phi args/blocks mismatch", f.Name, b)
 				}
 				if len(in.Args) != len(b.Preds) {
 					return fmt.Errorf("%s/%s: phi has %d args, block has %d preds", f.Name, b, len(in.Args), len(b.Preds))
 				}
-				for _, pb := range in.Blocks {
+				for _, pb := range in.Blocks() {
 					if !containsBlock(b.Preds, pb) {
 						return fmt.Errorf("%s/%s: phi names non-pred %s", f.Name, b, pb)
 					}
@@ -56,7 +56,7 @@ func Verify(f *Func) error {
 		var want []*Block
 		switch term.Op {
 		case OpBr, OpJmp:
-			want = term.Blocks
+			want = term.Blocks()
 		case OpRet:
 			want = nil
 		}
@@ -105,15 +105,15 @@ func verifyArity(in *Instr) error {
 			return bad()
 		}
 	case OpCall:
-		if in.Callee == "" {
+		if in.Sub == "" {
 			return bad()
 		}
 	case OpBr:
-		if len(in.Args) != 1 || len(in.Blocks) != 2 {
+		if len(in.Args) != 1 || len(in.Blocks()) != 2 {
 			return bad()
 		}
 	case OpJmp:
-		if len(in.Blocks) != 1 {
+		if len(in.Blocks()) != 1 {
 			return bad()
 		}
 	case OpRet:

@@ -35,7 +35,7 @@ func (lw *lowerer) expr(e minic.Expr, hint minic.Type) (*ir.Value, error) {
 			t = minic.IntType
 		}
 		v := lw.tmp(t)
-		lw.emit(ir.Instr{Op: ir.OpLoad, Dst: v, Args: []*ir.Value{addr}, Pos: x.Pos})
+		lw.emit(ir.Instr{Op: ir.OpLoad, Dst: v, Args: []*ir.Value{addr}, Loc: lw.loc(x.Pos)})
 		return v, nil
 	case *minic.CallExpr:
 		return lw.call(x, hint)
@@ -53,7 +53,7 @@ func (lw *lowerer) fieldAddr(x *minic.ArrowExpr) (*ir.Value, error) {
 	}
 	ft := lw.fieldType(base.Type, x.Field)
 	addr := lw.tmp(ft.Pointer())
-	lw.emit(ir.Instr{Op: ir.OpFieldAddr, Dst: addr, Sub: x.Field, Args: []*ir.Value{base}, Pos: x.Pos})
+	lw.emit(ir.Instr{Op: ir.OpFieldAddr, Dst: addr, Sub: x.Field, Args: []*ir.Value{base}, Loc: lw.loc(x.Pos)})
 	return addr, nil
 }
 
@@ -65,13 +65,13 @@ func (lw *lowerer) loadIdent(id *minic.Ident) (*ir.Value, error) {
 	switch {
 	case g != nil:
 		addr := lw.tmp(g.Type.Pointer())
-		lw.emit(ir.Instr{Op: ir.OpGlobalAddr, Dst: addr, Sub: g.Name, Pos: id.Pos})
+		lw.emit(ir.Instr{Op: ir.OpGlobalAddr, Dst: addr, Sub: g.Name, Loc: lw.loc(id.Pos)})
 		v := lw.tmp(g.Type)
-		lw.emit(ir.Instr{Op: ir.OpLoad, Dst: v, Args: []*ir.Value{addr}, Pos: id.Pos})
+		lw.emit(ir.Instr{Op: ir.OpLoad, Dst: v, Args: []*ir.Value{addr}, Loc: lw.loc(id.Pos)})
 		return v, nil
 	case b.slot != nil:
 		v := lw.tmp(b.typ)
-		lw.emit(ir.Instr{Op: ir.OpLoad, Dst: v, Args: []*ir.Value{b.slot}, Pos: id.Pos})
+		lw.emit(ir.Instr{Op: ir.OpLoad, Dst: v, Args: []*ir.Value{b.slot}, Loc: lw.loc(id.Pos)})
 		return v, nil
 	default:
 		return b.reg, nil
@@ -92,7 +92,7 @@ func (lw *lowerer) unary(x *minic.UnaryExpr, hint minic.Type) (*ir.Value, error)
 			t = minic.IntType
 		}
 		v := lw.tmp(t)
-		lw.emit(ir.Instr{Op: ir.OpLoad, Dst: v, Args: []*ir.Value{addr}, Pos: x.Pos})
+		lw.emit(ir.Instr{Op: ir.OpLoad, Dst: v, Args: []*ir.Value{addr}, Loc: lw.loc(x.Pos)})
 		return v, nil
 	case "&":
 		id, ok := x.X.(*minic.Ident)
@@ -106,7 +106,7 @@ func (lw *lowerer) unary(x *minic.UnaryExpr, hint minic.Type) (*ir.Value, error)
 		switch {
 		case g != nil:
 			addr := lw.tmp(g.Type.Pointer())
-			lw.emit(ir.Instr{Op: ir.OpGlobalAddr, Dst: addr, Sub: g.Name, Pos: x.Pos})
+			lw.emit(ir.Instr{Op: ir.OpGlobalAddr, Dst: addr, Sub: g.Name, Loc: lw.loc(x.Pos)})
 			return addr, nil
 		case b.slot != nil:
 			return b.slot, nil
@@ -123,7 +123,7 @@ func (lw *lowerer) unary(x *minic.UnaryExpr, hint minic.Type) (*ir.Value, error)
 			t = minic.BoolType
 		}
 		d := lw.tmp(t)
-		lw.emit(ir.Instr{Op: ir.OpUn, Dst: d, Sub: x.Op, Args: []*ir.Value{v}, Pos: x.Pos})
+		lw.emit(ir.Instr{Op: ir.OpUn, Dst: d, Sub: x.Op, Args: []*ir.Value{v}, Loc: lw.loc(x.Pos)})
 		return d, nil
 	default:
 		return nil, fmt.Errorf("%s: unknown unary operator %q", x.Pos, x.Op)
@@ -149,7 +149,7 @@ func (lw *lowerer) binary(x *minic.BinaryExpr) (*ir.Value, error) {
 		t = minic.BoolType
 	}
 	d := lw.tmp(t)
-	lw.emit(ir.Instr{Op: ir.OpBin, Dst: d, Sub: x.Op, Args: []*ir.Value{a, b}, Pos: x.Pos})
+	lw.emit(ir.Instr{Op: ir.OpBin, Dst: d, Sub: x.Op, Args: []*ir.Value{a, b}, Loc: lw.loc(x.Pos)})
 	return d, nil
 }
 
@@ -166,7 +166,7 @@ func (lw *lowerer) shortCircuit(x *minic.BinaryExpr) (*ir.Value, error) {
 		return nil, err
 	}
 	t := lw.tmp(minic.BoolType)
-	lw.emit(ir.Instr{Op: ir.OpCopy, Dst: t, Args: []*ir.Value{a}, Pos: x.Pos})
+	lw.emit(ir.Instr{Op: ir.OpCopy, Dst: t, Args: []*ir.Value{a}, Loc: lw.loc(x.Pos)})
 	evalY := lw.f.NewBlock()
 	join := lw.f.NewBlock()
 	if x.Op == "&&" {
@@ -179,7 +179,7 @@ func (lw *lowerer) shortCircuit(x *minic.BinaryExpr) (*ir.Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	lw.emit(ir.Instr{Op: ir.OpCopy, Dst: t, Args: []*ir.Value{b}, Pos: x.Pos})
+	lw.emit(ir.Instr{Op: ir.OpCopy, Dst: t, Args: []*ir.Value{b}, Loc: lw.loc(x.Pos)})
 	lw.emitJmp(join, x.Pos)
 	lw.cur = join
 	return t, nil
@@ -196,7 +196,7 @@ func (lw *lowerer) call(x *minic.CallExpr, hint minic.Type) (*ir.Value, error) {
 			t = minic.IntType.Pointer()
 		}
 		d := lw.tmp(t)
-		lw.emit(ir.Instr{Op: ir.OpMalloc, Dst: d, Pos: x.Pos})
+		lw.emit(ir.Instr{Op: ir.OpMalloc, Dst: d, Loc: lw.loc(x.Pos)})
 		return d, nil
 	case freeName:
 		if len(x.Args) != 1 {
@@ -206,7 +206,7 @@ func (lw *lowerer) call(x *minic.CallExpr, hint minic.Type) (*ir.Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		lw.emit(ir.Instr{Op: ir.OpFree, Args: []*ir.Value{p}, Pos: x.Pos})
+		lw.emit(ir.Instr{Op: ir.OpFree, Args: []*ir.Value{p}, Loc: lw.loc(x.Pos)})
 		return p, nil
 	}
 	var args []*ir.Value
@@ -232,7 +232,7 @@ func (lw *lowerer) call(x *minic.CallExpr, hint minic.Type) (*ir.Value, error) {
 	if !retT.IsVoid() {
 		dst = lw.tmp(retT)
 	}
-	lw.emit(ir.Instr{Op: ir.OpCall, Dsts: []*ir.Value{dst}, Callee: x.Fun, Args: args, Pos: x.Pos})
+	lw.emit(ir.Instr{Op: ir.OpCall, Ext: &ir.Ext{Dsts: []*ir.Value{dst}}, Sub: x.Fun, Args: args, Loc: lw.loc(x.Pos)})
 	if dst == nil {
 		// Void call in expression position: produce a dummy 0 so the
 		// caller always gets a value.

@@ -134,9 +134,9 @@ func lowerFuncWithStructs(m *ir.Module, decl *minic.FuncDecl, sigs func(string) 
 	f.Exit = f.NewBlock()
 	if !decl.Ret.IsVoid() {
 		lw.retVar = f.NewVar("ret$"+decl.Name, decl.Ret)
-		f.Append(f.Exit, ir.Instr{Op: ir.OpRet, Args: []*ir.Value{lw.retVar}, Pos: decl.Pos})
+		f.Append(f.Exit, ir.Instr{Op: ir.OpRet, Args: []*ir.Value{lw.retVar}, Loc: lw.loc(decl.Pos)})
 	} else {
-		f.Append(f.Exit, ir.Instr{Op: ir.OpRet, Pos: decl.Pos})
+		f.Append(f.Exit, ir.Instr{Op: ir.OpRet, Loc: lw.loc(decl.Pos)})
 	}
 
 	// Parameters. Address-taken parameters are spilled to a slot.
@@ -144,7 +144,7 @@ func lowerFuncWithStructs(m *ir.Module, decl *minic.FuncDecl, sigs func(string) 
 		pv := f.NewParam(p.Name, p.Type, false)
 		if lw.addrOf[p.Name] {
 			slot := lw.emitAlloc(p.Name, p.Type, decl.Pos)
-			lw.emit(ir.Instr{Op: ir.OpStore, Args: []*ir.Value{slot, pv}, Pos: decl.Pos})
+			lw.emit(ir.Instr{Op: ir.OpStore, Args: []*ir.Value{slot, pv}, Loc: lw.loc(decl.Pos)})
 			lw.bind(p.Name, binding{slot: slot, typ: p.Type})
 		} else {
 			lw.bind(p.Name, binding{reg: pv, typ: p.Type})
@@ -154,15 +154,19 @@ func lowerFuncWithStructs(m *ir.Module, decl *minic.FuncDecl, sigs func(string) 
 	if err := lw.stmt(decl.Body); err != nil {
 		return nil, err
 	}
+	if lw.posErr != nil {
+		return nil, lw.posErr
+	}
 	// Fall-through at end of body: default return value.
 	if lw.cur != nil {
 		if lw.retVar != nil {
-			lw.emit(ir.Instr{Op: ir.OpCopy, Dst: lw.retVar, Args: []*ir.Value{lw.defaultValue(decl.Ret)}, Pos: decl.Pos})
+			lw.emit(ir.Instr{Op: ir.OpCopy, Dst: lw.retVar, Args: []*ir.Value{lw.defaultValue(decl.Ret)}, Loc: lw.loc(decl.Pos)})
 		}
 		lw.emitJmp(f.Exit, decl.Pos)
 	}
 	// Drop unreachable empty shells (blocks never jumped to).
 	pruneUnreachable(f)
+	f.SealCFG()
 	if err := ir.Verify(f); err != nil {
 		return nil, fmt.Errorf("lower %s: %w", decl.Name, err)
 	}
@@ -196,6 +200,19 @@ type lowerer struct {
 	structs map[string][]minic.Param
 	retVar  *ir.Value
 	tmpN    int
+	// posErr is the first source position an instruction could not carry.
+	posErr error
+}
+
+// loc narrows a source position to what an instruction carries: line and
+// column, the file being the function's. A position past that range is a
+// lowering error (reported once the body is lowered), not a wrapped number.
+func (lw *lowerer) loc(p minic.Pos) ir.Loc {
+	l, ok := ir.LocOf(p)
+	if !ok && lw.posErr == nil {
+		lw.posErr = fmt.Errorf("%s: position beyond the range an instruction can carry", p)
+	}
+	return l
 }
 
 // fieldType resolves the type of base->field, where base is a pointer to a
@@ -248,7 +265,7 @@ func (lw *lowerer) emitJmp(to *ir.Block, pos minic.Pos) {
 	if lw.cur == nil {
 		return
 	}
-	lw.f.Append(lw.cur, ir.Instr{Op: ir.OpJmp, Blocks: []*ir.Block{to}, Pos: pos})
+	lw.f.Append(lw.cur, ir.Instr{Op: ir.OpJmp, Ext: &ir.Ext{Blocks: []*ir.Block{to}}, Loc: lw.loc(pos)})
 	ir.Connect(lw.cur, to)
 	lw.cur = nil
 }
@@ -257,7 +274,7 @@ func (lw *lowerer) emitBr(cond *ir.Value, t, e *ir.Block, pos minic.Pos) {
 	if lw.cur == nil {
 		return
 	}
-	lw.f.Append(lw.cur, ir.Instr{Op: ir.OpBr, Args: []*ir.Value{cond}, Blocks: []*ir.Block{t, e}, Pos: pos})
+	lw.f.Append(lw.cur, ir.Instr{Op: ir.OpBr, Args: []*ir.Value{cond}, Ext: &ir.Ext{Blocks: []*ir.Block{t, e}}, Loc: lw.loc(pos)})
 	ir.Connect(lw.cur, t)
 	ir.Connect(lw.cur, e)
 	lw.cur = nil
@@ -265,7 +282,7 @@ func (lw *lowerer) emitBr(cond *ir.Value, t, e *ir.Block, pos minic.Pos) {
 
 func (lw *lowerer) emitAlloc(name string, t minic.Type, pos minic.Pos) *ir.Value {
 	slot := lw.f.NewVar("&"+name, t.Pointer())
-	lw.emit(ir.Instr{Op: ir.OpAlloc, Dst: slot, Sub: name, Pos: pos})
+	lw.emit(ir.Instr{Op: ir.OpAlloc, Dst: slot, Sub: name, Loc: lw.loc(pos)})
 	return slot
 }
 
@@ -312,10 +329,10 @@ func (lw *lowerer) stmt(s minic.Stmt) error {
 				return err
 			}
 			if lw.retVar != nil {
-				lw.emit(ir.Instr{Op: ir.OpCopy, Dst: lw.retVar, Args: []*ir.Value{v}, Pos: st.Pos})
+				lw.emit(ir.Instr{Op: ir.OpCopy, Dst: lw.retVar, Args: []*ir.Value{v}, Loc: lw.loc(st.Pos)})
 			}
 		} else if lw.retVar != nil {
-			lw.emit(ir.Instr{Op: ir.OpCopy, Dst: lw.retVar, Args: []*ir.Value{lw.defaultValue(lw.f.Ret)}, Pos: st.Pos})
+			lw.emit(ir.Instr{Op: ir.OpCopy, Dst: lw.retVar, Args: []*ir.Value{lw.defaultValue(lw.f.Ret)}, Loc: lw.loc(st.Pos)})
 		}
 		lw.emitJmp(lw.f.Exit, st.Pos)
 		return nil
@@ -341,11 +358,11 @@ func (lw *lowerer) declStmt(st *minic.DeclStmt) error {
 	}
 	if lw.addrOf[d.Name] {
 		slot := lw.emitAlloc(d.Name, d.Type, d.Pos)
-		lw.emit(ir.Instr{Op: ir.OpStore, Args: []*ir.Value{slot, init}, Pos: d.Pos})
+		lw.emit(ir.Instr{Op: ir.OpStore, Args: []*ir.Value{slot, init}, Loc: lw.loc(d.Pos)})
 		lw.bind(d.Name, binding{slot: slot, typ: d.Type})
 	} else {
 		reg := lw.f.NewVar(d.Name, d.Type)
-		lw.emit(ir.Instr{Op: ir.OpCopy, Dst: reg, Args: []*ir.Value{init}, Pos: d.Pos})
+		lw.emit(ir.Instr{Op: ir.OpCopy, Dst: reg, Args: []*ir.Value{init}, Loc: lw.loc(d.Pos)})
 		lw.bind(d.Name, binding{reg: reg, typ: d.Type})
 	}
 	return nil
@@ -378,7 +395,7 @@ func (lw *lowerer) assignStmt(st *minic.AssignStmt) error {
 		if err != nil {
 			return err
 		}
-		lw.emit(ir.Instr{Op: ir.OpStore, Args: []*ir.Value{addr, v}, Pos: st.Pos})
+		lw.emit(ir.Instr{Op: ir.OpStore, Args: []*ir.Value{addr, v}, Loc: lw.loc(st.Pos)})
 		return nil
 	case *minic.UnaryExpr: // *e = v (possibly multi-level)
 		if target.Op != "*" {
@@ -398,7 +415,7 @@ func (lw *lowerer) assignStmt(st *minic.AssignStmt) error {
 		if err != nil {
 			return err
 		}
-		lw.emit(ir.Instr{Op: ir.OpStore, Args: []*ir.Value{addr, v}, Pos: st.Pos})
+		lw.emit(ir.Instr{Op: ir.OpStore, Args: []*ir.Value{addr, v}, Loc: lw.loc(st.Pos)})
 		return nil
 	default:
 		return fmt.Errorf("%s: invalid assignment target", st.Pos)
@@ -427,19 +444,19 @@ func (lw *lowerer) storeTo(id *minic.Ident, b binding, g *ir.Global, v *ir.Value
 	switch {
 	case g != nil:
 		addr := lw.tmp(g.Type.Pointer())
-		lw.emit(ir.Instr{Op: ir.OpGlobalAddr, Dst: addr, Sub: g.Name, Pos: pos})
-		lw.emit(ir.Instr{Op: ir.OpStore, Args: []*ir.Value{addr, v}, Pos: pos})
+		lw.emit(ir.Instr{Op: ir.OpGlobalAddr, Dst: addr, Sub: g.Name, Loc: lw.loc(pos)})
+		lw.emit(ir.Instr{Op: ir.OpStore, Args: []*ir.Value{addr, v}, Loc: lw.loc(pos)})
 	case b.slot != nil:
-		lw.emit(ir.Instr{Op: ir.OpStore, Args: []*ir.Value{b.slot, v}, Pos: pos})
+		lw.emit(ir.Instr{Op: ir.OpStore, Args: []*ir.Value{b.slot, v}, Loc: lw.loc(pos)})
 	case b.reg != nil:
 		if b.reg.Kind == ir.VParam {
 			// Parameters are immutable SSA values; introduce a shadow
 			// register on first write.
 			shadow := lw.f.NewVar(id.Name, b.typ)
-			lw.emit(ir.Instr{Op: ir.OpCopy, Dst: shadow, Args: []*ir.Value{v}, Pos: pos})
+			lw.emit(ir.Instr{Op: ir.OpCopy, Dst: shadow, Args: []*ir.Value{v}, Loc: lw.loc(pos)})
 			lw.rebind(id.Name, binding{reg: shadow, typ: b.typ})
 		} else {
-			lw.emit(ir.Instr{Op: ir.OpCopy, Dst: b.reg, Args: []*ir.Value{v}, Pos: pos})
+			lw.emit(ir.Instr{Op: ir.OpCopy, Dst: b.reg, Args: []*ir.Value{v}, Loc: lw.loc(pos)})
 		}
 	default:
 		return fmt.Errorf("%s: cannot assign to %q", pos, id.Name)
@@ -512,7 +529,7 @@ func (lw *lowerer) boolExpr(e minic.Expr) (*ir.Value, error) {
 		zero = lw.f.ConstInt(0)
 	}
 	c := lw.tmp(minic.BoolType)
-	lw.emit(ir.Instr{Op: ir.OpBin, Dst: c, Sub: "!=", Args: []*ir.Value{v, zero}, Pos: e.ExprPos()})
+	lw.emit(ir.Instr{Op: ir.OpBin, Dst: c, Sub: "!=", Args: []*ir.Value{v, zero}, Loc: lw.loc(e.ExprPos())})
 	return c, nil
 }
 

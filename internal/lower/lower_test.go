@@ -300,3 +300,43 @@ func TestLineCount(t *testing.T) {
 		t.Errorf("LineCount = %d, want >= 3", m.LineCount())
 	}
 }
+
+// An instruction carries its line and column in 32 bits each. A position past
+// that is a lowering error naming the position, not an instruction at some
+// other line.
+func TestLowerPositionBeyondRange(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		misput func(fn *minic.FuncDecl)
+	}{
+		{"function line", func(fn *minic.FuncDecl) { fn.Pos.Line = 1 << 31 }},
+		{"statement column", func(fn *minic.FuncDecl) { fn.Body.Stmts[0].(*minic.AssignStmt).Pos.Col = 1 << 40 }},
+		{"negative line", func(fn *minic.FuncDecl) { fn.Body.Stmts[0].(*minic.AssignStmt).Pos.Line = -1 }},
+	} {
+		prog, err := minic.ParseProgram([]minic.NamedSource{{Name: "t.mc", Src: "void f(int *p) { *p = 1; }"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.misput(prog.Files[0].Funcs[0])
+		if _, err := Program(prog); err == nil || !strings.Contains(err.Error(), "position beyond the range") {
+			t.Errorf("%s past the range: lowering returned %v", tc.name, err)
+		}
+	}
+	// The largest position that fits is lowered and reported as it is.
+	prog, err := minic.ParseProgram([]minic.NamedSource{{Name: "t.mc", Src: "void f(int *p) { *p = 1; }"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog.Files[0].Funcs[0].Body.Stmts[0].(*minic.AssignStmt).Pos.Line = 1<<31 - 1
+	m, err := Program(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range m.Funcs[0].Entry.Instrs {
+		if in.Op == ir.OpStore {
+			if got := in.Position(); got.File != "t.mc" || got.Line != 1<<31-1 {
+				t.Errorf("store at %v, want t.mc:%d", got, 1<<31-1)
+			}
+		}
+	}
+}

@@ -36,6 +36,13 @@ func HashSource(name, src string) string {
 // HashFunc fingerprints a function declaration: name, signature, body
 // structure, literals, and all source positions.
 func HashFunc(fn *FuncDecl) string {
+	sum := HashFuncSum(fn)
+	return hex.EncodeToString(sum[:])
+}
+
+// HashFuncSum is HashFunc before the hex: the digest as the session keeps
+// it, one fixed-size value per function instead of a string.
+func HashFuncSum(fn *FuncDecl) [12]byte {
 	w := hasherPool.Get().(*astHasher)
 	defer hasherPool.Put(w)
 	w.buf = w.buf[:0]
@@ -48,7 +55,7 @@ func HashFunc(fn *FuncDecl) string {
 	}
 	w.stmt(fn.Body)
 	sum := sha256.Sum256(w.buf)
-	return hex.EncodeToString(sum[:12])
+	return [12]byte(sum[:12])
 }
 
 // astHasher appends a canonical encoding of AST nodes to one buffer that is

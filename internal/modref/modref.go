@@ -15,9 +15,8 @@
 package modref
 
 import (
-	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 
 	"repro/internal/conc"
 	"repro/internal/ir"
@@ -91,22 +90,26 @@ func lessPath(a, b Path) bool {
 // incremental session uses fingerprint equality as its change-propagation
 // cutoff: a recomputed summary with an unchanged fingerprint stops the
 // callee→caller invalidation wave.
-func (s *Summary) Fingerprint() string {
-	var b strings.Builder
+func (s *Summary) Fingerprint() string { return string(s.AppendFingerprint(nil)) }
+
+// AppendFingerprint appends the bytes of Fingerprint to b.
+func (s *Summary) AppendFingerprint(b []byte) []byte {
 	for _, p := range s.Paths() {
 		if s.Ref[p] {
-			b.WriteByte('R')
+			b = append(b, 'R')
 		}
 		if s.Mod[p] {
-			b.WriteByte('M')
+			b = append(b, 'M')
 		}
 		if p.Root.IsGlobal() {
-			fmt.Fprintf(&b, "@%s.%d;", p.Root.Global, p.Depth)
+			b = append(append(b, '@'), p.Root.Global...)
 		} else {
-			fmt.Fprintf(&b, "p%d.%d;", p.Root.Param, p.Depth)
+			b = strconv.AppendInt(append(b, 'p'), int64(p.Root.Param), 10)
 		}
+		b = strconv.AppendInt(append(b, '.'), int64(p.Depth), 10)
+		b = append(b, ';')
 	}
-	return b.String()
+	return b
 }
 
 // Result maps functions to their summaries.
@@ -184,7 +187,7 @@ func SCCDeps(m *ir.Module, sccs [][]*ir.Func) [][]int {
 					if in.Op != ir.OpCall {
 						continue
 					}
-					g := m.Lookup(in.Callee)
+					g := m.Lookup(in.Callee())
 					if g == nil {
 						continue
 					}
@@ -216,7 +219,7 @@ func AnalyzeFunc(f *ir.Func, sum *Summary, lookup func(name string) *Summary) bo
 
 	tags := make(map[*ir.Value]tag)
 	for _, p := range f.Params {
-		tags[p] = tag{root: Root{Param: p.ParamIdx}, ok: true}
+		tags[p] = tag{root: Root{Param: p.ParamIdx()}, ok: true}
 	}
 	addRef := func(tg tag, extra int) {
 		d := tg.depth + extra
@@ -285,7 +288,7 @@ func AnalyzeFunc(f *ir.Func, sum *Summary, lookup func(name string) *Summary) bo
 						addMod(t, 1)
 					}
 				case ir.OpCall:
-					cs := lookup(in.Callee)
+					cs := lookup(in.Callee())
 					if cs == nil {
 						continue
 					}
@@ -341,7 +344,7 @@ func CallGraphSCCs(m *ir.Module) [][]*ir.Func {
 				if in.Op != ir.OpCall {
 					continue
 				}
-				if g := m.Lookup(in.Callee); g != nil && !seen[g] {
+				if g := m.Lookup(in.Callee()); g != nil && !seen[g] {
 					seen[g] = true
 					callees[f] = append(callees[f], g)
 				}

@@ -24,6 +24,7 @@ package pta
 
 import (
 	"repro/internal/ir"
+	"repro/internal/minic"
 )
 
 // AndersenResult holds the global points-to relation.
@@ -95,12 +96,12 @@ func AndersenWithBudget(m *ir.Module, budget int) *AndersenResult {
 		inWork:   make(map[*ir.Value]bool),
 	}
 
-	proxyID := -1
+	proxyID := int32(-1)
 	proxy := func(l Loc) *ir.Value {
 		if v, ok := s.contents[l]; ok {
 			return v
 		}
-		v := &ir.Value{ID: proxyID, Kind: ir.VVar, Name: "*" + l.String()}
+		v := ir.Var(proxyID, "*"+l.String(), minic.Type{})
 		proxyID--
 		s.contents[l] = v
 		s.contentV[v] = l
@@ -166,7 +167,7 @@ func AndersenWithBudget(m *ir.Module, budget int) *AndersenResult {
 					s.storesOf[in.Args[0]] = append(s.storesOf[in.Args[0]], in.Args[1])
 					s.push(in.Args[0])
 				case ir.OpCall:
-					if callee := m.Lookup(in.Callee); callee != nil {
+					if callee := m.Lookup(in.Callee()); callee != nil {
 						for i, a := range in.Args {
 							if i < len(callee.Params) {
 								addEdge(a, callee.Params[i])
@@ -179,12 +180,12 @@ func AndersenWithBudget(m *ir.Module, budget int) *AndersenResult {
 							if ri >= auxStart {
 								dstIdx = 1 + (ri - auxStart)
 							}
-							if dstIdx < len(in.Dsts) && in.Dsts[dstIdx] != nil {
-								addEdge(rv, in.Dsts[dstIdx])
+							if dstIdx < len(in.Dsts()) && in.Dsts()[dstIdx] != nil {
+								addEdge(rv, in.Dsts()[dstIdx])
 							}
 						}
 					} else {
-						for _, d := range in.Dsts {
+						for _, d := range in.Dsts() {
 							if d != nil && d.Type.IsPointer() {
 								addPts(d, Loc{Kind: LExt, Val: d})
 							}

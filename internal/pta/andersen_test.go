@@ -173,8 +173,8 @@ void f() {
 	ap := Andersen(m)
 	f := m.Lookup("f")
 	recv := findVal(f, func(in *ir.Instr) *ir.Value {
-		if in.Op == ir.OpCall && in.Dsts[0] != nil {
-			return in.Dsts[0]
+		if in.Op == ir.OpCall && in.Dsts()[0] != nil {
+			return in.Dsts()[0]
 		}
 		return nil
 	})

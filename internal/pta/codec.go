@@ -51,7 +51,7 @@ func encodeVals(e *wirebin.Writer, id int, vs []GuardedVal) {
 	}
 	e.Uvarint(uint64(len(vs)) + 1)
 	for _, gv := range vs {
-		e.Int(gv.Val.ID)
+		e.I32(gv.Val.ID)
 		e.I32(cond.Ref(gv.Cond))
 	}
 }

@@ -277,6 +277,14 @@ func TestDecodeResultRejectsMalformed(t *testing.T) {
 	if _, err := DecodeResult(wirebin.NewReader(huge.B), f, inf, ix, nodes); err == nil {
 		t.Error("decode accepted a table size past the input")
 	}
+	// A key wider than the 32-bit IDs of values and instructions.
+	var wide wirebin.Writer
+	wide.Uvarint(1)
+	wide.Varint(int64(describe(res).pts[0].key) + 1<<32)
+	wide.Uvarint(0)
+	if _, err := DecodeResult(wirebin.NewReader(wide.B), f, inf, ix, nodes); err == nil || !strings.Contains(err.Error(), "overflows int32") {
+		t.Errorf("table key wider than an ID: %v", err)
+	}
 	full := describe(res).bytes()
 	for cut := 0; cut < len(full); cut++ {
 		if _, err := DecodeResult(wirebin.NewReader(full[:cut]), f, inf, ix, nodes); err == nil {

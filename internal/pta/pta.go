@@ -168,20 +168,20 @@ func newResult(f *ir.Func, inf *ssa.Info) *Result {
 // PointsTo returns the guarded points-to set computed for v (nil if v is
 // not a pointer or was never reached).
 func (r *Result) PointsTo(v *ir.Value) []GuardedLoc {
-	p, _ := r.pts.Get(v.ID)
+	p, _ := r.pts.Get(int(v.ID))
 	return p
 }
 
 // LoadSources returns the guarded values reaching a load.
 func (r *Result) LoadSources(in *ir.Instr) []GuardedVal {
-	vs, _ := r.loadSources.Get(in.ID)
+	vs, _ := r.loadSources.Get(int(in.ID))
 	return vs
 }
 
 // StoredAt returns a store instruction's guarded target locations (used by
 // checkers that reason about writes).
 func (r *Result) StoredAt(in *ir.Instr) []GuardedLoc {
-	ls, _ := r.storedAt.Get(in.ID)
+	ls, _ := r.storedAt.Get(int(in.ID))
 	return ls
 }
 
@@ -366,7 +366,7 @@ next:
 // ptsOf returns the guarded points-to set of v, computing the base cases
 // for parameters and constants lazily.
 func (a *analyzer) ptsOf(v *ir.Value) []GuardedLoc {
-	if p, ok := a.res.pts.Get(v.ID); ok {
+	if p, ok := a.res.pts.Get(int(v.ID)); ok {
 		return p
 	}
 	var p []GuardedLoc
@@ -380,12 +380,12 @@ func (a *analyzer) ptsOf(v *ir.Value) []GuardedLoc {
 		// Opaque pointer with no recorded definition semantics.
 		p = []GuardedLoc{{Loc: Loc{Kind: LExt, Val: v}, Cond: tr}}
 	}
-	a.res.pts.Put(v.ID, p)
+	a.res.pts.Put(int(v.ID), p)
 	return p
 }
 
 func (a *analyzer) setPTS(v *ir.Value, p []GuardedLoc) {
-	a.res.pts.Put(v.ID, dedupLocs(a.inf.Conds, p))
+	a.res.pts.Put(int(v.ID), dedupLocs(a.inf.Conds, p))
 }
 
 func dedupLocs(cb *cond.Builder, in []GuardedLoc) []GuardedLoc {
@@ -481,7 +481,7 @@ func (a *analyzer) transfer(st *state, in *ir.Instr) {
 	case ir.OpStore:
 		a.transferStore(st, in)
 	case ir.OpCall:
-		for _, d := range in.Dsts {
+		for _, d := range in.Dsts() {
 			if d != nil && d.Type.IsPointer() {
 				a.setPTS(d, []GuardedLoc{{Loc: Loc{Kind: LExt, Val: d}, Cond: tr}})
 			}
@@ -505,7 +505,7 @@ func (a *analyzer) transferLoad(st *state, in *ir.Instr) {
 		}
 	}
 	sources = dedupGuarded(a.inf.Conds, sources)
-	a.res.loadSources.Put(in.ID, sources)
+	a.res.loadSources.Put(int(in.ID), sources)
 
 	if in.Dst.Type.IsPointer() {
 		var p []GuardedLoc
@@ -528,7 +528,7 @@ func (a *analyzer) transferLoad(st *state, in *ir.Instr) {
 
 func (a *analyzer) transferStore(st *state, in *ir.Instr) {
 	addrPts := a.ptsOf(in.Args[0])
-	a.res.storedAt.Put(in.ID, addrPts)
+	a.res.storedAt.Put(int(in.ID), addrPts)
 	v := in.Args[1]
 	if len(addrPts) == 1 && addrPts[0].Cond.IsTrue() && addrPts[0].Loc.Kind != LNull {
 		// Strong update: in an acyclic CFG every location is a

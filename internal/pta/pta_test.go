@@ -79,7 +79,7 @@ void f() {
 	// The load sees the stored constant 3.
 	ld := findInstr(f, ir.OpLoad, 0)
 	srcs := r.LoadSources(ld)
-	if len(srcs) != 1 || srcs[0].Val.Kind != ir.VConstInt || srcs[0].Val.IntVal != 3 {
+	if len(srcs) != 1 || srcs[0].Val.Kind != ir.VConstInt || srcs[0].Val.IntVal() != 3 {
 		t.Fatalf("load sources = %v", srcs)
 	}
 	if !srcs[0].Cond.IsTrue() {
@@ -99,7 +99,7 @@ void f() {
 	r := res["f"]
 	ld := findInstr(f, ir.OpLoad, 0)
 	srcs := r.LoadSources(ld)
-	if len(srcs) != 1 || srcs[0].Val.IntVal != 2 {
+	if len(srcs) != 1 || srcs[0].Val.IntVal() != 2 {
 		t.Fatalf("strong update failed, sources = %v", srcs)
 	}
 }
@@ -123,7 +123,7 @@ void f(bool c) {
 	// then-arm kills 1 along that path; the else path keeps it).
 	byVal := map[int64]*cond.Cond{}
 	for _, s := range srcs {
-		byVal[s.Val.IntVal] = s.Cond
+		byVal[s.Val.IntVal()] = s.Cond
 	}
 	c2 := byVal[2]
 	c1 := byVal[1]
@@ -197,7 +197,7 @@ int f() {
 		}
 	}
 	srcs := r.LoadSources(lastLoad)
-	if len(srcs) != 1 || srcs[0].Val.IntVal != 2 {
+	if len(srcs) != 1 || srcs[0].Val.IntVal() != 2 {
 		t.Fatalf("aliased store missed: %v", srcs)
 	}
 }
@@ -286,7 +286,7 @@ void f() {
 	f := m.Lookup("f")
 	r := res["f"]
 	call := findInstr(f, ir.OpCall, 0)
-	pts := r.PointsTo(call.Dsts[0])
+	pts := r.PointsTo(call.Dsts()[0])
 	if len(pts) != 1 || pts[0].Loc.Kind != LExt {
 		t.Fatalf("call receiver pts = %v", pts)
 	}

@@ -14,36 +14,36 @@ import (
 // ID, instruction ID, operand index — then the edge total and, for every
 // vertex that has edges, in ascending vertex order, its position and its
 // ordered (target position, condition ID) list; -1 = nil. Creation order is
-// load-bearing: ByRole index order equals vertex creation order, and
-// detection iterates ByRole, so preserving the order preserves report
-// determinism. The lazy happens-after memo restarts empty and the
+// load-bearing: detection meets the use vertices of a role in creation
+// order (Graph.Uses), so preserving the order preserves report determinism. The lazy happens-after memo restarts empty and the
 // intra-block instruction index is rebuilt by the same scan Build uses.
 
 // EncodeGraph appends g to e.
 func EncodeGraph(e *wirebin.Writer, g *Graph) {
-	e.Uvarint(uint64(len(g.nodes)))
+	e.Uvarint(uint64(g.numNodes))
 	sources := 0
-	for _, n := range g.nodes {
+	for i := 0; i < g.numNodes; i++ {
+		n := g.Node(i)
 		e.U8(uint8(n.Kind))
 		e.U8(uint8(n.Role))
 		val, instr := int32(-1), int32(-1)
 		if n.Val != nil {
-			val = int32(n.Val.ID)
+			val = n.Val.ID
 		}
 		if n.Instr != nil {
-			instr = int32(n.Instr.ID)
+			instr = n.Instr.ID
 		}
 		e.I32(val)
 		e.I32(instr)
-		e.Int(n.ArgIdx)
+		e.I32(n.ArgIdx)
 		if len(g.Succs(n)) > 0 {
 			sources++
 		}
 	}
 	e.Uvarint(uint64(len(g.edges)))
 	e.Uvarint(uint64(sources))
-	for i, n := range g.nodes {
-		es := g.Succs(n)
+	for i := 0; i < g.numNodes; i++ {
+		es := g.Succs(g.Node(i))
 		if len(es) == 0 {
 			continue
 		}
@@ -68,10 +68,11 @@ func DecodeGraph(r *wirebin.Reader, f *ir.Func, inf *ssa.Info, pr *pta.Result, i
 	}
 	g := newGraph(f, inf, pr)
 	nv := r.Len()
-	g.nodes = make([]*Node, 0, nv)
-	g.slab = make([]Node, 0, nv)
-	for i := 0; i < nv; i++ {
-		n := Node{Kind: NodeKind(r.U8()), Role: UseRole(r.U8())}
+	g.nodes = make([]Node, nv)
+	g.numNodes = nv
+	for i := range g.nodes {
+		n := &g.nodes[i]
+		n.Kind, n.Role, n.idx = NodeKind(r.U8()), UseRole(r.U8()), int32(i)
 		var err error
 		if n.Val, err = ix.Value(r.I32()); err != nil {
 			return nil, errorf("vertex %d: %v", i, err)
@@ -79,7 +80,7 @@ func DecodeGraph(r *wirebin.Reader, f *ir.Func, inf *ssa.Info, pr *pta.Result, i
 		if n.Instr, err = ix.Instr(r.I32()); err != nil {
 			return nil, errorf("vertex %d: %v", i, err)
 		}
-		n.ArgIdx = r.Int()
+		argIdx := r.Int()
 		switch n.Kind {
 		case NValue:
 			if n.Val == nil {
@@ -88,7 +89,12 @@ func DecodeGraph(r *wirebin.Reader, f *ir.Func, inf *ssa.Info, pr *pta.Result, i
 			if g.valueAt[n.Val.ID] != 0 {
 				return nil, errorf("value vertex %d duplicates the vertex of value %d", i, n.Val.ID)
 			}
-			g.valueAt[n.Val.ID] = g.newNode(n).idx + 1
+			// A value vertex has no operand index, but the format has the
+			// field: whatever fits it round-trips.
+			if int(int32(argIdx)) != argIdx {
+				return nil, errorf("value vertex %d has operand index %d", i, argIdx)
+			}
+			g.valueAt[n.Val.ID] = n.idx + 1
 		case NUse:
 			if n.Instr == nil || n.Val == nil {
 				return nil, errorf("use vertex %d without instruction or value", i)
@@ -96,13 +102,13 @@ func DecodeGraph(r *wirebin.Reader, f *ir.Func, inf *ssa.Info, pr *pta.Result, i
 			if n.Role <= RoleNone || int(n.Role) >= numRoles {
 				return nil, errorf("use vertex %d has unknown role %d", i, n.Role)
 			}
-			if n.ArgIdx < 0 || n.ArgIdx >= len(n.Instr.Args) {
-				return nil, errorf("use vertex %d names operand %d of %d", i, n.ArgIdx, len(n.Instr.Args))
+			if argIdx < 0 || argIdx >= len(n.Instr.Args) {
+				return nil, errorf("use vertex %d names operand %d of %d", i, argIdx, len(n.Instr.Args))
 			}
-			g.linkUse(g.newNode(n))
 		default:
 			return nil, errorf("vertex %d has unknown kind %d", i, n.Kind)
 		}
+		n.ArgIdx = int32(argIdx)
 	}
 	g.succStart = make([]int32, nv+1)
 	total := r.Len()
@@ -128,7 +134,7 @@ func DecodeGraph(r *wirebin.Reader, f *ir.Func, inf *ssa.Info, pr *pta.Result, i
 			if err != nil {
 				return nil, errorf("edge of vertex %d: %v", from, err)
 			}
-			g.edges = append(g.edges, Edge{To: g.nodes[to], Cond: c})
+			g.edges = append(g.edges, Edge{To: &g.nodes[to], Cond: c})
 		}
 	}
 	if len(g.edges) != total {

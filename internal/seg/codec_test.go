@@ -19,8 +19,9 @@ type wireGraph struct {
 }
 
 type wireVertex struct {
-	kind, role         uint8
-	val, instr, argIdx int32
+	kind, role uint8
+	val, instr int32
+	argIdx     int
 }
 
 type wireSuccs struct {
@@ -36,7 +37,7 @@ func (w *wireGraph) bytes() []byte {
 		e.U8(v.role)
 		e.I32(v.val)
 		e.I32(v.instr)
-		e.I32(v.argIdx)
+		e.Int(v.argIdx)
 	}
 	e.Uvarint(uint64(w.total))
 	e.Uvarint(uint64(len(w.succs)))
@@ -54,8 +55,8 @@ func (w *wireGraph) bytes() []byte {
 // describe writes down g the way a genuine encoding holds it.
 func describe(g *Graph) *wireGraph {
 	w := &wireGraph{total: g.NumEdges()}
-	for i, n := range g.AllNodes() {
-		v := wireVertex{kind: uint8(n.Kind), role: uint8(n.Role), val: -1, instr: -1, argIdx: int32(n.ArgIdx)}
+	for i, n := range allNodes(g) {
+		v := wireVertex{kind: uint8(n.Kind), role: uint8(n.Role), val: -1, instr: -1, argIdx: int(n.ArgIdx)}
 		if n.Val != nil {
 			v.val = int32(n.Val.ID)
 		}
@@ -87,7 +88,7 @@ func decodeEnv(t *testing.T, src, fn string) (*Graph, *ir.Index, cond.Nodes) {
 		Instrs: make([]*ir.Instr, f.NumInstrs()),
 		Blocks: make([]*ir.Block, f.NumBlocks()),
 	}
-	for _, n := range g.AllNodes() {
+	for _, n := range allNodes(g) {
 		if n.Val != nil {
 			ix.Values[n.Val.ID] = n.Val
 		}
@@ -106,7 +107,7 @@ func decodeEnv(t *testing.T, src, fn string) (*Graph, *ir.Index, cond.Nodes) {
 			reg(op)
 		}
 	}
-	for _, n := range g.AllNodes() {
+	for _, n := range allNodes(g) {
 		for _, e := range g.Succs(n) {
 			reg(e.Cond)
 		}
@@ -138,13 +139,10 @@ func TestGraphWireRoundTrip(t *testing.T) {
 	if got.NumNodes() != g.NumNodes() || got.NumEdges() != g.NumEdges() {
 		t.Fatalf("round trip: %d nodes %d edges, want %d / %d", got.NumNodes(), got.NumEdges(), g.NumNodes(), g.NumEdges())
 	}
-	for i, n := range g.AllNodes() {
-		m := got.AllNodes()[i]
+	for i, n := range allNodes(g) {
+		m := allNodes(got)[i]
 		if m.Index() != i || m.Kind != n.Kind || m.Role != n.Role || m.Val != n.Val || m.Instr != n.Instr || m.ArgIdx != n.ArgIdx {
 			t.Fatalf("vertex %d: got %+v, want %+v", i, *m, *n)
-		}
-		if n.Kind == NUse && got.UseNode(n.Instr, n.ArgIdx, n.Role) != m {
-			t.Errorf("vertex %d: UseNode does not find the imported use vertex", i)
 		}
 		if n.Kind == NValue && got.ValueNode(n.Val) != m {
 			t.Errorf("vertex %d: ValueNode does not find the imported value vertex", i)
@@ -159,9 +157,9 @@ func TestGraphWireRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	for role := range g.ByRole {
-		if len(got.ByRole[role]) != len(g.ByRole[role]) {
-			t.Errorf("ByRole[%s]: %d vertices, want %d", UseRole(role), len(got.ByRole[role]), len(g.ByRole[role]))
+	for role := UseRole(0); int(role) < numRoles; role++ {
+		if len(got.Uses(role)) != len(g.Uses(role)) {
+			t.Errorf("Uses(%s): %d vertices, want %d", role, len(got.Uses(role)), len(g.Uses(role)))
 		}
 	}
 }
@@ -197,6 +195,8 @@ func TestImportGraphRejectsMalformed(t *testing.T) {
 		{"use vertex without value", func(w *wireGraph) { w.vertices[use].val = -1 }, "without instruction or value"},
 		{"use vertex operand out of range", func(w *wireGraph) { w.vertices[use].argIdx = 99 }, "names operand"},
 		{"use vertex negative operand", func(w *wireGraph) { w.vertices[use].argIdx = -1 }, "names operand"},
+		{"use vertex operand wider than its field", func(w *wireGraph) { w.vertices[use].argIdx += 1 << 32 }, "names operand"},
+		{"value vertex operand wider than its field", func(w *wireGraph) { w.vertices[val].argIdx = 1 << 32 }, "has operand index"},
 		{"use vertex with a value role", func(w *wireGraph) { w.vertices[use].role = uint8(RoleNone) }, "unknown role"},
 		{"use vertex with a role past the table", func(w *wireGraph) { w.vertices[use].role = uint8(numRoles) }, "unknown role"},
 		{"unknown vertex kind", func(w *wireGraph) { w.vertices[val].kind = 9 }, "unknown kind"},

@@ -14,7 +14,8 @@ func (g *Graph) Dot() string {
 	fmt.Fprintf(&b, "digraph %q {\n", "seg_"+g.Fn.Name)
 	b.WriteString("  rankdir=LR;\n  node [fontname=\"monospace\", fontsize=9];\n")
 
-	for i, n := range g.nodes {
+	for i := 0; i < g.numNodes; i++ {
+		n := g.Node(i)
 		switch n.Kind {
 		case NValue:
 			fmt.Fprintf(&b, "  n%d [label=%q, shape=ellipse];\n", i, n.Val.String())
@@ -30,7 +31,8 @@ func (g *Graph) Dot() string {
 				i, n.String(), color)
 		}
 	}
-	for _, n := range g.nodes {
+	for i := 0; i < g.numNodes; i++ {
+		n := g.Node(i)
 		for _, e := range g.Succs(n) {
 			if e.Cond.IsTrue() {
 				fmt.Fprintf(&b, "  n%d -> n%d;\n", n.idx, e.To.idx)

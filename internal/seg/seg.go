@@ -22,6 +22,7 @@ package seg
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/cond"
 	"repro/internal/ir"
@@ -66,26 +67,24 @@ var roleNames = [...]string{
 
 func (r UseRole) String() string { return roleNames[r] }
 
-// numRoles sizes role-indexed tables.
+// numRoles bounds the roles (the decoder checks against it).
 const numRoles = int(RoleStoreVal) + 1
 
-// Node is a SEG vertex.
+// Node is a SEG vertex. A graph has about three vertices for every two
+// instructions, so the record is kept to 32 bytes.
 type Node struct {
+	Val   *ir.Value
+	Instr *ir.Instr // defining instr (NValue, may be nil) or using instr
+	// idx is the vertex's dense index: its position in creation order.
+	idx    int32
+	ArgIdx int32 // operand index for NUse
 	Kind   NodeKind
 	Role   UseRole
-	Val    *ir.Value
-	Instr  *ir.Instr // defining instr (NValue, may be nil) or using instr
-	ArgIdx int       // operand index for NUse
-	// idx is the vertex's dense index: its position in Graph.AllNodes.
-	idx int32
-	// nextUse chains the use vertices of one instruction: 1 + the index of
-	// the next one, 0 at the end (see Graph.useHead).
-	nextUse int32
 }
 
-// Index returns the vertex's dense per-graph index (its position in
-// AllNodes). Side tables over vertices — summary memos, reverse adjacency —
-// are slices indexed by it.
+// Index returns the vertex's dense per-graph index (Graph.Node's argument).
+// Side tables over vertices — summary memos, reverse adjacency — are slices
+// indexed by it.
 func (n *Node) Index() int { return int(n.idx) }
 
 func (n *Node) String() string {
@@ -116,40 +115,59 @@ type Graph struct {
 
 	// valueAt holds, by Value.ID, 1 + the index of the value's definition
 	// vertex (0 = none yet); it grows when a value created after Build is
-	// looked up.
-	valueAt []int32
-	// useHead holds, by Instr.ID, 1 + the index of the instruction's first
-	// use vertex (0 = none); the rest follow through Node.nextUse.
-	useHead []int32
-	nodes   []*Node
-	// slab is the current allocation chunk of vertices: they live and die
-	// with the graph, so they are not allocated one by one.
-	slab []Node
+	// looked up. instrIdx holds intra-block instruction positions by
+	// Instr.ID, for happens-after queries. The two start out as parts of one
+	// array.
+	valueAt  []int32
+	instrIdx []int32
+	// nodes holds the vertices Build or DecodeGraph created, in one array of
+	// exactly their number; late holds the ones created since, chunk after
+	// chunk (EnsureValueNodes sizes its chunk exactly too). numNodes counts
+	// both.
+	nodes    []Node
+	late     [][]Node
+	numNodes int
 	// Edges in compressed-sparse-row form: vertex i's outgoing edges are
 	// edges[succStart[i]:succStart[i+1]]. Vertices created after
 	// construction have no edges and lie beyond succStart.
 	succStart []int32
 	edges     []Edge
 
-	// ByRole indexes use vertices for the checkers, in creation order.
-	ByRole [numRoles][]*Node
-
-	// instrIdx holds intra-block instruction positions by Instr.ID, for
-	// happens-after queries.
-	instrIdx []int32
 	// reach memoizes block-level CFG reachability as one bitset row of
-	// reachWords words per Block.ID; reachDone marks the rows computed.
+	// reachWords words per Block.ID; one more row marks the rows computed.
 	reach      []uint64
 	reachWords int
-	reachDone  []bool
 }
 
 // NumNodes returns the vertex count.
-func (g *Graph) NumNodes() int { return len(g.nodes) }
+func (g *Graph) NumNodes() int { return g.numNodes }
 
-// AllNodes returns every vertex, indexed by Node.Index (callers must not
-// mutate the slice).
-func (g *Graph) AllNodes() []*Node { return g.nodes }
+// Node returns the vertex with index i.
+func (g *Graph) Node(i int) *Node {
+	if i < len(g.nodes) {
+		return &g.nodes[i]
+	}
+	i -= len(g.nodes)
+	for _, chunk := range g.late {
+		if i < len(chunk) {
+			return &chunk[i]
+		}
+		i -= len(chunk)
+	}
+	panic("seg: vertex index out of range")
+}
+
+// Uses returns the use vertices of one role, in creation order (which is
+// instruction order).
+func (g *Graph) Uses(role UseRole) []*Node {
+	var out []*Node
+	for i := 0; i < g.numNodes; i++ {
+		if n := g.Node(i); n.Role == role {
+			out = append(out, n)
+		}
+	}
+	return out
+}
 
 // NumEdges returns the edge count.
 func (g *Graph) NumEdges() int { return len(g.edges) }
@@ -167,9 +185,9 @@ type GraphStats struct {
 // the detection workers read, so call it before detection starts or after
 // it finishes, not concurrently with graph-mutating lazy paths.
 func (g *Graph) Stats() GraphStats {
-	s := GraphStats{Nodes: len(g.nodes), Edges: g.NumEdges()}
-	for _, n := range g.nodes {
-		switch n.Kind {
+	s := GraphStats{Nodes: g.numNodes, Edges: g.NumEdges()}
+	for i := 0; i < g.numNodes; i++ {
+		switch g.Node(i).Kind {
 		case NValue:
 			s.ValueNodes++
 		case NUse:
@@ -179,25 +197,35 @@ func (g *Graph) Stats() GraphStats {
 	return s
 }
 
-// newNode appends a vertex carved from the slab. Build and DecodeGraph size
-// the first chunk for the whole graph; later chunks only serve stragglers.
-func (g *Graph) newNode(n Node) *Node {
-	if len(g.slab) == cap(g.slab) {
-		g.slab = make([]Node, 0, 16)
+// lateChunk is how many vertices a chunk of Graph.late holds when nothing
+// says how many are coming.
+const lateChunk = 4
+
+// reserve makes room for n more vertices in one chunk.
+func (g *Graph) reserve(n int) {
+	if n > 0 {
+		g.late = append(g.late, make([]Node, 0, n))
 	}
-	g.slab = append(g.slab, n)
-	p := &g.slab[len(g.slab)-1]
-	p.idx = int32(len(g.nodes))
-	g.nodes = append(g.nodes, p)
-	return p
+}
+
+// newNode appends a vertex created after construction.
+func (g *Graph) newNode(n Node) *Node {
+	if k := len(g.late); k == 0 || len(g.late[k-1]) == cap(g.late[k-1]) {
+		g.reserve(lateChunk)
+	}
+	chunk := &g.late[len(g.late)-1]
+	n.idx = int32(g.numNodes)
+	*chunk = append(*chunk, n)
+	g.numNodes++
+	return &(*chunk)[len(*chunk)-1]
 }
 
 // ValueNode returns the vertex of a value definition, creating it on first
 // use.
 func (g *Graph) ValueNode(v *ir.Value) *Node {
-	if v.ID < len(g.valueAt) {
+	if int(v.ID) < len(g.valueAt) {
 		if at := g.valueAt[v.ID]; at != 0 {
-			return g.nodes[at-1]
+			return g.Node(int(at - 1))
 		}
 	} else {
 		// A value created after the graph was built (the function's value
@@ -207,37 +235,6 @@ func (g *Graph) ValueNode(v *ir.Value) *Node {
 	n := g.newNode(Node{Kind: NValue, Val: v, Instr: v.Def})
 	g.valueAt[v.ID] = n.idx + 1
 	return n
-}
-
-func (g *Graph) useNode(in *ir.Instr, argIdx int, role UseRole, v *ir.Value) *Node {
-	if n := g.UseNode(in, argIdx, role); n != nil {
-		return n
-	}
-	n := g.newNode(Node{Kind: NUse, Role: role, Val: v, Instr: in, ArgIdx: argIdx})
-	g.linkUse(n)
-	return n
-}
-
-// linkUse enters a use vertex into its instruction's chain and ByRole.
-func (g *Graph) linkUse(n *Node) {
-	n.nextUse = g.useHead[n.Instr.ID]
-	g.useHead[n.Instr.ID] = n.idx + 1
-	g.ByRole[n.Role] = append(g.ByRole[n.Role], n)
-}
-
-// UseNode returns the use vertex for (instr, argIdx, role) if it exists.
-func (g *Graph) UseNode(in *ir.Instr, argIdx int, role UseRole) *Node {
-	if in.ID >= len(g.useHead) {
-		return nil // an instruction created after the graph was built
-	}
-	for at := g.useHead[in.ID]; at != 0; {
-		n := g.nodes[at-1]
-		if n.ArgIdx == argIdx && n.Role == role {
-			return n
-		}
-		at = n.nextUse
-	}
-	return nil
 }
 
 // Succs returns the outgoing edges of n. Callers must not mutate the slice.
@@ -251,14 +248,9 @@ func (g *Graph) Succs(n *Node) []Edge {
 // newGraph allocates a graph's ID-indexed tables and records the
 // intra-block instruction positions.
 func newGraph(f *ir.Func, inf *ssa.Info, pr *pta.Result) *Graph {
-	g := &Graph{
-		Fn:       f,
-		Info:     inf,
-		PTA:      pr,
-		valueAt:  make([]int32, f.NumValues()),
-		useHead:  make([]int32, f.NumInstrs()),
-		instrIdx: make([]int32, f.NumInstrs()),
-	}
+	nv := f.NumValues()
+	tab := make([]int32, nv+f.NumInstrs())
+	g := &Graph{Fn: f, Info: inf, PTA: pr, valueAt: tab[:nv:nv], instrIdx: tab[nv:]}
 	for _, b := range f.Blocks {
 		for i, in := range b.Instrs {
 			g.instrIdx[in.ID] = int32(i)
@@ -269,38 +261,67 @@ func newGraph(f *ir.Func, inf *ssa.Info, pr *pta.Result) *Graph {
 
 // pendingEdge is an edge awaiting its place in the CSR arrays.
 type pendingEdge struct {
-	from int32
-	Edge
+	from, to int32
+	cond     *cond.Cond
+}
+
+// builder is Build's working state. Vertices and edges are collected here,
+// by index, and copied into arrays of exactly their number once the function
+// has been walked; the collecting arrays are reused from one function to the
+// next.
+type builder struct {
+	g     *Graph
+	nodes []Node
+	pend  []pendingEdge
+	fill  []int32
+}
+
+var builderPool = sync.Pool{New: func() any { return new(builder) }}
+
+func (b *builder) value(v *ir.Value) int32 {
+	if at := b.g.valueAt[v.ID]; at != 0 {
+		return at - 1
+	}
+	i := int32(len(b.nodes))
+	b.nodes = append(b.nodes, Node{Kind: NValue, Val: v, Instr: v.Def, idx: i})
+	b.g.valueAt[v.ID] = i + 1
+	return i
+}
+
+func (b *builder) use(in *ir.Instr, argIdx int, role UseRole) int32 {
+	i := int32(len(b.nodes))
+	b.nodes = append(b.nodes, Node{Kind: NUse, Role: role, Val: in.Args[argIdx], Instr: in, ArgIdx: int32(argIdx), idx: i})
+	return i
+}
+
+func (b *builder) edge(from, to int32, c *cond.Cond) {
+	if !c.IsFalse() {
+		b.pend = append(b.pend, pendingEdge{from: from, to: to, cond: c})
+	}
 }
 
 // Build constructs the SEG for one analyzed function.
 func Build(f *ir.Func, inf *ssa.Info, pr *pta.Result) *Graph {
 	g := newGraph(f, inf, pr)
-	g.nodes = make([]*Node, 0, f.NumValues()+f.NumInstrs()/2)
-	g.slab = make([]Node, 0, cap(g.nodes))
-	pend := make([]pendingEdge, 0, f.NumInstrs())
-	addEdge := func(from, to *Node, c *cond.Cond) {
-		if !c.IsFalse() {
-			pend = append(pend, pendingEdge{from: from.idx, Edge: Edge{To: to, Cond: c}})
-		}
-	}
+	b := builderPool.Get().(*builder)
+	b.g = g
 	tr := inf.Conds.True()
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
+	for _, blk := range f.Blocks {
+		for _, in := range blk.Instrs {
 			switch in.Op {
 			case ir.OpCopy:
-				addEdge(g.ValueNode(in.Args[0]), g.ValueNode(in.Dst), tr)
+				b.edge(b.value(in.Args[0]), b.value(in.Dst), tr)
 			case ir.OpUn, ir.OpFieldAddr:
 				// A field address aliases the same object as its base:
 				// for value-flow purposes (a freed base makes field
 				// accesses dangling) the flow continues through it.
-				addEdge(g.ValueNode(in.Args[0]), g.ValueNode(in.Dst), tr)
+				b.edge(b.value(in.Args[0]), b.value(in.Dst), tr)
 			case ir.OpBin:
 				// Both operands feed the result (the operator vertex of
 				// the paper is folded into the defining instruction,
 				// which DD-constraint generation consults directly).
-				addEdge(g.ValueNode(in.Args[0]), g.ValueNode(in.Dst), tr)
-				addEdge(g.ValueNode(in.Args[1]), g.ValueNode(in.Dst), tr)
+				b.edge(b.value(in.Args[0]), b.value(in.Dst), tr)
+				b.edge(b.value(in.Args[1]), b.value(in.Dst), tr)
 			case ir.OpPhi:
 				gates := inf.GatesOf(in)
 				for i, a := range in.Args {
@@ -308,53 +329,62 @@ func Build(f *ir.Func, inf *ssa.Info, pr *pta.Result) *Graph {
 					if gates != nil {
 						c = gates[i]
 					}
-					addEdge(g.ValueNode(a), g.ValueNode(in.Dst), c)
+					b.edge(b.value(a), b.value(in.Dst), c)
 				}
 			case ir.OpLoad:
 				// Deref use of the address.
-				addEdge(g.ValueNode(in.Args[0]), g.useNode(in, 0, RoleDerefAddr, in.Args[0]), tr)
+				b.edge(b.value(in.Args[0]), b.use(in, 0, RoleDerefAddr), tr)
 				// Memory-induced data dependence from stored values.
 				for _, gv := range pr.LoadSources(in) {
-					addEdge(g.ValueNode(gv.Val), g.ValueNode(in.Dst), gv.Cond)
+					b.edge(b.value(gv.Val), b.value(in.Dst), gv.Cond)
 				}
 			case ir.OpStore:
-				addEdge(g.ValueNode(in.Args[0]), g.useNode(in, 0, RoleDerefAddr, in.Args[0]), tr)
-				addEdge(g.ValueNode(in.Args[1]), g.useNode(in, 1, RoleStoreVal, in.Args[1]), tr)
+				b.edge(b.value(in.Args[0]), b.use(in, 0, RoleDerefAddr), tr)
+				b.edge(b.value(in.Args[1]), b.use(in, 1, RoleStoreVal), tr)
 			case ir.OpFree:
-				addEdge(g.ValueNode(in.Args[0]), g.useNode(in, 0, RoleFreeArg, in.Args[0]), tr)
+				b.edge(b.value(in.Args[0]), b.use(in, 0, RoleFreeArg), tr)
 			case ir.OpCall:
 				for i, a := range in.Args {
-					addEdge(g.ValueNode(a), g.useNode(in, i, RoleCallArg, a), tr)
+					b.edge(b.value(a), b.use(in, i, RoleCallArg), tr)
 				}
-				for _, d := range in.Dsts {
+				for _, d := range in.Dsts() {
 					if d != nil {
-						g.ValueNode(d)
+						b.value(d)
 					}
 				}
 			case ir.OpRet:
 				for i, a := range in.Args {
-					addEdge(g.ValueNode(a), g.useNode(in, i, RoleRetArg, a), tr)
+					b.edge(b.value(a), b.use(in, i, RoleRetArg), tr)
 				}
 			}
 		}
 	}
 
+	g.nodes = append(make([]Node, 0, len(b.nodes)), b.nodes...)
+	g.numNodes = len(g.nodes)
+
 	// Counting sort of the pending edges by source vertex; it is stable, so
 	// every vertex keeps its edges in insertion order.
 	g.succStart = make([]int32, len(g.nodes)+1)
-	for i := range pend {
-		g.succStart[pend[i].from+1]++
+	for i := range b.pend {
+		g.succStart[b.pend[i].from+1]++
 	}
 	for i := range g.nodes {
 		g.succStart[i+1] += g.succStart[i]
 	}
-	g.edges = make([]Edge, len(pend))
-	fill := append([]int32(nil), g.succStart[:len(g.nodes)]...)
-	for i := range pend {
-		e := &pend[i]
-		g.edges[fill[e.from]] = e.Edge
-		fill[e.from]++
+	g.edges = make([]Edge, len(b.pend))
+	b.fill = append(b.fill[:0], g.succStart[:len(g.nodes)]...)
+	for i := range b.pend {
+		e := &b.pend[i]
+		g.edges[b.fill[e.from]] = Edge{To: &g.nodes[e.to], Cond: e.cond}
+		b.fill[e.from]++
 	}
+
+	// The collecting arrays go back without what they point to.
+	clear(b.nodes)
+	clear(b.pend)
+	b.g, b.nodes, b.pend = nil, b.nodes[:0], b.pend[:0]
+	builderPool.Put(b)
 	return g
 }
 
@@ -364,25 +394,41 @@ func Build(f *ir.Func, inf *ssa.Info, pr *pta.Result) *Graph {
 // graph); pre-creating every vertex the search can possibly name freezes the
 // graph, so concurrent detection workers only ever read it.
 func (g *Graph) EnsureValueNodes() {
+	// Two passes over the same values, so that the vertices land in one
+	// chunk of exactly their number: mark the ones without a vertex, then
+	// create them in the order they were met.
+	const pending = -1
+	var missing []*ir.Value
+	want := func(v *ir.Value) {
+		if v == nil {
+			return
+		}
+		if int(v.ID) >= len(g.valueAt) {
+			g.valueAt = append(g.valueAt, make([]int32, g.Fn.NumValues()-len(g.valueAt))...)
+		}
+		if g.valueAt[v.ID] == 0 {
+			g.valueAt[v.ID] = pending
+			missing = append(missing, v)
+		}
+	}
 	for _, p := range g.Fn.Params {
-		g.ValueNode(p)
+		want(p)
 	}
 	for _, b := range g.Fn.Blocks {
 		for _, in := range b.Instrs {
 			for _, a := range in.Args {
-				if a != nil {
-					g.ValueNode(a)
-				}
+				want(a)
 			}
-			if in.Dst != nil {
-				g.ValueNode(in.Dst)
-			}
-			for _, d := range in.Dsts {
-				if d != nil {
-					g.ValueNode(d)
-				}
+			want(in.Dst)
+			for _, d := range in.Dsts() {
+				want(d)
 			}
 		}
+	}
+	g.reserve(len(missing))
+	for _, v := range missing {
+		g.valueAt[v.ID] = 0
+		g.ValueNode(v)
 	}
 }
 
@@ -408,14 +454,14 @@ func (g *Graph) HappensAfter(a, b *ir.Instr) bool {
 // reachableBlocks returns the bitset (by Block.ID) of blocks reachable from
 // a block through at least one CFG edge, computing it on first request.
 func (g *Graph) reachableBlocks(from *ir.Block) []uint64 {
-	if g.reachDone == nil {
-		nb := g.Fn.NumBlocks()
+	nb := g.Fn.NumBlocks()
+	if g.reach == nil {
 		g.reachWords = (nb + 63) / 64
-		g.reach = make([]uint64, nb*g.reachWords)
-		g.reachDone = make([]bool, nb)
+		g.reach = make([]uint64, (nb+1)*g.reachWords)
 	}
 	row := g.reach[from.ID*g.reachWords : (from.ID+1)*g.reachWords]
-	if g.reachDone[from.ID] {
+	done := g.reach[nb*g.reachWords:]
+	if done[from.ID/64]&(1<<(from.ID%64)) != 0 {
 		return row
 	}
 	stack := []*ir.Block{from}
@@ -429,7 +475,7 @@ func (g *Graph) reachableBlocks(from *ir.Block) []uint64 {
 			}
 		}
 	}
-	g.reachDone[from.ID] = true
+	done[from.ID/64] |= 1 << (from.ID % 64)
 	return row
 }
 

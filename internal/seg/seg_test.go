@@ -80,14 +80,14 @@ void f() {
 }`)
 	f := m.Lookup("f")
 	g := graphs["f"]
-	frees := g.ByRole[RoleFreeArg]
+	frees := g.Uses(RoleFreeArg)
 	if len(frees) != 1 {
 		t.Fatalf("free uses = %v", frees)
 	}
 	// The freed value flows through the slot to u, which is dereferenced
 	// by the load feeding sink.
 	freed := g.ValueNode(frees[0].Val)
-	derefs := g.ByRole[RoleDerefAddr]
+	derefs := g.Uses(RoleDerefAddr)
 	found := false
 	for _, d := range derefs {
 		if reachesNode(g, freed, d) && g.HappensAfter(frees[0].Instr, d.Instr) {
@@ -165,7 +165,7 @@ void f(bool c) {
 	}
 	// Simpler check: dst has exactly two incoming edges with guards.
 	incoming := 0
-	for _, n := range g.nodes {
+	for _, n := range allNodes(g) {
 		for _, e := range g.Succs(n) {
 			if e.To == dst {
 				incoming++
@@ -190,17 +190,17 @@ void f() {
 	use(b);
 }`)
 	g := graphs["f"]
-	if len(g.ByRole[RoleCallArg]) < 2 { // id(a) and use(b)
-		t.Fatalf("call arg uses = %d", len(g.ByRole[RoleCallArg]))
+	if len(g.Uses(RoleCallArg)) < 2 { // id(a) and use(b)
+		t.Fatalf("call arg uses = %d", len(g.Uses(RoleCallArg)))
 	}
 	gid := graphs["id"]
-	if len(gid.ByRole[RoleRetArg]) != 1 {
-		t.Fatalf("id ret uses = %d", len(gid.ByRole[RoleRetArg]))
+	if len(gid.Uses(RoleRetArg)) != 1 {
+		t.Fatalf("id ret uses = %d", len(gid.Uses(RoleRetArg)))
 	}
 	// The ret use is fed by the parameter.
 	_ = m
 	param := gid.Fn.Params[0]
-	if !reachesNode(gid, gid.ValueNode(param), gid.ByRole[RoleRetArg][0]) {
+	if !reachesNode(gid, gid.ValueNode(param), gid.Uses(RoleRetArg)[0]) {
 		t.Fatal("param does not reach return in id")
 	}
 }
@@ -304,8 +304,8 @@ void f(bool c) {
 	}
 }
 
-// The dense tables are sized when the graph is built; both lookups must
-// cope with IDs handed out afterwards.
+// The value table is sized when the graph is built; the lookup must cope
+// with IDs handed out afterwards.
 func TestDenseTablesGrowPastBuild(t *testing.T) {
 	_, graphs := buildSEGs(t, `
 void f(int *p) {
@@ -318,14 +318,14 @@ void f(int *p) {
 	// A value created after Build lies beyond the value table: the first
 	// lookup creates its vertex, the second finds it.
 	late := g.Fn.NewVar("late", minic.IntType)
-	if late.ID < len(g.valueAt) {
+	if int(late.ID) < len(g.valueAt) {
 		t.Fatalf("test premise: value %d is inside the table of %d", late.ID, len(g.valueAt))
 	}
 	n := g.ValueNode(late)
 	if n == nil || n.Val != late || n.Kind != NValue {
 		t.Fatalf("ValueNode(late) = %+v", n)
 	}
-	if n.Index() != before || g.NumNodes() != before+1 || g.AllNodes()[n.Index()] != n {
+	if n.Index() != before || g.NumNodes() != before+1 || allNodes(g)[n.Index()] != n {
 		t.Errorf("late vertex has index %d in a graph of %d (was %d)", n.Index(), g.NumNodes(), before)
 	}
 	if g.ValueNode(late) != n {
@@ -334,22 +334,13 @@ void f(int *p) {
 	if len(g.Succs(n)) != 0 {
 		t.Error("a vertex created after Build has edges")
 	}
+}
 
-	// An instruction the graph never saw has no use vertices — not a
-	// panic, and not some other instruction's.
-	exit := g.Fn.Exit
-	ghost := g.Fn.InsertAt(exit, 0, ir.Instr{Op: ir.OpFree, Args: []*ir.Value{g.Fn.Params[0]}})
-	if got := g.UseNode(ghost, 0, RoleFreeArg); got != nil {
-		t.Errorf("UseNode(unseen instruction) = %v, want nil", got)
+// allNodes lists every vertex of g, indexed by Node.Index.
+func allNodes(g *Graph) []*Node {
+	out := make([]*Node, g.NumNodes())
+	for i := range out {
+		out[i] = g.Node(i)
 	}
-	// The real free is still found.
-	found := false
-	for _, u := range g.ByRole[RoleFreeArg] {
-		if g.UseNode(u.Instr, u.ArgIdx, u.Role) == u {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("UseNode lost the built free vertex")
-	}
+	return out
 }

@@ -2,7 +2,6 @@ package ssa
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/cfg"
 	"repro/internal/cond"
@@ -15,10 +14,11 @@ import (
 // ascending instruction ID, the values registered as condition atoms by
 // ascending ID (an atom's ID is its value's), and the canonical reach
 // conditions by ascending block ID; conditions are node IDs, -1 = nil.
-// Dominator trees, control dependences, and RPO numbering are pure functions
-// of the CFG and are rebuilt on decode; the lazy memos (JoinGates, CDCond)
-// start empty and replay into the decoded builder, which hash-conses them
-// back to the identical nodes.
+// Control dependences are a pure function of the CFG and are rebuilt on
+// decode, from the post-dominator tree alone; what JoinGates works from (the
+// dominator tree, RPO numbering) is build-only state a decoded Info starts
+// without. The lazy memos (JoinGates, CDCond) start empty and replay into the
+// decoded builder, which hash-conses them back to the identical nodes.
 
 // EncodeInfo appends inf to e. The caller must ensure no concurrent
 // mutation (no in-flight detection on this function).
@@ -31,14 +31,9 @@ func EncodeInfo(e *wirebin.Writer, inf *Info) {
 			e.I32(cond.Ref(g))
 		}
 	})
-	atoms := make([]int, 0, len(inf.AtomValue))
-	for a := range inf.AtomValue {
-		atoms = append(atoms, a)
-	}
-	slices.Sort(atoms)
-	e.Uvarint(uint64(len(atoms)))
-	for _, a := range atoms {
-		e.Int(a)
+	e.Uvarint(uint64(len(inf.atoms)))
+	for _, v := range inf.atoms {
+		e.I32(v.ID)
 	}
 	n := 0
 	for _, c := range inf.reachCond {
@@ -63,14 +58,18 @@ func DecodeInfo(r *wirebin.Reader, f *ir.Func, ix *ir.Index, b *cond.Builder, no
 	errorf := func(format string, args ...any) error {
 		return r.Errorf("ssa: decode %s: %s", f.Name, fmt.Sprintf(format, args...))
 	}
-	order, err := cfg.Topological(f)
+	_, err := cfg.Topological(f)
 	if err != nil {
 		return nil, errorf("%v", err)
 	}
-	inf := newInfo(f, b, order, cfg.Dominators(f), cfg.PostDominators(f))
+	inf := newInfo(f, b)
 
 	last := int32(-1)
-	for n := r.Len(); n > 0; n-- {
+	n := r.Len()
+	if n > 0 {
+		inf.gates.Grow(f.NumInstrs())
+	}
+	for ; n > 0; n-- {
 		id := r.I32()
 		if in, err := ix.Instr(id); err != nil || in == nil || id <= last {
 			return nil, errorf("bad gate instr id %d", id)
@@ -85,14 +84,16 @@ func DecodeInfo(r *wirebin.Reader, f *ir.Func, ix *ir.Index, b *cond.Builder, no
 		inf.gates.Put(int(id), gates)
 	}
 	last = -1
-	for n := r.Len(); n > 0; n-- {
+	n = r.Len()
+	inf.atoms = make([]*ir.Value, 0, n)
+	for ; n > 0; n-- {
 		id := r.I32()
 		v, err := ix.Value(id)
 		if err != nil || v == nil || id <= last {
 			return nil, errorf("bad atom value id %d", id)
 		}
 		last = id
-		inf.AtomValue[v.ID] = v
+		inf.atoms = append(inf.atoms, v)
 	}
 	last = -1
 	for n := r.Len(); n > 0; n-- {

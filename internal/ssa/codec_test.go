@@ -65,7 +65,7 @@ func describe(inf *Info) *wireInfo {
 		}
 	}
 	for id := 0; id < inf.Fn.NumValues(); id++ {
-		if inf.AtomValue[id] != nil {
+		if inf.AtomValue(id) != nil {
 			w.atoms = append(w.atoms, int32(id))
 		}
 	}
@@ -128,13 +128,23 @@ func TestInfoRoundTrip(t *testing.T) {
 	if !bytes.Equal(again.B, e.B) {
 		t.Error("the decoded Info encodes differently")
 	}
-	// What is rebuilt, not read: control dependences and dominators.
+	// What is rebuilt, not read: control dependences, and — only when a join
+	// gate is asked for — the build-only state behind JoinGates.
+	if got.build != nil {
+		t.Error("a decoded Info starts with build-only state")
+	}
 	for _, blk := range inf.Fn.Blocks {
 		if len(got.CD(ix.Blocks[blk.ID])) != len(inf.CD(blk)) {
 			t.Errorf("block %d: %d control dependences, want %d", blk.ID, len(got.CD(ix.Blocks[blk.ID])), len(inf.CD(blk)))
 		}
-		if (got.Dom.Idom(ix.Blocks[blk.ID]) == nil) != (inf.Dom.Idom(blk) == nil) {
-			t.Errorf("block %d: dominator tree differs", blk.ID)
+		if len(blk.Preds) < 2 {
+			continue
+		}
+		want, have := inf.JoinGates(blk), got.JoinGates(ix.Blocks[blk.ID])
+		for i := range want {
+			if cond.Ref(have[i]) != cond.Ref(want[i]) {
+				t.Errorf("block %d: join gate %d is node %d, want %d", blk.ID, i, cond.Ref(have[i]), cond.Ref(want[i]))
+			}
 		}
 	}
 }
@@ -180,6 +190,14 @@ func TestDecodeInfoRejectsMalformed(t *testing.T) {
 	huge.Uvarint(1 << 40)
 	if _, err := DecodeInfo(wirebin.NewReader(huge.B), f, ix, b, nodes); err == nil {
 		t.Error("decode accepted a gate count past the input")
+	}
+	// A key wider than the 32-bit IDs of instructions, values and blocks.
+	var wide wirebin.Writer
+	wide.Uvarint(1)
+	wide.Varint(int64(describe(inf).gates[0].instr) + 1<<32)
+	wide.Uvarint(0)
+	if _, err := DecodeInfo(wirebin.NewReader(wide.B), f, ix, b, nodes); err == nil || !strings.Contains(err.Error(), "overflows int32") {
+		t.Errorf("gate key wider than an ID: %v", err)
 	}
 	full := describe(inf).bytes()
 	for cut := 0; cut < len(full); cut++ {

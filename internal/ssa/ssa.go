@@ -21,6 +21,7 @@ package ssa
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/cfg"
@@ -43,36 +44,85 @@ type Info struct {
 	// Conds builds and interns all conditions of this function.
 	Conds *cond.Builder
 	// gates holds, by Instr.ID, each φ's per-operand gate conditions
-	// (parallel to the φ's Args).
+	// (parallel to the φ's Args); it covers no ID until the first φ.
 	gates dense.Lists[*cond.Cond]
 	// cd holds each block's control dependences, by Block.ID.
 	cd [][]cfg.CDep
-	// Dom and PostDom are the dominator trees.
-	Dom, PostDom *cfg.DomTree
-	// AtomValue maps condition atom IDs back to SSA values. It stays a map:
-	// only branch conditions become atoms, a small and sparse subset of the
-	// value IDs.
-	AtomValue map[int]*ir.Value
+	// atoms lists the SSA values registered as condition atoms, in ascending
+	// ID order (an atom's ID is its value's). Only branch conditions become
+	// atoms, a handful per function.
+	atoms []*ir.Value
 	// reachCond holds, by Block.ID, the condition over branch atoms of
 	// reaching the block from the entry ("canonical" reach condition; the
 	// SEG uses control dependence instead, this is kept for the quasi
 	// points-to analysis and for tests). Nil for unreachable blocks.
 	reachCond []*cond.Cond
-
-	rpoIdx []int32 // by Block.ID
-	// joinGates memoizes JoinGates by Block.ID (filled lazily, during the
-	// single-goroutine build only).
-	joinGates [][]*cond.Cond
 	// cdCond memoizes CDCond by Block.ID once PrepareCDConds has run, making
 	// subsequent CDCond calls read-only (and therefore safe to issue from
 	// concurrent detection workers).
 	cdCond []*cond.Cond
+	// build is what only the build reads (see joinState); ReleaseBuildState
+	// drops it.
+	build *joinState
+}
+
+// joinState is what JoinGates works from: the dominator tree, the RPO
+// numbering and the memo of its results. Only the build asks for join gates
+// (Transform for the φ gates, pta.Analyze at control-flow joins), so the
+// state is dropped once the function's SEG stands; a later JoinGates call
+// recomputes it.
+type joinState struct {
+	dom    *cfg.DomTree
+	rpoIdx []int32 // by Block.ID
+	// gates memoizes JoinGates by Block.ID (filled lazily, during the
+	// single-goroutine build only).
+	gates [][]*cond.Cond
+}
+
+// ReleaseBuildState drops the tables only the build reads. The build calls
+// it when the function's SEG is complete.
+func (inf *Info) ReleaseBuildState() { inf.build = nil }
+
+func (inf *Info) joinState() *joinState {
+	if inf.build == nil {
+		inf.build = newJoinState(inf.Fn, cfg.ReversePostorder(inf.Fn), cfg.Dominators(inf.Fn))
+	}
+	return inf.build
+}
+
+func newJoinState(f *ir.Func, order []*ir.Block, dom *cfg.DomTree) *joinState {
+	nb := f.NumBlocks()
+	js := &joinState{dom: dom, rpoIdx: make([]int32, nb), gates: make([][]*cond.Cond, nb)}
+	for i, b := range order {
+		js.rpoIdx[b.ID] = int32(i)
+	}
+	return js
+}
+
+// AtomValue maps a condition atom ID back to the SSA value registered under
+// it (nil if none was).
+func (inf *Info) AtomValue(id int) *ir.Value {
+	if i, ok := inf.findAtom(int32(id)); ok {
+		return inf.atoms[i]
+	}
+	return nil
+}
+
+func (inf *Info) findAtom(id int32) (int, bool) {
+	return slices.BinarySearchFunc(inf.atoms, id, func(v *ir.Value, id int32) int { return int(v.ID) - int(id) })
+}
+
+// registerAtom records v as the value behind atom v.ID.
+func (inf *Info) registerAtom(v *ir.Value) {
+	if i, ok := inf.findAtom(v.ID); !ok {
+		inf.atoms = slices.Insert(inf.atoms, i, v)
+	}
 }
 
 // GatesOf returns the per-operand gate conditions of a φ instruction
 // (parallel to its Args), or nil for any other instruction.
 func (inf *Info) GatesOf(in *ir.Instr) []*cond.Cond {
-	gates, _ := inf.gates.Get(in.ID)
+	gates, _ := inf.gates.Get(int(in.ID))
 	return gates
 }
 
@@ -110,8 +160,8 @@ func (inf *Info) Atom(v *ir.Value) *cond.Cond {
 			a = inf.Conds.False()
 		}
 	} else {
-		inf.AtomValue[v.ID] = v
-		a = inf.Conds.Atom(v.ID)
+		inf.registerAtom(v)
+		a = inf.Conds.Atom(int(v.ID))
 	}
 	if neg {
 		a = inf.Conds.Not(a)
@@ -126,7 +176,7 @@ func (inf *Info) EdgeCond(from, to *ir.Block) *cond.Cond {
 		return inf.Conds.True()
 	}
 	a := inf.Atom(term.Args[0])
-	if term.Blocks[0] == to {
+	if term.Blocks()[0] == to {
 		return a
 	}
 	return inf.Conds.Not(a)
@@ -143,7 +193,7 @@ func (inf *Info) CDCond(b *ir.Block) *cond.Cond {
 }
 
 // PrepareCDConds computes and memoizes CDCond for every block of the
-// function. Atom registration (which mutates AtomValue) happens here, on one
+// function. Atom registration (which mutates the atom list) happens here, on one
 // goroutine; after this call CDCond performs only slice reads, so detection
 // workers can query control dependences concurrently.
 func (inf *Info) PrepareCDConds() {
@@ -181,39 +231,28 @@ func Transform(f *ir.Func) (*Info, error) {
 		return nil, err
 	}
 	dom := cfg.Dominators(f)
-	pdom := cfg.PostDominators(f)
 	df := cfg.DominanceFrontier(f, dom)
 
 	insertPhis(f, df)
 	rename(f, dom)
 	eliminateDeadPhis(f)
 
-	inf := newInfo(f, cond.NewBuilder(), order, dom, pdom)
+	inf := newInfo(f, cond.NewBuilder())
+	inf.build = newJoinState(f, order, dom)
 	computeReachConds(inf, order)
 	computeGates(inf)
 	return inf, nil
 }
 
-// newInfo allocates an Info's ID-indexed tables and fills the ones that are
-// pure functions of the CFG (control dependences, RPO numbering).
-func newInfo(f *ir.Func, conds *cond.Builder, order []*ir.Block, dom, pdom *cfg.DomTree) *Info {
-	nb := f.NumBlocks()
-	inf := &Info{
+// newInfo allocates an Info's ID-indexed tables and fills the one that is a
+// pure function of the CFG (control dependences).
+func newInfo(f *ir.Func, conds *cond.Builder) *Info {
+	return &Info{
 		Fn:        f,
 		Conds:     conds,
-		gates:     dense.NewLists[*cond.Cond](f.NumInstrs()),
-		cd:        cfg.ControlDeps(f, pdom),
-		Dom:       dom,
-		PostDom:   pdom,
-		AtomValue: make(map[int]*ir.Value),
-		reachCond: make([]*cond.Cond, nb),
-		rpoIdx:    make([]int32, nb),
-		joinGates: make([][]*cond.Cond, nb),
+		cd:        cfg.ControlDeps(f, cfg.PostDominators(f)),
+		reachCond: make([]*cond.Cond, f.NumBlocks()),
 	}
-	for i, b := range order {
-		inf.rpoIdx[b.ID] = int32(i)
-	}
-	return inf
 }
 
 // varSites records the definition sites of one pre-SSA variable.
@@ -259,7 +298,7 @@ func insertPhis(f *ir.Func, df [][]*ir.Block) {
 				definedIn[d.ID] = here
 			}
 			if in.Op == ir.OpCall {
-				for _, d := range in.Dsts {
+				for _, d := range in.Dsts() {
 					def(d)
 				}
 			} else {
@@ -274,6 +313,7 @@ func insertPhis(f *ir.Func, df [][]*ir.Block) {
 	placed := make([]int32, nb)
 	defSeen := make([]int32, nb)
 	var work []*ir.Block
+	var args []*ir.Value // scratch: InsertAt copies it
 	// Variables in ascending ID order: the φ order inside a block, and the
 	// instruction IDs φs receive, follow from it.
 	for i := range sites {
@@ -296,13 +336,11 @@ func insertPhis(f *ir.Func, df [][]*ir.Block) {
 					continue
 				}
 				placed[w.ID] = stamp
-				args := make([]*ir.Value, len(w.Preds))
-				for i := range args {
-					args[i] = s.v
+				args = args[:0]
+				for range w.Preds {
+					args = append(args, s.v)
 				}
-				f.InsertAt(w, 0, ir.Instr{
-					Op: ir.OpPhi, Dst: s.v, Args: args, Blocks: append([]*ir.Block(nil), w.Preds...),
-				})
+				f.InsertAt(w, 0, ir.Instr{Op: ir.OpPhi, Dst: s.v, Args: args, Ext: &ir.Ext{Blocks: w.Preds}})
 				if defSeen[w.ID] != stamp {
 					defSeen[w.ID] = stamp
 					work = append(work, w)
@@ -336,7 +374,7 @@ func rename(f *ir.Func, dom *cfg.DomTree) {
 }
 
 func (r *renamer) top(v *ir.Value) *ir.Value {
-	if v.ID < len(r.cur) && r.cur[v.ID] != nil {
+	if int(v.ID) < len(r.cur) && r.cur[v.ID] != nil {
 		return r.cur[v.ID]
 	}
 	// Use before def: should not happen for well-formed lowering;
@@ -364,9 +402,9 @@ func (r *renamer) walk(b *ir.Block) {
 			}
 		}
 		if in.Op == ir.OpCall {
-			for i, d := range in.Dsts {
+			for i, d := range in.Dsts() {
 				if d != nil && d.Kind == ir.VVar {
-					in.Dsts[i] = r.fresh(d, in)
+					in.Dsts()[i] = r.fresh(d, in)
 				}
 			}
 			continue
@@ -381,7 +419,7 @@ func (r *renamer) walk(b *ir.Block) {
 			if in.Op != ir.OpPhi {
 				break
 			}
-			for i, pb := range in.Blocks {
+			for i, pb := range in.Blocks() {
 				if pb == b && in.Args[i].Kind == ir.VVar {
 					in.Args[i] = r.top(in.Args[i])
 				}
@@ -456,10 +494,11 @@ func computeReachConds(inf *Info, order []*ir.Block) {
 // join. Results are memoized. Single-predecessor blocks gate on the edge
 // condition alone.
 func (inf *Info) JoinGates(join *ir.Block) []*cond.Cond {
-	if g := inf.joinGates[join.ID]; g != nil {
+	js := inf.joinState()
+	if g := js.gates[join.ID]; g != nil {
 		return g
 	}
-	d := inf.Dom.Idom(join)
+	d := js.dom.Idom(join)
 	if d == nil {
 		d = inf.Fn.Entry
 	}
@@ -489,7 +528,7 @@ func (inf *Info) JoinGates(join *ir.Block) []*cond.Cond {
 			push(p)
 		}
 	}
-	sort.Slice(blocks, func(i, j int) bool { return inf.rpoIdx[blocks[i].ID] < inf.rpoIdx[blocks[j].ID] })
+	sort.Slice(blocks, func(i, j int) bool { return js.rpoIdx[blocks[i].ID] < js.rpoIdx[blocks[j].ID] })
 	var parts []*cond.Cond
 	for _, b := range blocks {
 		parts = parts[:0]
@@ -504,7 +543,7 @@ func (inf *Info) JoinGates(join *ir.Block) []*cond.Cond {
 	for i, pb := range join.Preds {
 		gates[i] = inf.Conds.And(reach[pb.ID], inf.EdgeCond(pb, join))
 	}
-	inf.joinGates[join.ID] = gates
+	js.gates[join.ID] = gates
 	return gates
 }
 
@@ -523,12 +562,13 @@ func computeGates(inf *Info) {
 			}
 			if jg == nil {
 				jg = inf.JoinGates(join)
+				inf.gates.Grow(inf.Fn.NumInstrs())
 			}
 			gates := make([]*cond.Cond, len(phi.Args))
-			for i, pb := range phi.Blocks {
+			for i, pb := range phi.Blocks() {
 				gates[i] = jg[predIndex(join, pb)]
 			}
-			inf.gates.Put(phi.ID, gates)
+			inf.gates.Put(int(phi.ID), gates)
 		}
 	}
 }

@@ -173,7 +173,7 @@ void f(bool c) {
 	find := func(name string) *ir.Block {
 		for _, b := range f.Blocks {
 			for _, in := range b.Instrs {
-				if in.Op == ir.OpCall && in.Callee == name {
+				if in.Op == ir.OpCall && in.Callee() == name {
 					return b
 				}
 			}
@@ -217,7 +217,7 @@ void f(bool c) {
 		t.Fatalf("CDCond kind = %v, want atom", cc.Kind())
 	}
 	// The atom maps back to a bool-typed SSA value.
-	v := inf.AtomValue[cc.Atom()]
+	v := inf.AtomValue(cc.Atom())
 	if v == nil || v.Type.Base != "bool" {
 		t.Fatalf("atom value = %v", v)
 	}
@@ -262,7 +262,7 @@ void f(bool a, bool b) {
 	var gB *ir.Block
 	for _, blk := range f.Blocks {
 		for _, in := range blk.Instrs {
-			if in.Op == ir.OpCall && in.Callee == "g" {
+			if in.Op == ir.OpCall && in.Callee() == "g" {
 				gB = blk
 			}
 		}

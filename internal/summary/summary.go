@@ -180,7 +180,7 @@ func ParamToRet(t *Table, g *seg.Graph) map[int][]Flow {
 	for _, p := range g.Fn.Params {
 		flows := t.FlowsBetween(g, g.ValueNode(p), seg.RoleRetArg)
 		if len(flows) > 0 {
-			out[p.ParamIdx] = flows
+			out[p.ParamIdx()] = flows
 		}
 	}
 	return out

@@ -290,7 +290,7 @@ func rewriteBody(m *ir.Module, f *ir.Func, plans []rootPlan, aux map[modref.Path
 			if fv == nil {
 				return fmt.Errorf("missing aux formal for %v depth %d", pl.root, k)
 			}
-			f.InsertAt(f.Entry, at, ir.Instr{Op: ir.OpStore, Args: []*ir.Value{prev, fv}, Pos: f.Pos, Synthetic: true})
+			f.InsertAt(f.Entry, at, ir.Instr{Op: ir.OpStore, Args: []*ir.Value{prev, fv}, Loc: f.Loc(), Synthetic: true})
 			at++
 			if !fv.Type.IsPointer() {
 				break
@@ -314,8 +314,8 @@ func rewriteBody(m *ir.Module, f *ir.Func, plans []rootPlan, aux map[modref.Path
 			return err
 		}
 		for k := 1; k <= pl.outDepth; k++ {
-			rv := f.NewVar(auxName("R", pl.root, k), pathType(m, f, pl.root, k))
-			ld := f.InsertAt(f.Exit, retIdx, ir.Instr{Op: ir.OpLoad, Dst: rv, Args: []*ir.Value{prev}, Pos: f.Pos, Synthetic: true})
+			rv := f.NewDef(auxName("R", pl.root, k), pathType(m, f, pl.root, k))
+			ld := f.InsertAt(f.Exit, retIdx, ir.Instr{Op: ir.OpLoad, Dst: rv, Args: []*ir.Value{prev}, Loc: f.Loc(), Synthetic: true})
 			rv.Def = ld
 			rv.Aux = true
 			retIdx++
@@ -336,7 +336,7 @@ func rewriteBody(m *ir.Module, f *ir.Func, plans []rootPlan, aux map[modref.Path
 			if in.Op != ir.OpCall {
 				continue
 			}
-			callee := resolve(in.Callee)
+			callee := resolve(in.Callee())
 			if callee == nil {
 				continue
 			}
@@ -360,8 +360,8 @@ func rootValue(m *ir.Module, f *ir.Func, r modref.Root, at *int) (*ir.Value, err
 		return f.Params[r.Param], nil
 	}
 	g := m.GlobalByName[r.Global]
-	addr := f.NewVar("&@"+r.Global, g.Type.Pointer())
-	ins := f.InsertAt(f.Entry, *at, ir.Instr{Op: ir.OpGlobalAddr, Dst: addr, Sub: r.Global, Pos: f.Pos, Synthetic: true})
+	addr := f.NewDef("&@"+r.Global, g.Type.Pointer())
+	ins := f.InsertAt(f.Entry, *at, ir.Instr{Op: ir.OpGlobalAddr, Dst: addr, Sub: r.Global, Loc: f.Loc(), Synthetic: true})
 	addr.Def = ins
 	*at++
 	return addr, nil
@@ -373,8 +373,8 @@ func rootValueAtExit(m *ir.Module, f *ir.Func, r modref.Root, retIdx *int) (*ir.
 		return f.Params[r.Param], nil
 	}
 	g := m.GlobalByName[r.Global]
-	addr := f.NewVar("&@"+r.Global, g.Type.Pointer())
-	ins := f.InsertAt(f.Exit, *retIdx, ir.Instr{Op: ir.OpGlobalAddr, Dst: addr, Sub: r.Global, Pos: f.Pos, Synthetic: true})
+	addr := f.NewDef("&@"+r.Global, g.Type.Pointer())
+	ins := f.InsertAt(f.Exit, *retIdx, ir.Instr{Op: ir.OpGlobalAddr, Dst: addr, Sub: r.Global, Loc: f.Loc(), Synthetic: true})
 	addr.Def = ins
 	*retIdx++
 	return addr, nil
@@ -411,8 +411,8 @@ func rewriteCallSite(m *ir.Module, f *ir.Func, b *ir.Block, idx int, call *ir.In
 			return v, nil
 		}
 		g := m.GlobalByName[spec.Global]
-		addr := f.NewVar("&@"+spec.Global, g.Type.Pointer())
-		ins := insertBefore(ir.Instr{Op: ir.OpGlobalAddr, Dst: addr, Sub: spec.Global, Pos: call.Pos})
+		addr := f.NewDef("&@"+spec.Global, g.Type.Pointer())
+		ins := insertBefore(ir.Instr{Op: ir.OpGlobalAddr, Dst: addr, Sub: spec.Global, Loc: call.Loc})
 		addr.Def = ins
 		chains[chainKey{param: -2, global: spec.Global}] = addr
 		_ = key
@@ -435,8 +435,8 @@ func rewriteCallSite(m *ir.Module, f *ir.Func, b *ir.Block, idx int, call *ir.In
 				return inserted, fmt.Errorf("non-contiguous aux-in specs for %s", callee.Name)
 			}
 		}
-		av := f.NewVar(auxName("A", modref.Root{Param: spec.Root, Global: spec.Global}, spec.Depth), pathType(m, callee, modref.Root{Param: spec.Root, Global: spec.Global}, spec.Depth))
-		ld := insertBefore(ir.Instr{Op: ir.OpLoad, Dst: av, Args: []*ir.Value{prev}, Pos: call.Pos})
+		av := f.NewDef(auxName("A", modref.Root{Param: spec.Root, Global: spec.Global}, spec.Depth), pathType(m, callee, modref.Root{Param: spec.Root, Global: spec.Global}, spec.Depth))
+		ld := insertBefore(ir.Instr{Op: ir.OpLoad, Dst: av, Args: []*ir.Value{prev}, Loc: call.Loc})
 		av.Def = ld
 		av.Aux = true
 		extraArgs = append(extraArgs, av)
@@ -447,10 +447,10 @@ func rewriteCallSite(m *ir.Module, f *ir.Func, b *ir.Block, idx int, call *ir.In
 	// Receivers for aux returns.
 	var recvs []*ir.Value
 	for _, spec := range callee.AuxOut {
-		cv := f.NewVar(auxName("C", modref.Root{Param: spec.Root, Global: spec.Global}, spec.Depth), pathType(m, callee, modref.Root{Param: spec.Root, Global: spec.Global}, spec.Depth))
+		cv := f.NewDef(auxName("C", modref.Root{Param: spec.Root, Global: spec.Global}, spec.Depth), pathType(m, callee, modref.Root{Param: spec.Root, Global: spec.Global}, spec.Depth))
 		cv.Def = call
 		cv.Aux = true
-		call.Dsts = append(call.Dsts, cv)
+		call.AddDst(cv)
 		recvs = append(recvs, cv)
 	}
 
@@ -472,8 +472,8 @@ func rewriteCallSite(m *ir.Module, f *ir.Func, b *ir.Block, idx int, call *ir.In
 				prev = call.Args[spec.Root]
 			} else {
 				g := m.GlobalByName[spec.Global]
-				addr := f.NewVar("&@"+spec.Global, g.Type.Pointer())
-				ins := insertAfter(ir.Instr{Op: ir.OpGlobalAddr, Dst: addr, Sub: spec.Global, Pos: call.Pos})
+				addr := f.NewDef("&@"+spec.Global, g.Type.Pointer())
+				ins := insertAfter(ir.Instr{Op: ir.OpGlobalAddr, Dst: addr, Sub: spec.Global, Loc: call.Loc})
 				addr.Def = ins
 				prev = addr
 			}
@@ -483,7 +483,7 @@ func rewriteCallSite(m *ir.Module, f *ir.Func, b *ir.Block, idx int, call *ir.In
 				return inserted, fmt.Errorf("non-contiguous aux-out specs for %s", callee.Name)
 			}
 		}
-		insertAfter(ir.Instr{Op: ir.OpStore, Args: []*ir.Value{prev, recvs[i]}, Pos: call.Pos})
+		insertAfter(ir.Instr{Op: ir.OpStore, Args: []*ir.Value{prev, recvs[i]}, Loc: call.Loc})
 		chains[key] = recvs[i]
 	}
 	return after - idx - 1, nil

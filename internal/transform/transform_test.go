@@ -95,7 +95,7 @@ void caller() {
 	var call *ir.Instr
 	for _, b := range caller.Blocks {
 		for _, in := range b.Instrs {
-			if in.Op == ir.OpCall && in.Callee == "callee" {
+			if in.Op == ir.OpCall && in.Callee() == "callee" {
 				call = in
 			}
 		}
@@ -107,8 +107,8 @@ void caller() {
 	if len(call.Args) != 2 {
 		t.Fatalf("call args = %v", call.Args)
 	}
-	if len(call.Dsts) != 2 {
-		t.Fatalf("call dsts = %v", call.Dsts)
+	if len(call.Dsts()) != 2 {
+		t.Fatalf("call dsts = %v", call.Dsts())
 	}
 	// The instruction right before the call loads the actual; right
 	// after, the receiver is stored back.
@@ -122,7 +122,7 @@ void caller() {
 	if b.Instrs[pos-1].Op != ir.OpLoad {
 		t.Errorf("pre-call load missing: %s", b.Instrs[pos-1])
 	}
-	if b.Instrs[pos+1].Op != ir.OpStore || b.Instrs[pos+1].Args[1] != call.Dsts[1] {
+	if b.Instrs[pos+1].Op != ir.OpStore || b.Instrs[pos+1].Args[1] != call.Dsts()[1] {
 		t.Errorf("post-call store missing: %s", b.Instrs[pos+1])
 	}
 }
@@ -167,13 +167,13 @@ void qux(int **r) {
 	calls := 0
 	for _, b := range foo.Blocks {
 		for _, in := range b.Instrs {
-			if in.Op == ir.OpCall && (in.Callee == "bar" || in.Callee == "qux") {
+			if in.Op == ir.OpCall && (in.Callee() == "bar" || in.Callee() == "qux") {
 				calls++
-				if len(in.Args) < 2 && in.Callee == "bar" {
+				if len(in.Args) < 2 && in.Callee() == "bar" {
 					t.Errorf("bar call not extended: %s", in)
 				}
-				if len(in.Dsts) < 2 {
-					t.Errorf("%s call lacks aux receiver: %s", in.Callee, in)
+				if len(in.Dsts()) < 2 {
+					t.Errorf("%s call lacks aux receiver: %s", in.Callee(), in)
 				}
 			}
 		}

@@ -110,7 +110,7 @@ func Build(m *ir.Module, pts *pta.AndersenResult, opts Options) (*Graph, error) 
 				case ir.OpFree:
 					g.Frees = append(g.Frees, in)
 				case ir.OpCall:
-					callee := m.Lookup(in.Callee)
+					callee := m.Lookup(in.Callee())
 					if callee == nil {
 						continue
 					}
@@ -128,8 +128,8 @@ func Build(m *ir.Module, pts *pta.AndersenResult, opts Options) (*Graph, error) 
 						if ri >= auxStart {
 							dstIdx = 1 + (ri - auxStart)
 						}
-						if dstIdx < len(in.Dsts) && in.Dsts[dstIdx] != nil {
-							if err := addEdge(rv, in.Dsts[dstIdx]); err != nil {
+						if dstIdx < len(in.Dsts()) && in.Dsts()[dstIdx] != nil {
+							if err := addEdge(rv, in.Dsts()[dstIdx]); err != nil {
 								return g, err
 							}
 						}

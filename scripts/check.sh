@@ -2,7 +2,7 @@
 # Tier-1 verification in one command: formatting, vet, build, tests (with
 # the race detector — the parallel detection scheduler's determinism tests
 # run under it, and cmd/pinpoint's process-level test builds and drives the
-# real binary), the allocation budgets without it, a short fuzz of the
+# real binary), the allocation and residency budgets without it, a short fuzz of the
 # artifact decoder, of the solver against enumeration and of the request
 # decoder against encoding/json, the benchmark module, and the examples suite.
 set -euo pipefail
@@ -25,10 +25,11 @@ go build ./...
 echo "== go test -race"
 go test -race ./...
 
-# The allocation budgets skip themselves under the race detector (it
-# allocates shadow state of its own), so they get a run without it.
-echo "== allocation budgets (no race detector)"
-go test ./internal/core ./internal/server -run 'Budget'
+# The allocation and residency budgets skip themselves under the race
+# detector (it allocates shadow state of its own), so they get a run without
+# it, together with the record sizes they follow from.
+echo "== allocation and residency budgets, record sizes (no race detector)"
+go test ./internal/core ./internal/server -run 'Budget|RecordSizes'
 
 # Ten seconds of new inputs on top of the committed corpus. The minimizer is
 # held to a second: its default budget per interesting input is longer than
