@@ -126,8 +126,8 @@ func runBatch() {
 			a.Sizes.Functions, a.Sizes.Lines, a.Sizes.SEGNodes, a.Sizes.SEGEdges, a.Timings.Total())
 		fmt.Fprintf(os.Stderr, "pinpoint: pta: %s\n", a.PTAStats)
 		if *incremental || *storeDir != "" {
-			fmt.Fprintf(os.Stderr, "pinpoint: artifacts: %d hits, %d misses, %d invalidated, %d store-loaded\n",
-				a.Artifacts.Hits, a.Artifacts.Misses, a.Artifacts.Invalidated, a.Artifacts.StoreHits)
+			fmt.Fprintf(os.Stderr, "pinpoint: artifacts: %d hits, %d misses, %d invalidated, %d store-loaded; %d units parsed\n",
+				a.Artifacts.Hits, a.Artifacts.Misses, a.Artifacts.Invalidated, a.Artifacts.StoreHits, a.Artifacts.UnitsParsed)
 		}
 	}
 	if *dump != "" {
@@ -234,11 +234,14 @@ type statsDump struct {
 	} `json:"build"`
 	// Artifacts is the incremental store outcome of the (last) build
 	// round: all misses for a one-shot build, mostly hits for a warm
-	// -incremental rebuild.
+	// -incremental rebuild. UnitsParsed is how many translation units that
+	// round parsed: none on a run over a populated -store-dir with unchanged
+	// inputs.
 	Artifacts struct {
 		Hits        int `json:"hits"`
 		Misses      int `json:"misses"`
 		Invalidated int `json:"invalidated"`
+		UnitsParsed int `json:"unitsParsed"`
 	} `json:"artifacts"`
 	PTA      pta.Stats     `json:"pta"`
 	Checkers []checkerDump `json:"checkers"`
@@ -296,6 +299,7 @@ func buildStatsDump(a *core.Analysis, res detect.Results, rec *obs.Recorder) *st
 	d.Artifacts.Hits = a.Artifacts.Hits
 	d.Artifacts.Misses = a.Artifacts.Misses
 	d.Artifacts.Invalidated = a.Artifacts.Invalidated
+	d.Artifacts.UnitsParsed = a.Artifacts.UnitsParsed
 	d.PTA = a.PTAStats
 	for _, cs := range res.Checkers {
 		d.Checkers = append(d.Checkers, checkerDump{Checker: cs.Checker, Stats: cs.Stats})

@@ -53,6 +53,35 @@ func TestProcess(t *testing.T) {
 				t.Errorf("%s is not valid JSON", filepath.Base(f))
 			}
 		}
+
+		// The same inputs twice over one -store-dir: the first process parses
+		// and builds everything, the second neither parses nor builds.
+		storeDir := filepath.Join(dir, "store")
+		var cold []byte
+		for _, warm := range []bool{false, true} {
+			out, code := run(t, bin, append([]string{"-checkers", "all", "-format", "json", "-store-dir", storeDir, "-stats-json", stats}, examples...)...)
+			if code != 1 {
+				t.Fatalf("warm=%v: exit status %d, want 1", warm, code)
+			}
+			data, err := os.ReadFile(stats)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var dump struct {
+				Artifacts struct{ Hits, Misses, UnitsParsed int }
+			}
+			if err := json.Unmarshal(data, &dump); err != nil {
+				t.Fatal(err)
+			}
+			if got := dump.Artifacts; warm != (got.UnitsParsed == 0) || warm != (got.Misses == 0) || !warm && got.UnitsParsed != len(examples) {
+				t.Errorf("warm=%v: %+v of %d units", warm, got, len(examples))
+			}
+			if !warm {
+				cold = out
+			} else if !bytes.Equal(out, cold) {
+				t.Errorf("the warm run prints other reports than the cold run")
+			}
+		}
 	})
 
 	t.Run("serve", func(t *testing.T) {
@@ -84,6 +113,9 @@ func TestProcess(t *testing.T) {
 				loaded, built := resp.Stats.ArtifactStoreHits, resp.Stats.ArtifactMisses
 				if restarted != (loaded > 0) || restarted != (built == 0) {
 					t.Errorf("%s, restarted=%v: %d artifacts loaded from the store, %d built", p, restarted, loaded, built)
+				}
+				if parsed, want := resp.Stats.UnitsParsed, map[bool]int{false: len(projects[p]), true: 0}[restarted]; parsed != want {
+					t.Errorf("%s, restarted=%v: %d units parsed, want %d", p, restarted, parsed, want)
 				}
 				if got := marshal(t, resp.Reports); got != want[p] {
 					t.Errorf("%s, restarted=%v: served reports differ from the CLI's\nserved: %s\ncli:    %s", p, restarted, got, want[p])

@@ -1,7 +1,10 @@
 package core_test
 
 import (
+	"reflect"
+	"regexp"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -80,6 +83,14 @@ const (
 
 	measuredResidentBytesPerInstr   = 492.0
 	measuredResidentObjectsPerInstr = 4.19
+
+	// The same for a core.NewSession kept after its first Update. While the
+	// session held every unit's syntax tree it was 665 bytes in 6.74 objects.
+	budgetSessionBytesPerInstr   = measuredSessionBytesPerInstr * 1.05
+	budgetSessionObjectsPerInstr = measuredSessionObjectsPerInstr * 1.05
+
+	measuredSessionBytesPerInstr   = 554.0
+	measuredSessionObjectsPerInstr = 4.71
 )
 
 func TestResidentBudget(t *testing.T) {
@@ -90,33 +101,140 @@ func TestResidentBudget(t *testing.T) {
 		workload.Subject{Name: "alloc-budget", Origin: "synthetic", PaperKLoC: 300, TrueBugs: 6, OpaqueTraps: 4},
 		workload.GenOptions{Scale: 30, Taint: true, Seed: 1})
 
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	a, err := core.BuildFromSource(gen.Units, core.BuildOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
+	// resident is what build leaves on the heap, per IR instruction, while
+	// what it returns is alive.
+	resident := func(build func() (keep any, instrs int)) (bytes, objects float64) {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		keep, instrs := build()
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(keep)
+		if instrs < 10000 {
+			t.Fatalf("subject too small to measure: %d instructions", instrs)
+		}
+		return (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(instrs),
+			(float64(after.HeapObjects) - float64(before.HeapObjects)) / float64(instrs)
 	}
-	runtime.GC()
-	runtime.GC()
-	runtime.ReadMemStats(&after)
+	check := func(what string, bytes, objects, budgetBytes, budgetObjects float64) {
+		t.Logf("%s: %.0f bytes and %.2f objects resident per instruction (budget %.0f / %.2f)", what, bytes, objects, budgetBytes, budgetObjects)
+		if bytes > budgetBytes {
+			t.Errorf("%s: %.0f bytes resident per IR instruction, budget %.0f", what, bytes, budgetBytes)
+		}
+		if objects > budgetObjects {
+			t.Errorf("%s: %.2f objects resident per IR instruction, budget %.2f", what, objects, budgetObjects)
+		}
+	}
 
-	instrs := float64(a.Sizes.Lines)
-	if instrs < 10000 {
-		t.Fatalf("subject too small to measure: %d instructions", a.Sizes.Lines)
+	bytes, objects := resident(func() (any, int) {
+		a, err := core.BuildFromSource(gen.Units, core.BuildOptions{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a, a.Sizes.Lines
+	})
+	check("the analysis of a one-shot build", bytes, objects, budgetResidentBytesPerInstr, budgetResidentObjectsPerInstr)
+
+	// A session at rest: the analysis, the session's own tables and what it
+	// knows of the units — their facts, not their syntax trees.
+	var sess *core.Session
+	bytes, objects = resident(func() (any, int) {
+		sess = core.NewSession(core.BuildOptions{Workers: 1})
+		a, err := sess.Update(gen.Units)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sess, a.Sizes.Lines
+	})
+	check("a session at rest", bytes, objects, budgetSessionBytesPerInstr, budgetSessionObjectsPerInstr)
+	const minicPkg = "repro/internal/minic"
+	if seen := reachableFrom(struct{ x []any }{[]any{map[string]*minic.FuncDecl{"f": {Body: &minic.BlockStmt{}}}}}, minicPkg); !slices.Equal(seen, []string{"*minic.BlockStmt", "*minic.FuncDecl"}) {
+		t.Fatalf("the walk does not see what it is meant to find: %v", seen)
 	}
-	bytes := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / instrs
-	objects := (float64(after.HeapObjects) - float64(before.HeapObjects)) / instrs
-	t.Logf("%d IR instructions: %.0f bytes and %.2f objects resident per instruction (budget %.0f / %.2f)",
-		a.Sizes.Lines, bytes, objects, budgetResidentBytesPerInstr, budgetResidentObjectsPerInstr)
-	if bytes > budgetResidentBytesPerInstr {
-		t.Errorf("%.0f bytes resident per IR instruction, budget %.0f", bytes, budgetResidentBytesPerInstr)
+	if held := reachableFrom(sess, minicPkg); len(held) > 0 {
+		t.Errorf("a session at rest holds syntax trees: it reaches %v", held)
 	}
-	if objects > budgetResidentObjectsPerInstr {
-		t.Errorf("%.2f objects resident per IR instruction, budget %.2f", objects, budgetResidentObjectsPerInstr)
+	// Nor after an Update that parsed one unit and patched the tables.
+	edited := slices.Clone(gen.Units)
+	edited[0].Src += "\nvoid added_last() { }\n"
+	if a, err := sess.Update(edited); err != nil || a.Artifacts.UnitsParsed != 1 || a.Artifacts.Misses != 1 {
+		t.Fatalf("the edit was not a one-unit Update: %+v, %v", a.Artifacts, err)
 	}
-	runtime.KeepAlive(a)
+	if held := reachableFrom(sess, minicPkg); len(held) > 0 {
+		t.Errorf("a session at rest after an edit holds syntax trees: it reaches %v", held)
+	}
+}
+
+// reachableFrom walks everything root reaches through pointers, interfaces,
+// slices, arrays, maps and struct fields, exported or not, and lists the types
+// declared in package pkg that it reaches by pointer or in an interface — the
+// heap objects of that package, as opposed to its value types held inline.
+func reachableFrom(root any, pkg string) []string {
+	type slot struct {
+		p unsafe.Pointer
+		t reflect.Type
+		n int // of a slice
+	}
+	seen := make(map[slot]bool)
+	found := make(map[string]bool)
+	var walk func(v reflect.Value)
+	walk = func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Pointer:
+			if v.IsNil() || seen[slot{v.UnsafePointer(), v.Type(), 0}] {
+				return
+			}
+			seen[slot{v.UnsafePointer(), v.Type(), 0}] = true
+			if v.Type().Elem().PkgPath() == pkg {
+				found[v.Type().String()] = true
+			}
+			walk(v.Elem())
+		case reflect.Interface:
+			if v.IsNil() {
+				return
+			}
+			if e := v.Elem(); e.Type().PkgPath() == pkg || e.Kind() == reflect.Pointer && e.Type().Elem().PkgPath() == pkg {
+				found[e.Type().String()] = true
+			}
+			walk(v.Elem())
+		case reflect.Slice:
+			if v.Len() == 0 || seen[slot{v.UnsafePointer(), v.Type(), v.Len()}] {
+				return
+			}
+			seen[slot{v.UnsafePointer(), v.Type(), v.Len()}] = true
+			fallthrough
+		case reflect.Array:
+			switch v.Type().Elem().Kind() {
+			case reflect.Pointer, reflect.Interface, reflect.Slice, reflect.Array, reflect.Map, reflect.Struct:
+				for i := 0; i < v.Len(); i++ {
+					walk(v.Index(i))
+				}
+			}
+		case reflect.Map:
+			if v.IsNil() || seen[slot{v.UnsafePointer(), v.Type(), 0}] {
+				return
+			}
+			seen[slot{v.UnsafePointer(), v.Type(), 0}] = true
+			for it := v.MapRange(); it.Next(); {
+				walk(it.Key())
+				walk(it.Value())
+			}
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(v.Field(i))
+			}
+		}
+	}
+	walk(reflect.ValueOf(root))
+	var out []string
+	for name := range found {
+		out = append(out, name)
+	}
+	slices.Sort(out)
+	return out
 }
 
 // The sizes of the records a built program consists of, in bytes on a 64-bit
@@ -145,20 +263,31 @@ func TestRecordSizes(t *testing.T) {
 // The budget of a warm request: what Session.Update and the CheckAll after it
 // allocate, and how many functions the Update looks at, when one function of
 // the serve-edit workload's program (3,342 functions in 45 units) has been
-// edited — the benchmark's driver edit, with every unit's source arriving as
-// a fresh string, as a decoded request's do. Measured values plus 15%, as
-// above. They exist so that per-request work proportional to the program
-// cannot creep back in: at the commit before the tables were patched the
-// same Update allocated 4.3 MiB in 19,006 objects and looked at all 3,342
-// functions, and the CheckAll allocated 1.1 MiB.
+// edited, with every unit's source arriving as a fresh string, as a decoded
+// request's do. Two edits: the benchmark's driver edit, which leaves every
+// other function as it was and parses the edited unit alone; and one to a
+// function called from another unit that changes its Mod/Ref summary and
+// connector signature, so that its caller is lowered again — whose unit the
+// session knows only by its facts, and parses for it. That second row is the
+// price of not holding every unit's AST: one more parse of a 450-line unit.
+// Measured values plus 15%, as above — means: the encoding buffers behind
+// minic.HashFuncSum and seg.Build are pooled per P and emptied by the
+// collector, so a run reads 5 to 15 KiB above the floor that a run with the
+// collector off and `-cpu 1` reads (534 KiB and 3,229 objects for the driver
+// edit; 535 and 3,269 while the session still held the trees: the facts of
+// the edited unit are built beside a tree that dies, and share the lists of
+// the facts they replace). They exist so that per-request work proportional
+// to the program cannot creep back in: at the commit before the tables were
+// patched the driver edit's Update allocated 4.3 MiB in 19,006 objects and
+// looked at all 3,342 functions, and the CheckAll allocated 1.1 MiB.
 const (
-	budgetEditUpdateBytes   = measuredEditUpdateBytes * 1.15
-	budgetEditUpdateMallocs = measuredEditUpdateMallocs * 1.15
-	budgetEditCheckBytes    = measuredEditCheckBytes * 1.15
-
 	measuredEditUpdateBytes   = 545 << 10
-	measuredEditUpdateMallocs = 3280
+	measuredEditUpdateMallocs = 3240
 	measuredEditCheckBytes    = 360 << 10
+
+	measuredCrossEditUpdateBytes   = 595 << 10
+	measuredCrossEditUpdateMallocs = 4830
+	measuredCrossEditCheckBytes    = 263 << 10
 )
 
 func TestUpdateEditBudget(t *testing.T) {
@@ -177,51 +306,74 @@ func TestUpdateEditBudget(t *testing.T) {
 	a.CheckAll(checkers.All(), detect.Options{Workers: 1})
 	functions := a.Sizes.Functions
 
+	// The cross-unit callee: one line in one unit, called from the unit before.
+	xrel := regexp.MustCompile(`(?m)^void (xrel[0-9]+)\(int \*x\) \{ (\*x = 0; )?free\(x\); \}$`)
+	xunit := slices.IndexFunc(units, func(u minic.NamedSource) bool { return xrel.MatchString(u.Src) })
+	if xunit < 1 {
+		t.Fatal("the ladder program has no cross-unit release helper")
+	}
+
 	const edits = 5
-	var updBytes, updMallocs, chkBytes uint64
-	for i := 0; i < edits; i++ {
-		u := i % len(units)
-		at := strings.LastIndex(units[u].Src, "\nvoid drive_")
-		cut := at + 1 + strings.IndexByte(units[u].Src[at+1:], '\n') + 1
-		units[u].Src = units[u].Src[:cut] + "\tseed = seed + 1;\n" + units[u].Src[cut:]
-		request := make([]minic.NamedSource, len(units))
-		for k, unit := range units {
-			request[k] = minic.NamedSource{Name: unit.Name, Src: strings.Clone(unit.Src)}
-		}
+	for _, row := range []struct {
+		name                     string
+		edit                     func(i int)
+		parsed, rebuilt          int
+		bytes, mallocs, chkBytes float64
+	}{
+		{"driver edit", func(i int) {
+			u := i % len(units)
+			at := strings.LastIndex(units[u].Src, "\nvoid drive_")
+			cut := at + 1 + strings.IndexByte(units[u].Src[at+1:], '\n') + 1
+			units[u].Src = units[u].Src[:cut] + "\tseed = seed + 1;\n" + units[u].Src[cut:]
+		}, 1, 1, measuredEditUpdateBytes, measuredEditUpdateMallocs, measuredEditCheckBytes},
+		{"cross-unit summary edit", func(i int) {
+			with := []string{"*x = 0; ", ""}[i%2]
+			units[xunit].Src = xrel.ReplaceAllString(units[xunit].Src, "void $1(int *x) { "+with+"free(x); }")
+		}, 2, 2, measuredCrossEditUpdateBytes, measuredCrossEditUpdateMallocs, measuredCrossEditCheckBytes},
+	} {
+		var updBytes, updMallocs, chkBytes uint64
+		for i := 0; i < edits; i++ {
+			row.edit(i)
+			request := make([]minic.NamedSource, len(units))
+			for k, unit := range units {
+				request[k] = minic.NamedSource{Name: unit.Name, Src: strings.Clone(unit.Src)}
+			}
 
-		var m0, m1, m2 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		a, err := sess.Update(request)
-		runtime.ReadMemStats(&m1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := a.CheckAll(checkers.All(), detect.Options{Workers: 1})
-		runtime.ReadMemStats(&m2)
-		updBytes += m1.TotalAlloc - m0.TotalAlloc
-		updMallocs += m1.Mallocs - m0.Mallocs
-		chkBytes += m2.TotalAlloc - m1.TotalAlloc
+			var m0, m1, m2 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			a, err := sess.Update(request)
+			runtime.ReadMemStats(&m1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := a.CheckAll(checkers.All(), detect.Options{Workers: 1})
+			runtime.ReadMemStats(&m2)
+			updBytes += m1.TotalAlloc - m0.TotalAlloc
+			updMallocs += m1.Mallocs - m0.Mallocs
+			chkBytes += m2.TotalAlloc - m1.TotalAlloc
 
-		if a.Artifacts.Invalidated != 1 || a.Artifacts.Misses != 0 {
-			t.Fatalf("edit %d rebuilt %d+%d functions, want exactly 1", i, a.Artifacts.Invalidated, a.Artifacts.Misses)
+			if a.Artifacts.Invalidated != row.rebuilt || a.Artifacts.Misses != 0 || a.Artifacts.UnitsParsed != row.parsed {
+				t.Fatalf("%s %d rebuilt %d+%d functions and parsed %d units, want exactly %d and %d", row.name, i,
+					a.Artifacts.Invalidated, a.Artifacts.Misses, a.Artifacts.UnitsParsed, row.rebuilt, row.parsed)
+			}
+			if a.Artifacts.Visited*20 >= functions {
+				t.Errorf("%s %d: the Update looked at %d of %d functions, want < 5%%", row.name, i, a.Artifacts.Visited, functions)
+			}
+			if res.TasksRun == 0 || res.TasksReplayed == 0 {
+				t.Fatalf("%s %d: %d tasks ran, %d replayed", row.name, i, res.TasksRun, res.TasksReplayed)
+			}
 		}
-		if a.Artifacts.Visited*20 >= functions {
-			t.Errorf("edit %d: the Update looked at %d of %d functions, want < 5%%", i, a.Artifacts.Visited, functions)
+		t.Logf("per %s: Update %d KiB in %d mallocs (budget %.0f KiB / %.0f), CheckAll %d KiB (budget %.0f KiB)", row.name,
+			updBytes/edits>>10, updMallocs/edits, row.bytes*1.15/1024, row.mallocs*1.15, chkBytes/edits>>10, row.chkBytes*1.15/1024)
+		if got := float64(updBytes) / edits; got > row.bytes*1.15 {
+			t.Errorf("%s: Update allocated %.0f KiB per edit, budget %.0f KiB", row.name, got/1024, row.bytes*1.15/1024)
 		}
-		if res.TasksRun == 0 || res.TasksReplayed == 0 {
-			t.Fatalf("edit %d: %d tasks ran, %d replayed", i, res.TasksRun, res.TasksReplayed)
+		if got := float64(updMallocs) / edits; got > row.mallocs*1.15 {
+			t.Errorf("%s: Update made %.0f allocations per edit, budget %.0f", row.name, got, row.mallocs*1.15)
 		}
-	}
-	t.Logf("per edit: Update %d KiB in %d mallocs (budget %.0f KiB / %.0f), CheckAll %d KiB (budget %.0f KiB)",
-		updBytes/edits>>10, updMallocs/edits, budgetEditUpdateBytes/1024, budgetEditUpdateMallocs, chkBytes/edits>>10, budgetEditCheckBytes/1024)
-	if got := float64(updBytes) / edits; got > budgetEditUpdateBytes {
-		t.Errorf("Update allocated %.0f KiB per edit, budget %.0f KiB", got/1024, budgetEditUpdateBytes/1024)
-	}
-	if got := float64(updMallocs) / edits; got > budgetEditUpdateMallocs {
-		t.Errorf("Update made %.0f allocations per edit, budget %.0f", got, budgetEditUpdateMallocs)
-	}
-	if got := float64(chkBytes) / edits; got > budgetEditCheckBytes {
-		t.Errorf("CheckAll allocated %.0f KiB per edit, budget %.0f KiB", got/1024, budgetEditCheckBytes/1024)
+		if got := float64(chkBytes) / edits; got > row.chkBytes*1.15 {
+			t.Errorf("%s: CheckAll allocated %.0f KiB per edit, budget %.0f KiB", row.name, got/1024, row.chkBytes*1.15/1024)
+		}
 	}
 }
 
@@ -232,13 +384,16 @@ func TestUpdateEditBudget(t *testing.T) {
 // struct on its way in, and the store kept a second copy of each record it
 // served — the same Update allocated 62.7 MiB in 762,850 objects; this one
 // must stay at least 20 % of the bytes and 12 % of the objects below that,
-// and within 15 % of its own measured values.
+// and within 15 % of its own measured values. (While the warm path still
+// parsed every unit to learn what the artifacts already said, it allocated
+// 36.3 MiB in 428,900 objects; the difference was the AST.) It must also
+// parse nothing.
 const (
 	parentWarmLoadBytes   = 62.7 * (1 << 20)
 	parentWarmLoadMallocs = 762850
 
-	measuredWarmLoadBytes   = 36.3 * (1 << 20)
-	measuredWarmLoadMallocs = 428900
+	measuredWarmLoadBytes   = 32.2 * (1 << 20)
+	measuredWarmLoadMallocs = 337200
 
 	budgetWarmLoadBytes   = measuredWarmLoadBytes * 1.15
 	budgetWarmLoadMallocs = measuredWarmLoadMallocs * 1.15
@@ -272,8 +427,8 @@ func TestWarmLoadBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Artifacts.StoreHits != a.Sizes.Functions || a.Artifacts.Misses != 0 {
-		t.Fatalf("not a warm load: %+v of %d functions", a.Artifacts, a.Sizes.Functions)
+	if a.Artifacts.StoreHits != a.Sizes.Functions || a.Artifacts.Misses != 0 || a.Artifacts.UnitsParsed != 0 || a.Artifacts.UnitsLoaded != len(units) {
+		t.Fatalf("not a warm load: %+v of %d functions in %d units", a.Artifacts, a.Sizes.Functions, len(units))
 	}
 	bytes, mallocs := float64(m1.TotalAlloc-m0.TotalAlloc), float64(m1.Mallocs-m0.Mallocs)
 	t.Logf("warm first Update of %d functions: %.1f MiB in %.0f mallocs (budget %.1f MiB / %.0f; parent %.1f MiB / %d)",

@@ -1,10 +1,13 @@
 package core
 
 import (
-	"cmp"
+	"bytes"
 	"fmt"
+	"slices"
 	"sort"
+	"time"
 
+	"repro/internal/conc"
 	"repro/internal/cond"
 	"repro/internal/ir"
 	"repro/internal/modref"
@@ -202,30 +205,88 @@ func decodeArtifact(r *wirebin.Reader) (*funcArtifact, error) {
 	return art, nil
 }
 
+// encodeChunk is how many artifacts one worker encodes at a stretch: enough
+// to amortize the hand-out, few enough that a worker's buffer stays small.
+const encodeChunk = 64
+
 // encodeSegment bundles the artifacts of the functions ids into one segment
-// record.
-func encodeSegment(progFP string, seq int64, ids []int32, arts []*funcArtifact) ([]byte, error) {
-	e := &wirebin.Writer{B: make([]byte, 0, 64<<10)}
-	e.B = append(e.B, segMagic...)
-	e.Int(artifactCodecVersion)
-	e.Str(progFP)
-	e.Varint(seq)
-	e.Int(len(ids))
-	for _, id := range ids {
-		frame := e.Begin()
-		if err := encodeArtifact(e, arts[id]); err != nil {
-			return nil, err
+// record. Frames do not depend on one another, so chunks of them are encoded
+// on up to workers goroutines, each chunk kept at exactly its size, and laid
+// end to end, in the order of ids, in a buffer of exactly the record's size:
+// the bytes are the same at every worker count.
+func encodeSegment(progFP string, seq int64, ids []int32, arts []*funcArtifact, workers int) ([]byte, error) {
+	var hdr wirebin.Writer
+	hdr.B = append(hdr.B, segMagic...)
+	hdr.Int(artifactCodecVersion)
+	hdr.Str(progFP)
+	hdr.Varint(seq)
+	hdr.Int(len(ids))
+
+	chunks := make([][]byte, (len(ids)+encodeChunk-1)/encodeChunk)
+	scratch := make([]wirebin.Writer, conc.Workers(workers)) // one per worker, reused chunk after chunk
+	if err := conc.ForEach(len(chunks), workers, func(w, c int) error {
+		e := &scratch[w]
+		e.B = e.B[:0]
+		for _, id := range ids[c*encodeChunk : min((c+1)*encodeChunk, len(ids))] {
+			frame := e.Begin()
+			if err := encodeArtifact(e, arts[id]); err != nil {
+				return err
+			}
+			e.End(frame)
 		}
-		e.End(frame)
+		chunks[c] = bytes.Clone(e.B)
+		return nil
+	}); err != nil {
+		return nil, err
 	}
-	return e.B, nil
+	size := len(hdr.B)
+	for _, b := range chunks {
+		size += len(b)
+	}
+	out := append(make([]byte, 0, size), hdr.B...)
+	for _, b := range chunks {
+		out = append(out, b...)
+	}
+	return out, nil
 }
 
-// decodeSegment rebuilds a segment's artifacts. Any header mismatch or
-// stream error discards the whole segment (callers treat the error as a
-// miss for everything in it); an artifact whose content a codec rejects is
-// skipped individually.
-func decodeSegment(progFP string, data []byte) (segmentHeader, []*funcArtifact, error) {
+// decodeFrames reads count frames off r: one serial pass cuts them, then up
+// to workers goroutines decode them, each through a reader of its own. out[i]
+// is the zero T where decode rejected frame i's content, which costs that
+// frame alone. A stream error — in the framing, or inside a frame — fails the
+// whole call: a framing error is reported first, else the error of the lowest
+// frame that has one, whatever the worker count.
+func decodeFrames[T any](r *wirebin.Reader, count, workers int, what string, decode func(*wirebin.Reader) (T, error)) ([]T, error) {
+	// A frame is at least its four-byte length.
+	if count < 0 || count > r.Rest()/4 {
+		return nil, fmt.Errorf("%s: implausible entry count %d", what, count)
+	}
+	frames := make([]*wirebin.Reader, count)
+	for i := range frames {
+		frames[i] = r.Frame()
+		if err := r.Err(); err != nil {
+			return nil, fmt.Errorf("%s entry %d: %w", what, i, err)
+		}
+	}
+	out := make([]T, count)
+	err := conc.ForEach(count, workers, func(_, i int) error {
+		v, err := decode(frames[i])
+		if serr := frames[i].Err(); serr != nil {
+			return fmt.Errorf("%s entry %d: %w", what, i, serr)
+		}
+		if err == nil {
+			out[i] = v
+		}
+		return nil
+	})
+	return out, err
+}
+
+// decodeSegment rebuilds a segment's artifacts, in the segment's order. Any
+// header mismatch or stream error discards the whole segment (callers treat
+// the error as a miss for everything in it); an artifact whose content a
+// codec rejects is skipped individually.
+func decodeSegment(progFP string, data []byte, workers int) (segmentHeader, []*funcArtifact, error) {
 	var hdr segmentHeader
 	if len(data) < len(segMagic) || string(data[:len(segMagic)]) != segMagic {
 		return hdr, nil, fmt.Errorf("segment: bad magic")
@@ -244,21 +305,11 @@ func decodeSegment(progFP string, data []byte) (segmentHeader, []*funcArtifact, 
 	if hdr.ProgFP != progFP {
 		return hdr, nil, fmt.Errorf("segment: program shape changed")
 	}
-	if hdr.Count < 0 || hdr.Count > r.Rest() {
-		return hdr, nil, fmt.Errorf("segment: implausible artifact count %d", hdr.Count)
+	arts, err := decodeFrames(r, hdr.Count, workers, "segment", decodeArtifact)
+	if err != nil {
+		return hdr, nil, err
 	}
-	out := make([]*funcArtifact, 0, hdr.Count)
-	for i := 0; i < hdr.Count; i++ {
-		frame := r.Frame()
-		art, err := decodeArtifact(frame)
-		if serr := cmp.Or(r.Err(), frame.Err()); serr != nil {
-			return hdr, nil, fmt.Errorf("segment entry %d: %w", i, serr)
-		}
-		if err == nil {
-			out = append(out, art)
-		}
-	}
-	return hdr, out, nil
+	return hdr, slices.DeleteFunc(arts, func(art *funcArtifact) bool { return art == nil }), nil
 }
 
 // segState is the segment-ring bookkeeping a warm load recovers and every
@@ -267,6 +318,11 @@ type segState struct {
 	next    int64 // next segment sequence number
 	deltas  int   // delta slots written since the last full (= next slot)
 	hasFull bool  // a full segment is known to be on disk
+	// stale: the live segments hold an artifact under a name the program does
+	// not define (its function was deleted or renamed). Only a full snapshot
+	// takes it out of the store, so the next one is due now: stored facts are
+	// checked against exactly the artifacts the store offers.
+	stale bool
 }
 
 // loadSegments reads every artifact segment present in the store and
@@ -274,7 +330,7 @@ type segState struct {
 // the merged artifact map plus the recovered ring state. Unreadable
 // segments are counted and skipped — a corrupt segment is a miss for
 // everything in it, never an error.
-func loadSegments(st store.Store, progFP string, rec *obs.Recorder) (map[string]*funcArtifact, segState) {
+func loadSegments(st store.Store, progFP string, workers int, rec *obs.Recorder) (map[string]*funcArtifact, segState) {
 	type loadedSeg struct {
 		hdr   segmentHeader
 		arts  []*funcArtifact
@@ -282,12 +338,17 @@ func loadSegments(st store.Store, progFP string, rec *obs.Recorder) (map[string]
 		slot  int
 	}
 	var segs []loadedSeg
+	var readNs, decodeNs time.Duration
 	read := func(key string, delta bool, slot int) {
+		t0 := time.Now()
 		data, ok, err := st.Get(store.NSArtifact, key)
+		readNs += time.Since(t0)
 		if err != nil || !ok {
 			return
 		}
-		hdr, arts, err := decodeSegment(progFP, data)
+		t0 = time.Now()
+		hdr, arts, err := decodeSegment(progFP, data, workers)
+		decodeNs += time.Since(t0)
 		if err != nil {
 			if rec != nil {
 				rec.Counter("store.artifact.decode_errors").Inc()
@@ -300,6 +361,10 @@ func loadSegments(st store.Store, progFP string, rec *obs.Recorder) (map[string]
 	for i := 0; i < maxDeltaSegments; i++ {
 		read(segDeltaKey(i), true, i)
 	}
+	if rec != nil {
+		rec.Counter("store.read_ns").Add(int64(readNs))
+		rec.Counter("store.decode_ns").Add(int64(decodeNs))
+	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i].hdr.Seq < segs[j].hdr.Seq })
 
 	out := make(map[string]*funcArtifact)
@@ -309,8 +374,15 @@ func loadSegments(st store.Store, progFP string, rec *obs.Recorder) (map[string]
 		if !sg.delta {
 			fullSeq, ring.hasFull = sg.hdr.Seq, true
 		}
-		for _, art := range sg.arts {
-			out[art.fn.Name] = art
+	}
+	for _, sg := range segs {
+		// A delta older than the full snapshot is a slot the ring has not
+		// come round to again: the snapshot holds the whole program as of its
+		// commit, so all such a delta can add is functions deleted by then.
+		if !sg.delta || sg.hdr.Seq > fullSeq {
+			for _, art := range sg.arts {
+				out[art.fn.Name] = art
+			}
 		}
 		if sg.hdr.Seq >= ring.next {
 			ring.next = sg.hdr.Seq + 1

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/cond"
@@ -13,7 +14,9 @@ import (
 	"repro/internal/minic"
 	"repro/internal/pta"
 	"repro/internal/ssa"
+	"repro/internal/store"
 	"repro/internal/wirebin"
+	"repro/internal/workload"
 )
 
 const segmentSrc = `
@@ -40,7 +43,7 @@ func codecSegment(t testing.TB) (progFP string, seg []byte) {
 	if _, err := s.Update([]minic.NamedSource{{Name: "seg.mc", Src: segmentSrc}}); err != nil {
 		t.Fatal(err)
 	}
-	seg, err := encodeSegment(s.shape.fp, 7, s.tab.ids, s.arts)
+	seg, err := encodeSegment(s.shape.fp, 7, s.tab.ids, s.arts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +57,7 @@ func reencode(t testing.TB, progFP string, hdr segmentHeader, arts []*funcArtifa
 	for i := range ids {
 		ids[i] = int32(i)
 	}
-	seg, err := encodeSegment(progFP, hdr.Seq, ids, arts)
+	seg, err := encodeSegment(progFP, hdr.Seq, ids, arts, 1)
 	if err != nil {
 		t.Fatalf("re-encoding a decoded segment: %v", err)
 	}
@@ -73,7 +76,7 @@ func checkDecoded(t testing.TB, progFP string, hdr segmentHeader, arts []*funcAr
 		}
 	}
 	first := reencode(t, progFP, hdr, arts)
-	hdr2, arts2, err := decodeSegment(progFP, first)
+	hdr2, arts2, err := decodeSegment(progFP, first, 1)
 	if err != nil || len(arts2) != len(arts) || hdr2.Seq != hdr.Seq {
 		t.Fatalf("re-encoded segment decodes to %d of %d artifacts: %v", len(arts2), len(arts), err)
 	}
@@ -84,7 +87,7 @@ func checkDecoded(t testing.TB, progFP string, hdr segmentHeader, arts []*funcAr
 
 func TestSegmentRoundTrip(t *testing.T) {
 	progFP, seg := codecSegment(t)
-	hdr, arts, err := decodeSegment(progFP, seg)
+	hdr, arts, err := decodeSegment(progFP, seg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +101,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 		t.Error("the decoded segment encodes differently")
 	}
 	checkDecoded(t, progFP, hdr, arts)
-	if _, _, err := decodeSegment(progFP+"x", seg); err == nil {
+	if _, _, err := decodeSegment(progFP+"x", seg, 1); err == nil {
 		t.Error("segment accepted under another program shape")
 	}
 }
@@ -111,7 +114,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 // a skip.
 func TestSegmentCorruptionIsConfined(t *testing.T) {
 	progFP, seg := codecSegment(t)
-	hdr, arts, err := decodeSegment(progFP, seg)
+	hdr, arts, err := decodeSegment(progFP, seg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +125,7 @@ func TestSegmentCorruptionIsConfined(t *testing.T) {
 		for _, b := range []byte{seg[at] ^ 0x01, seg[at] ^ 0x80, 0xff} {
 			mut := bytes.Clone(seg)
 			mut[at] = b
-			h, got, err := decodeSegment(progFP, mut)
+			h, got, err := decodeSegment(progFP, mut, 1)
 			switch {
 			case err != nil:
 				discarded++
@@ -263,7 +266,7 @@ func narrowFieldSeeds(t testing.TB, seg []byte) map[string][]byte {
 func TestSegmentRejectsWhatDoesNotFit(t *testing.T) {
 	progFP, seg := codecSegment(t)
 	for name, data := range narrowFieldSeeds(t, seg) {
-		hdr, arts, err := decodeSegment(progFP, data)
+		hdr, arts, err := decodeSegment(progFP, data, 1)
 		if err != nil || hdr.Count != 2 {
 			t.Errorf("%s: the segment was discarded: %v", name, err)
 			continue
@@ -321,9 +324,109 @@ func TestSegmentCorpus(t *testing.T) {
 func FuzzDecodeSegment(f *testing.F) {
 	progFP, _ := codecSegment(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		hdr, arts, err := decodeSegment(progFP, data)
+		hdr, arts, err := decodeSegment(progFP, data, 1)
 		if err == nil {
 			checkDecoded(t, progFP, hdr, arts)
 		}
 	})
+}
+
+// frameStarts returns where each artifact's frame content begins in seg.
+func frameStarts(seg []byte) []int {
+	r := wirebin.NewReader(seg[len(segMagic):])
+	r.Int()
+	r.Str()
+	r.Varint()
+	starts := make([]int, r.Int())
+	for i := range starts {
+		n := r.Frame().Rest()
+		starts[i] = len(seg) - r.Rest() - n
+	}
+	return starts
+}
+
+// TestSegmentCodecParallelEquivalence: the worker count is not part of the
+// format. The parent's store-v5 fixture and a segment of several chunks decode
+// at any worker count to artifacts that encode, at any worker count, to the
+// bytes they came from; and of two frames whose streams are broken, the error
+// names the lower one however many workers ran.
+func TestSegmentCodecParallelEquivalence(t *testing.T) {
+	log, err := os.ReadFile(filepath.Join("testdata", "store-v5", "store.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(store.LogPath(dir), log, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(dir, store.DiskOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	fixture, ok, err := st.Get(store.NSArtifact, segFullKey)
+	if err != nil || !ok {
+		t.Fatalf("fixture holds no full segment: ok=%v err=%v", ok, err)
+	}
+	hr := wirebin.NewReader(fixture[len(segMagic):])
+	hr.Int()
+	fixtureFP := hr.Str()
+
+	s := NewSession(BuildOptions{Workers: 2})
+	gen := workload.Generate(
+		workload.Subject{Name: "ladder", Origin: "synthetic", PaperKLoC: 60, TrueBugs: 6, OpaqueTraps: 4},
+		workload.GenOptions{Scale: 30, Taint: true, Seed: 1})
+	if _, err := s.Update(gen.Units); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.tab.ids) < 3*encodeChunk {
+		t.Fatalf("%d functions do not fill three chunks", len(s.tab.ids))
+	}
+	ladderFP := s.shape.fp
+	ladder, err := encodeSegment(ladderFP, 3, s.tab.ids, s.arts, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	counts := []int{1, 2, 3, 8}
+	for _, tc := range []struct {
+		name, fp string
+		seg      []byte
+	}{{"fixture", fixtureFP, fixture}, {"ladder", ladderFP, ladder}} {
+		for _, dw := range counts {
+			hdr, arts, err := decodeSegment(tc.fp, tc.seg, dw)
+			if err != nil || len(arts) != hdr.Count {
+				t.Fatalf("%s: decoding at %d workers yields %d of %d artifacts: %v", tc.name, dw, len(arts), hdr.Count, err)
+			}
+			ids := make([]int32, len(arts))
+			for i := range ids {
+				ids[i] = int32(i)
+			}
+			for _, ew := range counts {
+				got, err := encodeSegment(tc.fp, hdr.Seq, ids, arts, ew)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, tc.seg) {
+					t.Fatalf("%s: decoded at %d workers and encoded at %d, %d bytes differ from the segment's %d", tc.name, dw, ew, len(got), len(tc.seg))
+				}
+			}
+		}
+	}
+
+	// An over-long string length where an artifact's AST hash begins breaks
+	// that frame's stream, which discards the segment.
+	starts := frameStarts(ladder)
+	lo, hi := encodeChunk-1, 2*encodeChunk+5
+	broken := bytes.Clone(ladder)
+	for _, i := range []int{lo, hi} {
+		copy(broken[starts[i]:], []byte{0xff, 0xff, 0xff, 0xff, 0x0f})
+	}
+	want := fmt.Sprintf("segment entry %d:", lo)
+	for _, workers := range counts {
+		_, arts, err := decodeSegment(ladderFP, broken, workers)
+		if err == nil || arts != nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("at %d workers the broken segment yields %d artifacts and %v, want %q", workers, len(arts), err, want)
+		}
+	}
 }

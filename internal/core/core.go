@@ -54,16 +54,18 @@ type BuildOptions struct {
 	// per-function stages, and structural gauges. nil disables all
 	// recording; the build result is identical either way.
 	Obs *obs.Recorder
-	// Store, when non-nil, backs the session's per-function artifacts: they
-	// are warm-loaded on the first Update after a restart and every commit
-	// writes back what changed. nil is memory-only — the session's own
-	// tables are already the cache, so nothing is encoded.
+	// Store, when non-nil, backs the session's per-function artifacts and
+	// its units' facts: they are warm-loaded on the first Update after a
+	// restart — which then parses only the units it does not find — and
+	// every commit writes back what changed. nil is memory-only — the
+	// session's own tables are already the cache, so nothing is encoded or
+	// digested.
 	Store store.Store
 }
 
 // Timings records per-stage durations. StoreLoad and StoreSave are
-// persistent-store I/O (segment decode on a warm restart, segment
-// append at commit); they are reported separately from the pipeline
+// persistent-store I/O (unit digests, facts look-up and segment decode on a
+// warm restart; facts and segment append at commit); they are reported separately from the pipeline
 // stages so Total keeps its historical meaning of "analysis work".
 type Timings struct {
 	Parse     time.Duration

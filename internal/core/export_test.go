@@ -1,5 +1,11 @@
 package core
 
+import (
+	"fmt"
+
+	"repro/internal/store"
+)
+
 // SCCNames renders the condensation of the AST-level call graph the session
 // holds after its last Update: the components in bottom-up order, members by
 // name.
@@ -11,4 +17,24 @@ func (s *Session) SCCNames() [][]string {
 		}
 	}
 	return out
+}
+
+// RekeyUnitFacts rewrites the store's facts record so that the unit called
+// name is filed under the digest of src: facts that every checksum vouches
+// for, about bytes they were not derived from.
+func RekeyUnitFacts(st store.Store, name, src string) error {
+	data, ok, err := st.Get(store.NSArtifact, unitFactsKey)
+	if err != nil || !ok {
+		return fmt.Errorf("no facts record: ok=%v err=%v", ok, err)
+	}
+	units, err := decodeUnitFacts(data, 1)
+	if err != nil {
+		return err
+	}
+	for _, pu := range units {
+		if pu.name == name {
+			pu.sum = unitDigest(name, src)
+		}
+	}
+	return st.Put(store.NSArtifact, unitFactsKey, encodeUnitFacts(units))
 }

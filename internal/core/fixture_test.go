@@ -46,7 +46,7 @@ func TestSessionStoreV5Fixture(t *testing.T) {
 	if stats := s.ArtifactStats(); stats.StoreHits != a.Sizes.Functions || stats.Misses != 0 || stats.Invalidated != 0 {
 		t.Fatalf("the fixture is not all store hits: %+v of %d functions", stats, a.Sizes.Functions)
 	}
-	hdr, arts, err := decodeSegment(s.shape.fp, seg)
+	hdr, arts, err := decodeSegment(s.shape.fp, seg, 1)
 	if err != nil || len(arts) != a.Sizes.Functions {
 		t.Fatalf("fixture segment decodes to %d of %d artifacts: %v", len(arts), a.Sizes.Functions, err)
 	}

@@ -3,14 +3,18 @@
 // A Session keeps the per-function outputs of every pipeline stage —
 // lowered CFG IR, SSA info, Mod/Ref summary, connector signature, local
 // points-to facts, and the SEG — as artifacts, and with them the
-// program-level tables built over the functions: the parsed units, the
+// program-level tables built over the functions: the units' facts, the
 // function layout (names, declaration order, IDs), the condensed AST call
 // graph with its caller edges, the program shape (globals, structs), and the
 // assembled module and analysis tables. Update diffs the incoming
 // translation units against the previous ones and rebuilds only what a
 // change can actually reach:
 //
-//   - a unit whose source bytes are unchanged is not re-parsed;
+//   - a unit is known by its facts (name, source, and per declaration the
+//     signature, content hash and callee names), never by its AST: one whose
+//     source bytes are unchanged is not parsed unless one of its functions
+//     must be lowered, and a parse lives only as long as the Update that
+//     made it — each function's syntax tree only until it is lowered;
 //   - a function whose AST hash (structure, literals, positions, unit
 //     index) is unchanged keeps its artifacts unless a dependency demands
 //     otherwise;
@@ -32,7 +36,7 @@
 //     which is also what the first Update does: one build, over whatever
 //     set of functions is affected.
 //
-// Everything rebuilt is lowered from the cached AST, one declaration at a
+// Everything rebuilt is lowered from its unit's parse, one declaration at a
 // time and deterministically, so a warm Update yields an Analysis whose
 // reports, witnesses, and size statistics are byte-identical to a
 // from-scratch build of the same sources. Session state is only committed once the whole update has
@@ -49,6 +53,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -82,6 +87,12 @@ type ArtifactStats struct {
 	Invalidated int
 	StoreHits   int
 	Visited     int
+	// UnitsParsed counts the translation units this Update parsed: those
+	// whose bytes it did not know, and those it knew of which a function had
+	// to be lowered. UnitsLoaded counts the units it knew from the store's
+	// facts records (a first Update's only).
+	UnitsParsed int
+	UnitsLoaded int
 }
 
 // digest is a SHA-256 cut to 12 bytes: what the session compares to decide
@@ -228,8 +239,8 @@ func (s *Session) ArtifactCount() int {
 	return len(s.tab.ids)
 }
 
-// UnitCount reports the number of distinct translation units whose parses
-// are currently cached.
+// UnitCount reports the number of translation units the session knows: those
+// of the last successful Update, held as name, source and facts (no AST).
 func (s *Session) UnitCount() int { return len(s.files) }
 
 // Source turns one unit's bytes into the strings Update takes. Where the
@@ -269,58 +280,40 @@ func (s *Session) ArtifactFingerprint() string {
 // (nil before the first).
 func (s *Session) Analysis() *Analysis { return s.analysis }
 
-// parsedUnit is one translation unit's source and parse, kept with the
-// per-declaration facts every Update needs of it, so that a unit whose
-// source did not change costs a byte comparison, not a walk over its AST.
+// parsedUnit is what the session keeps of one translation unit: its name,
+// its source and its facts (see unit_facts.go) — not its AST. A unit whose
+// source did not change costs an Update a byte comparison.
 type parsedUnit struct {
 	name, src string
-	file      *minic.File
+	unitFacts
 	// shape renders the unit's globals and struct layouts, its share of the
 	// whole-program lowering inputs (see progShape).
 	shape string
-	// unit is the index the hashes below were computed under (-1 before
-	// the first): a function's AST hash covers its unit index.
-	unit    int
-	astHash []astKey   // per file.Funcs: AST content hash + unit index
-	callees [][]string // per file.Funcs: sorted names of the functions called
+	// sum is the unit's digest, the key of its facts in the store; it is
+	// computed only for a session that has one. stored reports that the
+	// store's facts records hold the unit as it is.
+	sum    digest
+	stored bool
 }
 
-func parseUnit(u minic.NamedSource) (*parsedUnit, error) {
-	f, err := minic.ParseFile(u.Name, u.Src)
-	if err != nil {
-		return nil, err
-	}
-	var b strings.Builder
-	for _, g := range f.Globals {
-		fmt.Fprintf(&b, "global\x00%s\x00%s\x00", g.Name, g.Type)
-	}
-	for _, sd := range f.Structs {
-		fmt.Fprintf(&b, "struct\x00%s\x00", sd.Name)
-		for _, fld := range sd.Fields {
-			fmt.Fprintf(&b, "field\x00%s\x00%s\x00", fld.Name, fld.Type)
-		}
-	}
-	return &parsedUnit{name: u.Name, src: u.Src, file: f, shape: b.String(), unit: -1}, nil
+// astKey is the AST hash of the unit's k-th function when the unit stands at
+// index unit: the content sum is a fact, the unit index part of the key.
+func (pu *parsedUnit) astKey(k, unit int) astKey {
+	return astKey{sum: pu.funcs[k].sum, unit: int32(unit)}
 }
 
-// index brings the per-declaration facts up to date for the unit's position
-// in this Update.
-func (pu *parsedUnit) index(unit int) {
-	if pu.unit == unit {
-		return
-	}
-	pu.unit = unit
-	pu.astHash = make([]astKey, len(pu.file.Funcs))
-	if pu.callees == nil {
-		pu.callees = make([][]string, len(pu.file.Funcs))
-	}
-	for i, fn := range pu.file.Funcs {
-		fn.Unit = unit
-		pu.astHash[i] = astKey{sum: minic.HashFuncSum(fn), unit: int32(unit)}
-		if pu.callees[i] == nil {
-			pu.callees[i] = minic.CalleeNames(fn)
-		}
-	}
+// pos is where the unit's k-th function is declared.
+func (pu *parsedUnit) pos(k int) minic.Pos {
+	return minic.Pos{File: pu.name, Line: int(pu.funcs[k].line), Col: int(pu.funcs[k].col)}
+}
+
+// unitAST is one unit's parse for the duration of one Update: made before
+// the wavefront for a unit whose facts have to be (re-)derived, or inside it,
+// once, when the first of a known unit's functions has to be lowered.
+type unitAST struct {
+	once sync.Once
+	file *minic.File
+	err  error
 }
 
 // progShape holds the whole-program inputs to lowering: every global (order,
@@ -340,19 +333,20 @@ type progShape struct {
 
 func newProgShape(parsed []*parsedUnit) *progShape {
 	h := sha256.New()
-	files := make([]*minic.File, len(parsed))
-	for i, pu := range parsed {
+	for _, pu := range parsed {
 		h.Write([]byte(pu.shape))
-		files[i] = pu.file
 	}
 	sh := &progShape{
 		fp:           hex.EncodeToString(h.Sum(nil))[:24],
-		structs:      lower.Structs(&minic.Program{Files: files}),
+		structs:      make(map[string][]minic.Param),
 		globalTypes:  make(map[string]minic.Type),
 		globalByName: make(map[string]*ir.Global),
 	}
-	for _, f := range files {
-		for _, g := range f.Globals {
+	for _, pu := range parsed {
+		for _, sd := range pu.structs {
+			sh.structs[sd.name] = sd.fields
+		}
+		for _, g := range pu.globals {
 			sh.globalTypes[g.Name] = g.Type
 			ig := &ir.Global{Name: g.Name, Type: g.Type}
 			sh.globals = append(sh.globals, ig)
@@ -408,13 +402,13 @@ func newFuncTable(parsed []*parsedUnit, prev *funcTable) (*funcTable, error) {
 	t := &funcTable{unitStart: make([]int32, 0, len(parsed)+1)}
 	n := 0
 	for _, pu := range parsed {
-		n += len(pu.file.Funcs)
+		n += len(pu.funcs)
 	}
 	t.names = make([]string, 0, n)
 	for _, pu := range parsed {
 		t.unitStart = append(t.unitStart, int32(len(t.names)))
-		for _, fn := range pu.file.Funcs {
-			t.names = append(t.names, fn.Name)
+		for k := range pu.funcs {
+			t.names = append(t.names, pu.funcs[k].name)
 		}
 	}
 	t.unitStart = append(t.unitStart, int32(n))
@@ -452,7 +446,7 @@ func newFuncTable(parsed []*parsedUnit, prev *funcTable) (*funcTable, error) {
 			ua, ka := t.locate(int32(a))
 			ub, kb := t.locate(int32(b))
 			return nil, fmt.Errorf("lower: duplicate function %q (at %s and %s)", t.names[a],
-				parsed[ua].file.Funcs[ka].Pos, parsed[ub].file.Funcs[kb].Pos)
+				parsed[ua].pos(ka), parsed[ub].pos(kb))
 		}
 	}
 
@@ -462,8 +456,8 @@ func newFuncTable(parsed []*parsedUnit, prev *funcTable) (*funcTable, error) {
 	byID := make([][]string, numIDs)
 	pos := 0
 	for _, pu := range parsed {
-		for k := range pu.file.Funcs {
-			byID[t.ids[pos]] = pu.callees[k]
+		for k := range pu.funcs {
+			byID[t.ids[pos]] = pu.calleesOf(k)
 			pos++
 		}
 	}
@@ -563,9 +557,9 @@ func newFuncTable(parsed []*parsedUnit, prev *funcTable) (*funcTable, error) {
 // ordering.
 type fnState struct {
 	id      int32
-	decl    *minic.FuncDecl
+	unit, k int32       // the declaring unit and the declaration's index in it
+	pu      *parsedUnit // that unit: the function's name, signature and callees
 	astHash astKey
-	callees []string
 	old     *funcArtifact // nil when new or program-shape invalidated
 	had     bool          // the committed program defines the name
 	dirty   bool          // no old artifact, or its AST hash differs
@@ -586,18 +580,20 @@ type fnState struct {
 	art       *funcArtifact      // the artifact to commit
 }
 
+func (st *fnState) name() string      { return st.pu.funcs[st.k].name }
+func (st *fnState) callees() []string { return st.pu.calleesOf(int(st.k)) }
+
 // Update analyzes units incrementally against the session's previous state.
 // On success the new state is committed and the fresh Analysis returned; on
 // error the session is left exactly as before the call.
 func (s *Session) Update(units []minic.NamedSource) (*Analysis, error) {
 	rec := s.opts.Obs
 	var tm Timings
+	var stats ArtifactStats
 
-	// ---- Parse: re-parse only units whose source changed, in parallel per
-	// translation unit. All parsing happens before any shared AST is
-	// touched, so a syntax error in a later unit cannot leak partial
-	// state; conc.ForEach's lowest-index error contract keeps the reported
-	// error independent of the worker count.
+	// ---- Which units does the session know? One whose source is the bytes
+	// the session holds is known by its facts and is not parsed here — nor
+	// later, unless one of its functions has to be lowered.
 	sp := rec.Phase("parse")
 	t0 := time.Now()
 	parsed := make([]*parsedUnit, len(units))
@@ -614,8 +610,8 @@ func (s *Session) Update(units []minic.NamedSource) (*Analysis, error) {
 	if unchanged {
 		// Nothing changed since the committed Update: its Analysis stands.
 		// Only what describes this call — timings, artifact outcome — is
-		// fresh; with a store, a segment write that failed at that commit
-		// gets its retry, as on every Update.
+		// fresh; with a store, a write that failed at that commit gets its
+		// retry, as on every Update.
 		a := *s.analysis
 		a.Timings = Timings{Parse: time.Since(t0)}
 		a.Artifacts = ArtifactStats{Hits: len(s.tab.ids)}
@@ -627,37 +623,98 @@ func (s *Session) Update(units []minic.NamedSource) (*Analysis, error) {
 		}
 		if rec != nil {
 			rec.Counter("build.artifact.hits").Add(int64(a.Artifacts.Hits))
+			rec.Counter("build.units_known").Add(int64(len(units)))
 		}
 		s.analysis, s.stats = &a, a.Artifacts
 		return &a, nil
 	}
-	// Hashing the declarations walks the unit's AST like parsing does, so
-	// it rides the same fan-out.
-	if err := conc.ForEach(len(toParse), s.opts.Workers, func(w, j int) error {
-		i := toParse[j]
+
+	// With a store, a unit is also known across processes, by the digest of
+	// its name and bytes: the first Update of a session looks the others up
+	// in the store's facts records, and a unit found there is not parsed
+	// either.
+	var sums []digest // by unit, of those in toParse
+	if s.store != nil {
+		t1 := time.Now()
+		sums = make([]digest, len(units))
+		_ = conc.ForEach(len(toParse), s.opts.Workers, func(_, j int) error { // nothing in it fails
+			i := toParse[j]
+			sums[i] = unitDigest(units[i].Name, units[i].Src)
+			return nil
+		})
+		if !s.storeLoaded {
+			sp := rec.Phase("store.load")
+			known := loadUnitFacts(s.store, s.opts.Workers, rec)
+			rest := toParse[:0]
+			for _, i := range toParse {
+				if pu := known[sums[i]]; pu != nil && pu.name == units[i].Name {
+					pu.src, pu.shape = units[i].Src, pu.unitFacts.shape()
+					parsed[i] = pu
+					stats.UnitsLoaded++
+				} else {
+					rest = append(rest, i)
+				}
+			}
+			toParse = rest
+			sp.End()
+		}
+		tm.StoreLoad = time.Since(t1)
+	}
+
+	// ---- Parse the rest, in parallel per translation unit, deriving their
+	// facts: hashing the declarations walks the unit's AST like parsing does,
+	// so it rides the same fan-out. All of this happens before anything
+	// shared is touched, so a syntax error in a later unit cannot leak
+	// partial state; conc.ForEach's lowest-index error contract keeps the
+	// reported error independent of the worker count. The parses live in
+	// asts — an entry per unit this Update parses or may have to — until the
+	// Update returns.
+	asts := make([]*unitAST, len(units))
+	var unitsParsed atomic.Int64
+	parseUnit := func(w, i int) (*minic.File, error) {
 		end := perFunc(rec, w, "build.parse", units[i].Name)
-		pu, err := parseUnit(units[i])
+		f, err := minic.ParseFile(units[i].Name, units[i].Src)
 		end()
 		if err != nil {
-			return fmt.Errorf("parse: parsing %s: %w", units[i].Name, err)
+			return nil, fmt.Errorf("parse: parsing %s: %w", units[i].Name, err)
 		}
-		pu.index(i)
-		parsed[i] = pu
-		return nil
-	}); err != nil {
+		for _, fn := range f.Funcs {
+			fn.Unit = i
+		}
+		unitsParsed.Add(1)
+		return f, nil
+	}
+	parseUnits := func(which []int) error {
+		return conc.ForEach(len(which), s.opts.Workers, func(w, j int) error {
+			i := which[j]
+			f, err := parseUnit(w, i)
+			if err != nil {
+				return err
+			}
+			var like *unitFacts // an edited unit mostly declares what it did
+			if was := s.files[units[i].Name]; was != nil {
+				like = &was.unitFacts
+			}
+			pu := &parsedUnit{name: units[i].Name, src: units[i].Src, unitFacts: factsOf(f, like)}
+			pu.shape = pu.unitFacts.shape()
+			if sums != nil {
+				pu.sum = sums[i]
+			}
+			parsed[i], asts[i] = pu, &unitAST{file: f}
+			return nil
+		})
+	}
+	if err := parseUnits(toParse); err != nil {
 		return nil, err
 	}
-	for i, pu := range parsed {
-		pu.index(i) // a no-op unless a known unit moved
-	}
-	tm.Parse = time.Since(t0)
+	tm.Parse = time.Since(t0) - tm.StoreLoad
 	sp.End()
 
 	// ---- Which program-level tables does the edit leave valid? They all
-	// are when every unit either is the committed parse or declares the same
+	// are when every unit either is the committed one or declares the same
 	// functions and the same shape as the committed unit at its position,
 	// with every edited function calling what it called. Then the functions
-	// to look at are those of the re-parsed units and whatever can reach an
+	// to look at are those of the changed units and whatever can reach an
 	// edited one; otherwise the tables are rebuilt and every function is
 	// looked at, as on the first Update.
 	tab, shape := s.tab, s.shape
@@ -670,16 +727,16 @@ func (s *Session) Update(units []minic.NamedSource) (*Analysis, error) {
 			continue
 		}
 		base := tab.unitStart[i]
-		if patch = pu.shape == was.shape && len(pu.file.Funcs) == int(tab.unitStart[i+1]-base); !patch {
+		if patch = pu.shape == was.shape && len(pu.funcs) == int(tab.unitStart[i+1]-base); !patch {
 			break
 		}
-		visited += len(pu.file.Funcs)
-		for k, fn := range pu.file.Funcs {
+		visited += len(pu.funcs)
+		for k := range pu.funcs {
 			id := tab.ids[int(base)+k]
-			if fn.Name != tab.names[int(base)+k] {
+			if pu.funcs[k].name != tab.names[int(base)+k] {
 				patch = false
-			} else if pu.astHash[k] != s.arts[id].astHash {
-				patch = slices.Equal(pu.callees[k], was.callees[k])
+			} else if pu.astKey(k, i) != s.arts[id].astHash {
+				patch = slices.Equal(pu.calleesOf(k), was.calleesOf(k))
 				dirtyIDs = append(dirtyIDs, id)
 			}
 			if !patch {
@@ -688,16 +745,93 @@ func (s *Session) Update(units []minic.NamedSource) (*Analysis, error) {
 		}
 	}
 	shapeChanged := false
-	if !patch {
-		var err error
+	tables := func() (err error) {
 		if tab, err = newFuncTable(parsed, s.tab); err != nil {
-			return nil, err
+			return err
 		}
 		if shape = newProgShape(parsed); s.shape != nil && shape.fp == s.shape.fp {
 			shape = s.shape
 		}
 		shapeChanged = shape != s.shape
+		return nil
 	}
+	if !patch {
+		if err := tables(); err != nil {
+			return nil, err
+		}
+	}
+
+	// ---- Warm-load: the first Update of a session reads the persistent
+	// store's artifact segments in one pass (a restarted server arrives
+	// here with no artifacts in memory). Segments carry the program-shape
+	// fingerprint they were built under, so a shape change reads as a miss
+	// — the same rule shapeChanged applies to the in-memory artifacts. Any
+	// decode failure (truncated, bit-flipped, stale codec) is also just a
+	// miss: corruption costs a rebuild, never a wrong artifact.
+	ring := s.ring
+	var loaded map[string]*funcArtifact
+	if s.store != nil && !s.storeLoaded {
+		sp := rec.Phase("store.load")
+		t0 := time.Now()
+		loaded, ring = loadSegments(s.store, shape.fp, s.opts.Workers, rec)
+		// Stored facts are believed as far as the stored artifacts bear them
+		// out: a unit known by them (stored, here, since nothing else is yet)
+		// must declare exactly the functions the artifacts of its unit index
+		// were built from, hash for hash. One that does not is parsed after
+		// all, and the tables laid out again.
+		perUnit := make([]int, len(units))
+		for _, art := range loaded {
+			if u := int(art.astHash.unit); u < len(perUnit) {
+				perUnit[u]++
+			}
+		}
+		borneOut := func(pu *parsedUnit, i int) bool {
+			for k := range pu.funcs {
+				if art := loaded[pu.funcs[k].name]; art == nil || art.astHash != pu.astKey(k, i) {
+					return false
+				}
+			}
+			return perUnit[i] == len(pu.funcs)
+		}
+		var suspect []int
+		for i, pu := range parsed {
+			if pu.stored && !borneOut(pu, i) {
+				suspect = append(suspect, i)
+			}
+		}
+		tm.StoreLoad += time.Since(t0)
+		sp.End()
+		if len(suspect) > 0 {
+			t0 = time.Now()
+			stats.UnitsLoaded -= len(suspect)
+			fp := shape.fp
+			if err := parseUnits(suspect); err != nil {
+				return nil, err
+			}
+			if err := tables(); err != nil {
+				return nil, err
+			}
+			tm.Parse += time.Since(t0)
+			if shape.fp != fp {
+				t0 = time.Now()
+				loaded, ring = loadSegments(s.store, shape.fp, s.opts.Workers, rec)
+				tm.StoreLoad += time.Since(t0)
+			}
+		}
+		// An artifact the store offers under a name the program does not
+		// define — here, or below when an edit drops a name — makes the next
+		// segment a full snapshot (see segState.stale).
+		for name := range loaded {
+			ring.stale = ring.stale || tab.lay.ID(name) < 0
+		}
+	} else if s.store != nil && tab != s.tab {
+		for _, name := range s.tab.names {
+			ring.stale = ring.stale || tab.lay.ID(name) < 0
+		}
+	}
+
+	// The units known going into the build: by the session or by the store.
+	unitsKnown := len(units) - int(unitsParsed.Load())
 
 	// ---- The affected functions, by declaration position: all of them, or
 	// the members of the SCCs from which an edited function is reachable.
@@ -734,25 +868,7 @@ func (s *Session) Update(units []minic.NamedSource) (*Analysis, error) {
 	}
 	slices.Sort(positions)
 
-	// ---- Warm-load: the first Update of a session reads the persistent
-	// store's artifact segments in one pass (a restarted server arrives
-	// here with no artifacts in memory). Segments carry the program-shape
-	// fingerprint they were built under, so a shape change reads as a miss
-	// — the same rule shapeChanged applies to the in-memory artifacts. Any
-	// decode failure (truncated, bit-flipped, stale codec) is also just a
-	// miss: corruption costs a rebuild, never a wrong artifact.
-	var stats ArtifactStats
-	ring := s.ring
-	var loaded map[string]*funcArtifact
-	if s.store != nil && !s.storeLoaded {
-		sp := rec.Phase("store.load")
-		t0 := time.Now()
-		loaded, ring = loadSegments(s.store, shape.fp, rec)
-		tm.StoreLoad = time.Since(t0)
-		sp.End()
-	}
-
-	// ---- Function states, in declaration order, from the current parse.
+	// ---- Function states, in declaration order, from the units' facts.
 	states := make([]fnState, len(positions))
 	visit := make([]int32, tab.lay.NumIDs()) // function ID → index into states, +1
 	var lnodes []int32                       // the dirty states
@@ -763,13 +879,16 @@ func (s *Session) Update(units []minic.NamedSource) (*Analysis, error) {
 		}
 		pu, k := parsed[unit], int(pos-tab.unitStart[unit])
 		st := &states[i]
-		*st = fnState{id: tab.ids[pos], decl: pu.file.Funcs[k], astHash: pu.astHash[k], callees: pu.callees[k]}
+		*st = fnState{id: tab.ids[pos], unit: int32(unit), k: int32(k), pu: pu, astHash: pu.astKey(k, unit)}
 		visit[st.id] = int32(i + 1)
-		if st.had = s.tab != nil && (patch || s.tab.lay.ID(st.decl.Name) >= 0); st.had && !shapeChanged {
+		if asts[unit] == nil {
+			asts[unit] = new(unitAST)
+		}
+		if st.had = s.tab != nil && (patch || s.tab.lay.ID(st.name()) >= 0); st.had && !shapeChanged {
 			st.old = s.arts[st.id]
 		}
 		if st.old == nil && loaded != nil {
-			if art := loaded[st.decl.Name]; art != nil {
+			if art := loaded[st.name()]; art != nil {
 				art.fn.ID = int(st.id)
 				st.old = art
 				stats.StoreHits++
@@ -779,7 +898,7 @@ func (s *Session) Update(units []minic.NamedSource) (*Analysis, error) {
 			lnodes = append(lnodes, int32(i))
 		}
 		if patch && parsed[unit] == s.units[unit] {
-			visited++ // not of a re-parsed unit, so not counted yet
+			visited++ // not of a changed unit, so not counted yet
 		}
 	}
 	if !patch {
@@ -813,7 +932,29 @@ func (s *Session) Update(units []minic.NamedSource) (*Analysis, error) {
 			return minic.Type{}, false
 		}
 		u, k := tab.locate(int32(tab.lay.Pos(id)))
-		return parsed[u].file.Funcs[k].Ret, true
+		return parsed[u].ret(k), true
+	}
+	// ast returns unit u's parse, making it if this Update has not yet: a
+	// known unit is parsed when the first of its functions has to be
+	// lowered — its own edit is not the only reason, a callee's changed
+	// summary or signature is another — and then once, whichever workers
+	// ask. The parse must declare what the unit's facts say.
+	var parseNs int64
+	ast := func(w, u int) (*minic.File, error) {
+		a := asts[u]
+		a.once.Do(func() {
+			if a.file != nil {
+				return
+			}
+			t1 := time.Now()
+			f, err := parseUnit(w, u)
+			atomic.AddInt64(&parseNs, int64(time.Since(t1)))
+			if err == nil && !slices.EqualFunc(f.Funcs, parsed[u].funcs, func(fn *minic.FuncDecl, ff funcFacts) bool { return fn.Name == ff.name }) {
+				err = fmt.Errorf("parse: %s does not declare the functions it is known by", units[u].Name)
+			}
+			a.file, a.err = f, err
+		})
+		return a.file, a.err
 	}
 
 	// ---- Module shell: lowering resolves global references through the
@@ -849,11 +990,19 @@ func (s *Session) Update(units []minic.NamedSource) (*Analysis, error) {
 	// into before it is hashed or copied out.
 	scratch := make([][]byte, conc.Workers(s.opts.Workers))
 	lowerOne := func(w int, st *fnState) error {
-		name := st.decl.Name
+		file, err := ast(w, int(st.unit))
+		if err != nil {
+			return err
+		}
+		decl := file.Funcs[st.k]
+		name := decl.Name
 		t1 := time.Now()
 		endL := perFunc(rec, w, "build.lower", name)
-		lf, err := lower.FuncWith(m, st.decl, retType, shape.structs)
+		lf, err := lower.FuncWith(m, decl, retType, shape.structs)
 		endL()
+		// The IR is all that is read of the function from here on: its
+		// syntax tree dies now, not when the Update returns.
+		decl.Body = nil
 		atomic.AddInt64(&lowerNs, int64(time.Since(t1)))
 		if err != nil {
 			return fmt.Errorf("lower: %w", err)
@@ -891,7 +1040,7 @@ func (s *Session) Update(units []minic.NamedSource) (*Analysis, error) {
 				recompute = true
 				break
 			}
-			for _, c := range st.callees {
+			for _, c := range st.callees() {
 				if cs, _ := callee(c); cs != nil && cs.sumChanged {
 					recompute = true
 					break
@@ -969,13 +1118,13 @@ func (s *Session) Update(units []minic.NamedSource) (*Analysis, error) {
 			if committed && !st.dirty && !st.sumChanged {
 				st.sigFP = st.old.sigFP
 			} else {
-				scratch[w] = s.appendSignature(scratch[w][:0], st, shape.globalTypes)
+				scratch[w] = s.appendSignature(scratch[w][:0], st.pu.sig(int(st.k)), st.sum, shape.globalTypes)
 				st.sigFP = string(scratch[w])
 			}
 			st.sigMoved = st.old == nil || st.old.sigFP != st.sigFP
 		}
 		calleeSigMoved := func(st *fnState) bool {
-			for _, c := range st.callees {
+			for _, c := range st.callees() {
 				if cs, art := callee(c); cs != nil {
 					if cs.sigMoved {
 						return true
@@ -1000,7 +1149,7 @@ func (s *Session) Update(units []minic.NamedSource) (*Analysis, error) {
 				st.depFP = st.old.depFP
 			} else {
 				b := append(append(append(scratch[w][:0], "self\x00"...), st.sigFP...), 0)
-				for _, c := range st.callees {
+				for _, c := range st.callees() {
 					b = append(append(append(b, "callee\x00"...), c...), 0)
 					b = append(append(b, sigOf(c)...), 0)
 				}
@@ -1057,7 +1206,7 @@ func (s *Session) Update(units []minic.NamedSource) (*Analysis, error) {
 			}
 			return nil
 		}
-		name := st.decl.Name
+		name := st.name()
 		f := st.finalFn
 		if st.prep != nil {
 			t1 := time.Now()
@@ -1136,7 +1285,12 @@ func (s *Session) Update(units []minic.NamedSource) (*Analysis, error) {
 		case i < nL+nS:
 			return runSCC(w, tab.sccs[affected[i-nL]])
 		default:
-			return runFinish(w, &states[i-nL-nS])
+			st := &states[i-nL-nS]
+			err := runFinish(w, st)
+			// Of what the function's nodes made, the artifact is all a later
+			// node or the commit reads; a scratch lowering dies here.
+			st.fn, st.info, st.prep = nil, nil, nil
+			return err
 		}
 	})
 	wavefrontWall := time.Since(t0)
@@ -1152,9 +1306,10 @@ func (s *Session) Update(units []minic.NamedSource) (*Analysis, error) {
 	// overlap across workers (at workers=1 this reproduces the historical
 	// per-stage walls). The same split feeds the phase.* counters the
 	// staged pipeline used to emit.
-	if cpu := lowerNs + ssaNs + modrefNs + transformNs + ptaNs + segNs; cpu > 0 {
+	if cpu := parseNs + lowerNs + ssaNs + modrefNs + transformNs + ptaNs + segNs; cpu > 0 {
 		scale := float64(wavefrontWall) / float64(cpu)
 		stage := func(ns int64) time.Duration { return time.Duration(float64(ns) * scale) }
+		tm.Parse += stage(parseNs)
 		tm.Lower, tm.SSA, tm.ModRef = stage(lowerNs), stage(ssaNs), stage(modrefNs)
 		tm.Transform, tm.PTA, tm.SEG = stage(transformNs), stage(ptaNs), stage(segNs)
 	}
@@ -1218,9 +1373,10 @@ func (s *Session) Update(units []minic.NamedSource) (*Analysis, error) {
 		a.Infos[id], a.SEGs[id], a.Summaries[id] = art.info, art.seg, art.sum
 	}
 	stats.Hits = len(tab.ids) - stats.Invalidated - stats.Misses
+	stats.UnitsParsed = int(unitsParsed.Load())
 	s.arts, s.totals, s.tab, s.shape = arts, totals, tab, shape
 
-	// The units: the cached parses are those of this request.
+	// The units: the session knows those of this request, by their facts.
 	clear(s.files)
 	for _, pu := range parsed {
 		s.files[pu.name] = pu
@@ -1263,20 +1419,26 @@ func (s *Session) Update(units []minic.NamedSource) (*Analysis, error) {
 		rec.Counter("build.artifact.misses").Add(int64(stats.Misses))
 		rec.Counter("build.artifact.invalidated").Add(int64(stats.Invalidated))
 		rec.Counter("build.funcs_visited").Add(int64(stats.Visited))
+		rec.Counter("build.units_parsed").Add(int64(stats.UnitsParsed))
+		rec.Counter("build.units_known").Add(int64(unitsKnown))
 		emitBuildMetrics(rec, a)
 	}
 	s.analysis, s.stats = a, stats
 	return a, nil
 }
 
-// persist bundles the candidate artifacts (function IDs) the persistent
-// store does not hold as they are into one segment — a delta holding just
-// that change set, or a rewritten full snapshot when the delta ring is
-// exhausted or the change touched most of the program. Store errors are
-// swallowed — persistence buys warmth, and a failed write must not fail a
-// build that already succeeded — but remembered: what could not be written
-// stays in s.unsaved for the next attempt. It reports how many artifacts the
-// store was missing.
+// persist brings the store up to the committed state: the candidate
+// artifacts (function IDs) it does not hold as they are go into one segment —
+// a delta holding just that change set, or a rewritten full snapshot when the
+// delta ring is exhausted, the change touched most of the program, or the
+// store holds an artifact under a name the program no longer defines — and
+// the facts of the units it does not hold go beside it: every unit's with a
+// full snapshot, the changed units' in the delta's slot, so that an edit
+// writes what the edit changed. Store errors are swallowed — persistence buys
+// warmth, and a failed write must not fail a build that already succeeded —
+// but remembered: what could not be written stays in s.unsaved, or not
+// stored, for the next attempt. It reports how many artifacts the store was
+// missing.
 func (s *Session) persist(candidates []int32) int {
 	var changed []int32
 	for _, id := range candidates {
@@ -1285,19 +1447,30 @@ func (s *Session) persist(candidates []int32) int {
 		}
 	}
 	s.unsaved = changed
-	if len(changed) == 0 {
+	var edited []*parsedUnit
+	for _, pu := range s.units {
+		if !pu.stored {
+			edited = append(edited, pu)
+		}
+	}
+	ring := s.ring
+	if len(changed) == 0 && len(edited) == 0 && !ring.stale {
 		return 0
 	}
 	// In declaration order, like the full snapshot.
 	slices.SortFunc(changed, func(a, b int32) int { return s.tab.lay.Pos(int(a)) - s.tab.lay.Pos(int(b)) })
 	changed = slices.Compact(changed)
-	ring := s.ring
-	full := !ring.hasFull || ring.deltas >= maxDeltaSegments || 2*len(changed) >= len(s.tab.ids)
+	full := !ring.hasFull || ring.deltas >= maxDeltaSegments || ring.stale || 2*len(changed) >= len(s.tab.ids)
 	key, ids := segFullKey, s.tab.ids
+	factsKey, units := unitFactsKey, s.units
 	if !full {
+		// A commit that changed a unit's bytes and no artifact still takes
+		// the slot, with an empty segment: the slot is what keeps the next
+		// commit from overwriting these facts.
 		key, ids = segDeltaKey(ring.deltas), changed
+		factsKey, units = unitFactsDeltaKey(ring.deltas), edited
 	}
-	data, err := encodeSegment(s.shape.fp, ring.next, ids, s.arts)
+	data, err := encodeSegment(s.shape.fp, ring.next, ids, s.arts, s.opts.Workers)
 	if err != nil {
 		return len(changed)
 	}
@@ -1309,11 +1482,20 @@ func (s *Session) persist(candidates []int32) int {
 	}
 	ring.next++
 	if full {
-		ring.deltas, ring.hasFull = 0, true
+		// The delta slots start over, and with them the facts they hold.
+		ring.deltas, ring.hasFull, ring.stale = 0, true, false
+		for _, pu := range s.units {
+			pu.stored = false
+		}
 	} else {
 		ring.deltas++
 	}
 	s.ring, s.unsaved = ring, nil
+	if len(units) > 0 && s.store.Put(store.NSArtifact, factsKey, encodeUnitFacts(units)) == nil {
+		for _, pu := range units {
+			pu.stored = true
+		}
+	}
 	if rec := s.opts.Obs; rec != nil {
 		rec.Counter("store.artifact.saves").Add(int64(len(ids)))
 	}
@@ -1340,16 +1522,14 @@ func (s *Session) Persist() int {
 // site's lowering and rewriting reads from a callee is in here. The bytes are
 // persisted with the artifact and compared across restarts
 // (TestFingerprintGolden pins them).
-func (s *Session) appendSignature(b []byte, st *fnState, globals map[string]minic.Type) []byte {
-	b = append(append(b, "ret="...), st.decl.Ret.String()...)
+func (s *Session) appendSignature(b []byte, sig []minic.Type, sum *modref.Summary, globals map[string]minic.Type) []byte {
+	b = append(append(b, "ret="...), sig[0].String()...)
 	b = append(b, ";params="...)
-	ptypes := make([]minic.Type, len(st.decl.Params))
-	for i, p := range st.decl.Params {
-		ptypes[i] = p.Type
-		b = append(append(b, p.Type.String()...), ',')
+	for _, t := range sig[1:] {
+		b = append(append(b, t.String()...), ',')
 	}
 	if !s.opts.DisableConnectors {
-		in, out := transform.ConnectorSpecs(ptypes, globals, st.sum)
+		in, out := transform.ConnectorSpecs(sig[1:], globals, sum)
 		b = append(b, ";aux="...)
 		for dir, specs := range [][]ir.AuxSpec{in, out} {
 			for _, sp := range specs {

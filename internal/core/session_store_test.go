@@ -2,9 +2,13 @@ package core_test
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -12,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/detect"
 	"repro/internal/minic"
+	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/internal/wirebin"
 	"repro/internal/workload"
@@ -386,5 +391,199 @@ func TestSessionStoreCorruption(t *testing.T) {
 	})
 	if stats.Misses+stats.Invalidated != 1 {
 		t.Errorf("bit-flip-in-segment: rebuilt %d functions, want the one whose artifact was damaged (%+v)", stats.Misses+stats.Invalidated, stats)
+	}
+}
+
+// parsedUnits lists, sorted, the units the recorder saw parsed: one entry per
+// parse, so a unit parsed twice shows twice.
+func parsedUnits(t *testing.T, rec *obs.Recorder) []string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := rec.WriteTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var trace struct {
+		TraceEvents []struct{ Name string }
+	}
+	if err := json.Unmarshal(buf.Bytes(), &trace); err != nil {
+		t.Fatal(err)
+	}
+	names := []string{}
+	for _, e := range trace.TraceEvents {
+		if unit, ok := strings.CutPrefix(e.Name, "parse:"); ok {
+			names = append(names, unit)
+		}
+	}
+	sort.Strings(names)
+	return names
+}
+
+// TestWarmRestartParsesNothing holds the rule for when a unit is parsed: when
+// its bytes are not the ones known — to the session, or through the store's
+// facts record to a restarted one — or when one of its functions has to be
+// lowered, and then once. So a restart on unchanged sources parses nothing, a
+// body edit parses the edited unit, and an edit that changes a callee's
+// Mod/Ref summary or connector signature parses, besides, exactly the units of
+// the callers that are lowered again. Every case ends where a from-scratch
+// build of the same sources ends, at one worker and at several.
+func TestWarmRestartParsesNothing(t *testing.T) {
+	base := []minic.NamedSource{
+		{Name: "a.mc", Src: "int gg;\nvoid top(int *p) { mid(p); }\nvoid top2(int *p) { mid(p); }\n"},
+		{Name: "b.mc", Src: "void mid(int *p) { w(p); }\n"},
+		{Name: "c.mc", Src: "void w(int *p) { *p = 1; }\n"},
+		{Name: "d.mc", Src: "int *mk() { return malloc(); }\nvoid lone(int *p) { *p = 3; }\n"},
+		{Name: "e.mc", Src: "void other() { int *x = mk(); lone(x); free(x); use(*x); }\n"},
+	}
+	cases := []struct {
+		name   string
+		unit   int
+		src    string
+		parsed []string
+	}{
+		{name: "unchanged", unit: -1, parsed: []string{}},
+		{name: "body edit", unit: 3, src: "int *mk() { return malloc(); }\nvoid lone(int *p) { *p = 4; }\n", parsed: []string{"d.mc"}},
+		{name: "callee summary changes", unit: 2, src: "void w(int *p) { int t = *p; *p = t + 1; }\n", parsed: []string{"a.mc", "b.mc", "c.mc"}},
+		{name: "callee signature changes", unit: 2, src: "void w(int *p) { *p = 1; gg = 2; }\n", parsed: []string{"a.mc", "b.mc", "c.mc"}},
+	}
+	specs := checkers.All()
+	for _, workers := range []int{1, runtime.GOMAXPROCS(0), 8} {
+		dopts := detect.Options{Workers: workers}
+		for _, tc := range cases {
+			units := slices.Clone(base)
+			if tc.unit >= 0 {
+				units[tc.unit].Src = tc.src
+			}
+			scratch := core.NewSession(core.BuildOptions{Workers: workers})
+			scratchA, err := scratch.Update(units)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := reportsJSON(t, scratchA.CheckAll(specs, dopts).Reports)
+			if len(want) < 100 {
+				t.Fatalf("the program has no report to compare: %s", want)
+			}
+
+			for _, withStore := range []bool{false, true} {
+				tag := fmt.Sprintf("workers=%d store=%v %s", workers, withStore, tc.name)
+				rec := obs.NewTracing()
+				var sess *core.Session
+				var before []string
+				var st *store.DiskStore
+				if withStore {
+					dir := t.TempDir()
+					st = openDisk(t, dir)
+					if _, err := core.NewSession(core.BuildOptions{Workers: workers, Store: st}).Update(base); err != nil {
+						t.Fatal(err)
+					}
+					if err := st.Close(); err != nil {
+						t.Fatal(err)
+					}
+					st = openDisk(t, dir)
+					sess = core.NewSession(core.BuildOptions{Workers: workers, Store: st, Obs: rec})
+				} else {
+					sess = core.NewSession(core.BuildOptions{Workers: workers, Obs: rec})
+					if _, err := sess.Update(base); err != nil {
+						t.Fatal(err)
+					}
+					before = parsedUnits(t, rec)
+				}
+				counted := rec.Counter("build.units_parsed").Value()
+				a, err := sess.Update(units)
+				if err != nil {
+					t.Fatalf("%s: %v", tag, err)
+				}
+				got := parsedUnits(t, rec)
+				for _, unit := range before {
+					got = slices.Delete(got, slices.Index(got, unit), slices.Index(got, unit)+1)
+				}
+				if !slices.Equal(got, tc.parsed) {
+					t.Errorf("%s: parsed %v, want %v", tag, got, tc.parsed)
+				}
+				stats := sess.ArtifactStats()
+				if n := int(rec.Counter("build.units_parsed").Value() - counted); stats.UnitsParsed != len(tc.parsed) || n != len(tc.parsed) {
+					t.Errorf("%s: UnitsParsed = %d, build.units_parsed grew by %d, want %d", tag, stats.UnitsParsed, n, len(tc.parsed))
+				}
+				if withStore && (stats.UnitsLoaded != len(base)-min(len(tc.parsed), 1) || stats.StoreHits != len(a.Module.Funcs)) {
+					t.Errorf("%s: %d units and %d of %d artifacts came from the store", tag, stats.UnitsLoaded, stats.StoreHits, len(a.Module.Funcs))
+				}
+				if got := reportsJSON(t, a.CheckAll(specs, dopts).Reports); !bytes.Equal(got, want) {
+					t.Errorf("%s: reports differ from a from-scratch build's\ngot:  %s\nwant: %s", tag, got, want)
+				}
+				if sess.ArtifactFingerprint() != scratch.ArtifactFingerprint() {
+					t.Errorf("%s: artifact fingerprint differs from a from-scratch build's", tag)
+				}
+				if st != nil {
+					if err := st.Close(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+	}
+
+	// An edit that deletes or renames a function leaves the store holding no
+	// artifact under a name the program lacks, whether the store saw the edit
+	// happen in a session or finds it done at a restart: the restarts after
+	// it parse nothing and load every artifact.
+	for _, tc := range []struct {
+		name string
+		unit int
+		src  string
+	}{
+		{"a function deleted", 0, "int gg;\nvoid top(int *p) { mid(p); }\n"},
+		{"the last function of a unit deleted", 3, "int *mk() { return malloc(); }\n"},
+		{"a function renamed", 0, "int gg;\nvoid top(int *p) { mid(p); }\nvoid top3(int *p) { mid(p); }\n"},
+	} {
+		units := slices.Clone(base)
+		units[tc.unit].Src = tc.src
+		if tc.unit == 3 {
+			units[4].Src = "void other() { int *x = mk(); free(x); use(*x); }\n"
+		}
+		scratch := core.NewSession(core.BuildOptions{})
+		scratchA, err := scratch.Update(units)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := reportsJSON(t, scratchA.CheckAll(specs, detect.Options{Workers: 1}).Reports)
+		for _, live := range []bool{true, false} {
+			tag := fmt.Sprintf("%s, live=%v", tc.name, live)
+			dir := t.TempDir()
+			st := openDisk(t, dir)
+			sess := core.NewSession(core.BuildOptions{Store: st})
+			if _, err := sess.Update(base); err != nil {
+				t.Fatal(err)
+			}
+			if live {
+				if _, err := sess.Update(units); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			for restart := 0; restart < 3; restart++ {
+				st := openDisk(t, dir)
+				sess := core.NewSession(core.BuildOptions{Store: st})
+				a, err := sess.Update(units)
+				if err != nil {
+					t.Fatalf("%s: %v", tag, err)
+				}
+				stats := sess.ArtifactStats()
+				if restart > 0 || live {
+					if stats.UnitsParsed != 0 || stats.UnitsLoaded != len(units) || stats.StoreHits != len(a.Module.Funcs) || stats.Misses+stats.Invalidated != 0 {
+						t.Errorf("%s, restart %d: %+v, want nothing parsed and everything loaded", tag, restart, stats)
+					}
+				}
+				if got := reportsJSON(t, a.CheckAll(specs, detect.Options{Workers: 1}).Reports); !bytes.Equal(got, want) {
+					t.Errorf("%s, restart %d: reports differ from a from-scratch build's", tag, restart)
+				}
+				if sess.ArtifactFingerprint() != scratch.ArtifactFingerprint() {
+					t.Errorf("%s, restart %d: artifact fingerprint differs from a from-scratch build's", tag, restart)
+				}
+				if err := st.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
 	}
 }

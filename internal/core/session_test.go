@@ -277,6 +277,42 @@ func TestSessionParseErrorNoPartialState(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkEquivalent(t, "post-failure", warm, cold, 1)
+
+	// The same for a parse made on demand, inside the wavefront: a unit the
+	// session knows by stored facts is parsed when a callee's edit makes one
+	// of its functions due for lowering. Its bytes parsed when the facts
+	// were derived, so only a store that files the facts under other bytes
+	// gets here — which is what this one is made to do.
+	st := openDisk(t, t.TempDir())
+	defer st.Close()
+	if _, err := core.NewSession(core.BuildOptions{Store: st}).Update(good); err != nil {
+		t.Fatal(err)
+	}
+	broken := minic.NamedSource{Name: "b.mc", Src: "void mid(int *p) { w(p) "}
+	if err := core.RekeyUnitFacts(st, broken.Name, broken.Src); err != nil {
+		t.Fatal(err)
+	}
+	edited := minic.NamedSource{Name: "a.mc", Src: "void w(int *p) { int t = *p; *p = t + 1; }"}
+	sess = core.NewSession(core.BuildOptions{Store: st})
+	if _, err := sess.Update([]minic.NamedSource{edited, broken}); err == nil || !strings.Contains(err.Error(), "parse: parsing b.mc") {
+		t.Fatalf("err = %v", err)
+	}
+	if sess.Analysis() != nil || sess.ArtifactCount() != 0 || sess.UnitCount() != 0 {
+		t.Fatal("failed first update left state in the session")
+	}
+	after := []minic.NamedSource{edited, good[1]}
+	warm, err = sess.Update(after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := sess.ArtifactStats(); st.StoreHits != 2 || st.Hits != 1 || st.Misses != 1 || st.UnitsParsed != 2 || st.UnitsLoaded != 0 {
+		t.Fatalf("post-failure stats = %+v (want mid loaded and kept, w rebuilt, both units parsed)", st)
+	}
+	cold, err = core.BuildFromSource(after, core.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkEquivalent(t, "post-failure, on demand", warm, cold, 1)
 }
 
 func TestSessionRepeatedUpdateAllHits(t *testing.T) {

@@ -26,11 +26,19 @@ import (
 
 // HashSource fingerprints a named unit's source text.
 func HashSource(name, src string) string {
+	sum := HashSourceSum(name, src)
+	return hex.EncodeToString(sum[:])
+}
+
+// HashSourceSum is HashSource before the hex: the digest a session with a
+// persistent store keys a unit's stored facts by.
+func HashSourceSum(name, src string) [12]byte {
 	h := sha256.New()
 	io.WriteString(h, name)
 	h.Write([]byte{0})
 	io.WriteString(h, src)
-	return hex.EncodeToString(h.Sum(nil))[:24]
+	var sum [sha256.Size]byte
+	return [12]byte(h.Sum(sum[:0])[:12])
 }
 
 // HashFunc fingerprints a function declaration: name, signature, body
@@ -182,70 +190,68 @@ func (w *astHasher) expr(e Expr) {
 	}
 }
 
-// CalleeNames returns the sorted, de-duplicated names of all functions a
-// declaration calls (excluding the malloc/free intrinsics, which lower to
-// dedicated opcodes and never become call edges).
-func CalleeNames(fn *FuncDecl) []string {
-	var w calleeWalker
-	w.stmt(fn.Body)
-	sort.Strings(w.names)
-	out := w.names[:0]
-	for i, name := range w.names {
-		if i == 0 || name != w.names[i-1] {
+// AppendCalleeNames appends to dst the sorted, de-duplicated names of all
+// functions a declaration calls (excluding the malloc/free intrinsics, which
+// lower to dedicated opcodes and never become call edges). It keeps nothing
+// of dst but what it returns, so a caller's scratch buffer can live on its
+// stack.
+func AppendCalleeNames(dst []string, fn *FuncDecl) []string {
+	all := appendStmtCalls(dst, fn.Body)
+	names := all[len(dst):]
+	sort.Strings(names)
+	out := all[:len(dst)]
+	for i, name := range names {
+		if i == 0 || name != names[i-1] {
 			out = append(out, name)
 		}
 	}
 	return out
 }
 
-type calleeWalker struct{ names []string }
-
-func (w *calleeWalker) expr(e Expr) {
+func appendExprCalls(names []string, e Expr) []string {
 	switch x := e.(type) {
 	case *UnaryExpr:
-		w.expr(x.X)
+		names = appendExprCalls(names, x.X)
 	case *BinaryExpr:
-		w.expr(x.X)
-		w.expr(x.Y)
+		names = appendExprCalls(appendExprCalls(names, x.X), x.Y)
 	case *ArrowExpr:
-		w.expr(x.X)
+		names = appendExprCalls(names, x.X)
 	case *CallExpr:
 		if x.Fun != "malloc" && x.Fun != "free" {
-			w.names = append(w.names, x.Fun)
+			names = append(names, x.Fun)
 		}
 		for _, a := range x.Args {
-			w.expr(a)
+			names = appendExprCalls(names, a)
 		}
 	}
+	return names
 }
 
-func (w *calleeWalker) stmt(s Stmt) {
+func appendStmtCalls(names []string, s Stmt) []string {
 	switch st := s.(type) {
 	case *BlockStmt:
 		for _, inner := range st.Stmts {
-			w.stmt(inner)
+			names = appendStmtCalls(names, inner)
 		}
 	case *DeclStmt:
 		if st.Decl.Init != nil {
-			w.expr(st.Decl.Init)
+			names = appendExprCalls(names, st.Decl.Init)
 		}
 	case *AssignStmt:
-		w.expr(st.Target)
-		w.expr(st.Value)
+		names = appendExprCalls(appendExprCalls(names, st.Target), st.Value)
 	case *IfStmt:
-		w.expr(st.Cond)
-		w.stmt(st.Then)
+		names = appendStmtCalls(appendExprCalls(names, st.Cond), st.Then)
 		if st.Else != nil {
-			w.stmt(st.Else)
+			names = appendStmtCalls(names, st.Else)
 		}
 	case *WhileStmt:
-		w.expr(st.Cond)
-		w.stmt(st.Body)
+		names = appendStmtCalls(appendExprCalls(names, st.Cond), st.Body)
 	case *ReturnStmt:
 		if st.Value != nil {
-			w.expr(st.Value)
+			names = appendExprCalls(names, st.Value)
 		}
 	case *ExprStmt:
-		w.expr(st.X)
+		names = appendExprCalls(names, st.X)
 	}
+	return names
 }

@@ -64,8 +64,8 @@ int f(int a) {
 	if (a > 0) { helper(p, 1); }
 	return zed();
 }`).Funcs[0]
-	got := CalleeNames(f)
-	want := []string{"helper", "other", "zed"}
+	got := AppendCalleeNames([]string{"kept"}, f)
+	want := []string{"kept", "helper", "other", "zed"}
 	if len(got) != len(want) {
 		t.Fatalf("callees = %v, want %v", got, want)
 	}

@@ -121,12 +121,17 @@ type AnalyzeStats struct {
 	// core.ArtifactStats.Visited): all of them on a first request or after
 	// an edit that moves a program-level table, otherwise those of the
 	// re-parsed units and those that can reach an edited function.
-	FunctionsVisited int   `json:"functionsVisited"`
-	Reports          int   `json:"reports"`
-	Workers          int   `json:"workers"`
-	BuildNs          int64 `json:"buildNs"`
-	DetectNs         int64 `json:"detectNs"`
-	GateWaitNs       int64 `json:"gateWaitNs"`
+	FunctionsVisited int `json:"functionsVisited"`
+	// UnitsParsed counts the translation units the build parsed (see
+	// core.ArtifactStats.UnitsParsed): those whose bytes the session did not
+	// know and those of which a function had to be lowered — none on a
+	// restart with unchanged sources and a populated -store-dir.
+	UnitsParsed int   `json:"unitsParsed"`
+	Reports     int   `json:"reports"`
+	Workers     int   `json:"workers"`
+	BuildNs     int64 `json:"buildNs"`
+	DetectNs    int64 `json:"detectNs"`
+	GateWaitNs  int64 `json:"gateWaitNs"`
 	// DetectTasks is the number of (checker, source) tasks the request's
 	// detection comprised; DetectTasksReplayed of them reused the result
 	// recorded by an earlier request instead of searching again. The
@@ -281,7 +286,9 @@ func (s *Server) analyze(ctx context.Context, r *http.Request, ri *requestInfo) 
 		ri.Log.Info("store warm load",
 			"artifact_store_hits", a.Artifacts.StoreHits,
 			"artifact_hits", a.Artifacts.Hits,
-			"artifact_misses", a.Artifacts.Misses)
+			"artifact_misses", a.Artifacts.Misses,
+			"units_from_facts", a.Artifacts.UnitsLoaded,
+			"units_parsed", a.Artifacts.UnitsParsed)
 	}
 
 	detectStart := time.Now()
@@ -305,6 +312,7 @@ func (s *Server) analyze(ctx context.Context, r *http.Request, ri *requestInfo) 
 		ArtifactInvalidated: a.Artifacts.Invalidated,
 		ArtifactStoreHits:   a.Artifacts.StoreHits,
 		FunctionsVisited:    a.Artifacts.Visited,
+		UnitsParsed:         a.Artifacts.UnitsParsed,
 		Reports:             len(reports),
 		Workers:             conc.Workers(workers),
 		BuildNs:             buildNs.Nanoseconds(),

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -234,8 +235,9 @@ func (s *DiskStore) readRecordLocked(ns, key string, ent indexEntry) ([]byte, er
 	return body[ent.nsLen+ent.keyLen:], nil
 }
 
-// Put implements Store. Identical re-puts are deduplicated without any
-// I/O beyond a checksum; new or changed content is appended.
+// Put implements Store. An identical re-put is recognised by its checksum,
+// confirmed by one read of the held record, and skipped; new or changed
+// content is appended.
 func (s *DiskStore) Put(ns, key string, val []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -247,8 +249,13 @@ func (s *DiskStore) Put(ns, key string, val []byte) error {
 	crc = crc32.Update(crc, crc32.IEEETable, []byte(key))
 	crc = crc32.Update(crc, crc32.IEEETable, val)
 	if ent, ok := s.index[k]; ok && ent.valLen == len(val) && ent.crc == crc {
-		s.stats.DedupedPuts++
-		return nil
+		// Equal length and checksum is a hint, not proof: records that end in
+		// a CRC of their own content, for one, all share a checksum at a given
+		// length. Only the bytes say the record is already held.
+		if held, err := s.readRecordLocked(ns, key, ent); err == nil && bytes.Equal(held, val) {
+			s.stats.DedupedPuts++
+			return nil
+		}
 	}
 	off, err := s.appendLocked(ns, key, val, crc)
 	if err != nil {

@@ -411,8 +411,10 @@ func (m *Manager) View(project string, f func(*core.Session)) bool {
 type Info struct {
 	// Project is the canonical project ID.
 	Project string `json:"project"`
-	// Units and Artifacts are the session's parse- and function-artifact
-	// store sizes; Functions is the current program's function count.
+	// Units is the number of translation units the session knows (by name,
+	// source and facts; it holds no parse), Artifacts the number of
+	// per-function artifacts it retains; Functions is the current program's
+	// function count.
 	Units     int `json:"units"`
 	Artifacts int `json:"artifacts"`
 	Functions int `json:"functions"`

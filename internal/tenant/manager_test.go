@@ -314,6 +314,9 @@ func TestEvictReadmitEquivalence(t *testing.T) {
 				if stats.Misses != 0 || stats.StoreHits == 0 || stats.StoreHits != stats.Hits {
 					t.Fatalf("warm readmission rebuilt artifacts instead of loading: %+v", stats)
 				}
+				if stats.UnitsParsed != 0 || stats.UnitsLoaded != len(gen.Units) {
+					t.Fatalf("warm readmission parsed %d units and knew %d of %d from the store", stats.UnitsParsed, stats.UnitsLoaded, len(gen.Units))
+				}
 			} else {
 				if stats.Misses == 0 {
 					t.Fatalf("cold readmission reported cache hits with no store: %+v", stats)

@@ -225,6 +225,19 @@ func (r *Reader) Str() string {
 	return s
 }
 
+// Raw reads n bytes as they are — a fixed-size field such as a digest, which
+// the writer appended to B directly. The slice aliases the input.
+func (r *Reader) Raw(n int) []byte {
+	if r.err == nil && len(r.b)-r.off < n {
+		r.fail("unexpected end of input")
+	}
+	if r.err != nil {
+		return nil
+	}
+	r.off += n
+	return r.b[r.off-n : r.off]
+}
+
 // Sym reads a symbol. An index past the next one to be defined is an error.
 func (r *Reader) Sym() string {
 	id := r.Uvarint()

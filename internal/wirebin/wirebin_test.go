@@ -153,3 +153,24 @@ func TestFrames(t *testing.T) {
 		}
 	}
 }
+
+// Raw hands back fixed-size fields as they lie in the input, and running out
+// of input is the stream's error like any other.
+func TestRaw(t *testing.T) {
+	var w Writer
+	w.B = append(w.B, 0xde, 0xad, 0xbe, 0xef)
+	w.Int(-5)
+	r := NewReader(w.B)
+	if got := r.Raw(4); string(got) != "\xde\xad\xbe\xef" {
+		t.Errorf("raw: got %x", got)
+	}
+	if got := r.Int(); got != -5 || r.Err() != nil || r.Rest() != 0 {
+		t.Errorf("after raw: %d, %v, %d bytes left", got, r.Err(), r.Rest())
+	}
+	if got := r.Raw(0); len(got) != 0 || r.Err() != nil {
+		t.Errorf("raw of nothing: %x, %v", got, r.Err())
+	}
+	if got := r.Raw(1); got != nil || r.Err() == nil {
+		t.Errorf("raw past the end: %x, %v", got, r.Err())
+	}
+}
