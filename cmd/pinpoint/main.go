@@ -52,22 +52,44 @@ func main() {
 	runBatch()
 }
 
+// batchOptions is the batch command line.
+type batchOptions struct {
+	checkers   string
+	workers    int
+	depth      int
+	noPS       bool
+	stats      bool
+	witness    bool
+	dump       string
+	format     string
+	trace      string
+	statsJSON  string
+	pprof      string
+	provenance bool
+	storeDir   string
+}
+
+// batchFlags defines the batch command's flags on fs.
+func batchFlags(fs *flag.FlagSet) *batchOptions {
+	o := &batchOptions{}
+	fs.StringVar(&o.checkers, "checkers", "uaf", "comma-separated checker list ("+strings.Join(checkers.Names(), ", ")+"), or 'all'")
+	fs.IntVar(&o.workers, "workers", -1, "worker goroutines for build and detection (0/1 = sequential, negative = all CPUs)")
+	fs.IntVar(&o.depth, "depth", 6, "maximum nested call depth")
+	fs.BoolVar(&o.noPS, "no-path-sensitivity", false, "skip SMT feasibility checks (report all candidates)")
+	fs.BoolVar(&o.stats, "stats", false, "print engine statistics")
+	fs.BoolVar(&o.witness, "witness", false, "print the satisfying branch assignment for each report")
+	fs.StringVar(&o.dump, "dump", "", "write Graphviz DOT for one function: 'cfg:<func>' or 'seg:<func>' (then exit)")
+	fs.StringVar(&o.format, "format", "text", "report format: text or json")
+	fs.StringVar(&o.trace, "trace", "", "write a Chrome trace-event JSON of the run (open in chrome://tracing or Perfetto)")
+	fs.StringVar(&o.statsJSON, "stats-json", "", "write a machine-readable statistics dump (timings, SMT latency percentiles, cache hit rates, worker utilization)")
+	fs.StringVar(&o.pprof, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for the duration of the run")
+	fs.BoolVar(&o.provenance, "provenance", false, "capture per-report provenance (value-flow hops, path-condition size, verdict source); shown in -format json and by 'pinpoint explain'")
+	fs.StringVar(&o.storeDir, "store-dir", "", "persist build artifacts in this directory across runs (empty = memory only)")
+	return o
+}
+
 func runBatch() {
-	sel := flag.String("checkers", "uaf", "comma-separated checker list ("+strings.Join(checkers.Names(), ", ")+"), or 'all'")
-	workers := flag.Int("workers", -1, "worker goroutines for build and detection (0/1 = sequential, negative = all CPUs)")
-	depth := flag.Int("depth", 6, "maximum nested call depth")
-	noPS := flag.Bool("no-path-sensitivity", false, "skip SMT feasibility checks (report all candidates)")
-	stats := flag.Bool("stats", false, "print engine statistics")
-	witness := flag.Bool("witness", false, "print the satisfying branch assignment for each report")
-	dump := flag.String("dump", "", "write Graphviz DOT for one function: 'cfg:<func>' or 'seg:<func>' (then exit)")
-	format := flag.String("format", "text", "report format: text or json")
-	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON of the run (open in chrome://tracing or Perfetto)")
-	statsJSON := flag.String("stats-json", "", "write a machine-readable statistics dump (timings, SMT latency percentiles, cache hit rates, worker utilization)")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for the duration of the run")
-	incremental := flag.Bool("incremental", false, "build through a persistent incremental session (content-addressed artifact store) instead of the one-shot pipeline")
-	repeat := flag.Int("repeat", 1, "with -incremental: build rounds; inputs are re-read from disk before each round, so warm rounds rebuild only what changed")
-	provenance := flag.Bool("provenance", false, "capture per-report provenance (value-flow hops, path-condition size, verdict source); shown in -format json and by 'pinpoint explain'")
-	storeDir := flag.String("store-dir", "", "persist build artifacts in this directory across runs (works with and without -incremental; empty = memory only)")
+	o := batchFlags(flag.CommandLine)
 	flag.Parse()
 
 	if flag.NArg() == 0 {
@@ -76,9 +98,9 @@ func runBatch() {
 		os.Exit(2)
 	}
 
-	if *pprofAddr != "" {
+	if o.pprof != "" {
 		go func() {
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
+			if err := http.ListenAndServe(o.pprof, nil); err != nil {
 				fmt.Fprintln(os.Stderr, "pinpoint: pprof:", err)
 			}
 		}()
@@ -87,54 +109,37 @@ func runBatch() {
 	// The recorder is nil unless some output needs it, keeping the default
 	// run on the zero-cost no-op path.
 	var rec *obs.Recorder
-	if *traceOut != "" {
+	if o.trace != "" {
 		rec = obs.NewTracing()
-	} else if *statsJSON != "" {
+	} else if o.statsJSON != "" {
 		rec = obs.New()
 	}
 
-	specs, err := selectCheckers(*sel)
+	specs, err := selectCheckers(o.checkers)
 	if err != nil {
 		fatal(err)
 	}
 
-	readUnitsArgs := func() []minic.NamedSource { return readUnits(flag.Args()) }
-
-	st, closeStore := openStore(*storeDir, rec)
+	st, closeStore := openStore(o.storeDir, rec)
 	defer closeStore()
-	buildOpts := core.BuildOptions{Workers: *workers, Obs: rec, Store: st}
-
-	var a *core.Analysis
-	if *incremental || *storeDir != "" {
-		sess := core.NewSession(buildOpts)
-		rounds := *repeat
-		if rounds < 1 {
-			rounds = 1
-		}
-		for i := 0; i < rounds; i++ {
-			if a, err = sess.Update(readUnitsArgs()); err != nil {
-				fatal(err)
-			}
-		}
-	} else {
-		if a, err = core.BuildFromSource(readUnitsArgs(), buildOpts); err != nil {
-			fatal(err)
-		}
+	a, err := core.BuildFromSource(readUnits(flag.Args()), core.BuildOptions{Workers: o.workers, Obs: rec, Store: st})
+	if err != nil {
+		fatal(err)
 	}
-	if *stats {
+	if o.stats {
 		fmt.Fprintf(os.Stderr, "pinpoint: %d functions, %d IR instructions, %d SEG nodes, %d SEG edges; build %s\n",
 			a.Sizes.Functions, a.Sizes.Lines, a.Sizes.SEGNodes, a.Sizes.SEGEdges, a.Timings.Total())
 		fmt.Fprintf(os.Stderr, "pinpoint: pta: %s\n", a.PTAStats)
-		if *incremental || *storeDir != "" {
+		if st != nil {
 			fmt.Fprintf(os.Stderr, "pinpoint: artifacts: %d hits, %d misses, %d invalidated, %d store-loaded; %d units parsed\n",
 				a.Artifacts.Hits, a.Artifacts.Misses, a.Artifacts.Invalidated, a.Artifacts.StoreHits, a.Artifacts.UnitsParsed)
 		}
 	}
-	if *dump != "" {
-		kind, fn, ok := strings.Cut(*dump, ":")
+	if o.dump != "" {
+		kind, fn, ok := strings.Cut(o.dump, ":")
 		f := a.Module.Lookup(fn)
 		if !ok || f == nil {
-			fatal(fmt.Errorf("bad -dump %q: want cfg:<func> or seg:<func> with a defined function", *dump))
+			fatal(fmt.Errorf("bad -dump %q: want cfg:<func> or seg:<func> with a defined function", o.dump))
 		}
 		switch kind {
 		case "cfg":
@@ -148,14 +153,14 @@ func runBatch() {
 	}
 
 	res := a.CheckAll(specs, detect.Options{
-		MaxCallDepth:           *depth,
-		DisablePathSensitivity: *noPS,
-		Workers:                *workers,
-		Witness:                *provenance,
+		MaxCallDepth:           o.depth,
+		DisablePathSensitivity: o.noPS,
+		Workers:                o.workers,
+		Witness:                o.provenance,
 		Obs:                    rec,
 	})
 
-	if *format == "json" {
+	if o.format == "json" {
 		jsonReports := make([]detect.JSONReport, 0, len(res.Reports))
 		for _, r := range res.Reports {
 			jsonReports = append(jsonReports, r.ToJSON())
@@ -168,7 +173,7 @@ func runBatch() {
 	} else {
 		for _, r := range res.Reports {
 			fmt.Println(r)
-			if *witness && len(r.Witness) > 0 {
+			if o.witness && len(r.Witness) > 0 {
 				label := "trigger"
 				if r.Kind != "" {
 					label = "leaks when"
@@ -177,20 +182,20 @@ func runBatch() {
 			}
 		}
 	}
-	if *stats {
+	if o.stats {
 		for _, cs := range res.Checkers {
 			fmt.Fprintf(os.Stderr, "pinpoint: %s\n", cs)
 		}
 		fmt.Fprintf(os.Stderr, "pinpoint: detection: %d workers, %s wall\n", res.Workers, res.Wall)
 	}
-	if *traceOut != "" {
-		if err := writeFileWith(*traceOut, rec.WriteTrace); err != nil {
+	if o.trace != "" {
+		if err := writeFileWith(o.trace, rec.WriteTrace); err != nil {
 			fatal(fmt.Errorf("trace: %w", err))
 		}
 	}
-	if *statsJSON != "" {
+	if o.statsJSON != "" {
 		d := buildStatsDump(a, res, rec)
-		if err := writeFileWith(*statsJSON, d.write); err != nil {
+		if err := writeFileWith(o.statsJSON, d.write); err != nil {
 			fatal(fmt.Errorf("stats-json: %w", err))
 		}
 	}
@@ -232,11 +237,10 @@ type statsDump struct {
 		PTASEGNs  int64 `json:"pta_seg_ns"`
 		TotalNs   int64 `json:"total_ns"`
 	} `json:"build"`
-	// Artifacts is the incremental store outcome of the (last) build
-	// round: all misses for a one-shot build, mostly hits for a warm
-	// -incremental rebuild. UnitsParsed is how many translation units that
-	// round parsed: none on a run over a populated -store-dir with unchanged
-	// inputs.
+	// Artifacts is the artifact outcome of the build: all misses without a
+	// store or on an empty one, store loads on a populated -store-dir.
+	// UnitsParsed is how many translation units the build parsed: none on a
+	// run over a populated -store-dir with unchanged inputs.
 	Artifacts struct {
 		Hits        int `json:"hits"`
 		Misses      int `json:"misses"`

@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"flag"
+	"fmt"
 	"net/http"
 	"os"
 	"os/exec"
@@ -263,5 +265,49 @@ func (sp *serveProc) stop(t *testing.T) {
 	}
 	if !strings.Contains(sp.logs(), `"msg":"shutting down"`) {
 		t.Errorf("no shutdown log line\n%s", sp.logs())
+	}
+}
+
+// TestFlagSurface lists every flag of `pinpoint` and `pinpoint serve` with its
+// default, so that a new knob is a diff of this table.
+func TestFlagSurface(t *testing.T) {
+	surface := func(define func(*flag.FlagSet)) string {
+		fs := flag.NewFlagSet("", flag.ContinueOnError)
+		define(fs)
+		var b strings.Builder
+		fs.VisitAll(func(f *flag.Flag) { fmt.Fprintf(&b, "-%s=%s\n", f.Name, f.DefValue) })
+		return b.String()
+	}
+	for _, c := range []struct{ name, got, want string }{
+		{"pinpoint", surface(func(fs *flag.FlagSet) { batchFlags(fs) }), `-checkers=uaf
+-depth=6
+-dump=
+-format=text
+-no-path-sensitivity=false
+-pprof=
+-provenance=false
+-stats=false
+-stats-json=
+-store-dir=
+-trace=
+-witness=false
+-workers=-1
+`},
+		{"pinpoint serve", surface(func(fs *flag.FlagSet) { serveFlags(fs) }), `-addr=127.0.0.1:7345
+-grace=15s
+-log-json=false
+-log-level=info
+-max-inflight=-1
+-max-tenants=0
+-request-timeout=2m0s
+-store-dir=
+-tenant-idle=0s
+-tenant-inflight=0
+-workers=-1
+`},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s flags:\n%s\nwant:\n%s", c.name, c.got, c.want)
+		}
 	}
 }

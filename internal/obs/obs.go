@@ -81,14 +81,6 @@ func (r *Recorder) Gauge(name string) *Gauge {
 	return r.reg.Gauge(name)
 }
 
-// FloatGauge returns the named float gauge.
-func (r *Recorder) FloatGauge(name string) *FloatGauge {
-	if r == nil {
-		return nil
-	}
-	return r.reg.FloatGauge(name)
-}
-
 // Histogram returns the named histogram.
 func (r *Recorder) Histogram(name string) *Histogram {
 	if r == nil {

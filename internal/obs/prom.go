@@ -100,17 +100,6 @@ func (s Snapshot) WriteTo(w io.Writer) (int64, error) {
 		return cw.n, err
 	}
 
-	floatNames := make([]string, 0, len(s.FloatGauges))
-	for name := range s.FloatGauges {
-		floatNames = append(floatNames, name)
-	}
-	err = family(floatNames, "gauge", func(name string) error {
-		return write("%s %g\n", promSeries(name), s.FloatGauges[name])
-	})
-	if err != nil {
-		return cw.n, err
-	}
-
 	histNames := make([]string, 0, len(s.Histograms))
 	for name := range s.Histograms {
 		histNames = append(histNames, name)

@@ -172,27 +172,3 @@ pinpoint_server_phase_ns_count{phase="detect",tenant="beta"} 1
 		t.Errorf("multi-label exposition mismatch:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 }
-
-// TestPrometheusFloatGauge: float gauges expose as a gauge family with %g
-// formatting, after the int gauges.
-func TestPrometheusFloatGauge(t *testing.T) {
-	r := New()
-	r.Gauge("a.int").Set(3)
-	r.FloatGauge(Labeled("server.slo_burn_rate", "window", "fast")).Set(1.25)
-	r.FloatGauge(Labeled("server.slo_burn_rate", "window", "slow")).Set(0.5)
-	var sb strings.Builder
-	if err := r.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	want := `# HELP pinpoint_a_int a.int
-# TYPE pinpoint_a_int gauge
-pinpoint_a_int 3
-# HELP pinpoint_server_slo_burn_rate server.slo_burn_rate
-# TYPE pinpoint_server_slo_burn_rate gauge
-pinpoint_server_slo_burn_rate{window="fast"} 1.25
-pinpoint_server_slo_burn_rate{window="slow"} 0.5
-`
-	if got := sb.String(); got != want {
-		t.Errorf("float gauge exposition mismatch:\n--- got ---\n%s\n--- want ---\n%s", got, want)
-	}
-}

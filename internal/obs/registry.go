@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -15,7 +14,6 @@ type Registry struct {
 	mu       sync.RWMutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
-	floats   map[string]*FloatGauge
 	hists    map[string]*Histogram
 }
 
@@ -24,7 +22,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
-		floats:   make(map[string]*FloatGauge),
 		hists:    make(map[string]*Histogram),
 	}
 }
@@ -69,26 +66,6 @@ func (g *Registry) Gauge(name string) *Gauge {
 	return v
 }
 
-// FloatGauge returns the named float gauge, creating it on first use.
-func (g *Registry) FloatGauge(name string) *FloatGauge {
-	if g == nil {
-		return nil
-	}
-	g.mu.RLock()
-	v := g.floats[name]
-	g.mu.RUnlock()
-	if v != nil {
-		return v
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if v = g.floats[name]; v == nil {
-		v = &FloatGauge{}
-		g.floats[name] = v
-	}
-	return v
-}
-
 // Histogram returns the named histogram, creating it on first use.
 func (g *Registry) Histogram(name string) *Histogram {
 	if g == nil {
@@ -108,6 +85,18 @@ func (g *Registry) Histogram(name string) *Histogram {
 		g.hists[name] = h
 	}
 	return h
+}
+
+// DropHistogram removes the named histogram, so that a series whose subject is
+// gone (an evicted tenant's) stops being exported. A holder of the histogram
+// may still observe into it; nothing reads it again.
+func (g *Registry) DropHistogram(name string) {
+	if g == nil {
+		return
+	}
+	g.mu.Lock()
+	delete(g.hists, name)
+	g.mu.Unlock()
 }
 
 // Counter is a monotonically accumulating int64 (atomic; nil-safe).
@@ -159,77 +148,12 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// FloatGauge is a last-write-wins float64 (atomic bits; nil-safe). It
-// exists for ratio-valued metrics — burn rates, fractions — that the int64
-// Gauge would truncate to uselessness.
-type FloatGauge struct{ bits atomic.Uint64 }
-
-// Set stores v.
-func (g *FloatGauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Value returns the current value.
-func (g *FloatGauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
-}
-
-// Visitor receives every metric of one kind during Registry.Each. Callbacks
-// run under the registry's read lock: they must not create metrics on the
-// same registry (self-deadlock) and should do no more than read values into
-// caller-owned storage.
-type Visitor struct {
-	Counter    func(name string, c *Counter)
-	Gauge      func(name string, v *Gauge)
-	FloatGauge func(name string, v *FloatGauge)
-	Histogram  func(name string, h *Histogram)
-}
-
-// Each visits every registered metric without copying the registry — the
-// allocation-free path the time-series sampler takes every tick, where
-// Snapshot's per-call maps would churn. Nil Visitor fields skip that kind;
-// visit order within a kind is unspecified.
-func (g *Registry) Each(v Visitor) {
-	if g == nil {
-		return
-	}
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	if v.Counter != nil {
-		for name, c := range g.counters {
-			v.Counter(name, c)
-		}
-	}
-	if v.Gauge != nil {
-		for name, gv := range g.gauges {
-			v.Gauge(name, gv)
-		}
-	}
-	if v.FloatGauge != nil {
-		for name, fv := range g.floats {
-			v.FloatGauge(name, fv)
-		}
-	}
-	if v.Histogram != nil {
-		for name, h := range g.hists {
-			v.Histogram(name, h)
-		}
-	}
-}
-
 // Snapshot is a deterministic (sorted-key) copy of a registry's metrics,
 // shaped for JSON export.
 type Snapshot struct {
-	Counters    map[string]int64        `json:"counters,omitempty"`
-	Gauges      map[string]int64        `json:"gauges,omitempty"`
-	FloatGauges map[string]float64      `json:"floatGauges,omitempty"`
-	Histograms  map[string]HistSnapshot `json:"histograms,omitempty"`
+	Counters   map[string]int64        `json:"counters,omitempty"`
+	Gauges     map[string]int64        `json:"gauges,omitempty"`
+	Histograms map[string]HistSnapshot `json:"histograms,omitempty"`
 }
 
 // Snapshot copies every metric. Maps marshal with sorted keys, so the JSON
@@ -251,12 +175,6 @@ func (g *Registry) Snapshot() Snapshot {
 		s.Gauges = make(map[string]int64, len(g.gauges))
 		for name, v := range g.gauges {
 			s.Gauges[name] = v.Value()
-		}
-	}
-	if len(g.floats) > 0 {
-		s.FloatGauges = make(map[string]float64, len(g.floats))
-		for name, v := range g.floats {
-			s.FloatGauges[name] = v.Value()
 		}
 	}
 	if len(g.hists) > 0 {
@@ -282,9 +200,6 @@ func (g *Registry) Names() []string {
 		out = append(out, n)
 	}
 	for n := range g.gauges {
-		out = append(out, n)
-	}
-	for n := range g.floats {
 		out = append(out, n)
 	}
 	for n := range g.hists {

@@ -163,7 +163,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 
-	resp, err := s.analyze(ctx, r, ri)
+	resp, phases, err := s.analyze(ctx, r, ri)
 	if err != nil {
 		status := http.StatusInternalServerError
 		var he *httpError
@@ -186,7 +186,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	encodeStart := time.Now()
 	writeJSON(w, http.StatusOK, resp)
 	encodeNs := time.Since(encodeStart).Nanoseconds()
-	s.observePhase(tenant.Canonical(resp.Project), "encode", encodeNs)
+	phases[phaseEncode].Observe(encodeNs)
 	ri.Log.Info("analyze done",
 		"functions", resp.Stats.Functions,
 		"reports", resp.Stats.Reports,
@@ -197,7 +197,9 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		"encode_ns", encodeNs)
 }
 
-func (s *Server) analyze(ctx context.Context, r *http.Request, ri *requestInfo) (*AnalyzeResponse, error) {
+// analyze serves one request. Beside the response it returns the tenant's
+// phase histograms, for the phase that follows it: encoding.
+func (s *Server) analyze(ctx context.Context, r *http.Request, ri *requestInfo) (*AnalyzeResponse, []*obs.Histogram, error) {
 	reqStart := time.Now()
 	size := r.ContentLength
 	if size > s.maxBody {
@@ -207,19 +209,19 @@ func (s *Server) analyze(ctx context.Context, r *http.Request, ri *requestInfo) 
 	defer body.release()
 	var req AnalyzeRequest
 	if err := body.decode(&req); err != nil {
-		return nil, &httpError{http.StatusBadRequest, "bad request body: " + err.Error()}
+		return nil, nil, &httpError{http.StatusBadRequest, "bad request body: " + err.Error()}
 	}
 	decodeNs := time.Since(reqStart)
 	if len(body.units) == 0 {
-		return nil, &httpError{http.StatusBadRequest, "no translation units"}
+		return nil, nil, &httpError{http.StatusBadRequest, "no translation units"}
 	}
 	specs, err := resolveCheckers(req.Checkers)
 	if err != nil {
-		return nil, &httpError{http.StatusBadRequest, err.Error()}
+		return nil, nil, &httpError{http.StatusBadRequest, err.Error()}
 	}
 	for i, u := range body.units {
 		if len(body.bytes(u.name)) == 0 {
-			return nil, &httpError{http.StatusBadRequest, fmt.Sprintf("unit %d has no name", i)}
+			return nil, nil, &httpError{http.StatusBadRequest, fmt.Sprintf("unit %d has no name", i)}
 		}
 	}
 	workers := s.cfg.Workers
@@ -235,9 +237,9 @@ func (s *Server) analyze(ctx context.Context, r *http.Request, ri *requestInfo) 
 	s.rec.Gauge("server.queue_depth").Add(-1)
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
-			return nil, &httpError{http.StatusServiceUnavailable, "server saturated: deadline expired waiting for an analysis slot"}
+			return nil, nil, &httpError{http.StatusServiceUnavailable, "server saturated: deadline expired waiting for an analysis slot"}
 		}
-		return nil, err
+		return nil, nil, err
 	}
 	defer s.gate.Leave()
 	gateWait := time.Since(gateStart)
@@ -252,14 +254,14 @@ func (s *Server) analyze(ctx context.Context, r *http.Request, ri *requestInfo) 
 	if err != nil {
 		switch {
 		case errors.Is(err, tenant.ErrResidentLimit):
-			return nil, &httpError{http.StatusServiceUnavailable, err.Error()}
+			return nil, nil, &httpError{http.StatusServiceUnavailable, err.Error()}
 		case errors.Is(err, context.DeadlineExceeded):
-			return nil, &httpError{http.StatusServiceUnavailable, "server saturated: deadline expired waiting for the project's session"}
+			return nil, nil, &httpError{http.StatusServiceUnavailable, "server saturated: deadline expired waiting for the project's session"}
 		case errors.Is(err, context.Canceled):
-			return nil, err
+			return nil, nil, err
 		default:
 			// The remaining Acquire failure is a malformed project ID.
-			return nil, &httpError{http.StatusBadRequest, err.Error()}
+			return nil, nil, &httpError{http.StatusBadRequest, err.Error()}
 		}
 	}
 	defer h.Release()
@@ -277,7 +279,7 @@ func (s *Server) analyze(ctx context.Context, r *http.Request, ri *requestInfo) 
 	if err != nil {
 		// A parse/lowering error leaves the session untouched (Update's
 		// commit-on-success contract), so the request is at fault.
-		return nil, &httpError{http.StatusUnprocessableEntity, err.Error()}
+		return nil, nil, &httpError{http.StatusUnprocessableEntity, err.Error()}
 	}
 	buildNs := time.Since(buildStart)
 	if a.Artifacts.StoreHits > 0 {
@@ -345,39 +347,40 @@ func (s *Server) analyze(ctx context.Context, r *http.Request, ri *requestInfo) 
 	timing.TotalNs = time.Since(reqStart).Nanoseconds()
 	timing.OtherNs = timing.TotalNs - timing.DecodeNs - timing.QueueWaitNs -
 		timing.SessionWaitNs - timing.BuildNs - timing.DetectNs
-	s.observePhases(h.Project(), timing)
-	// The cost ledger reuses the response's exact timing partition, so
-	// /v1/debug/costs attributes precisely what the client was told it
-	// paid. Store bytes are metered separately at the store boundary.
-	h.RecordCost(tenant.CostDelta{
-		BuildNs:       timing.BuildNs,
-		DetectNs:      timing.DetectNs,
-		SMTNs:         timing.SMTNs,
-		SMTSolved:     int64(stats.SMTSolved),
-		SMTEliminated: int64(stats.SMTPrefilterUnsat),
-	})
-	return &AnalyzeResponse{TraceID: ri.TraceID, Project: req.Project, Reports: reports, Stats: stats, Timing: timing}, nil
+	phases := h.Histograms(phaseSeries)
+	observePhases(phases, timing)
+	return &AnalyzeResponse{TraceID: ri.TraceID, Project: req.Project, Reports: reports, Stats: stats, Timing: timing}, phases, nil
 }
 
-// observePhases feeds one request's timing breakdown into the labeled
-// server.phase_ns histograms behind /v1/metrics, one series per
-// (phase, tenant) pair so per-project latency is scrapeable.
-func (s *Server) observePhases(project string, t TimingJSON) {
-	observe := func(phase string, v int64) { s.observePhase(project, phase, v) }
-	observe("decode", t.DecodeNs)
-	observe("queue_wait", t.QueueWaitNs)
-	observe("session_wait", t.SessionWaitNs)
-	observe("build", t.BuildNs)
-	observe("parse", t.ParseNs)
-	observe("store_load", t.StoreLoadNs)
-	observe("store_save", t.StoreSaveNs)
-	observe("detect", t.DetectNs)
-	observe("smt", t.SMTNs)
-	observe("other", t.OtherNs)
+// phaseNames are the values of server.phase_ns's phase label: TimingJSON's
+// fields in order, then the encoding that follows it.
+var phaseNames = [...]string{
+	"decode", "queue_wait", "session_wait", "build", "parse",
+	"store_load", "store_save", "detect", "smt", "other", "encode",
 }
 
-func (s *Server) observePhase(project, phase string, ns int64) {
-	s.rec.Histogram(obs.Labeled("server.phase_ns", "phase", phase, "tenant", project)).Observe(ns)
+const phaseEncode = len(phaseNames) - 1
+
+// phaseSeries names one tenant's server.phase_ns histograms, in phaseNames
+// order: one series per (phase, tenant) pair, so per-project latency is
+// scrapeable. The tenant manager drops them when it evicts the tenant.
+func phaseSeries(project string) []string {
+	names := make([]string, len(phaseNames))
+	for i, phase := range phaseNames {
+		names[i] = obs.Labeled("server.phase_ns", "phase", phase, "tenant", project)
+	}
+	return names
+}
+
+// observePhases feeds one request's timing breakdown into its tenant's
+// histograms.
+func observePhases(h []*obs.Histogram, t TimingJSON) {
+	for i, ns := range [...]int64{
+		t.DecodeNs, t.QueueWaitNs, t.SessionWaitNs, t.BuildNs, t.ParseNs,
+		t.StoreLoadNs, t.StoreSaveNs, t.DetectNs, t.SMTNs, t.OtherNs,
+	} {
+		h[i].Observe(ns)
+	}
 }
 
 // resolveCheckers maps request names to fresh checker specs. Empty and

@@ -29,62 +29,65 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write([]byte("ready\n"))
 }
 
-// handleMetrics exposes the recorder in Prometheus text format. The
-// snapshot is lock-consistent, so a scrape racing an in-flight analysis
-// sees a coherent view.
+// handleMetrics exposes the recorder in Prometheus text format, with the
+// process.* runtime metrics read at the scrape. The snapshot is
+// lock-consistent, so a scrape racing an in-flight analysis sees a coherent
+// view.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	s.proc.Sample(s.rec)
 	if err := s.rec.WritePrometheus(w); err != nil {
 		// Headers are gone; all we can do is log.
 		reqInfo(r).Log.Warn("metrics write failed", "err", err.Error())
 	}
 }
 
-// tenantsDebug is the GET /v1/debug/tenants schema: the tenant.Snapshot
-// (resident set, per-tenant occupancy and last-use clocks, eviction
-// counters).
-type tenantsDebug = tenant.Snapshot
-
-func (s *Server) handleDebugTenants(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, tenantsDebug(s.tenants.Snapshot()))
+// debugDoc is the GET /v1/debug schema: what the process holds right now,
+// one section per holder.
+type debugDoc struct {
+	// Tenants is the resident set: per-tenant occupancy and last-use
+	// clocks, and the eviction count.
+	Tenants tenant.Snapshot `json:"tenants"`
+	// Inflight is the admission gate and the requests being served.
+	Inflight inflightDebug `json:"inflight"`
+	// Store is the persistent store's occupancy.
+	Store storeDebug `json:"store"`
 }
 
-// storeDebug is the GET /v1/debug/store schema: whether a persistent
-// store backs the session, its record traffic and on-disk occupancy, and the
-// last compaction. Counters are cumulative since the store was opened.
+// storeDebug says whether a persistent store backs the sessions, its record
+// traffic and on-disk occupancy, and the last compaction. Counters are
+// cumulative since the store was opened.
 type storeDebug struct {
 	// Persistent is true when a store is configured (-store-dir); the server
 	// runs memory-only otherwise, and every other field is zero.
 	Persistent bool        `json:"persistent"`
 	Stats      store.Stats `json:"stats"`
-	// ArtifactStoreHits is the number of artifacts the session's last
+	// ArtifactStoreHits is the number of artifacts the default session's last
 	// Update warm-loaded from the store instead of rebuilding.
 	ArtifactStoreHits int `json:"artifactStoreHits"`
 }
 
-func (s *Server) handleDebugStore(w http.ResponseWriter, r *http.Request) {
-	var d storeDebug
-	if st := s.cfg.Store; st != nil {
-		d.Persistent = true
-		d.Stats = st.Stat()
-		s.tenants.View(store.DefaultProject, func(sess *core.Session) {
-			d.ArtifactStoreHits = sess.ArtifactStats().StoreHits
-		})
-	}
-	writeJSON(w, http.StatusOK, d)
-}
-
-// inflightDebug is the GET /v1/debug/inflight schema.
 type inflightDebug struct {
 	Limit    int            `json:"limit"`
 	InFlight int            `json:"inFlight"`
 	Requests []inflightJSON `json:"requests"`
 }
 
-func (s *Server) handleDebugInflight(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, inflightDebug{
-		Limit:    s.gate.Limit(),
-		InFlight: s.gate.InFlight(),
-		Requests: s.snapshotInflight(),
-	})
+func (s *Server) handleDebug(w http.ResponseWriter, r *http.Request) {
+	d := debugDoc{
+		Tenants: s.tenants.Snapshot(),
+		Inflight: inflightDebug{
+			Limit:    s.gate.Limit(),
+			InFlight: s.gate.InFlight(),
+			Requests: s.snapshotInflight(),
+		},
+	}
+	if st := s.cfg.Store; st != nil {
+		d.Store.Persistent = true
+		d.Store.Stats = st.Stat()
+		s.tenants.View(store.DefaultProject, func(sess *core.Session) {
+			d.Store.ArtifactStoreHits = sess.ArtifactStats().StoreHits
+		})
+	}
+	writeJSON(w, http.StatusOK, d)
 }

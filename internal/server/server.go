@@ -82,25 +82,6 @@ type Config struct {
 	// TenantMaxInFlight bounds concurrently admitted requests per tenant,
 	// under the global MaxInFlight gate. 0 disables the per-tenant bound.
 	TenantMaxInFlight int
-	// TSInterval enables the flight recorder (internal/obs.Sampler): every
-	// interval the process's metrics are snapshotted into fixed-capacity
-	// ring buffers served by GET /v1/debug/timeseries. 0 disables it —
-	// unless SLOTarget is set, which needs the recorder and auto-enables a
-	// 10-second interval.
-	TSInterval time.Duration
-	// TSRetention is the time span the rings cover (0 = 10 minutes);
-	// per-series capacity is TSRetention/TSInterval, clamped to [2, 4096].
-	TSRetention time.Duration
-	// SLOTarget sets the latency objective: the SLOQuantile fraction of
-	// analyze requests must finish within this duration. 0 disables SLO
-	// tracking (and keeps /v1/metrics free of slo series).
-	SLOTarget time.Duration
-	// SLOQuantile is the objective's quantile (0 = 0.95).
-	SLOQuantile float64
-	// SLOFastWindow and SLOSlowWindow are the burn-rate windows (0 = 5m
-	// and 1h). Tests and short-lived load runs scale them down.
-	SLOFastWindow time.Duration
-	SLOSlowWindow time.Duration
 }
 
 // Server is the analysis service. Create with New, then Serve or
@@ -111,10 +92,8 @@ type Server struct {
 	rec  *obs.Recorder
 	gate *conc.Gate
 
-	// sampler is the flight recorder (nil when disabled); slo evaluates
-	// the latency objective over it (nil when no SLOTarget).
-	sampler *obs.Sampler
-	slo     *sloTracker
+	// proc reads the process.* runtime metrics into rec at each scrape.
+	proc obs.ProcessSampler
 
 	// tenants maps project IDs to independently locked sessions; see
 	// internal/tenant for the lock hierarchy and eviction policy.
@@ -151,24 +130,11 @@ func New(cfg Config) *Server {
 	if rec == nil {
 		rec = obs.New()
 	}
-	tsInterval := cfg.TSInterval
-	if tsInterval <= 0 && cfg.SLOTarget > 0 {
-		// Burn rates are window deltas over the ring buffer; an SLO without
-		// a sampler would never evaluate. 10s gives a 5m fast window 30
-		// points.
-		tsInterval = 10 * time.Second
-	}
-	sampler := obs.NewSampler(rec, obs.SamplerConfig{
-		Interval:  tsInterval,
-		Retention: cfg.TSRetention,
-	})
 	return &Server{
-		cfg:     cfg,
-		log:     log,
-		rec:     rec,
-		gate:    conc.NewGate(cfg.MaxInFlight),
-		sampler: sampler,
-		slo:     newSLOTracker(rec, sampler, cfg),
+		cfg:  cfg,
+		log:  log,
+		rec:  rec,
+		gate: conc.NewGate(cfg.MaxInFlight),
 		tenants: tenant.NewManager(tenant.Config{
 			MaxResident: cfg.MaxTenants,
 			IdleTTL:     cfg.TenantIdle,
@@ -190,12 +156,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/health", s.handleHealthz)
 	mux.HandleFunc("GET /v1/ready", s.handleReadyz)
 	mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
-	mux.HandleFunc("GET /v1/debug/tenants", s.handleDebugTenants)
-	mux.HandleFunc("GET /v1/debug/inflight", s.handleDebugInflight)
-	mux.HandleFunc("GET /v1/debug/store", s.handleDebugStore)
-	mux.HandleFunc("GET /v1/debug/timeseries", s.handleDebugTimeseries)
-	mux.HandleFunc("GET /v1/debug/costs", s.handleDebugCosts)
-	mux.HandleFunc("GET /v1/debug/slo", s.handleDebugSLO)
+	mux.HandleFunc("GET /v1/debug", s.handleDebug)
 	return s.track(mux)
 }
 
@@ -227,15 +188,6 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener, gracePeriod time.Du
 	s.log.Info("serving", "addr", ln.Addr().String(),
 		"max_in_flight", s.gate.Limit(), "request_timeout", s.requestTimeout().String(),
 		"max_tenants", s.tenants.Snapshot().MaxResident)
-
-	// Flight recorder: one goroutine, fixed-size rings, stopped on return.
-	// Nil-safe, so a disabled recorder costs nothing here.
-	s.sampler.Start()
-	defer s.sampler.Stop()
-	if s.sampler != nil {
-		s.log.Info("flight recorder on", "interval", s.sampler.Interval().String(),
-			"ring_capacity", s.sampler.Capacity())
-	}
 
 	// Idle janitor: Acquire sweeps lazily, but a server with no traffic
 	// should still release evictable sessions, so sweep on a timer too.
@@ -337,8 +289,7 @@ func sanitizeTraceID(id string) string {
 
 // track wraps the mux with per-request bookkeeping: a trace ID (minted or
 // taken from a well-formed X-Trace-Id header), request-scoped structured
-// logs, the in-flight table behind /v1/debug/inflight, and the server.*
-// metrics.
+// logs, the in-flight table behind /v1/debug, and the server.* metrics.
 func (s *Server) track(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		traceID := sanitizeTraceID(r.Header.Get("X-Trace-Id"))
@@ -373,16 +324,10 @@ func (s *Server) track(next http.Handler) http.Handler {
 			s.rec.Counter("server.errors").Inc()
 		}
 		s.rec.Histogram("server.request_ns").Observe(int64(d))
-		isAnalyze := r.URL.Path == "/v1/analyze"
-		if isAnalyze {
-			// The latency objective covers the work endpoint only; scrapes
-			// and probes are not what clients wait on.
-			s.slo.observe(d)
-		}
 		// /v1/metrics and health probes would drown the request log; keep
 		// Info for the endpoints that do work.
 		lvl := slog.LevelInfo
-		if !isAnalyze {
+		if r.URL.Path != "/v1/analyze" {
 			lvl = slog.LevelDebug
 		}
 		log.Log(r.Context(), lvl, "request done", "status", sw.status, "dur", d.String())

@@ -11,7 +11,8 @@ import (
 
 // TestV1Aliases is the route-table test: every registered pattern answers
 // 200, and every spelling the table dropped (the unversioned aliases, the
-// third health spellings, /debug/session) answers 404.
+// third health spellings, /debug/session, a path per debug section) answers
+// 404.
 func TestV1Aliases(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	status := func(method, path string) int {
@@ -29,18 +30,17 @@ func TestV1Aliases(t *testing.T) {
 		return resp.StatusCode
 	}
 
-	// A first analysis, so /v1/debug/* have a session to describe.
+	// A first analysis, so /v1/debug has a session to describe.
 	postAnalyze(t, ts.URL, AnalyzeRequest{Units: unitsToJSON(exampleUnits(t))})
 
 	debug := []string{"tenants", "inflight", "store", "timeseries", "costs", "slo"}
-	served := []string{"/v1/health", "/v1/ready", "/v1/metrics"}
+	served := []string{"/v1/health", "/v1/ready", "/v1/metrics", "/v1/debug"}
 	dropped := []string{
 		"/healthz", "/readyz", "/metrics", "/v1/healthz", "/v1/readyz",
 		"/debug/session", "/v1/debug/session",
 	}
 	for _, d := range debug {
-		served = append(served, "/v1/debug/"+d)
-		dropped = append(dropped, "/debug/"+d)
+		dropped = append(dropped, "/v1/debug/"+d, "/debug/"+d)
 	}
 	for _, path := range served {
 		if got := status("GET", path); got != http.StatusOK {
@@ -60,7 +60,7 @@ func TestV1Aliases(t *testing.T) {
 // TestServeStoreWarmRestart drives the persistent store through the HTTP
 // surface: a second server process on the same store directory answers its
 // first request from warm-loaded artifacts, with identical reports, and
-// /v1/debug/store reports its occupancy.
+// /v1/debug's store section reports its occupancy.
 func TestServeStoreWarmRestart(t *testing.T) {
 	units := unitsToJSON(exampleUnits(t))
 	dir := t.TempDir()
@@ -96,20 +96,12 @@ func TestServeStoreWarmRestart(t *testing.T) {
 		t.Fatalf("restarted server reports differ:\n%s\n%s", sb, fb)
 	}
 
-	resp, err := http.Get(ts2.URL + "/v1/debug/store")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var d storeDebug
-	if err := json.NewDecoder(resp.Body).Decode(&d); err != nil {
-		t.Fatal(err)
-	}
+	d := getDebug(t, ts2.URL).Store
 	if !d.Persistent {
-		t.Fatal("/v1/debug/store reports no persistent store")
+		t.Fatal("/v1/debug reports no persistent store")
 	}
 	if d.Stats.Records == 0 || d.Stats.DiskBytes == 0 {
-		t.Fatalf("/v1/debug/store reports an empty store: %+v", d.Stats)
+		t.Fatalf("/v1/debug reports an empty store: %+v", d.Stats)
 	}
 	if d.ArtifactStoreHits != second.Stats.ArtifactStoreHits {
 		t.Fatalf("debug store hits %d != response stats %d", d.ArtifactStoreHits, second.Stats.ArtifactStoreHits)

@@ -26,7 +26,6 @@ import (
 	"repro/internal/minic"
 	"repro/internal/obs"
 	"repro/internal/store"
-	"repro/internal/tenant"
 )
 
 // exampleUnits loads the repository's example programs — the same corpus
@@ -85,6 +84,39 @@ func postAnalyze(t *testing.T, url string, req AnalyzeRequest) (*AnalyzeResponse
 		t.Fatal(err)
 	}
 	return &ar, resp
+}
+
+// getDebug fetches the /v1/debug document.
+func getDebug(t *testing.T, url string) debugDoc {
+	t.Helper()
+	resp, err := http.Get(url + "/v1/debug")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/debug: %s", resp.Status)
+	}
+	var d debugDoc
+	if err := json.NewDecoder(resp.Body).Decode(&d); err != nil {
+		t.Fatalf("GET /v1/debug: decode: %v", err)
+	}
+	return d
+}
+
+// getMetrics scrapes /v1/metrics.
+func getMetrics(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Get(url + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
 
 func unitsToJSON(units []minic.NamedSource) []UnitJSON {
@@ -148,7 +180,7 @@ func TestServeMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestMetricsScrapeDuringAnalyze runs concurrent /metrics, /debug/*, and
+// TestMetricsScrapeDuringAnalyze runs concurrent /v1/metrics, /v1/debug and
 // probe scrapes while /analyze requests are in flight — the -race exercise
 // for the lock-consistent snapshot path.
 func TestMetricsScrapeDuringAnalyze(t *testing.T) {
@@ -183,10 +215,9 @@ func TestMetricsScrapeDuringAnalyze(t *testing.T) {
 			_ = body
 		}
 	}
-	wg.Add(4)
+	wg.Add(3)
 	go scrape("/v1/metrics", "text/plain")
-	go scrape("/v1/debug/tenants", "application/json")
-	go scrape("/v1/debug/inflight", "application/json")
+	go scrape("/v1/debug", "application/json")
 	go scrape("/v1/health", "text/plain")
 
 	req := AnalyzeRequest{Units: unitsToJSON(units)}
@@ -232,22 +263,14 @@ func TestMetricsScrapeDuringAnalyze(t *testing.T) {
 	}
 }
 
-// TestDebugSessionOccupancy pins the default tenant's /v1/debug/tenants row
-// against the session's real stores.
+// TestDebugSessionOccupancy pins the default tenant's row in /v1/debug's
+// tenants section against the session's real stores.
 func TestDebugSessionOccupancy(t *testing.T) {
 	units := exampleUnits(t)
 	_, ts := newTestServer(t, Config{})
 	postAnalyze(t, ts.URL, AnalyzeRequest{Units: unitsToJSON(units)})
 
-	resp, err := http.Get(ts.URL + "/v1/debug/tenants")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var snap tenant.Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
+	snap := getDebug(t, ts.URL).Tenants
 	if len(snap.Tenants) != 1 || snap.Tenants[0].Project != store.DefaultProject {
 		t.Fatalf("tenants = %+v, want the default tenant's row only", snap.Tenants)
 	}
@@ -461,4 +484,59 @@ func TestGracefulShutdown(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("server did not shut down")
 	}
+}
+
+// TestSanitizeTraceID covers the header boundary: well-formed IDs echo
+// back, hostile ones are replaced with a freshly minted hex ID.
+func TestSanitizeTraceID(t *testing.T) {
+	cases := []struct {
+		in   string
+		keep bool
+	}{
+		{"abc-123-DEF", true},
+		{strings.Repeat("a", 64), true},
+		{"", false},
+		{strings.Repeat("a", 65), false},
+		{"has space", false},
+		{"semi;colon", false},
+		{"new\nline", false},
+		{"under_score", false},
+	}
+	for _, c := range cases {
+		got := sanitizeTraceID(c.in)
+		if c.keep && got != c.in {
+			t.Errorf("sanitizeTraceID(%q) = %q, want kept", c.in, got)
+		}
+		if !c.keep && got != "" {
+			t.Errorf("sanitizeTraceID(%q) = %q, want rejected", c.in, got)
+		}
+	}
+
+	_, ts := newTestServer(t, Config{})
+	check := func(header, wantEcho string) {
+		t.Helper()
+		req, _ := http.NewRequest("GET", ts.URL+"/v1/health", nil)
+		if header != "" {
+			req.Header.Set("X-Trace-Id", header)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		got := resp.Header.Get("X-Trace-Id")
+		if wantEcho != "" {
+			if got != wantEcho {
+				t.Errorf("X-Trace-Id echo = %q, want %q", got, wantEcho)
+			}
+			return
+		}
+		// A minted replacement: 16 hex characters, not the hostile input.
+		if len(got) != 16 || got == header {
+			t.Errorf("minted trace ID = %q, want fresh 16-hex", got)
+		}
+	}
+	check("good-id-42", "good-id-42")
+	check("bad id; DROP TABLE", "")
+	check(strings.Repeat("x", 200), "")
 }

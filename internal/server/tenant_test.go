@@ -3,13 +3,14 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/store"
-	"repro/internal/tenant"
 )
 
 // TestTenantIsolation: two projects posting different programs get
@@ -91,24 +92,15 @@ func TestInvalidProjectRejected(t *testing.T) {
 	}
 }
 
-// TestDebugTenants: /v1/debug/tenants lists every resident project with
-// its occupancy.
+// TestDebugTenants: /v1/debug's tenants section lists every resident project
+// with its occupancy.
 func TestDebugTenants(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	units := unitsJSON(t)
 	postAnalyze(t, ts.URL, AnalyzeRequest{Units: units})
 	postAnalyze(t, ts.URL, AnalyzeRequest{Project: "alpha", Units: units[:1]})
 
-	resp, err := http.Get(ts.URL + "/v1/debug/tenants")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap tenant.Snapshot
-	err = json.NewDecoder(resp.Body).Decode(&snap)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := getDebug(t, ts.URL).Tenants
 	if snap.Resident != 2 || len(snap.Tenants) != 2 {
 		t.Fatalf("resident = %d/%d rows, want 2", snap.Resident, len(snap.Tenants))
 	}
@@ -143,16 +135,7 @@ func TestEvictionThroughHTTP(t *testing.T) {
 	first, _ := postAnalyze(t, ts.URL, AnalyzeRequest{Project: "alpha", Units: units})
 	postAnalyze(t, ts.URL, AnalyzeRequest{Project: "beta", Units: units[:1]})
 
-	var snap tenant.Snapshot
-	resp, err := http.Get(ts.URL + "/v1/debug/tenants")
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = json.NewDecoder(resp.Body).Decode(&snap)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := getDebug(t, ts.URL).Tenants
 	if snap.Resident != 1 || snap.Evictions == 0 {
 		t.Fatalf("snapshot after over-cap admissions: %+v", snap)
 	}
@@ -184,16 +167,7 @@ func TestTenantMetricsOnScrape(t *testing.T) {
 	postAnalyze(t, ts.URL, AnalyzeRequest{Units: units[:1]})
 	postAnalyze(t, ts.URL, AnalyzeRequest{Project: "alpha", Units: units[:1]})
 
-	resp, err := http.Get(ts.URL + "/v1/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := string(b)
+	body := getMetrics(t, ts.URL)
 	for _, want := range []string{
 		`pinpoint_server_phase_ns_count{phase="build",tenant="default"} `,
 		`pinpoint_server_phase_ns_count{phase="build",tenant="alpha"} `,
@@ -204,5 +178,50 @@ func TestTenantMetricsOnScrape(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q", want)
 		}
+	}
+}
+
+// TestPerProjectStateBounded: what the process holds per project is bounded
+// by the resident set, not by the projects it has ever seen. Once the
+// resident set is full and has evicted once, admitting more projects leaves
+// the registry with the same number of series, none of them an evicted
+// project's, and the manager with MaxTenants sessions.
+func TestPerProjectStateBounded(t *testing.T) {
+	const maxResident = 2
+	rec := obs.New()
+	s, ts := newTestServer(t, Config{Rec: rec, MaxTenants: maxResident, TenantIdle: -1})
+	units := unitsJSON(t)[:1]
+
+	project := func(i int) string { return fmt.Sprintf("proj-%d", i) }
+	var steady int
+	for i := 0; i < 4*maxResident; i++ {
+		postAnalyze(t, ts.URL, AnalyzeRequest{Project: project(i), Units: units})
+		if i == maxResident {
+			// The default tenant and the first project have been evicted:
+			// every series a full house with evictions needs exists.
+			steady = len(rec.Registry().Names())
+		}
+	}
+
+	names := rec.Registry().Names()
+	if len(names) != steady {
+		t.Errorf("%d series after %d projects, %d when the resident set first filled", len(names), 4*maxResident, steady)
+	}
+	resident := map[string]bool{project(4*maxResident - 1): true, project(4*maxResident - 2): true}
+	for _, name := range names {
+		_, labels := obs.SplitLabels(name)
+		if i := strings.Index(labels, `tenant="`); i >= 0 {
+			p, _, _ := strings.Cut(labels[i+len(`tenant="`):], `"`)
+			if !resident[p] {
+				t.Errorf("series %s outlives its tenant", name)
+			}
+		}
+	}
+	if got := s.tenants.Resident(); got != maxResident {
+		t.Errorf("%d resident sessions, want %d", got, maxResident)
+	}
+	// The default tenant and all but the last maxResident projects.
+	if got, want := rec.Counter("tenant.evictions").Value(), int64(3*maxResident+1); got != want {
+		t.Errorf("tenant.evictions = %d, want %d", got, want)
 	}
 }

@@ -70,16 +70,7 @@ func TestMetricsPhaseFamilies(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	postAnalyze(t, ts.URL, AnalyzeRequest{Units: unitsJSON(t)})
 
-	resp, err := http.Get(ts.URL + "/v1/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := string(b)
+	body := getMetrics(t, ts.URL)
 
 	if n := strings.Count(body, "# TYPE pinpoint_server_phase_ns summary"); n != 1 {
 		t.Errorf("TYPE pinpoint_server_phase_ns emitted %d times", n)
@@ -232,5 +223,86 @@ func TestEncodePhase(t *testing.T) {
 	}
 	if !strings.Contains(logs.String(), `"encode_ns":`) {
 		t.Errorf("no encode_ns on the analyze log line:\n%s", logs.String())
+	}
+}
+
+// TestPhaseSumsMatchTiming: what a scraper bills a tenant from /v1/metrics is
+// what the tenant's clients were told. After a few requests over two
+// projects, the _sum and _count of server.phase_ns{phase,tenant} equal the
+// sums of the responses' timing, and neither project absorbs the other's.
+func TestPhaseSumsMatchTiming(t *testing.T) {
+	rec := obs.New()
+	_, ts := newTestServer(t, Config{Rec: rec})
+	units := unitsJSON(t)
+
+	type sums struct{ build, detect, smt, n int64 }
+	want := map[string]*sums{"alpha": {}, "beta": {}}
+	for i := 0; i < 3; i++ {
+		for p, w := range want {
+			ar, _ := postAnalyze(t, ts.URL, AnalyzeRequest{Project: p, Units: units[:1+i%2]})
+			w.build += ar.Timing.BuildNs
+			w.detect += ar.Timing.DetectNs
+			w.smt += ar.Timing.SMTNs
+			w.n++
+		}
+	}
+
+	snap := rec.Snapshot()
+	body := getMetrics(t, ts.URL)
+	for p, w := range want {
+		for _, ph := range []struct {
+			phase string
+			sum   int64
+		}{{"build", w.build}, {"detect", w.detect}, {"smt", w.smt}} {
+			name := obs.Labeled("server.phase_ns", "phase", ph.phase, "tenant", p)
+			if h := snap.Histograms[name]; h.Sum != ph.sum || h.Count != w.n {
+				t.Errorf("%s: sum %d over %d requests, the responses say %d over %d", name, h.Sum, h.Count, ph.sum, w.n)
+			}
+			for _, line := range []string{
+				fmt.Sprintf("pinpoint_server_phase_ns_sum{phase=%q,tenant=%q} %d\n", ph.phase, p, ph.sum),
+				fmt.Sprintf("pinpoint_server_phase_ns_count{phase=%q,tenant=%q} %d\n", ph.phase, p, w.n),
+			} {
+				if !strings.Contains(body, line) {
+					t.Errorf("/v1/metrics lacks %q", line)
+				}
+			}
+		}
+	}
+}
+
+// TestMetricsHasProcessSeries: a server with no option set exports the
+// runtime's health, read at the scrape, and a GC cycle is observed by the
+// one scrape that follows it.
+func TestMetricsHasProcessSeries(t *testing.T) {
+	rec := obs.New()
+	_, ts := newTestServer(t, Config{Rec: rec})
+	runtime.GC()
+	body := getMetrics(t, ts.URL)
+	for _, want := range []string{
+		"# TYPE pinpoint_process_goroutines gauge",
+		"# TYPE pinpoint_process_heap_bytes gauge",
+		"# TYPE pinpoint_process_gc_pause_ns summary",
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("/v1/metrics lacks %q", want)
+		}
+	}
+	if rec.Gauge("process.goroutines").Value() <= 0 || rec.Gauge("process.heap_bytes").Value() <= 0 {
+		t.Error("process gauges not positive after a scrape")
+	}
+
+	// Every completed cycle is one observation, however many scrapes see it.
+	var before, after runtime.MemStats
+	pauses := rec.Histogram("process.gc_pause_ns")
+	runtime.ReadMemStats(&before)
+	seen := pauses.Count()
+	runtime.GC()
+	for i := 0; i < 3; i++ {
+		getMetrics(t, ts.URL)
+	}
+	runtime.ReadMemStats(&after)
+	got, cycles := pauses.Count()-seen, int64(after.NumGC-before.NumGC)
+	if got < 1 || got > cycles {
+		t.Errorf("three scrapes after a forced GC observed %d pauses; the runtime completed %d cycles", got, cycles)
 	}
 }

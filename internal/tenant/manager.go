@@ -87,8 +87,6 @@ type Manager struct {
 
 	mu        sync.Mutex
 	tenants   map[string]*Tenant
-	evicted   map[string]bool  // projects evicted at least once
-	costs     map[string]*Cost // per-project ledgers; entries survive eviction
 	evictions int64
 }
 
@@ -113,7 +111,11 @@ type Tenant struct {
 	// it).
 	lock *conc.Gate
 	sess *core.Session
-	cost *Cost
+
+	// histNames and hists are the tenant's series in Config.Obs (see
+	// Handle.Histograms), guarded by lock.
+	histNames []string
+	hists     []*obs.Histogram
 
 	requests atomic.Int64
 }
@@ -126,8 +128,6 @@ func NewManager(cfg Config) *Manager {
 		cfg:     cfg,
 		now:     time.Now,
 		tenants: make(map[string]*Tenant),
-		evicted: make(map[string]bool),
-		costs:   make(map[string]*Cost),
 	}
 	m.mu.Lock()
 	m.newTenantLocked(store.DefaultProject)
@@ -174,6 +174,23 @@ func (h *Handle) Session() *core.Session { return h.t.sess }
 
 // Project is the held tenant's canonical project ID.
 func (h *Handle) Project() string { return h.t.project }
+
+// Histograms returns the held tenant's own series in Config.Obs: the
+// histograms names(project) lists, in that order. They are resolved on the
+// tenant's first call and dropped from the registry when it is evicted, so
+// the registry holds per-project series for the resident set only. Call it
+// before Release; the histograms stay safe to observe afterwards.
+func (h *Handle) Histograms(names func(project string) []string) []*obs.Histogram {
+	t := h.t
+	if t.hists == nil {
+		t.histNames = names(t.project)
+		t.hists = make([]*obs.Histogram, len(t.histNames))
+		for i, name := range t.histNames {
+			t.hists[i] = h.m.cfg.Obs.Histogram(name)
+		}
+	}
+	return t.hists
+}
 
 // Release unlocks the tenant and returns its gate slot.
 func (h *Handle) Release() {
@@ -239,35 +256,20 @@ func (m *Manager) release(t *Tenant) {
 
 // newTenantLocked creates and registers a tenant. Caller holds m.mu.
 func (m *Manager) newTenantLocked(project string) *Tenant {
-	cost := m.costLocked(project)
 	opts := m.cfg.Build
 	opts.Store = store.Namespaced(opts.Store, project)
-	if opts.Store != nil {
-		// Meter the tenant's writes at the store boundary, inside the
-		// namespace rewrite, so logical namespaces ("artifact", ...) are
-		// still visible to the meter.
-		opts.Store = &costStore{Store: opts.Store, cost: cost}
-	}
 	t := &Tenant{
 		project:  project,
 		lock:     conc.NewGate(1),
 		sess:     core.NewSession(opts),
-		cost:     cost,
 		lastUsed: m.now(),
 	}
 	if m.cfg.MaxInFlight != 0 {
 		t.gate = conc.NewGate(m.cfg.MaxInFlight)
 	}
 	m.tenants[project] = t
-	if rec := m.cfg.Obs; rec != nil {
-		rec.Counter("tenant.created").Inc()
-		if m.evicted[project] {
-			// A re-admission: with a persistent store the session's first
-			// Update warm-loads this project's namespaced artifacts.
-			rec.Counter("tenant.readmissions").Inc()
-		}
-		rec.Gauge("tenant.resident").Set(int64(len(m.tenants)))
-	}
+	m.cfg.Obs.Counter("tenant.created").Inc()
+	m.cfg.Obs.Gauge("tenant.resident").Set(int64(len(m.tenants)))
 	return t
 }
 
@@ -328,17 +330,17 @@ func (m *Manager) lruIdleLocked() *Tenant {
 // holds m.mu; the victim's active count is zero, so taking its lock waits
 // at most for a debug reader.
 func (m *Manager) evictLocked(t *Tenant) {
+	rec := m.cfg.Obs
 	t.lock.Enter(context.Background())
 	t.sess.Persist()
+	for _, name := range t.histNames {
+		rec.Registry().DropHistogram(name)
+	}
 	t.lock.Leave()
 	delete(m.tenants, t.project)
-	m.evicted[t.project] = true
 	m.evictions++
-	if rec := m.cfg.Obs; rec != nil {
-		rec.Counter("tenant.evictions").Inc()
-		rec.Counter(obs.Labeled("tenant.evicted", "tenant", t.project)).Inc()
-		rec.Gauge("tenant.resident").Set(int64(len(m.tenants)))
-	}
+	rec.Counter("tenant.evictions").Inc()
+	rec.Gauge("tenant.resident").Set(int64(len(m.tenants)))
 }
 
 // sweepIdleLocked evicts every tenant idle past the TTL. Caller holds
@@ -435,12 +437,9 @@ type Info struct {
 	// IdleNs is the age relative to the snapshot time.
 	LastUsedUnixNano int64 `json:"lastUsedUnixNano"`
 	IdleNs           int64 `json:"idleNs"`
-	// Cost is the tenant's cumulative resource ledger (Share is left 0
-	// here; the ranked view with shares is GET /v1/debug/costs).
-	Cost *CostSnapshot `json:"cost,omitempty"`
 }
 
-// Snapshot is the manager-wide view behind GET /v1/debug/tenants.
+// Snapshot is the manager-wide view: the tenants section of GET /v1/debug.
 type Snapshot struct {
 	// MaxResident is the normalized resident cap; IdleTTLNs the
 	// normalized idle-eviction age (0 = disabled).
@@ -475,14 +474,11 @@ func (m *Manager) Snapshot() Snapshot {
 
 	for _, t := range pinned {
 		t.lock.Enter(context.Background())
-		cost := t.cost.snapshot(t.project)
-		cost.Resident = true
 		info := Info{
 			Project:   t.project,
 			Units:     t.sess.UnitCount(),
 			Artifacts: t.sess.ArtifactCount(),
 			Requests:  t.requests.Load(),
-			Cost:      &cost,
 		}
 		st := t.sess.ArtifactStats()
 		info.LastUpdate.Hits, info.LastUpdate.Misses, info.LastUpdate.Invalidated =

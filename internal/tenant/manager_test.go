@@ -194,14 +194,15 @@ func TestLRUEvictionOrder(t *testing.T) {
 	ha.Release()
 	hb.Release()
 
-	// Re-admitting default counts as a readmission.
+	// Re-admitting default is an admission like any other: it evicts the
+	// LRU of the two, and the manager remembers nothing of the first stay.
 	h, err = m.Acquire(context.Background(), "default")
 	if err != nil {
 		t.Fatal(err)
 	}
 	h.Release()
-	if got := rec.Counter("tenant.readmissions").Value(); got != 1 {
-		t.Fatalf("tenant.readmissions = %d, want 1", got)
+	if created, evicted := rec.Counter("tenant.created").Value(), rec.Counter("tenant.evictions").Value(); created != 4 || evicted != 2 {
+		t.Fatalf("tenant.created = %d, tenant.evictions = %d, want 4 and 2", created, evicted)
 	}
 	if got := rec.Gauge("tenant.resident").Value(); got != 2 {
 		t.Fatalf("tenant.resident gauge = %d, want 2", got)
@@ -499,5 +500,35 @@ func TestEvictUnderLoadRace(t *testing.T) {
 	}
 	if m.Resident() > 3 {
 		t.Errorf("Resident() = %d exceeds cap 3", m.Resident())
+	}
+}
+
+// TestHistogramsFollowResidency: a tenant's series are the ones its Handle
+// was asked for, once, and leave the registry with the tenant; one observed
+// into afterwards does not come back.
+func TestHistogramsFollowResidency(t *testing.T) {
+	rec := obs.New()
+	m := tenant.NewManager(tenant.Config{MaxResident: 1, IdleTTL: -1, Obs: rec})
+	names := func(project string) []string {
+		return []string{obs.Labeled("t.a_ns", "tenant", project), obs.Labeled("t.b_ns", "tenant", project)}
+	}
+	h, err := m.Acquire(context.Background(), "alpha") // evicts default
+	if err != nil {
+		t.Fatal(err)
+	}
+	hists := h.Histograms(names)
+	if len(hists) != 2 || hists[1] != rec.Histogram(`t.b_ns{tenant="alpha"}`) || h.Histograms(nil)[0] != hists[0] {
+		t.Fatalf("Handle.Histograms() = %v, want alpha's two registered series, resolved once", hists)
+	}
+	h.Release()
+	if h, err = m.Acquire(context.Background(), "beta"); err != nil { // evicts alpha
+		t.Fatal(err)
+	}
+	h.Histograms(names)
+	h.Release()
+	hists[0].Observe(1)
+	want := []string{"t.a_ns{tenant=\"beta\"}", "t.b_ns{tenant=\"beta\"}", "tenant.created", "tenant.evictions", "tenant.resident"}
+	if got := rec.Registry().Names(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("registry holds %v, want %v", got, want)
 	}
 }
