@@ -186,7 +186,8 @@ func runBatch() {
 		for _, cs := range res.Checkers {
 			fmt.Fprintf(os.Stderr, "pinpoint: %s\n", cs)
 		}
-		fmt.Fprintf(os.Stderr, "pinpoint: detection: %d workers, %s wall\n", res.Workers, res.Wall)
+		fmt.Fprintf(os.Stderr, "pinpoint: detection: %d workers, %s wall; %d tasks walked %d expansions and issued %d SMT queries\n",
+			res.Workers, res.Wall, res.TasksRun+res.TasksReplayed, res.ExpansionsWalked, res.QueriesIssued)
 	}
 	if o.trace != "" {
 		if err := writeFileWith(o.trace, rec.WriteTrace); err != nil {
@@ -259,6 +260,10 @@ type statsDump struct {
 		SummaryMisses  int     `json:"summary_cache_misses"`
 		SummaryHitRate float64 `json:"summary_cache_hit_rate"`
 		SummaryCapHits int     `json:"summary_cap_hits"`
+		// ExpansionsWalked and QueriesIssued count once what the checkers of
+		// a group each count as their own (see detect.Results).
+		ExpansionsWalked int `json:"expansions_walked"`
+		QueriesIssued    int `json:"queries_issued"`
 	} `json:"detect"`
 	// SMT aggregates the feasibility queries across checkers. The latency
 	// percentiles cover only queries the DPLL(T) solver actually answered;
@@ -313,6 +318,8 @@ func buildStatsDump(a *core.Analysis, res detect.Results, rec *obs.Recorder) *st
 	d.Detect.Reports = len(res.Reports)
 	d.Detect.Tasks = res.TasksRun + res.TasksReplayed
 	d.Detect.TasksReplayed = res.TasksReplayed
+	d.Detect.ExpansionsWalked = res.ExpansionsWalked
+	d.Detect.QueriesIssued = res.QueriesIssued
 	d.Detect.SummaryHits = res.SummaryHits
 	d.Detect.SummaryMisses = res.SummaryMisses
 	if n := res.SummaryHits + res.SummaryMisses; n > 0 {

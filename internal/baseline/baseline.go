@@ -147,23 +147,21 @@ func RunSVF(m *ir.Module, opts SVFOptions) *SVFResult {
 // Infer: within one compilation unit, compositional, without path
 // conditions or ordering discipline.
 func RunInferLike(a *core.Analysis, spec *checkers.Spec) ([]detect.Report, detect.Stats) {
-	eng := detect.NewEngine(a.Prog, spec, detect.Options{
+	return a.Check(spec, detect.Options{
 		SameUnitOnly:           true,
 		DisablePathSensitivity: true,
 		IgnoreOrdering:         true,
 		MaxCallDepth:           6,
 	})
-	return eng.Run()
 }
 
 // RunCSALike checks use-after-free the way the paper characterizes the
 // Clang Static Analyzer: per-unit symbolic exploration with ordering but
 // without full path correlation (no SMT; shallow inlining).
 func RunCSALike(a *core.Analysis, spec *checkers.Spec) ([]detect.Report, detect.Stats) {
-	eng := detect.NewEngine(a.Prog, spec, detect.Options{
+	return a.Check(spec, detect.Options{
 		SameUnitOnly:           true,
 		DisablePathSensitivity: true,
 		MaxCallDepth:           3,
 	})
-	return eng.Run()
 }

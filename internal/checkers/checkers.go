@@ -14,6 +14,7 @@ package checkers
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
 	"sort"
 	"strings"
@@ -64,7 +65,8 @@ type Spec struct {
 	LocalSources func(g *seg.Graph) []Source
 	// IsSink reports whether a use vertex consumes the dangerous value.
 	// The source's originating instruction is provided so checkers can
-	// exclude it (a free is not its own sink).
+	// exclude it (a free is not its own sink). A spec that sinks at call
+	// arguments names the callees in SinkCalls (see SharesWalk).
 	IsSink func(g *seg.Graph, n *seg.Node, sourceAt *ir.Instr) bool
 	// OrderingRequired demands the sink execute after the source (UAF
 	// semantics); taint flows are ordered by data dependence already.
@@ -107,10 +109,20 @@ func (s *Spec) WithSanitizers(names ...string) *Spec {
 // (their captured name tables are the SourceCalls/SinkCalls fields). Specs
 // are built fresh per request, so detection results memoized across requests
 // are keyed by this string rather than by the *Spec.
-func (s *Spec) Identity() string {
+func (s *Spec) Identity() string { return s.render(true) }
+
+// WalkIdentity renders what SharesWalk compares — Identity without the name
+// and the sinks — so that task lists kept across requests are found again by
+// whichever members a later request groups. A spec that shares its walk with
+// no one keeps its full identity.
+func (s *Spec) WalkIdentity() string { return s.render(!s.leafSinks()) }
+
+func (s *Spec) render(sinks bool) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s|%d|%t|%t|%x|%x", s.Name, s.Kind, s.OrderingRequired, s.WidenToRoots,
-		reflect.ValueOf(s.LocalSources).Pointer(), reflect.ValueOf(s.IsSink).Pointer())
+	if sinks {
+		fmt.Fprintf(&b, "%s|%x|", s.Name, funcPC(s.IsSink))
+	}
+	fmt.Fprintf(&b, "%d|%t|%t|%x", s.Kind, s.OrderingRequired, s.WidenToRoots, funcPC(s.LocalSources))
 	names := func(tag string, m map[string]bool) {
 		keys := make([]string, 0, len(m))
 		for k, on := range m {
@@ -122,16 +134,43 @@ func (s *Spec) Identity() string {
 		fmt.Fprintf(&b, "|%s=%s", tag, strings.Join(keys, ","))
 	}
 	names("src", s.SourceCalls)
-	sinks := make([]string, 0, len(s.SinkCalls))
-	for k, pos := range s.SinkCalls {
-		sinks = append(sinks, fmt.Sprintf("%s:%d", k, pos))
+	if sinks {
+		list := make([]string, 0, len(s.SinkCalls))
+		for k, pos := range s.SinkCalls {
+			list = append(list, fmt.Sprintf("%s:%d", k, pos))
+		}
+		sort.Strings(list)
+		fmt.Fprintf(&b, "|sink=%s", strings.Join(list, ","))
 	}
-	sort.Strings(sinks)
-	fmt.Fprintf(&b, "|sink=%s", strings.Join(sinks, ","))
 	names("prop", s.PropagateCalls)
 	names("san", s.SanitizerCalls)
 	return b.String()
 }
+
+// SharesWalk reports whether the engine's search from a source visits the
+// same vertices in the same order for s and for o, so that one walk can serve
+// both: the same sources, ordering, widening, transfer functions and
+// sanitizers, and sinks that never stop the walk where the other spec would
+// go on (leafSinks). It compares field by field and by function pointer and
+// allocates nothing: the one-shot paths group specs on every call.
+func (s *Spec) SharesWalk(o *Spec) bool {
+	return s.leafSinks() && o.leafSinks() &&
+		funcPC(s.LocalSources) == funcPC(o.LocalSources) &&
+		s.OrderingRequired == o.OrderingRequired && s.WidenToRoots == o.WidenToRoots &&
+		maps.Equal(s.SourceCalls, o.SourceCalls) &&
+		maps.Equal(s.PropagateCalls, o.PropagateCalls) &&
+		maps.Equal(s.SanitizerCalls, o.SanitizerCalls)
+}
+
+// leafSinks reports that no sink of the spec is a call or return argument —
+// the two roles the search continues through when the vertex is not a sink.
+// SinkCalls declares every call-argument sink a spec has, and no spec sinks
+// at a return.
+func (s *Spec) leafSinks() bool { return s.Kind == KindSourceSink && len(s.SinkCalls) == 0 }
+
+// funcPC is the code pointer of a function value: equal for two closures of
+// one function literal, whose captured tables the Spec carries as fields.
+func funcPC(fn any) uintptr { return reflect.ValueOf(fn).Pointer() }
 
 // freeSources extracts free-instruction sources (shared by UAF and
 // double-free).

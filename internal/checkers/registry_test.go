@@ -1,6 +1,11 @@
 package checkers
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/seg"
+)
 
 func TestRegistryAll(t *testing.T) {
 	all := All()
@@ -49,5 +54,62 @@ func TestRegistryByName(t *testing.T) {
 	b, _ := ByName("path-traversal")
 	if b.SanitizerCalls != nil {
 		t.Error("ByName returned a shared spec instance")
+	}
+}
+
+// TestSharesWalk pins the grouping rule over the registry and a few variants:
+// use-after-free and double-free share a walk and nothing else does; sharing
+// agrees with WalkIdentity, which detection keeps task lists under across
+// requests; and a spec that claims leaf sinks accepts no call or return
+// argument, whatever the callee — the one thing the rule takes on trust.
+func TestSharesWalk(t *testing.T) {
+	specs := append(All(), All()...) // every spec beside a fresh copy of itself
+	specs = append(specs, UseAfterFree().WithSanitizers("checked"), PathTraversal().WithSanitizers("checked"))
+	// walk names the class a spec is expected in; "" shares with no one.
+	walk := func(sp *Spec) string {
+		switch {
+		case sp.Name == "use-after-free" || sp.Name == "double-free":
+			return fmt.Sprint("free", len(sp.SanitizerCalls))
+		case sp.Name == "null-deref":
+			return "null"
+		}
+		return ""
+	}
+	for i, a := range specs {
+		for j, b := range specs {
+			if got, want := a.SharesWalk(b), walk(a) != "" && walk(a) == walk(b); got != want {
+				t.Errorf("%s (#%d) shares a walk with %s (#%d): %t, want %t", a.Name, i, b.Name, j, got, want)
+			}
+			if a.SharesWalk(b) && a.WalkIdentity() != b.WalkIdentity() {
+				t.Errorf("%s and %s share a walk under different identities", a.Name, b.Name)
+			}
+			if a.WalkIdentity() == b.WalkIdentity() && a.leafSinks() != b.leafSinks() {
+				t.Errorf("%s and %s: one walk identity, different sink shapes", a.Name, b.Name)
+			}
+		}
+	}
+	gs := buildGraphs(t, `
+int *id(int *x) { return x; }
+void f() {
+	int *p = malloc();
+	free(p);
+	int *q = id(p);
+	open_file(q);
+	send_data(q);
+	free(q);
+}`)
+	for _, sp := range specs {
+		if !sp.leafSinks() {
+			continue
+		}
+		for _, g := range gs {
+			for _, role := range []seg.UseRole{seg.RoleCallArg, seg.RoleRetArg} {
+				for _, n := range g.Uses(role) {
+					if sp.IsSink(g, n, nil) {
+						t.Errorf("%s declares no SinkCalls but sinks at %s", sp.Name, n)
+					}
+				}
+			}
+		}
 	}
 }

@@ -69,6 +69,54 @@ func TestAllocBudget(t *testing.T) {
 	}
 }
 
+// The budget of the search itself, per expansion walked: use-after-free and
+// double-free over the same subject, on a Program whose flow summaries, task
+// plan and frozen graphs an earlier call has built, under a call depth that
+// call did not use — so every task runs and what is allocated is the walk's:
+// frames, joined conditions, the per-task result and its replay record.
+// Measured values plus 15%. When the path was cloned per flow and the
+// two checkers walked every source separately, the same call made 26.0
+// allocations and 2,105 bytes per expansion it walks now.
+const (
+	measuredSearchMallocsPerExpansion = 5.8
+	measuredSearchBytesPerExpansion   = 487.0
+)
+
+func TestSearchAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates shadow state of its own")
+	}
+	gen := workload.Generate(
+		workload.Subject{Name: "alloc-budget", Origin: "synthetic", PaperKLoC: 300, TrueBugs: 6, OpaqueTraps: 4},
+		workload.GenOptions{Scale: 30, Taint: true, Seed: 1})
+	a, err := core.BuildFromSource(gen.Units, core.BuildOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Prog.EnableCachePersistence()
+	specs := func() []*checkers.Spec { return []*checkers.Spec{checkers.UseAfterFree(), checkers.DoubleFree()} }
+	a.CheckAll(specs(), detect.Options{Workers: 1})
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res := a.CheckAll(specs(), detect.Options{Workers: 1, MaxCallDepth: 5})
+	runtime.ReadMemStats(&after)
+	if res.TasksReplayed != 0 || res.SummaryMisses != 0 || res.ExpansionsWalked < 1000 {
+		t.Fatalf("not the search alone: %d tasks replayed, %d summary misses, %d expansions", res.TasksReplayed, res.SummaryMisses, res.ExpansionsWalked)
+	}
+	walked := float64(res.ExpansionsWalked)
+	mallocs := float64(after.Mallocs-before.Mallocs) / walked
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / walked
+	t.Logf("%d expansions: %.1f mallocs and %.0f bytes per expansion (budget %.1f / %.0f)",
+		res.ExpansionsWalked, mallocs, bytes, measuredSearchMallocsPerExpansion*1.15, measuredSearchBytesPerExpansion*1.15)
+	if mallocs > measuredSearchMallocsPerExpansion*1.15 {
+		t.Errorf("%.1f mallocs per expansion, budget %.1f", mallocs, measuredSearchMallocsPerExpansion*1.15)
+	}
+	if bytes > measuredSearchBytesPerExpansion*1.15 {
+		t.Errorf("%.0f bytes allocated per expansion, budget %.0f", bytes, measuredSearchBytesPerExpansion*1.15)
+	}
+}
+
 // The budget of the program at rest, per IR instruction of the same subject:
 // what the heap holds after BuildFromSource and a settled collection, beyond
 // what it held before. This is the number peak RSS follows (the collector's

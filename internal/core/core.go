@@ -169,12 +169,15 @@ func perFunc(rec *obs.Recorder, w int, stage, fn string) func() {
 
 var noopEnd = func() {}
 
-// Check runs one checker over the analysis sequentially. CheckAll is the
-// preferred entry point; Check remains for baselines and ablations that
-// want the single-engine code path.
+// Check runs one checker over the analysis: CheckAll with that one spec on
+// one worker, returning its reports — in CheckAll's sorted order — and its
+// stats.
 func (a *Analysis) Check(spec *checkers.Spec, opts detect.Options) ([]detect.Report, detect.Stats) {
-	eng := detect.NewEngine(a.Prog, spec, opts)
-	return eng.Run()
+	opts.Workers = 1
+	res := a.CheckAll([]*checkers.Spec{spec}, opts)
+	st := res.Checkers[0].Stats
+	st.SummaryCapHits = res.SummaryCapHits
+	return res.Reports, st
 }
 
 // CheckAll runs every given checker over the analysis on the parallel

@@ -37,11 +37,11 @@ type caches struct {
 	// callee names resolve, and which are externals); the carry-over keeps
 	// the token exactly when the module's Layout did not change.
 	names *nameSet
-	// specs numbers the checkers task lists are kept for; a checker's number
-	// is its index in every fnCache.specs. Entries of fn are shared with the
-	// caches of the Programs before and after this one in a session, and so
-	// is the numbering.
-	specs *specNumbers
+	// walks numbers the walks task lists are kept for (a walk's number is its
+	// index in every fnCache.tasks) and specs the checkers whose results the
+	// tasks record. Entries of fn are shared with the caches of the Programs
+	// before and after this one in a session, and so are the numberings.
+	walks, specs *specNumbers
 	// plan is the canonical task order prepare last assembled, planFor the
 	// checkers (numbered by specs) it was assembled for, and unplanned the
 	// functions that replaced others since and whose tasks it still lacks.
@@ -59,11 +59,21 @@ type fnCache struct {
 	rev   revEntry
 
 	// The one-time passes prepare has run on the function.
-	frozen, reach, warm bool
-	// specs holds the function's task list — and with it the recorded
-	// outcome of each task — per checker, indexed by caches.specs number (nil
-	// where the checker's tasks have not been extracted yet).
-	specs [][]task
+	frozen, reach bool
+	// params holds what the may-free fixpoint reads of the local flows of each
+	// parameter (by ParamIdx); nil until paramFacts enumerated them.
+	params []paramFacts
+	// tasks holds the function's task list — and with it the recorded
+	// outcome of each task — per walk, indexed by caches.walks number (nil
+	// where the walk's sources have not been extracted yet).
+	tasks [][]task
+}
+
+// paramFacts is where one parameter's local flows end, as far as freeing it
+// goes: at a free, or else at these call arguments (in flow order).
+type paramFacts struct {
+	frees  bool
+	passed []*seg.Node
 }
 
 type flowTable struct {
@@ -118,9 +128,9 @@ func newCachesFrom(prog, prev *Program) *caches {
 		names: new(nameSet),
 	}
 	if prev != nil {
-		c.specs = prev.sticky.specs
+		c.walks, c.specs = prev.sticky.walks, prev.sticky.specs
 	} else {
-		c.specs = new(specNumbers)
+		c.walks, c.specs = new(specNumbers), new(specNumbers)
 	}
 	for _, f := range prog.Module.Funcs {
 		switch {
@@ -134,9 +144,10 @@ func newCachesFrom(prog, prev *Program) *caches {
 	return c
 }
 
-// specNumbers numbers checkers by what they do (checkers.Spec.Identity):
-// specs are built fresh per request, so results kept across requests cannot
-// be keyed by the *Spec. A handful at most, searched linearly.
+// specNumbers numbers checkers by what they do (checkers.Spec.Identity, or
+// WalkIdentity for the walks): specs are built fresh per request, so results
+// kept across requests cannot be keyed by the *Spec. A handful at most,
+// searched linearly.
 type specNumbers struct{ ids []string }
 
 func (sn *specNumbers) of(id string) int {
@@ -148,17 +159,17 @@ func (sn *specNumbers) of(id string) int {
 	return k
 }
 
-// tasksFor returns the function's task list for checker number k of n,
+// tasksFor returns the function's task list for walk number k of n — sp's —
 // extracting it on first request. A list is never resized, so pointers into
 // it stay valid.
 func (fc *fnCache) tasksFor(k, n int, sp *checkers.Spec, f *ir.Func, g *seg.Graph) []task {
-	if len(fc.specs) < n {
-		fc.specs = append(fc.specs, make([][]task, n-len(fc.specs))...)
+	if len(fc.tasks) < n {
+		fc.tasks = append(fc.tasks, make([][]task, n-len(fc.tasks))...)
 	}
-	if fc.specs[k] == nil {
-		fc.specs[k] = localTasks(sp, f, g) // never nil
+	if fc.tasks[k] == nil {
+		fc.tasks[k] = localTasks(sp, f, g) // never nil
 	}
-	return fc.specs[k]
+	return fc.tasks[k]
 }
 
 // flowCounts tallies one caller's lookups in the shared flow cache. Every
@@ -189,6 +200,31 @@ func (c *caches) flowsFrom(g *seg.Graph, from *seg.Node, n *flowCounts) []summar
 	n.misses += ft.t.Misses - misses
 	n.capHits += ft.t.CapHits - capHits
 	return flows
+}
+
+// paramFacts enumerates (once per function object) the local flows of f's
+// parameters, counting the lookups into n, and returns where they end.
+func (c *caches) paramFacts(f *ir.Func, g *seg.Graph, n *flowCounts) []paramFacts {
+	fc := c.fn[f.ID]
+	if fc.params == nil {
+		facts := make([]paramFacts, len(f.Params))
+		for _, p := range f.Params {
+			pf := &facts[p.ParamIdx()]
+			for _, fl := range c.flowsFrom(g, g.ValueNode(p), n) {
+				switch term := fl.Terminal(); term.Role {
+				case seg.RoleFreeArg:
+					pf.frees = true
+				case seg.RoleCallArg:
+					pf.passed = append(pf.passed, term)
+				}
+			}
+			if pf.frees {
+				pf.passed = nil
+			}
+		}
+		fc.params = facts
+	}
+	return fc.params
 }
 
 // apparentlyUnsat runs the linear contradiction filter of fn's solver.

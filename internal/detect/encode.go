@@ -14,8 +14,9 @@ import (
 	"repro/internal/smt"
 )
 
-// checkCandidate builds and solves the SMT query for a candidate path —
-// the realization of Equations 1–3 of the paper:
+// checkCandidate builds and solves the SMT query for the candidate path the
+// engine stands at the end of (e.path) — the realization of Equations 1–3 of
+// the paper:
 //
 //   - CD(v@s) for every step's statement (control dependence);
 //   - v(i-1) = v(i) for equality-preserving flow steps;
@@ -26,8 +27,13 @@ import (
 //
 // All variables are renamed per context instance, which is exactly the
 // cloning-based context sensitivity of §3.3.1(2).
-func (e *Engine) checkCandidate(c *candidate) smt.Result {
+//
+// It returns the verdict, the witness of a Sat one, the number of terms
+// asserted and the step that answered, and counts the query into stats (and,
+// under the checker's name, into the recorder).
+func (e *Engine) checkCandidate(checker string, stats *Stats) (smt.Result, []string, int, VerdictSource) {
 	start := time.Now()
+	c := &e.path
 
 	s := e.querySolver()
 	enc := newEncoder(e.prog, s.TB, e.opts.SMTBudget)
@@ -113,16 +119,12 @@ func (e *Engine) checkCandidate(c *candidate) smt.Result {
 		enc.assertCond(st.inst, fn, g.CD(st.node.Instr))
 	}
 
-	res, model, src := enc.decide(s, e.opts, e.spec.Name, e.tid, start, &e.stats)
-	if e.opts.Witness {
-		e.lastCondTerms = len(enc.terms)
-		e.lastVerdictSource = src
-	}
-
+	res, model, src := enc.decide(s, e.opts, checker, e.tid, start, stats)
+	var witness []string
 	if res == smt.Sat {
-		e.lastWitness = extractWitness(model, enc)
+		witness = extractWitness(model, enc)
 	}
-	return res
+	return res, witness, len(enc.terms), src
 }
 
 // decide answers the encoded query in the paper's two steps (§3.1.1): the

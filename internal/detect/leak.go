@@ -1,11 +1,9 @@
 package detect
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/ir"
-	"repro/internal/minic"
 	"repro/internal/pta"
 	"repro/internal/seg"
 	"repro/internal/smt"
@@ -45,45 +43,21 @@ func (k LeakKind) String() string {
 	return "conditionally-freed"
 }
 
-// LeakReport is one leaked allocation.
-type LeakReport struct {
-	Fn    string
-	Pos   minic.Pos
-	Alloc *ir.Instr
-	Kind  LeakKind
-	// Witness is a branch assignment avoiding every reachable free
-	// (LeakConditional only).
-	Witness []string
-	// Provenance, captured only when Options.Witness is on, records the
-	// allocation-to-free hops considered, the query size, and the verdict
-	// source (VerdictStructural for never-freed allocations).
-	Provenance *Provenance
-}
-
-func (r LeakReport) String() string {
-	return fmt.Sprintf("[memory-leak] allocation at %s (%s) is %s", r.Pos, r.Fn, r.Kind)
-}
-
-type leakChecker struct {
-	prog   *Program
-	opts   Options
-	caches *caches
-}
-
-// newLeakChecker builds the checker and brings the may-free-parameter
-// relation (caches.frees) up to date, counting the flow lookups that takes
-// into n. The relation is read-only afterwards, so the checker can serve
-// concurrent per-allocation queries (checkAlloc) against shared caches.
-func newLeakChecker(prog *Program, opts Options, c *caches, n *flowCounts) *leakChecker {
-	lc := &leakChecker{prog: prog, opts: opts, caches: c}
-	lc.computeFreesParam(n)
-	return lc
+// leakReport starts the report of a leaked allocation: the uniform Report
+// shape with Kind set and no sink.
+func leakReport(checker string, f *ir.Func, alloc *ir.Instr, kind LeakKind) *Report {
+	return &Report{
+		Checker: checker, Kind: kind.String(), SourceFn: f.Name, SourcePos: alloc.Position(),
+		Source: alloc, Verdict: smt.Sat,
+	}
 }
 
 // computeFreesParam builds the transitive may-free-parameter relation of
-// the stale functions by iterating over them to a fixpoint (the call graph
-// is small relative to the SEGs; a global loop converges in few rounds). On
-// fresh caches every function is stale and this is the whole-program least
+// the stale functions: a worklist over what prepare recorded of each
+// parameter's local flows (caches.paramFacts) — whether one ends at a free,
+// and the call arguments the others end at. A function's vector is recomputed
+// when the vector of one of its callees grew, until none does. On fresh
+// caches every function is stale and this is the whole-program least
 // fixpoint. After a carry-over the stale set is closed under callers, so
 // every other function reaches only functions whose entries were carried
 // with it: its value is final, and the least fixpoint over the stale set
@@ -94,65 +68,74 @@ func newLeakChecker(prog *Program, opts Options, c *caches, n *flowCounts) *leak
 // edit gives it a caller. Entry points tend to be the largest fan-outs of a
 // program; enumerating their parameters' flows for an answer no one can ask
 // for is the bulk of what this pass used to allocate on them.
-func (lc *leakChecker) computeFreesParam(n *flowCounts) {
-	c := lc.caches
+//
+// It counts the flow lookups it still has to make into n, and leaves the
+// relation read-only for the concurrent per-allocation queries (checkAlloc).
+func computeFreesParam(prog *Program, c *caches, n *flowCounts) {
 	var work, uncalled []*ir.Func
 	for _, f := range c.stale {
-		if len(lc.prog.Callers(f)) == 0 {
+		if len(prog.Callers(f)) == 0 {
 			uncalled = append(uncalled, f)
 			continue
 		}
 		c.frees[f.ID] = make([]bool, len(f.Params))
-		if lc.prog.SEG(f) != nil {
+		if prog.SEG(f) != nil {
 			work = append(work, f)
 		}
 	}
-	for changed := len(work) > 0; changed; {
-		changed = false
-		for _, f := range work {
-			g := lc.prog.SEG(f)
-			for _, p := range f.Params {
-				if c.frees[f.ID][p.ParamIdx()] {
-					continue
-				}
-				if lc.paramMayFree(g, p, n) {
-					c.frees[f.ID][p.ParamIdx()] = true
-					changed = true
-				}
+	c.stale = uncalled
+	if len(work) == 0 {
+		return
+	}
+	// By Func.ID: whether the function is one of work's, and already waiting.
+	const idle, queued = 1, 2
+	state := make([]uint8, len(c.frees))
+	for _, f := range work {
+		state[f.ID] = queued
+	}
+	for i := 0; i < len(work); i++ {
+		f := work[i]
+		state[f.ID] = idle
+		grew := false
+		for pi, pf := range c.paramFacts(f, prog.SEG(f), n) {
+			if !c.frees[f.ID][pi] && (pf.frees || c.passedToFree(prog.Module, pf.passed)) {
+				c.frees[f.ID][pi], grew = true, true
+			}
+		}
+		if !grew {
+			continue
+		}
+		for _, cs := range prog.Callers(f) {
+			if state[cs.Fn.ID] == idle {
+				state[cs.Fn.ID] = queued
+				work = append(work, cs.Fn)
 			}
 		}
 	}
-	c.stale = uncalled
 }
 
 // mayFree reads the relation; an argument beyond the callee's parameter
 // list (a call with too many arguments) is freed by no one.
-func (lc *leakChecker) mayFree(callee *ir.Func, argIdx int) bool {
-	fr := lc.caches.frees[callee.ID]
+func (c *caches) mayFree(callee *ir.Func, argIdx int) bool {
+	fr := c.frees[callee.ID]
 	return argIdx < len(fr) && fr[argIdx]
 }
 
-func (lc *leakChecker) paramMayFree(g *seg.Graph, p *ir.Value, n *flowCounts) bool {
-	for _, fl := range lc.caches.flowsFrom(g, g.ValueNode(p), n) {
-		term := fl.Terminal()
-		switch term.Role {
-		case seg.RoleFreeArg:
+// passedToFree reports whether one of the call arguments reaches a defined
+// callee that may free it.
+func (c *caches) passedToFree(m *ir.Module, args []*seg.Node) bool {
+	for _, arg := range args {
+		if callee := m.Lookup(arg.Instr.Callee()); callee != nil && c.mayFree(callee, int(arg.ArgIdx)) {
 			return true
-		case seg.RoleCallArg:
-			if callee := lc.prog.Module.Lookup(term.Instr.Callee()); callee != nil && lc.mayFree(callee, int(term.ArgIdx)) {
-				return true
-			}
 		}
 	}
 	return false
 }
 
-// checkAlloc analyzes one allocation, counting it (and whether it escapes,
-// and any SMT query it needs) into stats, its flow lookups into n, and the
-// may-free vectors it consults into fp (nil = not recording); it returns a
-// report or nil. tid is the trace track of the calling worker (its SMT query
-// span lands there when the run is being traced).
-func (lc *leakChecker) checkAlloc(f *ir.Func, g *seg.Graph, alloc *ir.Instr, stats *Stats, n *flowCounts, fp *footprint, tid int) *LeakReport {
+// checkAlloc analyzes one allocation for the named checker, counting it (and
+// whether it escapes, and any SMT query it needs) into stats and the may-free
+// vectors it consults into the footprint; it returns a report or nil.
+func (e *Engine) checkAlloc(checker string, f *ir.Func, g *seg.Graph, alloc *ir.Instr, stats *Stats) *Report {
 	stats.Sources++
 	type reachedFree struct {
 		flow summary.Flow
@@ -160,20 +143,20 @@ func (lc *leakChecker) checkAlloc(f *ir.Func, g *seg.Graph, alloc *ir.Instr, sta
 	var frees []reachedFree
 	escaped := false
 
-	for _, fl := range lc.caches.flowsFrom(g, g.ValueNode(alloc.Dst), n) {
+	for _, fl := range e.caches.flowsFrom(g, g.ValueNode(alloc.Dst), &e.flows) {
 		term := fl.Terminal()
 		switch term.Role {
 		case seg.RoleFreeArg:
 			frees = append(frees, reachedFree{flow: fl})
 		case seg.RoleCallArg:
-			callee := lc.prog.Module.Lookup(term.Instr.Callee())
+			callee := e.prog.Module.Lookup(term.Instr.Callee())
 			if callee == nil {
 				// Passed to an external: assume it takes ownership.
 				escaped = true
 				continue
 			}
-			fp.readMayFree(callee.Name, lc.caches.frees[callee.ID])
-			if lc.mayFree(callee, int(term.ArgIdx)) {
+			e.fp.readMayFree(callee.Name, e.caches.frees[callee.ID])
+			if e.caches.mayFree(callee, int(term.ArgIdx)) {
 				// A callee may free it; treat like a reached free with
 				// the call's conditions.
 				frees = append(frees, reachedFree{flow: fl})
@@ -199,10 +182,8 @@ func (lc *leakChecker) checkAlloc(f *ir.Func, g *seg.Graph, alloc *ir.Instr, sta
 		return nil
 	}
 	if len(frees) == 0 {
-		rep := &LeakReport{
-			Fn: f.Name, Pos: alloc.Position(), Alloc: alloc, Kind: LeakNeverFreed,
-		}
-		if lc.opts.Witness {
+		rep := leakReport(checker, f, alloc, LeakNeverFreed)
+		if e.opts.Witness {
 			rep.Provenance = &Provenance{
 				Hops:          []Hop{allocHop(f, alloc)},
 				VerdictSource: VerdictStructural,
@@ -216,7 +197,7 @@ func (lc *leakChecker) checkAlloc(f *ir.Func, g *seg.Graph, alloc *ir.Instr, sta
 	start := time.Now()
 	s := smt.GetSolver()
 	defer smt.PutSolver(s)
-	enc := newEncoder(lc.prog, s.TB, lc.opts.SMTBudget)
+	enc := newEncoder(e.prog, s.TB, e.opts.SMTBudget)
 	enc.instFn[0] = f
 	// The allocation executes...
 	enc.assertCond(0, f, g.CD(alloc))
@@ -226,15 +207,13 @@ func (lc *leakChecker) checkAlloc(f *ir.Func, g *seg.Graph, alloc *ir.Instr, sta
 		t := enc.condTerm(0, f, c)
 		enc.add(enc.tb.Not(t))
 	}
-	res, model, src := enc.decide(s, lc.opts, "memory-leak", tid, start, stats)
+	res, model, src := enc.decide(s, e.opts, checker, e.tid, start, stats)
 	if res != smt.Sat {
 		return nil
 	}
-	rep := &LeakReport{
-		Fn: f.Name, Pos: alloc.Position(), Alloc: alloc, Kind: LeakConditional,
-		Witness: extractWitness(model, enc),
-	}
-	if lc.opts.Witness {
+	rep := leakReport(checker, f, alloc, LeakConditional)
+	rep.Witness = extractWitness(model, enc)
+	if e.opts.Witness {
 		// The "path" of a leak is the set of flows whose frees the model
 		// avoids: the allocation first, then each reached free terminal in
 		// the deterministic flow-enumeration order.

@@ -86,28 +86,27 @@ func TestCheckAllRepeatable(t *testing.T) {
 	}
 }
 
-// TestCheckAllMatchesSingleEngine pins the scheduler to the legacy
-// sequential engine: for each source–sink checker, CheckAll's reports and
-// stats must equal Analysis.Check modulo the canonical sort.
+// TestCheckAllMatchesSingleEngine holds the scheduler at every core against
+// itself at one worker, checker by checker: Analysis.Check is a one-spec
+// CheckAll on one worker, and its reports and stats must equal the parallel
+// run's.
 func TestCheckAllMatchesSingleEngine(t *testing.T) {
 	a := buildWorkloadSubject(t)
 	for _, sp := range checkers.All() {
 		res := a.CheckAll([]*checkers.Spec{sp}, detect.Options{Workers: -1})
-		legacy, legacyStats := a.Check(sp, detect.Options{})
-		detect.SortReports(legacy)
-		if !reflect.DeepEqual(legacy, res.Reports) {
-			t.Errorf("%s: CheckAll reports != sequential engine reports\nengine: %v\nsched:  %v",
-				sp.Name, legacy, res.Reports)
+		one, oneStats := a.Check(sp, detect.Options{})
+		if !reflect.DeepEqual(one, res.Reports) {
+			t.Errorf("%s: reports at one worker != at every core\none: %v\nall: %v",
+				sp.Name, one, res.Reports)
 		}
 		st := res.Checkers[0].Stats
 		st.SMTTime = 0
-		legacyStats.SMTTime = 0
-		// The single engine reads cap hits from its private cache; the
-		// scheduler reports them at the Results level.
-		st.SummaryCapHits = legacyStats.SummaryCapHits
-		if st != legacyStats {
-			t.Errorf("%s: CheckAll stats != sequential engine stats\nengine: %+v\nsched:  %+v",
-				sp.Name, legacyStats, st)
+		oneStats.SMTTime = 0
+		// Check folds the call's cap hits into the checker's stats.
+		st.SummaryCapHits = res.SummaryCapHits
+		if st != oneStats {
+			t.Errorf("%s: stats at one worker != at every core\none: %+v\nall: %+v",
+				sp.Name, oneStats, st)
 		}
 	}
 }

@@ -53,9 +53,10 @@ type Program struct {
 
 	// sticky, when non-nil, holds detection caches that persist across
 	// CheckAll calls on this Program (and, via NewProgramFrom, across
-	// incremental rebuilds). Plain NewProgram leaves it nil, so each
-	// CheckAll starts cold — the historical behavior that scaling
-	// measurements rely on.
+	// incremental rebuilds): the calls share flow summaries and replay
+	// recorded task results. Plain NewProgram leaves it nil: every CheckAll
+	// builds its own caches and drops them, which is what a one-shot run —
+	// the CLI, a Juliet case, a scaling measurement — wants.
 	sticky *caches
 }
 
@@ -105,7 +106,7 @@ func (p *Program) ReplayTableSize() int {
 		if fc == nil {
 			continue
 		}
-		for _, ts := range fc.specs {
+		for _, ts := range fc.tasks {
 			for i := range ts {
 				if ts[i].memo != nil {
 					n++
@@ -146,7 +147,7 @@ func NewProgramFrom(prev *Program, m *ir.Module, infos []*ssa.Info, segs []*seg.
 		p.sticky = newCachesFrom(p, prev)
 		return p
 	}
-	c := &caches{names: old.names, specs: old.specs, planFor: old.planFor, plan: old.plan}
+	c := &caches{names: old.names, walks: old.walks, specs: old.specs, planFor: old.planFor, plan: old.plan}
 	p.sticky = c
 	if len(fresh) == 0 {
 		p.callers, c.fn, c.frees, c.stale, c.unplanned = prev.callers, old.fn, old.frees, old.stale, old.unplanned
@@ -438,16 +439,4 @@ type boundary struct {
 type gstep struct {
 	inst int
 	node *seg.Node
-}
-
-// candidate is a complete source→sink path awaiting feasibility checking.
-type candidate struct {
-	steps     []gstep
-	bounds    []boundary
-	conds     []instCond // by instance number; fn == nil = none
-	sink      *seg.Node
-	sinkInst  int
-	sourceAt  *ir.Instr
-	sourceFn  *ir.Func
-	instances int
 }

@@ -7,7 +7,8 @@ import (
 	"repro/internal/seg"
 )
 
-// Incremental detection. A task's outcome is a function of its checker, the
+// Incremental detection. A task's outcome — one result per checker of the
+// group that walked its source — is a function of those checkers, the
 // result-affecting options, and the few pieces of the program its search
 // actually read. On a Program with sticky caches every executed task records
 // those pieces — its footprint — next to its result, in the task's slot of
@@ -101,14 +102,21 @@ type replayEntry struct {
 }
 
 // holds reports whether replaying the entry in prog under the options key
-// yields what running the task would: every
-// function it entered is still the same object, every caller list it
-// enumerated still names the same call sites in the same order, the may-free
-// vectors it consulted are unchanged, and callee names resolve as they did.
+// yields what running the task for the group would: it recorded a result for
+// every member (the walk of a larger group reads no less than that of a
+// smaller one), every function it entered is still the same object, every
+// caller list it enumerated still names the same call sites in the same
+// order, the may-free vectors it consulted are unchanged, and callee names
+// resolve as they did.
 // The may-free relation must be current when the entry consulted it.
-func (e *replayEntry) holds(prog *Program, c *caches, key *Options) bool {
+func (e *replayEntry) holds(prog *Program, c *caches, key *Options, members *group, ids []int) bool {
 	if (e.opts != key && *e.opts != *key) || e.names != c.names {
 		return false
+	}
+	for _, si := range members.at {
+		if e.result.member(ids[si]) == nil {
+			return false
+		}
 	}
 	// The names token vouches for the Layout, so every ID below is in range.
 	for _, g := range e.fp.entered {

@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"repro/internal/minic"
-	"repro/internal/smt"
 )
 
 // JSONReport is the machine-readable report schema shared by cmd/pinpoint's
@@ -46,20 +45,6 @@ func (r Report) ToJSON() JSONReport {
 		j.Contexts = r.Contexts
 	}
 	return j
-}
-
-// leakToReport lifts a LeakReport into the uniform Report shape.
-func leakToReport(checker string, lr LeakReport) Report {
-	return Report{
-		Checker:    checker,
-		Kind:       lr.Kind.String(),
-		SourceFn:   lr.Fn,
-		SourcePos:  lr.Pos,
-		Source:     lr.Alloc,
-		Verdict:    smt.Sat,
-		Witness:    lr.Witness,
-		Provenance: lr.Provenance,
-	}
 }
 
 // SortReports orders reports by (checker, source position, sink position) —

@@ -3,6 +3,7 @@ package detect
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/checkers"
@@ -16,11 +17,13 @@ import (
 // This file implements the parallel detection scheduler. The paper's
 // detection phase (§3.3) is embarrassingly parallel across demand sources:
 // each source→sink search composes immutable per-function SEGs and
-// memoized local summaries, so independent (checker, source) pairs never
-// need to observe each other. CheckAll enumerates every pair up front,
-// dispatches them to a bounded worker pool, and merges the per-task results
-// in task order, which makes the output bit-for-bit identical to a
-// sequential run:
+// memoized local summaries, so independent sources never need to observe
+// each other — and the search is the checker's only at its sinks, so the
+// specs that share a walk (checkers.Spec.SharesWalk) form a group and one
+// task per (group, source) serves them all. CheckAll enumerates every pair up
+// front, dispatches them to a bounded worker pool, and merges the per-task
+// results in task order, which makes the output bit-for-bit identical at
+// every worker count and to running each checker alone:
 //
 //   - prepare() freezes the shared program state (control-dependence
 //     conditions, SEG value vertices, block reachability) so workers only
@@ -28,11 +31,14 @@ import (
 //     reverse indexes, the per-function condition builders) is lock-guarded
 //     and memoizes pure functions of the frozen program, so cache contents
 //     never depend on scheduling;
-//   - each task runs a fresh Engine whose per-source instance counter
-//     starts at zero, so SMT variable names, assertion order, and hence
-//     witnesses are per-task deterministic;
-//   - per-task stats are merged in task order and reports are sorted by
-//     (checker, source position, sink position) at the end.
+//   - each task starts its worker's Engine over — the per-source instance
+//     counter at zero, the path empty — so SMT variable names, assertion
+//     order, and hence witnesses are per-task deterministic;
+//   - a member of a group counts and reports what its own search would
+//     have: it leaves the walk where its own per-source caps would have
+//     stopped it, while the others go on;
+//   - per-task stats are merged per checker in task order and reports are
+//     sorted by (checker, source position, sink position) at the end.
 
 // CheckerStats pairs a checker name with its aggregated effort counters.
 type CheckerStats struct {
@@ -71,11 +77,20 @@ type Results struct {
 	// position, sink position).
 	Reports []Report
 	// Checkers aggregates per-checker stats, parallel to the specs given
-	// to CheckAll. SummaryCapHits is zero here — the summary cache is
-	// shared across checkers; see SummaryCapHits below. A replayed task
-	// contributes the effort counters of the run that recorded it but no
-	// SMTTime, which therefore measures solving done by this call.
+	// to CheckAll: each checker's counters are those of running it alone,
+	// whatever it shared with the others of its group (the time of a shared
+	// query goes to the member that asked first). SummaryCapHits is zero
+	// here — the summary cache is shared across checkers; see
+	// SummaryCapHits below. A replayed task contributes the effort counters
+	// of the run that recorded it but no SMTTime, which therefore measures
+	// solving done by this call.
 	Checkers []CheckerStats
+	// ExpansionsWalked and QueriesIssued count the work behind those
+	// counters once: the expansions the walks made and the SMT queries they
+	// encoded, however many checkers counted each (replayed tasks included,
+	// like the counters).
+	ExpansionsWalked int
+	QueriesIssued    int
 	// SummaryCapHits counts the summary enumerations this call truncated
 	// (deterministic: truncation is a property of each vertex, not of
 	// scheduling).
@@ -89,7 +104,7 @@ type Results struct {
 	// cache (hit rate = Hits / (Hits + Misses)).
 	SummaryHits   int
 	SummaryMisses int
-	// TasksRun and TasksReplayed partition the call's (checker, source)
+	// TasksRun and TasksReplayed partition the call's (group, source)
 	// tasks into those executed and those whose recorded result was
 	// reused (always zero on a Program without persistent caches).
 	TasksRun      int
@@ -99,9 +114,71 @@ type Results struct {
 	WorkerStats []WorkerStat
 }
 
-// task is one unit of detection work: a (checker, source) pair for
-// source–sink checkers, or a (checker, allocation) pair for
-// unreleased-resource checkers. Tasks live in their function's fnCache.
+// group is the specs of one CheckAll call that share a walk.
+type group struct {
+	// specs lists the members in argument order and at their positions among
+	// the call's specs. specs[0] supplies the walk's parameters.
+	specs []*checkers.Spec
+	at    []int
+	// lists is the number of the group's task lists (fnCache.tasks): its
+	// position among the groups, or the walk's number (caches.walks). shared
+	// marks a group whose lists an earlier group of the call schedules
+	// already — a spec given twice, say, whose walk admits no second member
+	// — and which therefore schedules private copies, so that no two
+	// scheduled tasks share a memo slot.
+	lists  int
+	shared bool
+	// The group's tasks are the n of the plan that start at from.
+	from, n int
+}
+
+// maxMembers bounds a group: the search keeps the members a frame serves in
+// one word.
+const maxMembers = 64
+
+// groupSpecs partitions the specs into groups, in order of first appearance,
+// and returns with them, by position of the spec, the group it is in and the
+// id that names its result in a task's record. Throwaway caches number lists
+// and results by position — a thousand tiny programs in the Juliet suite pay
+// for no rendered identity; caches that outlive the call number them by what
+// the specs do (they are built fresh per request).
+func groupSpecs(specs []*checkers.Spec, c *caches, sticky bool) (groups []group, of, ids []int) {
+	groups = make([]group, 0, len(specs))
+	of, ids = make([]int, len(specs)), make([]int, len(specs))
+next:
+	for si, sp := range specs {
+		ids[si] = si
+		if sticky {
+			ids[si] = c.specs.of(sp.Identity())
+		}
+		for gi := range groups {
+			if g := &groups[gi]; len(g.specs) < maxMembers && g.specs[0].SharesWalk(sp) {
+				g.specs, g.at, of[si] = append(g.specs, sp), append(g.at, si), gi
+				continue next
+			}
+		}
+		g := group{specs: []*checkers.Spec{sp}, at: []int{si}, lists: len(groups)}
+		if sticky {
+			g.lists = c.walks.of(sp.WalkIdentity())
+			g.shared = slices.ContainsFunc(groups, func(o group) bool { return o.lists == g.lists })
+		}
+		of[si], groups = len(groups), append(groups, g)
+	}
+	return groups, of, ids
+}
+
+// name renders the group for trace events: its members joined by +.
+func (g *group) name() string {
+	names := make([]string, len(g.specs))
+	for i, sp := range g.specs {
+		names[i] = sp.Name
+	}
+	return strings.Join(names, "+")
+}
+
+// task is one unit of detection work: a source and the group that walks it,
+// or an allocation and an unreleased-resource checker. Tasks live in their
+// function's fnCache.
 type task struct {
 	fn    *ir.Func
 	g     *seg.Graph
@@ -121,15 +198,33 @@ func (t *task) pos() minic.Pos {
 }
 
 // scheduled is a task in one CheckAll's canonical order, tagged with the
-// position of its checker among that call's specs.
+// position of its group among that call's groups.
 type scheduled struct {
-	specIdx int
+	group int
 	*task
 }
 
+// taskResult is what one task produced: a result per member of its group,
+// and the expansions and queries behind them, counted once.
 type taskResult struct {
+	members        []memberResult
+	walked, issued int
+}
+
+type memberResult struct {
+	id      int // groupSpecs' ids
 	reports []Report
 	stats   Stats
+}
+
+// member returns the result recorded under id, or nil.
+func (tr *taskResult) member(id int) *memberResult {
+	for i := range tr.members {
+		if tr.members[i].id == id {
+			return &tr.members[i]
+		}
+	}
+	return nil
 }
 
 // CheckAll runs every given checker over the program on a bounded worker
@@ -151,24 +246,19 @@ func CheckAll(prog *Program, specs []*checkers.Spec, opts Options) Results {
 		k := opts.resultKey()
 		key = &k
 	}
-	var flows flowCounts // lookups outside tasks: prepare and the leak fixpoint
+	var flows flowCounts // lookups outside tasks: prepare's parameter flows
 	prepSp := rec.Phase("detect/prepare")
-	tasks := prepare(prog, specs, c, workers, &flows)
+	groups, of, ids := groupSpecs(specs, c, prog.sticky != nil)
+	tasks := prepare(prog, groups, ids, c, workers, &flows)
+	if slices.ContainsFunc(specs, func(sp *checkers.Spec) bool { return sp.Kind == checkers.KindUnreleased }) {
+		computeFreesParam(prog, c, &flows)
+	}
 	prepSp.End()
 
-	var lc *leakChecker
-	for _, sp := range specs {
-		if sp.Kind == checkers.KindUnreleased {
-			lc = newLeakChecker(prog, opts, c, &flows)
-			break
-		}
-	}
-
 	results := make([]*taskResult, len(tasks))
-	// Per worker, like wstats: the tasks it replayed and the flow lookups
-	// of those it ran.
+	// Per worker, like wstats: its engine and the tasks it replayed.
+	engines := make([]*Engine, workers)
 	replayed := make([]int, workers)
-	looked := make([]flowCounts, workers)
 	var wstats []WorkerStat
 	if rec != nil {
 		wstats = make([]WorkerStat, workers)
@@ -179,18 +269,23 @@ func CheckAll(prog *Program, specs []*checkers.Spec, opts Options) Results {
 	searchSp := rec.Phase("detect/search")
 	_ = conc.ForEach(len(tasks), workers, func(w, i int) error { // tasks cannot fail
 		t := tasks[i]
-		if m := t.memo; m != nil && m.holds(prog, c, key) {
+		g := &groups[t.group]
+		if m := t.memo; m != nil && m.holds(prog, c, key, g, ids) {
 			results[i] = &m.result
 			replayed[w]++
 			return nil
 		}
-		sp := specs[t.specIdx]
+		e := engines[w]
+		if e == nil {
+			e = &Engine{prog: prog, opts: opts, caches: c, tid: w + 1}
+			engines[w] = e
+		}
 		if rec == nil {
-			results[i] = runTask(prog, sp, opts, key, c, lc, t.task, w, &looked[w])
+			results[i] = e.runTask(g, ids, t.task, key)
 			return nil
 		}
 		t0 := time.Now()
-		results[i] = runTask(prog, sp, opts, key, c, lc, t.task, w, &looked[w])
+		results[i] = e.runTask(g, ids, t.task, key)
 		d := time.Since(t0)
 		// wstats[w] is only ever touched by worker w: no lock needed.
 		wstats[w].Tasks++
@@ -205,7 +300,7 @@ func CheckAll(prog *Program, specs []*checkers.Spec, opts Options) Results {
 				// and the report envelope of the analysis service.
 				args = append(args, obs.Arg{Key: "trace_id", Val: opts.TraceID})
 			}
-			rec.Event(w+1, "task:"+sp.Name, t0, d, args...)
+			rec.Event(w+1, "task:"+g.name(), t0, d, args...)
 		}
 		return nil
 	})
@@ -213,33 +308,43 @@ func CheckAll(prog *Program, specs []*checkers.Spec, opts Options) Results {
 
 	mergeSp := rec.Phase("detect/merge")
 	res := Results{Workers: workers, WorkerStats: wstats}
-	for w := range replayed {
+	for w, e := range engines {
 		res.TasksReplayed += replayed[w]
-		flows.add(looked[w])
+		if e != nil {
+			e.releaseSolver()
+			flows.add(e.flows)
+		}
 	}
 	res.TasksRun = len(tasks) - res.TasksReplayed
-	// One pass over the plan, which lists the tasks spec by spec.
 	total := 0
-	for _, tr := range results {
-		total += len(tr.reports)
+	for ti, tr := range results {
+		g := &groups[tasks[ti].group]
+		if g.n == 0 {
+			g.from = ti
+		}
+		g.n++
+		res.ExpansionsWalked += tr.walked
+		res.QueriesIssued += tr.issued
+		for mi := range tr.members {
+			total += len(tr.members[mi].reports)
+		}
 	}
 	if total > 0 {
 		res.Reports = make([]Report, 0, total)
 	}
+	// Per checker, its group's tasks in task order: a report is kept once
+	// per (source, sink), and nothing of the tasks past the report cap counts.
 	res.Checkers = make([]CheckerStats, 0, len(specs))
 	seen := make(map[[2]*ir.Instr]bool)
-	ti := 0
 	for si, sp := range specs {
+		g := &groups[of[si]]
 		merged := Stats{}
 		clear(seen)
-		first, capped := len(res.Reports), false
-		for ; ti < len(tasks) && tasks[ti].specIdx == si; ti++ {
-			if capped {
-				continue
-			}
-			tr := results[ti]
-			addStats(&merged, tr.stats)
-			for _, r := range tr.reports {
+		first := len(res.Reports)
+		for _, tr := range results[g.from : g.from+g.n] {
+			mr := tr.member(ids[si])
+			addStats(&merged, mr.stats)
+			for _, r := range mr.reports {
 				key := [2]*ir.Instr{r.Source, r.Sink}
 				if r.Sink != nil && seen[key] {
 					continue
@@ -247,7 +352,9 @@ func CheckAll(prog *Program, specs []*checkers.Spec, opts Options) Results {
 				seen[key] = true
 				res.Reports = append(res.Reports, r)
 			}
-			capped = opts.MaxReportsPerChecker > 0 && len(res.Reports)-first >= opts.MaxReportsPerChecker
+			if opts.MaxReportsPerChecker > 0 && len(res.Reports)-first >= opts.MaxReportsPerChecker {
+				break
+			}
 		}
 		res.Checkers = append(res.Checkers, CheckerStats{Checker: sp.Name, Stats: merged})
 	}
@@ -276,10 +383,11 @@ func CheckAll(prog *Program, specs []*checkers.Spec, opts Options) Results {
 // tasks. Per function: control-dependence conditions are memoized per block,
 // every value vertex the search can name is pre-created, block reachability
 // is pre-filled (when some checker needs ordering), the local flows of every
-// parameter are enumerated into the shared cache (when an
-// unreleased-resource checker will run its may-free-parameter fixpoint over
-// them — which it does for functions that have callers), and every checker's
-// sources are extracted. Each of these happens once per function object —
+// parameter are enumerated into the shared cache and where they end is noted
+// (when an unreleased-resource checker will run its may-free-parameter
+// fixpoint over those facts — which it does for functions that have callers),
+// and every group's sources are extracted. Each of these happens once per
+// function object —
 // its fnCache remembers which passes ran and keeps the task lists — and the
 // assembled plan is kept with the caches, so on a Program carried over from
 // a previous one (same checkers) only the functions that replaced others are
@@ -288,29 +396,23 @@ func CheckAll(prog *Program, specs []*checkers.Spec, opts Options) Results {
 // function is touched by exactly one goroutine, so the per-function work —
 // including condition-node interning — happens in a deterministic order.
 //
-// The tasks come back in the canonical order — specs in argument order,
-// functions in module order, sources in extraction order — which the merge
-// phase walks to reproduce the sequential engine's dedup and cap semantics
-// exactly.
-//
-// Warming the parameter flows moves their first enumeration here from the
-// leak checker's fixpoint, whose lookups then all hit: Results.SummaryHits
-// rises by one per parameter while SummaryMisses — the number of distinct
-// vertices enumerated — and everything derived from the flows stay the same.
-func prepare(prog *Program, specs []*checkers.Spec, c *caches, workers int, n *flowCounts) []scheduled {
-	// Task lists are kept per checker. Caches that outlive the call number
-	// the checkers by what they do (specs are built fresh per request);
-	// throwaway caches need no more than the spec's position, and the
-	// one-shot paths — a thousand tiny programs in the Juliet suite — skip
-	// rendering the identity.
-	ks := make([]int, len(specs))
-	numbers := len(specs)
-	for si, sp := range specs {
-		if prog.sticky != nil {
-			ks[si] = c.specs.of(sp.Identity())
-			numbers = len(c.specs.ids)
-		} else {
-			ks[si] = si
+// The tasks come back in the canonical order — groups in order of first
+// appearance, functions in module order, sources in extraction order — which
+// the merge phase walks per checker.
+func prepare(prog *Program, groups []group, ks []int, c *caches, workers int, n *flowCounts) []scheduled {
+	// The plan is kept for the checkers it was assembled for (ks), which
+	// decide the groups.
+	lists := len(groups)
+	if prog.sticky != nil {
+		lists = len(c.walks.ids)
+	}
+	needReach, warmParams := false, false
+	for gi := range groups {
+		if groups[gi].specs[0].OrderingRequired {
+			needReach = true
+		}
+		if groups[gi].specs[0].Kind == checkers.KindUnreleased {
+			warmParams = true
 		}
 	}
 	m := prog.Module
@@ -323,26 +425,10 @@ func prepare(prog *Program, specs []*checkers.Spec, c *caches, workers int, n *f
 	} else {
 		c.plan = nil
 	}
-	needReach, warmParams := false, false
-	// dup marks a spec given twice: its tasks are private copies, so that
-	// no two scheduled tasks share a memo slot.
-	dup := make([]bool, len(specs))
-	for si, sp := range specs {
-		if sp.OrderingRequired {
-			needReach = true
-		}
-		if sp.Kind == checkers.KindUnreleased {
-			warmParams = true
-		}
-		dup[si] = slices.Contains(ks[:si], ks[si])
-	}
 	warmed := make([]flowCounts, workers)
-	warm := func(w int, f *ir.Func, g *seg.Graph, fc *fnCache) {
-		if warmParams && !fc.warm && len(prog.callers[f.ID]) > 0 {
-			for _, p := range f.Params {
-				c.flowsFrom(g, g.ValueNode(p), &warmed[w])
-			}
-			fc.warm = true
+	warm := func(w int, f *ir.Func, g *seg.Graph) {
+		if warmParams && len(prog.callers[f.ID]) > 0 {
+			c.paramFacts(f, g, &warmed[w])
 		}
 	}
 	_ = conc.ForEach(len(todo), workers, func(w, i int) error { // nothing here can fail
@@ -361,9 +447,9 @@ func prepare(prog *Program, specs []*checkers.Spec, c *caches, workers int, n *f
 			g.PrecomputeReach()
 			fc.reach = true
 		}
-		warm(w, f, g, fc)
-		for si, sp := range specs {
-			fc.tasksFor(ks[si], numbers, sp, f, g)
+		warm(w, f, g)
+		for gi := range groups {
+			fc.tasksFor(groups[gi].lists, lists, groups[gi].specs[0], f, g)
 		}
 		return nil
 	})
@@ -373,7 +459,7 @@ func prepare(prog *Program, specs []*checkers.Spec, c *caches, workers int, n *f
 		for _, f := range todo {
 			forEachCall(f, func(in *ir.Instr) {
 				if callee := m.Lookup(in.Callee()); callee != nil && prog.segs[callee.ID] != nil {
-					warm(0, callee, prog.segs[callee.ID], c.fn[callee.ID])
+					warm(0, callee, prog.segs[callee.ID])
 				}
 			})
 		}
@@ -382,18 +468,18 @@ func prepare(prog *Program, specs []*checkers.Spec, c *caches, workers int, n *f
 		n.add(w)
 	}
 
-	// tasksOf lists f's tasks for the spec at position si, in plan form.
-	tasksOf := func(plan []scheduled, si int, f *ir.Func) []scheduled {
+	// tasksOf lists f's tasks for the group at position gi, in plan form.
+	tasksOf := func(plan []scheduled, gi int, f *ir.Func) []scheduled {
 		fc := c.fn[f.ID]
 		if fc == nil {
 			return plan
 		}
-		ts := fc.specs[ks[si]]
-		if dup[si] {
+		ts := fc.tasks[groups[gi].lists]
+		if groups[gi].shared {
 			ts = slices.Clone(ts)
 		}
 		for k := range ts {
-			plan = append(plan, scheduled{si, &ts[k]})
+			plan = append(plan, scheduled{gi, &ts[k]})
 		}
 		return plan
 	}
@@ -402,33 +488,33 @@ func prepare(prog *Program, specs []*checkers.Spec, c *caches, workers int, n *f
 		total := 0
 		for _, f := range m.Funcs {
 			if fc := c.fn[f.ID]; fc != nil {
-				for _, k := range ks {
-					total += len(fc.specs[k])
+				for gi := range groups {
+					total += len(fc.tasks[groups[gi].lists])
 				}
 			}
 		}
 		plan = make([]scheduled, 0, total)
-		for si := range specs {
+		for gi := range groups {
 			for _, f := range m.Funcs {
-				plan = tasksOf(plan, si, f)
+				plan = tasksOf(plan, gi, f)
 			}
 		}
 	} else {
 		// Merge: the old plan without the tasks of functions that are gone,
-		// and the new functions' tasks, both in (spec, module position)
+		// and the new functions' tasks, both in (group, module position)
 		// order.
 		fresh := slices.Clone(todo)
 		pos := func(f *ir.Func) int { return m.Layout.Pos(f.ID) }
 		slices.SortFunc(fresh, func(a, b *ir.Func) int { return pos(a) - pos(b) })
 		plan = make([]scheduled, 0, len(c.plan)+len(fresh))
-		si, j := 0, 0 // next to splice in: fresh[j]'s tasks for spec si
-		spliceUpTo := func(specIdx, at int) {
-			for si < len(specs) && (si < specIdx || (si == specIdx && j < len(fresh) && pos(fresh[j]) < at)) {
+		gi, j := 0, 0 // next to splice in: fresh[j]'s tasks for group gi
+		spliceUpTo := func(group, at int) {
+			for gi < len(groups) && (gi < group || (gi == group && j < len(fresh) && pos(fresh[j]) < at)) {
 				if j == len(fresh) {
-					si, j = si+1, 0
+					gi, j = gi+1, 0
 					continue
 				}
-				plan = tasksOf(plan, si, fresh[j])
+				plan = tasksOf(plan, gi, fresh[j])
 				j++
 			}
 		}
@@ -436,17 +522,17 @@ func prepare(prog *Program, specs []*checkers.Spec, c *caches, workers int, n *f
 			if !m.Holds(t.fn) {
 				continue
 			}
-			spliceUpTo(t.specIdx, pos(t.fn))
+			spliceUpTo(t.group, pos(t.fn))
 			plan = append(plan, t)
 		}
-		spliceUpTo(len(specs), 0)
+		spliceUpTo(len(groups), 0)
 	}
 	c.planFor, c.plan, c.unplanned = ks, plan, nil
 	return plan
 }
 
-// localTasks lists one function's (checker, source) pairs for one spec, in
-// extraction order.
+// localTasks lists one function's tasks for the walk of sp — a source each,
+// in extraction order, or an allocation each.
 func localTasks(sp *checkers.Spec, f *ir.Func, g *seg.Graph) []task {
 	tasks := []task{}
 	if sp.Kind == checkers.KindUnreleased {
@@ -465,41 +551,43 @@ func localTasks(sp *checkers.Spec, f *ir.Func, g *seg.Graph) []task {
 	return tasks
 }
 
-// runTask executes one unit of work on worker w with a fresh per-task engine
-// over the shared caches, counting its flow lookups into n, and — when key is
-// set — leaves the result and the footprint it depended on in the task's
-// memo slot.
-func runTask(prog *Program, sp *checkers.Spec, opts Options, key *Options, c *caches, lc *leakChecker, t *task, w int, n *flowCounts) *taskResult {
+// runTask executes one unit of work for group g, starting the engine over,
+// and — when key is set — leaves the result and the footprint it depended on
+// in the task's memo slot.
+func (e *Engine) runTask(g *group, ids []int, t *task, key *Options) *taskResult {
 	var memo *replayEntry
-	var fp *footprint
+	e.fp = nil
 	if key != nil {
-		memo = &replayEntry{opts: key, names: c.names}
-		fp = &memo.fp
+		memo = &replayEntry{opts: key, names: e.caches.names}
+		e.fp = &memo.fp
 	}
-	tr := new(taskResult)
-	if sp.Kind == checkers.KindUnreleased {
-		if rep := lc.checkAlloc(t.fn, t.g, t.alloc, &tr.stats, n, fp, w+1); rep != nil {
-			tr.reports = []Report{leakToReport(sp.Name, *rep)}
+	tr := &taskResult{members: make([]memberResult, len(g.specs))}
+	if sp := g.specs[0]; sp.Kind == checkers.KindUnreleased {
+		mr := &tr.members[0]
+		mr.id = ids[g.at[0]]
+		if rep := e.checkAlloc(sp.Name, t.fn, t.g, t.alloc, &mr.stats); rep != nil {
+			mr.reports = []Report{*rep}
 		}
+		tr.issued = mr.stats.SMTQueries
 	} else {
-		eng := &Engine{
-			prog:     prog,
-			spec:     sp,
-			opts:     opts,
-			caches:   c,
-			reported: make(map[[2]*ir.Instr]bool),
-			tid:      w + 1,
-			fp:       fp,
+		e.lead = sp
+		e.members = e.members[:0]
+		for mi, sp := range g.specs {
+			e.members = append(e.members, member{spec: sp, memberResult: memberResult{id: ids[g.at[mi]], stats: Stats{Sources: 1}}})
 		}
-		eng.stats.Sources = 1
-		eng.searchFromSource(t.fn, t.g, t.src)
-		eng.releaseSolver()
-		n.add(eng.flows)
-		tr.reports, tr.stats = eng.reports, eng.stats
+		e.walked, e.solved = 0, 0
+		e.searchFromSource(t.fn, t.g, t.src)
+		for mi := range e.members {
+			tr.members[mi] = e.members[mi].memberResult
+		}
+		tr.walked, tr.issued = e.walked, e.solved
 	}
 	if memo != nil {
 		memo.result = *tr
-		memo.result.stats.SMTTime = 0
+		memo.result.members = slices.Clone(tr.members)
+		for mi := range memo.result.members {
+			memo.result.members[mi].stats.SMTTime = 0
+		}
 		t.memo = memo
 	}
 	return tr

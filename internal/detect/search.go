@@ -1,6 +1,9 @@
 package detect
 
 import (
+	"cmp"
+	"slices"
+
 	"repro/internal/checkers"
 	"repro/internal/cond"
 	"repro/internal/ir"
@@ -8,56 +11,61 @@ import (
 	"repro/internal/smt"
 )
 
-// Engine runs one checker over a program. One Engine handles either a whole
-// sequential run (NewEngine + Run, with a private cache set) or a single
-// (checker, source) task dispatched by the parallel scheduler (which hands
-// every task engine the same shared caches).
+// Engine searches the sources of one scheduler worker, one task after the
+// other, over the caches all workers share. A task is one source of one group
+// of specs that share a walk (checkers.Spec.SharesWalk): the walk is made
+// once, and each member keeps the reports and the counters its own run would
+// have produced.
 type Engine struct {
 	prog   *Program
-	spec   *checkers.Spec
 	opts   Options
 	caches *caches
 
-	reports  []Report
-	reported map[[2]*ir.Instr]bool
-	stats    Stats
-	// flows counts the engine's lookups in the shared flow cache.
-	flows flowCounts
-	// fp, when non-nil, collects what the search read of the program
-	// beyond its source's own function (see replay.go).
-	fp          *footprint
-	lastWitness []string
-	// lastCondTerms / lastVerdictSource mirror the latest checkCandidate
-	// outcome; read only when opts.Witness captures provenance.
-	lastCondTerms     int
-	lastVerdictSource VerdictSource
-
-	// tid is the trace track this engine's SMT query spans land on (its
-	// scheduler worker + 1, or 1 for a sequential engine).
+	// tid is the trace track the engine's SMT query spans land on (its
+	// scheduler worker + 1).
 	tid int
 
 	// solver is the engine's pooled SMT solver, acquired lazily by the
-	// first candidate check and released by releaseSolver when the engine
+	// first candidate check and released by releaseSolver when the worker
 	// finishes. It is Reset between candidates (a reset solver is
 	// indistinguishable from a fresh one).
 	solver *smt.Solver
 
-	// per-source scratch
-	nextInst   int
-	expansions int
-	candidates int
+	// The task at hand: the group's members, the spec whose walk parameters
+	// they all share, and the source.
+	members []member
+	lead    *checkers.Spec
+	srcAt   *ir.Instr
+	srcFn   *ir.Func
+	// fp, when non-nil, collects what the search read of the program
+	// beyond its source's own function (see replay.go).
+	fp *footprint
+	// flows counts the engine's lookups in the shared flow cache, over all
+	// its tasks; walked and solved the expansions the task made and the
+	// queries it encoded, each once however many members counted them.
+	flows          flowCounts
+	walked, solved int
+	nextInst       int
+	// path is the global path from the source to the vertex being expanded.
+	path pathState
+
+	// Scratch kept from task to task: roots is a stack of objectRoots
+	// results, marks a set of small integers (vertex indexes, instance
+	// numbers) — i is in it iff marks[i] == epoch.
+	roots []*ir.Value
+	marks []uint64
+	epoch uint64
 }
 
-// NewEngine builds an engine for one checker.
-func NewEngine(prog *Program, spec *checkers.Spec, opts Options) *Engine {
-	return &Engine{
-		prog:     prog,
-		spec:     spec,
-		opts:     opts.withDefaults(),
-		caches:   newCaches(prog),
-		reported: make(map[[2]*ir.Instr]bool),
-		tid:      1,
-	}
+// member is one spec of the task's group with what its own search from the
+// source has produced so far.
+type member struct {
+	memberResult
+	spec     *checkers.Spec
+	reported map[[2]*ir.Instr]bool
+	// expansions and candidates are what the per-source caps are held
+	// against.
+	expansions, candidates int
 }
 
 // querySolver returns the engine's solver ready for a candidate query:
@@ -79,57 +87,12 @@ func (e *Engine) releaseSolver() {
 	}
 }
 
-// Run searches every function's sources and returns the reports.
-func (e *Engine) Run() ([]Report, Stats) {
-	defer e.releaseSolver()
-	if e.spec.Kind == checkers.KindUnreleased {
-		return e.runUnreleased()
+// startSet empties the marks set and makes room for the integers below n.
+func (e *Engine) startSet(n int) {
+	if len(e.marks) < n {
+		e.marks = make([]uint64, n)
 	}
-	for _, f := range e.prog.Module.Funcs {
-		g := e.prog.SEG(f)
-		if g == nil {
-			continue
-		}
-		for _, src := range e.spec.LocalSources(g) {
-			e.stats.Sources++
-			e.searchFromSource(f, g, src)
-			if e.opts.MaxReportsPerChecker > 0 && len(e.reports) >= e.opts.MaxReportsPerChecker {
-				e.stats.SummaryCapHits = e.flows.capHits
-				return e.reports, e.stats
-			}
-		}
-	}
-	e.stats.SummaryCapHits = e.flows.capHits
-	return e.reports, e.stats
-}
-
-// runUnreleased runs the unreleased-resource (memory-leak) interpretation of
-// the spec sequentially, presenting the results through the uniform Report
-// shape.
-func (e *Engine) runUnreleased() ([]Report, Stats) {
-	lc := newLeakChecker(e.prog, e.opts, e.caches, &e.flows)
-	for _, f := range e.prog.Module.Funcs {
-		g := e.prog.SEG(f)
-		if g == nil {
-			continue
-		}
-		for _, b := range f.Blocks {
-			for _, in := range b.Instrs {
-				if in.Op != ir.OpMalloc {
-					continue
-				}
-				if rep := lc.checkAlloc(f, g, in, &e.stats, &e.flows, nil, e.tid); rep != nil {
-					e.reports = append(e.reports, leakToReport(e.spec.Name, *rep))
-					if e.opts.MaxReportsPerChecker > 0 && len(e.reports) >= e.opts.MaxReportsPerChecker {
-						e.stats.SummaryCapHits = e.flows.capHits
-						return e.reports, e.stats
-					}
-				}
-			}
-		}
-	}
-	e.stats.SummaryCapHits = e.flows.capHits
-	return e.reports, e.stats
+	e.epoch++
 }
 
 // frame is one function instance on the search path.
@@ -143,8 +106,10 @@ type frame struct {
 	depth   int
 }
 
-// pathState accumulates the global path immutably-enough: explore copies
-// slices before extending so sibling branches do not interfere.
+// pathState is the global path as a stack: a step of the search pushes what
+// it adds, explores, and resets to the mark it took first. Nothing keeps a
+// slice of it beyond that — a candidate is checked before emitCandidate
+// returns and Provenance copies its hops.
 type pathState struct {
 	steps  []gstep
 	bounds []boundary
@@ -154,11 +119,26 @@ type pathState struct {
 	conds []instCond
 }
 
-func (p pathState) clone() pathState {
-	return pathState{
-		steps:  append([]gstep(nil), p.steps...),
-		bounds: append([]boundary(nil), p.bounds...),
-		conds:  append([]instCond(nil), p.conds...),
+// pathMark is what reset needs to undo an extension: the three lengths, and
+// the condition of the one instance the extension may conjoin into in place.
+type pathMark struct {
+	steps, bounds, conds int
+	inst                 int
+	cond                 instCond
+}
+
+func (p *pathState) mark(inst int) pathMark {
+	m := pathMark{steps: len(p.steps), bounds: len(p.bounds), conds: len(p.conds), inst: inst}
+	if inst < m.conds {
+		m.cond = p.conds[inst]
+	}
+	return m
+}
+
+func (p *pathState) reset(m pathMark) {
+	p.steps, p.bounds, p.conds = p.steps[:m.steps], p.bounds[:m.bounds], p.conds[:m.conds]
+	if m.inst < m.conds {
+		p.conds[m.inst] = m.cond
 	}
 }
 
@@ -169,10 +149,11 @@ func (p pathState) clone() pathState {
 // baseline modes genuinely ignore path correlations). With only the linear
 // filter disabled, conditions accumulate — including ones already folded to
 // false — and the SMT solver pays for refuting them.
-func (e *Engine) addCond(p *pathState, inst int, fn *ir.Func, c *cond.Cond) bool {
+func (e *Engine) addCond(inst int, fn *ir.Func, c *cond.Cond) bool {
 	if e.opts.DisablePathSensitivity {
 		return true
 	}
+	p := &e.path
 	for len(p.conds) <= inst {
 		p.conds = append(p.conds, instCond{})
 	}
@@ -192,29 +173,38 @@ func (e *Engine) addCond(p *pathState, inst int, fn *ir.Func, c *cond.Cond) bool
 	return true
 }
 
-// searchFromSource explores all forward flows of one source.
-func (e *Engine) searchFromSource(f *ir.Func, g *seg.Graph, src checkers.Source) {
-	e.nextInst = 0
-	e.expansions = 0
-	e.candidates = 0
-
-	roots := []*ir.Value{src.Val}
-	if e.spec.WidenToRoots {
-		roots = e.objectRoots(g, src.Val)
+// count adds one to a walk counter of every member in live.
+func (e *Engine) count(live uint64, counter func(*Stats) *int) {
+	for i := range e.members {
+		if live>>i&1 != 0 {
+			*counter(&e.members[i].stats)++
+		}
 	}
+}
+
+func linearFiltered(s *Stats) *int    { return &s.LinearFiltered }
+func truncatedSearches(s *Stats) *int { return &s.TruncatedSearches }
+
+// searchFromSource explores all forward flows of one source for the members
+// set up by runTask.
+func (e *Engine) searchFromSource(f *ir.Func, g *seg.Graph, src checkers.Source) {
+	e.srcAt, e.srcFn = src.At, f
+	e.nextInst = 0
 
 	var anchor *ir.Instr
-	if e.spec.OrderingRequired && !e.opts.IgnoreOrdering {
+	if e.lead.OrderingRequired && !e.opts.IgnoreOrdering {
 		anchor = src.At
 	}
-	for _, root := range roots {
+	live := uint64(1)<<len(e.members) - 1
+	for _, root := range e.widen(g, src.Val) {
 		fr := &frame{fn: f, inst: e.newInst(), anchor: anchor, depth: 1}
-		var p pathState
-		if !e.addCond(&p, fr.inst, f, src.Cond) {
+		e.path.reset(pathMark{})
+		if !e.addCond(fr.inst, f, src.Cond) {
 			continue
 		}
-		e.explore(fr, g.ValueNode(root), src.At, f, p)
+		e.explore(fr, g.ValueNode(root), live)
 	}
+	e.roots = e.roots[:0]
 }
 
 func (e *Engine) newInst() int {
@@ -222,70 +212,68 @@ func (e *Engine) newInst() int {
 	return e.nextInst - 1
 }
 
-// objectRoots walks backward from the source value through
-// equality-preserving edges to the defining allocation sites or parameters,
-// so that sibling aliases of the freed object are tracked too.
-func (e *Engine) objectRoots(g *seg.Graph, v *ir.Value) []*ir.Value {
-	rev := e.caches.reverse(g)
-	seen := make([]bool, g.NumNodes()) // by Node.Index
-	// rootsSet stays a map: a handful of values out of the whole function.
-	rootsSet := map[*ir.Value]bool{v: true}
-	var walk func(n *seg.Node)
-	walk = func(n *seg.Node) {
-		if seen[n.Index()] {
-			return
-		}
-		seen[n.Index()] = true
-		if n.Kind != seg.NValue {
-			return
-		}
-		def := n.Val.Def
-		isRoot := def == nil || def.Op == ir.OpMalloc || def.Op == ir.OpAlloc ||
-			def.Op == ir.OpCall || def.Op == ir.OpGlobalAddr
-		if isRoot {
-			rootsSet[n.Val] = true
-			return
-		}
+// widen returns the values the search tracks for v: its object roots when
+// the checker asks for root widening, v itself otherwise. The result sits on
+// top of e.roots; the caller pops it when done.
+func (e *Engine) widen(g *seg.Graph, v *ir.Value) []*ir.Value {
+	base := len(e.roots)
+	e.roots = append(e.roots, v)
+	if e.lead.WidenToRoots {
+		e.startSet(g.NumNodes())
+		e.walkRoots(e.caches.reverse(g), g.ValueNode(v), v)
+		slices.SortFunc(e.roots[base:], func(a, b *ir.Value) int { return cmp.Compare(a.ID, b.ID) })
+	}
+	return e.roots[base:]
+}
+
+// walkRoots walks backward from v's vertex through equality-preserving
+// edges to the defining allocation sites or parameters, so that sibling
+// aliases of the freed object are tracked too, and pushes them on e.roots.
+func (e *Engine) walkRoots(rev *revEntry, n *seg.Node, v *ir.Value) {
+	if e.marks[n.Index()] == e.epoch {
+		return
+	}
+	e.marks[n.Index()] = e.epoch
+	if n.Kind != seg.NValue {
+		return
+	}
+	if def := n.Val.Def; def != nil {
 		// Only walk back through object-preserving defs (field addresses
 		// denote the same object as their base).
 		switch def.Op {
 		case ir.OpCopy, ir.OpPhi, ir.OpLoad, ir.OpFieldAddr:
-			preds := rev.of(n)
-			if len(preds) == 0 {
-				rootsSet[n.Val] = true
+			if preds := rev.of(n); len(preds) > 0 {
+				for _, pn := range preds {
+					e.walkRoots(rev, pn, v)
+				}
 				return
 			}
-			for _, pn := range preds {
-				walk(pn)
-			}
-		default:
-			rootsSet[n.Val] = true
 		}
 	}
-	walk(g.ValueNode(v))
-	roots := make([]*ir.Value, 0, len(rootsSet))
-	for r := range rootsSet {
-		roots = append(roots, r)
+	if n.Val != v {
+		e.roots = append(e.roots, n.Val)
 	}
-	// Deterministic order.
-	for i := 0; i < len(roots); i++ {
-		for j := i + 1; j < len(roots); j++ {
-			if roots[j].ID < roots[i].ID {
-				roots[i], roots[j] = roots[j], roots[i]
-			}
-		}
-	}
-	return roots
 }
 
-// explore expands all local flows from a vertex within a frame.
-func (e *Engine) explore(fr *frame, node *seg.Node, sourceAt *ir.Instr, sourceFn *ir.Func, p pathState) {
-	if e.expansions >= e.opts.MaxExpansions || e.candidates >= e.opts.MaxCandidates {
-		e.stats.TruncatedSearches++
+// explore expands all local flows from a vertex within a frame, for the
+// members in live: those whose own search would have reached this call.
+func (e *Engine) explore(fr *frame, node *seg.Node, live uint64) {
+	for i := range e.members {
+		m := &e.members[i]
+		switch {
+		case live>>i&1 == 0:
+		case m.expansions >= e.opts.MaxExpansions || m.candidates >= e.opts.MaxCandidates:
+			m.stats.TruncatedSearches++
+			live &^= 1 << i
+		default:
+			m.expansions++
+			m.stats.Expansions++
+		}
+	}
+	if live == 0 {
 		return
 	}
-	e.expansions++
-	e.stats.Expansions++
+	e.walked++
 	g := e.prog.SEG(fr.fn)
 
 	// Ascent via parameter: the tracked value entered through fr.fn's
@@ -293,7 +281,7 @@ func (e *Engine) explore(fr *frame, node *seg.Node, sourceAt *ir.Instr, sourceFn
 	// after any call (only from the outermost frame — descent frames
 	// return through their call site instead).
 	if node.Kind == seg.NValue && node.Val.Kind == ir.VParam && fr.retTo == nil {
-		e.ascendViaParam(fr, node, sourceAt, sourceFn, p)
+		e.ascendViaParam(fr, node, live)
 	}
 
 	for _, flow := range e.caches.flowsFrom(g, node, &e.flows) {
@@ -306,25 +294,31 @@ func (e *Engine) explore(fr *frame, node *seg.Node, sourceAt *ir.Instr, sourceFn
 		if fr.anchor != nil && term.Instr != nil && !g.HappensAfter(fr.anchor, term.Instr) {
 			continue
 		}
-		np := p.clone()
-		if !e.addCond(&np, fr.inst, fr.fn, flow.Cond(g)) {
-			e.stats.LinearFiltered++
+		mark := e.path.mark(fr.inst)
+		if !e.addCond(fr.inst, fr.fn, flow.Cond(g)) {
+			e.count(live, linearFiltered)
+			e.path.reset(mark)
 			continue
 		}
 		for _, s := range flow.Steps {
-			np.steps = append(np.steps, gstep{inst: fr.inst, node: s.Node})
+			e.path.steps = append(e.path.steps, gstep{inst: fr.inst, node: s.Node})
 		}
 
-		if e.spec.IsSink(g, term, sourceAt) {
-			e.emitCandidate(fr, term, sourceAt, sourceFn, np)
-			continue
+		var sinks uint64
+		for i := range e.members {
+			if live>>i&1 != 0 && e.members[i].spec.IsSink(g, term, e.srcAt) {
+				sinks |= 1 << i
+			}
 		}
-		switch term.Role {
-		case seg.RoleCallArg:
-			e.throughCall(fr, term, sourceAt, sourceFn, np)
-		case seg.RoleRetArg:
-			e.throughReturn(fr, term, sourceAt, sourceFn, np)
+		switch {
+		case sinks != 0:
+			e.emitCandidate(fr, term, sinks)
+		case term.Role == seg.RoleCallArg:
+			e.throughCall(fr, term, live)
+		case term.Role == seg.RoleRetArg:
+			e.throughReturn(fr, term, live)
 		}
+		e.path.reset(mark)
 	}
 }
 
@@ -332,13 +326,13 @@ func (e *Engine) explore(fr *frame, node *seg.Node, sourceAt *ir.Instr, sourceFn
 // call boundary (not just the tracked one): the callee's path conditions may
 // reference any of its parameters, and leaving them free loses refutations
 // (a guard passed in as an argument, for example).
-func (e *Engine) bindCallParams(np *pathState, callerInst int, calleeInst int, call *ir.Instr, callee *ir.Func) {
+func (e *Engine) bindCallParams(callerInst int, calleeInst int, call *ir.Instr, callee *ir.Func) {
 	n := len(call.Args)
 	if len(callee.Params) < n {
 		n = len(callee.Params)
 	}
 	for i := 0; i < n; i++ {
-		np.bounds = append(np.bounds, boundary{
+		e.path.bounds = append(e.path.bounds, boundary{
 			instA: callerInst, valA: call.Args[i],
 			instB: calleeInst, valB: callee.Params[i],
 			equality: true,
@@ -346,20 +340,21 @@ func (e *Engine) bindCallParams(np *pathState, callerInst int, calleeInst int, c
 	}
 }
 
-// throughCall handles a tracked value passed as a call argument.
-func (e *Engine) throughCall(fr *frame, term *seg.Node, sourceAt *ir.Instr, sourceFn *ir.Func, p pathState) {
+// throughCall handles a tracked value passed as a call argument. Like
+// throughReturn's pop, it leaves what it pushed on the path to the reset of
+// the explore step that called it.
+func (e *Engine) throughCall(fr *frame, term *seg.Node, live uint64) {
 	call := term.Instr
 	callee := e.prog.Module.Lookup(call.Callee())
 	if callee == nil {
 		// External: taint-transfer functions propagate to the receiver.
-		if e.spec.PropagateCalls[call.Callee()] && len(call.Dsts()) > 0 && call.Dsts()[0] != nil {
-			np := p.clone()
-			np.bounds = append(np.bounds, boundary{
+		if e.lead.PropagateCalls[call.Callee()] && len(call.Dsts()) > 0 && call.Dsts()[0] != nil {
+			e.path.bounds = append(e.path.bounds, boundary{
 				instA: fr.inst, valA: term.Val, instB: fr.inst, valB: call.Dsts()[0], equality: false,
 			})
-			g := e.prog.SEG(fr.fn)
-			np.steps = append(np.steps, gstep{inst: fr.inst, node: g.ValueNode(call.Dsts()[0])})
-			e.explore(fr, g.ValueNode(call.Dsts()[0]), sourceAt, sourceFn, np)
+			recv := e.prog.SEG(fr.fn).ValueNode(call.Dsts()[0])
+			e.path.steps = append(e.path.steps, gstep{inst: fr.inst, node: recv})
+			e.explore(fr, recv, live)
 		}
 		return
 	}
@@ -369,7 +364,7 @@ func (e *Engine) throughCall(fr *frame, term *seg.Node, sourceAt *ir.Instr, sour
 		return
 	}
 	if fr.depth >= e.opts.MaxCallDepth {
-		e.stats.TruncatedSearches++
+		e.count(live, truncatedSearches)
 		return
 	}
 	if int(term.ArgIdx) >= len(callee.Params) {
@@ -379,14 +374,13 @@ func (e *Engine) throughCall(fr *frame, term *seg.Node, sourceAt *ir.Instr, sour
 	nfr := &frame{
 		fn: callee, inst: e.newInst(), retTo: fr, retCall: call, depth: fr.depth + 1,
 	}
-	np := p.clone()
-	e.bindCallParams(&np, fr.inst, nfr.inst, call, callee)
-	np.steps = append(np.steps, gstep{inst: nfr.inst, node: cg.ValueNode(param)})
-	e.explore(nfr, cg.ValueNode(param), sourceAt, sourceFn, np)
+	e.bindCallParams(fr.inst, nfr.inst, call, callee)
+	e.path.steps = append(e.path.steps, gstep{inst: nfr.inst, node: cg.ValueNode(param)})
+	e.explore(nfr, cg.ValueNode(param), live)
 }
 
 // throughReturn handles a tracked value reaching a return operand.
-func (e *Engine) throughReturn(fr *frame, term *seg.Node, sourceAt *ir.Instr, sourceFn *ir.Func, p pathState) {
+func (e *Engine) throughReturn(fr *frame, term *seg.Node, live uint64) {
 	retIdx := int(term.ArgIdx)
 	if fr.retTo != nil {
 		// Pop to the originating call site.
@@ -395,24 +389,19 @@ func (e *Engine) throughReturn(fr *frame, term *seg.Node, sourceAt *ir.Instr, so
 			return
 		}
 		caller := fr.retTo
-		np := p.clone()
-		np.bounds = append(np.bounds, boundary{
+		e.path.bounds = append(e.path.bounds, boundary{
 			instA: fr.inst, valA: term.Val, instB: caller.inst, valB: recv, equality: true,
 		})
 		g := e.prog.SEG(caller.fn)
-		np.steps = append(np.steps, gstep{inst: caller.inst, node: g.ValueNode(recv)})
-		e.explore(caller, g.ValueNode(recv), sourceAt, sourceFn, np)
+		e.path.steps = append(e.path.steps, gstep{inst: caller.inst, node: g.ValueNode(recv)})
+		e.explore(caller, g.ValueNode(recv), live)
 		return
 	}
 	// Ascend: the search started in this function; every caller receives
 	// the value.
 	for i, cs := range e.callersOf(fr.fn) {
-		if i >= e.opts.MaxCallers {
-			e.stats.TruncatedSearches++
-			break
-		}
-		if fr.depth >= e.opts.MaxCallDepth {
-			e.stats.TruncatedSearches++
+		if i >= e.opts.MaxCallers || fr.depth >= e.opts.MaxCallDepth {
+			e.count(live, truncatedSearches)
 			break
 		}
 		if e.opts.SameUnitOnly && cs.Fn.Unit != fr.fn.Unit {
@@ -422,25 +411,42 @@ func (e *Engine) throughReturn(fr *frame, term *seg.Node, sourceAt *ir.Instr, so
 		if recv == nil {
 			continue
 		}
-		g := e.prog.SEG(cs.Fn)
-		e.fp.enter(g)
-		nfr := &frame{fn: cs.Fn, inst: e.newInst(), depth: fr.depth + 1}
-		if !e.opts.IgnoreOrdering && e.spec.OrderingRequired {
-			nfr.anchor = cs.Instr
-		}
-		np := p.clone()
-		np.bounds = append(np.bounds, boundary{
+		g, nfr, mark := e.ascend(fr, cs)
+		e.path.bounds = append(e.path.bounds, boundary{
 			instA: fr.inst, valA: term.Val, instB: nfr.inst, valB: recv, equality: true,
 		})
-		e.bindCallParams(&np, nfr.inst, fr.inst, cs.Instr, fr.fn)
-		// The callee's events only happen if the call executes.
-		if !e.addCond(&np, nfr.inst, cs.Fn, g.CD(cs.Instr)) {
-			e.stats.LinearFiltered++
-			continue
+		if e.enterCaller(fr, nfr, cs, g, recv, live) {
+			e.explore(nfr, g.ValueNode(recv), live)
 		}
-		np.steps = append(np.steps, gstep{inst: nfr.inst, node: g.ValueNode(recv)})
-		e.explore(nfr, g.ValueNode(recv), sourceAt, sourceFn, np)
+		e.path.reset(mark)
 	}
+}
+
+// ascend opens the frame of one caller of fr.fn — a fresh instance, anchored
+// at the call when the checker orders its sinks — and marks the path for the
+// reset that ends the ascent.
+func (e *Engine) ascend(fr *frame, cs CallSite) (*seg.Graph, *frame, pathMark) {
+	g := e.prog.SEG(cs.Fn)
+	e.fp.enter(g)
+	nfr := &frame{fn: cs.Fn, inst: e.newInst(), depth: fr.depth + 1}
+	if !e.opts.IgnoreOrdering && e.lead.OrderingRequired {
+		nfr.anchor = cs.Instr
+	}
+	return g, nfr, e.path.mark(nfr.inst)
+}
+
+// enterCaller binds the call's parameters, conjoins the call's control
+// dependence (the callee's events only happen if the call executes) and
+// steps onto the caller-side value; false means the linear filter refuted
+// the ascent.
+func (e *Engine) enterCaller(fr, nfr *frame, cs CallSite, g *seg.Graph, at *ir.Value, live uint64) bool {
+	e.bindCallParams(nfr.inst, fr.inst, cs.Instr, fr.fn)
+	if !e.addCond(nfr.inst, cs.Fn, g.CD(cs.Instr)) {
+		e.count(live, linearFiltered)
+		return false
+	}
+	e.path.steps = append(e.path.steps, gstep{inst: nfr.inst, node: g.ValueNode(at)})
+	return true
 }
 
 // ascendViaParam continues the search in callers when the tracked dangerous
@@ -449,11 +455,11 @@ func (e *Engine) throughReturn(fr *frame, term *seg.Node, sourceAt *ir.Instr, so
 // object roots (when the checker asks for root widening) so sibling
 // aliases — other values loaded from the same cell the actual came from —
 // are tracked too.
-func (e *Engine) ascendViaParam(fr *frame, node *seg.Node, sourceAt *ir.Instr, sourceFn *ir.Func, p pathState) {
+func (e *Engine) ascendViaParam(fr *frame, node *seg.Node, live uint64) {
 	idx := node.Val.ParamIdx()
 	for i, cs := range e.callersOf(fr.fn) {
 		if i >= e.opts.MaxCallers || fr.depth >= e.opts.MaxCallDepth {
-			e.stats.TruncatedSearches++
+			e.count(live, truncatedSearches)
 			break
 		}
 		if e.opts.SameUnitOnly && cs.Fn.Unit != fr.fn.Unit {
@@ -463,27 +469,15 @@ func (e *Engine) ascendViaParam(fr *frame, node *seg.Node, sourceAt *ir.Instr, s
 			continue
 		}
 		actual := cs.Instr.Args[idx]
-		g := e.prog.SEG(cs.Fn)
-		e.fp.enter(g)
-		nfr := &frame{fn: cs.Fn, inst: e.newInst(), depth: fr.depth + 1}
-		if !e.opts.IgnoreOrdering && e.spec.OrderingRequired {
-			nfr.anchor = cs.Instr
+		g, nfr, mark := e.ascend(fr, cs)
+		if e.enterCaller(fr, nfr, cs, g, actual, live) {
+			base := len(e.roots)
+			for _, root := range e.widen(g, actual) {
+				e.explore(nfr, g.ValueNode(root), live)
+			}
+			e.roots = e.roots[:base]
 		}
-		np := p.clone()
-		e.bindCallParams(&np, nfr.inst, fr.inst, cs.Instr, fr.fn)
-		// The callee's events only happen if the call executes.
-		if !e.addCond(&np, nfr.inst, cs.Fn, g.CD(cs.Instr)) {
-			e.stats.LinearFiltered++
-			continue
-		}
-		np.steps = append(np.steps, gstep{inst: nfr.inst, node: g.ValueNode(actual)})
-		roots := []*ir.Value{actual}
-		if e.spec.WidenToRoots {
-			roots = e.objectRoots(g, actual)
-		}
-		for _, root := range roots {
-			e.explore(nfr, g.ValueNode(root), sourceAt, sourceFn, np)
-		}
+		e.path.reset(mark)
 	}
 }
 
@@ -517,12 +511,12 @@ func retReceiver(callee *ir.Func, call *ir.Instr, retIdx int) *ir.Value {
 // extension). The check walks the sink's transitive control dependences and
 // the defining chains of their branch conditions looking for a sanitizer
 // call whose argument is a path value.
-func (e *Engine) sanitized(fr *frame, sink *seg.Node, p pathState) bool {
-	if len(e.spec.SanitizerCalls) == 0 {
+func (e *Engine) sanitized(fr *frame, sink *seg.Node) bool {
+	if len(e.lead.SanitizerCalls) == 0 {
 		return false
 	}
 	pathVals := make([]bool, fr.fn.NumValues()) // by Value.ID
-	for _, st := range p.steps {
+	for _, st := range e.path.steps {
 		if st.inst == fr.inst && st.node.Val != nil {
 			pathVals[st.node.Val.ID] = true
 		}
@@ -536,7 +530,7 @@ func (e *Engine) sanitized(fr *frame, sink *seg.Node, p pathState) bool {
 			return false
 		}
 		def := v.Def
-		if def.Op == ir.OpCall && e.spec.SanitizerCalls[def.Callee()] {
+		if def.Op == ir.OpCall && e.lead.SanitizerCalls[def.Callee()] {
 			for _, a := range def.Args {
 				if pathVals[a.ID] {
 					return true
@@ -568,65 +562,80 @@ func (e *Engine) sanitized(fr *frame, sink *seg.Node, p pathState) bool {
 	return fromBlock(sink.Instr.Block)
 }
 
-// emitCandidate finalizes a candidate path and runs the feasibility check.
-func (e *Engine) emitCandidate(fr *frame, sink *seg.Node, sourceAt *ir.Instr, sourceFn *ir.Func, p pathState) {
-	key := [2]*ir.Instr{sourceAt, sink.Instr}
-	if e.reported[key] {
-		return
-	}
-	if e.sanitized(fr, sink, p) {
-		return
-	}
-	e.candidates++
-	e.stats.Candidates++
-	c := &candidate{
-		steps:     p.steps,
-		bounds:    p.bounds,
-		conds:     p.conds,
-		sink:      sink,
-		sinkInst:  fr.inst,
-		sourceAt:  sourceAt,
-		sourceFn:  sourceFn,
-		instances: e.nextInst,
-	}
-	verdict := smt.Sat
-	e.lastWitness = nil
-	e.lastCondTerms, e.lastVerdictSource = 0, VerdictUnchecked
-	if !e.opts.DisablePathSensitivity {
-		verdict = e.checkCandidate(c)
-	}
-	if verdict != smt.Sat {
-		return
-	}
-	e.reported[key] = true
-	var prov *Provenance
-	if e.opts.Witness {
-		prov = &Provenance{
-			Hops:          hopsFromSteps(p.steps, p.conds),
-			CondTerms:     e.lastCondTerms,
-			VerdictSource: e.lastVerdictSource,
+// emitCandidate finalizes a candidate path for the members whose sink the
+// terminal is: each counts it and reports it as its own search would, but the
+// feasibility query is encoded and decided once.
+func (e *Engine) emitCandidate(fr *frame, sink *seg.Node, sinks uint64) {
+	key := [2]*ir.Instr{e.srcAt, sink.Instr}
+	p := &e.path
+	var (
+		checked bool
+		verdict smt.Result
+		query   Stats // what the one query adds to the counters of a member
+		witness []string
+		prov    *Provenance
+	)
+	for i := range e.members {
+		m := &e.members[i]
+		if sinks>>i&1 == 0 || m.reported[key] {
+			continue
 		}
+		if !checked {
+			// The members agree on the sanitizers, so on this too.
+			if e.sanitized(fr, sink) {
+				return
+			}
+			checked, verdict = true, smt.Sat
+			condTerms, answered := 0, VerdictUnchecked
+			if !e.opts.DisablePathSensitivity {
+				verdict, witness, condTerms, answered = e.checkCandidate(m.spec.Name, &query)
+				e.solved++
+			}
+			if e.opts.Witness && verdict == smt.Sat {
+				prov = &Provenance{
+					Hops:          hopsFromSteps(p.steps, p.conds),
+					CondTerms:     condTerms,
+					VerdictSource: answered,
+				}
+			}
+		}
+		m.candidates++
+		m.stats.Candidates++
+		addStats(&m.stats, query)
+		query.SMTTime = 0 // the member that asked first has it
+		if verdict != smt.Sat {
+			continue
+		}
+		if m.reported == nil {
+			m.reported = make(map[[2]*ir.Instr]bool)
+		}
+		m.reported[key] = true
+		m.reports = append(m.reports, Report{
+			Checker:    m.spec.Name,
+			SourceFn:   e.srcFn.Name,
+			SinkFn:     fr.fn.Name,
+			SourcePos:  e.srcAt.Position(),
+			SinkPos:    sink.Instr.Position(),
+			Source:     e.srcAt,
+			Sink:       sink.Instr,
+			PathLen:    len(p.steps),
+			Contexts:   e.countInstances(p.steps),
+			Verdict:    verdict,
+			Witness:    witness,
+			Provenance: prov,
+		})
 	}
-	e.reports = append(e.reports, Report{
-		Checker:    e.spec.Name,
-		SourceFn:   sourceFn.Name,
-		SinkFn:     fr.fn.Name,
-		SourcePos:  sourceAt.Position(),
-		SinkPos:    sink.Instr.Position(),
-		Source:     sourceAt,
-		Sink:       sink.Instr,
-		PathLen:    len(p.steps),
-		Contexts:   countInstances(p.steps),
-		Verdict:    verdict,
-		Witness:    e.lastWitness,
-		Provenance: prov,
-	})
 }
 
-func countInstances(steps []gstep) int {
-	seen := map[int]bool{}
+// countInstances returns the number of function instances the steps visit.
+func (e *Engine) countInstances(steps []gstep) int {
+	e.startSet(e.nextInst)
+	n := 0
 	for _, s := range steps {
-		seen[s.inst] = true
+		if e.marks[s.inst] != e.epoch {
+			e.marks[s.inst] = e.epoch
+			n++
+		}
 	}
-	return len(seen)
+	return n
 }

@@ -132,10 +132,12 @@ type AnalyzeStats struct {
 	BuildNs     int64 `json:"buildNs"`
 	DetectNs    int64 `json:"detectNs"`
 	GateWaitNs  int64 `json:"gateWaitNs"`
-	// DetectTasks is the number of (checker, source) tasks the request's
-	// detection comprised; DetectTasksReplayed of them reused the result
-	// recorded by an earlier request instead of searching again. The
-	// effort counters below cover both kinds.
+	// DetectTasks is the number of tasks the request's detection comprised —
+	// one per source and group of checkers that share its walk (with every
+	// checker requested, use-after-free and double-free are one group);
+	// DetectTasksReplayed of them reused the results recorded by an earlier
+	// request instead of searching again. The effort counters below cover
+	// both kinds, each checker counting as if it had run alone.
 	DetectTasks         int `json:"detectTasks"`
 	DetectTasksReplayed int `json:"detectTasksReplayed"`
 	SMTQueries          int `json:"smtQueries"`
