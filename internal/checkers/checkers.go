@@ -63,11 +63,11 @@ type Spec struct {
 	Kind Kind
 	// LocalSources extracts the sources of one function's SEG.
 	LocalSources func(g *seg.Graph) []Source
-	// IsSink reports whether a use vertex consumes the dangerous value.
+	// IsSink reports whether use vertex n consumes the dangerous value.
 	// The source's originating instruction is provided so checkers can
 	// exclude it (a free is not its own sink). A spec that sinks at call
 	// arguments names the callees in SinkCalls (see SharesWalk).
-	IsSink func(g *seg.Graph, n *seg.Node, sourceAt *ir.Instr) bool
+	IsSink func(g *seg.Graph, n int32, sourceAt *ir.Instr) bool
 	// OrderingRequired demands the sink execute after the source (UAF
 	// semantics); taint flows are ordered by data dependence already.
 	OrderingRequired bool
@@ -176,12 +176,11 @@ func funcPC(fn any) uintptr { return reflect.ValueOf(fn).Pointer() }
 // double-free).
 func freeSources(g *seg.Graph) []Source {
 	var out []Source
-	for _, n := range g.Uses(seg.RoleFreeArg) {
-		out = append(out, Source{
-			Val:  n.Val,
-			At:   n.Instr,
-			Cond: g.CD(n.Instr),
-		})
+	for n := int32(0); int(n) < g.NumNodes(); n++ {
+		if g.Node(n).Role == seg.RoleFreeArg {
+			at := g.Instr(n)
+			out = append(out, Source{Val: g.Val(n), At: at, Cond: g.CD(at)})
+		}
 	}
 	return out
 }
@@ -192,11 +191,12 @@ func UseAfterFree() *Spec {
 	return &Spec{
 		Name:         "use-after-free",
 		LocalSources: freeSources,
-		IsSink: func(g *seg.Graph, n *seg.Node, sourceAt *ir.Instr) bool {
-			if n.Instr == sourceAt || n.Instr.Synthetic {
+		IsSink: func(g *seg.Graph, n int32, sourceAt *ir.Instr) bool {
+			if in := g.Instr(n); in == sourceAt || in.Synthetic {
 				return false
 			}
-			return n.Role == seg.RoleDerefAddr || n.Role == seg.RoleFreeArg
+			role := g.Node(n).Role
+			return role == seg.RoleDerefAddr || role == seg.RoleFreeArg
 		},
 		OrderingRequired: true,
 		WidenToRoots:     true,
@@ -208,8 +208,8 @@ func DoubleFree() *Spec {
 	return &Spec{
 		Name:         "double-free",
 		LocalSources: freeSources,
-		IsSink: func(g *seg.Graph, n *seg.Node, sourceAt *ir.Instr) bool {
-			return n.Role == seg.RoleFreeArg && n.Instr != sourceAt
+		IsSink: func(g *seg.Graph, n int32, sourceAt *ir.Instr) bool {
+			return g.Node(n).Role == seg.RoleFreeArg && g.Instr(n) != sourceAt
 		},
 		OrderingRequired: true,
 		WidenToRoots:     true,
@@ -236,16 +236,17 @@ func taintSources(names map[string]bool) func(g *seg.Graph) []Source {
 }
 
 // callArgSink builds an IsSink predicate from a callee→argument map.
-func callArgSink(sinks map[string]int) func(g *seg.Graph, n *seg.Node, sourceAt *ir.Instr) bool {
-	return func(g *seg.Graph, n *seg.Node, sourceAt *ir.Instr) bool {
-		if n.Role != seg.RoleCallArg {
+func callArgSink(sinks map[string]int) func(g *seg.Graph, n int32, sourceAt *ir.Instr) bool {
+	return func(g *seg.Graph, n int32, sourceAt *ir.Instr) bool {
+		nd := g.Node(n)
+		if nd.Role != seg.RoleCallArg {
 			return false
 		}
-		pos, ok := sinks[n.Instr.Callee()]
+		pos, ok := sinks[g.Instr(n).Callee()]
 		if !ok {
 			return false
 		}
-		return pos < 0 || pos == int(n.ArgIdx)
+		return pos < 0 || pos == int(nd.ArgIdx)
 	}
 }
 
@@ -326,8 +327,8 @@ func NullDeref() *Spec {
 			}
 			return out
 		},
-		IsSink: func(g *seg.Graph, n *seg.Node, sourceAt *ir.Instr) bool {
-			return n.Role == seg.RoleDerefAddr && !n.Instr.Synthetic
+		IsSink: func(g *seg.Graph, n int32, sourceAt *ir.Instr) bool {
+			return g.Node(n).Role == seg.RoleDerefAddr && !g.Instr(n).Synthetic
 		},
 	}
 }

@@ -79,20 +79,20 @@ void f() {
 		t.Fatalf("sources = %d", len(srcs))
 	}
 	first := srcs[0].At
-	derefs := g.Uses(seg.RoleDerefAddr)
+	derefs := uses(g, seg.RoleDerefAddr)
 	if len(derefs) == 0 {
 		t.Fatal("no deref uses")
 	}
 	if !spec.IsSink(g, derefs[0], first) {
 		t.Error("deref not a sink")
 	}
-	frees := g.Uses(seg.RoleFreeArg)
+	frees := uses(g, seg.RoleFreeArg)
 	// A free is not its own sink but is a sink for the other free.
 	for _, fn := range frees {
-		if fn.Instr == first && spec.IsSink(g, fn, first) {
+		if g.Instr(fn) == first && spec.IsSink(g, fn, first) {
 			t.Error("free counted as its own sink")
 		}
-		if fn.Instr != first && !spec.IsSink(g, fn, first) {
+		if g.Instr(fn) != first && !spec.IsSink(g, fn, first) {
 			t.Error("second free not a sink")
 		}
 	}
@@ -108,7 +108,7 @@ void f() {
 	g := gs["f"]
 	spec := DoubleFree()
 	srcs := spec.LocalSources(g)
-	derefs := g.Uses(seg.RoleDerefAddr)
+	derefs := uses(g, seg.RoleDerefAddr)
 	if spec.IsSink(g, derefs[0], srcs[0].At) {
 		t.Error("double-free checker treats deref as sink")
 	}
@@ -128,7 +128,7 @@ void f() {
 		t.Fatalf("taint sources = %d", len(srcs))
 	}
 	sinks := 0
-	for _, n := range g.Uses(seg.RoleCallArg) {
+	for _, n := range uses(g, seg.RoleCallArg) {
 		if spec.IsSink(g, n, nil) {
 			sinks++
 		}
@@ -172,9 +172,20 @@ void callee(int *q) { int v = *q; }
 void f(int *p) { callee(p); }`)
 	g := gs["f"]
 	spec := UseAfterFree()
-	for _, n := range g.Uses(seg.RoleDerefAddr) {
-		if n.Instr.Synthetic && spec.IsSink(g, n, nil) {
+	for _, n := range uses(g, seg.RoleDerefAddr) {
+		if g.Instr(n).Synthetic && spec.IsSink(g, n, nil) {
 			t.Error("synthetic deref counted as sink")
 		}
 	}
+}
+
+// uses lists g's use vertices of one role, in creation order.
+func uses(g *seg.Graph, role seg.UseRole) []int32 {
+	var out []int32
+	for n := int32(0); int(n) < g.NumNodes(); n++ {
+		if g.Node(n).Role == role {
+			out = append(out, n)
+		}
+	}
+	return out
 }

@@ -104,9 +104,9 @@ void f() {
 		}
 		for _, g := range gs {
 			for _, role := range []seg.UseRole{seg.RoleCallArg, seg.RoleRetArg} {
-				for _, n := range g.Uses(role) {
+				for _, n := range uses(g, role) {
 					if sp.IsSink(g, n, nil) {
-						t.Errorf("%s declares no SinkCalls but sinks at %s", sp.Name, n)
+						t.Errorf("%s declares no SinkCalls but sinks at %s", sp.Name, g.NodeString(n))
 					}
 				}
 			}

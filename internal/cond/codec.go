@@ -163,6 +163,7 @@ func DecodeBuilder(r *wirebin.Reader) (*Builder, Nodes, error) {
 	if b.trueC == nil || b.falseC == nil {
 		return nil, nil, r.Errorf("cond: decode: missing constant nodes")
 	}
+	b.made = nodes[len(b.consts):]
 	if err := r.Err(); err != nil {
 		return nil, nil, err
 	}

@@ -126,6 +126,9 @@ type Builder struct {
 	atoms  map[int]*Cond
 	nots   map[int]*Cond    // operand id -> node
 	nary   map[string]*Cond // structural key -> node
+	// made holds the nodes past the constants by ID: node id is
+	// made[id-2].
+	made   []*Cond
 	nextID int
 }
 
@@ -148,8 +151,23 @@ func intern[K comparable](tab *map[K]*Cond, key K, n *Cond) {
 
 func (b *Builder) newNode(k Kind, atom int, ops []*Cond) *Cond {
 	c := &Cond{kind: k, atom: atom, ops: ops, id: b.nextID}
+	b.made = append(b.made, c)
 	b.nextID++
 	return c
+}
+
+// Node returns the node with the given ID, or nil when the Builder has none
+// under it.
+func (b *Builder) Node(id int32) *Cond {
+	if id >= 0 && int(id) < len(b.consts) {
+		return &b.consts[id]
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if id < 0 || int(id) >= b.nextID {
+		return nil
+	}
+	return b.made[id-int32(len(b.consts))]
 }
 
 // NumNodes returns the number of distinct nodes created so far. The bench

@@ -124,21 +124,23 @@ func TestSearchAllocBudget(t *testing.T) {
 // not of the input: see DESIGN.md, "Data layout", Records. Measured values
 // plus 5%; the run is deterministic at one worker. At the commit before the
 // records were compacted the same build left 817 bytes in 6.9 objects per
-// instruction.
+// instruction; while the SEG's records held pointers, the points-to tables
+// were lists of lists and Mod/Ref summaries were maps, 492 in 4.19.
 const (
 	budgetResidentBytesPerInstr   = measuredResidentBytesPerInstr * 1.05
 	budgetResidentObjectsPerInstr = measuredResidentObjectsPerInstr * 1.05
 
-	measuredResidentBytesPerInstr   = 492.0
-	measuredResidentObjectsPerInstr = 4.19
+	measuredResidentBytesPerInstr   = 438.0
+	measuredResidentObjectsPerInstr = 3.76
 
 	// The same for a core.NewSession kept after its first Update. While the
-	// session held every unit's syntax tree it was 665 bytes in 6.74 objects.
+	// session held every unit's syntax tree it was 665 bytes in 6.74 objects,
+	// and before the records above lost their pointers 554 in 4.71.
 	budgetSessionBytesPerInstr   = measuredSessionBytesPerInstr * 1.05
 	budgetSessionObjectsPerInstr = measuredSessionObjectsPerInstr * 1.05
 
-	measuredSessionBytesPerInstr   = 554.0
-	measuredSessionObjectsPerInstr = 4.71
+	measuredSessionBytesPerInstr   = 502.0
+	measuredSessionObjectsPerInstr = 4.28
 )
 
 func TestResidentBudget(t *testing.T) {
@@ -298,12 +300,44 @@ func TestRecordSizes(t *testing.T) {
 		{"ir.Instr", unsafe.Sizeof(ir.Instr{}), 80},
 		{"ir.Value", unsafe.Sizeof(ir.Value{}), 64},
 		{"ir.Block", unsafe.Sizeof(ir.Block{}), 88},
-		{"seg.Node", unsafe.Sizeof(seg.Node{}), 32},
-		{"seg.Edge", unsafe.Sizeof(seg.Edge{}), 16},
+		{"seg.Node", unsafe.Sizeof(seg.Node{}), 16},
+		{"seg.Edge", unsafe.Sizeof(seg.Edge{}), 8},
 		{"cond.Cond", unsafe.Sizeof(cond.Cond{}), 48},
 	} {
 		if rec.size > rec.max {
 			t.Errorf("%s is %d bytes, at most %d", rec.name, rec.size, rec.max)
+		}
+	}
+}
+
+// The SEG's vertex and edge records hold IDs, never pointers, so the
+// collector does not scan the arrays of them (a program holds about as many
+// as it holds instructions); a field that brings a pointer back is a
+// deliberate act, not a side effect.
+func TestSEGRecordsArePointerFree(t *testing.T) {
+	var pointerFree func(t reflect.Type) bool
+	pointerFree = func(t reflect.Type) bool {
+		switch t.Kind() {
+		case reflect.Array:
+			return pointerFree(t.Elem())
+		case reflect.Struct:
+			for i := 0; i < t.NumField(); i++ {
+				if !pointerFree(t.Field(i).Type) {
+					return false
+				}
+			}
+			return true
+		case reflect.Pointer, reflect.UnsafePointer, reflect.String, reflect.Slice, reflect.Map,
+			reflect.Interface, reflect.Func, reflect.Chan:
+			return false
+		}
+		return true
+	}
+	for _, rec := range []reflect.Type{reflect.TypeOf(seg.Node{}), reflect.TypeOf(seg.Edge{})} {
+		for i := 0; i < rec.NumField(); i++ {
+			if f := rec.Field(i); !pointerFree(f.Type) {
+				t.Errorf("seg.%s.%s is a %s, which the collector scans", rec.Name(), f.Name, f.Type)
+			}
 		}
 	}
 }

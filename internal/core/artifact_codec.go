@@ -85,15 +85,7 @@ func encodeSummary(e *wirebin.Writer, sum *modref.Summary) {
 	if sum == nil {
 		return
 	}
-	paths := make([]modref.Path, 0, len(sum.Ref)+len(sum.Mod))
-	for p := range sum.Ref {
-		paths = append(paths, p)
-	}
-	for p := range sum.Mod {
-		if !sum.Ref[p] {
-			paths = append(paths, p)
-		}
-	}
+	paths := sum.Paths()
 	sort.Slice(paths, func(i, j int) bool {
 		a, b := paths[i], paths[j]
 		if a.Root.Param != b.Root.Param {
@@ -109,8 +101,8 @@ func encodeSummary(e *wirebin.Writer, sum *modref.Summary) {
 		e.Int(p.Root.Param)
 		e.Sym(p.Root.Global)
 		e.Int(p.Depth)
-		e.Bool(sum.Ref[p])
-		e.Bool(sum.Mod[p])
+		e.Bool(sum.Refs(p))
+		e.Bool(sum.Mods(p))
 	}
 }
 
@@ -123,13 +115,13 @@ func decodeSummary(r *wirebin.Reader) *modref.Summary {
 		var p modref.Path
 		p.Root.Param, p.Root.Global, p.Depth = r.Int(), r.Sym(), r.Int()
 		if r.Bool() {
-			sum.Ref[p] = true
+			sum.AddRef(p)
 		}
 		if r.Bool() {
-			sum.Mod[p] = true
+			sum.AddMod(p)
 		}
 	}
-	return sum
+	return sum.Settled()
 }
 
 // summaryFingerprint is the persisted form of funcArtifact.sumFP: the text
@@ -196,7 +188,7 @@ func decodeArtifact(r *wirebin.Reader) (*funcArtifact, error) {
 		return nil, err
 	}
 	art.sizes.pta = pr.Stats
-	if art.seg, err = seg.DecodeGraph(r, f, art.info, pr, ix, nodes); err != nil {
+	if art.seg, err = seg.DecodeGraph(r, f, art.info, pr); err != nil {
 		return nil, err
 	}
 	if r.Rest() != 0 {

@@ -181,8 +181,9 @@ func poke(t testing.TB, seg []byte, v int64, seek func(r *wirebin.Reader)) []byt
 
 // narrowFieldSeeds are copies of the seed segment whose first artifact holds
 // a number the in-memory records have no room for — the fields that were
-// narrowed when the records were compacted — or a payload of the wrong kind
-// in the field values now share.
+// narrowed when the records were compacted — a payload of the wrong kind in
+// the field values now share, or an ID past the space a SEG record reads it
+// in (the function's values or instructions, its Builder's conditions).
 func narrowFieldSeeds(t testing.TB, seg []byte) map[string][]byte {
 	toFunc := func(r *wirebin.Reader) { // over the session's fields to the function section
 		r.Str()
@@ -203,6 +204,32 @@ func narrowFieldSeeds(t testing.TB, seg []byte) map[string][]byte {
 		r.Int() // unit
 		r.Sym() // file
 	}
+	// toSEG steps over the artifact to its SEG section and reads its vertex
+	// count; fn and conds are the function and the conditions it holds.
+	var fn *ir.Func
+	var conds *cond.Builder
+	toSEG := func(r *wirebin.Reader) int {
+		toFunc(r)
+		f, ix, err := ir.DecodeFunc(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, nodes, err := cond.DecodeBuilder(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inf, err := ssa.DecodeInfo(r, f, ix, b, nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pta.DecodeResult(r, f, inf, ix, nodes); err != nil {
+			t.Fatal(err)
+		}
+		fn, conds = f, b
+		return r.Len()
+	}
+	start, end := firstFrame(seg)
+	toSEG(wirebin.NewReader(seg[start:end]))
 	toFirstValue := func(r *wirebin.Reader) {
 		toFuncLine(r)
 		r.Int()
@@ -234,26 +261,35 @@ func narrowFieldSeeds(t testing.TB, seg []byte) map[string][]byte {
 			r.Bool()
 		}),
 		"segment-wide-operand": poke(t, seg, 1<<32, func(r *wirebin.Reader) {
-			toFunc(r)
-			f, ix, err := ir.DecodeFunc(r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, nodes, err := cond.DecodeBuilder(r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			inf, err := ssa.DecodeInfo(r, f, ix, b, nodes)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := pta.DecodeResult(r, f, inf, ix, nodes); err != nil {
-				t.Fatal(err)
-			}
-			r.Len() // the vertex count, then the first vertex up to its operand index
+			toSEG(r) // then the first vertex up to its operand index
 			r.U8()
 			r.U8()
 			r.I32()
+			r.I32()
+		}),
+		"segment-vertex-value-past-function": poke(t, seg, int64(fn.NumValues()), func(r *wirebin.Reader) {
+			toSEG(r) // then the first vertex up to its value
+			r.U8()
+			r.U8()
+		}),
+		"segment-vertex-instr-past-function": poke(t, seg, int64(fn.NumInstrs()), func(r *wirebin.Reader) {
+			toSEG(r) // then the first vertex up to its instruction
+			r.U8()
+			r.U8()
+			r.I32()
+		}),
+		"segment-edge-cond-past-builder": poke(t, seg, int64(conds.NumNodes()), func(r *wirebin.Reader) {
+			for n := toSEG(r); n > 0; n-- { // the vertices
+				r.U8()
+				r.U8()
+				r.I32()
+				r.I32()
+				r.Int()
+			}
+			r.Len() // the edge total and the lists, up to the first edge's condition
+			r.Len()
+			r.Int()
+			r.Len()
 			r.I32()
 		}),
 	}

@@ -1091,6 +1091,7 @@ func (s *Session) Update(units []minic.NamedSource) (*Analysis, error) {
 			}
 			for _, id := range scc {
 				st := member(id)
+				st.sum = st.sum.Settled()
 				scratch[w] = st.sum.AppendFingerprint(scratch[w][:0])
 				st.sumFP = digestOf(scratch[w])
 				if st.old == nil || st.old.sumFP != st.sumFP {

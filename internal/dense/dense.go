@@ -57,3 +57,85 @@ func (t *Lists[T]) Each(fn func(id int, list []T)) {
 		}
 	}
 }
+
+// CSR is a Lists frozen into compressed-sparse-row form: the lists are cut
+// from one array, and the per-ID slots and the list bounds share another, so
+// a table is two allocations however many lists it holds. Lists that several
+// IDs held — the same array, the same length — are stored once. It reads like
+// the Lists it was frozen from: assigned nil and assigned empty stay apart.
+type CSR[T any] struct {
+	slot  []int32 // by ID: 0 = never assigned, -1 = assigned nil, else 1 + k
+	start []int32 // list k is items[start[k]:start[k+1]]
+	items []T
+}
+
+// Freeze returns the table's lists in a CSR of exactly their size.
+func (t *Lists[T]) Freeze() CSR[T] {
+	// A list is known by its first element's address and its length; every
+	// empty list is the same one.
+	type key struct {
+		at *T
+		n  int
+	}
+	keyOf := func(l []T) key {
+		if len(l) == 0 {
+			return key{}
+		}
+		return key{&l[0], len(l)}
+	}
+	at, items := make(map[key]int32, len(t.lists)), 0
+	for _, l := range t.lists {
+		if k := keyOf(l); l != nil && at[k] == 0 {
+			at[k], items = -1, items+len(l)
+		}
+	}
+	ids := make([]int32, len(t.slot)+len(at)+1)
+	out := CSR[T]{slot: ids[:len(t.slot)], start: ids[len(t.slot) : len(t.slot)+1], items: make([]T, 0, items)}
+	for id, s := range t.slot {
+		if s == 0 {
+			continue
+		}
+		l := t.lists[s-1]
+		k := keyOf(l)
+		switch {
+		case l == nil:
+			out.slot[id] = -1
+			continue
+		case at[k] < 0:
+			out.items = append(out.items, l...)
+			out.start = append(out.start, int32(len(out.items)))
+			at[k] = int32(len(out.start) - 1)
+		}
+		out.slot[id] = at[k]
+	}
+	return out
+}
+
+// Get returns the list assigned to id and whether one was assigned; an id
+// beyond the table reads as unassigned. The list has no spare capacity.
+func (t *CSR[T]) Get(id int) ([]T, bool) {
+	if id >= len(t.slot) || t.slot[id] == 0 {
+		return nil, false
+	}
+	if k := t.slot[id]; k > 0 {
+		return t.items[t.start[k-1]:t.start[k]:t.start[k]], true
+	}
+	return nil, true
+}
+
+// Each calls fn for every assigned id in [lo, hi), ascending, with the id
+// counted from lo, and returns how many there were. fn may be nil.
+func (t *CSR[T]) Each(lo, hi int, fn func(id int, list []T)) int {
+	n := 0
+	for id := lo; id < hi; id++ {
+		if l, ok := t.Get(id); ok {
+			if n++; fn != nil {
+				fn(id-lo, l)
+			}
+		}
+	}
+	return n
+}
+
+// IDs bounds the IDs the table covers.
+func (t *CSR[T]) IDs() int { return len(t.slot) }

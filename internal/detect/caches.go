@@ -73,7 +73,7 @@ type fnCache struct {
 // goes: at a free, or else at these call arguments (in flow order).
 type paramFacts struct {
 	frees  bool
-	passed []*seg.Node
+	passed []int32
 }
 
 type flowTable struct {
@@ -87,22 +87,21 @@ type linearCache struct {
 }
 
 // revEntry is one graph's reverse adjacency in compressed-sparse-row form,
-// indexed by seg.Node.Index: the predecessors of vertex i are
-// preds[start[i]:start[i+1]]. Built once, then only read.
+// by vertex ID: the predecessors of vertex i are preds[start[i]:start[i+1]].
+// Built once, then only read.
 type revEntry struct {
 	once  sync.Once
 	start []int32
-	preds []*seg.Node
+	preds []int32
 }
 
 // of returns n's predecessors (none for a vertex created after the index
 // was built: such vertices have no edges).
-func (re *revEntry) of(n *seg.Node) []*seg.Node {
-	i := n.Index()
-	if i+1 >= len(re.start) {
+func (re *revEntry) of(n int32) []int32 {
+	if int(n)+1 >= len(re.start) {
 		return nil
 	}
-	return re.preds[re.start[i]:re.start[i+1]]
+	return re.preds[re.start[n]:re.start[n+1]]
 }
 
 func newFnCache() *fnCache {
@@ -190,7 +189,7 @@ func (n *flowCounts) add(m flowCounts) {
 // flowsFrom enumerates (memoized) local flows from a vertex, counting the
 // lookups it causes into n. Local flows never leave their graph, so one lock
 // per graph suffices and independent functions proceed in parallel.
-func (c *caches) flowsFrom(g *seg.Graph, from *seg.Node, n *flowCounts) []summary.Flow {
+func (c *caches) flowsFrom(g *seg.Graph, from int32, n *flowCounts) []summary.Flow {
 	ft := &c.fn[g.Fn.ID].flows
 	ft.mu.Lock()
 	defer ft.mu.Unlock()
@@ -211,7 +210,7 @@ func (c *caches) paramFacts(f *ir.Func, g *seg.Graph, n *flowCounts) []paramFact
 		for _, p := range f.Params {
 			pf := &facts[p.ParamIdx()]
 			for _, fl := range c.flowsFrom(g, g.ValueNode(p), n) {
-				switch term := fl.Terminal(); term.Role {
+				switch term := fl.Terminal(); g.Node(term).Role {
 				case seg.RoleFreeArg:
 					pf.frees = true
 				case seg.RoleCallArg:
@@ -239,25 +238,23 @@ func (c *caches) apparentlyUnsat(fn *ir.Func, co *cond.Cond) bool {
 func (c *caches) reverse(g *seg.Graph) *revEntry {
 	re := &c.fn[g.Fn.ID].rev
 	re.once.Do(func() {
-		n := g.NumNodes()
+		n := int32(g.NumNodes())
 		re.start = make([]int32, n+1)
-		for i := 0; i < n; i++ {
-			for _, edge := range g.Succs(g.Node(i)) {
-				re.start[edge.To.Index()+1]++
+		for i := int32(0); i < n; i++ {
+			for _, edge := range g.Succs(i) {
+				re.start[edge.To+1]++
 			}
 		}
-		for i := 0; i < n; i++ {
+		for i := int32(0); i < n; i++ {
 			re.start[i+1] += re.start[i]
 		}
-		re.preds = make([]*seg.Node, re.start[n])
+		re.preds = make([]int32, re.start[n])
 		fill := append([]int32(nil), re.start[:n]...)
 		// Sources in vertex order, so each predecessor list is too.
-		for i := 0; i < n; i++ {
-			from := g.Node(i)
+		for from := int32(0); from < n; from++ {
 			for _, edge := range g.Succs(from) {
-				to := edge.To.Index()
-				re.preds[fill[to]] = from
-				fill[to]++
+				re.preds[fill[edge.To]] = from
+				fill[edge.To]++
 			}
 		}
 	})

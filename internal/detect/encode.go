@@ -45,11 +45,10 @@ func (e *Engine) checkCandidate(checker string, stats *Stats) (smt.Result, []str
 	for _, st := range c.steps {
 		if _, ok := enc.instFn[st.inst]; !ok {
 			// Instance without extra conditions: derive from the step's
-			// node.
-			if st.node.Instr != nil {
-				enc.instFn[st.inst] = st.node.Instr.Block.Fn
-			} else if st.node.Val != nil && st.node.Val.Def != nil {
-				enc.instFn[st.inst] = st.node.Val.Def.Block.Fn
+			// vertex (its instruction: a value vertex's is the value's
+			// definition).
+			if in := st.instr(); in != nil {
+				enc.instFn[st.inst] = in.Block.Fn
 			}
 		}
 	}
@@ -72,22 +71,23 @@ func (e *Engine) checkCandidate(checker string, stats *Stats) (smt.Result, []str
 		if prev.inst != cur.inst {
 			continue // boundaries carry their own equalities
 		}
-		if prev.node.Kind != seg.NValue || cur.node.Kind != seg.NValue {
+		if prev.kind() != seg.NValue || cur.kind() != seg.NValue {
 			continue
 		}
-		def := cur.node.Val.Def
+		pv, cv := prev.val(), cur.val()
+		def := cv.Def
 		if def == nil {
 			continue
 		}
 		switch def.Op {
 		case ir.OpCopy, ir.OpPhi, ir.OpLoad:
-			a := enc.valueTerm(prev.inst, prev.node.Val)
-			b := enc.valueTerm(cur.inst, cur.node.Val)
+			a := enc.valueTerm(prev.inst, pv)
+			b := enc.valueTerm(cur.inst, cv)
 			if a.Sort == b.Sort {
 				enc.add(enc.tb.Eq(a, b))
 			}
-			enc.emitDD(prev.inst, prev.node.Val)
-			enc.emitDD(cur.inst, cur.node.Val)
+			enc.emitDD(prev.inst, pv)
+			enc.emitDD(cur.inst, cv)
 		}
 	}
 
@@ -108,7 +108,8 @@ func (e *Engine) checkCandidate(checker string, stats *Stats) (smt.Result, []str
 	// Control dependence of every step statement (use vertices and value
 	// definitions alike), with DD of the controlling atoms.
 	for _, st := range c.steps {
-		if st.node.Instr == nil {
+		in := st.instr()
+		if in == nil {
 			continue
 		}
 		fn := enc.instFn[st.inst]
@@ -116,7 +117,7 @@ func (e *Engine) checkCandidate(checker string, stats *Stats) (smt.Result, []str
 			continue
 		}
 		g := e.prog.SEG(fn)
-		enc.assertCond(st.inst, fn, g.CD(st.node.Instr))
+		enc.assertCond(st.inst, fn, g.CD(in))
 	}
 
 	res, model, src := enc.decide(s, e.opts, checker, e.tid, start, stats)

@@ -29,12 +29,12 @@ func RoundRobinMayFree(prog *Program) [][]bool {
 	}
 	paramMayFree := func(g *seg.Graph, p *ir.Value) bool {
 		for _, fl := range c.flowsFrom(g, g.ValueNode(p), &n) {
-			term := fl.Terminal()
+			term := g.Node(fl.Terminal())
 			switch term.Role {
 			case seg.RoleFreeArg:
 				return true
 			case seg.RoleCallArg:
-				if callee := prog.Module.Lookup(term.Instr.Callee()); callee != nil && mayFree(callee, int(term.ArgIdx)) {
+				if callee := prog.Module.Lookup(g.Instr(fl.Terminal()).Callee()); callee != nil && mayFree(callee, int(term.ArgIdx)) {
 					return true
 				}
 			}

@@ -97,8 +97,9 @@ func computeFreesParam(prog *Program, c *caches, n *flowCounts) {
 		f := work[i]
 		state[f.ID] = idle
 		grew := false
-		for pi, pf := range c.paramFacts(f, prog.SEG(f), n) {
-			if !c.frees[f.ID][pi] && (pf.frees || c.passedToFree(prog.Module, pf.passed)) {
+		g := prog.SEG(f)
+		for pi, pf := range c.paramFacts(f, g, n) {
+			if !c.frees[f.ID][pi] && (pf.frees || c.passedToFree(prog.Module, g, pf.passed)) {
 				c.frees[f.ID][pi], grew = true, true
 			}
 		}
@@ -121,11 +122,11 @@ func (c *caches) mayFree(callee *ir.Func, argIdx int) bool {
 	return argIdx < len(fr) && fr[argIdx]
 }
 
-// passedToFree reports whether one of the call arguments reaches a defined
-// callee that may free it.
-func (c *caches) passedToFree(m *ir.Module, args []*seg.Node) bool {
+// passedToFree reports whether one of the call arguments (vertices of g)
+// reaches a defined callee that may free it.
+func (c *caches) passedToFree(m *ir.Module, g *seg.Graph, args []int32) bool {
 	for _, arg := range args {
-		if callee := m.Lookup(arg.Instr.Callee()); callee != nil && c.mayFree(callee, int(arg.ArgIdx)) {
+		if callee := m.Lookup(g.Instr(arg).Callee()); callee != nil && c.mayFree(callee, int(g.Node(arg).ArgIdx)) {
 			return true
 		}
 	}
@@ -144,12 +145,12 @@ func (e *Engine) checkAlloc(checker string, f *ir.Func, g *seg.Graph, alloc *ir.
 	escaped := false
 
 	for _, fl := range e.caches.flowsFrom(g, g.ValueNode(alloc.Dst), &e.flows) {
-		term := fl.Terminal()
+		term := g.Node(fl.Terminal())
 		switch term.Role {
 		case seg.RoleFreeArg:
 			frees = append(frees, reachedFree{flow: fl})
 		case seg.RoleCallArg:
-			callee := e.prog.Module.Lookup(term.Instr.Callee())
+			callee := e.prog.Module.Lookup(g.Instr(fl.Terminal()).Callee())
 			if callee == nil {
 				// Passed to an external: assume it takes ownership.
 				escaped = true
@@ -170,7 +171,7 @@ func (e *Engine) checkAlloc(checker string, f *ir.Func, g *seg.Graph, alloc *ir.
 			// global memory. Stores into program-local stack or heap
 			// cells keep the value tracked (the SEG's load edges carry
 			// it onward).
-			for _, gl := range g.PTA.StoredAt(term.Instr) {
+			for _, gl := range g.PTA.StoredAt(g.Instr(fl.Terminal())) {
 				if gl.Loc.Kind != pta.LAlloc && gl.Loc.Kind != pta.LMalloc {
 					escaped = true
 				}
@@ -220,9 +221,9 @@ func (e *Engine) checkAlloc(checker string, f *ir.Func, g *seg.Graph, alloc *ir.
 		hops := []Hop{allocHop(f, alloc)}
 		for _, rf := range frees {
 			term := rf.flow.Terminal()
-			h := Hop{Fn: f.Name, Node: term.String()}
-			if term.Instr != nil {
-				h.Pos = term.Instr.Position()
+			h := Hop{Fn: f.Name, Node: g.NodeString(term)}
+			if in := g.Instr(term); in != nil {
+				h.Pos = in.Position()
 			}
 			hops = append(hops, h)
 		}

@@ -438,5 +438,10 @@ type boundary struct {
 // gstep is one SEG vertex on a global path, tagged with its instance.
 type gstep struct {
 	inst int
-	node *seg.Node
+	g    *seg.Graph
+	node int32
 }
+
+func (s gstep) kind() seg.NodeKind { return s.g.Node(s.node).Kind }
+func (s gstep) val() *ir.Value     { return s.g.Val(s.node) }
+func (s gstep) instr() *ir.Instr   { return s.g.Instr(s.node) }

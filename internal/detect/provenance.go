@@ -83,23 +83,20 @@ func hopsFromSteps(steps []gstep, conds []instCond) []Hop {
 	}
 	hops := make([]Hop, 0, len(steps))
 	for _, st := range steps {
+		in := st.instr()
 		fn := instFn[st.inst]
 		if fn == nil {
-			if st.node.Instr != nil {
-				fn = st.node.Instr.Block.Fn
-			} else if st.node.Val != nil && st.node.Val.Def != nil {
-				fn = st.node.Val.Def.Block.Fn
+			if in != nil {
+				fn = in.Block.Fn
 			}
 			instFn[st.inst] = fn
 		}
-		h := Hop{Inst: st.inst, Node: st.node.String()}
+		h := Hop{Inst: st.inst, Node: st.g.NodeString(st.node)}
 		if fn != nil {
 			h.Fn = fn.Name
 		}
-		if st.node.Instr != nil {
-			h.Pos = st.node.Instr.Position()
-		} else if st.node.Val != nil && st.node.Val.Def != nil {
-			h.Pos = st.node.Val.Def.Position()
+		if in != nil {
+			h.Pos = in.Position()
 		}
 		hops = append(hops, h)
 	}

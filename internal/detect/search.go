@@ -220,7 +220,7 @@ func (e *Engine) widen(g *seg.Graph, v *ir.Value) []*ir.Value {
 	e.roots = append(e.roots, v)
 	if e.lead.WidenToRoots {
 		e.startSet(g.NumNodes())
-		e.walkRoots(e.caches.reverse(g), g.ValueNode(v), v)
+		e.walkRoots(g, e.caches.reverse(g), g.ValueNode(v), v)
 		slices.SortFunc(e.roots[base:], func(a, b *ir.Value) int { return cmp.Compare(a.ID, b.ID) })
 	}
 	return e.roots[base:]
@@ -229,35 +229,36 @@ func (e *Engine) widen(g *seg.Graph, v *ir.Value) []*ir.Value {
 // walkRoots walks backward from v's vertex through equality-preserving
 // edges to the defining allocation sites or parameters, so that sibling
 // aliases of the freed object are tracked too, and pushes them on e.roots.
-func (e *Engine) walkRoots(rev *revEntry, n *seg.Node, v *ir.Value) {
-	if e.marks[n.Index()] == e.epoch {
+func (e *Engine) walkRoots(g *seg.Graph, rev *revEntry, n int32, v *ir.Value) {
+	if e.marks[n] == e.epoch {
 		return
 	}
-	e.marks[n.Index()] = e.epoch
-	if n.Kind != seg.NValue {
+	e.marks[n] = e.epoch
+	if g.Node(n).Kind != seg.NValue {
 		return
 	}
-	if def := n.Val.Def; def != nil {
+	val := g.Val(n)
+	if def := val.Def; def != nil {
 		// Only walk back through object-preserving defs (field addresses
 		// denote the same object as their base).
 		switch def.Op {
 		case ir.OpCopy, ir.OpPhi, ir.OpLoad, ir.OpFieldAddr:
 			if preds := rev.of(n); len(preds) > 0 {
 				for _, pn := range preds {
-					e.walkRoots(rev, pn, v)
+					e.walkRoots(g, rev, pn, v)
 				}
 				return
 			}
 		}
 	}
-	if n.Val != v {
-		e.roots = append(e.roots, n.Val)
+	if val != v {
+		e.roots = append(e.roots, val)
 	}
 }
 
 // explore expands all local flows from a vertex within a frame, for the
 // members in live: those whose own search would have reached this call.
-func (e *Engine) explore(fr *frame, node *seg.Node, live uint64) {
+func (e *Engine) explore(fr *frame, node int32, live uint64) {
 	for i := range e.members {
 		m := &e.members[i]
 		switch {
@@ -280,18 +281,19 @@ func (e *Engine) explore(fr *frame, node *seg.Node, live uint64) {
 	// interface, so the caller's actual argument carries the same danger
 	// after any call (only from the outermost frame — descent frames
 	// return through their call site instead).
-	if node.Kind == seg.NValue && node.Val.Kind == ir.VParam && fr.retTo == nil {
-		e.ascendViaParam(fr, node, live)
+	isValue := g.Node(node).Kind == seg.NValue
+	if isValue && g.Val(node).Kind == ir.VParam && fr.retTo == nil {
+		e.ascendViaParam(fr, g, node, live)
 	}
 
 	for _, flow := range e.caches.flowsFrom(g, node, &e.flows) {
 		term := flow.Terminal()
-		if term == node && len(flow.Steps) == 1 && node.Kind == seg.NValue {
+		if term == node && len(flow.Steps) == 1 && isValue {
 			continue
 		}
 		// Ordering: terminal actions in an anchored frame must be able
 		// to execute after the anchor.
-		if fr.anchor != nil && term.Instr != nil && !g.HappensAfter(fr.anchor, term.Instr) {
+		if in := g.Instr(term); fr.anchor != nil && in != nil && !g.HappensAfter(fr.anchor, in) {
 			continue
 		}
 		mark := e.path.mark(fr.inst)
@@ -301,7 +303,7 @@ func (e *Engine) explore(fr *frame, node *seg.Node, live uint64) {
 			continue
 		}
 		for _, s := range flow.Steps {
-			e.path.steps = append(e.path.steps, gstep{inst: fr.inst, node: s.Node})
+			e.path.steps = append(e.path.steps, gstep{inst: fr.inst, g: g, node: s.Node})
 		}
 
 		var sinks uint64
@@ -310,13 +312,13 @@ func (e *Engine) explore(fr *frame, node *seg.Node, live uint64) {
 				sinks |= 1 << i
 			}
 		}
-		switch {
+		switch role := g.Node(term).Role; {
 		case sinks != 0:
-			e.emitCandidate(fr, term, sinks)
-		case term.Role == seg.RoleCallArg:
-			e.throughCall(fr, term, live)
-		case term.Role == seg.RoleRetArg:
-			e.throughReturn(fr, term, live)
+			e.emitCandidate(fr, g, term, sinks)
+		case role == seg.RoleCallArg:
+			e.throughCall(fr, g, term, live)
+		case role == seg.RoleRetArg:
+			e.throughReturn(fr, g, term, live)
 		}
 		e.path.reset(mark)
 	}
@@ -343,17 +345,17 @@ func (e *Engine) bindCallParams(callerInst int, calleeInst int, call *ir.Instr, 
 // throughCall handles a tracked value passed as a call argument. Like
 // throughReturn's pop, it leaves what it pushed on the path to the reset of
 // the explore step that called it.
-func (e *Engine) throughCall(fr *frame, term *seg.Node, live uint64) {
-	call := term.Instr
+func (e *Engine) throughCall(fr *frame, g *seg.Graph, term int32, live uint64) {
+	call := g.Instr(term)
 	callee := e.prog.Module.Lookup(call.Callee())
 	if callee == nil {
 		// External: taint-transfer functions propagate to the receiver.
 		if e.lead.PropagateCalls[call.Callee()] && len(call.Dsts()) > 0 && call.Dsts()[0] != nil {
 			e.path.bounds = append(e.path.bounds, boundary{
-				instA: fr.inst, valA: term.Val, instB: fr.inst, valB: call.Dsts()[0], equality: false,
+				instA: fr.inst, valA: g.Val(term), instB: fr.inst, valB: call.Dsts()[0], equality: false,
 			})
-			recv := e.prog.SEG(fr.fn).ValueNode(call.Dsts()[0])
-			e.path.steps = append(e.path.steps, gstep{inst: fr.inst, node: recv})
+			recv := g.ValueNode(call.Dsts()[0])
+			e.path.steps = append(e.path.steps, gstep{inst: fr.inst, g: g, node: recv})
 			e.explore(fr, recv, live)
 		}
 		return
@@ -367,21 +369,22 @@ func (e *Engine) throughCall(fr *frame, term *seg.Node, live uint64) {
 		e.count(live, truncatedSearches)
 		return
 	}
-	if int(term.ArgIdx) >= len(callee.Params) {
+	argIdx := g.Node(term).ArgIdx
+	if int(argIdx) >= len(callee.Params) {
 		return
 	}
-	param := callee.Params[term.ArgIdx]
+	param := cg.ValueNode(callee.Params[argIdx])
 	nfr := &frame{
 		fn: callee, inst: e.newInst(), retTo: fr, retCall: call, depth: fr.depth + 1,
 	}
 	e.bindCallParams(fr.inst, nfr.inst, call, callee)
-	e.path.steps = append(e.path.steps, gstep{inst: nfr.inst, node: cg.ValueNode(param)})
-	e.explore(nfr, cg.ValueNode(param), live)
+	e.path.steps = append(e.path.steps, gstep{inst: nfr.inst, g: cg, node: param})
+	e.explore(nfr, param, live)
 }
 
 // throughReturn handles a tracked value reaching a return operand.
-func (e *Engine) throughReturn(fr *frame, term *seg.Node, live uint64) {
-	retIdx := int(term.ArgIdx)
+func (e *Engine) throughReturn(fr *frame, g *seg.Graph, term int32, live uint64) {
+	retIdx, retVal := int(g.Node(term).ArgIdx), g.Val(term)
 	if fr.retTo != nil {
 		// Pop to the originating call site.
 		recv := retReceiver(fr.fn, fr.retCall, retIdx)
@@ -390,11 +393,12 @@ func (e *Engine) throughReturn(fr *frame, term *seg.Node, live uint64) {
 		}
 		caller := fr.retTo
 		e.path.bounds = append(e.path.bounds, boundary{
-			instA: fr.inst, valA: term.Val, instB: caller.inst, valB: recv, equality: true,
+			instA: fr.inst, valA: retVal, instB: caller.inst, valB: recv, equality: true,
 		})
-		g := e.prog.SEG(caller.fn)
-		e.path.steps = append(e.path.steps, gstep{inst: caller.inst, node: g.ValueNode(recv)})
-		e.explore(caller, g.ValueNode(recv), live)
+		cg := e.prog.SEG(caller.fn)
+		at := cg.ValueNode(recv)
+		e.path.steps = append(e.path.steps, gstep{inst: caller.inst, g: cg, node: at})
+		e.explore(caller, at, live)
 		return
 	}
 	// Ascend: the search started in this function; every caller receives
@@ -411,12 +415,12 @@ func (e *Engine) throughReturn(fr *frame, term *seg.Node, live uint64) {
 		if recv == nil {
 			continue
 		}
-		g, nfr, mark := e.ascend(fr, cs)
+		cg, nfr, mark := e.ascend(fr, cs)
 		e.path.bounds = append(e.path.bounds, boundary{
-			instA: fr.inst, valA: term.Val, instB: nfr.inst, valB: recv, equality: true,
+			instA: fr.inst, valA: retVal, instB: nfr.inst, valB: recv, equality: true,
 		})
-		if e.enterCaller(fr, nfr, cs, g, recv, live) {
-			e.explore(nfr, g.ValueNode(recv), live)
+		if e.enterCaller(fr, nfr, cs, cg, recv, live) {
+			e.explore(nfr, cg.ValueNode(recv), live)
 		}
 		e.path.reset(mark)
 	}
@@ -445,7 +449,7 @@ func (e *Engine) enterCaller(fr, nfr *frame, cs CallSite, g *seg.Graph, at *ir.V
 		e.count(live, linearFiltered)
 		return false
 	}
-	e.path.steps = append(e.path.steps, gstep{inst: nfr.inst, node: g.ValueNode(at)})
+	e.path.steps = append(e.path.steps, gstep{inst: nfr.inst, g: g, node: g.ValueNode(at)})
 	return true
 }
 
@@ -455,8 +459,8 @@ func (e *Engine) enterCaller(fr, nfr *frame, cs CallSite, g *seg.Graph, at *ir.V
 // object roots (when the checker asks for root widening) so sibling
 // aliases — other values loaded from the same cell the actual came from —
 // are tracked too.
-func (e *Engine) ascendViaParam(fr *frame, node *seg.Node, live uint64) {
-	idx := node.Val.ParamIdx()
+func (e *Engine) ascendViaParam(fr *frame, g *seg.Graph, node int32, live uint64) {
+	idx := g.Val(node).ParamIdx()
 	for i, cs := range e.callersOf(fr.fn) {
 		if i >= e.opts.MaxCallers || fr.depth >= e.opts.MaxCallDepth {
 			e.count(live, truncatedSearches)
@@ -469,11 +473,11 @@ func (e *Engine) ascendViaParam(fr *frame, node *seg.Node, live uint64) {
 			continue
 		}
 		actual := cs.Instr.Args[idx]
-		g, nfr, mark := e.ascend(fr, cs)
-		if e.enterCaller(fr, nfr, cs, g, actual, live) {
+		cg, nfr, mark := e.ascend(fr, cs)
+		if e.enterCaller(fr, nfr, cs, cg, actual, live) {
 			base := len(e.roots)
-			for _, root := range e.widen(g, actual) {
-				e.explore(nfr, g.ValueNode(root), live)
+			for _, root := range e.widen(cg, actual) {
+				e.explore(nfr, cg.ValueNode(root), live)
 			}
 			e.roots = e.roots[:base]
 		}
@@ -511,14 +515,14 @@ func retReceiver(callee *ir.Func, call *ir.Instr, retIdx int) *ir.Value {
 // extension). The check walks the sink's transitive control dependences and
 // the defining chains of their branch conditions looking for a sanitizer
 // call whose argument is a path value.
-func (e *Engine) sanitized(fr *frame, sink *seg.Node) bool {
+func (e *Engine) sanitized(fr *frame, sink *ir.Instr) bool {
 	if len(e.lead.SanitizerCalls) == 0 {
 		return false
 	}
 	pathVals := make([]bool, fr.fn.NumValues()) // by Value.ID
 	for _, st := range e.path.steps {
-		if st.inst == fr.inst && st.node.Val != nil {
-			pathVals[st.node.Val.ID] = true
+		if st.inst == fr.inst {
+			pathVals[st.val().ID] = true
 		}
 	}
 	inf := e.prog.Info(fr.fn)
@@ -559,14 +563,15 @@ func (e *Engine) sanitized(fr *frame, sink *seg.Node) bool {
 		}
 		return false
 	}
-	return fromBlock(sink.Instr.Block)
+	return fromBlock(sink.Block)
 }
 
 // emitCandidate finalizes a candidate path for the members whose sink the
 // terminal is: each counts it and reports it as its own search would, but the
 // feasibility query is encoded and decided once.
-func (e *Engine) emitCandidate(fr *frame, sink *seg.Node, sinks uint64) {
-	key := [2]*ir.Instr{e.srcAt, sink.Instr}
+func (e *Engine) emitCandidate(fr *frame, g *seg.Graph, term int32, sinks uint64) {
+	sink := g.Instr(term)
+	key := [2]*ir.Instr{e.srcAt, sink}
 	p := &e.path
 	var (
 		checked bool
@@ -615,9 +620,9 @@ func (e *Engine) emitCandidate(fr *frame, sink *seg.Node, sinks uint64) {
 			SourceFn:   e.srcFn.Name,
 			SinkFn:     fr.fn.Name,
 			SourcePos:  e.srcAt.Position(),
-			SinkPos:    sink.Instr.Position(),
+			SinkPos:    sink.Position(),
 			Source:     e.srcAt,
-			Sink:       sink.Instr,
+			Sink:       sink,
 			PathLen:    len(p.steps),
 			Contexts:   e.countInstances(p.steps),
 			Verdict:    verdict,

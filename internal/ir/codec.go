@@ -3,6 +3,7 @@ package ir
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/minic"
 	"repro/internal/wirebin"
@@ -68,12 +69,9 @@ func liveValues(f *Func) []*Value {
 	for _, p := range f.Params {
 		add(p)
 	}
-	for _, c := range f.intConsts {
+	for _, c := range f.consts {
 		add(c)
 	}
-	add(f.boolConsts[0])
-	add(f.boolConsts[1])
-	add(f.nullConst)
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			add(in.Dst)
@@ -237,6 +235,17 @@ func (d *funcDecoder) errorf(format string, args ...any) error {
 	return d.r.Errorf("ir: decode %s: %s", d.f.Name, fmt.Sprintf(format, args...))
 }
 
+// chunked returns an array of n records cut into the chunks of *table, which
+// it is the whole of.
+func chunked[T any](table *[]*[slabChunk]T, n int) []T {
+	all := make([]T, (n+slabChunk-1)/slabChunk*slabChunk)
+	*table = make([]*[slabChunk]T, len(all)/slabChunk)
+	for k := range *table {
+		(*table)[k] = (*[slabChunk]T)(all[k*slabChunk:])
+	}
+	return all[:n]
+}
+
 // claim enters the record p just read under its id, which must be inside
 // the ID space and not taken.
 func claim[T any](d *funcDecoder, what string, tab []*T, id int, p *T) error {
@@ -338,8 +347,14 @@ func DecodeFunc(r *wirebin.Reader) (*Func, *Index, error) {
 	// Values, restoring the constant intern tables. Values, blocks and
 	// instructions each come from one backing array — the artifact lives or
 	// dies wholesale, and one allocation for thousands of nodes is a large
-	// share of warm-restart time on the allocator alone.
-	values := make([]Value, r.Len())
+	// share of warm-restart time on the allocator alone. The values and
+	// instructions arrays are cut into the function's chunks, the latter by
+	// ID.
+	values := chunked(&f.values, r.Len())
+	f.valSlot = make([]int32, nv)
+	for i := range f.valSlot {
+		f.valSlot[i] = -1
+	}
 	defs := make([]int32, len(values))
 	for i := range values {
 		v := &values[i]
@@ -351,34 +366,29 @@ func DecodeFunc(r *wirebin.Reader) (*Func, *Index, error) {
 		if err := claim(d, "value", ix.Values, id, v); err != nil {
 			return nil, nil, err
 		}
+		f.valSlot[id] = int32(i)
+		f.carved++
 		v.ID, v.BoolVal, v.Aux = int32(id), boolVal, aux
 		// Each kind carries one payload; a second one is not a genuine
 		// value's, and would be lost in the shared field.
-		dup := false
 		switch v.Kind {
 		case VVar:
 		case VParam:
 			v.num, paramIdx = int64(paramIdx), 0
 		case VConstInt:
 			v.num, intVal = intVal, 0
-			dup = f.intConsts[v.num] != nil
-			if f.intConsts == nil {
-				f.intConsts = make(map[int64]*Value)
-			}
-			f.intConsts[v.num] = v
 		case VConstBool:
-			c := &f.boolConsts[0]
-			if v.BoolVal {
-				c = &f.boolConsts[1]
-			}
-			dup, *c, boolVal = *c != nil, v, false
+			boolVal = false
 		case VConstNull:
-			dup, f.nullConst = f.nullConst != nil, v
 		default:
 			return nil, nil, d.errorf("value %d has unknown kind %d", v.ID, v.Kind)
 		}
-		if dup {
-			return nil, nil, d.errorf("value %d duplicates an interned constant", v.ID)
+		if v.IsConst() {
+			at, dup := f.findConst(v)
+			if dup {
+				return nil, nil, d.errorf("value %d duplicates an interned constant", v.ID)
+			}
+			f.consts = slices.Insert(f.consts, at, v)
 		}
 		if intVal != 0 || paramIdx != 0 || boolVal || v.num < 0 && v.Kind == VParam {
 			return nil, nil, d.errorf("value %d of kind %d carries a payload of another kind", v.ID, v.Kind)
@@ -416,15 +426,20 @@ func DecodeFunc(r *wirebin.Reader) (*Func, *Index, error) {
 
 	// Instructions and CFG edges. The per-block instruction lists share one
 	// array; the extensions come a chunk at a time, as in a built function.
-	instrs := make([]Instr, total)
+	instrs := chunked(&f.instrs, ni)
 	lists := make([]*Instr, total)
 	var exts []Ext
 	for i, b := range f.Blocks {
 		b.Instrs, lists = lists[:counts[i]:counts[i]], lists[counts[i]:]
 		for j := range b.Instrs {
-			in := &instrs[0]
-			instrs = instrs[1:]
 			id := r.Int()
+			if id < 0 || id >= ni {
+				return nil, nil, d.errorf("bad instr id %d", id)
+			}
+			in := &instrs[id]
+			if err := claim(d, "instr", ix.Instrs, id, in); err != nil {
+				return nil, nil, err
+			}
 			in.Op, in.Block = Op(r.U8()), b
 			if in.Dst, err = d.value(); err != nil {
 				return nil, nil, err
@@ -445,9 +460,6 @@ func DecodeFunc(r *wirebin.Reader) (*Func, *Index, error) {
 				return nil, nil, err
 			}
 			in.Synthetic = r.Bool()
-			if err := claim(d, "instr", ix.Instrs, id, in); err != nil {
-				return nil, nil, err
-			}
 			in.ID = int32(id)
 			if int(in.Op) >= len(opNames) {
 				return nil, nil, d.errorf("instr %d has unknown op %d", in.ID, in.Op)

@@ -13,7 +13,9 @@
 package ir
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strconv"
 
 	"repro/internal/minic"
@@ -351,27 +353,34 @@ type Func struct {
 	nextValID   int32
 	nextInstrID int32
 	nextBlockID int32
-	// slabs is where new records are carved from; nil when nothing has been
-	// created since the function was made, decoded or released.
+	// carved counts the values in values.
+	carved int32
+	// instrs and values are the chunks instructions and kept values are
+	// carved from, in order, and all the function holds to find a record by
+	// its ID: instruction i is in chunk i/slabChunk, and value v at position
+	// valSlot[v] of the values (-1: v was a pre-SSA variable, which is not
+	// kept). So a side table can name a record by its ID (an int32) instead
+	// of pointing at it. See Value and Instr.
+	instrs  []*[slabChunk]Instr
+	values  []*[slabChunk]Value
+	valSlot []int32
+	// slabs is where the other records are carved from; nil when nothing
+	// has been created since the function was made, decoded or released.
 	slabs *slabs
-	// intConsts is made when the first integer constant is interned.
-	intConsts  map[int64]*Value
-	boolConsts [2]*Value
-	nullConst  *Value
+	// consts holds the interned constants, sorted by kind, then by value
+	// (compareConsts).
+	consts []*Value
 }
 
-// slabs holds a function's current allocation chunks. Instructions, blocks,
-// the values that live as long as their function (parameters, constants,
-// SSA versions, connector variables) and the operand, receiver and target
-// lists of instructions are carved out of chunks instead of being allocated
-// one object at a time (a chunk is never regrown, so pointers into it stay
-// valid). The chunks belong to the records in them; this is only the
+// slabs holds a function's current allocation chunks. Blocks, instruction
+// extensions and the operand, receiver and target lists of instructions are
+// carved out of chunks instead of being allocated one object at a time (a
+// chunk is never regrown, so pointers into it stay valid), like instructions
+// and values. The chunks belong to the records in them; this is only the
 // bookkeeping of where the next record goes, which ReleaseBuildState drops
 // once the function is built — at the cost of the chunks' unused tails, should
 // anything be created later after all.
 type slabs struct {
-	instrs    []Instr
-	values    []Value
 	blocks    []Block
 	exts      []Ext
 	valRefs   []*Value
@@ -386,9 +395,51 @@ func (f *Func) alloc() *slabs {
 }
 
 // ReleaseBuildState drops the allocation bookkeeping of a function that is
-// not expected to grow any more. The build calls it when the function's SEG
-// is complete.
-func (f *Func) ReleaseBuildState() { f.slabs = nil }
+// not expected to grow any more, and trims the ID tables to their length. The
+// build calls it when the function's SEG is complete.
+func (f *Func) ReleaseBuildState() {
+	f.slabs = nil
+	f.instrs, f.values, f.valSlot = trim(f.instrs), trim(f.values), trim(f.valSlot)
+}
+
+// trim returns s without spare capacity.
+func trim[T any](s []T) []T {
+	if cap(s) == len(s) {
+		return s
+	}
+	return append([]T(nil), s...)
+}
+
+// Instr returns the instruction with the given ID, or nil when no
+// instruction holds it.
+func (f *Func) Instr(id int32) *Instr {
+	if id < 0 || id >= f.nextInstrID {
+		return nil
+	}
+	if in := &f.instrs[id/slabChunk][id%slabChunk]; in.Block != nil {
+		return in
+	}
+	return nil
+}
+
+// Value returns the value with the given ID, or nil when the function keeps
+// no value under it (a pre-SSA variable's ID).
+func (f *Func) Value(id int32) *Value {
+	if id < 0 || int(id) >= len(f.valSlot) || f.valSlot[id] < 0 {
+		return nil
+	}
+	at := f.valSlot[id]
+	return &f.values[at/slabChunk][at%slabChunk]
+}
+
+// Undef returns the value a use of the pre-SSA variable v reads where no
+// definition of v reaches it: a copy of v under v's ID that, unlike v, the
+// function keeps. SSA renaming calls it at most once per variable.
+func (f *Func) Undef(v *Value) *Value {
+	p := f.carveValue(v.ID)
+	*p = *v
+	return p
+}
 
 // NewFunc returns an empty function shell.
 func NewFunc(name string, ret minic.Type, unit int, pos minic.Pos) *Func {
@@ -460,9 +511,21 @@ func carveList[T any](slab *[]T, list []T) []T {
 	return out
 }
 
+// carveValue hands out the next value slot and enters it under id.
+func (f *Func) carveValue(id int32) *Value {
+	at := f.carved
+	if at%slabChunk == 0 {
+		f.values = append(f.values, new([slabChunk]Value))
+	}
+	f.carved++
+	f.valSlot[id] = at
+	return &f.values[at/slabChunk][at%slabChunk]
+}
+
 // newValue hands out the next value slot with a fresh ID.
 func (f *Func) newValue(v Value) *Value {
-	p := carve(&f.alloc().values, slabChunk)
+	f.valSlot = append(f.valSlot, -1)
+	p := f.carveValue(f.nextValID)
 	*p = v
 	p.ID = f.nextValID
 	f.nextValID++
@@ -473,7 +536,10 @@ func (f *Func) newValue(v Value) *Value {
 // in are copied into the function's slabs; in's own arrays are not kept.
 func (f *Func) newInstr(in *Instr, b *Block) *Instr {
 	a := f.alloc()
-	p := carve(&a.instrs, slabChunk)
+	if f.nextInstrID%slabChunk == 0 {
+		f.instrs = append(f.instrs, new([slabChunk]Instr))
+	}
+	p := &f.instrs[f.nextInstrID/slabChunk][f.nextInstrID%slabChunk]
 	p.Dst, p.Sub, p.Loc, p.Op, p.Synthetic = in.Dst, in.Sub, in.Loc, in.Op, in.Synthetic
 	p.Args = carveList(&a.valRefs, in.Args)
 	if in.Ext != nil {
@@ -491,6 +557,7 @@ func (f *Func) newInstr(in *Instr, b *Block) *Instr {
 // versions, after which the variable itself is garbage.
 func (f *Func) NewVar(name string, t minic.Type) *Value {
 	v := &Value{ID: f.nextValID, Kind: VVar, name: name, Type: t}
+	f.valSlot = append(f.valSlot, -1)
 	f.nextValID++
 	return v
 }
@@ -517,35 +584,44 @@ func (f *Func) NewParam(name string, t minic.Type, aux bool) *Value {
 
 // ConstInt returns the interned integer constant.
 func (f *Func) ConstInt(v int64) *Value {
-	if c, ok := f.intConsts[v]; ok {
-		return c
-	}
-	c := f.newValue(Value{Kind: VConstInt, num: v, Type: minic.IntType})
-	if f.intConsts == nil {
-		f.intConsts = make(map[int64]*Value)
-	}
-	f.intConsts[v] = c
-	return c
+	return f.interned(Value{Kind: VConstInt, num: v, Type: minic.IntType})
 }
 
 // ConstBool returns the interned boolean constant.
 func (f *Func) ConstBool(v bool) *Value {
-	i := 0
-	if v {
-		i = 1
-	}
-	if f.boolConsts[i] == nil {
-		f.boolConsts[i] = f.newValue(Value{Kind: VConstBool, BoolVal: v, Type: minic.BoolType})
-	}
-	return f.boolConsts[i]
+	return f.interned(Value{Kind: VConstBool, BoolVal: v, Type: minic.BoolType})
 }
 
 // ConstNull returns the interned null constant.
 func (f *Func) ConstNull() *Value {
-	if f.nullConst == nil {
-		f.nullConst = f.newValue(Value{Kind: VConstNull, Type: minic.IntType.Pointer()})
+	return f.interned(Value{Kind: VConstNull, Type: minic.IntType.Pointer()})
+}
+
+// interned returns the interned constant equal to c, creating it on first
+// request.
+func (f *Func) interned(c Value) *Value {
+	at, ok := f.findConst(&c)
+	if !ok {
+		f.consts = slices.Insert(f.consts, at, f.newValue(c))
 	}
-	return f.nullConst
+	return f.consts[at]
+}
+
+// findConst finds the constant c among the interned ones: its position, or
+// where it belongs.
+func (f *Func) findConst(c *Value) (int, bool) {
+	return slices.BinarySearchFunc(f.consts, c, compareConsts)
+}
+
+// compareConsts orders constants by kind, then by value.
+func compareConsts(a, b *Value) int {
+	bit := func(b bool) int {
+		if b {
+			return 1
+		}
+		return 0
+	}
+	return cmp.Or(cmp.Compare(a.Kind, b.Kind), cmp.Compare(a.num, b.num), cmp.Compare(bit(a.BoolVal), bit(b.BoolVal)))
 }
 
 // NumValues returns the number of values created so far.

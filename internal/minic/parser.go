@@ -103,18 +103,33 @@ func (p *Parser) peek(k int) Token {
 
 func (p *Parser) cur() Token { return p.peek(0) }
 
-func (p *Parser) next() Token {
-	t := p.peek(0)
+// kind returns the current token's kind, read in place: a Token is several
+// words, and the grammar tests the kind far more often than it takes a token.
+func (p *Parser) kind() TokKind {
+	if p.n == 0 {
+		p.buf[0] = p.scan()
+		p.n = 1
+	}
+	return p.buf[0].Kind
+}
+
+// skip drops the current token, which the caller has looked at.
+func (p *Parser) skip() {
 	copy(p.buf[:], p.buf[1:p.n])
 	p.n--
+}
+
+func (p *Parser) next() Token {
+	t := p.peek(0)
+	p.skip()
 	return t
 }
 
-func (p *Parser) at(k TokKind) bool { return p.cur().Kind == k }
+func (p *Parser) at(k TokKind) bool { return p.kind() == k }
 
 func (p *Parser) accept(k TokKind) bool {
-	if p.at(k) {
-		p.next()
+	if p.kind() == k {
+		p.skip()
 		return true
 	}
 	return false
@@ -129,7 +144,7 @@ func (p *Parser) expect(k TokKind) (Token, error) {
 }
 
 func (p *Parser) atType() bool {
-	switch p.cur().Kind {
+	switch p.kind() {
 	case TokKwInt, TokKwBool, TokKwVoid, TokKwStruct:
 		return true
 	}
@@ -138,7 +153,7 @@ func (p *Parser) atType() bool {
 
 func (p *Parser) parseType() (Type, error) {
 	var t Type
-	switch p.cur().Kind {
+	switch p.kind() {
 	case TokKwInt:
 		t = IntType
 	case TokKwBool:
@@ -146,7 +161,7 @@ func (p *Parser) parseType() (Type, error) {
 	case TokKwVoid:
 		t = VoidType
 	case TokKwStruct:
-		p.next()
+		p.skip()
 		name, err := p.expect(TokIdent)
 		if err != nil {
 			return t, err
@@ -159,7 +174,7 @@ func (p *Parser) parseType() (Type, error) {
 	default:
 		return t, &Error{Pos: p.cur().Pos, Msg: fmt.Sprintf("expected type, found %s", p.cur())}
 	}
-	p.next()
+	p.skip()
 	for p.accept(TokStar) {
 		t = t.Pointer()
 	}
@@ -304,7 +319,7 @@ func (p *Parser) parseBlock() (*BlockStmt, error) {
 }
 
 func (p *Parser) parseStmt() (Stmt, error) {
-	switch p.cur().Kind {
+	switch p.kind() {
 	case TokLBrace:
 		return p.parseBlock()
 	case TokKwIf:
@@ -558,7 +573,7 @@ func (p *Parser) parseCmp() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	if op, ok := cmpOps[p.cur().Kind]; ok {
+	if op, ok := cmpOps[p.kind()]; ok {
 		t := p.next()
 		y, err := p.parseAdd()
 		if err != nil {
@@ -596,7 +611,7 @@ func (p *Parser) parseMul() (Expr, error) {
 	}
 	for {
 		var op string
-		switch p.cur().Kind {
+		switch p.kind() {
 		case TokStar:
 			op = "*"
 		case TokSlash:
@@ -617,7 +632,7 @@ func (p *Parser) parseMul() (Expr, error) {
 
 func (p *Parser) parseUnary() (Expr, error) {
 	var op string
-	switch p.cur().Kind {
+	switch p.kind() {
 	case TokMinus:
 		op = "-"
 	case TokBang:
@@ -658,7 +673,7 @@ func (p *Parser) parsePrimary() (Expr, error) {
 	t := p.cur()
 	switch t.Kind {
 	case TokIdent:
-		p.next()
+		p.skip()
 		if p.accept(TokLParen) {
 			call := &CallExpr{Pos: t.Pos, Fun: t.Lit}
 			if !p.at(TokRParen) {
@@ -680,23 +695,23 @@ func (p *Parser) parsePrimary() (Expr, error) {
 		}
 		return &Ident{Pos: t.Pos, Name: t.Lit}, nil
 	case TokInt:
-		p.next()
+		p.skip()
 		var v int64
 		for _, c := range t.Lit {
 			v = v*10 + int64(c-'0')
 		}
 		return &IntLit{Pos: t.Pos, Val: v}, nil
 	case TokKwTrue:
-		p.next()
+		p.skip()
 		return &BoolLit{Pos: t.Pos, Val: true}, nil
 	case TokKwFalse:
-		p.next()
+		p.skip()
 		return &BoolLit{Pos: t.Pos, Val: false}, nil
 	case TokKwNull:
-		p.next()
+		p.skip()
 		return &NullLit{Pos: t.Pos}, nil
 	case TokLParen:
-		p.next()
+		p.skip()
 		x, err := p.parseExpr()
 		if err != nil {
 			return nil, err

@@ -15,7 +15,8 @@
 package modref
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strconv"
 
 	"repro/internal/conc"
@@ -40,49 +41,81 @@ type Path struct {
 	Depth int
 }
 
-// Summary is a function's side-effect summary.
+// Summary is a function's side-effect summary: the paths it references and
+// the paths it modifies, each a set kept sorted (ComparePaths) in a slice of
+// exactly its length. A function's sets are a handful of paths, so a search
+// is a few comparisons and a summary at rest is at most two small arrays.
 type Summary struct {
-	Ref map[Path]bool
-	Mod map[Path]bool
+	Ref []Path
+	Mod []Path
 }
 
 // NewSummary returns an empty summary.
-func NewSummary() *Summary {
-	return &Summary{Ref: make(map[Path]bool), Mod: make(map[Path]bool)}
+func NewSummary() *Summary { return &Summary{} }
+
+// none is the summary of every function without side effects whose
+// summary has settled.
+var none Summary
+
+// Settled returns the summary to keep once s's fixpoint has converged: s, or
+// for an empty s — most functions' — the one empty summary they all share,
+// which never grows.
+func (s *Summary) Settled() *Summary {
+	if len(s.Ref)+len(s.Mod) == 0 {
+		return &none
+	}
+	return s
+}
+
+// Refs and Mods report whether the summary references or modifies p.
+func (s *Summary) Refs(p Path) bool { return has(s.Ref, p) }
+func (s *Summary) Mods(p Path) bool { return has(s.Mod, p) }
+
+// AddRef and AddMod add p to the summary, reporting whether it was new.
+func (s *Summary) AddRef(p Path) bool { return add(&s.Ref, p) }
+func (s *Summary) AddMod(p Path) bool { return add(&s.Mod, p) }
+
+func has(set []Path, p Path) bool {
+	_, ok := slices.BinarySearchFunc(set, p, ComparePaths)
+	return ok
+}
+
+// add inserts p into a sorted set. The set grows into a new array: the old
+// one is left as it was to whoever ranges over it (a recursive function
+// imports its own summary).
+func add(set *[]Path, p Path) bool {
+	at, ok := slices.BinarySearchFunc(*set, p, ComparePaths)
+	if !ok {
+		*set = slices.Concat((*set)[:at], []Path{p}, (*set)[at:])
+	}
+	return !ok
 }
 
 // Paths returns the union of Ref and Mod paths, sorted: parameters before
 // globals, then by root, then by depth. The connector transformation relies
 // on this order being deterministic.
 func (s *Summary) Paths() []Path {
-	set := make(map[Path]bool, len(s.Ref)+len(s.Mod))
-	for p := range s.Ref {
-		set[p] = true
-	}
-	for p := range s.Mod {
-		set[p] = true
-	}
-	out := make([]Path, 0, len(set))
-	for p := range set {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return lessPath(out[i], out[j]) })
-	return out
+	out := slices.Concat(s.Ref, s.Mod)
+	slices.SortFunc(out, ComparePaths)
+	return slices.Compact(out)
 }
 
-func lessPath(a, b Path) bool {
+// ComparePaths orders paths the way a Summary keeps them: parameters before
+// globals, then by parameter index or global name, then by depth.
+func ComparePaths(a, b Path) int {
 	ag, bg := a.Root.IsGlobal(), b.Root.IsGlobal()
-	if ag != bg {
-		return !ag
-	}
-	if !ag {
-		if a.Root.Param != b.Root.Param {
-			return a.Root.Param < b.Root.Param
+	switch {
+	case ag != bg:
+		if ag {
+			return 1
 		}
-	} else if a.Root.Global != b.Root.Global {
-		return a.Root.Global < b.Root.Global
+		return -1
+	case !ag && a.Root.Param != b.Root.Param:
+		return cmp.Compare(a.Root.Param, b.Root.Param)
+	case ag && a.Root.Global != b.Root.Global:
+		return cmp.Compare(a.Root.Global, b.Root.Global)
 	}
-	return a.Depth < b.Depth
+	return cmp.Compare(a.Depth, b.Depth)
 }
 
 // Fingerprint renders the summary as a canonical string — equal summaries
@@ -95,10 +128,10 @@ func (s *Summary) Fingerprint() string { return string(s.AppendFingerprint(nil))
 // AppendFingerprint appends the bytes of Fingerprint to b.
 func (s *Summary) AppendFingerprint(b []byte) []byte {
 	for _, p := range s.Paths() {
-		if s.Ref[p] {
+		if s.Refs(p) {
 			b = append(b, 'R')
 		}
-		if s.Mod[p] {
+		if s.Mods(p) {
 			b = append(b, 'M')
 		}
 		if p.Root.IsGlobal() {
@@ -165,6 +198,9 @@ func AnalyzeWith(m *ir.Module, workers int) (*Result, int) {
 		// condensation, so this is unreachable; guard against regressions.
 		panic(err)
 	}
+	for f, sum := range res.Summaries {
+		res.Summaries[f] = sum.Settled()
+	}
 	return res, width
 }
 
@@ -224,13 +260,13 @@ func AnalyzeFunc(f *ir.Func, sum *Summary, lookup func(name string) *Summary) bo
 	addRef := func(tg tag, extra int) {
 		d := tg.depth + extra
 		if d >= 1 && d <= MaxDepth {
-			sum.Ref[Path{Root: tg.root, Depth: d}] = true
+			sum.AddRef(Path{Root: tg.root, Depth: d})
 		}
 	}
 	addMod := func(tg tag, extra int) {
 		d := tg.depth + extra
 		if d >= 1 && d <= MaxDepth {
-			sum.Mod[Path{Root: tg.root, Depth: d}] = true
+			sum.AddMod(Path{Root: tg.root, Depth: d})
 		}
 	}
 
@@ -302,12 +338,12 @@ func AnalyzeFunc(f *ir.Func, sum *Summary, lookup func(name string) *Summary) bo
 
 // importSummary composes a callee summary into the caller at a call site.
 func importSummary(sum *Summary, callee *Summary, call *ir.Instr, tags map[*ir.Value]tag) {
-	apply := func(p Path, dst map[Path]bool) {
+	apply := func(p Path, dst *[]Path) {
 		if p.Root.IsGlobal() {
 			// Global paths are caller paths verbatim: globals are
 			// program-wide roots.
 			if p.Depth <= MaxDepth {
-				dst[p] = true
+				add(dst, p)
 			}
 			return
 		}
@@ -322,14 +358,14 @@ func importSummary(sum *Summary, callee *Summary, call *ir.Instr, tags map[*ir.V
 		// The callee's *(param_j, k) is the caller's *(root, depth+k).
 		d := t.depth + p.Depth
 		if d >= 1 && d <= MaxDepth {
-			dst[Path{Root: t.root, Depth: d}] = true
+			add(dst, Path{Root: t.root, Depth: d})
 		}
 	}
-	for p := range callee.Ref {
-		apply(p, sum.Ref)
+	for _, p := range callee.Ref {
+		apply(p, &sum.Ref)
 	}
-	for p := range callee.Mod {
-		apply(p, sum.Mod)
+	for _, p := range callee.Mod {
+		apply(p, &sum.Mod)
 	}
 }
 

@@ -35,13 +35,13 @@ void f(int *p, int *q) {
 }`)
 	res := Analyze(m)
 	sum := res.Summaries[m.Lookup("f")]
-	if !sum.Ref[Path{Root: Root{Param: 0}, Depth: 1}] {
+	if !sum.Refs(Path{Root: Root{Param: 0}, Depth: 1}) {
 		t.Errorf("missing Ref(p,1): %+v", sum.Ref)
 	}
-	if !sum.Mod[Path{Root: Root{Param: 1}, Depth: 1}] {
+	if !sum.Mods(Path{Root: Root{Param: 1}, Depth: 1}) {
 		t.Errorf("missing Mod(q,1): %+v", sum.Mod)
 	}
-	if sum.Mod[Path{Root: Root{Param: 0}, Depth: 1}] {
+	if sum.Mods(Path{Root: Root{Param: 0}, Depth: 1}) {
 		t.Errorf("spurious Mod(p,1)")
 	}
 }
@@ -54,10 +54,10 @@ void f(int **pp) {
 }`)
 	res := Analyze(m)
 	sum := res.Summaries[m.Lookup("f")]
-	if !sum.Ref[Path{Root: Root{Param: 0}, Depth: 1}] {
+	if !sum.Refs(Path{Root: Root{Param: 0}, Depth: 1}) {
 		t.Errorf("missing Ref(pp,1)")
 	}
-	if !sum.Mod[Path{Root: Root{Param: 0}, Depth: 2}] {
+	if !sum.Mods(Path{Root: Root{Param: 0}, Depth: 2}) {
 		t.Errorf("missing Mod(pp,2): %+v", sum.Mod)
 	}
 }
@@ -69,11 +69,11 @@ void caller(int *p) { callee(p); }
 void deep(int **pp) { int *p = *pp; callee(p); }`)
 	res := Analyze(m)
 	caller := res.Summaries[m.Lookup("caller")]
-	if !caller.Mod[Path{Root: Root{Param: 0}, Depth: 1}] {
+	if !caller.Mods(Path{Root: Root{Param: 0}, Depth: 1}) {
 		t.Errorf("caller missing transitive Mod(p,1): %+v", caller.Mod)
 	}
 	deep := res.Summaries[m.Lookup("deep")]
-	if !deep.Mod[Path{Root: Root{Param: 0}, Depth: 2}] {
+	if !deep.Mods(Path{Root: Root{Param: 0}, Depth: 2}) {
 		t.Errorf("deep missing composed Mod(pp,2): %+v", deep.Mod)
 	}
 }
@@ -86,15 +86,15 @@ void reader() { int x = g; }
 void indirect() { writer(); }`)
 	res := Analyze(m)
 	w := res.Summaries[m.Lookup("writer")]
-	if !w.Mod[Path{Root: Root{Param: -1, Global: "g"}, Depth: 1}] {
+	if !w.Mods(Path{Root: Root{Param: -1, Global: "g"}, Depth: 1}) {
 		t.Errorf("writer missing Mod(g,1): %+v", w.Mod)
 	}
 	r := res.Summaries[m.Lookup("reader")]
-	if !r.Ref[Path{Root: Root{Param: -1, Global: "g"}, Depth: 1}] {
+	if !r.Refs(Path{Root: Root{Param: -1, Global: "g"}, Depth: 1}) {
 		t.Errorf("reader missing Ref(g,1): %+v", r.Ref)
 	}
 	ind := res.Summaries[m.Lookup("indirect")]
-	if !ind.Mod[Path{Root: Root{Param: -1, Global: "g"}, Depth: 1}] {
+	if !ind.Mods(Path{Root: Root{Param: -1, Global: "g"}, Depth: 1}) {
 		t.Errorf("indirect missing propagated Mod(g,1): %+v", ind.Mod)
 	}
 }
@@ -110,7 +110,7 @@ void b(int *q, int k) {
 }`)
 	res := Analyze(m)
 	as := res.Summaries[m.Lookup("a")]
-	if !as.Mod[Path{Root: Root{Param: 0}, Depth: 1}] {
+	if !as.Mods(Path{Root: Root{Param: 0}, Depth: 1}) {
 		t.Errorf("a missing Mod through recursion: %+v", as.Mod)
 	}
 }
@@ -137,12 +137,12 @@ void f(int ***ppp) {
 }`)
 	res := Analyze(m)
 	sum := res.Summaries[m.Lookup("f")]
-	for p := range sum.Ref {
+	for _, p := range sum.Ref {
 		if p.Depth > MaxDepth {
 			t.Errorf("path %v exceeds cap", p)
 		}
 	}
-	if !sum.Ref[Path{Root: Root{Param: 0}, Depth: 3}] {
+	if !sum.Refs(Path{Root: Root{Param: 0}, Depth: 3}) {
 		t.Errorf("missing depth-3 ref: %+v", sum.Ref)
 	}
 }
@@ -179,10 +179,10 @@ void b(int n) { a(n); }`)
 
 func TestSummaryPathsDeterministic(t *testing.T) {
 	s := NewSummary()
-	s.Ref[Path{Root: Root{Param: 1}, Depth: 2}] = true
-	s.Ref[Path{Root: Root{Param: 0}, Depth: 1}] = true
-	s.Mod[Path{Root: Root{Param: -1, Global: "z"}, Depth: 1}] = true
-	s.Mod[Path{Root: Root{Param: -1, Global: "a"}, Depth: 1}] = true
+	s.AddRef(Path{Root: Root{Param: 1}, Depth: 2})
+	s.AddRef(Path{Root: Root{Param: 0}, Depth: 1})
+	s.AddMod(Path{Root: Root{Param: -1, Global: "z"}, Depth: 1})
+	s.AddMod(Path{Root: Root{Param: -1, Global: "a"}, Depth: 1})
 	got := s.Paths()
 	if len(got) != 4 {
 		t.Fatalf("got %d paths", len(got))

@@ -2,8 +2,10 @@ package pta
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cond"
+	"repro/internal/dense"
 	"repro/internal/ir"
 	"repro/internal/ssa"
 	"repro/internal/wirebin"
@@ -58,12 +60,13 @@ func encodeVals(e *wirebin.Writer, id int, vs []GuardedVal) {
 
 // EncodeResult appends res to e.
 func EncodeResult(e *wirebin.Writer, res *Result) {
-	e.Uvarint(uint64(res.pts.Len()))
-	res.pts.Each(func(id int, ls []GuardedLoc) { encodeLocs(e, id, ls) })
-	e.Uvarint(uint64(res.loadSources.Len()))
-	res.loadSources.Each(func(id int, vs []GuardedVal) { encodeVals(e, id, vs) })
-	e.Uvarint(uint64(res.storedAt.Len()))
-	res.storedAt.Each(func(id int, ls []GuardedLoc) { encodeLocs(e, id, ls) })
+	nv, locs, loads := int(res.numVals), &res.locs, &res.loadSources
+	e.Uvarint(uint64(locs.Each(0, nv, nil)))
+	locs.Each(0, nv, func(id int, ls []GuardedLoc) { encodeLocs(e, id, ls) })
+	e.Uvarint(uint64(loads.Each(0, loads.IDs(), nil)))
+	loads.Each(0, loads.IDs(), func(id int, vs []GuardedVal) { encodeVals(e, id, vs) })
+	e.Uvarint(uint64(locs.Each(nv, locs.IDs(), nil)))
+	locs.Each(nv, locs.IDs(), func(id int, ls []GuardedLoc) { encodeLocs(e, id, ls) })
 	e.Int(res.Stats.GuardsPruned)
 	e.Int(res.Stats.GuardsKept)
 	e.Int(res.Stats.CapWidened)
@@ -156,7 +159,10 @@ func (d *decoder) vals() ([]GuardedVal, error) {
 // errors.
 func DecodeResult(r *wirebin.Reader, f *ir.Func, inf *ssa.Info, ix *ir.Index, nodes cond.Nodes) (*Result, error) {
 	d := &decoder{r: r, fn: f, ix: ix, nodes: nodes}
-	res := newResult(f, inf)
+	nv := f.NumValues()
+	res := &Result{Fn: f, Info: inf, numVals: int32(nv)}
+	locs := dense.NewLists[GuardedLoc](nv + f.NumInstrs())
+	loadSources := dense.NewLists[GuardedVal](f.NumInstrs())
 	d.last = -1
 	for n := r.Len(); n > 0; n-- {
 		id, err := key(d, "value", ix.Value)
@@ -167,7 +173,7 @@ func DecodeResult(r *wirebin.Reader, f *ir.Func, inf *ssa.Info, ix *ir.Index, no
 		if err != nil {
 			return nil, err
 		}
-		res.pts.Put(id, ls)
+		locs.Put(id, ls)
 	}
 	d.last = -1
 	for n := r.Len(); n > 0; n-- {
@@ -179,8 +185,10 @@ func DecodeResult(r *wirebin.Reader, f *ir.Func, inf *ssa.Info, ix *ir.Index, no
 		if err != nil {
 			return nil, err
 		}
-		res.loadSources.Put(id, vs)
+		loadSources.Put(id, vs)
 	}
+	// A store's targets are the points-to set of its address: the list is
+	// shared, as Analyze shares it, when it is that one.
 	d.last = -1
 	for n := r.Len(); n > 0; n-- {
 		id, err := key(d, "instr", ix.Instr)
@@ -191,8 +199,14 @@ func DecodeResult(r *wirebin.Reader, f *ir.Func, inf *ssa.Info, ix *ir.Index, no
 		if err != nil {
 			return nil, err
 		}
-		res.storedAt.Put(id, ls)
+		if args := ix.Instrs[id].Args; len(args) > 0 && int(args[0].ID) < nv {
+			if addr, ok := locs.Get(int(args[0].ID)); ok && (addr == nil) == (ls == nil) && slices.Equal(addr, ls) {
+				ls = addr
+			}
+		}
+		locs.Put(nv+id, ls)
 	}
+	res.locs, res.loadSources = locs.Freeze(), loadSources.Freeze()
 	res.Stats = Stats{
 		GuardsPruned: r.Int(), GuardsKept: r.Int(), CapWidened: r.Int(),
 		LinearQueries: r.Int(), LinearUnsat: r.Int(),

@@ -102,8 +102,8 @@ func describe(res *Result) *wireResult {
 	}
 	s := res.Stats
 	w := &wireResult{stats: [5]int{s.GuardsPruned, s.GuardsKept, s.CapWidened, s.LinearQueries, s.LinearUnsat}}
-	res.pts.Each(func(id int, ls []GuardedLoc) { w.pts = append(w.pts, locs(id, ls)) })
-	res.loadSources.Each(func(id int, vs []GuardedVal) {
+	res.locs.Each(0, int(res.numVals), func(id int, ls []GuardedLoc) { w.pts = append(w.pts, locs(id, ls)) })
+	res.loadSources.Each(0, res.loadSources.IDs(), func(id int, vs []GuardedVal) {
 		ent := wireVals{key: int32(id)}
 		if vs != nil {
 			ent.vals = [][2]int32{}
@@ -113,7 +113,7 @@ func describe(res *Result) *wireResult {
 		}
 		w.loads = append(w.loads, ent)
 	})
-	res.storedAt.Each(func(id int, ls []GuardedLoc) { w.storedAt = append(w.storedAt, locs(id, ls)) })
+	res.locs.Each(int(res.numVals), res.locs.IDs(), func(id int, ls []GuardedLoc) { w.storedAt = append(w.storedAt, locs(id, ls)) })
 	return w
 }
 
@@ -191,10 +191,10 @@ func TestResultRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ls, ok := got.pts.Get(int(w.pts[0].key)); !ok || ls != nil {
+	if ls, ok := got.locs.Get(int(w.pts[0].key)); !ok || ls != nil {
 		t.Errorf("nil list decoded as %v, assigned %v", ls, ok)
 	}
-	if ls, ok := got.pts.Get(int(w.pts[1].key)); !ok || ls == nil || len(ls) != 0 {
+	if ls, ok := got.locs.Get(int(w.pts[1].key)); !ok || ls == nil || len(ls) != 0 {
 		t.Errorf("empty list decoded as %v, assigned %v", ls, ok)
 	}
 }

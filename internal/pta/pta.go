@@ -141,34 +141,31 @@ func (s Stats) String() string {
 // Result is the per-function analysis result. Its tables are keyed by the
 // IR's dense IDs; an assigned nil list is a result ("not a pointer", "no
 // sources"), not an absence, and the artifact wire format keeps the two
-// apart. Analyze fills the tables from one goroutine; afterwards they are
-// only read, so detection workers share a Result freely.
+// apart. Analyze fills the tables from one goroutine and freezes them into
+// compressed-sparse-row form when it returns (a function has a list for
+// about every value and load, most of them one element long); afterwards
+// they are only read, so detection workers share a Result freely.
 type Result struct {
 	Fn   *ir.Func
 	Info *ssa.Info
-	// pts is the guarded points-to set of each pointer value, by Value.ID.
-	pts dense.Lists[GuardedLoc]
+	// locs holds the guarded points-to set of each pointer value, by
+	// Value.ID, and past the numVals value IDs, by numVals + Instr.ID, each
+	// store's guarded target locations — the points-to set of its address,
+	// so the two share the list.
+	locs dense.CSR[GuardedLoc]
 	// loadSources holds, by Instr.ID, the guarded values reaching each load.
-	loadSources dense.Lists[GuardedVal]
-	// storedAt holds, by Instr.ID, each store's guarded target locations.
-	storedAt dense.Lists[GuardedLoc]
-	Stats    Stats
-}
-
-func newResult(f *ir.Func, inf *ssa.Info) *Result {
-	return &Result{
-		Fn:          f,
-		Info:        inf,
-		pts:         dense.NewLists[GuardedLoc](f.NumValues()),
-		loadSources: dense.NewLists[GuardedVal](f.NumInstrs()),
-		storedAt:    dense.NewLists[GuardedLoc](f.NumInstrs()),
-	}
+	loadSources dense.CSR[GuardedVal]
+	numVals     int32
+	Stats       Stats
 }
 
 // PointsTo returns the guarded points-to set computed for v (nil if v is
 // not a pointer or was never reached).
 func (r *Result) PointsTo(v *ir.Value) []GuardedLoc {
-	p, _ := r.pts.Get(int(v.ID))
+	if v.ID >= r.numVals {
+		return nil
+	}
+	p, _ := r.locs.Get(int(v.ID))
 	return p
 }
 
@@ -181,7 +178,7 @@ func (r *Result) LoadSources(in *ir.Instr) []GuardedVal {
 // StoredAt returns a store instruction's guarded target locations (used by
 // checkers that reason about writes).
 func (r *Result) StoredAt(in *ir.Instr) []GuardedLoc {
-	ls, _ := r.storedAt.Get(int(in.ID))
+	ls, _ := r.locs.Get(int(r.numVals + in.ID))
 	return ls
 }
 
@@ -229,6 +226,9 @@ type analyzer struct {
 	ls   *cond.LinearSolver
 	opts Options
 	cap  int
+	// The tables of res while they are being filled.
+	locs        dense.Lists[GuardedLoc]
+	loadSources dense.Lists[GuardedVal]
 }
 
 // Analyze runs the quasi path-sensitive points-to analysis on f.
@@ -238,12 +238,14 @@ func Analyze(f *ir.Func, inf *ssa.Info, opts Options) (*Result, error) {
 		return nil, err
 	}
 	a := &analyzer{
-		f:    f,
-		inf:  inf,
-		res:  newResult(f, inf),
-		ls:   cond.NewLinearSolver(),
-		opts: opts,
-		cap:  opts.CondSizeCap,
+		f:           f,
+		inf:         inf,
+		res:         &Result{Fn: f, Info: inf, numVals: int32(f.NumValues())},
+		ls:          cond.NewLinearSolver(),
+		opts:        opts,
+		cap:         opts.CondSizeCap,
+		locs:        dense.NewLists[GuardedLoc](f.NumValues() + f.NumInstrs()),
+		loadSources: dense.NewLists[GuardedVal](f.NumInstrs()),
 	}
 	if a.cap == 0 {
 		a.cap = 64
@@ -259,6 +261,7 @@ func Analyze(f *ir.Func, inf *ssa.Info, opts Options) (*Result, error) {
 	}
 	a.res.Stats.LinearQueries = a.ls.Queries
 	a.res.Stats.LinearUnsat = a.ls.Unsat
+	a.res.locs, a.res.loadSources = a.locs.Freeze(), a.loadSources.Freeze()
 	return a.res, nil
 }
 
@@ -366,7 +369,7 @@ next:
 // ptsOf returns the guarded points-to set of v, computing the base cases
 // for parameters and constants lazily.
 func (a *analyzer) ptsOf(v *ir.Value) []GuardedLoc {
-	if p, ok := a.res.pts.Get(int(v.ID)); ok {
+	if p, ok := a.locs.Get(int(v.ID)); ok {
 		return p
 	}
 	var p []GuardedLoc
@@ -380,12 +383,12 @@ func (a *analyzer) ptsOf(v *ir.Value) []GuardedLoc {
 		// Opaque pointer with no recorded definition semantics.
 		p = []GuardedLoc{{Loc: Loc{Kind: LExt, Val: v}, Cond: tr}}
 	}
-	a.res.pts.Put(int(v.ID), p)
+	a.locs.Put(int(v.ID), p)
 	return p
 }
 
 func (a *analyzer) setPTS(v *ir.Value, p []GuardedLoc) {
-	a.res.pts.Put(int(v.ID), dedupLocs(a.inf.Conds, p))
+	a.locs.Put(int(v.ID), dedupLocs(a.inf.Conds, p))
 }
 
 func dedupLocs(cb *cond.Builder, in []GuardedLoc) []GuardedLoc {
@@ -505,7 +508,7 @@ func (a *analyzer) transferLoad(st *state, in *ir.Instr) {
 		}
 	}
 	sources = dedupGuarded(a.inf.Conds, sources)
-	a.res.loadSources.Put(int(in.ID), sources)
+	a.loadSources.Put(int(in.ID), sources)
 
 	if in.Dst.Type.IsPointer() {
 		var p []GuardedLoc
@@ -528,7 +531,7 @@ func (a *analyzer) transferLoad(st *state, in *ir.Instr) {
 
 func (a *analyzer) transferStore(st *state, in *ir.Instr) {
 	addrPts := a.ptsOf(in.Args[0])
-	a.res.storedAt.Put(int(in.ID), addrPts)
+	a.locs.Put(int(a.res.numVals+in.ID), addrPts)
 	v := in.Args[1]
 	if len(addrPts) == 1 && addrPts[0].Cond.IsTrue() && addrPts[0].Loc.Kind != LNull {
 		// Strong update: in an acyclic CFG every location is a

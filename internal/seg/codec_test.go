@@ -52,22 +52,24 @@ func (w *wireGraph) bytes() []byte {
 	return e.B
 }
 
-// describe writes down g the way a genuine encoding holds it.
+// describe writes down g the way a genuine encoding holds it, resolving
+// every ID and taking it back from what it resolves to.
 func describe(g *Graph) *wireGraph {
 	w := &wireGraph{total: g.NumEdges()}
-	for i, n := range allNodes(g) {
-		v := wireVertex{kind: uint8(n.Kind), role: uint8(n.Role), val: -1, instr: -1, argIdx: int(n.ArgIdx)}
-		if n.Val != nil {
-			v.val = int32(n.Val.ID)
+	for n := int32(0); int(n) < g.NumNodes(); n++ {
+		nd := g.Node(n)
+		v := wireVertex{kind: uint8(nd.Kind), role: uint8(nd.Role), val: -1, instr: -1, argIdx: int(nd.ArgIdx)}
+		if val := g.Val(n); val != nil {
+			v.val = val.ID
 		}
-		if n.Instr != nil {
-			v.instr = int32(n.Instr.ID)
+		if in := g.Instr(n); in != nil {
+			v.instr = in.ID
 		}
 		w.vertices = append(w.vertices, v)
 		if es := g.Succs(n); len(es) > 0 {
-			s := wireSuccs{from: int32(i)}
+			s := wireSuccs{from: n}
 			for _, ed := range es {
-				s.edges = append(s.edges, [2]int32{int32(ed.To.Index()), cond.Ref(ed.Cond)})
+				s.edges = append(s.edges, [2]int32{ed.To, cond.Ref(g.Cond(ed))})
 			}
 			w.succs = append(w.succs, s)
 		}
@@ -75,44 +77,11 @@ func describe(g *Graph) *wireGraph {
 	return w
 }
 
-// decodeEnv builds the SEG of fn in src and returns, with it, what
-// DecodeGraph resolves references through: the function's ID index and the
-// condition nodes by ID (only those the edges mention).
-func decodeEnv(t *testing.T, src, fn string) (*Graph, *ir.Index, cond.Nodes) {
+// decodeEnv builds the SEG of fn in src.
+func decodeEnv(t *testing.T, src, fn string) *Graph {
 	t.Helper()
 	_, graphs := buildSEGs(t, src)
-	g := graphs[fn]
-	f := g.Fn
-	ix := &ir.Index{
-		Values: make([]*ir.Value, f.NumValues()),
-		Instrs: make([]*ir.Instr, f.NumInstrs()),
-		Blocks: make([]*ir.Block, f.NumBlocks()),
-	}
-	for _, n := range allNodes(g) {
-		if n.Val != nil {
-			ix.Values[n.Val.ID] = n.Val
-		}
-	}
-	for _, b := range f.Blocks {
-		ix.Blocks[b.ID] = b
-		for _, in := range b.Instrs {
-			ix.Instrs[in.ID] = in
-		}
-	}
-	nodes := make(cond.Nodes, g.Info.Conds.NumNodes())
-	var reg func(c *cond.Cond)
-	reg = func(c *cond.Cond) {
-		nodes[c.ID()] = c
-		for _, op := range c.Ops() {
-			reg(op)
-		}
-	}
-	for _, n := range allNodes(g) {
-		for _, e := range g.Succs(n) {
-			reg(e.Cond)
-		}
-	}
-	return g, ix, nodes
+	return graphs[fn]
 }
 
 const codecSrc = `
@@ -125,42 +94,39 @@ int *pick(bool c, int *a) {
 }`
 
 func TestGraphWireRoundTrip(t *testing.T) {
-	g, ix, nodes := decodeEnv(t, codecSrc, "pick")
+	g := decodeEnv(t, codecSrc, "pick")
 	var e wirebin.Writer
 	EncodeGraph(&e, g)
 	if !bytes.Equal(e.B, describe(g).bytes()) {
 		t.Fatal("EncodeGraph does not write the documented layout")
 	}
 	r := wirebin.NewReader(e.B)
-	got, err := DecodeGraph(r, g.Fn, g.Info, g.PTA, ix, nodes)
+	got, err := DecodeGraph(r, g.Fn, g.Info, g.PTA)
 	if err != nil || r.Rest() != 0 {
 		t.Fatalf("decode: %v, %d bytes left", err, r.Rest())
 	}
 	if got.NumNodes() != g.NumNodes() || got.NumEdges() != g.NumEdges() {
 		t.Fatalf("round trip: %d nodes %d edges, want %d / %d", got.NumNodes(), got.NumEdges(), g.NumNodes(), g.NumEdges())
 	}
-	for i, n := range allNodes(g) {
-		m := allNodes(got)[i]
-		if m.Index() != i || m.Kind != n.Kind || m.Role != n.Role || m.Val != n.Val || m.Instr != n.Instr || m.ArgIdx != n.ArgIdx {
-			t.Fatalf("vertex %d: got %+v, want %+v", i, *m, *n)
+	for n := int32(0); int(n) < g.NumNodes(); n++ {
+		if got.Node(n) != g.Node(n) || got.Val(n) != g.Val(n) || got.Instr(n) != g.Instr(n) || got.NodeString(n) != g.NodeString(n) {
+			t.Fatalf("vertex %d: got %+v, want %+v", n, got.Node(n), g.Node(n))
 		}
-		if n.Kind == NValue && got.ValueNode(n.Val) != m {
-			t.Errorf("vertex %d: ValueNode does not find the imported value vertex", i)
+		if g.Node(n).Kind == NValue && got.ValueNode(g.Val(n)) != n {
+			t.Errorf("vertex %d: ValueNode does not find the imported value vertex", n)
 		}
-		es, fs := g.Succs(n), got.Succs(m)
+		es, fs := g.Succs(n), got.Succs(n)
 		if len(es) != len(fs) {
-			t.Fatalf("vertex %d: %d edges, want %d", i, len(fs), len(es))
+			t.Fatalf("vertex %d: %d edges, want %d", n, len(fs), len(es))
 		}
 		for j := range es {
-			if fs[j].To.Index() != es[j].To.Index() || fs[j].Cond != es[j].Cond {
-				t.Errorf("vertex %d edge %d differs", i, j)
+			if fs[j] != es[j] || got.Cond(fs[j]) != g.Cond(es[j]) {
+				t.Errorf("vertex %d edge %d differs", n, j)
 			}
 		}
 	}
-	for role := UseRole(0); int(role) < numRoles; role++ {
-		if len(got.Uses(role)) != len(g.Uses(role)) {
-			t.Errorf("Uses(%s): %d vertices, want %d", role, len(got.Uses(role)), len(g.Uses(role)))
-		}
+	if got.Dot() != g.Dot() {
+		t.Error("the decoded graph renders another DOT")
 	}
 }
 
@@ -168,7 +134,7 @@ func TestGraphWireRoundTrip(t *testing.T) {
 // encoding can be. Each must come back as an error — corruption costs a
 // rebuild, never a panic, neither at decode nor later in detection.
 func TestImportGraphRejectsMalformed(t *testing.T) {
-	g, ix, nodes := decodeEnv(t, codecSrc, "pick")
+	g := decodeEnv(t, codecSrc, "pick")
 	good := describe(g)
 	firstOf := func(kind NodeKind) int {
 		for i, v := range good.vertices {
@@ -185,11 +151,12 @@ func TestImportGraphRejectsMalformed(t *testing.T) {
 		corrupt func(w *wireGraph)
 		want    string
 	}{
-		{"value id past the table", func(w *wireGraph) { w.vertices[val].val = int32(len(ix.Values)) }, "bad value id"},
+		{"value id past the table", func(w *wireGraph) { w.vertices[val].val = int32(g.Fn.NumValues()) }, "bad value id"},
+		{"value id of a pre-SSA variable", func(w *wireGraph) { w.vertices[val].val = preSSA(t, g.Fn) }, "bad value id"},
 		{"negative value id", func(w *wireGraph) { w.vertices[val].val = -7 }, "bad value id"},
 		{"value vertex without value", func(w *wireGraph) { w.vertices[val].val = -1 }, "without value"},
 		{"duplicate value vertex", func(w *wireGraph) { w.vertices[use] = w.vertices[val] }, "duplicates the vertex"},
-		{"instr id past the table", func(w *wireGraph) { w.vertices[use].instr = int32(len(ix.Instrs)) }, "bad instr id"},
+		{"instr id past the table", func(w *wireGraph) { w.vertices[use].instr = int32(g.Fn.NumInstrs()) }, "bad instr id"},
 		{"negative instr id", func(w *wireGraph) { w.vertices[use].instr = -2 }, "bad instr id"},
 		{"use vertex without instruction", func(w *wireGraph) { w.vertices[use].instr = -1 }, "without instruction"},
 		{"use vertex without value", func(w *wireGraph) { w.vertices[use].val = -1 }, "without instruction or value"},
@@ -204,8 +171,9 @@ func TestImportGraphRejectsMalformed(t *testing.T) {
 		{"negative edge target", func(w *wireGraph) { w.succs[0].edges[0][0] = -1 }, "bad edge target"},
 		{"edge source out of range", func(w *wireGraph) { w.succs[len(w.succs)-1].from = int32(len(w.vertices)) }, "bad edge source"},
 		{"edge lists out of vertex order", func(w *wireGraph) { w.succs[1].from = w.succs[0].from }, "bad edge source"},
-		{"edge condition out of range", func(w *wireGraph) { w.succs[0].edges[0][1] = int32(len(nodes)) }, "bad cond id"},
+		{"edge condition out of range", func(w *wireGraph) { w.succs[0].edges[0][1] = int32(g.Info.Conds.NumNodes()) }, "bad cond id"},
 		{"negative edge condition", func(w *wireGraph) { w.succs[0].edges[0][1] = -3 }, "bad cond id"},
+		{"nil edge condition", func(w *wireGraph) { w.succs[0].edges[0][1] = -1 }, "bad cond id"},
 		{"more edges than the total", func(w *wireGraph) { w.total-- }, "more edges than the total"},
 		{"fewer edges than the total", func(w *wireGraph) { w.total++ }, "total says"},
 	}
@@ -213,7 +181,7 @@ func TestImportGraphRejectsMalformed(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			w := describe(g)
 			tc.corrupt(w)
-			got, err := DecodeGraph(wirebin.NewReader(w.bytes()), g.Fn, g.Info, g.PTA, ix, nodes)
+			got, err := DecodeGraph(wirebin.NewReader(w.bytes()), g.Fn, g.Info, g.PTA)
 			if err == nil {
 				t.Fatalf("decode accepted the stream (graph with %d vertices)", got.NumNodes())
 			}
@@ -226,13 +194,25 @@ func TestImportGraphRejectsMalformed(t *testing.T) {
 	// A length no input can back, and the stream cut short anywhere.
 	var huge wirebin.Writer
 	huge.Uvarint(1 << 40)
-	if _, err := DecodeGraph(wirebin.NewReader(huge.B), g.Fn, g.Info, g.PTA, ix, nodes); err == nil {
+	if _, err := DecodeGraph(wirebin.NewReader(huge.B), g.Fn, g.Info, g.PTA); err == nil {
 		t.Error("decode accepted a vertex count past the input")
 	}
 	full := good.bytes()
 	for cut := 0; cut < len(full); cut++ {
-		if _, err := DecodeGraph(wirebin.NewReader(full[:cut]), g.Fn, g.Info, g.PTA, ix, nodes); err == nil {
+		if _, err := DecodeGraph(wirebin.NewReader(full[:cut]), g.Fn, g.Info, g.PTA); err == nil {
 			t.Fatalf("decode accepted the stream cut at %d of %d bytes", cut, len(full))
 		}
 	}
+}
+
+// preSSA returns the ID of a variable lowering created and SSA renaming
+// replaced: inside the function's value space, held by no value.
+func preSSA(t *testing.T, f *ir.Func) int32 {
+	for id := int32(0); int(id) < f.NumValues(); id++ {
+		if f.Value(id) == nil {
+			return id
+		}
+	}
+	t.Fatal("the test function has no pre-SSA variable")
+	return -1
 }

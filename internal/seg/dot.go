@@ -14,11 +14,10 @@ func (g *Graph) Dot() string {
 	fmt.Fprintf(&b, "digraph %q {\n", "seg_"+g.Fn.Name)
 	b.WriteString("  rankdir=LR;\n  node [fontname=\"monospace\", fontsize=9];\n")
 
-	for i := 0; i < g.numNodes; i++ {
-		n := g.Node(i)
-		switch n.Kind {
+	for n := int32(0); int(n) < g.numNodes; n++ {
+		switch nd := g.node(n); nd.Kind {
 		case NValue:
-			fmt.Fprintf(&b, "  n%d [label=%q, shape=ellipse];\n", i, n.Val.String())
+			fmt.Fprintf(&b, "  n%d [label=%q, shape=ellipse];\n", n, g.Val(n).String())
 		default:
 			color := map[UseRole]string{
 				RoleDerefAddr: "lightcoral",
@@ -26,18 +25,17 @@ func (g *Graph) Dot() string {
 				RoleCallArg:   "lightblue",
 				RoleRetArg:    "lightgreen",
 				RoleStoreVal:  "lightgray",
-			}[n.Role]
+			}[nd.Role]
 			fmt.Fprintf(&b, "  n%d [label=%q, shape=box, style=filled, fillcolor=%q];\n",
-				i, n.String(), color)
+				n, g.NodeString(n), color)
 		}
 	}
-	for i := 0; i < g.numNodes; i++ {
-		n := g.Node(i)
+	for n := int32(0); int(n) < g.numNodes; n++ {
 		for _, e := range g.Succs(n) {
-			if e.Cond.IsTrue() {
-				fmt.Fprintf(&b, "  n%d -> n%d;\n", n.idx, e.To.idx)
+			if c := g.Cond(e); c.IsTrue() {
+				fmt.Fprintf(&b, "  n%d -> n%d;\n", n, e.To)
 			} else {
-				fmt.Fprintf(&b, "  n%d -> n%d [label=%q];\n", n.idx, e.To.idx, e.Cond.String())
+				fmt.Fprintf(&b, "  n%d -> n%d [label=%q];\n", n, e.To, c.String())
 			}
 		}
 	}

@@ -71,39 +71,33 @@ func (r UseRole) String() string { return roleNames[r] }
 const numRoles = int(RoleStoreVal) + 1
 
 // Node is a SEG vertex. A graph has about three vertices for every two
-// instructions, so the record is kept to 32 bytes.
+// instructions, so the record is kept to 16 bytes and holds no pointer: the
+// collector never scans the vertex arrays. A vertex is named by its ID, its
+// position in creation order (an int32); side tables over vertices — summary
+// memos, reverse adjacency — are slices indexed by it. The value and the
+// instruction are IDs in the function's spaces, resolved by Graph.Val and
+// Graph.Instr.
 type Node struct {
-	Val   *ir.Value
-	Instr *ir.Instr // defining instr (NValue, may be nil) or using instr
-	// idx is the vertex's dense index: its position in creation order.
-	idx    int32
-	ArgIdx int32 // operand index for NUse
+	val   int32
+	instr int32 // defining instr (NValue, may be -1) or using instr
+	// ArgIdx is the operand index of a use vertex.
+	ArgIdx int32
 	Kind   NodeKind
 	Role   UseRole
 }
 
-// Index returns the vertex's dense per-graph index (Graph.Node's argument).
-// Side tables over vertices — summary memos, reverse adjacency — are slices
-// indexed by it.
-func (n *Node) Index() int { return int(n.idx) }
-
-func (n *Node) String() string {
-	if n.Kind == NValue {
-		return n.Val.String()
-	}
-	return fmt.Sprintf("%s@%s#%d", n.Val, n.Role, n.Instr.ID)
-}
-
-// Edge is a conditional value-flow edge.
+// Edge is a conditional value-flow edge: its target vertex and the ID of its
+// condition in the function's cond.Builder (Graph.Cond). Pointer-free, like
+// Node.
 type Edge struct {
-	To   *Node
-	Cond *cond.Cond
+	To   int32
+	cond int32
 }
 
 // Graph is the SEG of one function.
 //
 // Every lookup structure is a slice indexed by a dense ID the IR or the
-// graph itself assigns (Value.ID, Instr.ID, Block.ID, Node.Index). Build
+// graph itself assigns (Value.ID, Instr.ID, Block.ID, vertex ID). Build
 // and DecodeGraph fill them on one goroutine; afterwards only ValueNode
 // (for a value the graph has not seen) and the lazy happens-after memo
 // write, and detect.prepare runs both to exhaustion (EnsureValueNodes,
@@ -142,31 +136,43 @@ type Graph struct {
 // NumNodes returns the vertex count.
 func (g *Graph) NumNodes() int { return g.numNodes }
 
-// Node returns the vertex with index i.
-func (g *Graph) Node(i int) *Node {
-	if i < len(g.nodes) {
-		return &g.nodes[i]
+// Node returns vertex n.
+func (g *Graph) Node(n int32) Node { return *g.node(n) }
+
+func (g *Graph) node(n int32) *Node {
+	if int(n) < len(g.nodes) {
+		return &g.nodes[n]
 	}
-	i -= len(g.nodes)
+	i := int(n) - len(g.nodes)
 	for _, chunk := range g.late {
 		if i < len(chunk) {
 			return &chunk[i]
 		}
 		i -= len(chunk)
 	}
-	panic("seg: vertex index out of range")
+	panic("seg: vertex ID out of range")
 }
 
-// Uses returns the use vertices of one role, in creation order (which is
-// instruction order).
-func (g *Graph) Uses(role UseRole) []*Node {
-	var out []*Node
-	for i := 0; i < g.numNodes; i++ {
-		if n := g.Node(i); n.Role == role {
-			out = append(out, n)
-		}
+// Val returns the value of vertex n: the value a value vertex defines, the
+// operand a use vertex uses.
+func (g *Graph) Val(n int32) *ir.Value { return g.Fn.Value(g.node(n).val) }
+
+// Instr returns the instruction of vertex n: the using instruction of a use
+// vertex, the defining one of a value vertex (nil for a parameter or a
+// constant).
+func (g *Graph) Instr(n int32) *ir.Instr { return g.Fn.Instr(g.node(n).instr) }
+
+// Cond returns the condition of an edge.
+func (g *Graph) Cond(e Edge) *cond.Cond { return g.Info.Conds.Node(e.cond) }
+
+// NodeString renders vertex n: the value of a value vertex,
+// "<value>@<role>#<instruction ID>" for a use vertex.
+func (g *Graph) NodeString(n int32) string {
+	nd := g.node(n)
+	if nd.Kind == NValue {
+		return g.Val(n).String()
 	}
-	return out
+	return fmt.Sprintf("%s@%s#%d", g.Val(n), nd.Role, nd.instr)
 }
 
 // NumEdges returns the edge count.
@@ -186,8 +192,8 @@ type GraphStats struct {
 // it finishes, not concurrently with graph-mutating lazy paths.
 func (g *Graph) Stats() GraphStats {
 	s := GraphStats{Nodes: g.numNodes, Edges: g.NumEdges()}
-	for i := 0; i < g.numNodes; i++ {
-		switch g.Node(i).Kind {
+	for n := int32(0); int(n) < g.numNodes; n++ {
+		switch g.node(n).Kind {
 		case NValue:
 			s.ValueNodes++
 		case NUse:
@@ -208,49 +214,63 @@ func (g *Graph) reserve(n int) {
 	}
 }
 
-// newNode appends a vertex created after construction.
-func (g *Graph) newNode(n Node) *Node {
+// newNode appends a vertex created after construction and returns its ID.
+func (g *Graph) newNode(n Node) int32 {
 	if k := len(g.late); k == 0 || len(g.late[k-1]) == cap(g.late[k-1]) {
 		g.reserve(lateChunk)
 	}
 	chunk := &g.late[len(g.late)-1]
-	n.idx = int32(g.numNodes)
 	*chunk = append(*chunk, n)
 	g.numNodes++
-	return &(*chunk)[len(*chunk)-1]
+	return int32(g.numNodes - 1)
+}
+
+// valueVertex is the record of v's value vertex.
+func valueVertex(v *ir.Value) Node {
+	def := int32(-1)
+	if v.Def != nil {
+		def = v.Def.ID
+	}
+	return Node{Kind: NValue, val: v.ID, instr: def}
 }
 
 // ValueNode returns the vertex of a value definition, creating it on first
 // use.
-func (g *Graph) ValueNode(v *ir.Value) *Node {
+func (g *Graph) ValueNode(v *ir.Value) int32 {
 	if int(v.ID) < len(g.valueAt) {
 		if at := g.valueAt[v.ID]; at != 0 {
-			return g.Node(int(at - 1))
+			return at - 1
 		}
 	} else {
 		// A value created after the graph was built (the function's value
 		// count only grows).
 		g.valueAt = append(g.valueAt, make([]int32, g.Fn.NumValues()-len(g.valueAt))...)
 	}
-	n := g.newNode(Node{Kind: NValue, Val: v, Instr: v.Def})
-	g.valueAt[v.ID] = n.idx + 1
+	n := g.newNode(valueVertex(v))
+	g.valueAt[v.ID] = n + 1
 	return n
 }
 
-// Succs returns the outgoing edges of n. Callers must not mutate the slice.
-func (g *Graph) Succs(n *Node) []Edge {
-	if int(n.idx)+1 >= len(g.succStart) {
+// Succs returns the outgoing edges of vertex n. Callers must not mutate the
+// slice.
+func (g *Graph) Succs(n int32) []Edge {
+	if int(n)+1 >= len(g.succStart) {
 		return nil
 	}
-	return g.edges[g.succStart[n.idx]:g.succStart[n.idx+1]]
+	return g.edges[g.succStart[n]:g.succStart[n+1]]
 }
 
-// newGraph allocates a graph's ID-indexed tables and records the
-// intra-block instruction positions.
-func newGraph(f *ir.Func, inf *ssa.Info, pr *pta.Result) *Graph {
-	nv := f.NumValues()
-	tab := make([]int32, nv+f.NumInstrs())
-	g := &Graph{Fn: f, Info: inf, PTA: pr, valueAt: tab[:nv:nv], instrIdx: tab[nv:]}
+// newGraph allocates a graph of n vertices — its ID-indexed tables and its
+// edge offsets in one array — and records the intra-block instruction
+// positions.
+func newGraph(f *ir.Func, inf *ssa.Info, pr *pta.Result, n int) *Graph {
+	nv, ni := f.NumValues(), f.NumInstrs()
+	tab := make([]int32, nv+ni+n+1)
+	g := &Graph{
+		Fn: f, Info: inf, PTA: pr,
+		valueAt: tab[:nv:nv], instrIdx: tab[nv : nv+ni : nv+ni], succStart: tab[nv+ni:],
+		nodes: make([]Node, n), numNodes: n,
+	}
 	for _, b := range f.Blocks {
 		for i, in := range b.Instrs {
 			g.instrIdx[in.ID] = int32(i)
@@ -261,50 +281,50 @@ func newGraph(f *ir.Func, inf *ssa.Info, pr *pta.Result) *Graph {
 
 // pendingEdge is an edge awaiting its place in the CSR arrays.
 type pendingEdge struct {
-	from, to int32
-	cond     *cond.Cond
+	from int32
+	Edge
 }
 
 // builder is Build's working state. Vertices and edges are collected here,
-// by index, and copied into arrays of exactly their number once the function
+// by ID, and copied into arrays of exactly their number once the function
 // has been walked; the collecting arrays are reused from one function to the
-// next.
+// next. valueAt is the graph's table of the same name while it is built.
 type builder struct {
-	g     *Graph
-	nodes []Node
-	pend  []pendingEdge
-	fill  []int32
+	valueAt []int32
+	nodes   []Node
+	pend    []pendingEdge
+	fill    []int32
 }
 
 var builderPool = sync.Pool{New: func() any { return new(builder) }}
 
 func (b *builder) value(v *ir.Value) int32 {
-	if at := b.g.valueAt[v.ID]; at != 0 {
+	if at := b.valueAt[v.ID]; at != 0 {
 		return at - 1
 	}
 	i := int32(len(b.nodes))
-	b.nodes = append(b.nodes, Node{Kind: NValue, Val: v, Instr: v.Def, idx: i})
-	b.g.valueAt[v.ID] = i + 1
+	b.nodes = append(b.nodes, valueVertex(v))
+	b.valueAt[v.ID] = i + 1
 	return i
 }
 
 func (b *builder) use(in *ir.Instr, argIdx int, role UseRole) int32 {
 	i := int32(len(b.nodes))
-	b.nodes = append(b.nodes, Node{Kind: NUse, Role: role, Val: in.Args[argIdx], Instr: in, ArgIdx: int32(argIdx), idx: i})
+	b.nodes = append(b.nodes, Node{Kind: NUse, Role: role, val: in.Args[argIdx].ID, instr: in.ID, ArgIdx: int32(argIdx)})
 	return i
 }
 
 func (b *builder) edge(from, to int32, c *cond.Cond) {
 	if !c.IsFalse() {
-		b.pend = append(b.pend, pendingEdge{from: from, to: to, cond: c})
+		b.pend = append(b.pend, pendingEdge{from: from, Edge: Edge{To: to, cond: int32(c.ID())}})
 	}
 }
 
 // Build constructs the SEG for one analyzed function.
 func Build(f *ir.Func, inf *ssa.Info, pr *pta.Result) *Graph {
-	g := newGraph(f, inf, pr)
 	b := builderPool.Get().(*builder)
-	b.g = g
+	nv := f.NumValues()
+	b.valueAt = append(b.valueAt[:0], make([]int32, nv)...)
 	tr := inf.Conds.True()
 	for _, blk := range f.Blocks {
 		for _, in := range blk.Instrs {
@@ -360,12 +380,12 @@ func Build(f *ir.Func, inf *ssa.Info, pr *pta.Result) *Graph {
 		}
 	}
 
-	g.nodes = append(make([]Node, 0, len(b.nodes)), b.nodes...)
-	g.numNodes = len(g.nodes)
+	g := newGraph(f, inf, pr, len(b.nodes))
+	copy(g.nodes, b.nodes)
+	copy(g.valueAt, b.valueAt)
 
 	// Counting sort of the pending edges by source vertex; it is stable, so
 	// every vertex keeps its edges in insertion order.
-	g.succStart = make([]int32, len(g.nodes)+1)
 	for i := range b.pend {
 		g.succStart[b.pend[i].from+1]++
 	}
@@ -376,14 +396,11 @@ func Build(f *ir.Func, inf *ssa.Info, pr *pta.Result) *Graph {
 	b.fill = append(b.fill[:0], g.succStart[:len(g.nodes)]...)
 	for i := range b.pend {
 		e := &b.pend[i]
-		g.edges[b.fill[e.from]] = Edge{To: &g.nodes[e.to], Cond: e.cond}
+		g.edges[b.fill[e.from]] = e.Edge
 		b.fill[e.from]++
 	}
 
-	// The collecting arrays go back without what they point to.
-	clear(b.nodes)
-	clear(b.pend)
-	b.g, b.nodes, b.pend = nil, b.nodes[:0], b.pend[:0]
+	b.nodes, b.pend = b.nodes[:0], b.pend[:0]
 	builderPool.Put(b)
 	return g
 }

@@ -47,10 +47,10 @@ func buildSEGs(t *testing.T, src string) (*ir.Module, map[string]*Graph) {
 }
 
 // reachesNode reports whether dst is reachable from src in the SEG.
-func reachesNode(g *Graph, src, dst *Node) bool {
-	seen := map[*Node]bool{} // reference search: deliberately not indexed by Node.Index
-	var dfs func(*Node) bool
-	dfs = func(n *Node) bool {
+func reachesNode(g *Graph, src, dst int32) bool {
+	seen := map[int32]bool{} // reference search: deliberately not a slice by vertex ID
+	var dfs func(int32) bool
+	dfs = func(n int32) bool {
 		if n == dst {
 			return true
 		}
@@ -80,17 +80,17 @@ void f() {
 }`)
 	f := m.Lookup("f")
 	g := graphs["f"]
-	frees := g.Uses(RoleFreeArg)
+	frees := uses(g, RoleFreeArg)
 	if len(frees) != 1 {
 		t.Fatalf("free uses = %v", frees)
 	}
 	// The freed value flows through the slot to u, which is dereferenced
 	// by the load feeding sink.
-	freed := g.ValueNode(frees[0].Val)
-	derefs := g.Uses(RoleDerefAddr)
+	freed := g.ValueNode(g.Val(frees[0]))
+	derefs := uses(g, RoleDerefAddr)
 	found := false
 	for _, d := range derefs {
-		if reachesNode(g, freed, d) && g.HappensAfter(frees[0].Instr, d.Instr) {
+		if reachesNode(g, freed, d) && g.HappensAfter(g.Instr(frees[0]), g.Instr(d)) {
 			found = true
 		}
 	}
@@ -119,7 +119,7 @@ int f(bool c, int a, int b) {
 				from := g.ValueNode(a)
 				for _, e := range g.Succs(from) {
 					if e.To == g.ValueNode(in.Dst) {
-						if e.Cond.IsTrue() {
+						if g.Cond(e).IsTrue() {
 							t.Errorf("phi edge from %s unguarded", a)
 						}
 					}
@@ -153,7 +153,7 @@ void f(bool c) {
 		for _, b := range f.Blocks {
 			for _, in := range b.Instrs {
 				for _, e := range g.Succs(g.ValueNode(f.ConstInt(src))) {
-					if e.To == dst && !e.Cond.IsTrue() {
+					if e.To == dst && !g.Cond(e).IsTrue() {
 						guarded++
 					}
 				}
@@ -165,12 +165,12 @@ void f(bool c) {
 	}
 	// Simpler check: dst has exactly two incoming edges with guards.
 	incoming := 0
-	for _, n := range allNodes(g) {
+	for n := int32(0); int(n) < g.NumNodes(); n++ {
 		for _, e := range g.Succs(n) {
 			if e.To == dst {
 				incoming++
-				if e.Cond.IsTrue() {
-					t.Errorf("memory edge %s -> %s unguarded", n, dst)
+				if g.Cond(e).IsTrue() {
+					t.Errorf("memory edge %s -> %s unguarded", g.NodeString(n), g.NodeString(dst))
 				}
 			}
 		}
@@ -190,17 +190,17 @@ void f() {
 	use(b);
 }`)
 	g := graphs["f"]
-	if len(g.Uses(RoleCallArg)) < 2 { // id(a) and use(b)
-		t.Fatalf("call arg uses = %d", len(g.Uses(RoleCallArg)))
+	if len(uses(g, RoleCallArg)) < 2 { // id(a) and use(b)
+		t.Fatalf("call arg uses = %d", len(uses(g, RoleCallArg)))
 	}
 	gid := graphs["id"]
-	if len(gid.Uses(RoleRetArg)) != 1 {
-		t.Fatalf("id ret uses = %d", len(gid.Uses(RoleRetArg)))
+	if len(uses(gid, RoleRetArg)) != 1 {
+		t.Fatalf("id ret uses = %d", len(uses(gid, RoleRetArg)))
 	}
 	// The ret use is fed by the parameter.
 	_ = m
 	param := gid.Fn.Params[0]
-	if !reachesNode(gid, gid.ValueNode(param), gid.Uses(RoleRetArg)[0]) {
+	if !reachesNode(gid, gid.ValueNode(param), uses(gid, RoleRetArg)[0]) {
 		t.Fatal("param does not reach return in id")
 	}
 }
@@ -317,16 +317,16 @@ void f(int *p) {
 
 	// A value created after Build lies beyond the value table: the first
 	// lookup creates its vertex, the second finds it.
-	late := g.Fn.NewVar("late", minic.IntType)
+	late := g.Fn.NewDef("late", minic.IntType)
 	if int(late.ID) < len(g.valueAt) {
 		t.Fatalf("test premise: value %d is inside the table of %d", late.ID, len(g.valueAt))
 	}
 	n := g.ValueNode(late)
-	if n == nil || n.Val != late || n.Kind != NValue {
-		t.Fatalf("ValueNode(late) = %+v", n)
+	if g.Val(n) != late || g.Node(n).Kind != NValue {
+		t.Fatalf("ValueNode(late) = %+v", g.Node(n))
 	}
-	if n.Index() != before || g.NumNodes() != before+1 || allNodes(g)[n.Index()] != n {
-		t.Errorf("late vertex has index %d in a graph of %d (was %d)", n.Index(), g.NumNodes(), before)
+	if int(n) != before || g.NumNodes() != before+1 {
+		t.Errorf("late vertex has ID %d in a graph of %d (was %d)", n, g.NumNodes(), before)
 	}
 	if g.ValueNode(late) != n {
 		t.Error("second ValueNode(late) created another vertex")
@@ -336,11 +336,13 @@ void f(int *p) {
 	}
 }
 
-// allNodes lists every vertex of g, indexed by Node.Index.
-func allNodes(g *Graph) []*Node {
-	out := make([]*Node, g.NumNodes())
-	for i := range out {
-		out[i] = g.Node(i)
+// uses lists the use vertices of one role, in creation order.
+func uses(g *Graph, role UseRole) []int32 {
+	var out []int32
+	for n := int32(0); int(n) < g.NumNodes(); n++ {
+		if g.Node(n).Role == role {
+			out = append(out, n)
+		}
 	}
 	return out
 }

@@ -377,9 +377,14 @@ func (r *renamer) top(v *ir.Value) *ir.Value {
 	if int(v.ID) < len(r.cur) && r.cur[v.ID] != nil {
 		return r.cur[v.ID]
 	}
-	// Use before def: should not happen for well-formed lowering;
-	// treat the variable itself as an "undef version 0".
-	return v
+	// Use before def: should not happen for well-formed lowering; treat
+	// the variable itself as an "undef version 0", kept by the function
+	// like its versions. It is never undone: no definition replaces it.
+	if int(v.ID) >= len(r.cur) {
+		return v
+	}
+	r.cur[v.ID] = r.f.Undef(v)
+	return r.cur[v.ID]
 }
 
 func (r *renamer) fresh(v *ir.Value, def *ir.Instr) *ir.Value {

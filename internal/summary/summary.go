@@ -31,7 +31,7 @@ import (
 // Step is one vertex on a flow with the condition labeling the edge that
 // entered it (true for the first step).
 type Step struct {
-	Node     *seg.Node
+	Node     int32
 	EdgeCond *cond.Cond
 }
 
@@ -41,7 +41,7 @@ type Flow struct {
 }
 
 // Terminal returns the flow's final vertex.
-func (f Flow) Terminal() *seg.Node { return f.Steps[len(f.Steps)-1].Node }
+func (f Flow) Terminal() int32 { return f.Steps[len(f.Steps)-1].Node }
 
 // Cond conjoins the flow's edge conditions and the control dependence of
 // every step's statement in the given graph — the PC(π) skeleton of
@@ -51,8 +51,8 @@ func (f Flow) Cond(g *seg.Graph) *cond.Cond {
 	parts := make([]*cond.Cond, 0, len(f.Steps)*2)
 	for _, s := range f.Steps {
 		parts = append(parts, s.EdgeCond)
-		if s.Node.Instr != nil {
-			parts = append(parts, g.CD(s.Node.Instr))
+		if in := g.Instr(s.Node); in != nil {
+			parts = append(parts, g.CD(in))
 		}
 	}
 	return cb.And(parts...)
@@ -66,7 +66,7 @@ type Table struct {
 	MaxSteps int
 
 	// memo holds the flows of each start vertex enumerated so far (or in
-	// progress), by Node.Index. One Table serves one graph; the memo grows
+	// progress), by vertex ID. One Table serves one graph; the memo grows
 	// when the graph gained vertices since the last lookup.
 	memo dense.Lists[Flow]
 	// CapHits counts vertices whose enumeration was truncated.
@@ -86,8 +86,8 @@ func NewTable() *Table {
 
 // FlowsFrom enumerates local flows starting at from. The result is memoized
 // and shared; callers must not mutate it.
-func (t *Table) FlowsFrom(g *seg.Graph, from *seg.Node) []Flow {
-	at := from.Index()
+func (t *Table) FlowsFrom(g *seg.Graph, from int32) []Flow {
+	at := int(from)
 	if fs, ok := t.memo.Get(at); ok {
 		t.Hits++
 		return fs
@@ -97,7 +97,7 @@ func (t *Table) FlowsFrom(g *seg.Graph, from *seg.Node) []Flow {
 	t.memo.Grow(g.NumNodes())
 	t.memo.Put(at, nil)
 	tr := g.Info.Conds.True()
-	if from.Kind == seg.NUse {
+	if g.Node(from).Kind == seg.NUse {
 		out := []Flow{{Steps: []Step{{Node: from, EdgeCond: tr}}}}
 		t.memo.Put(at, out)
 		return out
@@ -132,6 +132,7 @@ func (t *Table) FlowsFrom(g *seg.Graph, from *seg.Node) []Flow {
 	buf := make([]Step, 0, steps)
 	truncated := false
 	for i, sub := range subs {
+		edgeCond := g.Cond(succs[i])
 		for _, sf := range sub {
 			if len(out) >= t.MaxFlows {
 				truncated = true
@@ -145,7 +146,7 @@ func (t *Table) FlowsFrom(g *seg.Graph, from *seg.Node) []Flow {
 			buf = append(buf, Step{Node: from, EdgeCond: tr})
 			// The first step of the sub-flow carries the edge's condition
 			// into it.
-			buf = append(buf, Step{Node: sf.Steps[0].Node, EdgeCond: succs[i].Cond})
+			buf = append(buf, Step{Node: sf.Steps[0].Node, EdgeCond: edgeCond})
 			buf = append(buf, sf.Steps[1:]...)
 			out = append(out, Flow{Steps: buf[start:len(buf):len(buf)]})
 		}
@@ -163,10 +164,10 @@ func (t *Table) FlowsFrom(g *seg.Graph, from *seg.Node) []Flow {
 
 // FlowsBetween filters FlowsFrom down to flows ending at a particular
 // terminal role.
-func (t *Table) FlowsBetween(g *seg.Graph, from *seg.Node, role seg.UseRole) []Flow {
+func (t *Table) FlowsBetween(g *seg.Graph, from int32, role seg.UseRole) []Flow {
 	var out []Flow
 	for _, f := range t.FlowsFrom(g, from) {
-		if f.Terminal().Role == role {
+		if g.Node(f.Terminal()).Role == role {
 			out = append(out, f)
 		}
 	}

@@ -50,8 +50,8 @@ func TestFlowsFromParamToRet(t *testing.T) {
 		t.Fatalf("no param->ret flow found (VF1)")
 	}
 	f := flows[0][0]
-	if f.Terminal().Role != seg.RoleRetArg {
-		t.Fatalf("terminal role = %v", f.Terminal().Role)
+	if g.Node(f.Terminal()).Role != seg.RoleRetArg {
+		t.Fatalf("terminal role = %v", g.Node(f.Terminal()).Role)
 	}
 	if !f.Cond(g).IsTrue() {
 		t.Errorf("unconditional identity has cond %s", f.Cond(g))
@@ -141,7 +141,7 @@ void f(int *p) {
 	flows := tab.FlowsFrom(g, g.ValueNode(g.Fn.Params[0]))
 	roles := map[seg.UseRole]bool{}
 	for _, fl := range flows {
-		roles[fl.Terminal().Role] = true
+		roles[g.Node(fl.Terminal()).Role] = true
 	}
 	for _, want := range []seg.UseRole{seg.RoleFreeArg, seg.RoleCallArg, seg.RoleDerefAddr} {
 		if !roles[want] {
@@ -160,15 +160,15 @@ void f(bool c, int *p) {
 }`, "f")
 	tab := NewTable()
 	p := g.ValueNode(g.Fn.Params[1])
-	if flows := tab.FlowsFrom(g, p); len(flows) != 1 || flows[0].Terminal().Role != seg.RoleFreeArg {
+	if flows := tab.FlowsFrom(g, p); len(flows) != 1 || g.Node(flows[0].Terminal()).Role != seg.RoleFreeArg {
 		t.Fatalf("flows from p = %v, want the one free", flows)
 	}
 	// c is only ever a branch condition, so Build made no vertex for it.
 	before := g.NumNodes()
 	g.EnsureValueNodes()
 	c := g.ValueNode(g.Fn.Params[0])
-	if c.Index() < before {
-		t.Fatalf("test premise: vertex of c (index %d) predates EnsureValueNodes (%d vertices)", c.Index(), before)
+	if int(c) < before {
+		t.Fatalf("test premise: vertex of c (index %d) predates EnsureValueNodes (%d vertices)", int(c), before)
 	}
 	misses := tab.Misses
 	if flows := tab.FlowsFrom(g, c); len(flows) != 0 {

@@ -174,10 +174,10 @@ func makePlans(params []minic.Type, globalCap func(string) int, sum *modref.Summ
 	}
 	for _, p := range sum.Paths() {
 		pl := get(p.Root)
-		if sum.Ref[p] && p.Depth > pl.inDepth {
+		if sum.Refs(p) && p.Depth > pl.inDepth {
 			pl.inDepth = p.Depth
 		}
-		if sum.Mod[p] && p.Depth > pl.outDepth {
+		if sum.Mods(p) && p.Depth > pl.outDepth {
 			pl.outDepth = p.Depth
 		}
 	}

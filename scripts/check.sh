@@ -36,9 +36,10 @@ go test ./cmd/pinpoint -run 'AllEqualsUnionOfCheckers' -cpu 1,2
 
 # The allocation and residency budgets skip themselves under the race
 # detector (it allocates shadow state of its own), so they get a run without
-# it, together with the record sizes they follow from.
-echo "== allocation and residency budgets, record sizes (no race detector)"
-go test ./internal/core ./internal/server -run 'Budget|RecordSizes'
+# it, together with the record sizes they follow from and the check that the
+# SEG's records hold no pointer.
+echo "== allocation and residency budgets, record sizes, pointer-free SEG records (no race detector)"
+go test ./internal/core ./internal/server -run 'Budget|RecordSizes|PointerFree'
 
 # Ten seconds of new inputs on top of the committed corpus. The minimizer is
 # held to a second: its default budget per interesting input is longer than
