@@ -1,6 +1,8 @@
 package cond
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -215,6 +217,105 @@ func TestQuickBuilderVsLinear(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refSets is the P/N rule of linear.go read off the definition: a fresh pair
+// of Go sets per node, no memo, no sharing.
+func refSets(c *Cond) (p, n map[int]bool) {
+	p, n = map[int]bool{}, map[int]bool{}
+	switch c.kind {
+	case KAtom:
+		p[c.atom] = true
+	case KNot:
+		n, p = refSets(c.ops[0])
+	case KAnd, KOr:
+		p, n = refSets(c.ops[0])
+		for _, op := range c.ops[1:] {
+			op, on := refSets(op)
+			for _, pair := range [][2]map[int]bool{{p, op}, {n, on}} {
+				acc, s := pair[0], pair[1]
+				if c.kind == KAnd {
+					for a := range s {
+						acc[a] = true
+					}
+					continue
+				}
+				for a := range acc {
+					if !s[a] {
+						delete(acc, a)
+					}
+				}
+			}
+		}
+	}
+	return p, n
+}
+
+func sortedKeys(s map[int]bool) []int {
+	out := make([]int, 0, len(s))
+	for a := range s {
+		out = append(out, a)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// The solver's sets — runs of one array, shared between nodes, memoized by
+// node ID in a slice that grows with the builder — are the definition's, on
+// random condition DAGs queried while they grow.
+func TestLinearSolverEqualsDefinition(t *testing.T) {
+	unsat := 0
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		b := NewBuilder()
+		ls := NewLinearSolver()
+		nodes := []*Cond{b.True(), b.False()}
+		pick := func() *Cond { return nodes[rng.Intn(len(nodes))] }
+		for i := 0; i < 120; i++ {
+			var c *Cond
+			switch k := rng.Intn(6); {
+			case k == 0:
+				c = b.Atom(rng.Intn(6))
+			case k == 1:
+				c = b.Not(pick())
+			default:
+				ops := make([]*Cond, 2+rng.Intn(3))
+				for j := range ops {
+					ops[j] = pick()
+				}
+				if k < 4 {
+					c = b.And(ops...)
+				} else {
+					c = b.Or(ops...)
+				}
+			}
+			nodes = append(nodes, c)
+			// Ask about a random node, old or new.
+			q := pick()
+			p, n := refSets(q)
+			want := q.IsFalse()
+			for a := range p {
+				want = want || n[a]
+			}
+			if got := ls.ApparentlyUnsat(q); got != want {
+				t.Fatalf("seed %d: ApparentlyUnsat(%s) = %v, want %v", seed, q, got, want)
+			}
+			if want {
+				unsat++
+			}
+		}
+		// And every node's sets, memoized or not, once the DAG stands.
+		for _, c := range nodes {
+			p, n := refSets(c)
+			s := ls.sets(c)
+			if gp, gn := ls.run(s.p), ls.run(s.n); !slices.Equal(gp, sortedKeys(p)) || !slices.Equal(gn, sortedKeys(n)) {
+				t.Fatalf("seed %d: sets of %s = P%v N%v, want P%v N%v", seed, c, gp, gn, sortedKeys(p), sortedKeys(n))
+			}
+		}
+	}
+	if unsat < 100 {
+		t.Fatalf("%d queries were apparently unsat: the DAGs are not the ones the test is about", unsat)
 	}
 }
 

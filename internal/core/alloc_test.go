@@ -26,13 +26,14 @@ import (
 // allocation cannot creep back into the per-function layers unnoticed: at
 // the commit before the dense tables the same run made 49.6 allocations and
 // 3380 bytes per instruction, at the one before the records were compacted
-// 24.6 and 1917.
+// 24.6 and 1917, and while a flow held a copy of every step of its path and
+// the linear filter's sets were maps, 21.1 and 1380.
 const (
 	budgetMallocsPerInstr = measuredMallocsPerInstr * 1.15
 	budgetBytesPerInstr   = measuredBytesPerInstr * 1.15
 
-	measuredMallocsPerInstr = 22.4
-	measuredBytesPerInstr   = 1524.0
+	measuredMallocsPerInstr = 19.4
+	measuredBytesPerInstr   = 1293.0
 )
 
 func TestAllocBudget(t *testing.T) {
@@ -76,10 +77,12 @@ func TestAllocBudget(t *testing.T) {
 // frames, joined conditions, the per-task result and its replay record.
 // Measured values plus 15%. When the path was cloned per flow and the
 // two checkers walked every source separately, the same call made 26.0
-// allocations and 2,105 bytes per expansion it walks now.
+// allocations and 2,105 bytes per expansion it walks now; while the search
+// conjoined a flow's condition from its steps each time it took the flow,
+// 5.8 and 493.
 const (
-	measuredSearchMallocsPerExpansion = 5.8
-	measuredSearchBytesPerExpansion   = 487.0
+	measuredSearchMallocsPerExpansion = 4.9
+	measuredSearchBytesPerExpansion   = 451.0
 )
 
 func TestSearchAllocBudget(t *testing.T) {

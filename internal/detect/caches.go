@@ -78,12 +78,12 @@ type paramFacts struct {
 
 type flowTable struct {
 	mu sync.Mutex
-	t  *summary.Table
+	t  summary.Table
 }
 
 type linearCache struct {
 	mu sync.Mutex
-	ls *cond.LinearSolver
+	ls cond.LinearSolver
 }
 
 // revEntry is one graph's reverse adjacency in compressed-sparse-row form,
@@ -105,10 +105,9 @@ func (re *revEntry) of(n int32) []int32 {
 }
 
 func newFnCache() *fnCache {
-	return &fnCache{
-		flows: flowTable{t: summary.NewTable()},
-		lin:   linearCache{ls: cond.NewLinearSolver()},
-	}
+	fc := new(fnCache)
+	fc.flows.t = *summary.NewTable()
+	return fc
 }
 
 // newCaches returns empty caches for prog, with an entry for every function

@@ -204,8 +204,7 @@ func (e *Engine) checkAlloc(checker string, f *ir.Func, g *seg.Graph, alloc *ir.
 	enc.assertCond(0, f, g.CD(alloc))
 	// ...and every reached free is avoided.
 	for _, rf := range frees {
-		c := rf.flow.Cond(g)
-		t := enc.condTerm(0, f, c)
+		t := enc.condTerm(0, f, rf.flow.Cond())
 		enc.add(enc.tb.Not(t))
 	}
 	res, model, src := enc.decide(s, e.opts, checker, e.tid, start, stats)

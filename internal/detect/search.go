@@ -161,6 +161,10 @@ func (e *Engine) addCond(inst int, fn *ir.Func, c *cond.Cond) bool {
 	if ic.fn == nil {
 		*ic = instCond{fn: fn, cond: e.prog.Info(fn).Conds.True()}
 	}
+	if c.IsTrue() {
+		// The instance's condition stands: it passed when it was conjoined.
+		return true
+	}
 	merged := e.prog.Info(fn).Conds.And(ic.cond, c)
 	if e.opts.DisableLinearFilter {
 		ic.cond = merged
@@ -286,9 +290,11 @@ func (e *Engine) explore(fr *frame, node int32, live uint64) {
 		e.ascendViaParam(fr, g, node, live)
 	}
 
-	for _, flow := range e.caches.flowsFrom(g, node, &e.flows) {
+	flows := e.caches.flowsFrom(g, node, &e.flows)
+	for i := range flows {
+		flow := &flows[i]
 		term := flow.Terminal()
-		if term == node && len(flow.Steps) == 1 && isValue {
+		if term == node && flow.Len == 1 && isValue {
 			continue
 		}
 		// Ordering: terminal actions in an anchored frame must be able
@@ -297,12 +303,12 @@ func (e *Engine) explore(fr *frame, node int32, live uint64) {
 			continue
 		}
 		mark := e.path.mark(fr.inst)
-		if !e.addCond(fr.inst, fr.fn, flow.Cond(g)) {
+		if !e.addCond(fr.inst, fr.fn, flow.Cond()) {
 			e.count(live, linearFiltered)
 			e.path.reset(mark)
 			continue
 		}
-		for _, s := range flow.Steps {
+		for s := flow; s != nil; s = s.Rest() {
 			e.path.steps = append(e.path.steps, gstep{inst: fr.inst, g: g, node: s.Node})
 		}
 

@@ -24,39 +24,35 @@ package summary
 
 import (
 	"repro/internal/cond"
-	"repro/internal/dense"
 	"repro/internal/seg"
 )
 
-// Step is one vertex on a flow with the condition labeling the edge that
-// entered it (true for the first step).
-type Step struct {
-	Node     int32
-	EdgeCond *cond.Cond
-}
-
-// Flow is a local value-flow path ending at a use vertex.
+// Flow is a local value-flow path ending at a use vertex, held as its first
+// step: the vertex, and the flow of a successor it continues with. That flow
+// is one the memo holds already, so the flows of a function share their
+// suffixes and one costs a record however long it is. A flow carries its
+// condition — the conjunction of its edge conditions and of the control
+// dependence of every step's statement, the PC(π) skeleton of Equation 1 (the
+// DD closure is added by the SMT encoder) — conjoined once, when the memo
+// makes it, from its first step's and its rest's.
 type Flow struct {
-	Steps []Step
+	// Node is the flow's first vertex and Len the number of its steps.
+	Node int32
+	Len  int32
+	term int32
+	rest *Flow
+	cond *cond.Cond
 }
 
 // Terminal returns the flow's final vertex.
-func (f Flow) Terminal() int32 { return f.Steps[len(f.Steps)-1].Node }
+func (f Flow) Terminal() int32 { return f.term }
 
-// Cond conjoins the flow's edge conditions and the control dependence of
-// every step's statement in the given graph — the PC(π) skeleton of
-// Equation 1 (the DD closure is added by the SMT encoder).
-func (f Flow) Cond(g *seg.Graph) *cond.Cond {
-	cb := g.Info.Conds
-	parts := make([]*cond.Cond, 0, len(f.Steps)*2)
-	for _, s := range f.Steps {
-		parts = append(parts, s.EdgeCond)
-		if in := g.Instr(s.Node); in != nil {
-			parts = append(parts, g.CD(in))
-		}
-	}
-	return cb.And(parts...)
-}
+// Cond returns the flow's path condition.
+func (f Flow) Cond() *cond.Cond { return f.cond }
+
+// Rest returns the flow after its first step: nil when that step is the
+// terminal.
+func (f Flow) Rest() *Flow { return f.rest }
 
 // Table memoizes flow enumeration per SEG vertex.
 type Table struct {
@@ -66,9 +62,10 @@ type Table struct {
 	MaxSteps int
 
 	// memo holds the flows of each start vertex enumerated so far (or in
-	// progress), by vertex ID. One Table serves one graph; the memo grows
-	// when the graph gained vertices since the last lookup.
-	memo dense.Lists[Flow]
+	// progress), by vertex ID: nil for a vertex not looked up yet, never nil
+	// after. One Table serves one graph; the memo grows when the graph gained
+	// vertices since the last lookup.
+	memo [][]Flow
 	// CapHits counts vertices whose enumeration was truncated.
 	CapHits int
 	// Hits and Misses count FlowsFrom lookups served from / populating the
@@ -87,28 +84,33 @@ func NewTable() *Table {
 // FlowsFrom enumerates local flows starting at from. The result is memoized
 // and shared; callers must not mutate it.
 func (t *Table) FlowsFrom(g *seg.Graph, from int32) []Flow {
-	at := int(from)
-	if fs, ok := t.memo.Get(at); ok {
+	if int(from) < len(t.memo) && t.memo[from] != nil {
 		t.Hits++
-		return fs
+		return t.memo[from]
 	}
 	t.Misses++
+	if n := g.NumNodes(); n > len(t.memo) {
+		t.memo = append(t.memo, make([][]Flow, n-len(t.memo))...)
+	}
 	// Mark in-progress to cut (impossible in a DAG, defensive) cycles.
-	t.memo.Grow(g.NumNodes())
-	t.memo.Put(at, nil)
-	tr := g.Info.Conds.True()
+	t.memo[from] = noFlows
+	cb := g.Info.Conds
+	cd := cb.True() // of from's statement
+	if in := g.Instr(from); in != nil {
+		cd = g.CD(in)
+	}
 	if g.Node(from).Kind == seg.NUse {
-		out := []Flow{{Steps: []Step{{Node: from, EdgeCond: tr}}}}
-		t.memo.Put(at, out)
+		out := []Flow{{Node: from, Len: 1, term: from, cond: cd}}
+		t.memo[from] = out
 		return out
 	}
 	// First pass: enumerate the successors' flows (stopping where the flow
-	// cap stops the enumeration) and size the result, so that all steps of
-	// all flows of this vertex share one backing array.
+	// cap stops the enumeration) and count the result, so that the flows of
+	// this vertex are one array.
 	succs := g.Succs(from)
 	var few [8][]Flow
 	subs := few[:0]
-	flows, steps := 0, 0
+	flows := 0
 	for _, e := range succs {
 		sub := t.FlowsFrom(g, e.To)
 		subs = append(subs, sub)
@@ -116,39 +118,38 @@ func (t *Table) FlowsFrom(g *seg.Graph, from int32) []Flow {
 			if flows >= t.MaxFlows {
 				break
 			}
-			if len(sf.Steps)+1 <= t.MaxSteps {
+			if int(sf.Len) < t.MaxSteps {
 				flows++
-				steps += len(sf.Steps) + 1
 			}
 		}
 		if flows >= t.MaxFlows {
 			break
 		}
 	}
-	var out []Flow
-	if flows > 0 {
-		out = make([]Flow, 0, flows)
-	}
-	buf := make([]Step, 0, steps)
+	out := make([]Flow, 0, flows) // not nil, however many
 	truncated := false
 	for i, sub := range subs {
-		edgeCond := g.Cond(succs[i])
-		for _, sf := range sub {
+		// What the step onto the successor adds to the successor's flows:
+		// from's control dependence and the edge's condition.
+		head := g.Cond(succs[i])
+		if !cd.IsTrue() {
+			head = cb.And(cd, head)
+		}
+		for j := range sub {
 			if len(out) >= t.MaxFlows {
 				truncated = true
 				break
 			}
-			if len(sf.Steps)+1 > t.MaxSteps {
+			sf := &sub[j]
+			if int(sf.Len) >= t.MaxSteps {
 				truncated = true
 				continue
 			}
-			start := len(buf)
-			buf = append(buf, Step{Node: from, EdgeCond: tr})
-			// The first step of the sub-flow carries the edge's condition
-			// into it.
-			buf = append(buf, Step{Node: sf.Steps[0].Node, EdgeCond: edgeCond})
-			buf = append(buf, sf.Steps[1:]...)
-			out = append(out, Flow{Steps: buf[start:len(buf):len(buf)]})
+			c := sf.cond
+			if !head.IsTrue() {
+				c = cb.And(head, c)
+			}
+			out = append(out, Flow{Node: from, Len: sf.Len + 1, term: sf.term, rest: sf, cond: c})
 		}
 		if len(out) >= t.MaxFlows {
 			truncated = true
@@ -158,9 +159,13 @@ func (t *Table) FlowsFrom(g *seg.Graph, from int32) []Flow {
 	if truncated {
 		t.CapHits++
 	}
-	t.memo.Put(at, out)
+	t.memo[from] = out
 	return out
 }
+
+// noFlows is the memo entry of a vertex whose flows are being enumerated:
+// empty, and not nil.
+var noFlows = []Flow{}
 
 // FlowsBetween filters FlowsFrom down to flows ending at a particular
 // terminal role.

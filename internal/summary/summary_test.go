@@ -1,8 +1,11 @@
 package summary
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
+	"repro/internal/cond"
 	"repro/internal/ir"
 	"repro/internal/lower"
 	"repro/internal/minic"
@@ -53,8 +56,8 @@ func TestFlowsFromParamToRet(t *testing.T) {
 	if g.Node(f.Terminal()).Role != seg.RoleRetArg {
 		t.Fatalf("terminal role = %v", g.Node(f.Terminal()).Role)
 	}
-	if !f.Cond(g).IsTrue() {
-		t.Errorf("unconditional identity has cond %s", f.Cond(g))
+	if !f.Cond().IsTrue() {
+		t.Errorf("unconditional identity has cond %s", f.Cond())
 	}
 }
 
@@ -71,8 +74,8 @@ int pick(bool c, int a, int b) {
 	if len(flows[1]) == 0 || len(flows[2]) == 0 {
 		t.Fatalf("conditional flows missing: %v", flows)
 	}
-	ca := flows[1][0].Cond(g)
-	cb := flows[2][0].Cond(g)
+	ca := flows[1][0].Cond()
+	cb := flows[2][0].Cond()
 	if ca.IsTrue() || cb.IsTrue() {
 		t.Errorf("gated flows are unconditional: %s / %s", ca, cb)
 	}
@@ -182,5 +185,80 @@ void f(bool c, int *p) {
 	tab.FlowsFrom(g, p)
 	if tab.Hits != hits+2 {
 		t.Errorf("repeat lookups counted %d hits, want 2: the memo lost entries when it grew", tab.Hits-hits)
+	}
+}
+
+// enumerate lists the flows from n with no memo and nothing shared: every
+// path along successor edges to a use vertex, in edge order, with the
+// conjunction of all its edge conditions and the control dependence of all
+// its steps' statements, conjoined at once.
+func enumerate(g *seg.Graph, n int32, path []int32, parts []*cond.Cond, emit func([]int32, *cond.Cond)) {
+	path = append(path, n)
+	if in := g.Instr(n); in != nil {
+		parts = append(parts, g.CD(in))
+	}
+	if g.Node(n).Kind == seg.NUse {
+		emit(path, g.Info.Conds.And(parts...))
+		return
+	}
+	for _, e := range g.Succs(n) {
+		enumerate(g, e.To, path, append(parts, g.Cond(e)), emit)
+	}
+}
+
+// The memo's flows — each one record continuing with a successor's flow, its
+// condition conjoined from its first step's and its rest's — are exactly the
+// paths a plain enumeration finds, in its order, under the same condition
+// nodes.
+func TestFlowsEqualEnumeration(t *testing.T) {
+	for _, tc := range []struct{ src, fn string }{
+		{`
+void f(bool c, bool d, int *p, int *q) {
+	int *r = p;
+	if (c) { r = q; }
+	if (d) { free(r); } else { use(r); }
+	if (c) {
+		if (!d) { g(r); }
+	}
+	int x = *r;
+	use(x);
+}`, "f"},
+		{`
+int *pick(bool c, bool d, int *a, int *b) {
+	int *cell = malloc();
+	*cell = a;
+	if (c) { *cell = b; }
+	int *out = *cell;
+	if (d) { free(out); }
+	if (!c) { return a; }
+	return out;
+}`, "pick"},
+	} {
+		g := buildGraph(t, tc.src, tc.fn)
+		g.EnsureValueNodes()
+		tab := NewTable()
+		render := func(path []int32, c *cond.Cond) string { return fmt.Sprintf("%v under #%d %s", path, c.ID(), c) }
+		flowsSeen := 0
+		for n := int32(0); int(n) < g.NumNodes(); n++ {
+			var want, got []string
+			enumerate(g, n, nil, nil, func(path []int32, c *cond.Cond) { want = append(want, render(path, c)) })
+			for _, f := range tab.FlowsFrom(g, n) {
+				var path []int32
+				for s := &f; s != nil; s = s.Rest() {
+					path = append(path, s.Node)
+				}
+				if int(f.Len) != len(path) || f.Terminal() != path[len(path)-1] {
+					t.Errorf("%s: flow %v has Len %d and terminal %d", tc.fn, path, f.Len, f.Terminal())
+				}
+				got = append(got, render(path, f.Cond()))
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("%s: flows from vertex %d (%s):\n got %q\nwant %q", tc.fn, n, g.NodeString(n), got, want)
+			}
+			flowsSeen += len(got)
+		}
+		if tab.CapHits != 0 || flowsSeen < 10 {
+			t.Fatalf("%s: %d cap hits, %d flows: not the subject the test is about", tc.fn, tab.CapHits, flowsSeen)
+		}
 	}
 }
