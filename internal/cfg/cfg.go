@@ -1,8 +1,9 @@
 // Package cfg provides control-flow-graph analyses over IR functions:
 // reverse postorder, dominators and post-dominators (Cooper–Harvey–Kennedy),
-// dominance frontiers (Cytron), and control dependence
-// (Ferrante–Ottenstein–Warren), which the SEG encodes as Lc-labeled edges
-// (Pinpoint Definition 3.2).
+// and control dependence (Ferrante–Ottenstein–Warren), which the SEG encodes
+// as Lc-labeled edges (Pinpoint Definition 3.2). Lowering numbers SSA values
+// in dominator-tree preorder; the gate pass reads idom and the topological
+// order.
 //
 // Every per-block fact is a slice indexed by Block.ID and sized by
 // Func.NumBlocks: block IDs are dense per function, so the ID is the key and
@@ -88,22 +89,11 @@ type DomTree struct {
 	// idom holds each block's immediate (post-)dominator by Block.ID; nil
 	// for the root and for blocks unreachable from it.
 	idom []*ir.Block
-	// children is the inverse of idom in one backing array: the children of
-	// block b are children[childStart[b.ID]:childStart[b.ID+1]], in
-	// ascending ID order.
-	children   []*ir.Block
-	childStart []int32
 }
 
 // Idom returns b's immediate (post-)dominator: nil for the root and for
 // blocks the tree does not reach.
 func (t *DomTree) Idom(b *ir.Block) *ir.Block { return t.idom[b.ID] }
-
-// Children returns the blocks whose immediate (post-)dominator is b, in
-// ascending ID order. Callers must not mutate the slice.
-func (t *DomTree) Children(b *ir.Block) []*ir.Block {
-	return t.children[t.childStart[b.ID]:t.childStart[b.ID+1]]
-}
 
 // Dominates reports whether a dominates b (reflexively).
 func (t *DomTree) Dominates(a, b *ir.Block) bool {
@@ -115,9 +105,10 @@ func (t *DomTree) Dominates(a, b *ir.Block) bool {
 	return false
 }
 
-// Dominators computes the dominator tree of f.
-func Dominators(f *ir.Func) *DomTree {
-	return buildDomTree(f.Entry, f.NumBlocks(), false)
+// Dominators computes the dominator tree of f, whose reverse postorder (or
+// Topological order) is rpo.
+func Dominators(f *ir.Func, rpo []*ir.Block) *DomTree {
+	return buildDomTree(f.Entry, f.NumBlocks(), rpo, false)
 }
 
 // PostDominators computes the post-dominator tree of f, rooted at the unique
@@ -126,13 +117,13 @@ func PostDominators(f *ir.Func) *DomTree {
 	if f.Exit == nil {
 		panic("cfg: function has no exit block")
 	}
-	return buildDomTree(f.Exit, f.NumBlocks(), true)
+	return buildDomTree(f.Exit, f.NumBlocks(), reversePostorder(f.Exit, f.NumBlocks(), true), true)
 }
 
 // buildDomTree runs the Cooper–Harvey–Kennedy iterative algorithm from root
-// over the CFG (backward: over the reversed CFG).
-func buildDomTree(root *ir.Block, numBlocks int, backward bool) *DomTree {
-	rpo := reversePostorder(root, numBlocks, backward)
+// over the CFG (backward: over the reversed CFG), whose reverse postorder
+// from root is rpo.
+func buildDomTree(root *ir.Block, numBlocks int, rpo []*ir.Block, backward bool) *DomTree {
 	// order is each block's RPO position, -1 for blocks unreachable from
 	// root in this direction.
 	order := make([]int32, numBlocks)
@@ -181,53 +172,7 @@ func buildDomTree(root *ir.Block, numBlocks int, backward bool) *DomTree {
 		}
 	}
 	idom[root.ID] = nil
-
-	// Invert into children with a counting sort over parent IDs; filling in
-	// ascending child ID keeps every child list in ID order.
-	t := &DomTree{Root: root, idom: idom, childStart: make([]int32, numBlocks+1)}
-	for _, d := range idom {
-		if d != nil {
-			t.childStart[d.ID+1]++
-		}
-	}
-	for i := 0; i < numBlocks; i++ {
-		t.childStart[i+1] += t.childStart[i]
-	}
-	t.children = make([]*ir.Block, t.childStart[numBlocks])
-	fill := append([]int32(nil), t.childStart[:numBlocks]...)
-	for id, pos := range order {
-		if pos < 0 || idom[id] == nil {
-			continue
-		}
-		p := idom[id].ID
-		t.children[fill[p]] = rpo[pos]
-		fill[p]++
-	}
-	return t
-}
-
-// DominanceFrontier computes DF(b) for every block (Cytron et al.), indexed
-// by Block.ID; every frontier is in ascending ID order.
-func DominanceFrontier(f *ir.Func, dt *DomTree) [][]*ir.Block {
-	df := make([][]*ir.Block, f.NumBlocks())
-	// Joins are visited in f.Blocks order (ascending ID), so each frontier
-	// fills in that order and a join already recorded for a runner is its
-	// last element.
-	for _, b := range f.Blocks {
-		if len(b.Preds) < 2 {
-			continue
-		}
-		stop := dt.idom[b.ID]
-		for _, p := range b.Preds {
-			for runner := p; runner != nil && runner != stop; runner = dt.idom[runner.ID] {
-				if fr := df[runner.ID]; len(fr) > 0 && fr[len(fr)-1] == b {
-					break // this runner and everything above it saw b already
-				}
-				df[runner.ID] = append(df[runner.ID], b)
-			}
-		}
-	}
-	return df
+	return &DomTree{Root: root, idom: idom}
 }
 
 // CDep records that a block executes only when the branch terminating
@@ -246,25 +191,38 @@ func (c CDep) Cond() *ir.Value { return c.Branch.Term().Args[0] }
 // dependent on edge (A→S) iff B post-dominates S but does not post-dominate
 // A. Only two-way branches generate dependences; jumps are unconditional.
 func ControlDeps(f *ir.Func, pdt *DomTree) [][]CDep {
+	// Two walks: the first counts each block's dependences, the second
+	// fills them into one array.
 	out := make([][]CDep, f.NumBlocks())
-	for _, a := range f.Blocks {
-		term := a.Term()
-		if term == nil || term.Op != ir.OpBr {
-			continue
-		}
-		for i, s := range term.Blocks() {
-			onTrue := i == 0
-			// Walk the post-dominator tree from s up to (but not
-			// including) ipdom(a); every node visited is control
-			// dependent on (a, onTrue).
-			stop := pdt.idom[a.ID]
-			for x := s; x != nil && x != stop; x = pdt.idom[x.ID] {
-				out[x.ID] = append(out[x.ID], CDep{Branch: a, OnTrue: onTrue})
-				if x == pdt.Root {
-					break
+	count := make([]int32, f.NumBlocks())
+	total := 0
+	walk := func(visit func(x *ir.Block, d CDep)) {
+		for _, a := range f.Blocks {
+			term := a.Term()
+			if term == nil || term.Op != ir.OpBr {
+				continue
+			}
+			for i, s := range term.Blocks() {
+				// Walk the post-dominator tree from s up to (but not
+				// including) ipdom(a); every node visited is control
+				// dependent on (a, onTrue).
+				stop := pdt.idom[a.ID]
+				for x := s; x != nil && x != stop; x = pdt.idom[x.ID] {
+					visit(x, CDep{Branch: a, OnTrue: i == 0})
+					if x == pdt.Root {
+						break
+					}
 				}
 			}
 		}
 	}
+	walk(func(x *ir.Block, _ CDep) { count[x.ID]++; total++ })
+	deps := make([]CDep, 0, total)
+	for id, n := range count {
+		if n > 0 {
+			out[id], deps = deps[len(deps):len(deps):len(deps)+int(n)], deps[:len(deps)+int(n)]
+		}
+	}
+	walk(func(x *ir.Block, d CDep) { out[x.ID] = append(out[x.ID], d) })
 	return out
 }

@@ -1,9 +1,10 @@
-package cfg
+package cfg_test
 
 import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/cfg"
 	"repro/internal/ir"
 	"repro/internal/lower"
 	"repro/internal/minic"
@@ -32,7 +33,7 @@ int f(bool c) {
 func TestReversePostorder(t *testing.T) {
 	m := lowerSrc(t, diamondSrc)
 	f := m.Lookup("f")
-	rpo := ReversePostorder(f)
+	rpo := cfg.ReversePostorder(f)
 	if rpo[0] != f.Entry {
 		t.Fatal("RPO does not start at entry")
 	}
@@ -55,7 +56,7 @@ func TestReversePostorder(t *testing.T) {
 
 func TestTopological(t *testing.T) {
 	m := lowerSrc(t, diamondSrc)
-	if _, err := Topological(m.Lookup("f")); err != nil {
+	if _, err := cfg.Topological(m.Lookup("f")); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -70,7 +71,7 @@ func TestTopologicalDetectsCycle(t *testing.T) {
 	f.Append(b, ir.Instr{Op: ir.OpJmp, Ext: &ir.Ext{Blocks: []*ir.Block{a}}})
 	ir.Connect(a, b)
 	ir.Connect(b, a)
-	if _, err := Topological(f); err == nil {
+	if _, err := cfg.Topological(f); err == nil {
 		t.Fatal("cycle not detected")
 	}
 }
@@ -78,7 +79,7 @@ func TestTopologicalDetectsCycle(t *testing.T) {
 func TestDominatorsDiamond(t *testing.T) {
 	m := lowerSrc(t, diamondSrc)
 	f := m.Lookup("f")
-	dt := Dominators(f)
+	dt := cfg.Dominators(f, cfg.ReversePostorder(f))
 	// Entry dominates everything.
 	for _, b := range f.Blocks {
 		if !dt.Dominates(f.Entry, b) {
@@ -109,7 +110,7 @@ func TestDominatorsDiamond(t *testing.T) {
 func TestPostDominators(t *testing.T) {
 	m := lowerSrc(t, diamondSrc)
 	f := m.Lookup("f")
-	pdt := PostDominators(f)
+	pdt := cfg.PostDominators(f)
 	for _, b := range f.Blocks {
 		if !pdt.Dominates(f.Exit, b) {
 			t.Errorf("exit does not post-dominate %s", b)
@@ -132,44 +133,11 @@ func TestPostDominators(t *testing.T) {
 	}
 }
 
-func TestDominanceFrontierDiamond(t *testing.T) {
-	m := lowerSrc(t, diamondSrc)
-	f := m.Lookup("f")
-	dt := Dominators(f)
-	df := DominanceFrontier(f, dt)
-	var branch *ir.Block
-	for _, b := range f.Blocks {
-		if term := b.Term(); term != nil && term.Op == ir.OpBr {
-			branch = b
-		}
-	}
-	thenB, elseB := branch.Succs[0], branch.Succs[1]
-	join := thenB.Succs[0]
-	for _, arm := range []*ir.Block{thenB, elseB} {
-		found := false
-		for _, w := range df[arm.ID] {
-			if w == join {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("DF(%s) = %v, want to contain %s", arm, df[arm.ID], join)
-		}
-	}
-	// The join is not in its own idom's frontier... but the branch must
-	// not contain the join (branch dominates join).
-	for _, w := range df[branch.ID] {
-		if w == join {
-			t.Errorf("DF(branch) contains dominated join")
-		}
-	}
-}
-
 func TestControlDepsDiamond(t *testing.T) {
 	m := lowerSrc(t, diamondSrc)
 	f := m.Lookup("f")
-	pdt := PostDominators(f)
-	cd := ControlDeps(f, pdt)
+	pdt := cfg.PostDominators(f)
+	cd := cfg.ControlDeps(f, pdt)
 	var branch *ir.Block
 	for _, b := range f.Blocks {
 		if term := b.Term(); term != nil && term.Op == ir.OpBr {
@@ -194,7 +162,7 @@ func TestControlDepsDiamond(t *testing.T) {
 	if len(cd[f.Entry.ID]) != 0 {
 		t.Errorf("cd[entry] = %+v, want empty", cd[f.Entry.ID])
 	}
-	// CDep.Cond returns the branch condition value.
+	// cfg.CDep.Cond returns the branch condition value.
 	if c := cd[thenB.ID][0].Cond(); c == nil || c.Type.Base != "bool" {
 		t.Errorf("Cond() = %v", c)
 	}
@@ -210,8 +178,8 @@ void f(bool a, bool b) {
 	}
 }`)
 	f := m.Lookup("f")
-	pdt := PostDominators(f)
-	cd := ControlDeps(f, pdt)
+	pdt := cfg.PostDominators(f)
+	cd := cfg.ControlDeps(f, pdt)
 	// The block containing the call to g must be control dependent on
 	// both branches.
 	var callBlock *ir.Block
@@ -242,8 +210,8 @@ void f(bool a, bool b) {
 func TestDominatorsLinear(t *testing.T) {
 	m := lowerSrc(t, "void f() { g(); h(); }")
 	f := m.Lookup("f")
-	dt := Dominators(f)
-	pdt := PostDominators(f)
+	dt := cfg.Dominators(f, cfg.ReversePostorder(f))
+	pdt := cfg.PostDominators(f)
 	for _, b := range f.Blocks {
 		if b != f.Entry && dt.Idom(b) == nil {
 			t.Errorf("%s has no idom", b)
@@ -262,7 +230,7 @@ func TestQuickDominatorsVsBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 60; trial++ {
 		f := randomDAGFunc(rng)
-		dt := Dominators(f)
+		dt := cfg.Dominators(f, cfg.ReversePostorder(f))
 		// The brute-force reference uses plain maps on purpose: it shares
 		// nothing with the ID-indexed tables it checks.
 		reachableWithout := func(skip *ir.Block) map[*ir.Block]bool {
@@ -293,7 +261,7 @@ func TestQuickDominatorsVsBruteForce(t *testing.T) {
 			}
 		}
 		// Post-dominators: the same property on the reversed graph.
-		pdt := PostDominators(f)
+		pdt := cfg.PostDominators(f)
 		reachesExitWithout := func(skip *ir.Block) map[*ir.Block]bool { // reference, as above
 			seen := map[*ir.Block]bool{}
 			var dfs func(*ir.Block)
@@ -326,29 +294,13 @@ func TestQuickDominatorsVsBruteForce(t *testing.T) {
 
 // TestQuickDenseTablesVsBruteForce checks the ID-indexed tables against
 // their definitions on random acyclic CFGs (which, after pruning, have holes
-// in the block ID space): Children is the inverse of Idom in ascending ID
-// order, idom(b) is the closest strict dominator, and DF(a) is exactly the
-// set of blocks w such that a dominates a predecessor of w without strictly
-// dominating w.
+// in the block ID space): idom(b) is the closest strict dominator.
 func TestQuickDenseTablesVsBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 80; trial++ {
 		f := randomDAGFunc(rng)
-		dt := Dominators(f)
-		df := DominanceFrontier(f, dt)
-		if len(df) != f.NumBlocks() {
-			t.Fatalf("trial %d: DF has %d slots, want NumBlocks=%d", trial, len(df), f.NumBlocks())
-		}
+		dt := cfg.Dominators(f, cfg.ReversePostorder(f))
 		for _, a := range f.Blocks {
-			var wantKids []*ir.Block
-			for _, b := range f.Blocks {
-				if dt.Idom(b) == a {
-					wantKids = append(wantKids, b)
-				}
-			}
-			if !sameBlocks(dt.Children(a), wantKids) {
-				t.Fatalf("trial %d: Children(%s) = %v, want %v\n%s", trial, a, dt.Children(a), wantKids, f)
-			}
 			if d := dt.Idom(a); a == f.Entry {
 				if d != nil {
 					t.Fatalf("trial %d: entry has idom %s", trial, d)
@@ -364,37 +316,8 @@ func TestQuickDenseTablesVsBruteForce(t *testing.T) {
 					}
 				}
 			}
-			var wantDF []*ir.Block
-			for _, w := range f.Blocks {
-				if a != w && dt.Dominates(a, w) {
-					continue
-				}
-				for _, p := range w.Preds {
-					if dt.Dominates(a, p) {
-						wantDF = append(wantDF, w)
-						break
-					}
-				}
-			}
-			if !sameBlocks(df[a.ID], wantDF) {
-				t.Fatalf("trial %d: DF(%s) = %v, want %v\n%s", trial, a, df[a.ID], wantDF, f)
-			}
 		}
 	}
-}
-
-// sameBlocks compares two block lists element-wise; both sides are built in
-// ascending ID order.
-func sameBlocks(x, y []*ir.Block) bool {
-	if len(x) != len(y) {
-		return false
-	}
-	for i := range x {
-		if x[i] != y[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // randomDAGFunc builds a random valid acyclic CFG: forward-only edges, all

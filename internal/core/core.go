@@ -3,8 +3,9 @@
 //
 //	MiniC source
 //	  → parse (minic)
-//	  → lower to CFG IR, unroll loops, normalize returns (lower)
-//	  → SSA + gating conditions + control dependence (ssa)
+//	  → lower straight into SSA-form CFG IR: unroll loops, normalize
+//	    returns, place φs at joins (lower)
+//	  → reach conditions, φ gates, control dependence (ssa)
 //	  → Mod/Ref side-effect analysis (modref)
 //	  → connector transformation: Aux params / Aux returns (transform)
 //	  → local quasi path-sensitive points-to analysis (pta)
@@ -127,7 +128,9 @@ type Analysis struct {
 // session (every artifact is a miss). Callers that analyze a program series
 // should hold a Session of their own and call Update instead.
 func BuildFromSource(units []minic.NamedSource, opts BuildOptions) (*Analysis, error) {
-	return newSession(opts).Update(units)
+	s := newSession(opts)
+	s.oneShot = opts.Store == nil
+	return s.Update(units)
 }
 
 // emitBuildMetrics publishes the structural gauges and PTA counters of a

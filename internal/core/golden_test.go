@@ -67,3 +67,27 @@ func TestLadderGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestOneShotBuildEqualsSession holds the storeless BuildFromSource, which
+// computes no function AST digests, to a session's Update, which does: the
+// digests key only what a later Update or a store reads, so the reports are
+// the same.
+func TestOneShotBuildEqualsSession(t *testing.T) {
+	units := ladder(120, 1)
+	a, err := core.BuildFromSource(units, core.BuildOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := core.NewSession(core.BuildOptions{Workers: 2}).Update(units)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := detect.Options{Workers: 2, Witness: true}
+	got, want := reportsJSON(t, a.CheckAll(checkers.All(), opts).Reports), reportsJSON(t, b.CheckAll(checkers.All(), opts).Reports)
+	if string(got) != string(want) {
+		t.Errorf("one-shot build reports %d bytes, a session's %d, and they differ", len(got), len(want))
+	}
+	if a.Sizes != b.Sizes {
+		t.Errorf("one-shot sizes %+v, session sizes %+v", a.Sizes, b.Sizes)
+	}
+}

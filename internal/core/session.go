@@ -214,6 +214,10 @@ type Session struct {
 	storeLoaded bool
 	ring        segState
 	unsaved     []int32
+	// oneShot marks the session behind a BuildFromSource without a store: it
+	// is updated once and dropped, so no function's AST digest is ever
+	// compared, and none is computed.
+	oneShot bool
 }
 
 // NewSession returns an empty incremental session.
@@ -695,7 +699,7 @@ func (s *Session) Update(units []minic.NamedSource) (*Analysis, error) {
 			if was := s.files[units[i].Name]; was != nil {
 				like = &was.unitFacts
 			}
-			pu := &parsedUnit{name: units[i].Name, src: units[i].Src, unitFacts: factsOf(f, like)}
+			pu := &parsedUnit{name: units[i].Name, src: units[i].Src, unitFacts: factsOf(f, like, !s.oneShot)}
 			pu.shape = pu.unitFacts.shape()
 			if sums != nil {
 				pu.sum = sums[i]

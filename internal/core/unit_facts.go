@@ -100,8 +100,9 @@ func (b *listBuilder[T]) list() []T {
 }
 
 // factsOf reads a parsed unit's facts off its AST. like, when not nil, is
-// the facts the unit was known by until now.
-func factsOf(f *minic.File, like *unitFacts) unitFacts {
+// the facts the unit was known by until now. Without hash the functions'
+// AST digests are left zero, for a session that never reads them.
+func factsOf(f *minic.File, like *unitFacts, hash bool) unitFacts {
 	uf := unitFacts{
 		globals: make([]minic.Param, len(f.Globals)),
 		structs: make([]structFacts, len(f.Structs)),
@@ -131,8 +132,11 @@ func factsOf(f *minic.File, like *unitFacts) unitFacts {
 		}
 		names = minic.AppendCalleeNames(names[:0], fn)
 		callees.add(names...)
-		uf.funcs[i] = funcFacts{name: fn.Name, line: int32(fn.Pos.Line), col: int32(fn.Pos.Col), sum: minic.HashFuncSum(fn),
+		uf.funcs[i] = funcFacts{name: fn.Name, line: int32(fn.Pos.Line), col: int32(fn.Pos.Col),
 			typesEnd: int32(types.n), calleesEnd: int32(callees.n)}
+		if hash {
+			uf.funcs[i].sum = minic.HashFuncSum(fn)
+		}
 	}
 	uf.types, uf.callees = types.list(), callees.list()
 	return uf

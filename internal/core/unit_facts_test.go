@@ -56,7 +56,7 @@ func unitOf(t testing.TB, u minic.NamedSource) *parsedUnit {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pu := &parsedUnit{name: u.Name, src: u.Src, unitFacts: factsOf(f, nil), sum: unitDigest(u.Name, u.Src)}
+	pu := &parsedUnit{name: u.Name, src: u.Src, unitFacts: factsOf(f, nil, true), sum: unitDigest(u.Name, u.Src)}
 	pu.shape = pu.unitFacts.shape()
 	return pu
 }
@@ -149,7 +149,7 @@ func TestFactsOfLike(t *testing.T) {
 		return f
 	}
 	src := factsUnits[1].Src
-	was := factsOf(parse(src), nil)
+	was := factsOf(parse(src), nil, true)
 	for _, tc := range []struct {
 		name, old, new         string
 		sameTypes, sameCallees bool
@@ -161,7 +161,7 @@ func TestFactsOfLike(t *testing.T) {
 		{"the last function gone", "void idle() { }", "", true, true},
 	} {
 		f := parse(strings.Replace(src, tc.old, tc.new, 1))
-		got, fresh := factsOf(f, &was), factsOf(f, nil)
+		got, fresh := factsOf(f, &was, true), factsOf(f, nil, true)
 		if !sameFacts(&got, &fresh) {
 			t.Errorf("%s: facts built beside the previous ones differ from a fresh parse's:\n%+v\n%+v", tc.name, got, fresh)
 		}

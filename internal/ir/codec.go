@@ -58,7 +58,7 @@ func resolve[T any](tab []*T, id int32, what string) (*T, error) {
 
 // liveValues collects every value reachable from f — parameters, interned
 // constants, instruction operands and destinations — by ID; the IDs of
-// values no longer live (pre-SSA variables) stay nil.
+// IDs no value holds (variable keys, dead φs) stay nil.
 func liveValues(f *Func) []*Value {
 	vals := make([]*Value, f.nextValID)
 	add := func(v *Value) {
@@ -323,7 +323,7 @@ func DecodeFunc(r *wirebin.Reader) (*Func, *Index, error) {
 	f.AuxOut = decodeAuxSpecs(r)
 	// The ID spaces size the index below, so they are bounded like any
 	// length: every live ID costs several bytes of what remains, and the
-	// dead ones (pre-SSA variables, pruned blocks) are a fraction of the
+	// dead ones (variable keys, pruned blocks) are a fraction of the
 	// live.
 	nv, ni, nb := r.Len(), r.Len(), r.Len()
 	d := &funcDecoder{r: r, f: f}

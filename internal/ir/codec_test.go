@@ -195,7 +195,7 @@ func buildCodecFunc() *Func {
 	p := f.NewParam("p", minic.IntType.Pointer(), true)
 	f.AuxIn = []AuxSpec{{Root: 1, Depth: 1}}
 	f.AuxOut = []AuxSpec{{Root: -1, Global: "g", Depth: 2}}
-	f.NewVar("x", minic.IntType) // the pre-SSA variable: its ID stays dead
+	f.ReserveID() // a variable key: its ID stays dead
 	loc := func(line int32) Loc { return Loc{Line: line, Col: 2} }
 	def := func(name string) *Value { return f.NewDef(name, minic.IntType) }
 	r, x1, x2, x3 := def("r"), def("x.1"), def("x.2"), def("x.3")
@@ -265,7 +265,7 @@ func TestFuncRoundTrip(t *testing.T) {
 	if v, err := ix.Value(-1); v != nil || err != nil {
 		t.Errorf("Value(-1) = %v, %v; want nil", v, err)
 	}
-	dead := int32(f.Params[1].ID + 1) // the pre-SSA variable
+	dead := int32(f.Params[1].ID + 1) // the variable key
 	if _, err := ix.Value(dead); err == nil {
 		t.Error("the index resolves a dead value ID")
 	}

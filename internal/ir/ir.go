@@ -77,8 +77,8 @@ func (o Op) String() string { return opNames[o] }
 type ValueKind uint8
 
 const (
-	// VVar is a variable (pre-SSA: a named slot assigned possibly many
-	// times; post-SSA: a single-assignment version).
+	// VVar is a single-assignment version of a source variable or
+	// temporary (or the undefined value of one; see Func.Undef).
 	VVar ValueKind = iota
 	// VParam is a function formal parameter (single assignment).
 	VParam
@@ -358,8 +358,7 @@ type Func struct {
 	// instrs and values are the chunks instructions and kept values are
 	// carved from, in order, and all the function holds to find a record by
 	// its ID: instruction i is in chunk i/slabChunk, and value v at position
-	// valSlot[v] of the values (-1: v was a pre-SSA variable, which is not
-	// kept). So a side table can name a record by its ID (an int32) instead
+	// valSlot[v] of the values (-1: no value holds the ID; see ReserveID). So a side table can name a record by its ID (an int32) instead
 	// of pointing at it. See Value and Instr.
 	instrs  []*[slabChunk]Instr
 	values  []*[slabChunk]Value
@@ -423,7 +422,7 @@ func (f *Func) Instr(id int32) *Instr {
 }
 
 // Value returns the value with the given ID, or nil when the function keeps
-// no value under it (a pre-SSA variable's ID).
+// no value under it (a variable's key, see ReserveID).
 func (f *Func) Value(id int32) *Value {
 	if id < 0 || int(id) >= len(f.valSlot) || f.valSlot[id] < 0 {
 		return nil
@@ -432,12 +431,12 @@ func (f *Func) Value(id int32) *Value {
 	return &f.values[at/slabChunk][at%slabChunk]
 }
 
-// Undef returns the value a use of the pre-SSA variable v reads where no
-// definition of v reaches it: a copy of v under v's ID that, unlike v, the
-// function keeps. SSA renaming calls it at most once per variable.
-func (f *Func) Undef(v *Value) *Value {
-	p := f.carveValue(v.ID)
-	*p = *v
+// Undef returns the value a use of variable key reads where no definition of
+// the variable reaches it. It is kept under key, the ID ReserveID gave the
+// variable, and named like the variable with no version.
+func (f *Func) Undef(key int32, name string, t minic.Type) *Value {
+	p := f.carveValue(key)
+	*p = Value{ID: key, Kind: VVar, name: name, Type: t}
 	return p
 }
 
@@ -552,27 +551,52 @@ func (f *Func) newInstr(in *Instr, b *Block) *Instr {
 	return p
 }
 
-// NewVar creates a fresh variable value. It is allocated on its own, not
-// from the slab: SSA renaming replaces every lowered variable by its
-// versions, after which the variable itself is garbage.
-func (f *Func) NewVar(name string, t minic.Type) *Value {
-	v := &Value{ID: f.nextValID, Kind: VVar, name: name, Type: t}
+// ReserveID takes the next value ID for a source variable or temporary
+// without creating a value under it: the ID is the variable's key while its
+// definitions are created (NewSSA), and stays a hole in the function's ID
+// space unless a use with no reaching definition fills it (Undef).
+func (f *Func) ReserveID() int32 {
 	f.valSlot = append(f.valSlot, -1)
 	f.nextValID++
-	return v
+	return f.nextValID - 1
+}
+
+// NewSSA creates a definition of the variable key (see ReserveID), named like
+// it. The value has no ID of its own until NumberSSA gives it one; until then
+// its ID is key.
+func (f *Func) NewSSA(key int32, name string, t minic.Type) *Value {
+	at := f.carved
+	if at%slabChunk == 0 {
+		f.values = append(f.values, new([slabChunk]Value))
+	}
+	f.carved++
+	p := &f.values[at/slabChunk][at%slabChunk]
+	*p = Value{ID: key, Kind: VVar, name: name, Type: t, num: int64(at)}
+	return p
+}
+
+// NumberSSA gives a value NewSSA created the next value ID, as version
+// version (>= 1) of its variable.
+func (f *Func) NumberSSA(v *Value, version int) {
+	f.valSlot = append(f.valSlot, int32(v.num))
+	v.ID, v.num = f.nextValID, int64(version)
+	f.nextValID++
+}
+
+// ReserveInstrID takes the next instruction ID without creating an
+// instruction under it.
+func (f *Func) ReserveInstrID() {
+	if f.nextInstrID%slabChunk == 0 {
+		f.instrs = append(f.instrs, new([slabChunk]Instr))
+	}
+	f.nextInstrID++
 }
 
 // NewDef creates a variable that is assigned once and lives as long as the
-// function — what code inserted after SSA conversion defines (the connector
+// function — what code inserted after lowering defines (the connector
 // transformation's glue).
 func (f *Func) NewDef(name string, t minic.Type) *Value {
 	return f.newValue(Value{Kind: VVar, name: name, Type: t})
-}
-
-// NewVersion creates SSA version n (>= 1) of the pre-SSA variable v, named
-// "<v>.<n>".
-func (f *Func) NewVersion(v *Value, n int) *Value {
-	return f.newValue(Value{Kind: VVar, name: v.name, num: int64(n), Type: v.Type})
 }
 
 // NewParam creates and appends a formal parameter.

@@ -18,7 +18,7 @@ func buildDiamond() *Func {
 	c := f.NewParam("c", minic.BoolType, false)
 	b0, b1, b2, b3 := f.NewBlock(), f.NewBlock(), f.NewBlock(), f.NewBlock()
 	f.Entry, f.Exit = b0, b3
-	x := f.NewVar("x", minic.IntType)
+	x := f.NewDef("x", minic.IntType)
 
 	f.Append(b0, Instr{Op: OpBr, Args: []*Value{c}, Ext: &Ext{Blocks: []*Block{b1, b2}}})
 	Connect(b0, b1)
@@ -72,7 +72,7 @@ func TestVerifyRejectsBadArity(t *testing.T) {
 func TestVerifyPhiInvariants(t *testing.T) {
 	f := buildDiamond()
 	b3 := f.Blocks[3]
-	x2 := f.NewVar("x2", minic.IntType)
+	x2 := f.NewDef("x2", minic.IntType)
 	// Phi with one arg but two preds: must be rejected.
 	f.InsertAt(b3, 0, Instr{Op: OpPhi, Dst: x2, Args: []*Value{f.ConstInt(1)}, Ext: &Ext{Blocks: []*Block{f.Blocks[1]}}})
 	if err := Verify(f); err == nil {
@@ -91,7 +91,7 @@ func TestConstInterning(t *testing.T) {
 	if f.ConstNull() != f.ConstNull() {
 		t.Error("null const not interned")
 	}
-	if !f.ConstNull().IsConst() || f.NewVar("v", minic.IntType).IsConst() {
+	if !f.ConstNull().IsConst() || f.NewDef("v", minic.IntType).IsConst() {
 		t.Error("IsConst wrong")
 	}
 }
@@ -110,7 +110,7 @@ func TestInstrDefs(t *testing.T) {
 	f := NewFunc("k", minic.VoidType, 0, minic.Pos{})
 	b := f.NewBlock()
 	f.Entry, f.Exit = b, b
-	d1, d2 := f.NewVar("d1", minic.IntType), f.NewVar("d2", minic.IntType)
+	d1, d2 := f.NewDef("d1", minic.IntType), f.NewDef("d2", minic.IntType)
 	call := f.Append(b, Instr{Op: OpCall, Sub: "g", Ext: &Ext{Dsts: []*Value{d1, nil, d2}}})
 	defs := call.Defs()
 	if len(defs) != 2 || defs[0] != d1 || defs[1] != d2 {
@@ -152,8 +152,8 @@ func TestPrintAllInstructionForms(t *testing.T) {
 	b := f.NewBlock()
 	f.Entry, f.Exit = b, b
 	p := f.NewParam("p", minic.IntType.Pointer(), false)
-	v := func(name string) *Value { return f.NewVar(name, minic.IntType) }
-	pv := func(name string) *Value { return f.NewVar(name, minic.IntType.Pointer()) }
+	v := func(name string) *Value { return f.NewDef(name, minic.IntType) }
+	pv := func(name string) *Value { return f.NewDef(name, minic.IntType.Pointer()) }
 
 	cases := []struct {
 		in   Instr
@@ -190,7 +190,7 @@ func TestValueStringForms(t *testing.T) {
 		f.ConstBool(false).String() != "false" || f.ConstNull().String() != "null" {
 		t.Error("const rendering broken")
 	}
-	if f.NewVar("vv", minic.IntType).String() != "vv" {
+	if f.NewDef("vv", minic.IntType).String() != "vv" {
 		t.Error("var rendering broken")
 	}
 }

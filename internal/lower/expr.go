@@ -35,7 +35,7 @@ func (lw *lowerer) expr(e minic.Expr, hint minic.Type) (*ir.Value, error) {
 			t = minic.IntType
 		}
 		v := lw.tmp(t)
-		lw.emit(ir.Instr{Op: ir.OpLoad, Dst: v, Args: []*ir.Value{addr}, Loc: lw.loc(x.Pos)})
+		lw.emit(ir.Instr{Op: ir.OpLoad, Dst: v, Args: lw.ops(addr), Loc: lw.loc(x.Pos)})
 		return v, nil
 	case *minic.CallExpr:
 		return lw.call(x, hint)
@@ -53,7 +53,7 @@ func (lw *lowerer) fieldAddr(x *minic.ArrowExpr) (*ir.Value, error) {
 	}
 	ft := lw.fieldType(base.Type, x.Field)
 	addr := lw.tmp(ft.Pointer())
-	lw.emit(ir.Instr{Op: ir.OpFieldAddr, Dst: addr, Sub: x.Field, Args: []*ir.Value{base}, Loc: lw.loc(x.Pos)})
+	lw.emit(ir.Instr{Op: ir.OpFieldAddr, Dst: addr, Sub: x.Field, Args: lw.ops(base), Loc: lw.loc(x.Pos)})
 	return addr, nil
 }
 
@@ -67,14 +67,16 @@ func (lw *lowerer) loadIdent(id *minic.Ident) (*ir.Value, error) {
 		addr := lw.tmp(g.Type.Pointer())
 		lw.emit(ir.Instr{Op: ir.OpGlobalAddr, Dst: addr, Sub: g.Name, Loc: lw.loc(id.Pos)})
 		v := lw.tmp(g.Type)
-		lw.emit(ir.Instr{Op: ir.OpLoad, Dst: v, Args: []*ir.Value{addr}, Loc: lw.loc(id.Pos)})
+		lw.emit(ir.Instr{Op: ir.OpLoad, Dst: v, Args: lw.ops(addr), Loc: lw.loc(id.Pos)})
 		return v, nil
 	case b.slot != nil:
 		v := lw.tmp(b.typ)
-		lw.emit(ir.Instr{Op: ir.OpLoad, Dst: v, Args: []*ir.Value{b.slot}, Loc: lw.loc(id.Pos)})
+		lw.emit(ir.Instr{Op: ir.OpLoad, Dst: v, Args: lw.ops(b.slot), Loc: lw.loc(id.Pos)})
 		return v, nil
+	case b.param != nil:
+		return b.param, nil
 	default:
-		return b.reg, nil
+		return lw.read(b.key), nil
 	}
 }
 
@@ -92,7 +94,7 @@ func (lw *lowerer) unary(x *minic.UnaryExpr, hint minic.Type) (*ir.Value, error)
 			t = minic.IntType
 		}
 		v := lw.tmp(t)
-		lw.emit(ir.Instr{Op: ir.OpLoad, Dst: v, Args: []*ir.Value{addr}, Loc: lw.loc(x.Pos)})
+		lw.emit(ir.Instr{Op: ir.OpLoad, Dst: v, Args: lw.ops(addr), Loc: lw.loc(x.Pos)})
 		return v, nil
 	case "&":
 		id, ok := x.X.(*minic.Ident)
@@ -123,7 +125,7 @@ func (lw *lowerer) unary(x *minic.UnaryExpr, hint minic.Type) (*ir.Value, error)
 			t = minic.BoolType
 		}
 		d := lw.tmp(t)
-		lw.emit(ir.Instr{Op: ir.OpUn, Dst: d, Sub: x.Op, Args: []*ir.Value{v}, Loc: lw.loc(x.Pos)})
+		lw.emit(ir.Instr{Op: ir.OpUn, Dst: d, Sub: x.Op, Args: lw.ops(v), Loc: lw.loc(x.Pos)})
 		return d, nil
 	default:
 		return nil, fmt.Errorf("%s: unknown unary operator %q", x.Pos, x.Op)
@@ -149,7 +151,7 @@ func (lw *lowerer) binary(x *minic.BinaryExpr) (*ir.Value, error) {
 		t = minic.BoolType
 	}
 	d := lw.tmp(t)
-	lw.emit(ir.Instr{Op: ir.OpBin, Dst: d, Sub: x.Op, Args: []*ir.Value{a, b}, Loc: lw.loc(x.Pos)})
+	lw.emit(ir.Instr{Op: ir.OpBin, Dst: d, Sub: x.Op, Args: lw.ops(a, b), Loc: lw.loc(x.Pos)})
 	return d, nil
 }
 
@@ -158,15 +160,15 @@ func (lw *lowerer) binary(x *minic.BinaryExpr) (*ir.Value, error) {
 //	t = X; if (t) { t = Y }        for &&  (skip Y when X is false)
 //	t = X; if (!t) { t = Y }       for ||
 //
-// The join's phi (created by SSA construction) carries the gate condition,
-// so the evaluation-order semantics surface in path conditions.
+// The φ the lowerer places for t at the join carries the gate condition, so
+// the evaluation-order semantics surface in path conditions.
 func (lw *lowerer) shortCircuit(x *minic.BinaryExpr) (*ir.Value, error) {
 	a, err := lw.boolExpr(x.X)
 	if err != nil {
 		return nil, err
 	}
-	t := lw.tmp(minic.BoolType)
-	lw.emit(ir.Instr{Op: ir.OpCopy, Dst: t, Args: []*ir.Value{a}, Loc: lw.loc(x.Pos)})
+	t := lw.declare(lw.tmpName(), minic.BoolType)
+	lw.emit(ir.Instr{Op: ir.OpCopy, Dst: lw.define(t), Args: lw.ops(a), Loc: lw.loc(x.Pos)})
 	evalY := lw.f.NewBlock()
 	join := lw.f.NewBlock()
 	if x.Op == "&&" {
@@ -174,15 +176,19 @@ func (lw *lowerer) shortCircuit(x *minic.BinaryExpr) (*ir.Value, error) {
 	} else {
 		lw.emitBr(a, join, evalY, x.Pos)
 	}
-	lw.cur = evalY
+	mark := lw.openArm()
+	lw.enter(evalY)
 	b, err := lw.boolExpr(x.Y)
 	if err != nil {
 		return nil, err
 	}
-	lw.emit(ir.Instr{Op: ir.OpCopy, Dst: t, Args: []*ir.Value{b}, Loc: lw.loc(x.Pos)})
+	lw.emit(ir.Instr{Op: ir.OpCopy, Dst: lw.define(t), Args: lw.ops(b), Loc: lw.loc(x.Pos)})
+	arms := [2]arm{{end: lw.cur}}
 	lw.emitJmp(join, x.Pos)
-	lw.cur = join
-	return t, nil
+	arms[0].writes = lw.closeArm(mark)
+	lw.enter(join)
+	lw.merge(join, arms)
+	return lw.read(t), nil
 }
 
 func (lw *lowerer) call(x *minic.CallExpr, hint minic.Type) (*ir.Value, error) {
@@ -206,16 +212,18 @@ func (lw *lowerer) call(x *minic.CallExpr, hint minic.Type) (*ir.Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		lw.emit(ir.Instr{Op: ir.OpFree, Args: []*ir.Value{p}, Loc: lw.loc(x.Pos)})
+		lw.emit(ir.Instr{Op: ir.OpFree, Args: lw.ops(p), Loc: lw.loc(x.Pos)})
 		return p, nil
 	}
-	var args []*ir.Value
+	// The operands wait on a stack: lowering one may lower a call.
+	base := len(lw.callArgs)
+	defer func() { lw.callArgs = lw.callArgs[:base] }()
 	for _, a := range x.Args {
 		v, err := lw.expr(a, minic.IntType)
 		if err != nil {
 			return nil, err
 		}
-		args = append(args, v)
+		lw.callArgs = append(lw.callArgs, v)
 	}
 	// Result type: known callee's declared return; externals get the
 	// hint (or int when called for effect).
@@ -232,7 +240,9 @@ func (lw *lowerer) call(x *minic.CallExpr, hint minic.Type) (*ir.Value, error) {
 	if !retT.IsVoid() {
 		dst = lw.tmp(retT)
 	}
-	lw.emit(ir.Instr{Op: ir.OpCall, Ext: &ir.Ext{Dsts: []*ir.Value{dst}}, Sub: x.Fun, Args: args, Loc: lw.loc(x.Pos)})
+	lw.dstBuf = append(lw.dstBuf[:0], dst)
+	lw.ext = ir.Ext{Dsts: lw.dstBuf}
+	lw.emit(ir.Instr{Op: ir.OpCall, Ext: &lw.ext, Sub: x.Fun, Args: lw.callArgs[base:], Loc: lw.loc(x.Pos)})
 	if dst == nil {
 		// Void call in expression position: produce a dummy 0 so the
 		// caller always gets a value.

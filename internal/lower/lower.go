@@ -1,4 +1,5 @@
-// Package lower translates MiniC ASTs into the CFG-based IR of package ir.
+// Package lower translates MiniC ASTs into the CFG-based IR of package ir,
+// in SSA form.
 //
 // Lowering applies the soundiness policies of Pinpoint §4.2 at the earliest
 // possible stage:
@@ -12,14 +13,17 @@
 //   - malloc/free are intrinsics; all other undefined callees remain
 //     external calls that the checkers model by name.
 //
-// Local variables whose address is never taken stay virtual registers and
-// are later SSA-renamed; address-taken locals get an explicit stack slot
+// Local variables whose address is never taken stay virtual registers:
+// every assignment defines a new value, and a join gets a φ for a variable
+// read after it whose incoming values differ (see ssa.go; package ssa then
+// only gates the φs). Address-taken locals get an explicit stack slot
 // (OpAlloc) accessed through loads and stores, exactly the memory the local
 // points-to analysis reasons about.
 package lower
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/conc"
 	"repro/internal/ir"
@@ -114,27 +118,29 @@ func Structs(prog *minic.Program) map[string][]minic.Param {
 // declaration with the same tables always yields a structurally identical
 // ir.Func, whichever other functions exist.
 func FuncWith(m *ir.Module, decl *minic.FuncDecl, sigs func(name string) (minic.Type, bool), structs map[string][]minic.Param) (*ir.Func, error) {
-	return lowerFuncWithStructs(m, decl, sigs, structs)
-}
-
-func lowerFuncWithStructs(m *ir.Module, decl *minic.FuncDecl, sigs func(string) (minic.Type, bool), structs map[string][]minic.Param) (*ir.Func, error) {
+	addrOf, nvars, nblocks := collectAddressTaken(decl)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	sc.reset(nvars+len(decl.Params)+1, nblocks)
 	lw := &lowerer{
 		m:       m,
 		f:       ir.NewFunc(decl.Name, decl.Ret, decl.Unit, decl.Pos),
-		scopes:  []int{0},
-		addrOf:  collectAddressTaken(decl),
+		addrOf:  addrOf,
 		sigs:    sigs,
 		structs: structs,
+		retKey:  -1,
+		scratch: sc,
 	}
 	f := lw.f
 	f.Entry = f.NewBlock()
-	lw.cur = f.Entry
+	lw.enter(f.Entry)
 
-	// Exit block with single return.
+	// Exit block with single return; its operand is what ret$ holds there,
+	// known once every return is lowered.
 	f.Exit = f.NewBlock()
 	if !decl.Ret.IsVoid() {
-		lw.retVar = f.NewVar("ret$"+decl.Name, decl.Ret)
-		f.Append(f.Exit, ir.Instr{Op: ir.OpRet, Args: []*ir.Value{lw.retVar}, Loc: lw.loc(decl.Pos)})
+		lw.retKey = lw.declare("ret$"+decl.Name, decl.Ret)
+		lw.retIn = f.Append(f.Exit, ir.Instr{Op: ir.OpRet, Args: []*ir.Value{nil}, Loc: lw.loc(decl.Pos)})
 	} else {
 		f.Append(f.Exit, ir.Instr{Op: ir.OpRet, Loc: lw.loc(decl.Pos)})
 	}
@@ -144,10 +150,10 @@ func lowerFuncWithStructs(m *ir.Module, decl *minic.FuncDecl, sigs func(string) 
 		pv := f.NewParam(p.Name, p.Type, false)
 		if lw.addrOf[p.Name] {
 			slot := lw.emitAlloc(p.Name, p.Type, decl.Pos)
-			lw.emit(ir.Instr{Op: ir.OpStore, Args: []*ir.Value{slot, pv}, Loc: lw.loc(decl.Pos)})
-			lw.bind(p.Name, binding{slot: slot, typ: p.Type})
+			lw.emit(ir.Instr{Op: ir.OpStore, Args: lw.ops(slot, pv), Loc: lw.loc(decl.Pos)})
+			lw.bind(p.Name, binding{key: -1, slot: slot, typ: p.Type})
 		} else {
-			lw.bind(p.Name, binding{reg: pv, typ: p.Type})
+			lw.bind(p.Name, binding{key: -1, param: pv, typ: p.Type})
 		}
 	}
 
@@ -159,26 +165,28 @@ func lowerFuncWithStructs(m *ir.Module, decl *minic.FuncDecl, sigs func(string) 
 	}
 	// Fall-through at end of body: default return value.
 	if lw.cur != nil {
-		if lw.retVar != nil {
-			lw.emit(ir.Instr{Op: ir.OpCopy, Dst: lw.retVar, Args: []*ir.Value{lw.defaultValue(decl.Ret)}, Loc: lw.loc(decl.Pos)})
+		var v *ir.Value
+		if lw.retKey >= 0 {
+			v = lw.defaultValue(decl.Ret)
 		}
-		lw.emitJmp(f.Exit, decl.Pos)
+		lw.ret(v, decl.Pos)
 	}
-	// Drop unreachable empty shells (blocks never jumped to).
-	pruneUnreachable(f)
-	f.SealCFG()
+	if err := lw.finish(); err != nil {
+		return nil, fmt.Errorf("lower %s: %w", decl.Name, err)
+	}
 	if err := ir.Verify(f); err != nil {
 		return nil, fmt.Errorf("lower %s: %w", decl.Name, err)
 	}
 	return f, nil
 }
 
-// binding is a name resolution result: either a register variable or a
-// memory slot address.
+// binding is a name resolution result: a register variable, a parameter not
+// written yet, or a memory slot address.
 type binding struct {
-	reg  *ir.Value // register variable (nil if in memory)
-	slot *ir.Value // address of stack slot (nil if register)
-	typ  minic.Type
+	key   int32     // the register variable's key (-1 if none)
+	param *ir.Value // the parameter (nil if not one)
+	slot  *ir.Value // address of stack slot (nil if register)
+	typ   minic.Type
 }
 
 // boundName is one entry of the lowerer's binding stack.
@@ -191,17 +199,20 @@ type lowerer struct {
 	m   *ir.Module
 	f   *ir.Func
 	cur *ir.Block // nil after a terminator, until a new block starts
-	// bound is the stack of live name bindings, innermost last; scopes
-	// holds the stack height at which each open scope began.
-	bound   []boundName
-	scopes  []int
+	// live is whether cur is reachable from the entry; code after a return
+	// is lowered into blocks that are not, and pruned.
+	live    bool
 	addrOf  map[string]bool
 	sigs    func(string) (minic.Type, bool)
 	structs map[string][]minic.Param
-	retVar  *ir.Value
-	tmpN    int
+	// retKey is the key of ret$, the variable every return assigns (-1 for
+	// a void function); retIn is the Exit block's ret, which reads it.
+	retKey int32
+	retIn  *ir.Instr
+	tmpN   int
 	// posErr is the first source position an instruction could not carry.
 	posErr error
+	*scratch
 }
 
 // loc narrows a source position to what an instruction carries: line and
@@ -258,37 +269,74 @@ func (lw *lowerer) emit(in ir.Instr) *ir.Instr {
 		// that pruneUnreachable removes.
 		lw.cur = lw.f.NewBlock()
 	}
-	return lw.f.Append(lw.cur, in)
+	p := lw.f.Append(lw.cur, in)
+	lw.note(p)
+	return p
 }
 
 func (lw *lowerer) emitJmp(to *ir.Block, pos minic.Pos) {
 	if lw.cur == nil {
 		return
 	}
-	lw.f.Append(lw.cur, ir.Instr{Op: ir.OpJmp, Ext: &ir.Ext{Blocks: []*ir.Block{to}}, Loc: lw.loc(pos)})
+	lw.emit(ir.Instr{Op: ir.OpJmp, Ext: lw.targets(to), Loc: lw.loc(pos)})
 	ir.Connect(lw.cur, to)
-	lw.cur = nil
+	lw.cur, lw.live = nil, false
 }
 
 func (lw *lowerer) emitBr(cond *ir.Value, t, e *ir.Block, pos minic.Pos) {
 	if lw.cur == nil {
 		return
 	}
-	lw.f.Append(lw.cur, ir.Instr{Op: ir.OpBr, Args: []*ir.Value{cond}, Ext: &ir.Ext{Blocks: []*ir.Block{t, e}}, Loc: lw.loc(pos)})
+	lw.emit(ir.Instr{Op: ir.OpBr, Args: lw.ops(cond), Ext: lw.targets(t, e), Loc: lw.loc(pos)})
 	ir.Connect(lw.cur, t)
 	ir.Connect(lw.cur, e)
-	lw.cur = nil
+	lw.cur, lw.live = nil, false
 }
 
 func (lw *lowerer) emitAlloc(name string, t minic.Type, pos minic.Pos) *ir.Value {
-	slot := lw.f.NewVar("&"+name, t.Pointer())
+	slot := lw.temp("&"+name, t.Pointer())
 	lw.emit(ir.Instr{Op: ir.OpAlloc, Dst: slot, Sub: name, Loc: lw.loc(pos)})
 	return slot
 }
 
+// tmp returns the one definition of a fresh temporary.
 func (lw *lowerer) tmp(t minic.Type) *ir.Value {
+	return lw.temp(lw.tmpName(), t)
+}
+
+// tmpName names the next temporary: t1, t2, ... in each function.
+func (lw *lowerer) tmpName() string {
 	lw.tmpN++
-	return lw.f.NewVar(fmt.Sprintf("t%d", lw.tmpN), t)
+	if lw.tmpN < len(tmpNames) {
+		return tmpNames[lw.tmpN]
+	}
+	return "t" + strconv.Itoa(lw.tmpN)
+}
+
+// tmpNames holds the names of the first temporaries, which every function
+// shares.
+var tmpNames = func() (names [1024]string) {
+	for i := range names {
+		names[i] = "t" + strconv.Itoa(i)
+	}
+	return names
+}()
+
+// temp returns the one definition of a fresh variable that is never
+// assigned again, so needs no tracking.
+func (lw *lowerer) temp(name string, t minic.Type) *ir.Value {
+	return lw.f.NewSSA(lw.reserve(), name, t)
+}
+
+// ret assigns v to ret$ and jumps to the exit block.
+func (lw *lowerer) ret(v *ir.Value, pos minic.Pos) {
+	if lw.retKey >= 0 {
+		lw.emit(ir.Instr{Op: ir.OpCopy, Dst: lw.define(lw.retKey), Args: lw.ops(v), Loc: lw.loc(pos)})
+		if lw.live {
+			lw.rets = append(lw.rets, lw.v(lw.retKey).cur)
+		}
+	}
+	lw.emitJmp(lw.f.Exit, pos)
 }
 
 func (lw *lowerer) defaultValue(t minic.Type) *ir.Value {
@@ -323,20 +371,25 @@ func (lw *lowerer) stmt(s minic.Stmt) error {
 		// Unroll once: while (c) S  ==>  if (c) { S }.
 		return lw.ifStmt(&minic.IfStmt{Pos: st.Pos, Cond: st.Cond, Then: st.Body})
 	case *minic.ReturnStmt:
+		var v *ir.Value
 		if st.Value != nil {
-			v, err := lw.expr(st.Value, lw.f.Ret)
-			if err != nil {
+			var err error
+			if v, err = lw.expr(st.Value, lw.f.Ret); err != nil {
 				return err
 			}
-			if lw.retVar != nil {
-				lw.emit(ir.Instr{Op: ir.OpCopy, Dst: lw.retVar, Args: []*ir.Value{v}, Loc: lw.loc(st.Pos)})
-			}
-		} else if lw.retVar != nil {
-			lw.emit(ir.Instr{Op: ir.OpCopy, Dst: lw.retVar, Args: []*ir.Value{lw.defaultValue(lw.f.Ret)}, Loc: lw.loc(st.Pos)})
+		} else if lw.retKey >= 0 {
+			v = lw.defaultValue(lw.f.Ret)
 		}
-		lw.emitJmp(lw.f.Exit, st.Pos)
+		lw.ret(v, st.Pos)
 		return nil
 	case *minic.ExprStmt:
+		if id, ok := st.X.(*minic.Ident); ok {
+			// A register read for nothing is no use: it must not make
+			// the φ it would read.
+			if b, g, err := lw.resolve(id); err != nil || (g == nil && b.slot == nil) {
+				return err
+			}
+		}
 		_, err := lw.expr(st.X, minic.VoidType)
 		return err
 	default:
@@ -358,12 +411,12 @@ func (lw *lowerer) declStmt(st *minic.DeclStmt) error {
 	}
 	if lw.addrOf[d.Name] {
 		slot := lw.emitAlloc(d.Name, d.Type, d.Pos)
-		lw.emit(ir.Instr{Op: ir.OpStore, Args: []*ir.Value{slot, init}, Loc: lw.loc(d.Pos)})
-		lw.bind(d.Name, binding{slot: slot, typ: d.Type})
+		lw.emit(ir.Instr{Op: ir.OpStore, Args: lw.ops(slot, init), Loc: lw.loc(d.Pos)})
+		lw.bind(d.Name, binding{key: -1, slot: slot, typ: d.Type})
 	} else {
-		reg := lw.f.NewVar(d.Name, d.Type)
-		lw.emit(ir.Instr{Op: ir.OpCopy, Dst: reg, Args: []*ir.Value{init}, Loc: lw.loc(d.Pos)})
-		lw.bind(d.Name, binding{reg: reg, typ: d.Type})
+		key := lw.declare(d.Name, d.Type)
+		lw.emit(ir.Instr{Op: ir.OpCopy, Dst: lw.define(key), Args: lw.ops(init), Loc: lw.loc(d.Pos)})
+		lw.bind(d.Name, binding{key: key, typ: d.Type})
 	}
 	return nil
 }
@@ -375,7 +428,7 @@ func (lw *lowerer) assignStmt(st *minic.AssignStmt) error {
 		if err != nil {
 			return err
 		}
-		v, verr := lw.expr(st.Value, bindingType(b, global, lw.m))
+		v, verr := lw.expr(st.Value, bindingType(b, global))
 		if verr != nil {
 			return verr
 		}
@@ -395,7 +448,7 @@ func (lw *lowerer) assignStmt(st *minic.AssignStmt) error {
 		if err != nil {
 			return err
 		}
-		lw.emit(ir.Instr{Op: ir.OpStore, Args: []*ir.Value{addr, v}, Loc: lw.loc(st.Pos)})
+		lw.emit(ir.Instr{Op: ir.OpStore, Args: lw.ops(addr, v), Loc: lw.loc(st.Pos)})
 		return nil
 	case *minic.UnaryExpr: // *e = v (possibly multi-level)
 		if target.Op != "*" {
@@ -415,7 +468,7 @@ func (lw *lowerer) assignStmt(st *minic.AssignStmt) error {
 		if err != nil {
 			return err
 		}
-		lw.emit(ir.Instr{Op: ir.OpStore, Args: []*ir.Value{addr, v}, Loc: lw.loc(st.Pos)})
+		lw.emit(ir.Instr{Op: ir.OpStore, Args: lw.ops(addr, v), Loc: lw.loc(st.Pos)})
 		return nil
 	default:
 		return fmt.Errorf("%s: invalid assignment target", st.Pos)
@@ -428,12 +481,12 @@ func (lw *lowerer) resolve(id *minic.Ident) (binding, *ir.Global, error) {
 		return b, nil, nil
 	}
 	if g, ok := lw.m.GlobalByName[id.Name]; ok {
-		return binding{}, g, nil
+		return binding{key: -1}, g, nil
 	}
-	return binding{}, nil, fmt.Errorf("%s: undefined variable %q", id.Pos, id.Name)
+	return binding{key: -1}, nil, fmt.Errorf("%s: undefined variable %q", id.Pos, id.Name)
 }
 
-func bindingType(b binding, g *ir.Global, m *ir.Module) minic.Type {
+func bindingType(b binding, g *ir.Global) minic.Type {
 	if g != nil {
 		return g.Type
 	}
@@ -445,19 +498,17 @@ func (lw *lowerer) storeTo(id *minic.Ident, b binding, g *ir.Global, v *ir.Value
 	case g != nil:
 		addr := lw.tmp(g.Type.Pointer())
 		lw.emit(ir.Instr{Op: ir.OpGlobalAddr, Dst: addr, Sub: g.Name, Loc: lw.loc(pos)})
-		lw.emit(ir.Instr{Op: ir.OpStore, Args: []*ir.Value{addr, v}, Loc: lw.loc(pos)})
+		lw.emit(ir.Instr{Op: ir.OpStore, Args: lw.ops(addr, v), Loc: lw.loc(pos)})
 	case b.slot != nil:
-		lw.emit(ir.Instr{Op: ir.OpStore, Args: []*ir.Value{b.slot, v}, Loc: lw.loc(pos)})
-	case b.reg != nil:
-		if b.reg.Kind == ir.VParam {
-			// Parameters are immutable SSA values; introduce a shadow
-			// register on first write.
-			shadow := lw.f.NewVar(id.Name, b.typ)
-			lw.emit(ir.Instr{Op: ir.OpCopy, Dst: shadow, Args: []*ir.Value{v}, Loc: lw.loc(pos)})
-			lw.rebind(id.Name, binding{reg: shadow, typ: b.typ})
-		} else {
-			lw.emit(ir.Instr{Op: ir.OpCopy, Dst: b.reg, Args: []*ir.Value{v}, Loc: lw.loc(pos)})
-		}
+		lw.emit(ir.Instr{Op: ir.OpStore, Args: lw.ops(b.slot, v), Loc: lw.loc(pos)})
+	case b.param != nil:
+		// Parameters are immutable SSA values; introduce a shadow
+		// register on first write.
+		key := lw.declare(id.Name, b.typ)
+		lw.emit(ir.Instr{Op: ir.OpCopy, Dst: lw.define(key), Args: lw.ops(v), Loc: lw.loc(pos)})
+		lw.rebind(id.Name, binding{key: key, typ: b.typ})
+	case b.key >= 0:
+		lw.emit(ir.Instr{Op: ir.OpCopy, Dst: lw.define(b.key), Args: lw.ops(v), Loc: lw.loc(pos)})
 	default:
 		return fmt.Errorf("%s: cannot assign to %q", pos, id.Name)
 	}
@@ -489,25 +540,29 @@ func (lw *lowerer) ifStmt(st *minic.IfStmt) error {
 	} else {
 		lw.emitBr(cond, thenB, join, st.Pos)
 	}
-	lw.cur = thenB
-	if err := lw.stmt(st.Then); err != nil {
-		return err
-	}
-	lw.emitJmp(join, st.Pos)
-	if elseB != nil {
-		lw.cur = elseB
-		if err := lw.stmt(st.Else); err != nil {
+	var arms [2]arm
+	blocks := [2]*ir.Block{thenB, elseB}
+	for i, body := range [2]minic.Stmt{st.Then, st.Else} {
+		if body == nil {
+			continue
+		}
+		mark := lw.openArm()
+		lw.enter(blocks[i])
+		if err := lw.stmt(body); err != nil {
 			return err
 		}
+		arms[i].end = lw.cur
 		lw.emitJmp(join, st.Pos)
+		arms[i].writes = lw.closeArm(mark)
 	}
 	if len(join.Preds) == 0 {
 		// Both arms returned; everything after is unreachable.
-		lw.cur = nil
+		lw.saved = lw.saved[:arms[0].writes.from]
 		removeBlock(lw.f, join)
 		return nil
 	}
-	lw.cur = join
+	lw.enter(join)
+	lw.merge(join, arms)
 	return nil
 }
 
@@ -529,34 +584,24 @@ func (lw *lowerer) boolExpr(e minic.Expr) (*ir.Value, error) {
 		zero = lw.f.ConstInt(0)
 	}
 	c := lw.tmp(minic.BoolType)
-	lw.emit(ir.Instr{Op: ir.OpBin, Dst: c, Sub: "!=", Args: []*ir.Value{v, zero}, Loc: lw.loc(e.ExprPos())})
+	lw.emit(ir.Instr{Op: ir.OpBin, Dst: c, Sub: "!=", Args: lw.ops(v, zero), Loc: lw.loc(e.ExprPos())})
 	return c, nil
 }
 
-func pruneUnreachable(f *ir.Func) {
-	reach := make([]bool, f.NumBlocks()) // by Block.ID
-	reach[f.Entry.ID] = true
-	work := []*ir.Block{f.Entry}
-	for len(work) > 0 {
-		b := work[len(work)-1]
-		work = work[:len(work)-1]
-		for _, s := range b.Succs {
-			if !reach[s.ID] {
-				reach[s.ID] = true
-				work = append(work, s)
-			}
-		}
-	}
+// pruneUnreachable drops the blocks the lowering found unreachable, and the
+// edges from them.
+func (lw *lowerer) pruneUnreachable() {
+	f := lw.f
 	kept := f.Blocks[:0]
 	for _, b := range f.Blocks {
-		if reach[b.ID] {
+		if lw.reachable(b) {
 			kept = append(kept, b)
 		}
 	}
 	for _, b := range kept {
 		preds := b.Preds[:0]
 		for _, p := range b.Preds {
-			if reach[p.ID] {
+			if lw.reachable(p) {
 				preds = append(preds, p)
 			}
 		}
@@ -576,59 +621,75 @@ func removeBlock(f *ir.Func, b *ir.Block) {
 }
 
 // collectAddressTaken finds all variable names whose address is taken
-// anywhere in the function.
-func collectAddressTaken(fn *minic.FuncDecl) map[string]bool {
-	out := make(map[string]bool)
-	var walkExpr func(e minic.Expr)
-	var walkStmt func(s minic.Stmt)
-	walkExpr = func(e minic.Expr) {
-		switch x := e.(type) {
-		case *minic.UnaryExpr:
-			if x.Op == "&" {
-				if id, ok := x.X.(*minic.Ident); ok {
-					out[id.Name] = true
-				}
+// anywhere in the function (nil when there are none). It also counts the
+// declarations and short circuits, the variables the lowering tracks
+// besides ret$ and parameters, and the blocks the lowering will make, at
+// most.
+func collectAddressTaken(fn *minic.FuncDecl) (addrOf map[string]bool, vars, blocks int) {
+	s := survey{blocks: 2}
+	s.stmt(fn.Body)
+	return s.addrOf, s.vars, s.blocks
+}
+
+type survey struct {
+	addrOf       map[string]bool
+	vars, blocks int
+}
+
+func (s *survey) expr(e minic.Expr) {
+	switch x := e.(type) {
+	case *minic.UnaryExpr:
+		if id, ok := x.X.(*minic.Ident); ok && x.Op == "&" {
+			if s.addrOf == nil {
+				s.addrOf = make(map[string]bool)
 			}
-			walkExpr(x.X)
-		case *minic.BinaryExpr:
-			walkExpr(x.X)
-			walkExpr(x.Y)
-		case *minic.CallExpr:
-			for _, a := range x.Args {
-				walkExpr(a)
-			}
+			s.addrOf[id.Name] = true
+		}
+		s.expr(x.X)
+	case *minic.BinaryExpr:
+		if x.Op == "&&" || x.Op == "||" {
+			s.vars++
+			s.blocks += 2
+		}
+		s.expr(x.X)
+		s.expr(x.Y)
+	case *minic.CallExpr:
+		for _, a := range x.Args {
+			s.expr(a)
 		}
 	}
-	walkStmt = func(s minic.Stmt) {
-		switch st := s.(type) {
-		case *minic.BlockStmt:
-			for _, inner := range st.Stmts {
-				walkStmt(inner)
-			}
-		case *minic.DeclStmt:
-			if st.Decl.Init != nil {
-				walkExpr(st.Decl.Init)
-			}
-		case *minic.AssignStmt:
-			walkExpr(st.Target)
-			walkExpr(st.Value)
-		case *minic.IfStmt:
-			walkExpr(st.Cond)
-			walkStmt(st.Then)
-			if st.Else != nil {
-				walkStmt(st.Else)
-			}
-		case *minic.WhileStmt:
-			walkExpr(st.Cond)
-			walkStmt(st.Body)
-		case *minic.ReturnStmt:
-			if st.Value != nil {
-				walkExpr(st.Value)
-			}
-		case *minic.ExprStmt:
-			walkExpr(st.X)
+}
+
+func (s *survey) stmt(st minic.Stmt) {
+	switch st := st.(type) {
+	case *minic.BlockStmt:
+		for _, inner := range st.Stmts {
+			s.stmt(inner)
 		}
+	case *minic.DeclStmt:
+		s.vars++
+		if st.Decl.Init != nil {
+			s.expr(st.Decl.Init)
+		}
+	case *minic.AssignStmt:
+		s.expr(st.Target)
+		s.expr(st.Value)
+	case *minic.IfStmt:
+		s.blocks += 3
+		s.expr(st.Cond)
+		s.stmt(st.Then)
+		if st.Else != nil {
+			s.stmt(st.Else)
+		}
+	case *minic.WhileStmt:
+		s.blocks += 2
+		s.expr(st.Cond)
+		s.stmt(st.Body)
+	case *minic.ReturnStmt:
+		if st.Value != nil {
+			s.expr(st.Value)
+		}
+	case *minic.ExprStmt:
+		s.expr(st.X)
 	}
-	walkStmt(fn.Body)
-	return out
 }

@@ -27,7 +27,6 @@ package pta
 import (
 	"fmt"
 
-	"repro/internal/cfg"
 	"repro/internal/cond"
 	"repro/internal/dense"
 	"repro/internal/ir"
@@ -233,10 +232,6 @@ type analyzer struct {
 
 // Analyze runs the quasi path-sensitive points-to analysis on f.
 func Analyze(f *ir.Func, inf *ssa.Info, opts Options) (*Result, error) {
-	order, err := cfg.Topological(f)
-	if err != nil {
-		return nil, err
-	}
 	a := &analyzer{
 		f:           f,
 		inf:         inf,
@@ -252,7 +247,7 @@ func Analyze(f *ir.Func, inf *ssa.Info, opts Options) (*Result, error) {
 	}
 
 	exits := make([]state, f.NumBlocks()) // by Block.ID
-	for _, b := range order {
+	for _, b := range inf.Order() {
 		st := a.mergePreds(b, exits)
 		for _, in := range b.Instrs {
 			a.transfer(&st, in)

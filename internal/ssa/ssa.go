@@ -1,18 +1,16 @@
-// Package ssa converts lowered IR functions into SSA form and computes the
-// gating conditions of φ-assignments.
+// Package ssa computes the gating conditions of the φ-assignments of
+// lowered IR functions, which package lower emits in SSA form already.
 //
 // Pinpoint's SEG (Definition 3.2) labels the data-dependence edge of each φ
 // operand with the condition under which that operand is selected — the
 // "gated function" of Tu and Padua, computable in near-linear time because
 // the lowered CFGs are acyclic (loops are unrolled once during lowering).
-// This package performs:
-//
-//  1. semi-pruned φ insertion on iterated dominance frontiers (Cytron);
-//  2. stack-based renaming over the dominator tree;
-//  3. dead-φ elimination;
-//  4. gate computation: for a φ in join J with operand arriving from
-//     predecessor P, the gate is the condition of reaching P from idom(J)
-//     and taking the edge P→J, expressed over branch-condition atoms.
+// Transform computes, in one topological sweep once the function is
+// complete, each block's reach condition, then each φ's gates: for a φ in
+// join J with operand arriving from predecessor P, the gate is the condition
+// of reaching P from idom(J) and taking the edge P→J, expressed over
+// branch-condition atoms. Control dependences come from the post-dominator
+// tree.
 //
 // Atoms in the condition domain are SSA value IDs of branch conditions, so
 // downstream passes can map atoms back to program values when encoding SMT
@@ -66,17 +64,19 @@ type Info struct {
 	build *joinState
 }
 
-// joinState is what JoinGates works from: the dominator tree, the RPO
-// numbering and the memo of its results. Only the build asks for join gates
-// (Transform for the φ gates, pta.Analyze at control-flow joins), so the
-// state is dropped once the function's SEG stands; a later JoinGates call
-// recomputes it.
+// joinState is what the build's control-flow walks work from: the
+// topological order of the blocks, the dominator tree, and JoinGates' RPO
+// numbering and memo. Only the build reads it (Transform for the reach
+// conditions and φ gates, pta.Analyze for its sweep and at joins), so it is
+// dropped once the function's SEG stands; a later call recomputes it.
 type joinState struct {
-	dom    *cfg.DomTree
-	rpoIdx []int32 // by Block.ID
-	// gates memoizes JoinGates by Block.ID (filled lazily, during the
+	order []*ir.Block
+	dom   *cfg.DomTree
+	// rpoIdx numbers the blocks by order, and gates memoizes JoinGates, by
+	// Block.ID; both are made by the first JoinGates call (during the
 	// single-goroutine build only).
-	gates [][]*cond.Cond
+	rpoIdx []int32
+	gates  [][]*cond.Cond
 }
 
 // ReleaseBuildState drops the tables only the build reads. The build calls
@@ -85,19 +85,15 @@ func (inf *Info) ReleaseBuildState() { inf.build = nil }
 
 func (inf *Info) joinState() *joinState {
 	if inf.build == nil {
-		inf.build = newJoinState(inf.Fn, cfg.ReversePostorder(inf.Fn), cfg.Dominators(inf.Fn))
+		order := cfg.ReversePostorder(inf.Fn)
+		inf.build = &joinState{order: order, dom: cfg.Dominators(inf.Fn, order)}
 	}
 	return inf.build
 }
 
-func newJoinState(f *ir.Func, order []*ir.Block, dom *cfg.DomTree) *joinState {
-	nb := f.NumBlocks()
-	js := &joinState{dom: dom, rpoIdx: make([]int32, nb), gates: make([][]*cond.Cond, nb)}
-	for i, b := range order {
-		js.rpoIdx[b.ID] = int32(i)
-	}
-	return js
-}
+// Order returns the function's blocks in a topological order (the CFG is
+// acyclic): the order Transform swept. Callers must not mutate it.
+func (inf *Info) Order() []*ir.Block { return inf.joinState().order }
 
 // AtomValue maps a condition atom ID back to the SSA value registered under
 // it (nil if none was).
@@ -223,22 +219,15 @@ func (inf *Info) computeCDCond(b *ir.Block) *cond.Cond {
 	return inf.Conds.And(cs...)
 }
 
-// Transform converts f to SSA form in place and returns the associated Info.
-// The CFG must be acyclic.
+// Transform computes the gates of f, which lowering put into SSA form, and
+// returns them as an Info. The CFG must be acyclic.
 func Transform(f *ir.Func) (*Info, error) {
 	order, err := cfg.Topological(f)
 	if err != nil {
 		return nil, err
 	}
-	dom := cfg.Dominators(f)
-	df := cfg.DominanceFrontier(f, dom)
-
-	insertPhis(f, df)
-	rename(f, dom)
-	eliminateDeadPhis(f)
-
 	inf := newInfo(f, cond.NewBuilder())
-	inf.build = newJoinState(f, order, dom)
+	inf.build = &joinState{order: order, dom: cfg.Dominators(f, order)}
 	computeReachConds(inf, order)
 	computeGates(inf)
 	return inf, nil
@@ -252,225 +241,6 @@ func newInfo(f *ir.Func, conds *cond.Builder) *Info {
 		Conds:     conds,
 		cd:        cfg.ControlDeps(f, cfg.PostDominators(f)),
 		reachCond: make([]*cond.Cond, f.NumBlocks()),
-	}
-}
-
-// varSites records the definition sites of one pre-SSA variable.
-type varSites struct {
-	v *ir.Value
-	// The distinct blocks defining v, in f.Blocks order: def0, then more.
-	// Most variables are defined in one block and never fill more.
-	def0, last *ir.Block
-	more       []*ir.Block
-	global     bool // used in a block other than (or before) its definition
-}
-
-// insertPhis places φ instructions for multi-block variables on iterated
-// dominance frontiers. All bookkeeping is indexed by the (dense) value and
-// block IDs; "is it marked for this variable/block" sets are stamp arrays,
-// so nothing is cleared between variables or blocks.
-func insertPhis(f *ir.Func, df [][]*ir.Block) {
-	sites := make([]varSites, f.NumValues()) // by Value.ID; v == nil: not a variable
-	definedIn := make([]int32, f.NumValues())
-	for _, b := range f.Blocks {
-		here := int32(b.ID) + 1 // definedIn[v] == here: v was defined earlier in b
-		for _, in := range b.Instrs {
-			for _, a := range in.Args {
-				if a.Kind == ir.VVar && definedIn[a.ID] != here {
-					sites[a.ID].v = a
-					sites[a.ID].global = true
-				}
-			}
-			def := func(d *ir.Value) {
-				if d == nil || d.Kind != ir.VVar {
-					return
-				}
-				s := &sites[d.ID]
-				s.v = d
-				// Blocks are scanned one after another, so b is already
-				// recorded exactly when it is the last entry.
-				if s.def0 == nil {
-					s.def0 = b
-				} else if s.last != b {
-					s.more = append(s.more, b)
-				}
-				s.last = b
-				definedIn[d.ID] = here
-			}
-			if in.Op == ir.OpCall {
-				for _, d := range in.Dsts() {
-					def(d)
-				}
-			} else {
-				def(in.Dst)
-			}
-		}
-	}
-
-	// placed[b] == stamp: the current variable has a φ in b; defSeen
-	// likewise for "b defines the variable (originally or through a φ)".
-	nb := f.NumBlocks()
-	placed := make([]int32, nb)
-	defSeen := make([]int32, nb)
-	var work []*ir.Block
-	var args []*ir.Value // scratch: InsertAt copies it
-	// Variables in ascending ID order: the φ order inside a block, and the
-	// instruction IDs φs receive, follow from it.
-	for i := range sites {
-		s := &sites[i]
-		// With MiniC's declare-before-use discipline a variable with a
-		// single def block needs no φ: the def dominates all uses.
-		if s.v == nil || !s.global || len(s.more) == 0 {
-			continue
-		}
-		stamp := int32(i) + 1
-		work = append(append(work[:0], s.def0), s.more...)
-		for _, b := range work {
-			defSeen[b.ID] = stamp
-		}
-		for len(work) > 0 {
-			b := work[len(work)-1]
-			work = work[:len(work)-1]
-			for _, w := range df[b.ID] {
-				if placed[w.ID] == stamp {
-					continue
-				}
-				placed[w.ID] = stamp
-				args = args[:0]
-				for range w.Preds {
-					args = append(args, s.v)
-				}
-				f.InsertAt(w, 0, ir.Instr{Op: ir.OpPhi, Dst: s.v, Args: args, Ext: &ir.Ext{Blocks: w.Preds}})
-				if defSeen[w.ID] != stamp {
-					defSeen[w.ID] = stamp
-					work = append(work, w)
-				}
-			}
-		}
-	}
-}
-
-// renamer carries the state of the dominator-tree renaming walk, indexed by
-// the IDs of the pre-SSA variables (versions created during the walk get
-// larger IDs and are never looked up).
-type renamer struct {
-	f       *ir.Func
-	dom     *cfg.DomTree
-	cur     []*ir.Value // by pre-SSA Value.ID: the reaching version, nil = none
-	version []int32     // by pre-SSA Value.ID: versions created so far
-	// undo logs every overwritten cur entry; a block restores back to its
-	// mark on exit, which is what a stack per variable would do.
-	undo []reaching
-}
-
-type reaching struct{ v, was *ir.Value }
-
-// rename walks the dominator tree replacing variable defs with fresh SSA
-// versions and uses with the reaching version.
-func rename(f *ir.Func, dom *cfg.DomTree) {
-	n := f.NumValues()
-	r := &renamer{f: f, dom: dom, cur: make([]*ir.Value, n), version: make([]int32, n)}
-	r.walk(f.Entry)
-}
-
-func (r *renamer) top(v *ir.Value) *ir.Value {
-	if int(v.ID) < len(r.cur) && r.cur[v.ID] != nil {
-		return r.cur[v.ID]
-	}
-	// Use before def: should not happen for well-formed lowering; treat
-	// the variable itself as an "undef version 0", kept by the function
-	// like its versions. It is never undone: no definition replaces it.
-	if int(v.ID) >= len(r.cur) {
-		return v
-	}
-	r.cur[v.ID] = r.f.Undef(v)
-	return r.cur[v.ID]
-}
-
-func (r *renamer) fresh(v *ir.Value, def *ir.Instr) *ir.Value {
-	r.version[v.ID]++
-	nv := r.f.NewVersion(v, int(r.version[v.ID]))
-	nv.Def = def
-	r.undo = append(r.undo, reaching{v: v, was: r.cur[v.ID]})
-	r.cur[v.ID] = nv
-	return nv
-}
-
-func (r *renamer) walk(b *ir.Block) {
-	mark := len(r.undo)
-	for _, in := range b.Instrs {
-		if in.Op != ir.OpPhi {
-			for i, a := range in.Args {
-				if a.Kind == ir.VVar {
-					in.Args[i] = r.top(a)
-				}
-			}
-		}
-		if in.Op == ir.OpCall {
-			for i, d := range in.Dsts() {
-				if d != nil && d.Kind == ir.VVar {
-					in.Dsts()[i] = r.fresh(d, in)
-				}
-			}
-			continue
-		}
-		if in.Dst != nil && in.Dst.Kind == ir.VVar {
-			in.Dst = r.fresh(in.Dst, in)
-		}
-	}
-	// Fill φ operands of successors with the current versions.
-	for _, s := range b.Succs {
-		for _, in := range s.Instrs {
-			if in.Op != ir.OpPhi {
-				break
-			}
-			for i, pb := range in.Blocks() {
-				if pb == b && in.Args[i].Kind == ir.VVar {
-					in.Args[i] = r.top(in.Args[i])
-				}
-			}
-		}
-	}
-	// Children come out of the tree in ascending ID order.
-	for _, c := range r.dom.Children(b) {
-		r.walk(c)
-	}
-	for i := len(r.undo) - 1; i >= mark; i-- {
-		r.cur[r.undo[i].v.ID] = r.undo[i].was
-	}
-	r.undo = r.undo[:mark]
-}
-
-// eliminateDeadPhis removes φ instructions whose destination is never used,
-// iterating to a fixpoint.
-func eliminateDeadPhis(f *ir.Func) {
-	used := make([]bool, f.NumValues())
-	for {
-		for i := range used {
-			used[i] = false
-		}
-		for _, b := range f.Blocks {
-			for _, in := range b.Instrs {
-				for _, a := range in.Args {
-					used[a.ID] = true
-				}
-			}
-		}
-		removed := false
-		for _, b := range f.Blocks {
-			kept := b.Instrs[:0]
-			for _, in := range b.Instrs {
-				if in.Op == ir.OpPhi && !used[in.Dst.ID] {
-					removed = true
-					continue
-				}
-				kept = append(kept, in)
-			}
-			b.Instrs = kept
-		}
-		if !removed {
-			return
-		}
 	}
 }
 
@@ -500,6 +270,12 @@ func computeReachConds(inf *Info, order []*ir.Block) {
 // condition alone.
 func (inf *Info) JoinGates(join *ir.Block) []*cond.Cond {
 	js := inf.joinState()
+	if js.gates == nil {
+		js.gates, js.rpoIdx = make([][]*cond.Cond, inf.Fn.NumBlocks()), make([]int32, inf.Fn.NumBlocks())
+		for i, b := range js.order {
+			js.rpoIdx[b.ID] = int32(i)
+		}
+	}
 	if g := js.gates[join.ID]; g != nil {
 		return g
 	}

@@ -5,8 +5,9 @@
 # real binary), the restart, codec and all-checkers-equal-their-union
 # equivalences at one and two CPUs, the allocation and residency budgets
 # without the race detector, a short fuzz of the artifact decoder, of the
-# unit-facts decoder, of the solver against enumeration and of the request
-# decoder against encoding/json, the benchmark module, and the examples suite.
+# unit-facts decoder, of the solver against enumeration, of the request
+# decoder against encoding/json and of lowering into SSA form, the benchmark
+# module, and the examples suite.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -55,6 +56,9 @@ go test ./internal/smt -run '^$' -fuzz FuzzCheckVsEnumeration -fuzztime 5s -fuzz
 
 echo "== fuzz the request decoder against encoding/json (5s)"
 go test ./internal/server -run '^$' -fuzz FuzzDecodeRequest -fuzztime 5s -fuzzminimizetime 1s
+
+echo "== fuzz lowering into SSA form (5s)"
+go test ./internal/lower -run '^$' -fuzz FuzzLowerSSA -fuzztime 5s -fuzzminimizetime 1s
 
 # The nested benchmark module is outside ./...: vet and test it here, so a
 # change that breaks the surface it compiles against fails tier-1.
