@@ -191,6 +191,7 @@ func decodeArtifact(r *wirebin.Reader) (*funcArtifact, error) {
 	if art.seg, err = seg.DecodeGraph(r, f, art.info, pr); err != nil {
 		return nil, err
 	}
+	f.ReleaseBuildState() // the control-flow facts DecodeInfo computed
 	if r.Rest() != 0 {
 		return nil, fmt.Errorf("artifact %s: %d bytes left in its frame", f.Name, r.Rest())
 	}

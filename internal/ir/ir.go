@@ -363,41 +363,44 @@ type Func struct {
 	instrs  []*[slabChunk]Instr
 	values  []*[slabChunk]Value
 	valSlot []int32
-	// slabs is where the other records are carved from; nil when nothing
-	// has been created since the function was made, decoded or released.
-	slabs *slabs
+	// build is nil when nothing has been created or asked for since the
+	// function was made, decoded or released.
+	build *buildState
 	// consts holds the interned constants, sorted by kind, then by value
 	// (compareConsts).
 	consts []*Value
 }
 
-// slabs holds a function's current allocation chunks. Blocks, instruction
+// buildState is what a function holds only while it is built: the
+// control-flow facts (see cfg.go), and the chunks blocks, instruction
 // extensions and the operand, receiver and target lists of instructions are
-// carved out of chunks instead of being allocated one object at a time (a
-// chunk is never regrown, so pointers into it stay valid), like instructions
-// and values. The chunks belong to the records in them; this is only the
+// carved out of instead of being allocated one object at a time (a chunk is
+// never regrown, so pointers into it stay valid), like instructions and
+// values. The chunks belong to the records in them; this is only the
 // bookkeeping of where the next record goes, which ReleaseBuildState drops
-// once the function is built — at the cost of the chunks' unused tails, should
-// anything be created later after all.
-type slabs struct {
+// once the function is built — at the cost of the chunks' unused tails,
+// should anything be created later after all.
+type buildState struct {
 	blocks    []Block
 	exts      []Ext
 	valRefs   []*Value
 	blockRefs []*Block
+	cfg       cfgFacts
 }
 
-func (f *Func) alloc() *slabs {
-	if f.slabs == nil {
-		f.slabs = new(slabs)
+func (f *Func) alloc() *buildState {
+	if f.build == nil {
+		f.build = new(buildState)
 	}
-	return f.slabs
+	return f.build
 }
 
-// ReleaseBuildState drops the allocation bookkeeping of a function that is
-// not expected to grow any more, and trims the ID tables to their length. The
-// build calls it when the function's SEG is complete.
+// ReleaseBuildState drops the allocation bookkeeping and the control-flow
+// facts of a function that is not expected to grow any more, and trims the ID
+// tables to their length. The build calls it when the function's SEG is
+// complete.
 func (f *Func) ReleaseBuildState() {
-	f.slabs = nil
+	f.build = nil
 	f.instrs, f.values, f.valSlot = trim(f.instrs), trim(f.values), trim(f.valSlot)
 }
 
@@ -532,7 +535,7 @@ func (f *Func) newValue(v Value) *Value {
 }
 
 // newInstr hands out the next instruction slot with a fresh ID. The lists of
-// in are copied into the function's slabs; in's own arrays are not kept.
+// in are copied into the function's chunks; in's own arrays are not kept.
 func (f *Func) newInstr(in *Instr, b *Block) *Instr {
 	a := f.alloc()
 	if f.nextInstrID%slabChunk == 0 {
@@ -675,21 +678,32 @@ func (f *Func) InsertAt(b *Block, i int, in Instr) *Instr {
 	return p
 }
 
-// Connect records a CFG edge from a to b.
+// Connect records a CFG edge from a to b. The function's control-flow facts
+// do not follow it: SealCFG recomputes them.
 func Connect(a, b *Block) {
 	a.Succs = append(a.Succs, b)
 	b.Preds = append(b.Preds, a)
 }
 
-// SealCFG moves every block's predecessor and successor list into one array
-// sized for the function, once the CFG has its final shape (lowering calls
-// it last). The lists keep no spare capacity, so a later Connect still
-// works: it reallocates the one list it extends.
-func (f *Func) SealCFG() {
-	n := 0
+// SealCFG finishes a CFG that has its final shape (lowering calls it last):
+// it computes the control-flow facts, drops the blocks the entry does not
+// reach and the edges from them, and moves every block's predecessor and
+// successor list into one array sized for the function. It returns Order's
+// error. The lists keep no spare capacity, so a later Connect still works: it
+// reallocates the one list it extends.
+func (f *Func) SealCFG() error {
+	c := &f.alloc().cfg
+	c.analyze(f)
+	kept, n := f.Blocks[:0], 0
 	for _, b := range f.Blocks {
-		n += len(b.Preds) + len(b.Succs)
+		if c.rank[b.ID] >= 0 {
+			kept = append(kept, b)
+			b.Preds = slices.DeleteFunc(b.Preds, func(p *Block) bool { return c.rank[p.ID] < 0 })
+			n += len(b.Preds) + len(b.Succs)
+		}
 	}
+	clear(f.Blocks[len(kept):]) // let the dropped blocks go
+	f.Blocks = kept
 	refs := make([]*Block, 0, n)
 	seal := func(list []*Block) []*Block {
 		at := len(refs)
@@ -699,6 +713,7 @@ func (f *Func) SealCFG() {
 	for _, b := range f.Blocks {
 		b.Preds, b.Succs = seal(b.Preds), seal(b.Succs)
 	}
+	return c.err
 }
 
 // Module is a whole program.

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cfg"
 	"repro/internal/ir"
 	"repro/internal/lower"
 	"repro/internal/minic"
@@ -45,12 +44,38 @@ func FuzzLowerSSA(f *testing.F) {
 // one instruction (or, read where no definition reaches, by none), every use
 // is dominated by its definition (a φ operand at the end of its
 // predecessor), no φ is trivial or dead, and the gate pass gives each φ one
-// gate per operand.
+// gate per operand. Dominance is read off the function's own tree, which is
+// first held to the definition: a dominates b iff deleting a cuts b off from
+// the entry.
 func checkSSA(f *ir.Func) error {
 	if err := ir.Verify(f); err != nil {
 		return err
 	}
-	dt := cfg.Dominators(f, cfg.ReversePostorder(f))
+	dominates := func(a, b *ir.Block) bool {
+		for x := b; x != nil; x = f.Idom(x) {
+			if x == a {
+				return true
+			}
+		}
+		return false
+	}
+	for _, a := range f.Blocks {
+		seen := map[*ir.Block]bool{a: true}
+		stack := []*ir.Block{f.Entry}
+		for len(stack) > 0 {
+			b := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if !seen[b] {
+				seen[b] = true
+				stack = append(stack, b.Succs...)
+			}
+		}
+		for _, b := range f.Blocks {
+			if want := a == b || !seen[b]; dominates(a, b) != want {
+				return fmt.Errorf("%s dominates %s: %v in the dominator tree, %v by definition", a, b, !want, want)
+			}
+		}
+	}
 	defAt := make(map[*ir.Value]*ir.Instr)
 	index := make(map[*ir.Instr]int)
 	var phis []*ir.Instr
@@ -87,7 +112,7 @@ func checkSSA(f *ir.Func) error {
 			}
 			return nil // read where no definition reaches
 		}
-		if def.Block == b && index[def] < at || def.Block != b && dt.Dominates(def.Block, b) {
+		if def.Block == b && index[def] < at || def.Block != b && dominates(def.Block, b) {
 			return nil
 		}
 		return fmt.Errorf("the definition of %s does not dominate its use in %s", v, b)

@@ -19,6 +19,11 @@
 // only gates the φs). Address-taken locals get an explicit stack slot
 // (OpAlloc) accessed through loads and stores, exactly the memory the local
 // points-to analysis reasons about.
+//
+// The lowering tracks only which blocks are reachable. It ends by sealing
+// the CFG (ir.Func.SealCFG), which computes the block order and the dominator
+// trees in one pass; the values are numbered in dominator-tree preorder from
+// them, and package ssa gates from the same facts.
 package lower
 
 import (
@@ -266,7 +271,7 @@ func (lw *lowerer) lookup(name string) (binding, bool) {
 func (lw *lowerer) emit(in ir.Instr) *ir.Instr {
 	if lw.cur == nil {
 		// Unreachable code (after return); emit into a fresh dead block
-		// that pruneUnreachable removes.
+		// that SealCFG drops.
 		lw.cur = lw.f.NewBlock()
 	}
 	p := lw.f.Append(lw.cur, in)
@@ -556,9 +561,9 @@ func (lw *lowerer) ifStmt(st *minic.IfStmt) error {
 		arms[i].writes = lw.closeArm(mark)
 	}
 	if len(join.Preds) == 0 {
-		// Both arms returned; everything after is unreachable.
+		// Both arms returned; everything after is unreachable, join too
+		// (SealCFG drops it).
 		lw.saved = lw.saved[:arms[0].writes.from]
-		removeBlock(lw.f, join)
 		return nil
 	}
 	lw.enter(join)
@@ -586,38 +591,6 @@ func (lw *lowerer) boolExpr(e minic.Expr) (*ir.Value, error) {
 	c := lw.tmp(minic.BoolType)
 	lw.emit(ir.Instr{Op: ir.OpBin, Dst: c, Sub: "!=", Args: lw.ops(v, zero), Loc: lw.loc(e.ExprPos())})
 	return c, nil
-}
-
-// pruneUnreachable drops the blocks the lowering found unreachable, and the
-// edges from them.
-func (lw *lowerer) pruneUnreachable() {
-	f := lw.f
-	kept := f.Blocks[:0]
-	for _, b := range f.Blocks {
-		if lw.reachable(b) {
-			kept = append(kept, b)
-		}
-	}
-	for _, b := range kept {
-		preds := b.Preds[:0]
-		for _, p := range b.Preds {
-			if lw.reachable(p) {
-				preds = append(preds, p)
-			}
-		}
-		b.Preds = preds
-	}
-	clear(f.Blocks[len(kept):]) // let the pruned blocks go
-	f.Blocks = kept
-}
-
-func removeBlock(f *ir.Func, b *ir.Block) {
-	for i, x := range f.Blocks {
-		if x == b {
-			f.Blocks = append(f.Blocks[:i], f.Blocks[i+1:]...)
-			return
-		}
-	}
 }
 
 // collectAddressTaken finds all variable names whose address is taken

@@ -102,8 +102,8 @@ type scratch struct {
 	// rets holds ret$ at each reachable jump to the exit block, in the order
 	// of its predecessors.
 	rets []def
-	// doms holds, by Block.ID, where the block sits in the dominator tree.
-	doms []domInfo
+	// reached holds, by Block.ID, whether the entry reaches the block.
+	reached []bool
 	// The lists of the instruction being emitted: the function copies them
 	// into its own chunks, so one set of buffers serves every instruction
 	// (callArgs is a stack, a call's operands may contain calls).
@@ -118,17 +118,17 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 // variables and blocks blocks.
 func (s *scratch) reset(vars, blocks int) {
 	*s = scratch{
-		bound:  slices.Grow(s.bound[:0], vars),
-		scopes: append(s.scopes[:0], 0),
-		vars:   slices.Grow(s.vars[:0], vars),
-		slot:   slices.Grow(s.slot[:0], 4*vars+16),
-		log:    s.log[:0],
-		saved:  s.saved[:0],
-		phis:   s.phis[:0],
-		made:   s.made[:0],
-		sites:  s.sites[:0],
-		rets:   s.rets[:0],
-		doms:   slices.Grow(s.doms[:0], blocks),
+		bound:   slices.Grow(s.bound[:0], vars),
+		scopes:  append(s.scopes[:0], 0),
+		vars:    slices.Grow(s.vars[:0], vars),
+		slot:    slices.Grow(s.slot[:0], 4*vars+16),
+		log:     s.log[:0],
+		saved:   s.saved[:0],
+		phis:    s.phis[:0],
+		made:    s.made[:0],
+		sites:   s.sites[:0],
+		rets:    s.rets[:0],
+		reached: slices.Grow(s.reached[:0], blocks),
 		// The instruction buffers hold nothing from one use to the next.
 		argBuf: s.argBuf, dstBuf: s.dstBuf, callArgs: s.callArgs[:0], blockBuf: s.blockBuf,
 	}
@@ -147,14 +147,6 @@ func (s *scratch) targets(blocks ...*ir.Block) *ir.Ext {
 	s.blockBuf = append(s.blockBuf[:0], blocks...)
 	s.ext = ir.Ext{Blocks: s.blockBuf}
 	return &s.ext
-}
-
-// domInfo is a block's place in the dominator tree, known when the lowering
-// enters the block: every predecessor is complete by then.
-type domInfo struct {
-	reached bool
-	idom    int32 // -1: the entry, or unreachable
-	depth   int32
 }
 
 // reserve takes a key for a temporary: a variable defined once, which needs
@@ -238,44 +230,19 @@ func (lw *lowerer) phiValue(i int32) *ir.Value {
 	return p.dst
 }
 
-// enter makes b the block being lowered. b is reachable when a predecessor
-// is, and its immediate dominator is the nearest common dominator of the
-// reachable predecessors.
+// enter makes b the block being lowered; every predecessor is complete by
+// then. b is reachable when a predecessor is.
 func (lw *lowerer) enter(b *ir.Block) {
-	d := domInfo{reached: b == lw.f.Entry, idom: -1}
-	for _, p := range b.Preds {
-		if !lw.reachable(p) {
-			continue
-		}
-		if !d.reached {
-			d = domInfo{reached: true, idom: int32(p.ID)}
-		} else {
-			d.idom = lw.commonDom(d.idom, int32(p.ID))
-		}
+	reached := b == lw.f.Entry || slices.ContainsFunc(b.Preds, lw.reachable)
+	for b.ID >= len(lw.reached) {
+		lw.reached = append(lw.reached, false)
 	}
-	if d.idom >= 0 {
-		d.depth = lw.doms[d.idom].depth + 1
-	}
-	for b.ID >= len(lw.doms) {
-		lw.doms = append(lw.doms, domInfo{idom: -1})
-	}
-	lw.doms[b.ID] = d
-	lw.cur, lw.live = b, d.reached
-}
-
-func (lw *lowerer) commonDom(a, b int32) int32 {
-	for a != b {
-		if lw.doms[a].depth >= lw.doms[b].depth {
-			a = lw.doms[a].idom
-		} else {
-			b = lw.doms[b].idom
-		}
-	}
-	return a
+	lw.reached[b.ID] = reached
+	lw.cur, lw.live = b, reached
 }
 
 func (lw *lowerer) reachable(b *ir.Block) bool {
-	return b.ID < len(lw.doms) && lw.doms[b.ID].reached
+	return b.ID < len(lw.reached) && lw.reached[b.ID]
 }
 
 // openArm starts an arm of a join; closeArm ends it, returning what it wrote
@@ -412,19 +379,18 @@ func (lw *lowerer) noteDef(d *ir.Value, in *ir.Instr, here int32) {
 }
 
 // finish completes the function once its body is lowered: it resolves ret$
-// at the exit block, prunes unreachable blocks, places the φs that were read
-// and numbers every value.
+// at the exit block, seals the CFG (which drops the unreachable blocks),
+// places the φs that were read and numbers every value.
 func (lw *lowerer) finish() error {
 	f := lw.f
-	lw.enter(f.Exit)
-	lw.cur, lw.live = nil, false
 	if lw.retKey >= 0 {
 		lw.v(lw.retKey).global = true
 		lw.retIn.Args[0] = lw.retValue()
 	}
 	lw.dropUnplaced()
-	lw.pruneUnreachable()
-	f.SealCFG()
+	if err := f.SealCFG(); err != nil {
+		return err
+	}
 	order, pre, last := lw.preorder()
 	slots, err := lw.place(pre, last)
 	if err != nil {
@@ -631,30 +597,20 @@ func (lw *lowerer) preorder() (order []*ir.Block, pre, last []int32) {
 	first, next := blocks[:n], blocks[n:2*n]
 	for i := len(f.Blocks) - 1; i >= 0; i-- {
 		b := f.Blocks[i]
-		if d := lw.doms[b.ID].idom; d >= 0 {
-			next[b.ID], first[d] = first[d], b
+		if d := f.Idom(b); d != nil {
+			next[b.ID], first[d.ID] = first[d.ID], b
 		}
 	}
 	order = blocks[2*n : 2*n : len(blocks)]
-	var buf [32]*ir.Block
-	stack := append(buf[:0], f.Entry)
-	for len(stack) > 0 {
-		b := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+	var visit func(b *ir.Block)
+	visit = func(b *ir.Block) {
 		pre[b.ID] = int32(len(order))
 		order = append(order, b)
-		at := len(stack)
 		for c := first[b.ID]; c != nil; c = next[c.ID] {
-			stack = append(stack, c)
+			visit(c)
 		}
-		slices.Reverse(stack[at:])
+		last[b.ID] = int32(len(order) - 1)
 	}
-	for i := len(order) - 1; i >= 0; i-- {
-		b := order[i]
-		last[b.ID] = max(last[b.ID], pre[b.ID])
-		if d := lw.doms[b.ID].idom; d >= 0 {
-			last[d] = max(last[d], last[b.ID])
-		}
-	}
+	visit(f.Entry)
 	return order, pre, last
 }

@@ -247,7 +247,9 @@ func Analyze(f *ir.Func, inf *ssa.Info, opts Options) (*Result, error) {
 	}
 
 	exits := make([]state, f.NumBlocks()) // by Block.ID
-	for _, b := range inf.Order() {
+	// Transform has checked that the CFG is acyclic.
+	order, _ := f.Order()
+	for _, b := range order {
 		st := a.mergePreds(b, exits)
 		for _, in := range b.Instrs {
 			a.transfer(&st, in)

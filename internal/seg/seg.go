@@ -16,8 +16,8 @@
 //     carry conditions precise enough for full path-sensitivity later.
 //
 // Control dependence is not materialized as edges; it is recovered from
-// ssa.Info (package cfg) when path conditions are assembled, which keeps
-// the graph small (the paper's Lc labels are exactly cfg.ControlDeps).
+// ssa.Info when path conditions are assembled, which keeps the graph small
+// (the paper's Lc labels are exactly ir.Func.ControlDeps).
 package seg
 
 import (

@@ -107,6 +107,15 @@ type Server struct {
 	inMu     sync.Mutex
 	inflight map[uint64]*inflightEntry
 
+	// The server.* metrics track records, each looked up by name once: the
+	// gauge in New, the others at the first finished request and the first
+	// error, which is when /v1/metrics has always begun to list them.
+	inflightGauge   *obs.Gauge
+	finished, erred sync.Once
+	requests        *obs.Counter
+	requestNs       *obs.Histogram
+	errors          *obs.Counter
+
 	addrMu sync.Mutex
 	addr   net.Addr
 }
@@ -142,8 +151,9 @@ func New(cfg Config) *Server {
 			Build:       core.BuildOptions{Workers: cfg.Workers, Obs: rec, Store: cfg.Store},
 			Obs:         rec,
 		}),
-		inflight: make(map[uint64]*inflightEntry),
-		maxBody:  64 << 20,
+		inflight:      make(map[uint64]*inflightEntry),
+		inflightGauge: rec.Gauge("server.inflight"),
+		maxBody:       64 << 20,
 	}
 }
 
@@ -303,9 +313,9 @@ func (s *Server) track(next http.Handler) http.Handler {
 			TraceID: traceID, Method: r.Method, Path: r.URL.Path, Start: start,
 		}
 		s.inMu.Unlock()
-		s.rec.Gauge("server.inflight").Add(1)
+		s.inflightGauge.Add(1)
 		defer func() {
-			s.rec.Gauge("server.inflight").Add(-1)
+			s.inflightGauge.Add(-1)
 			s.inMu.Lock()
 			delete(s.inflight, id)
 			s.inMu.Unlock()
@@ -319,11 +329,15 @@ func (s *Server) track(next http.Handler) http.Handler {
 		next.ServeHTTP(sw, r.WithContext(ctx))
 
 		d := time.Since(start)
-		s.rec.Counter("server.requests").Inc()
+		s.finished.Do(func() {
+			s.requests, s.requestNs = s.rec.Counter("server.requests"), s.rec.Histogram("server.request_ns")
+		})
+		s.requests.Inc()
 		if sw.status >= 400 {
-			s.rec.Counter("server.errors").Inc()
+			s.erred.Do(func() { s.errors = s.rec.Counter("server.errors") })
+			s.errors.Inc()
 		}
-		s.rec.Histogram("server.request_ns").Observe(int64(d))
+		s.requestNs.Observe(int64(d))
 		// /v1/metrics and health probes would drown the request log; keep
 		// Info for the endpoints that do work.
 		lvl := slog.LevelInfo

@@ -3,7 +3,6 @@ package ssa
 import (
 	"fmt"
 
-	"repro/internal/cfg"
 	"repro/internal/cond"
 	"repro/internal/ir"
 	"repro/internal/wirebin"
@@ -15,10 +14,9 @@ import (
 // ascending ID (an atom's ID is its value's), and the canonical reach
 // conditions by ascending block ID; conditions are node IDs, -1 = nil.
 // Control dependences are a pure function of the CFG and are rebuilt on
-// decode, from the post-dominator tree alone; what JoinGates works from (the
-// dominator tree, RPO numbering) is build-only state a decoded Info starts
-// without. The lazy memos (JoinGates, CDCond) start empty and replay into the
-// decoded builder, which hash-conses them back to the identical nodes.
+// decode (ir.Func.ControlDeps). The lazy memos (JoinGates, CDCond) start
+// empty and replay into the decoded builder, which hash-conses them back to
+// the identical nodes.
 
 // EncodeInfo appends inf to e. The caller must ensure no concurrent
 // mutation (no in-flight detection on this function).
@@ -58,7 +56,7 @@ func DecodeInfo(r *wirebin.Reader, f *ir.Func, ix *ir.Index, b *cond.Builder, no
 	errorf := func(format string, args ...any) error {
 		return r.Errorf("ssa: decode %s: %s", f.Name, fmt.Sprintf(format, args...))
 	}
-	_, err := cfg.Topological(f)
+	_, err := f.Order()
 	if err != nil {
 		return nil, errorf("%v", err)
 	}

@@ -9,8 +9,9 @@
 // complete, each block's reach condition, then each φ's gates: for a φ in
 // join J with operand arriving from predecessor P, the gate is the condition
 // of reaching P from idom(J) and taking the edge P→J, expressed over
-// branch-condition atoms. Control dependences come from the post-dominator
-// tree.
+// branch-condition atoms. The order, the dominators and the control
+// dependences are the function's own (ir.Func.Order, Idom, ControlDeps),
+// computed once when lowering sealed its CFG.
 //
 // Atoms in the condition domain are SSA value IDs of branch conditions, so
 // downstream passes can map atoms back to program values when encoding SMT
@@ -20,9 +21,7 @@ package ssa
 import (
 	"fmt"
 	"slices"
-	"sort"
 
-	"repro/internal/cfg"
 	"repro/internal/cond"
 	"repro/internal/dense"
 	"repro/internal/ir"
@@ -45,7 +44,7 @@ type Info struct {
 	// (parallel to the φ's Args); it covers no ID until the first φ.
 	gates dense.Lists[*cond.Cond]
 	// cd holds each block's control dependences, by Block.ID.
-	cd [][]cfg.CDep
+	cd [][]ir.CDep
 	// atoms lists the SSA values registered as condition atoms, in ascending
 	// ID order (an atom's ID is its value's). Only branch conditions become
 	// atoms, a handful per function.
@@ -64,36 +63,16 @@ type Info struct {
 	build *joinState
 }
 
-// joinState is what the build's control-flow walks work from: the
-// topological order of the blocks, the dominator tree, and JoinGates' RPO
-// numbering and memo. Only the build reads it (Transform for the reach
-// conditions and φ gates, pta.Analyze for its sweep and at joins), so it is
-// dropped once the function's SEG stands; a later call recomputes it.
+// joinState memoizes JoinGates, by Block.ID. Only the build reads it
+// (Transform for the φ gates, pta.Analyze at joins, on one goroutine), so it
+// is dropped once the function's SEG stands.
 type joinState struct {
-	order []*ir.Block
-	dom   *cfg.DomTree
-	// rpoIdx numbers the blocks by order, and gates memoizes JoinGates, by
-	// Block.ID; both are made by the first JoinGates call (during the
-	// single-goroutine build only).
-	rpoIdx []int32
-	gates  [][]*cond.Cond
+	gates [][]*cond.Cond
 }
 
 // ReleaseBuildState drops the tables only the build reads. The build calls
 // it when the function's SEG is complete.
 func (inf *Info) ReleaseBuildState() { inf.build = nil }
-
-func (inf *Info) joinState() *joinState {
-	if inf.build == nil {
-		order := cfg.ReversePostorder(inf.Fn)
-		inf.build = &joinState{order: order, dom: cfg.Dominators(inf.Fn, order)}
-	}
-	return inf.build
-}
-
-// Order returns the function's blocks in a topological order (the CFG is
-// acyclic): the order Transform swept. Callers must not mutate it.
-func (inf *Info) Order() []*ir.Block { return inf.joinState().order }
 
 // AtomValue maps a condition atom ID back to the SSA value registered under
 // it (nil if none was).
@@ -123,7 +102,7 @@ func (inf *Info) GatesOf(in *ir.Instr) []*cond.Cond {
 }
 
 // CD returns the control dependences of a block.
-func (inf *Info) CD(b *ir.Block) []cfg.CDep { return inf.cd[b.ID] }
+func (inf *Info) CD(b *ir.Block) []ir.CDep { return inf.cd[b.ID] }
 
 // ReachCond returns the canonical condition of reaching b from the entry
 // (nil if b is unreachable).
@@ -222,13 +201,15 @@ func (inf *Info) computeCDCond(b *ir.Block) *cond.Cond {
 // Transform computes the gates of f, which lowering put into SSA form, and
 // returns them as an Info. The CFG must be acyclic.
 func Transform(f *ir.Func) (*Info, error) {
-	order, err := cfg.Topological(f)
+	order, err := f.Order()
 	if err != nil {
 		return nil, err
 	}
 	inf := newInfo(f, cond.NewBuilder())
-	inf.build = &joinState{order: order, dom: cfg.Dominators(f, order)}
-	computeReachConds(inf, order)
+	for _, b := range order {
+		inf.reachCond[b.ID] = inRegion
+	}
+	inf.reachFrom(order, inf.reachCond)
 	computeGates(inf)
 	return inf, nil
 }
@@ -239,27 +220,28 @@ func newInfo(f *ir.Func, conds *cond.Builder) *Info {
 	return &Info{
 		Fn:        f,
 		Conds:     conds,
-		cd:        cfg.ControlDeps(f, cfg.PostDominators(f)),
+		cd:        f.ControlDeps(),
 		reachCond: make([]*cond.Cond, f.NumBlocks()),
 	}
 }
 
-// computeReachConds computes, for every block, the canonical condition of
-// reaching it from the entry, in topological order.
-func computeReachConds(inf *Info, order []*ir.Block) {
-	inf.reachCond[inf.Fn.Entry.ID] = inf.Conds.True()
+// reachFrom fills reach, by Block.ID, with the condition of reaching from
+// blocks[0] each later block of blocks (listed in order) that reach marks
+// inRegion, through those blocks.
+func (inf *Info) reachFrom(blocks []*ir.Block, reach []*cond.Cond) {
+	reach[blocks[0].ID] = inf.Conds.True()
 	var parts []*cond.Cond
-	for _, b := range order {
-		if b == inf.Fn.Entry {
+	for _, b := range blocks[1:] {
+		if reach[b.ID] != inRegion {
 			continue
 		}
 		parts = parts[:0]
 		for _, p := range b.Preds {
-			if rc := inf.reachCond[p.ID]; rc != nil {
+			if rc := reach[p.ID]; rc != nil {
 				parts = append(parts, inf.Conds.And(rc, inf.EdgeCond(p, b)))
 			}
 		}
-		inf.reachCond[b.ID] = inf.Conds.Or(parts...)
+		reach[b.ID] = inf.Conds.Or(parts...)
 	}
 }
 
@@ -269,66 +251,40 @@ func computeReachConds(inf *Info, order []*ir.Block) {
 // join. Results are memoized. Single-predecessor blocks gate on the edge
 // condition alone.
 func (inf *Info) JoinGates(join *ir.Block) []*cond.Cond {
-	js := inf.joinState()
-	if js.gates == nil {
-		js.gates, js.rpoIdx = make([][]*cond.Cond, inf.Fn.NumBlocks()), make([]int32, inf.Fn.NumBlocks())
-		for i, b := range js.order {
-			js.rpoIdx[b.ID] = int32(i)
-		}
+	f := inf.Fn
+	if inf.build == nil {
+		inf.build = &joinState{gates: make([][]*cond.Cond, f.NumBlocks())}
 	}
-	if g := js.gates[join.ID]; g != nil {
+	if g := inf.build.gates[join.ID]; g != nil {
 		return g
 	}
-	d := js.dom.Idom(join)
-	if d == nil {
-		d = inf.Fn.Entry
-	}
-	// Region: blocks backward-reachable from join's preds up to d.
-	// Because idom(join) dominates join, every path from idom(join) to
-	// join stays within this region, so a local topological sweep
-	// computes exact reach conditions relative to d. reach doubles as the
-	// region's membership set: non-nil = in the region, inRegion = in it
-	// but not yet reached by the sweep.
-	reach := make([]*cond.Cond, inf.Fn.NumBlocks())
-	reach[d.ID] = inf.Conds.True()
-	var blocks, stack []*ir.Block
-	push := func(b *ir.Block) {
-		if reach[b.ID] == nil {
-			reach[b.ID] = inRegion
-			blocks = append(blocks, b)
-			stack = append(stack, b)
-		}
-	}
-	for _, p := range join.Preds {
-		push(p)
-	}
-	for len(stack) > 0 {
-		b := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, p := range b.Preds {
-			push(p)
-		}
-	}
-	sort.Slice(blocks, func(i, j int) bool { return js.rpoIdx[blocks[i].ID] < js.rpoIdx[blocks[j].ID] })
-	var parts []*cond.Cond
-	for _, b := range blocks {
-		parts = parts[:0]
-		for _, p := range b.Preds {
-			if rc := reach[p.ID]; rc != nil && rc != inRegion {
-				parts = append(parts, inf.Conds.And(rc, inf.EdgeCond(p, b)))
+	// The region is the blocks after d = idom(join) and before join in the
+	// order that reach join, marked by a backward sweep. Every path from d
+	// to join stays within it, and every block in it is strictly dominated
+	// by d: a path from the entry that avoided d would reach join around d.
+	// So a sweep of the region in order computes exact reach conditions
+	// relative to d.
+	order, _ := f.Order()
+	region := order[f.Rank(f.Idom(join)):f.Rank(join)]
+	reach := make([]*cond.Cond, f.NumBlocks())
+	for i := len(region) - 1; i > 0; i-- {
+		for _, s := range region[i].Succs {
+			if s == join || reach[s.ID] != nil {
+				reach[region[i].ID] = inRegion
+				break
 			}
 		}
-		reach[b.ID] = inf.Conds.Or(parts...)
 	}
+	inf.reachFrom(region, reach)
 	gates := make([]*cond.Cond, len(join.Preds))
 	for i, pb := range join.Preds {
 		gates[i] = inf.Conds.And(reach[pb.ID], inf.EdgeCond(pb, join))
 	}
-	js.gates[join.ID] = gates
+	inf.build.gates[join.ID] = gates
 	return gates
 }
 
-// inRegion marks a block as a member of JoinGates' region before its reach
+// inRegion marks a block as a member of reachFrom's region before its reach
 // condition is known. It is compared by identity only and never reaches a
 // Builder.
 var inRegion = new(cond.Cond)

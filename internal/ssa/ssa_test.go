@@ -1,6 +1,7 @@
 package ssa
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/cond"
@@ -312,4 +313,76 @@ int f(bool c) {
 	return x;
 }`)
 	checkSingleAssignment(t, m.Lookup("f"))
+}
+
+// TestJoinGatesRegion holds JoinGates to the region its gates are defined
+// over: the blocks from which a join's predecessors are reached backward
+// without passing idom(join), swept in order. The reference finds that region
+// by a backward search; JoinGates sweeps the stretch of the order between
+// idom(join) and the join, which can hold blocks that do not reach the join
+// (here the else-arm's return, which the DFS finishes before the then-arm).
+// Both start from an empty builder and must make the same calls in the same
+// order, so their conditions have the same node IDs.
+func TestJoinGatesRegion(t *testing.T) {
+	m, infos := buildSSA(t, `
+int f(bool a, bool c, bool e) {
+	int x = 0;
+	if (a) {
+		if (c) { x = 1; } else { if (e) { x = 2; } else { return 3; } }
+		x = x + 1;
+	}
+	return x;
+}
+int g(bool a, bool b, bool c) {
+	int x = 0;
+	if (a && b) { x = 1; } else { if (c) { return 2; } }
+	if (b || c) { x = x + 1; }
+	return x;
+}`)
+	for _, f := range m.Funcs {
+		got := infos[f.Name]
+		want := newInfo(f, cond.NewBuilder())
+		order, _ := f.Order()
+		for _, b := range order {
+			want.reachCond[b.ID] = inRegion
+		}
+		want.reachFrom(order, want.reachCond)
+		stray := false
+		for _, join := range f.Blocks {
+			if len(join.Instrs) == 0 || join.Instrs[0].Op != ir.OpPhi {
+				continue
+			}
+			d := f.Idom(join)
+			region := []*ir.Block{d}
+			seen := map[*ir.Block]bool{d: true}
+			for stack := append([]*ir.Block(nil), join.Preds...); len(stack) > 0; {
+				b := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				if !seen[b] {
+					seen[b] = true
+					region = append(region, b)
+					stack = append(stack, b.Preds...)
+				}
+			}
+			slices.SortFunc(region, func(a, b *ir.Block) int { return f.Rank(a) - f.Rank(b) })
+			stray = stray || len(region) < f.Rank(join)-f.Rank(d)
+			reach := make([]*cond.Cond, f.NumBlocks())
+			for _, b := range region[1:] {
+				reach[b.ID] = inRegion
+			}
+			want.reachFrom(region, reach)
+			for i, pb := range join.Preds {
+				w := want.Conds.And(reach[pb.ID], want.EdgeCond(pb, join))
+				if g := got.JoinGates(join)[i]; cond.Ref(g) != cond.Ref(w) {
+					t.Errorf("%s: gate %d of %s is node %d, want %d", f.Name, i, join, cond.Ref(g), cond.Ref(w))
+				}
+			}
+		}
+		if got.Conds.NumNodes() != want.Conds.NumNodes() {
+			t.Errorf("%s: %d condition nodes, want %d", f.Name, got.Conds.NumNodes(), want.Conds.NumNodes())
+		}
+		if f.Name == "f" && !stray {
+			t.Errorf("f: no join's stretch of the order holds a block outside its region\n%s", f)
+		}
+	}
 }
