@@ -105,7 +105,7 @@ void f() {
 		for _, g := range gs {
 			for _, role := range []seg.UseRole{seg.RoleCallArg, seg.RoleRetArg} {
 				for _, n := range uses(g, role) {
-					if sp.IsSink(g, n, nil) {
+					if sp.IsSink(g, n, -1) {
 						t.Errorf("%s declares no SinkCalls but sinks at %s", sp.Name, g.NodeString(n))
 					}
 				}

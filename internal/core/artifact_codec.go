@@ -151,7 +151,7 @@ func encodeArtifact(e *wirebin.Writer, art *funcArtifact) error {
 		return fmt.Errorf("artifact %s: %w", art.fn.Name, err)
 	}
 	ssa.EncodeInfo(e, art.info)
-	pta.EncodeResult(e, art.seg.PTA)
+	pta.EncodeResult(e, art.pta)
 	seg.EncodeGraph(e, art.seg)
 	return nil
 }
@@ -187,7 +187,7 @@ func decodeArtifact(r *wirebin.Reader) (*funcArtifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	art.sizes.pta = pr.Stats
+	art.pta, art.sizes.pta = pr, pr.Stats
 	if art.seg, err = seg.DecodeGraph(r, f, art.info, pr); err != nil {
 		return nil, err
 	}

@@ -39,7 +39,7 @@ void drive(bool c) {
 // fingerprint with their segment, as persist would write it.
 func codecSegment(t testing.TB) (progFP string, seg []byte) {
 	t.Helper()
-	s := NewSession(BuildOptions{Workers: 1})
+	s := NewSession(BuildOptions{Workers: 1, Store: openStore(t)})
 	if _, err := s.Update([]minic.NamedSource{{Name: "seg.mc", Src: segmentSrc}}); err != nil {
 		t.Fatal(err)
 	}
@@ -48,6 +48,18 @@ func codecSegment(t testing.TB) (progFP string, seg []byte) {
 		t.Fatal(err)
 	}
 	return s.shape.fp, seg
+}
+
+// openStore opens a store in a fresh directory: a session with one keeps
+// its functions' bodies, which the codec writes.
+func openStore(t testing.TB) store.Store {
+	t.Helper()
+	st, err := store.Open(t.TempDir(), store.DiskOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	return st
 }
 
 // reencode writes decoded artifacts back out as a segment.
@@ -408,7 +420,7 @@ func TestSegmentCodecParallelEquivalence(t *testing.T) {
 	hr.Int()
 	fixtureFP := hr.Str()
 
-	s := NewSession(BuildOptions{Workers: 2})
+	s := NewSession(BuildOptions{Workers: 2, Store: openStore(t)})
 	gen := workload.Generate(
 		workload.Subject{Name: "ladder", Origin: "synthetic", PaperKLoC: 60, TrueBugs: 6, OpaqueTraps: 4},
 		workload.GenOptions{Scale: 30, Taint: true, Seed: 1})

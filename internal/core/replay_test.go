@@ -201,7 +201,7 @@ func callersByName(prog *detect.Program) map[string][]string {
 	out := make(map[string][]string)
 	for _, callee := range prog.Module.Funcs {
 		for _, cs := range prog.Callers(callee) {
-			out[callee.Name] = append(out[callee.Name], fmt.Sprintf("%s#%d@%s", cs.Fn.Name, cs.Instr.ID, cs.Instr.Position()))
+			out[callee.Name] = append(out[callee.Name], fmt.Sprintf("%s#%d@%s", cs.Fn.Name, cs.Instr, prog.SEG(cs.Fn).Position(cs.Instr)))
 		}
 	}
 	return out

@@ -188,8 +188,8 @@ func (n *flowCounts) add(m flowCounts) {
 // flowsFrom enumerates (memoized) local flows from a vertex, counting the
 // lookups it causes into n. Local flows never leave their graph, so one lock
 // per graph suffices and independent functions proceed in parallel.
-func (c *caches) flowsFrom(g *seg.Graph, from int32, n *flowCounts) []summary.Flow {
-	ft := &c.fn[g.Fn.ID].flows
+func (c *caches) flowsFrom(f *ir.Func, g *seg.Graph, from int32, n *flowCounts) []summary.Flow {
+	ft := &c.fn[f.ID].flows
 	ft.mu.Lock()
 	defer ft.mu.Unlock()
 	hits, misses, capHits := ft.t.Hits, ft.t.Misses, ft.t.CapHits
@@ -205,10 +205,10 @@ func (c *caches) flowsFrom(g *seg.Graph, from int32, n *flowCounts) []summary.Fl
 func (c *caches) paramFacts(f *ir.Func, g *seg.Graph, n *flowCounts) []paramFacts {
 	fc := c.fn[f.ID]
 	if fc.params == nil {
-		facts := make([]paramFacts, len(f.Params))
-		for _, p := range f.Params {
-			pf := &facts[p.ParamIdx()]
-			for _, fl := range c.flowsFrom(g, g.ValueNode(p), n) {
+		facts := make([]paramFacts, len(g.Params()))
+		for _, p := range g.Params() {
+			pf := &facts[g.Value(p).ParamIdx()]
+			for _, fl := range c.flowsFrom(f, g, g.ValueNode(p), n) {
 				switch term := fl.Terminal(); g.Node(term).Role {
 				case seg.RoleFreeArg:
 					pf.frees = true
@@ -234,8 +234,8 @@ func (c *caches) apparentlyUnsat(fn *ir.Func, co *cond.Cond) bool {
 }
 
 // reverse returns the reverse adjacency of a graph, built on first use.
-func (c *caches) reverse(g *seg.Graph) *revEntry {
-	re := &c.fn[g.Fn.ID].rev
+func (c *caches) reverse(f *ir.Func, g *seg.Graph) *revEntry {
+	re := &c.fn[f.ID].rev
 	re.once.Do(func() {
 		n := int32(g.NumNodes())
 		re.start = make([]int32, n+1)

@@ -39,16 +39,16 @@ func (e *Engine) checkCandidate(checker string, stats *Stats) (smt.Result, []str
 	enc := newEncoder(e.prog, s.TB, e.opts.SMTBudget)
 	for inst, ic := range c.conds {
 		if ic.fn != nil {
-			enc.instFn[inst] = ic.fn
+			enc.instG[inst] = e.prog.SEG(ic.fn)
 		}
 	}
 	for _, st := range c.steps {
-		if _, ok := enc.instFn[st.inst]; !ok {
+		if _, ok := enc.instG[st.inst]; !ok {
 			// Instance without extra conditions: derive from the step's
-			// vertex (its instruction: a value vertex's is the value's
-			// definition).
-			if in := st.instr(); in != nil {
-				enc.instFn[st.inst] = in.Block.Fn
+			// vertex (when it has an instruction: a value vertex's is the
+			// value's definition).
+			if st.instr() >= 0 {
+				enc.instG[st.inst] = st.g
 			}
 		}
 	}
@@ -59,7 +59,7 @@ func (e *Engine) checkCandidate(checker string, stats *Stats) (smt.Result, []str
 	// hence the SAT search, keeping witnesses reproducible run to run.
 	for inst, ic := range c.conds {
 		if ic.fn != nil {
-			enc.assertCond(inst, ic.fn, ic.cond)
+			enc.assertCond(inst, enc.instG[inst], ic.cond)
 		}
 	}
 
@@ -75,19 +75,19 @@ func (e *Engine) checkCandidate(checker string, stats *Stats) (smt.Result, []str
 			continue
 		}
 		pv, cv := prev.val(), cur.val()
-		def := cv.Def
-		if def == nil {
+		def := cur.g.Value(cv).Def
+		if def < 0 {
 			continue
 		}
-		switch def.Op {
+		switch cur.g.In(def).Op {
 		case ir.OpCopy, ir.OpPhi, ir.OpLoad:
-			a := enc.valueTerm(prev.inst, pv)
-			b := enc.valueTerm(cur.inst, cv)
+			a := enc.valueTerm(prev.inst, prev.g, pv)
+			b := enc.valueTerm(cur.inst, cur.g, cv)
 			if a.Sort == b.Sort {
 				enc.add(enc.tb.Eq(a, b))
 			}
-			enc.emitDD(prev.inst, pv)
-			enc.emitDD(cur.inst, cv)
+			enc.emitDD(prev.inst, prev.g, pv)
+			enc.emitDD(cur.inst, cur.g, cv)
 		}
 	}
 
@@ -96,28 +96,25 @@ func (e *Engine) checkCandidate(checker string, stats *Stats) (smt.Result, []str
 		if !bd.equality {
 			continue
 		}
-		a := enc.valueTerm(bd.instA, bd.valA)
-		b := enc.valueTerm(bd.instB, bd.valB)
+		a := enc.valueTerm(bd.instA, bd.gA, bd.valA)
+		b := enc.valueTerm(bd.instB, bd.gB, bd.valB)
 		if a.Sort == b.Sort {
 			enc.add(enc.tb.Eq(a, b))
 		}
-		enc.emitDD(bd.instA, bd.valA)
-		enc.emitDD(bd.instB, bd.valB)
+		enc.emitDD(bd.instA, bd.gA, bd.valA)
+		enc.emitDD(bd.instB, bd.gB, bd.valB)
 	}
 
 	// Control dependence of every step statement (use vertices and value
 	// definitions alike), with DD of the controlling atoms.
 	for _, st := range c.steps {
 		in := st.instr()
-		if in == nil {
+		if in < 0 {
 			continue
 		}
-		fn := enc.instFn[st.inst]
-		if fn == nil {
-			continue
+		if g := enc.instG[st.inst]; g != nil {
+			enc.assertCond(st.inst, g, g.CD(in))
 		}
-		g := e.prog.SEG(fn)
-		enc.assertCond(st.inst, fn, g.CD(in))
 	}
 
 	res, model, src := enc.decide(s, e.opts, checker, e.tid, start, stats)
@@ -200,7 +197,7 @@ func extractWitness(model map[string]bool, enc *encoder) []string {
 		if !ok {
 			continue
 		}
-		out = append(out, fmt.Sprintf("%s@%s#%d = %v", origin.val.Name(), origin.fn.Name, origin.inst, v))
+		out = append(out, fmt.Sprintf("%s@%s#%d = %v", origin.g.ValueName(origin.val), origin.g.Name(), origin.inst, v))
 	}
 	sort.Strings(out)
 	return out
@@ -226,7 +223,8 @@ type encoder struct {
 	ddDone map[ddKey]bool
 	cdDone map[cdKey]bool
 	budget int
-	instFn map[int]*ir.Func
+	// instG holds the graph of each context instance's function.
+	instG map[int]*seg.Graph
 	// atoms maps SMT variable names of branch atoms back to the program
 	// value and context they came from, for witness extraction.
 	atoms map[string]atomOrigin
@@ -241,7 +239,7 @@ func newEncoder(prog *Program, tb *smt.TermBuilder, budget int) *encoder {
 		ddDone: make(map[ddKey]bool),
 		cdDone: make(map[cdKey]bool),
 		budget: budget,
-		instFn: make(map[int]*ir.Func),
+		instG:  make(map[int]*seg.Graph),
 		atoms:  make(map[string]atomOrigin),
 	}
 }
@@ -253,23 +251,25 @@ func (e *encoder) add(t *smt.Term) {
 
 type atomOrigin struct {
 	inst int
-	val  *ir.Value
-	fn   *ir.Func
+	g    *seg.Graph
+	val  int32
 }
 
-// valueTerm returns the SMT term of a value within a context instance.
-func (e *encoder) valueTerm(inst int, v *ir.Value) *smt.Term {
+// valueTerm returns the SMT term of value v of graph g within a context
+// instance.
+func (e *encoder) valueTerm(inst int, g *seg.Graph, v int32) *smt.Term {
 	tb := e.tb
-	switch v.Kind {
+	r := g.Value(v)
+	switch r.Kind {
 	case ir.VConstInt:
-		return tb.Int(v.IntVal())
+		return tb.Int(g.IntVal(v))
 	case ir.VConstBool:
-		return tb.Bool(v.BoolVal)
+		return tb.Bool(r.BoolVal)
 	case ir.VConstNull:
 		return tb.Int(0)
 	}
-	name := varName(inst, 'v', int(v.ID))
-	if v.Type.Base == "bool" && v.Type.Ptr == 0 {
+	name := varName(inst, 'v', int(v))
+	if r.Bool {
 		return tb.BoolVar(name)
 	}
 	return tb.IntVar(name)
@@ -288,8 +288,8 @@ func varName(inst int, kind byte, id int) string {
 
 // assertCond asserts a condition-DAG formula, translating atoms to boolean
 // value terms and emitting their DD closures.
-func (e *encoder) assertCond(inst int, fn *ir.Func, c *cond.Cond) {
-	t := e.condTerm(inst, fn, c)
+func (e *encoder) assertCond(inst int, g *seg.Graph, c *cond.Cond) {
+	t := e.condTerm(inst, g, c)
 	if debugSMT {
 		fmt.Printf("SMT assert cond: %s\n", t)
 	}
@@ -299,7 +299,7 @@ func (e *encoder) assertCond(inst int, fn *ir.Func, c *cond.Cond) {
 // debugSMT dumps every assertion (set via the PINPOINT_DEBUG_SMT env var).
 var debugSMT = os.Getenv("PINPOINT_DEBUG_SMT") != ""
 
-func (e *encoder) condTerm(inst int, fn *ir.Func, c *cond.Cond) *smt.Term {
+func (e *encoder) condTerm(inst int, g *seg.Graph, c *cond.Cond) *smt.Term {
 	tb := e.tb
 	switch c.Kind() {
 	case cond.KTrue:
@@ -307,29 +307,29 @@ func (e *encoder) condTerm(inst int, fn *ir.Func, c *cond.Cond) *smt.Term {
 	case cond.KFalse:
 		return tb.False()
 	case cond.KAtom:
-		v := e.prog.Info(fn).AtomValue(c.Atom())
-		if v == nil {
+		v := g.AtomValue(c.Atom())
+		if v < 0 {
 			// Unknown atom: opaque boolean.
 			return tb.BoolVar(varName(inst, 'a', c.Atom()))
 		}
-		e.emitDD(inst, v)
-		t := e.valueTerm(inst, v)
+		e.emitDD(inst, g, v)
+		t := e.valueTerm(inst, g, v)
 		if e.atoms != nil && t.Kind == smt.TVar {
-			e.atoms[t.Name] = atomOrigin{inst: inst, val: v, fn: fn}
+			e.atoms[t.Name] = atomOrigin{inst: inst, g: g, val: v}
 		}
 		return t
 	case cond.KNot:
-		return tb.Not(e.condTerm(inst, fn, c.Ops()[0]))
+		return tb.Not(e.condTerm(inst, g, c.Ops()[0]))
 	case cond.KAnd:
 		parts := make([]*smt.Term, len(c.Ops()))
 		for i, op := range c.Ops() {
-			parts[i] = e.condTerm(inst, fn, op)
+			parts[i] = e.condTerm(inst, g, op)
 		}
 		return tb.And(parts...)
 	default: // KOr
 		parts := make([]*smt.Term, len(c.Ops()))
 		for i, op := range c.Ops() {
-			parts[i] = e.condTerm(inst, fn, op)
+			parts[i] = e.condTerm(inst, g, op)
 		}
 		return tb.Or(parts...)
 	}
@@ -339,11 +339,11 @@ func (e *encoder) condTerm(inst int, fn *ir.Func, c *cond.Cond) *smt.Term {
 // recursively and bounded by the budget. Constraints use the disjunctive
 // form (the value equals one of its possible definitions under that
 // definition's condition), which stays sound when conditions were widened.
-func (e *encoder) emitDD(inst int, v *ir.Value) {
-	if v.IsConst() {
+func (e *encoder) emitDD(inst int, g *seg.Graph, v int32) {
+	if g.Value(v).IsConst() {
 		return
 	}
-	key := ddKey{inst: inst, vid: int(v.ID)}
+	key := ddKey{inst: inst, vid: int(v)}
 	if e.ddDone[key] {
 		return
 	}
@@ -353,30 +353,30 @@ func (e *encoder) emitDD(inst int, v *ir.Value) {
 	}
 	e.budget--
 
-	def := v.Def
+	def := g.Value(v).Def
 	if debugSMT {
-		fmt.Printf("SMT DD: i%d v%d (%s) def=%v\n", inst, v.ID, v, def)
+		fmt.Printf("SMT DD: i%d v%d (%s) def=%d\n", inst, v, g.ValueString(v), def)
 	}
-	if def == nil {
+	if def < 0 {
 		// Parameter or undef: a free variable; its range is constrained
 		// at boundaries.
 		return
 	}
-	fn := def.Block.Fn
 	tb := e.tb
-	vt := e.valueTerm(inst, v)
+	vt := e.valueTerm(inst, g, v)
+	args := g.Args(def)
 
-	switch def.Op {
+	switch g.In(def).Op {
 	case ir.OpCopy:
-		at := e.valueTerm(inst, def.Args[0])
+		at := e.valueTerm(inst, g, args[0])
 		if at.Sort == vt.Sort {
 			e.add(tb.Eq(vt, at))
 		}
-		e.emitDD(inst, def.Args[0])
+		e.emitDD(inst, g, args[0])
 	case ir.OpUn:
-		a := def.Args[0]
-		at := e.valueTerm(inst, a)
-		switch def.Sub {
+		a := args[0]
+		at := e.valueTerm(inst, g, a)
+		switch g.Sub(def) {
 		case "-":
 			e.add(tb.Eq(vt, tb.Neg(at)))
 		case "!":
@@ -384,37 +384,32 @@ func (e *encoder) emitDD(inst int, v *ir.Value) {
 				e.add(tb.Eq(vt, tb.Not(at)))
 			}
 		}
-		e.emitDD(inst, a)
+		e.emitDD(inst, g, a)
 	case ir.OpBin:
-		e.emitBinDD(inst, v, def)
+		e.emitBinDD(inst, g, v, def)
 	case ir.OpPhi:
-		gates := e.prog.Info(fn).GatesOf(def)
 		var arms []*smt.Term
-		for i, a := range def.Args {
-			at := e.valueTerm(inst, a)
+		for i, a := range args {
+			at := e.valueTerm(inst, g, a)
 			if at.Sort != vt.Sort {
 				continue
 			}
-			g := tb.True()
-			if gates != nil {
-				g = e.condTerm(inst, fn, gates[i])
-			}
-			arms = append(arms, tb.And(g, tb.Eq(vt, at)))
-			e.emitDD(inst, a)
+			arms = append(arms, tb.And(e.condTerm(inst, g, g.Gate(def, i)), tb.Eq(vt, at)))
+			e.emitDD(inst, g, a)
 		}
 		if len(arms) > 0 {
 			e.add(tb.Or(arms...))
 		}
 	case ir.OpLoad:
-		sources := e.prog.SEG(fn).PTA.LoadSources(def)
 		var arms []*smt.Term
-		for _, gv := range sources {
-			wt := e.valueTerm(inst, gv.Val)
+		srcs := g.LoadSources(def)
+		for i := 0; i < len(srcs); i += 2 {
+			wt := e.valueTerm(inst, g, srcs[i])
 			if wt.Sort != vt.Sort {
 				continue
 			}
-			arms = append(arms, tb.And(e.condTerm(inst, fn, gv.Cond), tb.Eq(vt, wt)))
-			e.emitDD(inst, gv.Val)
+			arms = append(arms, tb.And(e.condTerm(inst, g, g.Conds().Node(srcs[i+1])), tb.Eq(vt, wt)))
+			e.emitDD(inst, g, srcs[i])
 		}
 		if len(arms) > 0 {
 			e.add(tb.Or(arms...))
@@ -426,12 +421,12 @@ func (e *encoder) emitDD(inst int, v *ir.Value) {
 		// An uninterpreted, per-field offset function: injective enough
 		// for congruence reasoning, and field addresses of non-null
 		// bases are non-null.
-		base := e.valueTerm(inst, def.Args[0])
+		base := e.valueTerm(inst, g, args[0])
 		if base.Sort == smt.SortInt {
-			e.add(tb.Eq(vt, tb.App("field$"+def.Sub, smt.SortInt, base)))
+			e.add(tb.Eq(vt, tb.App("field$"+g.Sub(def), smt.SortInt, base)))
 		}
 		e.add(tb.Ne(vt, tb.Int(0)))
-		e.emitDD(inst, def.Args[0])
+		e.emitDD(inst, g, args[0])
 	case ir.OpCall:
 		// Receiver: free variable (summaries constrain it only through
 		// boundary equalities on traversed paths).
@@ -439,21 +434,22 @@ func (e *encoder) emitDD(inst int, v *ir.Value) {
 }
 
 // emitBinDD encodes a binary operator definition.
-func (e *encoder) emitBinDD(inst int, v *ir.Value, def *ir.Instr) {
+func (e *encoder) emitBinDD(inst int, g *seg.Graph, v, def int32) {
 	tb := e.tb
-	vt := e.valueTerm(inst, v)
-	a, b := def.Args[0], def.Args[1]
-	at, bt := e.valueTerm(inst, a), e.valueTerm(inst, b)
+	vt := e.valueTerm(inst, g, v)
+	a, b := g.Args(def)[0], g.Args(def)[1]
+	at, bt := e.valueTerm(inst, g, a), e.valueTerm(inst, g, b)
 	boolOperands := at.Sort == smt.SortBool || bt.Sort == smt.SortBool
+	op := g.Sub(def)
 
 	defer func() {
-		e.emitDD(inst, a)
-		e.emitDD(inst, b)
+		e.emitDD(inst, g, a)
+		e.emitDD(inst, g, b)
 	}()
 
 	if vt.Sort == smt.SortBool {
 		var cmp *smt.Term
-		switch def.Sub {
+		switch op {
 		case "==":
 			if at.Sort == bt.Sort {
 				cmp = tb.Eq(at, bt)
@@ -487,7 +483,7 @@ func (e *encoder) emitBinDD(inst int, v *ir.Value, def *ir.Instr) {
 	if boolOperands {
 		return
 	}
-	switch def.Sub {
+	switch op {
 	case "+":
 		e.add(tb.Eq(vt, tb.Add(at, bt)))
 	case "-":
@@ -496,6 +492,6 @@ func (e *encoder) emitBinDD(inst int, v *ir.Value, def *ir.Instr) {
 		e.add(tb.Eq(vt, tb.Mul(at, bt)))
 	case "/", "%":
 		// Uninterpreted: congruence only.
-		e.add(tb.Eq(vt, tb.App("op"+def.Sub, smt.SortInt, at, bt)))
+		e.add(tb.Eq(vt, tb.App("op"+op, smt.SortInt, at, bt)))
 	}
 }

@@ -27,14 +27,14 @@ func RoundRobinMayFree(prog *Program) [][]bool {
 		fr := c.frees[callee.ID]
 		return argIdx < len(fr) && fr[argIdx]
 	}
-	paramMayFree := func(g *seg.Graph, p *ir.Value) bool {
-		for _, fl := range c.flowsFrom(g, g.ValueNode(p), &n) {
+	paramMayFree := func(f *ir.Func, g *seg.Graph, p int32) bool {
+		for _, fl := range c.flowsFrom(f, g, g.ValueNode(p), &n) {
 			term := g.Node(fl.Terminal())
 			switch term.Role {
 			case seg.RoleFreeArg:
 				return true
 			case seg.RoleCallArg:
-				if callee := prog.Module.Lookup(g.Instr(fl.Terminal()).Callee()); callee != nil && mayFree(callee, int(term.ArgIdx)) {
+				if callee := prog.Module.Lookup(g.Callee(g.Instr(fl.Terminal()))); callee != nil && mayFree(callee, int(term.ArgIdx)) {
 					return true
 				}
 			}
@@ -55,12 +55,12 @@ func RoundRobinMayFree(prog *Program) [][]bool {
 		changed = false
 		for _, f := range work {
 			g := prog.SEG(f)
-			for _, p := range f.Params {
-				if c.frees[f.ID][p.ParamIdx()] {
+			for _, p := range g.Params() {
+				if c.frees[f.ID][g.Value(p).ParamIdx()] {
 					continue
 				}
-				if paramMayFree(g, p) {
-					c.frees[f.ID][p.ParamIdx()] = true
+				if paramMayFree(f, g, p) {
+					c.frees[f.ID][g.Value(p).ParamIdx()] = true
 					changed = true
 				}
 			}

@@ -157,7 +157,7 @@ func TestJSONReportShape(t *testing.T) {
 		if j.Checker != r.Checker || j.SourceFile != r.SourcePos.File || j.SourceLine != r.SourcePos.Line {
 			t.Fatalf("ToJSON dropped source fields: %+v from %+v", j, r)
 		}
-		if r.Sink == nil {
+		if r.Sink.Fn == nil {
 			if j.SinkFile != "" || j.PathLen != 0 {
 				t.Fatalf("leak report leaked sink fields: %+v", j)
 			}

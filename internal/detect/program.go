@@ -37,17 +37,20 @@ import (
 	"repro/internal/ssa"
 )
 
-// CallSite locates one call instruction.
-type CallSite struct {
+// Site locates one instruction: its function, and its ID there.
+type Site struct {
 	Fn    *ir.Func
-	Instr *ir.Instr
+	Instr int32
 }
 
+// CallSite locates one call instruction.
+type CallSite = Site
+
 // Program bundles the whole-program analysis artifacts. The per-function
-// tables are indexed by ir.Func.ID.
+// tables are indexed by ir.Func.ID. Detection reads the functions' SEGs only;
+// of a function itself, only its shell (name, ID, unit, interface).
 type Program struct {
 	Module  *ir.Module
-	infos   []*ssa.Info
 	segs    []*seg.Graph
 	callers [][]CallSite
 
@@ -60,9 +63,6 @@ type Program struct {
 	sticky *caches
 }
 
-// Info returns f's SSA info.
-func (p *Program) Info(f *ir.Func) *ssa.Info { return p.infos[f.ID] }
-
 // SEG returns f's symbolic expression graph (nil for a function without one).
 func (p *Program) SEG(f *ir.Func) *seg.Graph { return p.segs[f.ID] }
 
@@ -70,19 +70,19 @@ func (p *Program) SEG(f *ir.Func) *seg.Graph { return p.segs[f.ID] }
 // caller's sites in instruction order.
 func (p *Program) Callers(f *ir.Func) []CallSite { return p.callers[f.ID] }
 
-// NewProgram indexes the call sites of a fully analyzed module.
-func NewProgram(m *ir.Module, infos map[*ir.Func]*ssa.Info, segs map[*ir.Func]*seg.Graph) *Program {
-	n := m.Layout.NumIDs()
-	is, gs := make([]*ssa.Info, n), make([]*seg.Graph, n)
+// NewProgram indexes the call sites of a fully analyzed module. The SSA
+// infos are not read: a SEG carries what detection needs of its function.
+func NewProgram(m *ir.Module, _ map[*ir.Func]*ssa.Info, segs map[*ir.Func]*seg.Graph) *Program {
+	gs := make([]*seg.Graph, m.Layout.NumIDs())
 	for _, f := range m.Funcs {
-		is[f.ID], gs[f.ID] = infos[f], segs[f]
+		gs[f.ID] = segs[f]
 	}
-	return NewProgramIndexed(m, is, gs)
+	return NewProgramIndexed(m, gs)
 }
 
-// NewProgramIndexed is NewProgram over tables indexed by ir.Func.ID.
-func NewProgramIndexed(m *ir.Module, infos []*ssa.Info, segs []*seg.Graph) *Program {
-	return &Program{Module: m, infos: infos, segs: segs, callers: indexCallers(m)}
+// NewProgramIndexed is NewProgram over a table of SEGs indexed by ir.Func.ID.
+func NewProgramIndexed(m *ir.Module, segs []*seg.Graph) *Program {
+	return &Program{Module: m, segs: segs, callers: indexCallers(m, segs)}
 }
 
 // EnableCachePersistence makes detection caches survive across CheckAll
@@ -118,8 +118,8 @@ func (p *Program) ReplayTableSize() int {
 }
 
 // NewProgramFrom builds the Program of the module that succeeds prev's in an
-// incremental session: infos and segs are the new per-function tables
-// (indexed by ir.Func.ID) and fresh lists the functions of m that prev's
+// incremental session: segs is the new per-function table (indexed by
+// ir.Func.ID) and fresh lists the functions of m that prev's
 // module does not hold — rebuilt or new. It carries over prev's persistent
 // detection caches for every other function: their flow summaries, linear
 // solvers, reverse indexes, frozen preparation state, task lists and
@@ -131,19 +131,19 @@ func (p *Program) ReplayTableSize() int {
 // function that cannot reach one of them, and the task plan waits for
 // prepare to splice their tasks in. With prev nil (or without caches) the
 // Program starts cold. The returned Program has cache persistence enabled.
-func NewProgramFrom(prev *Program, m *ir.Module, infos []*ssa.Info, segs []*seg.Graph, fresh []*ir.Func) *Program {
+func NewProgramFrom(prev *Program, m *ir.Module, segs []*seg.Graph, fresh []*ir.Func) *Program {
 	if prev == nil || prev.sticky == nil {
-		p := NewProgramIndexed(m, infos, segs)
+		p := NewProgramIndexed(m, segs)
 		p.EnableCachePersistence()
 		return p
 	}
-	p := &Program{Module: m, infos: infos, segs: segs}
+	p := &Program{Module: m, segs: segs}
 	old := prev.sticky
 	if m.Layout != prev.Module.Layout {
 		// Name resolution moved under retained callers too: re-index, and
 		// let neither the relation, the plan, nor any recorded task result
 		// survive. Per-function caches still do.
-		p.callers = indexCallers(m)
+		p.callers = indexCallers(m, segs)
 		p.sticky = newCachesFrom(p, prev)
 		return p
 	}
@@ -168,7 +168,7 @@ func NewProgramFrom(prev *Program, m *ir.Module, infos []*ssa.Info, segs []*seg.
 			c.unplanned = append(c.unplanned, f)
 		}
 	}
-	p.callers = patchCallers(prev, m, fresh)
+	p.callers = patchCallers(prev, p, fresh)
 	// May-free relation: a function's vector depends on its own flows and on
 	// the vectors of what it calls, so exactly the functions that reach a
 	// fresh one (or one that was stale already) need recomputing: seed with
@@ -203,19 +203,20 @@ func NewProgramFrom(prev *Program, m *ir.Module, infos []*ssa.Info, segs []*seg.
 // sites inside their replacements come. Only the lists of callees named on
 // either side are rebuilt; every other list is shared with prev, slice and
 // all — which is what lets a recorded ascent compare equal afterwards.
-func patchCallers(prev *Program, m *ir.Module, fresh []*ir.Func) [][]CallSite {
+func patchCallers(prev, p *Program, fresh []*ir.Func) [][]CallSite {
+	m := p.Module
 	callers := slices.Clone(prev.callers)
 	affected := make(map[*ir.Func]bool)
 	added := make(map[*ir.Func][]CallSite) // by callee
 	for _, f := range fresh {
-		was := prev.Module.Funcs[m.Layout.Pos(f.ID)]
-		forEachCall(was, func(in *ir.Instr) {
-			if callee := m.Lookup(in.Callee()); callee != nil {
+		was := prev.segs[prev.Module.Funcs[m.Layout.Pos(f.ID)].ID]
+		forEachCall(was, func(callee string, _ int32) {
+			if callee := m.Lookup(callee); callee != nil {
 				affected[callee] = true
 			}
 		})
-		forEachCall(f, func(in *ir.Instr) {
-			if callee := m.Lookup(in.Callee()); callee != nil {
+		forEachCall(p.segs[f.ID], func(callee string, in int32) {
+			if callee := m.Lookup(callee); callee != nil {
 				affected[callee] = true
 				added[callee] = append(added[callee], CallSite{Fn: f, Instr: in})
 			}
@@ -238,24 +239,27 @@ func patchCallers(prev *Program, m *ir.Module, fresh []*ir.Func) [][]CallSite {
 	return callers
 }
 
-// forEachCall visits f's call instructions in block and instruction order.
-func forEachCall(f *ir.Func, visit func(*ir.Instr)) {
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if in.Op == ir.OpCall {
-				visit(in)
-			}
+// forEachCall visits the calls of g's function in block and instruction
+// order: the callee's name and the call's instruction ID. A nil graph has
+// none.
+func forEachCall(g *seg.Graph, visit func(callee string, in int32)) {
+	if g == nil {
+		return
+	}
+	for _, in := range g.Order() {
+		if g.In(in).Op == ir.OpCall {
+			visit(g.Callee(in), in)
 		}
 	}
 }
 
 // indexCallers lists every defined function's call sites, by callee ID:
 // callers in module order and each caller's sites in instruction order.
-func indexCallers(m *ir.Module) [][]CallSite {
+func indexCallers(m *ir.Module, segs []*seg.Graph) [][]CallSite {
 	callers := make([][]CallSite, m.Layout.NumIDs())
 	for _, f := range m.Funcs {
-		forEachCall(f, func(in *ir.Instr) {
-			if callee := m.Lookup(in.Callee()); callee != nil {
+		forEachCall(segs[f.ID], func(callee string, in int32) {
+			if callee := m.Lookup(callee); callee != nil {
 				callers[callee.ID] = append(callers[callee.ID], CallSite{Fn: f, Instr: in})
 			}
 		})
@@ -357,8 +361,9 @@ type Report struct {
 	SinkFn    string
 	SourcePos minic.Pos
 	SinkPos   minic.Pos
-	Source    *ir.Instr
-	Sink      *ir.Instr
+	Source    Site
+	// Sink is the zero Site for a report without one.
+	Sink Site
 	// PathLen is the number of SEG vertices on the witnessing path.
 	PathLen int
 	// Contexts is the number of function instances traversed.
@@ -377,7 +382,7 @@ type Report struct {
 }
 
 func (r Report) String() string {
-	if r.Sink == nil && r.Kind != "" {
+	if r.Sink.Fn == nil && r.Kind != "" {
 		return fmt.Sprintf("[%s] allocation at %s (%s) is %s", r.Checker, r.SourcePos, r.SourceFn, r.Kind)
 	}
 	return fmt.Sprintf("[%s] value from %s (%s) reaches %s (%s); path %d vertices, %d contexts",
@@ -424,12 +429,15 @@ type instCond struct {
 }
 
 // boundary is an inter-procedural value equality (actual=formal or
-// return=receiver) between two context instances.
+// return=receiver) between two context instances: value valA of graph gA in
+// instance instA and value valB of gB in instB.
 type boundary struct {
 	instA int
-	valA  *ir.Value
+	gA    *seg.Graph
+	valA  int32
 	instB int
-	valB  *ir.Value
+	gB    *seg.Graph
+	valB  int32
 	// equality is false for taint-transfer steps through external
 	// calls, where the value changes but the property propagates.
 	equality bool
@@ -443,5 +451,5 @@ type gstep struct {
 }
 
 func (s gstep) kind() seg.NodeKind { return s.g.Node(s.node).Kind }
-func (s gstep) val() *ir.Value     { return s.g.Val(s.node) }
-func (s gstep) instr() *ir.Instr   { return s.g.Instr(s.node) }
+func (s gstep) val() int32         { return s.g.Val(s.node) }
+func (s gstep) instr() int32       { return s.g.Instr(s.node) }

@@ -8,10 +8,7 @@ package detect
 // (the default) nothing here runs and the hot path pays a single branch per
 // report.
 
-import (
-	"repro/internal/ir"
-	"repro/internal/minic"
-)
+import "repro/internal/minic"
 
 // VerdictSource identifies which step (see encoder.decide) produced a
 // feasibility verdict.
@@ -75,28 +72,21 @@ type Provenance struct {
 // function of instances that carry conditions; instances met only through
 // steps fall back to the step's own vertex, exactly like the encoder does.
 func hopsFromSteps(steps []gstep, conds []instCond) []Hop {
-	instFn := make(map[int]*ir.Func, len(conds))
+	instFn := make(map[int]string, len(conds))
 	for inst, ic := range conds {
 		if ic.fn != nil {
-			instFn[inst] = ic.fn
+			instFn[inst] = ic.fn.Name
 		}
 	}
 	hops := make([]Hop, 0, len(steps))
 	for _, st := range steps {
 		in := st.instr()
-		fn := instFn[st.inst]
-		if fn == nil {
-			if in != nil {
-				fn = in.Block.Fn
-			}
-			instFn[st.inst] = fn
+		if instFn[st.inst] == "" && in >= 0 {
+			instFn[st.inst] = st.g.Name()
 		}
-		h := Hop{Inst: st.inst, Node: st.g.NodeString(st.node)}
-		if fn != nil {
-			h.Fn = fn.Name
-		}
-		if in != nil {
-			h.Pos = in.Position()
+		h := Hop{Inst: st.inst, Fn: instFn[st.inst], Node: st.g.NodeString(st.node)}
+		if in >= 0 {
+			h.Pos = st.g.Position(in)
 		}
 		hops = append(hops, h)
 	}

@@ -63,10 +63,10 @@ func TestWitnessDeterminismAcrossWorkers(t *testing.T) {
 			default:
 				t.Errorf("report %s: unexpected verdict source %s", r, r.Provenance.VerdictSource)
 			}
-			if r.Sink != nil && len(r.Provenance.Hops) == 0 {
+			if r.Sink.Fn != nil && len(r.Provenance.Hops) == 0 {
 				t.Errorf("source–sink report %s has no hops", r)
 			}
-			if r.Sink != nil && r.Provenance.CondTerms == 0 {
+			if r.Sink.Fn != nil && r.Provenance.CondTerms == 0 {
 				t.Errorf("path-checked report %s has CondTerms = 0", r)
 			}
 		}

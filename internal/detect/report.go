@@ -37,7 +37,7 @@ func (r Report) ToJSON() JSONReport {
 		Witness:    r.Witness,
 		Provenance: r.Provenance.ToJSON(),
 	}
-	if r.Sink != nil {
+	if r.Sink.Fn != nil {
 		j.SinkFile = r.SinkPos.File
 		j.SinkLine = r.SinkPos.Line
 		j.SinkFunc = r.SinkFn

@@ -183,7 +183,7 @@ type task struct {
 	fn    *ir.Func
 	g     *seg.Graph
 	src   checkers.Source // KindSourceSink
-	alloc *ir.Instr       // KindUnreleased
+	alloc int32           // KindUnreleased; -1 otherwise
 	// memo is the outcome recorded by the task's last execution on a
 	// Program with persistent caches (see replay.go); nil otherwise.
 	memo *replayEntry
@@ -191,10 +191,10 @@ type task struct {
 
 // pos locates the task's demand source for trace annotations.
 func (t *task) pos() minic.Pos {
-	if t.alloc != nil {
-		return t.alloc.Position()
+	if t.alloc >= 0 {
+		return t.g.Position(t.alloc)
 	}
-	return t.src.At.Position()
+	return t.g.Position(t.src.At)
 }
 
 // scheduled is a task in one CheckAll's canonical order, tagged with the
@@ -335,7 +335,7 @@ func CheckAll(prog *Program, specs []*checkers.Spec, opts Options) Results {
 	// Per checker, its group's tasks in task order: a report is kept once
 	// per (source, sink), and nothing of the tasks past the report cap counts.
 	res.Checkers = make([]CheckerStats, 0, len(specs))
-	seen := make(map[[2]*ir.Instr]bool)
+	seen := make(map[[2]Site]bool)
 	for si, sp := range specs {
 		g := &groups[of[si]]
 		merged := Stats{}
@@ -345,8 +345,8 @@ func CheckAll(prog *Program, specs []*checkers.Spec, opts Options) Results {
 			mr := tr.member(ids[si])
 			addStats(&merged, mr.stats)
 			for _, r := range mr.reports {
-				key := [2]*ir.Instr{r.Source, r.Sink}
-				if r.Sink != nil && seen[key] {
+				key := [2]Site{r.Source, r.Sink}
+				if r.Sink.Fn != nil && seen[key] {
 					continue
 				}
 				seen[key] = true
@@ -380,7 +380,8 @@ func CheckAll(prog *Program, specs []*checkers.Spec, opts Options) Results {
 }
 
 // prepare freezes the shared program state and enumerates the detection
-// tasks. Per function: control-dependence conditions are memoized per block,
+// tasks. Per function, from its SEG alone: control-dependence conditions are
+// memoized per block,
 // every value vertex the search can name is pre-created, block reachability
 // is pre-filled (when some checker needs ordering), the local flows of every
 // parameter are enumerated into the shared cache and where they end is noted
@@ -439,7 +440,7 @@ func prepare(prog *Program, groups []group, ks []int, c *caches, workers int, n 
 		}
 		fc := c.fn[f.ID]
 		if !fc.frozen {
-			prog.infos[f.ID].PrepareCDConds()
+			g.PrepareCD()
 			g.EnsureValueNodes()
 			fc.frozen = true
 		}
@@ -457,8 +458,8 @@ func prepare(prog *Program, groups []group, ks []int, c *caches, workers int, n 
 		// A function that replaced another may be the first caller of one
 		// that stayed.
 		for _, f := range todo {
-			forEachCall(f, func(in *ir.Instr) {
-				if callee := m.Lookup(in.Callee()); callee != nil && prog.segs[callee.ID] != nil {
+			forEachCall(prog.segs[f.ID], func(callee string, _ int32) {
+				if callee := m.Lookup(callee); callee != nil && prog.segs[callee.ID] != nil {
 					warm(0, callee, prog.segs[callee.ID])
 				}
 			})
@@ -536,17 +537,15 @@ func prepare(prog *Program, groups []group, ks []int, c *caches, workers int, n 
 func localTasks(sp *checkers.Spec, f *ir.Func, g *seg.Graph) []task {
 	tasks := []task{}
 	if sp.Kind == checkers.KindUnreleased {
-		for _, b := range f.Blocks {
-			for _, in := range b.Instrs {
-				if in.Op == ir.OpMalloc {
-					tasks = append(tasks, task{fn: f, g: g, alloc: in})
-				}
+		for _, in := range g.Order() {
+			if g.In(in).Op == ir.OpMalloc {
+				tasks = append(tasks, task{fn: f, g: g, alloc: in})
 			}
 		}
 		return tasks
 	}
 	for _, src := range sp.LocalSources(g) {
-		tasks = append(tasks, task{fn: f, g: g, src: src})
+		tasks = append(tasks, task{fn: f, g: g, src: src, alloc: -1})
 	}
 	return tasks
 }

@@ -1,7 +1,6 @@
 package detect
 
 import (
-	"cmp"
 	"slices"
 
 	"repro/internal/checkers"
@@ -35,8 +34,9 @@ type Engine struct {
 	// they all share, and the source.
 	members []member
 	lead    *checkers.Spec
-	srcAt   *ir.Instr
+	srcAt   int32
 	srcFn   *ir.Func
+	srcG    *seg.Graph
 	// fp, when non-nil, collects what the search read of the program
 	// beyond its source's own function (see replay.go).
 	fp *footprint
@@ -52,7 +52,7 @@ type Engine struct {
 	// Scratch kept from task to task: roots is a stack of objectRoots
 	// results, marks a set of small integers (vertex indexes, instance
 	// numbers) — i is in it iff marks[i] == epoch.
-	roots []*ir.Value
+	roots []int32
 	marks []uint64
 	epoch uint64
 }
@@ -62,7 +62,7 @@ type Engine struct {
 type member struct {
 	memberResult
 	spec     *checkers.Spec
-	reported map[[2]*ir.Instr]bool
+	reported map[Site]bool // by sink
 	// expansions and candidates are what the per-source caps are held
 	// against.
 	expansions, candidates int
@@ -99,10 +99,10 @@ func (e *Engine) startSet(n int) {
 type frame struct {
 	fn     *ir.Func
 	inst   int
-	anchor *ir.Instr // ordering anchor (source/call) or nil
+	anchor int32 // ordering anchor (source/call) or -1
 	// ret links a descent frame back to its call site.
 	retTo   *frame
-	retCall *ir.Instr
+	retCall int32
 	depth   int
 }
 
@@ -158,14 +158,15 @@ func (e *Engine) addCond(inst int, fn *ir.Func, c *cond.Cond) bool {
 		p.conds = append(p.conds, instCond{})
 	}
 	ic := &p.conds[inst]
+	cb := e.prog.SEG(fn).Conds()
 	if ic.fn == nil {
-		*ic = instCond{fn: fn, cond: e.prog.Info(fn).Conds.True()}
+		*ic = instCond{fn: fn, cond: cb.True()}
 	}
 	if c.IsTrue() {
 		// The instance's condition stands: it passed when it was conjoined.
 		return true
 	}
-	merged := e.prog.Info(fn).Conds.And(ic.cond, c)
+	merged := cb.And(ic.cond, c)
 	if e.opts.DisableLinearFilter {
 		ic.cond = merged
 		return true
@@ -192,15 +193,15 @@ func truncatedSearches(s *Stats) *int { return &s.TruncatedSearches }
 // searchFromSource explores all forward flows of one source for the members
 // set up by runTask.
 func (e *Engine) searchFromSource(f *ir.Func, g *seg.Graph, src checkers.Source) {
-	e.srcAt, e.srcFn = src.At, f
+	e.srcAt, e.srcFn, e.srcG = src.At, f, g
 	e.nextInst = 0
 
-	var anchor *ir.Instr
+	anchor := int32(-1)
 	if e.lead.OrderingRequired && !e.opts.IgnoreOrdering {
 		anchor = src.At
 	}
 	live := uint64(1)<<len(e.members) - 1
-	for _, root := range e.widen(g, src.Val) {
+	for _, root := range e.widen(f, g, src.Val) {
 		fr := &frame{fn: f, inst: e.newInst(), anchor: anchor, depth: 1}
 		e.path.reset(pathMark{})
 		if !e.addCond(fr.inst, f, src.Cond) {
@@ -219,13 +220,13 @@ func (e *Engine) newInst() int {
 // widen returns the values the search tracks for v: its object roots when
 // the checker asks for root widening, v itself otherwise. The result sits on
 // top of e.roots; the caller pops it when done.
-func (e *Engine) widen(g *seg.Graph, v *ir.Value) []*ir.Value {
+func (e *Engine) widen(f *ir.Func, g *seg.Graph, v int32) []int32 {
 	base := len(e.roots)
 	e.roots = append(e.roots, v)
 	if e.lead.WidenToRoots {
 		e.startSet(g.NumNodes())
-		e.walkRoots(g, e.caches.reverse(g), g.ValueNode(v), v)
-		slices.SortFunc(e.roots[base:], func(a, b *ir.Value) int { return cmp.Compare(a.ID, b.ID) })
+		e.walkRoots(g, e.caches.reverse(f, g), g.ValueNode(v), v)
+		slices.Sort(e.roots[base:])
 	}
 	return e.roots[base:]
 }
@@ -233,7 +234,7 @@ func (e *Engine) widen(g *seg.Graph, v *ir.Value) []*ir.Value {
 // walkRoots walks backward from v's vertex through equality-preserving
 // edges to the defining allocation sites or parameters, so that sibling
 // aliases of the freed object are tracked too, and pushes them on e.roots.
-func (e *Engine) walkRoots(g *seg.Graph, rev *revEntry, n int32, v *ir.Value) {
+func (e *Engine) walkRoots(g *seg.Graph, rev *revEntry, n int32, v int32) {
 	if e.marks[n] == e.epoch {
 		return
 	}
@@ -242,10 +243,10 @@ func (e *Engine) walkRoots(g *seg.Graph, rev *revEntry, n int32, v *ir.Value) {
 		return
 	}
 	val := g.Val(n)
-	if def := val.Def; def != nil {
+	if def := g.Value(val).Def; def >= 0 {
 		// Only walk back through object-preserving defs (field addresses
 		// denote the same object as their base).
-		switch def.Op {
+		switch g.In(def).Op {
 		case ir.OpCopy, ir.OpPhi, ir.OpLoad, ir.OpFieldAddr:
 			if preds := rev.of(n); len(preds) > 0 {
 				for _, pn := range preds {
@@ -286,11 +287,17 @@ func (e *Engine) explore(fr *frame, node int32, live uint64) {
 	// after any call (only from the outermost frame — descent frames
 	// return through their call site instead).
 	isValue := g.Node(node).Kind == seg.NValue
-	if isValue && g.Val(node).Kind == ir.VParam && fr.retTo == nil {
+	if isValue && g.Value(g.Val(node)).Kind == ir.VParam && fr.retTo == nil {
 		e.ascendViaParam(fr, g, node, live)
 	}
 
-	flows := e.caches.flowsFrom(g, node, &e.flows)
+	flows := e.caches.flowsFrom(fr.fn, g, node, &e.flows)
+	// The source's instruction, as a sink predicate tells it apart: an
+	// instruction of the graph at hand.
+	srcAt := int32(-1)
+	if fr.fn == e.srcFn {
+		srcAt = e.srcAt
+	}
 	for i := range flows {
 		flow := &flows[i]
 		term := flow.Terminal()
@@ -299,7 +306,7 @@ func (e *Engine) explore(fr *frame, node int32, live uint64) {
 		}
 		// Ordering: terminal actions in an anchored frame must be able
 		// to execute after the anchor.
-		if in := g.Instr(term); fr.anchor != nil && in != nil && !g.HappensAfter(fr.anchor, in) {
+		if in := g.Instr(term); fr.anchor >= 0 && in >= 0 && !g.HappensAfter(fr.anchor, in) {
 			continue
 		}
 		mark := e.path.mark(fr.inst)
@@ -314,7 +321,7 @@ func (e *Engine) explore(fr *frame, node int32, live uint64) {
 
 		var sinks uint64
 		for i := range e.members {
-			if live>>i&1 != 0 && e.members[i].spec.IsSink(g, term, e.srcAt) {
+			if live>>i&1 != 0 && e.members[i].spec.IsSink(g, term, srcAt) {
 				sinks |= 1 << i
 			}
 		}
@@ -334,15 +341,12 @@ func (e *Engine) explore(fr *frame, node int32, live uint64) {
 // call boundary (not just the tracked one): the callee's path conditions may
 // reference any of its parameters, and leaving them free loses refutations
 // (a guard passed in as an argument, for example).
-func (e *Engine) bindCallParams(callerInst int, calleeInst int, call *ir.Instr, callee *ir.Func) {
-	n := len(call.Args)
-	if len(callee.Params) < n {
-		n = len(callee.Params)
-	}
-	for i := 0; i < n; i++ {
+func (e *Engine) bindCallParams(callerInst, calleeInst int, caller *seg.Graph, call int32, callee *seg.Graph) {
+	args, params := caller.Args(call), callee.Params()
+	for i := range min(len(args), len(params)) {
 		e.path.bounds = append(e.path.bounds, boundary{
-			instA: callerInst, valA: call.Args[i],
-			instB: calleeInst, valB: callee.Params[i],
+			instA: callerInst, gA: caller, valA: args[i],
+			instB: calleeInst, gB: callee, valB: params[i],
 			equality: true,
 		})
 	}
@@ -353,21 +357,21 @@ func (e *Engine) bindCallParams(callerInst int, calleeInst int, call *ir.Instr, 
 // the explore step that called it.
 func (e *Engine) throughCall(fr *frame, g *seg.Graph, term int32, live uint64) {
 	call := g.Instr(term)
-	callee := e.prog.Module.Lookup(call.Callee())
+	callee := e.prog.Module.Lookup(g.Callee(call))
 	if callee == nil {
 		// External: taint-transfer functions propagate to the receiver.
-		if e.lead.PropagateCalls[call.Callee()] && len(call.Dsts()) > 0 && call.Dsts()[0] != nil {
+		if dsts := g.Dsts(call); e.lead.PropagateCalls[g.Callee(call)] && len(dsts) > 0 && dsts[0] >= 0 {
 			e.path.bounds = append(e.path.bounds, boundary{
-				instA: fr.inst, valA: g.Val(term), instB: fr.inst, valB: call.Dsts()[0], equality: false,
+				instA: fr.inst, gA: g, valA: g.Val(term), instB: fr.inst, gB: g, valB: dsts[0], equality: false,
 			})
-			recv := g.ValueNode(call.Dsts()[0])
+			recv := g.ValueNode(dsts[0])
 			e.path.steps = append(e.path.steps, gstep{inst: fr.inst, g: g, node: recv})
 			e.explore(fr, recv, live)
 		}
 		return
 	}
 	cg := e.prog.SEG(callee)
-	e.fp.enter(cg)
+	e.fp.enter(callee, cg)
 	if e.opts.SameUnitOnly && callee.Unit != fr.fn.Unit {
 		return
 	}
@@ -376,14 +380,14 @@ func (e *Engine) throughCall(fr *frame, g *seg.Graph, term int32, live uint64) {
 		return
 	}
 	argIdx := g.Node(term).ArgIdx
-	if int(argIdx) >= len(callee.Params) {
+	if int(argIdx) >= len(cg.Params()) {
 		return
 	}
-	param := cg.ValueNode(callee.Params[argIdx])
+	param := cg.ValueNode(cg.Params()[argIdx])
 	nfr := &frame{
-		fn: callee, inst: e.newInst(), retTo: fr, retCall: call, depth: fr.depth + 1,
+		fn: callee, inst: e.newInst(), anchor: -1, retTo: fr, retCall: call, depth: fr.depth + 1,
 	}
-	e.bindCallParams(fr.inst, nfr.inst, call, callee)
+	e.bindCallParams(fr.inst, nfr.inst, g, call, cg)
 	e.path.steps = append(e.path.steps, gstep{inst: nfr.inst, g: cg, node: param})
 	e.explore(nfr, param, live)
 }
@@ -393,15 +397,15 @@ func (e *Engine) throughReturn(fr *frame, g *seg.Graph, term int32, live uint64)
 	retIdx, retVal := int(g.Node(term).ArgIdx), g.Val(term)
 	if fr.retTo != nil {
 		// Pop to the originating call site.
-		recv := retReceiver(fr.fn, fr.retCall, retIdx)
-		if recv == nil {
+		caller := fr.retTo
+		cg := e.prog.SEG(caller.fn)
+		recv := retReceiver(fr.fn, g, cg, fr.retCall, retIdx)
+		if recv < 0 {
 			return
 		}
-		caller := fr.retTo
 		e.path.bounds = append(e.path.bounds, boundary{
-			instA: fr.inst, valA: retVal, instB: caller.inst, valB: recv, equality: true,
+			instA: fr.inst, gA: g, valA: retVal, instB: caller.inst, gB: cg, valB: recv, equality: true,
 		})
-		cg := e.prog.SEG(caller.fn)
 		at := cg.ValueNode(recv)
 		e.path.steps = append(e.path.steps, gstep{inst: caller.inst, g: cg, node: at})
 		e.explore(caller, at, live)
@@ -417,13 +421,13 @@ func (e *Engine) throughReturn(fr *frame, g *seg.Graph, term int32, live uint64)
 		if e.opts.SameUnitOnly && cs.Fn.Unit != fr.fn.Unit {
 			continue
 		}
-		recv := retReceiver(fr.fn, cs.Instr, retIdx)
-		if recv == nil {
+		recv := retReceiver(fr.fn, g, e.prog.SEG(cs.Fn), cs.Instr, retIdx)
+		if recv < 0 {
 			continue
 		}
 		cg, nfr, mark := e.ascend(fr, cs)
 		e.path.bounds = append(e.path.bounds, boundary{
-			instA: fr.inst, valA: retVal, instB: nfr.inst, valB: recv, equality: true,
+			instA: fr.inst, gA: g, valA: retVal, instB: nfr.inst, gB: cg, valB: recv, equality: true,
 		})
 		if e.enterCaller(fr, nfr, cs, cg, recv, live) {
 			e.explore(nfr, cg.ValueNode(recv), live)
@@ -437,8 +441,8 @@ func (e *Engine) throughReturn(fr *frame, g *seg.Graph, term int32, live uint64)
 // reset that ends the ascent.
 func (e *Engine) ascend(fr *frame, cs CallSite) (*seg.Graph, *frame, pathMark) {
 	g := e.prog.SEG(cs.Fn)
-	e.fp.enter(g)
-	nfr := &frame{fn: cs.Fn, inst: e.newInst(), depth: fr.depth + 1}
+	e.fp.enter(cs.Fn, g)
+	nfr := &frame{fn: cs.Fn, inst: e.newInst(), anchor: -1, depth: fr.depth + 1}
 	if !e.opts.IgnoreOrdering && e.lead.OrderingRequired {
 		nfr.anchor = cs.Instr
 	}
@@ -449,8 +453,8 @@ func (e *Engine) ascend(fr *frame, cs CallSite) (*seg.Graph, *frame, pathMark) {
 // dependence (the callee's events only happen if the call executes) and
 // steps onto the caller-side value; false means the linear filter refuted
 // the ascent.
-func (e *Engine) enterCaller(fr, nfr *frame, cs CallSite, g *seg.Graph, at *ir.Value, live uint64) bool {
-	e.bindCallParams(nfr.inst, fr.inst, cs.Instr, fr.fn)
+func (e *Engine) enterCaller(fr, nfr *frame, cs CallSite, g *seg.Graph, at int32, live uint64) bool {
+	e.bindCallParams(nfr.inst, fr.inst, g, cs.Instr, e.prog.SEG(fr.fn))
 	if !e.addCond(nfr.inst, cs.Fn, g.CD(cs.Instr)) {
 		e.count(live, linearFiltered)
 		return false
@@ -466,7 +470,7 @@ func (e *Engine) enterCaller(fr, nfr *frame, cs CallSite, g *seg.Graph, at *ir.V
 // aliases — other values loaded from the same cell the actual came from —
 // are tracked too.
 func (e *Engine) ascendViaParam(fr *frame, g *seg.Graph, node int32, live uint64) {
-	idx := g.Val(node).ParamIdx()
+	idx := g.Value(g.Val(node)).ParamIdx()
 	for i, cs := range e.callersOf(fr.fn) {
 		if i >= e.opts.MaxCallers || fr.depth >= e.opts.MaxCallDepth {
 			e.count(live, truncatedSearches)
@@ -475,14 +479,15 @@ func (e *Engine) ascendViaParam(fr *frame, g *seg.Graph, node int32, live uint64
 		if e.opts.SameUnitOnly && cs.Fn.Unit != fr.fn.Unit {
 			continue
 		}
-		if idx >= len(cs.Instr.Args) {
+		args := e.prog.SEG(cs.Fn).Args(cs.Instr)
+		if idx >= len(args) {
 			continue
 		}
-		actual := cs.Instr.Args[idx]
+		actual := args[idx]
 		cg, nfr, mark := e.ascend(fr, cs)
 		if e.enterCaller(fr, nfr, cs, cg, actual, live) {
 			base := len(e.roots)
-			for _, root := range e.widen(cg, actual) {
+			for _, root := range e.widen(cs.Fn, cg, actual) {
 				e.explore(nfr, cg.ValueNode(root), live)
 			}
 			e.roots = e.roots[:base]
@@ -500,20 +505,18 @@ func (e *Engine) callersOf(fn *ir.Func) []CallSite {
 	return sites
 }
 
-// retReceiver maps a return-operand index to the call-site receiver value.
-func retReceiver(callee *ir.Func, call *ir.Instr, retIdx int) *ir.Value {
-	ret := callee.Exit.Term()
-	auxStart := len(ret.Args) - len(callee.AuxOut)
+// retReceiver maps a return-operand index of callee (whose graph is g) to
+// the receiver value of a call in caller's graph (-1: none).
+func retReceiver(callee *ir.Func, g, caller *seg.Graph, call int32, retIdx int) int32 {
+	auxStart := g.RetArgs() - len(callee.AuxOut)
 	var dstIdx int
 	if retIdx >= auxStart {
 		dstIdx = 1 + (retIdx - auxStart)
-	} else {
-		dstIdx = 0
 	}
-	if dstIdx >= len(call.Dsts()) {
-		return nil
+	if dsts := caller.Dsts(call); dstIdx < len(dsts) {
+		return dsts[dstIdx]
 	}
-	return call.Dsts()[dstIdx]
+	return -1
 }
 
 // sanitized reports whether the sink is guarded by a sanitizer predicate
@@ -521,55 +524,52 @@ func retReceiver(callee *ir.Func, call *ir.Instr, retIdx int) *ir.Value {
 // extension). The check walks the sink's transitive control dependences and
 // the defining chains of their branch conditions looking for a sanitizer
 // call whose argument is a path value.
-func (e *Engine) sanitized(fr *frame, sink *ir.Instr) bool {
+func (e *Engine) sanitized(fr *frame, g *seg.Graph, sink int32) bool {
 	if len(e.lead.SanitizerCalls) == 0 {
 		return false
 	}
 	pathVals := make([]bool, fr.fn.NumValues()) // by Value.ID
 	for _, st := range e.path.steps {
 		if st.inst == fr.inst {
-			pathVals[st.val().ID] = true
+			pathVals[st.val()] = true
 		}
 	}
-	inf := e.prog.Info(fr.fn)
 	seenBlocks := make([]bool, fr.fn.NumBlocks()) // by Block.ID
-	var fromBlock func(b *ir.Block) bool
-	var fromValue func(v *ir.Value, depth int) bool
-	fromValue = func(v *ir.Value, depth int) bool {
-		if depth > 8 || v.Def == nil {
+	var fromBlock func(b int32) bool
+	var fromValue func(v int32, depth int) bool
+	fromValue = func(v int32, depth int) bool {
+		def := g.Value(v).Def
+		if depth > 8 || def < 0 {
 			return false
 		}
-		def := v.Def
-		if def.Op == ir.OpCall && e.lead.SanitizerCalls[def.Callee()] {
-			for _, a := range def.Args {
-				if pathVals[a.ID] {
+		if g.In(def).Op == ir.OpCall && e.lead.SanitizerCalls[g.Callee(def)] {
+			for _, a := range g.Args(def) {
+				if pathVals[a] {
 					return true
 				}
 			}
 		}
-		for _, a := range def.Args {
+		for _, a := range g.Args(def) {
 			if fromValue(a, depth+1) {
 				return true
 			}
 		}
 		return false
 	}
-	fromBlock = func(b *ir.Block) bool {
-		if seenBlocks[b.ID] {
+	fromBlock = func(b int32) bool {
+		if seenBlocks[b] {
 			return false
 		}
-		seenBlocks[b.ID] = true
-		for _, dep := range inf.CD(b) {
-			if fromValue(dep.Cond(), 0) {
-				return true
-			}
-			if fromBlock(dep.Branch) {
+		seenBlocks[b] = true
+		deps := g.CDeps(b)
+		for i := 0; i < len(deps); i += 3 {
+			if fromValue(deps[i+1], 0) || fromBlock(deps[i]) {
 				return true
 			}
 		}
 		return false
 	}
-	return fromBlock(sink.Block)
+	return fromBlock(g.In(sink).Block)
 }
 
 // emitCandidate finalizes a candidate path for the members whose sink the
@@ -577,7 +577,7 @@ func (e *Engine) sanitized(fr *frame, sink *ir.Instr) bool {
 // feasibility query is encoded and decided once.
 func (e *Engine) emitCandidate(fr *frame, g *seg.Graph, term int32, sinks uint64) {
 	sink := g.Instr(term)
-	key := [2]*ir.Instr{e.srcAt, sink}
+	key := Site{fr.fn, sink}
 	p := &e.path
 	var (
 		checked bool
@@ -593,7 +593,7 @@ func (e *Engine) emitCandidate(fr *frame, g *seg.Graph, term int32, sinks uint64
 		}
 		if !checked {
 			// The members agree on the sanitizers, so on this too.
-			if e.sanitized(fr, sink) {
+			if e.sanitized(fr, g, sink) {
 				return
 			}
 			checked, verdict = true, smt.Sat
@@ -618,17 +618,17 @@ func (e *Engine) emitCandidate(fr *frame, g *seg.Graph, term int32, sinks uint64
 			continue
 		}
 		if m.reported == nil {
-			m.reported = make(map[[2]*ir.Instr]bool)
+			m.reported = make(map[Site]bool)
 		}
 		m.reported[key] = true
 		m.reports = append(m.reports, Report{
 			Checker:    m.spec.Name,
 			SourceFn:   e.srcFn.Name,
 			SinkFn:     fr.fn.Name,
-			SourcePos:  e.srcAt.Position(),
-			SinkPos:    sink.Position(),
-			Source:     e.srcAt,
-			Sink:       sink,
+			SourcePos:  e.srcG.Position(e.srcAt),
+			SinkPos:    g.Position(sink),
+			Source:     Site{e.srcFn, e.srcAt},
+			Sink:       key,
 			PathLen:    len(p.steps),
 			Contexts:   e.countInstances(p.steps),
 			Verdict:    verdict,

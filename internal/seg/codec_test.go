@@ -59,12 +59,7 @@ func describe(g *Graph) *wireGraph {
 	for n := int32(0); int(n) < g.NumNodes(); n++ {
 		nd := g.Node(n)
 		v := wireVertex{kind: uint8(nd.Kind), role: uint8(nd.Role), val: -1, instr: -1, argIdx: int(nd.ArgIdx)}
-		if val := g.Val(n); val != nil {
-			v.val = val.ID
-		}
-		if in := g.Instr(n); in != nil {
-			v.instr = in.ID
-		}
+		v.val, v.instr = g.Val(n), g.Instr(n)
 		w.vertices = append(w.vertices, v)
 		if es := g.Succs(n); len(es) > 0 {
 			s := wireSuccs{from: n}
@@ -95,13 +90,14 @@ int *pick(bool c, int *a) {
 
 func TestGraphWireRoundTrip(t *testing.T) {
 	g := decodeEnv(t, codecSrc, "pick")
+	b := builtFrom[g]
 	var e wirebin.Writer
 	EncodeGraph(&e, g)
 	if !bytes.Equal(e.B, describe(g).bytes()) {
 		t.Fatal("EncodeGraph does not write the documented layout")
 	}
 	r := wirebin.NewReader(e.B)
-	got, err := DecodeGraph(r, g.Fn, g.Info, g.PTA)
+	got, err := DecodeGraph(r, b.f, b.inf, b.pr)
 	if err != nil || r.Rest() != 0 {
 		t.Fatalf("decode: %v, %d bytes left", err, r.Rest())
 	}
@@ -135,6 +131,7 @@ func TestGraphWireRoundTrip(t *testing.T) {
 // rebuild, never a panic, neither at decode nor later in detection.
 func TestImportGraphRejectsMalformed(t *testing.T) {
 	g := decodeEnv(t, codecSrc, "pick")
+	b := builtFrom[g]
 	good := describe(g)
 	firstOf := func(kind NodeKind) int {
 		for i, v := range good.vertices {
@@ -151,12 +148,12 @@ func TestImportGraphRejectsMalformed(t *testing.T) {
 		corrupt func(w *wireGraph)
 		want    string
 	}{
-		{"value id past the table", func(w *wireGraph) { w.vertices[val].val = int32(g.Fn.NumValues()) }, "bad value id"},
-		{"value id of a pre-SSA variable", func(w *wireGraph) { w.vertices[val].val = preSSA(t, g.Fn) }, "bad value id"},
+		{"value id past the table", func(w *wireGraph) { w.vertices[val].val = int32(b.f.NumValues()) }, "bad value id"},
+		{"value id of a pre-SSA variable", func(w *wireGraph) { w.vertices[val].val = preSSA(t, b.f) }, "bad value id"},
 		{"negative value id", func(w *wireGraph) { w.vertices[val].val = -7 }, "bad value id"},
 		{"value vertex without value", func(w *wireGraph) { w.vertices[val].val = -1 }, "without value"},
 		{"duplicate value vertex", func(w *wireGraph) { w.vertices[use] = w.vertices[val] }, "duplicates the vertex"},
-		{"instr id past the table", func(w *wireGraph) { w.vertices[use].instr = int32(g.Fn.NumInstrs()) }, "bad instr id"},
+		{"instr id past the table", func(w *wireGraph) { w.vertices[use].instr = int32(b.f.NumInstrs()) }, "bad instr id"},
 		{"negative instr id", func(w *wireGraph) { w.vertices[use].instr = -2 }, "bad instr id"},
 		{"use vertex without instruction", func(w *wireGraph) { w.vertices[use].instr = -1 }, "without instruction"},
 		{"use vertex without value", func(w *wireGraph) { w.vertices[use].val = -1 }, "without instruction or value"},
@@ -171,7 +168,7 @@ func TestImportGraphRejectsMalformed(t *testing.T) {
 		{"negative edge target", func(w *wireGraph) { w.succs[0].edges[0][0] = -1 }, "bad edge target"},
 		{"edge source out of range", func(w *wireGraph) { w.succs[len(w.succs)-1].from = int32(len(w.vertices)) }, "bad edge source"},
 		{"edge lists out of vertex order", func(w *wireGraph) { w.succs[1].from = w.succs[0].from }, "bad edge source"},
-		{"edge condition out of range", func(w *wireGraph) { w.succs[0].edges[0][1] = int32(g.Info.Conds.NumNodes()) }, "bad cond id"},
+		{"edge condition out of range", func(w *wireGraph) { w.succs[0].edges[0][1] = int32(g.Conds().NumNodes()) }, "bad cond id"},
 		{"negative edge condition", func(w *wireGraph) { w.succs[0].edges[0][1] = -3 }, "bad cond id"},
 		{"nil edge condition", func(w *wireGraph) { w.succs[0].edges[0][1] = -1 }, "bad cond id"},
 		{"more edges than the total", func(w *wireGraph) { w.total-- }, "more edges than the total"},
@@ -181,7 +178,7 @@ func TestImportGraphRejectsMalformed(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			w := describe(g)
 			tc.corrupt(w)
-			got, err := DecodeGraph(wirebin.NewReader(w.bytes()), g.Fn, g.Info, g.PTA)
+			got, err := DecodeGraph(wirebin.NewReader(w.bytes()), b.f, b.inf, b.pr)
 			if err == nil {
 				t.Fatalf("decode accepted the stream (graph with %d vertices)", got.NumNodes())
 			}
@@ -194,12 +191,12 @@ func TestImportGraphRejectsMalformed(t *testing.T) {
 	// A length no input can back, and the stream cut short anywhere.
 	var huge wirebin.Writer
 	huge.Uvarint(1 << 40)
-	if _, err := DecodeGraph(wirebin.NewReader(huge.B), g.Fn, g.Info, g.PTA); err == nil {
+	if _, err := DecodeGraph(wirebin.NewReader(huge.B), b.f, b.inf, b.pr); err == nil {
 		t.Error("decode accepted a vertex count past the input")
 	}
 	full := good.bytes()
 	for cut := 0; cut < len(full); cut++ {
-		if _, err := DecodeGraph(wirebin.NewReader(full[:cut]), g.Fn, g.Info, g.PTA); err == nil {
+		if _, err := DecodeGraph(wirebin.NewReader(full[:cut]), b.f, b.inf, b.pr); err == nil {
 			t.Fatalf("decode accepted the stream cut at %d of %d bytes", cut, len(full))
 		}
 	}

@@ -11,13 +11,13 @@ import (
 // creation order.
 func (g *Graph) Dot() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "digraph %q {\n", "seg_"+g.Fn.Name)
+	fmt.Fprintf(&b, "digraph %q {\n", "seg_"+g.Name())
 	b.WriteString("  rankdir=LR;\n  node [fontname=\"monospace\", fontsize=9];\n")
 
 	for n := int32(0); int(n) < g.numNodes; n++ {
 		switch nd := g.node(n); nd.Kind {
 		case NValue:
-			fmt.Fprintf(&b, "  n%d [label=%q, shape=ellipse];\n", n, g.Val(n).String())
+			fmt.Fprintf(&b, "  n%d [label=%q, shape=ellipse];\n", n, g.ValueString(g.Val(n)))
 		default:
 			color := map[UseRole]string{
 				RoleDerefAddr: "lightcoral",

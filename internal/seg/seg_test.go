@@ -13,6 +13,15 @@ import (
 	"repro/internal/transform"
 )
 
+// built is what a graph buildSEGs made was built from.
+type built struct {
+	f   *ir.Func
+	inf *ssa.Info
+	pr  *pta.Result
+}
+
+var builtFrom = map[*Graph]built{}
+
 func buildSEGs(t *testing.T, src string) (*ir.Module, map[string]*Graph) {
 	t.Helper()
 	prog, err := minic.ParseProgram([]minic.NamedSource{{Name: "t.mc", Src: src}})
@@ -42,6 +51,7 @@ func buildSEGs(t *testing.T, src string) (*ir.Module, map[string]*Graph) {
 			t.Fatalf("pta %s: %v", f.Name, err)
 		}
 		graphs[f.Name] = Build(f, infos[f.Name], pr)
+		builtFrom[graphs[f.Name]] = built{f, infos[f.Name], pr}
 	}
 	return m, graphs
 }
@@ -116,9 +126,9 @@ int f(bool c, int a, int b) {
 				continue
 			}
 			for _, a := range in.Args {
-				from := g.ValueNode(a)
+				from := g.ValueNode(a.ID)
 				for _, e := range g.Succs(from) {
-					if e.To == g.ValueNode(in.Dst) {
+					if e.To == g.ValueNode(in.Dst.ID) {
 						if g.Cond(e).IsTrue() {
 							t.Errorf("phi edge from %s unguarded", a)
 						}
@@ -147,12 +157,12 @@ void f(bool c) {
 			}
 		}
 	}
-	dst := g.ValueNode(load.Dst)
+	dst := g.ValueNode(load.Dst.ID)
 	guarded := 0
 	for _, src := range []int64{1, 2} {
 		for _, b := range f.Blocks {
 			for _, in := range b.Instrs {
-				for _, e := range g.Succs(g.ValueNode(f.ConstInt(src))) {
+				for _, e := range g.Succs(g.ValueNode(f.ConstInt(src).ID)) {
 					if e.To == dst && !g.Cond(e).IsTrue() {
 						guarded++
 					}
@@ -199,7 +209,7 @@ void f() {
 	}
 	// The ret use is fed by the parameter.
 	_ = m
-	param := gid.Fn.Params[0]
+	param := gid.Params()[0]
 	if !reachesNode(gid, gid.ValueNode(param), uses(gid, RoleRetArg)[0]) {
 		t.Fatal("param does not reach return in id")
 	}
@@ -225,10 +235,10 @@ void f(bool c) {
 			}
 		}
 	}
-	if !g.HappensAfter(freeIn, loadIn) {
+	if !g.HappensAfter(freeIn.ID, loadIn.ID) {
 		t.Error("load after free not detected")
 	}
-	if g.HappensAfter(loadIn, freeIn) {
+	if g.HappensAfter(loadIn.ID, freeIn.ID) {
 		t.Error("free after load wrongly detected")
 	}
 }
@@ -253,7 +263,7 @@ void f() {
 			}
 		}
 	}
-	if !g.HappensAfter(freeIn, loadIn) {
+	if !g.HappensAfter(freeIn.ID, loadIn.ID) {
 		t.Error("same-block ordering broken")
 	}
 }
@@ -277,7 +287,7 @@ void f(bool c) {
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			if in.Op == ir.OpCall {
-				if g.CD(in).IsTrue() {
+				if g.CD(in.ID).IsTrue() {
 					t.Error("guarded call has trivial CD")
 				}
 			}
@@ -317,18 +327,18 @@ void f(int *p) {
 
 	// A value created after Build lies beyond the value table: the first
 	// lookup creates its vertex, the second finds it.
-	late := g.Fn.NewDef("late", minic.IntType)
+	late := builtFrom[g].f.NewDef("late", minic.IntType)
 	if int(late.ID) < len(g.valueAt) {
 		t.Fatalf("test premise: value %d is inside the table of %d", late.ID, len(g.valueAt))
 	}
-	n := g.ValueNode(late)
-	if g.Val(n) != late || g.Node(n).Kind != NValue {
+	n := g.ValueNode(late.ID)
+	if g.Val(n) != late.ID || g.Node(n).Kind != NValue {
 		t.Fatalf("ValueNode(late) = %+v", g.Node(n))
 	}
 	if int(n) != before || g.NumNodes() != before+1 {
 		t.Errorf("late vertex has ID %d in a graph of %d (was %d)", n, g.NumNodes(), before)
 	}
-	if g.ValueNode(late) != n {
+	if g.ValueNode(late.ID) != n {
 		t.Error("second ValueNode(late) created another vertex")
 	}
 	if len(g.Succs(n)) != 0 {

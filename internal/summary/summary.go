@@ -94,9 +94,9 @@ func (t *Table) FlowsFrom(g *seg.Graph, from int32) []Flow {
 	}
 	// Mark in-progress to cut (impossible in a DAG, defensive) cycles.
 	t.memo[from] = noFlows
-	cb := g.Info.Conds
+	cb := g.Conds()
 	cd := cb.True() // of from's statement
-	if in := g.Instr(from); in != nil {
+	if in := g.Instr(from); in >= 0 {
 		cd = g.CD(in)
 	}
 	if g.Node(from).Kind == seg.NUse {
@@ -183,10 +183,10 @@ func (t *Table) FlowsBetween(g *seg.Graph, from int32, role seg.UseRole) []Flow 
 // parameter to return operands, keyed by parameter index.
 func ParamToRet(t *Table, g *seg.Graph) map[int][]Flow {
 	out := make(map[int][]Flow)
-	for _, p := range g.Fn.Params {
+	for _, p := range g.Params() {
 		flows := t.FlowsBetween(g, g.ValueNode(p), seg.RoleRetArg)
 		if len(flows) > 0 {
-			out[p.ParamIdx()] = flows
+			out[g.Value(p).ParamIdx()] = flows
 		}
 	}
 	return out

@@ -79,7 +79,7 @@ int pick(bool c, int a, int b) {
 	if ca.IsTrue() || cb.IsTrue() {
 		t.Errorf("gated flows are unconditional: %s / %s", ca, cb)
 	}
-	if g.Info.Conds.Not(ca) != cb {
+	if g.Conds().Not(ca) != cb {
 		t.Errorf("gates not complementary: %s vs %s", ca, cb)
 	}
 }
@@ -92,7 +92,7 @@ int f(int x) {
 	return b;
 }`, "f")
 	tab := NewTable()
-	n := g.ValueNode(g.Fn.Params[0])
+	n := g.ValueNode(g.Params()[0])
 	f1 := tab.FlowsFrom(g, n)
 	f2 := tab.FlowsFrom(g, n)
 	if len(f1) == 0 {
@@ -124,7 +124,7 @@ int f(int x, bool c0, bool c1, bool c2, bool c3, bool c4, bool c5, bool c6, bool
 	g := buildGraph(t, src, "f")
 	tab := NewTable()
 	tab.MaxFlows = 4
-	flows := tab.FlowsFrom(g, g.ValueNode(g.Fn.Params[0]))
+	flows := tab.FlowsFrom(g, g.ValueNode(g.Params()[0]))
 	if len(flows) > 4 {
 		t.Fatalf("cap violated: %d flows", len(flows))
 	}
@@ -141,7 +141,7 @@ void f(int *p) {
 	int v = *p;
 }`, "f")
 	tab := NewTable()
-	flows := tab.FlowsFrom(g, g.ValueNode(g.Fn.Params[0]))
+	flows := tab.FlowsFrom(g, g.ValueNode(g.Params()[0]))
 	roles := map[seg.UseRole]bool{}
 	for _, fl := range flows {
 		roles[g.Node(fl.Terminal()).Role] = true
@@ -162,14 +162,14 @@ void f(bool c, int *p) {
 	if (c) { free(p); }
 }`, "f")
 	tab := NewTable()
-	p := g.ValueNode(g.Fn.Params[1])
+	p := g.ValueNode(g.Params()[1])
 	if flows := tab.FlowsFrom(g, p); len(flows) != 1 || g.Node(flows[0].Terminal()).Role != seg.RoleFreeArg {
 		t.Fatalf("flows from p = %v, want the one free", flows)
 	}
 	// c is only ever a branch condition, so Build made no vertex for it.
 	before := g.NumNodes()
 	g.EnsureValueNodes()
-	c := g.ValueNode(g.Fn.Params[0])
+	c := g.ValueNode(g.Params()[0])
 	if int(c) < before {
 		t.Fatalf("test premise: vertex of c (index %d) predates EnsureValueNodes (%d vertices)", int(c), before)
 	}
@@ -194,11 +194,11 @@ void f(bool c, int *p) {
 // its steps' statements, conjoined at once.
 func enumerate(g *seg.Graph, n int32, path []int32, parts []*cond.Cond, emit func([]int32, *cond.Cond)) {
 	path = append(path, n)
-	if in := g.Instr(n); in != nil {
+	if in := g.Instr(n); in >= 0 {
 		parts = append(parts, g.CD(in))
 	}
 	if g.Node(n).Kind == seg.NUse {
-		emit(path, g.Info.Conds.And(parts...))
+		emit(path, g.Conds().And(parts...))
 		return
 	}
 	for _, e := range g.Succs(n) {
