@@ -14,8 +14,11 @@ import (
 // worker index w (0-based, for trace-track attribution) and the node
 // index i.
 //
-// At workers <= 1 nodes run on one goroutine in a deterministic
-// Kahn/FIFO order (seeded by ascending index). The first error cancels
+// A worker always takes the lowest-index ready node, so the caller's
+// numbering is its priority: at workers <= 1 nodes run on one goroutine in
+// the lowest-index topological order, and a caller that numbers the nodes
+// of one piece of work consecutively has each piece finished before the
+// next is started wherever the dependencies allow. The first error cancels
 // dispatch of not-yet-started nodes; nodes already in flight finish.
 // Wavefront returns the peak width observed — the largest number of
 // nodes simultaneously ready or running, i.e. the parallelism the DAG
@@ -44,7 +47,7 @@ func Wavefront(n int, deps [][]int, workers int, fn func(w, i int) error) (int, 
 	var (
 		mu       sync.Mutex
 		cond     = sync.NewCond(&mu)
-		ready    []int
+		ready    []int // a min-heap
 		running  int
 		done     int
 		firstErr error
@@ -72,8 +75,8 @@ func Wavefront(n int, deps [][]int, workers int, fn func(w, i int) error) (int, 
 				cond.Broadcast()
 				return
 			}
-			i := ready[0]
-			ready = ready[1:]
+			var i int
+			i, ready = pop(ready)
 			running++
 			mu.Unlock()
 			err := fn(w, i)
@@ -87,7 +90,7 @@ func Wavefront(n int, deps [][]int, workers int, fn func(w, i int) error) (int, 
 				for _, j := range dependents[i] {
 					indeg[j]--
 					if indeg[j] == 0 {
-						ready = append(ready, j)
+						ready = push(ready, j)
 					}
 				}
 				if width := len(ready) + running; width > maxWidth {
@@ -112,4 +115,29 @@ func Wavefront(n int, deps [][]int, workers int, fn func(w, i int) error) (int, 
 		wg.Wait()
 	}
 	return maxWidth, firstErr
+}
+
+// push adds i to the min-heap h.
+func push(h []int, i int) []int {
+	h = append(h, i)
+	for c := len(h) - 1; c > 0 && h[(c-1)/2] > h[c]; c = (c - 1) / 2 {
+		h[(c-1)/2], h[c] = h[c], h[(c-1)/2]
+	}
+	return h
+}
+
+// pop removes the least element of the min-heap h.
+func pop(h []int) (int, []int) {
+	top, n := h[0], len(h)-1
+	h[0], h = h[n], h[:n]
+	for p, c := 0, 1; c < n; p, c = c, 2*c+1 {
+		if c+1 < n && h[c+1] < h[c] {
+			c++
+		}
+		if h[p] <= h[c] {
+			break
+		}
+		h[p], h[c] = h[c], h[p]
+	}
+	return top, h
 }

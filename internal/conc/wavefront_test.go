@@ -3,6 +3,7 @@ package conc
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -74,7 +75,8 @@ func TestWavefrontWidth(t *testing.T) {
 }
 
 func TestWavefrontSequentialOrder(t *testing.T) {
-	// workers=1 must execute in deterministic Kahn/FIFO order.
+	// workers=1 runs the lowest-index ready node first: the lowest-index
+	// topological order, not the FIFO one (0, 4, 1, 2, 3).
 	deps := [][]int{nil, {0}, {0}, {1, 2}, nil}
 	var order []int
 	if _, err := Wavefront(len(deps), deps, 1, func(_, i int) error {
@@ -83,9 +85,49 @@ func TestWavefrontSequentialOrder(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	want := []int{0, 4, 1, 2, 3}
+	want := []int{0, 1, 2, 3, 4}
 	if fmt.Sprint(order) != fmt.Sprint(want) {
 		t.Fatalf("order = %v, want %v", order, want)
+	}
+
+	// On random DAGs, against the definition: each step runs the smallest
+	// node whose dependencies have all run.
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + rng.Intn(30)
+		perm := rng.Perm(n) // a topological order the edges follow
+		deps := make([][]int, n)
+		for i := 1; i < n; i++ {
+			for k := rng.Intn(3); k > 0; k-- {
+				d := perm[rng.Intn(i)]
+				deps[perm[i]] = append(deps[perm[i]], d)
+			}
+		}
+		var got []int
+		if _, err := Wavefront(n, deps, 1, func(_, i int) error {
+			got = append(got, i)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		done := make([]bool, n)
+		var want []int
+		for len(want) < n {
+			for i := 0; i < n; i++ {
+				ready := !done[i]
+				for _, d := range deps[i] {
+					ready = ready && done[d]
+				}
+				if ready {
+					done[i] = true
+					want = append(want, i)
+					break
+				}
+			}
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("trial %d: order = %v, want %v", trial, got, want)
+		}
 	}
 }
 

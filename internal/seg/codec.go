@@ -104,6 +104,7 @@ func DecodeGraph(r *wirebin.Reader, f *ir.Func, inf *ssa.Info, pr *pta.Result) (
 	}
 	total := r.Len()
 	g.edges = make([]Edge, 0, total)
+	succStart := g.part(pSuccStart)
 	conds := inf.Conds.NumNodes()
 	last := -1
 	for sources := r.Len(); sources > 0; sources-- {
@@ -116,7 +117,7 @@ func DecodeGraph(r *wirebin.Reader, f *ir.Func, inf *ssa.Info, pr *pta.Result) (
 		if len(g.edges)+m > total {
 			return nil, errorf("more edges than the total %d", total)
 		}
-		g.succStart[from+1] = int32(m)
+		succStart[from+1] = int32(m)
 		for ; m > 0; m-- {
 			e := Edge{To: r.I32(), cond: r.I32()}
 			if e.To < 0 || int(e.To) >= nv {
@@ -132,7 +133,7 @@ func DecodeGraph(r *wirebin.Reader, f *ir.Func, inf *ssa.Info, pr *pta.Result) (
 		return nil, errorf("%d edges, total says %d", len(g.edges), total)
 	}
 	for i := 0; i < nv; i++ {
-		g.succStart[i+1] += g.succStart[i]
+		succStart[i+1] += succStart[i]
 	}
 	if err := r.Err(); err != nil {
 		return nil, err

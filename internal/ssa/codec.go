@@ -14,7 +14,7 @@ import (
 // ascending ID (an atom's ID is its value's), and the canonical reach
 // conditions by ascending block ID; conditions are node IDs, -1 = nil.
 // Control dependences are a pure function of the CFG and are rebuilt on
-// decode (ir.Func.ControlDeps). The lazy memos (JoinGates, CDCond) start
+// decode (ir.Func.ControlDeps). The lazy memo (JoinGates) starts
 // empty and replay into the decoded builder, which hash-conses them back to
 // the identical nodes.
 
