@@ -38,7 +38,8 @@ go test ./cmd/pinpoint -run 'AllEqualsUnionOfCheckers' -cpu 1,2
 # The allocation and residency budgets skip themselves under the race
 # detector (it allocates shadow state of its own), so they get a run without
 # it, together with the record sizes they follow from and the check that the
-# SEG's records hold no pointer.
+# SEG's records — vertices, edges, and the instructions and values of the
+# body it carries — hold no pointer.
 echo "== allocation and residency budgets, record sizes, pointer-free SEG records (no race detector)"
 go test ./internal/core ./internal/server -run 'Budget|RecordSizes|PointerFree'
 
