@@ -13,22 +13,7 @@ import (
 // back. The round trip is exact: node IDs, intern tables, and therefore the
 // operand order of future And/Or calls (which sort by node ID).
 
-// Nodes is a Builder's node set indexed by node ID; the other sections of an
-// artifact refer to conditions through it.
-type Nodes []*Cond
-
-// At resolves a serialized condition reference; -1 stands for nil.
-func (n Nodes) At(id int32) (*Cond, error) {
-	if id == -1 {
-		return nil, nil
-	}
-	if id < 0 || int(id) >= len(n) {
-		return nil, fmt.Errorf("bad cond id %d", id)
-	}
-	return n[id], nil
-}
-
-// Ref is the serialized reference At resolves back to c.
+// Ref is the serialized reference to c: its node ID, -1 for nil.
 func Ref(c *Cond) int32 {
 	if c == nil {
 		return -1
@@ -91,20 +76,29 @@ func EncodeBuilder(e *wirebin.Writer, b *Builder) error {
 // A node that names an operand not before it, a second true or false, or a
 // node the intern tables already hold (a genuine Builder hash-conses them
 // away) is an error.
-func DecodeBuilder(r *wirebin.Reader) (*Builder, Nodes, error) {
+func DecodeBuilder(r *wirebin.Reader) (*Builder, error) {
 	n := r.Len()
 	b := &Builder{nextID: n}
 	// The nodes live and die with the builder: one allocation for all but
 	// the first two — a genuine Builder's constants — which have their place
 	// inside it.
-	slab := make([]Cond, max(n-len(b.consts), 0))
-	nodes := make(Nodes, n)
+	var slab []Cond
+	if n > len(b.consts) {
+		slab = make([]Cond, n-len(b.consts))
+		b.made = make([]*Cond, len(slab))
+	}
+	node := func(id int) *Cond {
+		if id < len(b.consts) {
+			return &b.consts[id]
+		}
+		return b.made[id-len(b.consts)]
+	}
 	operand := func(i int) (*Cond, error) {
 		id := r.Int()
 		if id < 0 || id >= i {
 			return nil, r.Errorf("cond: decode: node %d references out-of-order operand %d", i, id)
 		}
-		return nodes[id], nil
+		return node(id), nil
 	}
 	var keyBuf [64]byte
 	for i := 0; i < n; i++ {
@@ -113,9 +107,9 @@ func DecodeBuilder(r *wirebin.Reader) (*Builder, Nodes, error) {
 			c = &b.consts[i]
 		} else {
 			c = &slab[i-len(b.consts)]
+			b.made[i-len(b.consts)] = c
 		}
 		c.kind, c.id = Kind(r.U8()), i
-		nodes[i] = c
 		var dup bool
 		switch c.kind {
 		case KTrue:
@@ -129,7 +123,7 @@ func DecodeBuilder(r *wirebin.Reader) (*Builder, Nodes, error) {
 		case KNot:
 			op, err := operand(i)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			c.ops = []*Cond{op}
 			_, dup = b.nots[op.id]
@@ -137,16 +131,16 @@ func DecodeBuilder(r *wirebin.Reader) (*Builder, Nodes, error) {
 		case KAnd, KOr:
 			m := r.Len()
 			if m < 2 {
-				return nil, nil, r.Errorf("cond: decode: nary node %d has %d operands", i, m)
+				return nil, r.Errorf("cond: decode: nary node %d has %d operands", i, m)
 			}
 			c.ops = make([]*Cond, m)
 			for j := range c.ops {
 				op, err := operand(i)
 				if err != nil {
-					return nil, nil, err
+					return nil, err
 				}
 				if j > 0 && op.id <= c.ops[j-1].id {
-					return nil, nil, r.Errorf("cond: decode: nary node %d has operands out of order", i)
+					return nil, r.Errorf("cond: decode: nary node %d has operands out of order", i)
 				}
 				c.ops[j] = op
 			}
@@ -154,18 +148,17 @@ func DecodeBuilder(r *wirebin.Reader) (*Builder, Nodes, error) {
 			_, dup = b.nary[string(key)]
 			intern(&b.nary, string(key), c)
 		default:
-			return nil, nil, r.Errorf("cond: decode: node %d has unknown kind %d", i, c.kind)
+			return nil, r.Errorf("cond: decode: node %d has unknown kind %d", i, c.kind)
 		}
 		if dup {
-			return nil, nil, r.Errorf("cond: decode: node %d duplicates an earlier node", i)
+			return nil, r.Errorf("cond: decode: node %d duplicates an earlier node", i)
 		}
 	}
 	if b.trueC == nil || b.falseC == nil {
-		return nil, nil, r.Errorf("cond: decode: missing constant nodes")
+		return nil, r.Errorf("cond: decode: missing constant nodes")
 	}
-	b.made = nodes[len(b.consts):]
 	if err := r.Err(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return b, nodes, nil
+	return b, nil
 }

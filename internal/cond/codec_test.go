@@ -67,37 +67,29 @@ func TestBuilderRoundTrip(t *testing.T) {
 		t.Fatalf("EncodeBuilder does not write the documented layout\ngot:  %v\nwant: %v", e.B, want)
 	}
 	r := wirebin.NewReader(e.B)
-	got, nodes, err := DecodeBuilder(r)
+	got, err := DecodeBuilder(r)
 	if err != nil || r.Rest() != 0 {
 		t.Fatalf("decode: %v, %d bytes left", err, r.Rest())
 	}
-	if got.NumNodes() != b.NumNodes() || len(nodes) != b.NumNodes() {
-		t.Fatalf("decoded %d nodes (%d indexed), want %d", got.NumNodes(), len(nodes), b.NumNodes())
+	if got.NumNodes() != b.NumNodes() {
+		t.Fatalf("decoded %d nodes, want %d", got.NumNodes(), b.NumNodes())
 	}
-	for id, c := range nodes {
-		if c.ID() != id || Ref(c) != int32(id) {
+	for id := int32(0); int(id) < got.NumNodes(); id++ {
+		if c := got.Node(id); c.ID() != int(id) || Ref(c) != id {
 			t.Errorf("node %d decoded with id %d", id, c.ID())
-		}
-		if back, err := nodes.At(int32(id)); err != nil || back != c {
-			t.Errorf("At(%d) = %v, %v", id, back, err)
 		}
 	}
 	// The intern tables came back: rebuilding the same conditions finds the
 	// decoded nodes and creates none.
 	a7, a3 := got.Atom(7), got.Atom(3)
-	if top := got.Or(a3, got.And(a7, got.Not(a3))); top != nodes[6] || top.String() != "(a3 | (a7 & !a3))" {
+	if top := got.Or(a3, got.And(a7, got.Not(a3))); top != got.Node(6) || top.String() != "(a3 | (a7 & !a3))" {
 		t.Errorf("rebuilt condition is %s (node %d), want node 6", top, top.ID())
 	}
 	if got.NumNodes() != b.NumNodes() {
 		t.Errorf("rebuilding interned conditions created %d nodes", got.NumNodes()-b.NumNodes())
 	}
-	if c, err := nodes.At(-1); c != nil || err != nil {
-		t.Errorf("At(-1) = %v, %v; want the nil condition", c, err)
-	}
-	for _, id := range []int32{-2, int32(len(nodes))} {
-		if _, err := nodes.At(id); err == nil {
-			t.Errorf("At(%d) resolved", id)
-		}
+	if Ref(nil) != -1 {
+		t.Errorf("Ref(nil) = %d, want -1", Ref(nil))
 	}
 }
 
@@ -127,7 +119,7 @@ func TestDecodeBuilderRejectsMalformed(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, _, err := DecodeBuilder(wirebin.NewReader(encodeNodes(tc.corrupt(codecNodes()))))
+			_, err := DecodeBuilder(wirebin.NewReader(encodeNodes(tc.corrupt(codecNodes()))))
 			if err == nil {
 				t.Fatal("decode accepted the stream")
 			}
@@ -140,12 +132,12 @@ func TestDecodeBuilderRejectsMalformed(t *testing.T) {
 	// A length no input can back, and the stream cut short anywhere.
 	var huge wirebin.Writer
 	huge.Uvarint(1 << 40)
-	if _, _, err := DecodeBuilder(wirebin.NewReader(huge.B)); err == nil {
+	if _, err := DecodeBuilder(wirebin.NewReader(huge.B)); err == nil {
 		t.Error("decode accepted a node count past the input")
 	}
 	full := encodeNodes(codecNodes())
 	for cut := 0; cut < len(full); cut++ {
-		if _, _, err := DecodeBuilder(wirebin.NewReader(full[:cut])); err == nil {
+		if _, err := DecodeBuilder(wirebin.NewReader(full[:cut])); err == nil {
 			t.Fatalf("decode accepted the stream cut at %d of %d bytes", cut, len(full))
 		}
 	}

@@ -124,8 +124,8 @@ type Analysis struct {
 }
 
 // Body returns module function f with its body. A build keeps only a
-// function's shell once its SEG stands, unless its session has a store; the
-// body is then lowered again from its unit, as the build made it.
+// function's shell once its SEG stands, and a store holds no more; the body
+// is lowered again from its unit, as the build made it.
 func (a *Analysis) Body(f *ir.Func) (*ir.Func, error) {
 	if f.HasBody() || a.body == nil {
 		return f, nil

@@ -143,12 +143,8 @@ type funcArtifact struct {
 	depFP   digest // of sigFP + callee sigFPs: transform/SEG validity key
 	sum     *modref.Summary
 	// fn is the lowered, SSA-converted, connector-transformed function —
-	// without its body (ir.Func.ReleaseBody) unless the session has a store,
-	// which writes it, and info and pta, what the build made of it, too.
-	// Detection reads the SEG only.
+	// without its body (ir.Func.ReleaseBody). Detection reads the SEG only.
 	fn    *ir.Func
-	info  *ssa.Info
-	pta   *pta.Result
 	seg   *seg.Graph
 	sizes artifactSizes
 	// persisted reports that the persistent store holds the artifact as it
@@ -1289,15 +1285,9 @@ func (s *Session) Update(units []minic.NamedSource) (*Analysis, error) {
 				pta:           pr.Stats,
 			},
 		}
-		if s.store == nil {
-			// Of the function, callers and detection read only its
-			// interface and its SEG from here on.
-			f.ReleaseBody()
-		} else {
-			f.ReleaseBuildState()
-			st.info.ReleaseBuildState()
-			st.art.info, st.art.pta = st.info, pr
-		}
+		// Of the function, callers, detection and the store read only its
+		// interface and its SEG from here on.
+		f.ReleaseBody()
 		return nil
 	}
 

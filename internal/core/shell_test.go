@@ -14,12 +14,14 @@ import (
 	"repro/internal/workload"
 )
 
-// TestDetectionReadsOnlySEG holds detection to what the SEGs carry. A build
-// without a store keeps only each function's shell once its SEG stands — no
-// blocks, no instruction or value chunks — so a detection that reached for a
-// body, an SSA info or a points-to result would find nothing; all six
-// checkers, with witnesses and provenance, must report exactly what they
-// report on a session with a store, which keeps the bodies.
+// TestDetectionReadsOnlySEG holds detection to what the SEGs carry. Every
+// build keeps only each function's shell once its SEG stands — no blocks, no
+// instruction or value chunks — and a warm restart over a store brings back
+// shells and SEGs and lowers nothing, so a detection that reached for a
+// body, an SSA info or a points-to result would find nothing. All six
+// checkers, with witnesses and provenance, must report exactly the same over
+// a storeless build and over a restart in which every artifact is a store
+// hit.
 func TestDetectionReadsOnlySEG(t *testing.T) {
 	progs := map[string][]minic.NamedSource{"r20k": ladder(600, 1)}
 	files, err := filepath.Glob("../../examples/mc/*.mc")
@@ -60,18 +62,29 @@ func TestDetectionReadsOnlySEG(t *testing.T) {
 					t.Fatalf("%s: %s kept its body after a build without a store", tag, f.Name)
 				}
 			}
-			st := openDisk(t, t.TempDir())
-			bodies, err := core.NewSession(core.BuildOptions{Workers: workers, Store: st}).Update(units)
+			dir := t.TempDir()
+			st := openDisk(t, dir)
+			if _, err := core.NewSession(core.BuildOptions{Workers: workers, Store: st}).Update(units); err != nil {
+				t.Fatalf("%s: %v", tag, err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			st = openDisk(t, dir)
+			warm, err := core.NewSession(core.BuildOptions{Workers: workers, Store: st}).Update(units)
 			if err != nil {
 				t.Fatalf("%s: %v", tag, err)
 			}
-			for _, f := range bodies.Module.Funcs {
-				if !f.HasBody() {
-					t.Fatalf("%s: %s lost its body in a session with a store", tag, f.Name)
+			if s := warm.Artifacts; s.StoreHits != warm.Sizes.Functions || s.Misses != 0 || s.Invalidated != 0 || s.UnitsParsed != 0 {
+				t.Fatalf("%s: the restart is not all store hits: %+v of %d functions", tag, s, warm.Sizes.Functions)
+			}
+			for _, f := range warm.Module.Funcs {
+				if f.HasBody() {
+					t.Fatalf("%s: %s has a body after a warm restart", tag, f.Name)
 				}
 			}
-			if got, want := reports(shells, workers), reports(bodies, workers); got != want {
-				t.Errorf("%s: reports over shells differ from those over bodies\nshells: %s\nbodies: %s", tag, got, want)
+			if got, want := reports(warm, workers), reports(shells, workers); got != want {
+				t.Errorf("%s: reports after a warm restart differ from a storeless build's\nwarm: %s\nstoreless: %s", tag, got, want)
 			}
 			st.Close()
 		}

@@ -46,18 +46,6 @@ func (t *Lists[T]) Put(id int, list []T) {
 	t.slot[id] = int32(len(t.lists))
 }
 
-// Len returns the number of assigned ids.
-func (t *Lists[T]) Len() int { return len(t.lists) }
-
-// Each calls fn for every assigned id in ascending id order.
-func (t *Lists[T]) Each(fn func(id int, list []T)) {
-	for id, s := range t.slot {
-		if s != 0 {
-			fn(id, t.lists[s-1])
-		}
-	}
-}
-
 // CSR is a Lists frozen into compressed-sparse-row form: the lists are cut
 // from one array, and the per-ID slots and the list bounds share another, so
 // a table is two allocations however many lists it holds. Lists that several
@@ -122,20 +110,3 @@ func (t *CSR[T]) Get(id int) ([]T, bool) {
 	}
 	return nil, true
 }
-
-// Each calls fn for every assigned id in [lo, hi), ascending, with the id
-// counted from lo, and returns how many there were. fn may be nil.
-func (t *CSR[T]) Each(lo, hi int, fn func(id int, list []T)) int {
-	n := 0
-	for id := lo; id < hi; id++ {
-		if l, ok := t.Get(id); ok {
-			if n++; fn != nil {
-				fn(id-lo, l)
-			}
-		}
-	}
-	return n
-}
-
-// IDs bounds the IDs the table covers.
-func (t *CSR[T]) IDs() int { return len(t.slot) }

@@ -19,11 +19,6 @@ func TestLists(t *testing.T) {
 	if _, ok := tab.Get(99); ok {
 		t.Error("id beyond the table reports an assignment")
 	}
-	var ids []int
-	tab.Each(func(id int, _ []string) { ids = append(ids, id) })
-	if len(ids) != 2 || ids[0] != 1 || ids[1] != 4 {
-		t.Errorf("Each visited %v, want [1 4]", ids)
-	}
 	var zero Lists[int]
 	if _, ok := zero.Get(0); ok {
 		t.Error("zero table reports an assignment")

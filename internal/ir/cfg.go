@@ -6,8 +6,8 @@ import "fmt"
 // post-dominator trees, and control dependence (Ferrante–Ottenstein–Warren),
 // which the SEG encodes as Lc-labeled edges (Pinpoint Definition 3.2). They
 // are computed in one pass, by SealCFG or when first asked for, and kept until
-// SealCFG runs again or ReleaseBuildState drops them: a CFG changed in between
-// must be sealed again. Lowered CFGs are acyclic (loops are unrolled), so one
+// SealCFG runs again or ReleaseBody drops them: a CFG changed in between must
+// be sealed again. Lowered CFGs are acyclic (loops are unrolled), so one
 // sweep in topological order yields the exact immediate dominators, every
 // predecessor being done before its block, and one sweep in the reverse order
 // the immediate post-dominators.

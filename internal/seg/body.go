@@ -307,6 +307,9 @@ func (g *Graph) read(f *ir.Func, inf *ssa.Info, pr *pta.Result, n int) {
 // Name returns the name of the graph's function.
 func (g *Graph) Name() string { return g.sym(0) }
 
+// File returns the file the graph's function is in.
+func (g *Graph) File() string { return g.sym(1) }
+
 func (g *Graph) sym(k int32) string {
 	o := g.part(pSyms)
 	return g.syms[o[k]:o[k+1]]
@@ -380,7 +383,7 @@ func (g *Graph) Callee(in int32) string {
 // it has none).
 func (g *Graph) Position(in int32) minic.Pos {
 	if l := g.instrs[in].Loc; l != (ir.Loc{}) {
-		return minic.Pos{File: g.sym(1), Line: int(l.Line), Col: int(l.Col)}
+		return minic.Pos{File: g.File(), Line: int(l.Line), Col: int(l.Col)}
 	}
 	return minic.Pos{}
 }
@@ -483,10 +486,11 @@ func (g *Graph) PrepareCD() {
 
 // atom returns the condition atom of a boolean value, registering it, the
 // way ssa.Info.Atom made the graph's other atoms: canonicalized through
-// copies and negations.
+// copies and negations. A chain of them visits each instruction once at
+// most, unless a corrupt graph made it a cycle, which the hop count ends.
 func (g *Graph) atom(v int32) *cond.Cond {
 	neg := false
-	for def := g.values[v].Def; def >= 0; def = g.values[v].Def {
+	for def, hops := g.values[v].Def, 0; def >= 0 && hops < len(g.instrs); def, hops = g.values[v].Def, hops+1 {
 		if in := &g.instrs[def]; in.Op == ir.OpUn && g.Sub(def) == "!" {
 			neg = !neg
 		} else if in.Op != ir.OpCopy {

@@ -2,82 +2,13 @@ package seg
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 
-	"repro/internal/cond"
 	"repro/internal/ir"
 	"repro/internal/wirebin"
 )
-
-// wireGraph is a graph's encoding as these tests write it by hand: the
-// fields of the layout documented in codec.go, in order.
-type wireGraph struct {
-	vertices []wireVertex
-	total    int // edge count, ahead of the lists
-	succs    []wireSuccs
-}
-
-type wireVertex struct {
-	kind, role uint8
-	val, instr int32
-	argIdx     int
-}
-
-type wireSuccs struct {
-	from  int32
-	edges [][2]int32 // target position, condition ID
-}
-
-func (w *wireGraph) bytes() []byte {
-	var e wirebin.Writer
-	e.Uvarint(uint64(len(w.vertices)))
-	for _, v := range w.vertices {
-		e.U8(v.kind)
-		e.U8(v.role)
-		e.I32(v.val)
-		e.I32(v.instr)
-		e.Int(v.argIdx)
-	}
-	e.Uvarint(uint64(w.total))
-	e.Uvarint(uint64(len(w.succs)))
-	for _, s := range w.succs {
-		e.I32(s.from)
-		e.Uvarint(uint64(len(s.edges)))
-		for _, ed := range s.edges {
-			e.I32(ed[0])
-			e.I32(ed[1])
-		}
-	}
-	return e.B
-}
-
-// describe writes down g the way a genuine encoding holds it, resolving
-// every ID and taking it back from what it resolves to.
-func describe(g *Graph) *wireGraph {
-	w := &wireGraph{total: g.NumEdges()}
-	for n := int32(0); int(n) < g.NumNodes(); n++ {
-		nd := g.Node(n)
-		v := wireVertex{kind: uint8(nd.Kind), role: uint8(nd.Role), val: -1, instr: -1, argIdx: int(nd.ArgIdx)}
-		v.val, v.instr = g.Val(n), g.Instr(n)
-		w.vertices = append(w.vertices, v)
-		if es := g.Succs(n); len(es) > 0 {
-			s := wireSuccs{from: n}
-			for _, ed := range es {
-				s.edges = append(s.edges, [2]int32{ed.To, cond.Ref(g.Cond(ed))})
-			}
-			w.succs = append(w.succs, s)
-		}
-	}
-	return w
-}
-
-// decodeEnv builds the SEG of fn in src.
-func decodeEnv(t *testing.T, src, fn string) *Graph {
-	t.Helper()
-	_, graphs := buildSEGs(t, src)
-	return graphs[fn]
-}
 
 const codecSrc = `
 int *pick(bool c, int *a) {
@@ -88,28 +19,41 @@ int *pick(bool c, int *a) {
 	return p;
 }`
 
-func TestGraphWireRoundTrip(t *testing.T) {
-	g := decodeEnv(t, codecSrc, "pick")
-	b := builtFrom[g]
+// encoded builds the SEG of pick above and returns it with its encoding.
+func encoded(t *testing.T) (*Graph, []byte) {
+	t.Helper()
+	_, graphs := buildSEGs(t, codecSrc)
+	g := graphs["pick"]
 	var e wirebin.Writer
 	EncodeGraph(&e, g)
-	if !bytes.Equal(e.B, describe(g).bytes()) {
-		t.Fatal("EncodeGraph does not write the documented layout")
-	}
-	r := wirebin.NewReader(e.B)
-	got, err := DecodeGraph(r, b.f, b.inf, b.pr)
+	return g, e.B
+}
+
+func decode(data []byte, g *Graph) (*Graph, error) {
+	return DecodeGraph(wirebin.NewReader(data), builtFrom[g].f, g.Conds())
+}
+
+func TestGraphWireRoundTrip(t *testing.T) {
+	g, data := encoded(t)
+	r := wirebin.NewReader(data)
+	got, err := DecodeGraph(r, builtFrom[g].f, g.Conds())
 	if err != nil || r.Rest() != 0 {
 		t.Fatalf("decode: %v, %d bytes left", err, r.Rest())
+	}
+	var again wirebin.Writer
+	EncodeGraph(&again, got)
+	if !bytes.Equal(again.B, data) {
+		t.Fatal("the decoded graph encodes differently")
 	}
 	if got.NumNodes() != g.NumNodes() || got.NumEdges() != g.NumEdges() {
 		t.Fatalf("round trip: %d nodes %d edges, want %d / %d", got.NumNodes(), got.NumEdges(), g.NumNodes(), g.NumEdges())
 	}
 	for n := int32(0); int(n) < g.NumNodes(); n++ {
-		if got.Node(n) != g.Node(n) || got.Val(n) != g.Val(n) || got.Instr(n) != g.Instr(n) || got.NodeString(n) != g.NodeString(n) {
+		if got.Node(n) != g.Node(n) || got.NodeString(n) != g.NodeString(n) {
 			t.Fatalf("vertex %d: got %+v, want %+v", n, got.Node(n), g.Node(n))
 		}
 		if g.Node(n).Kind == NValue && got.ValueNode(g.Val(n)) != n {
-			t.Errorf("vertex %d: ValueNode does not find the imported value vertex", n)
+			t.Errorf("vertex %d: ValueNode does not find the decoded value vertex", n)
 		}
 		es, fs := g.Succs(n), got.Succs(n)
 		if len(es) != len(fs) {
@@ -121,21 +65,33 @@ func TestGraphWireRoundTrip(t *testing.T) {
 			}
 		}
 	}
+	f := builtFrom[g].f
+	for in := int32(0); int(in) < f.NumInstrs(); in++ {
+		if *got.In(in) != *g.In(in) || got.Position(in) != g.Position(in) || got.Callee(in) != g.Callee(in) || got.CD(in) != g.CD(in) {
+			t.Errorf("instr %d: got %+v, want %+v", in, *got.In(in), *g.In(in))
+		}
+	}
+	for v := int32(0); int(v) < f.NumValues(); v++ {
+		if *got.Value(v) != *g.Value(v) || got.ValueString(v) != g.ValueString(v) {
+			t.Errorf("value %d: got %+v, want %+v", v, *got.Value(v), *g.Value(v))
+		}
+	}
 	if got.Dot() != g.Dot() {
 		t.Error("the decoded graph renders another DOT")
 	}
 }
 
 // TestImportGraphRejectsMalformed feeds DecodeGraph streams no genuine
-// encoding can be. Each must come back as an error — corruption costs a
-// rebuild, never a panic, neither at decode nor later in detection.
+// encoding can be: each is the encoding of a graph corrupted in memory, field
+// for field as the wire holds it. Each must come back as an error —
+// corruption costs a rebuild, never a panic, neither at decode nor later in
+// detection.
 func TestImportGraphRejectsMalformed(t *testing.T) {
-	g := decodeEnv(t, codecSrc, "pick")
-	b := builtFrom[g]
-	good := describe(g)
+	g, good := encoded(t)
+	f := builtFrom[g].f
 	firstOf := func(kind NodeKind) int {
-		for i, v := range good.vertices {
-			if v.kind == uint8(kind) {
+		for i := range g.nodes {
+			if g.nodes[i].Kind == kind {
 				return i
 			}
 		}
@@ -143,42 +99,131 @@ func TestImportGraphRejectsMalformed(t *testing.T) {
 		return -1
 	}
 	use, val := firstOf(NUse), firstOf(NValue)
+	// instrOf returns the first instruction with opcode op.
+	instrOf := func(g *Graph, op ir.Op) *Instr {
+		for _, in := range g.Order() {
+			if g.instrs[in].Op == op {
+				return &g.instrs[in]
+			}
+		}
+		t.Fatalf("no %s in the test graph", op)
+		return nil
+	}
+	constant := func(g *Graph) *Value {
+		for i := range g.values {
+			if g.values[i].Kind == ir.VConstInt {
+				return &g.values[i]
+			}
+		}
+		t.Fatal("no integer constant in the test graph")
+		return nil
+	}
+	// A corruption that sets a field to mark has the encoding carry the
+	// field 2^32 wider than any int32.
+	const mark = 0x5eadbee
 	cases := []struct {
 		name    string
-		corrupt func(w *wireGraph)
+		corrupt func(g *Graph)
 		want    string
 	}{
-		{"value id past the table", func(w *wireGraph) { w.vertices[val].val = int32(b.f.NumValues()) }, "bad value id"},
-		{"value id of a pre-SSA variable", func(w *wireGraph) { w.vertices[val].val = preSSA(t, b.f) }, "bad value id"},
-		{"negative value id", func(w *wireGraph) { w.vertices[val].val = -7 }, "bad value id"},
-		{"value vertex without value", func(w *wireGraph) { w.vertices[val].val = -1 }, "without value"},
-		{"duplicate value vertex", func(w *wireGraph) { w.vertices[use] = w.vertices[val] }, "duplicates the vertex"},
-		{"instr id past the table", func(w *wireGraph) { w.vertices[use].instr = int32(b.f.NumInstrs()) }, "bad instr id"},
-		{"negative instr id", func(w *wireGraph) { w.vertices[use].instr = -2 }, "bad instr id"},
-		{"use vertex without instruction", func(w *wireGraph) { w.vertices[use].instr = -1 }, "without instruction"},
-		{"use vertex without value", func(w *wireGraph) { w.vertices[use].val = -1 }, "without instruction or value"},
-		{"use vertex operand out of range", func(w *wireGraph) { w.vertices[use].argIdx = 99 }, "names operand"},
-		{"use vertex negative operand", func(w *wireGraph) { w.vertices[use].argIdx = -1 }, "names operand"},
-		{"use vertex operand wider than its field", func(w *wireGraph) { w.vertices[use].argIdx += 1 << 32 }, "names operand"},
-		{"value vertex operand wider than its field", func(w *wireGraph) { w.vertices[val].argIdx = 1 << 32 }, "has operand index"},
-		{"use vertex with a value role", func(w *wireGraph) { w.vertices[use].role = uint8(RoleNone) }, "unknown role"},
-		{"use vertex with a role past the table", func(w *wireGraph) { w.vertices[use].role = uint8(numRoles) }, "unknown role"},
-		{"unknown vertex kind", func(w *wireGraph) { w.vertices[val].kind = 9 }, "unknown kind"},
-		{"edge target out of range", func(w *wireGraph) { w.succs[0].edges[0][0] = int32(len(w.vertices)) }, "bad edge target"},
-		{"negative edge target", func(w *wireGraph) { w.succs[0].edges[0][0] = -1 }, "bad edge target"},
-		{"edge source out of range", func(w *wireGraph) { w.succs[len(w.succs)-1].from = int32(len(w.vertices)) }, "bad edge source"},
-		{"edge lists out of vertex order", func(w *wireGraph) { w.succs[1].from = w.succs[0].from }, "bad edge source"},
-		{"edge condition out of range", func(w *wireGraph) { w.succs[0].edges[0][1] = int32(g.Conds().NumNodes()) }, "bad cond id"},
-		{"negative edge condition", func(w *wireGraph) { w.succs[0].edges[0][1] = -3 }, "bad cond id"},
-		{"nil edge condition", func(w *wireGraph) { w.succs[0].edges[0][1] = -1 }, "bad cond id"},
-		{"more edges than the total", func(w *wireGraph) { w.total-- }, "more edges than the total"},
-		{"fewer edges than the total", func(w *wireGraph) { w.total++ }, "total says"},
+		{"value id past the table", func(g *Graph) { g.nodes[val].val = int32(len(g.values)) }, "bad value id"},
+		{"value id of a pre-SSA variable", func(g *Graph) { g.nodes[val].val = preSSA(t, f) }, "bad value id"},
+		{"negative value id", func(g *Graph) { g.nodes[val].val = -7 }, "bad value id"},
+		{"value vertex without value", func(g *Graph) { g.nodes[val].val = -1 }, "without value"},
+		{"duplicate value vertex", func(g *Graph) { g.nodes[use] = g.nodes[val] }, "duplicates the vertex"},
+		{"instr id past the table", func(g *Graph) { g.nodes[use].instr = int32(len(g.instrs)) }, "bad instr id"},
+		{"negative instr id", func(g *Graph) { g.nodes[use].instr = -2 }, "bad instr id"},
+		{"use vertex without instruction", func(g *Graph) { g.nodes[use].instr = -1 }, "without instruction"},
+		{"use vertex without value", func(g *Graph) { g.nodes[use].val = -1 }, "without instruction or value"},
+		{"use vertex operand out of range", func(g *Graph) { g.nodes[use].ArgIdx = 99 }, "names operand"},
+		{"use vertex negative operand", func(g *Graph) { g.nodes[use].ArgIdx = -1 }, "names operand"},
+		{"use vertex operand wider than its field", func(g *Graph) { g.nodes[use].ArgIdx = mark }, "wider than its record's"},
+		{"value vertex operand wider than its field", func(g *Graph) { g.nodes[val].ArgIdx = mark }, "wider than its record's"},
+		{"use vertex with a value role", func(g *Graph) { g.nodes[use].Role = RoleNone }, "unknown role"},
+		{"use vertex with a role past the table", func(g *Graph) { g.nodes[use].Role = UseRole(numRoles) }, "unknown role"},
+		{"unknown vertex kind", func(g *Graph) { g.nodes[val].Kind = 9 }, "unknown kind"},
+		{"edge target out of range", func(g *Graph) { g.edges[0].To = int32(g.numNodes) }, "bad edge target"},
+		{"negative edge target", func(g *Graph) { g.edges[0].To = -1 }, "bad edge target"},
+		{"edge source out of range", func(g *Graph) { g.nodes, g.numNodes = g.nodes[:g.numNodes-1], g.numNodes-1 }, "edge offsets"},
+		{"edge lists out of vertex order", func(g *Graph) {
+			ss := g.part(pSuccStart)
+			for k := range ss {
+				if ss[k+1] < ss[len(ss)-1] {
+					ss[k] = ss[len(ss)-1]
+					return
+				}
+			}
+		}, "edge offsets"},
+		{"edge condition out of range", func(g *Graph) { g.edges[0].cond = int32(g.conds.NumNodes()) }, "bad edge cond id"},
+		{"negative edge condition", func(g *Graph) { g.edges[0].cond = -3 }, "bad edge cond id"},
+		{"nil edge condition", func(g *Graph) { g.edges[0].cond = -1 }, "bad edge cond id"},
+		{"more edges than the total", func(g *Graph) { g.edges = append(g.edges, g.edges[0]) }, "edge offsets"},
+		{"fewer edges than the total", func(g *Graph) { g.edges = g.edges[:len(g.edges)-1] }, "edge offsets"},
+
+		// The body tables.
+		{"operand past pRefs", func(g *Graph) { instrOf(g, ir.OpStore).refs = g.at[pRefs+1] - 1 }, "operands past the references"},
+		{"part offsets out of order", func(g *Graph) {
+			at := g.part(pSuccAt)
+			at[1] = at[2] + 1
+		}, "bad block offsets"},
+		{"symbol offset past syms", func(g *Graph) { g.ints[g.at[pSyms+1]-1]++ }, "bad symbol offsets"},
+		{"value name past the symbols", func(g *Graph) { constant(g).name = int32(len(g.part(pSyms))) }, "bad symbol"},
+		{"gate condition past the builder", func(g *Graph) {
+			in := instrOf(g, ir.OpPhi)
+			g.ints[in.refs+int32(in.nArgs)] = int32(g.conds.NumNodes())
+		}, "bad gate cond id"},
+		{"load condition past the builder", func(g *Graph) {
+			in := instrOf(g, ir.OpLoad)
+			loads := g.part(pLoads)
+			at := g.ints[in.refs+int32(in.nArgs)]
+			if loads[at] == 0 {
+				t.Fatal("the test load has no sources")
+			}
+			loads[at+2] = int32(g.conds.NumNodes())
+		}, "bad load source"},
+		{"load sources past the loads", func(g *Graph) {
+			in := instrOf(g, ir.OpLoad)
+			g.part(pLoads)[g.ints[in.refs+int32(in.nArgs)]] = int32(len(g.part(pLoads)))
+		}, "sources past the loads"},
+		{"block id past numBlocks", func(g *Graph) { instrOf(g, ir.OpFree).Block = g.numBlocks() }, "bad block id"},
+		{"control-dependence triple naming no value", func(g *Graph) {
+			cd := g.part(pCDeps)
+			if len(cd) == 0 {
+				t.Fatal("the test graph has no control dependence")
+			}
+			cd[1] = preSSA(t, f)
+		}, "bad control dependence"},
+		{"wide constant past pWide", func(g *Graph) {
+			c := constant(g)
+			c.wide, c.num = true, int32(len(g.part(pWide)))
+		}, "bad wide constant"},
+		{"copy without its operand", func(g *Graph) { instrOf(g, ir.OpFree).Op = ir.OpCopy }, "bad arity"},
+		{"unknown opcode", func(g *Graph) { instrOf(g, ir.OpFree).Op = ir.OpFieldAddr + 1 }, "unknown op"},
+		{"receivers past the references", func(g *Graph) {
+			in := instrOf(g, ir.OpCall)
+			g.ints[in.refs+int32(in.nArgs)] = g.at[pRefs+1]
+		}, "receivers past the references"},
+		{"parameter that is no parameter", func(g *Graph) { g.part(pParams)[0] = instrOf(g, ir.OpMalloc).Dst }, "bad parameter value id"},
+		{"parameters out of place", func(g *Graph) {
+			ps := g.part(pParams)
+			ps[0], ps[1] = ps[1], ps[0]
+		}, "bad parameter value id"},
+		{"another function's ID spaces", func(g *Graph) { g.values = g.values[:len(g.values)-1] }, "not the function's"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			w := describe(g)
-			tc.corrupt(w)
-			got, err := DecodeGraph(wirebin.NewReader(w.bytes()), b.f, b.inf, b.pr)
+			h, err := decode(good, g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.corrupt(h)
+			var e wirebin.Writer
+			EncodeGraph(&e, h)
+			data := e.B
+			if old := binary.AppendVarint(nil, mark); bytes.Count(data, old) == 1 {
+				data = bytes.Replace(data, old, binary.AppendVarint(nil, mark+1<<32), 1)
+			}
+			got, err := decode(data, g)
 			if err == nil {
 				t.Fatalf("decode accepted the stream (graph with %d vertices)", got.NumNodes())
 			}
@@ -191,13 +236,12 @@ func TestImportGraphRejectsMalformed(t *testing.T) {
 	// A length no input can back, and the stream cut short anywhere.
 	var huge wirebin.Writer
 	huge.Uvarint(1 << 40)
-	if _, err := DecodeGraph(wirebin.NewReader(huge.B), b.f, b.inf, b.pr); err == nil {
-		t.Error("decode accepted a vertex count past the input")
+	if _, err := decode(huge.B, g); err == nil {
+		t.Error("decode accepted an instruction count past the input")
 	}
-	full := good.bytes()
-	for cut := 0; cut < len(full); cut++ {
-		if _, err := DecodeGraph(wirebin.NewReader(full[:cut]), b.f, b.inf, b.pr); err == nil {
-			t.Fatalf("decode accepted the stream cut at %d of %d bytes", cut, len(full))
+	for cut := 0; cut < len(good); cut++ {
+		if _, err := decode(good[:cut], g); err == nil {
+			t.Fatalf("decode accepted the stream cut at %d of %d bytes", cut, len(good))
 		}
 	}
 }

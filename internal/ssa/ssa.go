@@ -54,21 +54,16 @@ type Info struct {
 	// SEG uses control dependence instead, this is kept for the quasi
 	// points-to analysis and for tests). Nil for unreachable blocks.
 	reachCond []*cond.Cond
-	// build is what only the build reads (see joinState); ReleaseBuildState
-	// drops it.
+	// build is what only the build reads (see joinState).
 	build *joinState
 }
 
 // joinState memoizes JoinGates, by Block.ID. Only the build reads it
-// (Transform for the φ gates, pta.Analyze at joins, on one goroutine), so it
-// is dropped once the function's SEG stands.
+// (Transform for the φ gates, pta.Analyze at joins, on one goroutine); it
+// goes with the Info once the function's SEG stands.
 type joinState struct {
 	gates [][]*cond.Cond
 }
-
-// ReleaseBuildState drops the tables only the build reads. The build calls
-// it when the function's SEG is complete.
-func (inf *Info) ReleaseBuildState() { inf.build = nil }
 
 // AtomValue maps a condition atom ID back to the SSA value registered under
 // it (nil if none was).

@@ -2,7 +2,7 @@
 // persistent artifact store.
 //
 // A build artifact is flat data — varints, strings, lists of dense IDs — and
-// the per-package codecs (cond, ir, ssa, pta, seg) write and read it field by
+// the per-package codecs (cond, seg, core's own) write and read it field by
 // field, straight from and into the analysis objects: a length-prefixed
 // layout decodes with one linear scan of the buffer, no reflection and no
 // intermediate representation.
