@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/checkers"
 	"repro/internal/detect"
+	"repro/internal/ir"
 	"repro/internal/minic"
 	"repro/internal/store"
 	"repro/internal/wirebin"
@@ -249,7 +250,7 @@ func malformedFacts(t testing.TB) map[string]struct {
 	// What the encoder writes of facts no parse yields.
 	for name, spoil := range map[string]func(uf *unitFacts){
 		"facts-bad-type-tag":    func(uf *unitFacts) { uf.types[0] = minic.Type{Base: "float"} },
-		"facts-deep-pointer":    func(uf *unitFacts) { uf.globals[0].Type.Ptr = maxPtrDepth + 1 },
+		"facts-deep-pointer":    func(uf *unitFacts) { uf.globals[0].Type.Ptr = ir.MaxPtrDepth + 1 },
 		"facts-negative-line":   func(uf *unitFacts) { uf.funcs[0].line = -3 },
 		"facts-callee-order":    func(uf *unitFacts) { setCallees(uf, 0, "zeta", "alpha") },
 		"facts-callee-twice":    func(uf *unitFacts) { setCallees(uf, 0, "alpha", "alpha") },
@@ -276,15 +277,20 @@ func malformedFacts(t testing.TB) map[string]struct {
 		b[len(b)-r.Rest()-1] = 0x7f // the count itself: two functions become 127
 		return b
 	}), 0}
+	// A field's type "node" as the first symbol of a frame writes it: the
+	// type's tag, then index 1 and the name that defines it.
+	var node wirebin.Writer
+	ir.EncodeType(&node, minic.StructType("node"))
+	nodeType := node.B[:len(node.B)-1] // less its pointer levels
 	out["facts-bad-symbol"] = bad{reframe(seed, 0, func(b []byte) []byte {
-		// The first symbol of the frame is the struct name in a field's type:
-		// index 1, defined inline. Make it index 9 of a table holding none.
-		at := bytes.Index(b, []byte{typeStruct, 1, 4, 'n', 'o', 'd', 'e'})
+		// The first symbol of the frame is the struct name in a field's type.
+		// Make its index 9 of a table holding none.
+		at := bytes.Index(b, nodeType)
 		b[at+1] = 9
 		return b
 	}), 0}
 	out["facts-unnamed-struct-type"] = bad{reframe(seed, 0, func(b []byte) []byte {
-		at := bytes.Index(b, []byte{typeStruct, 1, 4, 'n', 'o', 'd', 'e'})
+		at := bytes.Index(b, nodeType)
 		return append(b[:at+1:at+1], append([]byte{0}, b[at+7:]...)...)
 	}), 0}
 	out["facts-trailing-byte"] = bad{reframe(seed, 0, func(b []byte) []byte { return append(b, 0) }), 0}
