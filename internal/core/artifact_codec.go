@@ -54,8 +54,10 @@ import (
 // artifactCodecVersion gates decoding: bump on any format change so old
 // records read as misses instead of garbage. Version 6 writes no function
 // body, SSA info or points-to result: only the SEG, whose tables carry what
-// detection reads of the body.
-const artifactCodecVersion = 6
+// detection reads of the body. Version 7 writes the SEG finished: every
+// value's vertex, and each block's control-dependence condition and
+// reachability row.
+const artifactCodecVersion = 7
 
 // segMagic opens every segment record, so foreign bytes fail fast before
 // any field decoding.

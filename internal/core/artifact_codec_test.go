@@ -93,12 +93,13 @@ func checkDecoded(t testing.TB, progFP string, hdr segmentHeader, arts []*funcAr
 	}
 }
 
-// answersDetection calls every body accessor detection calls on g, the graph
-// of shell f, for every instruction, value, block and vertex it holds, then
-// what prepare runs on it; a graph the decoder should have refused panics.
+// answersDetection calls every accessor detection calls on g, the graph of
+// shell f, for every instruction, value, block and vertex it holds; a graph
+// the decoder should have refused panics. The value vertex of every
+// parameter, operand, receiver and Dst must be there: detection looks them
+// up, and creates none.
 func answersDetection(f *ir.Func, g *seg.Graph) {
 	g.Order()
-	g.Params()
 	g.RetArgs()
 	for v := int32(0); int(v) < f.NumValues(); v++ {
 		g.Value(v).ParamIdx()
@@ -106,9 +107,37 @@ func answersDetection(f *ir.Func, g *seg.Graph) {
 		g.ValueString(v)
 		g.IntVal(v)
 		g.AtomValue(int(v))
+		g.ValueNode(v)
+	}
+	vertex := func(v int32) {
+		if v >= 0 {
+			g.Node(g.ValueNode(v))
+		}
+	}
+	for _, p := range g.Params() {
+		vertex(p)
+	}
+	for _, in := range g.Order() {
+		for _, a := range g.Args(in) {
+			vertex(a)
+		}
+		for _, d := range g.Dsts(in) {
+			vertex(d)
+		}
+		vertex(g.In(in).Dst)
 	}
 	for b := int32(0); int(b) < f.NumBlocks(); b++ {
 		g.CDeps(b)
+	}
+	// An instruction of each block that holds one, to read every
+	// reachability row from each.
+	var ofBlock []int32
+	seen := make([]bool, f.NumBlocks())
+	for in := int32(0); int(in) < f.NumInstrs(); in++ {
+		if b := g.In(in).Block; b >= 0 && !seen[b] {
+			seen[b] = true
+			ofBlock = append(ofBlock, in)
+		}
 	}
 	for in := int32(0); int(in) < f.NumInstrs(); in++ {
 		r := g.In(in)
@@ -119,7 +148,10 @@ func answersDetection(f *ir.Func, g *seg.Graph) {
 		g.Dsts(in)
 		g.Callee(in)
 		g.Position(in)
-		g.HappensAfter(in, in)
+		g.CD(in)
+		for _, other := range ofBlock {
+			g.HappensAfter(in, other)
+		}
 		switch r.Op {
 		case ir.OpPhi:
 			for i := range g.Args(in) {
@@ -130,14 +162,6 @@ func answersDetection(f *ir.Func, g *seg.Graph) {
 			for i := 1; i < len(srcs); i += 2 {
 				g.Conds().Node(srcs[i])
 			}
-		}
-	}
-	g.EnsureValueNodes()
-	g.PrepareCD()
-	g.PrecomputeReach()
-	for in := int32(0); int(in) < f.NumInstrs(); in++ {
-		if g.In(in).Block >= 0 {
-			g.CD(in)
 		}
 	}
 	for n := int32(0); int(n) < g.NumNodes(); n++ {
@@ -254,7 +278,7 @@ type narrowSeed struct {
 
 // segParts is the number of parts of a SEG's int32 array, as its codec
 // writes their lengths.
-const segParts = 14
+const segParts = 13
 
 // narrowFieldSeeds are the narrowSeeds: a position or an ID space wider than
 // its field (the fields that were narrowed when the records were compacted),
@@ -468,12 +492,12 @@ func frameStarts(seg []byte) []int {
 }
 
 // TestSegmentCodecParallelEquivalence: the worker count is not part of the
-// format. The store-v6 fixture and a segment of several chunks decode
+// format. The store-v7 fixture and a segment of several chunks decode
 // at any worker count to artifacts that encode, at any worker count, to the
 // bytes they came from; and of two frames whose streams are broken, the error
 // names the lower one however many workers ran.
 func TestSegmentCodecParallelEquivalence(t *testing.T) {
-	log, err := os.ReadFile(filepath.Join("testdata", "store-v6", "store.log"))
+	log, err := os.ReadFile(filepath.Join("testdata", "store-v7", "store.log"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -218,12 +218,12 @@ func TestSessionStoreLegacyVerdictRecords(t *testing.T) {
 
 // TestSessionStoreLegacyV4Segments keeps -store-dirs written by an older codec
 // version working the only way an old format is meant to: each directory
-// under testdata (written by the version-4 and the version-5 binary, see
-// prog.mc there) opens, every artifact in it reads as a miss, the program
+// under testdata (written by the version-4, 5 and 6 binaries, see prog.mc
+// there) opens, every artifact in it reads as a miss, the program
 // rebuilds with reports byte-identical to a storeless build, and from the
 // next restart on the directory serves the current version's segments.
 func TestSessionStoreLegacyV4Segments(t *testing.T) {
-	for _, version := range []int{4, 5} {
+	for _, version := range []int{4, 5, 6} {
 		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
 			fixture := filepath.Join("testdata", fmt.Sprintf("store-v%d", version))
 			src, err := os.ReadFile(filepath.Join(fixture, "prog.mc"))

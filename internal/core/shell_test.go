@@ -3,6 +3,7 @@ package core_test
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"testing"
@@ -11,6 +12,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/detect"
 	"repro/internal/minic"
+	"repro/internal/seg"
+	"repro/internal/wirebin"
 	"repro/internal/workload"
 )
 
@@ -87,6 +90,70 @@ func TestDetectionReadsOnlySEG(t *testing.T) {
 				t.Errorf("%s: reports after a warm restart differ from a storeless build's\nwarm: %s\nstoreless: %s", tag, got, want)
 			}
 			st.Close()
+		}
+	}
+}
+
+// TestDetectionLeavesGraphsUnchanged holds detection to reading the SEGs: a
+// graph is final when built or decoded, so all six checkers with witnesses,
+// run at one worker and then at two, leave every graph's vertex count and
+// encoding as they found them — over a storeless build of the r20k ladder
+// and over a warm restart of it, whose graphs encode as the storeless
+// build's do.
+func TestDetectionLeavesGraphsUnchanged(t *testing.T) {
+	units := ladder(600, 1)
+	type graphState struct {
+		nodes int
+		wire  string
+	}
+	snapshot := func(a *core.Analysis) map[string]graphState {
+		out := make(map[string]graphState, len(a.Module.Funcs))
+		for _, f := range a.Module.Funcs {
+			if g := a.SEGs[f.ID]; g != nil {
+				var e wirebin.Writer
+				seg.EncodeGraph(&e, g)
+				out[f.Name] = graphState{g.NumNodes(), string(e.B)}
+			}
+		}
+		return out
+	}
+	storeless, err := core.BuildFromSource(units, core.BuildOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	st := openDisk(t, dir)
+	if _, err := core.NewSession(core.BuildOptions{Workers: 2, Store: st}).Update(units); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st = openDisk(t, dir)
+	defer st.Close()
+	warm, err := core.NewSession(core.BuildOptions{Workers: 2, Store: st}).Update(units)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := warm.Artifacts; s.StoreHits != warm.Sizes.Functions {
+		t.Fatalf("the restart is not all store hits: %+v of %d functions", s, warm.Sizes.Functions)
+	}
+	built := snapshot(storeless)
+	if len(built) == 0 {
+		t.Fatal("the build holds no graph")
+	}
+	for name, a := range map[string]*core.Analysis{"storeless": storeless, "warm restart": warm} {
+		if got := snapshot(a); !maps.Equal(got, built) {
+			t.Fatalf("%s: the graphs encode otherwise than the storeless build's before detection", name)
+		}
+		for _, workers := range []int{1, 2} {
+			a.CheckAll(checkers.All(), detect.Options{Workers: workers, Witness: true})
+			for fn, after := range snapshot(a) {
+				if before := built[fn]; after != before {
+					t.Fatalf("%s, workers %d: detection changed the graph of %s: %d vertices and %d wire bytes, were %d and %d",
+						name, workers, fn, after.nodes, len(after.wire), before.nodes, len(before.wire))
+				}
+			}
 		}
 	}
 }

@@ -58,8 +58,6 @@ type fnCache struct {
 	lin   linearCache
 	rev   revEntry
 
-	// The one-time passes prepare has run on the function.
-	frozen, reach bool
 	// params holds what the may-free fixpoint reads of the local flows of each
 	// parameter (by ParamIdx); nil until paramFacts enumerated them.
 	params []paramFacts
@@ -95,14 +93,8 @@ type revEntry struct {
 	preds []int32
 }
 
-// of returns n's predecessors (none for a vertex created after the index
-// was built: such vertices have no edges).
-func (re *revEntry) of(n int32) []int32 {
-	if int(n)+1 >= len(re.start) {
-		return nil
-	}
-	return re.preds[re.start[n]:re.start[n+1]]
-}
+// of returns n's predecessors.
+func (re *revEntry) of(n int32) []int32 { return re.preds[re.start[n]:re.start[n+1]] }
 
 func newFnCache() *fnCache {
 	fc := new(fnCache)

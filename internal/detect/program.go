@@ -87,7 +87,7 @@ func NewProgramIndexed(m *ir.Module, segs []*seg.Graph) *Program {
 
 // EnableCachePersistence makes detection caches survive across CheckAll
 // calls on this Program. Cache contents are memoized pure functions of the
-// frozen per-function SEGs, so persistence changes wall-clock and the
+// per-function SEGs, which are final when built, so persistence changes wall-clock and the
 // hit/miss and run/replay counters but never the reports.
 func (p *Program) EnableCachePersistence() {
 	if p.sticky == nil {
@@ -122,7 +122,7 @@ func (p *Program) ReplayTableSize() int {
 // ir.Func.ID) and fresh lists the functions of m that prev's
 // module does not hold — rebuilt or new. It carries over prev's persistent
 // detection caches for every other function: their flow summaries, linear
-// solvers, reverse indexes, frozen preparation state, task lists and
+// solvers, reverse indexes, parameter facts, task lists and
 // recorded task results (each of which replays only while its footprint
 // holds in the new Program; see replay.go). When the two modules share a
 // Layout, nothing but the entries of the fresh functions is touched: their

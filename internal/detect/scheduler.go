@@ -25,12 +25,12 @@ import (
 // results in task order, which makes the output bit-for-bit identical at
 // every worker count and to running each checker alone:
 //
-//   - prepare() freezes the shared program state (control-dependence
-//     conditions, SEG value vertices, block reachability) so workers only
-//     read it; the remaining mutable state (flow summaries, linear solvers,
-//     reverse indexes, the per-function condition builders) is lock-guarded
-//     and memoizes pure functions of the frozen program, so cache contents
-//     never depend on scheduling;
+//   - the SEGs are final when built (control-dependence conditions, value
+//     vertices, block reachability), so workers only read them; the mutable
+//     state (flow summaries, linear solvers, reverse indexes, the
+//     per-function condition builders) is lock-guarded and memoizes pure
+//     functions of the program, so cache contents never depend on
+//     scheduling;
 //   - each task starts its worker's Engine over — the per-source instance
 //     counter at zero, the path empty — so SMT variable names, assertion
 //     order, and hence witnesses are per-task deterministic;
@@ -379,17 +379,13 @@ func CheckAll(prog *Program, specs []*checkers.Spec, opts Options) Results {
 	return res
 }
 
-// prepare freezes the shared program state and enumerates the detection
-// tasks. Per function, from its SEG alone: control-dependence conditions are
-// memoized per block,
-// every value vertex the search can name is pre-created, block reachability
-// is pre-filled (when some checker needs ordering), the local flows of every
-// parameter are enumerated into the shared cache and where they end is noted
-// (when an unreleased-resource checker will run its may-free-parameter
-// fixpoint over those facts — which it does for functions that have callers),
-// and every group's sources are extracted. Each of these happens once per
-// function object —
-// its fnCache remembers which passes ran and keeps the task lists — and the
+// prepare enumerates the detection tasks; it only reads the SEGs, which are
+// final when built. Per function: the local flows of every parameter are
+// enumerated into the shared cache and where they end is noted (when an
+// unreleased-resource checker will run its may-free-parameter fixpoint over
+// those facts — which it does for functions that have callers), and every
+// group's sources are extracted. Each of these happens once per function
+// object — its fnCache keeps the facts and the task lists — and the
 // assembled plan is kept with the caches, so on a Program carried over from
 // a previous one (same checkers) only the functions that replaced others are
 // visited, in one parallel pass, and only their tasks are spliced into the
@@ -407,15 +403,7 @@ func prepare(prog *Program, groups []group, ks []int, c *caches, workers int, n 
 	if prog.sticky != nil {
 		lists = len(c.walks.ids)
 	}
-	needReach, warmParams := false, false
-	for gi := range groups {
-		if groups[gi].specs[0].OrderingRequired {
-			needReach = true
-		}
-		if groups[gi].specs[0].Kind == checkers.KindUnreleased {
-			warmParams = true
-		}
-	}
+	warmParams := slices.ContainsFunc(groups, func(g group) bool { return g.specs[0].Kind == checkers.KindUnreleased })
 	m := prog.Module
 	todo := m.Funcs
 	if c.plan != nil && slices.Equal(ks, c.planFor) {
@@ -438,19 +426,9 @@ func prepare(prog *Program, groups []group, ks []int, c *caches, workers int, n 
 		if g == nil {
 			return nil
 		}
-		fc := c.fn[f.ID]
-		if !fc.frozen {
-			g.PrepareCD()
-			g.EnsureValueNodes()
-			fc.frozen = true
-		}
-		if needReach && !fc.reach {
-			g.PrecomputeReach()
-			fc.reach = true
-		}
 		warm(w, f, g)
 		for gi := range groups {
-			fc.tasksFor(groups[gi].lists, lists, groups[gi].specs[0], f, g)
+			c.fn[f.ID].tasksFor(groups[gi].lists, lists, groups[gi].specs[0], f, g)
 		}
 		return nil
 	})

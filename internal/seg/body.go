@@ -75,19 +75,22 @@ const (
 	pLoads // per load: the source count, then (value ID, condition ID) pairs
 	pWide  // VConstInt payloads too wide for Value.num, as (low, high) halves
 	pOrder // instruction IDs in block and instruction order
-	pBlocks
 	pParams
 	// By Block.ID: block b's control dependences are the (branch block ID,
 	// condition value ID, 1 if on the true edge) triples of
-	// pCDeps[cdAt[b]:cdAt[b+1]], its successors pSuccs[succAt[b]:succAt[b+1]].
+	// pCDeps[cdAt[b]:cdAt[b+1]].
 	pCDAt
-	pSuccAt
 	pCDeps
-	pSuccs
 	pSyms      // symbol k is syms[pSyms[k]:pSyms[k+1]]
-	pAtoms     // the atoms the build registered
+	pAtoms     // the value IDs registered as condition atoms, ascending
 	pInstrIdx  // intra-block instruction positions by Instr.ID
 	pSuccStart // the vertices' edge offsets (see Graph.edges)
+	// By Block.ID: the condition ID of the conjunction of the block's
+	// control dependences (Graph.CD), and the blocks reachable from it
+	// through at least one CFG edge, a bit per Block.ID in rows of
+	// reachWords words.
+	pCDCond
+	pReach
 	numParts
 )
 
@@ -105,12 +108,6 @@ type body struct {
 	ints    []int32
 	at      [numParts + 1]int32
 	retArgs int32 // the number of return operands, the aux ones included
-	// atoms lists, ascending, the value IDs registered as condition atoms
-	// (an atom's ID is its value's); nil while they are part pAtoms.
-	atoms []int32
-	// cdCond holds each block's control-dependence condition once
-	// PrepareCD has run.
-	cdCond []*cond.Cond
 }
 
 func (b *body) part(k int) []int32 { return b.ints[b.at[k]:b.at[k+1]] }
@@ -181,7 +178,6 @@ func (g *Graph) read(f *ir.Func, inf *ssa.Info, pr *pta.Result, n int) {
 	if ret := f.Exit.Term(); ret != nil {
 		g.retArgs = int32(len(ret.Args))
 	}
-	rd.parts[pAtoms] = inf.AppendAtoms(rd.parts[pAtoms])
 
 	g.instrs = make([]Instr, f.NumInstrs())
 	for id := range g.instrs {
@@ -267,20 +263,22 @@ func (g *Graph) read(f *ir.Func, inf *ssa.Info, pr *pta.Result, n int) {
 	instrIdx := zeros(pInstrIdx, len(g.instrs))
 	zeros(pSuccStart, n+1)
 	nb := f.NumBlocks()
-	cdAt, succAt := zeros(pCDAt, nb+1), zeros(pSuccAt, nb+1)
+	cdAt := zeros(pCDAt, nb+1)
 	for _, b := range f.Blocks {
-		add(pBlocks, int32(b.ID))
 		for i, in := range b.Instrs {
 			instrIdx[in.ID] = int32(i)
 			add(pOrder, in.ID)
 		}
-		cdAt[b.ID+1], succAt[b.ID+1] = 3*int32(len(inf.CD(b))), int32(len(b.Succs))
+		cdAt[b.ID+1] = 3 * int32(len(inf.CD(b)))
 	}
 	for id := 0; id < nb; id++ {
 		cdAt[id+1] += cdAt[id]
-		succAt[id+1] += succAt[id]
 	}
-	cdeps, succs := zeros(pCDeps, int(cdAt[nb])), zeros(pSuccs, int(succAt[nb]))
+	cdeps := zeros(pCDeps, int(cdAt[nb]))
+	cdCond := zeros(pCDCond, nb) // a block no instruction is in keeps true, ID 0
+	w := reachWords(int32(nb))
+	reach := zeros(pReach, nb*int(w))
+	stack := make([]*ir.Block, 0, 16)
 	for _, b := range f.Blocks {
 		for i, d := range inf.CD(b) {
 			at := int(cdAt[b.ID]) + 3*i
@@ -289,10 +287,24 @@ func (g *Graph) read(f *ir.Func, inf *ssa.Info, pr *pta.Result, n int) {
 				cdeps[at+2] = 1
 			}
 		}
-		for i, s := range b.Succs {
-			succs[int(succAt[b.ID])+i] = int32(s.ID)
+		cdCond[b.ID] = cond.Ref(cdOf(inf, b))
+		// The blocks b reaches through at least one CFG edge, by a
+		// depth-first walk.
+		row := reach[int32(b.ID)*w : int32(b.ID+1)*w]
+		stack = append(stack[:0], b)
+		for len(stack) > 0 {
+			x := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, s := range x.Succs {
+				if i, m := reachBit(int32(s.ID)); row[i]&m == 0 {
+					row[i] |= m
+					stack = append(stack, s)
+				}
+			}
 		}
 	}
+	// cdOf registered the atoms of the control dependences.
+	rd.parts[pAtoms] = inf.AppendAtoms(rd.parts[pAtoms])
 
 	total := 0
 	for _, p := range rd.parts {
@@ -395,11 +407,6 @@ func (g *Graph) CDeps(b int32) []int32 {
 	return g.part(pCDeps)[at[b]:at[b+1]]
 }
 
-func (g *Graph) succs(b int32) []int32 {
-	at := g.part(pSuccAt)
-	return g.part(pSuccs)[at[b]:at[b+1]]
-}
-
 // numBlocks bounds the block IDs.
 func (g *Graph) numBlocks() int32 { return g.at[pCDAt+1] - g.at[pCDAt] - 1 }
 
@@ -444,89 +451,29 @@ func (g *Graph) ValueString(v int32) string {
 // CD returns the direct control-dependence condition of the statement an
 // instruction belongs to (the CD(v@s) of Equation 1, non-recursive part).
 func (g *Graph) CD(in int32) *cond.Cond {
-	if b := g.instrs[in].Block; g.cdCond != nil {
-		return g.cdCond[b]
-	} else {
-		return g.cdOf(b)
-	}
+	return g.conds.Node(g.part(pCDCond)[g.instrs[in].Block])
 }
 
 // cdOf returns the conjunction of block b's control dependences (not chased
 // transitively: the search recurses over the controlling branch values
-// itself, per Example 3.8 of the paper).
-func (g *Graph) cdOf(b int32) *cond.Cond {
-	deps := g.CDeps(b)
-	if len(deps) == 0 {
-		return g.conds.True()
-	}
-	cs := make([]*cond.Cond, 0, len(deps)/3)
-	for i := 0; i < len(deps); i += 3 {
-		a := g.atom(deps[i+1])
-		if deps[i+2] == 0 {
-			a = g.conds.Not(a)
+// itself, per Example 3.8 of the paper), registering their atoms.
+func cdOf(inf *ssa.Info, b *ir.Block) *cond.Cond {
+	var few [8]*cond.Cond
+	cs := few[:0]
+	for _, d := range inf.CD(b) {
+		a := inf.Atom(d.Cond())
+		if !d.OnTrue {
+			a = inf.Conds.Not(a)
 		}
 		cs = append(cs, a)
 	}
-	return g.conds.And(cs...)
-}
-
-// PrepareCD memoizes the control-dependence condition of every block. Atom
-// registration (which mutates the atom list) happens here, on one goroutine;
-// afterwards CD only reads, so detection workers can share the graph.
-func (g *Graph) PrepareCD() {
-	if g.cdCond != nil {
-		return
-	}
-	m := make([]*cond.Cond, g.numBlocks())
-	for _, b := range g.part(pBlocks) {
-		m[b] = g.cdOf(b)
-	}
-	g.cdCond = m
-}
-
-// atom returns the condition atom of a boolean value, registering it, the
-// way ssa.Info.Atom made the graph's other atoms: canonicalized through
-// copies and negations. A chain of them visits each instruction once at
-// most, unless a corrupt graph made it a cycle, which the hop count ends.
-func (g *Graph) atom(v int32) *cond.Cond {
-	neg := false
-	for def, hops := g.values[v].Def, 0; def >= 0 && hops < len(g.instrs); def, hops = g.values[v].Def, hops+1 {
-		if in := &g.instrs[def]; in.Op == ir.OpUn && g.Sub(def) == "!" {
-			neg = !neg
-		} else if in.Op != ir.OpCopy {
-			break
-		}
-		v = g.Args(def)[0]
-	}
-	var a *cond.Cond
-	if r := &g.values[v]; r.Kind == ir.VConstBool {
-		a = g.conds.False()
-		if r.BoolVal {
-			a = g.conds.True()
-		}
-	} else {
-		if g.atoms == nil {
-			g.atoms = slices.Clone(g.part(pAtoms))
-		}
-		if i, ok := slices.BinarySearch(g.atoms, v); !ok {
-			g.atoms = slices.Insert(g.atoms, i, v)
-		}
-		a = g.conds.Atom(int(v))
-	}
-	if neg {
-		a = g.conds.Not(a)
-	}
-	return a
+	return inf.Conds.And(cs...)
 }
 
 // AtomValue maps a condition atom back to the value ID registered under it
 // (-1 if none was).
 func (g *Graph) AtomValue(atom int) int32 {
-	atoms := g.atoms
-	if atoms == nil {
-		atoms = g.part(pAtoms)
-	}
-	if _, ok := slices.BinarySearch(atoms, int32(atom)); ok {
+	if _, ok := slices.BinarySearch(g.part(pAtoms), int32(atom)); ok {
 		return int32(atom)
 	}
 	return -1

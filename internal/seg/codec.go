@@ -18,12 +18,13 @@ import (
 //	vertex records in creation order: kind, role, value ID, instruction ID, operand index
 //	edges in source order: target vertex, condition ID
 //
-// The vertices' edge offsets are part pSuccStart; the condition builder is
-// persisted beside the graph (cond.EncodeBuilder). Creation order is
-// load-bearing: detection meets the use vertices of a role in creation order
-// (vertex IDs ascending), so preserving the order preserves report
-// determinism. The lazy memos — control-dependence conditions, happens-after
-// rows, atoms registered since the build — restart empty.
+// The vertices' edge offsets, the blocks' control-dependence conditions and
+// reachability rows are parts like the others; the condition builder is
+// persisted beside the graph (cond.EncodeBuilder). A graph is final when
+// built, so what is written is what Build made, whatever detection did with
+// the graph since. Creation order is load-bearing: detection meets the use
+// vertices of a role in creation order (vertex IDs ascending), so preserving
+// the order preserves report determinism.
 
 // Value flag bits on the wire.
 const (
@@ -74,9 +75,9 @@ func EncodeGraph(e *wirebin.Writer, g *Graph) {
 		e.I32(x)
 	}
 	e.I32(g.retArgs)
-	e.Uvarint(uint64(g.numNodes))
-	for n := int32(0); int(n) < g.numNodes; n++ {
-		nd := g.node(n)
+	e.Uvarint(uint64(len(g.nodes)))
+	for i := range g.nodes {
+		nd := &g.nodes[i]
 		e.U8(uint8(nd.Kind))
 		e.U8(uint8(nd.Role))
 		e.I32(nd.val)
@@ -108,10 +109,12 @@ func (r *wireReader) i32() int32 {
 }
 
 // DecodeGraph reads the graph of f, a function shell whose ID spaces it
-// checks the graph's against, from r; conds is its condition builder. The tables are read as they were written, then checked
-// in one pass (Graph.check): every ID, offset and count against the space it
-// indexes. Anything a genuine encoding cannot contain is an error, so
-// corruption costs a rebuild, never a panic — neither here nor in detection.
+// checks the graph's against, from r; conds is its condition builder. The
+// tables are read as they were written, then checked in one pass
+// (Graph.check): every ID, offset and count against the space it indexes,
+// and the graph against what Build finishes; it runs no analysis. Anything a
+// genuine encoding cannot contain is an error, so corruption costs a
+// rebuild, never a panic — neither here nor in detection.
 func DecodeGraph(r *wirebin.Reader, f *ir.Func, conds *cond.Builder) (*Graph, error) {
 	w := &wireReader{Reader: r}
 	g := &Graph{}
@@ -145,8 +148,7 @@ func DecodeGraph(r *wirebin.Reader, f *ir.Func, conds *cond.Builder) (*Graph, er
 		g.ints[i] = w.i32()
 	}
 	g.retArgs = w.i32()
-	g.numNodes = r.Len()
-	g.nodes = make([]Node, g.numNodes)
+	g.nodes = make([]Node, r.Len())
 	for i := range g.nodes {
 		n := &g.nodes[i]
 		n.Kind, n.Role, n.val, n.instr, n.ArgIdx = NodeKind(r.U8()), UseRole(r.U8()), w.i32(), w.i32(), w.i32()
@@ -180,10 +182,11 @@ var arity = [...]struct {
 }
 
 // check holds a decoded graph to what Build makes — every ID, offset and
-// count inside the space it indexes, the ID spaces those of shell f — and
-// indexes the value vertices on the way. It is what makes every accessor
-// detection calls, on any instruction, value, block or vertex the graph
-// holds, safe to call; it returns the first violation.
+// count inside the space it indexes, the ID spaces those of shell f, every
+// value detection can name with its vertex — and indexes the value vertices
+// on the way. It is what makes every accessor detection calls, on any
+// instruction, value, block or vertex the graph holds, safe to call; it
+// returns the first violation.
 func (g *Graph) check(f *ir.Func) error {
 	ni, nv, nc := int32(len(g.instrs)), int32(len(g.values)), int32(g.conds.NumNodes())
 	within := func(x, n int32) bool { return x >= 0 && x < n }
@@ -207,31 +210,30 @@ func (g *Graph) check(f *ir.Func) error {
 		return fmt.Errorf("bad symbol offsets")
 	}
 	nsym := int32(len(syms) - 1)
-	cdAt, succAt := g.part(pCDAt), g.part(pSuccAt)
+	cdAt := g.part(pCDAt)
 	nb := int32(len(cdAt) - 1)
 	switch {
-	case int(ni) != f.NumInstrs() || int(nv) != f.NumValues() || int(nb) != f.NumBlocks() || len(succAt) != len(cdAt):
+	case int(ni) != f.NumInstrs() || int(nv) != f.NumValues() || int(nb) != f.NumBlocks():
 		return fmt.Errorf("%d instructions, %d values, %d blocks: not the function's", ni, nv, nb)
-	case !offsets(cdAt, len(g.part(pCDeps))) || !offsets(succAt, len(g.part(pSuccs))):
+	case !offsets(cdAt, len(g.part(pCDeps))):
 		return fmt.Errorf("bad block offsets")
 	case len(g.part(pInstrIdx)) != int(ni):
 		return fmt.Errorf("%d intra-block positions for %d instructions", len(g.part(pInstrIdx)), ni)
+	case len(g.part(pCDCond)) != int(nb):
+		return fmt.Errorf("%d control-dependence conditions for %d blocks", len(g.part(pCDCond)), nb)
+	case len(g.part(pReach)) != int(nb*reachWords(nb)):
+		return fmt.Errorf("%d reachability words for %d blocks", len(g.part(pReach)), nb)
 	case g.retArgs < 0:
 		return fmt.Errorf("%d return operands", g.retArgs)
-	}
-	for _, b := range g.part(pBlocks) {
-		if !within(b, nb) {
-			return fmt.Errorf("bad block id %d", b)
-		}
-	}
-	for _, s := range g.part(pSuccs) {
-		if !within(s, nb) {
-			return fmt.Errorf("bad successor block id %d", s)
-		}
 	}
 	for _, o := range cdAt {
 		if o%3 != 0 {
 			return fmt.Errorf("control-dependence offset %d splits a triple", o)
+		}
+	}
+	for _, c := range g.part(pCDCond) {
+		if !within(c, nc) {
+			return fmt.Errorf("bad control-dependence cond id %d", c)
 		}
 	}
 	for cd := g.part(pCDeps); len(cd) > 0; cd = cd[3:] {
@@ -334,7 +336,7 @@ func (g *Graph) check(f *ir.Func) error {
 		}
 	}
 
-	nn := int32(g.numNodes)
+	nn := int32(len(g.nodes))
 	g.valueAt = make([]int32, nv)
 	for i := range g.nodes {
 		n := &g.nodes[i]
@@ -368,7 +370,7 @@ func (g *Graph) check(f *ir.Func) error {
 		}
 	}
 	succStart := g.part(pSuccStart)
-	if len(succStart) > int(nn)+1 || !offsets(succStart, len(g.edges)) {
+	if len(succStart) != int(nn)+1 || !offsets(succStart, len(g.edges)) {
 		return fmt.Errorf("edge offsets of %d vertices do not add up to %d edges", len(succStart)-1, len(g.edges))
 	}
 	for _, e := range g.edges {
@@ -377,6 +379,28 @@ func (g *Graph) check(f *ir.Func) error {
 		}
 		if !within(e.cond, nc) {
 			return fmt.Errorf("bad edge cond id %d", e.cond)
+		}
+	}
+	// Detection creates no vertex, so it must find every one it names here.
+	vertex := func(v int32) bool { return v < 0 || g.valueAt[v] != 0 }
+	for _, p := range g.Params() {
+		if !vertex(p) {
+			return fmt.Errorf("parameter %d has no vertex", p)
+		}
+	}
+	for _, in := range g.Order() {
+		if d := g.instrs[in].Dst; !vertex(d) {
+			return fmt.Errorf("instr %d: Dst %d has no vertex", in, d)
+		}
+		for _, a := range g.Args(in) {
+			if !vertex(a) {
+				return fmt.Errorf("instr %d: operand %d has no vertex", in, a)
+			}
+		}
+		for _, d := range g.Dsts(in) {
+			if !vertex(d) {
+				return fmt.Errorf("instr %d: receiver %d has no vertex", in, d)
+			}
 		}
 	}
 	return nil

@@ -3,6 +3,7 @@ package seg
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"strings"
 	"testing"
 
@@ -109,6 +110,15 @@ func TestImportGraphRejectsMalformed(t *testing.T) {
 		t.Fatalf("no %s in the test graph", op)
 		return nil
 	}
+	instrIDOf := func(g *Graph, op ir.Op) int32 {
+		for _, in := range g.Order() {
+			if g.instrs[in].Op == op {
+				return in
+			}
+		}
+		t.Fatalf("no %s in the test graph", op)
+		return -1
+	}
 	constant := func(g *Graph) *Value {
 		for i := range g.values {
 			if g.values[i].Kind == ir.VConstInt {
@@ -142,9 +152,10 @@ func TestImportGraphRejectsMalformed(t *testing.T) {
 		{"use vertex with a value role", func(g *Graph) { g.nodes[use].Role = RoleNone }, "unknown role"},
 		{"use vertex with a role past the table", func(g *Graph) { g.nodes[use].Role = UseRole(numRoles) }, "unknown role"},
 		{"unknown vertex kind", func(g *Graph) { g.nodes[val].Kind = 9 }, "unknown kind"},
-		{"edge target out of range", func(g *Graph) { g.edges[0].To = int32(g.numNodes) }, "bad edge target"},
+		{"edge target out of range", func(g *Graph) { g.edges[0].To = int32(len(g.nodes)) }, "bad edge target"},
 		{"negative edge target", func(g *Graph) { g.edges[0].To = -1 }, "bad edge target"},
-		{"edge source out of range", func(g *Graph) { g.nodes, g.numNodes = g.nodes[:g.numNodes-1], g.numNodes-1 }, "edge offsets"},
+		{"edge source out of range", func(g *Graph) { g.nodes = g.nodes[:len(g.nodes)-1] }, "edge offsets"},
+		{"vertex past the edge offsets", func(g *Graph) { g.nodes = append(g.nodes, g.nodes[use]) }, "edge offsets"},
 		{"edge lists out of vertex order", func(g *Graph) {
 			ss := g.part(pSuccStart)
 			for k := range ss {
@@ -163,7 +174,7 @@ func TestImportGraphRejectsMalformed(t *testing.T) {
 		// The body tables.
 		{"operand past pRefs", func(g *Graph) { instrOf(g, ir.OpStore).refs = g.at[pRefs+1] - 1 }, "operands past the references"},
 		{"part offsets out of order", func(g *Graph) {
-			at := g.part(pSuccAt)
+			at := g.part(pCDAt)
 			at[1] = at[2] + 1
 		}, "bad block offsets"},
 		{"symbol offset past syms", func(g *Graph) { g.ints[g.at[pSyms+1]-1]++ }, "bad symbol offsets"},
@@ -209,6 +220,29 @@ func TestImportGraphRejectsMalformed(t *testing.T) {
 			ps[0], ps[1] = ps[1], ps[0]
 		}, "bad parameter value id"},
 		{"another function's ID spaces", func(g *Graph) { g.values = g.values[:len(g.values)-1] }, "not the function's"},
+
+		// What Build finishes.
+		{"parameter without its vertex", func(g *Graph) { g.nodes[g.ValueNode(g.Params()[0])] = g.nodes[use] }, "parameter"},
+		{"operand without its vertex", func(g *Graph) {
+			g.nodes[g.ValueNode(g.Args(instrIDOf(g, ir.OpStore))[1])] = g.nodes[use]
+		}, "operand"},
+		{"Dst without its vertex", func(g *Graph) { g.nodes[g.ValueNode(instrOf(g, ir.OpMalloc).Dst)] = g.nodes[use] }, "Dst"},
+		{"receiver without its vertex", func(g *Graph) {
+			dsts := g.Dsts(instrIDOf(g, ir.OpCall))
+			if len(dsts) == 0 || dsts[0] < 0 {
+				t.Fatal("the test call has no receiver")
+			}
+			g.nodes[g.ValueNode(dsts[0])] = g.nodes[use]
+		}, "receiver"},
+		{"control-dependence condition past the builder", func(g *Graph) { g.part(pCDCond)[0] = int32(g.conds.NumNodes()) }, "bad control-dependence cond id"},
+		{"control-dependence conditions short of the blocks", func(g *Graph) { setPart(g, pCDCond, g.part(pCDCond)[1:]) }, "control-dependence conditions for"},
+		{"reachability rows short of the blocks", func(g *Graph) { setPart(g, pReach, g.part(pReach)[1:]) }, "reachability words for"},
+		{"reachability rows past the blocks", func(g *Graph) { setPart(g, pReach, append(slices.Clone(g.part(pReach)), 0)) }, "reachability words for"},
+		{"atoms out of order", func(g *Graph) {
+			atoms := g.part(pAtoms)
+			setPart(g, pAtoms, append(slices.Clone(atoms), atoms[0]))
+		}, "bad atom value id"},
+		{"atom naming no value", func(g *Graph) { g.part(pAtoms)[0] = preSSA(t, f) }, "bad atom value id"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -244,6 +278,16 @@ func TestImportGraphRejectsMalformed(t *testing.T) {
 			t.Fatalf("decode accepted the stream cut at %d of %d bytes", cut, len(good))
 		}
 	}
+}
+
+// setPart replaces part k of g's int32 array with p.
+func setPart(g *Graph, k int, p []int32) {
+	ints := append(append(slices.Clone(g.ints[:g.at[k]]), p...), g.ints[g.at[k+1]:]...)
+	d := int32(len(p)) - (g.at[k+1] - g.at[k])
+	for j := k + 1; j <= numParts; j++ {
+		g.at[j] += d
+	}
+	g.ints = ints
 }
 
 // preSSA returns the ID of a variable lowering created and SSA renaming

@@ -14,8 +14,8 @@ func (g *Graph) Dot() string {
 	fmt.Fprintf(&b, "digraph %q {\n", "seg_"+g.Name())
 	b.WriteString("  rankdir=LR;\n  node [fontname=\"monospace\", fontsize=9];\n")
 
-	for n := int32(0); int(n) < g.numNodes; n++ {
-		switch nd := g.node(n); nd.Kind {
+	for n := int32(0); int(n) < len(g.nodes); n++ {
+		switch nd := &g.nodes[n]; nd.Kind {
 		case NValue:
 			fmt.Fprintf(&b, "  n%d [label=%q, shape=ellipse];\n", n, g.ValueString(g.Val(n)))
 		default:
@@ -30,7 +30,7 @@ func (g *Graph) Dot() string {
 				n, g.NodeString(n), color)
 		}
 	}
-	for n := int32(0); int(n) < g.numNodes; n++ {
+	for n := int32(0); int(n) < len(g.nodes); n++ {
 		for _, e := range g.Succs(n) {
 			if c := g.Cond(e); c.IsTrue() {
 				fmt.Fprintf(&b, "  n%d -> n%d;\n", n, e.To)

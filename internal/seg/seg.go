@@ -15,9 +15,10 @@
 //     trap" is dodged: the edges are built from cheap local reasoning, yet
 //     carry conditions precise enough for full path-sensitivity later.
 //
-// Control dependence is not materialized as edges; it is recovered from the
-// graph's block table when path conditions are assembled, which keeps the
-// graph small (the paper's Lc labels are exactly ir.Func.ControlDeps).
+// Control dependence is not materialized as edges, which keeps the graph
+// small: the graph holds each block's control dependences (the paper's Lc
+// labels are exactly Graph.CDeps) and their conjunction, Graph.CD, which path
+// conditions read.
 package seg
 
 import (
@@ -101,66 +102,38 @@ type Edge struct {
 // it stands.
 //
 // Every lookup structure is a slice indexed by a dense ID the IR or the
-// graph itself assigns (Value.ID, Instr.ID, Block.ID, vertex ID). Build
-// and DecodeGraph fill them on one goroutine; afterwards only ValueNode
-// (for a value the graph has not seen), the control-dependence conditions
-// and the lazy happens-after memo write, and detect.prepare runs all three to
-// exhaustion (EnsureValueNodes, PrepareCD, PrecomputeReach) before detection
-// workers share the graph read-only.
+// graph itself assigns (Value.ID, Instr.ID, Block.ID, vertex ID). A graph is
+// final when Build or DecodeGraph returns it: every value detection can name
+// has its vertex, every block its control-dependence condition and its
+// reachability row, and nothing writes to the graph afterwards, so detection
+// workers share it as it is.
 type Graph struct {
 	body
 
-	// valueAt holds, by Value.ID, 1 + the index of the value's definition
-	// vertex (0 = none yet); it grows when a value created after Build is
-	// looked up.
+	// valueAt holds, by Value.ID, 1 + the index of the value's vertex (0 =
+	// none).
 	valueAt []int32
-	// nodes holds the vertices Build or DecodeGraph created, in one array of
-	// exactly their number; late holds the ones created since, chunk after
-	// chunk (EnsureValueNodes sizes its chunk exactly too). numNodes counts
-	// both.
-	nodes    []Node
-	late     [][]Node
-	numNodes int
+	// nodes holds the vertices, in one array of exactly their number.
+	nodes []Node
 	// Edges in compressed-sparse-row form: vertex i's outgoing edges are
 	// edges[succStart[i]:succStart[i+1]], with succStart part pSuccStart.
-	// Vertices created after construction have no edges and lie beyond
-	// succStart.
 	edges []Edge
-
-	// reach memoizes block-level CFG reachability as one bitset row of
-	// (number of blocks + 63) / 64 words per Block.ID; one more row marks
-	// the rows computed.
-	reach []uint64
 }
 
 // NumNodes returns the vertex count.
-func (g *Graph) NumNodes() int { return g.numNodes }
+func (g *Graph) NumNodes() int { return len(g.nodes) }
 
 // Node returns vertex n.
-func (g *Graph) Node(n int32) Node { return *g.node(n) }
-
-func (g *Graph) node(n int32) *Node {
-	if int(n) < len(g.nodes) {
-		return &g.nodes[n]
-	}
-	i := int(n) - len(g.nodes)
-	for _, chunk := range g.late {
-		if i < len(chunk) {
-			return &chunk[i]
-		}
-		i -= len(chunk)
-	}
-	panic("seg: vertex ID out of range")
-}
+func (g *Graph) Node(n int32) Node { return g.nodes[n] }
 
 // Val returns the value ID of vertex n: the value a value vertex defines,
 // the operand a use vertex uses.
-func (g *Graph) Val(n int32) int32 { return g.node(n).val }
+func (g *Graph) Val(n int32) int32 { return g.nodes[n].val }
 
 // Instr returns the instruction ID of vertex n: the using instruction of a
 // use vertex, the defining one of a value vertex (-1 for a parameter or a
 // constant).
-func (g *Graph) Instr(n int32) int32 { return g.node(n).instr }
+func (g *Graph) Instr(n int32) int32 { return g.nodes[n].instr }
 
 // Cond returns the condition of an edge.
 func (g *Graph) Cond(e Edge) *cond.Cond { return g.conds.Node(e.cond) }
@@ -168,7 +141,7 @@ func (g *Graph) Cond(e Edge) *cond.Cond { return g.conds.Node(e.cond) }
 // NodeString renders vertex n: the value of a value vertex,
 // "<value>@<role>#<instruction ID>" for a use vertex.
 func (g *Graph) NodeString(n int32) string {
-	nd := g.node(n)
+	nd := &g.nodes[n]
 	if nd.Kind == NValue {
 		return g.ValueString(nd.val)
 	}
@@ -187,13 +160,11 @@ type GraphStats struct {
 	UseNodes   int
 }
 
-// Stats computes the graph's structural counters. It reads the same state
-// the detection workers read, so call it before detection starts or after
-// it finishes, not concurrently with graph-mutating lazy paths.
+// Stats computes the graph's structural counters.
 func (g *Graph) Stats() GraphStats {
-	s := GraphStats{Nodes: g.numNodes, Edges: g.NumEdges()}
-	for n := int32(0); int(n) < g.numNodes; n++ {
-		switch g.node(n).Kind {
+	s := GraphStats{Nodes: len(g.nodes), Edges: g.NumEdges()}
+	for i := range g.nodes {
+		switch g.nodes[i].Kind {
 		case NValue:
 			s.ValueNodes++
 		case NUse:
@@ -203,67 +174,21 @@ func (g *Graph) Stats() GraphStats {
 	return s
 }
 
-// lateChunk is how many vertices a chunk of Graph.late holds when nothing
-// says how many are coming.
-const lateChunk = 4
-
-// reserve makes room for n more vertices in one chunk.
-func (g *Graph) reserve(n int) {
-	if n > 0 {
-		g.late = append(g.late, make([]Node, 0, n))
-	}
-}
-
-// newNode appends a vertex created after construction and returns its ID.
-func (g *Graph) newNode(n Node) int32 {
-	if k := len(g.late); k == 0 || len(g.late[k-1]) == cap(g.late[k-1]) {
-		g.reserve(lateChunk)
-	}
-	chunk := &g.late[len(g.late)-1]
-	*chunk = append(*chunk, n)
-	g.numNodes++
-	return int32(g.numNodes - 1)
-}
-
-// valueVertex is the record of value v's vertex.
-func (g *Graph) valueVertex(v int32) Node {
-	def := int32(-1)
-	if int(v) < len(g.values) {
-		def = g.values[v].Def
-	}
-	return Node{Kind: NValue, val: v, instr: def}
-}
-
-// ValueNode returns the vertex of a value definition, creating it on first
-// use.
-func (g *Graph) ValueNode(v int32) int32 {
-	if int(v) < len(g.valueAt) {
-		if at := g.valueAt[v]; at != 0 {
-			return at - 1
-		}
-	} else {
-		// A value created after the graph was built.
-		g.valueAt = append(g.valueAt, make([]int32, int(v)+1-len(g.valueAt))...)
-	}
-	n := g.newNode(g.valueVertex(v))
-	g.valueAt[v] = n + 1
-	return n
-}
+// ValueNode returns the vertex of value v (-1 if it has none). Every
+// parameter, operand, receiver and Dst has one.
+func (g *Graph) ValueNode(v int32) int32 { return g.valueAt[v] - 1 }
 
 // Succs returns the outgoing edges of vertex n. Callers must not mutate the
 // slice.
 func (g *Graph) Succs(n int32) []Edge {
 	ss := g.part(pSuccStart)
-	if int(n)+1 >= len(ss) {
-		return nil
-	}
 	return g.edges[ss[n]:ss[n+1]]
 }
 
 // newGraph allocates a graph of n vertices and reads the function's body
 // into it.
 func newGraph(f *ir.Func, inf *ssa.Info, pr *pta.Result, n int) *Graph {
-	g := &Graph{valueAt: make([]int32, f.NumValues()), nodes: make([]Node, n), numNodes: n}
+	g := &Graph{valueAt: make([]int32, f.NumValues()), nodes: make([]Node, n)}
 	g.read(f, inf, pr, n)
 	return g
 }
@@ -313,7 +238,7 @@ func (b *builder) edge(from, to int32, c *cond.Cond) {
 	}
 }
 
-// Build constructs the SEG for one analyzed function.
+// Build constructs the SEG of one analyzed function, final (see Graph).
 func Build(f *ir.Func, inf *ssa.Info, pr *pta.Result) *Graph {
 	b := builderPool.Get().(*builder)
 	nv := f.NumValues()
@@ -373,6 +298,23 @@ func Build(f *ir.Func, inf *ssa.Info, pr *pta.Result) *Graph {
 		}
 	}
 
+	// Every value detection can name gets a vertex: the parameters, then each
+	// instruction's operands and Dst in block order (the walk gave every
+	// receiver one).
+	for _, p := range f.Params {
+		b.value(p)
+	}
+	for _, blk := range f.Blocks {
+		for _, in := range blk.Instrs {
+			for _, a := range in.Args {
+				b.value(a)
+			}
+			if in.Dst != nil {
+				b.value(in.Dst)
+			}
+		}
+	}
+
 	g := newGraph(f, inf, pr, len(b.nodes))
 	copy(g.nodes, b.nodes)
 	copy(g.valueAt, b.valueAt)
@@ -399,50 +341,6 @@ func Build(f *ir.Func, inf *ssa.Info, pr *pta.Result) *Graph {
 	return g
 }
 
-// EnsureValueNodes pre-creates the value vertex of every parameter and every
-// instruction operand/result of the function. The detection engine requests
-// value vertices lazily (ValueNode creates on first use, mutating the
-// graph); pre-creating every vertex the search can possibly name freezes the
-// graph, so concurrent detection workers only ever read it.
-func (g *Graph) EnsureValueNodes() {
-	// Two passes over the same values, so that the vertices land in one
-	// chunk of exactly their number: mark the ones without a vertex, then
-	// create them in the order they were met.
-	const pending = -1
-	var missing []int32
-	want := func(v int32) {
-		if v >= 0 && g.valueAt[v] == 0 {
-			g.valueAt[v] = pending
-			missing = append(missing, v)
-		}
-	}
-	for _, p := range g.Params() {
-		want(p)
-	}
-	for _, in := range g.Order() {
-		for _, a := range g.Args(in) {
-			want(a)
-		}
-		want(g.instrs[in].Dst)
-		for _, d := range g.Dsts(in) {
-			want(d)
-		}
-	}
-	g.reserve(len(missing))
-	for _, v := range missing {
-		g.valueAt[v] = 0
-		g.ValueNode(v)
-	}
-}
-
-// PrecomputeReach fills the block-reachability memo for every block, so
-// HappensAfter becomes a pure read (safe from concurrent detection workers).
-func (g *Graph) PrecomputeReach() {
-	for _, b := range g.part(pBlocks) {
-		g.reachableBlocks(b)
-	}
-}
-
 // HappensAfter reports whether instruction b can execute after instruction
 // a in some run of the function: either b is reachable from a's block, or
 // they share a block and b comes later.
@@ -452,34 +350,13 @@ func (g *Graph) HappensAfter(a, b int32) bool {
 		idx := g.part(pInstrIdx)
 		return idx[b] > idx[a]
 	}
-	row := g.reachableBlocks(ba)
-	return row[bb/64]&(1<<(bb%64)) != 0
+	w, m := reachBit(bb)
+	return g.part(pReach)[ba*reachWords(g.numBlocks())+w]&m != 0
 }
 
-// reachableBlocks returns the bitset (by Block.ID) of blocks reachable from
-// a block through at least one CFG edge, computing it on first request.
-func (g *Graph) reachableBlocks(from int32) []uint64 {
-	nb := g.numBlocks()
-	w := (nb + 63) / 64
-	if g.reach == nil {
-		g.reach = make([]uint64, (nb+1)*w)
-	}
-	row := g.reach[from*w : (from+1)*w]
-	done := g.reach[nb*w:]
-	if done[from/64]&(1<<(from%64)) != 0 {
-		return row
-	}
-	stack := []int32{from}
-	for len(stack) > 0 {
-		b := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, s := range g.succs(b) {
-			if row[s/64]&(1<<(s%64)) == 0 {
-				row[s/64] |= 1 << (s % 64)
-				stack = append(stack, s)
-			}
-		}
-	}
-	done[from/64] |= 1 << (from % 64)
-	return row
-}
+// reachWords is the length of a block's row of part pReach: one bit per
+// Block.ID, in int32 words.
+func reachWords(nb int32) int32 { return (nb + 31) / 32 }
+
+// reachBit returns the word and the mask of block b's bit in a row.
+func reachBit(b int32) (int32, int32) { return b / 32, int32(uint32(1) << (b % 32)) }

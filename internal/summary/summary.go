@@ -63,8 +63,7 @@ type Table struct {
 
 	// memo holds the flows of each start vertex enumerated so far (or in
 	// progress), by vertex ID: nil for a vertex not looked up yet, never nil
-	// after. One Table serves one graph; the memo grows when the graph gained
-	// vertices since the last lookup.
+	// after. One Table serves one graph and is sized at its first lookup.
 	memo [][]Flow
 	// CapHits counts vertices whose enumeration was truncated.
 	CapHits int
@@ -84,14 +83,14 @@ func NewTable() *Table {
 // FlowsFrom enumerates local flows starting at from. The result is memoized
 // and shared; callers must not mutate it.
 func (t *Table) FlowsFrom(g *seg.Graph, from int32) []Flow {
-	if int(from) < len(t.memo) && t.memo[from] != nil {
+	if t.memo == nil {
+		t.memo = make([][]Flow, g.NumNodes())
+	}
+	if t.memo[from] != nil {
 		t.Hits++
 		return t.memo[from]
 	}
 	t.Misses++
-	if n := g.NumNodes(); n > len(t.memo) {
-		t.memo = append(t.memo, make([][]Flow, n-len(t.memo))...)
-	}
 	// Mark in-progress to cut (impossible in a DAG, defensive) cycles.
 	t.memo[from] = noFlows
 	cb := g.Conds()
