@@ -269,6 +269,7 @@ type statsDump struct {
 		Reports        int     `json:"reports"`
 		Tasks          int     `json:"tasks"`
 		TasksReplayed  int     `json:"tasks_replayed"`
+		ReplayChecks   int     `json:"replay_checks"`
 		SummaryHits    int     `json:"summary_cache_hits"`
 		SummaryMisses  int     `json:"summary_cache_misses"`
 		SummaryHitRate float64 `json:"summary_cache_hit_rate"`
@@ -331,6 +332,7 @@ func buildStatsDump(a *core.Analysis, res detect.Results, rec *obs.Recorder) *st
 	d.Detect.Reports = len(res.Reports)
 	d.Detect.Tasks = res.TasksRun + res.TasksReplayed
 	d.Detect.TasksReplayed = res.TasksReplayed
+	d.Detect.ReplayChecks = res.ReplayChecks
 	d.Detect.ExpansionsWalked = res.ExpansionsWalked
 	d.Detect.QueriesIssued = res.QueriesIssued
 	d.Detect.SummaryHits = res.SummaryHits

@@ -32,8 +32,9 @@ func ForEach(n, workers int, fn func(w, i int) error) error {
 	}
 	var (
 		next   int64
-		errIdx = int64(n) // lowest failed index so far
-		errs   = make([]error, n)
+		errIdx = int64(n) // lowest failed index so far; written under mu
+		mu     sync.Mutex
+		err    error // the error at errIdx
 		wg     sync.WaitGroup
 	)
 	wg.Add(workers)
@@ -45,21 +46,17 @@ func ForEach(n, workers int, fn func(w, i int) error) error {
 				if i >= n || int64(i) > atomic.LoadInt64(&errIdx) {
 					return
 				}
-				if err := fn(w, i); err != nil {
-					errs[i] = err
-					for {
-						cur := atomic.LoadInt64(&errIdx)
-						if int64(i) >= cur || atomic.CompareAndSwapInt64(&errIdx, cur, int64(i)) {
-							break
-						}
+				if e := fn(w, i); e != nil {
+					mu.Lock()
+					if int64(i) < errIdx {
+						err = e
+						atomic.StoreInt64(&errIdx, int64(i))
 					}
+					mu.Unlock()
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	if idx := atomic.LoadInt64(&errIdx); idx < int64(n) {
-		return errs[idx]
-	}
-	return nil
+	return err
 }

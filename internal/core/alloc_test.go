@@ -402,15 +402,19 @@ func TestSEGRecordsArePointerFree(t *testing.T) {
 // the facts they replace). They exist so that per-request work proportional
 // to the program cannot creep back in: at the commit before the tables were
 // patched the driver edit's Update allocated 4.3 MiB in 19,006 objects and
-// looked at all 3,342 functions, and the CheckAll allocated 1.1 MiB.
+// looked at all 3,342 functions, and the CheckAll allocated 1.1 MiB. While
+// every warm CheckAll held every task's recorded result against the program
+// and merged every task's reports, its budgets were 360 KiB and 263 KiB (it
+// measured 244 KiB on both rows); patching the last run's merge leaves a copy
+// of the task plan and one of the sorted report list.
 const (
 	measuredEditUpdateBytes   = 545 << 10
 	measuredEditUpdateMallocs = 3240
-	measuredEditCheckBytes    = 360 << 10
+	measuredEditCheckBytes    = 180 << 10
 
 	measuredCrossEditUpdateBytes   = 595 << 10
 	measuredCrossEditUpdateMallocs = 4830
-	measuredCrossEditCheckBytes    = 263 << 10
+	measuredCrossEditCheckBytes    = 180 << 10
 )
 
 func TestUpdateEditBudget(t *testing.T) {
@@ -498,7 +502,50 @@ func TestUpdateEditBudget(t *testing.T) {
 			t.Errorf("%s: CheckAll allocated %.0f KiB per edit, budget %.0f KiB", row.name, got/1024, row.chkBytes*1.15/1024)
 		}
 	}
+
+	// The resubmit row: an identical request's CheckAll finds nothing to run
+	// and nothing to check, so nothing it allocates may grow with the program:
+	// on this 20k-line ladder at most resubmitGrowth times what it allocates on
+	// the 4k-line one. (While it held every task against the program and
+	// merged them all, it allocated 164.8 KiB against 50.1 KiB; now 11.4 KiB
+	// on both.)
+	small := core.NewSession(core.BuildOptions{Workers: 1})
+	smallUnits := ladder(120, 1)
+	if a, err := small.Update(smallUnits); err != nil {
+		t.Fatal(err)
+	} else {
+		a.CheckAll(checkers.All(), detect.Options{Workers: 1})
+	}
+	resubmit := func(sess *core.Session, units []minic.NamedSource) float64 {
+		var bytes uint64
+		for i := 0; i < edits; i++ {
+			request := make([]minic.NamedSource, len(units))
+			for k, unit := range units {
+				request[k] = minic.NamedSource{Name: unit.Name, Src: strings.Clone(unit.Src)}
+			}
+			a, err := sess.Update(request)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			res := a.CheckAll(checkers.All(), detect.Options{Workers: 1})
+			runtime.ReadMemStats(&m1)
+			bytes += m1.TotalAlloc - m0.TotalAlloc
+			if res.TasksRun != 0 {
+				t.Fatalf("resubmit %d ran %d tasks", i, res.TasksRun)
+			}
+		}
+		return float64(bytes) / edits
+	}
+	r4k, r20k := resubmit(small, smallUnits), resubmit(sess, units)
+	t.Logf("per resubmit: CheckAll %.1f KiB on the 4k-line ladder, %.1f KiB on the 20k-line one (budget %.1f KiB)", r4k/1024, r20k/1024, r4k*resubmitGrowth/1024)
+	if r20k > r4k*resubmitGrowth {
+		t.Errorf("resubmit: CheckAll allocated %.1f KiB on the 20k-line ladder, budget %.1f KiB (%.1f× the 4k-line ladder's %.1f KiB)", r20k/1024, r4k*resubmitGrowth/1024, resubmitGrowth, r4k/1024)
+	}
 }
+
+const resubmitGrowth = 1.2
 
 // The budget of a warm restart: what the first Update of a fresh session
 // allocates when the store holds every artifact of the 20k-line ladder

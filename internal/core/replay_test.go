@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/detect"
 	"repro/internal/minic"
+	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -78,8 +79,11 @@ type replayStep struct {
 	prog     program
 	checkers []string // empty = all
 	depth    int
-	rebuilt  int    // functions rebuilt, -1 = unchecked
-	ran      [2]int // [min, max] tasks executed, max -1 = unchecked
+	// flipWitness runs the step with Options.Witness the other way round
+	// from the script's.
+	flipWitness bool
+	rebuilt     int    // functions rebuilt, -1 = unchecked
+	ran         [2]int // [min, max] tasks executed, max -1 = unchecked
 }
 
 func step(name string, p program, rebuilt, ranMin, ranMax int) replayStep {
@@ -100,6 +104,7 @@ func replayScripts() map[string][]replayStep {
 	sink2Keeps := b.with("sink2.mc", "void sink2(int *p) { use_ptr(p); }\n")
 	sinkKeeps := b.with("sink.mc", "void sink(int *p) { use_ptr(p); }\n")
 	otherHandsOver := b.with("other.mc", "void other() {\n\tint *y = malloc();\n\t*y = 2;\n\tlone(y);\n}\n")
+	relEditedExtra := relEdited.with("extra.mc", "void extra(bool c) {\n\tint *e = malloc();\n\tif (c) { free(e); }\n}\n")
 
 	return map[string][]replayStep{
 		"resubmit": {
@@ -175,7 +180,32 @@ func replayScripts() map[string][]replayStep {
 			{name: "leaf edit, one checker", prog: relEdited, checkers: []string{"double-free"}, rebuilt: 1, ran: [2]int{1, -1}},
 			{name: "all again", prog: relEdited, rebuilt: 0, ran: [2]int{0, -1}},
 		},
+		// Whatever changed between two requests besides the sources, the
+		// next one-function edit runs only what it can reach.
+		"options between requests": {
+			step("cold", b, -1, 1, -1),
+			{name: "witness toggled", prog: b, flipWitness: true, rebuilt: 0, ran: [2]int{1, -1}},
+			{name: "edit, witness still toggled", prog: relEdited, flipWitness: true, rebuilt: 1, ran: [2]int{1, 6}},
+			{name: "witness back", prog: relEdited, rebuilt: 0, ran: [2]int{1, -1}},
+			{name: "depth 3", prog: relEdited, depth: 3, rebuilt: 0, ran: [2]int{1, -1}},
+			{name: "revert at depth 3", prog: b, depth: 3, rebuilt: 1, ran: [2]int{1, 6}},
+			{name: "one checker", prog: b, checkers: []string{"use-after-free"}, rebuilt: 0, ran: [2]int{0, -1}},
+			{name: "edit, one checker", prog: relEdited, checkers: []string{"use-after-free"}, rebuilt: 1, ran: [2]int{1, 6}},
+			{name: "all checkers", prog: relEdited, rebuilt: 0, ran: [2]int{0, -1}},
+			{name: "edit, all checkers", prog: b, rebuilt: 1, ran: [2]int{1, 6}},
+			// A function added, then removed: the Layout moves twice.
+			{name: "add extra", prog: relEditedExtra.with("rel.mc", b[0].Src), rebuilt: 1, ran: [2]int{1, -1}},
+			{name: "remove extra", prog: b, rebuilt: 0, ran: [2]int{1, -1}},
+			{name: "edit after the Layout moved", prog: relEdited, rebuilt: 1, ran: [2]int{1, 6}},
+		},
 	}
+}
+
+// crossCheckReplays makes every CheckAll for the rest of the test hold the
+// tasks it replays unchecked against the program too, and fail the test for
+// each whose recorded result would not have been replayed.
+func crossCheckReplays(t *testing.T) {
+	t.Cleanup(detect.CrossCheckReplays(func(task string) { t.Error(task) }))
 }
 
 func specsFor(t *testing.T, names []string) []*checkers.Spec {
@@ -248,9 +278,10 @@ func TestReplayEquivalence(t *testing.T) {
 		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 			for _, witness := range []bool{false, true} {
 				t.Run(fmt.Sprintf("%s/workers=%d/witness=%t", name, workers, witness), func(t *testing.T) {
+					crossCheckReplays(t)
 					sess := core.NewSession(core.BuildOptions{Workers: workers})
 					for _, st := range scripts[name] {
-						opts := detect.Options{Workers: workers, Witness: witness, MaxCallDepth: st.depth}
+						opts := detect.Options{Workers: workers, Witness: witness != st.flipWitness, MaxCallDepth: st.depth}
 						a, res := checkReplayStep(t, st.name, sess, st.prog, st.checkers, opts)
 						if got := a.Artifacts.Misses + a.Artifacts.Invalidated; st.rebuilt >= 0 && got != st.rebuilt {
 							t.Errorf("%s: %d functions rebuilt, want %d (%+v)", st.name, got, st.rebuilt, a.Artifacts)
@@ -329,6 +360,7 @@ func mutate(rng *rand.Rand, units []minic.NamedSource, n int) string {
 // single-function mutations of a generated ladder, holding every request
 // against a from-scratch build.
 func TestReplayRandomEdits(t *testing.T) {
+	crossCheckReplays(t)
 	const seed = 20240607
 	rng := rand.New(rand.NewSource(seed))
 	units := ladder(60, seed)
@@ -349,7 +381,10 @@ func TestReplayRandomEdits(t *testing.T) {
 
 // TestReplayTaskFloors pins how little detection an incremental request
 // executes on the serve-edit workload's program: nothing for an identical
-// resubmit, and at most 2% of the tasks after a one-function driver edit.
+// resubmit, and at most 2% of the tasks after a one-function driver edit —
+// and how few recorded results it holds against the program to find that
+// out: none for the resubmit, and for the edit the tasks it runs plus at most
+// 2% of the plan.
 func TestReplayTaskFloors(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the 20k-line ladder")
@@ -357,12 +392,21 @@ func TestReplayTaskFloors(t *testing.T) {
 	units := ladder(600, 1)
 	workers := runtime.GOMAXPROCS(0)
 	sess := core.NewSession(core.BuildOptions{Workers: workers})
+	// checks is what the last request's registry counted as
+	// detect.replay_checks.
+	var checks int64
 	check := func(what string) detect.Results {
 		a, err := sess.Update(units)
 		if err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
-		return a.CheckAll(checkers.All(), detect.Options{Workers: workers})
+		rec := obs.New()
+		res := a.CheckAll(checkers.All(), detect.Options{Workers: workers, Obs: rec})
+		var ok bool
+		if checks, ok = rec.Snapshot().Counters["detect.replay_checks"]; !ok {
+			t.Fatalf("%s: no detect.replay_checks counter", what)
+		}
+		return res
 	}
 	cold := check("cold")
 	total := cold.TasksRun
@@ -377,6 +421,9 @@ func TestReplayTaskFloors(t *testing.T) {
 		units[u].Src = units[u].Src[:cut] + "\tseed = seed + 1;\n" + units[u].Src[cut:]
 
 		edit := check("edit")
+		if checks > int64(edit.TasksRun+total/50) {
+			t.Errorf("edit %d held %d recorded results against the program to run %d of %d tasks, want at most %d", i, checks, edit.TasksRun, total, edit.TasksRun+total/50)
+		}
 		if edit.TasksRun+edit.TasksReplayed != total {
 			t.Fatalf("edit %d: %d+%d tasks, want %d", i, edit.TasksRun, edit.TasksReplayed, total)
 		}
@@ -384,6 +431,9 @@ func TestReplayTaskFloors(t *testing.T) {
 			t.Errorf("edit %d executed %d of %d tasks, want 1..2%%", i, edit.TasksRun, total)
 		}
 		again := check("resubmit")
+		if checks != 0 {
+			t.Errorf("resubmit %d held %d recorded results against the program, want 0", i, checks)
+		}
 		if again.TasksRun != 0 || again.TasksReplayed != total {
 			t.Errorf("resubmit %d executed %d tasks (%d replayed of %d), want 0", i, again.TasksRun, again.TasksReplayed, total)
 		}
@@ -392,6 +442,33 @@ func TestReplayTaskFloors(t *testing.T) {
 				t.Fatalf("%s %d: reports changed", what, i)
 			}
 		}
+	}
+}
+
+// TestReplayTrustsOnlyTheSessionsLastRun: a Program replays without holding
+// its tasks against the program only while no other Program of the session
+// has run since its own last run — here the session's next Program, of
+// another Layout, runs every task again and overwrites the records a twin of
+// the first Program shares.
+func TestReplayTrustsOnlyTheSessionsLastRun(t *testing.T) {
+	crossCheckReplays(t)
+	opts := detect.Options{Workers: 1}
+	sess := core.NewSession(core.BuildOptions{Workers: 1})
+	first, _ := checkReplayStep(t, "cold", sess, replayBase, nil, opts)
+	twin := detect.NewProgramFrom(first.Prog, first.Prog.Module, first.SEGs, nil)
+	extra := replayBase.with("extra.mc", "void extra(bool c) {\n\tint *e = malloc();\n\tif (c) { free(e); }\n}\n")
+	checkReplayStep(t, "add extra", sess, extra, nil, opts)
+
+	res := detect.CheckAll(twin, checkers.All(), opts)
+	if res.ReplayChecks != res.TasksRun+res.TasksReplayed {
+		t.Errorf("the twin held %d of %d tasks against the program, want all", res.ReplayChecks, res.TasksRun+res.TasksReplayed)
+	}
+	cold, err := core.BuildFromSource(replayBase, core.BuildOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := reportsJSON(t, res.Reports), reportsJSON(t, cold.CheckAll(checkers.All(), opts).Reports); string(got) != string(want) {
+		t.Fatalf("reports differ\ntwin: %s\ncold: %s", got, want)
 	}
 }
 
@@ -404,6 +481,7 @@ func TestReplayAcrossUncheckedUpdates(t *testing.T) {
 	relEdited := b.with("rel.mc", "void rel(int *p) { int z = 0; free(p); }\n")
 	both := relEdited.with("top.mc", "void top(bool c) {\n\tint *x = malloc();\n\t*x = 1;\n\thold(x);\n\tif (c) { use_val(1); }\n}\n")
 	topOnly := both.with("rel.mc", b[0].Src)
+	crossCheckReplays(t)
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 		opts := detect.Options{Workers: workers}
 		sess := core.NewSession(core.BuildOptions{Workers: workers})

@@ -25,7 +25,7 @@ import (
 func normalizeResults(res detect.Results) detect.Results {
 	res.Wall = 0
 	res.SummaryHits, res.SummaryMisses, res.SummaryCapHits = 0, 0, 0
-	res.TasksRun, res.TasksReplayed = 0, 0
+	res.TasksRun, res.TasksReplayed, res.ReplayChecks = 0, 0, 0
 	res.WorkerStats = nil
 	for i := range res.Checkers {
 		res.Checkers[i].Stats.SMTTime = 0

@@ -48,6 +48,14 @@ type caches struct {
 	plan      []scheduled
 	planFor   []int
 	unplanned []*ir.Func
+	// ran is the last run on this Program or the one it was carried from,
+	// changed the functions whose graph, caller list or may-free vector
+	// changed since, readers the read index of the Layout and runs the
+	// session's run log (see replay.go); nil on throwaway caches.
+	ran     *lastRun
+	changed []fnChange
+	readers readIndex
+	runs    *runLog
 }
 
 type nameSet struct{ _ byte }
@@ -118,7 +126,8 @@ func newCachesFrom(prog, prev *Program) *caches {
 		names: new(nameSet),
 	}
 	if prev != nil {
-		c.walks, c.specs = prev.sticky.walks, prev.sticky.specs
+		c.walks, c.specs, c.runs = prev.sticky.walks, prev.sticky.specs, prev.sticky.runs
+		c.readers = make(readIndex, n)
 	} else {
 		c.walks, c.specs = new(specNumbers), new(specNumbers)
 	}

@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/ir"
@@ -71,9 +72,13 @@ func leakReport(checker string, f *ir.Func, g *seg.Graph, alloc int32, kind Leak
 // It counts the flow lookups it still has to make into n, and leaves the
 // relation read-only for the concurrent per-allocation queries (checkAlloc).
 func computeFreesParam(prog *Program, c *caches, n *flowCounts) {
+	called := func(f *ir.Func) bool { return len(prog.Callers(f)) > 0 }
+	if !slices.ContainsFunc(c.stale, called) {
+		return // what is stale stays so: a warm request's usual case
+	}
 	var work, uncalled []*ir.Func
 	for _, f := range c.stale {
-		if len(prog.Callers(f)) == 0 {
+		if !called(f) {
 			uncalled = append(uncalled, f)
 			continue
 		}

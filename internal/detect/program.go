@@ -92,6 +92,7 @@ func NewProgramIndexed(m *ir.Module, segs []*seg.Graph) *Program {
 func (p *Program) EnableCachePersistence() {
 	if p.sticky == nil {
 		p.sticky = newCaches(p)
+		p.sticky.readers, p.sticky.runs = make(readIndex, p.Module.Layout.NumIDs()), new(runLog)
 	}
 }
 
@@ -147,7 +148,8 @@ func NewProgramFrom(prev *Program, m *ir.Module, segs []*seg.Graph, fresh []*ir.
 		p.sticky = newCachesFrom(p, prev)
 		return p
 	}
-	c := &caches{names: old.names, walks: old.walks, specs: old.specs, planFor: old.planFor, plan: old.plan}
+	c := &caches{names: old.names, walks: old.walks, specs: old.specs, planFor: old.planFor, plan: old.plan,
+		ran: old.ran, changed: old.changed, readers: old.readers, runs: old.runs}
 	p.sticky = c
 	if len(fresh) == 0 {
 		p.callers, c.fn, c.frees, c.stale, c.unplanned = prev.callers, old.fn, old.frees, old.stale, old.unplanned
@@ -168,7 +170,18 @@ func NewProgramFrom(prev *Program, m *ir.Module, segs []*seg.Graph, fresh []*ir.
 			c.unplanned = append(c.unplanned, f)
 		}
 	}
-	p.callers = patchCallers(prev, p, fresh)
+	var moved []int
+	p.callers, moved = patchCallers(prev, p, fresh)
+	// What the run to come must hold the memos that read it against: the
+	// graphs replaced, the caller lists that name other sites. (The may-free
+	// vectors that move are known once that run recomputes them.)
+	c.changed = slices.Clip(old.changed)
+	for _, f := range fresh {
+		c.changed = append(c.changed, fnChange{f.ID, readsGraph})
+	}
+	for _, id := range moved {
+		c.changed = append(c.changed, fnChange{id, readsCallers})
+	}
 	// May-free relation: a function's vector depends on its own flows and on
 	// the vectors of what it calls, so exactly the functions that reach a
 	// fresh one (or one that was stale already) need recomputing: seed with
@@ -202,10 +215,11 @@ func NewProgramFrom(prev *Program, m *ir.Module, segs []*seg.Graph, fresh []*ir.
 // the previous holder of its ID: the sites inside replaced functions go, the
 // sites inside their replacements come. Only the lists of callees named on
 // either side are rebuilt; every other list is shared with prev, slice and
-// all — which is what lets a recorded ascent compare equal afterwards.
-func patchCallers(prev, p *Program, fresh []*ir.Func) [][]CallSite {
+// all — which is what lets a recorded ascent compare equal afterwards. It
+// also returns the IDs of the callees whose rebuilt list differs.
+func patchCallers(prev, p *Program, fresh []*ir.Func) (callers [][]CallSite, moved []int) {
 	m := p.Module
-	callers := slices.Clone(prev.callers)
+	callers = slices.Clone(prev.callers)
 	affected := make(map[*ir.Func]bool)
 	added := make(map[*ir.Func][]CallSite) // by callee
 	for _, f := range fresh {
@@ -234,9 +248,12 @@ func patchCallers(prev, p *Program, fresh []*ir.Func) [][]CallSite {
 		// stay in instruction order.
 		pos := func(cs CallSite) int { return m.Layout.Pos(cs.Fn.ID) }
 		sort.SliceStable(sites, func(i, j int) bool { return pos(sites[i]) < pos(sites[j]) })
+		if !slices.Equal(sites, prev.callers[callee.ID]) {
+			moved = append(moved, callee.ID)
+		}
 		callers[callee.ID] = sites
 	}
-	return callers
+	return callers, moved
 }
 
 // forEachCall visits the calls of g's function in block and instruction

@@ -1,7 +1,8 @@
 package detect
 
 import (
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/minic"
 )
@@ -52,16 +53,43 @@ func (r Report) ToJSON() JSONReport {
 // reports at identical positions) keep their deterministic discovery order,
 // so sorted output is byte-identical between sequential and parallel runs.
 func SortReports(rs []Report) {
-	sort.SliceStable(rs, func(i, j int) bool {
-		a, b := rs[i], rs[j]
-		if a.Checker != b.Checker {
-			return a.Checker < b.Checker
-		}
-		if c := comparePos(a.SourcePos, b.SourcePos); c != 0 {
-			return c < 0
-		}
-		return comparePos(a.SinkPos, b.SinkPos) < 0
-	})
+	found := make([]foundReport, len(rs))
+	for i := range rs {
+		found[i].rep = &rs[i]
+	}
+	copy(rs, sortFound(found))
+}
+
+// foundReport is a report where the merge found it (see foundAt).
+type foundReport struct {
+	rep *Report
+	at  foundAt
+}
+
+// sortFound sorts found stably by report, comparing through the pointers,
+// and returns the reports in that order: each is copied once.
+func sortFound(found []foundReport) []Report {
+	slices.SortStableFunc(found, func(a, b foundReport) int { return compareReports(a.rep, b.rep) })
+	if len(found) == 0 {
+		return nil
+	}
+	rs := make([]Report, len(found))
+	for i := range found {
+		rs[i] = *found[i].rep
+	}
+	return rs
+}
+
+// compareReports orders two reports by (checker, source position, sink
+// position).
+func compareReports(a, b *Report) int {
+	if a.Checker != b.Checker {
+		return strings.Compare(a.Checker, b.Checker)
+	}
+	if c := comparePos(a.SourcePos, b.SourcePos); c != 0 {
+		return c
+	}
+	return comparePos(a.SinkPos, b.SinkPos)
 }
 
 func comparePos(a, b minic.Pos) int {

@@ -38,7 +38,9 @@ import (
 //     have: it leaves the walk where its own per-source caps would have
 //     stopped it, while the others go on;
 //   - per-task stats are merged per checker in task order and reports are
-//     sorted by (checker, source position, sink position) at the end.
+//     sorted by (checker, source position, sink position) at the end — or,
+//     on a Program whose last run can be patched, that run's merge is
+//     patched with the tasks that ran again (see replay.go).
 
 // CheckerStats pairs a checker name with its aggregated effort counters.
 type CheckerStats struct {
@@ -74,7 +76,8 @@ type WorkerStat struct {
 // Results is the outcome of one CheckAll run.
 type Results struct {
 	// Reports holds every checker's reports, sorted by (checker, source
-	// position, sink position).
+	// position, sink position). On a Program with persistent caches a later
+	// call may return the same slice: read it, do not modify it.
 	Reports []Report
 	// Checkers aggregates per-checker stats, parallel to the specs given
 	// to CheckAll: each checker's counters are those of running it alone,
@@ -109,6 +112,11 @@ type Results struct {
 	// reused (always zero on a Program without persistent caches).
 	TasksRun      int
 	TasksReplayed int
+	// ReplayChecks counts the recorded results the call held against the
+	// program (replayEntry.holds) to decide between replaying and running:
+	// every task's on a Program's first call or after the checkers or
+	// options changed, only those of the tasks an edit can reach otherwise.
+	ReplayChecks int
 	// WorkerStats is the per-worker task/busy-time breakdown, populated
 	// only when Options.Obs is set. Replayed tasks are not counted.
 	WorkerStats []WorkerStat
@@ -184,6 +192,7 @@ type task struct {
 	g     *seg.Graph
 	src   checkers.Source // KindSourceSink
 	alloc int32           // KindUnreleased; -1 otherwise
+	k     int32           // position in its function's list
 	// memo is the outcome recorded by the task's last execution on a
 	// Program with persistent caches (see replay.go); nil otherwise.
 	memo *replayEntry
@@ -249,16 +258,34 @@ func CheckAll(prog *Program, specs []*checkers.Spec, opts Options) Results {
 	var flows flowCounts // lookups outside tasks: prepare's parameter flows
 	prepSp := rec.Phase("detect/prepare")
 	groups, of, ids := groupSpecs(specs, c, prog.sticky != nil)
-	tasks := prepare(prog, groups, ids, c, workers, &flows)
+	// run, when non-nil, is the last run, which this one patches: only the
+	// tasks of todo are held against the Program, every other replays.
+	run := c.patchable(key, ids, groups, opts.MaxReportsPerChecker > 0)
+	tasks, edits := prepare(prog, groups, ids, c, workers, &flows)
 	if slices.ContainsFunc(specs, func(sp *checkers.Spec) bool { return sp.Kind == checkers.KindUnreleased }) {
+		stale := c.stale
 		computeFreesParam(prog, c, &flows)
+		if run != nil {
+			c.noteFrees(stale, run.frees)
+		}
+	}
+	var todo []int32
+	n := len(tasks)
+	if run != nil {
+		todo = c.checkList(prog, tasks, groups, edits)
+		n = len(todo)
 	}
 	prepSp.End()
 
-	results := make([]*taskResult, len(tasks))
-	// Per worker, like wstats: its engine and the tasks it replayed.
+	results := make([]*taskResult, n)
+	var olds []*replayEntry // todo's memos before the run
+	if run != nil {
+		olds = make([]*replayEntry, n)
+	}
+	// Per worker, like wstats: its engine, the tasks it replayed and the
+	// memos it held against the Program.
 	engines := make([]*Engine, workers)
-	replayed := make([]int, workers)
+	counts := make([]struct{ replayed, checks int }, workers)
 	var wstats []WorkerStat
 	if rec != nil {
 		wstats = make([]WorkerStat, workers)
@@ -267,13 +294,19 @@ func CheckAll(prog *Program, specs []*checkers.Spec, opts Options) Results {
 		}
 	}
 	searchSp := rec.Phase("detect/search")
-	_ = conc.ForEach(len(tasks), workers, func(w, i int) error { // tasks cannot fail
-		t := tasks[i]
+	_ = conc.ForEach(n, workers, func(w, j int) error { // tasks cannot fail
+		t := tasks[planPos(todo, j)]
+		if run != nil {
+			olds[j] = t.memo
+		}
 		g := &groups[t.group]
-		if m := t.memo; m != nil && m.holds(prog, c, key, g, ids) {
-			results[i] = &m.result
-			replayed[w]++
-			return nil
+		if m := t.memo; m != nil {
+			counts[w].checks++
+			if m.holds(prog, c, key, g, ids) {
+				results[j] = &m.result
+				counts[w].replayed++
+				return nil
+			}
 		}
 		e := engines[w]
 		if e == nil {
@@ -281,11 +314,11 @@ func CheckAll(prog *Program, specs []*checkers.Spec, opts Options) Results {
 			engines[w] = e
 		}
 		if rec == nil {
-			results[i] = e.runTask(g, ids, t.task, key)
+			results[j] = e.runTask(g, ids, t.task, key)
 			return nil
 		}
 		t0 := time.Now()
-		results[i] = e.runTask(g, ids, t.task, key)
+		results[j] = e.runTask(g, ids, t.task, key)
 		d := time.Since(t0)
 		// wstats[w] is only ever touched by worker w: no lock needed.
 		wstats[w].Tasks++
@@ -309,13 +342,74 @@ func CheckAll(prog *Program, specs []*checkers.Spec, opts Options) Results {
 	mergeSp := rec.Phase("detect/merge")
 	res := Results{Workers: workers, WorkerStats: wstats}
 	for w, e := range engines {
-		res.TasksReplayed += replayed[w]
+		res.TasksReplayed += counts[w].replayed
+		res.ReplayChecks += counts[w].checks
 		if e != nil {
 			e.releaseSolver()
 			flows.add(e.flows)
 		}
 	}
-	res.TasksRun = len(tasks) - res.TasksReplayed
+	for j := 0; key != nil && j < n; j++ {
+		if t := tasks[planPos(todo, j)]; results[j] != &t.memo.result { // it ran and recorded a memo
+			c.readers.add(prog.Module, t.task, groups[t.group].lists)
+		}
+	}
+	res.TasksRun = n - res.TasksReplayed
+	res.TasksReplayed = len(tasks) - res.TasksRun // the tasks outside todo replay unchecked
+	if run != nil {
+		if fail := crossCheck.Load(); fail != nil {
+			crossCheckSkipped(*fail, prog, c, key, tasks, groups, ids, todo)
+		}
+		var stats []Stats
+		run, stats = c.patch(prog, run, groups, of, ids, tasks, edits, todo, olds, results)
+		res.Checkers = make([]CheckerStats, len(specs))
+		for si, sp := range specs {
+			res.Checkers[si] = CheckerStats{Checker: sp.Name, Stats: stats[si]}
+		}
+		res.Reports, res.ExpansionsWalked, res.QueriesIssued = run.reports, run.walked, run.issued
+	} else {
+		run = merge(&res, prog, specs, groups, of, ids, tasks, results, key, opts.MaxReportsPerChecker)
+	}
+	if key != nil {
+		c.ran, c.runs.last, c.changed = run, run, nil
+	}
+	res.SummaryCapHits = flows.capHits
+	res.SummaryHits, res.SummaryMisses = flows.hits, flows.misses
+	mergeSp.End()
+	res.Wall = time.Since(start)
+
+	if rec != nil {
+		rec.Counter("detect.tasks").Add(int64(len(tasks)))
+		rec.Counter("detect.tasks_replayed").Add(int64(res.TasksReplayed))
+		rec.Counter("detect.replay_checks").Add(int64(res.ReplayChecks))
+		rec.Counter("detect.reports").Add(int64(len(res.Reports)))
+		rec.Counter("summary.cache_hits").Add(int64(res.SummaryHits))
+		rec.Counter("summary.cache_misses").Add(int64(res.SummaryMisses))
+		rec.Counter("summary.cap_hits").Add(int64(res.SummaryCapHits))
+		rec.Gauge("detect.workers").Set(int64(workers))
+		for _, ws := range wstats {
+			rec.Histogram("detect.worker_busy_ns").Observe(int64(ws.Busy))
+		}
+	}
+	return res
+}
+
+// planPos returns the plan position of a run's j-th result: todo's j-th
+// task, or with todo nil (every task is held) the j-th.
+func planPos(todo []int32, j int) int {
+	if todo == nil {
+		return j
+	}
+	return int(todo[j])
+}
+
+// merge fills res with the merge of every task's result, in task order (one
+// per plan task): per checker, its group's tasks in order, a report kept once
+// per (source, sink), and nothing of the tasks past the report cap counted.
+// When key is set and there is no cap it returns the run a later CheckAll can
+// patch; nil otherwise.
+func merge(res *Results, prog *Program, specs []*checkers.Spec, groups []group, of, ids []int, tasks []scheduled, results []*taskResult, key *Options, maxReports int) *lastRun {
+	keep := key != nil && maxReports == 0
 	total := 0
 	for ti, tr := range results {
 		g := &groups[tasks[ti].group]
@@ -329,54 +423,50 @@ func CheckAll(prog *Program, specs []*checkers.Spec, opts Options) Results {
 			total += len(tr.members[mi].reports)
 		}
 	}
-	if total > 0 {
-		res.Reports = make([]Report, 0, total)
-	}
-	// Per checker, its group's tasks in task order: a report is kept once
-	// per (source, sink), and nothing of the tasks past the report cap counts.
+	found := make([]foundReport, 0, total)
 	res.Checkers = make([]CheckerStats, 0, len(specs))
 	seen := make(map[[2]Site]bool)
 	for si, sp := range specs {
 		g := &groups[of[si]]
 		merged := Stats{}
 		clear(seen)
-		first := len(res.Reports)
-		for _, tr := range results[g.from : g.from+g.n] {
+		first := len(found)
+		for ti, tr := range results[g.from : g.from+g.n] {
 			mr := tr.member(ids[si])
 			addStats(&merged, mr.stats)
-			for _, r := range mr.reports {
-				key := [2]Site{r.Source, r.Sink}
-				if r.Sink.Fn != nil && seen[key] {
+			for r := range mr.reports {
+				f := foundReport{rep: &mr.reports[r]}
+				key := [2]Site{f.rep.Source, f.rep.Sink}
+				if f.rep.Sink.Fn != nil && seen[key] {
 					continue
 				}
 				seen[key] = true
-				res.Reports = append(res.Reports, r)
+				if keep {
+					t := tasks[g.from+ti]
+					f.at = foundAt{int32(si), int32(prog.Module.Layout.Pos(t.fn.ID)), t.k, int32(r)}
+				}
+				found = append(found, f)
 			}
-			if opts.MaxReportsPerChecker > 0 && len(res.Reports)-first >= opts.MaxReportsPerChecker {
+			if maxReports > 0 && len(found)-first >= maxReports {
 				break
 			}
 		}
 		res.Checkers = append(res.Checkers, CheckerStats{Checker: sp.Name, Stats: merged})
 	}
-	res.SummaryCapHits = flows.capHits
-	res.SummaryHits, res.SummaryMisses = flows.hits, flows.misses
-	SortReports(res.Reports)
-	mergeSp.End()
-	res.Wall = time.Since(start)
-
-	if rec != nil {
-		rec.Counter("detect.tasks").Add(int64(len(tasks)))
-		rec.Counter("detect.tasks_replayed").Add(int64(res.TasksReplayed))
-		rec.Counter("detect.reports").Add(int64(len(res.Reports)))
-		rec.Counter("summary.cache_hits").Add(int64(res.SummaryHits))
-		rec.Counter("summary.cache_misses").Add(int64(res.SummaryMisses))
-		rec.Counter("summary.cap_hits").Add(int64(res.SummaryCapHits))
-		rec.Gauge("detect.workers").Set(int64(workers))
-		for _, ws := range wstats {
-			rec.Histogram("detect.worker_busy_ns").Observe(int64(ws.Busy))
-		}
+	res.Reports = sortFound(found)
+	if !keep {
+		return nil
 	}
-	return res
+	run := &lastRun{key: *key, ids: ids, frees: prog.sticky.frees, walked: res.ExpansionsWalked, issued: res.QueriesIssued,
+		reports: res.Reports, found: make([]foundAt, len(found)), stats: make([]Stats, len(specs))}
+	for i := range found {
+		run.found[i] = found[i].at
+	}
+	for si, cs := range res.Checkers {
+		run.stats[si] = cs.Stats
+		run.stats[si].SMTTime = 0 // a memo carries none
+	}
+	return run
 }
 
 // prepare enumerates the detection tasks; it only reads the SEGs, which are
@@ -396,7 +486,7 @@ func CheckAll(prog *Program, specs []*checkers.Spec, opts Options) Results {
 // The tasks come back in the canonical order — groups in order of first
 // appearance, functions in module order, sources in extraction order — which
 // the merge phase walks per checker.
-func prepare(prog *Program, groups []group, ks []int, c *caches, workers int, n *flowCounts) []scheduled {
+func prepare(prog *Program, groups []group, ks []int, c *caches, workers int, n *flowCounts) (plan []scheduled, edits []planEdit) {
 	// The plan is kept for the checkers it was assembled for (ks), which
 	// decide the groups.
 	lists := len(groups)
@@ -408,7 +498,7 @@ func prepare(prog *Program, groups []group, ks []int, c *caches, workers int, n 
 	todo := m.Funcs
 	if c.plan != nil && slices.Equal(ks, c.planFor) {
 		if len(c.unplanned) == 0 {
-			return c.plan // same program, same checkers: nothing left to do
+			return c.plan, nil // same program, same checkers: nothing left to do
 		}
 		todo = c.unplanned
 	} else {
@@ -462,7 +552,6 @@ func prepare(prog *Program, groups []group, ks []int, c *caches, workers int, n 
 		}
 		return plan
 	}
-	var plan []scheduled
 	if c.plan == nil {
 		total := 0
 		for _, f := range m.Funcs {
@@ -479,35 +568,38 @@ func prepare(prog *Program, groups []group, ks []int, c *caches, workers int, n 
 			}
 		}
 	} else {
-		// Merge: the old plan without the tasks of functions that are gone,
-		// and the new functions' tasks, both in (group, module position)
-		// order.
+		// Splice: each function that replaced another takes over the run of
+		// tasks its predecessor has in each group — the plan is in (group,
+		// module position) order, and a Layout kept positions where they were.
 		fresh := slices.Clone(todo)
 		pos := func(f *ir.Func) int { return m.Layout.Pos(f.ID) }
 		slices.SortFunc(fresh, func(a, b *ir.Func) int { return pos(a) - pos(b) })
 		plan = make([]scheduled, 0, len(c.plan)+len(fresh))
-		gi, j := 0, 0 // next to splice in: fresh[j]'s tasks for group gi
-		spliceUpTo := func(group, at int) {
-			for gi < len(groups) && (gi < group || (gi == group && j < len(fresh) && pos(fresh[j]) < at)) {
-				if j == len(fresh) {
-					gi, j = gi+1, 0
-					continue
-				}
-				plan = tasksOf(plan, gi, fresh[j])
-				j++
+		from := 0
+		for gi := range groups {
+			for _, f := range fresh {
+				lo := planStart(m, c.plan, gi, pos(f))
+				hi := planStart(m, c.plan, gi, pos(f)+1)
+				plan = append(plan, c.plan[from:lo]...)
+				at := len(plan)
+				plan = tasksOf(plan, gi, f)
+				edits = append(edits, planEdit{group: gi, pos: pos(f), old: c.plan[lo:hi], at: at, n: len(plan) - at})
+				from = hi
 			}
 		}
-		for _, t := range c.plan {
-			if !m.Holds(t.fn) {
-				continue
-			}
-			spliceUpTo(t.group, pos(t.fn))
-			plan = append(plan, t)
-		}
-		spliceUpTo(len(groups), 0)
+		plan = append(plan, c.plan[from:]...)
 	}
 	c.planFor, c.plan, c.unplanned = ks, plan, nil
-	return plan
+	return plan, edits
+}
+
+// planEdit is one run of plan tasks a splice replaced: the tasks group's
+// function at module position pos had in the old plan, and the n the new plan
+// has from at.
+type planEdit struct {
+	group, pos int
+	old        []scheduled
+	at, n      int
 }
 
 // localTasks lists one function's tasks for the walk of sp — a source each,
@@ -517,13 +609,13 @@ func localTasks(sp *checkers.Spec, f *ir.Func, g *seg.Graph) []task {
 	if sp.Kind == checkers.KindUnreleased {
 		for _, in := range g.Order() {
 			if g.In(in).Op == ir.OpMalloc {
-				tasks = append(tasks, task{fn: f, g: g, alloc: in})
+				tasks = append(tasks, task{fn: f, g: g, alloc: in, k: int32(len(tasks))})
 			}
 		}
 		return tasks
 	}
 	for _, src := range sp.LocalSources(g) {
-		tasks = append(tasks, task{fn: f, g: g, src: src, alloc: -1})
+		tasks = append(tasks, task{fn: f, g: g, src: src, alloc: -1, k: int32(len(tasks))})
 	}
 	return tasks
 }
@@ -585,4 +677,15 @@ func addStats(dst *Stats, s Stats) {
 	dst.SummaryCapHits += s.SummaryCapHits
 	dst.TruncatedSearches += s.TruncatedSearches
 	dst.Escaped += s.Escaped
+}
+
+// negStats returns s with every counter negated: adding it takes s back out.
+func negStats(s Stats) Stats {
+	return Stats{
+		Sources: -s.Sources, Expansions: -s.Expansions, Candidates: -s.Candidates,
+		LinearFiltered: -s.LinearFiltered, SMTQueries: -s.SMTQueries, SMTSat: -s.SMTSat,
+		SMTUnsat: -s.SMTUnsat, SMTUnknown: -s.SMTUnknown, SMTSolved: -s.SMTSolved,
+		SMTPrefilterUnsat: -s.SMTPrefilterUnsat, SMTTime: -s.SMTTime,
+		SummaryCapHits: -s.SummaryCapHits, TruncatedSearches: -s.TruncatedSearches, Escaped: -s.Escaped,
+	}
 }

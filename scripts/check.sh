@@ -2,7 +2,7 @@
 # Tier-1 verification in one command: formatting, vet, build, tests (with
 # the race detector — the parallel detection scheduler's determinism tests
 # run under it, and cmd/pinpoint's process-level test builds and drives the
-# real binary), the restart, codec, graphs-unchanged and
+# real binary), the restart, codec, graphs-unchanged, replay and
 # all-checkers-equal-their-union equivalences at one and two CPUs, the
 # allocation and residency budgets without the race detector, a short fuzz of
 # the artifact decoder, of the unit-facts decoder, of the solver against
@@ -29,11 +29,13 @@ echo "== go test -race"
 go test -race ./...
 
 # When a unit is parsed, what the segment codec writes, that detection
-# leaves every graph as it was built, and what `-checkers all` reports beside
-# the six checkers run one by one must not depend on how many goroutines
-# there are to do it on.
-echo "== restart, codec, graphs-unchanged and all-equals-union equivalence at -cpu 1,2"
-go test ./internal/core -run 'WarmRestart|SegmentCodec|DetectionLeavesGraphsUnchanged' -race -cpu 1,2
+# leaves every graph as it was built, that a replaying session — which holds
+# only the tasks an edit can reach against the program, and every other task
+# too in these tests — answers like a from-scratch build, and what
+# `-checkers all` reports beside the six checkers run one by one must not
+# depend on how many goroutines there are to do it on.
+echo "== restart, codec, graphs-unchanged, replay and all-equals-union equivalence at -cpu 1,2"
+go test ./internal/core -run 'WarmRestart|SegmentCodec|DetectionLeavesGraphsUnchanged|Replay' -race -cpu 1,2
 go test ./cmd/pinpoint -run 'AllEqualsUnionOfCheckers' -cpu 1,2
 
 # The allocation and residency budgets skip themselves under the race
