@@ -229,20 +229,24 @@ func BenchmarkAblationConnectors(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPathSensitivity isolates the SMT stage.
+// BenchmarkAblationPathSensitivity isolates the SMT stage. Each iteration
+// checks a fresh build, made outside the timer: on one Analysis every
+// iteration after the first would replay the first one's search.
 func BenchmarkAblationPathSensitivity(b *testing.B) {
 	s, _ := workload.SubjectByName("mysql")
 	gen := workload.Generate(s, workload.GenOptions{Scale: benchScale})
-	a, err := core.BuildFromSource(gen.Units, core.BuildOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
 	for _, mode := range []struct {
 		name    string
 		disable bool
 	}{{"on", false}, {"off", true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				a, err := core.BuildFromSource(gen.Units, core.BuildOptions{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
 				reports, _ := a.Check(checkers.UseAfterFree(), detect.Options{DisablePathSensitivity: mode.disable})
 				b.ReportMetric(float64(len(reports)), "reports")
 			}

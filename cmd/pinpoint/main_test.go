@@ -302,7 +302,6 @@ func TestFlagSurface(t *testing.T) {
 -request-timeout=2m0s
 -store-dir=
 -tenant-idle=0s
--tenant-inflight=0
 -workers=-1
 `},
 	} {

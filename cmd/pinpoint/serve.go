@@ -16,17 +16,16 @@ import (
 
 // serveOptions is the `pinpoint serve` command line.
 type serveOptions struct {
-	addr           string
-	workers        int
-	maxInflight    int
-	reqTimeout     time.Duration
-	grace          time.Duration
-	logJSON        bool
-	logLevel       string
-	storeDir       string
-	maxTenants     int
-	tenantIdle     time.Duration
-	tenantInflight int
+	addr        string
+	workers     int
+	maxInflight int
+	reqTimeout  time.Duration
+	grace       time.Duration
+	logJSON     bool
+	logLevel    string
+	storeDir    string
+	maxTenants  int
+	tenantIdle  time.Duration
 }
 
 // serveFlags defines the serve command's flags on fs.
@@ -42,7 +41,6 @@ func serveFlags(fs *flag.FlagSet) *serveOptions {
 	fs.StringVar(&o.storeDir, "store-dir", "", "persist build artifacts in this directory; a restarted server warm-loads instead of cold building (empty = memory only)")
 	fs.IntVar(&o.maxTenants, "max-tenants", 0, "max concurrently resident per-project sessions; beyond this the least-recently-used idle project is evicted, persisting to the store first (0 = 64, negative = unlimited)")
 	fs.DurationVar(&o.tenantIdle, "tenant-idle", 0, "evict a project's session after this much idle time (0 = 15m, negative = never)")
-	fs.IntVar(&o.tenantInflight, "tenant-inflight", 0, "max concurrently admitted requests per project under -max-inflight (0 = no per-project bound)")
 	return o
 }
 
@@ -81,16 +79,15 @@ func runServe(args []string) {
 		}
 	}()
 	srv := server.New(server.Config{
-		Addr:              o.addr,
-		MaxInFlight:       o.maxInflight,
-		RequestTimeout:    timeout,
-		Workers:           o.workers,
-		Logger:            slog.New(handler),
-		Rec:               rec,
-		Store:             st,
-		MaxTenants:        o.maxTenants,
-		TenantIdle:        o.tenantIdle,
-		TenantMaxInFlight: o.tenantInflight,
+		Addr:           o.addr,
+		MaxInFlight:    o.maxInflight,
+		RequestTimeout: timeout,
+		Workers:        o.workers,
+		Logger:         slog.New(handler),
+		Rec:            rec,
+		Store:          st,
+		MaxTenants:     o.maxTenants,
+		TenantIdle:     o.tenantIdle,
 	})
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

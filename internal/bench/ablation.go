@@ -114,8 +114,12 @@ func RunAblations(cfg Config) ([]*AblationResult, error) {
 	// precision the holistic design buys.
 	{
 		r := mk("path-sensitivity-off")
+		a, err := core.BuildFromSource(gen.Units, core.BuildOptions{}) // full's caches are warm
+		if err != nil {
+			return nil, err
+		}
 		t0 := time.Now()
-		reports, st := full.Check(checkers.UseAfterFree(), detect.Options{DisablePathSensitivity: true})
+		reports, st := a.Check(checkers.UseAfterFree(), detect.Options{DisablePathSensitivity: true})
 		r.AblatedTime = time.Since(t0)
 		r.AblatedReports = len(reports)
 		r.AblatedTP, r.AblatedFP = classify(reports)

@@ -31,12 +31,14 @@ func RunDepthSweep(cfg Config, depths []int) ([]*DepthRow, error) {
 	}
 	subj, _ := workload.SubjectByName("mysql")
 	gen := workload.Generate(subj, workload.GenOptions{Scale: cfg.Scale})
-	a, err := core.BuildFromSource(gen.Units, core.BuildOptions{})
-	if err != nil {
-		return nil, err
-	}
 	var out []*DepthRow
 	for _, d := range depths {
+		// A build per depth: on one, each depth would find the flow
+		// summaries the depths before it enumerated.
+		a, err := core.BuildFromSource(gen.Units, core.BuildOptions{})
+		if err != nil {
+			return nil, err
+		}
 		row := &DepthRow{Depth: d}
 		t0 := time.Now()
 		reports, st := a.Check(checkers.UseAfterFree(), detect.Options{MaxCallDepth: d})

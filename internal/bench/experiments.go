@@ -199,12 +199,13 @@ func RunTaint(cfg Config) ([]*TaintRun, error) {
 	cfg = cfg.withDefaults()
 	subj, _ := workload.SubjectByName("mysql")
 	gen := workload.Generate(subj, workload.GenOptions{Scale: cfg.Scale, Taint: true})
-	a, err := core.BuildFromSource(gen.Units, core.BuildOptions{})
-	if err != nil {
-		return nil, err
-	}
 	var out []*TaintRun
 	for _, spec := range []*checkers.Spec{checkers.PathTraversal(), checkers.DataTransmission()} {
+		// A build per checker, so that each is measured on cold caches.
+		a, err := core.BuildFromSource(gen.Units, core.BuildOptions{})
+		if err != nil {
+			return nil, err
+		}
 		tr := &TaintRun{Checker: spec.Name}
 		res, mem, dur := MeasureMem(func() any {
 			r, _ := a.Check(spec, detect.Options{})
@@ -244,11 +245,12 @@ func RunUnitConfinedBaselines(cfg Config) ([]*BaselineRun, error) {
 	var out []*BaselineRun
 	for _, s := range workload.OpenSourceSubjects() {
 		gen := workload.Generate(s, workload.GenOptions{Scale: cfg.Scale})
-		a, err := core.BuildFromSource(gen.Units, core.BuildOptions{})
-		if err != nil {
-			return nil, err
-		}
 		for _, tool := range []string{"Infer", "CSA"} {
+			// A build per tool, so that each is measured on cold caches.
+			a, err := core.BuildFromSource(gen.Units, core.BuildOptions{})
+			if err != nil {
+				return nil, err
+			}
 			br := &BaselineRun{Subject: s, Tool: tool}
 			t0 := time.Now()
 			var reports []detect.Report

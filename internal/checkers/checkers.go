@@ -90,6 +90,11 @@ type Spec struct {
 	// checkers deliberately leave this empty (§4.1, §5.3) and count the
 	// resulting reports as false positives; WithSanitizers opts in.
 	SanitizerCalls map[string]bool
+
+	// identity and walkIdentity are Identity and WalkIdentity as the
+	// registry rendered them for the entry that made the spec; empty for a
+	// spec made otherwise, whose identities are rendered on each call.
+	identity, walkIdentity string
 }
 
 // WithSanitizers returns a copy of the spec with sanitizer modeling
@@ -97,6 +102,7 @@ type Spec struct {
 // checkers drops accordingly (see the sanitizer test and bench).
 func (s *Spec) WithSanitizers(names ...string) *Spec {
 	out := *s
+	out.identity, out.walkIdentity = "", "" // they name the sanitizers
 	out.SanitizerCalls = make(map[string]bool, len(names))
 	for _, n := range names {
 		out.SanitizerCalls[n] = true
@@ -109,13 +115,23 @@ func (s *Spec) WithSanitizers(names ...string) *Spec {
 // (their captured name tables are the SourceCalls/SinkCalls fields). Specs
 // are built fresh per request, so detection results memoized across requests
 // are keyed by this string rather than by the *Spec.
-func (s *Spec) Identity() string { return s.render(true) }
+func (s *Spec) Identity() string {
+	if s.identity != "" {
+		return s.identity
+	}
+	return s.render(true)
+}
 
 // WalkIdentity renders what SharesWalk compares — Identity without the name
 // and the sinks — so that task lists kept across requests are found again by
 // whichever members a later request groups. A spec that shares its walk with
 // no one keeps its full identity.
-func (s *Spec) WalkIdentity() string { return s.render(!s.leafSinks()) }
+func (s *Spec) WalkIdentity() string {
+	if s.walkIdentity != "" {
+		return s.walkIdentity
+	}
+	return s.render(!s.leafSinks())
+}
 
 func (s *Spec) render(sinks bool) string {
 	var b strings.Builder

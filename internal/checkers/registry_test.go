@@ -60,11 +60,16 @@ func TestRegistryByName(t *testing.T) {
 // TestSharesWalk pins the grouping rule over the registry and a few variants:
 // use-after-free and double-free share a walk and nothing else does; sharing
 // agrees with WalkIdentity, which detection keeps task lists under across
-// requests; and a spec that claims leaf sinks accepts no call or return
-// argument, whatever the callee — the one thing the rule takes on trust.
+// requests, and two different specs that share no walk differ in it as in
+// Identity — the variants WithSanitizers makes of a registry spec included;
+// and a spec that claims leaf sinks accepts no call or return argument,
+// whatever the callee — the one thing the rule takes on trust.
 func TestSharesWalk(t *testing.T) {
 	specs := append(All(), All()...) // every spec beside a fresh copy of itself
-	specs = append(specs, UseAfterFree().WithSanitizers("checked"), PathTraversal().WithSanitizers("checked"))
+	uaf, _ := ByName("use-after-free")
+	pt, _ := ByName("path-traversal")
+	specs = append(specs, uaf.WithSanitizers("checked"), pt.WithSanitizers("checked"))
+	same := func(a, b *Spec) bool { return a.Name == b.Name && len(a.SanitizerCalls) == len(b.SanitizerCalls) }
 	// walk names the class a spec is expected in; "" shares with no one.
 	walk := func(sp *Spec) string {
 		switch {
@@ -85,6 +90,12 @@ func TestSharesWalk(t *testing.T) {
 			}
 			if a.WalkIdentity() == b.WalkIdentity() && a.leafSinks() != b.leafSinks() {
 				t.Errorf("%s and %s: one walk identity, different sink shapes", a.Name, b.Name)
+			}
+			if !a.SharesWalk(b) && !same(a, b) && a.WalkIdentity() == b.WalkIdentity() {
+				t.Errorf("%s (#%d) and %s (#%d) share no walk but one walk identity", a.Name, i, b.Name, j)
+			}
+			if (a.Identity() == b.Identity()) != same(a, b) {
+				t.Errorf("%s (#%d) and %s (#%d): identities equal %t, specs equal %t", a.Name, i, b.Name, j, a.Identity() == b.Identity(), same(a, b))
 			}
 		}
 	}
@@ -110,6 +121,19 @@ void f() {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestIdentityRenderedOnce: a registry spec carries its identities rendered,
+// so asking for them allocates nothing, and they are what rendering gives.
+func TestIdentityRenderedOnce(t *testing.T) {
+	for _, sp := range All() {
+		if n := testing.AllocsPerRun(10, func() { _, _ = sp.Identity(), sp.WalkIdentity() }); n != 0 {
+			t.Errorf("%s: %.0f allocations per Identity and WalkIdentity", sp.Name, n)
+		}
+		if sp.Identity() != sp.render(true) || sp.WalkIdentity() != sp.render(!sp.leafSinks()) {
+			t.Errorf("%s: the rendered identities are not the spec's", sp.Name)
 		}
 	}
 }

@@ -101,7 +101,6 @@ func TestSearchAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Prog.EnableCachePersistence()
 	specs := func() []*checkers.Spec { return []*checkers.Spec{checkers.UseAfterFree(), checkers.DoubleFree()} }
 	a.CheckAll(specs(), detect.Options{Workers: 1})
 

@@ -138,7 +138,7 @@ func (a *Analysis) Body(f *ir.Func) (*ir.Func, error) {
 // session (every artifact is a miss). Callers that analyze a program series
 // should hold a Session of their own and call Update instead.
 func BuildFromSource(units []minic.NamedSource, opts BuildOptions) (*Analysis, error) {
-	s := newSession(opts)
+	s := NewSession(opts)
 	s.oneShot = opts.Store == nil
 	return s.Update(units)
 }

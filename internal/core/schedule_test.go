@@ -21,7 +21,7 @@ func TestScheduleBoundsLiveBodies(t *testing.T) {
 		workload.Subject{Name: "ladder", Origin: "synthetic", PaperKLoC: 600, TrueBugs: 6, OpaqueTraps: 4},
 		workload.GenOptions{Scale: 30, Taint: true, Seed: 1})
 	rec := obs.NewTracing()
-	s := newSession(BuildOptions{Workers: 1, Obs: rec})
+	s := NewSession(BuildOptions{Workers: 1, Obs: rec})
 	if _, err := s.Update(gen.Units); err != nil {
 		t.Fatal(err)
 	}

@@ -186,11 +186,6 @@ func (z *artifactSizes) add(o *artifactSizes, sign int) {
 // unchanged functions are served from the artifact store.
 type Session struct {
 	opts BuildOptions
-	// persistDetect keeps detection caches alive across Update/CheckAll
-	// calls. NewSession enables it; the throwaway session behind
-	// BuildFromSource does not, preserving the historical cold-start
-	// CheckAll behavior that scaling measurements depend on.
-	persistDetect bool
 
 	// The committed state: what the last successful Update left, and the
 	// next one patches where it can. All of it is private to the session
@@ -223,12 +218,6 @@ type Session struct {
 
 // NewSession returns an empty incremental session.
 func NewSession(opts BuildOptions) *Session {
-	s := newSession(opts)
-	s.persistDetect = true
-	return s
-}
-
-func newSession(opts BuildOptions) *Session {
 	return &Session{opts: opts, files: make(map[string]*parsedUnit), store: opts.Store}
 }
 
@@ -1458,15 +1447,11 @@ func (s *Session) Update(units []minic.NamedSource) (*Analysis, error) {
 		SEGEdges:      totals.segEdges,
 		CondNodes:     totals.condNodes,
 	}
-	if s.persistDetect {
-		var prev *detect.Program
-		if s.analysis != nil {
-			prev = s.analysis.Prog
-		}
-		a.Prog = detect.NewProgramFrom(prev, m, a.SEGs, fresh)
-	} else {
-		a.Prog = detect.NewProgramIndexed(m, a.SEGs)
+	var prev *detect.Program
+	if s.analysis != nil {
+		prev = s.analysis.Prog
 	}
+	a.Prog = detect.NewProgramFrom(prev, m, a.SEGs, fresh)
 	noConnectors := s.opts.DisableConnectors
 	a.body = func(f *ir.Func) (*ir.Func, error) {
 		return lowerAgain(f, parsed, tab, shape, m, a.Summaries, noConnectors)

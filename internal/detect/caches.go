@@ -42,16 +42,15 @@ type caches struct {
 	// tasks record. Entries of fn are shared with the caches of the Programs
 	// before and after this one in a session, and so are the numberings.
 	walks, specs *specNumbers
-	// plan is the canonical task order prepare last assembled, planFor the
-	// checkers (numbered by specs) it was assembled for, and unplanned the
-	// functions that replaced others since and whose tasks it still lacks.
+	// plan is the canonical task order prepare last assembled — for the
+	// checkers of ran — and unplanned the functions that replaced others since
+	// and whose tasks it still lacks.
 	plan      []scheduled
-	planFor   []int
 	unplanned []*ir.Func
 	// ran is the last run on this Program or the one it was carried from,
 	// changed the functions whose graph, caller list or may-free vector
 	// changed since, readers the read index of the Layout and runs the
-	// session's run log (see replay.go); nil on throwaway caches.
+	// session's run log (see replay.go).
 	ran     *lastRun
 	changed []fnChange
 	readers readIndex
@@ -112,30 +111,30 @@ func newFnCache() *fnCache {
 
 // newCaches returns empty caches for prog, with an entry for every function
 // that has a SEG.
-func newCaches(prog *Program) *caches { return newCachesFrom(prog, nil) }
+func newCaches(prog *Program) caches { return newCachesFrom(prog, nil) }
 
 // newCachesFrom is newCaches, except that a function prev holds too keeps
-// its entry in prev's caches (and with it prev's checker numbering); nothing
-// that depends on other functions is kept.
-func newCachesFrom(prog, prev *Program) *caches {
+// its entry in prev's caches (and with it prev's checker numbering and run
+// log); nothing that depends on other functions is kept.
+func newCachesFrom(prog, prev *Program) caches {
 	n := prog.Module.Layout.NumIDs()
-	c := &caches{
-		fn:    make([]*fnCache, n),
-		frees: make([][]bool, n),
-		stale: prog.Module.Funcs,
-		names: new(nameSet),
+	c := caches{
+		fn:      make([]*fnCache, n),
+		frees:   make([][]bool, n),
+		stale:   prog.Module.Funcs,
+		names:   new(nameSet),
+		readers: make(readIndex, n),
 	}
 	if prev != nil {
-		c.walks, c.specs, c.runs = prev.sticky.walks, prev.sticky.specs, prev.sticky.runs
-		c.readers = make(readIndex, n)
+		c.walks, c.specs, c.runs = prev.c.walks, prev.c.specs, prev.c.runs
 	} else {
-		c.walks, c.specs = new(specNumbers), new(specNumbers)
+		c.walks, c.specs, c.runs = &specNumbers{make([]string, 0, 8)}, &specNumbers{make([]string, 0, 8)}, new(runLog)
 	}
 	for _, f := range prog.Module.Funcs {
 		switch {
 		case prog.segs[f.ID] == nil:
 		case prev != nil && prev.Module.Holds(f):
-			c.fn[f.ID] = prev.sticky.fn[f.ID]
+			c.fn[f.ID] = prev.c.fn[f.ID]
 		default:
 			c.fn[f.ID] = newFnCache()
 		}

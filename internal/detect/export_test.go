@@ -5,15 +5,10 @@ import (
 	"repro/internal/seg"
 )
 
-// MayFree returns the may-free-parameter relation the Program's persistent
-// caches hold, by ir.Func.ID (nil without persistence, and for a function the
+// MayFree returns the may-free-parameter relation the Program's caches hold,
+// by ir.Func.ID (nil before the first CheckAll, and for a function the
 // relation leaves out).
-func (p *Program) MayFree() [][]bool {
-	if p.sticky == nil {
-		return nil
-	}
-	return p.sticky.frees
-}
+func (p *Program) MayFree() [][]bool { return p.c.frees }
 
 // RoundRobinMayFree computes the whole program's may-free-parameter relation
 // the way computeFreesParam did before it read facts: rounds over every called

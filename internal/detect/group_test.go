@@ -117,32 +117,30 @@ func TestGroupedEqualsSolo(t *testing.T) {
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0) + 1} {
 		for _, maxCand := range []int{1, 2, 0} {
 			for _, maxExp := range []int{0, 3} {
-				for _, maxReports := range []int{0, 1} {
-					opts := detect.Options{Workers: workers, MaxCandidates: maxCand, MaxExpansions: maxExp, MaxReportsPerChecker: maxReports, Witness: true}
-					tag := fmt.Sprintf("workers=%d candidates=%d expansions=%d reports=%d", workers, maxCand, maxExp, maxReports)
-					for _, s := range corpus {
-						a := build(t, s.units)
-						all := a.CheckAll(checkers.All(), opts)
-						got, want := outcomeOf(t, all.Reports, all.Checkers), solo(t, a, checkers.All(), opts)
-						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("%s, %s: grouped != solo\ngrouped: %+v\nsolo:    %+v\n%s", s.name, tag, got, want, s.units[0].Src)
-						}
-						uaf, df := all.Checkers[0].Stats, all.Checkers[1].Stats
-						if uaf.Candidates > 0 && df.Candidates > 0 {
-							shared++
-						}
-						if uaf.TruncatedSearches != df.TruncatedSearches {
-							capped++
-						}
-						// The shared walk is as long as its longest-lived member's
-						// (the report cap cuts the checkers' counters, not the walk).
-						walked := max(uaf.Expansions, df.Expansions)
-						for _, cs := range all.Checkers[2:] {
-							walked += cs.Stats.Expansions
-						}
-						if maxReports == 0 && all.ExpansionsWalked != walked {
-							t.Fatalf("%s, %s: %d expansions walked, want %d: %+v", s.name, tag, all.ExpansionsWalked, walked, all.Checkers)
-						}
+				opts := detect.Options{Workers: workers, MaxCandidates: maxCand, MaxExpansions: maxExp, Witness: true}
+				tag := fmt.Sprintf("workers=%d candidates=%d expansions=%d", workers, maxCand, maxExp)
+				for _, s := range corpus {
+					all := build(t, s.units).CheckAll(checkers.All(), opts)
+					// A fresh Program: on the grouped run's, the solo runs would
+					// replay what the group recorded.
+					got, want := outcomeOf(t, all.Reports, all.Checkers), solo(t, build(t, s.units), checkers.All(), opts)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s, %s: grouped != solo\ngrouped: %+v\nsolo:    %+v\n%s", s.name, tag, got, want, s.units[0].Src)
+					}
+					uaf, df := all.Checkers[0].Stats, all.Checkers[1].Stats
+					if uaf.Candidates > 0 && df.Candidates > 0 {
+						shared++
+					}
+					if uaf.TruncatedSearches != df.TruncatedSearches {
+						capped++
+					}
+					// The shared walk is as long as its longest-lived member's.
+					walked := max(uaf.Expansions, df.Expansions)
+					for _, cs := range all.Checkers[2:] {
+						walked += cs.Stats.Expansions
+					}
+					if all.ExpansionsWalked != walked {
+						t.Fatalf("%s, %s: %d expansions walked, want %d: %+v", s.name, tag, all.ExpansionsWalked, walked, all.Checkers)
 					}
 				}
 			}
@@ -236,7 +234,6 @@ func TestMayFreeFactsEqualFixpoint(t *testing.T) {
 	freed := 0
 	for _, s := range groupCorpus(t) {
 		a := build(t, s.units)
-		a.Prog.EnableCachePersistence()
 		a.CheckAll(leak(), detect.Options{})
 		freed += compare(s.name, a.Prog)
 	}

@@ -18,17 +18,16 @@ import (
 // guarantee: recording is write-only, so reports are byte-identical with
 // tracing on, metrics-only, or fully off, at every worker count.
 func TestCheckAllObsDeterminism(t *testing.T) {
-	a := buildWorkloadSubject(t)
 	specs := checkers.All()
 
 	for _, w := range []int{1, 4, -1} {
-		bare := a.CheckAll(specs, detect.Options{Workers: w})
+		bare := buildWorkloadSubject(t).CheckAll(specs, detect.Options{Workers: w})
 		zeroTimings(&bare)
 		if len(bare.Reports) == 0 {
 			t.Fatal("workload subject produced no reports; test is vacuous")
 		}
 		for _, rec := range []*obs.Recorder{obs.New(), obs.NewTracing()} {
-			got := a.CheckAll(specs, detect.Options{Workers: w, Obs: rec})
+			got := buildWorkloadSubject(t).CheckAll(specs, detect.Options{Workers: w, Obs: rec})
 			zeroTimings(&got)
 			got.WorkerStats = nil
 			if !reflect.DeepEqual(bare.Reports, got.Reports) {
@@ -158,15 +157,14 @@ func TestCheckAllObsCounters(t *testing.T) {
 	}
 }
 
-// TestSummaryCountersArePerCall pins the flow-cache counters on a Program
-// with persistent caches: each CheckAll reports — and adds to the registry —
+// TestSummaryCountersArePerCall pins the flow-cache counters on a Program,
+// whose caches persist across calls: each CheckAll reports — and adds to the registry —
 // the lookups it made itself, not the tables' lifetime totals. A second call
 // that has to search again (Witness moved, so nothing replays) hits on every
 // vertex the first one enumerated and misses nowhere; a third, identical to
 // the second, replays every task and looks nothing up.
 func TestSummaryCountersArePerCall(t *testing.T) {
 	a := buildWorkloadSubject(t)
-	a.Prog.EnableCachePersistence()
 	rec := obs.New()
 	specs := checkers.All()
 
@@ -211,7 +209,8 @@ func TestCheckAllWorkerStats(t *testing.T) {
 		t.Error("WorkerStats populated without a recorder")
 	}
 
-	res := a.CheckAll(checkers.All(), detect.Options{Workers: 3, Obs: obs.New()})
+	// On a fresh Program: on a's, every task would replay and none run.
+	res := buildWorkloadSubject(t).CheckAll(checkers.All(), detect.Options{Workers: 3, Obs: obs.New()})
 	if len(res.WorkerStats) != 3 {
 		t.Fatalf("WorkerStats has %d entries, want 3", len(res.WorkerStats))
 	}

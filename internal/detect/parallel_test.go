@@ -41,19 +41,19 @@ func zeroTimings(rs *detect.Results) {
 // TestCheckAllParallelMatchesSequential is the headline determinism
 // guarantee: with Workers = GOMAXPROCS the sorted reports — including SMT
 // witnesses — and the merged stats are identical to the sequential run.
-// Running under -race additionally exercises the shared-cache locking.
+// Running under -race additionally exercises the shared-cache locking. Each
+// run is on a Program of its own: on one, every later run would replay.
 func TestCheckAllParallelMatchesSequential(t *testing.T) {
-	a := buildWorkloadSubject(t)
 	specs := checkers.All()
 
-	seq := a.CheckAll(specs, detect.Options{Workers: 1})
+	seq := buildWorkloadSubject(t).CheckAll(specs, detect.Options{Workers: 1})
 	zeroTimings(&seq)
 	if len(seq.Reports) == 0 {
 		t.Fatal("workload subject produced no reports; test is vacuous")
 	}
 
 	for _, w := range []int{2, runtime.GOMAXPROCS(0), -1} {
-		par := a.CheckAll(specs, detect.Options{Workers: w})
+		par := buildWorkloadSubject(t).CheckAll(specs, detect.Options{Workers: w})
 		zeroTimings(&par)
 		if !reflect.DeepEqual(seq.Reports, par.Reports) {
 			t.Fatalf("workers=%d: reports differ from sequential run\nseq: %v\npar: %v",
@@ -69,32 +69,58 @@ func TestCheckAllParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestCheckAllRepeatable runs the parallel scheduler twice and demands
-// byte-identical output — catching any schedule-dependent state leaking
-// into reports (witnesses are the sensitive part).
+// TestCheckAllRepeatable runs the parallel scheduler again, on the same
+// Program and on a fresh one, and demands byte-identical output — catching
+// any schedule-dependent state leaking into reports (witnesses are the
+// sensitive part), whether the tasks replay or run.
 func TestCheckAllRepeatable(t *testing.T) {
 	a := buildWorkloadSubject(t)
 	specs := checkers.All()
 	first := a.CheckAll(specs, detect.Options{Workers: -1})
-	zeroTimings(&first)
-	for i := 0; i < 2; i++ {
-		again := a.CheckAll(specs, detect.Options{Workers: -1})
-		zeroTimings(&again)
+	for i, again := range []detect.Results{
+		a.CheckAll(specs, detect.Options{Workers: -1}),
+		a.CheckAll(specs, detect.Options{Workers: -1}),
+		buildWorkloadSubject(t).CheckAll(specs, detect.Options{Workers: -1}),
+	} {
 		if !reflect.DeepEqual(first.Reports, again.Reports) {
 			t.Fatalf("run %d: parallel reports not repeatable", i+2)
 		}
 	}
 }
 
+// TestSecondCheckAllReplays: a one-shot Analysis keeps its detection caches
+// like a session's, so a second identical CheckAll runs no task and returns
+// the first one's reports and counters (bar SMTTime: a replay solves
+// nothing).
+func TestSecondCheckAllReplays(t *testing.T) {
+	a := buildWorkloadSubject(t)
+	first := a.CheckAll(checkers.All(), detect.Options{Workers: 2})
+	second := a.CheckAll(checkers.All(), detect.Options{Workers: 2})
+	if first.TasksRun == 0 || second.TasksRun != 0 || second.TasksReplayed != first.TasksRun {
+		t.Fatalf("first call ran %d tasks, second ran %d and replayed %d; want >0, 0, %d",
+			first.TasksRun, second.TasksRun, second.TasksReplayed, first.TasksRun)
+	}
+	zeroTimings(&first)
+	zeroTimings(&second)
+	if !reflect.DeepEqual(first.Reports, second.Reports) {
+		t.Fatalf("reports differ\nfirst:  %v\nsecond: %v", first.Reports, second.Reports)
+	}
+	if !reflect.DeepEqual(first.Checkers, second.Checkers) ||
+		first.ExpansionsWalked != second.ExpansionsWalked || first.QueriesIssued != second.QueriesIssued {
+		t.Fatalf("stats differ\nfirst:  %+v, %d walked, %d issued\nsecond: %+v, %d walked, %d issued",
+			first.Checkers, first.ExpansionsWalked, first.QueriesIssued, second.Checkers, second.ExpansionsWalked, second.QueriesIssued)
+	}
+}
+
 // TestCheckAllMatchesSingleEngine holds the scheduler at every core against
 // itself at one worker, checker by checker: Analysis.Check is a one-spec
 // CheckAll on one worker, and its reports and stats must equal the parallel
-// run's.
+// run's, made on another Program.
 func TestCheckAllMatchesSingleEngine(t *testing.T) {
-	a := buildWorkloadSubject(t)
+	a, b := buildWorkloadSubject(t), buildWorkloadSubject(t)
 	for _, sp := range checkers.All() {
 		res := a.CheckAll([]*checkers.Spec{sp}, detect.Options{Workers: -1})
-		one, oneStats := a.Check(sp, detect.Options{})
+		one, oneStats := b.Check(sp, detect.Options{})
 		if !reflect.DeepEqual(one, res.Reports) {
 			t.Errorf("%s: reports at one worker != at every core\none: %v\nall: %v",
 				sp.Name, one, res.Reports)
@@ -125,25 +151,6 @@ func TestCheckAllAllEqualsEachIndividually(t *testing.T) {
 	detect.SortReports(union)
 	if !reflect.DeepEqual(all.Reports, union) {
 		t.Fatalf("-checkers all != union of individual runs\nall:   %v\nunion: %v", all.Reports, union)
-	}
-}
-
-// TestCheckAllReportCap checks MaxReportsPerChecker keeps the sequential
-// cap semantics under parallel execution.
-func TestCheckAllReportCap(t *testing.T) {
-	a := buildWorkloadSubject(t)
-	spec := checkers.UseAfterFree()
-	full := a.CheckAll([]*checkers.Spec{spec}, detect.Options{Workers: -1})
-	if len(full.Reports) < 2 {
-		t.Skip("need at least 2 UAF reports to exercise the cap")
-	}
-	capped := a.CheckAll([]*checkers.Spec{spec}, detect.Options{Workers: -1, MaxReportsPerChecker: 1})
-	seqCapped := a.CheckAll([]*checkers.Spec{spec}, detect.Options{Workers: 1, MaxReportsPerChecker: 1})
-	if len(capped.Reports) != 1 {
-		t.Fatalf("cap=1 returned %d reports", len(capped.Reports))
-	}
-	if !reflect.DeepEqual(capped.Reports, seqCapped.Reports) {
-		t.Fatalf("capped parallel != capped sequential")
 	}
 }
 

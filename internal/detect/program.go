@@ -54,13 +54,12 @@ type Program struct {
 	segs    []*seg.Graph
 	callers [][]CallSite
 
-	// sticky, when non-nil, holds detection caches that persist across
-	// CheckAll calls on this Program (and, via NewProgramFrom, across
-	// incremental rebuilds): the calls share flow summaries and replay
-	// recorded task results. Plain NewProgram leaves it nil: every CheckAll
-	// builds its own caches and drops them, which is what a one-shot run —
-	// the CLI, a Juliet case, a scaling measurement — wants.
-	sticky *caches
+	// c holds the detection caches, which persist across CheckAll calls on
+	// this Program and, via NewProgramFrom, across incremental rebuilds: the
+	// calls share flow summaries and replay recorded task results. They are
+	// made by the first CheckAll (or carry-over) that needs them, so a Program
+	// that is never checked holds none.
+	c caches
 }
 
 // SEG returns f's symbolic expression graph (nil for a function without one).
@@ -85,25 +84,24 @@ func NewProgramIndexed(m *ir.Module, segs []*seg.Graph) *Program {
 	return &Program{Module: m, segs: segs, callers: indexCallers(m, segs)}
 }
 
-// EnableCachePersistence makes detection caches survive across CheckAll
-// calls on this Program. Cache contents are memoized pure functions of the
-// per-function SEGs, which are final when built, so persistence changes wall-clock and the
-// hit/miss and run/replay counters but never the reports.
-func (p *Program) EnableCachePersistence() {
-	if p.sticky == nil {
-		p.sticky = newCaches(p)
-		p.sticky.readers, p.sticky.runs = make(readIndex, p.Module.Layout.NumIDs()), new(runLog)
+// EnableCachePersistence does nothing: every Program keeps its detection
+// caches across CheckAll calls. It stays because the benchmark module, whose
+// surface is frozen, calls it.
+func (p *Program) EnableCachePersistence() {}
+
+// detectionCaches returns the Program's caches, making them on first use.
+func (p *Program) detectionCaches() *caches {
+	if p.c.fn == nil {
+		p.c = newCaches(p)
 	}
+	return &p.c
 }
 
-// ReplayTableSize reports how many task results the Program's persistent
-// caches currently hold for replay (0 without persistence).
+// ReplayTableSize reports how many task results the Program's caches
+// currently hold for replay.
 func (p *Program) ReplayTableSize() int {
-	if p.sticky == nil {
-		return 0
-	}
 	n := 0
-	for _, fc := range p.sticky.fn {
+	for _, fc := range p.c.fn {
 		if fc == nil {
 			continue
 		}
@@ -121,8 +119,8 @@ func (p *Program) ReplayTableSize() int {
 // NewProgramFrom builds the Program of the module that succeeds prev's in an
 // incremental session: segs is the new per-function table (indexed by
 // ir.Func.ID) and fresh lists the functions of m that prev's
-// module does not hold — rebuilt or new. It carries over prev's persistent
-// detection caches for every other function: their flow summaries, linear
+// module does not hold — rebuilt or new. It carries over prev's detection
+// caches for every other function: their flow summaries, linear
 // solvers, reverse indexes, parameter facts, task lists and
 // recorded task results (each of which replays only while its footprint
 // holds in the new Program; see replay.go). When the two modules share a
@@ -130,27 +128,25 @@ func (p *Program) ReplayTableSize() int {
 // cache entries start empty, only they are walked to bring the call-site
 // index up to date, the may-free-parameter relation is carried for every
 // function that cannot reach one of them, and the task plan waits for
-// prepare to splice their tasks in. With prev nil (or without caches) the
-// Program starts cold. The returned Program has cache persistence enabled.
+// prepare to splice their tasks in. With prev nil the Program starts cold,
+// like NewProgramIndexed's.
 func NewProgramFrom(prev *Program, m *ir.Module, segs []*seg.Graph, fresh []*ir.Func) *Program {
-	if prev == nil || prev.sticky == nil {
-		p := NewProgramIndexed(m, segs)
-		p.EnableCachePersistence()
-		return p
+	if prev == nil {
+		return NewProgramIndexed(m, segs)
 	}
 	p := &Program{Module: m, segs: segs}
-	old := prev.sticky
+	old := prev.detectionCaches()
 	if m.Layout != prev.Module.Layout {
 		// Name resolution moved under retained callers too: re-index, and
 		// let neither the relation, the plan, nor any recorded task result
 		// survive. Per-function caches still do.
 		p.callers = indexCallers(m, segs)
-		p.sticky = newCachesFrom(p, prev)
+		p.c = newCachesFrom(p, prev)
 		return p
 	}
-	c := &caches{names: old.names, walks: old.walks, specs: old.specs, planFor: old.planFor, plan: old.plan,
+	p.c = caches{names: old.names, walks: old.walks, specs: old.specs, plan: old.plan,
 		ran: old.ran, changed: old.changed, readers: old.readers, runs: old.runs}
-	p.sticky = c
+	c := &p.c
 	if len(fresh) == 0 {
 		p.callers, c.fn, c.frees, c.stale, c.unplanned = prev.callers, old.fn, old.frees, old.stale, old.unplanned
 		return p
@@ -300,8 +296,6 @@ type Options struct {
 	DisablePathSensitivity bool
 	// SMTBudget bounds DD constraints emitted per query.
 	SMTBudget int
-	// MaxReportsPerChecker stops after this many reports (0 = unlimited).
-	MaxReportsPerChecker int
 	// SameUnitOnly confines the search to one compilation unit (the
 	// Infer-/CSA-like baselines of §5.4 analyze one unit at a time).
 	SameUnitOnly bool
@@ -340,10 +334,10 @@ type Options struct {
 }
 
 // resultKey strips the options that cannot change a task's outcome — how
-// the work is scheduled, observed, and capped at merge time — leaving the
-// key a recorded task result is valid under.
+// the work is scheduled and observed — leaving the key a recorded task result
+// is valid under.
 func (o Options) resultKey() Options {
-	o.Workers, o.MaxReportsPerChecker, o.TraceID, o.Obs = 0, 0, "", nil
+	o.Workers, o.TraceID, o.Obs = 0, "", nil
 	return o
 }
 

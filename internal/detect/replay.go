@@ -14,11 +14,11 @@ import (
 // Incremental detection. A task's outcome — one result per checker of the
 // group that walked its source — is a function of those checkers, the
 // result-affecting options, and the few pieces of the program its search
-// actually read. On a Program with sticky caches every executed task records
-// those pieces — its footprint — next to its result, in the task's slot of
-// its function's fnCache; the slot rides the per-function carry-over of
-// NewProgramFrom, and a later CheckAll replays the result instead of running
-// the task whenever the footprint still holds in the program at hand.
+// actually read. Every executed task records those pieces — its footprint —
+// next to its result, in the task's slot of its function's fnCache; the slot
+// rides the per-function carry-over of NewProgramFrom, and a later CheckAll
+// replays the result instead of running the task whenever the footprint still
+// holds in the program at hand.
 // Holding is checked against that program (replayEntry.holds), not assumed
 // from lineage, so an entry is a pure memo like everything else in caches:
 // right for every Program that satisfies it, whichever Program recorded it.
@@ -60,9 +60,6 @@ type mayFreeRead struct {
 // own. Footprints are short (a task enters 1.4 functions on average), so a
 // linear scan deduplicates.
 func (fp *footprint) enter(f *ir.Func, g *seg.Graph) {
-	if fp == nil {
-		return
-	}
 	for _, have := range fp.entered {
 		if have.g == g {
 			return
@@ -72,9 +69,6 @@ func (fp *footprint) enter(f *ir.Func, g *seg.Graph) {
 }
 
 func (fp *footprint) readCallers(fn *ir.Func, sites []CallSite) {
-	if fp == nil {
-		return
-	}
 	for _, have := range fp.callers {
 		if have.fn == fn {
 			return
@@ -84,9 +78,6 @@ func (fp *footprint) readCallers(fn *ir.Func, sites []CallSite) {
 }
 
 func (fp *footprint) readMayFree(callee string, bits []bool) {
-	if fp == nil {
-		return
-	}
 	for _, have := range fp.mayFree {
 		if have.callee == callee {
 			return
@@ -106,7 +97,8 @@ type replayEntry struct {
 	// changing.
 	names *nameSet
 	fp    footprint
-	// result carries no SMTTime: a replay solves nothing.
+	// result carries the SMTTime of the run that recorded it, which no
+	// replay counts: a replay solves nothing.
 	result taskResult
 }
 
@@ -146,14 +138,14 @@ func (e *replayEntry) holds(prog *Program, c *caches, key *Options, members *gro
 	return true
 }
 
-// Warm runs. Every CheckAll on a Program with persistent caches leaves each
-// task of its plan with a memo that holds in that Program: the task ran, or
-// holds said so. A later run under the same result key and checker numbering,
-// on a Program of the same Layout, can therefore trust every memo that read
-// nothing changed since — the changed-function list (caches.changed) and the
-// read index (readIndex) pick out the rest — and patch that run's merge
-// (lastRun) with the few tasks that run again, instead of checking and merging
-// every task.
+// Patched runs. Every CheckAll leaves each task of its plan with a memo that
+// holds in that Program: the task ran, or holds said so. A later run under
+// the same result key and checker numbering, on a Program of the same Layout,
+// can therefore trust every memo that read nothing changed since — the
+// changed-function list (caches.changed) and the read index (readIndex) pick
+// out the rest — and patch that run's merge (lastRun) with the few tasks that
+// run again, instead of checking and merging every task. Any other run
+// patches the empty run, with every task of the plan an edit.
 
 // Kinds of read a footprint makes of a function, and of change a function
 // undergoes since a run: its graph replaced, its caller list rebuilt to other
@@ -247,18 +239,20 @@ func compareFound(a, b foundAt) int {
 }
 
 // patchable returns the run a CheckAll under key for the checkers numbered
-// ids can patch: the Program's last run, when it is the session's last, ran
-// under the same key for the same checkers, and nothing asks for the full
-// merge (a report cap) or a private copy of a task list (a spec given twice).
-func (c *caches) patchable(key *Options, ids []int, groups []group, capped bool) *lastRun {
+// ids patches: the Program's last run, when it is the session's last, ran
+// under the same key for the same checkers, and no spec given twice asks for a
+// private copy of a task list. Otherwise it drops the plan, which prepare then
+// builds anew with every task an edit, and returns the empty run.
+func (c *caches) patchable(key *Options, ids []int, groups []group) *lastRun {
 	run := c.ran
-	if key == nil || run == nil || run != c.runs.last || capped || run.key != *key || !slices.Equal(run.ids, ids) {
-		return nil
+	if run != nil && run == c.runs.last && run.key == *key && slices.Equal(run.ids, ids) &&
+		!slices.ContainsFunc(groups, func(g group) bool { return g.shared }) {
+		return run
 	}
-	if slices.ContainsFunc(groups, func(g group) bool { return g.shared }) {
-		return nil
-	}
-	return run
+	c.plan = nil
+	// The relation it saw is the one the run will leave: no may-free vector
+	// changes against it (nor need to, with every task an edit).
+	return &lastRun{key: *key, ids: ids, frees: c.frees}
 }
 
 // noteFrees adds to the changed list the functions among was-stale whose
@@ -275,11 +269,18 @@ func (c *caches) noteFrees(stale []*ir.Func, run [][]bool) {
 // against the Program: those of the functions the plan just took in, and
 // those the index lists under a change of a kind they read.
 func (c *caches) checkList(prog *Program, plan []scheduled, groups []group, edits []planEdit) []int32 {
-	var todo []int32
+	n := 0
+	for _, ed := range edits {
+		n += ed.n
+	}
+	todo := make([]int32, 0, n)
 	for _, ed := range edits {
 		for i := ed.at; i < ed.at+ed.n; i++ {
 			todo = append(todo, int32(i))
 		}
+	}
+	if len(c.changed) == 0 {
+		return todo // the edits come in plan order
 	}
 	for _, ch := range c.changed {
 		for _, ref := range c.readers[ch.id] {
@@ -319,18 +320,21 @@ func planStart(m *ir.Module, plan []scheduled, gi, pos int) int {
 	return i
 }
 
-// patch derives this run's merge from run's: the tasks of functions the plan
-// replaced, and the tasks of todo that ran (results[j] is todo[j]'s, olds[j]
-// its memo before), give back their old contribution and add their new one.
-// Their functions' reports are found again and merged into run's sorted list;
-// every other report stays where it was. It returns the new run and each
-// checker's Stats with this call's SMTTime.
-func (c *caches) patch(prog *Program, run *lastRun, groups []group, of, ids []int, plan []scheduled, edits []planEdit, todo []int32, olds []*replayEntry, results []*taskResult) (*lastRun, []Stats) {
+// patch derives this run's merge from run's: the tasks of the plan's edits,
+// and the tasks of todo that ran (results[j] is todo[j]'s, olds[j] its memo
+// before), give back their old contribution and add their new one. Their
+// functions' reports are found again and merged into run's sorted list; every
+// other report stays where it was. It indexes the reads of the memos the run
+// recorded, and returns the new run and each checker's solving time in this
+// call.
+func (c *caches) patch(prog *Program, run *lastRun, groups []group, of, ids []int, plan []scheduled, edits []planEdit, todo []int32, olds []*replayEntry, results []*taskResult) (*lastRun, []time.Duration) {
 	m := prog.Module
-	next := &lastRun{key: run.key, ids: run.ids, frees: c.frees, stats: slices.Clone(run.stats), walked: run.walked, issued: run.issued}
+	next := &lastRun{key: run.key, ids: run.ids, frees: c.frees, stats: make([]Stats, len(of)), walked: run.walked, issued: run.issued}
+	copy(next.stats, run.stats) // none in the empty run
 	add := func(gi int, tr *taskResult, sign int) {
 		for _, si := range groups[gi].at {
 			s := tr.member(ids[si]).stats
+			s.SMTTime = 0 // see replayEntry.result
 			if sign < 0 {
 				s = negStats(s)
 			}
@@ -339,9 +343,11 @@ func (c *caches) patch(prog *Program, run *lastRun, groups []group, of, ids []in
 		next.walked += sign * tr.walked
 		next.issued += sign * tr.issued
 	}
-	type fnAt struct{ group, pos int }
-	byAt := func(a, b fnAt) int { return cmp.Or(cmp.Compare(a.group, b.group), cmp.Compare(a.pos, b.pos)) }
-	var dirty []fnAt
+	// dirty lists the functions whose reports are found again: a group's
+	// functions at module positions [lo, hi), which have the plan's tasks
+	// [from, to).
+	type span struct{ group, lo, hi, from, to int }
+	dirty := make([]span, 0, len(edits))
 	for _, ed := range edits {
 		for _, t := range ed.old {
 			add(ed.group, &t.memo.result, -1)
@@ -349,7 +355,7 @@ func (c *caches) patch(prog *Program, run *lastRun, groups []group, of, ids []in
 		for _, t := range plan[ed.at : ed.at+ed.n] {
 			add(ed.group, &t.memo.result, +1)
 		}
-		dirty = append(dirty, fnAt{ed.group, ed.pos})
+		dirty = append(dirty, span{ed.group, ed.lo, ed.hi, ed.at, ed.at + ed.n})
 	}
 	smtTime := make([]time.Duration, len(of))
 	e := 0
@@ -358,6 +364,7 @@ func (c *caches) patch(prog *Program, run *lastRun, groups []group, of, ids []in
 		old := olds[j]
 		ran := old == nil || results[j] != &old.result
 		if ran {
+			c.readers.add(m, t.task, groups[t.group].lists)
 			for _, si := range groups[t.group].at {
 				smtTime[si] += results[j].member(ids[si]).stats.SMTTime
 			}
@@ -370,34 +377,35 @@ func (c *caches) patch(prog *Program, run *lastRun, groups []group, of, ids []in
 		}
 		add(t.group, &old.result, -1)
 		add(t.group, &t.memo.result, +1)
-		dirty = append(dirty, fnAt{t.group, m.Layout.Pos(t.fn.ID)})
-	}
-	out := slices.Clone(next.stats)
-	for si, d := range smtTime {
-		out[si].SMTTime += d
+		pos := m.Layout.Pos(t.fn.ID)
+		dirty = append(dirty, span{t.group, pos, pos + 1, planStart(m, plan, t.group, pos), planStart(m, plan, t.group, pos+1)})
 	}
 	if len(dirty) == 0 {
 		next.reports, next.found = run.reports, run.found
-		return next, out
+		return next, smtTime
 	}
 
-	// The dirty functions' reports, per checker in discovery order.
-	slices.SortFunc(dirty, byAt)
+	// The dirty functions' reports, per checker in discovery order, deduped
+	// per function: a report's source is in its task's function.
+	byStart := func(a, b span) int { return cmp.Or(cmp.Compare(a.group, b.group), cmp.Compare(a.lo, b.lo)) }
+	slices.SortFunc(dirty, byStart)
 	dirty = slices.Compact(dirty)
 	var found []foundReport
 	seen := make(map[[2]Site]bool)
 	for si, gi := range of {
 		for _, d := range dirty {
-			fc := c.fn[m.Funcs[d.pos].ID]
-			if d.group != gi || fc == nil {
+			if d.group != gi {
 				continue
 			}
-			clear(seen)
-			ts := fc.tasks[groups[gi].lists]
-			for k := range ts {
-				mr := ts[k].memo.result.member(ids[si])
+			var fn *ir.Func
+			for _, t := range plan[d.from:d.to] {
+				if t.fn != fn {
+					fn = t.fn
+					clear(seen)
+				}
+				mr := t.memo.result.member(ids[si])
 				for r := range mr.reports {
-					f := foundReport{&mr.reports[r], foundAt{int32(si), int32(d.pos), int32(k), int32(r)}}
+					f := foundReport{&mr.reports[r], foundAt{int32(si), int32(m.Layout.Pos(fn.ID)), t.k, int32(r)}}
 					if key := [2]Site{f.rep.Source, f.rep.Sink}; f.rep.Sink.Fn != nil {
 						if seen[key] {
 							continue
@@ -409,28 +417,32 @@ func (c *caches) patch(prog *Program, run *lastRun, groups []group, of, ids []in
 			}
 		}
 	}
-	reps := sortFound(found)
-	isDirty := func(f foundAt) bool {
-		_, ok := slices.BinarySearchFunc(dirty, fnAt{of[f.spec], int(f.pos)}, byAt)
-		return ok
+	slices.SortStableFunc(found, func(a, b foundReport) int { return compareReports(a.rep, b.rep) })
+	isDirty := func(f foundAt) bool { // the spans do not overlap
+		gi, pos := of[f.spec], int(f.pos)
+		i, ok := slices.BinarySearchFunc(dirty, span{group: gi, lo: pos}, byStart)
+		return ok || (i > 0 && dirty[i-1].group == gi && pos < dirty[i-1].hi)
 	}
 	// Merge the kept reports of run with the found ones, both sorted.
-	n := len(run.reports) + len(reps)
+	n := len(run.reports) + len(found)
+	if n == 0 {
+		return next, smtTime
+	}
 	next.reports, next.found = make([]Report, 0, n), make([]foundAt, 0, n)
 	j := 0
 	for i := range run.reports {
 		if isDirty(run.found[i]) {
 			continue
 		}
-		for ; j < len(reps) && cmp.Or(compareReports(&reps[j], &run.reports[i]), compareFound(found[j].at, run.found[i])) < 0; j++ {
-			next.reports, next.found = append(next.reports, reps[j]), append(next.found, found[j].at)
+		for ; j < len(found) && cmp.Or(compareReports(found[j].rep, &run.reports[i]), compareFound(found[j].at, run.found[i])) < 0; j++ {
+			next.reports, next.found = append(next.reports, *found[j].rep), append(next.found, found[j].at)
 		}
 		next.reports, next.found = append(next.reports, run.reports[i]), append(next.found, run.found[i])
 	}
-	for ; j < len(reps); j++ {
-		next.reports, next.found = append(next.reports, reps[j]), append(next.found, found[j].at)
+	for ; j < len(found); j++ {
+		next.reports, next.found = append(next.reports, *found[j].rep), append(next.found, found[j].at)
 	}
-	return next, out
+	return next, smtTime
 }
 
 // crossCheck, when set, makes every patching run also hold each task it
@@ -456,7 +468,7 @@ func crossCheckSkipped(fail func(string), prog *Program, c *caches, key *Options
 			j++
 			continue
 		}
-		if t.memo == nil || !t.memo.holds(prog, c, key, &groups[t.group], ids) {
+		if !t.memo.holds(prog, c, key, &groups[t.group], ids) {
 			fail(fmt.Sprintf("task %d (%s at %s, %s) replayed unchecked, but its memo does not hold", i, t.fn.Name, t.pos(), groups[t.group].name()))
 		}
 	}

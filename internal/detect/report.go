@@ -53,31 +53,22 @@ func (r Report) ToJSON() JSONReport {
 // reports at identical positions) keep their deterministic discovery order,
 // so sorted output is byte-identical between sequential and parallel runs.
 func SortReports(rs []Report) {
-	found := make([]foundReport, len(rs))
+	ps := make([]*Report, len(rs))
 	for i := range rs {
-		found[i].rep = &rs[i]
+		ps[i] = &rs[i]
 	}
-	copy(rs, sortFound(found))
+	slices.SortStableFunc(ps, compareReports)
+	sorted := make([]Report, len(rs))
+	for i, p := range ps {
+		sorted[i] = *p
+	}
+	copy(rs, sorted)
 }
 
 // foundReport is a report where the merge found it (see foundAt).
 type foundReport struct {
 	rep *Report
 	at  foundAt
-}
-
-// sortFound sorts found stably by report, comparing through the pointers,
-// and returns the reports in that order: each is copied once.
-func sortFound(found []foundReport) []Report {
-	slices.SortStableFunc(found, func(a, b foundReport) int { return compareReports(a.rep, b.rep) })
-	if len(found) == 0 {
-		return nil
-	}
-	rs := make([]Report, len(found))
-	for i := range found {
-		rs[i] = *found[i].rep
-	}
-	return rs
 }
 
 // compareReports orders two reports by (checker, source position, sink

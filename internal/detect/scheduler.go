@@ -37,10 +37,11 @@ import (
 //   - a member of a group counts and reports what its own search would
 //     have: it leaves the walk where its own per-source caps would have
 //     stopped it, while the others go on;
-//   - per-task stats are merged per checker in task order and reports are
-//     sorted by (checker, source position, sink position) at the end — or,
-//     on a Program whose last run can be patched, that run's merge is
-//     patched with the tasks that ran again (see replay.go).
+//   - the merge is a patch of the last run's (see replay.go): the tasks that
+//     ran again give back their old contribution and add their new one, and
+//     their reports are merged into that run's, sorted by (checker, source
+//     position, sink position). A first run patches the empty run, with every
+//     task of the plan new.
 
 // CheckerStats pairs a checker name with its aggregated effort counters.
 type CheckerStats struct {
@@ -76,8 +77,8 @@ type WorkerStat struct {
 // Results is the outcome of one CheckAll run.
 type Results struct {
 	// Reports holds every checker's reports, sorted by (checker, source
-	// position, sink position). On a Program with persistent caches a later
-	// call may return the same slice: read it, do not modify it.
+	// position, sink position). A later call on the Program may return the
+	// same slice: read it, do not modify it.
 	Reports []Report
 	// Checkers aggregates per-checker stats, parallel to the specs given
 	// to CheckAll: each checker's counters are those of running it alone,
@@ -109,7 +110,7 @@ type Results struct {
 	SummaryMisses int
 	// TasksRun and TasksReplayed partition the call's (group, source)
 	// tasks into those executed and those whose recorded result was
-	// reused (always zero on a Program without persistent caches).
+	// reused.
 	TasksRun      int
 	TasksReplayed int
 	// ReplayChecks counts the recorded results the call held against the
@@ -128,16 +129,13 @@ type group struct {
 	// the call's specs. specs[0] supplies the walk's parameters.
 	specs []*checkers.Spec
 	at    []int
-	// lists is the number of the group's task lists (fnCache.tasks): its
-	// position among the groups, or the walk's number (caches.walks). shared
-	// marks a group whose lists an earlier group of the call schedules
-	// already — a spec given twice, say, whose walk admits no second member
-	// — and which therefore schedules private copies, so that no two
-	// scheduled tasks share a memo slot.
+	// lists is the number of the group's task lists (fnCache.tasks): the
+	// walk's number (caches.walks). shared marks a group whose lists an
+	// earlier group of the call schedules already — a spec given twice, say,
+	// whose walk admits no second member — and which therefore schedules
+	// private copies, so that no two scheduled tasks share a memo slot.
 	lists  int
 	shared bool
-	// The group's tasks are the n of the plan that start at from.
-	from, n int
 }
 
 // maxMembers bounds a group: the search keeps the members a frame serves in
@@ -146,30 +144,22 @@ const maxMembers = 64
 
 // groupSpecs partitions the specs into groups, in order of first appearance,
 // and returns with them, by position of the spec, the group it is in and the
-// id that names its result in a task's record. Throwaway caches number lists
-// and results by position — a thousand tiny programs in the Juliet suite pay
-// for no rendered identity; caches that outlive the call number them by what
-// the specs do (they are built fresh per request).
-func groupSpecs(specs []*checkers.Spec, c *caches, sticky bool) (groups []group, of, ids []int) {
+// id that names its result in a task's record. Lists and results are numbered
+// by what the specs do, since specs are built fresh per request.
+func groupSpecs(specs []*checkers.Spec, c *caches) (groups []group, of, ids []int) {
 	groups = make([]group, 0, len(specs))
 	of, ids = make([]int, len(specs)), make([]int, len(specs))
 next:
 	for si, sp := range specs {
-		ids[si] = si
-		if sticky {
-			ids[si] = c.specs.of(sp.Identity())
-		}
+		ids[si] = c.specs.of(sp.Identity())
 		for gi := range groups {
 			if g := &groups[gi]; len(g.specs) < maxMembers && g.specs[0].SharesWalk(sp) {
 				g.specs, g.at, of[si] = append(g.specs, sp), append(g.at, si), gi
 				continue next
 			}
 		}
-		g := group{specs: []*checkers.Spec{sp}, at: []int{si}, lists: len(groups)}
-		if sticky {
-			g.lists = c.walks.of(sp.WalkIdentity())
-			g.shared = slices.ContainsFunc(groups, func(o group) bool { return o.lists == g.lists })
-		}
+		g := group{specs: []*checkers.Spec{sp}, at: []int{si}, lists: c.walks.of(sp.WalkIdentity())}
+		g.shared = slices.ContainsFunc(groups, func(o group) bool { return o.lists == g.lists })
 		of[si], groups = len(groups), append(groups, g)
 	}
 	return groups, of, ids
@@ -193,8 +183,8 @@ type task struct {
 	src   checkers.Source // KindSourceSink
 	alloc int32           // KindUnreleased; -1 otherwise
 	k     int32           // position in its function's list
-	// memo is the outcome recorded by the task's last execution on a
-	// Program with persistent caches (see replay.go); nil otherwise.
+	// memo is the outcome recorded by the task's last execution (see
+	// replay.go); nil before it ran.
 	memo *replayEntry
 }
 
@@ -238,50 +228,34 @@ func (tr *taskResult) member(id int) *memberResult {
 
 // CheckAll runs every given checker over the program on a bounded worker
 // pool (opts.Workers; 0/1 = sequential, negative = GOMAXPROCS). Reports and
-// stats are identical at every worker count, and — on a Program with
-// persistent caches — whether a task ran or was replayed.
+// stats are identical at every worker count, and whether a task ran or was
+// replayed.
 func CheckAll(prog *Program, specs []*checkers.Spec, opts Options) Results {
 	start := time.Now()
 	opts = opts.withDefaults()
 	rec := opts.Obs
 	workers := conc.Workers(opts.Workers)
 
-	// key, when non-nil, makes executed tasks record their outcome under it.
-	var key *Options
-	c := prog.sticky
-	if c == nil {
-		c = newCaches(prog)
-	} else {
-		k := opts.resultKey()
-		key = &k
-	}
-	var flows flowCounts // lookups outside tasks: prepare's parameter flows
+	c := prog.detectionCaches()
+	key := opts.resultKey() // executed tasks record their outcome under it
+	var flows flowCounts    // lookups outside tasks: prepare's parameter flows
 	prepSp := rec.Phase("detect/prepare")
-	groups, of, ids := groupSpecs(specs, c, prog.sticky != nil)
-	// run, when non-nil, is the last run, which this one patches: only the
-	// tasks of todo are held against the Program, every other replays.
-	run := c.patchable(key, ids, groups, opts.MaxReportsPerChecker > 0)
-	tasks, edits := prepare(prog, groups, ids, c, workers, &flows)
+	groups, of, ids := groupSpecs(specs, c)
+	// run is the run this one patches; todo lists the tasks held against the
+	// Program, every other replays unchecked.
+	run := c.patchable(&key, ids, groups)
+	tasks, edits := prepare(prog, groups, c, workers, &flows)
 	if slices.ContainsFunc(specs, func(sp *checkers.Spec) bool { return sp.Kind == checkers.KindUnreleased }) {
 		stale := c.stale
 		computeFreesParam(prog, c, &flows)
-		if run != nil {
-			c.noteFrees(stale, run.frees)
-		}
+		c.noteFrees(stale, run.frees)
 	}
-	var todo []int32
-	n := len(tasks)
-	if run != nil {
-		todo = c.checkList(prog, tasks, groups, edits)
-		n = len(todo)
-	}
+	todo := c.checkList(prog, tasks, groups, edits)
+	n := len(todo)
 	prepSp.End()
 
 	results := make([]*taskResult, n)
-	var olds []*replayEntry // todo's memos before the run
-	if run != nil {
-		olds = make([]*replayEntry, n)
-	}
+	olds := make([]*replayEntry, n) // todo's memos before the run
 	// Per worker, like wstats: its engine, the tasks it replayed and the
 	// memos it held against the Program.
 	engines := make([]*Engine, workers)
@@ -295,14 +269,12 @@ func CheckAll(prog *Program, specs []*checkers.Spec, opts Options) Results {
 	}
 	searchSp := rec.Phase("detect/search")
 	_ = conc.ForEach(n, workers, func(w, j int) error { // tasks cannot fail
-		t := tasks[planPos(todo, j)]
-		if run != nil {
-			olds[j] = t.memo
-		}
+		t := tasks[todo[j]]
+		olds[j] = t.memo
 		g := &groups[t.group]
 		if m := t.memo; m != nil {
 			counts[w].checks++
-			if m.holds(prog, c, key, g, ids) {
+			if m.holds(prog, c, &key, g, ids) {
 				results[j] = &m.result
 				counts[w].replayed++
 				return nil
@@ -314,11 +286,11 @@ func CheckAll(prog *Program, specs []*checkers.Spec, opts Options) Results {
 			engines[w] = e
 		}
 		if rec == nil {
-			results[j] = e.runTask(g, ids, t.task, key)
+			results[j] = e.runTask(g, ids, t.task, &key)
 			return nil
 		}
 		t0 := time.Now()
-		results[j] = e.runTask(g, ids, t.task, key)
+		results[j] = e.runTask(g, ids, t.task, &key)
 		d := time.Since(t0)
 		// wstats[w] is only ever touched by worker w: no lock needed.
 		wstats[w].Tasks++
@@ -349,30 +321,19 @@ func CheckAll(prog *Program, specs []*checkers.Spec, opts Options) Results {
 			flows.add(e.flows)
 		}
 	}
-	for j := 0; key != nil && j < n; j++ {
-		if t := tasks[planPos(todo, j)]; results[j] != &t.memo.result { // it ran and recorded a memo
-			c.readers.add(prog.Module, t.task, groups[t.group].lists)
-		}
-	}
 	res.TasksRun = n - res.TasksReplayed
 	res.TasksReplayed = len(tasks) - res.TasksRun // the tasks outside todo replay unchecked
-	if run != nil {
-		if fail := crossCheck.Load(); fail != nil {
-			crossCheckSkipped(*fail, prog, c, key, tasks, groups, ids, todo)
-		}
-		var stats []Stats
-		run, stats = c.patch(prog, run, groups, of, ids, tasks, edits, todo, olds, results)
-		res.Checkers = make([]CheckerStats, len(specs))
-		for si, sp := range specs {
-			res.Checkers[si] = CheckerStats{Checker: sp.Name, Stats: stats[si]}
-		}
-		res.Reports, res.ExpansionsWalked, res.QueriesIssued = run.reports, run.walked, run.issued
-	} else {
-		run = merge(&res, prog, specs, groups, of, ids, tasks, results, key, opts.MaxReportsPerChecker)
+	if fail := crossCheck.Load(); fail != nil {
+		crossCheckSkipped(*fail, prog, c, &key, tasks, groups, ids, todo)
 	}
-	if key != nil {
-		c.ran, c.runs.last, c.changed = run, run, nil
+	run, smtTime := c.patch(prog, run, groups, of, ids, tasks, edits, todo, olds, results)
+	res.Checkers = make([]CheckerStats, len(specs))
+	for si, sp := range specs {
+		res.Checkers[si] = CheckerStats{Checker: sp.Name, Stats: run.stats[si]}
+		res.Checkers[si].Stats.SMTTime = smtTime[si]
 	}
+	res.Reports, res.ExpansionsWalked, res.QueriesIssued = run.reports, run.walked, run.issued
+	c.ran, c.runs.last, c.changed = run, run, nil
 	res.SummaryCapHits = flows.capHits
 	res.SummaryHits, res.SummaryMisses = flows.hits, flows.misses
 	mergeSp.End()
@@ -394,81 +355,6 @@ func CheckAll(prog *Program, specs []*checkers.Spec, opts Options) Results {
 	return res
 }
 
-// planPos returns the plan position of a run's j-th result: todo's j-th
-// task, or with todo nil (every task is held) the j-th.
-func planPos(todo []int32, j int) int {
-	if todo == nil {
-		return j
-	}
-	return int(todo[j])
-}
-
-// merge fills res with the merge of every task's result, in task order (one
-// per plan task): per checker, its group's tasks in order, a report kept once
-// per (source, sink), and nothing of the tasks past the report cap counted.
-// When key is set and there is no cap it returns the run a later CheckAll can
-// patch; nil otherwise.
-func merge(res *Results, prog *Program, specs []*checkers.Spec, groups []group, of, ids []int, tasks []scheduled, results []*taskResult, key *Options, maxReports int) *lastRun {
-	keep := key != nil && maxReports == 0
-	total := 0
-	for ti, tr := range results {
-		g := &groups[tasks[ti].group]
-		if g.n == 0 {
-			g.from = ti
-		}
-		g.n++
-		res.ExpansionsWalked += tr.walked
-		res.QueriesIssued += tr.issued
-		for mi := range tr.members {
-			total += len(tr.members[mi].reports)
-		}
-	}
-	found := make([]foundReport, 0, total)
-	res.Checkers = make([]CheckerStats, 0, len(specs))
-	seen := make(map[[2]Site]bool)
-	for si, sp := range specs {
-		g := &groups[of[si]]
-		merged := Stats{}
-		clear(seen)
-		first := len(found)
-		for ti, tr := range results[g.from : g.from+g.n] {
-			mr := tr.member(ids[si])
-			addStats(&merged, mr.stats)
-			for r := range mr.reports {
-				f := foundReport{rep: &mr.reports[r]}
-				key := [2]Site{f.rep.Source, f.rep.Sink}
-				if f.rep.Sink.Fn != nil && seen[key] {
-					continue
-				}
-				seen[key] = true
-				if keep {
-					t := tasks[g.from+ti]
-					f.at = foundAt{int32(si), int32(prog.Module.Layout.Pos(t.fn.ID)), t.k, int32(r)}
-				}
-				found = append(found, f)
-			}
-			if maxReports > 0 && len(found)-first >= maxReports {
-				break
-			}
-		}
-		res.Checkers = append(res.Checkers, CheckerStats{Checker: sp.Name, Stats: merged})
-	}
-	res.Reports = sortFound(found)
-	if !keep {
-		return nil
-	}
-	run := &lastRun{key: *key, ids: ids, frees: prog.sticky.frees, walked: res.ExpansionsWalked, issued: res.QueriesIssued,
-		reports: res.Reports, found: make([]foundAt, len(found)), stats: make([]Stats, len(specs))}
-	for i := range found {
-		run.found[i] = found[i].at
-	}
-	for si, cs := range res.Checkers {
-		run.stats[si] = cs.Stats
-		run.stats[si].SMTTime = 0 // a memo carries none
-	}
-	return run
-}
-
 // prepare enumerates the detection tasks; it only reads the SEGs, which are
 // final when built. Per function: the local flows of every parameter are
 // enumerated into the shared cache and where they end is noted (when an
@@ -479,30 +365,25 @@ func merge(res *Results, prog *Program, specs []*checkers.Spec, groups []group, 
 // assembled plan is kept with the caches, so on a Program carried over from
 // a previous one (same checkers) only the functions that replaced others are
 // visited, in one parallel pass, and only their tasks are spliced into the
-// plan; without a plan to start from the pass covers every function. Each
-// function is touched by exactly one goroutine, so the per-function work —
-// including condition-node interning — happens in a deterministic order.
+// plan, each function's run of a group's tasks one edit. Without a plan to
+// start from (see patchable) the pass covers every function, and each group's
+// tasks are one edit of the empty plan. Each function is touched by exactly
+// one goroutine, so the per-function work — including condition-node
+// interning — happens in a deterministic order.
 //
 // The tasks come back in the canonical order — groups in order of first
 // appearance, functions in module order, sources in extraction order — which
-// the merge phase walks per checker.
-func prepare(prog *Program, groups []group, ks []int, c *caches, workers int, n *flowCounts) (plan []scheduled, edits []planEdit) {
-	// The plan is kept for the checkers it was assembled for (ks), which
-	// decide the groups.
-	lists := len(groups)
-	if prog.sticky != nil {
-		lists = len(c.walks.ids)
-	}
+// the merge walks per checker.
+func prepare(prog *Program, groups []group, c *caches, workers int, n *flowCounts) (plan []scheduled, edits []planEdit) {
+	lists := len(c.walks.ids)
 	warmParams := slices.ContainsFunc(groups, func(g group) bool { return g.specs[0].Kind == checkers.KindUnreleased })
 	m := prog.Module
 	todo := m.Funcs
-	if c.plan != nil && slices.Equal(ks, c.planFor) {
+	if c.plan != nil {
 		if len(c.unplanned) == 0 {
 			return c.plan, nil // same program, same checkers: nothing left to do
 		}
 		todo = c.unplanned
-	} else {
-		c.plan = nil
 	}
 	warmed := make([]flowCounts, workers)
 	warm := func(w int, f *ir.Func, g *seg.Graph) {
@@ -561,11 +442,13 @@ func prepare(prog *Program, groups []group, ks []int, c *caches, workers int, n 
 				}
 			}
 		}
-		plan = make([]scheduled, 0, total)
+		plan, edits = make([]scheduled, 0, total), make([]planEdit, 0, len(groups))
 		for gi := range groups {
+			at := len(plan)
 			for _, f := range m.Funcs {
 				plan = tasksOf(plan, gi, f)
 			}
+			edits = append(edits, planEdit{group: gi, lo: 0, hi: len(m.Funcs), at: at, n: len(plan) - at})
 		}
 	} else {
 		// Splice: each function that replaced another takes over the run of
@@ -583,23 +466,23 @@ func prepare(prog *Program, groups []group, ks []int, c *caches, workers int, n 
 				plan = append(plan, c.plan[from:lo]...)
 				at := len(plan)
 				plan = tasksOf(plan, gi, f)
-				edits = append(edits, planEdit{group: gi, pos: pos(f), old: c.plan[lo:hi], at: at, n: len(plan) - at})
+				edits = append(edits, planEdit{group: gi, lo: pos(f), hi: pos(f) + 1, old: c.plan[lo:hi], at: at, n: len(plan) - at})
 				from = hi
 			}
 		}
 		plan = append(plan, c.plan[from:]...)
 	}
-	c.planFor, c.plan, c.unplanned = ks, plan, nil
+	c.plan, c.unplanned = plan, nil
 	return plan, edits
 }
 
 // planEdit is one run of plan tasks a splice replaced: the tasks group's
-// function at module position pos had in the old plan, and the n the new plan
-// has from at.
+// functions at module positions [lo, hi) had in the old plan, and the n the
+// new plan has from at.
 type planEdit struct {
-	group, pos int
-	old        []scheduled
-	at, n      int
+	group, lo, hi int
+	old           []scheduled
+	at, n         int
 }
 
 // localTasks lists one function's tasks for the walk of sp — a source each,
@@ -621,16 +504,13 @@ func localTasks(sp *checkers.Spec, f *ir.Func, g *seg.Graph) []task {
 }
 
 // runTask executes one unit of work for group g, starting the engine over,
-// and — when key is set — leaves the result and the footprint it depended on
-// in the task's memo slot.
+// and leaves the result and the footprint it depended on, recorded under
+// key, in the task's memo slot. It returns the recorded result.
 func (e *Engine) runTask(g *group, ids []int, t *task, key *Options) *taskResult {
-	var memo *replayEntry
-	e.fp = nil
-	if key != nil {
-		memo = &replayEntry{opts: key, names: e.caches.names}
-		e.fp = &memo.fp
-	}
-	tr := &taskResult{members: make([]memberResult, len(g.specs))}
+	memo := &replayEntry{opts: key, names: e.caches.names}
+	e.fp = &memo.fp
+	tr := &memo.result
+	tr.members = make([]memberResult, len(g.specs))
 	if sp := g.specs[0]; sp.Kind == checkers.KindUnreleased {
 		mr := &tr.members[0]
 		mr.id = ids[g.at[0]]
@@ -651,14 +531,7 @@ func (e *Engine) runTask(g *group, ids []int, t *task, key *Options) *taskResult
 		}
 		tr.walked, tr.issued = e.walked, e.solved
 	}
-	if memo != nil {
-		memo.result = *tr
-		memo.result.members = slices.Clone(tr.members)
-		for mi := range memo.result.members {
-			memo.result.members[mi].stats.SMTTime = 0
-		}
-		t.memo = memo
-	}
+	t.memo = memo
 	return tr
 }
 

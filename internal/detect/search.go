@@ -37,8 +37,8 @@ type Engine struct {
 	srcAt   int32
 	srcFn   *ir.Func
 	srcG    *seg.Graph
-	// fp, when non-nil, collects what the search read of the program
-	// beyond its source's own function (see replay.go).
+	// fp collects what the search read of the program beyond its source's
+	// own function (see replay.go).
 	fp *footprint
 	// flows counts the engine's lookups in the shared flow cache, over all
 	// its tasks; walked and solved the expansions the task made and the

@@ -84,8 +84,7 @@ type TimingJSON struct {
 	// QueueWaitNs is admission-gate queueing (saturated server backlog).
 	QueueWaitNs int64 `json:"queueWaitNs"`
 	// SessionWaitNs is tenant acquisition: resolving (or admitting) the
-	// project's tenant, its per-tenant gate, and contention on its
-	// single-writer session lock. Only same-project requests contend.
+	// project's tenant, and contention on its single-writer session lock. Only same-project requests contend.
 	SessionWaitNs int64 `json:"sessionWaitNs"`
 	// BuildNs is Session.Update: parse, diff, rebuild, persist.
 	BuildNs int64 `json:"buildNs"`

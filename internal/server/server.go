@@ -79,9 +79,6 @@ type Config struct {
 	// TenantIdle is the age past which an idle tenant's session is evicted
 	// (0 = 15 minutes, negative disables idle eviction).
 	TenantIdle time.Duration
-	// TenantMaxInFlight bounds concurrently admitted requests per tenant,
-	// under the global MaxInFlight gate. 0 disables the per-tenant bound.
-	TenantMaxInFlight int
 }
 
 // Server is the analysis service. Create with New, then Serve or
@@ -147,7 +144,6 @@ func New(cfg Config) *Server {
 		tenants: tenant.NewManager(tenant.Config{
 			MaxResident: cfg.MaxTenants,
 			IdleTTL:     cfg.TenantIdle,
-			MaxInFlight: cfg.TenantMaxInFlight,
 			Build:       core.BuildOptions{Workers: cfg.Workers, Obs: rec, Store: cfg.Store},
 			Obs:         rec,
 		}),

@@ -65,11 +65,6 @@ type Config struct {
 	// lazily on Acquire and by SweepIdle). 0 means DefaultIdleTTL;
 	// negative disables time-based eviction.
 	IdleTTL time.Duration
-	// MaxInFlight bounds per-tenant concurrently admitted requests,
-	// layered under the server's global admission gate. 0 disables the
-	// per-tenant gate (the global gate still bounds totals); otherwise
-	// conc.Workers semantics (1 = one at a time, negative = GOMAXPROCS).
-	MaxInFlight int
 	// Build is the base build-option set for every tenant's session. Its
 	// Store, when persistent, is re-namespaced per project with
 	// store.Namespaced, so tenants share one physical store without key
@@ -91,14 +86,13 @@ type Manager struct {
 }
 
 // Tenant is one project's resident state: a session behind its own lock,
-// a per-tenant admission gate, and use bookkeeping.
+// and use bookkeeping.
 type Tenant struct {
 	project string
-	gate    *conc.Gate // nil = no per-tenant bound
 
 	// active and lastUsed are guarded by Manager.mu: active counts
 	// requests between Acquire and Release (including those still waiting
-	// on the gate or the lock), and a tenant with active > 0 is never
+	// on the lock), and a tenant with active > 0 is never
 	// evicted.
 	active   int
 	lastUsed time.Time
@@ -192,21 +186,17 @@ func (h *Handle) Histograms(names func(project string) []string) []*obs.Histogra
 	return t.hists
 }
 
-// Release unlocks the tenant and returns its gate slot.
+// Release unlocks the tenant.
 func (h *Handle) Release() {
 	t := h.t
 	t.requests.Add(1)
 	t.lock.Leave()
-	if t.gate != nil {
-		t.gate.Leave()
-	}
 	h.m.release(t)
 }
 
 // Acquire admits one request for project: it resolves (or creates,
 // evicting the LRU idle tenant if the resident cap demands it) the
-// tenant, waits for a per-tenant gate slot and then the tenant lock under
-// ctx's deadline, and returns a Handle holding the lock. The elapsed time
+// tenant, waits for the tenant lock under ctx's deadline, and returns a Handle holding the lock. The elapsed time
 // inside Acquire is exactly the request's "session wait".
 func (m *Manager) Acquire(ctx context.Context, project string) (*Handle, error) {
 	project = Canonical(project)
@@ -228,18 +218,9 @@ func (m *Manager) Acquire(ctx context.Context, project string) (*Handle, error) 
 	t.lastUsed = m.now()
 	m.mu.Unlock()
 
-	if t.gate != nil {
-		if err := t.gate.Enter(ctx); err != nil {
-			m.release(t)
-			return nil, err
-		}
-	}
 	if err := t.lock.Enter(ctx); err != nil {
 		// The deadline burned down waiting for the tenant lock; don't
 		// start an analysis nobody is waiting for.
-		if t.gate != nil {
-			t.gate.Leave()
-		}
 		m.release(t)
 		return nil, err
 	}
@@ -263,9 +244,6 @@ func (m *Manager) newTenantLocked(project string) *Tenant {
 		lock:     conc.NewGate(1),
 		sess:     core.NewSession(opts),
 		lastUsed: m.now(),
-	}
-	if m.cfg.MaxInFlight != 0 {
-		t.gate = conc.NewGate(m.cfg.MaxInFlight)
 	}
 	m.tenants[project] = t
 	m.cfg.Obs.Counter("tenant.created").Inc()

@@ -327,27 +327,6 @@ func TestEvictReadmitEquivalence(t *testing.T) {
 	}
 }
 
-// TestPerTenantGate: MaxInFlight=1 serializes admissions per tenant even
-// before the tenant lock, and a blocked gate waiter honors its deadline.
-func TestPerTenantGate(t *testing.T) {
-	m := tenant.NewManager(tenant.Config{MaxInFlight: 1})
-	h, err := m.Acquire(context.Background(), "p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	if _, err := m.Acquire(ctx, "p"); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("gate waiter = %v, want deadline exceeded", err)
-	}
-	h.Release()
-	h2, err := m.Acquire(context.Background(), "p")
-	if err != nil {
-		t.Fatalf("gate slot not returned after timeout unwind: %v", err)
-	}
-	h2.Release()
-}
-
 // TestInvalidProject rejects IDs that would break store prefixes or
 // metric labels.
 func TestInvalidProject(t *testing.T) {

@@ -31,11 +31,14 @@ go test -race ./...
 # When a unit is parsed, what the segment codec writes, that detection
 # leaves every graph as it was built, that a replaying session — which holds
 # only the tasks an edit can reach against the program, and every other task
-# too in these tests — answers like a from-scratch build, and what
-# `-checkers all` reports beside the six checkers run one by one must not
-# depend on how many goroutines there are to do it on.
-echo "== restart, codec, graphs-unchanged, replay and all-equals-union equivalence at -cpu 1,2"
+# too in these tests — answers like a from-scratch build, that detection run
+# again or with a recorder attached answers alike (every CheckAll patches a
+# last run, the first one the empty run), and what `-checkers all` reports
+# beside the six checkers run one by one must not depend on how many
+# goroutines there are to do it on.
+echo "== restart, codec, graphs-unchanged, replay, detection-determinism and all-equals-union equivalence at -cpu 1,2"
 go test ./internal/core -run 'WarmRestart|SegmentCodec|DetectionLeavesGraphsUnchanged|Replay' -race -cpu 1,2
+go test ./internal/detect -run 'Repeatable|ObsDeterminism' -race -cpu 1,2
 go test ./cmd/pinpoint -run 'AllEqualsUnionOfCheckers' -cpu 1,2
 
 # The allocation and residency budgets skip themselves under the race
