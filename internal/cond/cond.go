@@ -16,6 +16,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Kind discriminates the node forms of a condition DAG.
@@ -130,6 +131,10 @@ type Builder struct {
 	// made[id-2].
 	made   []*Cond
 	nextID int
+	// final is the prefix of made that Freeze published, of nFinal nodes:
+	// Node serves it without the lock. It is written once, before nFinal.
+	final  []*Cond
+	nFinal atomic.Int32
 }
 
 // NewBuilder returns an empty Builder.
@@ -156,11 +161,28 @@ func (b *Builder) newNode(k Kind, atom int, ops []*Cond) *Cond {
 	return c
 }
 
+// Freeze marks the nodes made so far as final, so that Node serves them
+// without taking the lock; nodes made later take the locked path. The owner
+// of a graph calls it when the graph is final (seg.Build, seg.DecodeGraph):
+// detection looks up the graph's edge and control-dependence conditions on
+// every step of a walk. Only the first Freeze that finds nodes counts.
+func (b *Builder) Freeze() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if n := len(b.made); b.nFinal.Load() == 0 && n > 0 {
+		b.final = b.made[:n:n]
+		b.nFinal.Store(int32(n))
+	}
+}
+
 // Node returns the node with the given ID, or nil when the Builder has none
 // under it.
 func (b *Builder) Node(id int32) *Cond {
 	if id >= 0 && int(id) < len(b.consts) {
 		return &b.consts[id]
+	}
+	if i := id - int32(len(b.consts)); i >= 0 && i < b.nFinal.Load() {
+		return b.final[i]
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()

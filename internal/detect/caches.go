@@ -8,7 +8,6 @@ import (
 	"repro/internal/cond"
 	"repro/internal/ir"
 	"repro/internal/seg"
-	"repro/internal/summary"
 )
 
 // caches holds the detection-phase artifacts that are expensive to build
@@ -17,9 +16,10 @@ import (
 //
 // The fn table is fully populated at construction and never written again, so
 // workers index it without synchronization; mutation happens only inside the
-// per-entry locks (flow tables and linear solvers memoize on demand), under a
-// sync.Once (reverse indexes are built at most once), or from the one
-// goroutine that owns the function (prepare) or the task (its replay entry).
+// per-entry lock (linear solvers memoize on demand), under a sync.Once
+// (reverse indexes are built at most once), or from the one goroutine that
+// owns the function (prepare) or the task (its replay entry). Local flows are
+// not cached: each engine walks the graph for them (walk.go).
 // Every memoized result is a pure function of the frozen objects it names, so
 // the cache contents — and everything derived from them — are independent of
 // worker interleaving, and an fnCache stays correct for every Program that
@@ -61,12 +61,11 @@ type nameSet struct{ _ byte }
 
 // fnCache is everything detection memoizes about one function.
 type fnCache struct {
-	flows flowTable
-	lin   linearCache
-	rev   revEntry
+	lin linearCache
+	rev revEntry
 
 	// params holds what the may-free fixpoint reads of the local flows of each
-	// parameter (by ParamIdx); nil until paramFacts enumerated them.
+	// parameter (by ParamIdx); nil until paramFacts walked them.
 	params []paramFacts
 	// tasks holds the function's task list — and with it the recorded
 	// outcome of each task — per walk, indexed by caches.walks number (nil
@@ -74,16 +73,11 @@ type fnCache struct {
 	tasks [][]task
 }
 
-// paramFacts is where one parameter's local flows end, as far as freeing it
-// goes: at a free, or else at these call arguments (in flow order).
+// paramFacts is where one parameter's local flows can end, as far as freeing
+// it goes: at a free, or else at these call arguments.
 type paramFacts struct {
 	frees  bool
 	passed []int32
-}
-
-type flowTable struct {
-	mu sync.Mutex
-	t  summary.Table
 }
 
 type linearCache struct {
@@ -102,12 +96,6 @@ type revEntry struct {
 
 // of returns n's predecessors.
 func (re *revEntry) of(n int32) []int32 { return re.preds[re.start[n]:re.start[n+1]] }
-
-func newFnCache() *fnCache {
-	fc := new(fnCache)
-	fc.flows.t = *summary.NewTable()
-	return fc
-}
 
 // newCaches returns empty caches for prog, with an entry for every function
 // that has a SEG.
@@ -136,7 +124,7 @@ func newCachesFrom(prog, prev *Program) caches {
 		case prev != nil && prev.Module.Holds(f):
 			c.fn[f.ID] = prev.c.fn[f.ID]
 		default:
-			c.fn[f.ID] = newFnCache()
+			c.fn[f.ID] = new(fnCache)
 		}
 	}
 	return c
@@ -170,57 +158,12 @@ func (fc *fnCache) tasksFor(k, n int, sp *checkers.Spec, f *ir.Func, g *seg.Grap
 	return fc.tasks[k]
 }
 
-// flowCounts tallies one caller's lookups in the shared flow cache. Every
-// vertex is enumerated exactly once (the per-graph lock serializes the memo)
-// and truncation is a property of the vertex, so the sums over all callers
-// of a run are as deterministic as the rest of it, although which caller
-// takes a given miss is not.
-type flowCounts struct {
-	hits, misses, capHits int
-}
-
-func (n *flowCounts) add(m flowCounts) {
-	n.hits += m.hits
-	n.misses += m.misses
-	n.capHits += m.capHits
-}
-
-// flowsFrom enumerates (memoized) local flows from a vertex, counting the
-// lookups it causes into n. Local flows never leave their graph, so one lock
-// per graph suffices and independent functions proceed in parallel.
-func (c *caches) flowsFrom(f *ir.Func, g *seg.Graph, from int32, n *flowCounts) []summary.Flow {
-	ft := &c.fn[f.ID].flows
-	ft.mu.Lock()
-	defer ft.mu.Unlock()
-	hits, misses, capHits := ft.t.Hits, ft.t.Misses, ft.t.CapHits
-	flows := ft.t.FlowsFrom(g, from)
-	n.hits += ft.t.Hits - hits
-	n.misses += ft.t.Misses - misses
-	n.capHits += ft.t.CapHits - capHits
-	return flows
-}
-
-// paramFacts enumerates (once per function object) the local flows of f's
-// parameters, counting the lookups into n, and returns where they end.
-func (c *caches) paramFacts(f *ir.Func, g *seg.Graph, n *flowCounts) []paramFacts {
+// paramFacts returns (noting them once per function object, with r's
+// scratch) where the local flows of f's parameters can end.
+func (c *caches) paramFacts(f *ir.Func, g *seg.Graph, r *reach) []paramFacts {
 	fc := c.fn[f.ID]
 	if fc.params == nil {
-		facts := make([]paramFacts, len(g.Params()))
-		for _, p := range g.Params() {
-			pf := &facts[g.Value(p).ParamIdx()]
-			for _, fl := range c.flowsFrom(f, g, g.ValueNode(p), n) {
-				switch term := fl.Terminal(); g.Node(term).Role {
-				case seg.RoleFreeArg:
-					pf.frees = true
-				case seg.RoleCallArg:
-					pf.passed = append(pf.passed, term)
-				}
-			}
-			if pf.frees {
-				pf.passed = nil
-			}
-		}
-		fc.params = facts
+		fc.params = r.params(g)
 	}
 	return fc.params
 }

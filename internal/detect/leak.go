@@ -7,7 +7,6 @@ import (
 	"repro/internal/ir"
 	"repro/internal/seg"
 	"repro/internal/smt"
-	"repro/internal/summary"
 )
 
 // Memory-leak detection — the classic "source without a mandatory sink"
@@ -69,9 +68,9 @@ func leakReport(checker string, f *ir.Func, g *seg.Graph, alloc int32, kind Leak
 // program; enumerating their parameters' flows for an answer no one can ask
 // for is the bulk of what this pass used to allocate on them.
 //
-// It counts the flow lookups it still has to make into n, and leaves the
-// relation read-only for the concurrent per-allocation queries (checkAlloc).
-func computeFreesParam(prog *Program, c *caches, n *flowCounts) {
+// It leaves the relation read-only for the concurrent per-allocation queries
+// (checkAlloc).
+func computeFreesParam(prog *Program, c *caches) {
 	called := func(f *ir.Func) bool { return len(prog.Callers(f)) > 0 }
 	if !slices.ContainsFunc(c.stale, called) {
 		return // what is stale stays so: a warm request's usual case
@@ -97,12 +96,13 @@ func computeFreesParam(prog *Program, c *caches, n *flowCounts) {
 	for _, f := range work {
 		state[f.ID] = queued
 	}
+	var r reach
 	for i := 0; i < len(work); i++ {
 		f := work[i]
 		state[f.ID] = idle
 		grew := false
 		g := prog.SEG(f)
-		for pi, pf := range c.paramFacts(f, g, n) {
+		for pi, pf := range c.paramFacts(f, g, &r) {
 			if !c.frees[f.ID][pi] && (pf.frees || c.passedToFree(prog.Module, g, pf.passed)) {
 				c.frees[f.ID][pi], grew = true, true
 			}
@@ -142,19 +142,17 @@ func (c *caches) passedToFree(m *ir.Module, g *seg.Graph, args []int32) bool {
 // vectors it consults into the footprint; it returns a report or nil.
 func (e *Engine) checkAlloc(checker string, f *ir.Func, g *seg.Graph, alloc int32, stats *Stats) *Report {
 	stats.Sources++
-	type reachedFree struct {
-		flow summary.Flow
-	}
-	var frees []reachedFree
+	var frees []localFlow
 	escaped := false
 
-	for _, fl := range e.caches.flowsFrom(f, g, g.ValueNode(g.In(alloc).Dst), &e.flows) {
-		term := g.Node(fl.Terminal())
+	wm := e.w.walk(g, g.ValueNode(g.In(alloc).Dst))
+	for _, fl := range e.w.flows[wm.flows:] {
+		term := g.Node(fl.term)
 		switch term.Role {
 		case seg.RoleFreeArg:
-			frees = append(frees, reachedFree{flow: fl})
+			frees = append(frees, fl)
 		case seg.RoleCallArg:
-			callee := e.prog.Module.Lookup(g.Callee(g.Instr(fl.Terminal())))
+			callee := e.prog.Module.Lookup(g.Callee(g.Instr(fl.term)))
 			if callee == nil {
 				// Passed to an external: assume it takes ownership.
 				escaped = true
@@ -164,7 +162,7 @@ func (e *Engine) checkAlloc(checker string, f *ir.Func, g *seg.Graph, alloc int3
 			if e.caches.mayFree(callee, int(term.ArgIdx)) {
 				// A callee may free it; treat like a reached free with
 				// the call's conditions.
-				frees = append(frees, reachedFree{flow: fl})
+				frees = append(frees, fl)
 			}
 		case seg.RoleRetArg:
 			// Returned: ownership moves to callers; with no callers the
@@ -175,11 +173,12 @@ func (e *Engine) checkAlloc(checker string, f *ir.Func, g *seg.Graph, alloc int3
 			// global memory. Stores into program-local stack or heap
 			// cells keep the value tracked (the SEG's load edges carry
 			// it onward).
-			if g.In(g.Instr(fl.Terminal())).Escapes() {
+			if g.In(g.Instr(fl.term)).Escapes() {
 				escaped = true
 			}
 		}
 	}
+	e.w.pop(wm)
 	if escaped {
 		stats.Escaped++
 		return nil
@@ -206,7 +205,7 @@ func (e *Engine) checkAlloc(checker string, f *ir.Func, g *seg.Graph, alloc int3
 	enc.assertCond(0, g, g.CD(alloc))
 	// ...and every reached free is avoided.
 	for _, rf := range frees {
-		t := enc.condTerm(0, g, rf.flow.Cond())
+		t := enc.condTerm(0, g, rf.cond)
 		enc.add(enc.tb.Not(t))
 	}
 	res, model, src := enc.decide(s, e.opts, checker, e.tid, start, stats)
@@ -221,7 +220,7 @@ func (e *Engine) checkAlloc(checker string, f *ir.Func, g *seg.Graph, alloc int3
 		// the deterministic flow-enumeration order.
 		hops := []Hop{allocHop(f, g, alloc)}
 		for _, rf := range frees {
-			term := rf.flow.Terminal()
+			term := rf.term
 			h := Hop{Fn: f.Name, Node: g.NodeString(term)}
 			if in := g.Instr(term); in >= 0 {
 				h.Pos = g.Position(in)

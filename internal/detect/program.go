@@ -2,8 +2,9 @@
 // context- and path-sensitive global value-flow analysis (§3.3).
 //
 // Given the per-function SEGs, a checker spec (package checkers) and a
-// source, the engine searches forward along value-flow edges, composing
-// memoized local flows (package summary) across function boundaries:
+// source, the engine searches forward along value-flow edges, composing the
+// local flows a walk of each function's graph yields (walk.go) across
+// function boundaries:
 //
 //   - at a call argument it descends into the callee's parameter (the
 //     context grows by the call site — cloning-based context sensitivity);
@@ -56,9 +57,9 @@ type Program struct {
 
 	// c holds the detection caches, which persist across CheckAll calls on
 	// this Program and, via NewProgramFrom, across incremental rebuilds: the
-	// calls share flow summaries and replay recorded task results. They are
-	// made by the first CheckAll (or carry-over) that needs them, so a Program
-	// that is never checked holds none.
+	// calls share linear solvers and parameter facts and replay recorded
+	// task results. They are made by the first CheckAll (or carry-over) that
+	// needs them, so a Program that is never checked holds none.
 	c caches
 }
 
@@ -120,8 +121,7 @@ func (p *Program) ReplayTableSize() int {
 // incremental session: segs is the new per-function table (indexed by
 // ir.Func.ID) and fresh lists the functions of m that prev's
 // module does not hold — rebuilt or new. It carries over prev's detection
-// caches for every other function: their flow summaries, linear
-// solvers, reverse indexes, parameter facts, task lists and
+// caches for every other function: their linear solvers, reverse indexes, parameter facts, task lists and
 // recorded task results (each of which replays only while its footprint
 // holds in the new Program; see replay.go). When the two modules share a
 // Layout, nothing but the entries of the fresh functions is touched: their
@@ -155,7 +155,7 @@ func NewProgramFrom(prev *Program, m *ir.Module, segs []*seg.Graph, fresh []*ir.
 	for _, f := range fresh {
 		c.fn[f.ID] = nil
 		if segs[f.ID] != nil {
-			c.fn[f.ID] = newFnCache()
+			c.fn[f.ID] = new(fnCache)
 		}
 	}
 	// A function prev's plan is still waiting for is either fresh again or
@@ -326,7 +326,7 @@ type Options struct {
 	// request-scoped log lines and reports of the analysis service.
 	TraceID string
 	// Obs, when non-nil, receives detection metrics (SMT latency
-	// histograms, SAT-core counters, summary-cache hit rates, per-worker
+	// histograms, SAT-core counters, local-flow walk counters, per-worker
 	// utilization) and — when the recorder is tracing — per-task and
 	// per-SMT-query spans. Recording never changes the reported results;
 	// nil disables all of it.

@@ -1,0 +1,5 @@
+//go:build race
+
+package detect_test
+
+const raceEnabled = true

@@ -40,21 +40,19 @@ type Engine struct {
 	// fp collects what the search read of the program beyond its source's
 	// own function (see replay.go).
 	fp *footprint
-	// flows counts the engine's lookups in the shared flow cache, over all
-	// its tasks; walked and solved the expansions the task made and the
-	// queries it encoded, each once however many members counted them.
-	flows          flowCounts
+	// walked and solved count the expansions the task made and the queries
+	// it encoded, each once however many members counted them.
 	walked, solved int
 	nextInst       int
 	// path is the global path from the source to the vertex being expanded.
 	path pathState
 
-	// Scratch kept from task to task: roots is a stack of objectRoots
-	// results, marks a set of small integers (vertex indexes, instance
-	// numbers) — i is in it iff marks[i] == epoch.
+	// Scratch kept from task to task: w walks local flows (and counts the
+	// walks over all the engine's tasks), roots is a stack of objectRoots
+	// results, seen a set of vertex indexes or instance numbers.
+	w     walker
 	roots []int32
-	marks []uint64
-	epoch uint64
+	seen  markSet
 }
 
 // member is one spec of the task's group with what its own search from the
@@ -85,14 +83,6 @@ func (e *Engine) releaseSolver() {
 		smt.PutSolver(e.solver)
 		e.solver = nil
 	}
-}
-
-// startSet empties the marks set and makes room for the integers below n.
-func (e *Engine) startSet(n int) {
-	if len(e.marks) < n {
-		e.marks = make([]uint64, n)
-	}
-	e.epoch++
 }
 
 // frame is one function instance on the search path.
@@ -224,7 +214,7 @@ func (e *Engine) widen(f *ir.Func, g *seg.Graph, v int32) []int32 {
 	base := len(e.roots)
 	e.roots = append(e.roots, v)
 	if e.lead.WidenToRoots {
-		e.startSet(g.NumNodes())
+		e.seen.reset(g.NumNodes())
 		e.walkRoots(g, e.caches.reverse(f, g), g.ValueNode(v), v)
 		slices.Sort(e.roots[base:])
 	}
@@ -235,10 +225,9 @@ func (e *Engine) widen(f *ir.Func, g *seg.Graph, v int32) []int32 {
 // edges to the defining allocation sites or parameters, so that sibling
 // aliases of the freed object are tracked too, and pushes them on e.roots.
 func (e *Engine) walkRoots(g *seg.Graph, rev *revEntry, n int32, v int32) {
-	if e.marks[n] == e.epoch {
+	if !e.seen.add(n) {
 		return
 	}
-	e.marks[n] = e.epoch
 	if g.Node(n).Kind != seg.NValue {
 		return
 	}
@@ -291,33 +280,31 @@ func (e *Engine) explore(fr *frame, node int32, live uint64) {
 		e.ascendViaParam(fr, g, node, live)
 	}
 
-	flows := e.caches.flowsFrom(fr.fn, g, node, &e.flows)
 	// The source's instruction, as a sink predicate tells it apart: an
 	// instruction of the graph at hand.
 	srcAt := int32(-1)
 	if fr.fn == e.srcFn {
 		srcAt = e.srcAt
 	}
-	for i := range flows {
-		flow := &flows[i]
-		term := flow.Terminal()
-		if term == node && flow.Len == 1 && isValue {
-			continue
-		}
+	// The walk's flows stay on the stack while the steps below explore on
+	// from them, each pushing and popping its own above; the stack may move,
+	// so each flow is copied out.
+	wm := e.w.walk(g, node)
+	for i, end := wm.flows, len(e.w.flows); i < end; i++ {
+		flow := e.w.flows[i]
+		term := flow.term
 		// Ordering: terminal actions in an anchored frame must be able
 		// to execute after the anchor.
 		if in := g.Instr(term); fr.anchor >= 0 && in >= 0 && !g.HappensAfter(fr.anchor, in) {
 			continue
 		}
 		mark := e.path.mark(fr.inst)
-		if !e.addCond(fr.inst, fr.fn, flow.Cond()) {
+		if !e.addCond(fr.inst, fr.fn, flow.cond) {
 			e.count(live, linearFiltered)
 			e.path.reset(mark)
 			continue
 		}
-		for s := flow; s != nil; s = s.Rest() {
-			e.path.steps = append(e.path.steps, gstep{inst: fr.inst, g: g, node: s.Node})
-		}
+		e.path.steps = e.w.appendSteps(e.path.steps, fr.inst, g, &flow)
 
 		var sinks uint64
 		for i := range e.members {
@@ -335,6 +322,7 @@ func (e *Engine) explore(fr *frame, node int32, live uint64) {
 		}
 		e.path.reset(mark)
 	}
+	e.w.pop(wm)
 }
 
 // bindCallParams records actual=formal equalities for every parameter of a
@@ -640,11 +628,10 @@ func (e *Engine) emitCandidate(fr *frame, g *seg.Graph, term int32, sinks uint64
 
 // countInstances returns the number of function instances the steps visit.
 func (e *Engine) countInstances(steps []gstep) int {
-	e.startSet(e.nextInst)
+	e.seen.reset(e.nextInst)
 	n := 0
 	for _, s := range steps {
-		if e.marks[s.inst] != e.epoch {
-			e.marks[s.inst] = e.epoch
+		if e.seen.add(int32(s.inst)) {
 			n++
 		}
 	}

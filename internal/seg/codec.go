@@ -166,6 +166,7 @@ func DecodeGraph(r *wirebin.Reader, f *ir.Func, conds *cond.Builder) (*Graph, er
 	if err := g.check(f); err != nil {
 		return nil, fmt.Errorf("seg: decode: %w", err)
 	}
+	conds.Freeze()
 	return g, nil
 }
 

@@ -338,6 +338,7 @@ func Build(f *ir.Func, inf *ssa.Info, pr *pta.Result) *Graph {
 
 	b.nodes, b.pend = b.nodes[:0], b.pend[:0]
 	builderPool.Put(b)
+	g.conds.Freeze()
 	return g
 }
 
