@@ -61,6 +61,9 @@ type AnalyzeResponse struct {
 	Reports []detect.JSONReport `json:"reports"`
 	Stats   AnalyzeStats        `json:"stats"`
 	Timing  TimingJSON          `json:"timing"`
+	// unitsUnescaped counts the units whose bytes differed from those the
+	// tenant's last request sent; it is logged, not sent.
+	unitsUnescaped int
 }
 
 // TimingJSON attributes one request's server-side wall clock to phases.
@@ -79,7 +82,9 @@ type TimingJSON struct {
 	// byte of body decoding to the assembled response.
 	TotalNs int64 `json:"totalNs"`
 	// DecodeNs is request-body JSON decoding: reading and scanning the
-	// body, and turning the units it holds into strings.
+	// body, and turning the units it holds into strings, which unescapes
+	// only those whose bytes differ from what the tenant's last request
+	// sent.
 	DecodeNs int64 `json:"decodeNs"`
 	// QueueWaitNs is admission-gate queueing (saturated server backlog).
 	QueueWaitNs int64 `json:"queueWaitNs"`
@@ -142,8 +147,9 @@ type AnalyzeStats struct {
 	SMTQueries          int `json:"smtQueries"`
 	SMTSolved           int `json:"smtSolved"`
 	SMTPrefilterUnsat   int `json:"smtPrefilterUnsat"`
-	// SummaryCacheHits/Misses are this request's lookups in the flow
-	// cache (zero when every task was replayed).
+	// SummaryCacheMisses counts this request's local-flow walks, one per
+	// expansion (zero when every task was replayed); SummaryCacheHits is
+	// always 0, nothing being memoized.
 	SummaryCacheHits   int `json:"summaryCacheHits"`
 	SummaryCacheMisses int `json:"summaryCacheMisses"`
 }
@@ -193,6 +199,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		"reports", resp.Stats.Reports,
 		"artifact_hits", resp.Stats.ArtifactHits,
 		"artifact_misses", resp.Stats.ArtifactMisses,
+		"units_unescaped", resp.unitsUnescaped,
 		"build_ns", resp.Stats.BuildNs,
 		"detect_ns", resp.Stats.DetectNs,
 		"encode_ns", encodeNs)
@@ -268,12 +275,18 @@ func (s *Server) analyze(ctx context.Context, r *http.Request, ri *requestInfo) 
 	defer h.Release()
 	sess := h.Session()
 
-	// The units become strings only now, under the session's lock, so that
-	// it can hand back the ones it holds; that is the other half of
-	// decoding, and the buffer is done with.
+	// The units become strings only now, under the tenant's lock, so that
+	// the units its last request sent alike are handed the sources recorded
+	// for them and only the others are unescaped; that is the other half of
+	// decoding, and the buffer is done with. An error in a source is found
+	// here, and the request is at fault.
 	stringsStart := time.Now()
-	units := body.sources(sess)
+	units, unescaped, err := body.sources(sess, h.Sent())
 	decodeNs += time.Since(stringsStart)
+	if err != nil {
+		return nil, nil, &httpError{http.StatusBadRequest, "bad request body: " + err.Error()}
+	}
+	s.unitsUnescaped.Add(int64(unescaped))
 
 	buildStart := time.Now()
 	a, err := sess.Update(units)
@@ -350,7 +363,7 @@ func (s *Server) analyze(ctx context.Context, r *http.Request, ri *requestInfo) 
 		timing.SessionWaitNs - timing.BuildNs - timing.DetectNs
 	phases := h.Histograms(phaseSeries)
 	observePhases(phases, timing)
-	return &AnalyzeResponse{TraceID: ri.TraceID, Project: req.Project, Reports: reports, Stats: stats, Timing: timing}, phases, nil
+	return &AnalyzeResponse{TraceID: ri.TraceID, Project: req.Project, Reports: reports, Stats: stats, Timing: timing, unitsUnescaped: unescaped}, phases, nil
 }
 
 // phaseNames are the values of server.phase_ns's phase label: TimingJSON's
@@ -404,7 +417,5 @@ func resolveCheckers(names []string) ([]*checkers.Spec, error) {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/minic"
+	"repro/internal/tenant"
 )
 
 // requestBody reads one AnalyzeRequest object from a request body in a single
@@ -30,8 +31,10 @@ import (
 //   - the fields other than units are only delimited here and handed to
 //     json.Unmarshal, which keeps their typing rules encoding/json's.
 //
-// The buffer is filled on demand. The names and sources of the units are
-// unescaped where they lie and kept as views into it, valid until release.
+// The buffer is filled on demand. The names of the units are unescaped where
+// they lie and kept as views into it, valid until release. Their sources are
+// only delimited: sources unescapes those the tenant's last request did not
+// send alike, and so finds the errors in them.
 type requestBody struct {
 	r   io.Reader
 	err error   // r's error, held back until a byte that was not read is needed
@@ -43,13 +46,21 @@ type requestBody struct {
 }
 
 // unitView is one element of units.
-type unitView struct{ name, src view }
+type unitView struct {
+	name view
+	src  span
+	// raw is a copy of src as sent, made by sources before it unescapes src.
+	raw []byte
+}
 
-// view is a string of the body: buf[off:end], or own where the string could
-// not be unescaped in place because it grew.
+// span is a string of the body as sent, inside its quotes: buf[off:end].
+type span struct{ off, end int }
+
+// view is a string of the body unescaped: buf[off:end], or own where the
+// string could not be unescaped in place because it grew.
 type view struct {
-	off, end int
-	own      []byte
+	span
+	own []byte
 }
 
 func (b *requestBody) bytes(v view) []byte {
@@ -90,16 +101,37 @@ func (b *requestBody) release() {
 	b.mem, b.buf, b.units = nil, nil, nil
 }
 
-// sources turns the units into the strings sess.Update takes — the
-// session's own where it holds the same bytes (see core.Session.Source) —
-// and releases the buffer.
-func (b *requestBody) sources(sess *core.Session) []minic.NamedSource {
+// sources turns the units into the strings sess.Update takes, and releases
+// the buffer. A unit that the tenant's last request sent alike, name and
+// bytes, is handed the source recorded for it in sent. Any other is
+// unescaped, which is where an error in its source is found, turned into
+// strings by sess.Source (the session's own where it holds the same bytes),
+// and recorded with a copy of its bytes as sent. sent is changed only when
+// every unit decodes. The count returned is of the units unescaped.
+func (b *requestBody) sources(sess *core.Session, sent *tenant.Sent) ([]minic.NamedSource, int, error) {
+	defer b.release()
 	units := make([]minic.NamedSource, len(b.units))
-	for i, u := range b.units {
-		units[i] = sess.Source(b.bytes(u.name), b.bytes(u.src))
+	unescaped := 0
+	for i := range b.units {
+		u := &b.units[i]
+		name, raw := b.bytes(u.name), b.buf[u.src.off:u.src.end]
+		if src, ok := sent.Lookup(name, raw); ok {
+			units[i] = src
+			continue
+		}
+		u.raw = bytes.Clone(raw) // not nil, raw being a slice of buf
+		src, err := b.unescape(u.src)
+		if err != nil {
+			return nil, 0, err
+		}
+		units[i] = sess.Source(name, b.bytes(src))
+		unescaped++
 	}
-	b.release()
-	return units
+	for i, u := range b.units {
+		sent.Record(units[i], u.raw)
+	}
+	sent.Done()
+	return units, unescaped, nil
 }
 
 // fill reads at least one more byte of the body, or returns the reader's
@@ -187,8 +219,14 @@ func (b *requestBody) request(fields reflect.Value) error {
 }
 
 // unitArray reads the value of the units field: an array of unit objects
-// and nulls, or null.
+// and nulls, or null. The sources of units it replaces are unescaped for
+// their errors alone.
 func (b *requestBody) unitArray() error {
+	for _, u := range b.units {
+		if _, err := b.unescape(u.src); err != nil {
+			return err
+		}
+	}
 	switch c, err := b.next(); {
 	case err != nil:
 		return err
@@ -210,9 +248,21 @@ func (b *requestBody) unitArray() error {
 			err = b.object(func(key []byte) error {
 				switch {
 				case bytes.EqualFold(key, []byte("name")):
-					return b.stringOrNull(&u.name)
+					return b.stringOrNull(func() (err error) {
+						u.name, err = b.string()
+						return err
+					})
 				case bytes.EqualFold(key, []byte("src")):
-					return b.stringOrNull(&u.src)
+					return b.stringOrNull(func() error {
+						// A source that this one replaces is
+						// unescaped for its errors alone.
+						if _, err := b.unescape(u.src); err != nil {
+							return err
+						}
+						var err error
+						u.src, err = b.delimit()
+						return err
+					})
 				}
 				return fmt.Errorf("json: unknown field %q", key)
 			})
@@ -312,20 +362,56 @@ func (b *requestBody) null() error {
 	return nil
 }
 
-// stringOrNull reads a value into a string field: a string sets it, null
-// leaves it, anything else is of the wrong type.
-func (b *requestBody) stringOrNull(v *view) error {
+// stringOrNull reads a value into a string field: a string sets it, read
+// taking it from after its opening quote; null leaves it; anything else is
+// of the wrong type.
+func (b *requestBody) stringOrNull(read func() error) error {
 	switch c, err := b.next(); {
 	case err != nil:
 		return err
 	case c == '"':
-		*v, err = b.string()
-		return err
+		return read()
 	case c == 'n':
 		return b.null()
 	default:
 		return fmt.Errorf("json: %q where a string should start", c)
 	}
+}
+
+// delimit finds the closing quote of the string that starts at b.pos, the
+// first quote after it that an even number of backslashes precedes (an odd
+// number escapes it), leaves b.pos after it and returns the string as sent.
+func (b *requestBody) delimit() (span, error) {
+	start, i := b.pos, b.pos
+	for {
+		q := bytes.IndexByte(b.buf[i:], '"')
+		if q < 0 {
+			i = len(b.buf)
+			if err := b.fill(); err != nil {
+				return span{}, err
+			}
+			continue
+		}
+		i += q
+		n := 0
+		for n < i-start && b.buf[i-1-n] == '\\' {
+			n++
+		}
+		if n%2 == 0 {
+			b.pos = i + 1
+			return span{start, i}, nil
+		}
+		i++
+	}
+}
+
+// string reads the string whose opening quote was consumed and unescapes it.
+func (b *requestBody) string() (view, error) {
+	s, err := b.delimit()
+	if err != nil {
+		return view{}, err
+	}
+	return b.unescape(s)
 }
 
 // plain marks the bytes a string holds as they are: ASCII but for the
@@ -337,65 +423,47 @@ var plain = func() (t [256]bool) {
 	return t
 }()
 
-// stringEnd finds the closing quote of the string that starts at b.pos,
-// returns its index and leaves b.pos after it. It reports whether the string
-// holds a backslash (which it has seen a byte after), and a byte outside
-// ASCII; a control character is an error.
-func (b *requestBody) stringEnd() (end int, escaped, wide bool, err error) {
-	i := b.pos
-	for {
-		buf := b.buf
-		for i < len(buf) && plain[buf[i]] {
+// unescape unescapes a delimited string where it lies, which no escape and
+// no UTF-8 sequence outgrows; a control character and a malformed escape are
+// errors. Only a byte that is not UTF-8 outgrows it, becoming the three of
+// U+FFFD: a string with one is left to encoding/json, and the view owns the
+// result.
+func (b *requestBody) unescape(s span) (view, error) {
+	raw := b.buf[s.off:s.end]
+	escaped, wide := false, false
+	for i := 0; ; {
+		for i < len(raw) && plain[raw[i]] {
 			i++
 		}
-		if i == len(buf) || buf[i] == '\\' && i+1 == len(buf) {
-			if err := b.fill(); err != nil {
-				return 0, false, false, err
-			}
-			continue
+		if i >= len(raw) {
+			break
 		}
-		switch c := buf[i]; {
-		case c == '"':
-			b.pos = i + 1
-			return i, escaped, wide, nil
+		switch c := raw[i]; {
 		case c == '\\':
 			escaped = true
 			i += 2
 		case c < ' ':
-			return 0, false, false, fmt.Errorf("json: invalid character %q in string literal", c)
+			return view{}, fmt.Errorf("json: invalid character %q in string literal", c)
 		default:
 			wide = true
 			i++
 		}
 	}
-}
-
-// string reads the string whose opening quote was consumed and unescapes
-// it in place, which no escape and no UTF-8 sequence outgrows. Only a byte
-// that is not UTF-8 does, becoming the three of U+FFFD: a string with one
-// is left to encoding/json, and the view owns the result.
-func (b *requestBody) string() (view, error) {
-	start := b.pos
-	end, escaped, wide, err := b.stringEnd()
-	if err != nil {
-		return view{}, err
-	}
-	raw := b.buf[start:end]
 	if wide && !utf8.Valid(raw) {
-		var s string
-		if err := json.Unmarshal(b.buf[start-1:end+1], &s); err != nil {
+		var str string
+		if err := json.Unmarshal(b.buf[s.off-1:s.end+1], &str); err != nil {
 			return view{}, err
 		}
-		return view{own: []byte(s)}, nil
+		return view{own: []byte(str)}, nil
 	}
 	if escaped {
 		n, ok := unquote(raw)
 		if !ok {
 			return view{}, fmt.Errorf("json: invalid escape in string literal")
 		}
-		end = start + n
+		s.end = s.off + n
 	}
-	return view{off: start, end: end}, nil
+	return view{span: s}, nil
 }
 
 // unquote unescapes in place the inside of a JSON string that is valid
@@ -492,7 +560,7 @@ func (b *requestBody) value() ([]byte, error) {
 	start := b.pos - 1
 	switch c {
 	case '"':
-		_, _, _, err = b.stringEnd()
+		_, err = b.delimit()
 	case '{', '[':
 		for depth := 1; depth > 0 && err == nil; {
 			if err = b.more(); err != nil {
@@ -502,7 +570,7 @@ func (b *requestBody) value() ([]byte, error) {
 			b.pos++
 			switch c {
 			case '"':
-				_, _, _, err = b.stringEnd()
+				_, err = b.delimit()
 			case '{', '[':
 				depth++
 			case '}', ']':

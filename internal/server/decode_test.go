@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/minic"
+	"repro/internal/tenant"
 	"repro/internal/workload"
 )
 
@@ -87,18 +88,26 @@ func decodeUnitsReference(dec *json.Decoder, units *[]UnitJSON) error {
 	return err
 }
 
+// noUnits is a session that holds no unit, for decodeRequest.
+var noUnits = core.NewSession(core.BuildOptions{})
+
 // decodeRequest reads r with the scanner and copies what it found into req,
-// as the handler does short of interning the units in a session.
-func decodeRequest(r io.Reader, req *AnalyzeRequest) error {
+// as the handler does: the units through sent, the memo of one tenant whose
+// session holds none of them.
+func decodeRequest(r io.Reader, req *AnalyzeRequest, sent *tenant.Sent) error {
 	b := openBody(r, 0)
 	defer b.release()
 	if err := b.decode(req); err != nil {
 		return err
 	}
 	if b.units != nil {
-		req.Units = make([]UnitJSON, len(b.units))
-		for i, u := range b.units {
-			req.Units[i] = UnitJSON{Name: string(b.bytes(u.name)), Src: string(b.bytes(u.src))}
+		units, _, err := b.sources(noUnits, sent)
+		if err != nil {
+			return err
+		}
+		req.Units = make([]UnitJSON, len(units))
+		for i, u := range units {
+			req.Units[i] = UnitJSON{Name: u.Name, Src: u.Src}
 		}
 	}
 	return nil
@@ -156,10 +165,13 @@ func (p *pieces) Read(b []byte) (int, error) {
 // bodies accepted, the same request read from them, however the body
 // arrives — a byte, seven bytes or everything a Read — and whether what
 // follows the last byte the scanner needs is the rest of the body or an
-// error.
+// error. Each body goes through one tenant's memo of the units it was last
+// sent: first after a ladder body, then after itself.
 func FuzzDecodeRequest(f *testing.F) {
 	good, _ := ladderBody(f, 30) // r1k
 	f.Add(good)
+	// One source changed, and not in length.
+	f.Add(bytes.Replace(good, []byte("void "), []byte("VOID "), 1))
 	for _, tc := range analyzeErrorCases() {
 		f.Add([]byte(tc.body))
 	}
@@ -171,11 +183,24 @@ func FuzzDecodeRequest(f *testing.F) {
 		`{"units":[{"name":"a.mc","src":null}]}`,
 		`{"units":[null]}`,
 		`{"units":[{"name":"a.mc","src":"int f( {","src":"void f() { }","src":null}]}`,
+		`{"units":[{"name":"a.mc","src":"int\x f( {","src":"void f() { }"}]}`,
+		`{"units":[{"name":"a.mc","src":"\u12"}],"units":[{"name":"a.mc","src":"void f() { }"}]}`,
 		`{"colour":{"a":[1,{"b":"}]"}],"c":null},"units":[]}`,
 		`{"checkers":["null-deref"],"checkers":null,"workers":null,"witness":null,"project":null,"units":[{"n\u0061me":"a.mc","\u017frc":""}]}`,
 		`{"workers":1x}`, `{"workers":[1}}`, `{"project":"p" "units":[]}`, `{"units":[{}],}`, `null`, ` nullx`, `{"units":nulL}`,
+		// As json.Marshal writes '<', '>' and '&'.
+		`{"units":[{"name":"a.mc","src":"` + strings.Repeat(`a \u003c b \u003e\u0026c;\n`, 40) + `"}]}`,
+		// A source that ends in a backslash, and one that ends in a quote.
+		`{"units":[{"name":"a.mc","src":"int x; \\"},{"name":"b.mc","src":"\\\\\\\"\\\\"}]}`,
+		`{"units":[{"name":"a.mc","src":"int x; \""},{"name":"b.mc","src":"\\\"\""}]}`,
+		`{"units":[{"name":"a.mc","src":"int x; \\\"}]}`,
 	} {
 		f.Add([]byte(body))
+	}
+	// An escaped quote, and a source ending in a backslash, split at every
+	// place in a 7-byte Read (and between any two bytes in a 1-byte one).
+	for pad := 0; pad < 7; pad++ {
+		f.Add([]byte(`{"units":[{"name":"a.mc","src":"` + strings.Repeat("x", pad) + `\"\\"}]}`))
 	}
 	cut := errors.New("connection cut")
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -186,6 +211,10 @@ func FuzzDecodeRequest(f *testing.F) {
 			needed = b.pos
 		}
 		b.release()
+		var sent tenant.Sent
+		if err := decodeRequest(bytes.NewReader(good), new(AnalyzeRequest), &sent); err != nil {
+			t.Fatal(err)
+		}
 		for _, p := range []pieces{
 			{body, len(body) + 1, io.EOF, false},
 			{body, 7, io.EOF, true},
@@ -196,7 +225,7 @@ func FuzzDecodeRequest(f *testing.F) {
 		} {
 			var got, want AnalyzeRequest
 			in, ref := p, p
-			gotErr, wantErr := decodeRequest(&in, &got), decodeRequestReference(&ref, &want)
+			gotErr, wantErr := decodeRequest(&in, &got, &sent), decodeRequestReference(&ref, &want)
 			if (gotErr == nil) != (wantErr == nil) {
 				t.Fatalf("%d bytes a Read, then %v: scanner: %v; reference: %v", p.n, p.err, gotErr, wantErr)
 			}
@@ -225,15 +254,16 @@ func measure(prepare func() (run func())) (objects, size uint64) {
 }
 
 // TestDecodeBudget bounds what reading a request costs beyond its pooled
-// buffer: a few small objects for the scan, and for the strings nothing
-// that the session already holds.
+// buffer: a few small objects for the scan; for the strings, nothing that
+// the tenant's last request sent alike; and for a unit that changed, its
+// source and a copy of its bytes as sent.
 func TestDecodeBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates shadow state of its own")
 	}
 	body, units := ladderBody(t, 60) // r2k
 	const fields = 3                 // project, checkers, units
-	scan := func() *requestBody {
+	scan := func(body []byte) *requestBody {
 		b := openBody(bytes.NewReader(body), int64(len(body)))
 		if err := b.decode(new(AnalyzeRequest)); err != nil {
 			t.Fatal(err)
@@ -242,13 +272,18 @@ func TestDecodeBudget(t *testing.T) {
 	}
 	var got []minic.NamedSource
 	sess := core.NewSession(core.BuildOptions{Workers: 1})
-	intern := func() func() {
-		b := scan()
-		return func() { got = b.sources(sess) }
+	var sent tenant.Sent
+	intern := func(b *requestBody) func() {
+		return func() {
+			var err error
+			if got, _, err = b.sources(sess, &sent); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 
-	scan().release() // from here on the pool has a buffer
-	objects, size := measure(func() func() { return func() { scan().release() } })
+	scan(body).release() // from here on the pool has a buffer
+	objects, size := measure(func() func() { return func() { scan(body).release() } })
 	t.Logf("scanning %d units in %d bytes: %d objects, %d bytes", len(units), len(body), objects, size)
 	if limit := uint64(2 * (len(units) + fields)); objects > limit {
 		t.Errorf("the scan allocated %d objects, budget %d", objects, limit)
@@ -259,7 +294,7 @@ func TestDecodeBudget(t *testing.T) {
 
 	// A first request, then the same bytes again: every string handed to
 	// Update is the session's own, and only the slice of units is made.
-	intern()()
+	intern(scan(body))()
 	if !reflect.DeepEqual(got, units) {
 		t.Fatal("the scanner read other units than were sent")
 	}
@@ -268,7 +303,8 @@ func TestDecodeBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	slice := uint64(len(units)) * uint64(unsafe.Sizeof(minic.NamedSource{}))
-	objects, size = measure(intern)
+	objects, size = measure(func() func() { return intern(scan(body)) })
+	t.Logf("resubmit: %d objects, %d bytes", objects, size)
 	for i, u := range got {
 		if unsafe.StringData(u.Name) != unsafe.StringData(first[i].Name) || unsafe.StringData(u.Src) != unsafe.StringData(first[i].Src) {
 			t.Errorf("resubmit: unit %d (%s) is a copy, not the session's string", i, u.Name)
@@ -278,32 +314,57 @@ func TestDecodeBudget(t *testing.T) {
 		t.Errorf("resubmit: the strings cost %d objects and %d bytes, want the slice of units (%d bytes) alone", objects, size, slice)
 	}
 
-	// One unit edited: its source is the one string made.
+	// One unit edited, after a request that sent the units unedited: its
+	// source and the copy of its bytes as sent are the two strings made.
 	edited := append([]minic.NamedSource(nil), units...)
 	edited[1].Src += "\nvoid budget_probe() { }\n"
-	body = unitsBody(t, edited)
-	objects, size = measure(intern)
+	editBody := unitsBody(t, edited)
+	objects, size = measure(func() func() {
+		intern(scan(body))()
+		return intern(scan(editBody))
+	})
+	t.Logf("edit: %d objects, %d bytes", objects, size)
 	if !reflect.DeepEqual(got, edited) {
 		t.Fatal("the scanner read other units than the edit sent")
 	}
-	if src := uint64(len(edited[1].Src)); objects != 2 || size < src || size > 2*(slice+src) {
-		t.Errorf("edit: the strings cost %d objects and %d bytes, want the slice (%d bytes) and one source (%d)", objects, size, slice, src)
+	src := uint64(len(edited[1].Src))
+	quoted, _ := json.Marshal(edited[1].Src)
+	raw := uint64(len(quoted) - 2)
+	if want := slice + src + raw; objects != 3 || size < src+raw || size > 2*want {
+		t.Errorf("edit: the strings cost %d objects and %d bytes, want the slice (%d bytes), one source (%d) and its bytes as sent (%d)", objects, size, slice, src, raw)
 	}
 }
 
-// BenchmarkDecodeRequest reads the r2k body of TestDecodeBudget; compare
-// its MB/s with BenchmarkDecodeRequestReference's.
+// BenchmarkDecodeRequest reads the r2k body of TestDecodeBudget as a first
+// request, every unit unescaped and made a string; compare its MB/s with
+// BenchmarkDecodeRequestReference's.
 func BenchmarkDecodeRequest(b *testing.B) {
 	body, _ := ladderBody(b, 60)
 	b.SetBytes(int64(len(body)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := openBody(bytes.NewReader(body), int64(len(body)))
-		if err := s.decode(new(AnalyzeRequest)); err != nil {
+		if err := decodeRequest(bytes.NewReader(body), new(AnalyzeRequest), new(tenant.Sent)); err != nil {
 			b.Fatal(err)
 		}
-		s.release()
+	}
+}
+
+// BenchmarkDecodeResubmit reads the same body a second time through the
+// tenant's memo of the first.
+func BenchmarkDecodeResubmit(b *testing.B) {
+	body, _ := ladderBody(b, 60)
+	var sent tenant.Sent
+	if err := decodeRequest(bytes.NewReader(body), new(AnalyzeRequest), &sent); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := decodeRequest(bytes.NewReader(body), new(AnalyzeRequest), &sent); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

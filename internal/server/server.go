@@ -105,9 +105,11 @@ type Server struct {
 	inflight map[uint64]*inflightEntry
 
 	// The server.* metrics track records, each looked up by name once: the
-	// gauge in New, the others at the first finished request and the first
-	// error, which is when /v1/metrics has always begun to list them.
+	// gauge and the units_unescaped counter in New, the others at the first
+	// finished request and the first error, which is when /v1/metrics has
+	// always begun to list them.
 	inflightGauge   *obs.Gauge
+	unitsUnescaped  *obs.Counter
 	finished, erred sync.Once
 	requests        *obs.Counter
 	requestNs       *obs.Histogram
@@ -147,9 +149,10 @@ func New(cfg Config) *Server {
 			Build:       core.BuildOptions{Workers: cfg.Workers, Obs: rec, Store: cfg.Store},
 			Obs:         rec,
 		}),
-		inflight:      make(map[uint64]*inflightEntry),
-		inflightGauge: rec.Gauge("server.inflight"),
-		maxBody:       64 << 20,
+		inflight:       make(map[uint64]*inflightEntry),
+		inflightGauge:  rec.Gauge("server.inflight"),
+		unitsUnescaped: rec.Counter("server.units_unescaped"),
+		maxBody:        64 << 20,
 	}
 }
 

@@ -26,6 +26,7 @@ import (
 	"repro/internal/minic"
 	"repro/internal/obs"
 	"repro/internal/store"
+	"repro/internal/tenant"
 )
 
 // exampleUnits loads the repository's example programs — the same corpus
@@ -339,6 +340,7 @@ func TestCountersArePerRequest(t *testing.T) {
 type analyzeErrorCase struct {
 	name, body string
 	want       int
+	msg        string // what the error the body gets begins with
 }
 
 // analyzeErrorCases is the status of every way a request body can be wrong,
@@ -347,34 +349,63 @@ type analyzeErrorCase struct {
 // with a body cap of 8 KiB; FuzzDecodeRequest starts from them.
 func analyzeErrorCases() []analyzeErrorCase {
 	one := `{"units":[{"name":"a.mc","src":"void f() { }"}]}`
+	return append([]analyzeErrorCase{
+		{"malformed body", "{", http.StatusBadRequest, "bad request body: unexpected EOF"},
+		{"empty body", "", http.StatusBadRequest, "bad request body: unexpected EOF"},
+		{"not an object", `[1,2]`, http.StatusBadRequest, "bad request body: json: '[' where a request object should start"},
+		{"null", `null`, http.StatusBadRequest, "no translation units"},
+		{"empty units", `{"units":[]}`, http.StatusBadRequest, "no translation units"},
+		{"null units", `{"units":null}`, http.StatusBadRequest, "no translation units"},
+		{"unnamed unit", `{"units":[{"src":"void f() { }"}]}`, http.StatusBadRequest, "unit 0 has no name"},
+		{"unknown checker", `{"units":[{"name":"a.mc","src":""}],"checkers":["nope"]}`, http.StatusBadRequest, `unknown checker "nope" (known: `},
+		{"unknown field", `{"units":[{"name":"a.mc","src":""}],"colour":1}`, http.StatusBadRequest, `bad request body: json: unknown field "colour"`},
+		{"unknown field in a unit", `{"units":[{"name":"a.mc","src":"","lang":"c"}]}`, http.StatusBadRequest, `bad request body: json: unknown field "lang"`},
+		{"wrong type", `{"units":[{"name":"a.mc","src":7}]}`, http.StatusBadRequest, "bad request body: json: '7' where a string should start"},
+		{"truncated in a unit", one[:len(one)-8], http.StatusBadRequest, "bad request body: unexpected EOF"},
+		{"truncated after the units", one[:len(one)-1], http.StatusBadRequest, "bad request body: unexpected EOF"},
+		{"body over the cap", `{"units":[{"name":"a.mc","src":"` + strings.Repeat(" ", 9<<10) + `"}]}`, http.StatusBadRequest, "bad request body: http: request body too large"},
+		{"parse error", `{"units":[{"name":"a.mc","src":"int f( {"}]}`, http.StatusUnprocessableEntity, "parse: parsing a.mc: a.mc:1:8: expected type, found '{'"},
+		{"every field", `{"project":"p","units":[{"name":"a.mc","src":"void f() { }"}],"checkers":["all"],"witness":true,"workers":1,"maxCallDepth":3}`, http.StatusOK, ""},
+		{"field names in another case", `{"UNITS":[{"Name":"a.mc","SRC":"void f() { }"}],"Witness":true}`, http.StatusOK, ""},
+		{"a field twice: the last one counts", `{"units":[{"name":"a.mc","src":"int f( {"}],"units":[{"name":"a.mc","src":"void f() { }"}]}`, http.StatusOK, ""},
+		{"trailing bytes after the object", one + ` trailing }{`, http.StatusOK, ""},
+		{"trailing bytes over the cap", one + strings.Repeat(" ", 9<<10), http.StatusOK, ""},
+		{"a field name that only folds to units", `{"unitſ":[{"name":"a.mc","ſrc":"void f() { }"}]}`, http.StatusOK, ""},
+	}, sourceErrorCases()...)
+}
+
+// unitA begins a body whose one unit, a.mc, has the source that follows.
+const unitA = `{"units":[{"name":"a.mc","src":"`
+
+// sourceErrorCases are bodies, each beginning with unitA, whose one error is
+// in the source: a source is only delimited as the body is read, and
+// unescaped, which finds the error, once it is known to have changed.
+func sourceErrorCases() []analyzeErrorCase {
 	return []analyzeErrorCase{
-		{"malformed body", "{", http.StatusBadRequest},
-		{"empty body", "", http.StatusBadRequest},
-		{"not an object", `[1,2]`, http.StatusBadRequest},
-		{"null", `null`, http.StatusBadRequest},
-		{"empty units", `{"units":[]}`, http.StatusBadRequest},
-		{"null units", `{"units":null}`, http.StatusBadRequest},
-		{"unnamed unit", `{"units":[{"src":"void f() { }"}]}`, http.StatusBadRequest},
-		{"unknown checker", `{"units":[{"name":"a.mc","src":""}],"checkers":["nope"]}`, http.StatusBadRequest},
-		{"unknown field", `{"units":[{"name":"a.mc","src":""}],"colour":1}`, http.StatusBadRequest},
-		{"unknown field in a unit", `{"units":[{"name":"a.mc","src":"","lang":"c"}]}`, http.StatusBadRequest},
-		{"wrong type", `{"units":[{"name":"a.mc","src":7}]}`, http.StatusBadRequest},
-		{"truncated in a unit", one[:len(one)-8], http.StatusBadRequest},
-		{"truncated after the units", one[:len(one)-1], http.StatusBadRequest},
-		{"body over the cap", `{"units":[{"name":"a.mc","src":"` + strings.Repeat(" ", 9<<10) + `"}]}`, http.StatusBadRequest},
-		{"parse error", `{"units":[{"name":"a.mc","src":"int f( {"}]}`, http.StatusUnprocessableEntity},
-		{"every field", `{"project":"p","units":[{"name":"a.mc","src":"void f() { }"}],"checkers":["all"],"witness":true,"workers":1,"maxCallDepth":3}`, http.StatusOK},
-		{"field names in another case", `{"UNITS":[{"Name":"a.mc","SRC":"void f() { }"}],"Witness":true}`, http.StatusOK},
-		{"a field twice: the last one counts", `{"units":[{"name":"a.mc","src":"int f( {"}],"units":[{"name":"a.mc","src":"void f() { }"}]}`, http.StatusOK},
-		{"trailing bytes after the object", one + ` trailing }{`, http.StatusOK},
-		{"trailing bytes over the cap", one + strings.Repeat(" ", 9<<10), http.StatusOK},
-		{"a field name that only folds to units", `{"unitſ":[{"name":"a.mc","ſrc":"void f() { }"}]}`, http.StatusOK},
+		{"a control character in a source", unitA + "void f() {\x01}\"}]}", http.StatusBadRequest, `bad request body: json: invalid character '\x01' in string literal`},
+		{"an unknown escape in a source", unitA + `void f() { \q }"}]}`, http.StatusBadRequest, "bad request body: json: invalid escape in string literal"},
+		{"a short \\u escape in a source", unitA + `\u12"}]}`, http.StatusBadRequest, "bad request body: json: invalid escape in string literal"},
+		{"a body that ends on a backslash", unitA + `void f() { }\`, http.StatusBadRequest, "bad request body: unexpected EOF"},
 	}
 }
 
-// TestAnalyzeErrors pins the error statuses: malformed body, empty unit
-// set, unknown checker, and parse errors (which must leave the session
-// usable).
+// postError posts body and returns the status and the error it got.
+func postError(t *testing.T, url, body string) (int, string) {
+	t.Helper()
+	resp, err := http.Post(url+"/v1/analyze", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e struct{ Error string }
+	json.NewDecoder(resp.Body).Decode(&e)
+	return resp.StatusCode, e.Error
+}
+
+// TestAnalyzeErrors pins the error statuses and messages: malformed body,
+// empty unit set, unknown checker, and parse errors (which must leave the
+// session usable); and that a source with an error is never recorded as
+// the tenant's last sent.
 func TestAnalyzeErrors(t *testing.T) {
 	units := exampleUnits(t)
 	s, ts := newTestServer(t, Config{})
@@ -385,18 +416,13 @@ func TestAnalyzeErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range analyzeErrorCases() {
-		resp, err := http.Post(ts.URL+"/v1/analyze", "application/json", strings.NewReader(tc.body))
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != tc.want {
-			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.want)
+		status, msg := postError(t, ts.URL, tc.body)
+		if status != tc.want || !strings.HasPrefix(msg, tc.msg) {
+			t.Errorf("%s: status %d, %q; want %d, %q", tc.name, status, msg, tc.want, tc.msg)
 		}
 		// The request decoder against the one it stands in for.
 		var got, ref AnalyzeRequest
-		gotErr := decodeRequest(strings.NewReader(tc.body), &got)
+		gotErr := decodeRequest(strings.NewReader(tc.body), &got, new(tenant.Sent))
 		dec := json.NewDecoder(strings.NewReader(tc.body))
 		dec.DisallowUnknownFields()
 		refErr := dec.Decode(&ref)
@@ -404,6 +430,32 @@ func TestAnalyzeErrors(t *testing.T) {
 			t.Errorf("%s: decodeRequest: %v; json.Decoder: %v", tc.name, gotErr, refErr)
 		} else if gotErr == nil && !reflect.DeepEqual(got, ref) {
 			t.Errorf("%s: decodeRequest read %+v, json.Decoder %+v", tc.name, got, ref)
+		}
+	}
+
+	// A source with an error, sent in place of one the project's last
+	// request sent, is found after its tenant is acquired: the body fails
+	// the same way, again when it is sent again, and the good body after it
+	// is all hits with the same reports.
+	first, _ := postAnalyze(t, ts.URL, AnalyzeRequest{Project: "memo", Units: unitsToJSON(units)})
+	rest, err := json.Marshal(unitsToJSON(units[1:]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range sourceErrorCases() {
+		body := `{"project":"memo","units":` + string(rest[:len(rest)-1]) +
+			`,{"name":"` + units[0].Name + `","src":"` + strings.TrimPrefix(tc.body, unitA)
+		for try := 0; try < 2; try++ {
+			if status, msg := postError(t, ts.URL, body); status != tc.want || msg != tc.msg {
+				t.Errorf("%s, in place of a unit sent before (try %d): status %d, %q; want %d, %q", tc.name, try, status, msg, tc.want, tc.msg)
+			}
+		}
+		again, _ := postAnalyze(t, ts.URL, AnalyzeRequest{Project: "memo", Units: unitsToJSON(units)})
+		if st := again.Stats; st.ArtifactMisses != 0 || st.ArtifactHits != first.Stats.Functions {
+			t.Errorf("%s: the good body after it: %d hits, %d misses; want %d hits", tc.name, st.ArtifactHits, st.ArtifactMisses, first.Stats.Functions)
+		}
+		if !reflect.DeepEqual(again.Reports, first.Reports) {
+			t.Errorf("%s: the good body after it reports otherwise than the first", tc.name)
 		}
 	}
 

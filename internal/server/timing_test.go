@@ -226,6 +226,45 @@ func TestEncodePhase(t *testing.T) {
 	}
 }
 
+// The units a request unescapes are those whose bytes differ from what its
+// tenant's last request sent: all of them at first, none on a resubmit, one
+// after a one-unit edit, and all of them for another project and for a
+// project whose tenant was evicted, the memo going with it. Each request's
+// count is on its log line, and the sum is server.units_unescaped.
+func TestUnitsUnescaped(t *testing.T) {
+	rec := obs.New()
+	var logs bytes.Buffer
+	s := New(Config{Rec: rec, MaxTenants: 1, Logger: slog.New(slog.NewJSONHandler(&logs, nil))})
+	units := unitsJSON(t)
+	edited := append([]UnitJSON(nil), units...)
+	edited[0].Src += "\nvoid unescaped_probe() { }\n"
+	n := len(units)
+	total := 0
+	for i, step := range []struct {
+		project string
+		units   []UnitJSON
+		want    int
+	}{{"alpha", units, n}, {"alpha", units, 0}, {"alpha", edited, 1}, {"alpha", edited, 0}, {"beta", edited, n}, {"alpha", units, n}} {
+		body, err := json.Marshal(AnalyzeRequest{Project: step.project, Units: step.units})
+		if err != nil {
+			t.Fatal(err)
+		}
+		logs.Reset()
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/analyze", bytes.NewReader(body)))
+		if w.Code != http.StatusOK {
+			t.Fatalf("request %d: status %d: %s", i, w.Code, w.Body)
+		}
+		if field := fmt.Sprintf(`"units_unescaped":%d,`, step.want); !strings.Contains(logs.String(), field) {
+			t.Errorf("request %d: no %s on the analyze log line:\n%s", i, field, logs.String())
+		}
+		total += step.want
+		if got := rec.Snapshot().Counters["server.units_unescaped"]; got != int64(total) {
+			t.Errorf("request %d: server.units_unescaped = %d, want %d", i, got, total)
+		}
+	}
+}
+
 // TestPhaseSumsMatchTiming: what a scraper bills a tenant from /v1/metrics is
 // what the tenant's clients were told. After a few requests over two
 // projects, the _sum and _count of server.phase_ns{phase,tenant} equal the

@@ -105,6 +105,8 @@ type Tenant struct {
 	// it).
 	lock *conc.Gate
 	sess *core.Session
+	// sent is the memo of the units of the last request, guarded by lock.
+	sent Sent
 
 	// histNames and hists are the tenant's series in Config.Obs (see
 	// Handle.Histograms), guarded by lock.
@@ -165,6 +167,10 @@ type Handle struct {
 
 // Session is the held tenant's session. Valid only until Release.
 func (h *Handle) Session() *core.Session { return h.t.sess }
+
+// Sent is the held tenant's memo of the units of its last request as they
+// were sent. Valid only until Release.
+func (h *Handle) Sent() *Sent { return &h.t.sent }
 
 // Project is the held tenant's canonical project ID.
 func (h *Handle) Project() string { return h.t.project }

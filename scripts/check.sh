@@ -7,8 +7,9 @@
 # its brute-force enumeration and under path explosion, at one and two CPUs,
 # the allocation and residency budgets without the race detector, a short
 # fuzz of the artifact decoder, of the unit-facts decoder, of the solver
-# against enumeration, of the request decoder against encoding/json and of
-# lowering into SSA form, the benchmark module, and the examples suite.
+# against enumeration, of the request decoder and its per-tenant memo of the
+# units last sent against encoding/json and of lowering into SSA form, the
+# benchmark module, and the examples suite.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -65,7 +66,7 @@ go test ./internal/core -run '^$' -fuzz FuzzDecodeUnitFacts -fuzztime 5s -fuzzmi
 echo "== fuzz the solver against enumeration (5s)"
 go test ./internal/smt -run '^$' -fuzz FuzzCheckVsEnumeration -fuzztime 5s -fuzzminimizetime 1s
 
-echo "== fuzz the request decoder against encoding/json (5s)"
+echo "== fuzz the request decoder, through a tenant's memo of the units last sent, against encoding/json (5s)"
 go test ./internal/server -run '^$' -fuzz FuzzDecodeRequest -fuzztime 5s -fuzzminimizetime 1s
 
 echo "== fuzz lowering into SSA form (5s)"
