@@ -52,3 +52,21 @@ func TestDifferentialOtherSeeds(t *testing.T) {
 		}
 	}
 }
+
+// FuzzDifferential holds the analysis to exhaustive execution on the program
+// each seed generates. The corpus is the seeds of TestDifferential and
+// TestDifferentialOtherSeeds.
+func FuzzDifferential(f *testing.F) {
+	for _, seed := range []int64{42, 7, 1234, 99991} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		v, err := Compare(Generate(rand.New(rand.NewSource(seed))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !v.Agrees() {
+			t.Fatalf("analysis reports a bug: %v; execution triggers one: %v (mask %b)\n%s", v.AnalysisBug, v.TruthBug, v.TriggerMask, v.Program.Src)
+		}
+	})
+}

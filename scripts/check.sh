@@ -8,13 +8,14 @@
 # the allocation and residency budgets without the race detector, a short
 # fuzz of the artifact decoder, of the unit-facts decoder, of the solver
 # against enumeration, of the request decoder and its per-tenant memo of the
-# units last sent against encoding/json and of lowering into SSA form, the
-# benchmark module, and the examples suite.
+# units last sent against encoding/json, of lowering into SSA form and of the
+# analysis against exhaustive execution of generated programs, the benchmark
+# module, and the examples suite.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "== gofmt"
-unformatted=$(gofmt -l cmd internal examples benchmark ./*.go)
+unformatted=$(gofmt -l cmd internal examples benchmark)
 if [ -n "$unformatted" ]; then
     echo "gofmt needed on:" >&2
     echo "$unformatted" >&2
@@ -71,6 +72,9 @@ go test ./internal/server -run '^$' -fuzz FuzzDecodeRequest -fuzztime 5s -fuzzmi
 
 echo "== fuzz lowering into SSA form (5s)"
 go test ./internal/lower -run '^$' -fuzz FuzzLowerSSA -fuzztime 5s -fuzzminimizetime 1s
+
+echo "== fuzz the analysis against exhaustive execution of generated programs (5s)"
+go test ./internal/difftest -run '^$' -fuzz FuzzDifferential -fuzztime 5s -fuzzminimizetime 1s
 
 # The nested benchmark module is outside ./...: vet and test it here, so a
 # change that breaks the surface it compiles against fails tier-1.
