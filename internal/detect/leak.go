@@ -199,7 +199,7 @@ func (e *Engine) checkAlloc(checker string, f *ir.Func, g *seg.Graph, alloc int3
 	start := time.Now()
 	s := smt.GetSolver()
 	defer smt.PutSolver(s)
-	enc := newEncoder(e.prog, s.TB, e.opts.SMTBudget)
+	enc := newEncoder(e.prog, s.TB, smtBudget)
 	enc.instG[0] = g
 	// The allocation executes...
 	enc.assertCond(0, g, g.CD(alloc))

@@ -280,6 +280,13 @@ func indexCallers(m *ir.Module, segs []*seg.Graph) [][]CallSite {
 	return callers
 }
 
+// The search's fixed bounds: call sites enumerated per ascent, and DD
+// constraints emitted per SMT query.
+const (
+	maxCallers = 8
+	smtBudget  = 500
+)
+
 // Options tunes the engine. The zero value selects paper-like defaults.
 type Options struct {
 	// MaxCallDepth bounds the number of function instances on one path
@@ -289,13 +296,9 @@ type Options struct {
 	MaxExpansions int
 	// MaxCandidates bounds candidate paths per source.
 	MaxCandidates int
-	// MaxCallers bounds call sites enumerated per ascent.
-	MaxCallers int
 	// DisablePathSensitivity skips the SMT feasibility check and reports
 	// every candidate (the path-sensitivity ablation).
 	DisablePathSensitivity bool
-	// SMTBudget bounds DD constraints emitted per query.
-	SMTBudget int
 	// SameUnitOnly confines the search to one compilation unit (the
 	// Infer-/CSA-like baselines of §5.4 analyze one unit at a time).
 	SameUnitOnly bool
@@ -321,10 +324,6 @@ type Options struct {
 	// path-condition term count, and the verdict source. Off by default,
 	// in which case the search allocates nothing for provenance.
 	Witness bool
-	// TraceID, when non-empty, tags every scheduler task span with a
-	// trace_id argument so trace events can be correlated with the
-	// request-scoped log lines and reports of the analysis service.
-	TraceID string
 	// Obs, when non-nil, receives detection metrics (SMT latency
 	// histograms, SAT-core counters, local-flow walk counters, per-worker
 	// utilization) and — when the recorder is tracing — per-task and
@@ -337,7 +336,7 @@ type Options struct {
 // the work is scheduled and observed — leaving the key a recorded task result
 // is valid under.
 func (o Options) resultKey() Options {
-	o.Workers, o.TraceID, o.Obs = 0, "", nil
+	o.Workers, o.Obs = 0, nil
 	return o
 }
 
@@ -350,12 +349,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxCandidates == 0 {
 		o.MaxCandidates = 128
-	}
-	if o.MaxCallers == 0 {
-		o.MaxCallers = 8
-	}
-	if o.SMTBudget == 0 {
-		o.SMTBudget = 500
 	}
 	return o
 }

@@ -297,16 +297,7 @@ func CheckAll(prog *Program, specs []*checkers.Spec, opts Options) Results {
 		wstats[w].Tasks++
 		wstats[w].Busy += d
 		if rec.Tracing() {
-			args := []obs.Arg{
-				{Key: "func", Val: t.fn.Name},
-				{Key: "at", Val: t.pos().String()},
-			}
-			if opts.TraceID != "" {
-				// Correlates this span with the request-scoped log lines
-				// and the report envelope of the analysis service.
-				args = append(args, obs.Arg{Key: "trace_id", Val: opts.TraceID})
-			}
-			rec.Event(w+1, "task:"+g.name(), t0, d, args...)
+			rec.Event(w+1, "task:"+g.name(), t0, d, obs.Arg{Key: "func", Val: t.fn.Name}, obs.Arg{Key: "at", Val: t.pos().String()})
 		}
 		return nil
 	})

@@ -312,7 +312,6 @@ func (s *Server) analyze(ctx context.Context, r *http.Request, ri *requestInfo) 
 		MaxCallDepth: req.MaxCallDepth,
 		Workers:      workers,
 		Witness:      req.Witness,
-		TraceID:      ri.TraceID,
 		Obs:          s.rec,
 	})
 	detectNs := time.Since(detectStart)
