@@ -120,7 +120,11 @@ func runBatch() {
 		fatal(err)
 	}
 
-	st, closeStore := openStore(o.storeDir, rec)
+	storeDir := o.storeDir
+	if o.dump != "" {
+		storeDir = "" // a stored graph keeps no CFG: a dump is made of a fresh build
+	}
+	st, closeStore := openStore(storeDir, rec)
 	defer closeStore()
 	a, err := core.BuildFromSource(readUnits(flag.Args()), core.BuildOptions{Workers: o.workers, Obs: rec, Store: st})
 	if err != nil {
@@ -208,11 +212,7 @@ func dump(a *core.Analysis, spec string) (string, error) {
 	}
 	switch kind {
 	case "cfg":
-		body, err := a.Body(f)
-		if err != nil {
-			return "", err
-		}
-		return ir.DotCFG(body), nil
+		return ir.DotCFG(&a.SEGs[f.ID].Body), nil
 	case "seg":
 		return a.SEGs[f.ID].Dot(), nil
 	}

@@ -59,8 +59,8 @@ type SVFResult struct {
 
 // SVFReport is one baseline warning.
 type SVFReport struct {
-	Source *ir.Instr // the free
-	Sink   *ir.Instr // the deref or second free
+	Source vfg.Site // the free
+	Sink   vfg.Site // the deref or second free
 }
 
 // BuildBaselineModule lowers a program for the layered pipeline: SSA but no
@@ -127,7 +127,7 @@ func RunSVF(m *ir.Module, opts SVFOptions) *SVFResult {
 		budget = &b
 	}
 	for _, free := range g.Frees {
-		for _, sink := range g.ReachableDerefs(free.Args[0], free, budget) {
+		for _, sink := range g.ReachableDerefs(g.Operand(free, 0), free, budget) {
 			res.Reports = append(res.Reports, SVFReport{Source: free, Sink: sink})
 			if max > 0 && len(res.Reports) >= max {
 				res.CheckTime = time.Since(t0)

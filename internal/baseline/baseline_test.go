@@ -37,20 +37,18 @@ void f() {
 	}
 	ap := pta.Andersen(m)
 	f := m.Lookup("f")
-	var mallocDst, copyDst *ir.Value
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			switch in.Op {
-			case ir.OpMalloc:
-				mallocDst = in.Dst
-			case ir.OpCopy:
-				if in.Dst.Type.IsPointer() {
-					copyDst = in.Dst
-				}
+	mallocDst, copyDst := pta.Var{Fn: -1}, pta.Var{Fn: -1}
+	for _, in := range f.Order() {
+		switch r := f.In(in); r.Op {
+		case ir.OpMalloc:
+			mallocDst = pta.Var{Fn: int32(f.ID), Val: r.Dst}
+		case ir.OpCopy:
+			if f.Type(r.Dst).IsPointer() {
+				copyDst = pta.Var{Fn: int32(f.ID), Val: r.Dst}
 			}
 		}
 	}
-	if mallocDst == nil || copyDst == nil {
+	if mallocDst.Fn < 0 || copyDst.Fn < 0 {
 		t.Fatal("values not found")
 	}
 	if !ap.Alias(mallocDst, copyDst) {
@@ -71,20 +69,18 @@ void f() {
 	}
 	ap := pta.Andersen(m)
 	f := m.Lookup("f")
-	var mallocDst, callDst *ir.Value
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			switch in.Op {
-			case ir.OpMalloc:
-				mallocDst = in.Dst
-			case ir.OpCall:
-				if in.Callee() == "id" && in.Dsts()[0] != nil {
-					callDst = in.Dsts()[0]
-				}
+	mallocDst, callDst := pta.Var{Fn: -1}, pta.Var{Fn: -1}
+	for _, in := range f.Order() {
+		switch r := f.In(in); r.Op {
+		case ir.OpMalloc:
+			mallocDst = pta.Var{Fn: int32(f.ID), Val: r.Dst}
+		case ir.OpCall:
+			if f.Callee(in) == "id" && f.Dsts(in)[0] >= 0 {
+				callDst = pta.Var{Fn: int32(f.ID), Val: f.Dsts(in)[0]}
 			}
 		}
 	}
-	if mallocDst == nil || callDst == nil {
+	if mallocDst.Fn < 0 || callDst.Fn < 0 {
 		t.Fatal("values not found")
 	}
 	// Context-insensitive flow through id: the receiver aliases the

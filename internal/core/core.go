@@ -119,18 +119,6 @@ type Analysis struct {
 	// build: all misses for a one-shot build, mostly hits for a warm
 	// Session.Update.
 	Artifacts ArtifactStats
-	// body lowers a function of Module again (see Body).
-	body func(*ir.Func) (*ir.Func, error)
-}
-
-// Body returns module function f with its body. A build keeps only a
-// function's shell once its SEG stands, and a store holds no more; the body
-// is lowered again from its unit, as the build made it.
-func (a *Analysis) Body(f *ir.Func) (*ir.Func, error) {
-	if f.HasBody() || a.body == nil {
-		return f, nil
-	}
-	return a.body(f)
 }
 
 // BuildFromSource parses and analyzes a set of translation units: a

@@ -12,147 +12,151 @@ import "fmt"
 // predecessor being done before its block, and one sweep in the reverse order
 // the immediate post-dominators.
 
-// cfgFacts is what the pass computes; rank is nil until it has run. The tables
-// are indexed by Block.ID and sized by NumBlocks: rank holds each block's
-// position in order, idom and ipdom the positions of its immediate dominator
-// and post-dominator; -1 for none.
+// cfgFacts is what the pass computes. The tables
+// are indexed by block ID: rank holds each block's position in order, idom and
+// ipdom the positions of its immediate dominator and post-dominator; -1 for
+// none.
 type cfgFacts struct {
-	order             []*Block
+	order             []int32
 	rank, idom, ipdom []int32
 	err               error
 }
 
-// CDep records that a block executes only when the branch terminating
-// Branch takes the edge selected by OnTrue. The branch condition value is
-// Branch.Term().Args[0].
+// CDep records that a block executes only when the branch terminating block
+// Branch, on condition value Cond, takes the edge selected by OnTrue.
 type CDep struct {
-	Branch *Block
-	OnTrue bool
+	Branch, Cond int32
+	OnTrue       bool
 }
 
-// Cond returns the SSA value of the controlling branch condition.
-func (c CDep) Cond() *Value { return c.Branch.Term().Args[0] }
-
-// Order returns the blocks the entry reaches in reverse postorder of a DFS
-// that follows successors in list order: a topological order, or an error if
-// the CFG has a cycle. Callers must not mutate the slice.
-func (f *Func) Order() ([]*Block, error) {
-	c := f.facts()
+// TopoOrder returns the blocks the entry reaches in reverse postorder of a
+// DFS that follows successors in list order: a topological order, or an
+// error if the CFG has a cycle. Callers must not mutate the slice.
+func (b *Body) TopoOrder() ([]int32, error) {
+	c := b.facts()
 	return c.order, c.err
 }
 
-// Rank returns b's position in Order, -1 if the entry does not reach b.
-func (f *Func) Rank(b *Block) int { return int(f.facts().rank[b.ID]) }
+// Rank returns blk's position in TopoOrder, -1 if the entry does not reach
+// it.
+func (b *Body) Rank(blk int32) int { return int(b.facts().rank[blk]) }
 
-// Idom returns b's immediate dominator: nil for the entry and for blocks the
+// Idom returns blk's immediate dominator: -1 for the entry and for blocks the
 // entry does not reach. The CFG must be acyclic, as for Ipdom and
 // ControlDeps.
-func (f *Func) Idom(b *Block) *Block { return f.acyclic().at(f.build.cfg.idom[b.ID]) }
+func (b *Body) Idom(blk int32) int32 {
+	c := b.acyclic()
+	return c.at(c.idom[blk])
+}
 
-// Ipdom returns b's immediate post-dominator: nil for the exit and for blocks
-// that do not reach it.
-func (f *Func) Ipdom(b *Block) *Block { return f.acyclic().at(f.build.cfg.ipdom[b.ID]) }
+// Ipdom returns blk's immediate post-dominator: -1 for the exit and for
+// blocks that do not reach it.
+func (b *Body) Ipdom(blk int32) int32 {
+	c := b.acyclic()
+	return c.at(c.ipdom[blk])
+}
 
 // ControlDeps returns the control dependences of every block, indexed by
-// Block.ID: B is control dependent on edge (A→S) iff B post-dominates S but
+// block ID: B is control dependent on edge (A→S) iff B post-dominates S but
 // does not strictly post-dominate A. Only two-way branches generate
 // dependences; jumps are unconditional.
-func (f *Func) ControlDeps() [][]CDep {
-	c := f.acyclic()
-	if f.Exit == nil {
+func (b *Body) ControlDeps() [][]CDep {
+	c := b.acyclic()
+	if b.Exit < 0 {
 		panic("ir: function has no exit block")
 	}
 	// Two walks: the first counts each block's dependences, the second
 	// fills them into one array.
-	out := make([][]CDep, f.NumBlocks())
-	count := make([]int32, f.NumBlocks())
+	out := make([][]CDep, b.NumBlocks())
+	count := make([]int32, b.NumBlocks())
 	total := 0
-	walk := func(visit func(x *Block, d CDep)) {
-		for _, a := range f.Blocks {
-			if term := a.Term(); term != nil && term.Op == OpBr {
+	walk := func(visit func(x int32, d CDep)) {
+		for _, a := range b.layout {
+			if term := b.Term(a); term >= 0 && b.instrs[term].Op == OpBr {
 				// The post-dominator tree path from s up to (but not
 				// including) ipdom(a) depends on (a, onTrue).
-				for i, s := range term.Blocks() {
-					for x := c.rank[s.ID]; x >= 0 && x != c.ipdom[a.ID]; x = c.ipdom[c.order[x].ID] {
-						visit(c.order[x], CDep{Branch: a, OnTrue: i == 0})
+				cv := b.Args(term)[0]
+				for i, s := range b.Succs(a) {
+					for x := c.rank[s]; x >= 0 && x != c.ipdom[a]; x = c.ipdom[c.order[x]] {
+						visit(c.order[x], CDep{Branch: a, Cond: cv, OnTrue: i == 0})
 					}
 				}
 			}
 		}
 	}
-	walk(func(x *Block, _ CDep) { count[x.ID]++; total++ })
+	walk(func(x int32, _ CDep) { count[x]++; total++ })
 	deps := make([]CDep, 0, total)
 	for id, n := range count {
 		if n > 0 {
 			out[id], deps = deps[len(deps):len(deps):len(deps)+int(n)], deps[:len(deps)+int(n)]
 		}
 	}
-	walk(func(x *Block, d CDep) { out[x.ID] = append(out[x.ID], d) })
+	walk(func(x int32, d CDep) { out[x] = append(out[x], d) })
 	return out
 }
 
-func (f *Func) facts() *cfgFacts {
-	c := &f.alloc().cfg
-	if c.rank == nil {
-		c.analyze(f)
+func (b *Body) facts() *cfgFacts {
+	if b.cfg == nil {
+		b.cfg = new(cfgFacts)
+		b.cfg.analyze(b)
 	}
-	return c
+	return b.cfg
 }
 
-func (f *Func) acyclic() *cfgFacts {
-	c := f.facts()
+func (b *Body) acyclic() *cfgFacts {
+	c := b.facts()
 	if c.err != nil {
 		panic(c.err)
 	}
 	return c
 }
 
-// at returns the block at position r of the order, nil for -1.
-func (c *cfgFacts) at(r int32) *Block {
+// at returns the block at position r of the order, -1 for -1.
+func (c *cfgFacts) at(r int32) int32 {
 	if r < 0 {
-		return nil
+		return -1
 	}
 	return c.order[r]
 }
 
 // analyze runs the pass: the DFS from the entry, the cycle check, and the two
 // dominator sweeps.
-func (c *cfgFacts) analyze(f *Func) {
-	n := f.NumBlocks()
-	tables := make([]int32, 3*n)
-	for i := range tables {
+func (c *cfgFacts) analyze(b *Body) {
+	n := b.NumBlocks()
+	tables := make([]int32, 4*n)
+	for i := range tables[:3*n] {
 		tables[i] = -1
 	}
-	*c = cfgFacts{rank: tables[:n:n], idom: tables[n : 2*n : 2*n], ipdom: tables[2*n:]}
+	*c = cfgFacts{rank: tables[:n:n], idom: tables[n : 2*n : 2*n], ipdom: tables[2*n : 3*n : 3*n]}
 	// The DFS fills the order from the back as blocks finish. rank marks the
 	// blocks seen until it is set for real.
-	order, at := make([]*Block, n), n
-	var dfs func(b *Block)
-	dfs = func(b *Block) {
-		c.rank[b.ID] = 0
-		for _, s := range b.Succs {
-			if c.rank[s.ID] < 0 {
+	order, at := tables[3*n:], n
+	var dfs func(blk int32)
+	dfs = func(blk int32) {
+		c.rank[blk] = 0
+		for _, s := range b.Succs(blk) {
+			if c.rank[s] < 0 {
 				dfs(s)
 			}
 		}
 		at--
-		order[at] = b
+		order[at] = blk
 	}
-	dfs(f.Entry)
+	dfs(b.Entry)
 	c.order = order[at:]
-	for i, b := range c.order {
-		c.rank[b.ID] = int32(i)
+	for i, blk := range c.order {
+		c.rank[blk] = int32(i)
 	}
-	for _, b := range c.order {
-		for _, s := range b.Succs {
-			if c.rank[s.ID] <= c.rank[b.ID] {
-				c.err = fmt.Errorf("ir: %s has a back edge %s->%s", f.Name, b, s)
+	for _, blk := range c.order {
+		for _, s := range b.Succs(blk) {
+			if c.rank[s] <= c.rank[blk] {
+				c.err = fmt.Errorf("ir: %s has a back edge %s->%s", b.Name(), BlockName(blk), BlockName(s))
 				return
 			}
 		}
 	}
-	c.immDoms(c.idom, f.Entry, false)
-	c.immDoms(c.ipdom, f.Exit, true)
+	c.immDoms(b, c.idom, b.Entry, false)
+	c.immDoms(b, c.ipdom, b.Exit, true)
 }
 
 // immDoms fills idom with the position of each block's immediate dominator
@@ -163,32 +167,33 @@ func (c *cfgFacts) analyze(f *Func) {
 // from whichever of two blocks was swept later, as an ancestor is swept
 // before its descendants. Root, and the blocks root does not reach (post:
 // that do not reach root), keep -1.
-func (c *cfgFacts) immDoms(idom []int32, root *Block, post bool) {
+func (c *cfgFacts) immDoms(b *Body, idom []int32, root int32, post bool) {
 	n := len(c.order)
 	for k := range c.order {
-		b, in := c.order[k], c.order[k].Preds
+		blk := c.order[k]
+		in := b.Preds(blk)
 		if post {
-			b = c.order[n-1-k]
-			in = b.Succs
+			blk = c.order[n-1-k]
+			in = b.Succs(blk)
 		}
-		if b == root {
+		if blk == root {
 			continue
 		}
 		d := int32(-1)
 		for _, p := range in {
-			r := c.rank[p.ID]
-			if r < 0 || p != root && idom[p.ID] < 0 {
+			r := c.rank[p]
+			if r < 0 || p != root && idom[p] < 0 {
 				continue
 			}
 			for d >= 0 && d != r {
 				if d < r != post {
-					r = idom[c.order[r].ID]
+					r = idom[c.order[r]]
 				} else {
-					d = idom[c.order[d].ID]
+					d = idom[c.order[d]]
 				}
 			}
 			d = r
 		}
-		idom[b.ID] = d
+		idom[blk] = d
 	}
 }

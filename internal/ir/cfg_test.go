@@ -40,8 +40,8 @@ int f(bool c) {
 
 // dominates reports whether a dominates b (reflexively) in the tree up links
 // up describe: Func.Idom, or Func.Ipdom for post-dominance.
-func dominates(up func(*ir.Block) *ir.Block, a, b *ir.Block) bool {
-	for x := b; x != nil; x = up(x) {
+func dominates(up func(int32) int32, a, b int32) bool {
+	for x := b; x >= 0; x = up(x) {
 		if x == a {
 			return true
 		}
@@ -50,15 +50,15 @@ func dominates(up func(*ir.Block) *ir.Block, a, b *ir.Block) bool {
 }
 
 // branchOf returns f's (last) two-way branch block.
-func branchOf(t *testing.T, f *ir.Func) *ir.Block {
+func branchOf(t *testing.T, f *ir.Func) int32 {
 	t.Helper()
-	var branch *ir.Block
-	for _, b := range f.Blocks {
-		if term := b.Term(); term != nil && term.Op == ir.OpBr {
+	branch := int32(-1)
+	for _, b := range f.Blocks() {
+		if term := f.Term(b); term >= 0 && f.In(term).Op == ir.OpBr {
 			branch = b
 		}
 	}
-	if branch == nil {
+	if branch < 0 {
 		t.Fatal("no branch block")
 	}
 	return branch
@@ -66,35 +66,35 @@ func branchOf(t *testing.T, f *ir.Func) *ir.Block {
 
 func TestReversePostorder(t *testing.T) {
 	f := lowerFunc(t, diamondSrc, "f")
-	rpo, err := f.Order()
+	rpo, err := f.TopoOrder()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rpo[0] != f.Entry {
 		t.Fatal("RPO does not start at entry")
 	}
-	idx := map[*ir.Block]int{} // the test's own bookkeeping: a map, independent of the tables under test
+	idx := map[int32]int{} // the test's own bookkeeping: a map, independent of the tables under test
 	for i, b := range rpo {
 		idx[b] = i
 		if f.Rank(b) != i {
-			t.Errorf("Rank(%s) = %d, want %d", b, f.Rank(b), i)
+			t.Errorf("Rank(b%d) = %d, want %d", b, f.Rank(b), i)
 		}
 	}
-	if len(rpo) != len(f.Blocks) {
-		t.Fatalf("RPO covers %d blocks of %d", len(rpo), len(f.Blocks))
+	if len(rpo) != len(f.Blocks()) {
+		t.Fatalf("RPO covers %d blocks of %d", len(rpo), len(f.Blocks()))
 	}
 	// In an acyclic CFG, RPO is topological.
 	for _, b := range rpo {
-		for _, s := range b.Succs {
+		for _, s := range f.Succs(b) {
 			if idx[s] <= idx[b] {
-				t.Fatalf("edge %s->%s violates topological order", b, s)
+				t.Fatalf("edge b%d->b%d violates topological order", b, s)
 			}
 		}
 	}
 }
 
 func TestTopological(t *testing.T) {
-	if _, err := lowerFunc(t, diamondSrc, "f").Order(); err != nil {
+	if _, err := lowerFunc(t, diamondSrc, "f").TopoOrder(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -105,19 +105,19 @@ func TestTopologicalDetectsCycle(t *testing.T) {
 	b := f.NewBlock()
 	f.Entry = a
 	f.Exit = b
-	f.Append(a, ir.Instr{Op: ir.OpJmp, Ext: &ir.Ext{Blocks: []*ir.Block{b}}})
-	f.Append(b, ir.Instr{Op: ir.OpJmp, Ext: &ir.Ext{Blocks: []*ir.Block{a}}})
-	ir.Connect(a, b)
-	if _, err := f.Order(); err != nil {
+	f.Append(a, ir.Spec{Op: ir.OpJmp})
+	f.Append(b, ir.Spec{Op: ir.OpJmp})
+	f.Connect(a, b)
+	if _, err := f.TopoOrder(); err != nil {
 		t.Fatal(err)
 	}
 	// The facts were computed for the acyclic graph; SealCFG recomputes
 	// them for the changed one.
-	ir.Connect(b, a)
+	f.Connect(b, a)
 	if err := f.SealCFG(); err == nil {
 		t.Fatal("SealCFG did not report the cycle")
 	}
-	if _, err := f.Order(); err == nil {
+	if _, err := f.TopoOrder(); err == nil {
 		t.Fatal("cycle not detected")
 	}
 }
@@ -125,18 +125,18 @@ func TestTopologicalDetectsCycle(t *testing.T) {
 func TestDominatorsDiamond(t *testing.T) {
 	f := lowerFunc(t, diamondSrc, "f")
 	// Entry dominates everything.
-	for _, b := range f.Blocks {
+	for _, b := range f.Blocks() {
 		if !dominates(f.Idom, f.Entry, b) {
-			t.Errorf("entry does not dominate %s", b)
+			t.Errorf("entry does not dominate b%d", b)
 		}
 	}
 	branch := branchOf(t, f)
-	thenB, elseB := branch.Succs[0], branch.Succs[1]
+	thenB, elseB := f.Succs(branch)[0], f.Succs(branch)[1]
 	if dominates(f.Idom, thenB, elseB) || dominates(f.Idom, elseB, thenB) {
 		t.Error("branch arms dominate each other")
 	}
 	// The join is dominated by the branch block, not by either arm.
-	join := thenB.Succs[0]
+	join := f.Succs(thenB)[0]
 	if f.Idom(join) != branch {
 		t.Errorf("idom(join) = %v, want %v", f.Idom(join), branch)
 	}
@@ -144,14 +144,14 @@ func TestDominatorsDiamond(t *testing.T) {
 
 func TestPostDominators(t *testing.T) {
 	f := lowerFunc(t, diamondSrc, "f")
-	for _, b := range f.Blocks {
+	for _, b := range f.Blocks() {
 		if !dominates(f.Ipdom, f.Exit, b) {
-			t.Errorf("exit does not post-dominate %s", b)
+			t.Errorf("exit does not post-dominate b%d", b)
 		}
 	}
 	branch := branchOf(t, f)
-	thenB := branch.Succs[0]
-	join := thenB.Succs[0]
+	thenB := f.Succs(branch)[0]
+	join := f.Succs(thenB)[0]
 	// The join post-dominates the branch; the arms do not.
 	if !dominates(f.Ipdom, join, branch) {
 		t.Error("join does not post-dominate branch")
@@ -165,27 +165,27 @@ func TestControlDepsDiamond(t *testing.T) {
 	f := lowerFunc(t, diamondSrc, "f")
 	cd := f.ControlDeps()
 	branch := branchOf(t, f)
-	thenB, elseB := branch.Succs[0], branch.Succs[1]
-	join := thenB.Succs[0]
+	thenB, elseB := f.Succs(branch)[0], f.Succs(branch)[1]
+	join := f.Succs(thenB)[0]
 	// Arms are control dependent on the branch with matching polarity.
-	checkDep := func(b *ir.Block, wantTrue bool) {
-		deps := cd[b.ID]
+	checkDep := func(b int32, wantTrue bool) {
+		deps := cd[b]
 		if len(deps) != 1 || deps[0].Branch != branch || deps[0].OnTrue != wantTrue {
-			t.Errorf("cd[%s] = %+v, want branch=%s onTrue=%v", b, deps, branch, wantTrue)
+			t.Errorf("cd[b%d] = %+v, want branch=b%d onTrue=%v", b, deps, branch, wantTrue)
 		}
 	}
 	checkDep(thenB, true)
 	checkDep(elseB, false)
 	// The join and entry have no control dependences.
-	if len(cd[join.ID]) != 0 {
-		t.Errorf("cd[join] = %+v, want empty", cd[join.ID])
+	if len(cd[join]) != 0 {
+		t.Errorf("cd[join] = %+v, want empty", cd[join])
 	}
-	if len(cd[f.Entry.ID]) != 0 {
-		t.Errorf("cd[entry] = %+v, want empty", cd[f.Entry.ID])
+	if len(cd[f.Entry]) != 0 {
+		t.Errorf("cd[entry] = %+v, want empty", cd[f.Entry])
 	}
-	// CDep.Cond returns the branch condition value.
-	if c := cd[thenB.ID][0].Cond(); c == nil || c.Type.Base != "bool" {
-		t.Errorf("Cond() = %v", c)
+	// CDep.Cond is the branch condition value.
+	if c := cd[thenB][0].Cond; c != f.Args(f.Term(branch))[0] || !f.Value(c).Bool() {
+		t.Errorf("Cond = %v", c)
 	}
 }
 
@@ -201,26 +201,24 @@ void f(bool a, bool b) {
 	cd := f.ControlDeps()
 	// The block containing the call to g must be control dependent on
 	// both branches.
-	var callBlock *ir.Block
-	for _, blk := range f.Blocks {
-		for _, in := range blk.Instrs {
-			if in.Op == ir.OpCall && in.Callee() == "g" {
-				callBlock = blk
-			}
+	callBlock := int32(-1)
+	for _, in := range f.Order() {
+		if f.Callee(in) == "g" {
+			callBlock = f.In(in).Block
 		}
 	}
-	if callBlock == nil {
+	if callBlock < 0 {
 		t.Fatal("call block not found")
 	}
-	if len(cd[callBlock.ID]) != 1 {
-		t.Fatalf("cd[call] = %+v, want exactly the inner branch (outer is transitive)", cd[callBlock.ID])
+	if len(cd[callBlock]) != 1 {
+		t.Fatalf("cd[call] = %+v, want exactly the inner branch (outer is transitive)", cd[callBlock])
 	}
-	inner := cd[callBlock.ID][0]
+	inner := cd[callBlock][0]
 	if !inner.OnTrue {
 		t.Error("inner dep polarity wrong")
 	}
 	// The inner branch block is itself control dependent on the outer.
-	outerDeps := cd[inner.Branch.ID]
+	outerDeps := cd[inner.Branch]
 	if len(outerDeps) != 1 || !outerDeps[0].OnTrue {
 		t.Errorf("cd[inner branch] = %+v", outerDeps)
 	}
@@ -228,12 +226,12 @@ void f(bool a, bool b) {
 
 func TestDominatorsLinear(t *testing.T) {
 	f := lowerFunc(t, "void f() { g(); h(); }", "f")
-	for _, b := range f.Blocks {
-		if b != f.Entry && f.Idom(b) == nil {
-			t.Errorf("%s has no idom", b)
+	for _, b := range f.Blocks() {
+		if b != f.Entry && f.Idom(b) < 0 {
+			t.Errorf("b%d has no idom", b)
 		}
-		if b != f.Exit && f.Ipdom(b) == nil {
-			t.Errorf("%s has no ipdom", b)
+		if b != f.Exit && f.Ipdom(b) < 0 {
+			t.Errorf("b%d has no ipdom", b)
 		}
 	}
 }
@@ -243,13 +241,13 @@ func TestDominatorsLinear(t *testing.T) {
 // post-dominate which: a dominates b iff every entry→b path passes through a
 // (b is unreachable once a is deleted), and a post-dominates b iff every
 // b→exit path passes through a.
-func definitions(f *ir.Func) (dom, pdom map[[2]*ir.Block]bool) {
+func definitions(f *ir.Func) (dom, pdom map[[2]int32]bool) {
 	// without returns the blocks a DFS from root along next reaches when
 	// skip is deleted.
-	without := func(root, skip *ir.Block, next func(*ir.Block) []*ir.Block) map[*ir.Block]bool {
-		seen := map[*ir.Block]bool{}
-		var dfs func(*ir.Block)
-		dfs = func(b *ir.Block) {
+	without := func(root, skip int32, next func(int32) []int32) map[int32]bool {
+		seen := map[int32]bool{}
+		var dfs func(int32)
+		dfs = func(b int32) {
 			if b == skip || seen[b] {
 				return
 			}
@@ -261,14 +259,13 @@ func definitions(f *ir.Func) (dom, pdom map[[2]*ir.Block]bool) {
 		dfs(root)
 		return seen
 	}
-	succs := func(b *ir.Block) []*ir.Block { return b.Succs }
-	preds := func(b *ir.Block) []*ir.Block { return b.Preds }
-	dom, pdom = map[[2]*ir.Block]bool{}, map[[2]*ir.Block]bool{}
-	for _, a := range f.Blocks {
+	succs, preds := f.Succs, f.Preds
+	dom, pdom = map[[2]int32]bool{}, map[[2]int32]bool{}
+	for _, a := range f.Blocks() {
 		fwd, bwd := without(f.Entry, a, succs), without(f.Exit, a, preds)
-		for _, b := range f.Blocks {
-			dom[[2]*ir.Block{a, b}] = a == b || !fwd[b]
-			pdom[[2]*ir.Block{a, b}] = a == b || !bwd[b]
+		for _, b := range f.Blocks() {
+			dom[[2]int32{a, b}] = a == b || !fwd[b]
+			pdom[[2]int32{a, b}] = a == b || !bwd[b]
 		}
 	}
 	return dom, pdom
@@ -278,9 +275,9 @@ func definitions(f *ir.Func) (dom, pdom map[[2]*ir.Block]bool) {
 // definition.
 type tree struct {
 	name string
-	up   func(*ir.Block) *ir.Block
-	def  map[[2]*ir.Block]bool
-	root *ir.Block
+	up   func(int32) int32
+	def  map[[2]int32]bool
+	root int32
 }
 
 func trees(f *ir.Func) []tree {
@@ -319,10 +316,10 @@ func definitionCases(t *testing.T) []*ir.Func {
 func TestQuickDominatorsVsBruteForce(t *testing.T) {
 	for i, f := range definitionCases(t) {
 		for _, tr := range trees(f) {
-			for _, a := range f.Blocks {
-				for _, b := range f.Blocks {
-					if got, want := dominates(tr.up, a, b), tr.def[[2]*ir.Block{a, b}]; got != want {
-						t.Fatalf("case %d: %s %s %s: tree says %v, definition %v\n%s", i, a, tr.name, b, got, want, f)
+			for _, a := range f.Blocks() {
+				for _, b := range f.Blocks() {
+					if got, want := dominates(tr.up, a, b), tr.def[[2]int32{a, b}]; got != want {
+						t.Fatalf("case %d: b%d %s b%d: tree says %v, definition %v\n%s", i, a, tr.name, b, got, want, f)
 					}
 				}
 			}
@@ -340,104 +337,73 @@ func TestQuickDenseTablesVsBruteForce(t *testing.T) {
 	for i, f := range definitionCases(t) {
 		tt := trees(f)
 		for _, tr := range tt {
-			for _, b := range f.Blocks {
+			for _, b := range f.Blocks() {
 				d := tr.up(b)
 				if b == tr.root {
-					if d != nil {
-						t.Fatalf("case %d: root %s has parent %s", i, b, d)
+					if d >= 0 {
+						t.Fatalf("case %d: root b%d has parent b%d", i, b, d)
 					}
 					continue
 				}
 				// Every other strict dominator of b dominates the parent.
-				if d == nil || d == b || !tr.def[[2]*ir.Block{d, b}] {
-					t.Fatalf("case %d: parent %v of %s is not a strict %s\n%s", i, d, b, tr.name, f)
+				if d < 0 || d == b || !tr.def[[2]int32{d, b}] {
+					t.Fatalf("case %d: parent %v of b%d is not a strict %s\n%s", i, d, b, tr.name, f)
 				}
-				for _, x := range f.Blocks {
-					if x != b && tr.def[[2]*ir.Block{x, b}] && !tr.def[[2]*ir.Block{x, d}] {
-						t.Fatalf("case %d: %s strictly %s %s but not its parent %s\n%s", i, x, tr.name, b, d, f)
+				for _, x := range f.Blocks() {
+					if x != b && tr.def[[2]int32{x, b}] && !tr.def[[2]int32{x, d}] {
+						t.Fatalf("case %d: b%d strictly %s b%d but not its parent b%d\n%s", i, x, tr.name, b, d, f)
 					}
 				}
 			}
 		}
 		pdom := tt[1].def
-		want := map[*ir.Block][]ir.CDep{}
-		for _, a := range f.Blocks {
-			if term := a.Term(); term != nil && term.Op == ir.OpBr {
-				for k, s := range term.Blocks() {
-					for _, b := range f.Blocks {
-						if pdom[[2]*ir.Block{b, s}] && (b == a || !pdom[[2]*ir.Block{b, a}]) {
-							want[b] = append(want[b], ir.CDep{Branch: a, OnTrue: k == 0})
+		want := map[int32][]ir.CDep{}
+		for _, a := range f.Blocks() {
+			if term := f.Term(a); term >= 0 && f.In(term).Op == ir.OpBr {
+				for k, s := range f.Succs(a) {
+					for _, b := range f.Blocks() {
+						if pdom[[2]int32{b, s}] && (b == a || !pdom[[2]int32{b, a}]) {
+							want[b] = append(want[b], ir.CDep{Branch: a, Cond: f.Args(term)[0], OnTrue: k == 0})
 						}
 					}
 				}
 			}
 		}
 		cd := f.ControlDeps()
-		for _, b := range f.Blocks {
-			if !slices.Equal(cd[b.ID], want[b]) {
-				t.Fatalf("case %d: control dependences of %s: %v, want %v\n%s", i, b, cd[b.ID], want[b], f)
+		for _, b := range f.Blocks() {
+			if !slices.Equal(cd[b], want[b]) {
+				t.Fatalf("case %d: control dependences of b%d: %v, want %v\n%s", i, b, cd[b], want[b], f)
 			}
 		}
 	}
 }
 
 // randomDAGFunc builds a random valid acyclic CFG: forward-only edges, all
-// blocks reachable from entry, all paths ending in the single exit.
+// paths ending in the single exit. Blocks the entry does not reach are left
+// for SealCFG to prune, which leaves holes in the block ID space.
 func randomDAGFunc(rng *rand.Rand) *ir.Func {
-	n := 3 + rng.Intn(8)
+	n := int32(3 + rng.Intn(8))
 	f := ir.NewFunc("rand", minic.VoidType, 0, minic.Pos{})
 	c := f.NewParam("c", minic.BoolType, false)
-	blocks := make([]*ir.Block, n)
-	for i := range blocks {
-		blocks[i] = f.NewBlock()
+	for range n {
+		f.NewBlock()
 	}
-	f.Entry = blocks[0]
-	f.Exit = blocks[n-1]
-	for i := 0; i < n-1; i++ {
+	f.Entry, f.Exit = 0, n-1
+	for i := int32(0); i < n-1; i++ {
 		// Pick 1 or 2 distinct forward targets.
-		t1 := i + 1 + rng.Intn(n-1-i)
+		t1 := i + 1 + rng.Int31n(n-1-i)
 		if rng.Intn(2) == 0 {
-			t2 := i + 1 + rng.Intn(n-1-i)
-			if t2 != t1 {
-				f.Append(blocks[i], ir.Instr{Op: ir.OpBr, Args: []*ir.Value{c},
-					Ext: &ir.Ext{Blocks: []*ir.Block{blocks[t1], blocks[t2]}}})
-				ir.Connect(blocks[i], blocks[t1])
-				ir.Connect(blocks[i], blocks[t2])
+			if t2 := i + 1 + rng.Int31n(n-1-i); t2 != t1 {
+				f.Append(i, ir.Spec{Op: ir.OpBr, Args: []int32{c}})
+				f.Connect(i, t1)
+				f.Connect(i, t2)
 				continue
 			}
 		}
-		f.Append(blocks[i], ir.Instr{Op: ir.OpJmp, Ext: &ir.Ext{Blocks: []*ir.Block{blocks[t1]}}})
-		ir.Connect(blocks[i], blocks[t1])
+		f.Append(i, ir.Spec{Op: ir.OpJmp})
+		f.Connect(i, t1)
 	}
-	f.Append(blocks[n-1], ir.Instr{Op: ir.OpRet})
-	// Some middle blocks may be unreachable from entry; prune them so the
-	// invariants hold.
-	reach := map[*ir.Block]bool{} // generator bookkeeping, independent of the code under test
-	var dfs func(*ir.Block)
-	dfs = func(b *ir.Block) {
-		if reach[b] {
-			return
-		}
-		reach[b] = true
-		for _, s := range b.Succs {
-			dfs(s)
-		}
-	}
-	dfs(f.Entry)
-	var kept []*ir.Block
-	for _, b := range f.Blocks {
-		if reach[b] {
-			var preds []*ir.Block
-			for _, p := range b.Preds {
-				if reach[p] {
-					preds = append(preds, p)
-				}
-			}
-			b.Preds = preds
-			kept = append(kept, b)
-		}
-	}
-	f.Blocks = kept
+	f.Append(n-1, ir.Spec{Op: ir.OpRet})
 	if err := f.SealCFG(); err != nil {
 		panic(err)
 	}

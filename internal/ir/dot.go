@@ -5,33 +5,33 @@ import (
 	"strings"
 )
 
-// DotCFG renders the function's control-flow graph in Graphviz DOT syntax,
-// one record node per basic block. Branch edges are labeled T/F.
-func DotCFG(f *Func) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "digraph %q {\n", "cfg_"+f.Name)
-	b.WriteString("  node [shape=box, fontname=\"monospace\", fontsize=9];\n")
-	for _, blk := range f.Blocks {
-		var lines []string
-		lines = append(lines, blk.String()+":")
-		for _, in := range blk.Instrs {
-			lines = append(lines, "  "+in.String())
+// DotCFG renders the body's control-flow graph in Graphviz DOT syntax, one
+// record node per basic block. Branch edges are labeled T/F.
+func DotCFG(b *Body) string {
+	var s strings.Builder
+	fmt.Fprintf(&s, "digraph %q {\n", "cfg_"+b.Name())
+	s.WriteString("  node [shape=box, fontname=\"monospace\", fontsize=9];\n")
+	for _, blk := range b.Blocks() {
+		lines := []string{BlockName(blk) + ":"}
+		for _, in := range b.Instrs(blk) {
+			lines = append(lines, "  "+b.InstrString(in))
 		}
-		fmt.Fprintf(&b, "  %s [label=%q];\n", blk, strings.Join(lines, "\\l")+"\\l")
+		fmt.Fprintf(&s, "  %s [label=%q];\n", BlockName(blk), strings.Join(lines, "\\l")+"\\l")
 	}
-	for _, blk := range f.Blocks {
-		term := blk.Term()
-		if term == nil {
+	for _, blk := range b.Blocks() {
+		term := b.Term(blk)
+		if term < 0 {
 			continue
 		}
-		switch term.Op {
+		succs := b.Succs(blk)
+		switch b.In(term).Op {
 		case OpBr:
-			fmt.Fprintf(&b, "  %s -> %s [label=\"T\"];\n", blk, term.Blocks()[0])
-			fmt.Fprintf(&b, "  %s -> %s [label=\"F\"];\n", blk, term.Blocks()[1])
+			fmt.Fprintf(&s, "  %s -> %s [label=\"T\"];\n", BlockName(blk), BlockName(succs[0]))
+			fmt.Fprintf(&s, "  %s -> %s [label=\"F\"];\n", BlockName(blk), BlockName(succs[1]))
 		case OpJmp:
-			fmt.Fprintf(&b, "  %s -> %s;\n", blk, term.Blocks()[0])
+			fmt.Fprintf(&s, "  %s -> %s;\n", BlockName(blk), BlockName(succs[0]))
 		}
 	}
-	b.WriteString("}\n")
-	return b.String()
+	s.WriteString("}\n")
+	return s.String()
 }

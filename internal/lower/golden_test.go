@@ -94,22 +94,22 @@ func TestSSAGolden(t *testing.T) {
 }
 
 func writeGates(b *strings.Builder, f *ir.Func, inf *ssa.Info) {
-	for _, blk := range f.Blocks {
-		fmt.Fprintf(b, "%s: reach %s cd [", blk, renderCond(inf, inf.ReachCond(blk)))
+	for _, blk := range f.Blocks() {
+		fmt.Fprintf(b, "%s: reach %s cd [", ir.BlockName(blk), renderCond(inf, inf.ReachCond(blk)))
 		for i, d := range inf.CD(blk) {
 			if i > 0 {
 				b.WriteString(" ")
 			}
-			fmt.Fprintf(b, "%s:%v", d.Branch, d.OnTrue)
+			fmt.Fprintf(b, "%s:%v", ir.BlockName(d.Branch), d.OnTrue)
 		}
 		b.WriteString("]\n")
-		for _, in := range blk.Instrs {
-			if in.Op != ir.OpPhi {
+		for _, in := range f.Instrs(blk) {
+			if f.In(in).Op != ir.OpPhi {
 				continue
 			}
-			fmt.Fprintf(b, "  gates %s:", in.Dst)
-			for _, g := range inf.GatesOf(in) {
-				fmt.Fprintf(b, " %s", renderCond(inf, g))
+			fmt.Fprintf(b, "  gates %s:", f.ValueString(f.In(in).Dst))
+			for i := range f.Args(in) {
+				fmt.Fprintf(b, " %s", renderCond(inf, inf.Gate(in, i)))
 			}
 			b.WriteString("\n")
 		}
@@ -124,7 +124,7 @@ func renderCond(inf *ssa.Info, c *cond.Cond) string {
 	case cond.KFalse:
 		return "false"
 	case cond.KAtom:
-		return fmt.Sprintf("%s#%d", inf.AtomValue(c.Atom()), c.ID())
+		return fmt.Sprintf("%s#%d", inf.Fn.ValueString(int32(c.Atom())), c.ID())
 	case cond.KNot:
 		return fmt.Sprintf("!%s#%d", renderCond(inf, c.Ops()[0]), c.ID())
 	}

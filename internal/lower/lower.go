@@ -134,6 +134,8 @@ func FuncWith(m *ir.Module, decl *minic.FuncDecl, sigs func(name string) (minic.
 		sigs:    sigs,
 		structs: structs,
 		retKey:  -1,
+		retIn:   -1,
+		cur:     -1,
 		scratch: sc,
 	}
 	f := lw.f
@@ -145,9 +147,9 @@ func FuncWith(m *ir.Module, decl *minic.FuncDecl, sigs func(name string) (minic.
 	f.Exit = f.NewBlock()
 	if !decl.Ret.IsVoid() {
 		lw.retKey = lw.declare("ret$"+decl.Name, decl.Ret)
-		lw.retIn = f.Append(f.Exit, ir.Instr{Op: ir.OpRet, Args: []*ir.Value{nil}, Loc: lw.loc(decl.Pos)})
+		lw.retIn = f.Append(f.Exit, ir.Spec{Op: ir.OpRet, Args: []int32{-1}, Loc: lw.loc(decl.Pos)})
 	} else {
-		f.Append(f.Exit, ir.Instr{Op: ir.OpRet, Loc: lw.loc(decl.Pos)})
+		f.Append(f.Exit, ir.Spec{Op: ir.OpRet, Loc: lw.loc(decl.Pos)})
 	}
 
 	// Parameters. Address-taken parameters are spilled to a slot.
@@ -155,10 +157,10 @@ func FuncWith(m *ir.Module, decl *minic.FuncDecl, sigs func(name string) (minic.
 		pv := f.NewParam(p.Name, p.Type, false)
 		if lw.addrOf[p.Name] {
 			slot := lw.emitAlloc(p.Name, p.Type, decl.Pos)
-			lw.emit(ir.Instr{Op: ir.OpStore, Args: lw.ops(slot, pv), Loc: lw.loc(decl.Pos)})
-			lw.bind(p.Name, binding{key: -1, slot: slot, typ: p.Type})
+			lw.emit(ir.Spec{Op: ir.OpStore, Args: lw.ops(slot, pv), Loc: lw.loc(decl.Pos)})
+			lw.bind(p.Name, binding{key: -1, val: slot, slot: true, typ: p.Type})
 		} else {
-			lw.bind(p.Name, binding{key: -1, param: pv, typ: p.Type})
+			lw.bind(p.Name, binding{key: -1, val: pv, typ: p.Type})
 		}
 	}
 
@@ -169,14 +171,17 @@ func FuncWith(m *ir.Module, decl *minic.FuncDecl, sigs func(name string) (minic.
 		return nil, lw.posErr
 	}
 	// Fall-through at end of body: default return value.
-	if lw.cur != nil {
-		var v *ir.Value
+	if lw.cur >= 0 {
+		v := int32(-1)
 		if lw.retKey >= 0 {
 			v = lw.defaultValue(decl.Ret)
 		}
 		lw.ret(v, decl.Pos)
 	}
 	if err := lw.finish(); err != nil {
+		return nil, fmt.Errorf("lower %s: %w", decl.Name, err)
+	}
+	if err := f.Pack(); err != nil {
 		return nil, fmt.Errorf("lower %s: %w", decl.Name, err)
 	}
 	if err := ir.Verify(f); err != nil {
@@ -188,10 +193,12 @@ func FuncWith(m *ir.Module, decl *minic.FuncDecl, sigs func(name string) (minic.
 // binding is a name resolution result: a register variable, a parameter not
 // written yet, or a memory slot address.
 type binding struct {
-	key   int32     // the register variable's key (-1 if none)
-	param *ir.Value // the parameter (nil if not one)
-	slot  *ir.Value // address of stack slot (nil if register)
-	typ   minic.Type
+	key int32 // the register variable's key (-1 if none)
+	// val is the stack slot's address (slot), or else, when key is -1, the
+	// parameter.
+	val  int32
+	slot bool
+	typ  minic.Type
 }
 
 // boundName is one entry of the lowerer's binding stack.
@@ -203,7 +210,7 @@ type boundName struct {
 type lowerer struct {
 	m   *ir.Module
 	f   *ir.Func
-	cur *ir.Block // nil after a terminator, until a new block starts
+	cur int32 // -1 after a terminator, until a new block starts
 	// live is whether cur is reachable from the entry; code after a return
 	// is lowered into blocks that are not, and pruned.
 	live    bool
@@ -213,7 +220,7 @@ type lowerer struct {
 	// retKey is the key of ret$, the variable every return assigns (-1 for
 	// a void function); retIn is the Exit block's ret, which reads it.
 	retKey int32
-	retIn  *ir.Instr
+	retIn  int32
 	tmpN   int
 	// posErr is the first source position an instruction could not carry.
 	posErr error
@@ -268,44 +275,48 @@ func (lw *lowerer) lookup(name string) (binding, bool) {
 	return binding{}, false
 }
 
-func (lw *lowerer) emit(in ir.Instr) *ir.Instr {
-	if lw.cur == nil {
+func (lw *lowerer) emit(s ir.Spec) int32 {
+	if lw.cur < 0 {
 		// Unreachable code (after return); emit into a fresh dead block
 		// that SealCFG drops.
 		lw.cur = lw.f.NewBlock()
 	}
-	p := lw.f.Append(lw.cur, in)
-	lw.note(p)
-	return p
+	in := lw.f.Append(lw.cur, s)
+	lw.note(in)
+	return in
 }
 
-func (lw *lowerer) emitJmp(to *ir.Block, pos minic.Pos) {
-	if lw.cur == nil {
+// emitJmp ends the block with a jump to block to; its successor is the
+// jump's target.
+func (lw *lowerer) emitJmp(to int32, pos minic.Pos) {
+	if lw.cur < 0 {
 		return
 	}
-	lw.emit(ir.Instr{Op: ir.OpJmp, Ext: lw.targets(to), Loc: lw.loc(pos)})
-	ir.Connect(lw.cur, to)
-	lw.cur, lw.live = nil, false
+	lw.emit(ir.Spec{Op: ir.OpJmp, Loc: lw.loc(pos)})
+	lw.f.Connect(lw.cur, to)
+	lw.cur, lw.live = -1, false
 }
 
-func (lw *lowerer) emitBr(cond *ir.Value, t, e *ir.Block, pos minic.Pos) {
-	if lw.cur == nil {
+// emitBr ends the block with a branch on cond to block t, else e: its
+// successors, in that order.
+func (lw *lowerer) emitBr(cond, t, e int32, pos minic.Pos) {
+	if lw.cur < 0 {
 		return
 	}
-	lw.emit(ir.Instr{Op: ir.OpBr, Args: lw.ops(cond), Ext: lw.targets(t, e), Loc: lw.loc(pos)})
-	ir.Connect(lw.cur, t)
-	ir.Connect(lw.cur, e)
-	lw.cur, lw.live = nil, false
+	lw.emit(ir.Spec{Op: ir.OpBr, Args: lw.ops(cond), Loc: lw.loc(pos)})
+	lw.f.Connect(lw.cur, t)
+	lw.f.Connect(lw.cur, e)
+	lw.cur, lw.live = -1, false
 }
 
-func (lw *lowerer) emitAlloc(name string, t minic.Type, pos minic.Pos) *ir.Value {
+func (lw *lowerer) emitAlloc(name string, t minic.Type, pos minic.Pos) int32 {
 	slot := lw.temp("&"+name, t.Pointer())
-	lw.emit(ir.Instr{Op: ir.OpAlloc, Dst: slot, Sub: name, Loc: lw.loc(pos)})
+	lw.emit(ir.Spec{Op: ir.OpAlloc, Dst: slot, Sub: name, Loc: lw.loc(pos)})
 	return slot
 }
 
 // tmp returns the one definition of a fresh temporary.
-func (lw *lowerer) tmp(t minic.Type) *ir.Value {
+func (lw *lowerer) tmp(t minic.Type) int32 {
 	return lw.temp(lw.tmpName(), t)
 }
 
@@ -329,14 +340,14 @@ var tmpNames = func() (names [1024]string) {
 
 // temp returns the one definition of a fresh variable that is never
 // assigned again, so needs no tracking.
-func (lw *lowerer) temp(name string, t minic.Type) *ir.Value {
+func (lw *lowerer) temp(name string, t minic.Type) int32 {
 	return lw.f.NewSSA(lw.reserve(), name, t)
 }
 
 // ret assigns v to ret$ and jumps to the exit block.
-func (lw *lowerer) ret(v *ir.Value, pos minic.Pos) {
+func (lw *lowerer) ret(v int32, pos minic.Pos) {
 	if lw.retKey >= 0 {
-		lw.emit(ir.Instr{Op: ir.OpCopy, Dst: lw.define(lw.retKey), Args: lw.ops(v), Loc: lw.loc(pos)})
+		lw.emit(ir.Spec{Op: ir.OpCopy, Dst: lw.define(lw.retKey), Args: lw.ops(v), Loc: lw.loc(pos)})
 		if lw.live {
 			lw.rets = append(lw.rets, lw.v(lw.retKey).cur)
 		}
@@ -344,7 +355,7 @@ func (lw *lowerer) ret(v *ir.Value, pos minic.Pos) {
 	lw.emitJmp(lw.f.Exit, pos)
 }
 
-func (lw *lowerer) defaultValue(t minic.Type) *ir.Value {
+func (lw *lowerer) defaultValue(t minic.Type) int32 {
 	switch {
 	case t.IsPointer():
 		return lw.f.ConstNull()
@@ -376,7 +387,7 @@ func (lw *lowerer) stmt(s minic.Stmt) error {
 		// Unroll once: while (c) S  ==>  if (c) { S }.
 		return lw.ifStmt(&minic.IfStmt{Pos: st.Pos, Cond: st.Cond, Then: st.Body})
 	case *minic.ReturnStmt:
-		var v *ir.Value
+		v := int32(-1)
 		if st.Value != nil {
 			var err error
 			if v, err = lw.expr(st.Value, lw.f.Ret); err != nil {
@@ -391,7 +402,7 @@ func (lw *lowerer) stmt(s minic.Stmt) error {
 		if id, ok := st.X.(*minic.Ident); ok {
 			// A register read for nothing is no use: it must not make
 			// the φ it would read.
-			if b, g, err := lw.resolve(id); err != nil || (g == nil && b.slot == nil) {
+			if b, g, err := lw.resolve(id); err != nil || (g == nil && !b.slot) {
 				return err
 			}
 		}
@@ -404,7 +415,7 @@ func (lw *lowerer) stmt(s minic.Stmt) error {
 
 func (lw *lowerer) declStmt(st *minic.DeclStmt) error {
 	d := st.Decl
-	var init *ir.Value
+	var init int32
 	if d.Init != nil {
 		v, err := lw.expr(d.Init, d.Type)
 		if err != nil {
@@ -416,11 +427,11 @@ func (lw *lowerer) declStmt(st *minic.DeclStmt) error {
 	}
 	if lw.addrOf[d.Name] {
 		slot := lw.emitAlloc(d.Name, d.Type, d.Pos)
-		lw.emit(ir.Instr{Op: ir.OpStore, Args: lw.ops(slot, init), Loc: lw.loc(d.Pos)})
-		lw.bind(d.Name, binding{key: -1, slot: slot, typ: d.Type})
+		lw.emit(ir.Spec{Op: ir.OpStore, Args: lw.ops(slot, init), Loc: lw.loc(d.Pos)})
+		lw.bind(d.Name, binding{key: -1, val: slot, slot: true, typ: d.Type})
 	} else {
 		key := lw.declare(d.Name, d.Type)
-		lw.emit(ir.Instr{Op: ir.OpCopy, Dst: lw.define(key), Args: lw.ops(init), Loc: lw.loc(d.Pos)})
+		lw.emit(ir.Spec{Op: ir.OpCopy, Dst: lw.define(key), Args: lw.ops(init), Loc: lw.loc(d.Pos)})
 		lw.bind(d.Name, binding{key: key, typ: d.Type})
 	}
 	return nil
@@ -443,17 +454,11 @@ func (lw *lowerer) assignStmt(st *minic.AssignStmt) error {
 		if err != nil {
 			return err
 		}
-		var hint minic.Type
-		if addr.Type.IsPointer() {
-			hint = addr.Type.Elem()
-		} else {
-			hint = minic.IntType
-		}
-		v, err := lw.expr(st.Value, hint)
+		v, err := lw.expr(st.Value, lw.elem(addr))
 		if err != nil {
 			return err
 		}
-		lw.emit(ir.Instr{Op: ir.OpStore, Args: lw.ops(addr, v), Loc: lw.loc(st.Pos)})
+		lw.emit(ir.Spec{Op: ir.OpStore, Args: lw.ops(addr, v), Loc: lw.loc(st.Pos)})
 		return nil
 	case *minic.UnaryExpr: // *e = v (possibly multi-level)
 		if target.Op != "*" {
@@ -463,17 +468,11 @@ func (lw *lowerer) assignStmt(st *minic.AssignStmt) error {
 		if err != nil {
 			return err
 		}
-		var hint minic.Type
-		if addr.Type.IsPointer() {
-			hint = addr.Type.Elem()
-		} else {
-			hint = minic.IntType
-		}
-		v, err := lw.expr(st.Value, hint)
+		v, err := lw.expr(st.Value, lw.elem(addr))
 		if err != nil {
 			return err
 		}
-		lw.emit(ir.Instr{Op: ir.OpStore, Args: lw.ops(addr, v), Loc: lw.loc(st.Pos)})
+		lw.emit(ir.Spec{Op: ir.OpStore, Args: lw.ops(addr, v), Loc: lw.loc(st.Pos)})
 		return nil
 	default:
 		return fmt.Errorf("%s: invalid assignment target", st.Pos)
@@ -498,24 +497,22 @@ func bindingType(b binding, g *ir.Global) minic.Type {
 	return b.typ
 }
 
-func (lw *lowerer) storeTo(id *minic.Ident, b binding, g *ir.Global, v *ir.Value, pos minic.Pos) error {
+func (lw *lowerer) storeTo(id *minic.Ident, b binding, g *ir.Global, v int32, pos minic.Pos) error {
 	switch {
 	case g != nil:
 		addr := lw.tmp(g.Type.Pointer())
-		lw.emit(ir.Instr{Op: ir.OpGlobalAddr, Dst: addr, Sub: g.Name, Loc: lw.loc(pos)})
-		lw.emit(ir.Instr{Op: ir.OpStore, Args: lw.ops(addr, v), Loc: lw.loc(pos)})
-	case b.slot != nil:
-		lw.emit(ir.Instr{Op: ir.OpStore, Args: lw.ops(b.slot, v), Loc: lw.loc(pos)})
-	case b.param != nil:
+		lw.emit(ir.Spec{Op: ir.OpGlobalAddr, Dst: addr, Sub: g.Name, Loc: lw.loc(pos)})
+		lw.emit(ir.Spec{Op: ir.OpStore, Args: lw.ops(addr, v), Loc: lw.loc(pos)})
+	case b.slot:
+		lw.emit(ir.Spec{Op: ir.OpStore, Args: lw.ops(b.val, v), Loc: lw.loc(pos)})
+	case b.key < 0:
 		// Parameters are immutable SSA values; introduce a shadow
 		// register on first write.
 		key := lw.declare(id.Name, b.typ)
-		lw.emit(ir.Instr{Op: ir.OpCopy, Dst: lw.define(key), Args: lw.ops(v), Loc: lw.loc(pos)})
+		lw.emit(ir.Spec{Op: ir.OpCopy, Dst: lw.define(key), Args: lw.ops(v), Loc: lw.loc(pos)})
 		lw.rebind(id.Name, binding{key: key, typ: b.typ})
-	case b.key >= 0:
-		lw.emit(ir.Instr{Op: ir.OpCopy, Dst: lw.define(b.key), Args: lw.ops(v), Loc: lw.loc(pos)})
 	default:
-		return fmt.Errorf("%s: cannot assign to %q", pos, id.Name)
+		lw.emit(ir.Spec{Op: ir.OpCopy, Dst: lw.define(b.key), Args: lw.ops(v), Loc: lw.loc(pos)})
 	}
 	return nil
 }
@@ -537,7 +534,7 @@ func (lw *lowerer) ifStmt(st *minic.IfStmt) error {
 		return err
 	}
 	thenB := lw.f.NewBlock()
-	var elseB *ir.Block
+	elseB := int32(-1)
 	join := lw.f.NewBlock()
 	if st.Else != nil {
 		elseB = lw.f.NewBlock()
@@ -545,8 +542,8 @@ func (lw *lowerer) ifStmt(st *minic.IfStmt) error {
 	} else {
 		lw.emitBr(cond, thenB, join, st.Pos)
 	}
-	var arms [2]arm
-	blocks := [2]*ir.Block{thenB, elseB}
+	arms := [2]arm{{end: -1}, {end: -1}}
+	blocks := [2]int32{thenB, elseB}
 	for i, body := range [2]minic.Stmt{st.Then, st.Else} {
 		if body == nil {
 			continue
@@ -560,7 +557,7 @@ func (lw *lowerer) ifStmt(st *minic.IfStmt) error {
 		lw.emitJmp(join, st.Pos)
 		arms[i].writes = lw.closeArm(mark)
 	}
-	if len(join.Preds) == 0 {
+	if len(lw.f.Preds(join)) == 0 {
 		// Both arms returned; everything after is unreachable, join too
 		// (SealCFG drops it).
 		lw.saved = lw.saved[:arms[0].writes.from]
@@ -573,24 +570,32 @@ func (lw *lowerer) ifStmt(st *minic.IfStmt) error {
 
 // boolExpr lowers a condition into a bool-typed value, materializing a named
 // branch variable so that path conditions have stable atoms.
-func (lw *lowerer) boolExpr(e minic.Expr) (*ir.Value, error) {
+func (lw *lowerer) boolExpr(e minic.Expr) (int32, error) {
 	v, err := lw.expr(e, minic.BoolType)
 	if err != nil {
-		return nil, err
+		return -1, err
 	}
-	if v.Type.Base == "bool" && v.Type.Ptr == 0 {
+	if lw.f.Value(v).Bool() {
 		return v, nil
 	}
 	// Coerce: c = (v != 0) for ints, (v != null) for pointers.
-	var zero *ir.Value
-	if v.Type.IsPointer() {
+	var zero int32
+	if lw.f.Type(v).IsPointer() {
 		zero = lw.f.ConstNull()
 	} else {
 		zero = lw.f.ConstInt(0)
 	}
 	c := lw.tmp(minic.BoolType)
-	lw.emit(ir.Instr{Op: ir.OpBin, Dst: c, Sub: "!=", Args: lw.ops(v, zero), Loc: lw.loc(e.ExprPos())})
+	lw.emit(ir.Spec{Op: ir.OpBin, Dst: c, Sub: "!=", Args: lw.ops(v, zero), Loc: lw.loc(e.ExprPos())})
 	return c, nil
+}
+
+// elem is the type of what addr points to: int when it is not a pointer.
+func (lw *lowerer) elem(addr int32) minic.Type {
+	if t := lw.f.Type(addr); t.IsPointer() {
+		return t.Elem()
+	}
+	return minic.IntType
 }
 
 // collectAddressTaken finds all variable names whose address is taken

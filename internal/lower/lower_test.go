@@ -26,11 +26,9 @@ func mustLower(t *testing.T, src string) *ir.Module {
 
 func countOps(f *ir.Func, op ir.Op) int {
 	n := 0
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if in.Op == op {
-				n++
-			}
+	for _, in := range f.Order() {
+		if f.In(in).Op == op {
+			n++
 		}
 	}
 	return n
@@ -60,7 +58,7 @@ int f(int a) {
 	if got := countOps(f, ir.OpRet); got != 1 {
 		t.Fatalf("ret count = %d, want 1", got)
 	}
-	if f.Exit == nil || f.Exit.Term().Op != ir.OpRet {
+	if f.Exit < 0 || f.In(f.Term(f.Exit)).Op != ir.OpRet {
 		t.Fatal("exit block is not the return block")
 	}
 }
@@ -78,8 +76,8 @@ int f(bool c) {
 	}
 	// The join block must have two predecessors.
 	joins := 0
-	for _, b := range f.Blocks {
-		if len(b.Preds) == 2 {
+	for _, b := range f.Blocks() {
+		if len(f.Preds(b)) == 2 {
 			joins++
 		}
 	}
@@ -96,25 +94,17 @@ int f(int n) {
 	return s;
 }`)
 	f := m.Lookup("f")
-	// Unrolled loop is an if: no back edges anywhere (CFG is a DAG).
-	seen := map[*ir.Block]int{}
-	order := 0
-	for _, b := range f.Blocks {
-		seen[b] = order
-		order++
-	}
-	// Since blocks are created in lowering order and we never jump
-	// backwards, every edge must go to an unvisited-later block or the
-	// exit; verify acyclicity by DFS.
+	// Unrolled loop is an if: no back edges anywhere (CFG is a DAG);
+	// verify acyclicity by DFS.
 	if hasCycle(f) {
 		t.Fatal("CFG has a cycle; while was not unrolled")
 	}
 }
 
 func hasCycle(f *ir.Func) bool {
-	state := map[*ir.Block]int{} // 0 unvisited, 1 in progress, 2 done
-	var dfs func(*ir.Block) bool
-	dfs = func(b *ir.Block) bool {
+	state := map[int32]int{} // 0 unvisited, 1 in progress, 2 done
+	var dfs func(int32) bool
+	dfs = func(b int32) bool {
 		switch state[b] {
 		case 1:
 			return true
@@ -122,7 +112,7 @@ func hasCycle(f *ir.Func) bool {
 			return false
 		}
 		state[b] = 1
-		for _, s := range b.Succs {
+		for _, s := range f.Succs(b) {
 			if dfs(s) {
 				return true
 			}
@@ -172,14 +162,12 @@ void f() {
 func TestLowerMallocTypeHint(t *testing.T) {
 	m := mustLower(t, "void f() { int **pp = malloc(); }")
 	f := m.Lookup("f")
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if in.Op == ir.OpMalloc {
-				if got := in.Dst.Type.String(); got != "int**" {
-					t.Fatalf("malloc type = %s, want int**", got)
-				}
-				return
+	for _, in := range f.Order() {
+		if f.In(in).Op == ir.OpMalloc {
+			if got := f.Type(f.In(in).Dst).String(); got != "int**" {
+				t.Fatalf("malloc type = %s, want int**", got)
 			}
+			return
 		}
 	}
 	t.Fatal("no malloc found")
@@ -252,9 +240,9 @@ func TestLowerParamWrite(t *testing.T) {
 func TestLowerImplicitReturn(t *testing.T) {
 	m := mustLower(t, "int f() { }")
 	f := m.Lookup("f")
-	ret := f.Exit.Term()
-	if ret.Op != ir.OpRet || len(ret.Args) != 1 {
-		t.Fatalf("exit terminator = %s", ret)
+	ret := f.Term(f.Exit)
+	if f.In(ret).Op != ir.OpRet || len(f.Args(ret)) != 1 {
+		t.Fatalf("exit terminator = %s", f.InstrString(ret))
 	}
 }
 
@@ -332,9 +320,10 @@ func TestLowerPositionBeyondRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, in := range m.Funcs[0].Entry.Instrs {
-		if in.Op == ir.OpStore {
-			if got := in.Position(); got.File != "t.mc" || got.Line != 1<<31-1 {
+	f := m.Funcs[0]
+	for _, in := range f.Instrs(f.Entry) {
+		if f.In(in).Op == ir.OpStore {
+			if got := f.Position(in); got.File != "t.mc" || got.Line != 1<<31-1 {
 				t.Errorf("store at %v, want t.mc:%d", got, 1<<31-1)
 			}
 		}

@@ -218,19 +218,14 @@ func SCCDeps(m *ir.Module, sccs [][]*ir.Func) [][]int {
 	for i, scc := range sccs {
 		seen := map[int]bool{i: true}
 		for _, f := range scc {
-			for _, b := range f.Blocks {
-				for _, in := range b.Instrs {
-					if in.Op != ir.OpCall {
-						continue
-					}
-					g := m.Lookup(in.Callee())
-					if g == nil {
-						continue
-					}
-					if j := idx[g]; !seen[j] {
-						seen[j] = true
-						deps[i] = append(deps[i], j)
-					}
+			for _, in := range f.Order() {
+				g := m.Lookup(f.Callee(in))
+				if g == nil {
+					continue
+				}
+				if j := idx[g]; !seen[j] {
+					seen[j] = true
+					deps[i] = append(deps[i], j)
 				}
 			}
 		}
@@ -253,9 +248,9 @@ type tag struct {
 func AnalyzeFunc(f *ir.Func, sum *Summary, lookup func(name string) *Summary) bool {
 	before := len(sum.Ref) + len(sum.Mod)
 
-	tags := make(map[*ir.Value]tag)
-	for _, p := range f.Params {
-		tags[p] = tag{root: Root{Param: p.ParamIdx()}, ok: true}
+	tags := make([]tag, f.NumValues()) // by value ID; a value without one is not ok
+	for i, p := range f.Params {
+		tags[p.ID] = tag{root: Root{Param: i}, ok: true}
 	}
 	addRef := func(tg tag, extra int) {
 		d := tg.depth + extra
@@ -274,61 +269,48 @@ func AnalyzeFunc(f *ir.Func, sum *Summary, lookup func(name string) *Summary) bo
 	// the CFG is acyclic, a single pass over blocks in topological order
 	// would suffice, but iterating keeps this robust to any ordering.
 	for pass := 0; pass < 2; pass++ {
-		for _, b := range f.Blocks {
-			for _, in := range b.Instrs {
-				switch in.Op {
-				case ir.OpGlobalAddr:
-					// The address of global g is a root pointer at
-					// depth 0, exactly like a parameter: loading
-					// through it references *(g, 1), the global's own
-					// cell.
-					tags[in.Dst] = tag{root: Root{Param: -1, Global: in.Sub}, ok: true}
-				case ir.OpCopy, ir.OpUn, ir.OpBin, ir.OpFieldAddr:
-					// Pointer arithmetic and field selection keep the
-					// base's tag (array elements and, across function
-					// boundaries, fields collapse).
-					if t, ok := tags[in.Args[0]]; ok && t.ok {
-						tags[in.Dst] = t
+		for _, in := range f.Order() {
+			r, args := f.In(in), f.Args(in)
+			switch r.Op {
+			case ir.OpGlobalAddr:
+				// The address of global g is a root pointer at depth 0,
+				// exactly like a parameter: loading through it references
+				// *(g, 1), the global's own cell.
+				tags[r.Dst] = tag{root: Root{Param: -1, Global: f.Sub(in)}, ok: true}
+			case ir.OpCopy, ir.OpUn, ir.OpBin, ir.OpFieldAddr:
+				// Pointer arithmetic and field selection keep the base's
+				// tag (array elements and, across function boundaries,
+				// fields collapse).
+				if t := tags[args[0]]; t.ok {
+					tags[r.Dst] = t
+				}
+			case ir.OpPhi:
+				// Propagate only when all operands agree.
+				t := tags[args[0]]
+				for _, a := range args[1:] {
+					if tags[a] != t {
+						t.ok = false
 					}
-				case ir.OpPhi:
-					// Propagate only when all operands agree.
-					var t tag
-					agree := true
-					for i, a := range in.Args {
-						at, ok := tags[a]
-						if !ok || !at.ok {
-							agree = false
-							break
-						}
-						if i == 0 {
-							t = at
-						} else if at != t {
-							agree = false
-							break
-						}
+				}
+				if t.ok {
+					tags[r.Dst] = t
+				}
+			case ir.OpLoad:
+				if t := tags[args[0]]; t.ok {
+					addRef(t, 1)
+					nt := t
+					nt.depth++
+					if nt.depth < MaxDepth {
+						tags[r.Dst] = nt
 					}
-					if agree {
-						tags[in.Dst] = t
-					}
-				case ir.OpLoad:
-					if t, ok := tags[in.Args[0]]; ok && t.ok {
-						addRef(t, 1)
-						nt := t
-						nt.depth++
-						if nt.depth < MaxDepth {
-							tags[in.Dst] = nt
-						}
-					}
-				case ir.OpStore:
-					if t, ok := tags[in.Args[0]]; ok && t.ok {
-						addMod(t, 1)
-					}
-				case ir.OpCall:
-					cs := lookup(in.Callee())
-					if cs == nil {
-						continue
-					}
-					importSummary(sum, cs, in, tags)
+				}
+			case ir.OpStore:
+				if t := tags[args[0]]; t.ok {
+					addMod(t, 1)
+				}
+			case ir.OpCall:
+				if cs := lookup(f.Callee(in)); cs != nil {
+					importSummary(sum, cs, args, tags)
 				}
 			}
 		}
@@ -337,7 +319,7 @@ func AnalyzeFunc(f *ir.Func, sum *Summary, lookup func(name string) *Summary) bo
 }
 
 // importSummary composes a callee summary into the caller at a call site.
-func importSummary(sum *Summary, callee *Summary, call *ir.Instr, tags map[*ir.Value]tag) {
+func importSummary(sum *Summary, callee *Summary, args []int32, tags []tag) {
 	apply := func(p Path, dst *[]Path) {
 		if p.Root.IsGlobal() {
 			// Global paths are caller paths verbatim: globals are
@@ -348,11 +330,11 @@ func importSummary(sum *Summary, callee *Summary, call *ir.Instr, tags map[*ir.V
 			return
 		}
 		j := p.Root.Param
-		if j >= len(call.Args) {
+		if j >= len(args) {
 			return
 		}
-		t, ok := tags[call.Args[j]]
-		if !ok || !t.ok {
+		t := tags[args[j]]
+		if !t.ok {
 			return
 		}
 		// The callee's *(param_j, k) is the caller's *(root, depth+k).
@@ -375,15 +357,10 @@ func CallGraphSCCs(m *ir.Module) [][]*ir.Func {
 	callees := make(map[*ir.Func][]*ir.Func, len(m.Funcs))
 	for _, f := range m.Funcs {
 		seen := make(map[*ir.Func]bool)
-		for _, b := range f.Blocks {
-			for _, in := range b.Instrs {
-				if in.Op != ir.OpCall {
-					continue
-				}
-				if g := m.Lookup(in.Callee()); g != nil && !seen[g] {
-					seen[g] = true
-					callees[f] = append(callees[f], g)
-				}
+		for _, in := range f.Order() {
+			if g := m.Lookup(f.Callee(in)); g != nil && !seen[g] {
+				seen[g] = true
+				callees[f] = append(callees[f], g)
 			}
 		}
 	}

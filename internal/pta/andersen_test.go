@@ -1,6 +1,7 @@
 package pta
 
 import (
+	"maps"
 	"testing"
 
 	"repro/internal/ir"
@@ -27,15 +28,37 @@ func buildSSAModule(t *testing.T, src string) *ir.Module {
 	return m
 }
 
-func findVal(f *ir.Func, pred func(*ir.Instr) *ir.Value) *ir.Value {
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if v := pred(in); v != nil {
-				return v
-			}
+// findVal returns the first value pred picks from an instruction of f,
+// named module-wide.
+func findVal(f *ir.Func, pred func(r *ir.Instr, in int32) int32) (Var, bool) {
+	for _, in := range f.Order() {
+		if v := pred(f.In(in), in); v >= 0 {
+			return Var{Fn: int32(f.ID), Val: v}, true
 		}
 	}
-	return nil
+	return Var{}, false
+}
+
+// copyOfMalloc picks the Dst of a pointer copy of a malloc's result.
+func copyOfMalloc(f *ir.Func) func(*ir.Instr, int32) int32 {
+	return func(r *ir.Instr, in int32) int32 {
+		if r.Op == ir.OpCopy && f.Type(r.Dst).IsPointer() {
+			if d := f.Value(f.Args(in)[0]).Def; d >= 0 && f.In(d).Op == ir.OpMalloc {
+				return r.Dst
+			}
+		}
+		return -1
+	}
+}
+
+// pointerLoad picks the Dst of a load of a pointer.
+func pointerLoad(f *ir.Func) func(*ir.Instr, int32) int32 {
+	return func(r *ir.Instr, _ int32) int32 {
+		if r.Op == ir.OpLoad && f.Type(r.Dst).IsPointer() {
+			return r.Dst
+		}
+		return -1
+	}
 }
 
 func TestAndersenCopyAndPhi(t *testing.T) {
@@ -49,15 +72,13 @@ void f(bool c) {
 }`)
 	ap := Andersen(m)
 	f := m.Lookup("f")
-	var phi *ir.Value
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if in.Op == ir.OpPhi && in.Dst.Type.IsPointer() {
-				phi = in.Dst
-			}
+	phi, ok := findVal(f, func(r *ir.Instr, _ int32) int32 {
+		if r.Op == ir.OpPhi && f.Type(r.Dst).IsPointer() {
+			return r.Dst
 		}
-	}
-	if phi == nil {
+		return -1
+	})
+	if !ok {
 		t.Fatal("no pointer phi")
 	}
 	// Flow-insensitively, the phi points to both mallocs.
@@ -77,35 +98,23 @@ void f() {
 }`)
 	ap := Andersen(m)
 	f := m.Lookup("f")
-	aVal := findVal(f, func(in *ir.Instr) *ir.Value {
-		if in.Op == ir.OpCopy && in.Dst.Type.String() == "int*" && in.Args[0].Def != nil && in.Args[0].Def.Op == ir.OpMalloc {
-			return in.Dst
+	aVal, okA := findVal(f, func(r *ir.Instr, in int32) int32 {
+		if f.Type(r.Dst).String() == "int*" {
+			return copyOfMalloc(f)(r, in)
 		}
-		return nil
+		return -1
 	})
-	bVal := findVal(f, func(in *ir.Instr) *ir.Value {
-		if in.Op == ir.OpLoad && in.Dst.Type.IsPointer() {
-			return in.Dst
-		}
-		return nil
-	})
-	if aVal == nil || bVal == nil {
+	bVal, okB := findVal(f, pointerLoad(f))
+	if !okA || !okB {
 		t.Fatalf("values not found: a=%v b=%v", aVal, bVal)
 	}
 	if !ap.Alias(aVal, bVal) {
 		t.Fatal("store/load flow lost")
 	}
-	// Contents of the slot location include the stored pointer.
-	foundContents := false
-	for _, vals := range ap.Contents {
-		for v := range vals {
-			if v == aVal || (v.Def != nil && v.Def.Op == ir.OpCopy) {
-				foundContents = true
-			}
-		}
-	}
-	if !foundContents {
-		t.Fatal("contents sets empty")
+	// The slot's contents are the stored pointer alone: what is loaded
+	// points exactly where it does.
+	if !maps.Equal(ap.PointsTo(aVal), ap.PointsTo(bVal)) {
+		t.Fatalf("pts(b) = %v, want pts(a) = %v", ap.PointsTo(bVal), ap.PointsTo(aVal))
 	}
 }
 
@@ -121,19 +130,9 @@ void f() {
 }`)
 	ap := Andersen(m)
 	f := m.Lookup("f")
-	aVal := findVal(f, func(in *ir.Instr) *ir.Value {
-		if in.Op == ir.OpCopy && in.Dst.Type.IsPointer() && in.Args[0].Def != nil && in.Args[0].Def.Op == ir.OpMalloc {
-			return in.Dst
-		}
-		return nil
-	})
-	bVal := findVal(f, func(in *ir.Instr) *ir.Value {
-		if in.Op == ir.OpLoad && in.Dst.Type.IsPointer() {
-			return in.Dst
-		}
-		return nil
-	})
-	if aVal == nil || bVal == nil {
+	aVal, okA := findVal(f, copyOfMalloc(f))
+	bVal, okB := findVal(f, pointerLoad(f))
+	if !okA || !okB {
 		t.Fatal("values not found")
 	}
 	// Through the global cell, context-insensitively.
@@ -172,11 +171,11 @@ void f() {
 }`)
 	ap := Andersen(m)
 	f := m.Lookup("f")
-	recv := findVal(f, func(in *ir.Instr) *ir.Value {
-		if in.Op == ir.OpCall && in.Dsts()[0] != nil {
-			return in.Dsts()[0]
+	recv, _ := findVal(f, func(r *ir.Instr, in int32) int32 {
+		if r.Op == ir.OpCall {
+			return f.Dsts(in)[0]
 		}
-		return nil
+		return -1
 	})
 	pts := ap.PointsTo(recv)
 	if len(pts) != 1 {
@@ -199,12 +198,10 @@ void f() {
 }`)
 	ap := Andersen(m)
 	f := m.Lookup("f")
-	var mallocs []*ir.Value
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if in.Op == ir.OpMalloc {
-				mallocs = append(mallocs, in.Dst)
-			}
+	var mallocs []Var
+	for _, in := range f.Order() {
+		if f.In(in).Op == ir.OpMalloc {
+			mallocs = append(mallocs, Var{Fn: int32(f.ID), Val: f.In(in).Dst})
 		}
 	}
 	if len(mallocs) != 2 {

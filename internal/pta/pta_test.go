@@ -47,19 +47,17 @@ func buildAnalyzed(t *testing.T, src string) (*ir.Module, map[string]*Result) {
 	return m, results
 }
 
-func findInstr(f *ir.Func, op ir.Op, nth int) *ir.Instr {
+func findInstr(f *ir.Func, op ir.Op, nth int) int32 {
 	count := 0
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if in.Op == op {
-				if count == nth {
-					return in
-				}
-				count++
+	for _, in := range f.Order() {
+		if f.In(in).Op == op {
+			if count == nth {
+				return in
 			}
+			count++
 		}
 	}
-	return nil
+	return -1
 }
 
 func TestMallocPointsTo(t *testing.T) {
@@ -72,14 +70,14 @@ void f() {
 	f := m.Lookup("f")
 	r := res["f"]
 	ml := findInstr(f, ir.OpMalloc, 0)
-	pts := r.PointsTo(ml.Dst)
-	if len(pts) != 1 || pts[0].Loc.Kind != LMalloc || pts[0].Loc.Instr != ml {
+	pts := r.PointsTo(f.In(ml).Dst)
+	if len(pts) != 1 || pts[0].Loc.Kind != LMalloc || pts[0].Loc.Site != ml {
 		t.Fatalf("pts(malloc dst) = %v", pts)
 	}
 	// The load sees the stored constant 3.
 	ld := findInstr(f, ir.OpLoad, 0)
 	srcs := r.LoadSources(ld)
-	if len(srcs) != 1 || srcs[0].Val.Kind != ir.VConstInt || srcs[0].Val.IntVal() != 3 {
+	if len(srcs) != 1 || f.Value(srcs[0].Val).Kind != ir.VConstInt || f.IntVal(srcs[0].Val) != 3 {
 		t.Fatalf("load sources = %v", srcs)
 	}
 	if !srcs[0].Cond.IsTrue() {
@@ -99,7 +97,7 @@ void f() {
 	r := res["f"]
 	ld := findInstr(f, ir.OpLoad, 0)
 	srcs := r.LoadSources(ld)
-	if len(srcs) != 1 || srcs[0].Val.IntVal() != 2 {
+	if len(srcs) != 1 || f.IntVal(srcs[0].Val) != 2 {
 		t.Fatalf("strong update failed, sources = %v", srcs)
 	}
 }
@@ -123,7 +121,7 @@ void f(bool c) {
 	// then-arm kills 1 along that path; the else path keeps it).
 	byVal := map[int64]*cond.Cond{}
 	for _, s := range srcs {
-		byVal[s.Val.IntVal()] = s.Cond
+		byVal[f.IntVal(s.Val)] = s.Cond
 	}
 	c2 := byVal[2]
 	c1 := byVal[1]
@@ -172,7 +170,7 @@ int deref(int *p) { return *p; }`)
 	if len(srcs) != 1 {
 		t.Fatalf("sources = %v", srcs)
 	}
-	if !srcs[0].Val.Aux || srcs[0].Val.Kind != ir.VParam {
+	if v := f.Value(srcs[0].Val); !v.Aux() || v.Kind != ir.VParam {
 		t.Fatalf("load source is not the aux formal: %v", srcs[0].Val)
 	}
 }
@@ -188,16 +186,14 @@ int f() {
 	f := m.Lookup("f")
 	r := res["f"]
 	// The final load of x (for the return) must see 2, not 1.
-	var lastLoad *ir.Instr
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if in.Op == ir.OpLoad {
-				lastLoad = in
-			}
+	lastLoad := int32(-1)
+	for _, in := range f.Order() {
+		if f.In(in).Op == ir.OpLoad {
+			lastLoad = in
 		}
 	}
 	srcs := r.LoadSources(lastLoad)
-	if len(srcs) != 1 || srcs[0].Val.IntVal() != 2 {
+	if len(srcs) != 1 || f.IntVal(srcs[0].Val) != 2 {
 		t.Fatalf("aliased store missed: %v", srcs)
 	}
 }
@@ -210,15 +206,13 @@ void f() {
 }`)
 	f := m.Lookup("f")
 	r := res["f"]
-	var copyIn *ir.Instr
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if in.Op == ir.OpCopy && in.Args[0].Kind == ir.VConstNull {
-				copyIn = in
-			}
+	copyIn := int32(-1)
+	for _, in := range f.Order() {
+		if f.In(in).Op == ir.OpCopy && f.Value(f.Args(in)[0]).Kind == ir.VConstNull {
+			copyIn = in
 		}
 	}
-	pts := r.PointsTo(copyIn.Dst)
+	pts := r.PointsTo(f.In(copyIn).Dst)
 	if len(pts) != 1 || pts[0].Loc.Kind != LNull {
 		t.Fatalf("pts(null copy) = %v", pts)
 	}
@@ -247,15 +241,13 @@ void f(bool c) {
 	f := m.Lookup("f")
 	r := res["f"]
 	// Find the load of *pp inside the second branch.
-	var ld *ir.Instr
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if in.Op == ir.OpLoad && in.Dst.Type.IsPointer() {
-				ld = in
-			}
+	ld := int32(-1)
+	for _, in := range f.Order() {
+		if f.In(in).Op == ir.OpLoad && f.Type(f.In(in).Dst).IsPointer() {
+			ld = in
 		}
 	}
-	if ld == nil {
+	if ld < 0 {
 		t.Fatal("no pointer load found")
 	}
 	// Sources flowing from the conditional store get guard c; the load
@@ -264,7 +256,7 @@ void f(bool c) {
 	// layer conjoins the load's control dependence (!c); here we check
 	// the pair carries the c guard so that conjunction is refutable.
 	for _, s := range r.LoadSources(ld) {
-		if s.Val.Kind == ir.VConstNull {
+		if f.Value(s.Val).Kind == ir.VConstNull {
 			continue
 		}
 		if s.Cond.IsTrue() {
@@ -286,7 +278,7 @@ void f() {
 	f := m.Lookup("f")
 	r := res["f"]
 	call := findInstr(f, ir.OpCall, 0)
-	pts := r.PointsTo(call.Dsts()[0])
+	pts := r.PointsTo(f.Dsts(call)[0])
 	if len(pts) != 1 || pts[0].Loc.Kind != LExt {
 		t.Fatalf("call receiver pts = %v", pts)
 	}

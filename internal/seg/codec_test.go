@@ -3,9 +3,11 @@ package seg
 import (
 	"bytes"
 	"encoding/binary"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/ir"
 	"repro/internal/wirebin"
@@ -72,9 +74,13 @@ func TestGraphWireRoundTrip(t *testing.T) {
 			t.Errorf("instr %d: got %+v, want %+v", in, *got.In(in), *g.In(in))
 		}
 	}
+	// A value's type and connector mark are the build's; the wire keeps
+	// the rest.
 	for v := int32(0); int(v) < f.NumValues(); v++ {
-		if *got.Value(v) != *g.Value(v) || got.ValueString(v) != g.ValueString(v) {
-			t.Errorf("value %d: got %+v, want %+v", v, *got.Value(v), *g.Value(v))
+		a, b := got.Value(v), g.Value(v)
+		if a.Def != b.Def || a.Kind != b.Kind || a.BoolVal() != b.BoolVal() || a.Bool() != b.Bool() ||
+			got.HoldsValue(v) != g.HoldsValue(v) || got.ValueString(v) != g.ValueString(v) {
+			t.Errorf("value %d: got %+v, want %+v", v, *a, *b)
 		}
 	}
 	if got.Dot() != g.Dot() {
@@ -100,34 +106,31 @@ func TestImportGraphRejectsMalformed(t *testing.T) {
 		return -1
 	}
 	use, val := firstOf(NUse), firstOf(NValue)
-	// instrOf returns the first instruction with opcode op.
-	instrOf := func(g *Graph, op ir.Op) *Instr {
-		for _, in := range g.Order() {
-			if g.instrs[in].Op == op {
-				return &g.instrs[in]
-			}
-		}
-		t.Fatalf("no %s in the test graph", op)
-		return nil
-	}
 	instrIDOf := func(g *Graph, op ir.Op) int32 {
 		for _, in := range g.Order() {
-			if g.instrs[in].Op == op {
+			if g.In(in).Op == op {
 				return in
 			}
 		}
 		t.Fatalf("no %s in the test graph", op)
 		return -1
 	}
-	constant := func(g *Graph) *Value {
-		for i := range g.values {
-			if g.values[i].Kind == ir.VConstInt {
-				return &g.values[i]
+	// instrOf returns the first instruction with opcode op.
+	instrOf := func(g *Graph, op ir.Op) *ir.Instr { return g.In(instrIDOf(g, op)) }
+	constant := func(g *Graph) *ir.Value {
+		for v := int32(0); int(v) < g.NumValues(); v++ {
+			if g.Value(v).Kind == ir.VConstInt {
+				return g.Value(v)
 			}
 		}
 		t.Fatal("no integer constant in the test graph")
 		return nil
 	}
+	// more returns where what follows instruction in's operands is in the
+	// body's refs.
+	more := func(in *ir.Instr) int32 { return *field[int32](in, "refs") + int32(*field[uint16](in, "nArgs")) }
+	refs := func(g *Graph) []int32 { r, _, _, _, _ := g.WireLists(); return r }
+	symAt := func(g *Graph) []int32 { _, _, _, _, s := g.WireLists(); return s }
 	// A corruption that sets a field to mark has the encoding carry the
 	// field 2^32 wider than any int32.
 	const mark = 0x5eadbee
@@ -136,12 +139,12 @@ func TestImportGraphRejectsMalformed(t *testing.T) {
 		corrupt func(g *Graph)
 		want    string
 	}{
-		{"value id past the table", func(g *Graph) { g.nodes[val].val = int32(len(g.values)) }, "bad value id"},
+		{"value id past the table", func(g *Graph) { g.nodes[val].val = int32(g.NumValues()) }, "bad value id"},
 		{"value id of a pre-SSA variable", func(g *Graph) { g.nodes[val].val = preSSA(t, f) }, "bad value id"},
 		{"negative value id", func(g *Graph) { g.nodes[val].val = -7 }, "bad value id"},
 		{"value vertex without value", func(g *Graph) { g.nodes[val].val = -1 }, "without value"},
 		{"duplicate value vertex", func(g *Graph) { g.nodes[use] = g.nodes[val] }, "duplicates the vertex"},
-		{"instr id past the table", func(g *Graph) { g.nodes[use].instr = int32(len(g.instrs)) }, "bad instr id"},
+		{"instr id past the table", func(g *Graph) { g.nodes[use].instr = int32(g.NumInstrs()) }, "bad instr id"},
 		{"negative instr id", func(g *Graph) { g.nodes[use].instr = -2 }, "bad instr id"},
 		{"use vertex without instruction", func(g *Graph) { g.nodes[use].instr = -1 }, "without instruction"},
 		{"use vertex without value", func(g *Graph) { g.nodes[use].val = -1 }, "without instruction or value"},
@@ -172,29 +175,26 @@ func TestImportGraphRejectsMalformed(t *testing.T) {
 		{"fewer edges than the total", func(g *Graph) { g.edges = g.edges[:len(g.edges)-1] }, "edge offsets"},
 
 		// The body tables.
-		{"operand past pRefs", func(g *Graph) { instrOf(g, ir.OpStore).refs = g.at[pRefs+1] - 1 }, "operands past the references"},
+		{"operand past pRefs", func(g *Graph) { *field[int32](instrOf(g, ir.OpStore), "refs") = int32(len(refs(g))) - 1 }, "operands past the references"},
 		{"part offsets out of order", func(g *Graph) {
 			at := g.part(pCDAt)
 			at[1] = at[2] + 1
 		}, "bad block offsets"},
-		{"symbol offset past syms", func(g *Graph) { g.ints[g.at[pSyms+1]-1]++ }, "bad symbol offsets"},
-		{"value name past the symbols", func(g *Graph) { constant(g).name = int32(len(g.part(pSyms))) }, "bad symbol"},
+		{"symbol offset past syms", func(g *Graph) { symAt(g)[len(symAt(g))-1]++ }, "bad symbol offsets"},
+		{"value name past the symbols", func(g *Graph) { *field[int32](constant(g), "name") = int32(len(symAt(g))) }, "bad symbol"},
 		{"gate condition past the builder", func(g *Graph) {
-			in := instrOf(g, ir.OpPhi)
-			g.ints[in.refs+int32(in.nArgs)] = int32(g.conds.NumNodes())
+			g.SetGate(instrIDOf(g, ir.OpPhi), 0, int32(g.conds.NumNodes()))
 		}, "bad gate cond id"},
 		{"load condition past the builder", func(g *Graph) {
-			in := instrOf(g, ir.OpLoad)
 			loads := g.part(pLoads)
-			at := g.ints[in.refs+int32(in.nArgs)]
+			at := g.LoadSlot(instrIDOf(g, ir.OpLoad))
 			if loads[at] == 0 {
 				t.Fatal("the test load has no sources")
 			}
 			loads[at+2] = int32(g.conds.NumNodes())
 		}, "bad load source"},
 		{"load sources past the loads", func(g *Graph) {
-			in := instrOf(g, ir.OpLoad)
-			g.part(pLoads)[g.ints[in.refs+int32(in.nArgs)]] = int32(len(g.part(pLoads)))
+			g.part(pLoads)[g.LoadSlot(instrIDOf(g, ir.OpLoad))] = int32(len(g.part(pLoads)))
 		}, "sources past the loads"},
 		{"block id past numBlocks", func(g *Graph) { instrOf(g, ir.OpFree).Block = g.numBlocks() }, "bad block id"},
 		{"control-dependence triple naming no value", func(g *Graph) {
@@ -205,21 +205,25 @@ func TestImportGraphRejectsMalformed(t *testing.T) {
 			cd[1] = preSSA(t, f)
 		}, "bad control dependence"},
 		{"wide constant past pWide", func(g *Graph) {
+			_, wide, _, _, _ := g.WireLists()
 			c := constant(g)
-			c.wide, c.num = true, int32(len(g.part(pWide)))
+			*field[uint8](c, "bits") |= wireWide
+			*field[int32](c, "num") = int32(len(wide))
 		}, "bad wide constant"},
 		{"copy without its operand", func(g *Graph) { instrOf(g, ir.OpFree).Op = ir.OpCopy }, "bad arity"},
 		{"unknown opcode", func(g *Graph) { instrOf(g, ir.OpFree).Op = ir.OpFieldAddr + 1 }, "unknown op"},
 		{"receivers past the references", func(g *Graph) {
-			in := instrOf(g, ir.OpCall)
-			g.ints[in.refs+int32(in.nArgs)] = g.at[pRefs+1]
+			refs(g)[more(instrOf(g, ir.OpCall))] = int32(len(refs(g)))
 		}, "receivers past the references"},
-		{"parameter that is no parameter", func(g *Graph) { g.part(pParams)[0] = instrOf(g, ir.OpMalloc).Dst }, "bad parameter value id"},
+		{"parameter that is no parameter", func(g *Graph) { g.Params()[0] = instrOf(g, ir.OpMalloc).Dst }, "bad parameter value id"},
 		{"parameters out of place", func(g *Graph) {
-			ps := g.part(pParams)
+			ps := g.Params()
 			ps[0], ps[1] = ps[1], ps[0]
 		}, "bad parameter value id"},
-		{"another function's ID spaces", func(g *Graph) { g.values = g.values[:len(g.values)-1] }, "not the function's"},
+		{"another function's ID spaces", func(g *Graph) {
+			values := field[[]ir.Value](&g.Body, "values")
+			*values = (*values)[:len(*values)-1]
+		}, "not the function's"},
 
 		// What Build finishes.
 		{"parameter without its vertex", func(g *Graph) { g.nodes[g.ValueNode(g.Params()[0])] = g.nodes[use] }, "parameter"},
@@ -294,10 +298,20 @@ func setPart(g *Graph, k int, p []int32) {
 // replaced: inside the function's value space, held by no value.
 func preSSA(t *testing.T, f *ir.Func) int32 {
 	for id := int32(0); int(id) < f.NumValues(); id++ {
-		if f.Value(id) == nil {
+		if !f.HoldsValue(id) {
 			return id
 		}
 	}
 	t.Fatal("the test function has no pre-SSA variable")
 	return -1
+}
+
+// wireWide is the flag bit of a wide constant on the wire.
+const wireWide = 2
+
+// field returns a pointer to the field called name of the record p points
+// to: how these tests corrupt a record of package ir in memory, field for
+// field as the wire holds it.
+func field[T any](p any, name string) *T {
+	return (*T)(unsafe.Pointer(reflect.ValueOf(p).Elem().FieldByName(name).UnsafeAddr()))
 }

@@ -120,19 +120,14 @@ int f(bool c, int a, int b) {
 	f := m.Lookup("f")
 	g := graphs["f"]
 	// Find the phi and check its incoming edges carry non-trivial conds.
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if in.Op != ir.OpPhi {
-				continue
-			}
-			for _, a := range in.Args {
-				from := g.ValueNode(a.ID)
-				for _, e := range g.Succs(from) {
-					if e.To == g.ValueNode(in.Dst.ID) {
-						if g.Cond(e).IsTrue() {
-							t.Errorf("phi edge from %s unguarded", a)
-						}
-					}
+	for _, in := range f.Order() {
+		if f.In(in).Op != ir.OpPhi {
+			continue
+		}
+		for _, a := range f.Args(in) {
+			for _, e := range g.Succs(g.ValueNode(a)) {
+				if e.To == g.ValueNode(f.In(in).Dst) && g.Cond(e).IsTrue() {
+					t.Errorf("phi edge from %s unguarded", f.ValueString(a))
 				}
 			}
 		}
@@ -149,31 +144,14 @@ void f(bool c) {
 }`)
 	f := m.Lookup("f")
 	g := graphs["f"]
-	var load *ir.Instr
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if in.Op == ir.OpLoad {
-				load = in
-			}
+	load := int32(-1)
+	for _, in := range f.Order() {
+		if f.In(in).Op == ir.OpLoad {
+			load = in
 		}
 	}
-	dst := g.ValueNode(load.Dst.ID)
-	guarded := 0
-	for _, src := range []int64{1, 2} {
-		for _, b := range f.Blocks {
-			for _, in := range b.Instrs {
-				for _, e := range g.Succs(g.ValueNode(f.ConstInt(src).ID)) {
-					if e.To == dst && !g.Cond(e).IsTrue() {
-						guarded++
-					}
-				}
-				_ = in
-			}
-			break
-		}
-		break
-	}
-	// Simpler check: dst has exactly two incoming edges with guards.
+	dst := g.ValueNode(f.In(load).Dst)
+	// dst has exactly two incoming edges with guards.
 	incoming := 0
 	for n := int32(0); int(n) < g.NumNodes(); n++ {
 		for _, e := range g.Succs(n) {
@@ -188,7 +166,6 @@ void f(bool c) {
 	if incoming != 2 {
 		t.Fatalf("load dst has %d incoming edges, want 2", incoming)
 	}
-	_ = guarded
 }
 
 func TestSEGCallAndRetUses(t *testing.T) {
@@ -222,23 +199,12 @@ void f(bool c) {
 	if (c) { free(p); }
 	sink(*p);
 }`)
-	f := m.Lookup("f")
+	freeIn, loadIn := freeAndLoad(m.Lookup("f"))
 	g := graphs["f"]
-	var freeIn, loadIn *ir.Instr
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			switch in.Op {
-			case ir.OpFree:
-				freeIn = in
-			case ir.OpLoad:
-				loadIn = in
-			}
-		}
-	}
-	if !g.HappensAfter(freeIn.ID, loadIn.ID) {
+	if !g.HappensAfter(freeIn, loadIn) {
 		t.Error("load after free not detected")
 	}
-	if g.HappensAfter(loadIn.ID, freeIn.ID) {
+	if g.HappensAfter(loadIn, freeIn) {
 		t.Error("free after load wrongly detected")
 	}
 }
@@ -250,22 +216,23 @@ void f() {
 	free(p);
 	sink(*p);
 }`)
-	f := m.Lookup("f")
-	g := graphs["f"]
-	var freeIn, loadIn *ir.Instr
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			switch in.Op {
-			case ir.OpFree:
-				freeIn = in
-			case ir.OpLoad:
-				loadIn = in
-			}
-		}
-	}
-	if !g.HappensAfter(freeIn.ID, loadIn.ID) {
+	freeIn, loadIn := freeAndLoad(m.Lookup("f"))
+	if !graphs["f"].HappensAfter(freeIn, loadIn) {
 		t.Error("same-block ordering broken")
 	}
+}
+
+// freeAndLoad returns f's (last) free and load instructions.
+func freeAndLoad(f *ir.Func) (freeIn, loadIn int32) {
+	for _, in := range f.Order() {
+		switch f.In(in).Op {
+		case ir.OpFree:
+			freeIn = in
+		case ir.OpLoad:
+			loadIn = in
+		}
+	}
+	return freeIn, loadIn
 }
 
 func TestSEGSizeCounters(t *testing.T) {
@@ -284,13 +251,9 @@ void f(bool c) {
 }`)
 	f := m.Lookup("f")
 	g := graphs["f"]
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if in.Op == ir.OpCall {
-				if g.CD(in.ID).IsTrue() {
-					t.Error("guarded call has trivial CD")
-				}
-			}
+	for _, in := range f.Order() {
+		if f.In(in).Op == ir.OpCall && g.CD(in).IsTrue() {
+			t.Error("guarded call has trivial CD")
 		}
 	}
 }
@@ -328,28 +291,26 @@ void f(bool c, int *p) {
 	for _, f := range m.Funcs {
 		g := graphs[f.Name]
 		built := g.NumNodes()
-		has := func(v *ir.Value, what string) {
+		has := func(v int32, what string) {
 			t.Helper()
-			n := g.ValueNode(v.ID)
-			if n < 0 || g.Node(n).Kind != NValue || g.Val(n) != v.ID {
-				t.Errorf("%s: %s %s has vertex %d", f.Name, what, v, n)
+			n := g.ValueNode(v)
+			if n < 0 || g.Node(n).Kind != NValue || g.Val(n) != v {
+				t.Errorf("%s: %s %s has vertex %d", f.Name, what, f.ValueString(v), n)
 			}
 		}
 		for _, p := range f.Params {
-			has(p, "parameter")
+			has(p.ID, "parameter")
 		}
-		for _, b := range f.Blocks {
-			for _, in := range b.Instrs {
-				for _, a := range in.Args {
-					has(a, "operand")
-				}
-				if in.Dst != nil {
-					has(in.Dst, "Dst")
-				}
-				for _, d := range in.Dsts() {
-					if d != nil {
-						has(d, "receiver")
-					}
+		for _, in := range f.Order() {
+			for _, a := range f.Args(in) {
+				has(a, "operand")
+			}
+			if d := f.In(in).Dst; d >= 0 {
+				has(d, "Dst")
+			}
+			for _, d := range f.Dsts(in) {
+				if d >= 0 {
+					has(d, "receiver")
 				}
 			}
 		}

@@ -10,8 +10,10 @@
 // join J with operand arriving from predecessor P, the gate is the condition
 // of reaching P from idom(J) and taking the edge P→J, expressed over
 // branch-condition atoms. The order, the dominators and the control
-// dependences are the function's own (ir.Func.Order, Idom, ControlDeps),
-// computed once when lowering sealed its CFG.
+// dependences are the function's own (ir.Body.TopoOrder, Idom,
+// ControlDeps), computed once when lowering sealed its CFG. The gates are
+// written into the φs themselves (ir.Body.SetGate), where the points-to
+// analysis and the SEG read them.
 //
 // Atoms in the condition domain are SSA value IDs of branch conditions, so
 // downstream passes can map atoms back to program values when encoding SMT
@@ -19,37 +21,29 @@
 package ssa
 
 import (
-	"fmt"
 	"slices"
 
 	"repro/internal/cond"
-	"repro/internal/dense"
 	"repro/internal/ir"
 )
 
 // Info carries the analysis artifacts of SSA conversion that later passes
 // (points-to, SEG construction, detection) consume.
 //
-// Per-block and per-instruction facts are slices indexed by Block.ID and
-// Instr.ID — the IDs are dense per function, so they are the keys. Blocks
-// are never added after SSA conversion; instructions are (by the connector
-// transformation), so instruction lookups go through GatesOf, which treats
-// an ID beyond the table as "no entry". Detection does not read an Info: the
-// SEG copies what it needs (seg.Graph).
+// Per-block facts are slices indexed by block ID — the IDs are dense per
+// function, so they are the keys. Detection does not read an Info: the SEG
+// keeps what it needs (seg.Graph).
 type Info struct {
 	Fn *ir.Func
 	// Conds builds and interns all conditions of this function.
 	Conds *cond.Builder
-	// gates holds, by Instr.ID, each φ's per-operand gate conditions
-	// (parallel to the φ's Args); it covers no ID until the first φ.
-	gates dense.Lists[*cond.Cond]
-	// cd holds each block's control dependences, by Block.ID.
+	// cd holds each block's control dependences, by block ID.
 	cd [][]ir.CDep
-	// atoms lists the SSA values registered as condition atoms, in ascending
-	// ID order (an atom's ID is its value's). Only branch conditions become
+	// atoms lists the IDs of the SSA values registered as condition atoms,
+	// ascending (an atom's ID is its value's). Only branch conditions become
 	// atoms, a handful per function.
-	atoms []*ir.Value
-	// reachCond holds, by Block.ID, the condition over branch atoms of
+	atoms []int32
+	// reachCond holds, by block ID, the condition over branch atoms of
 	// reaching the block from the entry ("canonical" reach condition; the
 	// SEG uses control dependence instead, this is kept for the quasi
 	// points-to analysis and for tests). Nil for unreachable blocks.
@@ -58,55 +52,33 @@ type Info struct {
 	build *joinState
 }
 
-// joinState memoizes JoinGates, by Block.ID. Only the build reads it
+// joinState memoizes JoinGates, by block ID. Only the build reads it
 // (Transform for the φ gates, pta.Analyze at joins, on one goroutine); it
 // goes with the Info once the function's SEG stands.
 type joinState struct {
 	gates [][]*cond.Cond
 }
 
-// AtomValue maps a condition atom ID back to the SSA value registered under
-// it (nil if none was).
-func (inf *Info) AtomValue(id int) *ir.Value {
-	if i, ok := inf.findAtom(int32(id)); ok {
-		return inf.atoms[i]
-	}
-	return nil
-}
-
 // AppendAtoms appends to dst the IDs of the values registered as condition
 // atoms, ascending.
-func (inf *Info) AppendAtoms(dst []int32) []int32 {
-	for _, v := range inf.atoms {
-		dst = append(dst, v.ID)
-	}
-	return dst
-}
+func (inf *Info) AppendAtoms(dst []int32) []int32 { return append(dst, inf.atoms...) }
 
-func (inf *Info) findAtom(id int32) (int, bool) {
-	return slices.BinarySearchFunc(inf.atoms, id, func(v *ir.Value, id int32) int { return int(v.ID) - int(id) })
-}
-
-// registerAtom records v as the value behind atom v.ID.
-func (inf *Info) registerAtom(v *ir.Value) {
-	if i, ok := inf.findAtom(v.ID); !ok {
+// registerAtom records value v as the value behind atom v.
+func (inf *Info) registerAtom(v int32) {
+	if i, ok := slices.BinarySearch(inf.atoms, v); !ok {
 		inf.atoms = slices.Insert(inf.atoms, i, v)
 	}
 }
 
-// GatesOf returns the per-operand gate conditions of a φ instruction
-// (parallel to its Args), or nil for any other instruction.
-func (inf *Info) GatesOf(in *ir.Instr) []*cond.Cond {
-	gates, _ := inf.gates.Get(int(in.ID))
-	return gates
-}
+// Gate returns the gate condition of operand i of φ instruction in.
+func (inf *Info) Gate(in int32, i int) *cond.Cond { return inf.Conds.Node(inf.Fn.GateID(in, i)) }
 
-// CD returns the control dependences of a block.
-func (inf *Info) CD(b *ir.Block) []ir.CDep { return inf.cd[b.ID] }
+// CD returns the control dependences of block b.
+func (inf *Info) CD(b int32) []ir.CDep { return inf.cd[b] }
 
-// ReachCond returns the canonical condition of reaching b from the entry
-// (nil if b is unreachable).
-func (inf *Info) ReachCond(b *ir.Block) *cond.Cond { return inf.reachCond[b.ID] }
+// ReachCond returns the canonical condition of reaching block b from the
+// entry (nil if b is unreachable).
+func (inf *Info) ReachCond(b int32) *cond.Cond { return inf.reachCond[b] }
 
 // Atom returns the condition atom for an SSA boolean value, registering the
 // reverse mapping. Values are canonicalized through copies and negations
@@ -114,29 +86,29 @@ func (inf *Info) ReachCond(b *ir.Block) *cond.Cond { return inf.reachCond[b.ID] 
 // conditions share atoms — exactly what lets the linear-time contradiction
 // solver of §3.1.1 catch "free under c, use under !c" patterns without the
 // SMT solver.
-func (inf *Info) Atom(v *ir.Value) *cond.Cond {
+func (inf *Info) Atom(v int32) *cond.Cond {
+	f := inf.Fn
 	neg := false
-	for v.Def != nil {
-		if v.Def.Op == ir.OpCopy {
-			v = v.Def.Args[0]
+	for def := f.Value(v).Def; def >= 0; def = f.Value(v).Def {
+		if op := f.In(def).Op; op == ir.OpCopy {
+			v = f.Args(def)[0]
 			continue
-		}
-		if v.Def.Op == ir.OpUn && v.Def.Sub == "!" {
+		} else if op == ir.OpUn && f.Sub(def) == "!" {
 			neg = !neg
-			v = v.Def.Args[0]
+			v = f.Args(def)[0]
 			continue
 		}
 		break
 	}
 	var a *cond.Cond
-	if v.Kind == ir.VConstBool {
+	if r := f.Value(v); r.Kind == ir.VConstBool {
 		a = inf.Conds.True()
-		if !v.BoolVal {
+		if !r.BoolVal() {
 			a = inf.Conds.False()
 		}
 	} else {
 		inf.registerAtom(v)
-		a = inf.Conds.Atom(int(v.ID))
+		a = inf.Conds.Atom(int(v))
 	}
 	if neg {
 		a = inf.Conds.Not(a)
@@ -145,13 +117,14 @@ func (inf *Info) Atom(v *ir.Value) *cond.Cond {
 }
 
 // EdgeCond returns the condition attached to the CFG edge from→to.
-func (inf *Info) EdgeCond(from, to *ir.Block) *cond.Cond {
-	term := from.Term()
-	if term == nil || term.Op != ir.OpBr {
+func (inf *Info) EdgeCond(from, to int32) *cond.Cond {
+	f := inf.Fn
+	term := f.Term(from)
+	if term < 0 || f.In(term).Op != ir.OpBr {
 		return inf.Conds.True()
 	}
-	a := inf.Atom(term.Args[0])
-	if term.Blocks()[0] == to {
+	a := inf.Atom(f.Args(term)[0])
+	if f.Succs(from)[0] == to {
 		return a
 	}
 	return inf.Conds.Not(a)
@@ -160,13 +133,13 @@ func (inf *Info) EdgeCond(from, to *ir.Block) *cond.Cond {
 // Transform computes the gates of f, which lowering put into SSA form, and
 // returns them as an Info. The CFG must be acyclic.
 func Transform(f *ir.Func) (*Info, error) {
-	order, err := f.Order()
+	order, err := f.TopoOrder()
 	if err != nil {
 		return nil, err
 	}
 	inf := newInfo(f, cond.NewBuilder())
 	for _, b := range order {
-		inf.reachCond[b.ID] = inRegion
+		inf.reachCond[b] = inRegion
 	}
 	inf.reachFrom(order, inf.reachCond)
 	computeGates(inf)
@@ -184,23 +157,23 @@ func newInfo(f *ir.Func, conds *cond.Builder) *Info {
 	}
 }
 
-// reachFrom fills reach, by Block.ID, with the condition of reaching from
+// reachFrom fills reach, by block ID, with the condition of reaching from
 // blocks[0] each later block of blocks (listed in order) that reach marks
 // inRegion, through those blocks.
-func (inf *Info) reachFrom(blocks []*ir.Block, reach []*cond.Cond) {
-	reach[blocks[0].ID] = inf.Conds.True()
+func (inf *Info) reachFrom(blocks []int32, reach []*cond.Cond) {
+	reach[blocks[0]] = inf.Conds.True()
 	var parts []*cond.Cond
 	for _, b := range blocks[1:] {
-		if reach[b.ID] != inRegion {
+		if reach[b] != inRegion {
 			continue
 		}
 		parts = parts[:0]
-		for _, p := range b.Preds {
-			if rc := reach[p.ID]; rc != nil {
+		for _, p := range inf.Fn.Preds(b) {
+			if rc := reach[p]; rc != nil {
 				parts = append(parts, inf.Conds.And(rc, inf.EdgeCond(p, b)))
 			}
 		}
-		reach[b.ID] = inf.Conds.Or(parts...)
+		reach[b] = inf.Conds.Or(parts...)
 	}
 }
 
@@ -209,12 +182,12 @@ func (inf *Info) reachFrom(blocks []*ir.Block, reach []*cond.Cond) {
 // reaching the predecessor from idom(join) and taking the edge into the
 // join. Results are memoized. Single-predecessor blocks gate on the edge
 // condition alone.
-func (inf *Info) JoinGates(join *ir.Block) []*cond.Cond {
+func (inf *Info) JoinGates(join int32) []*cond.Cond {
 	f := inf.Fn
 	if inf.build == nil {
 		inf.build = &joinState{gates: make([][]*cond.Cond, f.NumBlocks())}
 	}
-	if g := inf.build.gates[join.ID]; g != nil {
+	if g := inf.build.gates[join]; g != nil {
 		return g
 	}
 	// The region is the blocks after d = idom(join) and before join in the
@@ -223,23 +196,24 @@ func (inf *Info) JoinGates(join *ir.Block) []*cond.Cond {
 	// by d: a path from the entry that avoided d would reach join around d.
 	// So a sweep of the region in order computes exact reach conditions
 	// relative to d.
-	order, _ := f.Order()
+	order, _ := f.TopoOrder()
 	region := order[f.Rank(f.Idom(join)):f.Rank(join)]
 	reach := make([]*cond.Cond, f.NumBlocks())
 	for i := len(region) - 1; i > 0; i-- {
-		for _, s := range region[i].Succs {
-			if s == join || reach[s.ID] != nil {
-				reach[region[i].ID] = inRegion
+		for _, s := range f.Succs(region[i]) {
+			if s == join || reach[s] != nil {
+				reach[region[i]] = inRegion
 				break
 			}
 		}
 	}
 	inf.reachFrom(region, reach)
-	gates := make([]*cond.Cond, len(join.Preds))
-	for i, pb := range join.Preds {
-		gates[i] = inf.Conds.And(reach[pb.ID], inf.EdgeCond(pb, join))
+	preds := f.Preds(join)
+	gates := make([]*cond.Cond, len(preds))
+	for i, pb := range preds {
+		gates[i] = inf.Conds.And(reach[pb], inf.EdgeCond(pb, join))
 	}
-	inf.build.gates[join.ID] = gates
+	inf.build.gates[join] = gates
 	return gates
 }
 
@@ -248,33 +222,18 @@ func (inf *Info) JoinGates(join *ir.Block) []*cond.Cond {
 // Builder.
 var inRegion = new(cond.Cond)
 
-// computeGates fills the φ gate table from the join gates.
+// computeGates writes the join gates into the φs: operand i of a φ arrives
+// from its block's predecessor i.
 func computeGates(inf *Info) {
-	for _, join := range inf.Fn.Blocks {
-		var jg []*cond.Cond
-		for _, phi := range join.Instrs {
-			if phi.Op != ir.OpPhi {
+	f := inf.Fn
+	for _, join := range f.Blocks() {
+		for _, phi := range f.Instrs(join) {
+			if f.In(phi).Op != ir.OpPhi {
 				break
 			}
-			if jg == nil {
-				jg = inf.JoinGates(join)
-				inf.gates.Grow(inf.Fn.NumInstrs())
+			for i, g := range inf.JoinGates(join) {
+				f.SetGate(phi, i, int32(g.ID()))
 			}
-			gates := make([]*cond.Cond, len(phi.Args))
-			for i, pb := range phi.Blocks() {
-				gates[i] = jg[predIndex(join, pb)]
-			}
-			inf.gates.Put(int(phi.ID), gates)
 		}
 	}
-}
-
-// predIndex returns the position of pred in join.Preds.
-func predIndex(join, pred *ir.Block) int {
-	for i, p := range join.Preds {
-		if p == pred {
-			return i
-		}
-	}
-	panic(fmt.Sprintf("ssa: %s is not a predecessor of %s", pred, join))
 }
