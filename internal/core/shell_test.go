@@ -61,7 +61,7 @@ func TestDetectionReadsOnlySEG(t *testing.T) {
 				t.Fatalf("%s: %v", tag, err)
 			}
 			for _, f := range shells.Module.Funcs {
-				if f.HasBody() {
+				if f.Body != nil {
 					t.Fatalf("%s: %s kept its body after a build without a store", tag, f.Name)
 				}
 			}
@@ -82,7 +82,7 @@ func TestDetectionReadsOnlySEG(t *testing.T) {
 				t.Fatalf("%s: the restart is not all store hits: %+v of %d functions", tag, s, warm.Sizes.Functions)
 			}
 			for _, f := range warm.Module.Funcs {
-				if f.HasBody() {
+				if f.Body != nil {
 					t.Fatalf("%s: %s has a body after a warm restart", tag, f.Name)
 				}
 			}

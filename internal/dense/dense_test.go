@@ -23,10 +23,4 @@ func TestLists(t *testing.T) {
 	if _, ok := zero.Get(0); ok {
 		t.Error("zero table reports an assignment")
 	}
-	zero.Grow(3)
-	zero.Put(2, []int{7})
-	zero.Grow(1) // never shrinks
-	if v, ok := zero.Get(2); !ok || v[0] != 7 {
-		t.Errorf("after Grow: Get(2) = %v, %v", v, ok)
-	}
 }
