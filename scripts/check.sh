@@ -8,9 +8,10 @@
 # the allocation and residency budgets without the race detector, a short
 # fuzz of the artifact decoder, of the unit-facts decoder, of the solver
 # against enumeration, of the request decoder and its per-tenant memo of the
-# units last sent against encoding/json, of lowering into SSA form and of the
-# analysis against exhaustive execution of generated programs, the benchmark
-# module, and the examples suite.
+# units last sent against encoding/json, of lowering into SSA form and
+# through the SEG and the segment codec, and of the analysis against
+# exhaustive execution of generated programs, the benchmark module, and the
+# examples suite.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -50,9 +51,10 @@ go test ./cmd/pinpoint -run 'AllEqualsUnionOfCheckers' -cpu 1,2
 # The allocation and residency budgets skip themselves under the race
 # detector (it allocates shadow state of its own), so they get a run without
 # it, together with the record sizes they follow from and the check that the
-# SEG's records — vertices, edges, and the instructions and values of the
-# body it carries — hold no pointer.
-echo "== allocation and residency budgets, record sizes, pointer-free SEG records (no race detector)"
+# records a built program is made of hold no pointer: the IR's instructions,
+# values and blocks, which lowering writes and the SEG adopts, and the SEG's
+# vertices and edges (the tests live in internal/core, which sees them all).
+echo "== allocation and residency budgets, record sizes, pointer-free IR and SEG records (no race detector)"
 go test ./internal/core ./internal/server -run 'Budget|RecordSizes|PointerFree'
 
 # Ten seconds of new inputs on top of the committed corpus. The minimizer is
@@ -70,7 +72,7 @@ go test ./internal/smt -run '^$' -fuzz FuzzCheckVsEnumeration -fuzztime 5s -fuzz
 echo "== fuzz the request decoder, through a tenant's memo of the units last sent, against encoding/json (5s)"
 go test ./internal/server -run '^$' -fuzz FuzzDecodeRequest -fuzztime 5s -fuzzminimizetime 1s
 
-echo "== fuzz lowering into SSA form (5s)"
+echo "== fuzz lowering into SSA form and through the SEG and its codec (5s)"
 go test ./internal/lower -run '^$' -fuzz FuzzLowerSSA -fuzztime 5s -fuzzminimizetime 1s
 
 echo "== fuzz the analysis against exhaustive execution of generated programs (5s)"
