@@ -84,6 +84,16 @@ func TestProcess(t *testing.T) {
 				t.Errorf("the warm run prints other reports than the cold run")
 			}
 		}
+
+		// A dump renders a graph's body, blocks included, which a stored
+		// graph does not keep: over the populated store it prints what it
+		// prints without one.
+		spec := "-dump=cfg:uaf_conditional"
+		plain, _ := run(t, bin, append([]string{spec}, examples...)...)
+		stored, _ := run(t, bin, append([]string{spec, "-store-dir", storeDir}, examples...)...)
+		if !bytes.Contains(plain, []byte("-> b")) || !bytes.Equal(stored, plain) {
+			t.Errorf("-dump over a populated store prints\n%s\nwithout one\n%s", stored, plain)
+		}
 	})
 
 	t.Run("serve", func(t *testing.T) {
