@@ -238,18 +238,22 @@ func openStore(dir string, rec *obs.Recorder) (store.Store, func() error) {
 // that only the metrics registry can report.
 type statsDump struct {
 	Build struct {
-		Functions int   `json:"functions"`
-		IRInstrs  int   `json:"ir_instrs"`
-		SEGNodes  int   `json:"seg_nodes"`
-		SEGEdges  int   `json:"seg_edges"`
-		CondNodes int   `json:"cond_nodes"`
-		ParseNs   int64 `json:"parse_ns"`
-		LowerNs   int64 `json:"lower_ns"`
-		SSANs     int64 `json:"ssa_ns"`
-		ModRefNs  int64 `json:"modref_ns"`
-		TransfNs  int64 `json:"transform_ns"`
-		PTASEGNs  int64 `json:"pta_seg_ns"`
-		TotalNs   int64 `json:"total_ns"`
+		Functions   int   `json:"functions"`
+		IRInstrs    int   `json:"ir_instrs"`
+		SEGNodes    int   `json:"seg_nodes"`
+		SEGEdges    int   `json:"seg_edges"`
+		CondNodes   int   `json:"cond_nodes"`
+		ParseNs     int64 `json:"parse_ns"`
+		PlanNs      int64 `json:"plan_ns"`
+		LowerNs     int64 `json:"lower_ns"`
+		SSANs       int64 `json:"ssa_ns"`
+		ModRefNs    int64 `json:"modref_ns"`
+		TransfNs    int64 `json:"transform_ns"`
+		PTASEGNs    int64 `json:"pta_seg_ns"`
+		CommitNs    int64 `json:"commit_ns"`
+		TotalNs     int64 `json:"total_ns"`
+		StoreLoadNs int64 `json:"store_load_ns"`
+		StoreSaveNs int64 `json:"store_save_ns"`
 	} `json:"build"`
 	// Artifacts is the artifact outcome of the build: all misses without a
 	// store or on an empty one, store loads on a populated -store-dir.
@@ -312,13 +316,12 @@ func buildStatsDump(a *core.Analysis, res detect.Results, rec *obs.Recorder) *st
 	d.Build.SEGNodes = a.Sizes.SEGNodes
 	d.Build.SEGEdges = a.Sizes.SEGEdges
 	d.Build.CondNodes = a.Sizes.CondNodes
-	d.Build.ParseNs = int64(a.Timings.Parse)
-	d.Build.LowerNs = int64(a.Timings.Lower)
-	d.Build.SSANs = int64(a.Timings.SSA)
-	d.Build.ModRefNs = int64(a.Timings.ModRef)
-	d.Build.TransfNs = int64(a.Timings.Transform)
-	d.Build.PTASEGNs = int64(a.Timings.PTA + a.Timings.SEG)
-	d.Build.TotalNs = int64(a.Timings.Total())
+	tm := a.Timings
+	d.Build.ParseNs, d.Build.PlanNs = int64(tm.Parse), int64(tm.Plan)
+	d.Build.LowerNs, d.Build.SSANs, d.Build.ModRefNs = int64(tm.Lower), int64(tm.SSA), int64(tm.ModRef)
+	d.Build.TransfNs, d.Build.PTASEGNs, d.Build.CommitNs = int64(tm.Transform), int64(tm.PTA+tm.SEG), int64(tm.Commit)
+	d.Build.TotalNs = int64(tm.Total())
+	d.Build.StoreLoadNs, d.Build.StoreSaveNs = int64(tm.StoreLoad), int64(tm.StoreSave)
 	d.Artifacts.Hits = a.Artifacts.Hits
 	d.Artifacts.Misses = a.Artifacts.Misses
 	d.Artifacts.Invalidated = a.Artifacts.Invalidated

@@ -55,6 +55,22 @@ func TestProcess(t *testing.T) {
 				t.Errorf("%s is not valid JSON", filepath.Base(f))
 			}
 		}
+		// The build's stages partition its total.
+		var dump struct{ Build map[string]int64 }
+		if data, err := os.ReadFile(stats); err != nil || json.Unmarshal(data, &dump) != nil {
+			t.Fatalf("reading %s: %v", stats, err)
+		}
+		sum := int64(0)
+		for _, f := range []string{"parse_ns", "plan_ns", "lower_ns", "ssa_ns", "modref_ns", "transform_ns", "pta_seg_ns", "commit_ns"} {
+			v, ok := dump.Build[f]
+			if !ok {
+				t.Errorf("-stats-json build has no %s", f)
+			}
+			sum += v
+		}
+		if _, ok := dump.Build["store_load_ns"]; !ok || sum != dump.Build["total_ns"] || sum == 0 {
+			t.Errorf("-stats-json build: the stages sum to %d, total_ns is %d (%v)", sum, dump.Build["total_ns"], dump.Build)
+		}
 
 		// The same inputs twice over one -store-dir: the first process parses
 		// and builds everything, the second neither parses nor builds.

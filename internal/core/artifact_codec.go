@@ -136,13 +136,6 @@ func summaryFingerprint(sum *modref.Summary) string {
 	return sum.Fingerprint()
 }
 
-// persisted lists the size counters an artifact writes, in their order on
-// the wire; the instruction count is the shell's.
-func (z *artifactSizes) persisted() []*int {
-	return []*int{&z.segNodes, &z.segValueNodes, &z.segEdges, &z.condNodes,
-		&z.pta.GuardsPruned, &z.pta.GuardsKept, &z.pta.CapWidened, &z.pta.LinearQueries, &z.pta.LinearUnsat}
-}
-
 // encodeArtifact appends art: the session's fingerprints and counters, the
 // function's shell, its condition builder and its SEG, each in the order it
 // is needed to decode the next.
@@ -152,7 +145,8 @@ func encodeArtifact(e *wirebin.Writer, art *funcArtifact) error {
 	e.Str(art.sigFP)
 	e.Str(art.depFP.String())
 	encodeSummary(e, art.sum)
-	for _, n := range art.sizes.persisted() {
+	counters := art.sizes.counters()
+	for _, n := range counters[2:] {
 		e.Int(*n)
 	}
 	ir.EncodeFunc(e, art.fn)
@@ -177,7 +171,8 @@ func decodeArtifact(r *wirebin.Reader) (*funcArtifact, error) {
 	}
 	art.sumFP, art.sigFP = digestOf([]byte(sumFP)), sigFP
 	art.sum = decodeSummary(r)
-	for _, n := range art.sizes.persisted() {
+	counters := art.sizes.counters()
+	for _, n := range counters[2:] {
 		*n = r.Int()
 	}
 	f, params, err := ir.DecodeFunc(r)
@@ -201,7 +196,7 @@ func decodeArtifact(r *wirebin.Reader) (*funcArtifact, error) {
 	for i, p := range g.Params() {
 		f.AddShellParam(p, params[i], i >= len(params)-len(f.AuxIn))
 	}
-	art.fn, art.seg, art.sizes.instrs = f, g, f.NumInstrs()
+	art.fn, art.seg, art.sizes.Lines, art.sizes.Functions = f, g, f.NumInstrs(), 1
 	if r.Rest() != 0 {
 		return nil, fmt.Errorf("artifact %s: %d bytes left in its frame", f.Name, r.Rest())
 	}

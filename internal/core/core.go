@@ -63,29 +63,31 @@ type BuildOptions struct {
 	Store store.Store
 }
 
-// Timings records per-stage durations. StoreLoad and StoreSave are
-// persistent-store I/O (unit digests, facts look-up and segment decode on a
-// warm restart; facts and segment append at commit); they are reported separately from the pipeline
-// stages so Total keeps its historical meaning of "analysis work".
+// Timings partitions one Update's wall clock over the build's stages (see
+// DESIGN.md "Parallel build pipeline"). The wavefront's share is split over
+// Parse (units parsed on demand) and Lower through SEG by the CPU time each
+// took. StoreLoad and StoreSave are the persistent store's I/O.
 type Timings struct {
 	Parse     time.Duration
+	Plan      time.Duration
 	Lower     time.Duration
 	SSA       time.Duration
 	ModRef    time.Duration
 	Transform time.Duration
 	PTA       time.Duration
 	SEG       time.Duration
+	Commit    time.Duration
 	StoreLoad time.Duration
 	StoreSave time.Duration
 }
 
-// Total sums all pipeline stages (store I/O excluded).
+// Total sums the analysis stages: every field but store I/O.
 func (t Timings) Total() time.Duration {
-	return t.Parse + t.Lower + t.SSA + t.ModRef + t.Transform + t.PTA + t.SEG
+	return t.Parse + t.Plan + t.SEGBuild() + t.Commit
 }
 
 // SEGBuild sums the stages that constitute "building the SEG" in the
-// paper's Figure 7 comparison (everything after parsing).
+// paper's Figure 7 comparison: lowering through SEG construction.
 func (t Timings) SEGBuild() time.Duration {
 	return t.Lower + t.SSA + t.ModRef + t.Transform + t.PTA + t.SEG
 }
@@ -149,26 +151,6 @@ func emitBuildMetrics(rec *obs.Recorder, a *Analysis) {
 	rec.Counter("pta.linear_queries").Add(int64(a.PTAStats.LinearQueries))
 	rec.Counter("pta.linear_unsat").Add(int64(a.PTAStats.LinearUnsat))
 }
-
-// perFunc opens the per-function observation of one hot build stage:
-// a latency histogram sample ("<stage>.func_ns") always, plus a span on
-// the worker's trace track when tracing. The returned closure ends it.
-// With a nil recorder it is a no-op returning a shared empty closure.
-func perFunc(rec *obs.Recorder, w int, stage, fn string) func() {
-	if rec == nil {
-		return noopEnd
-	}
-	t0 := time.Now()
-	return func() {
-		d := time.Since(t0)
-		rec.Histogram(stage + ".func_ns").Observe(int64(d))
-		if rec.Tracing() {
-			rec.Event(w+1, stage[len("build."):]+":"+fn, t0, d)
-		}
-	}
-}
-
-var noopEnd = func() {}
 
 // Check runs one checker over the analysis: CheckAll with that one spec on
 // one worker, returning its reports — in CheckAll's sorted order — and its

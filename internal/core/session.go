@@ -1,48 +1,37 @@
 // Incremental artifact-based builds.
 //
-// A Session keeps the per-function outputs of every pipeline stage —
-// lowered CFG IR, SSA info, Mod/Ref summary, connector signature, local
-// points-to facts, and the SEG — as artifacts, and with them the
+// A Session keeps the per-function outputs of every pipeline stage — the
+// lowered, SSA-converted, connector-transformed function, its Mod/Ref
+// summary, connector signature and SEG — as artifacts, and with them the
 // program-level tables built over the functions: the units' facts, the
-// function layout (names, declaration order, IDs), the condensed AST call
-// graph with its caller edges, the program shape (globals, structs), and the
-// assembled module and analysis tables. Update diffs the incoming
-// translation units against the previous ones and rebuilds only what a
-// change can actually reach:
+// function layout, the condensed AST call graph and the program shape.
+//
+// Update (build.go) is one driver over named stages — parse and facts,
+// warm-load, plan, wavefront, commit, persist — each a function that reads
+// what the stages before it wrote; the stages are also the partition of
+// Timings. It rebuilds only what a change can reach:
 //
 //   - a unit is known by its facts (name, source, and per declaration the
 //     signature, content hash and callee names), never by its AST: one whose
-//     source bytes are unchanged is not parsed unless one of its functions
-//     must be lowered, and a parse lives only as long as the Update that
-//     made it — each function's syntax tree only until it is lowered;
-//   - a function whose AST hash (structure, literals, positions, unit
-//     index) is unchanged keeps its artifacts unless a dependency demands
-//     otherwise;
-//   - Mod/Ref summaries are recomputed bottom-up over the AST-level call
-//     graph, but only for SCCs containing an edited function or calling a
-//     function whose summary fingerprint changed — the classic
-//     change-propagation frontier;
-//   - transform/PTA/SEG artifacts are keyed by a dependency fingerprint:
-//     the function's own connector signature plus the signatures of
-//     everything it calls. The early-cutoff firewall lives here: an edited
-//     callee whose connector signature (return type, parameter types, aux
-//     specs) is unchanged does not invalidate its callers' artifacts, even
-//     though its own body was rebuilt;
-//   - the program-level tables are patched, not rebuilt, while the edit
-//     leaves them valid: an Update then looks only at the functions of the
-//     re-parsed units and at the SCCs that can reach an edited function,
-//     and everything else keeps its place in every table unseen. What
-//     invalidates a table is rebuilding it and looking at every function —
-//     which is also what the first Update does: one build, over whatever
-//     set of functions is affected.
+//     bytes are unchanged is parsed only if one of its functions must be
+//     lowered, and each function's syntax tree lives only until it is;
+//   - a function whose AST hash (structure, literals, positions, unit index)
+//     is unchanged keeps its artifacts unless a dependency demands otherwise;
+//   - Mod/Ref summaries are recomputed only for SCCs that contain an edited
+//     function or call one whose summary changed;
+//   - transform/PTA/SEG artifacts are keyed by the function's connector
+//     signature plus its callees': an edited callee whose signature is
+//     unchanged does not invalidate its callers (the early-cutoff firewall);
+//   - the program-level tables are patched while the edit leaves them valid,
+//     so that an Update looks only at the re-parsed units' functions and the
+//     SCCs that can reach an edited one; otherwise they are rebuilt, which is
+//     what the first Update does.
 //
-// Everything rebuilt is lowered from its unit's parse, one declaration at a
-// time and deterministically, so a warm Update yields an Analysis whose
-// reports, witnesses, and size statistics are byte-identical to a
-// from-scratch build of the same sources. Session state is only committed once the whole update has
-// succeeded; a parse or lowering error leaves the previous state intact.
-// Nothing reachable from an Analysis is ever modified by a later Update:
-// tables are carried by copying the spine and overwriting the changed slots.
+// A warm Update yields reports, witnesses and size statistics byte-identical
+// to a from-scratch build. Nothing is committed until the whole Update has
+// succeeded, and nothing reachable from an Analysis is modified by a later
+// Update: tables are carried by copying the spine and overwriting the changed
+// slots.
 package core
 
 import (
@@ -54,18 +43,12 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
-	"time"
 
-	"repro/internal/conc"
-	"repro/internal/detect"
 	"repro/internal/ir"
-	"repro/internal/lower"
 	"repro/internal/minic"
 	"repro/internal/modref"
 	"repro/internal/pta"
 	"repro/internal/seg"
-	"repro/internal/ssa"
 	"repro/internal/store"
 	"repro/internal/transform"
 )
@@ -137,15 +120,7 @@ func parseAstKey(s string) (k astKey, ok bool) {
 // its astHash and depFP match the current program. Apart from persisted an
 // artifact is immutable once committed.
 type funcArtifact struct {
-	astHash astKey // AST content hash + unit index
-	sumFP   digest // of the Mod/Ref summary's fingerprint
-	sigFP   string // connector signature fingerprint
-	depFP   digest // of sigFP + callee sigFPs: transform/SEG validity key
-	sum     *modref.Summary
-	// fn is the lowered, SSA-converted, connector-transformed function —
-	// its interface: the SEG holds its body (ir.Func.ReleaseBody). Detection
-	// reads the SEG only.
-	fn    *ir.Func
+	funcMeta
 	seg   *seg.Graph
 	sizes artifactSizes
 	// persisted reports that the persistent store holds the artifact as it
@@ -155,31 +130,43 @@ type funcArtifact struct {
 	persisted bool
 }
 
-// artifactSizes are one function's size counters, snapshotted right after
-// its build: detection later grows cond nodes and SEG value nodes in place,
-// so live recounts of retained artifacts would drift from a cold build's
-// numbers.
+// funcMeta is what an artifact says of its function: the fingerprints that
+// decide whether it stands, and what callers read — the summary, the
+// signature and the function itself.
+type funcMeta struct {
+	astHash astKey // AST content hash + unit index
+	sumFP   digest // of the Mod/Ref summary's fingerprint
+	sigFP   string // connector signature fingerprint
+	depFP   digest // of sigFP + callee sigFPs: transform/SEG validity key
+	sum     *modref.Summary
+	// fn is the lowered, SSA-converted, connector-transformed function —
+	// its interface: the SEG holds its body (ir.Func.ReleaseBody). Detection
+	// reads the SEG only.
+	fn *ir.Func
+}
+
+// artifactSizes are one function's size counters (Functions is 1, so sums
+// count functions), snapshotted right after its build: detection later grows
+// cond nodes and SEG value nodes in place, so live recounts of retained
+// artifacts would drift from a cold build's numbers.
 type artifactSizes struct {
-	instrs        int
-	segNodes      int
-	segValueNodes int
-	segEdges      int
-	condNodes     int
-	pta           pta.Stats
+	Sizes
+	pta pta.Stats
+}
+
+// counters lists the counters: the instruction and function counts, then
+// those an artifact persists, in their order on the wire.
+func (z *artifactSizes) counters() [11]*int {
+	return [...]*int{&z.Lines, &z.Functions, &z.SEGNodes, &z.SEGValueNodes, &z.SEGEdges, &z.CondNodes,
+		&z.pta.GuardsPruned, &z.pta.GuardsKept, &z.pta.CapWidened, &z.pta.LinearQueries, &z.pta.LinearUnsat}
 }
 
 // add accumulates sign × o.
 func (z *artifactSizes) add(o *artifactSizes, sign int) {
-	z.instrs += sign * o.instrs
-	z.segNodes += sign * o.segNodes
-	z.segValueNodes += sign * o.segValueNodes
-	z.segEdges += sign * o.segEdges
-	z.condNodes += sign * o.condNodes
-	z.pta.GuardsPruned += sign * o.pta.GuardsPruned
-	z.pta.GuardsKept += sign * o.pta.GuardsKept
-	z.pta.CapWidened += sign * o.pta.CapWidened
-	z.pta.LinearQueries += sign * o.pta.LinearQueries
-	z.pta.LinearUnsat += sign * o.pta.LinearUnsat
+	zc, oc := z.counters(), o.counters()
+	for i := range zc {
+		*zc[i] += sign * *oc[i]
+	}
 }
 
 // Session is an incremental analysis pipeline. Create one with NewSession,
@@ -326,13 +313,18 @@ type progShape struct {
 	globalByName map[string]*ir.Global
 }
 
-func newProgShape(parsed []*parsedUnit) *progShape {
+// shapeFP digests the units' shape renderings, in order.
+func shapeFP(parsed []*parsedUnit) string {
 	h := sha256.New()
 	for _, pu := range parsed {
 		h.Write([]byte(pu.shape))
 	}
+	return hex.EncodeToString(h.Sum(nil))[:24]
+}
+
+func newProgShape(parsed []*parsedUnit) *progShape {
 	sh := &progShape{
-		fp:           hex.EncodeToString(h.Sum(nil))[:24],
+		fp:           shapeFP(parsed),
 		structs:      make(map[string][]minic.Param),
 		globalTypes:  make(map[string]minic.Type),
 		globalByName: make(map[string]*ir.Global),
@@ -369,18 +361,9 @@ type funcTable struct {
 	// edges in both directions.
 	sccs    [][]int32
 	sccOf   []int32
-	callees adjacency
-	callers adjacency
+	callees modref.Graph
+	callers modref.Graph
 }
-
-// adjacency is a graph in compressed-sparse-row form: the neighbours of
-// vertex i are items[start[i]:start[i+1]].
-type adjacency struct {
-	start []int32
-	items []int32
-}
-
-func (a *adjacency) of(i int32) []int32 { return a.items[a.start[i]:a.start[i+1]] }
 
 // locate returns the unit and the index within it of the declaration at
 // position pos.
@@ -459,987 +442,22 @@ func newFuncTable(parsed []*parsedUnit, prev *funcTable) (*funcTable, error) {
 	}
 
 	// The call graph, by function ID: defined callees in callee-name order.
-	numIDs := t.lay.NumIDs()
-	calls := adjacency{start: make([]int32, numIDs+1)}
-	byID := make([][]string, numIDs)
-	pos := 0
-	for _, pu := range parsed {
-		for k := range pu.funcs {
-			byID[t.ids[pos]] = pu.calleesOf(k)
-			pos++
-		}
-	}
-	for id, callees := range byID {
-		for _, c := range callees {
-			if cid := t.lay.ID(c); cid >= 0 {
-				calls.items = append(calls.items, int32(cid))
-			}
-		}
-		calls.start[id+1] = int32(len(calls.items))
-	}
-
-	// Tarjan's algorithm from every function in declaration order.
-	const unseen = -1
-	index := make([]int32, numIDs)
-	low := make([]int32, numIDs)
-	onStack := make([]bool, numIDs)
-	t.sccOf = make([]int32, numIDs)
-	for i := range index {
-		index[i], t.sccOf[i] = unseen, unseen
-	}
-	var stack []int32
-	counter := int32(0)
-	var strongconnect func(v int32)
-	strongconnect = func(v int32) {
-		index[v], low[v] = counter, counter
-		counter++
-		stack = append(stack, v)
-		onStack[v] = true
-		for _, c := range calls.of(v) {
-			if index[c] == unseen {
-				strongconnect(c)
-				low[v] = min(low[v], low[c])
-			} else if onStack[c] {
-				low[v] = min(low[v], index[c])
-			}
-		}
-		if low[v] == index[v] {
-			at := len(stack) - 1
-			for stack[at] != v {
-				at--
-			}
-			scc := slices.Clone(stack[at:])
-			slices.Reverse(scc)
-			stack = stack[:at]
-			for _, m := range scc {
-				onStack[m] = false
-				t.sccOf[m] = int32(len(t.sccs))
-			}
-			t.sccs = append(t.sccs, scc)
-		}
-	}
-	for _, id := range t.ids {
-		if index[id] == unseen {
-			strongconnect(id)
-		}
-	}
-
-	// Condense: each component's callee components once each, then the same
-	// edges reversed.
-	nS := len(t.sccs)
-	t.callees.start = make([]int32, nS+1)
-	t.callers.start = make([]int32, nS+1)
-	seenFrom := make([]int32, nS) // component j+1 has an edge to this one already
-	for j, scc := range t.sccs {
-		seenFrom[j] = int32(j + 1)
-		for _, m := range scc {
-			for _, c := range calls.of(m) {
-				if jj := t.sccOf[c]; seenFrom[jj] != int32(j+1) {
-					seenFrom[jj] = int32(j + 1)
-					t.callees.items = append(t.callees.items, jj)
-					t.callers.start[jj+1]++
+	calls := modref.Graph{Start: make([]int32, 1, t.lay.NumIDs()+1)}
+	for id := range t.lay.NumIDs() {
+		if pos := t.lay.Pos(id); pos >= 0 {
+			u, k := t.locate(int32(pos))
+			for _, c := range parsed[u].calleesOf(k) {
+				if cid := t.lay.ID(c); cid >= 0 {
+					calls.Items = append(calls.Items, int32(cid))
 				}
 			}
 		}
-		t.callees.start[j+1] = int32(len(t.callees.items))
+		calls.Start = append(calls.Start, int32(len(calls.Items)))
 	}
-	for j := 0; j < nS; j++ {
-		t.callers.start[j+1] += t.callers.start[j]
-	}
-	t.callers.items = make([]int32, len(t.callees.items))
-	fill := slices.Clone(t.callers.start[:nS])
-	for j := int32(0); j < int32(nS); j++ {
-		for _, jj := range t.callees.of(j) {
-			t.callers.items[fill[jj]] = j
-			fill[jj]++
-		}
-	}
+
+	c := modref.Condense(calls, t.ids)
+	t.sccs, t.sccOf, t.callees, t.callers = c.SCCs, c.Of, c.Callees, c.Callers
 	return t, nil
-}
-
-// fnState is the per-function bookkeeping of one Update in progress, kept
-// for the functions the Update looks at. During the build wavefront each
-// field is written only by the node that owns it (the function's L-node, its
-// SCC's S-node, or its F-node) and read by dependent nodes after that node
-// completed — the scheduler's dependency edges provide the happens-before
-// ordering.
-type fnState struct {
-	id      int32
-	unit, k int32       // the declaring unit and the declaration's index in it
-	pu      *parsedUnit // that unit: the function's name, signature and callees
-	astHash astKey
-	old     *funcArtifact // nil when new or program-shape invalidated
-	had     bool          // the committed program defines the name
-	dirty   bool          // no old artifact, or its AST hash differs
-
-	sum        *modref.Summary
-	sumFP      digest
-	sumChanged bool
-	sigFP      string
-	sigMoved   bool // no previous artifact, or its sigFP differs
-	depFP      digest
-
-	rebuild bool
-	fn      *ir.Func           // freshly lowered this update (nil if not lowered)
-	info    *ssa.Info          // SSA info of fn
-	finalFn *ir.Func           // the function entering the committed module
-	prep    *transform.Prepped // extended signature awaiting body rewrite
-	art     *funcArtifact      // the artifact to commit
-}
-
-func (st *fnState) name() string      { return st.pu.funcs[st.k].name }
-func (st *fnState) callees() []string { return st.pu.calleesOf(int(st.k)) }
-
-// Update analyzes units incrementally against the session's previous state.
-// On success the new state is committed and the fresh Analysis returned; on
-// error the session is left exactly as before the call.
-func (s *Session) Update(units []minic.NamedSource) (*Analysis, error) {
-	rec := s.opts.Obs
-	var tm Timings
-	var stats ArtifactStats
-
-	// ---- Which units does the session know? One whose source is the bytes
-	// the session holds is known by its facts and is not parsed here — nor
-	// later, unless one of its functions has to be lowered.
-	sp := rec.Phase("parse")
-	t0 := time.Now()
-	parsed := make([]*parsedUnit, len(units))
-	var toParse []int
-	unchanged := s.analysis != nil && len(units) == len(s.units)
-	for i, u := range units {
-		if pu := s.files[u.Name]; pu != nil && pu.src == u.Src {
-			parsed[i] = pu
-		} else {
-			toParse = append(toParse, i)
-		}
-		unchanged = unchanged && parsed[i] == s.units[i]
-	}
-	if unchanged {
-		// Nothing changed since the committed Update: its Analysis stands.
-		// Only what describes this call — timings, artifact outcome — is
-		// fresh; with a store, a write that failed at that commit gets its
-		// retry, as on every Update.
-		a := *s.analysis
-		a.Timings = Timings{Parse: time.Since(t0)}
-		a.Artifacts = ArtifactStats{Hits: len(s.tab.ids)}
-		sp.End()
-		if s.store != nil {
-			t0 = time.Now()
-			s.persist(s.unsaved)
-			a.Timings.StoreSave = time.Since(t0)
-		}
-		if rec != nil {
-			rec.Counter("build.artifact.hits").Add(int64(a.Artifacts.Hits))
-			rec.Counter("build.units_known").Add(int64(len(units)))
-		}
-		s.analysis, s.stats = &a, a.Artifacts
-		return &a, nil
-	}
-
-	// With a store, a unit is also known across processes, by the digest of
-	// its name and bytes: the first Update of a session looks the others up
-	// in the store's facts records, and a unit found there is not parsed
-	// either.
-	var sums []digest // by unit, of those in toParse
-	if s.store != nil {
-		t1 := time.Now()
-		sums = make([]digest, len(units))
-		_ = conc.ForEach(len(toParse), s.opts.Workers, func(_, j int) error { // nothing in it fails
-			i := toParse[j]
-			sums[i] = unitDigest(units[i].Name, units[i].Src)
-			return nil
-		})
-		if !s.storeLoaded {
-			sp := rec.Phase("store.load")
-			known := loadUnitFacts(s.store, s.opts.Workers, rec)
-			rest := toParse[:0]
-			for _, i := range toParse {
-				if pu := known[sums[i]]; pu != nil && pu.name == units[i].Name {
-					pu.src, pu.shape = units[i].Src, pu.unitFacts.shape()
-					parsed[i] = pu
-					stats.UnitsLoaded++
-				} else {
-					rest = append(rest, i)
-				}
-			}
-			toParse = rest
-			sp.End()
-		}
-		tm.StoreLoad = time.Since(t1)
-	}
-
-	// ---- Parse the rest, in parallel per translation unit, deriving their
-	// facts: hashing the declarations walks the unit's AST like parsing does,
-	// so it rides the same fan-out. All of this happens before anything
-	// shared is touched, so a syntax error in a later unit cannot leak
-	// partial state; conc.ForEach's lowest-index error contract keeps the
-	// reported error independent of the worker count. The parses live in
-	// asts — an entry per unit this Update parses or may have to — until the
-	// Update returns.
-	asts := make([]*unitAST, len(units))
-	var unitsParsed atomic.Int64
-	parseUnit := func(w, i int) (*minic.File, error) {
-		end := perFunc(rec, w, "build.parse", units[i].Name)
-		f, err := minic.ParseFile(units[i].Name, units[i].Src)
-		end()
-		if err != nil {
-			return nil, fmt.Errorf("parse: parsing %s: %w", units[i].Name, err)
-		}
-		for _, fn := range f.Funcs {
-			fn.Unit = i
-		}
-		unitsParsed.Add(1)
-		return f, nil
-	}
-	parseUnits := func(which []int) error {
-		return conc.ForEach(len(which), s.opts.Workers, func(w, j int) error {
-			i := which[j]
-			f, err := parseUnit(w, i)
-			if err != nil {
-				return err
-			}
-			var like *unitFacts // an edited unit mostly declares what it did
-			if was := s.files[units[i].Name]; was != nil {
-				like = &was.unitFacts
-			}
-			pu := &parsedUnit{name: units[i].Name, src: units[i].Src, unitFacts: factsOf(f, like, !s.oneShot)}
-			pu.shape = pu.unitFacts.shape()
-			if sums != nil {
-				pu.sum = sums[i]
-			}
-			parsed[i], asts[i] = pu, &unitAST{file: f}
-			return nil
-		})
-	}
-	if err := parseUnits(toParse); err != nil {
-		return nil, err
-	}
-	tm.Parse = time.Since(t0) - tm.StoreLoad
-	sp.End()
-
-	// ---- Which program-level tables does the edit leave valid? They all
-	// are when every unit either is the committed one or declares the same
-	// functions and the same shape as the committed unit at its position,
-	// with every edited function calling what it called. Then the functions
-	// to look at are those of the changed units and whatever can reach an
-	// edited one; otherwise the tables are rebuilt and every function is
-	// looked at, as on the first Update.
-	tab, shape := s.tab, s.shape
-	patch := s.analysis != nil && len(parsed) == len(s.units)
-	var dirtyIDs []int32
-	visited := 0
-	for i := 0; patch && i < len(parsed); i++ {
-		pu, was := parsed[i], s.units[i]
-		if pu == was {
-			continue
-		}
-		base := tab.unitStart[i]
-		if patch = pu.shape == was.shape && len(pu.funcs) == int(tab.unitStart[i+1]-base); !patch {
-			break
-		}
-		visited += len(pu.funcs)
-		for k := range pu.funcs {
-			id := tab.ids[int(base)+k]
-			if pu.funcs[k].name != tab.names[int(base)+k] {
-				patch = false
-			} else if pu.astKey(k, i) != s.arts[id].astHash {
-				patch = slices.Equal(pu.calleesOf(k), was.calleesOf(k))
-				dirtyIDs = append(dirtyIDs, id)
-			}
-			if !patch {
-				break
-			}
-		}
-	}
-	shapeChanged := false
-	tables := func() (err error) {
-		if tab, err = newFuncTable(parsed, s.tab); err != nil {
-			return err
-		}
-		if shape = newProgShape(parsed); s.shape != nil && shape.fp == s.shape.fp {
-			shape = s.shape
-		}
-		shapeChanged = shape != s.shape
-		return nil
-	}
-	if !patch {
-		if err := tables(); err != nil {
-			return nil, err
-		}
-	}
-
-	// ---- Warm-load: the first Update of a session reads the persistent
-	// store's artifact segments in one pass (a restarted server arrives
-	// here with no artifacts in memory). Segments carry the program-shape
-	// fingerprint they were built under, so a shape change reads as a miss
-	// — the same rule shapeChanged applies to the in-memory artifacts. Any
-	// decode failure (truncated, bit-flipped, stale codec) is also just a
-	// miss: corruption costs a rebuild, never a wrong artifact.
-	ring := s.ring
-	var loaded map[string]*funcArtifact
-	if s.store != nil && !s.storeLoaded {
-		sp := rec.Phase("store.load")
-		t0 := time.Now()
-		loaded, ring = loadSegments(s.store, shape.fp, s.opts.Workers, rec)
-		// Stored facts are believed as far as the stored artifacts bear them
-		// out: a unit known by them (stored, here, since nothing else is yet)
-		// must declare exactly the functions the artifacts of its unit index
-		// were built from, hash for hash. One that does not is parsed after
-		// all, and the tables laid out again.
-		perUnit := make([]int, len(units))
-		for _, art := range loaded {
-			if u := int(art.astHash.unit); u < len(perUnit) {
-				perUnit[u]++
-			}
-		}
-		borneOut := func(pu *parsedUnit, i int) bool {
-			for k := range pu.funcs {
-				if art := loaded[pu.funcs[k].name]; art == nil || art.astHash != pu.astKey(k, i) {
-					return false
-				}
-			}
-			return perUnit[i] == len(pu.funcs)
-		}
-		var suspect []int
-		for i, pu := range parsed {
-			if pu.stored && !borneOut(pu, i) {
-				suspect = append(suspect, i)
-			}
-		}
-		tm.StoreLoad += time.Since(t0)
-		sp.End()
-		if len(suspect) > 0 {
-			t0 = time.Now()
-			stats.UnitsLoaded -= len(suspect)
-			fp := shape.fp
-			if err := parseUnits(suspect); err != nil {
-				return nil, err
-			}
-			if err := tables(); err != nil {
-				return nil, err
-			}
-			tm.Parse += time.Since(t0)
-			if shape.fp != fp {
-				t0 = time.Now()
-				loaded, ring = loadSegments(s.store, shape.fp, s.opts.Workers, rec)
-				tm.StoreLoad += time.Since(t0)
-			}
-		}
-		// An artifact the store offers under a name the program does not
-		// define — here, or below when an edit drops a name — makes the next
-		// segment a full snapshot (see segState.stale).
-		for name := range loaded {
-			ring.stale = ring.stale || tab.lay.ID(name) < 0
-		}
-	} else if s.store != nil && tab != s.tab {
-		for _, name := range s.tab.names {
-			ring.stale = ring.stale || tab.lay.ID(name) < 0
-		}
-	}
-
-	// The units known going into the build: by the session or by the store.
-	unitsKnown := len(units) - int(unitsParsed.Load())
-
-	// ---- The affected functions, by declaration position: all of them, or
-	// the members of the SCCs from which an edited function is reachable.
-	var affected []int32 // SCC indexes, ascending (callee-first)
-	snode := make([]int32, len(tab.sccs))
-	if patch {
-		for _, id := range dirtyIDs {
-			if j := tab.sccOf[id]; snode[j] == 0 {
-				snode[j] = 1
-				affected = append(affected, j)
-			}
-		}
-		for i := 0; i < len(affected); i++ {
-			for _, j := range tab.callers.of(affected[i]) {
-				if snode[j] == 0 {
-					snode[j] = 1
-					affected = append(affected, j)
-				}
-			}
-		}
-		slices.Sort(affected)
-	} else {
-		affected = make([]int32, len(tab.sccs))
-		for j := range affected {
-			affected[j] = int32(j)
-		}
-	}
-	var positions []int32
-	for i, j := range affected {
-		snode[j] = int32(i + 1)
-		for _, id := range tab.sccs[j] {
-			positions = append(positions, int32(tab.lay.Pos(int(id))))
-		}
-	}
-	slices.Sort(positions)
-
-	// ---- Function states, in declaration order, from the units' facts.
-	states := make([]fnState, len(positions))
-	visit := make([]int32, tab.lay.NumIDs()) // function ID → index into states, +1
-	dirty := 0
-	unit := 0
-	for i, pos := range positions {
-		for tab.unitStart[unit+1] <= pos {
-			unit++
-		}
-		pu, k := parsed[unit], int(pos-tab.unitStart[unit])
-		st := &states[i]
-		*st = fnState{id: tab.ids[pos], unit: int32(unit), k: int32(k), pu: pu, astHash: pu.astKey(k, unit)}
-		visit[st.id] = int32(i + 1)
-		if asts[unit] == nil {
-			asts[unit] = new(unitAST)
-		}
-		if st.had = s.tab != nil && (patch || s.tab.lay.ID(st.name()) >= 0); st.had && !shapeChanged {
-			st.old = s.arts[st.id]
-		}
-		if st.old == nil && loaded != nil {
-			if art := loaded[st.name()]; art != nil {
-				art.fn.ID = int(st.id)
-				st.old = art
-				stats.StoreHits++
-			}
-		}
-		if st.dirty = st.old == nil || st.old.astHash != st.astHash; st.dirty {
-			dirty++
-		}
-		if patch && parsed[unit] == s.units[unit] {
-			visited++ // not of a changed unit, so not counted yet
-		}
-	}
-	if !patch {
-		visited = len(states)
-	}
-	stats.Visited = visited
-	if loaded != nil && rec != nil {
-		rec.Counter("store.artifact.loads").Add(int64(stats.StoreHits))
-	}
-	// committed: every st.old is an artifact of this session's previous
-	// Update, not one warm-loaded from the store.
-	committed := s.analysis != nil
-
-	// callee finds what a called name stands for: the state of a function
-	// this Update looks at, or else the committed artifact of one it does
-	// not — which nothing in this Update can change — or neither for an
-	// external.
-	callee := func(name string) (*fnState, *funcArtifact) {
-		id := tab.lay.ID(name)
-		switch {
-		case id < 0:
-			return nil, nil
-		case visit[id] != 0:
-			return &states[visit[id]-1], nil
-		}
-		return nil, s.arts[id]
-	}
-	retType := tab.retType(parsed)
-	// ast returns unit u's parse, making it if this Update has not yet: a
-	// known unit is parsed when the first of its functions has to be
-	// lowered — its own edit is not the only reason, a callee's changed
-	// summary or signature is another — and then once, whichever workers
-	// ask. The parse must declare what the unit's facts say.
-	var parseNs int64
-	ast := func(w, u int) (*minic.File, error) {
-		a := asts[u]
-		a.once.Do(func() {
-			if a.file != nil {
-				return
-			}
-			t1 := time.Now()
-			f, err := parseUnit(w, u)
-			atomic.AddInt64(&parseNs, int64(time.Since(t1)))
-			if err == nil && !slices.EqualFunc(f.Funcs, parsed[u].funcs, func(fn *minic.FuncDecl, ff funcFacts) bool { return fn.Name == ff.name }) {
-				err = fmt.Errorf("parse: %s does not declare the functions it is known by", units[u].Name)
-			}
-			a.file, a.err = f, err
-		})
-		return a.file, a.err
-	}
-
-	// ---- Module shell: lowering resolves global references through the
-	// module; the functions are filled in at commit.
-	m := &ir.Module{Layout: tab.lay, Globals: shape.globals, GlobalByName: shape.globalByName, Units: len(units)}
-
-	// ---- Wavefront: everything between parsing and commit — lowering,
-	// SSA, the Mod/Ref frontier recompute, connector fingerprints, the
-	// connector transform, and PTA+SEG — runs as one dependency-counting
-	// wavefront over the affected part of the condensed AST call graph (see
-	// DESIGN.md "Parallel build pipeline"). Three node kinds:
-	//
-	//   - an L-node per AST-dirty function lowers and SSA-converts it;
-	//     L-nodes have no dependencies and run fully parallel;
-	//   - an S-node per SCC decides whether the Mod/Ref fixpoint must be
-	//     recomputed, scratch-lowers the clean members it needs, runs the
-	//     fixpoint, derives signature/dependency fingerprints and the
-	//     rebuild decision, and extends rebuilt members' signatures; it
-	//     depends on its members' L-nodes and on its callee S-nodes;
-	//   - an F-node per function finishes a rebuilt function — call-site
-	//     rewriting, PTA, SEG, artifact assembly — depending only on its
-	//     own S-node, so the expensive per-function tail never blocks the
-	//     interprocedural frontier.
-	//
-	// Each node writes only fnState fields it owns and reads callee state
-	// strictly after the owning node completed (the scheduler supplies
-	// the happens-before edge); a callee outside the affected set is read
-	// from its committed artifact. Summary merges are commutative set
-	// unions and everything after the wavefront assembles in canonical
-	// declaration order, so output is byte-identical at any worker count.
-	var lowerNs, ssaNs, modrefNs, transformNs, ptaNs, segNs int64
-	// scratch holds one buffer per worker: what a fingerprint is rendered
-	// into before it is hashed or copied out.
-	scratch := make([][]byte, conc.Workers(s.opts.Workers))
-	lowerOne := func(w int, st *fnState) error {
-		file, err := ast(w, int(st.unit))
-		if err != nil {
-			return err
-		}
-		decl := file.Funcs[st.k]
-		name := decl.Name
-		t1 := time.Now()
-		endL := perFunc(rec, w, "build.lower", name)
-		lf, err := lower.FuncWith(m, decl, retType, shape.structs)
-		endL()
-		// The IR is all that is read of the function from here on: its
-		// syntax tree dies now, not when the Update returns.
-		decl.Body = nil
-		atomic.AddInt64(&lowerNs, int64(time.Since(t1)))
-		if err != nil {
-			return fmt.Errorf("lower: %w", err)
-		}
-		lf.ID = int(st.id)
-		t1 = time.Now()
-		endS := perFunc(rec, w, "build.ssa", name)
-		inf, err := ssa.Transform(lf)
-		endS()
-		atomic.AddInt64(&ssaNs, int64(time.Since(t1)))
-		if err != nil {
-			return fmt.Errorf("ssa %s: %w", name, err)
-		}
-		st.fn, st.info = lf, inf
-		return nil
-	}
-	resolve := func(name string) *ir.Func {
-		if st, art := callee(name); st != nil {
-			return st.finalFn
-		} else if art != nil {
-			return art.fn
-		}
-		return nil
-	}
-	runSCC := func(w int, scc []int32) error {
-		member := func(id int32) *fnState { return &states[visit[id]-1] }
-		// Mod/Ref: recompute only the frontier. A clean SCC none of whose
-		// external callees changed their summary keeps its old fixpoint.
-		// Callee sumChanged flags are final: their S-nodes completed.
-		t1 := time.Now()
-		recompute := false
-		for _, id := range scc {
-			st := member(id)
-			if st.dirty || st.old.sum == nil {
-				recompute = true
-				break
-			}
-			for _, c := range st.callees() {
-				if cs, _ := callee(c); cs != nil && cs.sumChanged {
-					recompute = true
-					break
-				}
-			}
-			if recompute {
-				break
-			}
-		}
-		if !recompute {
-			for _, id := range scc {
-				st := member(id)
-				st.sum, st.sumFP = st.old.sum, st.old.sumFP
-			}
-			atomic.AddInt64(&modrefNs, int64(time.Since(t1)))
-		} else {
-			atomic.AddInt64(&modrefNs, int64(time.Since(t1)))
-			for _, id := range scc {
-				st := member(id)
-				if st.fn == nil {
-					// Scratch-lower a clean member so its summary can be
-					// recomputed; the result doubles as the rebuild IR if
-					// dependency fingerprints later turn out to have
-					// changed.
-					if err := lowerOne(w, st); err != nil {
-						return err
-					}
-				}
-				st.sum = modref.NewSummary()
-			}
-			lookup := func(name string) *modref.Summary {
-				if st, art := callee(name); st != nil {
-					return st.sum
-				} else if art != nil {
-					return art.sum
-				}
-				return nil
-			}
-			t1 = time.Now()
-			for changed := true; changed; {
-				changed = false
-				for _, id := range scc {
-					st := member(id)
-					if modref.AnalyzeFunc(st.fn, st.sum, lookup) {
-						changed = true
-					}
-				}
-			}
-			for _, id := range scc {
-				st := member(id)
-				st.sum = st.sum.Settled()
-				scratch[w] = st.sum.AppendFingerprint(scratch[w][:0])
-				st.sumFP = digestOf(scratch[w])
-				if st.old == nil || st.old.sumFP != st.sumFP {
-					st.sumChanged = true
-				}
-			}
-			atomic.AddInt64(&modrefNs, int64(time.Since(t1)))
-		}
-
-		// Connector signatures and dependency fingerprints. The firewall:
-		// a callee whose summary changed but whose signature fingerprint
-		// did not leaves its callers' depFPs — and artifacts — untouched.
-		// Callee sigFPs are final (dependency S-nodes completed; same-SCC
-		// members were fingerprinted in the loop above).
-		//
-		// Both are functions of inputs that rarely move: a function whose
-		// declaration and summary are those of its committed artifact has
-		// that artifact's signature, and if no callee's signature moved
-		// either (appeared, disappeared, or changed), its dependency
-		// fingerprint too. Only the session's own committed state is
-		// trusted that far; artifacts warm-loaded from the store are
-		// re-fingerprinted.
-		for _, id := range scc {
-			st := member(id)
-			if committed && !st.dirty && !st.sumChanged {
-				st.sigFP = st.old.sigFP
-			} else {
-				scratch[w] = s.appendSignature(scratch[w][:0], st.pu.sig(int(st.k)), st.sum, shape.globalTypes)
-				st.sigFP = string(scratch[w])
-			}
-			st.sigMoved = st.old == nil || st.old.sigFP != st.sigFP
-		}
-		calleeSigMoved := func(st *fnState) bool {
-			for _, c := range st.callees() {
-				if cs, art := callee(c); cs != nil {
-					if cs.sigMoved {
-						return true
-					}
-				} else if art == nil && s.tab != nil && s.tab.lay.ID(c) >= 0 {
-					return true // was defined, now external
-				}
-			}
-			return false
-		}
-		sigOf := func(name string) string {
-			if st, art := callee(name); st != nil {
-				return st.sigFP
-			} else if art != nil {
-				return art.sigFP
-			}
-			return "extern"
-		}
-		for _, id := range scc {
-			st := member(id)
-			if committed && !st.dirty && !st.sigMoved && !calleeSigMoved(st) {
-				st.depFP = st.old.depFP
-			} else {
-				b := append(append(append(scratch[w][:0], "self\x00"...), st.sigFP...), 0)
-				for _, c := range st.callees() {
-					b = append(append(append(b, "callee\x00"...), c...), 0)
-					b = append(append(b, sigOf(c)...), 0)
-				}
-				st.depFP, scratch[w] = digestOf(b), b
-			}
-			st.rebuild = st.dirty || st.old.depFP != st.depFP
-		}
-
-		// Lower the clean members pulled in by dependency changes (edited
-		// callee signatures) and pick what enters the committed module:
-		// retained functions keep their old IR — scratch-lowered copies
-		// made for summary recomputation are deliberately discarded.
-		for _, id := range scc {
-			st := member(id)
-			if st.rebuild && st.fn == nil {
-				if err := lowerOne(w, st); err != nil {
-					return err
-				}
-			}
-			if st.rebuild {
-				st.finalFn = st.fn
-			} else {
-				st.finalFn = st.old.fn
-			}
-		}
-
-		// Extend rebuilt members' signatures now so dependent S- and
-		// F-nodes read final aux specs; bodies are rewritten in F-nodes.
-		if !s.opts.DisableConnectors {
-			t1 = time.Now()
-			for _, id := range scc {
-				st := member(id)
-				if st.rebuild {
-					st.prep = transform.Prep(m, st.finalFn, st.sum)
-				}
-			}
-			atomic.AddInt64(&transformNs, int64(time.Since(t1)))
-		}
-		return nil
-	}
-	runFinish := func(w int, st *fnState) error {
-		if !st.rebuild {
-			// Retain the built IR/SEG but refresh the metadata: the
-			// firewall keeps artifacts alive across summary changes whose
-			// signature is stable, so the stored summary must be this
-			// update's, not the one the artifact was originally built
-			// under. Most of the time nothing moved and the committed
-			// artifact serves as it is.
-			st.art = st.old
-			if old := st.old; old.sum != st.sum || old.sumFP != st.sumFP || old.sigFP != st.sigFP || old.depFP != st.depFP {
-				art := *old
-				art.sum, art.sumFP, art.sigFP, art.depFP, art.persisted = st.sum, st.sumFP, st.sigFP, st.depFP, false
-				st.art = &art
-			}
-			return nil
-		}
-		name := st.name()
-		f := st.finalFn
-		if st.prep != nil {
-			t1 := time.Now()
-			endT := perFunc(rec, w, "build.transform", name)
-			err := st.prep.Rewrite(m, resolve)
-			endT()
-			atomic.AddInt64(&transformNs, int64(time.Since(t1)))
-			if err != nil {
-				return fmt.Errorf("transform: transform %s: %w", name, err)
-			}
-		}
-		t1 := time.Now()
-		endPTA := perFunc(rec, w, "build.pta", name)
-		pr, err := pta.Analyze(f, st.info, s.opts.PTA)
-		endPTA()
-		atomic.AddInt64(&ptaNs, int64(time.Since(t1)))
-		if err != nil {
-			return fmt.Errorf("pta %s: %w", name, err)
-		}
-		t1 = time.Now()
-		endSEG := perFunc(rec, w, "build.seg", name)
-		g := seg.Build(f, st.info, pr)
-		endSEG()
-		atomic.AddInt64(&segNs, int64(time.Since(t1)))
-		gs := g.Stats()
-		st.art = &funcArtifact{
-			astHash: st.astHash,
-			sumFP:   st.sumFP,
-			sigFP:   st.sigFP,
-			depFP:   st.depFP,
-			sum:     st.sum,
-			fn:      f,
-			seg:     g,
-			sizes: artifactSizes{
-				instrs:        f.NumInstrs(),
-				segNodes:      gs.Nodes,
-				segValueNodes: gs.ValueNodes,
-				segEdges:      gs.Edges,
-				condNodes:     st.info.Conds.NumNodes(),
-				pta:           pr.Stats,
-			},
-		}
-		// Of the function, callers, detection and the store read only its
-		// interface and its SEG from here on.
-		f.ReleaseBody()
-		return nil
-	}
-
-	// DAG layout: SCC by SCC in the condensation's callee-first order, the
-	// SCC's L-nodes (its AST-dirty members), then its S-node, then its
-	// F-nodes, members in declaration order. The wavefront runs the
-	// lowest-index ready node first, so it finishes the functions of an SCC
-	// — and drops their bodies — before it lowers the next SCC's: the bodies
-	// alive at once are those of the SCCs in flight, not the program's.
-	type wnode struct {
-		kind byte // 'L', 'S' or 'F'
-		i    int  // into states; into affected for an S-node
-	}
-	nodes := make([]wnode, 0, dirty+len(affected)+len(states))
-	deps := make([][]int, 0, cap(nodes))
-	sAt := make([]int, len(affected)) // the node of each S-node
-	var members []int
-	for sj, j := range affected {
-		members = members[:0]
-		for _, id := range tab.sccs[j] {
-			members = append(members, int(visit[id]-1))
-		}
-		slices.Sort(members)
-		var sdeps []int
-		for _, i := range members {
-			if states[i].dirty {
-				sdeps = append(sdeps, len(nodes))
-				nodes, deps = append(nodes, wnode{'L', i}), append(deps, nil)
-			}
-		}
-		for _, jj := range tab.callees.of(j) {
-			if d := snode[jj]; d != 0 {
-				sdeps = append(sdeps, sAt[d-1])
-			}
-		}
-		sAt[sj] = len(nodes)
-		nodes, deps = append(nodes, wnode{'S', sj}), append(deps, sdeps)
-		for _, i := range members {
-			nodes, deps = append(nodes, wnode{'F', i}), append(deps, []int{sAt[sj]})
-		}
-	}
-
-	sp = rec.Phase("wavefront")
-	t0 = time.Now()
-	width, err := conc.Wavefront(len(deps), deps, s.opts.Workers, func(w, i int) error {
-		switch nd := nodes[i]; nd.kind {
-		case 'L':
-			return lowerOne(w, &states[nd.i])
-		case 'S':
-			return runSCC(w, tab.sccs[affected[nd.i]])
-		default:
-			st := &states[nd.i]
-			err := runFinish(w, st)
-			// Of what the function's nodes made, the artifact is all a later
-			// node or the commit reads; a scratch lowering dies here.
-			st.fn, st.info, st.prep = nil, nil, nil
-			return err
-		}
-	})
-	wavefrontWall := time.Since(t0)
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	rec.Gauge("modref.wavefront_width").Set(int64(width))
-
-	// Apportion the wavefront's wall clock across the per-stage Timings
-	// fields in proportion to the CPU time measured inside each stage, so
-	// the fields still sum to ≈ the build wall even though stages now
-	// overlap across workers (at workers=1 this reproduces the historical
-	// per-stage walls). The same split feeds the phase.* counters the
-	// staged pipeline used to emit.
-	if cpu := parseNs + lowerNs + ssaNs + modrefNs + transformNs + ptaNs + segNs; cpu > 0 {
-		scale := float64(wavefrontWall) / float64(cpu)
-		stage := func(ns int64) time.Duration { return time.Duration(float64(ns) * scale) }
-		tm.Parse += stage(parseNs)
-		tm.Lower, tm.SSA, tm.ModRef = stage(lowerNs), stage(ssaNs), stage(modrefNs)
-		tm.Transform, tm.PTA, tm.SEG = stage(transformNs), stage(ptaNs), stage(segNs)
-	}
-	if rec != nil {
-		for _, pc := range []struct {
-			name string
-			d    time.Duration
-		}{
-			{"lower", tm.Lower}, {"ssa", tm.SSA}, {"modref", tm.ModRef},
-			{"transform", tm.Transform}, {"pta+seg", tm.PTA + tm.SEG},
-		} {
-			rec.Counter("phase." + pc.name + "_ns").Add(int64(pc.d))
-		}
-	}
-
-	// ---- Commit: from here on nothing can fail. The session's own tables
-	// are patched in place (or replaced, when rebuilt); the module and the
-	// analysis tables start as copies of the committed ones, so that the
-	// Analysis handed out before stays as it was. Retained functions
-	// already carry their final aux signatures, which is exactly what
-	// rebuilt callers' call sites read during the wavefront.
-	numIDs := tab.lay.NumIDs()
-	a := &Analysis{Module: m}
-	arts, totals := s.arts, s.totals
-	if patch {
-		prev := s.analysis
-		m.Funcs = slices.Clone(prev.Module.Funcs)
-		a.SEGs, a.Summaries = slices.Clone(prev.SEGs), slices.Clone(prev.Summaries)
-	} else {
-		arts, totals = make([]*funcArtifact, numIDs), artifactSizes{}
-		m.Funcs = make([]*ir.Func, len(states))
-		a.SEGs, a.Summaries = make([]*seg.Graph, numIDs), make([]*modref.Summary, numIDs)
-	}
-	var fresh []*ir.Func // functions the committed module does not hold
-	var changed []int32  // artifacts the store may not hold as they are
-	if patch {
-		changed = slices.Clone(s.unsaved)
-	}
-	for i := range states {
-		st := &states[i]
-		art, id := st.art, st.id
-		switch {
-		case !st.rebuild:
-		case st.had:
-			stats.Invalidated++
-		default:
-			stats.Misses++
-		}
-		if st.old != nil && arts[id] == st.old {
-			totals.add(&st.old.sizes, -1)
-		}
-		totals.add(&art.sizes, +1)
-		if !art.persisted {
-			changed = append(changed, id)
-		}
-		if st.rebuild {
-			fresh = append(fresh, art.fn)
-		}
-		arts[id] = art
-		m.Funcs[positions[i]] = art.fn
-		a.SEGs[id], a.Summaries[id] = art.seg, art.sum
-	}
-	stats.Hits = len(tab.ids) - stats.Invalidated - stats.Misses
-	stats.UnitsParsed = int(unitsParsed.Load())
-	s.arts, s.totals, s.tab, s.shape = arts, totals, tab, shape
-
-	// The units: the session knows those of this request, by their facts.
-	clear(s.files)
-	for _, pu := range parsed {
-		s.files[pu.name] = pu
-	}
-	s.units = parsed
-
-	// ---- Persist: bundle every artifact whose on-disk record is missing
-	// or stale into one segment (see persist).
-	if s.store != nil {
-		sp := rec.Phase("store.save")
-		t0 := time.Now()
-		s.storeLoaded, s.ring = true, ring
-		s.persist(changed)
-		tm.StoreSave = time.Since(t0)
-		sp.End()
-	}
-
-	a.Timings, a.Artifacts = tm, stats
-	a.PTAStats = totals.pta
-	a.Sizes = Sizes{
-		Lines:         totals.instrs,
-		Functions:     len(tab.ids),
-		SEGNodes:      totals.segNodes,
-		SEGValueNodes: totals.segValueNodes,
-		SEGEdges:      totals.segEdges,
-		CondNodes:     totals.condNodes,
-	}
-	var prev *detect.Program
-	if s.analysis != nil {
-		prev = s.analysis.Prog
-	}
-	a.Prog = detect.NewProgramFrom(prev, m, a.SEGs, fresh)
-
-	if rec != nil {
-		rec.Counter("build.artifact.hits").Add(int64(stats.Hits))
-		rec.Counter("build.artifact.misses").Add(int64(stats.Misses))
-		rec.Counter("build.artifact.invalidated").Add(int64(stats.Invalidated))
-		rec.Counter("build.funcs_visited").Add(int64(stats.Visited))
-		rec.Counter("build.units_parsed").Add(int64(stats.UnitsParsed))
-		rec.Counter("build.units_known").Add(int64(unitsKnown))
-		emitBuildMetrics(rec, a)
-	}
-	s.analysis, s.stats = a, stats
-	return a, nil
 }
 
 // persist brings the store up to the committed state: the candidate

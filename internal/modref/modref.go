@@ -179,13 +179,20 @@ func AnalyzeWith(m *ir.Module, workers int) (*Result, int) {
 		}
 		return nil
 	}
-	sccs := CallGraphSCCs(m)
-	width, err := conc.Wavefront(len(sccs), SCCDeps(m, sccs), workers, func(_, i int) error {
+	c := condenseModule(m)
+	deps := make([][]int, len(c.SCCs))
+	for j := range deps {
+		for _, jj := range c.Callees.Of(int32(j)) {
+			deps[j] = append(deps[j], int(jj))
+		}
+	}
+	width, err := conc.Wavefront(len(deps), deps, workers, func(_, i int) error {
 		// Iterate to a fixpoint; this also covers self-recursion within
 		// singleton SCCs.
 		for changed := true; changed; {
 			changed = false
-			for _, f := range sccs[i] {
+			for _, v := range c.SCCs[i] {
+				f := m.Funcs[v]
 				if AnalyzeFunc(f, res.Summaries[f], lookup) {
 					changed = true
 				}
@@ -194,7 +201,7 @@ func AnalyzeWith(m *ir.Module, workers int) (*Result, int) {
 		return nil
 	})
 	if err != nil {
-		// The node function never fails and CallGraphSCCs emits an acyclic
+		// The node function never fails and Condense emits an acyclic
 		// condensation, so this is unreachable; guard against regressions.
 		panic(err)
 	}
@@ -202,35 +209,6 @@ func AnalyzeWith(m *ir.Module, workers int) (*Result, int) {
 		res.Summaries[f] = sum.Settled()
 	}
 	return res, width
-}
-
-// SCCDeps returns, for each SCC of sccs (as produced by CallGraphSCCs),
-// the indices of the SCCs containing its external callees — the edges
-// of the condensed call graph, deduplicated, in deterministic order.
-func SCCDeps(m *ir.Module, sccs [][]*ir.Func) [][]int {
-	idx := make(map[*ir.Func]int, len(m.Funcs))
-	for i, scc := range sccs {
-		for _, f := range scc {
-			idx[f] = i
-		}
-	}
-	deps := make([][]int, len(sccs))
-	for i, scc := range sccs {
-		seen := map[int]bool{i: true}
-		for _, f := range scc {
-			for _, in := range f.Order() {
-				g := m.Lookup(f.Callee(in))
-				if g == nil {
-					continue
-				}
-				if j := idx[g]; !seen[j] {
-					seen[j] = true
-					deps[i] = append(deps[i], j)
-				}
-			}
-		}
-	}
-	return deps
 }
 
 // tag is the access-path annotation of an SSA value.
@@ -351,64 +329,120 @@ func importSummary(sum *Summary, callee *Summary, args []int32, tags []tag) {
 	}
 }
 
-// CallGraphSCCs returns the strongly connected components of the call graph
-// in bottom-up (callee-first) order, via Tarjan's algorithm.
-func CallGraphSCCs(m *ir.Module) [][]*ir.Func {
-	callees := make(map[*ir.Func][]*ir.Func, len(m.Funcs))
-	for _, f := range m.Funcs {
-		seen := make(map[*ir.Func]bool)
+// condenseModule condenses m's call graph, whose vertices are the
+// functions' positions in m.Funcs.
+func condenseModule(m *ir.Module) *Condensation {
+	calls := Graph{Start: make([]int32, 1, len(m.Funcs)+1)}
+	roots := make([]int32, len(m.Funcs))
+	for i, f := range m.Funcs {
+		roots[i] = int32(i)
 		for _, in := range f.Order() {
-			if g := m.Lookup(f.Callee(in)); g != nil && !seen[g] {
-				seen[g] = true
-				callees[f] = append(callees[f], g)
+			if id := m.Layout.ID(f.Callee(in)); id >= 0 {
+				calls.Items = append(calls.Items, int32(m.Layout.Pos(id)))
 			}
 		}
+		calls.Start = append(calls.Start, int32(len(calls.Items)))
 	}
+	return Condense(calls, roots)
+}
 
-	index := make(map[*ir.Func]int)
-	low := make(map[*ir.Func]int)
-	onStack := make(map[*ir.Func]bool)
-	var stack []*ir.Func
-	var sccs [][]*ir.Func
-	counter := 0
+// Graph is a directed graph in compressed-sparse-row form: the successors of
+// vertex v are Items[Start[v]:Start[v+1]].
+type Graph struct {
+	Start []int32
+	Items []int32
+}
 
-	var strongconnect func(f *ir.Func)
-	strongconnect = func(f *ir.Func) {
-		index[f] = counter
-		low[f] = counter
+// Of returns the successors of v.
+func (g *Graph) Of(v int32) []int32 { return g.Items[g.Start[v]:g.Start[v+1]] }
+
+// Condensation is a call graph cut into its strongly connected components:
+// SCCs in callee-first order, members in the order Tarjan's algorithm reached
+// them; Of maps a vertex to its component (-1 if no root reaches it); Callees
+// and Callers are the condensed edges, each once, in both directions.
+type Condensation struct {
+	SCCs             [][]int32
+	Of               []int32
+	Callees, Callers Graph
+}
+
+// Condense runs Tarjan's algorithm over calls from each root in turn. It emits
+// a component only after every component it reaches, so the order is
+// callee-first, as bottom-up analyses want: every condensed edge points down.
+func Condense(calls Graph, roots []int32) *Condensation {
+	const unseen = -1
+	n := len(calls.Start) - 1
+	c := &Condensation{Of: make([]int32, n)}
+	index := make([]int32, n)
+	low := make([]int32, n)
+	onStack := make([]bool, n)
+	for i := range index {
+		index[i], c.Of[i] = unseen, unseen
+	}
+	var stack []int32
+	counter := int32(0)
+	var strongconnect func(v int32)
+	strongconnect = func(v int32) {
+		index[v], low[v] = counter, counter
 		counter++
-		stack = append(stack, f)
-		onStack[f] = true
-		for _, g := range callees[f] {
-			if _, ok := index[g]; !ok {
-				strongconnect(g)
-				if low[g] < low[f] {
-					low[f] = low[g]
-				}
-			} else if onStack[g] && index[g] < low[f] {
-				low[f] = index[g]
+		stack = append(stack, v)
+		onStack[v] = true
+		for _, w := range calls.Of(v) {
+			if index[w] == unseen {
+				strongconnect(w)
+				low[v] = min(low[v], low[w])
+			} else if onStack[w] {
+				low[v] = min(low[v], index[w])
 			}
 		}
-		if low[f] == index[f] {
-			var scc []*ir.Func
-			for {
-				g := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[g] = false
-				scc = append(scc, g)
-				if g == f {
-					break
+		if low[v] == index[v] {
+			at := len(stack) - 1
+			for stack[at] != v {
+				at--
+			}
+			scc := slices.Clone(stack[at:])
+			slices.Reverse(scc)
+			stack = stack[:at]
+			for _, m := range scc {
+				onStack[m] = false
+				c.Of[m] = int32(len(c.SCCs))
+			}
+			c.SCCs = append(c.SCCs, scc)
+		}
+	}
+	for _, v := range roots {
+		if index[v] == unseen {
+			strongconnect(v)
+		}
+	}
+
+	nS := len(c.SCCs)
+	c.Callees.Start = make([]int32, nS+1)
+	c.Callers.Start = make([]int32, nS+1)
+	seenFrom := make([]int32, nS) // component j+1 has an edge to this one already
+	for j, scc := range c.SCCs {
+		seenFrom[j] = int32(j + 1)
+		for _, m := range scc {
+			for _, w := range calls.Of(m) {
+				if jj := c.Of[w]; seenFrom[jj] != int32(j+1) {
+					seenFrom[jj] = int32(j + 1)
+					c.Callees.Items = append(c.Callees.Items, jj)
+					c.Callers.Start[jj+1]++
 				}
 			}
-			sccs = append(sccs, scc)
+		}
+		c.Callees.Start[j+1] = int32(len(c.Callees.Items))
+	}
+	for j := 0; j < nS; j++ {
+		c.Callers.Start[j+1] += c.Callers.Start[j]
+	}
+	c.Callers.Items = make([]int32, len(c.Callees.Items))
+	fill := slices.Clone(c.Callers.Start[:nS])
+	for j := int32(0); j < int32(nS); j++ {
+		for _, jj := range c.Callees.Of(j) {
+			c.Callers.Items[fill[jj]] = j
+			fill[jj]++
 		}
 	}
-	for _, f := range m.Funcs {
-		if _, ok := index[f]; !ok {
-			strongconnect(f)
-		}
-	}
-	// Tarjan emits SCCs in reverse topological order of the condensation
-	// — exactly callee-first, which bottom-up analysis wants.
-	return sccs
+	return c
 }

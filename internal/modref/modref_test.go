@@ -152,11 +152,11 @@ func TestCallGraphSCCsBottomUp(t *testing.T) {
 void leaf() { }
 void mid() { leaf(); }
 void top() { mid(); }`)
-	sccs := CallGraphSCCs(m)
+	c := condenseModule(m)
 	pos := map[string]int{}
-	for i, scc := range sccs {
-		for _, f := range scc {
-			pos[f.Name] = i
+	for i, scc := range c.SCCs {
+		for _, v := range scc {
+			pos[m.Funcs[v].Name] = i
 		}
 	}
 	if !(pos["leaf"] < pos["mid"] && pos["mid"] < pos["top"]) {
@@ -168,9 +168,9 @@ func TestCallGraphSCCsCycle(t *testing.T) {
 	m := buildModule(t, `
 void a(int n) { if (n > 0) { b(n - 1); } }
 void b(int n) { a(n); }`)
-	sccs := CallGraphSCCs(m)
-	for _, scc := range sccs {
-		if len(scc) == 2 {
+	c := condenseModule(m)
+	for _, scc := range c.SCCs {
+		if len(scc) == 2 && c.Of[scc[0]] == c.Of[scc[1]] {
 			return
 		}
 	}

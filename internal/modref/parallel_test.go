@@ -1,6 +1,10 @@
 package modref
 
-import "testing"
+import (
+	"cmp"
+	"slices"
+	"testing"
+)
 
 const parallelSrc = `
 int g;
@@ -44,16 +48,25 @@ func TestAnalyzeWithParallelEquivalence(t *testing.T) {
 
 // TestSCCDepsAcyclicCalleeFirst checks the condensed call graph edges
 // point strictly backwards in Tarjan's callee-first order — the
-// property the wavefront scheduler relies on to never deadlock.
+// property the wavefront scheduler relies on to never deadlock — and that
+// the caller edges are the callee edges reversed.
 func TestSCCDepsAcyclicCalleeFirst(t *testing.T) {
-	m := buildModule(t, parallelSrc)
-	sccs := CallGraphSCCs(m)
-	deps := SCCDeps(m, sccs)
-	for i, ds := range deps {
-		for _, d := range ds {
-			if d >= i {
+	c := condenseModule(buildModule(t, parallelSrc))
+	var callees, callers [][2]int32
+	for i := range c.SCCs {
+		for _, d := range c.Callees.Of(int32(i)) {
+			if d >= int32(i) {
 				t.Fatalf("SCC %d depends on %d — not callee-first", i, d)
 			}
+			callees = append(callees, [2]int32{int32(i), d})
 		}
+		for _, d := range c.Callers.Of(int32(i)) {
+			callers = append(callers, [2]int32{d, int32(i)})
+		}
+	}
+	slices.SortFunc(callers, func(a, b [2]int32) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1])) })
+	slices.SortFunc(callees, func(a, b [2]int32) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1])) })
+	if len(callees) == 0 || !slices.Equal(callers, callees) {
+		t.Errorf("caller edges %v are not the callee edges %v reversed", callers, callees)
 	}
 }
