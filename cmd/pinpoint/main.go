@@ -243,6 +243,7 @@ type statsDump struct {
 		SEGNodes    int   `json:"seg_nodes"`
 		SEGEdges    int   `json:"seg_edges"`
 		CondNodes   int   `json:"cond_nodes"`
+		FuncsParsed int   `json:"funcs_parsed"`
 		ParseNs     int64 `json:"parse_ns"`
 		PlanNs      int64 `json:"plan_ns"`
 		LowerNs     int64 `json:"lower_ns"`
@@ -316,6 +317,7 @@ func buildStatsDump(a *core.Analysis, res detect.Results, rec *obs.Recorder) *st
 	d.Build.SEGNodes = a.Sizes.SEGNodes
 	d.Build.SEGEdges = a.Sizes.SEGEdges
 	d.Build.CondNodes = a.Sizes.CondNodes
+	d.Build.FuncsParsed = a.Artifacts.FuncsParsed
 	tm := a.Timings
 	d.Build.ParseNs, d.Build.PlanNs = int64(tm.Parse), int64(tm.Plan)
 	d.Build.LowerNs, d.Build.SSANs, d.Build.ModRefNs = int64(tm.Lower), int64(tm.SSA), int64(tm.ModRef)

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"slices"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -70,6 +72,9 @@ var stages = [...]stage{
 	{"store.save", tStoreSave, (*build).stored, (*build).save},
 }
 
+// beforeStage, when set (tests set it), runs before each stage an Update runs.
+var beforeStage func(name string)
+
 // build is one Update in progress, in the fields its stages write in turn.
 // Each stage reads what the stages before it wrote; none writes the session
 // before commit, so an Update that fails leaves the session as it was.
@@ -83,11 +88,15 @@ type build struct {
 	cpu   [numTimings]atomic.Int64  // what the wavefront's nodes charged to each field
 
 	parsed      []*parsedUnit
-	asts        []unitAST // the units' parses, made when first needed
-	sums        []digest  // by unit, of those the session does not know; nil without a store
-	unchanged   bool      // every unit is the committed one: the committed Analysis stands
-	unitsKnown  int       // by the session or the store, going into the build
+	kept        *minic.File // the tree of keptUnit, the highest-index unit parsed (see decl)
+	keptArena   *minic.Arena
+	keptUnit    int
+	arenas      []*minic.Arena // by worker: the syntax tree it parsed last
+	sums        []digest       // by unit, of those the session does not know; nil without a store
+	unchanged   bool           // every unit is the committed one: the committed Analysis stands
+	unitsKnown  int            // by the session or the store, going into the build
 	unitsParsed atomic.Int64
+	funcsParsed atomic.Int64
 
 	loaded map[string]*funcArtifact // what the store offers; nil unless read
 	ring   segState
@@ -109,7 +118,8 @@ type build struct {
 	scratch      [][]byte // by worker: what a fingerprint is rendered into
 
 	a       *Analysis
-	changed []int32 // artifacts the store may not hold
+	built   pta.Stats // summed over the functions this Update built
+	changed []int32   // artifacts the store may not hold
 }
 
 func (b *build) warm() bool   { return !b.unchanged && b.s.store != nil && !b.s.storeLoaded }
@@ -120,11 +130,14 @@ func (b *build) stored() bool { return b.s.store != nil }
 // On success the new state is committed and the fresh Analysis returned; on
 // error the session is left exactly as before the call.
 func (s *Session) Update(units []minic.NamedSource) (*Analysis, error) {
-	b := &build{s: s, units: units, rec: s.opts.Obs, ring: s.ring}
+	b := &build{s: s, units: units, rec: s.opts.Obs, ring: s.ring, keptUnit: -1, arenas: make([]*minic.Arena, conc.Workers(s.opts.Workers))}
 	for i := range stages {
 		st := &stages[i]
 		if st.runs != nil && !st.runs(b) {
 			continue
+		}
+		if beforeStage != nil {
+			beforeStage(st.name)
 		}
 		t0 := time.Now()
 		err := st.run(b)
@@ -196,8 +209,8 @@ func (b *build) perFunc(w int, f timing, fn string, t0 time.Time) {
 }
 
 // parse finds out which units the session knows. One whose source is the
-// bytes the session holds is known by its facts and is not parsed here — nor
-// later, unless one of its functions has to be lowered. With a store, a unit
+// bytes the session holds is known by its facts and is not parsed: a function
+// of it that has to be lowered is parsed alone (see decl). With a store, a unit
 // is also known across processes, by the digest of its name and bytes: the
 // first Update of a session looks the others up in the store's facts records,
 // and a unit found there is not parsed either. The rest are parsed.
@@ -239,69 +252,84 @@ func (b *build) parse() error {
 		b.carve(tStoreLoad, t0)
 	}
 	b.unitsKnown = len(units) - len(toParse)
-	b.asts = make([]unitAST, len(units))
 	return b.parseUnits(toParse)
 }
 
 // parseUnits parses the units which, in parallel per unit, and derives their
 // facts: hashing the declarations walks the unit's AST like parsing does, so
-// it rides the same fan-out. conc.ForEach's lowest-index error contract keeps
-// the reported error independent of the worker count.
+// it rides the same fan-out. Each tree dies with the next parse on its
+// worker's arena, but for the highest-index unit's, which is kept: a
+// one-unit program, or edit, is then parsed once. conc.ForEach's
+// lowest-index error contract keeps the reported error independent of the
+// worker count.
 func (b *build) parseUnits(which []int) error {
+	keep := -1
+	if n := len(which); n > 0 && which[n-1] > b.keptUnit {
+		keep = which[n-1]
+	}
 	return conc.ForEach(len(which), b.s.opts.Workers, func(w, j int) error {
-		i := which[j]
-		f, err := b.parseUnit(w, i)
+		i, u := which[j], b.units[which[j]]
+		a := b.arena(w)
+		t0 := time.Now()
+		f, err := a.ParseFile(u.Name, u.Src)
+		b.perFunc(w, tParse, u.Name, t0)
 		if err != nil {
-			return err
+			return fmt.Errorf("parse: parsing %s: %w", u.Name, err)
 		}
-		name := b.units[i].Name
+		b.unitsParsed.Add(1)
+		if i == keep { // the last index: no later parse here reuses the arena
+			for _, fn := range f.Funcs {
+				fn.Unit = i
+			}
+			b.kept, b.keptArena, b.keptUnit, b.arenas[w] = f, a, i, nil
+		}
 		var like *unitFacts // an edited unit mostly declares what it did
-		if was := b.s.files[name]; was != nil {
+		if was := b.s.files[u.Name]; was != nil {
 			like = &was.unitFacts
 		}
-		pu := &parsedUnit{name: name, src: b.units[i].Src, unitFacts: factsOf(f, like, !b.s.oneShot)}
+		pu := &parsedUnit{name: u.Name, src: u.Src, unitFacts: factsOf(f, like, !b.s.oneShot)}
 		pu.shape = pu.unitFacts.shape()
 		if b.sums != nil {
 			pu.sum = b.sums[i]
 		}
-		b.parsed[i], b.asts[i].file = pu, f
+		b.parsed[i] = pu
 		return nil
 	})
 }
 
-func (b *build) parseUnit(w, i int) (*minic.File, error) {
-	u := b.units[i]
+// arenaPool lends Updates the arenas they parse into: a tree dies with the
+// next parse on its arena, and all of them when the wavefront gives the
+// arenas back.
+var arenaPool = sync.Pool{New: func() any { return new(minic.Arena) }}
+
+func (b *build) arena(w int) *minic.Arena {
+	if b.arenas[w] == nil {
+		b.arenas[w] = arenaPool.Get().(*minic.Arena)
+	}
+	return b.arenas[w]
+}
+
+// decl returns the declaration of the function to lower: from the kept tree,
+// or parsed from its unit's source, starting at its name, into worker w's
+// arena — it is due for lowering for its own edit or for a callee's changed
+// summary or signature. The parse must declare what the unit's facts say.
+func (b *build) decl(w int, st *fnState) (*minic.FuncDecl, error) {
+	if int(st.unit) == b.keptUnit {
+		return b.kept.Funcs[st.k], nil
+	}
+	u, k := b.units[st.unit], int(st.k)
 	t0 := time.Now()
-	f, err := minic.ParseFile(u.Name, u.Src)
-	b.perFunc(w, tParse, u.Name, t0)
+	decl, err := b.arena(w).ParseFunc(u.Src, st.pu.pos(k), int(st.off), st.pu.ret(k))
+	b.perFunc(w, tParse, st.name(), t0)
+	if err == nil && decl.Name != st.name() {
+		err = &minic.Error{Pos: decl.Pos, Msg: fmt.Sprintf("%s declared where the unit's facts say %s", decl.Name, st.name())}
+	}
 	if err != nil {
 		return nil, fmt.Errorf("parse: parsing %s: %w", u.Name, err)
 	}
-	for _, fn := range f.Funcs {
-		fn.Unit = i
-	}
-	b.unitsParsed.Add(1)
-	return f, nil
-}
-
-// ast returns unit u's parse, making it if this Update has not yet: a known
-// unit is parsed when the first of its functions has to be lowered — its own
-// edit is not the only reason, a callee's changed summary or signature is
-// another — and then once, whichever workers ask. The parse must declare what
-// the unit's facts say.
-func (b *build) ast(w, u int) (*minic.File, error) {
-	a := &b.asts[u]
-	a.once.Do(func() {
-		if a.file != nil {
-			return
-		}
-		f, err := b.parseUnit(w, u)
-		if err == nil && !slices.EqualFunc(f.Funcs, b.parsed[u].funcs, func(fn *minic.FuncDecl, ff funcFacts) bool { return fn.Name == ff.name }) {
-			err = fmt.Errorf("parse: %s does not declare the functions it is known by", b.units[u].Name)
-		}
-		a.file, a.err = f, err
-	})
-	return a.file, a.err
+	decl.Unit = int(st.unit)
+	b.funcsParsed.Add(1)
+	return decl, nil
 }
 
 // warmLoad is the first Update's read of the store's artifact segments, in
@@ -469,14 +497,18 @@ func (b *build) fnStates() {
 	s, tab := b.s, b.tab
 	b.states = make([]fnState, len(b.positions))
 	b.visit = make([]int32, tab.lay.NumIDs())
-	unit := 0
+	unit, line, at := 0, int32(1), 0 // a line of the unit's source, and its offset
 	for i, pos := range b.positions {
 		for tab.unitStart[unit+1] <= pos {
-			unit++
+			unit, line, at = unit+1, 1, 0
 		}
 		pu, k := b.parsed[unit], int(pos-tab.unitStart[unit])
 		st := &b.states[i]
 		*st = fnState{id: tab.ids[pos], unit: int32(unit), k: int32(k), pu: pu}
+		for ; unit != b.keptUnit && line < pu.funcs[k].line; line++ {
+			at += strings.IndexByte(b.units[unit].Src[at:], '\n') + 1
+		}
+		st.off = int32(at) + pu.funcs[k].col - 1 // columns count bytes
 		st.astHash = pu.astKey(k, unit)
 		b.visit[st.id] = int32(i + 1)
 		if st.had = s.tab != nil && (b.patch || s.tab.lay.ID(st.name()) >= 0); st.had && !b.shapeChanged {
@@ -560,6 +592,7 @@ func (b *build) layout() {
 type fnState struct {
 	id      int32
 	unit, k int32         // the declaring unit and the declaration's index in it
+	off     int32         // where in the unit's source the declaration's name starts
 	pu      *parsedUnit   // that unit: the function's name, signature and callees
 	old     *funcArtifact // nil when new or program-shape invalidated
 	had     bool          // the committed program defines the name
@@ -654,7 +687,12 @@ func (b *build) wavefront() error {
 			return err
 		}
 	})
-	b.asts, b.nodes, b.deps = nil, nil, nil // no later stage reads a parse or a node
+	for _, a := range append(b.arenas, b.keptArena) {
+		if a != nil {
+			arenaPool.Put(a)
+		}
+	}
+	b.kept, b.keptArena, b.arenas, b.nodes, b.deps = nil, nil, nil, nil, nil // no later stage reads a parse or a node
 	if err != nil {
 		return err
 	}
@@ -662,20 +700,17 @@ func (b *build) wavefront() error {
 	return nil
 }
 
-// lowerFunc lowers and SSA-converts one function from its unit's parse.
+// lowerFunc lowers and SSA-converts one function. The IR is all that is read
+// of it from here on.
 func (b *build) lowerFunc(w int, st *fnState) error {
-	file, err := b.ast(w, int(st.unit))
+	decl, err := b.decl(w, st)
 	if err != nil {
 		return err
 	}
-	decl := file.Funcs[st.k]
 	name := decl.Name
 	t0 := time.Now()
 	lf, err := lower.FuncWith(b.m, decl, b.retType, b.shape.structs)
 	b.perFunc(w, tLower, name, t0)
-	// The IR is all that is read of the function from here on: its syntax
-	// tree dies now, not when the Update returns.
-	decl.Body = nil
 	if err != nil {
 		return fmt.Errorf("lower: %w", err)
 	}
@@ -879,7 +914,7 @@ func (b *build) commit() error {
 		b.a, b.changed = &a, s.unsaved
 	} else {
 		b.assemble()
-		emitBuildMetrics(rec, b.a)
+		emitBuildMetrics(rec, b.a, b.built)
 	}
 	st := &b.a.Artifacts
 	rec.Counter("build.artifact.hits").Add(int64(st.Hits))
@@ -887,6 +922,7 @@ func (b *build) commit() error {
 	rec.Counter("build.artifact.invalidated").Add(int64(st.Invalidated))
 	rec.Counter("build.funcs_visited").Add(int64(st.Visited))
 	rec.Counter("build.units_parsed").Add(int64(st.UnitsParsed))
+	rec.Counter("build.funcs_parsed").Add(int64(st.FuncsParsed))
 	rec.Counter("build.units_known").Add(int64(b.unitsKnown))
 	return nil
 }
@@ -930,6 +966,7 @@ func (b *build) assemble() {
 		}
 		if st.rebuild {
 			fresh = append(fresh, art.fn)
+			b.built.Add(art.sizes.pta)
 		}
 		arts[id] = art
 		m.Funcs[b.positions[i]] = art.fn
@@ -937,7 +974,7 @@ func (b *build) assemble() {
 	}
 	b.states, b.visit = nil, nil // commit and persist read the committed tables from here on
 	stats.Hits = len(b.tab.ids) - stats.Invalidated - stats.Misses
-	stats.UnitsParsed = int(b.unitsParsed.Load())
+	stats.UnitsParsed, stats.FuncsParsed = int(b.unitsParsed.Load()), int(b.funcsParsed.Load())
 	s.arts, s.totals, s.tab, s.shape = arts, totals, b.tab, b.shape
 
 	// The units: the session knows those of this request, by their facts.

@@ -133,11 +133,12 @@ func BuildFromSource(units []minic.NamedSource, opts BuildOptions) (*Analysis, e
 	return s.Update(units)
 }
 
-// emitBuildMetrics publishes the structural gauges and PTA counters of a
-// finished build — sums of the per-function counters snapshotted when each
-// function was built, so they cost the same however large the program and
-// agree with Analysis.Sizes whatever detection has grown in place since.
-func emitBuildMetrics(rec *obs.Recorder, a *Analysis) {
+// emitBuildMetrics publishes the structural gauges of a finished build — sums
+// of the per-function counters snapshotted when each function was built, so
+// they cost the same however large the program and agree with Analysis.Sizes
+// whatever detection has grown in place since — and adds to the PTA counters
+// those of the functions the build made, built.
+func emitBuildMetrics(rec *obs.Recorder, a *Analysis, built pta.Stats) {
 	rec.Gauge("build.functions").Set(int64(a.Sizes.Functions))
 	rec.Gauge("build.ir_instrs").Set(int64(a.Sizes.Lines))
 	rec.Gauge("build.cond_nodes").Set(int64(a.Sizes.CondNodes))
@@ -145,11 +146,11 @@ func emitBuildMetrics(rec *obs.Recorder, a *Analysis) {
 	rec.Gauge("seg.edges").Set(int64(a.Sizes.SEGEdges))
 	rec.Gauge("seg.value_nodes").Set(int64(a.Sizes.SEGValueNodes))
 	rec.Gauge("seg.use_nodes").Set(int64(a.Sizes.SEGNodes - a.Sizes.SEGValueNodes))
-	rec.Counter("pta.guards_kept").Add(int64(a.PTAStats.GuardsKept))
-	rec.Counter("pta.guards_pruned").Add(int64(a.PTAStats.GuardsPruned))
-	rec.Counter("pta.cap_widened").Add(int64(a.PTAStats.CapWidened))
-	rec.Counter("pta.linear_queries").Add(int64(a.PTAStats.LinearQueries))
-	rec.Counter("pta.linear_unsat").Add(int64(a.PTAStats.LinearUnsat))
+	rec.Counter("pta.guards_kept").Add(int64(built.GuardsKept))
+	rec.Counter("pta.guards_pruned").Add(int64(built.GuardsPruned))
+	rec.Counter("pta.cap_widened").Add(int64(built.CapWidened))
+	rec.Counter("pta.linear_queries").Add(int64(built.LinearQueries))
+	rec.Counter("pta.linear_unsat").Add(int64(built.LinearUnsat))
 }
 
 // Check runs one checker over the analysis: CheckAll with that one spec on

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/pta"
 	"repro/internal/store"
 )
 
@@ -38,3 +39,12 @@ func RekeyUnitFacts(st store.Store, name, src string) error {
 	}
 	return st.Put(store.NSArtifact, unitFactsKey, encodeUnitFacts(units))
 }
+
+// PTAStatsOf returns the points-to counters the named function's committed
+// artifact was built with.
+func (s *Session) PTAStatsOf(name string) pta.Stats {
+	return s.arts[s.tab.lay.ID(name)].sizes.pta
+}
+
+// BeforeStage has f run before each stage of every Update (nil: nothing).
+func BeforeStage(f func(stage string)) { beforeStage = f }

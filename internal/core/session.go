@@ -13,8 +13,8 @@
 //
 //   - a unit is known by its facts (name, source, and per declaration the
 //     signature, content hash and callee names), never by its AST: one whose
-//     bytes are unchanged is parsed only if one of its functions must be
-//     lowered, and each function's syntax tree lives only until it is;
+//     bytes are unchanged is not parsed, a function that must be lowered is
+//     parsed alone, and no syntax tree outlives the wavefront;
 //   - a function whose AST hash (structure, literals, positions, unit index)
 //     is unchanged keeps its artifacts unless a dependency demands otherwise;
 //   - Mod/Ref summaries are recomputed only for SCCs that contain an edited
@@ -42,7 +42,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/ir"
 	"repro/internal/minic"
@@ -71,11 +70,14 @@ type ArtifactStats struct {
 	StoreHits   int
 	Visited     int
 	// UnitsParsed counts the translation units this Update parsed: those
-	// whose bytes it did not know, and those it knew of which a function had
-	// to be lowered. UnitsLoaded counts the units it knew from the store's
-	// facts records (a first Update's only).
+	// whose bytes it did not know. UnitsLoaded counts the units it knew from
+	// the store's facts records (a first Update's only).
 	UnitsParsed int
 	UnitsLoaded int
+	// FuncsParsed counts the functions this Update parsed again, one by one,
+	// to lower them: those of units it knew, or parsed and did not keep the
+	// syntax tree of (see build.kept).
+	FuncsParsed int
 }
 
 // digest is a SHA-256 cut to 12 bytes: what the session compares to decide
@@ -287,15 +289,6 @@ func (pu *parsedUnit) astKey(k, unit int) astKey {
 // pos is where the unit's k-th function is declared.
 func (pu *parsedUnit) pos(k int) minic.Pos {
 	return minic.Pos{File: pu.name, Line: int(pu.funcs[k].line), Col: int(pu.funcs[k].col)}
-}
-
-// unitAST is one unit's parse for the duration of one Update: made before
-// the wavefront for a unit whose facts have to be (re-)derived, or inside it,
-// once, when the first of a known unit's functions has to be lowered.
-type unitAST struct {
-	once sync.Once
-	file *minic.File
-	err  error
 }
 
 // progShape holds the whole-program inputs to lowering: every global (order,

@@ -400,8 +400,8 @@ func TestSessionStoreCorruption(t *testing.T) {
 	}
 }
 
-// parsedUnits lists, sorted, the units the recorder saw parsed: one entry per
-// parse, so a unit parsed twice shows twice.
+// parsedUnits lists, sorted, the units and functions the recorder saw parsed:
+// one entry per parse, so a unit parsed twice shows twice.
 func parsedUnits(t *testing.T, rec *obs.Recorder) []string {
 	t.Helper()
 	var buf bytes.Buffer
@@ -424,14 +424,15 @@ func parsedUnits(t *testing.T, rec *obs.Recorder) []string {
 	return names
 }
 
-// TestWarmRestartParsesNothing holds the rule for when a unit is parsed: when
+// TestWarmRestartParsesNothing holds the rule for what is parsed: a unit when
 // its bytes are not the ones known — to the session, or through the store's
-// facts record to a restarted one — or when one of its functions has to be
-// lowered, and then once. So a restart on unchanged sources parses nothing, a
-// body edit parses the edited unit, and an edit that changes a callee's
-// Mod/Ref summary or connector signature parses, besides, exactly the units of
-// the callers that are lowered again. Every case ends where a from-scratch
-// build of the same sources ends, at one worker and at several.
+// facts record to a restarted one — and a function, on its own, when it has to
+// be lowered and is not of the last unit parsed, whose tree the Update keeps.
+// So a restart on unchanged sources parses nothing, a body edit parses the
+// edited unit, and an edit that changes a callee's Mod/Ref summary or
+// connector signature parses, besides, exactly the callers that are lowered
+// again. Every case ends where a from-scratch build of the same sources ends,
+// at one worker and at several.
 func TestWarmRestartParsesNothing(t *testing.T) {
 	base := []minic.NamedSource{
 		{Name: "a.mc", Src: "int gg;\nvoid top(int *p) { mid(p); }\nvoid top2(int *p) { mid(p); }\n"},
@@ -448,8 +449,8 @@ func TestWarmRestartParsesNothing(t *testing.T) {
 	}{
 		{name: "unchanged", unit: -1, parsed: []string{}},
 		{name: "body edit", unit: 3, src: "int *mk() { return malloc(); }\nvoid lone(int *p) { *p = 4; }\n", parsed: []string{"d.mc"}},
-		{name: "callee summary changes", unit: 2, src: "void w(int *p) { int t = *p; *p = t + 1; }\n", parsed: []string{"a.mc", "b.mc", "c.mc"}},
-		{name: "callee signature changes", unit: 2, src: "void w(int *p) { *p = 1; gg = 2; }\n", parsed: []string{"a.mc", "b.mc", "c.mc"}},
+		{name: "callee summary changes", unit: 2, src: "void w(int *p) { int t = *p; *p = t + 1; }\n", parsed: []string{"c.mc", "mid", "top", "top2"}},
+		{name: "callee signature changes", unit: 2, src: "void w(int *p) { *p = 1; gg = 2; }\n", parsed: []string{"c.mc", "mid", "top", "top2"}},
 	}
 	specs := checkers.All()
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0), 8} {
@@ -493,7 +494,7 @@ func TestWarmRestartParsesNothing(t *testing.T) {
 					}
 					before = parsedUnits(t, rec)
 				}
-				counted := rec.Counter("build.units_parsed").Value()
+				counted, countedFuncs := rec.Counter("build.units_parsed").Value(), rec.Counter("build.funcs_parsed").Value()
 				a, err := sess.Update(units)
 				if err != nil {
 					t.Fatalf("%s: %v", tag, err)
@@ -506,10 +507,14 @@ func TestWarmRestartParsesNothing(t *testing.T) {
 					t.Errorf("%s: parsed %v, want %v", tag, got, tc.parsed)
 				}
 				stats := sess.ArtifactStats()
-				if n := int(rec.Counter("build.units_parsed").Value() - counted); stats.UnitsParsed != len(tc.parsed) || n != len(tc.parsed) {
-					t.Errorf("%s: UnitsParsed = %d, build.units_parsed grew by %d, want %d", tag, stats.UnitsParsed, n, len(tc.parsed))
+				units := min(len(tc.parsed), 1) // the edited unit, then functions
+				if n := int(rec.Counter("build.units_parsed").Value() - counted); stats.UnitsParsed != units || n != units {
+					t.Errorf("%s: UnitsParsed = %d, build.units_parsed grew by %d, want %d", tag, stats.UnitsParsed, n, units)
 				}
-				if withStore && (stats.UnitsLoaded != len(base)-min(len(tc.parsed), 1) || stats.StoreHits != len(a.Module.Funcs)) {
+				if n := int(rec.Counter("build.funcs_parsed").Value() - countedFuncs); stats.FuncsParsed != len(tc.parsed)-units || n != stats.FuncsParsed {
+					t.Errorf("%s: FuncsParsed = %d, build.funcs_parsed grew by %d, want %d", tag, stats.FuncsParsed, n, len(tc.parsed)-units)
+				}
+				if withStore && (stats.UnitsLoaded != len(base)-units || stats.StoreHits != len(a.Module.Funcs)) {
 					t.Errorf("%s: %d units and %d of %d artifacts came from the store", tag, stats.UnitsLoaded, stats.StoreHits, len(a.Module.Funcs))
 				}
 				if got := reportsJSON(t, a.CheckAll(specs, dopts).Reports); !bytes.Equal(got, want) {

@@ -168,3 +168,52 @@ func TestNoLongFunctions(t *testing.T) {
 		}
 	}
 }
+
+// TestPTACountersCountWhatWasBuilt: an Update adds to the pta.* counters the
+// counts of the functions it built — every function's on the first, the
+// edited function's alone after a one-function edit, none on a resubmit —
+// while Analysis.PTAStats stays the program's total.
+func TestPTACountersCountWhatWasBuilt(t *testing.T) {
+	units := ladder(120, 1)
+	rec := obs.New()
+	sess := core.NewSession(core.BuildOptions{Workers: 1, Obs: rec})
+	counted := func() [2]int64 {
+		return [2]int64{rec.Counter("pta.guards_kept").Value(), rec.Counter("pta.linear_queries").Value()}
+	}
+	a, err := sess.Update(units)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := counted(); got != [2]int64{int64(a.PTAStats.GuardsKept), int64(a.PTAStats.LinearQueries)} {
+		t.Fatalf("the first Update counted %v, want the program's %+v", got, a.PTAStats)
+	}
+
+	// The driver edit: a statement added to the unit's last driver function.
+	src := units[0].Src
+	at := strings.LastIndex(src, "\nvoid drive_")
+	name := src[at+len("\nvoid ") : at+strings.IndexByte(src[at:], '(')]
+	cut := at + 1 + strings.IndexByte(src[at+1:], '\n') + 1
+	units[0].Src = src[:cut] + "\tseed = seed + 1;\n" + src[cut:]
+	for _, resubmit := range []bool{false, true} {
+		before := counted()
+		a, err := sess.Update(units)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want [2]int64
+		if !resubmit {
+			if a.Artifacts.Invalidated+a.Artifacts.Misses != 1 {
+				t.Fatalf("the edit rebuilt %+v, want %s alone", a.Artifacts, name)
+			}
+			own := sess.PTAStatsOf(name)
+			want = [2]int64{int64(own.GuardsKept), int64(own.LinearQueries)}
+			if own.GuardsKept == 0 || own.GuardsKept == a.PTAStats.GuardsKept {
+				t.Fatalf("%s keeps %d guards of the program's %d: not a function to tell them apart by", name, own.GuardsKept, a.PTAStats.GuardsKept)
+			}
+		}
+		if got := counted(); got[0]-before[0] != want[0] || got[1]-before[1] != want[1] {
+			t.Errorf("resubmit=%v: pta.guards_kept and pta.linear_queries moved by %d and %d, want %v (the program's: %d and %d)",
+				resubmit, got[0]-before[0], got[1]-before[1], want, a.PTAStats.GuardsKept, a.PTAStats.LinearQueries)
+		}
+	}
+}

@@ -18,8 +18,10 @@ import (
 // Unit facts. Between Updates the session knows a translation unit by its
 // name, its source and the facts below — what an Update reads of a unit
 // without lowering any of its functions — and never by its AST: a unit is
-// parsed when one of its functions must be lowered, and the parse is dropped
-// when that Update returns.
+// parsed when its bytes are new, and its tree dies once the facts stand; a
+// function that must be lowered is parsed again, alone, from the declaration
+// the facts place (see build.decl). The facts hold nothing of the tree's
+// arena: strings are the source's, and lists are their own.
 
 // unitFacts are one unit's declarations as the program-level tables see
 // them: its globals and struct layouts (its share of the program shape) and,

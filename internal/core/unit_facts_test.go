@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -135,6 +136,35 @@ func TestUnitFactsRoundTrip(t *testing.T) {
 		}
 	}
 	t.Logf("%d units, %d functions, %d bytes", len(units), funcs/2, len(rec))
+}
+
+// TestFactsOwnNothingOfTheArena is the guard against facts that alias the
+// arena their unit's tree was parsed into: each unit's facts, taken while its
+// tree is the arena's, must equal a fresh parse's facts after the next parse
+// on the same arena — another unit's — has reused its slabs.
+func TestFactsOwnNothingOfTheArena(t *testing.T) {
+	units := slices.Clone(factsUnits)
+	units = append(units, minic.NamedSource{Name: "c.mc", Src: "struct other { bool b; int *w; int z; };\nint g2 = 7;\nint *alt(struct other *o, int k) { return o->w; }\n"})
+	for i, c := range workload.JulietSuite() {
+		if i%100 == 0 {
+			units = append(units, c.Units...)
+		}
+	}
+	var a minic.Arena
+	for i, u := range units {
+		f, err := a.ParseFile(u.Name, u.Src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		facts := factsOf(f, nil, true)
+		next := units[(i+1)%len(units)]
+		if _, err := a.ParseFile(next.Name, next.Src); err != nil {
+			t.Fatal(err)
+		}
+		if fresh := unitOf(t, u).unitFacts; !reflect.DeepEqual(facts, fresh) {
+			t.Errorf("%s: its facts changed when %s was parsed into the arena:\n%+v\nwant %+v", u.Name, next.Name, facts, fresh)
+		}
+	}
 }
 
 // TestFactsOfLike: the facts of an edited unit are the facts of a parse from

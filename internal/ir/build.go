@@ -33,6 +33,7 @@ type buildState struct {
 	nextVal   int32
 	err       error
 	symAt     []int32 // Pack's symbol offsets, before they go into the body
+	vals      []Value // the values of a body lowering numbers, until renumber
 }
 
 type constKey struct {
@@ -78,7 +79,7 @@ func (b *Body) release() {
 func putBuild(bs *buildState) {
 	clear(bs.strs)
 	clear(bs.packed)
-	*bs = buildState{strs: bs.strs[:0], packed: bs.packed[:0], consts: bs.consts[:0], slots: bs.slots[:0], symAt: bs.symAt[:0]}
+	*bs = buildState{strs: bs.strs[:0], packed: bs.packed[:0], consts: bs.consts[:0], slots: bs.slots[:0], symAt: bs.symAt[:0], vals: bs.vals[:0]}
 	buildPool.Put(bs)
 }
 
@@ -528,6 +529,8 @@ func (f *Func) Pack() error {
 // renumber moves every value that holds an ID to the record of its ID,
 // rewrites the handles in the lists and records to IDs, and drops the values
 // that hold none (definitions lowered in blocks the entry does not reach).
+// Lowering appended the values to the build state's array, which the next
+// function reuses; the body's own is allocated here, of its exact size.
 func (b *Body) renumber() {
 	bs := b.build
 	vals := make([]Value, bs.nextVal)
@@ -567,7 +570,7 @@ func (b *Body) renumber() {
 	for i, p := range b.params {
 		b.params[i] = id(p)
 	}
-	b.values = vals
+	bs.vals, b.values = b.values[:0], vals
 	bs.numbering = false
 }
 

@@ -504,6 +504,7 @@ func NewFunc(name string, ret minic.Type, unit int, pos minic.Pos) *Func {
 	f := &Func{Name: name, Ret: ret, Unit: unit, Pos: pos, Body: &Body{Entry: -1, Exit: -1}}
 	bs := f.open()
 	bs.numbering = true
+	f.values = bs.vals
 	bs.addSym(name)
 	bs.addSym(pos.File)
 	return f

@@ -1,9 +1,6 @@
 package minic
 
-import (
-	"fmt"
-	"strings"
-)
+import "strings"
 
 // Type is a MiniC type: int, bool, void, or a pointer to another type.
 type Type struct {
@@ -257,42 +254,3 @@ func (e *NullLit) ExprPos() Pos    { return e.Pos }
 func (e *UnaryExpr) ExprPos() Pos  { return e.Pos }
 func (e *BinaryExpr) ExprPos() Pos { return e.Pos }
 func (e *CallExpr) ExprPos() Pos   { return e.Pos }
-
-// FormatExpr renders an expression as MiniC source, mainly for diagnostics
-// and golden tests.
-func FormatExpr(e Expr) string {
-	switch x := e.(type) {
-	case *Ident:
-		return x.Name
-	case *IntLit:
-		return fmt.Sprintf("%d", x.Val)
-	case *BoolLit:
-		if x.Val {
-			return "true"
-		}
-		return "false"
-	case *NullLit:
-		return "null"
-	case *ArrowExpr:
-		return parenthesize(x.X) + "->" + x.Field
-	case *UnaryExpr:
-		return x.Op + parenthesize(x.X)
-	case *BinaryExpr:
-		return parenthesize(x.X) + " " + x.Op + " " + parenthesize(x.Y)
-	case *CallExpr:
-		args := make([]string, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = FormatExpr(a)
-		}
-		return x.Fun + "(" + strings.Join(args, ", ") + ")"
-	default:
-		return fmt.Sprintf("<%T>", e)
-	}
-}
-
-func parenthesize(e Expr) string {
-	if b, ok := e.(*BinaryExpr); ok {
-		return "(" + FormatExpr(b) + ")"
-	}
-	return FormatExpr(e)
-}

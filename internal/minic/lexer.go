@@ -111,8 +111,8 @@ func (l *Lexer) Next() (Token, error) {
 			l.advance()
 		}
 		word := l.src[start:l.off]
-		if k, ok := keywords[word]; ok {
-			return Token{Kind: k, Lit: word, Pos: p}, nil
+		if n, c := len(word), word[0]-'a'; n < len(keywords) && c < 26 && keywords[n][c].Lit == word {
+			return Token{Kind: keywords[n][c].Kind, Lit: word, Pos: p}, nil
 		}
 		return Token{Kind: TokIdent, Lit: word, Pos: p}, nil
 	case isDigit(c):

@@ -244,21 +244,6 @@ func TestParseProgramUnits(t *testing.T) {
 	}
 }
 
-func TestFormatExprRoundTrip(t *testing.T) {
-	src := "void f() { int x = (a + b) * c(d, *e) - -g; }"
-	f, err := ParseFile("t", src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := f.Funcs[0].Body.Stmts[0].(*DeclStmt).Decl.Init
-	s := FormatExpr(e)
-	for _, frag := range []string{"a", "b", "c(", "*e", "-g"} {
-		if !strings.Contains(s, frag) {
-			t.Errorf("FormatExpr = %q missing %q", s, frag)
-		}
-	}
-}
-
 func TestGlobalWithInit(t *testing.T) {
 	f, err := ParseFile("t", "int g = 5; int *h;")
 	if err != nil {

@@ -25,7 +25,7 @@ import "fmt"
 //	primary  = ident [ "(" args ")" ] | int | "true" | "false" | "null"
 //	         | "(" expr ")" .
 type Parser struct {
-	lex *Lexer
+	lex Lexer
 	// buf[:n] is the lookahead window, buf[0] the current token. Tokens are
 	// pulled from the lexer on demand; three is the most the grammar needs
 	// (File tells a struct declaration from a struct-typed one by the two
@@ -35,26 +35,17 @@ type Parser struct {
 	// lexErr is the first lexical error; from there on the stream reads
 	// as EOF.
 	lexErr error
+	// a holds the nodes; stmts, exprs and params are stacks the lists being
+	// parsed grow on, until each is complete and moves into the arena.
+	a      *Arena
+	stmts  []Stmt
+	exprs  []Expr
+	params []Param
 }
 
-// NewParser returns a Parser over src, reporting positions against file.
-func NewParser(file, src string) *Parser { return &Parser{lex: NewLexer(file, src)} }
-
-// ParseFile lexes and parses one translation unit. A lexical error anywhere
-// in the unit outranks a syntax error before it.
-func ParseFile(name, src string) (*File, error) {
-	p := NewParser(name, src)
-	f, err := p.File(name)
-	if err != nil {
-		// Tokens stream, so the rest of the unit is still unlexed.
-		for p.lexErr == nil && p.scan().Kind != TokEOF {
-		}
-	}
-	if p.lexErr != nil {
-		return nil, p.lexErr
-	}
-	return f, err
-}
+// ParseFile lexes and parses one translation unit into an arena of its own.
+// A lexical error anywhere in the unit outranks a syntax error before it.
+func ParseFile(name, src string) (*File, error) { return new(Arena).ParseFile(name, src) }
 
 // ParseProgram parses a set of named translation units into one Program.
 // Order of the units map is not significant; files are sorted by the caller
@@ -255,7 +246,8 @@ func (p *Parser) parseFuncRest(ret Type, nameTok Token) (*FuncDecl, error) {
 	if _, err := p.expect(TokLParen); err != nil {
 		return nil, err
 	}
-	fn := &FuncDecl{Pos: nameTok.Pos, Name: nameTok.Lit, Ret: ret}
+	fn := p.a.funcs.new(FuncDecl{Pos: nameTok.Pos, Name: nameTok.Lit, Ret: ret})
+	mark := len(p.params)
 	if !p.at(TokRParen) {
 		for {
 			pt, err := p.parseType()
@@ -266,12 +258,13 @@ func (p *Parser) parseFuncRest(ret Type, nameTok Token) (*FuncDecl, error) {
 			if err != nil {
 				return nil, err
 			}
-			fn.Params = append(fn.Params, Param{Name: pn.Lit, Type: pt})
+			p.params = append(p.params, Param{Name: pn.Lit, Type: pt})
 			if !p.accept(TokComma) {
 				break
 			}
 		}
 	}
+	fn.Params, p.params = p.a.params.list(p.params[mark:]), p.params[:mark]
 	if _, err := p.expect(TokRParen); err != nil {
 		return nil, err
 	}
@@ -284,7 +277,7 @@ func (p *Parser) parseFuncRest(ret Type, nameTok Token) (*FuncDecl, error) {
 }
 
 func (p *Parser) parseVarRest(typ Type, nameTok Token) (*VarDecl, error) {
-	vd := &VarDecl{Pos: nameTok.Pos, Name: nameTok.Lit, Type: typ}
+	vd := p.a.vars.new(VarDecl{Pos: nameTok.Pos, Name: nameTok.Lit, Type: typ})
 	if p.accept(TokAssign) {
 		init, err := p.parseExpr()
 		if err != nil {
@@ -303,7 +296,7 @@ func (p *Parser) parseBlock() (*BlockStmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &BlockStmt{Pos: lb.Pos}
+	mark := len(p.stmts)
 	for !p.at(TokRBrace) {
 		if p.at(TokEOF) {
 			return nil, &Error{Pos: p.cur().Pos, Msg: "unexpected EOF in block"}
@@ -312,9 +305,11 @@ func (p *Parser) parseBlock() (*BlockStmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		b.Stmts = append(b.Stmts, s)
+		p.stmts = append(p.stmts, s)
 	}
 	p.next() // consume '}'
+	b := p.a.blocks.new(BlockStmt{Pos: lb.Pos, Stmts: p.a.stmts.list(p.stmts[mark:])})
+	p.stmts = p.stmts[:mark]
 	return b, nil
 }
 
@@ -330,7 +325,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		return p.parseFor()
 	case TokKwReturn:
 		t := p.next()
-		rs := &ReturnStmt{Pos: t.Pos}
+		rs := p.a.returns.new(ReturnStmt{Pos: t.Pos})
 		if !p.at(TokSemi) {
 			v, err := p.parseExpr()
 			if err != nil {
@@ -356,7 +351,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &DeclStmt{Decl: vd}, nil
+		return p.a.decls.new(DeclStmt{Decl: vd}), nil
 	}
 	return p.parseAssignOrExpr()
 }
@@ -377,7 +372,7 @@ func (p *Parser) parseIf() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &IfStmt{Pos: t.Pos, Cond: cond, Then: then}
+	s := p.a.ifs.new(IfStmt{Pos: t.Pos, Cond: cond, Then: then})
 	if p.accept(TokKwElse) {
 		els, err := p.parseStmt()
 		if err != nil {
@@ -404,7 +399,7 @@ func (p *Parser) parseWhile() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &WhileStmt{Pos: t.Pos, Cond: cond, Body: body}, nil
+	return p.a.whiles.new(WhileStmt{Pos: t.Pos, Cond: cond, Body: body}), nil
 }
 
 // parseFor desugars `for (init; cond; post) body` into
@@ -430,7 +425,7 @@ func (p *Parser) parseFor() (Stmt, error) {
 			if err != nil {
 				return nil, err
 			}
-			init = &DeclStmt{Decl: vd}
+			init = p.a.decls.new(DeclStmt{Decl: vd})
 		} else {
 			st, err := p.parseAssignOrExpr() // consumes ';'
 			if err != nil {
@@ -441,7 +436,7 @@ func (p *Parser) parseFor() (Stmt, error) {
 	} else {
 		p.next() // empty init: consume ';'
 	}
-	var cond Expr = &BoolLit{Pos: t.Pos, Val: true}
+	var cond Expr = p.a.bools.new(BoolLit{Pos: t.Pos, Val: true})
 	if !p.at(TokSemi) {
 		c, err := p.parseExpr()
 		if err != nil {
@@ -469,9 +464,9 @@ func (p *Parser) parseFor() (Stmt, error) {
 			if err != nil {
 				return nil, err
 			}
-			post = &AssignStmt{Pos: start, Target: lhs, Value: rhs}
+			post = p.a.assigns.new(AssignStmt{Pos: start, Target: lhs, Value: rhs})
 		} else {
-			post = &ExprStmt{Pos: start, X: lhs}
+			post = p.a.exprStmt.new(ExprStmt{Pos: start, X: lhs})
 		}
 	}
 	if _, err := p.expect(TokRParen); err != nil {
@@ -481,16 +476,16 @@ func (p *Parser) parseFor() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	loopBody := &BlockStmt{Pos: t.Pos, Stmts: []Stmt{body}}
-	if post != nil {
-		loopBody.Stmts = append(loopBody.Stmts, post)
+	loop := []Stmt{body, post}
+	if post == nil {
+		loop = loop[:1]
 	}
-	out := &BlockStmt{Pos: t.Pos}
-	if init != nil {
-		out.Stmts = append(out.Stmts, init)
+	loopBody := p.a.blocks.new(BlockStmt{Pos: t.Pos, Stmts: p.a.stmts.list(loop)})
+	outer := []Stmt{init, p.a.whiles.new(WhileStmt{Pos: t.Pos, Cond: cond, Body: loopBody})}
+	if init == nil {
+		outer = outer[1:]
 	}
-	out.Stmts = append(out.Stmts, &WhileStmt{Pos: t.Pos, Cond: cond, Body: loopBody})
-	return out, nil
+	return p.a.blocks.new(BlockStmt{Pos: t.Pos, Stmts: p.a.stmts.list(outer)}), nil
 }
 
 func (p *Parser) parseAssignOrExpr() (Stmt, error) {
@@ -510,12 +505,12 @@ func (p *Parser) parseAssignOrExpr() (Stmt, error) {
 		if _, err := p.expect(TokSemi); err != nil {
 			return nil, err
 		}
-		return &AssignStmt{Pos: start, Target: lhs, Value: rhs}, nil
+		return p.a.assigns.new(AssignStmt{Pos: start, Target: lhs, Value: rhs}), nil
 	}
 	if _, err := p.expect(TokSemi); err != nil {
 		return nil, err
 	}
-	return &ExprStmt{Pos: start, X: lhs}, nil
+	return p.a.exprStmt.new(ExprStmt{Pos: start, X: lhs}), nil
 }
 
 func isLvalue(e Expr) bool {
@@ -543,7 +538,7 @@ func (p *Parser) parseOr() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		x = &BinaryExpr{Pos: t.Pos, Op: "||", X: x, Y: y}
+		x = p.a.binaries.new(BinaryExpr{Pos: t.Pos, Op: "||", X: x, Y: y})
 	}
 	return x, nil
 }
@@ -559,12 +554,12 @@ func (p *Parser) parseAnd() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		x = &BinaryExpr{Pos: t.Pos, Op: "&&", X: x, Y: y}
+		x = p.a.binaries.new(BinaryExpr{Pos: t.Pos, Op: "&&", X: x, Y: y})
 	}
 	return x, nil
 }
 
-var cmpOps = map[TokKind]string{
+var cmpOps = [TokArrow + 1]string{
 	TokEq: "==", TokNe: "!=", TokLt: "<", TokLe: "<=", TokGt: ">", TokGe: ">=",
 }
 
@@ -573,13 +568,13 @@ func (p *Parser) parseCmp() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	if op, ok := cmpOps[p.kind()]; ok {
+	if op := cmpOps[p.kind()]; op != "" {
 		t := p.next()
 		y, err := p.parseAdd()
 		if err != nil {
 			return nil, err
 		}
-		return &BinaryExpr{Pos: t.Pos, Op: op, X: x, Y: y}, nil
+		return p.a.binaries.new(BinaryExpr{Pos: t.Pos, Op: op, X: x, Y: y}), nil
 	}
 	return x, nil
 }
@@ -599,7 +594,7 @@ func (p *Parser) parseAdd() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		x = &BinaryExpr{Pos: t.Pos, Op: op, X: x, Y: y}
+		x = p.a.binaries.new(BinaryExpr{Pos: t.Pos, Op: op, X: x, Y: y})
 	}
 	return x, nil
 }
@@ -626,7 +621,7 @@ func (p *Parser) parseMul() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		x = &BinaryExpr{Pos: t.Pos, Op: op, X: x, Y: y}
+		x = p.a.binaries.new(BinaryExpr{Pos: t.Pos, Op: op, X: x, Y: y})
 	}
 }
 
@@ -649,7 +644,7 @@ func (p *Parser) parseUnary() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &UnaryExpr{Pos: t.Pos, Op: op, X: x}, nil
+	return p.a.unaries.new(UnaryExpr{Pos: t.Pos, Op: op, X: x}), nil
 }
 
 // parsePostfix parses a primary followed by "->field" chains.
@@ -664,7 +659,7 @@ func (p *Parser) parsePostfix() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		x = &ArrowExpr{Pos: t.Pos, X: x, Field: f.Lit}
+		x = p.a.arrows.new(ArrowExpr{Pos: t.Pos, X: x, Field: f.Lit})
 	}
 	return x, nil
 }
@@ -675,14 +670,14 @@ func (p *Parser) parsePrimary() (Expr, error) {
 	case TokIdent:
 		p.skip()
 		if p.accept(TokLParen) {
-			call := &CallExpr{Pos: t.Pos, Fun: t.Lit}
+			mark := len(p.exprs)
 			if !p.at(TokRParen) {
 				for {
 					a, err := p.parseExpr()
 					if err != nil {
 						return nil, err
 					}
-					call.Args = append(call.Args, a)
+					p.exprs = append(p.exprs, a)
 					if !p.accept(TokComma) {
 						break
 					}
@@ -691,25 +686,27 @@ func (p *Parser) parsePrimary() (Expr, error) {
 			if _, err := p.expect(TokRParen); err != nil {
 				return nil, err
 			}
+			call := p.a.calls.new(CallExpr{Pos: t.Pos, Fun: t.Lit, Args: p.a.exprs.list(p.exprs[mark:])})
+			p.exprs = p.exprs[:mark]
 			return call, nil
 		}
-		return &Ident{Pos: t.Pos, Name: t.Lit}, nil
+		return p.a.idents.new(Ident{Pos: t.Pos, Name: t.Lit}), nil
 	case TokInt:
 		p.skip()
 		var v int64
 		for _, c := range t.Lit {
 			v = v*10 + int64(c-'0')
 		}
-		return &IntLit{Pos: t.Pos, Val: v}, nil
+		return p.a.ints.new(IntLit{Pos: t.Pos, Val: v}), nil
 	case TokKwTrue:
 		p.skip()
-		return &BoolLit{Pos: t.Pos, Val: true}, nil
+		return p.a.bools.new(BoolLit{Pos: t.Pos, Val: true}), nil
 	case TokKwFalse:
 		p.skip()
-		return &BoolLit{Pos: t.Pos, Val: false}, nil
+		return p.a.bools.new(BoolLit{Pos: t.Pos, Val: false}), nil
 	case TokKwNull:
 		p.skip()
-		return &NullLit{Pos: t.Pos}, nil
+		return p.a.nulls.new(NullLit{Pos: t.Pos}), nil
 	case TokLParen:
 		p.skip()
 		x, err := p.parseExpr()

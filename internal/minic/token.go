@@ -104,19 +104,19 @@ func (k TokKind) String() string {
 	return fmt.Sprintf("TokKind(%d)", int(k))
 }
 
-var keywords = map[string]TokKind{
-	"int":    TokKwInt,
-	"bool":   TokKwBool,
-	"void":   TokKwVoid,
-	"if":     TokKwIf,
-	"else":   TokKwElse,
-	"while":  TokKwWhile,
-	"for":    TokKwFor,
-	"struct": TokKwStruct,
-	"return": TokKwReturn,
-	"true":   TokKwTrue,
-	"false":  TokKwFalse,
-	"null":   TokKwNull,
+// keywords holds each keyword, as tokNames spells it, by its length and first
+// letter, which tell the keywords apart: the lexer looks a word up without
+// hashing it.
+var keywords [7][26]Token
+
+func init() {
+	for k := TokKwInt; k <= TokKwNull; k++ {
+		w := tokNames[k][1 : len(tokNames[k])-1]
+		if keywords[len(w)][w[0]-'a'].Kind != 0 {
+			panic("minic: two keywords of one length and first letter: " + w)
+		}
+		keywords[len(w)][w[0]-'a'] = Token{Kind: k, Lit: w}
+	}
 }
 
 // Pos is a source position (1-based line and column) within a named file.

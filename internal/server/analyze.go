@@ -128,8 +128,8 @@ type AnalyzeStats struct {
 	FunctionsVisited int `json:"functionsVisited"`
 	// UnitsParsed counts the translation units the build parsed (see
 	// core.ArtifactStats.UnitsParsed): those whose bytes the session did not
-	// know and those of which a function had to be lowered — none on a
-	// restart with unchanged sources and a populated -store-dir.
+	// know — none on a restart with unchanged sources and a populated
+	// -store-dir.
 	UnitsParsed int   `json:"unitsParsed"`
 	Reports     int   `json:"reports"`
 	Workers     int   `json:"workers"`

@@ -6,12 +6,12 @@
 # all-checkers-equal-their-union equivalences, the local-flow walk against
 # its brute-force enumeration and under path explosion, at one and two CPUs,
 # the allocation and residency budgets without the race detector, a short
-# fuzz of the artifact decoder, of the unit-facts decoder, of the solver
-# against enumeration, of the request decoder and its per-tenant memo of the
-# units last sent against encoding/json, of lowering into SSA form and
-# through the SEG and the segment codec, and of the analysis against
-# exhaustive execution of generated programs, the benchmark module, and the
-# examples suite.
+# fuzz of the artifact decoder, of the unit-facts decoder, of a function's
+# own parse against its unit's, of the solver against enumeration, of the
+# request decoder and its per-tenant memo of the units last sent against
+# encoding/json, of lowering into SSA form and through the SEG and the
+# segment codec, and of the analysis against exhaustive execution of
+# generated programs, the benchmark module, and the examples suite.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -65,6 +65,9 @@ go test ./internal/core -run '^$' -fuzz FuzzDecodeSegment -fuzztime 10s -fuzzmin
 
 echo "== fuzz the unit-facts decoder (5s)"
 go test ./internal/core -run '^$' -fuzz FuzzDecodeUnitFacts -fuzztime 5s -fuzzminimizetime 1s
+
+echo "== fuzz a function's parse from its own declaration against its unit's parse (5s)"
+go test ./internal/minic -run '^$' -fuzz FuzzParseFunc -fuzztime 5s -fuzzminimizetime 1s
 
 echo "== fuzz the solver against enumeration (5s)"
 go test ./internal/smt -run '^$' -fuzz FuzzCheckVsEnumeration -fuzztime 5s -fuzzminimizetime 1s
