@@ -31,12 +31,20 @@ func TestDumpGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, err := core.BuildFromSource([]minic.NamedSource{{Name: filepath.Base(p), Src: string(src)}}, core.BuildOptions{Workers: 1})
+		units := []minic.NamedSource{{Name: filepath.Base(p), Src: string(src)}}
+		a, err := core.BuildFromSource(units, core.BuildOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, f := range a.Module.Funcs {
 			for _, kind := range []string{"seg", "cfg"} {
+				// As the CLI does: a cfg dump keeps the function's body.
+				a := a
+				if kind == "cfg" {
+					if a, err = core.BuildFromSource(units, core.BuildOptions{Workers: 1, KeepBody: f.Name}); err != nil {
+						t.Fatal(err)
+					}
+				}
 				dot, err := dump(a, kind+":"+f.Name)
 				if err != nil {
 					t.Fatal(err)

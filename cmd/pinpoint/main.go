@@ -120,13 +120,16 @@ func runBatch() {
 		fatal(err)
 	}
 
-	storeDir := o.storeDir
+	storeDir, keepBody := o.storeDir, ""
 	if o.dump != "" {
-		storeDir = "" // a stored graph keeps no CFG: a dump is made of a fresh build
+		// A graph keeps no CFG: a dump is made of a fresh build that keeps
+		// the named function's body.
+		storeDir = ""
+		keepBody, _ = strings.CutPrefix(o.dump, "cfg:")
 	}
 	st, closeStore := openStore(storeDir, rec)
 	defer closeStore()
-	a, err := core.BuildFromSource(readUnits(flag.Args()), core.BuildOptions{Workers: o.workers, Obs: rec, Store: st})
+	a, err := core.BuildFromSource(readUnits(flag.Args()), core.BuildOptions{Workers: o.workers, Obs: rec, Store: st, KeepBody: keepBody})
 	if err != nil {
 		fatal(err)
 	}
@@ -212,7 +215,10 @@ func dump(a *core.Analysis, spec string) (string, error) {
 	}
 	switch kind {
 	case "cfg":
-		return ir.DotCFG(&a.SEGs[f.ID].Body), nil
+		if f.Body == nil {
+			return "", fmt.Errorf("-dump %s: the build kept no body of %s", spec, fn)
+		}
+		return ir.DotCFG(f.Body), nil
 	case "seg":
 		return a.SEGs[f.ID].Dot(), nil
 	}
@@ -266,7 +272,10 @@ type statsDump struct {
 		Invalidated int `json:"invalidated"`
 		UnitsParsed int `json:"unitsParsed"`
 	} `json:"artifacts"`
-	PTA      pta.Stats     `json:"pta"`
+	PTA pta.Stats `json:"pta"`
+	// Resident is the analysis's structural ledger at the end of the run:
+	// the bytes its per-function tables occupy, by table.
+	Resident core.Resident `json:"resident"`
 	Checkers []checkerDump `json:"checkers"`
 	Detect   struct {
 		Workers        int     `json:"workers"`
@@ -324,6 +333,7 @@ func buildStatsDump(a *core.Analysis, res detect.Results, rec *obs.Recorder) *st
 	d.Build.TransfNs, d.Build.PTASEGNs, d.Build.CommitNs = int64(tm.Transform), int64(tm.PTA+tm.SEG), int64(tm.Commit)
 	d.Build.TotalNs = int64(tm.Total())
 	d.Build.StoreLoadNs, d.Build.StoreSaveNs = int64(tm.StoreLoad), int64(tm.StoreSave)
+	d.Resident = a.Resident()
 	d.Artifacts.Hits = a.Artifacts.Hits
 	d.Artifacts.Misses = a.Artifacts.Misses
 	d.Artifacts.Invalidated = a.Artifacts.Invalidated

@@ -101,9 +101,9 @@ func TestProcess(t *testing.T) {
 			}
 		}
 
-		// A dump renders a graph's body, blocks included, which a stored
-		// graph does not keep: over the populated store it prints what it
-		// prints without one.
+		// A dump renders a function's body, blocks included, which no graph
+		// keeps: a fresh build keeps it for the dump, so over the populated
+		// store it prints what it prints without one.
 		spec := "-dump=cfg:uaf_conditional"
 		plain, _ := run(t, bin, append([]string{spec}, examples...)...)
 		stored, _ := run(t, bin, append([]string{spec, "-store-dir", storeDir}, examples...)...)

@@ -21,40 +21,17 @@ func Ref(c *Cond) int32 {
 	return int32(c.id)
 }
 
-// EncodeBuilder appends b's node set to e.
+// EncodeBuilder appends b's node set to e, walking the nodes by ID.
 func EncodeBuilder(e *wirebin.Writer, b *Builder) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	nodes := make([]*Cond, b.nextID)
-	reg := func(c *Cond) error {
-		if c.id < 0 || c.id >= len(nodes) || nodes[c.id] != nil {
-			return fmt.Errorf("cond: encode: bad node id %d", c.id)
-		}
-		nodes[c.id] = c
-		return nil
+	e.Uvarint(uint64(len(b.made) + len(constants)))
+	for i := range constants {
+		e.U8(uint8(constants[i].kind))
 	}
-	if err := reg(b.trueC); err != nil {
-		return err
-	}
-	if err := reg(b.falseC); err != nil {
-		return err
-	}
-	for _, tab := range []map[int]*Cond{b.atoms, b.nots} {
-		for _, c := range tab {
-			if err := reg(c); err != nil {
-				return err
-			}
-		}
-	}
-	for _, c := range b.nary {
-		if err := reg(c); err != nil {
-			return err
-		}
-	}
-	e.Uvarint(uint64(len(nodes)))
-	for i, c := range nodes {
-		if c == nil {
-			return fmt.Errorf("cond: encode: unregistered node id %d", i)
+	for i, c := range b.made {
+		if c.id != i+len(constants) {
+			return fmt.Errorf("cond: encode: node %d holds id %d", i+len(constants), c.id)
 		}
 		e.U8(uint8(c.kind))
 		switch c.kind {
@@ -73,25 +50,24 @@ func EncodeBuilder(e *wirebin.Writer, b *Builder) error {
 }
 
 // DecodeBuilder reads a node set from r and rebuilds the Builder around it.
-// A node that names an operand not before it, a second true or false, or a
-// node the intern tables already hold (a genuine Builder hash-conses them
-// away) is an error.
+// A node that names an operand not before it, true or false anywhere but at
+// IDs 0 and 1, or a node the intern table already holds (a genuine Builder
+// hash-conses them away) is an error.
 func DecodeBuilder(r *wirebin.Reader) (*Builder, error) {
 	n := r.Len()
-	b := &Builder{nextID: n}
-	// The nodes live and die with the builder: one allocation for all but
-	// the first two — a genuine Builder's constants — which have their place
-	// inside it.
+	b := new(Builder)
 	var slab []Cond
-	if n > len(b.consts) {
-		slab = make([]Cond, n-len(b.consts))
-		b.made = make([]*Cond, len(slab))
+	if n > len(constants) {
+		// The nodes live and die with the builder: one allocation for all.
+		slab = make([]Cond, n-len(constants))
+		b.made = make([]*Cond, 0, len(slab))
+		b.index = make([]int32, indexLen(len(slab)))
 	}
 	node := func(id int) *Cond {
-		if id < len(b.consts) {
-			return &b.consts[id]
+		if id < len(constants) {
+			return &constants[id]
 		}
-		return b.made[id-len(b.consts)]
+		return b.made[id-len(constants)]
 	}
 	operand := func(i int) (*Cond, error) {
 		id := r.Int()
@@ -100,34 +76,27 @@ func DecodeBuilder(r *wirebin.Reader) (*Builder, error) {
 		}
 		return node(id), nil
 	}
-	var keyBuf [64]byte
 	for i := 0; i < n; i++ {
-		var c *Cond
-		if i < len(b.consts) {
-			c = &b.consts[i]
-		} else {
-			c = &slab[i-len(b.consts)]
-			b.made[i-len(b.consts)] = c
+		k := Kind(r.U8())
+		switch {
+		case i < len(constants) && k == constants[i].kind:
+			continue
+		case k == KTrue || k == KFalse:
+			return nil, r.Errorf("cond: decode: node %d duplicates an earlier node", i)
+		case i < len(constants):
+			return nil, r.Errorf("cond: decode: missing constant nodes")
 		}
-		c.kind, c.id = Kind(r.U8()), i
-		var dup bool
-		switch c.kind {
-		case KTrue:
-			dup, b.trueC = b.trueC != nil, c
-		case KFalse:
-			dup, b.falseC = b.falseC != nil, c
+		c := &slab[i-len(constants)]
+		c.kind, c.id = k, i
+		switch k {
 		case KAtom:
 			c.atom = r.Int()
-			_, dup = b.atoms[c.atom]
-			intern(&b.atoms, c.atom, c)
 		case KNot:
 			op, err := operand(i)
 			if err != nil {
 				return nil, err
 			}
 			c.ops = []*Cond{op}
-			_, dup = b.nots[op.id]
-			intern(&b.nots, op.id, c)
 		case KAnd, KOr:
 			m := r.Len()
 			if m < 2 {
@@ -144,17 +113,20 @@ func DecodeBuilder(r *wirebin.Reader) (*Builder, error) {
 				}
 				c.ops[j] = op
 			}
-			key := naryKey(keyBuf[:0], c.kind, c.ops)
-			_, dup = b.nary[string(key)]
-			intern(&b.nary, string(key), c)
 		default:
-			return nil, r.Errorf("cond: decode: node %d has unknown kind %d", i, c.kind)
+			return nil, r.Errorf("cond: decode: node %d has unknown kind %d", i, k)
 		}
-		if dup {
+		if err := r.Err(); err != nil {
+			return nil, err
+		}
+		dup, slot := b.lookup(c.kind, c.atom, c.ops)
+		if dup != nil {
 			return nil, r.Errorf("cond: decode: node %d duplicates an earlier node", i)
 		}
+		b.made = append(b.made, c)
+		b.index[slot] = int32(i)
 	}
-	if b.trueC == nil || b.falseC == nil {
+	if n < len(constants) {
 		return nil, r.Errorf("cond: decode: missing constant nodes")
 	}
 	if err := r.Err(); err != nil {

@@ -359,3 +359,36 @@ func contains(s, sub string) bool {
 	}
 	return false
 }
+
+// Every function has a builder and most have no branch: an empty builder is
+// one allocation, its constants included, whatever is asked of them. A
+// builder of n nodes holds, beside them, an intern table of at most 4n IDs
+// (at least 8) and, once frozen, a node list of exactly n.
+func TestBuilderBudget(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() {
+		b := NewBuilder()
+		b.And(b.True(), b.Not(b.False()))
+		b.Freeze()
+		if b.Node(0) != b.True() || b.Node(1) != b.False() || b.NumNodes() != 2 {
+			t.Fatal("an empty builder's constants are not nodes 0 and 1")
+		}
+	}); n != 1 {
+		t.Errorf("an empty builder takes %.0f allocations, want 1", n)
+	}
+	b := NewBuilder()
+	for i := 0; i < 1000; i++ {
+		b.Or(b.Atom(i), b.Not(b.Atom(i+1)))
+	}
+	b.Freeze()
+	nodes, index := b.Footprint(func(n int) int { return n })
+	n := b.NumNodes() - 2
+	if index > 4*max(8, 4*n) {
+		t.Errorf("%d nodes hold an intern table of %d bytes", n, index)
+	}
+	if len(b.made) != n || cap(b.made) != n {
+		t.Errorf("%d nodes in a frozen node list of length %d, capacity %d", n, len(b.made), cap(b.made))
+	}
+	if nodes <= 0 {
+		t.Errorf("the nodes occupy %d bytes", nodes)
+	}
+}

@@ -145,9 +145,8 @@ func encodeArtifact(e *wirebin.Writer, art *funcArtifact) error {
 	e.Str(art.sigFP)
 	e.Str(art.depFP.String())
 	encodeSummary(e, art.sum)
-	counters := art.sizes.counters()
-	for _, n := range counters[2:] {
-		e.Int(*n)
+	for _, n := range art.sizes[2:] {
+		e.Int(int(n))
 	}
 	ir.EncodeFunc(e, art.fn)
 	if err := cond.EncodeBuilder(e, art.seg.Conds()); err != nil {
@@ -171,9 +170,8 @@ func decodeArtifact(r *wirebin.Reader) (*funcArtifact, error) {
 	}
 	art.sumFP, art.sigFP = digestOf([]byte(sumFP)), sigFP
 	art.sum = decodeSummary(r)
-	counters := art.sizes.counters()
-	for _, n := range counters[2:] {
-		*n = r.Int()
+	for i := 2; i < len(art.sizes); i++ {
+		art.sizes[i] = int32(r.Int())
 	}
 	f, params, err := ir.DecodeFunc(r)
 	if err != nil {
@@ -196,7 +194,7 @@ func decodeArtifact(r *wirebin.Reader) (*funcArtifact, error) {
 	for i, p := range g.Params() {
 		f.AddShellParam(p, params[i], i >= len(params)-len(f.AuxIn))
 	}
-	art.fn, art.seg, art.sizes.Lines, art.sizes.Functions = f, g, f.NumInstrs(), 1
+	art.fn, art.seg, art.sizes[0], art.sizes[1] = f, g, int32(f.NumInstrs()), 1
 	if r.Rest() != 0 {
 		return nil, fmt.Errorf("artifact %s: %d bytes left in its frame", f.Name, r.Rest())
 	}

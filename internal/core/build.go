@@ -895,11 +895,13 @@ func (b *build) finish(w int, st *fnState) error {
 	g := seg.Build(f, st.info, pr)
 	b.perFunc(w, tSEG, name, t0)
 	gs := g.Stats()
-	st.art = &funcArtifact{funcMeta: st.funcMeta, seg: g, sizes: artifactSizes{pta: pr.Stats, Sizes: Sizes{Lines: f.NumInstrs(),
-		Functions: 1, SEGNodes: gs.Nodes, SEGValueNodes: gs.ValueNodes, SEGEdges: gs.Edges, CondNodes: st.info.Conds.NumNodes()}}}
+	st.art = &funcArtifact{funcMeta: st.funcMeta, seg: g, sizes: newArtifactSizes(Sizes{Lines: f.NumInstrs(), Functions: 1,
+		SEGNodes: gs.Nodes, SEGValueNodes: gs.ValueNodes, SEGEdges: gs.Edges, CondNodes: st.info.Conds.NumNodes()}, pr.Stats)}
 	// Of the function, callers, detection and the store read only its
 	// interface and its SEG from here on.
-	f.ReleaseBody()
+	if f.Name != b.s.opts.KeepBody {
+		f.ReleaseBody()
+	}
 	return nil
 }
 
@@ -942,7 +944,7 @@ func (b *build) assemble() {
 		a.SEGs, a.Summaries = slices.Clone(s.analysis.SEGs), slices.Clone(s.analysis.Summaries)
 		b.changed = slices.Clone(s.unsaved)
 	} else {
-		arts, totals = make([]*funcArtifact, numIDs), artifactSizes{}
+		arts, totals = make([]*funcArtifact, numIDs), sizeTotals{}
 		m.Funcs = make([]*ir.Func, len(b.states))
 		a.SEGs, a.Summaries = make([]*seg.Graph, numIDs), make([]*modref.Summary, numIDs)
 	}
@@ -966,7 +968,7 @@ func (b *build) assemble() {
 		}
 		if st.rebuild {
 			fresh = append(fresh, art.fn)
-			b.built.Add(art.sizes.pta)
+			b.built.Add(art.sizes.ptaStats())
 		}
 		arts[id] = art
 		m.Funcs[b.positions[i]] = art.fn

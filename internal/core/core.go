@@ -61,6 +61,11 @@ type BuildOptions struct {
 	// session's own tables are already the cache, so nothing is encoded or
 	// digested.
 	Store store.Store
+	// KeepBody names a function whose body the build keeps beside its SEG,
+	// blocks and all, in its ir.Func (every other function's is released; a
+	// SEG holds no blocks): what `pinpoint -dump cfg:` renders. A function
+	// loaded from the store has no body to keep.
+	KeepBody string
 }
 
 // Timings partitions one Update's wall clock over the build's stages (see

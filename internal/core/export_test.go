@@ -4,8 +4,18 @@ import (
 	"fmt"
 
 	"repro/internal/pta"
+	"repro/internal/seg"
 	"repro/internal/store"
 )
+
+// GraphResident returns the ledger rows of graph g alone (Analysis.Resident):
+// its header, its body's tables, its own and its condition builder's.
+func GraphResident(g *seg.Graph) Resident {
+	var r Resident
+	r.addGraph(g)
+	r.sum()
+	return r
+}
 
 // SCCNames renders the condensation of the AST-level call graph the session
 // holds after its last Update: the components in bottom-up order, members by
@@ -43,7 +53,7 @@ func RekeyUnitFacts(st store.Store, name, src string) error {
 // PTAStatsOf returns the points-to counters the named function's committed
 // artifact was built with.
 func (s *Session) PTAStatsOf(name string) pta.Stats {
-	return s.arts[s.tab.lay.ID(name)].sizes.pta
+	return s.arts[s.tab.lay.ID(name)].sizes.ptaStats()
 }
 
 // BeforeStage has f run before each stage of every Update (nil: nothing).

@@ -138,8 +138,8 @@ type funcArtifact struct {
 type funcMeta struct {
 	astHash astKey // AST content hash + unit index
 	sumFP   digest // of the Mod/Ref summary's fingerprint
-	sigFP   string // connector signature fingerprint
 	depFP   digest // of sigFP + callee sigFPs: transform/SEG validity key
+	sigFP   string // connector signature fingerprint
 	sum     *modref.Summary
 	// fn is the lowered, SSA-converted, connector-transformed function —
 	// its interface: the SEG holds its body (ir.Func.ReleaseBody). Detection
@@ -150,24 +150,44 @@ type funcMeta struct {
 // artifactSizes are one function's size counters (Functions is 1, so sums
 // count functions), snapshotted right after its build: detection later grows
 // cond nodes and SEG value nodes in place, so live recounts of retained
-// artifacts would drift from a cold build's numbers.
-type artifactSizes struct {
+// artifacts would drift from a cold build's numbers. An artifact keeps them
+// as int32s, in sizeTotals.counters order.
+type artifactSizes [11]int32
+
+// newArtifactSizes snapshots s and p.
+func newArtifactSizes(s Sizes, p pta.Stats) artifactSizes {
+	var z artifactSizes
+	t := sizeTotals{s, p}
+	for i, c := range t.counters() {
+		z[i] = int32(*c)
+	}
+	return z
+}
+
+// ptaStats returns the points-to counters of z.
+func (z *artifactSizes) ptaStats() pta.Stats {
+	var t sizeTotals
+	t.add(z, 1)
+	return t.pta
+}
+
+// sizeTotals sums artifactSizes.
+type sizeTotals struct {
 	Sizes
 	pta pta.Stats
 }
 
 // counters lists the counters: the instruction and function counts, then
 // those an artifact persists, in their order on the wire.
-func (z *artifactSizes) counters() [11]*int {
+func (z *sizeTotals) counters() [11]*int {
 	return [...]*int{&z.Lines, &z.Functions, &z.SEGNodes, &z.SEGValueNodes, &z.SEGEdges, &z.CondNodes,
 		&z.pta.GuardsPruned, &z.pta.GuardsKept, &z.pta.CapWidened, &z.pta.LinearQueries, &z.pta.LinearUnsat}
 }
 
 // add accumulates sign × o.
-func (z *artifactSizes) add(o *artifactSizes, sign int) {
-	zc, oc := z.counters(), o.counters()
-	for i := range zc {
-		*zc[i] += sign * *oc[i]
+func (z *sizeTotals) add(o *artifactSizes, sign int) {
+	for i, c := range z.counters() {
+		*c += sign * int(o[i])
 	}
 }
 
@@ -185,7 +205,7 @@ type Session struct {
 	shape    *progShape
 	tab      *funcTable
 	arts     []*funcArtifact // by function ID
-	totals   artifactSizes   // summed over arts
+	totals   sizeTotals      // summed over arts
 	analysis *Analysis
 	stats    ArtifactStats // last Update's counters
 	// store is the persistent artifact backing; nil means memory-only, and

@@ -96,6 +96,9 @@ func (b *listBuilder[T]) add(items ...T) {
 }
 
 func (b *listBuilder[T]) list() []T {
+	if cap(b.own) > len(b.own) {
+		return slices.Clip(slices.Clone(b.own)) // the session keeps it: no slack
+	}
 	if b.own != nil {
 		return b.own
 	}
@@ -333,6 +336,9 @@ func decodeStoredUnit(frame *wirebin.Reader) (*parsedUnit, error) {
 	if r.Rest() != 0 {
 		return nil, fmt.Errorf("unit facts: %d bytes left in the frame of %s", r.Rest(), su.name)
 	}
+	// The lists were made with room for more than most units need; the
+	// session keeps them, so they keep no slack.
+	su.types, su.callees = slices.Clip(slices.Clone(su.types)), slices.Clip(slices.Clone(su.callees))
 	return su, nil
 }
 

@@ -12,10 +12,11 @@ import (
 
 // A body is open while it is built or rewritten, and packed (Pack) when a
 // pass is done with it: its lists laid out in ID order, its symbols in the
-// order the segment codec writes them, and what only an open body needs
-// dropped. Lists grow in place while they are the last of their array, and
-// move to its end otherwise, so an open body's arrays hold lists in any
-// order, and the ones that moved leave their old copy behind until Pack.
+// order the segment codec writes them, its records in arrays of exactly their
+// number, and what only an open body needs dropped. Lists grow in place while
+// they are the last of their array, and move to its end otherwise, so an open
+// body's arrays hold lists in any order, and the ones that moved leave their
+// old copy behind until Pack.
 
 // buildState is what an open body holds besides its tables: the indexes of
 // its symbols and constants, and, while lowering numbers its values (see
@@ -33,7 +34,10 @@ type buildState struct {
 	nextVal   int32
 	err       error
 	symAt     []int32 // Pack's symbol offsets, before they go into the body
-	vals      []Value // the values of a body lowering numbers, until renumber
+	// vals and instrs are the values and instructions of a body lowering
+	// numbers, until Pack copies them into arrays of the body's own.
+	vals   []Value
+	instrs []Instr
 }
 
 type constKey struct {
@@ -51,15 +55,15 @@ const linearSyms = 32
 
 var buildPool = sync.Pool{New: func() any { return new(buildState) }}
 
-// open makes b ready to be rewritten.
-func (b *Body) open() *buildState {
+// reopen makes b, a draft, ready to be rewritten.
+func (b *Body) reopen() *buildState {
 	if b.build != nil {
 		return b.build
 	}
 	bs := buildPool.Get().(*buildState)
 	b.build = bs
-	for k := 0; k+1 < len(b.symAt); k++ {
-		bs.addSym(b.syms[b.symAt[k]:b.symAt[k+1]])
+	for at, k := b.lists[lSymAt], 0; k+1 < len(at); k++ {
+		bs.addSym(b.syms[at[k]:at[k+1]])
 	}
 	for h := range b.values {
 		if v := &b.values[h]; v.IsConst() {
@@ -79,7 +83,7 @@ func (b *Body) release() {
 func putBuild(bs *buildState) {
 	clear(bs.strs)
 	clear(bs.packed)
-	*bs = buildState{strs: bs.strs[:0], packed: bs.packed[:0], consts: bs.consts[:0], slots: bs.slots[:0], symAt: bs.symAt[:0], vals: bs.vals[:0]}
+	*bs = buildState{strs: bs.strs[:0], packed: bs.packed[:0], consts: bs.consts[:0], slots: bs.slots[:0], symAt: bs.symAt[:0], vals: bs.vals[:0], instrs: bs.instrs[:0]}
 	buildPool.Put(bs)
 }
 
@@ -110,12 +114,12 @@ func (bs *buildState) sym(s string) int32 {
 	return bs.addSym(s)
 }
 
-func (b *Body) intern(s string) int32 { return b.open().sym(s) }
+func (b *Body) intern(s string) int32 { return b.reopen().sym(s) }
 
 // addValue appends a value record of type t and returns its handle: its ID,
 // unless lowering numbers the values, which gives slot as the ID it holds.
 func (b *Body) addValue(v Value, t minic.Type, slot int32) int32 {
-	bs := b.open()
+	bs := b.reopen()
 	i := slices.Index(b.types, t)
 	if i < 0 {
 		i = len(b.types)
@@ -137,7 +141,7 @@ func (b *Body) addValue(v Value, t minic.Type, slot int32) int32 {
 
 // newValue appends a value under the next ID.
 func (b *Body) newValue(v Value, t minic.Type) int32 {
-	bs := b.open()
+	bs := b.reopen()
 	if bs.numbering {
 		bs.nextVal++
 	}
@@ -161,7 +165,7 @@ func (b *Body) ValueKey(h int32) int32 {
 // definitions are created (NewSSA), and stays a hole in the function's ID
 // space unless a use with no reaching definition fills it (Undef).
 func (f *Func) ReserveID() int32 {
-	bs := f.open()
+	bs := f.reopen()
 	bs.nextVal++
 	return bs.nextVal - 1
 }
@@ -176,7 +180,7 @@ func (f *Func) NewSSA(key int32, name string, t minic.Type) int32 {
 // NumberSSA gives the value NewSSA created under handle h the next value ID,
 // as version version (>= 1) of its variable.
 func (f *Func) NumberSSA(h int32, version int) {
-	bs := f.open()
+	bs := f.reopen()
 	bs.slots[h] = bs.nextVal
 	bs.nextVal++
 	f.values[h].num = int32(version)
@@ -204,7 +208,7 @@ func (f *Func) NewParam(name string, t minic.Type, aux bool) int32 {
 	}
 	h := f.newValue(v, t)
 	f.Params = append(f.Params, Param{ID: f.ValueKey(h), Type: t, Aux: aux})
-	f.params = append(f.params, h)
+	f.lists[lParams] = append(f.lists[lParams], h)
 	return h
 }
 
@@ -237,7 +241,7 @@ func (b *Body) constVal(h int32) int64 {
 // interned returns the interned constant of kind k and payload n, creating
 // it on first request.
 func (b *Body) interned(k ValueKind, n int64, t minic.Type) int32 {
-	bs := b.open()
+	bs := b.reopen()
 	c := constKey{kind: k, val: n}
 	at, ok := slices.BinarySearchFunc(bs.consts, c, compareConsts)
 	if ok {
@@ -250,8 +254,8 @@ func (b *Body) interned(k ValueKind, n int64, t minic.Type) int32 {
 	case k == VConstInt && int64(int32(n)) == n:
 		v.num = int32(n)
 	case k == VConstInt:
-		v.num, v.bits = int32(len(b.wide)), valWide
-		b.wide = append(b.wide, int32(n), int32(n>>32))
+		v.num, v.bits = int32(len(b.lists[lWide])), valWide
+		b.lists[lWide] = append(b.lists[lWide], int32(n), int32(n>>32))
 	}
 	c.h = b.newValue(v, t)
 	bs.consts = slices.Insert(bs.consts, at, c)
@@ -260,7 +264,7 @@ func (b *Body) interned(k ValueKind, n int64, t minic.Type) int32 {
 
 // NewBlock appends a fresh empty block to the function.
 func (f *Func) NewBlock() int32 {
-	f.open()
+	f.reopen()
 	f.blocks = append(f.blocks, Block{})
 	id := int32(len(f.blocks) - 1)
 	f.layout = append(f.layout, id)
@@ -297,9 +301,10 @@ func grow(arr *[]int32, at *int32, n, i, k int32) {
 
 // newInstr creates the instruction s describes in block blk.
 func (b *Body) newInstr(blk int32, s *Spec) int32 {
-	bs := b.open()
+	bs := b.reopen()
 	id := int32(len(b.instrs))
-	r := Instr{Loc: s.Loc, Block: blk, Dst: -1, sub: -1, refs: int32(len(b.refs)), nArgs: uint16(len(s.Args)), Op: s.Op}
+	refs := &b.lists[lRefs]
+	r := Instr{Loc: s.Loc, Block: blk, Dst: -1, sub: -1, refs: int32(len(*refs)), nArgs: uint16(len(s.Args)), Op: s.Op}
 	if int(r.nArgs) != len(s.Args) && bs.err == nil {
 		bs.err = fmt.Errorf("%s: an instruction with %d operands", b.Name(), len(s.Args))
 	}
@@ -315,20 +320,20 @@ func (b *Body) newInstr(blk int32, s *Spec) int32 {
 	if s.Synthetic {
 		r.flags |= flagSynthetic
 	}
-	b.refs = append(b.refs, s.Args...)
+	*refs = append(*refs, s.Args...)
 	switch s.Op {
 	case OpCall:
-		b.refs = append(b.refs, int32(len(s.Dsts)))
-		b.refs = append(b.refs, s.Dsts...)
+		*refs = append(*refs, int32(len(s.Dsts)))
+		*refs = append(*refs, s.Dsts...)
 		for _, d := range s.Dsts {
 			if d >= 0 {
 				b.values[d].Def = id
 			}
 		}
 	case OpPhi:
-		b.refs = append(b.refs, make([]int32, len(s.Args))...)
+		*refs = append(*refs, make([]int32, len(s.Args))...)
 	case OpLoad:
-		b.refs = append(b.refs, 0)
+		*refs = append(*refs, 0)
 	}
 	b.instrs = append(b.instrs, r)
 	return id
@@ -343,8 +348,9 @@ func (f *Func) Append(blk int32, s Spec) int32 {
 func (f *Func) InsertAt(blk int32, i int, s Spec) int32 {
 	id := f.newInstr(blk, &s)
 	r := &f.blocks[blk]
-	grow(&f.order, &r.at, r.n, int32(i), 1)
-	f.order[r.at+int32(i)] = id
+	order := &f.lists[lOrder]
+	grow(order, &r.at, r.n, int32(i), 1)
+	(*order)[r.at+int32(i)] = id
 	r.n++
 	return id
 }
@@ -352,12 +358,12 @@ func (f *Func) InsertAt(blk int32, i int, s Spec) int32 {
 // ReserveInstrID takes the next instruction ID without creating an
 // instruction under it.
 func (f *Func) ReserveInstrID() {
-	f.open()
+	f.reopen()
 	f.instrs = append(f.instrs, Instr{Block: -1, Dst: -1})
 }
 
 // SetArg sets operand i of instruction in to value v.
-func (b *Body) SetArg(in int32, i int, v int32) { b.refs[b.instrs[in].refs+int32(i)] = v }
+func (b *Body) SetArg(in int32, i int, v int32) { b.lists[lRefs][b.instrs[in].refs+int32(i)] = v }
 
 // listLen is the length of instruction in's list: its operands and what
 // follows them.
@@ -365,7 +371,7 @@ func (b *Body) listLen(in int32) int32 {
 	r := &b.instrs[in]
 	switch r.Op {
 	case OpCall:
-		return int32(r.nArgs) + 1 + b.refs[b.more(in)]
+		return int32(r.nArgs) + 1 + b.lists[lRefs][b.more(in)]
 	case OpPhi:
 		return 2 * int32(r.nArgs)
 	case OpLoad:
@@ -376,28 +382,28 @@ func (b *Body) listLen(in int32) int32 {
 
 // AppendArgs appends operands to a call or a return.
 func (f *Func) AppendArgs(in int32, vs ...int32) {
-	f.open()
-	r := &f.instrs[in]
-	grow(&f.refs, &r.refs, f.listLen(in), int32(r.nArgs), int32(len(vs)))
-	copy(f.refs[r.refs+int32(r.nArgs):], vs)
+	f.reopen()
+	r, refs := &f.instrs[in], &f.lists[lRefs]
+	grow(refs, &r.refs, f.listLen(in), int32(r.nArgs), int32(len(vs)))
+	copy((*refs)[r.refs+int32(r.nArgs):], vs)
 	r.nArgs += uint16(len(vs))
 }
 
 // AddDst appends a receiver to a call.
 func (f *Func) AddDst(in, v int32) {
-	f.open()
-	r := &f.instrs[in]
+	f.reopen()
+	r, refs := &f.instrs[in], &f.lists[lRefs]
 	n := f.listLen(in)
-	grow(&f.refs, &r.refs, n, n, 1)
-	f.refs[r.refs+n] = v
-	f.refs[f.more(in)]++
+	grow(refs, &r.refs, n, n, 1)
+	(*refs)[r.refs+n] = v
+	(*refs)[f.more(in)]++
 	f.values[v].Def = in
 }
 
 // Connect records a CFG edge from block a to block c. The function's
 // control-flow facts do not follow it: SealCFG recomputes them.
 func (f *Func) Connect(a, c int32) {
-	f.open()
+	f.reopen()
 	ra := &f.blocks[a]
 	grow(&f.edges, &ra.edges, ra.nPreds+ra.nSuccs, ra.nPreds+ra.nSuccs, 1)
 	f.edges[ra.edges+ra.nPreds+ra.nSuccs] = c
@@ -445,8 +451,9 @@ func (f *Func) SealCFG() error {
 // numbered them with, the lists are laid out in ID order (operand lists by
 // instruction, instructions and edges block by block), the symbols are
 // numbered in order of first use (the function's name and file, the
-// instructions' names, the values'), and what only an open body needs is
-// dropped. The records of IDs no instruction or value holds are reset. A
+// instructions' names, the values'), the records (and, when lowering
+// packs, the parameters) are left in arrays of exactly their number, and
+// what only an open body needs is dropped. The records of IDs no instruction or value holds are reset. A
 // packed body is what the segment codec writes, list for list.
 func (f *Func) Pack() error {
 	b, bs := f.Body, f.build
@@ -459,12 +466,21 @@ func (f *Func) Pack() error {
 	}
 	if bs.numbering {
 		b.renumber()
+		// Lowering appended the instructions to the build state's array,
+		// which the next function reuses.
+		pooled := b.instrs
+		b.instrs, bs.instrs = append(make([]Instr, 0, len(pooled)), pooled...), pooled[:0]
+		// Callers read the interface from here on: it is final, but for
+		// the connector transformation's aux parameters (see its Prep).
+		f.Params = exact(f.Params)
 	}
+	b.instrs, b.values = exact(b.instrs), exact(b.values)
 	b.packSyms()
 	// Every list goes into one array: the ones the segment codec writes, in
 	// its order (operands, wide constants, block order, parameters, symbol
 	// offsets), then the blocks' layout and edges.
-	n := len(b.params) + len(bs.symAt) + len(b.layout)
+	lists := &b.lists
+	n := len(lists[lParams]) + len(bs.symAt) + len(b.layout)
 	for in := range b.instrs {
 		if b.instrs[in].Block >= 0 {
 			n += int(b.listLen(int32(in)))
@@ -496,24 +512,24 @@ func (f *Func) Pack() error {
 			if r := &b.instrs[in]; r.Block < 0 {
 				*r = Instr{Block: -1, Dst: -1}
 			} else {
-				move(base, b.refs, &r.refs, b.listLen(int32(in)))
+				move(base, lists[lRefs], &r.refs, b.listLen(int32(in)))
 			}
 		}
 	})
 	wide := part(func(base int) {
 		for v := range b.values {
 			if r := &b.values[v]; r.bits&valWide != 0 {
-				move(base, b.wide, &r.num, 2)
+				move(base, lists[lWide], &r.num, 2)
 			}
 		}
 	})
 	order := part(func(base int) {
 		for _, blk := range b.layout {
-			move(base, b.order, &b.blocks[blk].at, b.blocks[blk].n)
+			move(base, lists[lOrder], &b.blocks[blk].at, b.blocks[blk].n)
 		}
 	})
-	b.params = part(func(int) { arr = append(arr, b.params...) })
-	b.symAt = part(func(int) { arr = append(arr, bs.symAt...) })
+	lists[lParams] = part(func(int) { arr = append(arr, lists[lParams]...) })
+	lists[lSymAt] = part(func(int) { arr = append(arr, bs.symAt...) })
 	b.layout = part(func(int) { arr = append(arr, b.layout...) })
 	b.edges = part(func(base int) {
 		for _, blk := range b.layout {
@@ -521,9 +537,18 @@ func (f *Func) Pack() error {
 			move(base, b.edges, &r.edges, r.nPreds+r.nSuccs)
 		}
 	})
-	b.refs, b.wide, b.order = refs, wide, order
+	lists[lRefs], lists[lWide], lists[lOrder] = refs, wide, order
 	b.retArgs = int32(b.RetArgs())
 	return nil
+}
+
+// exact returns s in an array of exactly its length: s itself if it has no
+// append slack, else a copy.
+func exact[T any](s []T) []T {
+	if cap(s) == len(s) {
+		return s
+	}
+	return append(make([]T, 0, len(s)), s...)
 }
 
 // renumber moves every value that holds an ID to the record of its ID,
@@ -551,13 +576,14 @@ func (b *Body) renumber() {
 		}
 		return h
 	}
+	refs, params := b.lists[lRefs], b.lists[lParams]
 	for in := range b.instrs {
 		r := &b.instrs[in]
 		if r.Block < 0 {
 			continue
 		}
 		r.Dst = id(r.Dst)
-		args := b.refs[r.refs : r.refs+int32(r.nArgs)]
+		args := refs[r.refs : r.refs+int32(r.nArgs)]
 		for i, a := range args {
 			args[i] = id(a)
 		}
@@ -567,8 +593,8 @@ func (b *Body) renumber() {
 			}
 		}
 	}
-	for i, p := range b.params {
-		b.params[i] = id(p)
+	for i, p := range params {
+		params[i] = id(p)
 	}
 	bs.vals, b.values = b.values[:0], vals
 	bs.numbering = false

@@ -111,8 +111,8 @@ func (a *Arena) ParseFunc(src string, at Pos, off int, ret Type) (*FuncDecl, err
 	}
 	p.lex.off, p.lex.line, p.lex.col = off, at.Line, at.Col
 	name, err := p.expect(TokIdent)
-	if err == nil && name.Pos != at {
-		err = &Error{Pos: name.Pos, Msg: fmt.Sprintf("no declaration at %s", at)}
+	if err == nil && p.pos(name) != at {
+		err = &Error{Pos: p.pos(name), Msg: fmt.Sprintf("no declaration at %s", at)}
 	}
 	var fn *FuncDecl
 	if err == nil {

@@ -99,9 +99,10 @@ func (l *Lexer) Next() (Token, error) {
 	if err := l.skipSpaceAndComments(); err != nil {
 		return Token{}, err
 	}
-	p := l.pos()
+	line, col := int32(l.line), int32(l.col)
+	tok := func(k TokKind, lit string) (Token, error) { return Token{Kind: k, Lit: lit, Line: line, Col: col}, nil }
 	if l.off >= len(l.src) {
-		return Token{Kind: TokEOF, Pos: p}, nil
+		return tok(TokEOF, "")
 	}
 	c := l.peek()
 	switch {
@@ -112,24 +113,25 @@ func (l *Lexer) Next() (Token, error) {
 		}
 		word := l.src[start:l.off]
 		if n, c := len(word), word[0]-'a'; n < len(keywords) && c < 26 && keywords[n][c].Lit == word {
-			return Token{Kind: keywords[n][c].Kind, Lit: word, Pos: p}, nil
+			return tok(keywords[n][c].Kind, word)
 		}
-		return Token{Kind: TokIdent, Lit: word, Pos: p}, nil
+		return tok(TokIdent, word)
 	case isDigit(c):
 		start := l.off
 		for l.off < len(l.src) && isDigit(l.peek()) {
 			l.advance()
 		}
-		return Token{Kind: TokInt, Lit: l.src[start:l.off], Pos: p}, nil
+		return tok(TokInt, l.src[start:l.off])
 	}
+	p := l.pos()
 	l.advance()
-	simple := func(k TokKind) (Token, error) { return Token{Kind: k, Pos: p}, nil }
+	simple := func(k TokKind) (Token, error) { return tok(k, "") }
 	two := func(next byte, k2, k1 TokKind) (Token, error) {
 		if l.peek() == next {
 			l.advance()
-			return Token{Kind: k2, Pos: p}, nil
+			return tok(k2, "")
 		}
-		return Token{Kind: k1, Pos: p}, nil
+		return tok(k1, "")
 	}
 	switch c {
 	case '(':
@@ -167,7 +169,7 @@ func (l *Lexer) Next() (Token, error) {
 	case '|':
 		if l.peek() == '|' {
 			l.advance()
-			return Token{Kind: TokOrOr, Pos: p}, nil
+			return tok(TokOrOr, "")
 		}
 		return Token{}, &Error{Pos: p, Msg: "unexpected character '|'"}
 	}

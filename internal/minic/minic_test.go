@@ -51,11 +51,11 @@ func TestLexPositions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if toks[0].Pos.Line != 1 || toks[0].Pos.Col != 1 {
-		t.Errorf("first token at %v, want 1:1", toks[0].Pos)
+	if toks[0].Line != 1 || toks[0].Col != 1 {
+		t.Errorf("first token at %d:%d, want 1:1", toks[0].Line, toks[0].Col)
 	}
-	if toks[1].Pos.Line != 2 || toks[1].Pos.Col != 3 {
-		t.Errorf("second token at %v, want 2:3", toks[1].Pos)
+	if toks[1].Line != 2 || toks[1].Col != 3 {
+		t.Errorf("second token at %d:%d, want 2:3", toks[1].Line, toks[1].Col)
 	}
 }
 

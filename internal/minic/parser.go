@@ -80,8 +80,11 @@ func (p *Parser) scan() Token {
 		}
 		p.lexErr = err
 	}
-	return Token{Kind: TokEOF, Pos: p.lex.pos()}
+	return Token{Kind: TokEOF, Line: int32(p.lex.line), Col: int32(p.lex.col)}
 }
+
+// pos returns where token t starts, in the unit being parsed.
+func (p *Parser) pos(t Token) Pos { return Pos{File: p.lex.file, Line: int(t.Line), Col: int(t.Col)} }
 
 // peek returns the token k positions ahead of the current one (k < 3).
 func (p *Parser) peek(k int) Token {
@@ -131,7 +134,7 @@ func (p *Parser) expect(k TokKind) (Token, error) {
 		return p.next(), nil
 	}
 	t := p.cur()
-	return t, &Error{Pos: t.Pos, Msg: fmt.Sprintf("expected %s, found %s", k, t)}
+	return t, &Error{Pos: p.pos(t), Msg: fmt.Sprintf("expected %s, found %s", k, t)}
 }
 
 func (p *Parser) atType() bool {
@@ -163,7 +166,7 @@ func (p *Parser) parseType() (Type, error) {
 		}
 		return t, nil
 	default:
-		return t, &Error{Pos: p.cur().Pos, Msg: fmt.Sprintf("expected type, found %s", p.cur())}
+		return t, &Error{Pos: p.pos(p.cur()), Msg: fmt.Sprintf("expected type, found %s", p.cur())}
 	}
 	p.skip()
 	for p.accept(TokStar) {
@@ -220,7 +223,7 @@ func (p *Parser) parseStructDecl() (*StructDecl, error) {
 	if _, err := p.expect(TokLBrace); err != nil {
 		return nil, err
 	}
-	sd := &StructDecl{Pos: kw.Pos, Name: nameTok.Lit}
+	sd := &StructDecl{Pos: p.pos(kw), Name: nameTok.Lit}
 	for !p.at(TokRBrace) {
 		ft, err := p.parseType()
 		if err != nil {
@@ -246,7 +249,7 @@ func (p *Parser) parseFuncRest(ret Type, nameTok Token) (*FuncDecl, error) {
 	if _, err := p.expect(TokLParen); err != nil {
 		return nil, err
 	}
-	fn := p.a.funcs.new(FuncDecl{Pos: nameTok.Pos, Name: nameTok.Lit, Ret: ret})
+	fn := p.a.funcs.new(FuncDecl{Pos: p.pos(nameTok), Name: nameTok.Lit, Ret: ret})
 	mark := len(p.params)
 	if !p.at(TokRParen) {
 		for {
@@ -277,7 +280,7 @@ func (p *Parser) parseFuncRest(ret Type, nameTok Token) (*FuncDecl, error) {
 }
 
 func (p *Parser) parseVarRest(typ Type, nameTok Token) (*VarDecl, error) {
-	vd := p.a.vars.new(VarDecl{Pos: nameTok.Pos, Name: nameTok.Lit, Type: typ})
+	vd := p.a.vars.new(VarDecl{Pos: p.pos(nameTok), Name: nameTok.Lit, Type: typ})
 	if p.accept(TokAssign) {
 		init, err := p.parseExpr()
 		if err != nil {
@@ -299,7 +302,7 @@ func (p *Parser) parseBlock() (*BlockStmt, error) {
 	mark := len(p.stmts)
 	for !p.at(TokRBrace) {
 		if p.at(TokEOF) {
-			return nil, &Error{Pos: p.cur().Pos, Msg: "unexpected EOF in block"}
+			return nil, &Error{Pos: p.pos(p.cur()), Msg: "unexpected EOF in block"}
 		}
 		s, err := p.parseStmt()
 		if err != nil {
@@ -308,7 +311,7 @@ func (p *Parser) parseBlock() (*BlockStmt, error) {
 		p.stmts = append(p.stmts, s)
 	}
 	p.next() // consume '}'
-	b := p.a.blocks.new(BlockStmt{Pos: lb.Pos, Stmts: p.a.stmts.list(p.stmts[mark:])})
+	b := p.a.blocks.new(BlockStmt{Pos: p.pos(lb), Stmts: p.a.stmts.list(p.stmts[mark:])})
 	p.stmts = p.stmts[:mark]
 	return b, nil
 }
@@ -325,7 +328,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		return p.parseFor()
 	case TokKwReturn:
 		t := p.next()
-		rs := p.a.returns.new(ReturnStmt{Pos: t.Pos})
+		rs := p.a.returns.new(ReturnStmt{Pos: p.pos(t)})
 		if !p.at(TokSemi) {
 			v, err := p.parseExpr()
 			if err != nil {
@@ -372,7 +375,7 @@ func (p *Parser) parseIf() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := p.a.ifs.new(IfStmt{Pos: t.Pos, Cond: cond, Then: then})
+	s := p.a.ifs.new(IfStmt{Pos: p.pos(t), Cond: cond, Then: then})
 	if p.accept(TokKwElse) {
 		els, err := p.parseStmt()
 		if err != nil {
@@ -399,7 +402,7 @@ func (p *Parser) parseWhile() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.a.whiles.new(WhileStmt{Pos: t.Pos, Cond: cond, Body: body}), nil
+	return p.a.whiles.new(WhileStmt{Pos: p.pos(t), Cond: cond, Body: body}), nil
 }
 
 // parseFor desugars `for (init; cond; post) body` into
@@ -436,7 +439,7 @@ func (p *Parser) parseFor() (Stmt, error) {
 	} else {
 		p.next() // empty init: consume ';'
 	}
-	var cond Expr = p.a.bools.new(BoolLit{Pos: t.Pos, Val: true})
+	var cond Expr = p.a.bools.new(BoolLit{Pos: p.pos(t), Val: true})
 	if !p.at(TokSemi) {
 		c, err := p.parseExpr()
 		if err != nil {
@@ -451,7 +454,7 @@ func (p *Parser) parseFor() (Stmt, error) {
 	if !p.at(TokRParen) {
 		// The post clause is an assignment or expression without the
 		// trailing semicolon; parse the expression form manually.
-		start := p.cur().Pos
+		start := p.pos(p.cur())
 		lhs, err := p.parseExpr()
 		if err != nil {
 			return nil, err
@@ -480,16 +483,16 @@ func (p *Parser) parseFor() (Stmt, error) {
 	if post == nil {
 		loop = loop[:1]
 	}
-	loopBody := p.a.blocks.new(BlockStmt{Pos: t.Pos, Stmts: p.a.stmts.list(loop)})
-	outer := []Stmt{init, p.a.whiles.new(WhileStmt{Pos: t.Pos, Cond: cond, Body: loopBody})}
+	loopBody := p.a.blocks.new(BlockStmt{Pos: p.pos(t), Stmts: p.a.stmts.list(loop)})
+	outer := []Stmt{init, p.a.whiles.new(WhileStmt{Pos: p.pos(t), Cond: cond, Body: loopBody})}
 	if init == nil {
 		outer = outer[1:]
 	}
-	return p.a.blocks.new(BlockStmt{Pos: t.Pos, Stmts: p.a.stmts.list(outer)}), nil
+	return p.a.blocks.new(BlockStmt{Pos: p.pos(t), Stmts: p.a.stmts.list(outer)}), nil
 }
 
 func (p *Parser) parseAssignOrExpr() (Stmt, error) {
-	start := p.cur().Pos
+	start := p.pos(p.cur())
 	lhs, err := p.parseExpr()
 	if err != nil {
 		return nil, err
@@ -538,7 +541,7 @@ func (p *Parser) parseOr() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		x = p.a.binaries.new(BinaryExpr{Pos: t.Pos, Op: "||", X: x, Y: y})
+		x = p.a.binaries.new(BinaryExpr{Pos: p.pos(t), Op: "||", X: x, Y: y})
 	}
 	return x, nil
 }
@@ -554,7 +557,7 @@ func (p *Parser) parseAnd() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		x = p.a.binaries.new(BinaryExpr{Pos: t.Pos, Op: "&&", X: x, Y: y})
+		x = p.a.binaries.new(BinaryExpr{Pos: p.pos(t), Op: "&&", X: x, Y: y})
 	}
 	return x, nil
 }
@@ -574,7 +577,7 @@ func (p *Parser) parseCmp() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return p.a.binaries.new(BinaryExpr{Pos: t.Pos, Op: op, X: x, Y: y}), nil
+		return p.a.binaries.new(BinaryExpr{Pos: p.pos(t), Op: op, X: x, Y: y}), nil
 	}
 	return x, nil
 }
@@ -594,7 +597,7 @@ func (p *Parser) parseAdd() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		x = p.a.binaries.new(BinaryExpr{Pos: t.Pos, Op: op, X: x, Y: y})
+		x = p.a.binaries.new(BinaryExpr{Pos: p.pos(t), Op: op, X: x, Y: y})
 	}
 	return x, nil
 }
@@ -621,7 +624,7 @@ func (p *Parser) parseMul() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		x = p.a.binaries.new(BinaryExpr{Pos: t.Pos, Op: op, X: x, Y: y})
+		x = p.a.binaries.new(BinaryExpr{Pos: p.pos(t), Op: op, X: x, Y: y})
 	}
 }
 
@@ -644,7 +647,7 @@ func (p *Parser) parseUnary() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.a.unaries.new(UnaryExpr{Pos: t.Pos, Op: op, X: x}), nil
+	return p.a.unaries.new(UnaryExpr{Pos: p.pos(t), Op: op, X: x}), nil
 }
 
 // parsePostfix parses a primary followed by "->field" chains.
@@ -659,7 +662,7 @@ func (p *Parser) parsePostfix() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		x = p.a.arrows.new(ArrowExpr{Pos: t.Pos, X: x, Field: f.Lit})
+		x = p.a.arrows.new(ArrowExpr{Pos: p.pos(t), X: x, Field: f.Lit})
 	}
 	return x, nil
 }
@@ -686,27 +689,27 @@ func (p *Parser) parsePrimary() (Expr, error) {
 			if _, err := p.expect(TokRParen); err != nil {
 				return nil, err
 			}
-			call := p.a.calls.new(CallExpr{Pos: t.Pos, Fun: t.Lit, Args: p.a.exprs.list(p.exprs[mark:])})
+			call := p.a.calls.new(CallExpr{Pos: p.pos(t), Fun: t.Lit, Args: p.a.exprs.list(p.exprs[mark:])})
 			p.exprs = p.exprs[:mark]
 			return call, nil
 		}
-		return p.a.idents.new(Ident{Pos: t.Pos, Name: t.Lit}), nil
+		return p.a.idents.new(Ident{Pos: p.pos(t), Name: t.Lit}), nil
 	case TokInt:
 		p.skip()
 		var v int64
 		for _, c := range t.Lit {
 			v = v*10 + int64(c-'0')
 		}
-		return p.a.ints.new(IntLit{Pos: t.Pos, Val: v}), nil
+		return p.a.ints.new(IntLit{Pos: p.pos(t), Val: v}), nil
 	case TokKwTrue:
 		p.skip()
-		return p.a.bools.new(BoolLit{Pos: t.Pos, Val: true}), nil
+		return p.a.bools.new(BoolLit{Pos: p.pos(t), Val: true}), nil
 	case TokKwFalse:
 		p.skip()
-		return p.a.bools.new(BoolLit{Pos: t.Pos, Val: false}), nil
+		return p.a.bools.new(BoolLit{Pos: p.pos(t), Val: false}), nil
 	case TokKwNull:
 		p.skip()
-		return p.a.nulls.new(NullLit{Pos: t.Pos}), nil
+		return p.a.nulls.new(NullLit{Pos: p.pos(t)}), nil
 	case TokLParen:
 		p.skip()
 		x, err := p.parseExpr()
@@ -718,5 +721,5 @@ func (p *Parser) parsePrimary() (Expr, error) {
 		}
 		return x, nil
 	}
-	return nil, &Error{Pos: t.Pos, Msg: fmt.Sprintf("expected expression, found %s", t)}
+	return nil, &Error{Pos: p.pos(t), Msg: fmt.Sprintf("expected expression, found %s", t)}
 }

@@ -133,11 +133,14 @@ func (p Pos) String() string {
 	return fmt.Sprintf("%s:%d:%d", p.File, p.Line, p.Col)
 }
 
-// Token is one lexical token with its source position.
+// Token is one lexical token with its line and column (32 bytes: it is
+// copied through the parser's lookahead window once per token).
 type Token struct {
-	Kind TokKind
-	Lit  string // identifier text or integer literal text
-	Pos  Pos
+	Lit string // identifier text or integer literal text
+	// Line and Col are where the token starts (1-based); the file is the
+	// lexer's, which the parser attaches where it makes a node's Pos.
+	Line, Col int32
+	Kind      TokKind
 }
 
 func (t Token) String() string {

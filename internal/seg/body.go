@@ -9,10 +9,10 @@ import (
 	"repro/internal/ssa"
 )
 
-// The graph's own lists, in one int32 array (Graph.part): what Build adds to
-// the body it adopts.
+// The graph's own lists, in the body's array after the body's (Graph.part):
+// what Build adds to the body it adopts.
 const (
-	pLoads = iota // per load: the source count, then (value ID, condition ID) pairs
+	pLoads = ir.NumLists + iota // per load: the source count, then (value ID, condition ID) pairs
 	// By block ID: block b's control dependences are the (branch block ID,
 	// condition value ID, 1 if on the true edge) triples of
 	// pCDeps[cdAt[b]:cdAt[b+1]].
@@ -30,16 +30,15 @@ const (
 	// pValueAt holds, by value ID, 1 + the index of the value's vertex (0 =
 	// none). The codec does not write it: the decoder rebuilds it.
 	pValueAt
-	numParts
 )
 
-func (g *Graph) part(k int) []int32 { return g.ints[g.at[k]:g.at[k+1]:g.at[k+1]] }
+func (g *Graph) part(k int) []int32 { return g.List(k) }
 
-// addParts fills the graph's own lists from f, what the build made of it and
-// the builder's vertices and pending edges, and writes what the SEG keeps of
-// the body into the body: each load's place in pLoads, each store's escape
-// flag.
-func (g *Graph) addParts(bd *builder, f *ir.Func, inf *ssa.Info, pr *pta.Result) {
+// addParts fills the graph's own lists (bd.parts) from f, what the build
+// made of it and the builder's vertices and pending edges, and writes what
+// the SEG keeps of the body into the body: each load's place in pLoads, each
+// store's escape flag.
+func addParts(bd *builder, f *ir.Func, inf *ssa.Info, pr *pta.Result) {
 	parts := &bd.parts
 	for k := range parts {
 		parts[k] = parts[k][:0]
@@ -109,23 +108,14 @@ func (g *Graph) addParts(bd *builder, f *ir.Func, inf *ssa.Info, pr *pta.Result)
 	}
 	// cdOf registered the atoms of the control dependences.
 	parts[pAtoms] = inf.AppendAtoms(parts[pAtoms])
-	succStart := zeros(pSuccStart, len(g.nodes)+1)
+	succStart := zeros(pSuccStart, len(bd.nodes)+1)
 	for i := range bd.pend {
 		succStart[bd.pend[i].from+1]++
 	}
-	for i := range g.nodes {
+	for i := range bd.nodes {
 		succStart[i+1] += succStart[i]
 	}
-	parts[pValueAt] = append(parts[pValueAt], bd.valueAt...)
-
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	g.ints = make([]int32, total)
-	for k, p := range parts {
-		g.at[k+1] = g.at[k] + int32(copy(g.ints[g.at[k]:], p))
-	}
+	add(pValueAt, bd.valueAt...)
 }
 
 // Conds returns the builder the graph's conditions belong to.
@@ -149,8 +139,8 @@ func (g *Graph) CDeps(b int32) []int32 {
 	return slices.Clip(g.part(pCDeps)[at[b]:at[b+1]])
 }
 
-// numBlocks bounds the block IDs.
-func (g *Graph) numBlocks() int32 { return g.at[pCDAt+1] - g.at[pCDAt] - 1 }
+// NumBlocks bounds the block IDs.
+func (g *Graph) NumBlocks() int { return len(g.part(pCDAt)) - 1 }
 
 // CD returns the direct control-dependence condition of the statement an
 // instruction belongs to (the CD(v@s) of Equation 1, non-recursive part).

@@ -25,20 +25,15 @@ import (
 // the order preserves report determinism.
 
 // wireParts lists a segment's lists in the order it holds them: the graph's
-// own (see body.go), and the body's, named by their position in
-// ir.Body.WireLists minus 5 (refs, wide, order, params, symbol offsets).
-var wireParts = [...]int{-5, pLoads, -4, -3, -2, pCDAt, pCDeps, -1, pAtoms, pInstrIdx, pSuccStart, pCDCond, pReach}
+// own (see body.go), and the body's, which are numbered 0 to ir.NumLists-1
+// in the order the wire holds them (refs, wide, order, params, symbol
+// offsets).
+var wireParts = [...]int{0, pLoads, 1, 2, 3, pCDAt, pCDeps, 4, pAtoms, pInstrIdx, pSuccStart, pCDCond, pReach}
 
 // lists returns g's lists in wireParts order.
 func (g *Graph) lists() (out [len(wireParts)][]int32) {
-	refs, wide, order, params, symAt := g.WireLists()
-	body := [...][]int32{refs, wide, order, params, symAt}
 	for i, k := range wireParts {
-		if k < 0 {
-			out[i] = body[k+5]
-		} else {
-			out[i] = g.part(k)
-		}
+		out[i] = g.part(k)
 	}
 	return out
 }
@@ -100,42 +95,32 @@ func DecodeGraph(r *wirebin.Reader, f *ir.Func, conds *cond.Builder) (*Graph, er
 	w := &wireReader{Reader: r}
 	body, ok := ir.DecodeRecords(r, w.i32)
 	w.wide = !ok
-	g := &Graph{conds: conds}
-	var n [len(wireParts)]int
-	nBody, nOwn := 0, 0
-	for i, k := range wireParts {
-		n[i] = r.Len()
-		if nBody+nOwn+n[i] > r.Rest() {
+	g := &Graph{Body: body, conds: conds}
+	// The lists go into one array, as Build lays them out (ir.Func.Adopt):
+	// their offsets, then the lists by number, read where they go. The last,
+	// pValueAt, is not on the wire: check fills it.
+	var n [pValueAt + 1]int
+	sum := 0
+	for _, k := range wireParts {
+		n[k] = r.Len()
+		if sum+n[k] > r.Rest() {
 			return nil, r.Errorf("seg: decode: the parts exceed the input")
 		}
-		if k < 0 {
-			nBody += n[i]
-		} else {
-			nOwn += n[i]
+		sum += n[k]
+	}
+	n[pValueAt] = body.NumValues()
+	ints := make([]int32, len(n)+1+sum+n[pValueAt])
+	ints[0] = int32(len(n) + 1)
+	for k := range n {
+		ints[k+1] = ints[k] + int32(n[k])
+	}
+	for _, k := range wireParts {
+		list := ints[ints[k]:ints[k+1]]
+		for j := range list {
+			list[j] = w.i32()
 		}
 	}
-	// The body's lists go into one array, the graph's into another, each
-	// in the order the wire holds them.
-	// The graph's array has room for pValueAt, which check fills.
-	bodyInts, own := make([]int32, 0, nBody), make([]int32, 0, nOwn+body.NumValues())
-	var lists [5][]int32
-	for i, k := range wireParts {
-		if k < 0 {
-			at := len(bodyInts)
-			for j := 0; j < n[i]; j++ {
-				bodyInts = append(bodyInts, w.i32())
-			}
-			lists[k+5] = bodyInts[at:len(bodyInts):len(bodyInts)]
-			continue
-		}
-		g.at[k+1] = g.at[k] + int32(n[i])
-		for j := 0; j < n[i]; j++ {
-			own = append(own, w.i32())
-		}
-	}
-	g.Body = body
-	g.SetWireLists(lists[0], lists[1], lists[2], lists[3], lists[4], w.i32())
-	g.ints = own
+	g.SetLists(ints, w.i32())
 	g.nodes = make([]Node, r.Len())
 	for i := range g.nodes {
 		n := &g.nodes[i]
@@ -257,8 +242,7 @@ func (g *Graph) check(f *ir.Func) error {
 			return fmt.Errorf("vertex %d has unknown kind %d", i, n.Kind)
 		}
 	}
-	g.ints = append(g.ints, valueAt...)
-	g.at[pValueAt+1] = g.at[pValueAt] + nv
+	copy(g.part(pValueAt), valueAt)
 	succStart := g.part(pSuccStart)
 	if len(succStart) != int(nn)+1 || !ir.ValidOffsets(succStart, len(g.edges)) {
 		return fmt.Errorf("edge offsets of %d vertices do not add up to %d edges", len(succStart)-1, len(g.edges))

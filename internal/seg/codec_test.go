@@ -129,8 +129,8 @@ func TestImportGraphRejectsMalformed(t *testing.T) {
 	// more returns where what follows instruction in's operands is in the
 	// body's refs.
 	more := func(in *ir.Instr) int32 { return *field[int32](in, "refs") + int32(*field[uint16](in, "nArgs")) }
-	refs := func(g *Graph) []int32 { r, _, _, _, _ := g.WireLists(); return r }
-	symAt := func(g *Graph) []int32 { _, _, _, _, s := g.WireLists(); return s }
+	refs := func(g *Graph) []int32 { return g.part(0) } // the body's lists come first, in wire order
+	symAt := func(g *Graph) []int32 { return g.part(4) }
 	// A corruption that sets a field to mark has the encoding carry the
 	// field 2^32 wider than any int32.
 	const mark = 0x5eadbee
@@ -196,7 +196,7 @@ func TestImportGraphRejectsMalformed(t *testing.T) {
 		{"load sources past the loads", func(g *Graph) {
 			g.part(pLoads)[g.LoadSlot(instrIDOf(g, ir.OpLoad))] = int32(len(g.part(pLoads)))
 		}, "sources past the loads"},
-		{"block id past numBlocks", func(g *Graph) { instrOf(g, ir.OpFree).Block = g.numBlocks() }, "bad block id"},
+		{"block id past numBlocks", func(g *Graph) { instrOf(g, ir.OpFree).Block = int32(g.NumBlocks()) }, "bad block id"},
 		{"control-dependence triple naming no value", func(g *Graph) {
 			cd := g.part(pCDeps)
 			if len(cd) == 0 {
@@ -205,7 +205,7 @@ func TestImportGraphRejectsMalformed(t *testing.T) {
 			cd[1] = preSSA(t, f)
 		}, "bad control dependence"},
 		{"wide constant past pWide", func(g *Graph) {
-			_, wide, _, _, _ := g.WireLists()
+			wide := g.part(1)
 			c := constant(g)
 			*field[uint8](c, "bits") |= wireWide
 			*field[int32](c, "num") = int32(len(wide))
@@ -286,12 +286,14 @@ func TestImportGraphRejectsMalformed(t *testing.T) {
 
 // setPart replaces part k of g's int32 array with p.
 func setPart(g *Graph, k int, p []int32) {
-	ints := append(append(slices.Clone(g.ints[:g.at[k]]), p...), g.ints[g.at[k+1]:]...)
-	d := int32(len(p)) - (g.at[k+1] - g.at[k])
-	for j := k + 1; j <= numParts; j++ {
-		g.at[j] += d
+	ints := field[[]int32](&g.Body, "ints")
+	old := *ints
+	at, end := old[k], old[k+1]
+	next := append(append(slices.Clone(old[:at]), p...), old[end:]...)
+	for j := k + 1; j <= pValueAt+1; j++ {
+		next[j] += int32(len(p)) - (end - at)
 	}
-	g.ints = ints
+	*ints = next
 }
 
 // preSSA returns the ID of a variable lowering created and SSA renaming

@@ -23,8 +23,8 @@ package seg
 
 import (
 	"fmt"
-	"slices"
 	"sync"
+	"unsafe"
 
 	"repro/internal/cond"
 	"repro/internal/ir"
@@ -101,9 +101,10 @@ type Edge struct {
 // lowering wrote and the later passes rewrote (ir.Body), which it adopts
 // when it is built, so that the SSA info and the points-to result the graph
 // was built from can be dropped once it stands. To the body it adds its own
-// lists (see body.go): the φ gates are the body's already, the load sources,
-// control dependences, reachability rows and condition atoms are the
-// graph's.
+// lists (see body.go), in the body's array after the body's: the φ gates are
+// the body's already, the load sources, control dependences, reachability
+// rows and condition atoms are the graph's. A built graph holds exactly the
+// tables DecodeGraph makes of its encoding.
 //
 // Every lookup structure is a slice indexed by a dense ID the IR or the
 // graph itself assigns (value, instruction, block and vertex IDs). A graph is
@@ -114,9 +115,6 @@ type Edge struct {
 type Graph struct {
 	ir.Body
 	conds *cond.Builder
-	// Part k of ints is ints[at[k]:at[k+1]].
-	ints []int32
-	at   [numParts + 1]int32
 	// nodes holds the vertices, in one array of exactly their number.
 	nodes []Node
 	// Edges in compressed-sparse-row form: vertex i's outgoing edges are
@@ -150,6 +148,13 @@ func (g *Graph) NodeString(n int32) string {
 		return g.ValueString(nd.val)
 	}
 	return fmt.Sprintf("%s@%s#%d", g.ValueString(nd.val), nd.Role, nd.instr)
+}
+
+// Footprint returns the bytes the graph's vertex and edge arrays occupy, by
+// capacity and through size, which gives what an allocation of n bytes
+// occupies; the body's are ir.Body.Footprint's.
+func (g *Graph) Footprint(size func(n int) int) (nodes, edges int) {
+	return size(cap(g.nodes) * int(unsafe.Sizeof(Node{}))), size(cap(g.edges) * int(unsafe.Sizeof(Edge{})))
 }
 
 // NumEdges returns the edge count.
@@ -198,14 +203,15 @@ type pendingEdge struct {
 // builder is Build's working state. Vertices and edges are collected here,
 // by ID, and copied into arrays of exactly their number once the function
 // has been walked; the collecting arrays are reused from one function to the
-// next. valueAt is the graph's part of the same name while it is built.
+// next. valueAt is the graph's part of the same name while it is built, and
+// parts[k] its part k (from ir.NumLists on) until the body adopts them.
 type builder struct {
 	f       *ir.Func
 	valueAt []int32
 	nodes   []Node
 	pend    []pendingEdge
 	fill    []int32
-	parts   [numParts][]int32
+	parts   [pValueAt + 1][]int32
 }
 
 var builderPool = sync.Pool{New: func() any { return new(builder) }}
@@ -300,8 +306,8 @@ func Build(f *ir.Func, inf *ssa.Info, pr *pta.Result) *Graph {
 		}
 	}
 
-	g := &Graph{Body: f.Adopt(), conds: inf.Conds, nodes: slices.Clone(b.nodes)}
-	g.addParts(b, f, inf, pr)
+	addParts(b, f, inf, pr)
+	g := &Graph{Body: f.Adopt(b.parts[ir.NumLists:]...), conds: inf.Conds, nodes: append(make([]Node, 0, len(b.nodes)), b.nodes...)}
 
 	// Counting sort of the pending edges by source vertex; it is stable, so
 	// every vertex keeps its edges in insertion order.
@@ -330,7 +336,7 @@ func (g *Graph) HappensAfter(a, b int32) bool {
 		return idx[b] > idx[a]
 	}
 	w, m := reachBit(bb)
-	return g.part(pReach)[ba*reachWords(g.numBlocks())+w]&m != 0
+	return g.part(pReach)[ba*reachWords(int32(g.NumBlocks()))+w]&m != 0
 }
 
 // reachWords is the length of a block's row of part pReach: one bit per

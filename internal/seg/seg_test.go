@@ -3,6 +3,7 @@ package seg
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/ir"
 	"repro/internal/lower"
@@ -334,4 +335,45 @@ func uses(g *Graph, role UseRole) []int32 {
 		}
 	}
 	return out
+}
+
+// A graph holds its tables without append slack, the body's records the
+// connector transformation grew included, and no part of its body that a
+// decoded graph lacks: every array's capacity is its length.
+func TestGraphBudget(t *testing.T) {
+	_, graphs := buildSEGs(t, `
+int g;
+void set(int *p, int v) { *p = v; g = v; }
+int caller(bool c) {
+	int *q = malloc();
+	if (c) { set(q, 1); } else { set(q, 2); }
+	int r = *q;
+	free(q);
+	return r + g;
+}`)
+	exact := func(n int) int { return n }
+	for name, gr := range graphs {
+		instrs, values, lists, _ := gr.Body.Footprint(exact)
+		nodes, edges := gr.Footprint(exact)
+		for _, arr := range []struct {
+			what       string
+			bytes, len int
+		}{
+			{"instructions", instrs, gr.NumInstrs() * int(unsafe.Sizeof(ir.Instr{}))},
+			{"values", values, gr.NumValues() * int(unsafe.Sizeof(ir.Value{}))},
+			{"lists", lists, 4 * len(*field[[]int32](&gr.Body, "ints"))},
+			{"vertices", nodes, gr.NumNodes() * int(unsafe.Sizeof(Node{}))},
+			{"edges", edges, gr.NumEdges() * int(unsafe.Sizeof(Edge{}))},
+		} {
+			if arr.bytes != arr.len {
+				t.Errorf("%s: the %s occupy %d bytes for %d", name, arr.what, arr.bytes, arr.len)
+			}
+		}
+		if *field[*struct{}](&gr.Body, "draft") != nil {
+			t.Errorf("%s: the graph's body is still a draft", name)
+		}
+	}
+	if len(graphs["set"].Params()) <= 2 {
+		t.Fatal("the connector transformation gave set no aux parameter")
+	}
 }

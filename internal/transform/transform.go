@@ -25,6 +25,7 @@ package transform
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/conc"
 	"repro/internal/ir"
@@ -265,6 +266,11 @@ func extendSignature(m *ir.Module, f *ir.Func, plans []rootPlan) map[modref.Path
 			spec := ir.AuxSpec{Root: pl.root.Param, Global: pl.root.Global, Depth: k}
 			f.AuxOut = append(f.AuxOut, spec)
 		}
+	}
+	if len(plans) > 0 {
+		// The function's interface outlives its body: it keeps no append
+		// slack.
+		f.Params, f.AuxIn, f.AuxOut = slices.Clip(slices.Clone(f.Params)), slices.Clip(slices.Clone(f.AuxIn)), slices.Clip(slices.Clone(f.AuxOut))
 	}
 	return aux
 }

@@ -5,7 +5,8 @@
 # real binary), the restart, codec, graphs-unchanged, replay and
 # all-checkers-equal-their-union equivalences, the local-flow walk against
 # its brute-force enumeration and under path explosion, at one and two CPUs,
-# the allocation and residency budgets without the race detector, a short
+# the allocation and residency budgets, the resident ledger and a built
+# graph against its decoded form without the race detector, a short
 # fuzz of the artifact decoder, of the unit-facts decoder, of a function's
 # own parse against its unit's, of the solver against enumeration, of the
 # request decoder and its per-tenant memo of the units last sent against
@@ -50,12 +51,16 @@ go test ./cmd/pinpoint -run 'AllEqualsUnionOfCheckers' -cpu 1,2
 
 # The allocation and residency budgets skip themselves under the race
 # detector (it allocates shadow state of its own), so they get a run without
-# it, together with the record sizes they follow from and the check that the
-# records a built program is made of hold no pointer: the IR's instructions,
-# values and blocks, which lowering writes and the SEG adopts, and the SEG's
-# vertices and edges (the tests live in internal/core, which sees them all).
-echo "== allocation and residency budgets, record sizes, pointer-free IR and SEG records (no race detector)"
-go test ./internal/core ./internal/server -run 'Budget|RecordSizes|PointerFree'
+# it, together with the record and header sizes they follow from, the check
+# that the records a built program is made of hold no pointer (the IR's
+# instructions, values and blocks, which lowering writes and the SEG adopts,
+# the SEG's vertices and edges, the condition builder's intern table; the
+# tests live in internal/core, which sees them all), the structural ledger
+# against the measured heap, a built graph against its decoded form, and the
+# SEG's and the condition builder's own budgets (no append slack, an empty
+# builder one allocation).
+echo "== allocation and residency budgets, resident ledger, built graph equals decoded, record sizes, pointer-free IR and SEG records (no race detector)"
+go test ./internal/core ./internal/server ./internal/seg ./internal/cond -run 'Budget|RecordSizes|PointerFree|ResidentLedger|BuiltGraphEqualsDecoded'
 
 # Ten seconds of new inputs on top of the committed corpus. The minimizer is
 # held to a second: its default budget per interesting input is longer than
