@@ -47,7 +47,7 @@ func (w *wireShell) bytes() []byte {
 // describeShell writes down f's shell the way a genuine encoding holds it.
 func describeShell(f *Func) *wireShell {
 	w := &wireShell{
-		ret: f.Ret, unit: f.Unit, line: f.Pos.Line, col: f.Pos.Col,
+		ret: f.Ret, unit: int(f.Unit), line: f.Pos.Line, col: f.Pos.Col,
 		nv: f.NumValues(), ni: f.NumInstrs(), nb: f.NumBlocks(),
 		auxIn: f.AuxIn, auxOut: f.AuxOut,
 	}
@@ -146,6 +146,7 @@ func TestDecodeFuncRejectsMalformed(t *testing.T) {
 		{"value space wider than its field", func(w *wireShell) { w.nv = 1 << 31 }, "values"},
 		{"negative instr space", func(w *wireShell) { w.ni = -1 }, "instructions"},
 		{"negative block space", func(w *wireShell) { w.nb = -1 }, "blocks"},
+		{"unit wider than its field", func(w *wireShell) { w.unit = 1 << 31 }, "unit"},
 		{"unknown return type", func(w *wireShell) { w.ret = minic.Type{Base: "float"} }, "bad type tag"},
 		{"parameter pointer deeper than the bound", func(w *wireShell) { w.params[1].Ptr = MaxPtrDepth + 1 }, "pointer levels"},
 		{"aux spec rooted past the parameters", func(w *wireShell) { w.auxIn[0].Root = len(w.params) }, "bad aux spec"},
