@@ -36,7 +36,8 @@ func TestDumpGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, f := range a.Module.Funcs {
+		for pos := range a.Module.NumFuncs() {
+			f := a.Module.Func(pos)
 			for _, kind := range []string{"seg", "cfg"} {
 				// As the CLI does: a cfg dump keeps the function's body.
 				a := a

@@ -19,6 +19,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -164,9 +165,14 @@ func runBatch() {
 		for _, r := range res.Reports {
 			jsonReports = append(jsonReports, r.ToJSON())
 		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(jsonReports); err != nil {
+		// What json.Encoder with a two-space indent writes, without its
+		// reflection.
+		var out bytes.Buffer
+		if err := json.Indent(&out, detect.AppendJSONReports(nil, jsonReports), "", "  "); err != nil {
+			fatal(err)
+		}
+		out.WriteByte('\n')
+		if _, err := out.WriteTo(os.Stdout); err != nil {
 			fatal(err)
 		}
 	} else {
@@ -220,7 +226,7 @@ func dump(a *core.Analysis, spec string) (string, error) {
 		}
 		return ir.DotCFG(f.Body), nil
 	case "seg":
-		return a.SEGs[f.ID].Dot(), nil
+		return a.SEGs.At(f.ID).Dot(), nil
 	}
 	return "", fmt.Errorf("bad -dump kind %q", kind)
 }

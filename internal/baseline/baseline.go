@@ -74,8 +74,8 @@ func BuildBaselineModule(units []minic.NamedSource) (*ir.Module, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, f := range m.Funcs {
-		if _, err := ssa.Transform(f); err != nil {
+	for pos := range m.NumFuncs() {
+		if _, err := ssa.Transform(m.Func(pos)); err != nil {
 			return nil, err
 		}
 	}

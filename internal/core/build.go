@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/conc"
+	"repro/internal/dense"
 	"repro/internal/detect"
 	"repro/internal/ir"
 	"repro/internal/lower"
@@ -107,10 +108,10 @@ type build struct {
 	shapeChanged bool
 	dirtyIDs     []int32
 	affected     []int32 // SCC indexes, ascending (callee-first)
-	snode        []int32 // by SCC: nonzero when affected, then 1 + the node of its S-node
+	snode        idIndex // by SCC: nonzero when affected, then 1 + the node of its S-node
 	positions    []int32 // of the states' functions, ascending
 	states       []fnState
-	visit        []int32 // function ID → 1 + index into states
+	visit        idIndex // function ID → 1 + index into states
 	m            *ir.Module
 	retType      func(string) (minic.Type, bool)
 	nodes        []wnode
@@ -459,18 +460,18 @@ func (b *build) tables() (err error) {
 // or the members of the SCCs from which an edited function is reachable.
 func (b *build) affect() {
 	tab := b.tab
-	b.snode = make([]int32, len(tab.sccs))
+	b.snode = newIDIndex(len(tab.sccs), b.patch)
 	if b.patch {
 		for _, id := range b.dirtyIDs {
-			if j := tab.sccOf[id]; b.snode[j] == 0 {
-				b.snode[j] = 1
+			if j := tab.sccOf[id]; b.snode.get(j) == 0 {
+				b.snode.set(j, 1)
 				b.affected = append(b.affected, j)
 			}
 		}
 		for i := 0; i < len(b.affected); i++ {
 			for _, j := range tab.callers.Of(b.affected[i]) {
-				if b.snode[j] == 0 {
-					b.snode[j] = 1
+				if b.snode.get(j) == 0 {
+					b.snode.set(j, 1)
 					b.affected = append(b.affected, j)
 				}
 			}
@@ -496,7 +497,7 @@ func (b *build) affect() {
 func (b *build) fnStates() {
 	s, tab := b.s, b.tab
 	b.states = make([]fnState, len(b.positions))
-	b.visit = make([]int32, tab.lay.NumIDs())
+	b.visit = newIDIndex(tab.lay.NumIDs(), b.patch)
 	unit, line, at := 0, int32(1), 0 // a line of the unit's source, and its offset
 	for i, pos := range b.positions {
 		for tab.unitStart[unit+1] <= pos {
@@ -510,7 +511,7 @@ func (b *build) fnStates() {
 		}
 		st.off = int32(at) + pu.funcs[k].col - 1 // columns count bytes
 		st.astHash = pu.astKey(k, unit)
-		b.visit[st.id] = int32(i + 1)
+		b.visit.set(st.id, int32(i+1))
 		if st.had = s.tab != nil && (b.patch || s.tab.lay.ID(st.name()) >= 0); st.had && !b.shapeChanged {
 			st.old = s.arts[st.id]
 		}
@@ -533,6 +534,37 @@ func (b *build) fnStates() {
 		b.rec.Counter("store.artifact.loads").Add(int64(b.stats.StoreHits))
 	}
 	b.loaded = nil // what the program uses of it is in the states now
+}
+
+// idIndex maps IDs — of functions, or of SCCs — to int32s, 0 for an ID it
+// does not hold: an array over every ID for a build that looks at every
+// function, a map for a patching one, so that an edit's build does not make
+// arrays the size of the program.
+type idIndex struct {
+	all  []int32
+	some map[int32]int32
+}
+
+func newIDIndex(n int, sparse bool) idIndex {
+	if sparse {
+		return idIndex{some: make(map[int32]int32)}
+	}
+	return idIndex{all: make([]int32, n)}
+}
+
+func (x *idIndex) get(id int32) int32 {
+	if x.some != nil {
+		return x.some[id]
+	}
+	return x.all[id]
+}
+
+func (x *idIndex) set(id, v int32) {
+	if x.some != nil {
+		x.some[id] = v
+	} else {
+		x.all[id] = v
+	}
 }
 
 // wnode is one node of the build wavefront.
@@ -560,7 +592,7 @@ func (b *build) layout() {
 	for _, j := range b.affected {
 		members = members[:0]
 		for _, id := range tab.sccs[j] {
-			members = append(members, int(b.visit[id]-1))
+			members = append(members, int(b.visit.get(id)-1))
 		}
 		slices.Sort(members)
 		var sdeps []int
@@ -571,14 +603,15 @@ func (b *build) layout() {
 			}
 		}
 		for _, jj := range tab.callees.Of(j) {
-			if d := b.snode[jj]; d != 0 {
+			if d := b.snode.get(jj); d != 0 {
 				sdeps = append(sdeps, int(d-1))
 			}
 		}
-		b.snode[j] = int32(len(b.nodes) + 1)
+		s := len(b.nodes)
+		b.snode.set(j, int32(s+1))
 		b.nodes, b.deps = append(b.nodes, wnode{'S', int(j)}), append(b.deps, sdeps)
 		for _, i := range members {
-			b.nodes, b.deps = append(b.nodes, wnode{'F', i}), append(b.deps, []int{int(b.snode[j] - 1)})
+			b.nodes, b.deps = append(b.nodes, wnode{'F', i}), append(b.deps, []int{s})
 		}
 	}
 }
@@ -626,8 +659,8 @@ func (b *build) callee(name string) (*fnState, *funcMeta) {
 	switch {
 	case id < 0:
 		return nil, extern
-	case b.visit[id] != 0:
-		st := &b.states[b.visit[id]-1]
+	case b.visit.get(int32(id)) != 0:
+		st := &b.states[b.visit.get(int32(id))-1]
 		return st, &st.funcMeta
 	}
 	return nil, &b.s.arts[id].funcMeta
@@ -646,7 +679,7 @@ func (b *build) calleeSigMoved(name string) bool {
 }
 func (b *build) fnOf(name string) *ir.Func         { _, c := b.callee(name); return c.fn }
 func (b *build) sumOf(name string) *modref.Summary { _, c := b.callee(name); return c.sum }
-func (b *build) state(id int32) *fnState           { return &b.states[b.visit[id]-1] }
+func (b *build) state(id int32) *fnState           { return &b.states[b.visit.get(id)-1] }
 
 // wavefront runs everything between parsing and commit — lowering, SSA, the
 // Mod/Ref frontier recompute, connector fingerprints, the connector transform,
@@ -812,6 +845,9 @@ func (b *build) summarize(w int, scc []int32) error {
 		b.scratch[w] = st.sum.AppendFingerprint(b.scratch[w][:0])
 		st.sumFP = digestOf(b.scratch[w])
 		st.sumChanged = st.old == nil || st.old.sumFP != st.sumFP
+		if !st.sumChanged && st.old.sum != nil {
+			st.sum = st.old.sum // the same summary: the committed one serves
+		}
 	}
 	b.perFunc(w, tModRef, "", t0)
 	return nil
@@ -930,23 +966,31 @@ func (b *build) commit() error {
 }
 
 // assemble commits a build. The session's own tables are patched in place
-// (or replaced, when rebuilt); the module and the analysis tables start as
-// copies of the committed ones, so that the Analysis handed out before stays
-// as it was. Retained functions already carry their final aux signatures,
-// which is exactly what rebuilt callers' call sites read during the wavefront.
+// (or replaced, when rebuilt); the module and the analysis tables are forks of
+// the committed ones (dense.Table), which copy only the chunks this build
+// writes, so that the Analysis handed out before stays as it was. Retained
+// functions already carry their final aux signatures, which is exactly what
+// rebuilt callers' call sites read during the wavefront.
 func (b *build) assemble() {
 	s, m, stats := b.s, b.m, &b.stats
 	numIDs := b.tab.lay.NumIDs()
 	a := &Analysis{Module: m}
 	arts, totals := s.arts, s.totals
+	var (
+		funcs dense.Table[*ir.Func]
+		segs  dense.Table[*seg.Graph]
+		sums  dense.Table[*modref.Summary]
+	)
 	if b.patch {
-		m.Funcs = slices.Clone(s.analysis.Module.Funcs)
-		a.SEGs, a.Summaries = slices.Clone(s.analysis.SEGs), slices.Clone(s.analysis.Summaries)
+		// The committed Analysis's tables are forks that own no chunk, and
+		// so are these copies: writing one copies what it writes.
+		prev := s.analysis
+		funcs, segs, sums = prev.Module.FuncTable(), prev.SEGs, prev.Summaries
 		b.changed = slices.Clone(s.unsaved)
 	} else {
 		arts, totals = make([]*funcArtifact, numIDs), sizeTotals{}
-		m.Funcs = make([]*ir.Func, len(b.states))
-		a.SEGs, a.Summaries = make([]*seg.Graph, numIDs), make([]*modref.Summary, numIDs)
+		funcs = dense.NewTable[*ir.Func](len(b.states))
+		segs, sums = dense.NewTable[*seg.Graph](numIDs), dense.NewTable[*modref.Summary](numIDs)
 	}
 	var fresh []*ir.Func // functions the committed module does not hold
 	for i := range b.states {
@@ -971,18 +1015,28 @@ func (b *build) assemble() {
 			b.built.Add(art.sizes.ptaStats())
 		}
 		arts[id] = art
-		m.Funcs[b.positions[i]] = art.fn
-		a.SEGs[id], a.Summaries[id] = art.seg, art.sum
+		setIfMoved(&funcs, int(b.positions[i]), art.fn)
+		setIfMoved(&segs, int(id), art.seg)
+		setIfMoved(&sums, int(id), art.sum)
 	}
-	b.states, b.visit = nil, nil // commit and persist read the committed tables from here on
+	b.states, b.visit = nil, idIndex{} // commit and persist read the committed tables from here on
 	stats.Hits = len(b.tab.ids) - stats.Invalidated - stats.Misses
 	stats.UnitsParsed, stats.FuncsParsed = int(b.unitsParsed.Load()), int(b.funcsParsed.Load())
 	s.arts, s.totals, s.tab, s.shape = arts, totals, b.tab, b.shape
+	m.SetFuncs(funcs.Fork())
+	a.SEGs, a.Summaries = segs.Fork(), sums.Fork()
 
 	// The units: the session knows those of this request, by their facts.
-	clear(s.files)
-	for _, pu := range b.parsed {
-		s.files[pu.name] = pu
+	// Those at the positions an edit left alone it knew already.
+	for i, pu := range s.units {
+		if i >= len(b.parsed) || b.parsed[i].name != pu.name {
+			delete(s.files, pu.name)
+		}
+	}
+	for i, pu := range b.parsed {
+		if i >= len(s.units) || s.units[i] != pu {
+			s.files[pu.name] = pu
+		}
 	}
 	s.units = b.parsed
 
@@ -993,6 +1047,14 @@ func (b *build) assemble() {
 	}
 	a.Prog = detect.NewProgramFrom(prev, m, a.SEGs, fresh)
 	b.a = a
+}
+
+// setIfMoved writes entry i of t unless it holds v already: a write copies
+// the entry's chunk, and most of what an edit looks at it leaves as it was.
+func setIfMoved[T comparable](t *dense.Table[T], i int, v T) {
+	if t.At(i) != v {
+		t.Set(i, v)
+	}
 }
 
 // save bundles every artifact whose on-disk record is missing or stale into

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"repro/internal/checkers"
+	"repro/internal/dense"
 	"repro/internal/detect"
 	"repro/internal/ir"
 	"repro/internal/minic"
@@ -112,11 +113,13 @@ type Sizes struct {
 
 // Analysis is a fully built program analysis ready for checking. SEGs and
 // Summaries hold each function's symbolic expression graph and Mod/Ref
-// summary, indexed by ir.Func.ID.
+// summary, indexed by ir.Func.ID. They, and the module's function table, are
+// shared chunk by chunk with the Analyses a session hands out before and
+// after this one, and none of them writes a shared chunk.
 type Analysis struct {
 	Module    *ir.Module
-	SEGs      []*seg.Graph
-	Summaries []*modref.Summary
+	SEGs      dense.Table[*seg.Graph]
+	Summaries dense.Table[*modref.Summary]
 	Prog      *detect.Program
 	Timings   Timings
 	Sizes     Sizes

@@ -3,6 +3,7 @@ package core_test
 import (
 	"fmt"
 	"reflect"
+	"regexp"
 	"runtime"
 	"strings"
 	"testing"
@@ -172,5 +173,81 @@ func TestSessionGaugesMatchSizes(t *testing.T) {
 	}
 	if got, want := int(rec.Counter("build.funcs_visited").Value()), a.Sizes.Functions+a.Artifacts.Visited; got != want {
 		t.Errorf("build.funcs_visited %d, want %d (cold) + %d (edit)", got, a.Sizes.Functions, a.Artifacts.Visited)
+	}
+}
+
+// TestSharedTablesConcurrentCheck holds the Analyses of a session to what
+// their tables share chunk by chunk: while an Update commits an edit of a
+// function in the first chunk of every table — forking the current
+// Analysis's tables and writing the forks — the Analysis before that one is
+// checked on another goroutine, and each answers as it did alone (the one
+// checked against its own earlier answer, the new one against a build from
+// nothing). Under the race detector it also finds a write to a chunk that a
+// reader of an older table can see.
+func TestSharedTablesConcurrentCheck(t *testing.T) {
+	units := ladder(60, 3)
+	opts := detect.Options{Workers: 2, Witness: true}
+	sess := core.NewSession(core.BuildOptions{Workers: 2})
+	cur, err := sess.Update(units)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Functions of the first chunk, which sit in the first unit: each edit
+	// opens one with a line of its own, which moves every later function of
+	// the unit and the lines their reports name.
+	var names []string
+	for pos := range min(cur.Module.NumFuncs(), 64) {
+		if f := cur.Module.Func(pos); f.ID < 64 && f.Unit == 0 && len(names) < 3 {
+			names = append(names, f.Name)
+		}
+	}
+	edit := func(step int) {
+		name := names[step%len(names)]
+		opener := regexp.MustCompile(`(?m)^[a-z]+ \*?` + name + `\([^)]*\) \{`)
+		loc := opener.FindStringIndex(units[0].Src)
+		if loc == nil {
+			t.Fatalf("no declaration of %s in %s", name, units[0].Name)
+		}
+		src := units[0].Src
+		units[0].Src = src[:loc[1]] + fmt.Sprintf("\n\tint zz%d = %d;", step, step) + src[loc[1]:]
+	}
+	answer := func(a *core.Analysis) string { return string(reportsJSON(t, a.CheckAll(checkers.All(), opts).Reports)) }
+	var prev *core.Analysis
+	var prevAnswer, curAnswer string
+	curAnswer = answer(cur)
+	for step := 0; step < 6; step++ {
+		edit(step)
+		var again detect.Results
+		done := make(chan struct{})
+		if prev != nil {
+			go func() {
+				defer close(done)
+				again = prev.CheckAll(checkers.All(), opts)
+			}()
+		} else {
+			close(done)
+		}
+		next, err := sess.Update(units)
+		<-done
+		if err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		if prev != nil {
+			if got := string(reportsJSON(t, again.Reports)); got != prevAnswer {
+				t.Fatalf("step %d: the Analysis before the session's answers differently beside the Update\nthen: %s\nnow:  %s", step, prevAnswer, got)
+			}
+		}
+		cold, err := core.BuildFromSource(units, core.BuildOptions{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nextAnswer := answer(next)
+		if want := answer(cold); nextAnswer != want {
+			t.Fatalf("step %d: the committed Analysis answers unlike a build from nothing\nsession: %s\nscratch: %s", step, nextAnswer, want)
+		}
+		prev, prevAnswer, cur, curAnswer = cur, curAnswer, next, nextAnswer
+	}
+	if got := answer(prev); got != prevAnswer {
+		t.Fatalf("the Analysis before the last answers differently now\nthen: %s\nnow:  %s", prevAnswer, got)
 	}
 }

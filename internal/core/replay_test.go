@@ -229,7 +229,8 @@ func specsFor(t *testing.T, names []string) []*checkers.Spec {
 // from-scratch build computes.
 func callersByName(prog *detect.Program) map[string][]string {
 	out := make(map[string][]string)
-	for _, callee := range prog.Module.Funcs {
+	for pos := range prog.Module.NumFuncs() {
+		callee := prog.Module.Func(pos)
 		for _, cs := range prog.Callers(callee) {
 			out[callee.Name] = append(out[callee.Name], fmt.Sprintf("%s#%d@%s", cs.Fn.Name, cs.Instr, prog.SEG(cs.Fn).Position(cs.Instr)))
 		}

@@ -46,15 +46,16 @@ type Resident struct {
 // Resident computes the analysis's structural ledger.
 func (a *Analysis) Resident() Resident {
 	var r Resident
-	for _, f := range a.Module.Funcs {
+	for pos := range a.Module.NumFuncs() {
+		f := a.Module.Func(pos)
 		r.Shells += int64(allocSize(int(unsafe.Sizeof(*f))) +
 			allocSize(cap(f.Params)*int(unsafe.Sizeof(ir.Param{}))) +
 			allocSize(cap(f.AuxIn)*int(unsafe.Sizeof(ir.AuxSpec{}))) +
 			allocSize(cap(f.AuxOut)*int(unsafe.Sizeof(ir.AuxSpec{}))))
-		if g := a.SEGs[f.ID]; g != nil {
+		if g := a.SEGs.At(f.ID); g != nil {
 			r.addGraph(g)
 		}
-		if s := a.Summaries[f.ID]; s != nil && len(s.Ref)+len(s.Mod) > 0 {
+		if s := a.Summaries.At(f.ID); s != nil && len(s.Ref)+len(s.Mod) > 0 {
 			path := int(unsafe.Sizeof(modref.Path{}))
 			r.Summaries += int64(allocSize(int(unsafe.Sizeof(*s))) + allocSize(cap(s.Ref)*path) + allocSize(cap(s.Mod)*path))
 		}

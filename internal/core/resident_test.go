@@ -53,8 +53,9 @@ func TestBuiltGraphEqualsDecoded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range a.Module.Funcs {
-		built := a.SEGs[f.ID]
+	for pos := range a.Module.NumFuncs() {
+		f := a.Module.Func(pos)
+		built := a.SEGs.At(f.ID)
 		var e wirebin.Writer
 		if err := cond.EncodeBuilder(&e, built.Conds()); err != nil {
 			t.Fatal(err)

@@ -50,9 +50,10 @@ func reportsJSON(t *testing.T, rs []detect.Report) []byte {
 }
 
 func summaryFPs(a *core.Analysis) map[string]string {
-	out := make(map[string]string, len(a.Module.Funcs))
-	for _, f := range a.Module.Funcs {
-		out[f.Name] = a.Summaries[f.ID].Fingerprint()
+	out := make(map[string]string, a.Module.NumFuncs())
+	for pos := range a.Module.NumFuncs() {
+		f := a.Module.Func(pos)
+		out[f.Name] = a.Summaries.At(f.ID).Fingerprint()
 	}
 	return out
 }

@@ -60,7 +60,8 @@ func TestDetectionReadsOnlySEG(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", tag, err)
 			}
-			for _, f := range shells.Module.Funcs {
+			for pos := range shells.Module.NumFuncs() {
+				f := shells.Module.Func(pos)
 				if f.Body != nil {
 					t.Fatalf("%s: %s kept its body after a build without a store", tag, f.Name)
 				}
@@ -81,7 +82,8 @@ func TestDetectionReadsOnlySEG(t *testing.T) {
 			if s := warm.Artifacts; s.StoreHits != warm.Sizes.Functions || s.Misses != 0 || s.Invalidated != 0 || s.UnitsParsed != 0 {
 				t.Fatalf("%s: the restart is not all store hits: %+v of %d functions", tag, s, warm.Sizes.Functions)
 			}
-			for _, f := range warm.Module.Funcs {
+			for pos := range warm.Module.NumFuncs() {
+				f := warm.Module.Func(pos)
 				if f.Body != nil {
 					t.Fatalf("%s: %s has a body after a warm restart", tag, f.Name)
 				}
@@ -107,9 +109,10 @@ func TestDetectionLeavesGraphsUnchanged(t *testing.T) {
 		wire  string
 	}
 	snapshot := func(a *core.Analysis) map[string]graphState {
-		out := make(map[string]graphState, len(a.Module.Funcs))
-		for _, f := range a.Module.Funcs {
-			if g := a.SEGs[f.ID]; g != nil {
+		out := make(map[string]graphState, a.Module.NumFuncs())
+		for pos := range a.Module.NumFuncs() {
+			f := a.Module.Func(pos)
+			if g := a.SEGs.At(f.ID); g != nil {
 				var e wirebin.Writer
 				seg.EncodeGraph(&e, g)
 				out[f.Name] = graphState{g.NumNodes(), string(e.B)}

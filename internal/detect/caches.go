@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/checkers"
 	"repro/internal/cond"
+	"repro/internal/dense"
 	"repro/internal/ir"
 	"repro/internal/seg"
 )
@@ -25,14 +26,15 @@ import (
 // worker interleaving, and an fnCache stays correct for every Program that
 // holds the same function.
 type caches struct {
-	fn []*fnCache
-	// frees[f.ID][i] reports that f (transitively) may free its i-th
+	fn dense.Table[*fnCache]
+	// frees.At(f.ID)[i] reports that f (transitively) may free its i-th
 	// parameter (indexed by ParamIdx): the unreleased-resource checkers'
 	// whole-program relation. stale lists the functions without a valid
-	// entry — never computed, or dropped by the carry-over because they reach
-	// a rebuilt function; the next leak checker computes exactly those.
-	frees [][]bool
-	stale []*ir.Func
+	// entry, whose entry is nil — never computed, or dropped by the
+	// carry-over because they reach a rebuilt function; the next leak
+	// checker computes exactly those.
+	frees dense.Table[[]bool]
+	stale []int32 // by ID
 	// names identifies the program's set of defined function names (which
 	// callee names resolve, and which are externals); the carry-over keeps
 	// the token exactly when the module's Layout did not change.
@@ -105,11 +107,12 @@ func newCaches(prog *Program) caches { return newCachesFrom(prog, nil) }
 // its entry in prev's caches (and with it prev's checker numbering and run
 // log); nothing that depends on other functions is kept.
 func newCachesFrom(prog, prev *Program) caches {
-	n := prog.Module.Layout.NumIDs()
+	m := prog.Module
+	n := m.Layout.NumIDs()
 	c := caches{
-		fn:      make([]*fnCache, n),
-		frees:   make([][]bool, n),
-		stale:   prog.Module.Funcs,
+		fn:      dense.NewTable[*fnCache](n),
+		frees:   dense.NewTable[[]bool](n),
+		stale:   make([]int32, m.NumFuncs()),
 		names:   new(nameSet),
 		readers: make(readIndex, n),
 	}
@@ -118,13 +121,15 @@ func newCachesFrom(prog, prev *Program) caches {
 	} else {
 		c.walks, c.specs, c.runs = &specNumbers{make([]string, 0, 8)}, &specNumbers{make([]string, 0, 8)}, new(runLog)
 	}
-	for _, f := range prog.Module.Funcs {
+	for pos := range c.stale {
+		f := m.Func(pos)
+		c.stale[pos] = int32(f.ID)
 		switch {
-		case prog.segs[f.ID] == nil:
+		case prog.SEG(f) == nil:
 		case prev != nil && prev.Module.Holds(f):
-			c.fn[f.ID] = prev.c.fn[f.ID]
+			c.fn.Set(f.ID, prev.c.fn.At(f.ID))
 		default:
-			c.fn[f.ID] = new(fnCache)
+			c.fn.Set(f.ID, new(fnCache))
 		}
 	}
 	return c
@@ -161,7 +166,7 @@ func (fc *fnCache) tasksFor(k, n int, sp *checkers.Spec, f *ir.Func, g *seg.Grap
 // paramFacts returns (noting them once per function object, with r's
 // scratch) where the local flows of f's parameters can end.
 func (c *caches) paramFacts(f *ir.Func, g *seg.Graph, r *reach) []paramFacts {
-	fc := c.fn[f.ID]
+	fc := c.fn.At(f.ID)
 	if fc.params == nil {
 		fc.params = r.params(g)
 	}
@@ -170,7 +175,7 @@ func (c *caches) paramFacts(f *ir.Func, g *seg.Graph, r *reach) []paramFacts {
 
 // apparentlyUnsat runs the linear contradiction filter of fn's solver.
 func (c *caches) apparentlyUnsat(fn *ir.Func, co *cond.Cond) bool {
-	lc := &c.fn[fn.ID].lin
+	lc := &c.fn.At(fn.ID).lin
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
 	return lc.ls.ApparentlyUnsat(co)
@@ -178,7 +183,7 @@ func (c *caches) apparentlyUnsat(fn *ir.Func, co *cond.Cond) bool {
 
 // reverse returns the reverse adjacency of a graph, built on first use.
 func (c *caches) reverse(f *ir.Func, g *seg.Graph) *revEntry {
-	re := &c.fn[f.ID].rev
+	re := &c.fn.At(f.ID).rev
 	re.once.Do(func() {
 		n := int32(g.NumNodes())
 		re.start = make([]int32, n+1)

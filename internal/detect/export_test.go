@@ -9,7 +9,13 @@ import (
 // MayFree returns the may-free-parameter relation the Program's caches hold,
 // by ir.Func.ID (nil before the first CheckAll, and for a function the
 // relation leaves out).
-func (p *Program) MayFree() [][]bool { return p.c.frees }
+func (p *Program) MayFree() [][]bool {
+	out := make([][]bool, p.c.frees.Len())
+	for id := range out {
+		out[id] = p.c.frees.At(id)
+	}
+	return out
+}
 
 // EnumerateFlows calls emit with each local flow from vertex n of g, until
 // emit returns false: every path along successor edges to a use vertex, in
@@ -109,7 +115,8 @@ func RoundRobinMayFree(prog *Program) [][]bool {
 		return freed
 	}
 	var work []*ir.Func
-	for _, f := range prog.Module.Funcs {
+	for pos := range prog.Module.NumFuncs() {
+		f := prog.Module.Func(pos)
 		if len(prog.Callers(f)) == 0 {
 			continue
 		}

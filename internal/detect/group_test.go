@@ -216,7 +216,8 @@ func TestMayFreeFactsEqualFixpoint(t *testing.T) {
 	compare := func(tag string, prog *detect.Program) (freed int) {
 		t.Helper()
 		got, want := prog.MayFree(), detect.RoundRobinMayFree(prog)
-		for _, f := range prog.Module.Funcs {
+		for pos := range prog.Module.NumFuncs() {
+			f := prog.Module.Func(pos)
 			if len(prog.Callers(f)) == 0 {
 				continue // left out of the relation; a carried entry may linger
 			}

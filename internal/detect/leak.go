@@ -71,17 +71,20 @@ func leakReport(checker string, f *ir.Func, g *seg.Graph, alloc int32, kind Leak
 // It leaves the relation read-only for the concurrent per-allocation queries
 // (checkAlloc).
 func computeFreesParam(prog *Program, c *caches) {
-	called := func(f *ir.Func) bool { return len(prog.Callers(f)) > 0 }
+	called := func(id int32) bool { return len(prog.callers.At(int(id))) > 0 }
 	if !slices.ContainsFunc(c.stale, called) {
 		return // what is stale stays so: a warm request's usual case
 	}
-	var work, uncalled []*ir.Func
-	for _, f := range c.stale {
-		if !called(f) {
-			uncalled = append(uncalled, f)
+	m := prog.Module
+	var work []*ir.Func
+	var uncalled []int32
+	for _, id := range c.stale {
+		if !called(id) {
+			uncalled = append(uncalled, id)
 			continue
 		}
-		c.frees[f.ID] = make([]bool, len(f.Params))
+		f := m.Func(m.Layout.Pos(int(id)))
+		c.frees.Set(f.ID, make([]bool, len(f.Params)))
 		if prog.SEG(f) != nil {
 			work = append(work, f)
 		}
@@ -92,7 +95,7 @@ func computeFreesParam(prog *Program, c *caches) {
 	}
 	// By Func.ID: whether the function is one of work's, and already waiting.
 	const idle, queued = 1, 2
-	state := make([]uint8, len(c.frees))
+	state := make([]uint8, c.frees.Len())
 	for _, f := range work {
 		state[f.ID] = queued
 	}
@@ -102,9 +105,10 @@ func computeFreesParam(prog *Program, c *caches) {
 		state[f.ID] = idle
 		grew := false
 		g := prog.SEG(f)
+		fr := c.frees.At(f.ID) // made above, so this Program's own
 		for pi, pf := range c.paramFacts(f, g, &r) {
-			if !c.frees[f.ID][pi] && (pf.frees || c.passedToFree(prog.Module, g, pf.passed)) {
-				c.frees[f.ID][pi], grew = true, true
+			if !fr[pi] && (pf.frees || c.passedToFree(prog.Module, g, pf.passed)) {
+				fr[pi], grew = true, true
 			}
 		}
 		if !grew {
@@ -122,7 +126,7 @@ func computeFreesParam(prog *Program, c *caches) {
 // mayFree reads the relation; an argument beyond the callee's parameter
 // list (a call with too many arguments) is freed by no one.
 func (c *caches) mayFree(callee *ir.Func, argIdx int) bool {
-	fr := c.frees[callee.ID]
+	fr := c.frees.At(callee.ID)
 	return argIdx < len(fr) && fr[argIdx]
 }
 
@@ -158,7 +162,7 @@ func (e *Engine) checkAlloc(checker string, f *ir.Func, g *seg.Graph, alloc int3
 				escaped = true
 				continue
 			}
-			e.fp.readMayFree(callee.Name, e.caches.frees[callee.ID])
+			e.fp.readMayFree(callee.Name, e.caches.frees.At(callee.ID))
 			if e.caches.mayFree(callee, int(term.ArgIdx)) {
 				// A callee may free it; treat like a reached free with
 				// the call's conditions.

@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"repro/internal/cond"
+	"repro/internal/dense"
 	"repro/internal/ir"
 	"repro/internal/minic"
 	"repro/internal/obs"
@@ -52,8 +53,8 @@ type CallSite = Site
 // of a function itself, only its shell (name, ID, unit, interface).
 type Program struct {
 	Module  *ir.Module
-	segs    []*seg.Graph
-	callers [][]CallSite
+	segs    dense.Table[*seg.Graph]
+	callers dense.Table[[]CallSite]
 
 	// c holds the detection caches, which persist across CheckAll calls on
 	// this Program and, via NewProgramFrom, across incremental rebuilds: the
@@ -64,24 +65,26 @@ type Program struct {
 }
 
 // SEG returns f's symbolic expression graph (nil for a function without one).
-func (p *Program) SEG(f *ir.Func) *seg.Graph { return p.segs[f.ID] }
+func (p *Program) SEG(f *ir.Func) *seg.Graph { return p.segs.At(f.ID) }
 
 // Callers returns the call sites of f, callers in module order and each
 // caller's sites in instruction order.
-func (p *Program) Callers(f *ir.Func) []CallSite { return p.callers[f.ID] }
+func (p *Program) Callers(f *ir.Func) []CallSite { return p.callers.At(f.ID) }
 
 // NewProgram indexes the call sites of a fully analyzed module. The SSA
 // infos are not read: a SEG carries what detection needs of its function.
 func NewProgram(m *ir.Module, _ map[*ir.Func]*ssa.Info, segs map[*ir.Func]*seg.Graph) *Program {
-	gs := make([]*seg.Graph, m.Layout.NumIDs())
-	for _, f := range m.Funcs {
-		gs[f.ID] = segs[f]
+	gs := dense.NewTable[*seg.Graph](m.Layout.NumIDs())
+	for pos := range m.NumFuncs() {
+		f := m.Func(pos)
+		gs.Set(f.ID, segs[f])
 	}
-	return NewProgramIndexed(m, gs)
+	return NewProgramIndexed(m, gs.Fork())
 }
 
-// NewProgramIndexed is NewProgram over a table of SEGs indexed by ir.Func.ID.
-func NewProgramIndexed(m *ir.Module, segs []*seg.Graph) *Program {
+// NewProgramIndexed is NewProgram over a table of SEGs indexed by ir.Func.ID,
+// which no one writes any more.
+func NewProgramIndexed(m *ir.Module, segs dense.Table[*seg.Graph]) *Program {
 	return &Program{Module: m, segs: segs, callers: indexCallers(m, segs)}
 }
 
@@ -92,7 +95,7 @@ func (p *Program) EnableCachePersistence() {}
 
 // detectionCaches returns the Program's caches, making them on first use.
 func (p *Program) detectionCaches() *caches {
-	if p.c.fn == nil {
+	if p.c.names == nil {
 		p.c = newCaches(p)
 	}
 	return &p.c
@@ -102,7 +105,8 @@ func (p *Program) detectionCaches() *caches {
 // currently hold for replay.
 func (p *Program) ReplayTableSize() int {
 	n := 0
-	for _, fc := range p.c.fn {
+	for id := range p.c.fn.Len() {
+		fc := p.c.fn.At(id)
 		if fc == nil {
 			continue
 		}
@@ -119,18 +123,20 @@ func (p *Program) ReplayTableSize() int {
 
 // NewProgramFrom builds the Program of the module that succeeds prev's in an
 // incremental session: segs is the new per-function table (indexed by
-// ir.Func.ID) and fresh lists the functions of m that prev's
-// module does not hold — rebuilt or new. It carries over prev's detection
-// caches for every other function: their linear solvers, reverse indexes, parameter facts, task lists and
-// recorded task results (each of which replays only while its footprint
-// holds in the new Program; see replay.go). When the two modules share a
-// Layout, nothing but the entries of the fresh functions is touched: their
-// cache entries start empty, only they are walked to bring the call-site
-// index up to date, the may-free-parameter relation is carried for every
-// function that cannot reach one of them, and the task plan waits for
-// prepare to splice their tasks in. With prev nil the Program starts cold,
-// like NewProgramIndexed's.
-func NewProgramFrom(prev *Program, m *ir.Module, segs []*seg.Graph, fresh []*ir.Func) *Program {
+// ir.Func.ID, which no one writes any more) and fresh lists the functions of
+// m that prev's module does not hold — rebuilt or new. It carries over prev's
+// detection caches for every other function: their linear solvers, reverse
+// indexes, parameter facts, task lists and recorded task results (each of
+// which replays only while its footprint holds in the new Program; see
+// replay.go). When the two modules share a Layout, nothing but the entries of
+// the fresh functions is touched: their cache entries start empty, only they
+// are walked to bring the call-site index up to date, the may-free-parameter
+// relation is carried for every function that cannot reach one of them, and
+// the task plan waits for prepare to splice their tasks in. The per-function
+// tables are forks of prev's (dense.Table): they copy only the chunks those
+// entries live in, and prev keeps answering as it did.
+// With prev nil the Program starts cold, like NewProgramIndexed's.
+func NewProgramFrom(prev *Program, m *ir.Module, segs dense.Table[*seg.Graph], fresh []*ir.Func) *Program {
 	if prev == nil {
 		return NewProgramIndexed(m, segs)
 	}
@@ -147,16 +153,17 @@ func NewProgramFrom(prev *Program, m *ir.Module, segs []*seg.Graph, fresh []*ir.
 	p.c = caches{names: old.names, walks: old.walks, specs: old.specs, plan: old.plan,
 		ran: old.ran, changed: old.changed, readers: old.readers, runs: old.runs}
 	c := &p.c
+	p.callers, c.fn, c.frees = prev.callers.Fork(), old.fn.Fork(), old.frees.Fork()
 	if len(fresh) == 0 {
-		p.callers, c.fn, c.frees, c.stale, c.unplanned = prev.callers, old.fn, old.frees, old.stale, old.unplanned
+		c.stale, c.unplanned = old.stale, old.unplanned
 		return p
 	}
-	c.fn = slices.Clone(old.fn)
 	for _, f := range fresh {
-		c.fn[f.ID] = nil
-		if segs[f.ID] != nil {
-			c.fn[f.ID] = new(fnCache)
+		var fc *fnCache
+		if segs.At(f.ID) != nil {
+			fc = new(fnCache)
 		}
+		c.fn.Set(f.ID, fc)
 	}
 	// A function prev's plan is still waiting for is either fresh again or
 	// still waiting.
@@ -166,8 +173,7 @@ func NewProgramFrom(prev *Program, m *ir.Module, segs []*seg.Graph, fresh []*ir.
 			c.unplanned = append(c.unplanned, f)
 		}
 	}
-	var moved []int
-	p.callers, moved = patchCallers(prev, p, fresh)
+	moved := patchCallers(prev, p, fresh)
 	// What the run to come must hold the memos that read it against: the
 	// graphs replaced, the caller lists that name other sites. (The may-free
 	// vectors that move are known once that run recomputes them.)
@@ -180,76 +186,95 @@ func NewProgramFrom(prev *Program, m *ir.Module, segs []*seg.Graph, fresh []*ir.
 	}
 	// May-free relation: a function's vector depends on its own flows and on
 	// the vectors of what it calls, so exactly the functions that reach a
-	// fresh one (or one that was stale already) need recomputing: seed with
-	// those and close under callers.
-	c.frees = slices.Clone(old.frees)
-	c.stale = slices.Clone(fresh)
-	for _, f := range old.stale {
-		if m.Holds(f) {
-			c.stale = append(c.stale, f)
+	// fresh one (or one that was stale already) need recomputing. A function
+	// is stale exactly when its entry is nil, and prev's stale set is closed
+	// under prev's callers already: add each fresh function whose entry was
+	// its predecessor's vector, and close what was added under callers. The
+	// usual edit, of a function no one calls and that is stale already,
+	// shares prev's list.
+	c.stale = slices.Clip(old.stale)
+	for _, f := range fresh {
+		if c.frees.At(f.ID) != nil {
+			c.frees.Set(f.ID, nil)
+			c.stale = append(c.stale, int32(f.ID))
 		}
 	}
-	queued := make(map[*ir.Func]bool, len(c.stale))
-	for _, f := range c.stale {
-		queued[f] = true
-		c.frees[f.ID] = nil
-	}
-	for i := 0; i < len(c.stale); i++ {
-		for _, cs := range p.callers[c.stale[i].ID] {
-			if !queued[cs.Fn] {
-				queued[cs.Fn] = true
-				c.frees[cs.Fn.ID] = nil
-				c.stale = append(c.stale, cs.Fn)
+	for i := len(old.stale); i < len(c.stale); i++ {
+		for _, cs := range p.callers.At(int(c.stale[i])) {
+			if c.frees.At(cs.Fn.ID) != nil {
+				c.frees.Set(cs.Fn.ID, nil)
+				c.stale = append(c.stale, int32(cs.Fn.ID))
 			}
 		}
 	}
 	return p
 }
 
-// patchCallers derives m's call-site index from prev's when the two modules
-// share a Layout and differ in the fresh functions, each of which replaces
-// the previous holder of its ID: the sites inside replaced functions go, the
-// sites inside their replacements come. Only the lists of callees named on
-// either side are rebuilt; every other list is shared with prev, slice and
-// all — which is what lets a recorded ascent compare equal afterwards. It
-// also returns the IDs of the callees whose rebuilt list differs.
-func patchCallers(prev, p *Program, fresh []*ir.Func) (callers [][]CallSite, moved []int) {
+// patchCallers brings p's call-site index, a fork of prev's, up to date when
+// the two modules share a Layout and differ in the fresh functions, each of
+// which replaces the previous holder of its ID — at its module position: the
+// sites inside replaced functions go, the sites inside their replacements
+// come. Only the lists of callees named on either side are rebuilt, each by
+// splicing the runs of sites at the fresh functions' positions (a list is in
+// module order); every other list is shared with prev, slice and all — which
+// is what lets a recorded ascent compare equal afterwards. It returns the IDs
+// of the callees whose rebuilt list differs.
+func patchCallers(prev, p *Program, fresh []*ir.Func) (moved []int) {
 	m := p.Module
-	callers = slices.Clone(prev.callers)
-	affected := make(map[*ir.Func]bool)
-	added := make(map[*ir.Func][]CallSite) // by callee
+	pos := func(f *ir.Func) int { return m.Layout.Pos(f.ID) }
+	// By callee: a run per fresh function whose old or new graph calls it,
+	// with the sites of the new graph's calls.
+	type run struct {
+		at    int
+		sites []CallSite
+	}
+	runs := make(map[*ir.Func][]run)
+	touch := func(callee *ir.Func, at int) *run {
+		rs := runs[callee]
+		if len(rs) == 0 || rs[len(rs)-1].at != at {
+			rs = append(rs, run{at: at})
+			runs[callee] = rs
+		}
+		return &rs[len(rs)-1]
+	}
 	for _, f := range fresh {
-		was := prev.segs[prev.Module.Funcs[m.Layout.Pos(f.ID)].ID]
-		forEachCall(was, func(callee string, _ int32) {
+		at := pos(f)
+		forEachCall(prev.segs.At(f.ID), func(callee string, _ int32) {
 			if callee := m.Lookup(callee); callee != nil {
-				affected[callee] = true
+				touch(callee, at)
 			}
 		})
-		forEachCall(p.segs[f.ID], func(callee string, in int32) {
+		forEachCall(p.segs.At(f.ID), func(callee string, in int32) {
 			if callee := m.Lookup(callee); callee != nil {
-				affected[callee] = true
-				added[callee] = append(added[callee], CallSite{Fn: f, Instr: in})
+				r := touch(callee, at)
+				r.sites = append(r.sites, CallSite{Fn: f, Instr: in})
 			}
 		})
 	}
-	for callee := range affected {
-		var sites []CallSite
-		for _, cs := range prev.callers[callee.ID] {
-			if m.Holds(cs.Fn) {
-				sites = append(sites, cs)
-			}
+	for callee, rs := range runs {
+		slices.SortFunc(rs, func(a, b run) int { return a.at - b.at })
+		was, n := prev.Callers(callee), 0
+		for _, r := range rs {
+			n += len(r.sites)
 		}
-		sites = append(sites, added[callee]...)
-		// Callers in module order; stable, so that each caller's sites
-		// stay in instruction order.
-		pos := func(cs CallSite) int { return m.Layout.Pos(cs.Fn.ID) }
-		sort.SliceStable(sites, func(i, j int) bool { return pos(sites[i]) < pos(sites[j]) })
-		if !slices.Equal(sites, prev.callers[callee.ID]) {
+		sites := make([]CallSite, 0, len(was)+n)
+		from := 0
+		for _, r := range rs {
+			lo := from + sort.Search(len(was)-from, func(i int) bool { return pos(was[from+i].Fn) >= r.at })
+			hi := lo
+			for hi < len(was) && pos(was[hi].Fn) == r.at {
+				hi++
+			}
+			sites = append(append(sites, was[from:lo]...), r.sites...)
+			from = hi
+		}
+		sites = append(sites, was[from:]...)
+		if !slices.Equal(sites, was) {
 			moved = append(moved, callee.ID)
+			p.callers.Set(callee.ID, sites)
 		}
-		callers[callee.ID] = sites
 	}
-	return callers, moved
+	return moved
 }
 
 // forEachCall visits the calls of g's function in block and instruction
@@ -268,12 +293,13 @@ func forEachCall(g *seg.Graph, visit func(callee string, in int32)) {
 
 // indexCallers lists every defined function's call sites, by callee ID:
 // callers in module order and each caller's sites in instruction order.
-func indexCallers(m *ir.Module, segs []*seg.Graph) [][]CallSite {
-	callers := make([][]CallSite, m.Layout.NumIDs())
-	for _, f := range m.Funcs {
-		forEachCall(segs[f.ID], func(callee string, in int32) {
+func indexCallers(m *ir.Module, segs dense.Table[*seg.Graph]) dense.Table[[]CallSite] {
+	callers := dense.NewTable[[]CallSite](m.Layout.NumIDs())
+	for pos := range m.NumFuncs() {
+		f := m.Func(pos)
+		forEachCall(segs.At(f.ID), func(callee string, in int32) {
 			if callee := m.Lookup(callee); callee != nil {
-				callers[callee.ID] = append(callers[callee.ID], CallSite{Fn: f, Instr: in})
+				callers.Set(callee.ID, append(callers.At(callee.ID), CallSite{Fn: f, Instr: in}))
 			}
 		})
 	}

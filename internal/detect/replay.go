@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/dense"
 	"repro/internal/ir"
 	"repro/internal/seg"
 )
@@ -121,17 +122,17 @@ func (e *replayEntry) holds(prog *Program, c *caches, key *Options, members *gro
 	}
 	// The names token vouches for the Layout, so every ID below is in range.
 	for _, gr := range e.fp.entered {
-		if prog.segs[gr.id] != gr.g {
+		if prog.segs.At(int(gr.id)) != gr.g {
 			return false
 		}
 	}
 	for _, cr := range e.fp.callers {
-		if !slices.Equal(prog.callers[cr.fn.ID], cr.sites) {
+		if !slices.Equal(prog.Callers(cr.fn), cr.sites) {
 			return false
 		}
 	}
 	for _, mf := range e.fp.mayFree {
-		if !slices.Equal(c.frees[prog.Module.Layout.ID(mf.callee)], mf.bits) {
+		if !slices.Equal(c.frees.At(prog.Module.Layout.ID(mf.callee)), mf.bits) {
 			return false
 		}
 	}
@@ -220,7 +221,7 @@ func (ri readIndex) put(id int, ref taskRef, kind uint8) {
 type lastRun struct {
 	key   Options
 	ids   []int
-	frees [][]bool
+	frees dense.Table[[]bool]
 
 	stats          []Stats
 	walked, issued int
@@ -250,17 +251,15 @@ func (c *caches) patchable(key *Options, ids []int, groups []group) *lastRun {
 		return run
 	}
 	c.plan = nil
-	// The relation it saw is the one the run will leave: no may-free vector
-	// changes against it (nor need to, with every task an edit).
-	return &lastRun{key: *key, ids: ids, frees: c.frees}
+	return &lastRun{key: *key, ids: ids}
 }
 
 // noteFrees adds to the changed list the functions among was-stale whose
 // may-free vector now differs from the one run saw.
-func (c *caches) noteFrees(stale []*ir.Func, run [][]bool) {
-	for _, f := range stale {
-		if !slices.Equal(run[f.ID], c.frees[f.ID]) {
-			c.changed = append(c.changed, fnChange{f.ID, readsMayFree})
+func (c *caches) noteFrees(stale []int32, run dense.Table[[]bool]) {
+	for _, id := range stale {
+		if !slices.Equal(run.At(int(id)), c.frees.At(int(id))) {
+			c.changed = append(c.changed, fnChange{int(id), readsMayFree})
 		}
 	}
 }
@@ -300,7 +299,7 @@ func (c *caches) checkList(prog *Program, plan []scheduled, groups []group, edit
 // run schedules no such slot.
 func planIndex(prog *Program, c *caches, plan []scheduled, groups []group, ref taskRef) int {
 	gi := slices.IndexFunc(groups, func(g group) bool { return g.lists == int(ref.list) })
-	fc := c.fn[ref.fn]
+	fc := c.fn.At(int(ref.fn))
 	if gi < 0 || fc == nil || int(ref.list) >= len(fc.tasks) || int(ref.k) >= len(fc.tasks[ref.list]) {
 		return -1
 	}

@@ -249,7 +249,9 @@ func CheckAll(prog *Program, specs []*checkers.Spec, opts Options) Results {
 	if slices.ContainsFunc(specs, func(sp *checkers.Spec) bool { return sp.Kind == checkers.KindUnreleased }) {
 		stale := c.stale
 		computeFreesParam(prog, c)
-		c.noteFrees(stale, run.frees)
+		if run == c.ran { // in the empty run every task is an edit: nothing to note
+			c.noteFrees(stale, run.frees)
+		}
 	}
 	todo := c.checkList(prog, tasks, groups, edits)
 	n := len(todo)
@@ -369,28 +371,34 @@ func prepare(prog *Program, groups []group, c *caches, workers int) (plan []sche
 	lists := len(c.walks.ids)
 	warmParams := slices.ContainsFunc(groups, func(g group) bool { return g.specs[0].Kind == checkers.KindUnreleased })
 	m := prog.Module
-	todo := m.Funcs
+	todo, n := []*ir.Func(nil), m.NumFuncs() // nil: every function
 	if c.plan != nil {
 		if len(c.unplanned) == 0 {
 			return c.plan, nil // same program, same checkers: nothing left to do
 		}
-		todo = c.unplanned
+		todo, n = c.unplanned, len(c.unplanned)
 	}
 	scratch := make([]reach, workers)
 	warm := func(w int, f *ir.Func, g *seg.Graph) {
-		if warmParams && len(prog.callers[f.ID]) > 0 {
+		if warmParams && len(prog.Callers(f)) > 0 {
 			c.paramFacts(f, g, &scratch[w])
 		}
 	}
-	_ = conc.ForEach(len(todo), workers, func(w, i int) error { // nothing here can fail
-		f := todo[i]
-		g := prog.segs[f.ID]
+	_ = conc.ForEach(n, workers, func(w, i int) error { // nothing here can fail
+		var f *ir.Func
+		if todo != nil {
+			f = todo[i]
+		} else {
+			f = m.Func(i)
+		}
+		g := prog.SEG(f)
 		if g == nil {
 			return nil
 		}
 		warm(w, f, g)
+		fc := c.fn.At(f.ID)
 		for gi := range groups {
-			c.fn[f.ID].tasksFor(groups[gi].lists, lists, groups[gi].specs[0], f, g)
+			fc.tasksFor(groups[gi].lists, lists, groups[gi].specs[0], f, g)
 		}
 		return nil
 	})
@@ -398,9 +406,9 @@ func prepare(prog *Program, groups []group, c *caches, workers int) (plan []sche
 		// A function that replaced another may be the first caller of one
 		// that stayed.
 		for _, f := range todo {
-			forEachCall(prog.segs[f.ID], func(callee string, _ int32) {
-				if callee := m.Lookup(callee); callee != nil && prog.segs[callee.ID] != nil {
-					warm(0, callee, prog.segs[callee.ID])
+			forEachCall(prog.SEG(f), func(callee string, _ int32) {
+				if callee := m.Lookup(callee); callee != nil && prog.SEG(callee) != nil {
+					warm(0, callee, prog.SEG(callee))
 				}
 			})
 		}
@@ -408,7 +416,7 @@ func prepare(prog *Program, groups []group, c *caches, workers int) (plan []sche
 
 	// tasksOf lists f's tasks for the group at position gi, in plan form.
 	tasksOf := func(plan []scheduled, gi int, f *ir.Func) []scheduled {
-		fc := c.fn[f.ID]
+		fc := c.fn.At(f.ID)
 		if fc == nil {
 			return plan
 		}
@@ -423,8 +431,8 @@ func prepare(prog *Program, groups []group, c *caches, workers int) (plan []sche
 	}
 	if c.plan == nil {
 		total := 0
-		for _, f := range m.Funcs {
-			if fc := c.fn[f.ID]; fc != nil {
+		for pos := range n {
+			if fc := c.fn.At(m.Func(pos).ID); fc != nil {
 				for gi := range groups {
 					total += len(fc.tasks[groups[gi].lists])
 				}
@@ -433,10 +441,10 @@ func prepare(prog *Program, groups []group, c *caches, workers int) (plan []sche
 		plan, edits = make([]scheduled, 0, total), make([]planEdit, 0, len(groups))
 		for gi := range groups {
 			at := len(plan)
-			for _, f := range m.Funcs {
-				plan = tasksOf(plan, gi, f)
+			for pos := range n {
+				plan = tasksOf(plan, gi, m.Func(pos))
 			}
-			edits = append(edits, planEdit{group: gi, lo: 0, hi: len(m.Funcs), at: at, n: len(plan) - at})
+			edits = append(edits, planEdit{group: gi, lo: 0, hi: n, at: at, n: len(plan) - at})
 		}
 	} else {
 		// Splice: each function that replaced another takes over the run of

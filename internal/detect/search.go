@@ -88,6 +88,7 @@ func (e *Engine) releaseSolver() {
 // frame is one function instance on the search path.
 type frame struct {
 	fn     *ir.Func
+	g      *seg.Graph // fn's, read once per instance, not per step
 	inst   int
 	anchor int32 // ordering anchor (source/call) or -1
 	// ret links a descent frame back to its call site.
@@ -139,7 +140,7 @@ func (p *pathState) reset(m pathMark) {
 // baseline modes genuinely ignore path correlations). With only the linear
 // filter disabled, conditions accumulate — including ones already folded to
 // false — and the SMT solver pays for refuting them.
-func (e *Engine) addCond(inst int, fn *ir.Func, c *cond.Cond) bool {
+func (e *Engine) addCond(inst int, fn *ir.Func, g *seg.Graph, c *cond.Cond) bool {
 	if e.opts.DisablePathSensitivity {
 		return true
 	}
@@ -148,7 +149,7 @@ func (e *Engine) addCond(inst int, fn *ir.Func, c *cond.Cond) bool {
 		p.conds = append(p.conds, instCond{})
 	}
 	ic := &p.conds[inst]
-	cb := e.prog.SEG(fn).Conds()
+	cb := g.Conds()
 	if ic.fn == nil {
 		*ic = instCond{fn: fn, cond: cb.True()}
 	}
@@ -192,9 +193,9 @@ func (e *Engine) searchFromSource(f *ir.Func, g *seg.Graph, src checkers.Source)
 	}
 	live := uint64(1)<<len(e.members) - 1
 	for _, root := range e.widen(f, g, src.Val) {
-		fr := &frame{fn: f, inst: e.newInst(), anchor: anchor, depth: 1}
+		fr := &frame{fn: f, g: g, inst: e.newInst(), anchor: anchor, depth: 1}
 		e.path.reset(pathMark{})
-		if !e.addCond(fr.inst, f, src.Cond) {
+		if !e.addCond(fr.inst, f, g, src.Cond) {
 			continue
 		}
 		e.explore(fr, g.ValueNode(root), live)
@@ -269,7 +270,7 @@ func (e *Engine) explore(fr *frame, node int32, live uint64) {
 		return
 	}
 	e.walked++
-	g := e.prog.SEG(fr.fn)
+	g := fr.g
 
 	// Ascent via parameter: the tracked value entered through fr.fn's
 	// interface, so the caller's actual argument carries the same danger
@@ -299,7 +300,7 @@ func (e *Engine) explore(fr *frame, node int32, live uint64) {
 			continue
 		}
 		mark := e.path.mark(fr.inst)
-		if !e.addCond(fr.inst, fr.fn, flow.cond) {
+		if !e.addCond(fr.inst, fr.fn, g, flow.cond) {
 			e.count(live, linearFiltered)
 			e.path.reset(mark)
 			continue
@@ -373,7 +374,7 @@ func (e *Engine) throughCall(fr *frame, g *seg.Graph, term int32, live uint64) {
 	}
 	param := cg.ValueNode(cg.Params()[argIdx])
 	nfr := &frame{
-		fn: callee, inst: e.newInst(), anchor: -1, retTo: fr, retCall: call, depth: fr.depth + 1,
+		fn: callee, g: cg, inst: e.newInst(), anchor: -1, retTo: fr, retCall: call, depth: fr.depth + 1,
 	}
 	e.bindCallParams(fr.inst, nfr.inst, g, call, cg)
 	e.path.steps = append(e.path.steps, gstep{inst: nfr.inst, g: cg, node: param})
@@ -386,7 +387,7 @@ func (e *Engine) throughReturn(fr *frame, g *seg.Graph, term int32, live uint64)
 	if fr.retTo != nil {
 		// Pop to the originating call site.
 		caller := fr.retTo
-		cg := e.prog.SEG(caller.fn)
+		cg := caller.g
 		recv := retReceiver(fr.fn, g, cg, fr.retCall, retIdx)
 		if recv < 0 {
 			return
@@ -430,7 +431,7 @@ func (e *Engine) throughReturn(fr *frame, g *seg.Graph, term int32, live uint64)
 func (e *Engine) ascend(fr *frame, cs CallSite) (*seg.Graph, *frame, pathMark) {
 	g := e.prog.SEG(cs.Fn)
 	e.fp.enter(cs.Fn, g)
-	nfr := &frame{fn: cs.Fn, inst: e.newInst(), anchor: -1, depth: fr.depth + 1}
+	nfr := &frame{fn: cs.Fn, g: g, inst: e.newInst(), anchor: -1, depth: fr.depth + 1}
 	if !e.opts.IgnoreOrdering && e.lead.OrderingRequired {
 		nfr.anchor = cs.Instr
 	}
@@ -442,8 +443,8 @@ func (e *Engine) ascend(fr *frame, cs CallSite) (*seg.Graph, *frame, pathMark) {
 // steps onto the caller-side value; false means the linear filter refuted
 // the ascent.
 func (e *Engine) enterCaller(fr, nfr *frame, cs CallSite, g *seg.Graph, at int32, live uint64) bool {
-	e.bindCallParams(nfr.inst, fr.inst, g, cs.Instr, e.prog.SEG(fr.fn))
-	if !e.addCond(nfr.inst, cs.Fn, g.CD(cs.Instr)) {
+	e.bindCallParams(nfr.inst, fr.inst, g, cs.Instr, fr.g)
+	if !e.addCond(nfr.inst, cs.Fn, g, g.CD(cs.Instr)) {
 		e.count(live, linearFiltered)
 		return false
 	}

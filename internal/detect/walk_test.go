@@ -71,7 +71,8 @@ func TestWalkEqualsEnumeration(t *testing.T) {
 	for name, a := range walkSubjects(t) {
 		render := func(path []int32, c *cond.Cond) string { return fmt.Sprintf("%v under #%d %s", path, c.ID(), c) }
 		flows := 0
-		for _, f := range a.Module.Funcs {
+		for pos := range a.Module.NumFuncs() {
+			f := a.Module.Func(pos)
 			g := a.Prog.SEG(f)
 			if g == nil {
 				continue
@@ -261,7 +262,8 @@ func TestWalkAllocatesNothingWarm(t *testing.T) {
 		t.Skip("the race detector allocates shadow state of its own")
 	}
 	for name, a := range walkSubjects(t) {
-		for _, f := range a.Module.Funcs {
+		for pos := range a.Module.NumFuncs() {
+			f := a.Module.Func(pos)
 			g := a.Prog.SEG(f)
 			if g == nil {
 				continue

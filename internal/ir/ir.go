@@ -26,6 +26,7 @@ import (
 	"strconv"
 	"unsafe"
 
+	"repro/internal/dense"
 	"repro/internal/minic"
 )
 
@@ -651,9 +652,14 @@ func (f *Func) Loc() Loc {
 
 // Module is a whole program.
 type Module struct {
-	// Funcs lists the functions in declaration order.
+	// Funcs lists the functions AddFunc appended, in declaration order: a
+	// module lowering builds has it, one assembled from a table (SetFuncs)
+	// leaves it nil. NumFuncs and Func read either. Funcs stays for what
+	// ranges over a lowered module's slice: transform.Apply, and the
+	// benchmark module, whose surface is frozen.
 	Funcs []*Func
-	// Layout says where in Funcs each defined name lives.
+	funcs dense.Table[*Func]
+	// Layout says at which position each defined name lives.
 	Layout       *Layout
 	Globals      []*Global
 	GlobalByName map[string]*Global
@@ -663,7 +669,7 @@ type Module struct {
 
 // Layout is the part of a module that depends only on which functions the
 // program defines and in what order: the ID of every defined name, and the
-// position in Module.Funcs of the function holding each ID. IDs are dense
+// position in the module of the function holding each ID. IDs are dense
 // enough to index side tables by (NumIDs bounds them) and, once a function
 // is part of a module, never change: a builder that assembles a series of
 // modules (the incremental session) keeps a name's ID from one module to the
@@ -708,7 +714,7 @@ func (l *Layout) ID(name string) int {
 	return -1
 }
 
-// Pos returns the position in Module.Funcs of the function holding id.
+// Pos returns the module position of the function holding id.
 func (l *Layout) Pos(id int) int { return int(l.pos[id]) }
 
 // NumIDs bounds the IDs in use; it sizes ID-indexed side tables.
@@ -734,15 +740,30 @@ func NewModule() *Module {
 func (m *Module) AddFunc(f *Func) {
 	f.ID = len(m.Layout.pos)
 	m.Layout.ids[f.Name] = int32(f.ID)
-	m.Layout.pos = append(m.Layout.pos, int32(len(m.Funcs)))
+	m.Layout.pos = append(m.Layout.pos, int32(m.funcs.Len()))
 	m.Funcs = append(m.Funcs, f)
+	m.funcs.Append(f)
 }
+
+// SetFuncs makes fs, by position, the module's functions. The module keeps
+// the table as it is: whoever assembled it writes it no more.
+func (m *Module) SetFuncs(fs dense.Table[*Func]) { m.funcs = fs }
+
+// FuncTable returns the module's functions by position, as SetFuncs was
+// given them or AddFunc appended them.
+func (m *Module) FuncTable() dense.Table[*Func] { return m.funcs }
+
+// NumFuncs returns the number of functions.
+func (m *Module) NumFuncs() int { return m.funcs.Len() }
+
+// Func returns the function at position pos, in declaration order.
+func (m *Module) Func(pos int) *Func { return m.funcs.At(pos) }
 
 // Lookup returns the function named name, or nil when the program does not
 // define it (an external).
 func (m *Module) Lookup(name string) *Func {
 	if id, ok := m.Layout.ids[name]; ok {
-		return m.Funcs[m.Layout.pos[id]]
+		return m.funcs.At(int(m.Layout.pos[id]))
 	}
 	return nil
 }
@@ -752,7 +773,7 @@ func (m *Module) Lookup(name string) *Func {
 // or removed since.
 func (m *Module) Holds(f *Func) bool {
 	pos := m.Layout.pos
-	return f.ID < len(pos) && pos[f.ID] >= 0 && m.Funcs[pos[f.ID]] == f
+	return f.ID < len(pos) && pos[f.ID] >= 0 && m.funcs.At(int(pos[f.ID])) == f
 }
 
 // AddGlobal registers a global variable.
@@ -765,8 +786,8 @@ func (m *Module) AddGlobal(g *Global) {
 // metric used when the harness reports analyzed "lines".
 func (m *Module) LineCount() int {
 	n := 0
-	for _, f := range m.Funcs {
-		n += f.NumInstrs()
+	for pos := range m.NumFuncs() {
+		n += m.Func(pos).NumInstrs()
 	}
 	return n
 }

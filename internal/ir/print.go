@@ -111,8 +111,8 @@ func (m *Module) String() string {
 	for _, g := range m.Globals {
 		fmt.Fprintf(&s, "global %s @%s\n", g.Type, g.Name)
 	}
-	for _, f := range m.Funcs {
-		s.WriteString(f.String())
+	for pos := range m.NumFuncs() {
+		s.WriteString(m.Func(pos).String())
 	}
 	return s.String()
 }

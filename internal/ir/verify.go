@@ -64,8 +64,8 @@ func (f *Func) verifyArity(in int32) error {
 
 // VerifyModule runs Verify over every function.
 func VerifyModule(m *Module) error {
-	for _, f := range m.Funcs {
-		if err := Verify(f); err != nil {
+	for pos := range m.NumFuncs() {
+		if err := Verify(m.Func(pos)); err != nil {
 			return err
 		}
 	}

@@ -169,9 +169,9 @@ func Analyze(m *ir.Module) *Result {
 // SCCs simultaneously ready or running — which the build pipeline
 // surfaces as the modref.wavefront_width gauge.
 func AnalyzeWith(m *ir.Module, workers int) (*Result, int) {
-	res := &Result{Summaries: make(map[*ir.Func]*Summary, len(m.Funcs))}
-	for _, f := range m.Funcs {
-		res.Summaries[f] = NewSummary()
+	res := &Result{Summaries: make(map[*ir.Func]*Summary, m.NumFuncs())}
+	for pos := range m.NumFuncs() {
+		res.Summaries[m.Func(pos)] = NewSummary()
 	}
 	lookup := func(name string) *Summary {
 		if g := m.Lookup(name); g != nil {
@@ -192,7 +192,7 @@ func AnalyzeWith(m *ir.Module, workers int) (*Result, int) {
 		for changed := true; changed; {
 			changed = false
 			for _, v := range c.SCCs[i] {
-				f := m.Funcs[v]
+				f := m.Func(int(v))
 				if AnalyzeFunc(f, res.Summaries[f], lookup) {
 					changed = true
 				}
@@ -330,11 +330,12 @@ func importSummary(sum *Summary, callee *Summary, args []int32, tags []tag) {
 }
 
 // condenseModule condenses m's call graph, whose vertices are the
-// functions' positions in m.Funcs.
+// functions' positions in m.
 func condenseModule(m *ir.Module) *Condensation {
-	calls := Graph{Start: make([]int32, 1, len(m.Funcs)+1)}
-	roots := make([]int32, len(m.Funcs))
-	for i, f := range m.Funcs {
+	calls := Graph{Start: make([]int32, 1, m.NumFuncs()+1)}
+	roots := make([]int32, m.NumFuncs())
+	for i := range roots {
+		f := m.Func(i)
 		roots[i] = int32(i)
 		for _, in := range f.Order() {
 			if id := m.Layout.ID(f.Callee(in)); id >= 0 {

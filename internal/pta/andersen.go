@@ -135,7 +135,8 @@ func AndersenWithBudget(m *ir.Module, budget int) *AndersenResult {
 	}
 
 	// Collect base constraints.
-	for _, f := range m.Funcs {
+	for pos := range m.NumFuncs() {
+		f := m.Func(pos)
 		fn := int32(f.ID)
 		at := func(v int32) Var { return Var{fn, v} }
 		for _, p := range f.Params {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/checkers"
@@ -191,7 +192,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	// Encoding the response cannot be in the timing it carries: it has a
 	// phase series and a log field of its own.
 	encodeStart := time.Now()
-	writeJSON(w, http.StatusOK, resp)
+	writeAnalyzeResponse(w, resp)
 	encodeNs := time.Since(encodeStart).Nanoseconds()
 	phases[phaseEncode].Observe(encodeNs)
 	ri.Log.Info("analyze done",
@@ -411,6 +412,39 @@ func resolveCheckers(names []string) ([]*checkers.Spec, error) {
 		specs = append(specs, sp)
 	}
 	return specs, nil
+}
+
+// responseBufs lends writeAnalyzeResponse the buffers it encodes into.
+var responseBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeAnalyzeResponse writes resp as writeJSON would, byte for byte, with
+// its reports — the bulk of it — appended by detect.JSONReport.AppendJSON
+// into a pooled buffer instead of encoded by reflection.
+func writeAnalyzeResponse(w http.ResponseWriter, resp *AnalyzeResponse) {
+	bp := responseBufs.Get().(*[]byte)
+	b := append((*bp)[:0], `{"traceId":`...)
+	b = appendJSONValue(b, resp.TraceID)
+	if resp.Project != "" {
+		b = appendJSONValue(append(b, `,"project":`...), resp.Project)
+	}
+	b = detect.AppendJSONReports(append(b, `,"reports":`...), resp.Reports)
+	b = appendJSONValue(append(b, `,"stats":`...), resp.Stats)
+	b = appendJSONValue(append(b, `,"timing":`...), resp.Timing)
+	b = append(b, "}\n"...)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(b)
+	if cap(b) <= 4<<20 { // a buffer that large served an outlier: let it go
+		*bp = b
+		responseBufs.Put(bp)
+	}
+}
+
+// appendJSONValue appends what encoding/json's Marshal writes for v, which
+// is a string or a struct of numbers: it cannot fail.
+func appendJSONValue(dst []byte, v any) []byte {
+	b, _ := json.Marshal(v)
+	return append(dst, b...)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

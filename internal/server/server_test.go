@@ -592,3 +592,43 @@ func TestSanitizeTraceID(t *testing.T) {
 	check("bad id; DROP TABLE", "")
 	check(strings.Repeat("x", 200), "")
 }
+
+// TestAnalyzeResponseBytes holds the response writer, which appends the
+// reports by hand, to what encoding/json writes for the same response:
+// decoding a served body and encoding it again gives back its bytes, with
+// witness and provenance strings that need escaping and without reports.
+func TestAnalyzeResponseBytes(t *testing.T) {
+	units := exampleUnits(t)
+	units = append(units, minic.NamedSource{Name: "esc<&>\u2028\"\xff.mc", Src: "void esc() {\n\tint *p = malloc();\n\t*p = 1;\n}\n"})
+	_, ts := newTestServer(t, Config{})
+	for _, req := range []AnalyzeRequest{
+		{Units: unitsToJSON(units), Witness: true, Project: "p.1"},
+		{Units: unitsToJSON(units[:1]), Checkers: []string{"memory-leak"}},
+		{Units: unitsToJSON(units[len(units)-1:]), Checkers: []string{"null-deref"}},
+	} {
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/v1/analyze", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST /v1/analyze: %s: %v %s", resp.Status, err, got)
+		}
+		var ar AnalyzeResponse
+		if err := json.Unmarshal(got, &ar); err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(&ar); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("served body differs from encoding/json's\nserved:  %s\nencoded: %s", got, want.Bytes())
+		}
+	}
+}

@@ -53,7 +53,7 @@ func (g *Graph) Succs(v pta.Var) []pta.Var { return g.succ[v] }
 
 // Operand returns operand i of the instruction at s.
 func (g *Graph) Operand(s Site, i int) pta.Var {
-	f := g.Module.Funcs[g.Module.Layout.Pos(int(s.Fn))]
+	f := g.Module.Func(g.Module.Layout.Pos(int(s.Fn)))
 	return pta.Var{Fn: s.Fn, Val: f.Args(s.In)[i]}
 }
 
@@ -87,7 +87,8 @@ func Build(m *ir.Module, pts *pta.AndersenResult, opts Options) (*Graph, error) 
 	storesByLoc := make(map[pta.Loc][]pta.Var) // stored values
 	loadsByLoc := make(map[pta.Loc][]pta.Var)  // load destinations
 
-	for _, f := range m.Funcs {
+	for pos := range m.NumFuncs() {
+		f := m.Func(pos)
 		fn := int32(f.ID)
 		at := func(v int32) pta.Var { return pta.Var{Fn: fn, Val: v} }
 		for _, in := range f.Order() {

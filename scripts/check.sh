@@ -2,17 +2,18 @@
 # Tier-1 verification in one command: formatting, vet, build, tests (with
 # the race detector — the parallel detection scheduler's determinism tests
 # run under it, and cmd/pinpoint's process-level test builds and drives the
-# real binary), the restart, codec, graphs-unchanged, replay and
-# all-checkers-equal-their-union equivalences, the local-flow walk against
+# real binary), the restart, codec, graphs-unchanged, replay, shared-table
+# and all-checkers-equal-their-union equivalences, the local-flow walk against
 # its brute-force enumeration and under path explosion, at one and two CPUs,
 # the allocation and residency budgets, the resident ledger and a built
 # graph against its decoded form without the race detector, a short
 # fuzz of the artifact decoder, of the unit-facts decoder, of a function's
 # own parse against its unit's, of the solver against enumeration, of the
 # request decoder and its per-tenant memo of the units last sent against
-# encoding/json, of lowering into SSA form and through the SEG and the
-# segment codec, and of the analysis against exhaustive execution of
-# generated programs, the benchmark module, and the examples suite.
+# encoding/json, of the report appender against encoding/json, of lowering
+# into SSA form and through the SEG and the segment codec, and of the
+# analysis against exhaustive execution of generated programs, the benchmark
+# module, and the examples suite.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -34,7 +35,9 @@ echo "== go test -race"
 go test -race ./...
 
 # When a unit is parsed, what the segment codec writes, that detection
-# leaves every graph as it was built, that a replaying session — which holds
+# leaves every graph as it was built, that an Analysis checked while the
+# session commits an edit into the table chunks it shares answers as it did
+# alone, that a replaying session — which holds
 # only the tasks an edit can reach against the program, and every other task
 # too in these tests — answers like a from-scratch build, that detection run
 # again or with a recorder attached answers alike (every CheckAll patches a
@@ -44,8 +47,8 @@ go test -race ./...
 # and stays bounded on graphs of 2^40 and 2^130 paths, and what `-checkers all` reports beside the six
 # checkers run one by one must not depend on how many goroutines there are to
 # do it on.
-echo "== restart, codec, graphs-unchanged, replay, detection-determinism, walk-oracle, path-explosion and all-equals-union equivalence at -cpu 1,2"
-go test ./internal/core -run 'WarmRestart|SegmentCodec|DetectionLeavesGraphsUnchanged|Replay' -race -cpu 1,2
+echo "== restart, codec, graphs-unchanged, shared-tables, replay, detection-determinism, walk-oracle, path-explosion and all-equals-union equivalence at -cpu 1,2"
+go test ./internal/core -run 'WarmRestart|SegmentCodec|DetectionLeavesGraphsUnchanged|SharedTables|Replay' -race -cpu 1,2
 go test ./internal/detect -run 'Repeatable|ObsDeterminism|WalkEqualsEnumeration|WalkStepCapEqualsEnumeration|WalkPathExplosion' -race -cpu 1,2
 go test ./cmd/pinpoint -run 'AllEqualsUnionOfCheckers' -cpu 1,2
 
@@ -79,6 +82,9 @@ go test ./internal/smt -run '^$' -fuzz FuzzCheckVsEnumeration -fuzztime 5s -fuzz
 
 echo "== fuzz the request decoder, through a tenant's memo of the units last sent, against encoding/json (5s)"
 go test ./internal/server -run '^$' -fuzz FuzzDecodeRequest -fuzztime 5s -fuzzminimizetime 1s
+
+echo "== fuzz the report appender against encoding/json (5s)"
+go test ./internal/detect -run '^$' -fuzz FuzzReportJSON -fuzztime 5s -fuzzminimizetime 1s
 
 echo "== fuzz lowering into SSA form and through the SEG and its codec (5s)"
 go test ./internal/lower -run '^$' -fuzz FuzzLowerSSA -fuzztime 5s -fuzzminimizetime 1s
