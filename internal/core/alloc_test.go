@@ -516,8 +516,9 @@ func TestSEGRecordsArePointerFree(t *testing.T) {
 // copied the program-level tables whole — the module's functions, the graphs
 // and summaries by ID, detection's per-function caches, call-site lists and
 // may-free vectors — and the build sized its bookkeeping by the program, the
-// driver edit's Update allocated 431 KiB in 600 objects and the cross-unit
-// one 281 KiB (means of five). They exist so that per-request work
+// driver edit's Update allocated 413–451 KiB in 568–586 objects and the
+// cross-unit one 315–365 KiB in 240–289 (means of five, three runs). They
+// exist so that per-request work
 // proportional to the program cannot creep back in: at the commit before the
 // tables were patched the driver edit's Update allocated 4.3 MiB in 19,006
 // objects and looked at all 3,342 functions, and the CheckAll allocated 1.1
