@@ -684,7 +684,8 @@ func driverEdit(units []minic.NamedSource, i int) {
 // tables. (While it copied every table whole — the module's functions, the
 // graphs, the summaries and detection's per-function caches, call-site lists
 // and may-free vectors — it allocated 281 KiB against 902 KiB, and 1,775 KiB
-// on the 136k-line ladder. Now 18.7 KiB against 22.8 KiB, and 29.4 KiB.)
+// on the 136k-line ladder, at two workers on the benchmark's seed; here it
+// reads 18.9 KiB against 22.8 KiB.)
 const commitGrowth = 1.25
 
 func TestCommitGrowthBudget(t *testing.T) {
