@@ -82,8 +82,8 @@ func TestAllocBudget(t *testing.T) {
 }
 
 // The budget of the search itself, per expansion walked: use-after-free and
-// double-free over the same subject, on a Program whose task plan an earlier
-// call has built, under a call depth that call did not use — so every task
+// double-free over the same subject, on a Program whose task lists an earlier
+// call has extracted, under a call depth that call did not use — so every task
 // runs, one local-flow walk per expansion, and what is allocated is the
 // search's: frames, joined conditions, the per-task result and its replay
 // record.
@@ -524,16 +524,18 @@ func TestSEGRecordsArePointerFree(t *testing.T) {
 // objects and looked at all 3,342 functions, and the CheckAll allocated 1.1
 // MiB. While every warm CheckAll held every task's recorded result against
 // the program and merged every task's reports, its budgets were 360 KiB and
-// 263 KiB (it measured 244 KiB on both rows); patching the last run's merge
-// leaves a copy of the task plan and one of the sorted report list.
+// 263 KiB (it measured 244 KiB on both rows). Patching the last run's merge
+// then still spliced a copy of the whole task plan (168 and 170 KiB, 64 KiB
+// of it the splice); now it copies the sorted report list alone, ≈ 86 of the
+// driver edit's 103 KiB.
 const (
 	measuredEditUpdateBytes   = 115 << 10
 	measuredEditUpdateMallocs = 513
-	measuredEditCheckBytes    = 168 << 10
+	measuredEditCheckBytes    = 103 << 10
 
 	measuredCrossEditUpdateBytes   = 29 << 10
 	measuredCrossEditUpdateMallocs = 209
-	measuredCrossEditCheckBytes    = 170 << 10
+	measuredCrossEditCheckBytes    = 104 << 10
 )
 
 func TestUpdateEditBudget(t *testing.T) {

@@ -16,7 +16,7 @@ import (
 
 // The session carries its program-level tables — function layout, call-graph
 // condensation, program shape, module and analysis tables, call-site index,
-// task plan — from one Update to the next and patches them. These scripts
+// detection's last run — from one Update to the next and patches them. These scripts
 // walk it through the edits that move each of those tables, and through the
 // ones that leave them alone in between, holding every step against a
 // session that has seen nothing but that step's sources.

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"regexp"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -503,6 +504,74 @@ func TestReplayAcrossUncheckedUpdates(t *testing.T) {
 		_, res = checkReplayStep(t, "all checkers after one", sess, b, nil, opts)
 		if res.TasksRun+res.TasksReplayed != cold.TasksRun {
 			t.Errorf("workers=%d: %d+%d tasks, want %d", workers, res.TasksRun, res.TasksReplayed, cold.TasksRun)
+		}
+	}
+}
+
+// TestReplaySpecGivenTwice: a spec given twice is walked once and each of its
+// positions reads that walk's result, and more specs of one walk than a group
+// holds make a second group with task lists of its own. Every position
+// answers as a run of its spec alone would — reports and Stats — on a cold
+// Program and after each of two one-function edits, where every task the run
+// replays unchecked is held against the program too.
+func TestReplaySpecGivenTwice(t *testing.T) {
+	crossCheckReplays(t)
+	uaf, _ := checkers.ByName("use-after-free")
+	var oneWalk []*checkers.Spec
+	for i := 0; i < 65; i++ {
+		sp := uaf.WithSanitizers()
+		sp.Name = fmt.Sprintf("use-after-free-%02d", i)
+		oneWalk = append(oneWalk, sp)
+	}
+	lists := []struct {
+		name  string
+		specs []*checkers.Spec
+	}{
+		{"taint, use-after-free, taint", specsFor(t, []string{"path-traversal", "use-after-free", "path-traversal"})},
+		{"memory-leak twice", specsFor(t, []string{"memory-leak", "memory-leak"})},
+		{"65 specs of one walk", oneWalk},
+	}
+	base := replayBase.with("leaky.mc", "void leaky(bool keep) {\n\tint *buf = malloc();\n\tif (keep) { free(buf); }\n}\n")
+	relEdited := base.with("rel.mc", "void rel(int *p) { int z = 0; free(p); }\n")
+	leakyEdited := relEdited.with("leaky.mc", "void leaky(bool keep) {\n\tint *buf = malloc();\n\tint z = 0;\n\tif (keep) { free(buf); }\n}\n")
+	byPlace := func(a, b detect.Report) int {
+		pos := func(p minic.Pos) string { return fmt.Sprintf("%s:%09d:%09d", p.File, p.Line, p.Col) }
+		return strings.Compare(a.Checker+"\x00"+pos(a.SourcePos)+"\x00"+pos(a.SinkPos), b.Checker+"\x00"+pos(b.SourcePos)+"\x00"+pos(b.SinkPos))
+	}
+	for _, l := range lists {
+		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+			opts := detect.Options{Workers: workers, Witness: true}
+			sess := core.NewSession(core.BuildOptions{Workers: workers})
+			for _, st := range []struct {
+				name string
+				prog program
+			}{{"cold", base}, {"edit rel", relEdited}, {"edit leaky", leakyEdited}} {
+				tag := fmt.Sprintf("%s/workers=%d/%s", l.name, workers, st.name)
+				a, err := sess.Update(st.prog)
+				if err != nil {
+					t.Fatalf("%s: %v", tag, err)
+				}
+				res := normalizeResults(a.CheckAll(l.specs, opts))
+				alone, err := core.BuildFromSource(st.prog, core.BuildOptions{Workers: workers})
+				if err != nil {
+					t.Fatalf("%s: %v", tag, err)
+				}
+				var want []detect.Report
+				for si, sp := range l.specs {
+					solo := normalizeResults(alone.CheckAll([]*checkers.Spec{sp}, opts))
+					if !reflect.DeepEqual(res.Checkers[si], solo.Checkers[0]) {
+						t.Errorf("%s: position %d (%s): stats %+v, alone %+v", tag, si, sp.Name, res.Checkers[si], solo.Checkers[0])
+					}
+					want = append(want, solo.Reports...)
+				}
+				slices.SortStableFunc(want, byPlace)
+				if got, want := reportsJSON(t, res.Reports), reportsJSON(t, want); string(got) != string(want) {
+					t.Fatalf("%s: reports differ\ngot:  %s\nwant: %s", tag, got, want)
+				}
+				if len(want) == 0 {
+					t.Fatalf("%s: vacuous: no reports", tag)
+				}
+			}
 		}
 	}
 }

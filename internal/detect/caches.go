@@ -44,16 +44,13 @@ type caches struct {
 	// tasks record. Entries of fn are shared with the caches of the Programs
 	// before and after this one in a session, and so are the numberings.
 	walks, specs *specNumbers
-	// plan is the canonical task order prepare last assembled — for the
-	// checkers of ran — and unplanned the functions that replaced others since
-	// and whose tasks it still lacks.
-	plan      []scheduled
-	unplanned []*ir.Func
 	// ran is the last run on this Program or the one it was carried from,
-	// changed the functions whose graph, caller list or may-free vector
-	// changed since, readers the read index of the Layout and runs the
-	// session's run log (see replay.go).
+	// fresh the functions that replaced others since (that run's edits, whose
+	// tasks prepare has yet to extract), changed the functions whose graph,
+	// caller list or may-free vector changed since, readers the read index
+	// of the Layout and runs the session's run log (see replay.go).
 	ran     *lastRun
+	fresh   []*ir.Func
 	changed []fnChange
 	readers readIndex
 	runs    *runLog

@@ -132,7 +132,7 @@ func (p *Program) ReplayTableSize() int {
 // the fresh functions is touched: their cache entries start empty, only they
 // are walked to bring the call-site index up to date, the may-free-parameter
 // relation is carried for every function that cannot reach one of them, and
-// the task plan waits for prepare to splice their tasks in. The per-function
+// they wait for the next CheckAll to extract their tasks. The per-function
 // tables are forks of prev's (dense.Table): they copy only the chunks those
 // entries live in, and prev keeps answering as it did.
 // With prev nil the Program starts cold, like NewProgramIndexed's.
@@ -144,18 +144,18 @@ func NewProgramFrom(prev *Program, m *ir.Module, segs dense.Table[*seg.Graph], f
 	old := prev.detectionCaches()
 	if m.Layout != prev.Module.Layout {
 		// Name resolution moved under retained callers too: re-index, and
-		// let neither the relation, the plan, nor any recorded task result
+		// let neither the relation, the last run, nor any recorded task result
 		// survive. Per-function caches still do.
 		p.callers = indexCallers(m, segs)
 		p.c = newCachesFrom(p, prev)
 		return p
 	}
-	p.c = caches{names: old.names, walks: old.walks, specs: old.specs, plan: old.plan,
+	p.c = caches{names: old.names, walks: old.walks, specs: old.specs,
 		ran: old.ran, changed: old.changed, readers: old.readers, runs: old.runs}
 	c := &p.c
 	p.callers, c.fn, c.frees = prev.callers.Fork(), old.fn.Fork(), old.frees.Fork()
 	if len(fresh) == 0 {
-		c.stale, c.unplanned = old.stale, old.unplanned
+		c.stale, c.fresh = old.stale, old.fresh
 		return p
 	}
 	for _, f := range fresh {
@@ -165,12 +165,11 @@ func NewProgramFrom(prev *Program, m *ir.Module, segs dense.Table[*seg.Graph], f
 		}
 		c.fn.Set(f.ID, fc)
 	}
-	// A function prev's plan is still waiting for is either fresh again or
-	// still waiting.
-	c.unplanned = slices.Clone(fresh)
-	for _, f := range old.unplanned {
+	// A function fresh in prev is either fresh again or still fresh.
+	c.fresh = slices.Clone(fresh)
+	for _, f := range old.fresh {
 		if m.Holds(f) {
-			c.unplanned = append(c.unplanned, f)
+			c.fresh = append(c.fresh, f)
 		}
 	}
 	moved := patchCallers(prev, p, fresh)

@@ -139,14 +139,16 @@ func (e *replayEntry) holds(prog *Program, c *caches, key *Options, members *gro
 	return true
 }
 
-// Patched runs. Every CheckAll leaves each task of its plan with a memo that
-// holds in that Program: the task ran, or holds said so. A later run under
-// the same result key and checker numbering, on a Program of the same Layout,
-// can therefore trust every memo that read nothing changed since — the
-// changed-function list (caches.changed) and the read index (readIndex) pick
-// out the rest — and patch that run's merge (lastRun) with the few tasks that
-// run again, instead of checking and merging every task. Any other run
-// patches the empty run, with every task of the plan an edit.
+// Patched runs. Every CheckAll leaves each task of its groups' lists, over
+// the functions of its Program, with a memo that holds in that Program: the
+// task ran, or holds said so. A later run under the same result key and
+// checker numbering, on a Program of the same Layout, can therefore trust
+// every memo that read nothing changed since — the functions that replaced
+// others (caches.fresh, the run's edits), the changed-function list
+// (caches.changed) and the read index (readIndex) pick out the rest — and
+// patch that run's merge (lastRun) with the few tasks that run again, instead
+// of checking and merging every task. Any other run patches the empty run, in
+// which every function is an edit.
 
 // Kinds of read a footprint makes of a function, and of change a function
 // undergoes since a run: its graph replaced, its caller list rebuilt to other
@@ -215,14 +217,18 @@ func (ri readIndex) put(id int, ref taskRef, kind uint8) {
 	ri[id] = append(refs, ref)
 }
 
-// lastRun is what a CheckAll left for the next to patch: what it ran under,
-// and its merge without SMTTime — each checker's Stats, the work counted once,
-// and the sorted reports with the place each was found at.
+// lastRun is what a CheckAll left for the next to patch: what it ran under —
+// the task table and may-free vectors as it saw them, snapshots that share
+// the Program's chunks (dense.Table) — and its merge without SMTTime: the
+// number of its tasks, each checker's Stats, the work counted once, and the
+// sorted reports with the place each was found at.
 type lastRun struct {
 	key   Options
 	ids   []int
+	fn    dense.Table[*fnCache]
 	frees dense.Table[[]bool]
 
+	tasks          int
 	stats          []Stats
 	walked, issued int
 	reports        []Report
@@ -240,98 +246,76 @@ func compareFound(a, b foundAt) int {
 }
 
 // patchable returns the run a CheckAll under key for the checkers numbered
-// ids patches: the Program's last run, when it is the session's last, ran
-// under the same key for the same checkers, and no spec given twice asks for a
-// private copy of a task list. Otherwise it drops the plan, which prepare then
-// builds anew with every task an edit, and returns the empty run.
-func (c *caches) patchable(key *Options, ids []int, groups []group) *lastRun {
+// ids patches: the Program's last run, when it is the session's last and ran
+// under the same key for the same checkers. Otherwise it returns the empty
+// run.
+func (c *caches) patchable(key *Options, ids []int) *lastRun {
 	run := c.ran
-	if run != nil && run == c.runs.last && run.key == *key && slices.Equal(run.ids, ids) &&
-		!slices.ContainsFunc(groups, func(g group) bool { return g.shared }) {
+	if run != nil && run == c.runs.last && run.key == *key && slices.Equal(run.ids, ids) {
 		return run
 	}
-	c.plan = nil
 	return &lastRun{key: *key, ids: ids}
 }
 
-// noteFrees adds to the changed list the functions among was-stale whose
-// may-free vector now differs from the one run saw.
-func (c *caches) noteFrees(stale []int32, run dense.Table[[]bool]) {
-	for _, id := range stale {
-		if !slices.Equal(run.At(int(id)), c.frees.At(int(id))) {
-			c.changed = append(c.changed, fnChange{int(id), readsMayFree})
-		}
-	}
-}
-
-// checkList returns, in plan order, the tasks a patching run must hold
-// against the Program: those of the functions the plan just took in, and
-// those the index lists under a change of a kind they read.
-func (c *caches) checkList(prog *Program, plan []scheduled, groups []group, edits []planEdit) []int32 {
+// checkList returns the tasks a run holds against the Program, in canonical
+// order — groups in order of first appearance, functions in module order,
+// tasks in list order: those of its edits, and, when it patches, those the
+// index lists under a change of a kind they read.
+func (c *caches) checkList(prog *Program, groups []group, edits []span, patching bool) []pending {
+	m := prog.Module
 	n := 0
 	for _, ed := range edits {
-		n += ed.n
-	}
-	todo := make([]int32, 0, n)
-	for _, ed := range edits {
-		for i := ed.at; i < ed.at+ed.n; i++ {
-			todo = append(todo, int32(i))
+		for pos := ed.lo; pos < ed.hi; pos++ {
+			n += len(tasksOf(&c.fn, m.Func(pos).ID, groups[ed.group].lists))
 		}
 	}
-	if len(c.changed) == 0 {
-		return todo // the edits come in plan order
+	todo := make([]pending, 0, n)
+	for _, ed := range edits {
+		for pos := ed.lo; pos < ed.hi; pos++ {
+			ts := tasksOf(&c.fn, m.Func(pos).ID, groups[ed.group].lists)
+			for k := range ts {
+				todo = append(todo, pending{ed.group, &ts[k]})
+			}
+		}
+	}
+	if !patching || len(c.changed) == 0 {
+		return todo
 	}
 	for _, ch := range c.changed {
 		for _, ref := range c.readers[ch.id] {
 			if ref.kind&ch.kind == 0 {
 				continue
 			}
-			if i := planIndex(prog, c, plan, groups, ref); i >= 0 {
-				todo = append(todo, int32(i))
+			gi := slices.IndexFunc(groups, func(g group) bool { return g.lists == int(ref.list) })
+			if ts := tasksOf(&c.fn, int(ref.fn), int(ref.list)); gi >= 0 && int(ref.k) < len(ts) {
+				todo = append(todo, pending{gi, &ts[ref.k]})
 			}
 		}
 	}
-	slices.Sort(todo)
+	slices.SortFunc(todo, func(a, b pending) int {
+		return cmp.Or(cmp.Compare(a.group, b.group), cmp.Compare(m.Layout.Pos(a.fn.ID), m.Layout.Pos(b.fn.ID)), cmp.Compare(a.k, b.k))
+	})
 	return slices.Compact(todo)
 }
 
-// planIndex returns the plan position of the slot ref names, or -1 when the
-// run schedules no such slot.
-func planIndex(prog *Program, c *caches, plan []scheduled, groups []group, ref taskRef) int {
-	gi := slices.IndexFunc(groups, func(g group) bool { return g.lists == int(ref.list) })
-	fc := c.fn.At(int(ref.fn))
-	if gi < 0 || fc == nil || int(ref.list) >= len(fc.tasks) || int(ref.k) >= len(fc.tasks[ref.list]) {
-		return -1
-	}
-	i := planStart(prog.Module, plan, gi, prog.Module.Layout.Pos(int(ref.fn))) + int(ref.k)
-	if i >= len(plan) || plan[i].task != &fc.tasks[ref.list][ref.k] {
-		return -1
-	}
-	return i
-}
-
-// planStart returns the position of the first task of the plan at or after
-// the function at module position pos in group gi.
-func planStart(m *ir.Module, plan []scheduled, gi, pos int) int {
-	i, _ := slices.BinarySearchFunc(plan, [2]int{gi, pos}, func(t scheduled, at [2]int) int {
-		return cmp.Or(cmp.Compare(t.group, at[0]), cmp.Compare(m.Layout.Pos(t.fn.ID), at[1]))
-	})
-	return i
-}
-
-// patch derives this run's merge from run's: the tasks of the plan's edits,
-// and the tasks of todo that ran (results[j] is todo[j]'s, olds[j] its memo
-// before), give back their old contribution and add their new one. Their
-// functions' reports are found again and merged into run's sorted list; every
-// other report stays where it was. It indexes the reads of the memos the run
-// recorded, and returns the new run and each checker's solving time in this
-// call.
-func (c *caches) patch(prog *Program, run *lastRun, groups []group, of, ids []int, plan []scheduled, edits []planEdit, todo []int32, olds []*replayEntry, results []*taskResult) (*lastRun, []time.Duration) {
+// patch derives this run's merge from run's: the functions of the edits give
+// back the tasks run saw and add their own (all in todo), and every other
+// task of todo that ran (results[j] is todo[j]'s, olds[j] its memo before)
+// gives back its old contribution and adds its new one. Their functions'
+// reports are found again, from their own task lists, and merged into run's
+// sorted list; every other report stays where it was. It indexes the reads of
+// the memos the run recorded, and returns the new run and each checker's
+// solving time in this call.
+func (c *caches) patch(prog *Program, run *lastRun, groups []group, of, ids []int, edits []span, todo []pending, olds []*replayEntry, results []*taskResult) (*lastRun, []time.Duration) {
 	m := prog.Module
-	next := &lastRun{key: run.key, ids: run.ids, frees: c.frees, stats: make([]Stats, len(of)), walked: run.walked, issued: run.issued}
+	next := &lastRun{key: run.key, ids: run.ids, fn: c.fn.Fork(), frees: c.frees.Fork(), tasks: run.tasks,
+		stats: make([]Stats, len(of)), walked: run.walked, issued: run.issued}
 	copy(next.stats, run.stats) // none in the empty run
 	add := func(gi int, tr *taskResult, sign int) {
-		for _, si := range groups[gi].at {
+		for si := range of {
+			if of[si] != gi {
+				continue
+			}
 			s := tr.member(ids[si]).stats
 			s.SMTTime = 0 // see replayEntry.result
 			if sign < 0 {
@@ -342,42 +326,39 @@ func (c *caches) patch(prog *Program, run *lastRun, groups []group, of, ids []in
 		next.walked += sign * tr.walked
 		next.issued += sign * tr.issued
 	}
-	// dirty lists the functions whose reports are found again: a group's
-	// functions at module positions [lo, hi), which have the plan's tasks
-	// [from, to).
-	type span struct{ group, lo, hi, from, to int }
-	dirty := make([]span, 0, len(edits))
 	for _, ed := range edits {
-		for _, t := range ed.old {
-			add(ed.group, &t.memo.result, -1)
+		for pos := ed.lo; pos < ed.hi; pos++ {
+			old := tasksOf(&run.fn, m.Func(pos).ID, groups[ed.group].lists)
+			for k := range old {
+				add(ed.group, &old[k].memo.result, -1)
+			}
+			next.tasks -= len(old)
 		}
-		for _, t := range plan[ed.at : ed.at+ed.n] {
-			add(ed.group, &t.memo.result, +1)
-		}
-		dirty = append(dirty, span{ed.group, ed.lo, ed.hi, ed.at, ed.at + ed.n})
 	}
+	// dirty lists the functions whose reports are found again: the edits',
+	// and those of the other tasks that ran.
+	dirty := slices.Clip(edits)
 	smtTime := make([]time.Duration, len(of))
-	e := 0
-	for j, i := range todo {
-		t := plan[i]
+	for j, t := range todo {
 		old := olds[j]
 		ran := old == nil || results[j] != &old.result
 		if ran {
 			c.readers.add(m, t.task, groups[t.group].lists)
-			for _, si := range groups[t.group].at {
-				smtTime[si] += results[j].member(ids[si]).stats.SMTTime
+			for si, gi := range of {
+				if gi == t.group {
+					smtTime[si] += results[j].member(ids[si]).stats.SMTTime
+				}
 			}
 		}
-		for e < len(edits) && edits[e].at+edits[e].n <= int(i) {
-			e++
+		switch pos := m.Layout.Pos(t.fn.ID); {
+		case covers(edits, t.group, pos): // a task of an edit: new
+			add(t.group, &t.memo.result, +1)
+			next.tasks++
+		case ran:
+			add(t.group, &old.result, -1)
+			add(t.group, &t.memo.result, +1)
+			dirty = append(dirty, span{t.group, pos, pos + 1})
 		}
-		if !ran || (e < len(edits) && edits[e].at <= int(i)) {
-			continue // unchanged, or counted with its function's edit
-		}
-		add(t.group, &old.result, -1)
-		add(t.group, &t.memo.result, +1)
-		pos := m.Layout.Pos(t.fn.ID)
-		dirty = append(dirty, span{t.group, pos, pos + 1, planStart(m, plan, t.group, pos), planStart(m, plan, t.group, pos+1)})
 	}
 	if len(dirty) == 0 {
 		next.reports, next.found = run.reports, run.found
@@ -386,8 +367,7 @@ func (c *caches) patch(prog *Program, run *lastRun, groups []group, of, ids []in
 
 	// The dirty functions' reports, per checker in discovery order, deduped
 	// per function: a report's source is in its task's function.
-	byStart := func(a, b span) int { return cmp.Or(cmp.Compare(a.group, b.group), cmp.Compare(a.lo, b.lo)) }
-	slices.SortFunc(dirty, byStart)
+	slices.SortFunc(dirty, compareSpans)
 	dirty = slices.Compact(dirty)
 	var found []foundReport
 	seen := make(map[[2]Site]bool)
@@ -396,32 +376,28 @@ func (c *caches) patch(prog *Program, run *lastRun, groups []group, of, ids []in
 			if d.group != gi {
 				continue
 			}
-			var fn *ir.Func
-			for _, t := range plan[d.from:d.to] {
-				if t.fn != fn {
-					fn = t.fn
+			for pos := d.lo; pos < d.hi; pos++ {
+				ts := tasksOf(&c.fn, m.Func(pos).ID, groups[gi].lists)
+				if len(seen) > 0 {
 					clear(seen)
 				}
-				mr := t.memo.result.member(ids[si])
-				for r := range mr.reports {
-					f := foundReport{&mr.reports[r], foundAt{int32(si), int32(m.Layout.Pos(fn.ID)), t.k, int32(r)}}
-					if key := [2]Site{f.rep.Source, f.rep.Sink}; f.rep.Sink.Fn != nil {
-						if seen[key] {
-							continue
+				for k := range ts {
+					mr := ts[k].memo.result.member(ids[si])
+					for r := range mr.reports {
+						f := foundReport{&mr.reports[r], foundAt{int32(si), int32(pos), int32(k), int32(r)}}
+						if key := [2]Site{f.rep.Source, f.rep.Sink}; f.rep.Sink.Fn != nil {
+							if seen[key] {
+								continue
+							}
+							seen[key] = true
 						}
-						seen[key] = true
+						found = append(found, f)
 					}
-					found = append(found, f)
 				}
 			}
 		}
 	}
 	slices.SortStableFunc(found, func(a, b foundReport) int { return compareReports(a.rep, b.rep) })
-	isDirty := func(f foundAt) bool { // the spans do not overlap
-		gi, pos := of[f.spec], int(f.pos)
-		i, ok := slices.BinarySearchFunc(dirty, span{group: gi, lo: pos}, byStart)
-		return ok || (i > 0 && dirty[i-1].group == gi && pos < dirty[i-1].hi)
-	}
 	// Merge the kept reports of run with the found ones, both sorted.
 	n := len(run.reports) + len(found)
 	if n == 0 {
@@ -430,7 +406,7 @@ func (c *caches) patch(prog *Program, run *lastRun, groups []group, of, ids []in
 	next.reports, next.found = make([]Report, 0, n), make([]foundAt, 0, n)
 	j := 0
 	for i := range run.reports {
-		if isDirty(run.found[i]) {
+		if f := run.found[i]; covers(dirty, of[f.spec], int(f.pos)) {
 			continue
 		}
 		for ; j < len(found) && cmp.Or(compareReports(found[j].rep, &run.reports[i]), compareFound(found[j].at, run.found[i])) < 0; j++ {
@@ -459,16 +435,22 @@ func CrossCheckReplays(fail func(task string)) (restore func()) {
 	return func() { crossCheck.Store(prev) }
 }
 
-// crossCheckSkipped holds every plan task not in todo against the Program.
-func crossCheckSkipped(fail func(string), prog *Program, c *caches, key *Options, plan []scheduled, groups []group, ids []int, todo []int32) {
-	j := 0
-	for i, t := range plan {
-		if j < len(todo) && int(todo[j]) == i {
-			j++
-			continue
-		}
-		if !t.memo.holds(prog, c, key, &groups[t.group], ids) {
-			fail(fmt.Sprintf("task %d (%s at %s, %s) replayed unchecked, but its memo does not hold", i, t.fn.Name, t.pos(), groups[t.group].name()))
+// crossCheckSkipped holds every task of the groups' lists that is not in
+// todo against the Program.
+func crossCheckSkipped(fail func(string), prog *Program, c *caches, key *Options, groups []group, ids []int, todo []pending) {
+	held := make(map[*task]bool, len(todo))
+	for _, t := range todo {
+		held[t.task] = true
+	}
+	m := prog.Module
+	for gi := range groups {
+		for pos := range m.NumFuncs() {
+			ts := tasksOf(&c.fn, m.Func(pos).ID, groups[gi].lists)
+			for k := range ts {
+				if t := &ts[k]; !held[t] && !t.memo.holds(prog, c, key, &groups[gi], ids) {
+					fail(fmt.Sprintf("task %d of %s (at %s, %s) replayed unchecked, but its memo does not hold", k, t.fn.Name, t.pos(), groups[gi].name()))
+				}
+			}
 		}
 	}
 }

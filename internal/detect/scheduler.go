@@ -1,13 +1,16 @@
 package detect
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/checkers"
 	"repro/internal/conc"
+	"repro/internal/dense"
 	"repro/internal/ir"
 	"repro/internal/minic"
 	"repro/internal/obs"
@@ -20,10 +23,11 @@ import (
 // immutable per-function SEGs, so independent sources never need to observe
 // each other — and the search is the checker's only at its sinks, so the
 // specs that share a walk (checkers.Spec.SharesWalk) form a group and one
-// task per (group, source) serves them all. CheckAll enumerates every pair up
-// front, dispatches them to a bounded worker pool, and merges the per-task
-// results in task order, which makes the output bit-for-bit identical at
-// every worker count and to running each checker alone:
+// task per (group, source) serves them all. CheckAll runs the tasks it must
+// hold against the program — each function's fnCache keeps its own — on a
+// bounded worker pool, and merges the per-task results in task order, which
+// makes the output bit-for-bit identical at every worker count and to running
+// each checker alone:
 //
 //   - the SEGs are final when built (control-dependence conditions, value
 //     vertices, block reachability), so workers only read them; each
@@ -40,8 +44,8 @@ import (
 //   - the merge is a patch of the last run's (see replay.go): the tasks that
 //     ran again give back their old contribution and add their new one, and
 //     their reports are merged into that run's, sorted by (checker, source
-//     position, sink position). A first run patches the empty run, with every
-//     task of the plan new.
+//     position, sink position). A first run patches the empty run, in which
+//     every function is an edit without old tasks.
 
 // CheckerStats pairs a checker name with its aggregated effort counters.
 type CheckerStats struct {
@@ -132,12 +136,8 @@ type group struct {
 	specs []*checkers.Spec
 	at    []int
 	// lists is the number of the group's task lists (fnCache.tasks): the
-	// walk's number (caches.walks). shared marks a group whose lists an
-	// earlier group of the call schedules already — a spec given twice, say,
-	// whose walk admits no second member — and which therefore schedules
-	// private copies, so that no two scheduled tasks share a memo slot.
-	lists  int
-	shared bool
+	// walk's number (caches.walks), which no other group of the call has.
+	lists int
 }
 
 // maxMembers bounds a group: the search keeps the members a frame serves in
@@ -147,22 +147,33 @@ const maxMembers = 64
 // groupSpecs partitions the specs into groups, in order of first appearance,
 // and returns with them, by position of the spec, the group it is in and the
 // id that names its result in a task's record. Lists and results are numbered
-// by what the specs do, since specs are built fresh per request.
+// by what the specs do, since specs are built fresh per request. A spec given
+// again is no member of its own: its position reads the result of the first,
+// in that one's group (of), and a group's specs and at stay one per member.
 func groupSpecs(specs []*checkers.Spec, c *caches) (groups []group, of, ids []int) {
 	groups = make([]group, 0, len(specs))
 	of, ids = make([]int, len(specs)), make([]int, len(specs))
 next:
 	for si, sp := range specs {
 		ids[si] = c.specs.of(sp.Identity())
+		if sj := slices.Index(ids[:si], ids[si]); sj >= 0 {
+			of[si] = of[sj]
+			continue
+		}
 		for gi := range groups {
 			if g := &groups[gi]; len(g.specs) < maxMembers && g.specs[0].SharesWalk(sp) {
 				g.specs, g.at, of[si] = append(g.specs, sp), append(g.at, si), gi
 				continue next
 			}
 		}
-		g := group{specs: []*checkers.Spec{sp}, at: []int{si}, lists: c.walks.of(sp.WalkIdentity())}
-		g.shared = slices.ContainsFunc(groups, func(o group) bool { return o.lists == g.lists })
-		of[si], groups = len(groups), append(groups, g)
+		// Only a walk more than maxMembers specs share is a second group's
+		// too; that group keeps task lists of its own, so that no two groups
+		// of a call share a task's memo slot.
+		lists := c.walks.of(sp.WalkIdentity())
+		for n := 1; slices.ContainsFunc(groups, func(o group) bool { return o.lists == lists }); n++ {
+			lists = c.walks.of(sp.WalkIdentity() + "#" + strconv.Itoa(n))
+		}
+		of[si], groups = len(groups), append(groups, group{specs: []*checkers.Spec{sp}, at: []int{si}, lists: lists})
 	}
 	return groups, of, ids
 }
@@ -198,9 +209,9 @@ func (t *task) pos() minic.Pos {
 	return t.g.Position(t.src.At)
 }
 
-// scheduled is a task in one CheckAll's canonical order, tagged with the
-// position of its group among that call's groups.
-type scheduled struct {
+// pending is a task a run holds against the Program, with the position of
+// its group among the call's groups.
+type pending struct {
 	group int
 	*task
 }
@@ -244,16 +255,19 @@ func CheckAll(prog *Program, specs []*checkers.Spec, opts Options) Results {
 	groups, of, ids := groupSpecs(specs, c)
 	// run is the run this one patches; todo lists the tasks held against the
 	// Program, every other replays unchecked.
-	run := c.patchable(&key, ids, groups)
-	tasks, edits := prepare(prog, groups, c, workers)
+	run := c.patchable(&key, ids)
+	patching := run == c.ran // else every function is an edit
+	edits := prepare(prog, groups, c, patching, workers)
 	if slices.ContainsFunc(specs, func(sp *checkers.Spec) bool { return sp.Kind == checkers.KindUnreleased }) {
 		stale := c.stale
 		computeFreesParam(prog, c)
-		if run == c.ran { // in the empty run every task is an edit: nothing to note
-			c.noteFrees(stale, run.frees)
+		for _, id := range stale { // the vectors that moved since run read them
+			if patching && !slices.Equal(run.frees.At(int(id)), c.frees.At(int(id))) {
+				c.changed = append(c.changed, fnChange{int(id), readsMayFree})
+			}
 		}
 	}
-	todo := c.checkList(prog, tasks, groups, edits)
+	todo := c.checkList(prog, groups, edits, patching)
 	n := len(todo)
 	prepSp.End()
 
@@ -272,7 +286,7 @@ func CheckAll(prog *Program, specs []*checkers.Spec, opts Options) Results {
 	}
 	searchSp := rec.Phase("detect/search")
 	_ = conc.ForEach(n, workers, func(w, j int) error { // tasks cannot fail
-		t := tasks[todo[j]]
+		t := todo[j]
 		olds[j] = t.memo
 		g := &groups[t.group]
 		if m := t.memo; m != nil {
@@ -317,11 +331,11 @@ func CheckAll(prog *Program, specs []*checkers.Spec, opts Options) Results {
 		}
 	}
 	res.TasksRun = n - res.TasksReplayed
-	res.TasksReplayed = len(tasks) - res.TasksRun // the tasks outside todo replay unchecked
 	if fail := crossCheck.Load(); fail != nil {
-		crossCheckSkipped(*fail, prog, c, &key, tasks, groups, ids, todo)
+		crossCheckSkipped(*fail, prog, c, &key, groups, ids, todo)
 	}
-	run, smtTime := c.patch(prog, run, groups, of, ids, tasks, edits, todo, olds, results)
+	run, smtTime := c.patch(prog, run, groups, of, ids, edits, todo, olds, results)
+	res.TasksReplayed = run.tasks - res.TasksRun // the tasks outside todo replay unchecked
 	res.Checkers = make([]CheckerStats, len(specs))
 	for si, sp := range specs {
 		res.Checkers[si] = CheckerStats{Checker: sp.Name, Stats: run.stats[si]}
@@ -333,7 +347,7 @@ func CheckAll(prog *Program, specs []*checkers.Spec, opts Options) Results {
 	res.Wall = time.Since(start)
 
 	if rec != nil {
-		rec.Counter("detect.tasks").Add(int64(len(tasks)))
+		rec.Counter("detect.tasks").Add(int64(run.tasks))
 		rec.Counter("detect.tasks_replayed").Add(int64(res.TasksReplayed))
 		rec.Counter("detect.replay_checks").Add(int64(res.ReplayChecks))
 		rec.Counter("detect.reports").Add(int64(len(res.Reports)))
@@ -348,36 +362,32 @@ func CheckAll(prog *Program, specs []*checkers.Spec, opts Options) Results {
 	return res
 }
 
-// prepare enumerates the detection tasks; it only reads the SEGs, which are
+// prepare extracts the detection tasks; it only reads the SEGs, which are
 // final when built. Per function: where the local flows of every parameter
 // can end is noted by a reachability walk (when an unreleased-resource
 // checker will run its may-free-parameter fixpoint over those facts — which
-// it does for functions that have callers), and every
-// group's sources are extracted. Each of these happens once per function
-// object — its fnCache keeps the facts and the task lists — and the
-// assembled plan is kept with the caches, so on a Program carried over from
-// a previous one (same checkers) only the functions that replaced others are
-// visited, in one parallel pass, and only their tasks are spliced into the
-// plan, each function's run of a group's tasks one edit. Without a plan to
-// start from (see patchable) the pass covers every function, and each group's
-// tasks are one edit of the empty plan. Each function is touched by exactly
+// it does for functions that have callers), and every group's sources are
+// extracted. Each of these happens once per function object — its fnCache
+// keeps the facts and the task lists — so a patching run visits only the
+// functions that replaced others since the run it patches, in one parallel
+// pass, and the empty run every function. Each function is touched by exactly
 // one goroutine, so the per-function work — including condition-node
 // interning — happens in a deterministic order.
 //
-// The tasks come back in the canonical order — groups in order of first
-// appearance, functions in module order, sources in extraction order — which
-// the merge walks per checker.
-func prepare(prog *Program, groups []group, c *caches, workers int) (plan []scheduled, edits []planEdit) {
+// It returns the run's edits in (group, module position) order: per group,
+// each visited function, or the whole module in the empty run.
+func prepare(prog *Program, groups []group, c *caches, patching bool, workers int) (edits []span) {
 	lists := len(c.walks.ids)
 	warmParams := slices.ContainsFunc(groups, func(g group) bool { return g.specs[0].Kind == checkers.KindUnreleased })
 	m := prog.Module
-	todo, n := []*ir.Func(nil), m.NumFuncs() // nil: every function
-	if c.plan != nil {
-		if len(c.unplanned) == 0 {
-			return c.plan, nil // same program, same checkers: nothing left to do
+	fresh, n := []*ir.Func(nil), m.NumFuncs() // nil: every function
+	if patching {
+		if len(c.fresh) == 0 {
+			return nil // same program, same checkers: nothing left to do
 		}
-		todo, n = c.unplanned, len(c.unplanned)
+		fresh, n = c.fresh, len(c.fresh)
 	}
+	c.fresh = nil
 	scratch := make([]reach, workers)
 	warm := func(w int, f *ir.Func, g *seg.Graph) {
 		if warmParams && len(prog.Callers(f)) > 0 {
@@ -386,8 +396,8 @@ func prepare(prog *Program, groups []group, c *caches, workers int) (plan []sche
 	}
 	_ = conc.ForEach(n, workers, func(w, i int) error { // nothing here can fail
 		var f *ir.Func
-		if todo != nil {
-			f = todo[i]
+		if fresh != nil {
+			f = fresh[i]
 		} else {
 			f = m.Func(i)
 		}
@@ -402,83 +412,55 @@ func prepare(prog *Program, groups []group, c *caches, workers int) (plan []sche
 		}
 		return nil
 	})
-	if c.plan != nil {
-		// A function that replaced another may be the first caller of one
-		// that stayed.
-		for _, f := range todo {
-			forEachCall(prog.SEG(f), func(callee string, _ int32) {
-				if callee := m.Lookup(callee); callee != nil && prog.SEG(callee) != nil {
-					warm(0, callee, prog.SEG(callee))
-				}
-			})
+	// A function that replaced another may be the first caller of one that
+	// stayed.
+	for _, f := range fresh {
+		forEachCall(prog.SEG(f), func(callee string, _ int32) {
+			if callee := m.Lookup(callee); callee != nil && prog.SEG(callee) != nil {
+				warm(0, callee, prog.SEG(callee))
+			}
+		})
+	}
+	edits = make([]span, 0, len(groups)*max(len(fresh), 1))
+	for gi := range groups {
+		if fresh == nil {
+			edits = append(edits, span{gi, 0, n})
+		}
+		for _, f := range fresh {
+			pos := m.Layout.Pos(f.ID) // a Layout kept every position where it was
+			edits = append(edits, span{gi, pos, pos + 1})
 		}
 	}
-
-	// tasksOf lists f's tasks for the group at position gi, in plan form.
-	tasksOf := func(plan []scheduled, gi int, f *ir.Func) []scheduled {
-		fc := c.fn.At(f.ID)
-		if fc == nil {
-			return plan
-		}
-		ts := fc.tasks[groups[gi].lists]
-		if groups[gi].shared {
-			ts = slices.Clone(ts)
-		}
-		for k := range ts {
-			plan = append(plan, scheduled{gi, &ts[k]})
-		}
-		return plan
-	}
-	if c.plan == nil {
-		total := 0
-		for pos := range n {
-			if fc := c.fn.At(m.Func(pos).ID); fc != nil {
-				for gi := range groups {
-					total += len(fc.tasks[groups[gi].lists])
-				}
-			}
-		}
-		plan, edits = make([]scheduled, 0, total), make([]planEdit, 0, len(groups))
-		for gi := range groups {
-			at := len(plan)
-			for pos := range n {
-				plan = tasksOf(plan, gi, m.Func(pos))
-			}
-			edits = append(edits, planEdit{group: gi, lo: 0, hi: n, at: at, n: len(plan) - at})
-		}
-	} else {
-		// Splice: each function that replaced another takes over the run of
-		// tasks its predecessor has in each group — the plan is in (group,
-		// module position) order, and a Layout kept positions where they were.
-		fresh := slices.Clone(todo)
-		pos := func(f *ir.Func) int { return m.Layout.Pos(f.ID) }
-		slices.SortFunc(fresh, func(a, b *ir.Func) int { return pos(a) - pos(b) })
-		plan = make([]scheduled, 0, len(c.plan)+len(fresh))
-		from := 0
-		for gi := range groups {
-			for _, f := range fresh {
-				lo := planStart(m, c.plan, gi, pos(f))
-				hi := planStart(m, c.plan, gi, pos(f)+1)
-				plan = append(plan, c.plan[from:lo]...)
-				at := len(plan)
-				plan = tasksOf(plan, gi, f)
-				edits = append(edits, planEdit{group: gi, lo: pos(f), hi: pos(f) + 1, old: c.plan[lo:hi], at: at, n: len(plan) - at})
-				from = hi
-			}
-		}
-		plan = append(plan, c.plan[from:]...)
-	}
-	c.plan, c.unplanned = plan, nil
-	return plan, edits
+	slices.SortFunc(edits, compareSpans)
+	return edits
 }
 
-// planEdit is one run of plan tasks a splice replaced: the tasks group's
-// functions at module positions [lo, hi) had in the old plan, and the n the
-// new plan has from at.
-type planEdit struct {
-	group, lo, hi int
-	old           []scheduled
-	at, n         int
+// span is the functions at module positions [lo, hi) in the group at
+// position group among a call's groups.
+type span struct{ group, lo, hi int }
+
+func compareSpans(a, b span) int {
+	return cmp.Or(cmp.Compare(a.group, b.group), cmp.Compare(a.lo, b.lo))
+}
+
+// covers reports whether spans, sorted by compareSpans and disjoint, hold
+// the function at module position pos in the group at gi.
+func covers(spans []span, gi, pos int) bool {
+	i, ok := slices.BinarySearchFunc(spans, span{group: gi, lo: pos}, compareSpans)
+	return ok || (i > 0 && spans[i-1].group == gi && pos < spans[i-1].hi)
+}
+
+// tasksOf returns function id's task list for walk number list in a task
+// table: none for a function without a graph, a list never extracted, or an
+// id past the table (the empty run's, which has no entry).
+func tasksOf(fn *dense.Table[*fnCache], id, list int) []task {
+	if id >= fn.Len() {
+		return nil
+	}
+	if fc := fn.At(id); fc != nil && list < len(fc.tasks) {
+		return fc.tasks[list]
+	}
+	return nil
 }
 
 // localTasks lists one function's tasks for the walk of sp — a source each,

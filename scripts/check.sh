@@ -1,19 +1,5 @@
 #!/usr/bin/env bash
-# Tier-1 verification in one command: formatting, vet, build, tests (with
-# the race detector — the parallel detection scheduler's determinism tests
-# run under it, and cmd/pinpoint's process-level test builds and drives the
-# real binary), the restart, codec, graphs-unchanged, replay, shared-table
-# and all-checkers-equal-their-union equivalences, the local-flow walk against
-# its brute-force enumeration and under path explosion, at one and two CPUs,
-# the allocation and residency budgets, the resident ledger and a built
-# graph against its decoded form without the race detector, a short
-# fuzz of the artifact decoder, of the unit-facts decoder, of a function's
-# own parse against its unit's, of the solver against enumeration, of the
-# request decoder and its per-tenant memo of the units last sent against
-# encoding/json, of the report appender against encoding/json, of lowering
-# into SSA form and through the SEG and the segment codec, and of the
-# analysis against exhaustive execution of generated programs, the benchmark
-# module, and the examples suite.
+# Tier-1 verification in one command: each step below says what it checks.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
