@@ -54,10 +54,13 @@ import (
 // artifactCodecVersion gates decoding: bump on any format change so old
 // records read as misses instead of garbage. Version 6 writes no SSA info or
 // points-to result, and of a function's body what its SEG holds: the records
-// and lists detection reads, not the blocks. Version 7 writes the SEG finished: every
-// value's vertex, and each block's control-dependence condition and
-// reachability row.
-const artifactCodecVersion = 7
+// and lists detection reads, not the blocks. Version 7 writes the SEG
+// finished: every value's vertex, and each block's control-dependence
+// condition and reachability row. Version 8 writes the same parts with the
+// IDs lowering now gives: values and SSA versions numbered in creation
+// order, no ID kept for a variable or a dead φ, so a body read from an older
+// version would not be the one a build makes.
+const artifactCodecVersion = 8
 
 // segMagic opens every segment record, so foreign bytes fail fast before
 // any field decoding.

@@ -492,12 +492,12 @@ func frameStarts(seg []byte) []int {
 }
 
 // TestSegmentCodecParallelEquivalence: the worker count is not part of the
-// format. The store-v7 fixture and a segment of several chunks decode
+// format. The store-v8 fixture and a segment of several chunks decode
 // at any worker count to artifacts that encode, at any worker count, to the
 // bytes they came from; and of two frames whose streams are broken, the error
 // names the lower one however many workers ran.
 func TestSegmentCodecParallelEquivalence(t *testing.T) {
-	log, err := os.ReadFile(filepath.Join("testdata", "store-v7", "store.log"))
+	log, err := os.ReadFile(filepath.Join("testdata", "store-v8", "store.log"))
 	if err != nil {
 		t.Fatal(err)
 	}

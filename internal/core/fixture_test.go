@@ -10,16 +10,16 @@ import (
 	"repro/internal/store"
 )
 
-// TestSessionStoreV7Fixture holds the in-memory layout to the wire format: the
-// directory under testdata was written by the binary of codec version 7 (see
+// TestSessionStoreV8Fixture holds the in-memory layout to the wire format: the
+// directory under testdata was written by the binary of codec version 8 (see
 // prog.mc there). Opening it must find every artifact a hit, and what was
 // decoded must encode back to the fixture's segment byte for byte.
-func TestSessionStoreV7Fixture(t *testing.T) {
-	src, err := os.ReadFile(filepath.Join("testdata", "store-v7", "prog.mc"))
+func TestSessionStoreV8Fixture(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("testdata", "store-v8", "prog.mc"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	log, err := os.ReadFile(filepath.Join("testdata", "store-v7", "store.log"))
+	log, err := os.ReadFile(filepath.Join("testdata", "store-v8", "store.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,8 +33,8 @@ func TestSessionStoreV7Fixture(t *testing.T) {
 	}
 	defer st.Close()
 	seg, ok, err := st.Get(store.NSArtifact, segFullKey)
-	if err != nil || !ok || !bytes.HasPrefix(seg, []byte(segMagic+"\x0e")) {
-		t.Fatalf("fixture holds no version-7 full segment: ok=%v err=%v", ok, err)
+	if err != nil || !ok || !bytes.HasPrefix(seg, []byte(segMagic+"\x10")) {
+		t.Fatalf("fixture holds no version-8 full segment: ok=%v err=%v", ok, err)
 	}
 
 	s := NewSession(BuildOptions{Store: st})

@@ -216,75 +216,81 @@ func TestSessionStoreLegacyVerdictRecords(t *testing.T) {
 	}
 }
 
-// TestSessionStoreLegacyV4Segments keeps -store-dirs written by an older codec
-// version working the only way an old format is meant to: each directory
-// under testdata (written by the version-4, 5 and 6 binaries, see prog.mc
-// there) opens, every artifact in it reads as a miss, the program
-// rebuilds with reports byte-identical to a storeless build, and from the
-// next restart on the directory serves the current version's segments.
+// TestSessionStoreLegacyV4Segments and TestSessionStoreV7Fixture keep
+// -store-dirs written by an older codec version working the only way an old
+// format is meant to (see legacyStore): each directory under testdata was
+// written by the binary of its version (see prog.mc there).
 func TestSessionStoreLegacyV4Segments(t *testing.T) {
 	for _, version := range []int{4, 5, 6} {
-		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
-			fixture := filepath.Join("testdata", fmt.Sprintf("store-v%d", version))
-			src, err := os.ReadFile(filepath.Join(fixture, "prog.mc"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			log, err := os.ReadFile(filepath.Join(fixture, "store.log"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			dir := t.TempDir()
-			if err := os.WriteFile(store.LogPath(dir), log, 0o666); err != nil {
-				t.Fatal(err)
-			}
-			units := []minic.NamedSource{{Name: "prog.mc", Src: string(src)}}
-			specs := checkers.All()
-			dopts := detect.Options{Workers: 1}
+		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) { legacyStore(t, version) })
+	}
+}
 
-			cold, err := core.NewSession(core.BuildOptions{}).Update(units)
-			if err != nil {
-				t.Fatal(err)
-			}
-			coldB := reportsJSON(t, normalizeResults(cold.CheckAll(specs, dopts)).Reports)
-			if len(coldB) < 100 {
-				t.Fatalf("the fixture program has no reports to compare: %s", coldB)
-			}
+func TestSessionStoreV7Fixture(t *testing.T) { legacyStore(t, 7) }
 
-			st1 := openDisk(t, dir)
-			// A segment opens with its magic and the version as a zig-zag varint.
-			if seg, ok, err := st1.Get(store.NSArtifact, "!full"); err != nil || !ok || !bytes.HasPrefix(seg, []byte{'p', 'p', 's', 'g', byte(2 * version)}) {
-				t.Fatalf("fixture holds no version-%d full segment: ok=%v err=%v", version, ok, err)
-			}
-			s1 := core.NewSession(core.BuildOptions{Store: st1})
-			a1, err := s1.Update(units)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if stats := s1.ArtifactStats(); stats.StoreHits != 0 || stats.Misses != cold.Sizes.Functions {
-				t.Fatalf("version-%d segments did not read as all-miss: %+v", version, stats)
-			}
-			if got := reportsJSON(t, normalizeResults(a1.CheckAll(specs, dopts)).Reports); !bytes.Equal(got, coldB) {
-				t.Fatalf("rebuild over a version-%d directory changed reports\ngot: %s\nwant: %s", version, got, coldB)
-			}
-			if err := st1.Close(); err != nil {
-				t.Fatal(err)
-			}
+// legacyStore opens the directory testdata/store-v<version>: every artifact
+// in it reads as a miss, the program rebuilds with reports byte-identical to
+// a storeless build, and from the next restart on the directory serves the
+// current version's segments.
+func legacyStore(t *testing.T, version int) {
+	fixture := filepath.Join("testdata", fmt.Sprintf("store-v%d", version))
+	src, err := os.ReadFile(filepath.Join(fixture, "prog.mc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	log, err := os.ReadFile(filepath.Join(fixture, "store.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(store.LogPath(dir), log, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	units := []minic.NamedSource{{Name: "prog.mc", Src: string(src)}}
+	specs := checkers.All()
+	dopts := detect.Options{Workers: 1}
 
-			st2 := openDisk(t, dir)
-			defer st2.Close()
-			s2 := core.NewSession(core.BuildOptions{Store: st2})
-			a2, err := s2.Update(units)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if stats := s2.ArtifactStats(); stats.Misses != 0 || stats.Invalidated != 0 || stats.StoreHits != cold.Sizes.Functions {
-				t.Fatalf("restart after the rebuild is not all store hits: %+v", stats)
-			}
-			if got := reportsJSON(t, normalizeResults(a2.CheckAll(specs, dopts)).Reports); !bytes.Equal(got, coldB) {
-				t.Fatalf("restart after the rebuild changed reports\ngot: %s\nwant: %s", got, coldB)
-			}
-		})
+	cold, err := core.NewSession(core.BuildOptions{}).Update(units)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coldB := reportsJSON(t, normalizeResults(cold.CheckAll(specs, dopts)).Reports)
+	if len(coldB) < 100 {
+		t.Fatalf("the fixture program has no reports to compare: %s", coldB)
+	}
+
+	st1 := openDisk(t, dir)
+	// A segment opens with its magic and the version as a zig-zag varint.
+	if seg, ok, err := st1.Get(store.NSArtifact, "!full"); err != nil || !ok || !bytes.HasPrefix(seg, []byte{'p', 'p', 's', 'g', byte(2 * version)}) {
+		t.Fatalf("fixture holds no version-%d full segment: ok=%v err=%v", version, ok, err)
+	}
+	s1 := core.NewSession(core.BuildOptions{Store: st1})
+	a1, err := s1.Update(units)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats := s1.ArtifactStats(); stats.StoreHits != 0 || stats.Misses != cold.Sizes.Functions {
+		t.Fatalf("version-%d segments did not read as all-miss: %+v", version, stats)
+	}
+	if got := reportsJSON(t, normalizeResults(a1.CheckAll(specs, dopts)).Reports); !bytes.Equal(got, coldB) {
+		t.Fatalf("rebuild over a version-%d directory changed reports\ngot: %s\nwant: %s", version, got, coldB)
+	}
+	if err := st1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2 := openDisk(t, dir)
+	defer st2.Close()
+	s2 := core.NewSession(core.BuildOptions{Store: st2})
+	a2, err := s2.Update(units)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats := s2.ArtifactStats(); stats.Misses != 0 || stats.Invalidated != 0 || stats.StoreHits != cold.Sizes.Functions {
+		t.Fatalf("restart after the rebuild is not all store hits: %+v", stats)
+	}
+	if got := reportsJSON(t, normalizeResults(a2.CheckAll(specs, dopts)).Reports); !bytes.Equal(got, coldB) {
+		t.Fatalf("restart after the rebuild changed reports\ngot: %s\nwant: %s", got, coldB)
 	}
 }
 

@@ -19,23 +19,19 @@ import (
 // old copy behind until Pack.
 
 // buildState is what an open body holds besides its tables: the indexes of
-// its symbols and constants, and, while lowering numbers its values (see
-// NewSSA), the ID each value handle holds: slots[h] is the ID, or -2-key
-// while the value is a definition of variable key that has none yet.
+// its symbols and constants.
 type buildState struct {
-	strs, packed []string // the symbols, and Pack's renumbered ones
+	strs, packed []string // the symbols, and Pack's numbering of them
 	// symIdx indexes strs, first occurrence, once they are more than a few:
 	// most bodies have fewer, and a scan of a few strings costs less than
 	// hashing each.
-	symIdx    map[string]int32
-	consts    []constKey // sorted, with the handle of each
-	numbering bool
-	slots     []int32
-	nextVal   int32
-	err       error
-	symAt     []int32 // Pack's symbol offsets, before they go into the body
-	// vals and instrs are the values and instructions of a body lowering
-	// numbers, until Pack copies them into arrays of the body's own.
+	symIdx map[string]int32
+	consts []constKey // sorted, with the handle of each
+	err    error
+	symAt  []int32 // Pack's symbol offsets, before they go into the body
+	// vals and instrs are record arrays kept for the next body NewFunc
+	// makes: Pack copies a body's records out of an array with slack and
+	// keeps that array here.
 	vals   []Value
 	instrs []Instr
 }
@@ -83,7 +79,7 @@ func (b *Body) release() {
 func putBuild(bs *buildState) {
 	clear(bs.strs)
 	clear(bs.packed)
-	*bs = buildState{strs: bs.strs[:0], packed: bs.packed[:0], consts: bs.consts[:0], slots: bs.slots[:0], symAt: bs.symAt[:0], vals: bs.vals[:0], instrs: bs.instrs[:0]}
+	*bs = buildState{strs: bs.strs[:0], packed: bs.packed[:0], consts: bs.consts[:0], symAt: bs.symAt[:0], vals: bs.vals[:0], instrs: bs.instrs[:0]}
 	buildPool.Put(bs)
 }
 
@@ -116,9 +112,8 @@ func (bs *buildState) sym(s string) int32 {
 
 func (b *Body) intern(s string) int32 { return b.reopen().sym(s) }
 
-// addValue appends a value record of type t and returns its handle: its ID,
-// unless lowering numbers the values, which gives slot as the ID it holds.
-func (b *Body) addValue(v Value, t minic.Type, slot int32) int32 {
+// newValue appends a value record of type t under the next ID.
+func (b *Body) newValue(v Value, t minic.Type) int32 {
 	bs := b.reopen()
 	i := slices.Index(b.types, t)
 	if i < 0 {
@@ -133,71 +128,15 @@ func (b *Body) addValue(v Value, t minic.Type, slot int32) int32 {
 		v.bits |= valBool
 	}
 	b.values = append(b.values, v)
-	if bs.numbering {
-		bs.slots = append(bs.slots, slot)
-	}
 	return int32(len(b.values) - 1)
 }
 
-// newValue appends a value under the next ID.
-func (b *Body) newValue(v Value, t minic.Type) int32 {
-	bs := b.reopen()
-	if bs.numbering {
-		bs.nextVal++
-	}
-	return b.addValue(v, t, bs.nextVal-1)
-}
-
-// ValueKey returns the ID value handle h holds: while lowering numbers the
-// values, a variable's key for a definition not numbered yet (see NewSSA).
-func (b *Body) ValueKey(h int32) int32 {
-	if bs := b.build; bs != nil && bs.numbering {
-		if s := bs.slots[h]; s < -1 {
-			return -2 - s
-		}
-		return bs.slots[h]
-	}
-	return h
-}
-
-// ReserveID takes the next value ID for a source variable or temporary
-// without creating a value under it: the ID is the variable's key while its
-// definitions are created (NewSSA), and stays a hole in the function's ID
-// space unless a use with no reaching definition fills it (Undef).
-func (f *Func) ReserveID() int32 {
-	bs := f.reopen()
-	bs.nextVal++
-	return bs.nextVal - 1
-}
-
-// NewSSA creates a definition of the variable key (see ReserveID), named
-// like it, and returns its handle. The value holds no ID of its own until
-// NumberSSA gives it one; Pack drops it if it never gets one.
-func (f *Func) NewSSA(key int32, name string, t minic.Type) int32 {
-	return f.addValue(Value{Def: -1, name: f.intern(name), Kind: VVar}, t, -2-key)
-}
-
-// NumberSSA gives the value NewSSA created under handle h the next value ID,
-// as version version (>= 1) of its variable.
-func (f *Func) NumberSSA(h int32, version int) {
-	bs := f.reopen()
-	bs.slots[h] = bs.nextVal
-	bs.nextVal++
-	f.values[h].num = int32(version)
-}
-
-// Undef returns the value a use of variable key reads where no definition of
-// the variable reaches it. It is kept under key, the ID ReserveID gave the
-// variable, and named like the variable with no version.
-func (f *Func) Undef(key int32, name string, t minic.Type) int32 {
-	return f.addValue(Value{Def: -1, name: f.intern(name), Kind: VVar}, t, key)
-}
-
-// NewDef creates a variable that is assigned once and lives as long as the
-// function — what code inserted after lowering defines (the connector
-// transformation's glue).
-func (f *Func) NewDef(name string, t minic.Type) int32 {
-	return f.newValue(Value{Def: -1, name: f.intern(name), Kind: VVar}, t)
+// NewVar creates a variable named name: version version (>= 1) of an SSA
+// variable, or, at version 0, one that is not a version — the undefined
+// value of a variable, or what code inserted after lowering defines (the
+// connector transformation's glue).
+func (f *Func) NewVar(name string, t minic.Type, version int32) int32 {
+	return f.newValue(Value{Def: -1, name: f.intern(name), Kind: VVar, num: version}, t)
 }
 
 // NewParam creates and appends a formal parameter.
@@ -207,7 +146,7 @@ func (f *Func) NewParam(name string, t minic.Type, aux bool) int32 {
 		v.bits |= valAux
 	}
 	h := f.newValue(v, t)
-	f.Params = append(f.Params, Param{ID: f.ValueKey(h), Type: t, Aux: aux})
+	f.Params = append(f.Params, Param{ID: h, Type: t, Aux: aux})
 	f.lists[lParams] = append(f.lists[lParams], h)
 	return h
 }
@@ -355,13 +294,6 @@ func (f *Func) InsertAt(blk int32, i int, s Spec) int32 {
 	return id
 }
 
-// ReserveInstrID takes the next instruction ID without creating an
-// instruction under it.
-func (f *Func) ReserveInstrID() {
-	f.reopen()
-	f.instrs = append(f.instrs, Instr{Block: -1, Dst: -1})
-}
-
 // SetArg sets operand i of instruction in to value v.
 func (b *Body) SetArg(in int32, i int, v int32) { b.lists[lRefs][b.instrs[in].refs+int32(i)] = v }
 
@@ -447,14 +379,14 @@ func (f *Func) SealCFG() error {
 	return c.err
 }
 
-// Pack finishes a pass over an open body: the values get the IDs lowering
-// numbered them with, the lists are laid out in ID order (operand lists by
-// instruction, instructions and edges block by block), the symbols are
-// numbered in order of first use (the function's name and file, the
-// instructions' names, the values'), the records (and, when lowering
-// packs, the parameters) are left in arrays of exactly their number, and
-// what only an open body needs is dropped. The records of IDs no instruction or value holds are reset. A
-// packed body is what the segment codec writes, list for list.
+// Pack finishes a pass over an open body: the lists are laid out in ID
+// order (operand lists by instruction, instructions and edges block by
+// block), the symbols are numbered in order of first use (the function's
+// name and file, the instructions' names, the values'), the records are left
+// in arrays of exactly their number, and what only an open body needs is
+// dropped. The records of the instructions SealCFG pruned, and of the values
+// they define, are reset. A packed body is what the segment codec writes,
+// list for list.
 func (f *Func) Pack() error {
 	b, bs := f.Body, f.build
 	if bs == nil {
@@ -464,17 +396,13 @@ func (f *Func) Pack() error {
 	if bs.err != nil {
 		return bs.err
 	}
-	if bs.numbering {
-		b.renumber()
-		// Lowering appended the instructions to the build state's array,
-		// which the next function reuses.
-		pooled := b.instrs
-		b.instrs, bs.instrs = append(make([]Instr, 0, len(pooled)), pooled...), pooled[:0]
-		// Callers read the interface from here on: it is final, but for
-		// the connector transformation's aux parameters (see its Prep).
-		f.Params = exact(f.Params)
+	for in := range b.instrs {
+		if r := &b.instrs[in]; r.Block < 0 {
+			b.prune(int32(in))
+		}
 	}
-	b.instrs, b.values = exact(b.instrs), exact(b.values)
+	b.instrs, bs.instrs = fit(b.instrs, bs.instrs)
+	b.values, bs.vals = fit(b.values, bs.vals)
 	b.packSyms()
 	// Every list goes into one array: the ones the segment codec writes, in
 	// its order (operands, wide constants, block order, parameters, symbol
@@ -509,9 +437,7 @@ func (f *Func) Pack() error {
 	}
 	refs := part(func(base int) {
 		for in := range b.instrs {
-			if r := &b.instrs[in]; r.Block < 0 {
-				*r = Instr{Block: -1, Dst: -1}
-			} else {
+			if r := &b.instrs[in]; r.Block >= 0 {
 				move(base, lists[lRefs], &r.refs, b.listLen(int32(in)))
 			}
 		}
@@ -542,77 +468,44 @@ func (f *Func) Pack() error {
 	return nil
 }
 
-// exact returns s in an array of exactly its length: s itself if it has no
-// append slack, else a copy.
-func exact[T any](s []T) []T {
-	if cap(s) == len(s) {
-		return s
+// prune resets the record of instruction in, which no block holds, and of
+// the values it defines: no instruction or value holds their IDs.
+func (b *Body) prune(in int32) {
+	r := &b.instrs[in]
+	if r.Dst >= 0 {
+		b.values[r.Dst] = Value{Def: -1, name: -1}
 	}
-	return append(make([]T, 0, len(s)), s...)
+	for _, d := range b.Dsts(in) {
+		if d >= 0 {
+			b.values[d] = Value{Def: -1, name: -1}
+		}
+	}
+	*r = Instr{Block: -1, Dst: -1}
 }
 
-// renumber moves every value that holds an ID to the record of its ID,
-// rewrites the handles in the lists and records to IDs, and drops the values
-// that hold none (definitions lowered in blocks the entry does not reach).
-// Lowering appended the values to the build state's array, which the next
-// function reuses; the body's own is allocated here, of its exact size.
-func (b *Body) renumber() {
-	bs := b.build
-	vals := make([]Value, bs.nextVal)
-	for i := range vals {
-		vals[i] = Value{Def: -1, name: -1}
+// fit returns s in an array of exactly its length, and the array to keep for
+// the next body: s's own, emptied, when s is copied out of it (it has slack),
+// else spare.
+func fit[T any](s, spare []T) ([]T, []T) {
+	if cap(s) == len(s) {
+		return s, spare
 	}
-	for h, id := range bs.slots {
-		if id >= 0 {
-			vals[id] = b.values[h]
-		}
-	}
-	id := func(h int32) int32 {
-		if h >= 0 && bs.slots[h] < 0 {
-			panic(fmt.Sprintf("ir: %s: a value that holds no ID is used", b.Name()))
-		}
-		if h >= 0 {
-			return bs.slots[h]
-		}
-		return h
-	}
-	refs, params := b.lists[lRefs], b.lists[lParams]
-	for in := range b.instrs {
-		r := &b.instrs[in]
-		if r.Block < 0 {
-			continue
-		}
-		r.Dst = id(r.Dst)
-		args := refs[r.refs : r.refs+int32(r.nArgs)]
-		for i, a := range args {
-			args[i] = id(a)
-		}
-		if ds := b.Dsts(int32(in)); ds != nil {
-			for i, d := range ds {
-				ds[i] = id(d)
-			}
-		}
-	}
-	for i, p := range params {
-		params[i] = id(p)
-	}
-	bs.vals, b.values = b.values[:0], vals
-	bs.numbering = false
+	return append(make([]T, 0, len(s)), s...), s[:0]
 }
 
 // packSyms numbers the symbols in order of first use: the function's name
 // and file, the instructions' names by ID, the values' names by ID. The old
-// symbols are distinct but for those two, so a symbol is renumbered by its
-// old number.
+// symbols are distinct but for those two, so a symbol's new number is kept
+// by its old one.
 func (b *Body) packSyms() {
 	bs := b.build
-	old, next := bs.strs, bs.slots[:0] // the slots are done with
+	old, next := bs.strs, bs.symAt[:0] // the offsets take its array once it is done with
 	for range old {
 		next = append(next, -1)
 	}
 	next[0], next[1] = 0, 1
 	strs := append(bs.packed[:0], old[0], old[1])
-	renumber := func(k *int32) {
+	use := func(k *int32) {
 		if *k >= 0 {
 			if next[*k] < 0 {
 				next[*k] = int32(len(strs))
@@ -623,11 +516,11 @@ func (b *Body) packSyms() {
 	}
 	for in := range b.instrs {
 		if r := &b.instrs[in]; r.Block >= 0 {
-			renumber(&r.sub)
+			use(&r.sub)
 		}
 	}
 	for v := range b.values {
-		renumber(&b.values[v].name)
+		use(&b.values[v].name)
 	}
 	n := 0
 	for _, s := range strs {
@@ -635,7 +528,7 @@ func (b *Body) packSyms() {
 	}
 	var syms strings.Builder
 	syms.Grow(n)
-	at := bs.symAt[:0]
+	at := next[:0]
 	for _, s := range strs {
 		at = append(at, int32(syms.Len()))
 		syms.WriteString(s)

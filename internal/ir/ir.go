@@ -325,12 +325,7 @@ func (b *Body) Value(v int32) *Value { return &b.values[v] }
 func (b *Body) NumInstrs() int { return len(b.instrs) }
 
 // NumValues bounds the value IDs.
-func (b *Body) NumValues() int {
-	if b.open() && b.build.numbering {
-		return int(b.build.nextVal)
-	}
-	return len(b.values)
-}
+func (b *Body) NumValues() int { return len(b.values) }
 
 // NumBlocks bounds the block IDs of a draft (0 once adopted). Pruned blocks
 // leave holes: Blocks may be shorter.
@@ -566,8 +561,8 @@ type Func struct {
 func NewFunc(name string, ret minic.Type, unit int, pos minic.Pos) *Func {
 	f := &Func{Name: name, Ret: ret, Unit: int32(unit), Pos: pos, Body: &Body{draft: &draft{Entry: -1, Exit: -1}}}
 	bs := f.reopen()
-	bs.numbering = true
-	f.values, f.instrs = bs.vals, bs.instrs
+	// The records go into the arrays the last body left (see Pack).
+	f.values, f.instrs, bs.vals, bs.instrs = bs.vals, bs.instrs, nil, nil
 	bs.addSym(name)
 	bs.addSym(pos.File)
 	return f

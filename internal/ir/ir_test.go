@@ -18,7 +18,7 @@ func buildDiamond() *Func {
 	c := f.NewParam("c", minic.BoolType, false)
 	b0, b1, b2, b3 := f.NewBlock(), f.NewBlock(), f.NewBlock(), f.NewBlock()
 	f.Entry, f.Exit = b0, b3
-	x := f.NewDef("x", minic.IntType)
+	x := f.NewVar("x", minic.IntType, 0)
 
 	f.Append(b0, Spec{Op: OpBr, Args: []int32{c}})
 	f.Connect(b0, b1)
@@ -70,7 +70,7 @@ func TestVerifyRejectsBadArity(t *testing.T) {
 
 func TestVerifyPhiInvariants(t *testing.T) {
 	f := buildDiamond()
-	x2 := f.NewDef("x2", minic.IntType)
+	x2 := f.NewVar("x2", minic.IntType, 0)
 	// Phi with one arg but two preds: must be rejected.
 	f.InsertAt(3, 0, Spec{Op: OpPhi, Dst: x2, Args: []int32{f.ConstInt(1)}})
 	if err := Verify(f); err == nil {
@@ -89,7 +89,7 @@ func TestConstInterning(t *testing.T) {
 	if f.ConstNull() != f.ConstNull() {
 		t.Error("null const not interned")
 	}
-	if !f.Value(f.ConstNull()).IsConst() || f.Value(f.NewDef("v", minic.IntType)).IsConst() {
+	if !f.Value(f.ConstNull()).IsConst() || f.Value(f.NewVar("v", minic.IntType, 0)).IsConst() {
 		t.Error("IsConst wrong")
 	}
 	if f.IntVal(f.ConstInt(1<<40)) != 1<<40 || f.IntVal(f.ConstInt(-3)) != -3 {
@@ -111,7 +111,7 @@ func TestInstrDefs(t *testing.T) {
 	f := NewFunc("k", minic.VoidType, 0, minic.Pos{})
 	b := f.NewBlock()
 	f.Entry, f.Exit = b, b
-	d1, d2 := f.NewDef("d1", minic.IntType), f.NewDef("d2", minic.IntType)
+	d1, d2 := f.NewVar("d1", minic.IntType, 0), f.NewVar("d2", minic.IntType, 0)
 	call := f.Append(b, Spec{Op: OpCall, Sub: "g", Dsts: []int32{d1, -1, d2}})
 	if dsts := f.Dsts(call); len(dsts) != 3 || dsts[0] != d1 || dsts[1] != -1 || dsts[2] != d2 || f.In(call).Dst != -1 {
 		t.Fatalf("Dsts = %v, Dst = %d", dsts, f.In(call).Dst)
@@ -155,8 +155,8 @@ func TestPrintAllInstructionForms(t *testing.T) {
 	b := f.NewBlock()
 	f.Entry, f.Exit = b, b
 	p := f.NewParam("p", minic.IntType.Pointer(), false)
-	v := func(name string) int32 { return f.NewDef(name, minic.IntType) }
-	pv := func(name string) int32 { return f.NewDef(name, minic.IntType.Pointer()) }
+	v := func(name string) int32 { return f.NewVar(name, minic.IntType, 0) }
+	pv := func(name string) int32 { return f.NewVar(name, minic.IntType.Pointer(), 0) }
 	args := func(vs ...int32) []int32 { return vs }
 
 	cases := []struct {
@@ -195,7 +195,7 @@ func TestValueStringForms(t *testing.T) {
 		f.ValueString(f.ConstBool(false)) != "false" || f.ValueString(f.ConstNull()) != "null" {
 		t.Error("const rendering broken")
 	}
-	if f.ValueString(f.NewDef("vv", minic.IntType)) != "vv" {
+	if f.ValueString(f.NewVar("vv", minic.IntType, 0)) != "vv" {
 		t.Error("var rendering broken")
 	}
 }

@@ -59,7 +59,7 @@ func describeShell(f *Func) *wireShell {
 
 // buildShellFunc constructs a function with every part of a shell — a
 // struct-pointer return type, parameters (the last one aux), aux specs in
-// and out, a dead value ID — and releases its body:
+// and out, a value no instruction holds — and releases its body:
 //
 //	b0: x = *p; br c b1 b2
 //	b1: jmp b2
@@ -70,8 +70,8 @@ func buildShellFunc() *Func {
 	p := f.NewParam("p", minic.IntType.Pointer(), true)
 	f.AuxIn = []AuxSpec{{Root: 1, Depth: 1}}
 	f.AuxOut = []AuxSpec{{Root: -1, Global: "g", Depth: 2}}
-	f.ReserveID() // a variable key: its ID stays dead
-	x := f.NewDef("x", minic.IntType)
+	f.NewVar("y", minic.IntType, 1) // no instruction defines or reads it
+	x := f.NewVar("x", minic.IntType, 0)
 	b0, b1, b2 := f.NewBlock(), f.NewBlock(), f.NewBlock()
 	f.Entry, f.Exit = b0, b2
 	f.Append(b0, Spec{Op: OpLoad, Dst: x, Args: []int32{p}})

@@ -18,7 +18,8 @@ import (
 )
 
 // FuzzLowerSSA lowers any source that parses and holds the result to SSA
-// form: a lowering error is fine, a function that is not in SSA is not. It
+// form and its φs to the frontier placement (checkPlacement): a lowering
+// error is fine, a function that is not in SSA is not. It
 // then runs the rest of the build — Mod/Ref, the connector transformation,
 // points-to, the SEG — and holds each function's graph to the segment codec:
 // it must encode, decode (which checks every ID, offset and count against
@@ -44,6 +45,9 @@ func FuzzLowerSSA(f *testing.F) {
 		}
 		infos := make([]*ssa.Info, len(m.Funcs))
 		for i, fn := range m.Funcs {
+			if err := checkPlacement(fn); err != nil {
+				t.Fatalf("%s: %v\n%s", fn.Name, err, fn)
+			}
 			if infos[i], err = checkSSA(fn); err != nil {
 				t.Fatalf("%s: %v\n%s", fn.Name, err, fn)
 			}

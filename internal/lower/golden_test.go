@@ -44,7 +44,8 @@ func goldenPrograms(t testing.TB) map[string][]minic.NamedSource {
 // TestSSAGolden pins the SSA form of every function the golden programs
 // define: the IR as ir.Func.String prints it, then each block's reach
 // condition and control dependences and each φ's gates. Conditions print
-// their node IDs, so the order conditions are built in is pinned too.
+// their node IDs, so the order conditions are built in is pinned too. Each
+// function's φs are held to the frontier placement first (checkPlacement).
 func TestSSAGolden(t *testing.T) {
 	progs := goldenPrograms(t)
 	var names []string
@@ -63,6 +64,9 @@ func TestSSAGolden(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		for _, f := range m.Funcs {
+			if err := checkPlacement(f); err != nil {
+				t.Fatalf("%s: %s: %v\n%s", name, f.Name, err, f)
+			}
 			inf, err := ssa.Transform(f)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)

@@ -22,8 +22,8 @@
 //
 // The lowering tracks only which blocks are reachable. It ends by sealing
 // the CFG (ir.Func.SealCFG), which computes the block order and the dominator
-// trees in one pass; the values are numbered in dominator-tree preorder from
-// them, and package ssa gates from the same facts.
+// trees in one pass; package ssa gates from the same facts. Every value and
+// instruction has its ID from when it is created.
 package lower
 
 import (
@@ -152,7 +152,11 @@ func FuncWith(m *ir.Module, decl *minic.FuncDecl, sigs func(name string) (minic.
 		f.Append(f.Exit, ir.Spec{Op: ir.OpRet, Loc: lw.loc(decl.Pos)})
 	}
 
-	// Parameters. Address-taken parameters are spilled to a slot.
+	// Parameters. Address-taken parameters are spilled to a slot. Callers
+	// read the interface once the function is lowered, so it is made in an
+	// array of its final size (the connector transformation's aux
+	// parameters aside).
+	f.Params = make([]ir.Param, 0, len(decl.Params))
 	for _, p := range decl.Params {
 		pv := f.NewParam(p.Name, p.Type, false)
 		if lw.addrOf[p.Name] {
@@ -341,7 +345,7 @@ var tmpNames = func() (names [1024]string) {
 // temp returns the one definition of a fresh variable that is never
 // assigned again, so needs no tracking.
 func (lw *lowerer) temp(name string, t minic.Type) int32 {
-	return lw.f.NewSSA(lw.reserve(), name, t)
+	return lw.f.NewVar(name, t, 1)
 }
 
 // ret assigns v to ret$ and jumps to the exit block.

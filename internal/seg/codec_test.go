@@ -20,6 +20,7 @@ int *pick(bool c, int *a) {
 	if (c) { free(p); p = a; }
 	sink(p, *p);
 	return p;
+	p = a;
 }`
 
 // encoded builds the SEG of pick above and returns it with its encoding.
@@ -70,7 +71,7 @@ func TestGraphWireRoundTrip(t *testing.T) {
 	}
 	f := builtFrom[g].f
 	for in := int32(0); int(in) < f.NumInstrs(); in++ {
-		if *got.In(in) != *g.In(in) || got.Position(in) != g.Position(in) || got.Callee(in) != g.Callee(in) || got.CD(in) != g.CD(in) {
+		if *got.In(in) != *g.In(in) || g.HoldsInstr(in) && (got.Position(in) != g.Position(in) || got.Callee(in) != g.Callee(in) || got.CD(in) != g.CD(in)) {
 			t.Errorf("instr %d: got %+v, want %+v", in, *got.In(in), *g.In(in))
 		}
 	}
@@ -296,15 +297,16 @@ func setPart(g *Graph, k int, p []int32) {
 	*ints = next
 }
 
-// preSSA returns the ID of a variable lowering created and SSA renaming
-// replaced: inside the function's value space, held by no value.
+// preSSA returns an ID inside the function's value space that no value
+// holds: that of the definition pick lowers after its return, which is
+// pruned with its block.
 func preSSA(t *testing.T, f *ir.Func) int32 {
 	for id := int32(0); int(id) < f.NumValues(); id++ {
 		if !f.HoldsValue(id) {
 			return id
 		}
 	}
-	t.Fatal("the test function has no pre-SSA variable")
+	t.Fatal("the test function has no value ID that no value holds")
 	return -1
 }
 

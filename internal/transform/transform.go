@@ -323,7 +323,7 @@ func rewriteBody(m *ir.Module, f *ir.Func, plans []rootPlan, aux map[modref.Path
 			return err
 		}
 		for k := 1; k <= pl.outDepth; k++ {
-			rv := f.NewDef(auxName("R", pl.root, k), pathType(m, f, pl.root, k))
+			rv := f.NewVar(auxName("R", pl.root, k), pathType(m, f, pl.root, k), 0)
 			f.InsertAt(f.Exit, retIdx, ir.Spec{Op: ir.OpLoad, Dst: rv, Args: []int32{prev}, Loc: f.Loc(), Synthetic: true})
 			f.SetAux(rv)
 			retIdx++
@@ -368,7 +368,7 @@ func rootValue(m *ir.Module, f *ir.Func, r modref.Root, b int32, at *int) (int32
 // globalAddr inserts the address of global name at *at of block b, advancing
 // *at, and returns it.
 func globalAddr(m *ir.Module, f *ir.Func, b int32, at *int, name string, loc ir.Loc) int32 {
-	addr := f.NewDef("&@"+name, m.GlobalByName[name].Type.Pointer())
+	addr := f.NewVar("&@"+name, m.GlobalByName[name].Type.Pointer(), 0)
 	f.InsertAt(b, *at, ir.Spec{Op: ir.OpGlobalAddr, Dst: addr, Sub: name, Loc: loc, Synthetic: true})
 	*at++
 	return addr
@@ -427,7 +427,7 @@ func rewriteCallSite(m *ir.Module, f *ir.Func, b int32, idx int, call int32, cal
 			}
 		}
 		root := modref.Root{Param: spec.Root, Global: spec.Global}
-		av := f.NewDef(auxName("A", root, spec.Depth), pathType(m, callee, root, spec.Depth))
+		av := f.NewVar(auxName("A", root, spec.Depth), pathType(m, callee, root, spec.Depth), 0)
 		insertBefore(ir.Spec{Op: ir.OpLoad, Dst: av, Args: []int32{prev}})
 		f.SetAux(av)
 		extraArgs = append(extraArgs, av)
@@ -439,7 +439,7 @@ func rewriteCallSite(m *ir.Module, f *ir.Func, b int32, idx int, call int32, cal
 	var recvs []int32
 	for _, spec := range callee.AuxOut {
 		root := modref.Root{Param: spec.Root, Global: spec.Global}
-		cv := f.NewDef(auxName("C", root, spec.Depth), pathType(m, callee, root, spec.Depth))
+		cv := f.NewVar(auxName("C", root, spec.Depth), pathType(m, callee, root, spec.Depth), 0)
 		f.SetAux(cv)
 		f.AddDst(call, cv)
 		recvs = append(recvs, cv)
