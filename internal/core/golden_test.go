@@ -24,7 +24,7 @@ func TestLadderGolden(t *testing.T) {
 	golden := map[string]string{
 		"reports":         "c3d78199f63d2d2861e77dfdefba3a05c21f73d7937d54ed91097de8c1c7a71a",
 		"reports witness": "bc08afae4b92f704b5a1c6188717a3885dcaf4a21b861b5f4e8924429291a535",
-		"segment":         "77e386ab298389e86da221e3a10ad5466843a5c2b8fbb1ff917844748f887a64",
+		"segment":         "95f228ea084f11fc10bf689b9fcc6d28ccec9da45033302aa8154aabbb22ad97",
 	}
 	check := func(key string, workers int, data []byte) {
 		t.Helper()
