@@ -262,7 +262,8 @@ type statsDump struct {
 		SSANs       int64 `json:"ssa_ns"`
 		ModRefNs    int64 `json:"modref_ns"`
 		TransfNs    int64 `json:"transform_ns"`
-		PTASEGNs    int64 `json:"pta_seg_ns"`
+		PTANs       int64 `json:"pta_ns"`
+		SEGNs       int64 `json:"seg_ns"`
 		CommitNs    int64 `json:"commit_ns"`
 		TotalNs     int64 `json:"total_ns"`
 		StoreLoadNs int64 `json:"store_load_ns"`
@@ -290,9 +291,7 @@ type statsDump struct {
 		Tasks          int     `json:"tasks"`
 		TasksReplayed  int     `json:"tasks_replayed"`
 		ReplayChecks   int     `json:"replay_checks"`
-		SummaryHits    int     `json:"summary_cache_hits"`
 		SummaryMisses  int     `json:"summary_cache_misses"`
-		SummaryHitRate float64 `json:"summary_cache_hit_rate"`
 		SummaryCapHits int     `json:"summary_cap_hits"`
 		// ExpansionsWalked and QueriesIssued count once what the checkers of
 		// a group each count as their own (see detect.Results).
@@ -336,7 +335,7 @@ func buildStatsDump(a *core.Analysis, res detect.Results, rec *obs.Recorder) *st
 	tm := a.Timings
 	d.Build.ParseNs, d.Build.PlanNs = int64(tm.Parse), int64(tm.Plan)
 	d.Build.LowerNs, d.Build.SSANs, d.Build.ModRefNs = int64(tm.Lower), int64(tm.SSA), int64(tm.ModRef)
-	d.Build.TransfNs, d.Build.PTASEGNs, d.Build.CommitNs = int64(tm.Transform), int64(tm.PTA+tm.SEG), int64(tm.Commit)
+	d.Build.TransfNs, d.Build.PTANs, d.Build.SEGNs, d.Build.CommitNs = int64(tm.Transform), int64(tm.PTA), int64(tm.SEG), int64(tm.Commit)
 	d.Build.TotalNs = int64(tm.Total())
 	d.Build.StoreLoadNs, d.Build.StoreSaveNs = int64(tm.StoreLoad), int64(tm.StoreSave)
 	d.Resident = a.Resident()
@@ -356,11 +355,7 @@ func buildStatsDump(a *core.Analysis, res detect.Results, rec *obs.Recorder) *st
 	d.Detect.ReplayChecks = res.ReplayChecks
 	d.Detect.ExpansionsWalked = res.ExpansionsWalked
 	d.Detect.QueriesIssued = res.QueriesIssued
-	d.Detect.SummaryHits = res.SummaryHits
 	d.Detect.SummaryMisses = res.SummaryMisses
-	if n := res.SummaryHits + res.SummaryMisses; n > 0 {
-		d.Detect.SummaryHitRate = float64(res.SummaryHits) / float64(n)
-	}
 	d.Detect.SummaryCapHits = res.SummaryCapHits
 	for _, cs := range res.Checkers {
 		d.SMT.Queries += cs.Stats.SMTQueries

@@ -61,7 +61,7 @@ func TestProcess(t *testing.T) {
 			t.Fatalf("reading %s: %v", stats, err)
 		}
 		sum := int64(0)
-		for _, f := range []string{"parse_ns", "plan_ns", "lower_ns", "ssa_ns", "modref_ns", "transform_ns", "pta_seg_ns", "commit_ns"} {
+		for _, f := range []string{"parse_ns", "plan_ns", "lower_ns", "ssa_ns", "modref_ns", "transform_ns", "pta_ns", "seg_ns", "commit_ns"} {
 			v, ok := dump.Build[f]
 			if !ok {
 				t.Errorf("-stats-json build has no %s", f)

@@ -112,8 +112,8 @@ func TestCheckAllTraceShape(t *testing.T) {
 
 // TestCheckAllObsCounters checks the scheduler's registry rollup: task and
 // report counters, the local-flow walk counters (kept under the summary-cache
-// names: misses count walks, hits stay 0), and the SMT latency histogram all
-// land in the recorder and agree with Results.
+// names: misses count walks, and no hit counter is registered), and the SMT
+// latency histogram all land in the recorder and agree with Results.
 func TestCheckAllObsCounters(t *testing.T) {
 	a := buildWorkloadSubject(t)
 	rec := obs.New()
@@ -123,8 +123,8 @@ func TestCheckAllObsCounters(t *testing.T) {
 	if got := snap.Counters["detect.reports"]; got != int64(len(res.Reports)) {
 		t.Errorf("detect.reports = %d, want %d", got, len(res.Reports))
 	}
-	if got := snap.Counters["summary.cache_hits"]; got != int64(res.SummaryHits) {
-		t.Errorf("summary.cache_hits = %d, want %d", got, res.SummaryHits)
+	if _, ok := snap.Counters["summary.cache_hits"]; ok {
+		t.Error("summary.cache_hits is registered; nothing is memoized, so it would always read 0")
 	}
 	if got := snap.Counters["summary.cache_misses"]; got != int64(res.SummaryMisses) {
 		t.Errorf("summary.cache_misses = %d, want %d", got, res.SummaryMisses)

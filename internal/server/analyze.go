@@ -149,9 +149,7 @@ type AnalyzeStats struct {
 	SMTSolved           int `json:"smtSolved"`
 	SMTPrefilterUnsat   int `json:"smtPrefilterUnsat"`
 	// SummaryCacheMisses counts this request's local-flow walks, one per
-	// expansion (zero when every task was replayed); SummaryCacheHits is
-	// always 0, nothing being memoized.
-	SummaryCacheHits   int `json:"summaryCacheHits"`
+	// expansion (zero when every task was replayed).
 	SummaryCacheMisses int `json:"summaryCacheMisses"`
 }
 
@@ -336,7 +334,6 @@ func (s *Server) analyze(ctx context.Context, r *http.Request, ri *requestInfo) 
 		GateWaitNs:          gateWait.Nanoseconds(),
 		DetectTasks:         res.TasksRun + res.TasksReplayed,
 		DetectTasksReplayed: res.TasksReplayed,
-		SummaryCacheHits:    res.SummaryHits,
 		SummaryCacheMisses:  res.SummaryMisses,
 	}
 	var smtNs int64

@@ -310,9 +310,8 @@ func TestCountersArePerRequest(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		again, _ := postAnalyze(t, ts.URL, req)
 		st := again.Stats
-		if st.SummaryCacheHits != 0 || st.SummaryCacheMisses != 0 {
-			t.Errorf("resubmit %d: %d hits, %d misses charged to a request that looked nothing up",
-				i, st.SummaryCacheHits, st.SummaryCacheMisses)
+		if st.SummaryCacheMisses != 0 {
+			t.Errorf("resubmit %d: %d walks charged to a request that walked nothing", i, st.SummaryCacheMisses)
 		}
 		if st.DetectTasks != first.Stats.DetectTasks || st.DetectTasksReplayed != st.DetectTasks {
 			t.Errorf("resubmit %d: %d of %d tasks replayed, want all %d",
@@ -326,8 +325,8 @@ func TestCountersArePerRequest(t *testing.T) {
 		}
 	}
 	snap := s.rec.Snapshot()
-	if got, want := snap.Counters["summary.cache_hits"], int64(first.Stats.SummaryCacheHits); got != want {
-		t.Errorf("summary.cache_hits = %d after four requests, want the first request's %d", got, want)
+	if _, ok := snap.Counters["summary.cache_hits"]; ok {
+		t.Error("summary.cache_hits is registered; nothing is memoized, so it would always read 0")
 	}
 	if got, want := snap.Counters["summary.cache_misses"], int64(first.Stats.SummaryCacheMisses); got != want {
 		t.Errorf("summary.cache_misses = %d after four requests, want the first request's %d", got, want)
