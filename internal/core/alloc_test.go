@@ -37,14 +37,16 @@ import (
 // into its own tables, before the SEG adopted the tables lowering writes, and
 // 11.9 and 1031 while syntax trees were allocated node by node (the arenas
 // took 2.2 allocations and 110 bytes off) and lowering moved each function's
-// values to their IDs in an array of their own (30 bytes), and 9.4 and 893
-// while the condition builders interned through maps.
+// values to their IDs in an array of their own (30 bytes), 9.4 and 893
+// while the condition builders interned through maps, and 9.3 and 865 while
+// lowering took a value ID for every variable and temporary and for every φ
+// the frontier placement would make, read or not (holes in the records).
 const (
 	budgetMallocsPerInstr = measuredMallocsPerInstr * 1.15
 	budgetBytesPerInstr   = measuredBytesPerInstr * 1.15
 
-	measuredMallocsPerInstr = 9.3
-	measuredBytesPerInstr   = 861.0
+	measuredMallocsPerInstr = 9.1
+	measuredBytesPerInstr   = 820.0
 )
 
 func TestAllocBudget(t *testing.T) {
@@ -149,12 +151,15 @@ func TestSearchAllocBudget(t *testing.T) {
 // are the earlier measurement, within their budgets. While each graph's body
 // kept its blocks and each list in a slice of its own, the condition builders
 // interned through maps and the records kept append slack, the build left 248
-// bytes in 1.39 objects per instruction.
+// bytes in 1.39 objects per instruction. While lowering left a value record
+// (and an entry of the graph's value-vertex index) for every variable,
+// temporary and unread φ, each byte row below was 10 or 11 bytes higher: 186,
+// 268, 215, 216 and 299.
 const (
 	budgetResidentBytesPerInstr   = measuredResidentBytesPerInstr * 1.05
 	budgetResidentObjectsPerInstr = measuredResidentObjectsPerInstr * 1.05
 
-	measuredResidentBytesPerInstr   = 185.0
+	measuredResidentBytesPerInstr   = 175.0
 	measuredResidentObjectsPerInstr = 1.16
 
 	// The build's own heap when its wavefront starts, before it has built a
@@ -177,7 +182,7 @@ const (
 	budgetSessionBytesPerInstr   = measuredSessionBytesPerInstr * 1.05
 	budgetSessionObjectsPerInstr = measuredSessionObjectsPerInstr * 1.05
 
-	measuredSessionBytesPerInstr   = 214.0
+	measuredSessionBytesPerInstr   = 204.0
 	measuredSessionObjectsPerInstr = 1.37
 
 	// The same for a session warm-restarted from a store: it holds what the
@@ -186,7 +191,7 @@ const (
 	budgetWarmBytesPerInstr   = measuredWarmBytesPerInstr * 1.05
 	budgetWarmObjectsPerInstr = measuredWarmObjectsPerInstr * 1.05
 
-	measuredWarmBytesPerInstr   = 215.0
+	measuredWarmBytesPerInstr   = 205.0
 	measuredWarmObjectsPerInstr = 1.42
 
 	// The one-shot analysis and the warm-restarted session once more, each
@@ -200,13 +205,13 @@ const (
 	budgetCheckedBytesPerInstr   = measuredCheckedBytesPerInstr * 1.05
 	budgetCheckedObjectsPerInstr = measuredCheckedObjectsPerInstr * 1.05
 
-	measuredCheckedBytesPerInstr   = 269.0
+	measuredCheckedBytesPerInstr   = 258.0
 	measuredCheckedObjectsPerInstr = 1.81
 
 	budgetWarmCheckedBytesPerInstr   = measuredWarmCheckedBytesPerInstr * 1.05
 	budgetWarmCheckedObjectsPerInstr = measuredWarmCheckedObjectsPerInstr * 1.05
 
-	measuredWarmCheckedBytesPerInstr   = 300.0
+	measuredWarmCheckedBytesPerInstr   = 289.0
 	measuredWarmCheckedObjectsPerInstr = 2.07
 )
 
@@ -527,14 +532,16 @@ func TestSEGRecordsArePointerFree(t *testing.T) {
 // 263 KiB (it measured 244 KiB on both rows). Patching the last run's merge
 // then still spliced a copy of the whole task plan (168 and 170 KiB, 64 KiB
 // of it the splice); now it copies the sorted report list alone, ≈ 86 of the
-// driver edit's 103 KiB.
+// driver edit's 103 KiB. While lowering took a value ID for every variable,
+// temporary and unread φ, the Updates measured 115 KiB in 513 objects and 29
+// KiB in 209.
 const (
-	measuredEditUpdateBytes   = 115 << 10
-	measuredEditUpdateMallocs = 513
+	measuredEditUpdateBytes   = 105 << 10
+	measuredEditUpdateMallocs = 511
 	measuredEditCheckBytes    = 103 << 10
 
 	measuredCrossEditUpdateBytes   = 29 << 10
-	measuredCrossEditUpdateMallocs = 209
+	measuredCrossEditUpdateMallocs = 207
 	measuredCrossEditCheckBytes    = 104 << 10
 )
 
@@ -751,13 +758,14 @@ func TestCommitGrowthBudget(t *testing.T) {
 // 36.3 MiB in 428,900 objects; the difference was the AST. While the store
 // also wrote and read every function's IR, SSA info and points-to result, it
 // allocated 32.2 MiB in 337,200 objects, and while decoded condition
-// builders interned through maps, 17.0 MiB in 115,600.) It must also parse
-// nothing.
+// builders interned through maps, 17.0 MiB in 115,600, and while bodies
+// held a value record for every variable, temporary and unread φ, 15.2 MiB.)
+// It must also parse nothing.
 const (
 	parentWarmLoadBytes   = 62.7 * (1 << 20)
 	parentWarmLoadMallocs = 762850
 
-	measuredWarmLoadBytes   = 15.2 * (1 << 20)
+	measuredWarmLoadBytes   = 14.6 * (1 << 20)
 	measuredWarmLoadMallocs = 107400
 
 	budgetWarmLoadBytes   = measuredWarmLoadBytes * 1.15
