@@ -21,12 +21,12 @@ import (
 // buildState is what an open body holds besides its tables: the indexes of
 // its symbols and constants.
 type buildState struct {
-	strs, packed []string // the symbols, and Pack's numbering of them
+	strs, packed []string // the symbols, and the order Pack lays them out in
 	// symIdx indexes strs, first occurrence, once they are more than a few:
 	// most bodies have fewer, and a scan of a few strings costs less than
 	// hashing each.
 	symIdx map[string]int32
-	consts []constKey // sorted, with the handle of each
+	consts []constKey // sorted, with the ID of each
 	err    error
 	symAt  []int32 // Pack's symbol offsets, before they go into the body
 	// vals and instrs are record arrays kept for the next body NewFunc
@@ -348,8 +348,9 @@ func (f *Func) Connect(a, c int32) {
 
 // SealCFG finishes a CFG that has its final shape (lowering calls it last):
 // it computes the control-flow facts, and drops the blocks the entry does
-// not reach, their instructions (whose IDs become holes, as a dead φ's is)
-// and the edges from them. It returns TopoOrder's error.
+// not reach, their instructions (whose IDs, and those of the values they
+// define, become holes; see Pack) and the edges from them. It returns
+// TopoOrder's error.
 func (f *Func) SealCFG() error {
 	c := new(cfgFacts)
 	f.cfg = c

@@ -26,7 +26,7 @@ import (
 // def is what a variable holds at a point of the lowering: a value (v > 0),
 // a φ that has not been needed yet (phi > 0), or nothing (the zero def).
 type def struct {
-	v   int32 // 1 + the value's handle
+	v   int32 // 1 + the value's ID
 	phi int32 // 1 + index into scratch.phis
 }
 

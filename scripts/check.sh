@@ -72,7 +72,7 @@ go test ./internal/server -run '^$' -fuzz FuzzDecodeRequest -fuzztime 5s -fuzzmi
 echo "== fuzz the report appender against encoding/json (5s)"
 go test ./internal/detect -run '^$' -fuzz FuzzReportJSON -fuzztime 5s -fuzzminimizetime 1s
 
-echo "== fuzz lowering into SSA form and through the SEG and its codec (5s)"
+echo "== fuzz lowering into SSA form, its φs against the semi-pruned dominance-frontier placement, and through the SEG and its codec (5s)"
 go test ./internal/lower -run '^$' -fuzz FuzzLowerSSA -fuzztime 5s -fuzzminimizetime 1s
 
 echo "== fuzz the analysis against exhaustive execution of generated programs (5s)"
