@@ -327,18 +327,14 @@ func (lw *lowerer) meet(join int32, key int32, a, b def) {
 // emitted: the variables it reads before defining them in its block, and the
 // blocks defining each variable.
 func (lw *lowerer) note(in int32) {
-	f := lw.f
-	here := int32(-1)
-	if lw.live {
-		here = lw.cur + 1
-		for _, a := range f.Args(in) {
-			if v := lw.declared(a); v != nil && v.defIn != here {
-				v.global = true
-			}
-		}
-	}
-	if here < 0 {
+	if !lw.live {
 		return
+	}
+	f, here := lw.f, lw.cur+1
+	for _, a := range f.Args(in) {
+		if v := lw.declared(a); v != nil && v.defIn != here {
+			v.global = true
+		}
 	}
 	if f.In(in).Op != ir.OpCall {
 		if d := f.In(in).Dst; d >= 0 {
