@@ -285,14 +285,14 @@ type statsDump struct {
 	Resident core.Resident `json:"resident"`
 	Checkers []checkerDump `json:"checkers"`
 	Detect   struct {
-		Workers        int     `json:"workers"`
-		WallNs         int64   `json:"wall_ns"`
-		Reports        int     `json:"reports"`
-		Tasks          int     `json:"tasks"`
-		TasksReplayed  int     `json:"tasks_replayed"`
-		ReplayChecks   int     `json:"replay_checks"`
-		SummaryMisses  int     `json:"summary_cache_misses"`
-		SummaryCapHits int     `json:"summary_cap_hits"`
+		Workers        int   `json:"workers"`
+		WallNs         int64 `json:"wall_ns"`
+		Reports        int   `json:"reports"`
+		Tasks          int   `json:"tasks"`
+		TasksReplayed  int   `json:"tasks_replayed"`
+		ReplayChecks   int   `json:"replay_checks"`
+		SummaryMisses  int   `json:"summary_cache_misses"`
+		SummaryCapHits int   `json:"summary_cap_hits"`
 		// ExpansionsWalked and QueriesIssued count once what the checkers of
 		// a group each count as their own (see detect.Results).
 		ExpansionsWalked int `json:"expansions_walked"`
