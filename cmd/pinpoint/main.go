@@ -161,14 +161,10 @@ func runBatch() {
 	})
 
 	if o.format == "json" {
-		jsonReports := make([]detect.JSONReport, 0, len(res.Reports))
-		for _, r := range res.Reports {
-			jsonReports = append(jsonReports, r.ToJSON())
-		}
 		// What json.Encoder with a two-space indent writes, without its
 		// reflection.
 		var out bytes.Buffer
-		if err := json.Indent(&out, detect.AppendJSONReports(nil, jsonReports), "", "  "); err != nil {
+		if err := json.Indent(&out, res.AppendJSON(nil), "", "  "); err != nil {
 			fatal(err)
 		}
 		out.WriteByte('\n')
@@ -291,6 +287,7 @@ type statsDump struct {
 		Tasks          int   `json:"tasks"`
 		TasksReplayed  int   `json:"tasks_replayed"`
 		ReplayChecks   int   `json:"replay_checks"`
+		ReportsEncoded int   `json:"reports_encoded"`
 		SummaryMisses  int   `json:"summary_cache_misses"`
 		SummaryCapHits int   `json:"summary_cap_hits"`
 		// ExpansionsWalked and QueriesIssued count once what the checkers of
@@ -353,6 +350,7 @@ func buildStatsDump(a *core.Analysis, res detect.Results, rec *obs.Recorder) *st
 	d.Detect.Tasks = res.TasksRun + res.TasksReplayed
 	d.Detect.TasksReplayed = res.TasksReplayed
 	d.Detect.ReplayChecks = res.ReplayChecks
+	d.Detect.ReportsEncoded = res.ReportsEncoded
 	d.Detect.ExpansionsWalked = res.ExpansionsWalked
 	d.Detect.QueriesIssued = res.QueriesIssued
 	d.Detect.SummaryMisses = res.SummaryMisses

@@ -531,14 +531,15 @@ func TestSEGRecordsArePointerFree(t *testing.T) {
 // the program and merged every task's reports, its budgets were 360 KiB and
 // 263 KiB (it measured 244 KiB on both rows). Patching the last run's merge
 // then still spliced a copy of the whole task plan (168 and 170 KiB, 64 KiB
-// of it the splice); now it copies the sorted report list alone, ≈ 86 of the
-// driver edit's 103 KiB. While lowering took a value ID for every variable,
-// temporary and unread φ, the Updates measured 115 KiB in 513 objects and 29
-// KiB in 209.
+// of it the splice), and then it copied the sorted report list, ≈ 86 of the
+// driver edit's 103 KiB; now it keeps the list the edit leaves as it was,
+// while the cross-unit edit, which changes a report, still copies it. While
+// lowering took a value ID for every variable, temporary and unread φ, the
+// Updates measured 115 KiB in 513 objects and 29 KiB in 209.
 const (
 	measuredEditUpdateBytes   = 105 << 10
 	measuredEditUpdateMallocs = 511
-	measuredEditCheckBytes    = 103 << 10
+	measuredEditCheckBytes    = 17.5 * (1 << 10)
 
 	measuredCrossEditUpdateBytes   = 29 << 10
 	measuredCrossEditUpdateMallocs = 207
@@ -743,6 +744,57 @@ func TestCommitGrowthBudget(t *testing.T) {
 	t.Logf("per driver edit: commit %.1f KiB on the 20k-line ladder, %.1f KiB on the 68k-line one (budget %.1f KiB)", r20k/1024, r68k/1024, r20k*commitGrowth/1024)
 	if r68k > r20k*commitGrowth {
 		t.Errorf("commit allocated %.1f KiB on the 68k-line ladder, budget %.1f KiB (%.2f× the 20k-line ladder's %.1f KiB)", r68k/1024, r20k*commitGrowth/1024, commitGrowth, r20k/1024)
+	}
+}
+
+// The CheckAll after a driver edit may allocate no more on the 68k-line
+// ladder than editCheckGrowth times what it allocates on the 20k-line one,
+// the median of eight edits (the edited driver sets how many tasks run, so
+// the least would compare two drivers): it runs the tasks the edit reaches
+// and keeps the last run's report list, which the edit leaves as it was,
+// instead of copying it. (While it copied the list, it read 106.9 KiB against
+// 297.8 KiB; now 21.0 KiB against 21.8 KiB.)
+const editCheckGrowth = 1.25
+
+func TestEditCheckGrowthBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates shadow state of its own")
+	}
+	if testing.Short() {
+		t.Skip("builds the 20k- and 68k-line ladders")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as TestUpdateEditBudget
+	check := func(kloc int) float64 {
+		units := ladder(kloc, 1)
+		sess := core.NewSession(core.BuildOptions{Workers: 1})
+		a, err := sess.Update(units)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.CheckAll(checkers.All(), detect.Options{Workers: 1})
+		var allocs []float64
+		for i := 0; i < 8; i++ {
+			driverEdit(units, i)
+			a, err := sess.Update(slices.Clone(units))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			res := a.CheckAll(checkers.All(), detect.Options{Workers: 1})
+			runtime.ReadMemStats(&m1)
+			if res.TasksRun == 0 {
+				t.Fatalf("ladder %d, edit %d: no task ran", kloc, i)
+			}
+			allocs = append(allocs, float64(m1.TotalAlloc-m0.TotalAlloc))
+		}
+		slices.Sort(allocs)
+		return (allocs[3] + allocs[4]) / 2
+	}
+	r20k, r68k := check(600), check(2000)
+	t.Logf("per driver edit: CheckAll %.1f KiB on the 20k-line ladder, %.1f KiB on the 68k-line one (budget %.1f KiB)", r20k/1024, r68k/1024, r20k*editCheckGrowth/1024)
+	if r68k > r20k*editCheckGrowth {
+		t.Errorf("CheckAll allocated %.1f KiB on the 68k-line ladder, budget %.1f KiB (%.2f× the 20k-line ladder's %.1f KiB)", r68k/1024, r20k*editCheckGrowth/1024, editCheckGrowth, r20k/1024)
 	}
 }
 

@@ -2,6 +2,8 @@ package detect
 
 import (
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"unicode/utf8"
 )
 
@@ -88,6 +90,69 @@ func AppendJSONReports(dst []byte, rs []JSONReport) []byte {
 		dst = rs[i].AppendJSON(dst)
 	}
 	return append(dst, ']')
+}
+
+// AppendJSON appends the reports as AppendJSONReports writes their ToJSON
+// forms. Each list CheckAll returns is encoded once, and a later run that kept
+// a report copies its bytes. ReportsEncoded and the detect.reports_encoded
+// counter count the reports this call encoded anew.
+func (r *Results) AppendJSON(dst []byte) []byte {
+	if r.json == nil { // not a CheckAll's
+		r.json = new(reportsJSON)
+	}
+	e, fresh := r.json.encode(r.Reports)
+	r.ReportsEncoded += fresh
+	r.obs.Counter("detect.reports_encoded").Add(int64(fresh))
+	return append(dst, e.b...)
+}
+
+// reportsJSON memoizes a run's reports as one JSON array. A run whose list is
+// its parent's shares the parent's memo; one whose list changed copies the
+// kept reports' bytes from the parent's encoding, if made by then.
+type reportsJSON struct {
+	once sync.Once
+	done atomic.Pointer[encodedReports]
+	// Until encoded: the parent's encoding, and per report its index in the
+	// parent's list, or -1 for one found again.
+	base *encodedReports
+	from []int32
+}
+
+// encodedReports is an array whose i-th object is b[at[i]:at[i+1]-1].
+type encodedReports struct {
+	b  []byte
+	at []int32
+}
+
+// encode returns the encoding of reports, the memo's list, making it on the
+// first call; fresh counts the reports that call encoded.
+func (m *reportsJSON) encode(reports []Report) (_ *encodedReports, fresh int) {
+	m.once.Do(func() {
+		e := &encodedReports{at: make([]int32, len(reports)+1)}
+		if m.base != nil {
+			e.b = make([]byte, 0, len(m.base.b)+len(m.base.b)/8)
+		}
+		e.b = append(e.b, '[')
+		for i := range reports {
+			if i > 0 {
+				e.b = append(e.b, ',')
+			}
+			e.at[i] = int32(len(e.b))
+			if m.base != nil && m.from[i] >= 0 {
+				k := m.from[i]
+				e.b = append(e.b, m.base.b[m.base.at[k]:m.base.at[k+1]-1]...)
+				continue
+			}
+			j := reports[i].ToJSON()
+			e.b = j.AppendJSON(e.b)
+			fresh++
+		}
+		e.b = append(e.b, ']')
+		e.at[len(reports)] = int32(len(e.b))
+		m.done.Store(e)
+		m.base, m.from = nil, nil
+	})
+	return m.done.Load(), fresh
 }
 
 // appendJSONString appends s quoted as encoding/json quotes it with HTML

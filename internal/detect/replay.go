@@ -221,7 +221,8 @@ func (ri readIndex) put(id int, ref taskRef, kind uint8) {
 // the task table and may-free vectors as it saw them, snapshots that share
 // the Program's chunks (dense.Table) — and its merge without SMTTime: the
 // number of its tasks, each checker's Stats, the work counted once, and the
-// sorted reports with the place each was found at.
+// sorted reports with the place each was found at and their encoding. A run
+// whose merge gives back its parent's reports shares their list and encoding.
 type lastRun struct {
 	key   Options
 	ids   []int
@@ -233,6 +234,7 @@ type lastRun struct {
 	walked, issued int
 	reports        []Report
 	found          []foundAt
+	json           *reportsJSON
 }
 
 // foundAt places a report in the merge's discovery order: the position of
@@ -254,7 +256,7 @@ func (c *caches) patchable(key *Options, ids []int) *lastRun {
 	if run != nil && run == c.runs.last && run.key == *key && slices.Equal(run.ids, ids) {
 		return run
 	}
-	return &lastRun{key: *key, ids: ids}
+	return &lastRun{key: *key, ids: ids, json: new(reportsJSON)}
 }
 
 // checkList returns the tasks a run holds against the Program, in canonical
@@ -361,7 +363,7 @@ func (c *caches) patch(prog *Program, run *lastRun, groups []group, of, ids []in
 		}
 	}
 	if len(dirty) == 0 {
-		next.reports, next.found = run.reports, run.found
+		next.reports, next.found, next.json = run.reports, run.found, run.json
 		return next, smtTime
 	}
 
@@ -398,26 +400,74 @@ func (c *caches) patch(prog *Program, run *lastRun, groups []group, of, ids []in
 		}
 	}
 	slices.SortStableFunc(found, func(a, b foundReport) int { return compareReports(a.rep, b.rep) })
-	// Merge the kept reports of run with the found ones, both sorted.
-	n := len(run.reports) + len(found)
-	if n == 0 {
-		return next, smtTime
+	// Merge the kept reports of run with the found ones, both sorted. While
+	// each pair it emits is the one run has at that index, the merge writes
+	// nothing: a list that comes out whole is run's.
+	base := run.json.done.Load()
+	var from []int32 // per report, its index in run's list or -1 (see reportsJSON)
+	out := 0
+	diverge := func() {
+		n := len(run.reports) + len(found)
+		next.reports = append(make([]Report, 0, n), run.reports[:out]...)
+		next.found = append(make([]foundAt, 0, n), run.found[:out]...)
+		if base != nil {
+			from = make([]int32, out, n)
+			for k := range from {
+				from[k] = int32(k)
+			}
+		}
 	}
-	next.reports, next.found = make([]Report, 0, n), make([]foundAt, 0, n)
+	emit := func(r *Report, at foundAt, i int32) {
+		if next.reports == nil {
+			if out < len(run.reports) && run.found[out] == at && sameReport(&run.reports[out], r) {
+				out++
+				return
+			}
+			diverge()
+		}
+		next.reports, next.found = append(next.reports, *r), append(next.found, at)
+		if base != nil {
+			from = append(from, i)
+		}
+	}
 	j := 0
 	for i := range run.reports {
 		if f := run.found[i]; covers(dirty, of[f.spec], int(f.pos)) {
 			continue
 		}
 		for ; j < len(found) && cmp.Or(compareReports(found[j].rep, &run.reports[i]), compareFound(found[j].at, run.found[i])) < 0; j++ {
-			next.reports, next.found = append(next.reports, *found[j].rep), append(next.found, found[j].at)
+			emit(found[j].rep, found[j].at, -1)
 		}
-		next.reports, next.found = append(next.reports, run.reports[i]), append(next.found, run.found[i])
+		emit(&run.reports[i], run.found[i], int32(i))
 	}
 	for ; j < len(found); j++ {
-		next.reports, next.found = append(next.reports, *found[j].rep), append(next.found, found[j].at)
+		emit(found[j].rep, found[j].at, -1)
 	}
+	if next.reports == nil && out == len(run.reports) {
+		next.reports, next.found, next.json = run.reports, run.found, run.json
+		return next, smtTime
+	}
+	if next.reports == nil { // run's list cut short
+		diverge()
+	}
+	next.json = &reportsJSON{base: base, from: from}
 	return next, smtTime
+}
+
+// sameReport reports whether a and b are alike in every field, their witness
+// and provenance by value.
+func sameReport(a, b *Report) bool {
+	if a == b {
+		return true
+	}
+	if a.Checker != b.Checker || a.Kind != b.Kind || a.SourceFn != b.SourceFn || a.SinkFn != b.SinkFn ||
+		a.SourcePos != b.SourcePos || a.SinkPos != b.SinkPos || a.Source != b.Source || a.Sink != b.Sink ||
+		a.PathLen != b.PathLen || a.Contexts != b.Contexts || a.Verdict != b.Verdict || !slices.Equal(a.Witness, b.Witness) {
+		return false
+	}
+	pa, pb := a.Provenance, b.Provenance
+	return pa == pb || (pa != nil && pb != nil && pa.CondTerms == pb.CondTerms &&
+		pa.VerdictSource == pb.VerdictSource && slices.Equal(pa.Hops, pb.Hops))
 }
 
 // crossCheck, when set, makes every patching run also hold each task it

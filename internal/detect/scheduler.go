@@ -127,6 +127,12 @@ type Results struct {
 	// WorkerStats is the per-worker task/busy-time breakdown, populated
 	// only when Options.Obs is set. Replayed tasks are not counted.
 	WorkerStats []WorkerStat
+	// ReportsEncoded counts the reports AppendJSON encoded anew: none when
+	// the run kept the list of a run whose encoding was made.
+	ReportsEncoded int
+
+	json *reportsJSON  // Reports' encoding
+	obs  *obs.Recorder // Options.Obs
 }
 
 // group is the specs of one CheckAll call that share a walk.
@@ -342,6 +348,7 @@ func CheckAll(prog *Program, specs []*checkers.Spec, opts Options) Results {
 		res.Checkers[si].Stats.SMTTime = smtTime[si]
 	}
 	res.Reports, res.ExpansionsWalked, res.QueriesIssued = run.reports, run.walked, run.issued
+	res.json, res.obs = run.json, rec
 	c.ran, c.runs.last, c.changed = run, run, nil
 	mergeSp.End()
 	res.Wall = time.Since(start)

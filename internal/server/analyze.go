@@ -52,7 +52,9 @@ type UnitJSON struct {
 
 // AnalyzeResponse is the POST /v1/analyze reply. Reports uses the exact
 // detect.JSONReport schema of `pinpoint -format json`, so batch and served
-// analyses of the same program are byte-identical report-for-report.
+// analyses of the same program are byte-identical report-for-report. The
+// server leaves it empty and writes the detection run's own encoding
+// (detect.Results.AppendJSON) in its place.
 type AnalyzeResponse struct {
 	TraceID string `json:"traceId"`
 	// Project echoes the request's project field. Omitted when the
@@ -62,6 +64,8 @@ type AnalyzeResponse struct {
 	Reports []detect.JSONReport `json:"reports"`
 	Stats   AnalyzeStats        `json:"stats"`
 	Timing  TimingJSON          `json:"timing"`
+	// results is the detection run whose reports are sent.
+	results *detect.Results
 	// unitsUnescaped counts the units whose bytes differed from those the
 	// tenant's last request sent; it is logged, not sent.
 	unitsUnescaped int
@@ -315,10 +319,6 @@ func (s *Server) analyze(ctx context.Context, r *http.Request, ri *requestInfo) 
 	})
 	detectNs := time.Since(detectStart)
 
-	reports := make([]detect.JSONReport, 0, len(res.Reports))
-	for _, rep := range res.Reports {
-		reports = append(reports, rep.ToJSON())
-	}
 	stats := AnalyzeStats{
 		Functions:           a.Sizes.Functions,
 		ArtifactHits:        a.Artifacts.Hits,
@@ -327,7 +327,7 @@ func (s *Server) analyze(ctx context.Context, r *http.Request, ri *requestInfo) 
 		ArtifactStoreHits:   a.Artifacts.StoreHits,
 		FunctionsVisited:    a.Artifacts.Visited,
 		UnitsParsed:         a.Artifacts.UnitsParsed,
-		Reports:             len(reports),
+		Reports:             len(res.Reports),
 		Workers:             conc.Workers(workers),
 		BuildNs:             buildNs.Nanoseconds(),
 		DetectNs:            detectNs.Nanoseconds(),
@@ -360,7 +360,7 @@ func (s *Server) analyze(ctx context.Context, r *http.Request, ri *requestInfo) 
 		timing.SessionWaitNs - timing.BuildNs - timing.DetectNs
 	phases := h.Histograms(phaseSeries)
 	observePhases(phases, timing)
-	return &AnalyzeResponse{TraceID: ri.TraceID, Project: req.Project, Reports: reports, Stats: stats, Timing: timing, unitsUnescaped: unescaped}, phases, nil
+	return &AnalyzeResponse{TraceID: ri.TraceID, Project: req.Project, Stats: stats, Timing: timing, results: &res, unitsUnescaped: unescaped}, phases, nil
 }
 
 // phaseNames are the values of server.phase_ns's phase label: TimingJSON's
@@ -415,7 +415,7 @@ func resolveCheckers(names []string) ([]*checkers.Spec, error) {
 var responseBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // writeAnalyzeResponse writes resp as writeJSON would, byte for byte, with
-// its reports — the bulk of it — appended by detect.JSONReport.AppendJSON
+// its reports — the bulk of it — copied from the detection run's encoding
 // into a pooled buffer instead of encoded by reflection.
 func writeAnalyzeResponse(w http.ResponseWriter, resp *AnalyzeResponse) {
 	bp := responseBufs.Get().(*[]byte)
@@ -424,7 +424,7 @@ func writeAnalyzeResponse(w http.ResponseWriter, resp *AnalyzeResponse) {
 	if resp.Project != "" {
 		b = appendJSONValue(append(b, `,"project":`...), resp.Project)
 	}
-	b = detect.AppendJSONReports(append(b, `,"reports":`...), resp.Reports)
+	b = resp.results.AppendJSON(append(b, `,"reports":`...))
 	b = appendJSONValue(append(b, `,"stats":`...), resp.Stats)
 	b = appendJSONValue(append(b, `,"timing":`...), resp.Timing)
 	b = append(b, "}\n"...)

@@ -84,10 +84,17 @@ func openBody(r io.Reader, size int64) *requestBody {
 	if mem == nil {
 		mem = new([]byte)
 	}
-	if int64(cap(*mem)) < size {
-		*mem = make([]byte, 0, size)
-	}
+	fit(mem, size)
 	return &requestBody{r: r, mem: mem, buf: (*mem)[:0]}
+}
+
+// fit gives a buffer room for size bytes. One it must replace gets a quarter
+// more, so that the next body of a program that grows an edit at a time
+// fits too.
+func fit(mem *[]byte, size int64) {
+	if int64(cap(*mem)) < size {
+		*mem = make([]byte, 0, size+size/4)
+	}
 }
 
 // release returns the buffer to the pool and with it every view. A second

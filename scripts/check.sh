@@ -66,6 +66,9 @@ go test ./internal/minic -run '^$' -fuzz FuzzParseFunc -fuzztime 5s -fuzzminimiz
 echo "== fuzz the solver against enumeration (5s)"
 go test ./internal/smt -run '^$' -fuzz FuzzCheckVsEnumeration -fuzztime 5s -fuzzminimizetime 1s
 
+echo "== fuzz a session's history of edits, resubmits and checker changes, every kept Analysis checked again, against from-scratch builds, under the race detector (5s)"
+go test ./internal/core -race -run '^$' -fuzz FuzzSessionHistory -fuzztime 5s -fuzzminimizetime 1s
+
 echo "== fuzz the request decoder, through a tenant's memo of the units last sent, against encoding/json (5s)"
 go test ./internal/server -run '^$' -fuzz FuzzDecodeRequest -fuzztime 5s -fuzzminimizetime 1s
 
